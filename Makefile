@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check serve-smoke bench bench-overhead bench-codec bench-query bench-vectors bench-joinagg breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query bench-vectors bench-joinagg breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -39,6 +39,18 @@ serve-smoke:
 
 bench:
 	go test -bench . -benchtime 1x ./...
+
+# The client-path benchmark (bench/README.md; BENCHMARK.json is its
+# contract): every workload untraced then traced through an in-process
+# daemon and the SDK, all metrics printed and written to bench/out/run.json.
+bench-e2e:
+	go run ./bench
+
+# Compare two suite files of bench-e2e: one row per workload and end-to-end
+# metric with delta, bound, spread and verdict, plus every exact counter that
+# differs. Usage: make bench-e2e-compare A=before.json B=after.json
+bench-e2e-compare:
+	go run ./bench -compare $(A) $(B)
 
 # Observability overhead gate: fails when attaching a metrics recorder to a
 # capture run costs more than 2% (see DESIGN.md §7; CI runs this

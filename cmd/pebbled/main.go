@@ -12,8 +12,8 @@
 // The -smoke form is the CI gate (`make serve-smoke`): it boots the daemon
 // on an ephemeral port, drives the named scenario end-to-end through the
 // pkg/sdk client — capture, provenance download, trace — and exits non-zero
-// unless the daemon's provenance bytes and trace report are identical to a
-// direct library execution.
+// unless the daemon's provenance bytes and trace answer (report and JSON
+// result) are identical to a direct library execution.
 package main
 
 import (
@@ -64,28 +64,48 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pebbled: %v\n", err)
 		os.Exit(1)
 	}
-	defer srv.Close()
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		srv.Close()
 		fmt.Fprintf(os.Stderr, "pebbled: listen: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hs.Shutdown(shutdownCtx) //nolint:errcheck // exiting anyway
-	}()
 	fmt.Printf("pebbled listening on http://%s (data: %s, queue %d, runners %d, session cap %d)\n",
 		ln.Addr(), *dataDir, *queueDepth, *runners, *sessionCap)
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "pebbled: serve: %v\n", err)
+	if err := serve(ctx, srv, &http.Server{Handler: srv.Handler()}, ln, 10*time.Second); err != nil {
+		fmt.Fprintf(os.Stderr, "pebbled: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// serve runs the daemon — hs, serving srv's handler — on ln until ctx is
+// cancelled (or the listener fails), then shuts down in the order that loses
+// no response: first the job server, which cancels every job and so brings
+// the event streams clients are following to their terminal line; then the
+// HTTP server, whose Shutdown returns once those in-flight responses have
+// been written, or after drain at the latest. It returns only when both are
+// down.
+func serve(ctx context.Context, srv *server.Server, hs *http.Server, ln net.Listener, drain time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var serveErr error
+	select {
+	case serveErr = <-served:
+	case <-ctx.Done():
+	}
+	srv.Close()
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := hs.Shutdown(shutdownCtx); err != nil {
+		hs.Close() //nolint:errcheck // drain timed out; cutting the rest is the point
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if serveErr != nil && serveErr != http.ErrServerClosed {
+		return fmt.Errorf("serve: %w", serveErr)
+	}
+	return nil
 }
 
 // runSmoke is the serve-smoke gate: one scenario through a live daemon via
@@ -190,6 +210,13 @@ func runSmoke(scenario string) error {
 	}
 	if out.Report != q.Report() {
 		return fmt.Errorf("trace reports differ:\n-- daemon --\n%s\n-- library --\n%s", out.Report, q.Report())
+	}
+	result, err := q.JSON()
+	if err != nil {
+		return fmt.Errorf("library result: %w", err)
+	}
+	if !bytes.Equal(out.Result, result) {
+		return fmt.Errorf("trace results differ: daemon %d bytes, library %d bytes", len(out.Result), len(result))
 	}
 	fmt.Printf("scenario %s: %d events streamed, %d provenance bytes, %d matched item(s) — daemon == library\n",
 		scenario, events, len(remote), out.Matched)

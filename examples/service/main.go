@@ -141,7 +141,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trace job %s matched %d result item(s):\n%s\n", trace.ID, out.Matched, out.Report)
+	// out.Report and out.Result are the bytes the job produced — the text of
+	// QueryResult.Report and the document of QueryResult.JSON — delivered
+	// verbatim behind a length header, not re-encoded on the way.
+	fmt.Printf("trace job %s matched %d result item(s) (%d-byte JSON result):\n%s\n",
+		trace.ID, out.Matched, len(out.Result), out.Report)
 
 	// --- 5. Session aggregates from the per-job recorders. ---
 	stats, err := c.Stats(ctx)

@@ -6,12 +6,12 @@
 package backtrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
+	"pebble/internal/jsonenc"
 	"pebble/internal/path"
 )
 
@@ -585,40 +585,71 @@ func sortedInts(in []int) []int {
 	return out
 }
 
-// treeJSON is the serialisable view of a node.
-type treeJSON struct {
-	Name         string     `json:"name,omitempty"`
-	Pos          int        `json:"pos,omitempty"`
-	Contributing bool       `json:"contributing"`
-	Access       []int      `json:"accessed,omitempty"`
-	Manip        []int      `json:"manipulated,omitempty"`
-	Children     []treeJSON `json:"children,omitempty"`
-}
-
 // MarshalJSON encodes the tree for machine consumption (front-ends,
 // notebooks): nodes carry their attribute name or 1-based position, the
-// contributing flag, and the accessing/manipulating operator ids.
+// contributing flag, and the accessing/manipulating operator ids; empty
+// members are left out.
 func (t *Tree) MarshalJSON() ([]byte, error) {
-	root := nodeJSON(t.Root)
-	out := struct {
-		Opaque   bool       `json:"opaque,omitempty"`
-		Children []treeJSON `json:"children,omitempty"`
-	}{Opaque: t.Opaque, Children: root.Children}
-	return json.Marshal(out)
+	return t.AppendJSON(nil, jsonenc.Compact), nil
 }
 
-func nodeJSON(n *Node) treeJSON {
-	out := treeJSON{
-		Name:         n.Name,
-		Contributing: n.Contributing,
-		Access:       sortedInts(n.Access),
-		Manip:        sortedInts(n.Manip),
+// AppendJSON appends the tree's JSON encoding to dst: MarshalJSON's bytes
+// for depth jsonenc.Compact, and for depth >= 0 those bytes as
+// json.Indent(_, "", "  ") lays them out for a value nested depth levels
+// deep.
+func (t *Tree) AppendJSON(dst []byte, depth int) []byte {
+	in := jsonenc.Inner(depth)
+	dst = append(dst, '{')
+	if t.Opaque {
+		dst = append(jsonenc.Key(dst, in, "opaque"), "true"...)
+	}
+	dst = appendChildrenJSON(dst, in, t.Root.Children)
+	return jsonenc.Close(dst, depth, '}')
+}
+
+// appendChildrenJSON appends the "children" member of a container whose
+// members are at depth, or nothing when there are none.
+func appendChildrenJSON(dst []byte, depth int, children []*Node) []byte {
+	if len(children) == 0 {
+		return dst
+	}
+	in := jsonenc.Inner(depth)
+	dst = append(jsonenc.Key(dst, depth, "children"), '[')
+	for _, c := range children {
+		dst = c.appendJSON(jsonenc.Sep(dst, in), in)
+	}
+	return jsonenc.Close(dst, depth, ']')
+}
+
+func (n *Node) appendJSON(dst []byte, depth int) []byte {
+	in := jsonenc.Inner(depth)
+	dst = append(dst, '{')
+	if n.Name != "" {
+		dst = jsonenc.String(jsonenc.Key(dst, in, "name"), n.Name)
 	}
 	if n.Pos > 0 {
-		out.Pos = n.Pos
+		dst = strconv.AppendInt(jsonenc.Key(dst, in, "pos"), int64(n.Pos), 10)
 	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, nodeJSON(c))
+	dst = strconv.AppendBool(jsonenc.Key(dst, in, "contributing"), n.Contributing)
+	dst = appendOpsJSON(dst, in, "accessed", n.Access)
+	dst = appendOpsJSON(dst, in, "manipulated", n.Manip)
+	dst = appendChildrenJSON(dst, in, n.Children)
+	return jsonenc.Close(dst, depth, '}')
+}
+
+// appendOpsJSON appends a member listing operator ids in ascending order,
+// or nothing for an empty list.
+func appendOpsJSON(dst []byte, depth int, name string, ops []int) []byte {
+	if len(ops) == 0 {
+		return dst
 	}
-	return out
+	if !sort.IntsAreSorted(ops) {
+		ops = sortedInts(ops)
+	}
+	in := jsonenc.Inner(depth)
+	dst = append(jsonenc.Key(dst, depth, name), '[')
+	for _, op := range ops {
+		dst = strconv.AppendInt(jsonenc.Sep(dst, in), int64(op), 10)
+	}
+	return jsonenc.Close(dst, depth, ']')
 }

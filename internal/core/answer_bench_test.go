@@ -1,0 +1,74 @@
+package core_test
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"pebble/internal/core"
+	"pebble/internal/workload"
+)
+
+var answerSink int
+
+// BenchmarkTraceAnswer measures how a finished trace becomes its answer —
+// resolving the traced identifiers to source rows, QueryResult.JSON and
+// QueryResult.Report — on a wide nested result (T3: tweets) and a narrow
+// one with many items (D1: DBLP records). It is the layer the client-path
+// benchmark reports as core.result_encode_s.
+func BenchmarkTraceAnswer(b *testing.B) {
+	for _, name := range []string{"T3", "D1"} {
+		b.Run(name, func(b *testing.B) {
+			sc, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := core.Session{Partitions: 16}
+			cap, err := s.Capture(sc.Build(), sc.Input(workload.DefaultScale(8), 16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := cap.Query(sc.Pattern)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(q.Items()) == 0 {
+				b.Fatal("nothing traced")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				js, err := q.JSON()
+				if err != nil {
+					b.Fatal(err)
+				}
+				report := q.Report()
+				b.SetBytes(int64(len(js) + len(report)))
+				answerSink += len(js) + len(report)
+			}
+		})
+	}
+}
+
+// TestTraceAnswerBenchSmoke re-executes this test binary with one benchmark
+// iteration so a broken benchmark fails the test gate (same pattern as the
+// root TestBenchSmoke).
+func TestTraceAnswerBenchSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench smoke is slow; skipped in -short mode")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(exe, "-test.run=^$", "-test.bench=BenchmarkTraceAnswer", "-test.benchtime=1x", "-test.timeout=5m").CombinedOutput()
+	if err != nil {
+		t.Fatalf("benchmark run failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"PASS", "BenchmarkTraceAnswer/T3", "BenchmarkTraceAnswer/D1"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("benchmark output misses %q:\n%s", want, out)
+		}
+	}
+}

@@ -8,14 +8,15 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
+	"pebble/internal/jsonenc"
 	"pebble/internal/nested"
 	"pebble/internal/obs"
 	"pebble/internal/path"
@@ -325,26 +326,67 @@ type SourceItem struct {
 	Found     bool
 }
 
-// Items resolves every traced item against the source datasets, ordered by
-// source operator and identifier.
-func (q *QueryResult) Items() []SourceItem {
-	var oids []int
+// tracedSource is one source operator's share of a query result: its
+// dataset (nil when the source is unknown) and its traced items in
+// ascending identifier order, each paired with its source row.
+type tracedSource struct {
+	oid     int
+	dataset *engine.Dataset
+	items   []SourceItem
+}
+
+// resolve pairs every traced item with its source row, ordered by source
+// operator and identifier. Each source dataset is read once, whatever the
+// number of traced items: the rows are matched against the sorted wanted
+// identifiers, first occurrence winning, until every identifier is found.
+func (q *QueryResult) resolve() []tracedSource {
+	oids := make([]int, 0, len(q.Traced.BySource))
 	for oid := range q.Traced.BySource {
 		oids = append(oids, oid)
 	}
 	sort.Ints(oids)
-	var out []SourceItem
-	for _, oid := range oids {
-		src := q.Sources[oid]
-		items := append([]*backtrace.Item(nil), q.Traced.BySource[oid].Items...)
-		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-		for _, it := range items {
-			si := SourceItem{SourceOID: oid, Item: it}
-			if src != nil {
-				si.Row, si.Found = src.FindByID(it.ID)
-			}
-			out = append(out, si)
+	out := make([]tracedSource, len(oids))
+	for s, oid := range oids {
+		traced := append([]*backtrace.Item(nil), q.Traced.BySource[oid].Items...)
+		sort.Slice(traced, func(i, j int) bool { return traced[i].ID < traced[j].ID })
+		items := make([]SourceItem, len(traced))
+		for i, it := range traced {
+			items[i] = SourceItem{SourceOID: oid, Item: it}
 		}
+		ds := q.Sources[oid]
+		if ds != nil {
+			attachRows(items, ds)
+		}
+		out[s] = tracedSource{oid: oid, dataset: ds, items: items}
+	}
+	return out
+}
+
+// attachRows fills Row and Found of items, which are sorted by identifier,
+// from one pass over the dataset.
+func attachRows(items []SourceItem, ds *engine.Dataset) {
+	missing := len(items)
+	for _, part := range ds.Partitions {
+		for _, row := range part {
+			if missing == 0 {
+				return
+			}
+			i := sort.Search(len(items), func(i int) bool { return items[i].Item.ID >= row.ID })
+			// Items sharing an identifier are adjacent and share the row.
+			for ; i < len(items) && items[i].Item.ID == row.ID && !items[i].Found; i++ {
+				items[i].Row, items[i].Found = row, true
+				missing--
+			}
+		}
+	}
+}
+
+// Items resolves every traced item against the source datasets, ordered by
+// source operator and identifier.
+func (q *QueryResult) Items() []SourceItem {
+	var out []SourceItem
+	for _, src := range q.resolve() {
+		out = append(out, src.items...)
 	}
 	return out
 }
@@ -352,34 +394,39 @@ func (q *QueryResult) Items() []SourceItem {
 // Report renders the query result for humans: per source, the contributing
 // input items with their backtracing trees (contributing vs influencing
 // attributes and the operators that accessed/manipulated them).
-func (q *QueryResult) Report() string {
+func (q *QueryResult) Report() string { return q.report(q.resolve()) }
+
+func (q *QueryResult) report(sources []tracedSource) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query matched %d result item(s)\n", q.Matched.Len())
-	items := q.Items()
-	if len(items) == 0 {
-		sb.WriteString("no contributing input items\n")
-		return sb.String()
+	empty := true
+	for _, src := range sources {
+		if len(src.items) == 0 {
+			continue
+		}
+		empty = false
+		name := "?"
+		if src.dataset != nil {
+			name = src.dataset.Name
+		}
+		fmt.Fprintf(&sb, "source operator %d (%s):\n", src.oid, name)
+		for _, si := range src.items {
+			fmt.Fprintf(&sb, "  input item %d", si.Item.ID)
+			if si.Found {
+				fmt.Fprintf(&sb, ": %s", truncate(si.Row.Value.String(), 120))
+			}
+			sb.WriteByte('\n')
+			for _, line := range strings.Split(strings.TrimRight(si.Item.Tree.String(), "\n"), "\n") {
+				if line != "" {
+					sb.WriteString("    ")
+					sb.WriteString(line)
+					sb.WriteByte('\n')
+				}
+			}
+		}
 	}
-	lastOID := -1
-	for _, si := range items {
-		if si.SourceOID != lastOID {
-			name := "?"
-			if src := q.Sources[si.SourceOID]; src != nil {
-				name = src.Name
-			}
-			fmt.Fprintf(&sb, "source operator %d (%s):\n", si.SourceOID, name)
-			lastOID = si.SourceOID
-		}
-		fmt.Fprintf(&sb, "  input item %d", si.Item.ID)
-		if si.Found {
-			fmt.Fprintf(&sb, ": %s", truncate(si.Row.Value.String(), 120))
-		}
-		sb.WriteByte('\n')
-		for _, line := range strings.Split(strings.TrimRight(si.Item.Tree.String(), "\n"), "\n") {
-			if line != "" {
-				sb.WriteString("    " + line + "\n")
-			}
-		}
+	if empty {
+		sb.WriteString("no contributing input items\n")
 	}
 	return sb.String()
 }
@@ -391,52 +438,85 @@ func truncate(s string, n int) string {
 	return s[:n] + "…"
 }
 
-// jsonItem is the serialisable view of one traced input item.
-type jsonItem struct {
-	ID   int64           `json:"id"`
-	Row  json.RawMessage `json:"row,omitempty"`
-	Tree *backtrace.Tree `json:"tree"`
-}
-
-type jsonSource struct {
-	SourceOID int        `json:"source_oid"`
-	Dataset   string     `json:"dataset,omitempty"`
-	Items     []jsonItem `json:"items"`
-}
-
 // JSON encodes the query result for machine consumption: the matched result
 // count and, per source, the traced input items with their row data and
 // backtracing trees. This is the exchange format a provenance front-end
-// would consume.
-func (q *QueryResult) JSON() ([]byte, error) {
-	out := struct {
-		Matched int          `json:"matched"`
-		Sources []jsonSource `json:"sources"`
-	}{Matched: q.Matched.Len()}
-	var oids []int
-	for oid := range q.Traced.BySource {
-		oids = append(oids, oid)
+// would consume. The document is written once, already indented; its bytes
+// are what json.MarshalIndent(_, "", "  ") gives for
+//
+//	{"matched": n, "sources": [{"source_oid", "dataset"?, "items": [{"id", "row"?, "tree"}]}]}
+//
+// with absent lists as null. A row that cannot be encoded (a non-finite
+// double) fails the call.
+func (q *QueryResult) JSON() ([]byte, error) { return q.json(q.resolve()) }
+
+func (q *QueryResult) json(sources []tracedSource) ([]byte, error) {
+	buf := append(make([]byte, 0, 4096), '{')
+	buf = strconv.AppendInt(jsonenc.Key(buf, 1, "matched"), int64(q.Matched.Len()), 10)
+	buf = jsonenc.Key(buf, 1, "sources")
+	if len(sources) == 0 {
+		return jsonenc.Close(append(buf, "null"...), 0, '}'), nil
 	}
-	sort.Ints(oids)
-	for _, oid := range oids {
-		src := jsonSource{SourceOID: oid}
-		if ds := q.Sources[oid]; ds != nil {
-			src.Dataset = ds.Name
+	buf = append(buf, '[')
+	for _, src := range sources {
+		var err error
+		if buf, err = src.appendJSON(jsonenc.Sep(buf, 2), 2); err != nil {
+			return nil, err
 		}
-		items := append([]*backtrace.Item(nil), q.Traced.BySource[oid].Items...)
-		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-		for _, it := range items {
-			ji := jsonItem{ID: it.ID, Tree: it.Tree}
-			if ds := q.Sources[oid]; ds != nil {
-				if row, ok := ds.FindByID(it.ID); ok {
-					if data, err := row.Value.MarshalJSON(); err == nil {
-						ji.Row = data
-					}
-				}
-			}
-			src.Items = append(src.Items, ji)
-		}
-		out.Sources = append(out.Sources, src)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return jsonenc.Close(jsonenc.Close(buf, 1, ']'), 0, '}'), nil
+}
+
+// Answer is Report and JSON together, for a caller that wants both forms of
+// one result: the traced items are paired with their source rows once.
+func (q *QueryResult) Answer() (report string, result []byte, err error) {
+	sources := q.resolve()
+	if result, err = q.json(sources); err != nil {
+		return "", nil, err
+	}
+	return q.report(sources), result, nil
+}
+
+// appendJSON appends one source, an object at depth: operator, dataset name
+// when known, and traced items.
+func (src tracedSource) appendJSON(dst []byte, depth int) ([]byte, error) {
+	in := depth + 1
+	dst = append(dst, '{')
+	dst = strconv.AppendInt(jsonenc.Key(dst, in, "source_oid"), int64(src.oid), 10)
+	if src.dataset != nil && src.dataset.Name != "" {
+		dst = jsonenc.String(jsonenc.Key(dst, in, "dataset"), src.dataset.Name)
+	}
+	dst = jsonenc.Key(dst, in, "items")
+	if len(src.items) == 0 {
+		return jsonenc.Close(append(dst, "null"...), depth, '}'), nil
+	}
+	dst = append(dst, '[')
+	for _, si := range src.items {
+		var err error
+		if dst, err = si.appendJSON(jsonenc.Sep(dst, in+1), in+1); err != nil {
+			return dst, err
+		}
+	}
+	return jsonenc.Close(jsonenc.Close(dst, in, ']'), depth, '}'), nil
+}
+
+// appendJSON appends one traced item, an object at depth: identifier, row
+// data when the source has it, and backtracing tree.
+func (si SourceItem) appendJSON(dst []byte, depth int) ([]byte, error) {
+	in := depth + 1
+	dst = append(dst, '{')
+	dst = strconv.AppendInt(jsonenc.Key(dst, in, "id"), si.Item.ID, 10)
+	if si.Found {
+		var err error
+		if dst, err = si.Row.Value.AppendJSON(jsonenc.Key(dst, in, "row"), in); err != nil {
+			return dst, fmt.Errorf("core: encode row of input item %d: %w", si.Item.ID, err)
+		}
+	}
+	dst = jsonenc.Key(dst, in, "tree")
+	if si.Item.Tree == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = si.Item.Tree.AppendJSON(dst, in)
+	}
+	return jsonenc.Close(dst, depth, '}'), nil
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"pebble/internal/jsonenc"
 )
 
 // ParseJSON decodes one JSON document into a Value, preserving the attribute
@@ -117,79 +119,67 @@ func decodeFromToken(dec *json.Decoder, tok json.Token) (Value, error) {
 // and bags both encode as arrays (JSON has no set syntax); the distinction
 // is only recoverable through the schema.
 func (v Value) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := v.encodeJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return v.AppendJSON(nil, jsonenc.Compact)
 }
 
-func (v Value) encodeJSON(buf *bytes.Buffer) error {
+// AppendJSON appends the value's JSON encoding to dst: MarshalJSON's bytes
+// for depth jsonenc.Compact, and for depth >= 0 those bytes as
+// json.Indent(_, "", "  ") lays them out for a value nested depth levels
+// deep (the first line is not indented; the caller has placed it).
+func (v Value) AppendJSON(dst []byte, depth int) ([]byte, error) {
 	switch v.kind {
 	case KindNull, KindInvalid:
-		buf.WriteString("null")
+		dst = append(dst, "null"...)
 	case KindInt:
-		buf.WriteString(strconv.FormatInt(v.i, 10))
+		dst = strconv.AppendInt(dst, v.i, 10)
 	case KindDouble:
 		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
-			return fmt.Errorf("nested: cannot encode non-finite double %g", v.f)
+			return dst, fmt.Errorf("nested: cannot encode non-finite double %g", v.f)
 		}
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 		// Keep integral doubles recognisable as doubles across a round trip.
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		if !bytes.ContainsAny(dst[n:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
-		buf.WriteString(s)
 	case KindString:
-		b, err := json.Marshal(v.s)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
+		dst = jsonenc.String(dst, v.s)
 	case KindBool:
-		buf.WriteString(strconv.FormatBool(v.b))
+		dst = strconv.AppendBool(dst, v.b)
 	case KindItem:
-		buf.WriteByte('{')
-		for i, f := range v.fields {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			nb, err := json.Marshal(f.Name)
-			if err != nil {
-				return err
-			}
-			buf.Write(nb)
-			buf.WriteByte(':')
-			if err := f.Value.encodeJSON(buf); err != nil {
-				return err
+		in := jsonenc.Inner(depth)
+		dst = append(dst, '{')
+		for _, f := range v.fields {
+			var err error
+			if dst, err = f.Value.AppendJSON(jsonenc.Key(dst, in, f.Name), in); err != nil {
+				return dst, err
 			}
 		}
-		buf.WriteByte('}')
+		dst = jsonenc.Close(dst, depth, '}')
 	case KindBag, KindSet:
-		buf.WriteByte('[')
-		for i, e := range v.elems {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := e.encodeJSON(buf); err != nil {
-				return err
+		in := jsonenc.Inner(depth)
+		dst = append(dst, '[')
+		for _, e := range v.elems {
+			var err error
+			if dst, err = e.AppendJSON(jsonenc.Sep(dst, in), in); err != nil {
+				return dst, err
 			}
 		}
-		buf.WriteByte(']')
+		dst = jsonenc.Close(dst, depth, ']')
 	}
-	return nil
+	return dst, nil
 }
 
 // EncodeJSONLines writes one JSON document per value, newline-delimited.
 func EncodeJSONLines(w io.Writer, values []Value) error {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, v := range values {
-		buf.Reset()
-		if err := v.encodeJSON(&buf); err != nil {
+		var err error
+		if buf, err = v.AppendJSON(buf[:0], jsonenc.Compact); err != nil {
 			return err
 		}
-		buf.WriteByte('\n')
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		buf = append(buf, '\n')
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}

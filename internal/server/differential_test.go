@@ -16,8 +16,8 @@ import (
 
 // TestDaemonMatchesLibrary is the SDK-vs-library differential: every paper
 // scenario submitted through a live daemon must yield byte-identical
-// serialized provenance and an identical trace report compared to direct
-// library execution, for Workers 1 and Workers NumCPU. This is the
+// serialized provenance and a byte-identical trace answer (report and JSON
+// result) compared to direct library execution, for Workers 1 and Workers NumCPU. This is the
 // service-layer extension of the oracle harness: the daemon may add
 // queueing, persistence, and reload between capture and query, but never
 // semantics.
@@ -47,6 +47,10 @@ func TestDaemonMatchesLibrary(t *testing.T) {
 				t.Fatalf("library query: %v", err)
 			}
 			wantReport := q.Report()
+			wantResult, err := q.JSON()
+			if err != nil {
+				t.Fatalf("library result: %v", err)
+			}
 			patJSON, err := json.Marshal(sc.Pattern)
 			if err != nil {
 				t.Fatalf("pattern to wire form: %v", err)
@@ -82,6 +86,13 @@ func TestDaemonMatchesLibrary(t *testing.T) {
 				if out.Report != wantReport {
 					t.Errorf("workers=%d: daemon trace report differs from library:\n-- daemon --\n%s\n-- library --\n%s",
 						w, out.Report, wantReport)
+				}
+				if !bytes.Equal(out.Result, wantResult) {
+					t.Errorf("workers=%d: daemon trace result differs from library's QueryResult.JSON (%d vs %d bytes)",
+						w, len(out.Result), len(wantResult))
+				}
+				if out.Matched != q.Matched.Len() {
+					t.Errorf("workers=%d: daemon matched %d items, library %d", w, out.Matched, q.Matched.Len())
 				}
 			}
 		})

@@ -231,11 +231,11 @@ func (s *Server) runTrace(j *job) error {
 	if err != nil {
 		return err
 	}
-	js, err := qr.JSON()
+	report, js, err := qr.Answer()
 	if err != nil {
 		return fmt.Errorf("encode trace result: %w", err)
 	}
-	out := &sdk.TraceOutput{Matched: b.Len(), Report: qr.Report(), Result: js}
+	out := &sdk.TraceOutput{Matched: b.Len(), Report: report, Result: js}
 	j.mu.Lock()
 	j.trace = out
 	j.mu.Unlock()

@@ -128,7 +128,10 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops admission, cancels queued and running jobs, and waits for
-// the runner pool to drain.
+// the runner pool to drain. Every job is terminal when it returns, so
+// event-stream followers have reached the end of their streams: close the
+// Server before shutting its http.Server down, or the shutdown waits for
+// them.
 func (s *Server) Close() {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.sessions))
@@ -447,15 +450,29 @@ func (s *Server) handleJobResult(w http.ResponseWriter, _ *http.Request, _ *sess
 		writeErr(w, http.StatusConflict, "job %s is %s, not done", j.id, info.Status)
 		return
 	}
-	switch j.kind {
-	case sdk.KindTrace:
-		j.mu.Lock()
-		out := j.trace
-		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, out)
-	default:
+	if j.kind != sdk.KindTrace {
 		writeJSON(w, http.StatusOK, info)
+		return
 	}
+	// The report and the result were produced once, by the job; they go out
+	// as they are, framed by their lengths (see sdk.TraceResultHeader).
+	j.mu.Lock()
+	out := j.trace
+	j.mu.Unlock()
+	head, err := json.Marshal(sdk.TraceResultHeader{
+		Matched: out.Matched, ReportBytes: int64(len(out.Report)), ResultBytes: int64(len(out.Result)),
+	})
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode result header: %v", err)
+		return
+	}
+	head = append(head, '\n')
+	w.Header().Set("Content-Type", sdk.TraceResultContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(out.Report)+len(out.Result)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(head)                 //nolint:errcheck // client gone; nothing to do
+	io.WriteString(w, out.Report) //nolint:errcheck // client gone; nothing to do
+	w.Write(out.Result)           //nolint:errcheck // client gone; nothing to do
 }
 
 // handleJobProvenance serves the persisted .pbl artifact verbatim — the

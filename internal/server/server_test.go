@@ -17,10 +17,18 @@ import (
 )
 
 // startDaemon boots an in-process daemon over httptest and returns an SDK
-// client bound to it. Cleanup order matters: the server closes first (which
-// cancels and finishes every job, releasing event-stream watchers), then
-// the HTTP listener.
+// client bound to it.
 func startDaemon(t *testing.T, cfg server.Config) *sdk.Client {
+	t.Helper()
+	_, ts := bootDaemon(t, cfg)
+	return sdk.New(ts.URL)
+}
+
+// bootDaemon is startDaemon for tests that also need the server itself or
+// its URL. Cleanup order matters: the server closes first (which cancels and
+// finishes every job, releasing event-stream watchers), then the HTTP
+// listener, which waits for open requests.
+func bootDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
@@ -34,7 +42,7 @@ func startDaemon(t *testing.T, cfg server.Config) *sdk.Client {
 		srv.Close()
 		ts.Close()
 	})
-	return sdk.New(ts.URL)
+	return srv, ts
 }
 
 // gate coordinates tests with pipelines executing inside the daemon: the
@@ -475,5 +483,55 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if tinfo.Status != sdk.StatusDone && tinfo.Status != sdk.StatusFailed {
 		t.Errorf("trace against racing target finished %s, want done or failed", tinfo.Status)
+	}
+}
+
+// TestCloseReleasesEventFollowers pins shutdown: Server.Close makes every
+// job terminal, so clients following a running and a queued job's events
+// reach the end of their streams and the HTTP server behind them can stop
+// without cutting them off.
+func TestCloseReleasesEventFollowers(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	srv, ts := bootDaemon(t, server.Config{
+		Runners: 1, SessionCap: 1, QueueDepth: 8,
+		Pipelines: map[string]server.Factory{"block": gatedFactory(g, "b", 8)},
+	})
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	running := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	queued := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+
+	streamed := make(chan error, 2)
+	var following sync.WaitGroup
+	for _, id := range []string{running.ID, queued.ID} {
+		following.Add(1)
+		go func() {
+			var first sync.Once
+			streamed <- c.StreamEvents(context.Background(), "s", id, func(sdk.JobEvent) error {
+				first.Do(following.Done)
+				return nil
+			})
+		}()
+	}
+	following.Wait()
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close() // cancels both jobs, then waits for the runner
+		ts.Close()  // waits for every open request
+		close(closed)
+	}()
+	g.open() // the running job's morsel drains, as a real one would
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close and the listener's shutdown still blocked after 30s")
+	}
+	for range 2 {
+		if err := <-streamed; err != nil {
+			t.Errorf("event follower ended with %v, want a clean end of stream", err)
+		}
 	}
 }

@@ -140,6 +140,20 @@ type TraceOutput struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// TraceResultContentType marks a trace job's /result body: one
+// TraceResultHeader as a JSON line, then the report bytes, then the result
+// bytes, nothing between or after. The response's Content-Length is the
+// header line plus both lengths; a reader that finds any of the three
+// numbers in disagreement has a damaged body.
+const TraceResultContentType = "application/vnd.pebble.trace-result"
+
+// TraceResultHeader is the first line of a trace job's /result body.
+type TraceResultHeader struct {
+	Matched     int   `json:"matched"`
+	ReportBytes int64 `json:"report_bytes"`
+	ResultBytes int64 `json:"result_bytes"`
+}
+
 // SessionStats aggregates a session's completed work for /stats.
 type SessionStats struct {
 	Name     string             `json:"name"`

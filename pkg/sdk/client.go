@@ -289,11 +289,45 @@ func (c *Client) Provenance(ctx context.Context, session, id string) ([]byte, er
 	return io.ReadAll(resp.Body)
 }
 
-// TraceResult fetches the payload of a done trace job.
+// TraceResult fetches the payload of a done trace job. The daemon sends the
+// report and the result as the bytes the job produced, framed by their
+// lengths (TraceResultContentType); a body whose header, Content-Length and
+// actual length disagree in any way is an error, never a shortened answer.
 func (c *Client) TraceResult(ctx context.Context, session, id string) (TraceOutput, error) {
-	var out TraceOutput
-	err := c.do(ctx, http.MethodGet, c.jobPath(session, id, "/result"), nil, &out)
-	return out, err
+	resp, err := c.raw(ctx, http.MethodGet, c.jobPath(session, id, "/result"), "", nil)
+	if err != nil {
+		return TraceOutput{}, err
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != TraceResultContentType {
+		return TraceOutput{}, fmt.Errorf("sdk: job %s result is %q, not a trace result", id, ct)
+	}
+	// The header line is a few dozen bytes; larger reads bypass the buffer.
+	br := bufio.NewReaderSize(resp.Body, 512)
+	line, err := br.ReadSlice('\n')
+	if err != nil {
+		return TraceOutput{}, fmt.Errorf("sdk: read trace result header: %w", err)
+	}
+	var head TraceResultHeader
+	if err := json.Unmarshal(line, &head); err != nil {
+		return TraceOutput{}, fmt.Errorf("sdk: decode trace result header: %w", err)
+	}
+	// Phrased by subtraction so that hostile lengths cannot overflow into
+	// agreement; an unknown Content-Length (-1) never agrees.
+	rest := resp.ContentLength - int64(len(line))
+	if head.ReportBytes < 0 || head.ReportBytes > rest || head.ResultBytes != rest-head.ReportBytes {
+		return TraceOutput{}, fmt.Errorf("sdk: trace result header (%d report + %d result bytes after a %d-byte line) disagrees with Content-Length %d",
+			head.ReportBytes, head.ResultBytes, len(line), resp.ContentLength)
+	}
+	report := make([]byte, head.ReportBytes)
+	result := make([]byte, head.ResultBytes)
+	if _, err := io.ReadFull(br, report); err != nil {
+		return TraceOutput{}, fmt.Errorf("sdk: read trace report: %w", err)
+	}
+	if _, err := io.ReadFull(br, result); err != nil {
+		return TraceOutput{}, fmt.Errorf("sdk: read trace result: %w", err)
+	}
+	return TraceOutput{Matched: head.Matched, Report: string(report), Result: result}, nil
 }
 
 func (c *Client) jobPath(session, id, suffix string) string {
