@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query bench-vectors bench-joinagg breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -72,22 +72,6 @@ bench-codec:
 # format).
 bench-query:
 	go run ./cmd/benchrunner -exp query -gb 25 -reps 5 -out BENCH_PR6.json
-
-# Vectorization sweep: columnar batch executor vs the legacy row path for
-# every scenario, plain and under eager capture, including the byte-identity
-# cross-check; regenerates the committed baseline (BENCH_PR7.json,
-# EXPERIMENTS.md; DESIGN.md §10 documents the batch layout).
-bench-vectors:
-	go run ./cmd/benchrunner -exp vectors -gb 25 -reps 5 -out BENCH_PR7.json
-
-# Join/aggregate kernel sweep: the vectorized join-probe and aggregate
-# kernels vs the scalar reference path on join/aggregate-dominated pipelines
-# (broadcast and shuffle join shapes, numeric and collect aggregates), plain
-# and under eager capture, including the byte-identity cross-check;
-# regenerates the committed baseline (BENCH_PR10.json, EXPERIMENTS.md;
-# DESIGN.md §13 documents the kernels).
-bench-joinagg:
-	go run ./cmd/benchrunner -exp joinagg -gb 25 -reps 12 -out BENCH_PR10.json
 
 # Regenerate the per-operator capture breakdown baseline (BENCH_PR4.json,
 # EXPERIMENTS.md).

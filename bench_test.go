@@ -414,46 +414,3 @@ func BenchmarkProvenanceCodec(b *testing.B) {
 	})
 	b.ReportMetric(float64(buf.Len()), "bytes")
 }
-
-// BenchmarkExecRowVsVector is the executor twin (PR 7): every scenario run
-// plain and under eager capture through both the vectorized (columnar
-// batch) executor and the legacy row-at-a-time path. Compare /vector vs
-// /row of the same scenario to read off the vectorization speedup;
-// `benchrunner -exp vectors` prints the interleaved-pair version with the
-// byte-identity cross-check. In -short mode only T1 runs, as a smoke guard
-// that both executor paths stay alive and correct.
-func BenchmarkExecRowVsVector(b *testing.B) {
-	scenarios := workload.AllScenarios()
-	if testing.Short() {
-		scenarios = scenarios[:1]
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		inputs := benchInputs(b, sc)
-		for _, mode := range []struct {
-			name    string
-			rowExec bool
-			capture bool
-		}{
-			{"vector", false, false},
-			{"row", true, false},
-			{"vector-capture", false, true},
-			{"row-capture", true, true},
-		} {
-			b.Run(sc.Name+"/"+mode.name, func(b *testing.B) {
-				opts := engine.Options{Partitions: 4, ScalarFallback: mode.rowExec}
-				for i := 0; i < b.N; i++ {
-					var err error
-					if mode.capture {
-						_, _, err = provenance.Capture(sc.Build(), inputs, opts)
-					} else {
-						_, err = engine.Run(sc.Build(), inputs, opts)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

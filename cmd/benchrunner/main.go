@@ -32,18 +32,6 @@
 // single-operator trace, and the load-path identity cross-check; with -out
 // it writes the sweep as JSON (see BENCH_PR6.json) — `make bench-query`
 // wraps it.
-//
-// -exp vectors compares the vectorized (columnar batch) executor against
-// the legacy row-at-a-time path for every scenario, plain and under eager
-// capture, including the byte-identity cross-check; with -out it writes the
-// sweep as JSON (see BENCH_PR7.json) — `make bench-vectors` wraps it.
-//
-// -exp joinagg compares the vectorized join-probe and aggregate kernels
-// against the scalar reference path on join/aggregate-dominated pipelines
-// (broadcast and shuffle join shapes, numeric and collect aggregates), plain
-// and under eager capture, including the byte-identity cross-check; with
-// -out it writes the sweep as JSON (see BENCH_PR10.json) —
-// `make bench-joinagg` wraps it.
 package main
 
 import (
@@ -64,7 +52,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig6, fig7, fig8a, fig8b, fig9a, fig9b, titian, perop, breakdown, overheadgate, fig10, annotations, scaling, codec, query, vectors, joinagg, all")
+	exp := flag.String("exp", "all", "experiment: fig6, fig7, fig8a, fig8b, fig9a, fig9b, titian, perop, breakdown, overheadgate, fig10, annotations, scaling, codec, query, all")
 	gbList := flag.String("gb", "", "comma-separated simulated-GB sizes (defaults per experiment)")
 	tweetsPerGB := flag.Int("tweets-per-gb", 40, "tweets per simulated GB")
 	recordsPerGB := flag.Int("records-per-gb", 400, "DBLP records per simulated GB")
@@ -215,66 +203,6 @@ type queryBaseline struct {
 
 func writeQueryJSON(path string, cfg experiments.Config, rows []experiments.QuerySweepRow) error {
 	doc := queryBaseline{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Partitions: cfg.Partitions,
-		Reps:       cfg.Reps,
-		Rows:       rows,
-	}
-	if cfg.Partitions < 1 {
-		doc.Partitions = engine.DefaultPartitions
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// vectorsBaseline is the JSON document -exp vectors -out writes: per-scenario
-// row vs vectorized execution times (plain and under capture) plus the
-// byte-identity cross-check, with the usual environment context for
-// interpreting committed baselines.
-type vectorsBaseline struct {
-	NumCPU     int                     `json:"num_cpu"`
-	GOMAXPROCS int                     `json:"gomaxprocs"`
-	Partitions int                     `json:"partitions"`
-	Reps       int                     `json:"reps"`
-	Rows       []experiments.VectorRow `json:"rows"`
-}
-
-func writeVectorsJSON(path string, cfg experiments.Config, rows []experiments.VectorRow) error {
-	doc := vectorsBaseline{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Partitions: cfg.Partitions,
-		Reps:       cfg.Reps,
-		Rows:       rows,
-	}
-	if cfg.Partitions < 1 {
-		doc.Partitions = engine.DefaultPartitions
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// joinAggBaseline is the JSON document -exp joinagg -out writes: per-scenario
-// vectorized-kernel vs scalar-reference execution times (plain and under
-// capture) plus the byte-identity cross-check, with the usual environment
-// context for interpreting committed baselines.
-type joinAggBaseline struct {
-	NumCPU     int                      `json:"num_cpu"`
-	GOMAXPROCS int                      `json:"gomaxprocs"`
-	Partitions int                      `json:"partitions"`
-	Reps       int                      `json:"reps"`
-	Rows       []experiments.JoinAggRow `json:"rows"`
-}
-
-func writeJoinAggJSON(path string, cfg experiments.Config, rows []experiments.JoinAggRow) error {
-	doc := joinAggBaseline{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Partitions: cfg.Partitions,
@@ -508,36 +436,6 @@ func runExperiment(name string, cfg experiments.Config, gbList string, tweetsPer
 		}
 		if out != "" {
 			if err := writeQueryJSON(out, cfg, rows); err != nil {
-				return err
-			}
-			return emit(fmt.Sprintf("wrote %s\n", out))
-		}
-	case "vectors":
-		rows, err := experiments.VectorSweep(cfg, sweepSmall)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.RenderVectors(
-			"Vectors — columnar batch executor vs row-at-a-time, all scenarios", rows)); err != nil {
-			return err
-		}
-		if out != "" {
-			if err := writeVectorsJSON(out, cfg, rows); err != nil {
-				return err
-			}
-			return emit(fmt.Sprintf("wrote %s\n", out))
-		}
-	case "joinagg":
-		rows, err := experiments.JoinAggSweep(cfg, sweepSmall)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.RenderJoinAgg(
-			"JoinAgg — vectorized join-probe and aggregate kernels vs scalar reference", rows)); err != nil {
-			return err
-		}
-		if out != "" {
-			if err := writeJoinAggJSON(out, cfg, rows); err != nil {
 				return err
 			}
 			return emit(fmt.Sprintf("wrote %s\n", out))

@@ -10,15 +10,14 @@
 // The analysis is the dataflow engine's taint lattice over reaching
 // definitions (DESIGN.md §11): pool-get results taint their definitions,
 // taint propagates through copies/slices/composites, and escape points check
-// the tainted state at the exact CFG node. Functions named in -sources/-puts/
-// -exempt are the audited pool boundary and are skipped — they hold pooled
-// values by design and are covered by the alias tests instead.
+// the tainted state at the exact CFG node. The functions in the sources, puts
+// and exempt sets below are the audited pool boundary and are skipped — they
+// hold pooled values by design and are covered by the alias tests instead.
 package poolescape
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"pebble/internal/analysis"
 	"pebble/internal/analysis/dataflow"
@@ -28,72 +27,47 @@ var Analyzer = &analysis.Analyzer{
 	Name: "poolescape",
 	Doc: `flag pooled values escaping their borrowing function or used after Put
 
-Values from (*sync.Pool).Get or the configured pool helper functions must not
+Values from (*sync.Pool).Get or the engine's pool helper functions must not
 be returned, captured by closures, stored into non-pooled fields, containers,
 globals, or channels, used after being released with Put, or released twice.`,
 	Run: run,
 }
 
+// The engine's pool boundary (DESIGN.md §13.6): the filter kernel's batches
+// and columns, the id/position gather buffers of id-range capture, and the
+// keyTable with the join and aggregate scratch. The set is small and fixed; a
+// new pool is a design change that edits these lists.
 var (
-	sources       string
-	puts          string
-	exempt        string
-	borrowMethods string
-	syncCallers   string
+	// sources return pool-borrowed values; puts release one.
+	sources = set("getBatch", "getCol", "getIDScratch", "getPosScratch",
+		"getKeyTable", "getJoinScratch", "getAggScratch", "getAggAccum")
+	puts = set("putBatch", "putIDScratch", "putPosScratch",
+		"putKeyTable", "putJoinScratch", "putAggScratch", "putAggAccum")
+	// exempt functions complete the audited boundary: their bodies are
+	// skipped like those of sources and puts.
+	exempt = set("decodeColumn", "column")
+	// borrowMethods return values aliasing pooled storage of their receiver.
+	borrowMethods = set("column", "keyBytes", "matchedFor")
+	// syncCallers (pkg.Func or bare method name) run closure arguments
+	// synchronously; closures passed to them cannot outlive a deferred Put.
+	syncCallers = set("sort.Slice", "sort.SliceStable", "forEachPartition")
 )
 
-func init() {
-	// The source/put lists name the engine's pool boundary: the columnar
-	// batch helpers plus the join-probe and aggregate kernel scratch of
-	// DESIGN.md §13 (keyTable, group-index scratch, join/aggregate
-	// accumulator arrays, flatten element buffers).
-	Analyzer.Flags.StringVar(&sources, "sources",
-		"getBatch,getCol,getIDScratch,getPosScratch,"+
-			"getKeyTable,getGroupScratch,getJoinScratch,getAggScratch,getAggAccum,getFlattenScratch",
-		"comma-separated function names whose results are pool-borrowed")
-	Analyzer.Flags.StringVar(&puts, "puts",
-		"putBatch,putIDScratch,putPosScratch,"+
-			"putKeyTable,putGroupScratch,putJoinScratch,putAggScratch,putAggAccum,putFlattenScratch",
-		"comma-separated function names that release a pooled value")
-	Analyzer.Flags.StringVar(&exempt, "exempt", "decodeColumn,column", "comma-separated function/method names forming the audited pool boundary; their bodies are skipped")
-	Analyzer.Flags.StringVar(&borrowMethods, "borrowmethods", "column,keyBytes,matchedFor", "comma-separated method names whose results alias pooled storage of their receiver")
-	Analyzer.Flags.StringVar(&syncCallers, "synccallers", "sort.Slice,sort.SliceStable,forEachPartition",
-		"comma-separated callee names (pkg.Func or bare method name) that run closure arguments synchronously; closures passed to them cannot outlive a deferred Put")
-}
-
-func splitList(s string) map[string]bool {
-	m := make(map[string]bool)
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			m[f] = true
-		}
+func set(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
 	}
 	return m
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	sources map[string]bool
-	puts    map[string]bool
-	borrow  map[string]bool
-	sync    map[string]bool
+	pass *analysis.Pass
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	c := &checker{
-		pass:    pass,
-		sources: splitList(sources),
-		puts:    splitList(puts),
-		borrow:  splitList(borrowMethods),
-		sync:    splitList(syncCallers),
-	}
-	skip := splitList(exempt)
-	for k := range c.sources {
-		skip[k] = true
-	}
-	for k := range c.puts {
-		skip[k] = true
-	}
+	c := &checker{pass: pass}
+	skip := func(name string) bool { return exempt[name] || sources[name] || puts[name] }
 
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
@@ -101,7 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || skip[fd.Name.Name] {
+			if !ok || fd.Body == nil || skip(fd.Name.Name) {
 				continue
 			}
 			c.checkFunc(dataflow.NewReaching(fd, pass.TypesInfo), fd.Body)
@@ -119,7 +93,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // isPoolGet reports whether e obtains a pooled value: a call to
-// (*sync.Pool).Get or to one of the configured source helpers.
+// (*sync.Pool).Get or to one of the source helpers.
 func (c *checker) isPoolGet(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -127,9 +101,9 @@ func (c *checker) isPoolGet(e ast.Expr) bool {
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return c.sources[fun.Name]
+		return sources[fun.Name]
 	case *ast.SelectorExpr:
-		if c.sources[fun.Sel.Name] {
+		if sources[fun.Sel.Name] {
 			return true
 		}
 		return fun.Sel.Name == "Get" && c.isSyncPoolMethod(fun)
@@ -155,9 +129,9 @@ func (c *checker) putTarget(e ast.Expr) (*types.Var, *ast.CallExpr) {
 	isPut := false
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		isPut = c.puts[fun.Name]
+		isPut = puts[fun.Name]
 	case *ast.SelectorExpr:
-		isPut = c.puts[fun.Sel.Name] || (fun.Sel.Name == "Put" && c.isSyncPoolMethod(fun))
+		isPut = puts[fun.Sel.Name] || (fun.Sel.Name == "Put" && c.isSyncPoolMethod(fun))
 	}
 	if !isPut {
 		return nil, nil
@@ -181,7 +155,7 @@ func (c *checker) checkFunc(r *dataflow.Reaching, body *ast.BlockStmt) {
 		Source: c.isPoolGet,
 		Borrow: func(call *ast.CallExpr) bool {
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			return ok && c.borrow[sel.Sel.Name]
+			return ok && borrowMethods[sel.Sel.Name]
 		},
 	})
 	c.checkEscapes(r, taint)
@@ -250,20 +224,20 @@ func (c *checker) checkAssign(s *ast.AssignStmt, n *dataflow.Node, taint *datafl
 	}
 }
 
-// isSyncCaller reports whether call's callee is configured as a synchronous
+// isSyncCaller reports whether call's callee is listed as a synchronous
 // closure driver (sort.Slice, the engine's forEachPartition barrier, ...):
 // closures passed to it return before it does, so they cannot outlive a
 // deferred Put in the enclosing function.
 func (c *checker) isSyncCaller(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return c.sync[fun.Name]
+		return syncCallers[fun.Name]
 	case *ast.SelectorExpr:
-		if c.sync[fun.Sel.Name] {
+		if syncCallers[fun.Sel.Name] {
 			return true
 		}
 		if fn, ok := c.pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil {
-			return c.sync[fn.Pkg().Name()+"."+fn.Name()]
+			return syncCallers[fn.Pkg().Name()+"."+fn.Name()]
 		}
 	}
 	return false

@@ -8,7 +8,7 @@ import "sync"
 
 var bufPool = sync.Pool{New: func() interface{} { return new(buffer) }}
 
-// getBatch and putBatch are the configured pool boundary: their bodies are
+// getBatch and putBatch are in the analyzer's pool-boundary sets: their bodies are
 // exempt, and their callers are the audited borrowers.
 func getBatch() *buffer { return bufPool.Get().(*buffer) }
 

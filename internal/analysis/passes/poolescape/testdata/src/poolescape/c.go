@@ -2,7 +2,7 @@
 // kernel pool helpers are recognized sources and puts, `defer put(x)`
 // releases at function exit rather than at its syntactic position,
 // borrow-methods propagate taint from pooled receivers, and closures passed
-// to configured synchronous drivers (sort.Slice, forEachPartition) do not
+// to listed synchronous drivers (sort.Slice, forEachPartition) do not
 // count as escapes.
 package poolescape
 
@@ -12,7 +12,7 @@ import (
 )
 
 // keyTable mirrors the engine's pooled flat hash table; keyBytes (a
-// configured borrow method) returns a slice aliasing its pooled arena.
+// listed borrow method) returns a slice aliasing its pooled arena.
 type keyTable struct {
 	arena []byte
 	head  []int32
@@ -28,7 +28,7 @@ func putKeyTable(t *keyTable) { keyTablePool.Put(t) }
 
 type executor struct{}
 
-// forEachPartition is a configured synchronous driver: the closure returns
+// forEachPartition is a listed synchronous driver: the closure returns
 // before forEachPartition does.
 func (e *executor) forEachPartition(n int, f func(int) error) error {
 	for i := 0; i < n; i++ {
@@ -39,7 +39,7 @@ func (e *executor) forEachPartition(n int, f func(int) error) error {
 	return nil
 }
 
-// spawn is NOT a configured synchronous driver.
+// spawn is NOT a listed synchronous driver.
 func (e *executor) spawn(f func(int) error) {
 	go func() { _ = f(0) }()
 }
@@ -86,7 +86,7 @@ func escapeViaAsyncClosure(e *executor) {
 	})
 }
 
-// escapeViaKeyTableReturn: the kernel helpers are configured sources, so a
+// escapeViaKeyTableReturn: the kernel helpers are listed sources, so a
 // table leaking via return is caught like any pooled value.
 func escapeViaKeyTableReturn() *keyTable {
 	t := getKeyTable(8)

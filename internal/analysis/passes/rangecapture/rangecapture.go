@@ -1,13 +1,13 @@
 // Package rangecapture enforces the PartitionSink call-site contract of the
-// vectorized capture path (DESIGN.md §10): the morsel handle is obtained once
+// id-range capture path (DESIGN.md §10): the morsel handle is obtained once
 // per morsel (Partition hoisted out of emission loops), the bulk *Range
 // emissions cover contiguous id runs exactly once (a range call inside a loop
 // must advance its base monotonically — a loop-invariant base re-emits the
 // same ids), row-wise emission ids derive from the enclosing loop's induction
 // (monotone or invariant in every enclosing loop), and one operator body
-// never mixes row-wise and range emission on the same handle — the
-// differential oracle's byte-identity guarantee assumes each morsel is
-// entirely one form.
+// never mixes row-wise and range emission on the same handle — a morsel's
+// association layout is either fixed-width (one range call) or
+// variable-length (row-wise), never both.
 //
 // Emission methods are recognized by name and arity on receivers whose
 // method set is sink-shaped (it has both a row-wise and a range method), so
@@ -42,10 +42,7 @@ type emitSig struct {
 }
 
 var emitSigs = map[string]emitSig{
-	"SourceRow":    {2, 0, false},
 	"Unary":        {2, 1, false},
-	"Binary":       {3, 2, false},
-	"Flatten":      {3, 2, false},
 	"Agg":          {2, 1, false},
 	"SourceRows":   {2, 0, true},
 	"UnaryRange":   {2, 1, true},
@@ -95,7 +92,7 @@ func sinkShaped(t types.Type) bool {
 	hasRow, hasRange := false, false
 	for i := 0; i < ms.Len(); i++ {
 		switch ms.At(i).Obj().Name() {
-		case "Unary", "SourceRow":
+		case "Unary":
 			hasRow = true
 		case "UnaryRange", "SourceRows":
 			hasRange = true
@@ -116,7 +113,7 @@ func sinkShapedPtr(t types.Type) bool {
 	hasRow, hasRange := false, false
 	for i := 0; i < ms.Len(); i++ {
 		switch ms.At(i).Obj().Name() {
-		case "Unary", "SourceRow":
+		case "Unary":
 			hasRow = true
 		case "UnaryRange", "SourceRows":
 			hasRange = true

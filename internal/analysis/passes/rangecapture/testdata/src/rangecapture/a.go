@@ -8,8 +8,8 @@ func mixedForms(s PartitionSink, ids []int64) {
 }
 
 func mixedRowThenRange(s PartitionSink, ids []int64) {
-	s.SourceRow(1, 1)
-	s.SourceRows(2, ids) // want `mixes row-wise SourceRow with bulk SourceRows`
+	s.Unary(1, 1)
+	s.SourceRows(2, ids) // want `mixes row-wise Unary with bulk SourceRows`
 }
 
 func shrinkingID(s PartitionSink, rows []int) {
@@ -73,7 +73,7 @@ func cleanHoisted(r Registry, rows []int) {
 	s := r.Partition(1, 0)
 	out := int64(0)
 	for range rows {
-		s.SourceRow(out, out)
+		s.Unary(out, out)
 		out++
 	}
 }
@@ -84,7 +84,7 @@ func cleanAllRange(s PartitionSink, ids []int64) {
 	s.SourceRows(0, ids)
 }
 
-// cleanAggGroups mirrors the vectorized aggregate kernel (DESIGN.md §13):
+// cleanAggGroups mirrors the aggregate kernel (DESIGN.md §13):
 // one Agg emission per group in sort order, the out-id advancing with the
 // loop, the in-ids a CSR subslice whose ownership transfers to the sink.
 func cleanAggGroups(s PartitionSink, order []int, idsArena []int64, offsets []int32, base int64) {

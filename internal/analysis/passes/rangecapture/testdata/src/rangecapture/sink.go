@@ -8,10 +8,7 @@ type PartitionSink struct {
 	emitted int
 }
 
-func (PartitionSink) SourceRow(id, orig int64)                       {}
 func (PartitionSink) Unary(in, out int64)                            {}
-func (PartitionSink) Binary(l, r, out int64)                         {}
-func (PartitionSink) Flatten(in int64, pos int, out int64)           {}
 func (PartitionSink) Agg(in []int64, out int64)                      {}
 func (PartitionSink) SourceRows(base int64, origs []int64)           {}
 func (PartitionSink) UnaryRange(in []int64, base int64)              {}

@@ -33,8 +33,6 @@ type Session struct {
 	// Workers is the physical worker-goroutine count (0 = NumCPU). Results
 	// are byte-identical for every value; only wall time changes.
 	Workers int
-	// Sequential disables goroutine parallelism (equivalent to Workers=1).
-	Sequential bool
 	// AnalyzeFirst type-checks the plan against the input schemas before
 	// executing, failing fast on unknown columns and type errors.
 	AnalyzeFirst bool
@@ -53,9 +51,6 @@ func WithPartitions(n int) Option { return func(s *Session) { s.Partitions = n }
 
 // WithWorkers sets the physical worker-goroutine count (0 = NumCPU).
 func WithWorkers(n int) Option { return func(s *Session) { s.Workers = n } }
-
-// WithSequential disables goroutine parallelism.
-func WithSequential() Option { return func(s *Session) { s.Sequential = true } }
 
 // WithAnalyzeFirst enables plan type-checking before every execution.
 func WithAnalyzeFirst() Option { return func(s *Session) { s.AnalyzeFirst = true } }
@@ -79,7 +74,7 @@ func NewSession(opts ...Option) Session {
 // then the engine default. Every partition decision — Session.options,
 // Session.NewDataset, pebble.NewDataset — routes through it, so a session
 // and the datasets built for it can never disagree regardless of which
-// other options (WithSequential, WithWorkers, …) the session was built
+// other options (WithWorkers, WithAnalyzeFirst, …) the session was built
 // with. Pinned by TestPartitionPrecedence.
 func (s Session) ResolvePartitions(explicit int) int {
 	if explicit > 0 {
@@ -92,7 +87,7 @@ func (s Session) ResolvePartitions(explicit int) int {
 }
 
 func (s Session) options() engine.Options {
-	return engine.Options{Partitions: s.ResolvePartitions(0), Workers: s.Workers, Sequential: s.Sequential, Recorder: s.Recorder}
+	return engine.Options{Partitions: s.ResolvePartitions(0), Workers: s.Workers, Recorder: s.Recorder}
 }
 
 // NewDataset partitions values into the session's logical partition count,

@@ -11,7 +11,7 @@ import (
 
 // TestPartitionPrecedence pins the single precedence rule — explicit >
 // session > engine default — across every way a session can be built,
-// including the WithSequential form that historically resolved dataset
+// including the single-worker form that historically resolved dataset
 // partitions through a different code path than execution partitions.
 // Session.NewDataset and Session.options must always agree.
 func TestPartitionPrecedence(t *testing.T) {
@@ -26,11 +26,11 @@ func TestPartitionPrecedence(t *testing.T) {
 		{"session-wins-over-default", NewSession(WithPartitions(5)), 0, 5},
 		{"explicit-wins-over-session", NewSession(WithPartitions(5)), 7, 7},
 		{"negative-explicit-falls-through", NewSession(WithPartitions(5)), -2, 5},
-		{"sequential-inherits-default", NewSession(WithSequential()), 0, engine.DefaultPartitions},
-		{"sequential-with-session-parts", NewSession(WithSequential(), WithPartitions(4)), 0, 4},
-		{"sequential-explicit", NewSession(WithSequential()), 2, 2},
+		{"one-worker-inherits-default", NewSession(WithWorkers(1)), 0, engine.DefaultPartitions},
+		{"one-worker-with-session-parts", NewSession(WithWorkers(1), WithPartitions(4)), 0, 4},
+		{"one-worker-explicit", NewSession(WithWorkers(1)), 2, 2},
 		{"workers-do-not-leak-into-parts", NewSession(WithWorkers(9)), 0, engine.DefaultPartitions},
-		{"zero-session-parts-is-default", Session{Partitions: 0, Sequential: true}, 0, engine.DefaultPartitions},
+		{"zero-session-parts-is-default", Session{Partitions: 0, Workers: 1}, 0, engine.DefaultPartitions},
 		{"negative-session-parts-is-default", Session{Partitions: -4}, 0, engine.DefaultPartitions},
 	}
 	// Enough values that engine.NewDataset's parts-capped-at-len clamp never

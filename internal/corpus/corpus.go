@@ -132,8 +132,8 @@ func randStep(r *rand.Rand, s *Spec, st *genState) {
 		choices = append(choices, StepFlatten, StepFlatten)
 	}
 	// Joins and aggregates get double weight: they are the operators with
-	// vectorized kernel state (hash tables, accumulator arrays), so the
-	// corpus leans toward join+aggregate-heavy plans.
+	// kernel state (hash tables, accumulator arrays), so the corpus leans
+	// toward join+aggregate-heavy plans.
 	if st.attrs["cat"] == typStr && (st.attrs["val"] == typInt || st.attrs["id"] == typInt) {
 		choices = append(choices, StepAggregate, StepAggregate)
 	}

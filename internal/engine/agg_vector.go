@@ -1,31 +1,32 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
 	"pebble/internal/nested"
 )
 
-// Vectorized aggregate state (DESIGN.md §13). One pass over the bucket fills
-// the keyTable (dense group ids in first-seen order, reusing the hashes the
-// shuffle cached) and records each row's group index; accumulation then runs
-// per 256-row chunk, decoding each spec's input path into a column once and
-// updating per-group typed accumulator arrays — sum/count as int64/float64
-// columns, collect as CSR offset lists — instead of buffering every group's
-// rows and re-walking them per spec. Contributing-identifier lists for
-// capture are CSR subslices of one bucket-sized arena (ownership of each
-// group's subslice transfers to the sink via ps.Agg, so the arena is a plain
-// allocation, never pooled). Float sums accumulate in bucket (= sequence)
-// order — the same order computeAgg visits a group's rows — so results are
-// bit-identical.
+// Aggregate state (DESIGN.md §13). One pass over the bucket fills the
+// keyTable (dense group ids in first-seen order, reusing the hashes the
+// shuffle cached) and records each row's group index; accumulation then
+// evaluates each spec's input path once per row and updates per-group typed
+// accumulator arrays — sum/count as int64/float64 columns, collect as CSR
+// offset lists — instead of buffering every group's rows and re-walking them
+// per spec. Contributing-identifier lists for capture are CSR subslices of
+// one bucket-sized arena (ownership of each group's subslice transfers to
+// the sink via ps.Agg, so the arena is a plain allocation, never pooled).
+// Float sums accumulate in bucket (= sequence) order, so results are
+// bit-identical across worker counts.
 //
-// Fallback contract: any shape the kernel cannot reproduce exactly — an
-// aggregate missing its input path, an unknown function, a non-numeric value
-// under sum/avg — returns ok=false and the bucket re-runs through the scalar
-// body, which reports the row engine's exact error in its exact order
-// (errors surface at the first group in key-sorted order, not accumulation
-// order).
+// Error contract: a spec the bucket cannot compute — an aggregate missing
+// its input path, an unknown function, a non-numeric value under sum/avg —
+// fails the bucket at the first (group in key-sorted order, spec in
+// declaration order) pair that hits it, naming the group's first offending
+// value in sequence order: the error a per-group evaluation over buffered
+// rows reports (pinned by reference_test.go). An empty bucket has no groups
+// and therefore no error.
 
 // aggAccum is one spec's pooled accumulator state, indexed by dense group id.
 type aggAccum struct {
@@ -33,6 +34,7 @@ type aggAccum struct {
 	sumF   []float64      // sum / avg: float accumulation (row order)
 	sumI   []int64        // sum: integer accumulation while allInt
 	allInt []bool         // sum: no double seen yet
+	bad    []nested.Kind  // sum / avg: kind of the first non-numeric value (0 = none)
 	best   []nested.Value // min / max: current winner
 	found  []bool         // min / max: any non-null seen
 	cursor []int32        // collect: per-group fill cursor into the CSR arena
@@ -68,6 +70,8 @@ func getAggAccum(nG, bucketLen int, fn AggFunc) *aggAccum {
 		for i := range a.allInt {
 			a.allInt[i] = true
 		}
+		a.bad = grown(a.bad, nG)
+		clear(a.bad)
 	case AggMax, AggMin:
 		a.best = grown(a.best, nG)
 		a.found = grown(a.found, nG)
@@ -85,19 +89,17 @@ func getAggAccum(nG, bucketLen int, fn AggFunc) *aggAccum {
 
 func putAggAccum(a *aggAccum) { aggAccumPool.Put(a) }
 
-// aggScratch is the pooled per-bucket scratch of the vectorized aggregate:
-// per-row group indexes, CSR offsets and id cursors, the group sort order,
-// and the row buffer batches are decoded from.
+// aggScratch is the pooled per-bucket scratch of the aggregate: per-row
+// group indexes, CSR offsets and id cursors, and the group sort order.
 type aggScratch struct {
 	groupOf []int32
 	offsets []int32
 	idCur   []int32
 	order   []int
-	rows    []Row
 }
 
 var aggScratchPool = sync.Pool{
-	New: func() any { return &aggScratch{rows: make([]Row, batchSize)} },
+	New: func() any { return new(aggScratch) },
 }
 
 func getAggScratch(n int) *aggScratch {
@@ -116,88 +118,11 @@ func (s *aggScratch) sizeGroups(nG int) {
 
 func putAggScratch(s *aggScratch) { aggScratchPool.Put(s) }
 
-// aggBucketMorsel aggregates one shuffle bucket: the vectorized kernel
-// first, the scalar reference body on fallback (or under
-// Options.ScalarFallback).
-func (e *executor) aggBucketMorsel(o *Op, bucket []keyedRow) ([]pending, error) {
-	if e.vectorized() {
-		if out, ok := e.aggBucketVec(o, bucket); ok {
-			return out, nil
-		}
-	}
-	return e.aggBucketScalar(o, bucket)
-}
-
-// aggBucketScalar is the row-at-a-time reference body: hash-chain grouping by
-// nested.Equal, then computeAgg per (group, spec) over the buffered rows.
-func (e *executor) aggBucketScalar(o *Op, bucket []keyedRow) ([]pending, error) {
-	// Group rows within the bucket by full key equality.
-	type group struct {
-		key  nested.Value
-		rows []keyedRow
-	}
-	groups := make(map[uint64][]*group)
-	var order []*group
-	for _, kr := range bucket {
-		h := kr.hash // cached by the shuffle; no rehash per row
-		var g *group
-		for _, cand := range groups[h] {
-			if nested.Equal(cand.key, kr.key) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{key: kr.key} //pebblevet:ignore hotalloc -- one allocation per distinct group, not per row
-			groups[h] = append(groups[h], g)
-			order = append(order, g) //pebblevet:ignore hotalloc -- grows once per distinct group; group count is data-dependent
-		}
-		g.rows = append(g.rows, kr)
-	}
-	// Deterministic output: groups ordered by key, rows by sequence.
-	sort.Slice(order, func(i, j int) bool { return nested.Compare(order[i].key, order[j].key) < 0 })
-	var out []pending
-	for _, g := range order {
-		sort.Slice(g.rows, func(i, j int) bool { return g.rows[i].seq < g.rows[j].seq })
-		fields := make([]nested.Field, 0, len(o.groupBy)+len(o.aggs))
-		fields = append(fields, g.key.Fields()...)
-		for _, spec := range o.aggs {
-			av, err := computeAgg(spec, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, nested.F(spec.Out, av))
-		}
-		// The contributing-identifier collection is only materialised
-		// when provenance is captured — it is the dominant share of the
-		// aggregation's capture cost (Sec. 7.3.1).
-		var ids []int64
-		if e.opts.Sink != nil {
-			ids = make([]int64, len(g.rows))
-			for i, kr := range g.rows {
-				ids[i] = kr.row.ID
-			}
-		}
-		out = append(out, pending{value: nested.Item(fields...), inIDs: ids})
-	}
-	return out, nil
-}
-
-// aggBucketVec is the vectorized bucket body.
-func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
+// aggBucket groups and aggregates one shuffle bucket; capture materialises
+// the contributing-identifier list of every group.
+func aggBucket(o *Op, bucket []keyedRow, capture bool) ([]pending, error) {
 	if len(bucket) == 0 {
-		return nil, true
-	}
-	for _, spec := range o.aggs {
-		switch spec.Func {
-		case AggCount: // input path optional
-		case AggSum, AggAvg, AggMax, AggMin, AggCollectList, AggCollectSet:
-			if len(spec.In) == 0 {
-				return nil, false // scalar body reports "needs an input path"
-			}
-		default:
-			return nil, false // scalar body reports the unknown function
-		}
+		return nil, nil
 	}
 	t := getKeyTable(len(bucket))
 	defer putKeyTable(t)
@@ -237,43 +162,19 @@ func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
 		}
 	}
 	var idsArena []int64
-	if e.opts.Sink != nil {
-		// Ownership of each group's subslice transfers to the sink (ps.Agg);
-		// plain allocation, never pooled.
+	if capture {
+		// The contributing-identifier collection is only materialised when
+		// provenance is captured — it is the dominant share of the
+		// aggregation's capture cost (Sec. 7.3.1). Ownership of each group's
+		// subslice transfers to the sink (ps.Agg); plain allocation, never
+		// pooled.
 		idsArena = make([]int64, len(bucket))
 	}
-	// Accumulation strategy per spec: decoding a column costs one eval plus
-	// one copy per value, so it only pays off when at least two specs share
-	// the input path (the batch cache then dedups the decode and each spec
-	// runs a typed branch-free pass). A path read by a single spec skips the
-	// column — the same single-read bypass as flattenMorselVec — and
-	// accumulates straight off the row values.
-	shared := make([]bool, len(o.aggs))
-	needBatch := false
-	for si, spec := range o.aggs {
-		if len(spec.In) == 0 {
-			continue
-		}
-		for sj, other := range o.aggs {
-			if sj != si && len(other.In) > 0 && other.In.String() == spec.In.String() {
-				shared[si] = true
-				needBatch = true
-				break
-			}
-		}
-	}
+	// Chunked so that the specs' passes over the same rows stay cache-resident.
 	for start := 0; start < len(bucket); start += batchSize {
 		end := min(start+batchSize, len(bucket))
 		chunk := bucket[start:end]
 		gix := s.groupOf[start:end]
-		var b *batch
-		if needBatch {
-			rows := s.rows[:len(chunk)]
-			for i, kr := range chunk {
-				rows[i] = kr.row
-			}
-			b = getBatch(rows)
-		}
 		for si, spec := range o.aggs {
 			if len(spec.In) == 0 {
 				continue // plain count: group sizes come from the table
@@ -282,18 +183,7 @@ func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
 			if listVals != nil {
 				lv = listVals[si]
 			}
-			ok := false
-			if shared[si] {
-				ok = accumulateCol(spec.Func, accums[si], b.column(spec.In), gix, s.offsets, lv)
-			} else {
-				ok = accumulateDirect(spec, accums[si], chunk, gix, s.offsets, lv)
-			}
-			if !ok {
-				if b != nil {
-					putBatch(b)
-				}
-				return nil, false
-			}
+			accumulate(spec, accums[si], chunk, gix, s.offsets, lv)
 		}
 		if idsArena != nil {
 			for i, kr := range chunk {
@@ -302,13 +192,9 @@ func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
 				s.idCur[g]++
 			}
 		}
-		if b != nil {
-			putBatch(b)
-		}
 	}
-	// Emit groups sorted by key: same comparator over the same initial
-	// permutation (first-seen order) as the scalar body's sort, so even
-	// Compare-equal distinct keys order identically.
+	// Emit groups sorted by key, starting from first-seen order so that
+	// Compare-equal distinct keys order deterministically.
 	order := s.order[:nG]
 	for g := range order {
 		order[g] = g
@@ -323,7 +209,11 @@ func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
 			if listVals != nil {
 				lv = listVals[si]
 			}
-			fields = append(fields, nested.F(spec.Out, aggResult(spec, accums[si], int32(g), t.count[g], s.offsets[g], lv)))
+			av, err := aggResult(spec, accums[si], int32(g), t.count[g], s.offsets[g], lv)
+			if err != nil {
+				return nil, err
+			}
+			fields = append(fields, nested.F(spec.Out, av))
 		}
 		var ids []int64
 		if idsArena != nil {
@@ -332,113 +222,14 @@ func (e *executor) aggBucketVec(o *Op, bucket []keyedRow) ([]pending, bool) {
 		}
 		out = append(out, pending{value: nested.Item(fields...), inIDs: ids})
 	}
-	return out, true
+	return out, nil
 }
 
-// accumulateCol folds one decoded column chunk into a spec's accumulators.
-// Returns false when a value the row path would reject is seen — the bucket
-// then falls back wholesale so the scalar body reproduces the exact error.
-func accumulateCol(fn AggFunc, a *aggAccum, c *colVec, groupOf []int32, offsets []int32, list []nested.Value) bool {
-	n := len(groupOf)
-	switch fn {
-	case AggCount:
-		for i := 0; i < n; i++ {
-			if !c.isNull(i) {
-				a.n[groupOf[i]]++
-			}
-		}
-	case AggSum, AggAvg:
-		switch c.kind {
-		case nested.KindInt:
-			for i := 0; i < n; i++ {
-				if c.valid != nil && !c.valid.get(i) {
-					continue
-				}
-				g := groupOf[i]
-				v := c.ints[c.phys(i)]
-				a.sumI[g] += v
-				a.sumF[g] += float64(v)
-				a.n[g]++
-			}
-		case nested.KindDouble:
-			for i := 0; i < n; i++ {
-				if c.valid != nil && !c.valid.get(i) {
-					continue
-				}
-				g := groupOf[i]
-				a.allInt[g] = false
-				a.sumF[g] += c.dbls[c.phys(i)]
-				a.n[g]++
-			}
-		case nested.KindInvalid:
-			for i := 0; i < n; i++ {
-				v := c.vals[c.phys(i)]
-				if v.IsNull() {
-					continue
-				}
-				f, ok := v.AsDouble()
-				if !ok {
-					return false // non-numeric: scalar body reports it
-				}
-				g := groupOf[i]
-				if iv, isInt := v.AsInt(); isInt {
-					a.sumI[g] += iv
-				} else {
-					a.allInt[g] = false
-				}
-				a.sumF[g] += f
-				a.n[g]++
-			}
-		default:
-			// A string/bool column always holds at least one non-null value
-			// of that kind, which the row path rejects as non-numeric.
-			return false
-		}
-	case AggMax, AggMin:
-		for i := 0; i < n; i++ {
-			v := c.at(i)
-			if v.IsNull() {
-				continue
-			}
-			g := groupOf[i]
-			if !a.found[g] {
-				a.best[g], a.found[g] = v, true
-				continue
-			}
-			// Strictly-better replaces: ties and NaN comparisons (which
-			// compare as 0) keep the incumbent, like computeAgg.
-			cr := compareWidened(v, a.best[g])
-			if (fn == AggMax && cr > 0) || (fn == AggMin && cr < 0) {
-				a.best[g] = v
-			}
-		}
-	case AggCollectList:
-		// Nulls are kept so element positions stay aligned with the recorded
-		// input-identifier order (the invariant Alg. 4 relies on).
-		for i := 0; i < n; i++ {
-			g := groupOf[i]
-			list[offsets[g]+a.cursor[g]] = c.at(i)
-			a.cursor[g]++
-		}
-	case AggCollectSet:
-		for i := 0; i < n; i++ {
-			v := c.at(i)
-			if v.IsNull() {
-				continue
-			}
-			g := groupOf[i]
-			a.setBuf[offsets[g]+a.cursor[g]] = v
-			a.cursor[g]++
-		}
-	}
-	return true
-}
-
-// accumulateDirect folds one chunk into a spec's accumulators by evaluating
-// the input path per row, for paths no other spec shares (decoding a column
-// would add a copy over this single read). Same value semantics and fallback
-// contract as accumulateCol; absent paths evaluate as null, like computeAgg.
-func accumulateDirect(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int32, offsets []int32, list []nested.Value) bool {
+// accumulate folds one chunk into a spec's accumulators, evaluating the
+// input path once per row; absent paths evaluate as null. A non-numeric
+// value under sum/avg is recorded per group and reported by aggResult. Specs
+// aggResult rejects statically (unknown function) accumulate nothing.
+func accumulate(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int32, offsets []int32, list []nested.Value) {
 	for i := range chunk {
 		v, ok := spec.In.Eval(chunk[i].row.Value)
 		if !ok {
@@ -456,7 +247,10 @@ func accumulateDirect(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int
 			}
 			f, ok := v.AsDouble()
 			if !ok {
-				return false // non-numeric: scalar body reports it
+				if a.bad[g] == nested.KindInvalid {
+					a.bad[g] = v.Kind()
+				}
+				continue
 			}
 			if iv, isInt := v.AsInt(); isInt {
 				a.sumI[g] += iv
@@ -473,6 +267,8 @@ func accumulateDirect(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int
 				a.best[g], a.found[g] = v, true
 				continue
 			}
+			// Strictly-better replaces: ties and NaN comparisons (which
+			// compare as 0) keep the incumbent.
 			cr := compareWidened(v, a.best[g])
 			if (spec.Func == AggMax && cr > 0) || (spec.Func == AggMin && cr < 0) {
 				a.best[g] = v
@@ -490,38 +286,46 @@ func accumulateDirect(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int
 			a.cursor[g]++
 		}
 	}
-	return true
 }
 
-// aggResult materialises one spec's final value for group g — the same
-// results computeAgg produces from a buffered group.
-func aggResult(spec AggSpec, a *aggAccum, g, size int32, off int32, list []nested.Value) nested.Value {
+// aggResult materialises one spec's final value for group g. The order of
+// collected elements matches the row order, which in turn matches the order
+// of the recorded input identifiers — the invariant Alg. 4's position
+// substitution relies on.
+func aggResult(spec AggSpec, a *aggAccum, g, size int32, off int32, list []nested.Value) (nested.Value, error) {
+	if len(spec.In) == 0 {
+		if spec.Func == AggCount {
+			return nested.Int(int64(size)), nil
+		}
+		return nested.Value{}, fmt.Errorf("aggregate %s needs an input path", spec.Func)
+	}
 	switch spec.Func {
 	case AggCount:
-		if len(spec.In) == 0 {
-			return nested.Int(int64(size))
+		return nested.Int(a.n[g]), nil
+	case AggSum, AggAvg:
+		if a.bad[g] != nested.KindInvalid {
+			return nested.Value{}, fmt.Errorf("aggregate %s over non-numeric %s", spec.Func, a.bad[g])
 		}
-		return nested.Int(a.n[g])
-	case AggSum:
+		if spec.Func == AggAvg {
+			if a.n[g] == 0 {
+				return nested.Null(), nil
+			}
+			return nested.Double(a.sumF[g] / float64(a.n[g])), nil
+		}
 		if a.allInt[g] {
-			return nested.Int(a.sumI[g])
+			return nested.Int(a.sumI[g]), nil
 		}
-		return nested.Double(a.sumF[g])
-	case AggAvg:
-		if a.n[g] == 0 {
-			return nested.Null()
-		}
-		return nested.Double(a.sumF[g] / float64(a.n[g]))
+		return nested.Double(a.sumF[g]), nil
 	case AggMax, AggMin:
 		if !a.found[g] {
-			return nested.Null()
+			return nested.Null(), nil
 		}
-		return a.best[g]
+		return a.best[g], nil
 	case AggCollectList:
 		end := off + size
-		return nested.Bag(list[off:end:end]...)
+		return nested.Bag(list[off:end:end]...), nil
 	case AggCollectSet:
-		return nested.Set(a.setBuf[off : off+a.cursor[g]]...)
+		return nested.Set(a.setBuf[off : off+a.cursor[g]]...), nil
 	}
-	return nested.Value{} // unreachable: the precheck rejected unknown funcs
+	return nested.Value{}, fmt.Errorf("unknown aggregate function %q", spec.Func)
 }

@@ -8,17 +8,17 @@ import (
 	"pebble/internal/path"
 )
 
-// This file implements the columnar morsel representation of the vectorized
-// executor (DESIGN.md §10). A logical partition is processed in chunks of at
+// This file implements the columnar morsel representation of the filter
+// kernel (DESIGN.md §10). A logical partition is processed in chunks of at
 // most batchSize rows; each chunk is wrapped in a batch that lazily decodes
-// the access paths the operator's expressions read into colVec columns —
+// the access paths the predicate reads into colVec columns —
 // scalar columns carry typed arrays plus a validity bitmap, everything else
 // (nested bags, items, mixed-kind attributes) stays as a generic value
 // column. Batches and the id-gather scratch buffers used by bulk capture
 // emission are recycled through sync.Pools shared by all workers.
 //
-// Correctness contract: a colVec must reproduce the row engine's view of the
-// data exactly. For every row i, at(i) returns a value equal (as a Go struct)
+// Correctness contract: a colVec must reproduce Expr.Eval's view of the data
+// exactly. For every row i, at(i) returns a value equal (as a Go struct)
 // to what colExpr.Eval would have produced: the stored value itself, or
 // nested.Null() when the path was absent. Typed storage is only used when
 // every non-null value of the chunk has the same scalar kind — mixed or
@@ -89,7 +89,7 @@ func (c *colVec) isNull(i int) bool {
 	return c.valid != nil && !c.valid.get(i)
 }
 
-// at materialises row i as the exact value the row engine would see.
+// at materialises row i as the exact value colExpr.Eval would see.
 func (c *colVec) at(i int) nested.Value {
 	i = c.phys(i)
 	if c.kind == nested.KindInvalid {
@@ -363,8 +363,8 @@ func putBatch(b *batch) {
 	batchPool.Put(b)
 }
 
-// idScratchPool recycles the id-gather buffers finalize uses for bulk
-// id-range capture emission. Sinks copy out of the slices (see
+// idScratchPool recycles the id-gather buffers finalize and execSource use
+// for id-range capture emission. Sinks copy out of the slices (see
 // PartitionSink), so returning a buffer to the pool cannot alias captured
 // provenance.
 var idScratchPool = sync.Pool{

@@ -77,35 +77,29 @@ type CaptureSink interface {
 // methods are single-goroutine: the executor owns the morsel for the
 // duration of the handle, so implementations append without locking.
 //
-// The *Range methods are the bulk form the vectorized executor emits: one
-// call per partition morsel covering a contiguous run of output
-// identifiers, equivalent to the matching per-row calls in slice order. A
-// sink must produce identical state from either form — the differential
-// oracle asserts the serialized provenance bytes agree. Unlike Agg, the
-// range slices are borrowed scratch buffers: implementations must copy what
-// they keep, and the caller may recycle the slices as soon as the call
-// returns.
+// The fixed-width layouts arrive in bulk: one call per partition morsel
+// covering a contiguous run of output identifiers base, base+1, …. The range
+// slices are borrowed scratch buffers: implementations must copy what they
+// keep, and the caller may recycle the slices as soon as the call returns.
+// The variable-length layouts (Agg, and Unary for distinct's fan-in) arrive
+// row by row.
 type PartitionSink interface {
-	// SourceRow records a top-level identifier assigned to a source row,
-	// together with the identifier the row carried in the raw input dataset
-	// (so analyses can correlate multiple reads of the same input).
-	SourceRow(id, origID int64)
-	// SourceRows bulk-records a contiguous run of source rows: origIDs[i]
-	// was assigned identifier base+i.
+	// SourceRows records a contiguous run of source rows: the row that
+	// carried identifier origIDs[i] in the raw input dataset was assigned
+	// top-level identifier base+i (so analyses can correlate multiple reads
+	// of the same input).
 	SourceRows(base int64, origIDs []int64)
-	// Unary records ⟨id_i, id_o⟩ for map, select, filter.
+	// Unary records ⟨id_i, id_o⟩ for distinct, where several collapsed
+	// duplicates contribute to one output item.
 	Unary(inID, outID int64)
-	// UnaryRange bulk-records ⟨inIDs[i], base+i⟩ for every i.
+	// UnaryRange records ⟨inIDs[i], base+i⟩ for every i: map, select,
+	// filter, orderBy, limit.
 	UnaryRange(inIDs []int64, base int64)
-	// Binary records ⟨id_i1, id_i2, id_o⟩ for join and union; for union the
-	// absent side is -1.
-	Binary(leftID, rightID, outID int64)
-	// BinaryRange bulk-records ⟨leftIDs[i], rightIDs[i], base+i⟩ for every i.
+	// BinaryRange records ⟨leftIDs[i], rightIDs[i], base+i⟩ for every i:
+	// join and union; for union the absent side is -1.
 	BinaryRange(leftIDs, rightIDs []int64, base int64)
-	// Flatten records ⟨id_i, pos, id_o⟩ with the 1-based position of the
-	// flattened element.
-	Flatten(inID int64, pos int, outID int64)
-	// FlattenRange bulk-records ⟨inIDs[i], positions[i], base+i⟩ for every i.
+	// FlattenRange records ⟨inIDs[i], positions[i], base+i⟩ for every i,
+	// with the 1-based position of the flattened element.
 	FlattenRange(inIDs []int64, positions []int, base int64)
 	// Agg records ⟨ids_i, id_o⟩; the order of inIDs matches the element
 	// order of every nested collection the aggregation produced. The sink

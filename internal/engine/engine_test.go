@@ -84,10 +84,10 @@ func figure1() *Pipeline {
 
 func TestFigure1PipelineProducesTab2(t *testing.T) {
 	for _, parts := range []int{1, 3} {
-		for _, seq := range []bool{true, false} {
-			name := fmt.Sprintf("parts=%d seq=%v", parts, seq)
+		for _, workers := range []int{1, 0} {
+			name := fmt.Sprintf("parts=%d workers=%d", parts, workers)
 			inputs := map[string]*Dataset{"tweets.json": dataset(t, "tweets.json", tab1(), parts)}
-			res := runPipeline(t, figure1(), inputs, Options{Partitions: parts, Sequential: seq})
+			res := runPipeline(t, figure1(), inputs, Options{Partitions: parts, Workers: workers})
 			got := make(map[string][]string) // user id -> sorted tweet texts
 			users := make(map[string]string)
 			for _, r := range res.Output.Rows() {
@@ -513,10 +513,12 @@ type recordingPartition struct {
 	oid int
 }
 
-func (p *recordingPartition) SourceRow(id, origID int64) {
+func (p *recordingPartition) SourceRows(base int64, origIDs []int64) {
 	p.s.mu.Lock()
 	defer p.s.mu.Unlock()
-	p.s.sources = append(p.s.sources, id)
+	for i := range origIDs {
+		p.s.sources = append(p.s.sources, base+int64(i))
+	}
 }
 func (p *recordingPartition) Unary(in, out int64) {
 	p.s.mu.Lock()
@@ -526,23 +528,32 @@ func (p *recordingPartition) Unary(in, out int64) {
 		in, out int64
 	}{p.oid, in, out})
 }
-func (p *recordingPartition) Binary(l, r, out int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	p.s.binaries = append(p.s.binaries, struct {
-		oid       int
-		l, r, out int64
-	}{p.oid, l, r, out})
+func (p *recordingPartition) UnaryRange(inIDs []int64, base int64) {
+	for i, in := range inIDs {
+		p.Unary(in, base+int64(i))
+	}
 }
-func (p *recordingPartition) Flatten(in int64, pos int, out int64) {
+func (p *recordingPartition) BinaryRange(leftIDs, rightIDs []int64, base int64) {
 	p.s.mu.Lock()
 	defer p.s.mu.Unlock()
-	p.s.flattens = append(p.s.flattens, struct {
-		oid int
-		in  int64
-		pos int
-		out int64
-	}{p.oid, in, pos, out})
+	for i := range leftIDs {
+		p.s.binaries = append(p.s.binaries, struct {
+			oid       int
+			l, r, out int64
+		}{p.oid, leftIDs[i], rightIDs[i], base + int64(i)})
+	}
+}
+func (p *recordingPartition) FlattenRange(inIDs []int64, positions []int, base int64) {
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	for i := range inIDs {
+		p.s.flattens = append(p.s.flattens, struct {
+			oid int
+			in  int64
+			pos int
+			out int64
+		}{p.oid, inIDs[i], positions[i], base + int64(i)})
+	}
 }
 func (p *recordingPartition) Agg(ins []int64, out int64) {
 	p.s.mu.Lock()
@@ -552,29 +563,6 @@ func (p *recordingPartition) Agg(ins []int64, out int64) {
 		ins []int64
 		out int64
 	}{p.oid, ins, out})
-}
-
-// Bulk range forms: expand into the same records as the per-row calls so the
-// assertions below cover both executors.
-func (p *recordingPartition) SourceRows(base int64, origIDs []int64) {
-	for i, orig := range origIDs {
-		p.SourceRow(base+int64(i), orig)
-	}
-}
-func (p *recordingPartition) UnaryRange(inIDs []int64, base int64) {
-	for i, in := range inIDs {
-		p.Unary(in, base+int64(i))
-	}
-}
-func (p *recordingPartition) BinaryRange(leftIDs, rightIDs []int64, base int64) {
-	for i := range leftIDs {
-		p.Binary(leftIDs[i], rightIDs[i], base+int64(i))
-	}
-}
-func (p *recordingPartition) FlattenRange(inIDs []int64, positions []int, base int64) {
-	for i := range inIDs {
-		p.Flatten(inIDs[i], positions[i], base+int64(i))
-	}
 }
 
 func TestCaptureEventsFigure1(t *testing.T) {

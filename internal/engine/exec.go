@@ -30,11 +30,8 @@ type Options struct {
 	// Workers bounds the *physical* parallelism: the number of goroutines
 	// executing partition morsels and DAG branches (default
 	// runtime.NumCPU()). Any value yields byte-identical results, ids, and
-	// captured provenance; Sequential forces 1.
+	// captured provenance; 1 disables goroutine parallelism.
 	Workers int
-	// Sequential disables goroutine parallelism; useful for debugging and
-	// for single-threaded benchmarking.
-	Sequential bool
 	// Sink receives provenance capture events; nil disables capture.
 	Sink CaptureSink
 	// IDGen supplies top-level identifiers. When nil a fresh generator
@@ -52,14 +49,6 @@ type Options struct {
 	// recording call sites are bulk (per partition morsel), so the disabled
 	// path costs only predictable nil checks.
 	Recorder *obs.Recorder
-	// ScalarFallback skips the vectorized kernels and runs every operator
-	// through its scalar fallback body — the row-at-a-time reference
-	// semantics the kernels fall back to on shapes they cannot reproduce
-	// exactly. Results, identifiers, and captured provenance are
-	// byte-identical either way; the differential oracle and the kernel
-	// benchmarks diff the two executions directly (DESIGN.md §10, §13).
-	// Engine-internal: the public API always runs vectorized.
-	ScalarFallback bool
 }
 
 // OpStats reports per-operator execution metrics.
@@ -116,9 +105,6 @@ func RunContext(ctx context.Context, p *Pipeline, inputs map[string]*Dataset, op
 		opts.Partitions = DefaultPartitions
 	}
 	workers := opts.Workers
-	if opts.Sequential {
-		workers = 1
-	}
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
@@ -287,7 +273,7 @@ func (e *executor) finalize(oid int, parts [][]pending, kind assocKind) (*Datase
 			id++
 		}
 		if ps != nil {
-			e.emitAssocs(ps, parts[part], kind, offsets[part])
+			emitAssocs(ps, parts[part], kind, offsets[part])
 		}
 		partitions[part] = rows
 		if rec := e.opts.Recorder; rec != nil {
@@ -305,63 +291,52 @@ func (e *executor) finalize(oid int, parts [][]pending, kind assocKind) (*Datase
 }
 
 // emitAssocs appends one partition morsel's associations to its sink
-// handle. The vectorized executor emits the whole morsel as one contiguous
-// id-range call (the output ids are base..base+len-1 by construction of
-// finalize), gathering the input ids into pooled scratch that the sink
-// copies out of; the row executor — and the per-row association layouts
-// (aggregate's variable-length id lists, distinct's multi-unary fan-out) —
-// append row by row. Both forms produce identical sink state in the same
-// append order.
-func (e *executor) emitAssocs(ps PartitionSink, prs []pending, kind assocKind, base int64) {
-	if e.vectorized() {
-		switch kind {
-		case assocUnary:
-			ids := getIDScratch(len(prs))
-			for i := range prs {
-				ids[i] = prs[i].in1
-			}
-			ps.UnaryRange(ids, base)
-			putIDScratch(ids)
-			return
-		case assocBinary:
-			l, r := getIDScratch(len(prs)), getIDScratch(len(prs))
-			for i := range prs {
-				l[i], r[i] = prs[i].in1, prs[i].in2
-			}
-			ps.BinaryRange(l, r, base)
-			putIDScratch(l)
-			putIDScratch(r)
-			return
-		case assocFlatten:
-			ids, pos := getIDScratch(len(prs)), getPosScratch(len(prs))
-			for i := range prs {
-				ids[i], pos[i] = prs[i].in1, prs[i].pos
-			}
-			ps.FlattenRange(ids, pos, base)
-			putIDScratch(ids)
-			putPosScratch(pos)
-			return
+// handle. The fixed-width layouts go out as one contiguous id-range call per
+// morsel (the output ids are base..base+len-1 by construction of finalize),
+// gathering the input ids into pooled scratch that the sink copies out of;
+// the variable-length layouts (aggregate's id lists, distinct's multi-unary
+// fan-out) append row by row.
+func emitAssocs(ps PartitionSink, prs []pending, kind assocKind, base int64) {
+	switch kind {
+	case assocUnary:
+		ids := getIDScratch(len(prs))
+		for i := range prs {
+			ids[i] = prs[i].in1
 		}
-	}
-	id := base
-	for _, pr := range prs {
-		switch kind {
-		case assocUnary:
-			ps.Unary(pr.in1, id)
-		case assocBinary:
-			ps.Binary(pr.in1, pr.in2, id)
-		case assocFlatten:
-			ps.Flatten(pr.in1, pr.pos, id)
-		case assocAgg:
-			// The pending slice was built for the sink (see execAggregate);
+		ps.UnaryRange(ids, base)
+		putIDScratch(ids)
+	case assocBinary:
+		l, r := getIDScratch(len(prs)), getIDScratch(len(prs))
+		for i := range prs {
+			l[i], r[i] = prs[i].in1, prs[i].in2
+		}
+		ps.BinaryRange(l, r, base)
+		putIDScratch(l)
+		putIDScratch(r)
+	case assocFlatten:
+		ids, pos := getIDScratch(len(prs)), getPosScratch(len(prs))
+		for i := range prs {
+			ids[i], pos[i] = prs[i].in1, prs[i].pos
+		}
+		ps.FlattenRange(ids, pos, base)
+		putIDScratch(ids)
+		putPosScratch(pos)
+	case assocAgg:
+		id := base
+		for _, pr := range prs {
+			// The pending slice was built for the sink (see aggBucket);
 			// ownership transfers, no copy.
 			ps.Agg(pr.inIDs, id)
-		case assocMultiUnary:
+			id++
+		}
+	case assocMultiUnary:
+		id := base
+		for _, pr := range prs {
 			for _, in := range pr.inIDs {
 				ps.Unary(in, id)
 			}
+			id++
 		}
-		id++
 	}
 }
 
@@ -425,20 +400,12 @@ func (e *executor) execSource(o *Op) (*Dataset, error) {
 			id++
 		}
 		if ps != nil {
-			if e.vectorized() {
-				orig := getIDScratch(len(in.Partitions[part]))
-				for i, r := range in.Partitions[part] {
-					orig[i] = r.ID
-				}
-				ps.SourceRows(offsets[part], orig)
-				putIDScratch(orig)
-			} else {
-				id = offsets[part]
-				for _, r := range in.Partitions[part] {
-					ps.SourceRow(id, r.ID)
-					id++
-				}
+			orig := getIDScratch(len(in.Partitions[part]))
+			for i, r := range in.Partitions[part] {
+				orig[i] = r.ID
 			}
+			ps.SourceRows(offsets[part], orig)
+			putIDScratch(orig)
 		}
 		partitions[part] = rows
 		if rec := e.opts.Recorder; rec != nil {
@@ -462,7 +429,7 @@ func (e *executor) execFilter(o *Op) (*Dataset, error) {
 	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
 	parts := make([][]pending, len(in.Partitions))
 	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := e.filterMorsel(o, in.Partitions[part])
+		out, err := filterMorsel(o.pred, in.Partitions[part])
 		if err != nil {
 			return err
 		}
@@ -485,9 +452,13 @@ func (e *executor) execSelect(o *Op) (*Dataset, error) {
 	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
 	parts := make([][]pending, len(in.Partitions))
 	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := e.selectMorsel(o, in.Partitions[part])
-		if err != nil {
-			return err
+		out := make([]pending, 0, len(in.Partitions[part]))
+		for _, r := range in.Partitions[part] {
+			item, err := evalSelect(o.fields, r.Value)
+			if err != nil {
+				return err
+			}
+			out = append(out, pending{value: item, in1: r.ID})
 		}
 		parts[part] = out
 		if rec := e.opts.Recorder; rec != nil {
@@ -583,9 +554,20 @@ func (e *executor) execFlatten(o *Op) (*Dataset, error) {
 	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
 	parts := make([][]pending, len(in.Partitions))
 	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := e.flattenMorsel(o, in.Partitions[part])
-		if err != nil {
-			return err
+		// Floor capacity: flatten usually emits at least one row per input row.
+		out := make([]pending, 0, len(in.Partitions[part]))
+		for _, r := range in.Partitions[part] {
+			col, ok := o.flattenCol.Eval(r.Value)
+			if !ok || col.IsNull() {
+				continue // no collection to explode
+			}
+			if !col.Kind().IsCollection() {
+				return fmt.Errorf("flatten: %s is %s, want bag or set", o.flattenCol, col.Kind())
+			}
+			for idx, elem := range col.Elems() {
+				v := r.Value.WithField(o.flattenNew, elem)
+				out = append(out, pending{value: v, in1: r.ID, pos: idx + 1})
+			}
 		}
 		parts[part] = out
 		if rec := e.opts.Recorder; rec != nil {
@@ -659,11 +641,6 @@ type keyedRow struct {
 // partition-major order inside every bucket, so the bucket contents are
 // byte-identical to a sequential merge.
 //
-// The map phase evaluates keys column-wise under the vectorized executor
-// (evalKeysVec decodes each key path once per batch); the hashed key values
-// are identical to the row path's, so bucket layout, cached hashes, and
-// sequence numbers do not depend on the executor.
-//
 // Rows with null keys are dropped (they can never match an equi-join and
 // SQL group-by treats them as their own group — callers that need null
 // groups pass keepNull).
@@ -684,21 +661,12 @@ func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keep
 		local := make([][]keyedRow, buckets)
 		hashed := 0
 		rows := d.Partitions[part]
-		var keys []nested.Value
-		if e.vectorized() {
-			keys, _ = evalKeysVec(sk, rows)
+		keys, err := sk.evalMorsel(rows)
+		if err != nil {
+			return err
 		}
 		for i, r := range rows {
-			var k nested.Value
-			if keys != nil {
-				k = keys[i]
-			} else {
-				var err error
-				k, err = sk.eval(r.Value)
-				if err != nil {
-					return err
-				}
-			}
+			k := keys[i]
 			if k.IsNull() && !keepNull {
 				continue
 			}
@@ -776,7 +744,7 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 	rightSchema := topLevelSchema(right)
 	parts := make([][]pending, e.opts.Partitions)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		out, err := e.joinBucketMorsel(o, lb[part], rb[part], rightSchema)
+		out, err := joinBucket(lb[part], rb[part], o.leftOuter, rightSchema)
 		if err != nil {
 			return err
 		}
@@ -834,87 +802,6 @@ func concatWithNulls(l nested.Value, rightSchema []string) (nested.Value, error)
 	return nested.Item(fields...), nil
 }
 
-// execBroadcastJoin hash-joins by building the smaller side once and probing
-// the larger side within its existing partitions, avoiding the shuffle of
-// the probe side entirely — the broadcast hash join of distributed engines.
-// Results are identical to the shuffle join up to row order.
-func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, error) {
-	buildLeft := left.Len() <= right.Len()
-	buildDS, probeDS := left, right
-	buildKey, probeKey := o.leftKey, o.rightKey
-	if !buildLeft {
-		buildDS, probeDS = right, left
-		buildKey, probeKey = o.rightKey, o.leftKey
-	}
-	e.startOperator(o, len(probeDS.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
-	if e.vectorized() {
-		return e.execBroadcastJoinVec(o, buildDS, probeDS, buildKey, probeKey, buildLeft)
-	}
-	// Build once, sequentially (the build side is small by construction).
-	build := make(map[uint64][]keyedRow)
-	buildHashed := 0
-	for _, p := range buildDS.Partitions {
-		for _, r := range p {
-			k, err := buildKey.Eval(r.Value)
-			if err != nil {
-				return nil, err
-			}
-			if k.IsNull() {
-				continue
-			}
-			h := valueHash(k)
-			buildHashed++
-			build[h] = append(build[h], keyedRow{row: r, key: k, hash: h})
-		}
-	}
-	if rec := e.opts.Recorder; rec != nil {
-		n := int64(buildDS.Len())
-		rec.Add(o.id, 0, obs.RowsIn, n)
-		rec.Add(o.id, 0, obs.KeysHashed, int64(buildHashed))
-		rec.Add(o.id, 0, obs.ExprEvals, n*int64(EvalOps(buildKey)))
-	}
-	probeKeyOps := EvalOps(probeKey)
-	parts := make([][]pending, len(probeDS.Partitions))
-	err := e.forEachPartition(len(probeDS.Partitions), func(part int) error {
-		// The probe side's keys come pre-evaluated only under the vectorized
-		// executor; here probeKeysMorsel declines and the loop evaluates.
-		keys, _ := e.probeKeysMorsel(probeKey, probeDS.Partitions[part])
-		out, probeHashed, err := broadcastProbePart(probeKey, build, probeDS.Partitions[part], keys, buildLeft)
-		if err != nil {
-			return err
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			n := int64(len(probeDS.Partitions[part]))
-			rec.Add(o.id, part, obs.RowsIn, n)
-			rec.Add(o.id, part, obs.KeysHashed, int64(probeHashed))
-			rec.Add(o.id, part, obs.ExprEvals, n*int64(probeKeyOps))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocBinary)
-}
-
-// concatItems builds the join result r = ⟨i, j⟩ by concatenating the
-// attributes of both items; attribute names must be disjoint.
-func concatItems(l, r nested.Value) (nested.Value, error) {
-	if l.Kind() != nested.KindItem || r.Kind() != nested.KindItem {
-		return nested.Value{}, fmt.Errorf("join: inputs must be data items, got %s and %s", l.Kind(), r.Kind())
-	}
-	fields := make([]nested.Field, 0, l.NumFields()+r.NumFields())
-	fields = append(fields, l.Fields()...)
-	for _, f := range r.Fields() {
-		if _, dup := l.Get(f.Name); dup {
-			return nested.Value{}, fmt.Errorf("join: attribute %q exists on both sides; project inputs to disjoint names", f.Name)
-		}
-		fields = append(fields, f)
-	}
-	return nested.Item(fields...), nil
-}
-
 func (e *executor) execAggregate(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
@@ -924,7 +811,7 @@ func (e *executor) execAggregate(o *Op) (*Dataset, error) {
 	}
 	parts := make([][]pending, e.opts.Partitions)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		out, err := e.aggBucketMorsel(o, buckets[part])
+		out, err := aggBucket(o, buckets[part], e.opts.Sink != nil)
 		if err != nil {
 			return err
 		}
@@ -946,102 +833,6 @@ func (e *executor) execAggregate(o *Op) (*Dataset, error) {
 		return nil, err
 	}
 	return e.finalize(o.id, parts, assocAgg)
-}
-
-// computeAgg evaluates one aggregation over the rows of a group. The order
-// of collected elements matches the row order, which in turn matches the
-// order of the recorded input identifiers — the invariant Alg. 4's position
-// substitution relies on.
-func computeAgg(spec AggSpec, rows []keyedRow) (nested.Value, error) {
-	if spec.Func == AggCount && len(spec.In) == 0 {
-		return nested.Int(int64(len(rows))), nil
-	}
-	if len(spec.In) == 0 {
-		return nested.Value{}, fmt.Errorf("aggregate %s needs an input path", spec.Func)
-	}
-	values := make([]nested.Value, 0, len(rows))
-	for _, kr := range rows {
-		v, ok := spec.In.Eval(kr.row.Value)
-		if !ok {
-			v = nested.Null()
-		}
-		values = append(values, v)
-	}
-	switch spec.Func {
-	case AggCount:
-		n := int64(0)
-		for _, v := range values {
-			if !v.IsNull() {
-				n++
-			}
-		}
-		return nested.Int(n), nil
-	case AggSum, AggAvg:
-		var sum float64
-		var sumI int64
-		allInt := true
-		n := 0
-		for _, v := range values {
-			if v.IsNull() {
-				continue
-			}
-			f, ok := v.AsDouble()
-			if !ok {
-				return nested.Value{}, fmt.Errorf("aggregate %s over non-numeric %s", spec.Func, v.Kind())
-			}
-			if i, isInt := v.AsInt(); isInt {
-				sumI += i
-			} else {
-				allInt = false
-			}
-			sum += f
-			n++
-		}
-		if spec.Func == AggAvg {
-			if n == 0 {
-				return nested.Null(), nil
-			}
-			return nested.Double(sum / float64(n)), nil
-		}
-		if allInt {
-			return nested.Int(sumI), nil
-		}
-		return nested.Double(sum), nil
-	case AggMax, AggMin:
-		var best nested.Value
-		found := false
-		for _, v := range values {
-			if v.IsNull() {
-				continue
-			}
-			if !found {
-				best = v
-				found = true
-				continue
-			}
-			c := compareWidened(v, best)
-			if (spec.Func == AggMax && c > 0) || (spec.Func == AggMin && c < 0) {
-				best = v
-			}
-		}
-		if !found {
-			return nested.Null(), nil
-		}
-		return best, nil
-	case AggCollectList:
-		// Nulls are kept so that element positions stay aligned with the
-		// recorded input-identifier order (the invariant Alg. 4 relies on).
-		return nested.Bag(values...), nil
-	case AggCollectSet:
-		elems := make([]nested.Value, 0, len(values))
-		for _, v := range values {
-			if !v.IsNull() {
-				elems = append(elems, v)
-			}
-		}
-		return nested.Set(elems...), nil
-	}
-	return nested.Value{}, fmt.Errorf("unknown aggregate function %q", spec.Func)
 }
 
 // Explain renders the execution statistics as a table: one line per

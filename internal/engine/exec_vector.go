@@ -2,47 +2,33 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"pebble/internal/nested"
-	"pebble/internal/path"
 )
 
-// Vectorized morsel bodies. Each exec* operator keeps a single shared shell
-// (startOperator, forEachPartition, recorder bulk adds, finalize) and
-// dispatches the per-partition work here: the vectorized body chunks the
-// morsel into batches of batchSize rows, evaluates expressions column-wise,
-// and gathers outputs; when vectorized evaluation signals a fallback (see
-// evalVec's error contract) the whole partition re-runs through the scalar
-// fallback body (*MorselScalar), reproducing the reference semantics' exact
-// error or output. Options.ScalarFallback skips the vector attempt entirely
-// — that is how the differential oracle and the kernel benchmarks pin the
-// vectorized executor against the reference.
-
-// vectorized reports whether this run uses the columnar executor.
-func (e *executor) vectorized() bool { return !e.opts.ScalarFallback }
-
-// ---- filter ----
-
-func (e *executor) filterMorsel(o *Op, rows []Row) ([]pending, error) {
-	if e.vectorized() {
-		if out, ok := filterMorselVec(o.pred, rows); ok {
-			return out, nil
-		}
+// filterMorsel filters one partition morsel. The kernel chunks the morsel
+// into batches of batchSize rows and evaluates the predicate column-wise;
+// when it declines (see evalVec's error contract) the whole morsel re-runs
+// through the per-row Eval loop, which is what reproduces the expression
+// language's short-circuit semantics: its exact first error, or its exact
+// success when short-circuiting avoids the error.
+func filterMorsel(pred Expr, rows []Row) ([]pending, error) {
+	if out, ok := filterMorselVec(pred, rows); ok {
+		return out, nil
 	}
-	return filterMorselScalar(o, rows)
+	return filterMorselRows(pred, rows)
 }
 
-func filterMorselScalar(o *Op, rows []Row) ([]pending, error) {
+func filterMorselRows(pred Expr, rows []Row) ([]pending, error) {
 	out := make([]pending, 0, len(rows))
 	for _, r := range rows {
-		v, err := o.pred.Eval(r.Value)
+		v, err := pred.Eval(r.Value)
 		if err != nil {
 			return nil, err
 		}
 		keep, ok := v.AsBool()
 		if !ok {
-			return nil, fmt.Errorf("filter predicate %s returned non-boolean %s", o.pred, v)
+			return nil, fmt.Errorf("filter predicate %s returned non-boolean %s", pred, v)
 		}
 		if keep {
 			out = append(out, pending{value: r.Value, in1: r.ID})
@@ -105,350 +91,4 @@ func filterMorselVec(pred Expr, rows []Row) ([]pending, bool) {
 		putBatch(b)
 	}
 	return out, true
-}
-
-// ---- select ----
-
-func (e *executor) selectMorsel(o *Op, rows []Row) ([]pending, error) {
-	if e.vectorized() {
-		if out, ok := selectMorselVec(o.fields, rows); ok {
-			return out, nil
-		}
-	}
-	return selectMorselScalar(o, rows)
-}
-
-func selectMorselScalar(o *Op, rows []Row) ([]pending, error) {
-	out := make([]pending, 0, len(rows))
-	for _, r := range rows {
-		item, err := evalSelect(o.fields, r.Value)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pending{value: item, in1: r.ID})
-	}
-	return out, nil
-}
-
-// selCol holds the evaluated columns of one select field for a chunk:
-// exactly one of col (passthrough column read), sub (nested struct), or expr
-// (computed field) is set, mirroring SelectField. Passthrough fields keep
-// the access path instead of a decoded column: assembly reads each exactly
-// once and boxes the value per output row regardless, so the columnar
-// decode would copy every value into the column just for at() to copy it
-// straight back out (same single-read bypass as evalKeysVec). Computed
-// fields still evaluate column-wise — they are where the typed kernels win,
-// and any column they share stays deduplicated through the batch cache.
-type selCol struct {
-	col  path.Path
-	sub  []selCol
-	expr *colVec
-}
-
-func prepSelectCols(fields []SelectField, b *batch) ([]selCol, error) {
-	out := make([]selCol, len(fields))
-	for i, f := range fields {
-		switch {
-		case len(f.Col) > 0:
-			out[i].col = f.Col
-		case len(f.Struct) > 0:
-			sub, err := prepSelectCols(f.Struct, b)
-			if err != nil {
-				return nil, err
-			}
-			out[i].sub = sub
-		case f.Expr != nil:
-			c, err := evalVec(f.Expr, b)
-			if err != nil {
-				return nil, err
-			}
-			out[i].expr = c
-		default:
-			// The row path reports this as an error on the first row; let it.
-			return nil, errFallback
-		}
-	}
-	return out, nil
-}
-
-// assembleSelect builds row i's output item from the prepared columns —
-// field order and null coercion identical to evalSelect.
-func assembleSelect(fields []SelectField, cols []selCol, i int, row nested.Value) nested.Value {
-	out := make([]nested.Field, 0, len(fields))
-	for j, f := range fields {
-		switch {
-		case cols[j].col != nil:
-			out = append(out, nested.F(f.Name, evalColDirect(cols[j].col, row)))
-		case cols[j].sub != nil:
-			out = append(out, nested.F(f.Name, assembleSelect(f.Struct, cols[j].sub, i, row)))
-		default:
-			out = append(out, nested.F(f.Name, cols[j].expr.at(i)))
-		}
-	}
-	return nested.Item(out...)
-}
-
-func selectMorselVec(fields []SelectField, rows []Row) ([]pending, bool) {
-	out := make([]pending, 0, len(rows))
-	for start := 0; start < len(rows); start += batchSize {
-		chunk := rows[start:min(start+batchSize, len(rows))]
-		b := getBatch(chunk)
-		cols, err := prepSelectCols(fields, b)
-		if err != nil {
-			putBatch(b)
-			return nil, false
-		}
-		for i := range chunk {
-			out = append(out, pending{value: assembleSelect(fields, cols, i, chunk[i].Value), in1: chunk[i].ID})
-		}
-		putBatch(b)
-	}
-	return out, true
-}
-
-// ---- flatten ----
-
-func (e *executor) flattenMorsel(o *Op, rows []Row) ([]pending, error) {
-	if e.vectorized() {
-		if out, ok := flattenMorselVec(o, rows); ok {
-			return out, nil
-		}
-	}
-	return flattenMorselScalar(o, rows)
-}
-
-func flattenMorselScalar(o *Op, rows []Row) ([]pending, error) {
-	// Floor capacity: flatten usually emits at least one row per input row.
-	out := make([]pending, 0, len(rows))
-	for _, r := range rows {
-		col, ok := o.flattenCol.Eval(r.Value)
-		if !ok || col.IsNull() {
-			continue // no collection to explode
-		}
-		if !col.Kind().IsCollection() {
-			return nil, fmt.Errorf("flatten: %s is %s, want bag or set", o.flattenCol, col.Kind())
-		}
-		for idx, elem := range col.Elems() {
-			v := r.Value.WithField(o.flattenNew, elem)
-			out = append(out, pending{value: v, in1: r.ID, pos: idx + 1})
-		}
-	}
-	return out, nil
-}
-
-func flattenMorselVec(o *Op, rows []Row) ([]pending, bool) {
-	// Bags are never scalar, so a decoded column would be generic storage —
-	// decodeColumn would evaluate the path per row and copy each bag value
-	// into the column just for this loop to read it back once. The kernel
-	// bypasses the batch machinery entirely (the same single-read bypass as
-	// evalKeysVec): it evaluates the path directly into a pooled per-chunk
-	// buffer and operates on the bag offsets — Elems() borrows the nested
-	// collection's backing array, so no element is materialised until the
-	// output row is built.
-	//
-	// Floor capacity; the per-chunk pre-growth below extends it exactly.
-	out := make([]pending, 0, len(rows))
-	buf := getFlattenScratch()
-	defer putFlattenScratch(buf)
-	for start := 0; start < len(rows); start += batchSize {
-		chunk := rows[start:min(start+batchSize, len(rows))]
-		vals := buf[:len(chunk)]
-		// Offsets pass: validate kinds and pre-size the exploded output
-		// exactly before building a single row.
-		total := 0
-		for i := range chunk {
-			v := evalColDirect(o.flattenCol, chunk[i].Value)
-			vals[i] = v
-			if v.IsNull() {
-				continue
-			}
-			if !v.Kind().IsCollection() {
-				return nil, false // row path reproduces the type error
-			}
-			total += v.Len()
-		}
-		if total > 0 && cap(out)-len(out) < total {
-			bigger := make([]pending, len(out), len(out)+total)
-			copy(bigger, out)
-			out = bigger
-		}
-		for i := range chunk {
-			if vals[i].IsNull() {
-				continue
-			}
-			for idx, elem := range vals[i].Elems() {
-				out = append(out, pending{value: chunk[i].Value.WithField(o.flattenNew, elem), in1: chunk[i].ID, pos: idx + 1})
-			}
-		}
-	}
-	return out, true
-}
-
-// flattenScratchPool recycles the per-chunk flatten column buffers. Pooled
-// buffers keep stale Values until overwritten (bounded by batchSize);
-// outputs never alias the buffer — WithField copies the fields it keeps.
-var flattenScratchPool = sync.Pool{
-	New: func() any {
-		s := make([]nested.Value, batchSize)
-		return &s
-	},
-}
-
-func getFlattenScratch() []nested.Value { return *flattenScratchPool.Get().(*[]nested.Value) }
-
-func putFlattenScratch(s []nested.Value) { flattenScratchPool.Put(&s) }
-
-// ---- shuffle keys ----
-
-// evalKeysVec evaluates a shuffle key over a whole morsel, one batch at a
-// time, materialising the per-row key values. ok is false when the morsel
-// must fall back to row-at-a-time key evaluation (identity keys always do —
-// the key is the row itself and decoding it would only copy).
-//
-// Columnar decode only pays when a column feeds a typed kernel or is read
-// more than once. Key materialisation reads each column exactly once and
-// boxes the value per row regardless, so pure column keys (a colExpr key, or
-// a groupBy list — the overwhelmingly common aggregate/join shape) bypass
-// the batch machinery: the decode would copy every value into the column
-// just for at() to copy it straight back out. The bypass produces the exact
-// value decodeColumn would have stored — p.Eval's result, or nested.Null()
-// for an absent path — so both routes are byte-identical by construction.
-func evalKeysVec(k shuffleKey, rows []Row) ([]nested.Value, bool) {
-	if k.identity || len(rows) == 0 {
-		return nil, false
-	}
-	if k.expr == nil {
-		keys := make([]nested.Value, len(rows))
-		// One flat backing array for every row's field slice; each row gets a
-		// distinct full-capacity subslice because nested.Item retains it.
-		width := len(k.groupBy)
-		flat := make([]nested.Field, len(rows)*width)
-		for i, r := range rows {
-			fields := flat[i*width : (i+1)*width : (i+1)*width]
-			for gi, g := range k.groupBy {
-				fields[gi] = nested.F(g.Name, evalColDirect(g.Path, r.Value))
-			}
-			keys[i] = nested.Item(fields...)
-		}
-		return keys, true
-	}
-	if ce, ok := k.expr.(colExpr); ok {
-		keys := make([]nested.Value, len(rows))
-		for i, r := range rows {
-			keys[i] = evalColDirect(ce.p, r.Value)
-		}
-		return keys, true
-	}
-	keys := make([]nested.Value, 0, len(rows))
-	for start := 0; start < len(rows); start += batchSize {
-		chunk := rows[start:min(start+batchSize, len(rows))]
-		b := getBatch(chunk)
-		c, err := evalVec(k.expr, b)
-		if err != nil {
-			putBatch(b)
-			return nil, false
-		}
-		for i := range chunk {
-			keys = append(keys, c.at(i))
-		}
-		putBatch(b)
-	}
-	return keys, true
-}
-
-// sortKeysMorsel evaluates orderBy's sort keys for a run of rows, vectorized
-// when enabled; the fallback is the row engine's nested Eval loop.
-func (e *executor) sortKeysMorsel(sortKeys []Expr, rows []Row) ([][]nested.Value, error) {
-	if e.vectorized() {
-		if keys, ok := sortKeysVec(sortKeys, rows); ok {
-			return keys, nil
-		}
-	}
-	keys := make([][]nested.Value, len(rows))
-	// One flat backing array; each row keeps a distinct full-cap subslice.
-	width := len(sortKeys)
-	flat := make([]nested.Value, len(rows)*width)
-	for i, r := range rows {
-		ks := flat[i*width : (i+1)*width : (i+1)*width]
-		for j, k := range sortKeys {
-			v, err := k.Eval(r.Value)
-			if err != nil {
-				return nil, err
-			}
-			ks[j] = v
-		}
-		keys[i] = ks
-	}
-	return keys, nil
-}
-
-func sortKeysVec(sortKeys []Expr, rows []Row) ([][]nested.Value, bool) {
-	// Pure column keys take the same single-read bypass as evalKeysVec: each
-	// key value is read once and boxed into the per-row key slice either
-	// way, so the columnar detour would only add copies.
-	allCols := true
-	for _, k := range sortKeys {
-		if _, ok := k.(colExpr); !ok {
-			allCols = false
-			break
-		}
-	}
-	width := len(sortKeys)
-	keys := make([][]nested.Value, len(rows))
-	// One flat backing array; each row keeps a distinct full-cap subslice.
-	flat := make([]nested.Value, len(rows)*width)
-	if allCols {
-		for i, r := range rows {
-			ks := flat[i*width : (i+1)*width : (i+1)*width]
-			for j, k := range sortKeys {
-				ks[j] = evalColDirect(k.(colExpr).p, r.Value)
-			}
-			keys[i] = ks
-		}
-		return keys, true
-	}
-	for start := 0; start < len(rows); start += batchSize {
-		chunk := rows[start:min(start+batchSize, len(rows))]
-		b := getBatch(chunk)
-		cols := make([]*colVec, len(sortKeys))
-		for j, k := range sortKeys {
-			c, err := evalVec(k, b)
-			if err != nil {
-				putBatch(b)
-				return nil, false
-			}
-			cols[j] = c
-		}
-		for i := range chunk {
-			ks := flat[(start+i)*width : (start+i+1)*width : (start+i+1)*width]
-			for j := range sortKeys {
-				ks[j] = cols[j].at(i)
-			}
-			keys[start+i] = ks
-		}
-		putBatch(b)
-	}
-	return keys, true
-}
-
-// probeKeysMorsel evaluates a broadcast join's probe-side key per partition,
-// vectorized when enabled; nil values mark rows whose key errored — they
-// cannot occur (an erroring key falls back to the row loop instead).
-func (e *executor) probeKeysMorsel(key Expr, rows []Row) ([]nested.Value, bool) {
-	if !e.vectorized() {
-		return nil, false
-	}
-	return evalKeysVec(exprShuffleKey(key), rows)
-}
-
-// evalColDirect is the single-row equivalent of a decode-then-at round trip:
-// the value a decoded column's at() would return for this row — p.Eval's
-// result with absent paths and explicit nulls both normalised to the
-// canonical null, exactly like decodeColumn.
-func evalColDirect(p path.Path, row nested.Value) nested.Value {
-	v, ok := p.Eval(row)
-	if !ok || v.Kind() == nested.KindNull {
-		return nested.Null()
-	}
-	return v
 }

@@ -113,9 +113,9 @@ func (c cmpExpr) Eval(d nested.Value) (nested.Value, error) {
 	return c.apply(lv, rv), nil
 }
 
-// apply is the scalar comparison kernel, shared verbatim between the row
-// engine (Eval) and the vectorized executor's generic comparison loop —
-// null handling first, then the widened three-way compare.
+// apply is the scalar comparison kernel, shared verbatim between Eval and
+// the filter kernel's generic comparison loop (cmpVec) — null handling
+// first, then the widened three-way compare.
 func (c cmpExpr) apply(lv, rv nested.Value) nested.Value {
 	if lv.IsNull() || rv.IsNull() {
 		return nested.Bool(c.op == opNe && !(lv.IsNull() && rv.IsNull()))
@@ -255,8 +255,8 @@ func (c containsExpr) Eval(d nested.Value) (nested.Value, error) {
 	return c.apply(sv, subv), nil
 }
 
-// apply is the scalar containment kernel shared with the vectorized
-// executor; null or non-string operands evaluate to false.
+// apply is the scalar containment kernel shared with the filter kernel
+// (containsVec); null or non-string operands evaluate to false.
 func (c containsExpr) apply(sv, subv nested.Value) nested.Value {
 	s, ok1 := sv.AsString()
 	sub, ok2 := subv.AsString()

@@ -79,13 +79,20 @@ func (e *executor) execOrderBy(o *Op) (*Dataset, error) {
 		rec.Add(o.id, 0, obs.RowsIn, int64(len(rows)))
 		rec.Add(o.id, 0, obs.ExprEvals, int64(len(rows))*int64(sortOps))
 	}
-	allKeys, err := e.sortKeysMorsel(o.sortKeys, rows)
-	if err != nil {
-		return nil, err
-	}
 	sorted := make([]keyedSortRow, len(rows))
+	// One flat backing array; each row keeps a distinct full-cap subslice.
+	width := len(o.sortKeys)
+	flat := make([]nested.Value, len(rows)*width)
 	for i, r := range rows {
-		sorted[i] = keyedSortRow{row: r, keys: allKeys[i], seq: i}
+		ks := flat[i*width : (i+1)*width : (i+1)*width]
+		for j, k := range o.sortKeys {
+			v, err := k.Eval(r.Value)
+			if err != nil {
+				return nil, err
+			}
+			ks[j] = v
+		}
+		sorted[i] = keyedSortRow{row: r, keys: ks, seq: i}
 	}
 	sort.SliceStable(sorted, func(i, j int) bool {
 		for k := range sorted[i].keys {

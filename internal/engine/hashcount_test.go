@@ -33,10 +33,10 @@ func TestAggregateHashesKeyOncePerRow(t *testing.T) {
 		return p
 	}
 	for _, opt := range []Options{
-		{Partitions: 4, Sequential: true},
+		{Partitions: 4, Workers: 1},
 		{Partitions: 4, Workers: 2},
 	} {
-		t.Run(fmt.Sprintf("seq=%v workers=%d", opt.Sequential, opt.Workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("workers=%d", opt.Workers), func(t *testing.T) {
 			calls.Store(0)
 			inputs := map[string]*Dataset{"tweets.json": dataset(t, "tweets.json", values, 2)}
 			res := runPipeline(t, build(), inputs, opt)

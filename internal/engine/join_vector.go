@@ -1,29 +1,28 @@
 package engine
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 
 	"pebble/internal/nested"
 	"pebble/internal/obs"
 )
 
-// Vectorized hash-join build/probe (DESIGN.md §13). The build side fills a
-// keyTable — flat open addressing on (cached shuffle hash, normalized key
-// bytes) — and probing runs in two passes per morsel: pass 1 resolves each
-// probe row's group once and sizes the output exactly (match count and total
-// stitched fields, from the per-group row and field sums maintained at build
-// time); pass 2 emits matches in probe-major, chain-insertion order,
-// stitching left/right fields into one flat field arena instead of a
-// per-match concatItems allocation. The arena is allocated exactly once per
-// morsel and retained by the output items (nested.Item keeps the slice), so
-// it is never pooled; each match takes a capacity-limited subslice.
+// Hash-join build/probe (DESIGN.md §13). The build side fills a keyTable —
+// flat open addressing on (cached shuffle hash, normalized key bytes) — and
+// probing runs in two passes per morsel: pass 1 resolves each probe row's
+// group once and sizes the output exactly (match count and total stitched
+// fields, from the per-group row and field sums maintained at build time);
+// pass 2 emits matches in probe-major, chain-insertion order, stitching
+// left/right fields into one flat field arena instead of one allocation per
+// match. The arena is allocated exactly once per morsel and retained by the
+// output items (nested.Item keeps the slice), so it is never pooled; each
+// match takes a capacity-limited subslice.
 //
-// Fallback contract: the kernel only handles the clean shape — item rows,
-// disjoint attribute names. Anything else (a non-item row that has a match, a
-// duplicate attribute, a probe-key morsel evalKeysVec cannot produce) returns
-// ok=false and the bucket re-runs through the scalar body, reproducing the
-// row engine's exact first error or output (same contract as errFallback).
+// Error contract: the join's shape rules — both inputs data items, attribute
+// names disjoint — are checked per match in emission order, so the first
+// error of a bucket is the one a row-at-a-time nested-loop join over the same
+// bucket reports (pinned by reference_test.go).
 
 // joinScratch is the pooled per-morsel probe state: the per-row group index
 // cache, the probe-key encoding buffer, and the build-side matched flags of
@@ -62,74 +61,35 @@ func (s *joinScratch) matchedFor(n int) []bool {
 
 func putJoinScratch(s *joinScratch) { joinScratchPool.Put(s) }
 
-// joinBucketMorsel joins one shuffle bucket: the vectorized kernel first,
-// the scalar reference body on fallback (or under Options.ScalarFallback).
-func (e *executor) joinBucketMorsel(o *Op, lrows, rrows []keyedRow, rightSchema []string) ([]pending, error) {
-	if e.vectorized() {
-		if out, ok := joinBucketVec(lrows, rrows, o.leftOuter, rightSchema); ok {
-			return out, nil
-		}
+// stitch writes the fields of the join result r = ⟨i, j⟩ — the attributes of
+// both items concatenated — into arena[ai:] and returns them. The caller sized
+// the arena from the field counts of the matching rows, so the subslice never
+// reallocates. It runs once per match: the items come by pointer and only
+// the field slice goes back, which keeps the call off the copy budget.
+func stitch(arena []nested.Field, ai int, l, r *nested.Value) ([]nested.Field, error) {
+	if l.Kind() != nested.KindItem || r.Kind() != nested.KindItem {
+		return nil, fmt.Errorf("join: inputs must be data items, got %s and %s", l.Kind(), r.Kind())
 	}
-	return joinBucketScalar(o, lrows, rrows, rightSchema)
+	lf, rf := l.Fields(), r.Fields()
+	n := len(lf) + len(rf)
+	dst := arena[ai : ai : ai+n]
+	dst = append(dst, lf...)
+	for _, f := range rf {
+		for _, lfd := range lf {
+			if lfd.Name == f.Name {
+				return nil, fmt.Errorf("join: attribute %q exists on both sides; project inputs to disjoint names", f.Name)
+			}
+		}
+		dst = append(dst, f)
+	}
+	return dst, nil
 }
 
-// joinBucketScalar is the row-at-a-time reference body: build a hash-chain map
-// on the left, probe with the right in sequence order, concatenate per match.
-func joinBucketScalar(o *Op, lrows, rrows []keyedRow, rightSchema []string) ([]pending, error) {
-	// Build on the left, probe with the right; outputs ordered by
-	// (right seq, left seq) for determinism. Hashes were cached by the
-	// shuffle, so neither side rehashes its keys here.
-	build := make(map[uint64][]keyedRow, len(lrows))
-	for _, kr := range lrows {
-		build[kr.hash] = append(build[kr.hash], kr)
-	}
-	matched := make(map[int64]bool)
-	// Floor capacity: most joins emit about one row per probe row, and
-	// unmatched left rows reuse whatever headroom is left.
-	out := make([]pending, 0, len(rrows))
-	probe := make([]keyedRow, len(rrows))
-	copy(probe, rrows)
-	sort.Slice(probe, func(i, j int) bool { return probe[i].seq < probe[j].seq })
-	for _, rkr := range probe {
-		for _, lkr := range build[rkr.hash] {
-			if compareWidened(lkr.key, rkr.key) != 0 {
-				continue
-			}
-			item, err := concatItems(lkr.row.Value, rkr.row.Value)
-			if err != nil {
-				return nil, err
-			}
-			matched[lkr.row.ID] = true
-			out = append(out, pending{value: item, in1: lkr.row.ID, in2: rkr.row.ID})
-		}
-	}
-	if o.leftOuter {
-		// Unmatched left rows survive with null right attributes; rows
-		// whose key is null never reached this bucket, so they are
-		// handled by execJoin per left partition — here only keyed rows.
-		unmatched := make([]keyedRow, 0, len(lrows))
-		for _, kr := range lrows {
-			if !matched[kr.row.ID] {
-				unmatched = append(unmatched, kr)
-			}
-		}
-		sort.Slice(unmatched, func(i, j int) bool { return unmatched[i].seq < unmatched[j].seq })
-		for _, kr := range unmatched {
-			item, err := concatWithNulls(kr.row.Value, rightSchema)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pending{value: item, in1: kr.row.ID, in2: -1})
-		}
-	}
-	return out, nil
-}
-
-// joinBucketVec is the vectorized bucket body. Bucket contents arrive in
-// sequence order (the shuffle merge is partition-major), so neither side
-// needs the row path's defensive sort, and chain order equals left sequence
-// order by construction.
-func joinBucketVec(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) ([]pending, bool) {
+// joinBucket joins one shuffle bucket, building on the left and probing with
+// the right. Bucket contents arrive in sequence order (the shuffle merge is
+// partition-major), so outputs are ordered by (right seq, left seq) and chain
+// order equals left sequence order by construction.
+func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) ([]pending, error) {
 	t := getKeyTable(len(lrows))
 	defer putKeyTable(t)
 	for i, kr := range lrows {
@@ -149,139 +109,97 @@ func joinBucketVec(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string
 		if g < 0 {
 			continue
 		}
-		if kr.row.Value.Kind() != nested.KindItem {
-			return nil, false
-		}
 		matches += int(t.count[g])
 		totalFields += int(t.fields[g]) + int(t.count[g])*kr.row.Value.NumFields()
 	}
 	out := make([]pending, 0, matches)
 	arena := make([]nested.Field, totalFields) // retained by the output items
 	ai := 0
-	for i, rkr := range rrows {
+	for i := range rrows {
 		g := s.groupOf[i]
 		if g < 0 {
 			continue
 		}
-		rf := rkr.row.Value.Fields()
+		r := &rrows[i].row
 		for bi := t.head[g]; bi >= 0; bi = t.next[bi] {
-			lkr := lrows[bi]
-			if lkr.row.Value.Kind() != nested.KindItem {
-				return nil, false
+			l := &lrows[bi].row
+			fields, err := stitch(arena, ai, &l.Value, &r.Value)
+			if err != nil {
+				return nil, err
 			}
-			lf := lkr.row.Value.Fields()
-			n := len(lf) + len(rf)
-			dst := arena[ai : ai : ai+n]
-			dst = append(dst, lf...)
-			for _, f := range rf {
-				for _, lfd := range lf {
-					if lfd.Name == f.Name {
-						return nil, false // duplicate attribute: scalar body reports it
-					}
-				}
-				dst = append(dst, f)
-			}
-			ai += n
+			ai += len(fields)
 			if matched != nil {
 				matched[bi] = true
 			}
-			out = append(out, pending{value: nested.Item(dst...), in1: lkr.row.ID, in2: rkr.row.ID})
+			out = append(out, pending{value: nested.Item(fields...), in1: l.ID, in2: r.ID})
 		}
 	}
 	if leftOuter {
+		// Unmatched left rows survive with null right attributes; rows whose
+		// key is null never reached this bucket (execJoin handles them per
+		// left partition).
 		for bi, kr := range lrows {
 			if matched[bi] {
 				continue
 			}
 			item, err := concatWithNulls(kr.row.Value, rightSchema)
 			if err != nil {
-				return nil, false
+				return nil, err
 			}
 			out = append(out, pending{value: item, in1: kr.row.ID, in2: -1})
 		}
 	}
-	return out, true
+	return out, nil
 }
 
 // ---- broadcast join ----
 
-// execBroadcastJoinVec is the vectorized broadcast hash join: one shared
-// keyTable built sequentially over the small side, probed concurrently (the
-// table is read-only after the build) by every probe partition. A partition
-// whose shape the kernel cannot stitch falls back to the row-at-a-time probe
-// against a lazily built hash-chain map — constructed at most once, from the
-// already keyed-and-hashed build rows, so the fallback recomputes no hashes
-// on the build side.
-func (e *executor) execBroadcastJoinVec(o *Op, buildDS, probeDS *Dataset, buildKey, probeKey Expr, buildLeft bool) (*Dataset, error) {
-	buildRows := make([]keyedRow, 0, buildDS.Len())
+// execBroadcastJoin hash-joins by building the smaller side once and probing
+// the larger side within its existing partitions, avoiding the shuffle of
+// the probe side entirely — the broadcast hash join of distributed engines.
+// One shared keyTable is built sequentially (the build side is small by
+// construction) and probed concurrently by every probe partition: the table
+// is read-only after the build. Results are identical to the shuffle join up
+// to row order.
+func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, error) {
+	buildLeft := left.Len() <= right.Len()
+	buildDS, probeDS := left, right
+	buildKey, probeKey := o.leftKey, o.rightKey
+	if !buildLeft {
+		buildDS, probeDS = right, left
+		buildKey, probeKey = o.rightKey, o.leftKey
+	}
+	e.startOperator(o, len(probeDS.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
 	t := getKeyTable(buildDS.Len())
 	defer putKeyTable(t)
-	buildHashed := 0
-	for _, p := range buildDS.Partitions {
-		keys, vecOK := evalKeysVec(exprShuffleKey(buildKey), p)
-		for ri, r := range p {
-			var k nested.Value
-			if vecOK {
-				k = keys[ri]
-			} else {
-				var err error
-				k, err = buildKey.Eval(r.Value)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if k.IsNull() {
-				continue
-			}
-			h := valueHash(k)
-			buildHashed++
-			t.insert(h, k, int32(len(buildRows)), int32(r.Value.NumFields()), false)
-			buildRows = append(buildRows, keyedRow{row: r, key: k, hash: h})
-		}
+	bk, pk := exprShuffleKey(buildKey), exprShuffleKey(probeKey)
+	buildRows, err := broadcastBuild(t, bk, buildDS)
+	if err != nil {
+		return nil, err
 	}
 	if rec := e.opts.Recorder; rec != nil {
 		n := int64(buildDS.Len())
 		rec.Add(o.id, 0, obs.RowsIn, n)
-		rec.Add(o.id, 0, obs.KeysHashed, int64(buildHashed))
-		rec.Add(o.id, 0, obs.ExprEvals, n*int64(EvalOps(buildKey)))
+		rec.Add(o.id, 0, obs.KeysHashed, int64(len(buildRows)))
+		rec.Add(o.id, 0, obs.ExprEvals, n*int64(bk.evalOps()))
 	}
-	// Lazy row-path build map for fallback partitions; hashes and keys come
-	// from the cached build rows, so no key is re-evaluated or rehashed.
-	var rowBuildOnce sync.Once
-	var rowBuild map[uint64][]keyedRow
-	getRowBuild := func() map[uint64][]keyedRow {
-		rowBuildOnce.Do(func() {
-			rowBuild = make(map[uint64][]keyedRow, len(buildRows))
-			for _, kr := range buildRows {
-				rowBuild[kr.hash] = append(rowBuild[kr.hash], kr)
-			}
-		})
-		return rowBuild
-	}
-	probeKeyOps := EvalOps(probeKey)
 	parts := make([][]pending, len(probeDS.Partitions))
-	err := e.forEachPartition(len(probeDS.Partitions), func(part int) error {
+	err = e.forEachPartition(len(probeDS.Partitions), func(part int) error {
 		rows := probeDS.Partitions[part]
-		keys, _ := e.probeKeysMorsel(probeKey, rows)
-		var out []pending
-		var probeHashed int
-		ok := false
-		if keys != nil {
-			out, probeHashed, ok = broadcastProbeVec(t, buildRows, rows, keys, buildLeft)
+		keys, err := pk.evalMorsel(rows)
+		if err != nil {
+			return err
 		}
-		if !ok {
-			var err error
-			out, probeHashed, err = broadcastProbePart(probeKey, getRowBuild(), rows, keys, buildLeft)
-			if err != nil {
-				return err
-			}
+		out, probeHashed, err := broadcastProbe(t, buildRows, rows, keys, buildLeft)
+		if err != nil {
+			return err
 		}
 		parts[part] = out
 		if rec := e.opts.Recorder; rec != nil {
 			n := int64(len(rows))
 			rec.Add(o.id, part, obs.RowsIn, n)
 			rec.Add(o.id, part, obs.KeysHashed, int64(probeHashed))
-			rec.Add(o.id, part, obs.ExprEvals, n*int64(probeKeyOps))
+			rec.Add(o.id, part, obs.ExprEvals, n*int64(pk.evalOps()))
 		}
 		return nil
 	})
@@ -291,11 +209,34 @@ func (e *executor) execBroadcastJoinVec(o *Op, buildDS, probeDS *Dataset, buildK
 	return e.finalize(o.id, parts, assocBinary)
 }
 
-// broadcastProbeVec probes the shared build table with one probe partition.
-// Same two-pass shape as joinBucketVec, with the left/right orientation of
+// broadcastBuild keys and hashes the build side into t, sequentially (the
+// build side is small by construction), and returns the keyed rows in table
+// index order; rows with null keys are dropped.
+func broadcastBuild(t *keyTable, bk shuffleKey, buildDS *Dataset) ([]keyedRow, error) {
+	buildRows := make([]keyedRow, 0, buildDS.Len())
+	for _, p := range buildDS.Partitions {
+		keys, err := bk.evalMorsel(p)
+		if err != nil {
+			return nil, err
+		}
+		for ri, r := range p {
+			k := keys[ri]
+			if k.IsNull() {
+				continue
+			}
+			h := valueHash(k)
+			t.insert(h, k, int32(len(buildRows)), int32(r.Value.NumFields()), false)
+			buildRows = append(buildRows, keyedRow{row: r, key: k, hash: h})
+		}
+	}
+	return buildRows, nil
+}
+
+// broadcastProbe probes the shared build table with one probe partition.
+// Same two-pass shape as joinBucket, with the left/right orientation of
 // output rows decided by which side was built. valueHash is called exactly
-// once per non-null probe key, like the row path.
-func broadcastProbeVec(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft bool) ([]pending, int, bool) {
+// once per non-null probe key; the count is returned for the recorder.
+func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft bool) ([]pending, int, error) {
 	s := getJoinScratch(len(rows))
 	defer putJoinScratch(s)
 	hashed := 0
@@ -313,9 +254,6 @@ func broadcastProbeVec(t *keyTable, buildRows []keyedRow, rows []Row, keys []nes
 		if g < 0 {
 			continue
 		}
-		if rows[i].Value.Kind() != nested.KindItem {
-			return nil, 0, false
-		}
 		matches += int(t.count[g])
 		totalFields += int(t.fields[g]) + int(t.count[g])*rows[i].Value.NumFields()
 	}
@@ -327,74 +265,18 @@ func broadcastProbeVec(t *keyTable, buildRows []keyedRow, rows []Row, keys []nes
 		if g < 0 {
 			continue
 		}
-		pv := rows[i].Value
 		for bi := t.head[g]; bi >= 0; bi = t.next[bi] {
-			bkr := buildRows[bi]
-			if bkr.row.Value.Kind() != nested.KindItem {
-				return nil, 0, false
-			}
-			lv, rv := bkr.row.Value, pv
-			lid, rid := bkr.row.ID, rows[i].ID
+			l, r := &buildRows[bi].row, &rows[i]
 			if !buildLeft {
-				lv, rv = pv, bkr.row.Value
-				lid, rid = rows[i].ID, bkr.row.ID
+				l, r = r, l
 			}
-			lf, rf := lv.Fields(), rv.Fields()
-			n := len(lf) + len(rf)
-			dst := arena[ai : ai : ai+n]
-			dst = append(dst, lf...)
-			for _, f := range rf {
-				for _, lfd := range lf {
-					if lfd.Name == f.Name {
-						return nil, 0, false // duplicate attribute: scalar body reports it
-					}
-				}
-				dst = append(dst, f)
-			}
-			ai += n
-			out = append(out, pending{value: nested.Item(dst...), in1: lid, in2: rid})
-		}
-	}
-	return out, hashed, true
-}
-
-// broadcastProbePart is the row-at-a-time probe body over one partition —
-// the reference semantics, and the per-partition fallback of the vectorized
-// probe. keys carries pre-evaluated probe keys (nil entries cannot occur;
-// a nil slice means evaluate per row).
-func broadcastProbePart(probeKey Expr, build map[uint64][]keyedRow, rows []Row, keys []nested.Value, buildLeft bool) ([]pending, int, error) {
-	// Floor capacity: most joins emit about one row per probe row.
-	out := make([]pending, 0, len(rows))
-	probeHashed := 0
-	for ri, r := range rows {
-		var k nested.Value
-		if keys != nil {
-			k = keys[ri]
-		} else {
-			var err error
-			k, err = probeKey.Eval(r.Value)
+			fields, err := stitch(arena, ai, &l.Value, &r.Value)
 			if err != nil {
 				return nil, 0, err
 			}
-		}
-		if k.IsNull() {
-			continue
-		}
-		probeHashed++
-		for _, bkr := range build[valueHash(k)] {
-			if compareWidened(bkr.key, k) != 0 {
-				continue
-			}
-			lRow, rRow := bkr.row, r
-			if !buildLeft {
-				lRow, rRow = r, bkr.row
-			}
-			item, err := concatItems(lRow.Value, rRow.Value)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, pending{value: item, in1: lRow.ID, in2: rRow.ID})
+			ai += len(fields)
+			out = append(out, pending{value: nested.Item(fields...), in1: l.ID, in2: r.ID})
 		}
 	}
-	return out, probeHashed, nil
+	return out, hashed, nil
 }

@@ -7,29 +7,27 @@ import (
 	"pebble/internal/nested"
 )
 
-// keyTable is the flat open-addressing hash table shared by the vectorized
-// join and aggregate kernels (DESIGN.md §13). Rows are clustered by key in
-// two steps: the key's hash (cached by the shuffle, so no rehash per row)
-// selects a slot run, and the key's normalized byte encoding
-// (nested.Value.AppendNorm) decides equality. Compared with the row path's
-// map[uint64][]keyedRow + per-candidate structural comparison, the table
+// keyTable is the flat open-addressing hash table shared by the join and
+// aggregate kernels (DESIGN.md §13). Rows are clustered by key in two steps:
+// the key's hash (cached by the shuffle, so no rehash per row) selects a slot
+// run, and the key's normalized byte encoding (nested.Value.AppendNorm)
+// decides equality. Compared with a map[uint64][]keyedRow and a structural
+// comparison per candidate (the reference in reference_test.go), the table
 // keeps all per-group state in parallel int32 arrays and all key bytes in a
 // single arena, so building and probing allocate nothing in steady state
 // (the table and its arrays are pooled).
 //
 // Semantics contract: within one hash value, byte equality coincides exactly
-// with the row path's match disciplines — compareWidened(a,b)==0 for joins,
+// with the operators' match disciplines — compareWidened(a,b)==0 for joins,
 // nested.Equal for aggregate grouping. The cases where those predicates are
 // coarser than byte equality (±0.0, NaNs of any payload, int/double widening)
 // all hash differently (Hash feeds on the kind tag and raw Float64bits), so
-// they never meet inside one hash chain under either executor. The residual
-// difference is a 64-bit FNV collision between structurally different keys,
-// which both executors already accept as a non-match source of error.
+// they never meet inside one hash chain. The residual difference is a 64-bit
+// FNV collision between structurally different keys, a non-match either way.
 //
-// Group indexes are dense and assigned in first-seen row order — the same
-// order the row path's chain insertion produces — and each group's rows are
-// chained through next in insertion (= sequence) order, so walking a group
-// reproduces the row path's match and grouping order exactly.
+// Group indexes are dense and assigned in first-seen row order, and each
+// group's rows are chained through next in insertion (= sequence) order, so
+// walking a group visits its rows in sequence order.
 type keyTable struct {
 	slots []int32 // group index + 1; 0 marks an empty slot
 	mask  uint64
@@ -160,26 +158,3 @@ func getKeyTable(n int) *keyTable {
 }
 
 func putKeyTable(t *keyTable) { keyTablePool.Put(t) }
-
-// groupScratchPool recycles the per-row group-index buffers of the join
-// probe and aggregate accumulation passes.
-var groupScratchPool = sync.Pool{
-	New: func() any {
-		s := make([]int32, 0, batchSize)
-		return &s
-	},
-}
-
-func getGroupScratch(n int) []int32 {
-	p := groupScratchPool.Get().(*[]int32)
-	s := *p
-	if cap(s) < n {
-		s = make([]int32, n)
-	}
-	return s[:n]
-}
-
-func putGroupScratch(s []int32) {
-	s = s[:0]
-	groupScratchPool.Put(&s)
-}

@@ -386,11 +386,10 @@ func (p *Pipeline) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// shuffleKey declaratively describes the key of a shuffle so the executor
-// can evaluate it either row-at-a-time (eval) or column-at-a-time over a
-// batch (the vectorized shuffle map phase). Exactly one of the three shapes
-// is set: an expression key (join sides), a grouping-attribute key
-// (aggregate), or the identity key (distinct, which shuffles whole rows).
+// shuffleKey declaratively describes the key of a shuffle. Exactly one of
+// the three shapes is set: an expression key (join sides), a
+// grouping-attribute key (aggregate), or the identity key (distinct, which
+// shuffles whole rows).
 type shuffleKey struct {
 	expr     Expr
 	groupBy  []GroupKey
@@ -407,24 +406,57 @@ func groupShuffleKey(gs []GroupKey) shuffleKey { return shuffleKey{groupBy: gs} 
 // identityShuffleKey keys every row by its own value (distinct).
 func identityShuffleKey() shuffleKey { return shuffleKey{identity: true} }
 
-// eval is the row-at-a-time key function; the canonical semantics the
-// vectorized map phase must reproduce byte for byte.
-func (k shuffleKey) eval(v nested.Value) (nested.Value, error) {
-	switch {
-	case k.identity:
-		return v, nil
-	case k.expr != nil:
-		return k.expr.Eval(v)
-	}
-	fields := make([]nested.Field, len(k.groupBy))
-	for i, g := range k.groupBy {
-		gv, ok := g.Path.Eval(v)
-		if !ok {
-			gv = nested.Null()
+// evalMorsel evaluates the key for every row of a morsel — the one key
+// function behind the shuffle map phase and both sides of the broadcast
+// join. Pure column keys (a column join key, a groupBy list) read straight
+// off the row values; group keys share one flat field array per morsel
+// instead of one allocation per row. Computed keys evaluate row by row and
+// return the first error in row order.
+func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
+	keys := make([]nested.Value, len(rows))
+	switch x := k.expr.(type) {
+	case nil:
+		if k.identity {
+			for i, r := range rows {
+				keys[i] = r.Value
+			}
+			return keys, nil
 		}
-		fields[i] = nested.F(g.Name, gv)
+		// Each row gets a distinct full-capacity subslice because nested.Item
+		// retains it.
+		width := len(k.groupBy)
+		flat := make([]nested.Field, len(rows)*width)
+		for i, r := range rows {
+			fields := flat[i*width : (i+1)*width : (i+1)*width]
+			for gi, g := range k.groupBy {
+				fields[gi] = nested.F(g.Name, evalColDirect(g.Path, r.Value))
+			}
+			keys[i] = nested.Item(fields...)
+		}
+	case colExpr:
+		for i, r := range rows {
+			keys[i] = evalColDirect(x.p, r.Value)
+		}
+	default:
+		for i, r := range rows {
+			v, err := x.Eval(r.Value)
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = v
+		}
 	}
-	return nested.Item(fields...), nil
+	return keys, nil
+}
+
+// evalColDirect reads an access path off one row with absent paths and
+// explicit nulls both normalised to the canonical null.
+func evalColDirect(p path.Path, row nested.Value) nested.Value {
+	v, ok := p.Eval(row)
+	if !ok || v.Kind() == nested.KindNull {
+		return nested.Null()
+	}
+	return v
 }
 
 // evalOps is the static per-row expression cost of the key (see EvalOps).

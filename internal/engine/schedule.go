@@ -78,10 +78,11 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 }
 
 // forEachPartition runs f for every logical partition index as morsels on
-// the worker pool (inline when sequential) and returns the first error.
-// Under the vectorized executor each morsel internally chunks its rows into
-// column batches (batch.go) drawn from pools shared across all workers;
-// the morsel is still the unit of scheduling and of capture-sink handles.
+// the worker pool (inline when sequential) and returns the first error. A
+// morsel may chunk its rows internally (the filter kernel's column batches,
+// the aggregate's accumulation chunks) and draws scratch from pools shared
+// across all workers; the morsel is still the unit of scheduling and of
+// capture-sink handles.
 //
 // This is the engine's cancellation checkpoint: a morsel only starts while
 // the executor's context is live, so a cancelled job stops scheduling new

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"pebble/internal/nested"
 )
 
-// This file proves the vectorized executor byte-identical to the row
-// executor at the batch boundaries that matter: partition sizes straddling
-// batchSize, empty partitions, all-null and kind-shifting columns, and
-// deeply nested bags whose flattened output crosses chunk edges. Each case
-// runs the same pipeline under both executors and compares the result rows
-// (ids and values) and the full capture-sink stream.
+// This file pins the filter kernel (filterMorselVec over batch.go/vexpr.go)
+// to its per-row Eval loop at the batch boundaries that matter: morsel sizes
+// straddling batchSize, empty morsels, all-null and kind-shifting columns —
+// and proves that where the kernel declines, the row loop's short-circuit
+// answer (its exact error, or its exact success) is what the operator
+// returns. The pool tests at the end keep the shared batch/column/scratch
+// pools honest under recycling and under the race detector.
 
 // genRows builds n deterministic rows shaped like the corpus base schema,
 // with every vectorization hazard mixed in: missing attributes (decoded as
@@ -61,13 +61,12 @@ func genRows(seed int64, n int) []nested.Value {
 	return rows
 }
 
-// boundaryPipeline exercises every vectorized operator path: filter with
-// short-circuit booleans, select with computed and nested fields, flatten
-// (twice, through nested bags), aggregate, orderBy, and distinct.
+// boundaryPipeline runs a short-circuit filter in front of every other
+// operator family, so one run churns the batch, column and id-scratch pools.
 func boundaryPipeline() *Pipeline {
 	p := NewPipeline()
 	src := p.Source("in")
-	filt := p.Filter(src, Or(IsNull(Col("val")), And(Gt(Col("id"), LitInt(-1)), Not(Eq(Col("cat"), LitString("q"))))))
+	filt := p.Filter(src, boundaryPred())
 	flat := p.Flatten(filt, "subs", "sub")
 	flat2 := p.Flatten(flat, "sub.tags", "tag")
 	sel := p.Select(flat2,
@@ -85,166 +84,124 @@ func boundaryPipeline() *Pipeline {
 	return p
 }
 
-// runBoth executes the pipeline fresh under the vectorized and the row
-// executor with recording sinks and returns both (rows, sink stream)
-// renderings.
-func runBoth(t *testing.T, build func() *Pipeline, values []nested.Value, parts int, opts Options) (vec, row [2]string) {
+// boundaryPred mixes null tests, typed comparisons over a kind-switching
+// column, and nested short-circuit booleans.
+func boundaryPred() Expr {
+	return Or(IsNull(Col("val")), And(Gt(Col("id"), LitInt(-1)), Not(Eq(Col("cat"), LitString("q")))))
+}
+
+// asRows annotates values with consecutive ids, like a source operator.
+func asRows(values []nested.Value) []Row {
+	rows := make([]Row, len(values))
+	for i, v := range values {
+		rows[i] = Row{ID: int64(i + 1), Value: v}
+	}
+	return rows
+}
+
+// checkFilter requires the kernel to accept the morsel and agree with the
+// row loop, and filterMorsel to return that answer.
+func checkFilter(t *testing.T, pred Expr, rows []Row) {
 	t.Helper()
-	for i, rowExec := range []bool{false, true} {
-		sink := newRecordingSink()
-		o := opts
-		o.Partitions = parts
-		o.ScalarFallback = rowExec
-		o.Sink = sink
-		inputs := map[string]*Dataset{"in": dataset(t, "in", values, parts)}
-		res := runPipeline(t, build(), inputs, o)
-		var sb strings.Builder
-		for _, r := range res.Output.Rows() {
-			fmt.Fprintf(&sb, "%d:%s\n", r.ID, r.Value)
+	want := renderPending(filterMorselRows(pred, rows))
+	vec, ok := filterMorselVec(pred, rows)
+	if !ok {
+		t.Fatalf("kernel declined %s over %d rows", pred, len(rows))
+	}
+	if got := renderPending(vec, nil); got != want {
+		t.Errorf("kernel and row loop diverge at %d rows:\nkernel: %s\nrows:   %s", len(rows), head(got), head(want))
+	}
+	if got := renderPending(filterMorsel(pred, rows)); got != want {
+		t.Errorf("filterMorsel diverges from the row loop at %d rows:\ngot:  %s\nwant: %s", len(rows), head(got), head(want))
+	}
+}
+
+func TestFilterKernelAtBatchBoundaries(t *testing.T) {
+	preds := []Expr{
+		boundaryPred(),
+		Gt(Col("val"), LitInt(9)),                               // int column with nulls, absences and stray strings
+		Eq(Col("cat"), LitString("x")),                          // string column with absences
+		Contains(Col("cat"), LitString("y")),                    // typed containment
+		Gt(Len(Col("subs")), LitInt(1)),                         // generic (bag) column
+		Not(Or(IsNull(Col("cat")), Le(Col("id"), LitInt(100)))), // not over or
+	}
+	for _, n := range []int{0, 1, batchSize - 1, batchSize, batchSize + 1, 2*batchSize + 1} {
+		rows := asRows(genRows(int64(n), n))
+		for _, pred := range preds {
+			t.Run(fmt.Sprintf("rows=%d/%s", n, pred), func(t *testing.T) { checkFilter(t, pred, rows) })
 		}
-		out := [2]string{sb.String(), sink.stream()}
-		if i == 0 {
-			vec = out
-		} else {
-			row = out
-		}
-	}
-	return vec, row
-}
-
-// stream renders every recorded capture event deterministically.
-func (s *recordingSink) stream() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sb strings.Builder
-	for _, id := range s.sources {
-		fmt.Fprintf(&sb, "src %d\n", id)
-	}
-	for _, u := range s.unaries {
-		fmt.Fprintf(&sb, "u %d %d->%d\n", u.oid, u.in, u.out)
-	}
-	for _, b := range s.binaries {
-		fmt.Fprintf(&sb, "b %d %d,%d->%d\n", b.oid, b.l, b.r, b.out)
-	}
-	for _, f := range s.flattens {
-		fmt.Fprintf(&sb, "f %d %d[%d]->%d\n", f.oid, f.in, f.pos, f.out)
-	}
-	for _, a := range s.aggs {
-		fmt.Fprintf(&sb, "a %d %v->%d\n", a.oid, a.ins, a.out)
-	}
-	return sb.String()
-}
-
-func TestRowVsVectorAtBatchBoundaries(t *testing.T) {
-	sizes := []int{1, batchSize - 1, batchSize, batchSize + 1, 2*batchSize + 1}
-	for _, n := range sizes {
-		n := n
-		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
-			vec, row := runBoth(t, boundaryPipeline, genRows(int64(n), n), 1, Options{Workers: 1})
-			if vec[0] != row[0] {
-				t.Errorf("results diverge at %d rows:\nvec: %s\nrow: %s", n, head(vec[0]), head(row[0]))
-			}
-			if vec[1] != row[1] {
-				t.Errorf("capture streams diverge at %d rows:\nvec: %s\nrow: %s", n, head(vec[1]), head(row[1]))
-			}
-		})
 	}
 }
 
-func TestRowVsVectorEmptyPartitions(t *testing.T) {
-	// 3 rows over 8 partitions: most morsels are empty, several hold one row.
-	// Workers stays 1 so the recorded event stream has one canonical order
-	// (cross-worker agreement is the oracle's job, on serialized runs).
-	vec, row := runBoth(t, boundaryPipeline, genRows(7, 3), 8, Options{Workers: 1})
-	if vec[0] != row[0] || vec[1] != row[1] {
-		t.Errorf("executors diverge on mostly-empty partitions:\nvec: %s\nrow: %s", head(vec[0]), head(row[0]))
-	}
-}
-
-// TestRowVsVectorAllNullColumn pins the validity-bitmap edge cases: a column
-// that is entirely absent, one that is explicitly null everywhere, and one
-// that switches kind exactly at the batch boundary (forcing the all-null
-// prefix backfill and the typed→generic demotion paths in decodeColumn).
-func TestRowVsVectorAllNullColumn(t *testing.T) {
+// TestFilterKernelNullAndKindShiftColumns pins the validity-bitmap edge
+// cases: a column that is entirely absent, one that is explicitly null
+// everywhere, one that is null for the whole first batch and typed after
+// (the all-null prefix backfill), and one that switches kind mid-batch (the
+// typed→generic demotion in decodeColumn).
+func TestFilterKernelNullAndKindShiftColumns(t *testing.T) {
 	n := batchSize + 37
-	rows := make([]nested.Value, 0, n)
+	values := make([]nested.Value, 0, n)
 	for i := 0; i < n; i++ {
 		fields := []nested.Field{nested.F("id", nested.Int(int64(i))), nested.F("exp", nested.Null())}
-		// "late" is null for the whole first batch, then becomes an int.
 		if i >= batchSize {
 			fields = append(fields, nested.F("late", nested.Int(int64(i))))
 		}
-		// "shift" changes kind mid-batch: int, then string.
 		if i < n/2 {
 			fields = append(fields, nested.F("shift", nested.Int(int64(i%5))))
 		} else {
 			fields = append(fields, nested.F("shift", nested.StringVal("s")))
 		}
-		rows = append(rows, nested.Item(fields...))
+		values = append(values, nested.Item(fields...))
 	}
-	build := func() *Pipeline {
-		p := NewPipeline()
-		src := p.Source("in")
-		filt := p.Filter(src, Or(IsNull(Col("missing")), IsNull(Col("exp"))))
-		sel := p.Select(filt,
-			Column("id", "id"),
-			Column("m", "missing"),
-			Column("e", "exp"),
-			Column("l", "late"),
-			Column("s", "shift"),
-			Computed("ln", Len(Col("shift"))),
-		)
-		p.SetSink(p.OrderBy(sel, true, Col("id")))
-		return p
-	}
-	vec, row := runBoth(t, build, rows, 1, Options{Workers: 1})
-	if vec[0] != row[0] {
-		t.Errorf("results diverge:\nvec: %s\nrow: %s", head(vec[0]), head(row[0]))
-	}
-	if vec[1] != row[1] {
-		t.Errorf("capture streams diverge:\nvec: %s\nrow: %s", head(vec[1]), head(row[1]))
+	rows := asRows(values)
+	for _, pred := range []Expr{
+		IsNull(Col("missing")),
+		Not(IsNull(Col("exp"))),
+		Or(IsNull(Col("missing")), IsNull(Col("exp"))),
+		Gt(Col("late"), LitInt(int64(batchSize+5))),
+		IsNull(Col("late")),
+		Eq(Col("shift"), LitInt(3)),
+		Eq(Col("shift"), LitString("s")),
+		Ne(Col("shift"), Col("late")),
+		Eq(Len(Col("shift")), LitInt(0)),
+	} {
+		t.Run(pred.String(), func(t *testing.T) { checkFilter(t, pred, rows) })
 	}
 }
 
-// TestRowVsVectorDeepBagsAcrossBoundaries explodes nested bags so the
-// flatten output of one input chunk lands across several output batch
-// chunks, at sizes chosen so bags straddle the 256-row edges.
-func TestRowVsVectorDeepBagsAcrossBoundaries(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	n := batchSize + 11
-	rows := make([]nested.Value, 0, n)
-	for i := 0; i < n; i++ {
-		nb := r.Intn(5) // 0..4 elements: output crosses chunk edges unpredictably
-		elems := make([]nested.Value, 0, nb)
-		for j := 0; j < nb; j++ {
-			inner := make([]nested.Value, 0, j)
-			for k := 0; k < j; k++ {
-				inner = append(inner, nested.Int(int64(k)))
+// TestFilterKernelDeclinesToRowLoop covers the shapes the kernel cannot
+// answer itself. Column-wise evaluation visits every operand of And/Or on
+// every row, so it can trip over a value the row loop's short-circuit never
+// inspects; the kernel must decline and the operator must return the row
+// loop's answer — a success here, the exact first error below.
+func TestFilterKernelDeclinesToRowLoop(t *testing.T) {
+	rows := asRows(genRows(3, batchSize+9))
+	cases := []struct {
+		name    string
+		pred    Expr
+		wantErr bool
+	}{
+		// The first operand is false on every row, so the row loop never
+		// evaluates Not over the string column.
+		{"short-circuit-avoids-error", And(Gt(Col("id"), LitInt(1<<40)), Not(Col("cat"))), false},
+		{"not-over-string", Not(Col("cat")), true},
+		{"non-boolean-predicate", Col("id"), true},
+		{"non-boolean-operand-reached", Or(Gt(Col("id"), LitInt(1<<40)), Col("cat")), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, ok := filterMorselVec(tc.pred, rows); ok {
+				t.Fatalf("kernel accepted %s; the case no longer exercises the decline path", tc.pred)
 			}
-			elems = append(elems, nested.Item(
-				nested.F("j", nested.Int(int64(j))),
-				nested.F("inner", nested.Bag(inner...)),
-			))
-		}
-		rows = append(rows, nested.Item(
-			nested.F("id", nested.Int(int64(i))),
-			nested.F("bag", nested.Bag(elems...)),
-		))
-	}
-	build := func() *Pipeline {
-		p := NewPipeline()
-		src := p.Source("in")
-		f1 := p.Flatten(src, "bag", "el")
-		f2 := p.Flatten(f1, "el.inner", "iv")
-		p.SetSink(p.Select(f2, Column("id", "id"), Column("j", "el.j"), Column("iv", "iv")))
-		return p
-	}
-	vec, row := runBoth(t, build, rows, 2, Options{Workers: 1})
-	if vec[0] != row[0] {
-		t.Errorf("results diverge:\nvec: %s\nrow: %s", head(vec[0]), head(row[0]))
-	}
-	if vec[1] != row[1] {
-		t.Errorf("capture streams diverge:\nvec: %s\nrow: %s", head(vec[1]), head(row[1]))
+			wantOut, wantErr := filterMorselRows(tc.pred, rows)
+			if (wantErr != nil) != tc.wantErr {
+				t.Fatalf("row loop error = %v, want error: %v", wantErr, tc.wantErr)
+			}
+			got, want := renderPending(filterMorsel(tc.pred, rows)), renderPending(wantOut, wantErr)
+			if got != want {
+				t.Fatalf("filterMorsel must return the row loop's answer:\ngot:  %s\nwant: %s", head(got), head(want))
+			}
+		})
 	}
 }
 
@@ -271,8 +228,8 @@ func TestBatchPoolsDoNotAliasResults(t *testing.T) {
 	}
 }
 
-// TestVectorSharedPoolsRace drives the vectorized path with the full worker
-// fan-out over the shared batch/scratch pools, including two engines running
+// TestVectorSharedPoolsRace drives the filter kernel and the id-range
+// emission with the full worker fan-out over the shared batch/scratch pools, including two engines running
 // concurrently in one process. The -race run of the suite is the assertion.
 func TestVectorSharedPoolsRace(t *testing.T) {
 	values := genRows(11, 4*batchSize+13)

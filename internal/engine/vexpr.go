@@ -7,25 +7,24 @@ import (
 	"pebble/internal/nested"
 )
 
-// Vectorized expression evaluation: evalVec runs one expression node over a
-// whole batch and returns a column. Typed fast paths (int/double/string/bool
-// comparisons over decoded scalar columns) avoid materialising nested.Value
-// per row; everything else falls through to the shared scalar kernels of
-// expr.go applied column-wise, so both executors compute through the same
-// code for the same (row, node) pair.
+// Column-wise expression evaluation for the filter kernel: evalVec runs one
+// expression node over a whole batch and returns a column. Typed fast paths
+// (int/double/string/bool comparisons over decoded scalar columns) avoid
+// materialising nested.Value per row; everything else falls through to the
+// shared scalar kernels of expr.go applied column-wise, so the kernel and
+// Expr.Eval compute through the same code for the same (row, node) pair.
 //
 // Error contract: a non-nil error from evalVec does NOT surface to the user.
-// Vectorized evaluation visits a superset of the (row, node) pairs the row
-// engine visits (And/Or evaluate every operand column before the row-order
-// truth scan short-circuits), so it can trip over a type error on a row the
-// row engine would have skipped. The caller must therefore discard the
-// vector attempt and re-run the whole partition morsel through the
-// row-at-a-time path, which reproduces the row engine's exact first error —
-// or its exact success, when short-circuiting would have avoided the error.
-// Every row-engine error also trips the vector path (same kernels, superset
-// of pairs), so a successful vector evaluation is always byte-identical to a
-// successful row evaluation.
-var errFallback = errors.New("engine: vectorized evaluation fell back to the row path")
+// Column-wise evaluation visits a superset of the (row, node) pairs Eval
+// visits (And/Or evaluate every operand column before the row-order truth
+// scan short-circuits), so it can trip over a type error on a row Eval would
+// have skipped. The caller (filterMorsel) must therefore discard the kernel
+// attempt and re-run the whole partition morsel through the per-row Eval
+// loop, which reproduces the exact first error — or the exact success, when
+// short-circuiting avoids the error. Every Eval error also trips the kernel
+// (same kernels, superset of pairs), so a successful kernel evaluation is
+// always byte-identical to a successful row evaluation.
+var errFallback = errors.New("engine: column-wise evaluation declined; re-run the morsel row by row")
 
 // evalVec evaluates e over every row of the batch.
 func evalVec(e Expr, b *batch) (*colVec, error) {
@@ -222,10 +221,10 @@ func cmpFloat64Ord(a, b float64) int {
 }
 
 // boolVec evaluates And/Or: every operand is evaluated as a column, then a
-// row-order truth scan applies the row engine's short-circuit rule per row.
-// The scan checks operands in declaration order and stops at the deciding
-// one, so a non-boolean operand only forces the row fallback when the row
-// engine would have inspected it too.
+// row-order truth scan applies Eval's short-circuit rule per row. The scan
+// checks operands in declaration order and stops at the deciding one, so a
+// non-boolean operand only forces the row loop when Eval would have
+// inspected it too.
 func boolVec(x boolExpr, b *batch) (*colVec, error) {
 	n := b.n()
 	cols := make([]*colVec, len(x.operands))

@@ -111,46 +111,6 @@ func measurePair(cfg Config, a, b func() error) (time.Duration, time.Duration, e
 	return median(sa), median(sb), nil
 }
 
-// measurePairMin is measurePair for pairs whose true difference is small
-// relative to machine noise (the executor twins differ by single-digit
-// percents; a shared box drifts by tens). Both closures run `loops` times
-// per timed round (calibrated to the ~25ms target of query.go, so sub-ms
-// runs aren't timer-noise), rounds stay interleaved, and the estimate is
-// the per-round minimum — the best case each side achieved under identical
-// conditions, which a background-load spike can only miss, never inflate.
-func measurePairMin(cfg Config, a, b func() error) (time.Duration, time.Duration, error) {
-	loops, err := calibrate(a)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := b(); err != nil { // warm b like calibrate warmed a
-		return 0, 0, err
-	}
-	ra, rb := repeat(loops, a), repeat(loops, b)
-	var bestA, bestB time.Duration
-	for i := 0; i < cfg.Reps; i++ {
-		runtime.GC()
-		start := time.Now()
-		if err := ra(); err != nil {
-			return 0, 0, err
-		}
-		da := time.Since(start)
-		runtime.GC()
-		start = time.Now()
-		if err := rb(); err != nil {
-			return 0, 0, err
-		}
-		db := time.Since(start)
-		if i == 0 || da < bestA {
-			bestA = da
-		}
-		if i == 0 || db < bestB {
-			bestB = db
-		}
-	}
-	return bestA / time.Duration(loops), bestB / time.Duration(loops), nil
-}
-
 // OverheadRow is one bar pair of Figs. 6/7: plain execution vs execution
 // with structural provenance capture.
 type OverheadRow struct {

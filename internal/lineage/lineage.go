@@ -98,26 +98,8 @@ func (c *Collector) Partition(oid, part int) engine.PartitionSink {
 	return &c.ops[oid].shards[part]
 }
 
-// SourceRow implements engine.PartitionSink.
-func (s *shard) SourceRow(id, origID int64) {
-	s.source = append(s.source, id)
-}
-
 // Unary implements engine.PartitionSink.
 func (s *shard) Unary(inID, outID int64) {
-	s.unary = append(s.unary, unaryAssoc{in: inID, out: outID})
-}
-
-// Binary implements engine.PartitionSink.
-func (s *shard) Binary(leftID, rightID, outID int64) {
-	s.binary = append(s.binary, binaryAssoc{left: leftID, right: rightID, out: outID})
-}
-
-// Flatten implements engine.PartitionSink. Titian has no flatten notion;
-// the position is dropped and only the id pair retained (Sec. 7.3.2: "the
-// overhead can increase when flatten operators store positions that lineage
-// solutions do not capture").
-func (s *shard) Flatten(inID int64, pos int, outID int64) {
 	s.unary = append(s.unary, unaryAssoc{in: inID, out: outID})
 }
 
@@ -127,8 +109,8 @@ func (s *shard) Agg(inIDs []int64, outID int64) {
 	s.agg = append(s.agg, aggAssoc{ins: inIDs, out: outID})
 }
 
-// SourceRows implements engine.PartitionSink: the bulk id-range form of
-// SourceRow. The slices are borrowed; every id is copied out.
+// SourceRows implements engine.PartitionSink. The range slices of the bulk
+// forms are borrowed; every id is copied out.
 func (s *shard) SourceRows(base int64, origIDs []int64) {
 	for i := range origIDs {
 		s.source = append(s.source, base+int64(i))
@@ -149,8 +131,10 @@ func (s *shard) BinaryRange(leftIDs, rightIDs []int64, base int64) {
 	}
 }
 
-// FlattenRange implements engine.PartitionSink; positions are dropped like
-// Flatten drops them.
+// FlattenRange implements engine.PartitionSink. Titian has no flatten
+// notion; the positions are dropped and only the id pairs retained
+// (Sec. 7.3.2: "the overhead can increase when flatten operators store
+// positions that lineage solutions do not capture").
 func (s *shard) FlattenRange(inIDs []int64, positions []int, base int64) {
 	for i, in := range inIDs {
 		s.unary = append(s.unary, unaryAssoc{in: in, out: base + int64(i)})

@@ -7,7 +7,7 @@ import (
 
 // AppendNorm appends an unambiguous binary encoding of the value to dst and
 // returns the extended slice. The encoding is the hash-table key format of
-// the engine's vectorized join/aggregate kernels: values are compared by
+// the engine's join/aggregate kernels: values are compared by
 // normalized bytes instead of walking two nested structures per probe.
 //
 // Properties the kernels rely on:

@@ -46,7 +46,6 @@ const (
 	KindPatternSub  = "pattern-not-subset-of-full"
 	KindForward     = "forward-backward-inconsistent"
 	KindLoadPath    = "load-path-divergence"
-	KindExecPath    = "exec-path-divergence"
 )
 
 // Config tunes a differential check.
@@ -121,18 +120,8 @@ func CheckSpec(s *corpus.Spec, cfg Config) *Disagreement {
 
 	var base *artifacts
 	for _, w := range cfg.Workers {
-		a, d := runModes(s, pipe, inputs, pattern, cfg, w, false)
+		a, d := runModes(s, pipe, inputs, pattern, cfg, w)
 		if d != nil {
-			return d
-		}
-		// Executor twin (PR 7): the legacy row-at-a-time path must produce
-		// byte-identical artifacts under every capture mode — results, the
-		// serialized provenance stream, and both trace fingerprints.
-		rowA, d := runModes(s, pipe, inputs, pattern, cfg, w, true)
-		if d != nil {
-			return d
-		}
-		if d := compareExecPaths(a, rowA, s.Seed, w); d != nil {
 			return d
 		}
 		if base == nil {
@@ -160,12 +149,12 @@ func CheckSpec(s *corpus.Spec, cfg Config) *Disagreement {
 // runModes executes the pipeline once per capture mode at one worker count
 // and checks that the modes produced identical results.
 func runModes(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.Dataset,
-	pattern *treepattern.Pattern, cfg Config, workers int, rowExec bool) (*artifacts, *Disagreement) {
+	pattern *treepattern.Pattern, cfg Config, workers int) (*artifacts, *Disagreement) {
 
 	fail := func(kind, detail string) (*artifacts, *Disagreement) {
 		return nil, &Disagreement{Kind: kind, Detail: detail, Workers: workers, Seed: s.Seed}
 	}
-	opts := s.ExecOptions(engine.Options{Partitions: cfg.Partitions, Workers: workers, ScalarFallback: rowExec})
+	opts := s.ExecOptions(engine.Options{Partitions: cfg.Partitions, Workers: workers})
 
 	// Mode 1: no capture — the plain run is the result baseline.
 	resNone, err := engine.Run(pipe, inputs, opts)

@@ -118,9 +118,9 @@ func (d *droppingPartition) Unary(inID, outID int64) {
 	d.PartitionSink.Unary(inID, outID)
 }
 
-// UnaryRange must intercept the vectorized bulk form too — embedding would
-// otherwise forward the whole range unfiltered and the injected fault would
-// silently vanish under the columnar executor.
+// UnaryRange must intercept the bulk form too — it is how every fixed-width
+// unary association arrives, and embedding would otherwise forward the whole
+// range unfiltered, so the injected fault would silently vanish.
 func (d *droppingPartition) UnaryRange(inIDs []int64, base int64) {
 	for i, in := range inIDs {
 		d.Unary(in, base+int64(i))

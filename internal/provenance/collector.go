@@ -47,24 +47,9 @@ type shard struct {
 	source  []SourceAssoc
 }
 
-// SourceRow implements engine.PartitionSink.
-func (s *shard) SourceRow(id, origID int64) {
-	s.source = append(s.source, SourceAssoc{ID: id, OrigID: origID})
-}
-
 // Unary implements engine.PartitionSink.
 func (s *shard) Unary(inID, outID int64) {
 	s.unary = append(s.unary, UnaryAssoc{In: inID, Out: outID})
-}
-
-// Binary implements engine.PartitionSink.
-func (s *shard) Binary(leftID, rightID, outID int64) {
-	s.binary = append(s.binary, BinaryAssoc{Left: leftID, Right: rightID, Out: outID})
-}
-
-// Flatten implements engine.PartitionSink.
-func (s *shard) Flatten(inID int64, pos int, outID int64) {
-	s.flatten = append(s.flatten, FlattenAssoc{In: inID, Pos: pos, Out: outID})
 }
 
 // Agg implements engine.PartitionSink, taking ownership of inIDs (the
@@ -73,11 +58,9 @@ func (s *shard) Agg(inIDs []int64, outID int64) {
 	s.agg = append(s.agg, AggAssoc{Ins: inIDs, Out: outID})
 }
 
-// The bulk id-range appends below are the vectorized executor's morsel-level
-// emission (one call per partition instead of one per row). The range
-// slices are borrowed scratch — the loops copy every id into the shard's
-// own arrays, so the rows land exactly as the equivalent per-row calls
-// would, in the same order.
+// The bulk id-range appends below are the executor's morsel-level emission
+// (one call per partition instead of one per row). The range slices are
+// borrowed scratch — the loops copy every id into the shard's own arrays.
 
 // SourceRows implements engine.PartitionSink.
 func (s *shard) SourceRows(base int64, origIDs []int64) {

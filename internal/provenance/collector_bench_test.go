@@ -15,14 +15,17 @@ func fillCollector(c *Collector, ops, parts, rowsPerShard int) {
 		c.StartOperator(engine.OpInfo{OID: oid, Type: engine.OpMap}, parts)
 		for p := 0; p < parts; p++ {
 			ps := c.Partition(oid, p)
-			for i := 0; i < rowsPerShard; i++ {
-				id := int64(oid*1000000 + p*10000 + i)
-				ps.SourceRow(id, id)
-				ps.Unary(id, id+1)
-				ps.Binary(id, id+1, id+2)
-				ps.Flatten(id, i, id+3)
-				ps.Agg([]int64{id, id + 1}, id+4)
+			base := int64(oid*1000000 + p*10000)
+			ids := make([]int64, rowsPerShard)
+			pos := make([]int, rowsPerShard)
+			for i := range ids {
+				ids[i], pos[i] = base+int64(i), i
+				ps.Agg([]int64{ids[i], ids[i] + 1}, ids[i]+4)
 			}
+			ps.SourceRows(base, ids)
+			ps.UnaryRange(ids, base+1)
+			ps.BinaryRange(ids, ids, base+2)
+			ps.FlattenRange(ids, pos, base+3)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -483,6 +484,29 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if tinfo.Status != sdk.StatusDone && tinfo.Status != sdk.StatusFailed {
 		t.Errorf("trace against racing target finished %s, want done or failed", tinfo.Status)
+	}
+}
+
+// TestStaleSequentialFieldIgnored pins the wire compatibility note of DESIGN
+// §12.4: a client built before the "sequential" session field was removed
+// may still send it; the daemon accepts the request and ignores the field.
+func TestStaleSequentialFieldIgnored(t *testing.T) {
+	_, ts := bootDaemon(t, server.Config{Runners: 1, SessionCap: 1, QueueDepth: 4})
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"name":"old","partitions":4,"sequential":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("session with a stale sequential field: status %s", resp.Status)
+	}
+	info, err := sdk.New(ts.URL).GetSession(context.Background(), "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Partitions != 4 {
+		t.Errorf("partitions = %d, want 4", info.Partitions)
 	}
 }
 

@@ -38,7 +38,6 @@ func newSession(spec sdk.SessionSpec) *session {
 	base := core.Session{
 		Partitions: spec.Partitions,
 		Workers:    spec.Workers,
-		Sequential: spec.Sequential,
 	}
 	return &session{
 		name:         spec.Name,
@@ -67,7 +66,6 @@ func (s *session) info() sdk.SessionInfo {
 		Name:       s.name,
 		Partitions: s.base.ResolvePartitions(0),
 		Workers:    s.base.Workers,
-		Sequential: s.base.Sequential,
 		Created:    s.created,
 		Datasets:   len(s.datasets),
 		Jobs:       len(s.jobs),

@@ -69,9 +69,6 @@ func WithPartitions(n int) Option { return core.WithPartitions(n) }
 // results are byte-identical for every value.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
-// WithSequential disables goroutine parallelism.
-func WithSequential() Option { return core.WithSequential() }
-
 // WithAnalyzeFirst type-checks plans against input schemas before running.
 func WithAnalyzeFirst() Option { return core.WithAnalyzeFirst() }
 

@@ -42,7 +42,6 @@ type SessionSpec struct {
 	Name       string `json:"name"`
 	Partitions int    `json:"partitions,omitempty"`
 	Workers    int    `json:"workers,omitempty"`
-	Sequential bool   `json:"sequential,omitempty"`
 }
 
 // SessionInfo describes one live session.
@@ -50,7 +49,6 @@ type SessionInfo struct {
 	Name       string    `json:"name"`
 	Partitions int       `json:"partitions"`
 	Workers    int       `json:"workers"`
-	Sequential bool      `json:"sequential,omitempty"`
 	Created    time.Time `json:"created"`
 	Datasets   int       `json:"datasets"`
 	Jobs       int       `json:"jobs"`
