@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -26,6 +26,12 @@ pebblevet-fix-list:
 
 check: pebblevet
 	sh scripts/check.sh
+
+# Twenty seconds of the JSON reader against its encoding/json reference
+# (internal/nested/json_ref_test.go) on arbitrary bytes; the blocking `check`
+# CI job runs the same line.
+fuzz-json:
+	go test -fuzz FuzzParseJSONMatchesReference -fuzztime 20s ./internal/nested
 
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event

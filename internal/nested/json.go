@@ -2,12 +2,14 @@ package nested
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"pebble/internal/jsonenc"
 )
@@ -15,104 +17,319 @@ import (
 // ParseJSON decodes one JSON document into a Value, preserving the attribute
 // order of objects (which encoding/json's map decoding would lose). Objects
 // become items, arrays become bags, numbers become ints when they have no
-// fractional part and doubles otherwise.
+// fraction or exponent and fit int64, and doubles otherwise.
 func ParseJSON(data []byte) (Value, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	v, err := decodeValue(dec)
-	if err != nil {
-		return Value{}, err
-	}
-	// Reject trailing garbage.
-	if _, err := dec.Token(); err != io.EOF {
-		return Value{}, fmt.Errorf("nested: trailing data after JSON value")
-	}
-	return v, nil
+	return new(reader).document(data)
 }
 
 // ParseJSONLines decodes newline-delimited JSON (one top-level item per
-// line), the format produced by EncodeJSONLines and by cmd/datagen.
+// line), the format produced by EncodeJSONLines and by cmd/datagen. Lines
+// are trimmed of Unicode white space and blank lines are skipped. One reader
+// parses all lines, so an upload's rows share their attribute name strings.
 func ParseJSONLines(data []byte) ([]Value, error) {
+	var r reader
 	var out []Value
-	for lineNo, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
-		v, err := ParseJSON([]byte(line))
+		v, err := r.document(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func decodeValue(dec *json.Decoder) (Value, error) {
-	tok, err := dec.Token()
+// maxDepth is how deep arrays and objects may nest, encoding/json's own
+// limit: deeper input is an error, not a stack the runtime gives up on.
+const maxDepth = 10000
+
+// reader is the JSON reader behind ParseJSON and ParseJSONLines: one
+// recursive descent over the input bytes that builds Values directly. It
+// accepts what encoding/json accepts (RFC 8259, no extensions) and repairs
+// strings as encoding/json does. Every string it hands out is a copy, so a
+// parsed value never pins the input buffer.
+type reader struct {
+	data []byte
+	pos  int
+
+	names  map[string]string // attribute names seen so far, one string each
+	fields []Field           // fields of every item still open, innermost last
+	elems  []Value           // elements of every bag still open, innermost last
+	buf    []byte            // scratch for strings that need unescaping or repair
+}
+
+// document parses data as exactly one JSON value.
+func (r *reader) document(data []byte) (Value, error) {
+	r.data, r.pos = data, 0 // the stacks are empty again after every document that parsed
+	v, err := r.value(0)
 	if err != nil {
 		return Value{}, err
 	}
-	return decodeFromToken(dec, tok)
+	if r.next(); r.pos < len(r.data) {
+		return Value{}, r.syntax(r.pos, "after top-level value")
+	}
+	return v, nil
 }
 
-func decodeFromToken(dec *json.Decoder, tok json.Token) (Value, error) {
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			var fields []Field
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return Value{}, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return Value{}, fmt.Errorf("nested: object key is not a string: %v", keyTok)
-				}
-				val, err := decodeValue(dec)
-				if err != nil {
-					return Value{}, err
-				}
-				fields = append(fields, Field{Name: key, Value: val})
-			}
-			if _, err := dec.Token(); err != nil { // consume '}'
-				return Value{}, err
-			}
-			return Item(fields...), nil
-		case '[':
-			var elems []Value
-			for dec.More() {
-				val, err := decodeValue(dec)
-				if err != nil {
-					return Value{}, err
-				}
-				elems = append(elems, val)
-			}
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return Value{}, err
-			}
-			return Bag(elems...), nil
-		}
-		return Value{}, fmt.Errorf("nested: unexpected delimiter %v", t)
-	case json.Number:
-		if i, err := strconv.ParseInt(t.String(), 10, 64); err == nil {
-			return Int(i), nil
-		}
-		f, err := t.Float64()
-		if err != nil {
-			return Value{}, fmt.Errorf("nested: bad number %q: %w", t.String(), err)
-		}
-		return Double(f), nil
-	case string:
-		return StringVal(t), nil
-	case bool:
-		return Bool(t), nil
-	case nil:
-		return Null(), nil
+// syntax reports that the byte at offset at, or the end of the input there,
+// is not what the grammar wants.
+func (r *reader) syntax(at int, where string) error {
+	if at >= len(r.data) {
+		return fmt.Errorf("nested: unexpected end of JSON input %s", where)
 	}
-	return Value{}, fmt.Errorf("nested: unexpected token %v", tok)
+	return fmt.Errorf("nested: invalid character %q at offset %d %s", r.data[at], at, where)
+}
+
+// next skips white space and returns the byte it stops at without consuming
+// it; at the end of the input that is 0, which the grammar wants nowhere.
+func (r *reader) next() byte {
+	for ; r.pos < len(r.data); r.pos++ {
+		switch c := r.data[r.pos]; c {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// value parses the value that comes next, depth arrays and objects deep.
+func (r *reader) value(depth int) (Value, error) {
+	switch c := r.next(); {
+	case c == '{' || c == '[':
+		if depth == maxDepth {
+			return Value{}, fmt.Errorf("nested: JSON nested deeper than %d levels at offset %d", maxDepth, r.pos)
+		}
+		r.pos++
+		if c == '{' {
+			return r.item(depth + 1)
+		}
+		return r.bag(depth + 1)
+	case c == '"':
+		s, err := r.str()
+		return StringVal(string(s)), err
+	case c == '-' || '0' <= c && c <= '9':
+		return r.number()
+	case c == 't':
+		return r.literal("true", Bool(true))
+	case c == 'f':
+		return r.literal("false", Bool(false))
+	case c == 'n':
+		return r.literal("null", Null())
+	}
+	return Value{}, r.syntax(r.pos, "looking for beginning of value")
+}
+
+func (r *reader) literal(word string, v Value) (Value, error) {
+	if end := r.pos + len(word); end <= len(r.data) && string(r.data[r.pos:end]) == word {
+		r.pos = end
+		return v, nil
+	}
+	return Value{}, r.syntax(r.pos, "in literal "+word)
+}
+
+// sealed leaves an array or object at its closing byte: it cuts the entries
+// above mark off a scratch stack into a slice of exactly their number.
+func sealed[T any](r *reader, stack *[]T, mark int) []T {
+	r.pos++
+	top := (*stack)[mark:]
+	*stack = (*stack)[:mark]
+	if len(top) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(top)), top...)
+}
+
+// item parses an object from behind its opening brace. Its fields collect
+// on the shared stack, above those of the enclosing items, until it closes.
+func (r *reader) item(depth int) (Value, error) {
+	mark := len(r.fields)
+	for more := r.next() != '}'; more; {
+		if r.next() != '"' {
+			return Value{}, r.syntax(r.pos, "looking for beginning of object key string")
+		}
+		key, err := r.str()
+		if err != nil {
+			return Value{}, err
+		}
+		name := r.intern(key)
+		if r.next() != ':' {
+			return Value{}, r.syntax(r.pos, "after object key")
+		}
+		r.pos++
+		v, err := r.value(depth)
+		if err != nil {
+			return Value{}, err
+		}
+		r.fields = append(r.fields, Field{Name: name, Value: v})
+		switch r.next() {
+		case ',':
+			r.pos++
+		case '}':
+			more = false
+		default:
+			return Value{}, r.syntax(r.pos, "after object key:value pair")
+		}
+	}
+	return Item(sealed(r, &r.fields, mark)...), nil
+}
+
+// bag parses an array the way item parses an object.
+func (r *reader) bag(depth int) (Value, error) {
+	mark := len(r.elems)
+	for more := r.next() != ']'; more; {
+		v, err := r.value(depth)
+		if err != nil {
+			return Value{}, err
+		}
+		r.elems = append(r.elems, v)
+		switch r.next() {
+		case ',':
+			r.pos++
+		case ']':
+			more = false
+		default:
+			return Value{}, r.syntax(r.pos, "after array element")
+		}
+	}
+	return Bag(sealed(r, &r.elems, mark)...), nil
+}
+
+// intern returns name as a string, the same one for every occurrence the
+// reader sees: an upload's rows repeat a handful of attribute names.
+func (r *reader) intern(name []byte) string {
+	if s, ok := r.names[string(name)]; ok {
+		return s
+	}
+	if r.names == nil {
+		r.names = make(map[string]string)
+	}
+	s := string(name)
+	r.names[s] = s
+	return s
+}
+
+// number parses a number and classifies it on the way: no fraction, no
+// exponent and inside int64 is an int, everything else a double.
+func (r *reader) number() (Value, error) {
+	d, i := r.data, r.pos
+	digits := func() bool {
+		from := i
+		for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if d[i] == '-' {
+		i++
+	}
+	integral, ok := true, true
+	if i < len(d) && d[i] == '0' {
+		i++
+	} else {
+		ok = digits()
+	}
+	if ok && i < len(d) && d[i] == '.' {
+		i++
+		integral, ok = false, digits()
+	}
+	if ok && i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		integral, ok = false, digits()
+	}
+	if !ok {
+		return Value{}, r.syntax(i, "in numeric literal")
+	}
+	num := d[r.pos:i] // converted where used, so the string never reaches the heap
+	r.pos = i
+	if integral {
+		if n, err := strconv.ParseInt(string(num), 10, 64); err == nil {
+			return Int(n), nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		return Value{}, fmt.Errorf("nested: bad number %s: %w", num, err)
+	}
+	return Double(f), nil
+}
+
+// str parses the string whose opening quote is at r.pos and returns its
+// bytes: a view into the input when they can be taken as they are,
+// otherwise r.buf. Either way the caller copies them before the next call.
+// Repairs are encoding/json's: escapes are decoded, a surrogate pair of \u
+// escapes joins into one rune, and an unpaired surrogate or a byte that is
+// not UTF-8 becomes U+FFFD.
+func (r *reader) str() ([]byte, error) {
+	d, start := r.data, r.pos+1
+	i := start
+	for i < len(d) && d[i] != '"' && d[i] != '\\' && d[i] >= ' ' {
+		i++
+	}
+	if i < len(d) && d[i] == '"' && utf8.Valid(d[start:i]) {
+		r.pos = i + 1
+		return d[start:i], nil
+	}
+	// Something in the string needs decoding or repair: rebuild it in r.buf.
+	buf, i := r.buf[:0], start
+	for i < len(d) {
+		switch c := d[i]; {
+		case c == '"':
+			r.pos, r.buf = i+1, buf
+			return buf, nil
+		case c < ' ':
+			return nil, r.syntax(i, "in string literal")
+		case c != '\\':
+			rr, size := utf8.DecodeRune(d[i:])
+			buf = utf8.AppendRune(buf, rr)
+			i += size
+		case i+1 == len(d): // a lone backslash ends the input
+			i++
+		case d[i+1] == 'u':
+			rr := hex4(d[i+2:])
+			if rr < 0 {
+				return nil, r.syntax(i+1, "in \\u hexadecimal character escape")
+			}
+			i += 6
+			if utf16.IsSurrogate(rr) {
+				// Only a pair that decodes is consumed as one; after
+				// anything else the next escape is read on its own.
+				lo := rune(-1)
+				if bytes.HasPrefix(d[i:], []byte(`\u`)) {
+					lo = hex4(d[i+2:])
+				}
+				if rr = utf16.DecodeRune(rr, lo); rr != unicode.ReplacementChar {
+					i += 6
+				}
+			}
+			buf = utf8.AppendRune(buf, rr)
+		default:
+			j := strings.IndexByte(`"\/bfnrt`, d[i+1])
+			if j < 0 {
+				return nil, r.syntax(i+1, "in string escape code")
+			}
+			buf = append(buf, "\"\\/\b\f\n\r\t"[j])
+			i += 2
+		}
+	}
+	return nil, r.syntax(len(d), "in string literal")
+}
+
+// hex4 decodes the four hexadecimal digits b starts with, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) >= 4 {
+		if n, err := strconv.ParseUint(string(b[:4]), 16, 16); err == nil {
+			return rune(n)
+		}
+	}
+	return -1
 }
 
 // MarshalJSON encodes the value as JSON, keeping item attribute order. Sets

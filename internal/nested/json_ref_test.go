@@ -3,6 +3,9 @@ package nested
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strconv"
@@ -99,4 +102,144 @@ func TestAppendJSONNonFiniteDouble(t *testing.T) {
 			t.Errorf("MarshalJSON accepted %g", f)
 		}
 	}
+}
+
+// refParseJSON and refParseJSONLines are the encoding/json token walk the
+// reader replaced, kept as the reference it must agree with on what is
+// accepted and on every value produced. The one addition is the reader's
+// nesting limit, which the walk never had (it overflowed the stack).
+func refParseJSON(data []byte) (Value, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	v, err := refDecodeValue(dec, 0)
+	if err != nil {
+		return Value{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Value{}, errors.New("nested: trailing data after JSON value")
+	}
+	return v, nil
+}
+
+func refParseJSONLines(data []byte) ([]Value, error) {
+	var out []Value
+	for lineNo, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			continue
+		}
+		v, err := refParseJSON([]byte(line))
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// RefParseJSONLines hands the reference to the external tests, which sit
+// outside the package because internal/workload imports it.
+var RefParseJSONLines = refParseJSONLines
+
+func refDecodeValue(dec *json.Decoder, depth int) (Value, error) {
+	tok, err := dec.Token()
+	if err != nil {
+		return Value{}, err
+	}
+	switch t := tok.(type) {
+	case json.Delim:
+		if depth++; depth > maxDepth {
+			return Value{}, errors.New("nested: exceeded max depth")
+		}
+		switch t {
+		case '{':
+			var fields []Field
+			for dec.More() {
+				keyTok, err := dec.Token()
+				if err != nil {
+					return Value{}, err
+				}
+				key, ok := keyTok.(string)
+				if !ok {
+					return Value{}, fmt.Errorf("nested: object key is not a string: %v", keyTok)
+				}
+				val, err := refDecodeValue(dec, depth)
+				if err != nil {
+					return Value{}, err
+				}
+				fields = append(fields, Field{Name: key, Value: val})
+			}
+			if _, err := dec.Token(); err != nil { // consume '}'
+				return Value{}, err
+			}
+			return Item(fields...), nil
+		case '[':
+			var elems []Value
+			for dec.More() {
+				val, err := refDecodeValue(dec, depth)
+				if err != nil {
+					return Value{}, err
+				}
+				elems = append(elems, val)
+			}
+			if _, err := dec.Token(); err != nil { // consume ']'
+				return Value{}, err
+			}
+			return Bag(elems...), nil
+		}
+		return Value{}, fmt.Errorf("nested: unexpected delimiter %v", t)
+	case json.Number:
+		if i, err := strconv.ParseInt(t.String(), 10, 64); err == nil {
+			return Int(i), nil
+		}
+		f, err := t.Float64()
+		if err != nil {
+			return Value{}, fmt.Errorf("nested: bad number %q: %w", t.String(), err)
+		}
+		return Double(f), nil
+	case string:
+		return StringVal(t), nil
+	case bool:
+		return Bool(t), nil
+	case nil:
+		return Null(), nil
+	}
+	return Value{}, fmt.Errorf("nested: unexpected token %v", tok)
+}
+
+// agree fails the test unless the reader and the reference accept or reject
+// doc together and, when they accept, return the same value.
+func agree(t *testing.T, doc []byte) (Value, error) {
+	t.Helper()
+	got, err := ParseJSON(doc)
+	want, refErr := refParseJSON(doc)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%q: reader error %v, reference error %v", doc, err, refErr)
+	}
+	if err == nil && (!Equal(got, want) || got.String() != want.String() || !sameShape(got, want)) {
+		t.Fatalf("%q: reader %s, reference %s", doc, got, want)
+	}
+	return got, err
+}
+
+// sameShape is stricter than Equal where Equal is lenient: kinds must match
+// exactly (Equal lets an int equal a double), doubles bit for bit (-0, 0),
+// attribute order and nil-ness of empty items and bags included.
+func sameShape(a, b Value) bool {
+	if a.kind != b.kind || a.i != b.i || math.Float64bits(a.f) != math.Float64bits(b.f) || a.s != b.s || a.b != b.b ||
+		len(a.fields) != len(b.fields) || len(a.elems) != len(b.elems) ||
+		(a.fields == nil) != (b.fields == nil) || (a.elems == nil) != (b.elems == nil) {
+		return false
+	}
+	for i := range a.fields {
+		if a.fields[i].Name != b.fields[i].Name || !sameShape(a.fields[i].Value, b.fields[i].Value) {
+			return false
+		}
+	}
+	for i := range a.elems {
+		if !sameShape(a.elems[i], b.elems[i]) {
+			return false
+		}
+	}
+	return true
 }

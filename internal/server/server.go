@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -307,22 +308,36 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request, ses
 		}
 		parts = n
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read upload: %v", err)
-		return
+	// A body of declared length is refused unread when that is over the
+	// limit and otherwise read into one buffer of that length; one of unknown
+	// length grows its buffer as it arrives and is cut off a byte past the
+	// limit.
+	var body bytes.Buffer
+	tooLarge := r.ContentLength > s.cfg.MaxUploadBytes
+	if !tooLarge {
+		if r.ContentLength > 0 {
+			body.Grow(int(r.ContentLength) + bytes.MinRead)
+		}
+		if _, err := body.ReadFrom(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1)); err != nil {
+			writeErr(w, http.StatusBadRequest, "read upload: %v", err)
+			return
+		}
+		tooLarge = int64(body.Len()) > s.cfg.MaxUploadBytes
 	}
-	if int64(len(data)) > s.cfg.MaxUploadBytes {
+	if tooLarge {
 		writeErr(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", s.cfg.MaxUploadBytes)
 		return
 	}
+	data := body.Bytes()
+	start := time.Now()
 	vals, err := nested.ParseJSONLines(data)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parse JSON lines: %v", err)
 		return
 	}
+	parsed := time.Now()
 	ds := sess.base.NewDataset(name, vals, parts)
-	info, err := sess.addDataset(name, ds, int64(len(data)))
+	info, err := sess.addDataset(name, ds, int64(len(data)), parsed.Sub(start), time.Since(parsed))
 	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return

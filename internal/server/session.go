@@ -74,8 +74,9 @@ func (s *session) info() sdk.SessionInfo {
 
 // addDataset registers a dataset built from uploaded values. Duplicate
 // names are rejected: jobs may already reference the existing data, and
-// silent replacement would make provenance non-reproducible.
-func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64) (sdk.DatasetInfo, error) {
+// silent replacement would make provenance non-reproducible. An accepted
+// upload shows in /stats: bytes and rows as counters, parse and build as spans.
+func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64, parse, build time.Duration) (sdk.DatasetInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.datasets[name]; ok {
@@ -84,6 +85,10 @@ func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64) (s
 	s.datasets[name] = ds
 	s.dsBytes[name] = rawBytes
 	s.dsOrder = append(s.dsOrder, name)
+	s.counters["upload_bytes"] += rawBytes
+	s.counters["upload_rows"] += int64(ds.Len())
+	s.spansMS["upload_parse"] += float64(parse.Nanoseconds()) / 1e6
+	s.spansMS["upload_build"] += float64(build.Nanoseconds()) / 1e6
 	return sdk.DatasetInfo{Name: name, Rows: ds.Len(), Partitions: len(ds.Partitions), Bytes: rawBytes}, nil
 }
 
