@@ -2,7 +2,8 @@
 // A hot loop is a range over a slice of row-shaped elements (the -hottypes
 // list: Row, pending, keyedRow) or any loop nested inside one — the code that
 // runs once per data row. Inside such loops, slice/map composite literals,
-// make, new, &T{} heap literals, explicit interface conversions (boxing), and
+// make, new, &T{} heap literals, explicit interface conversions (boxing),
+// the slice-building accessors of nested.Value (Fields, AttrNames), and
 // append growth on locals with no pre-sized definition all allocate per row
 // and show up directly in morsel throughput; they must be pool-fed, hoisted,
 // or pre-sized outside the loop, or carry a //pebblevet:ignore hotalloc
@@ -20,6 +21,7 @@ package hotalloc
 import (
 	"go/ast"
 	"go/types"
+	"regexp"
 	"strings"
 
 	"pebble/internal/analysis"
@@ -31,7 +33,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `flag allocations inside per-row morsel loops in the configured packages
 
 Composite literals of slice/map type, make, new, &T{}, explicit interface
-conversions, and append growth on non-pre-sized locals inside a hot loop (a
+conversions, Value.Fields() and Value.AttrNames() calls, and append growth on
+non-pre-sized locals inside a hot loop (a
 range over rows, or any loop nested in one) allocate once per data row.
 Hoist, pre-size, or pool the allocation, or annotate an accepted one with
 //pebblevet:ignore hotalloc -- reason.`,
@@ -192,8 +195,15 @@ func checkCall(pass *analysis.Pass, hot map[string]bool, reaching func() *datafl
 				pass.Reportf(call.Pos(), "conversion to interface type in a per-row loop boxes the value once per row; keep it concrete inside the loop")
 			}
 		}
+		if f, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && sliceBuilders.MatchString(f.FullName()) {
+			pass.Reportf(call.Pos(), "Value.%s() builds a slice per call, once per row in a per-row loop; read the item through NumFields, FieldName and FieldValue", f.Name())
+		}
 	}
 }
+
+// sliceBuilders matches the accessors of nested.Value that allocate their
+// result on every call, by the full name of the method.
+var sliceBuilders = regexp.MustCompile(`\bValue\)\.(Fields|AttrNames)$`)
 
 // checkAppend flags append targets that can only grow by reallocation: a
 // plain local identifier none of whose reaching definitions is pre-sized.

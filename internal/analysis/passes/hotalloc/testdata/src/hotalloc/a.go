@@ -85,3 +85,15 @@ func cleanOutsideLoop(rows []Row) map[int64]int {
 	}
 	return seen
 }
+
+// sliceBuilders: Fields and AttrNames build their result per call; once per
+// morsel, outside the loop, is clean.
+func sliceBuilders(rows []Row) int {
+	n := len(rows[0].Item.AttrNames())
+	for _, r := range rows {
+		n += len(r.Item.Fields()) // want `Value.Fields\(\) builds a slice per call`
+		p := &r.Item
+		n += len(p.AttrNames()) // want `Value.AttrNames\(\) builds a slice per call`
+	}
+	return n
+}

@@ -5,7 +5,17 @@ package hotalloc
 type Row struct {
 	ID    int64
 	Value int
+	Item  Value
 }
+
+// Value mirrors nested.Value: Fields and AttrNames build a slice per call,
+// the index accessors do not.
+type Value struct{ names []string }
+
+func (v Value) Fields() []string       { return append([]string(nil), v.names...) }
+func (v Value) AttrNames() []string    { return append([]string(nil), v.names...) }
+func (v Value) NumFields() int         { return len(v.names) }
+func (v Value) FieldName(i int) string { return v.names[i] }
 
 type pending struct {
 	id int64

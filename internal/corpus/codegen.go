@@ -95,9 +95,9 @@ func valueExpr(v nested.Value) string {
 		}
 		return "nested.Bag(" + strings.Join(parts, ", ") + ")"
 	case nested.KindItem:
-		parts := make([]string, 0, len(v.Fields()))
-		for _, f := range v.Fields() {
-			parts = append(parts, fmt.Sprintf("nested.F(%q, %s)", f.Name, valueExpr(f.Value)))
+		parts := make([]string, 0, v.NumFields())
+		for i := 0; i < v.NumFields(); i++ {
+			parts = append(parts, fmt.Sprintf("nested.F(%q, %s)", v.FieldName(i), valueExpr(v.FieldValue(i))))
 		}
 		return "nested.Item(" + strings.Join(parts, ", ") + ")"
 	default:

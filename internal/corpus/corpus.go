@@ -37,6 +37,13 @@ var (
 	words = []string{"x", "y", "z", "w"}
 )
 
+// The shapes of the generated rows.
+var (
+	rowShape = nested.NewShape("id", "cat", "val", "tags", "subs")
+	subShape = nested.NewShape("k", "v")
+	auxShape = nested.NewShape("acat", "aw")
+)
+
 // RandRows builds a random input for dataset "in" with the fixed base schema
 // {id:int, cat:string, val:int, tags:{{string}}, subs:{{<k:string, v:int>}}}.
 func RandRows(r *rand.Rand, n int) []nested.Value {
@@ -50,17 +57,14 @@ func RandRows(r *rand.Rand, n int) []nested.Value {
 		ns := r.Intn(3)
 		subs := make([]nested.Value, 0, ns)
 		for j := 0; j < ns; j++ {
-			subs = append(subs, nested.Item(
-				nested.F("k", nested.StringVal(words[r.Intn(len(words))])),
-				nested.F("v", nested.Int(int64(r.Intn(10)))),
-			))
+			subs = append(subs, subShape.Item(nested.StringVal(words[r.Intn(len(words))]), nested.Int(int64(r.Intn(10)))))
 		}
-		out = append(out, nested.Item(
-			nested.F("id", nested.Int(int64(i))),
-			nested.F("cat", nested.StringVal(cats[r.Intn(len(cats))])),
-			nested.F("val", nested.Int(int64(r.Intn(20)))),
-			nested.F("tags", nested.Bag(tags...)),
-			nested.F("subs", nested.Bag(subs...)),
+		out = append(out, rowShape.Item(
+			nested.Int(int64(i)),
+			nested.StringVal(cats[r.Intn(len(cats))]),
+			nested.Int(int64(r.Intn(20))),
+			nested.Bag(tags...),
+			nested.Bag(subs...),
 		))
 	}
 	return out
@@ -77,10 +81,7 @@ func RandAuxRows(r *rand.Rand, n int) []nested.Value {
 		if r.Intn(6) == 0 {
 			acat = nested.Null()
 		}
-		out = append(out, nested.Item(
-			nested.F("acat", acat),
-			nested.F("aw", nested.Int(int64(r.Intn(50)))),
-		))
+		out = append(out, auxShape.Item(acat, nested.Int(int64(r.Intn(50)))))
 	}
 	return out
 }

@@ -118,9 +118,10 @@ func (s *aggScratch) sizeGroups(nG int) {
 
 func putAggScratch(s *aggScratch) { aggScratchPool.Put(s) }
 
-// aggBucket groups and aggregates one shuffle bucket; capture materialises
-// the contributing-identifier list of every group.
-func aggBucket(o *Op, bucket []keyedRow, capture bool) ([]pending, error) {
+// aggBucket groups and aggregates one shuffle bucket into items of shape
+// (groupShape's, computed once per operator); capture materialises the
+// contributing-identifier list of every group.
+func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) ([]pending, error) {
 	if len(bucket) == 0 {
 		return nil, nil
 	}
@@ -201,9 +202,12 @@ func aggBucket(o *Op, bucket []keyedRow, capture bool) ([]pending, error) {
 	}
 	sort.Slice(order, func(i, j int) bool { return nested.Compare(t.keys[order[i]], t.keys[order[j]]) < 0 })
 	out := make([]pending, 0, nG)
+	width := shape.Len()
+	arena := make([]nested.Value, nG*width) // retained by the output items
 	for _, g := range order {
-		fields := make([]nested.Field, 0, len(o.groupBy)+len(o.aggs))
-		fields = append(fields, t.keys[g].Fields()...)
+		vals := arena[:width:width]
+		arena = arena[width:]
+		copy(vals, t.keys[g].FieldValues())
 		for si, spec := range o.aggs {
 			var lv []nested.Value
 			if listVals != nil {
@@ -213,14 +217,14 @@ func aggBucket(o *Op, bucket []keyedRow, capture bool) ([]pending, error) {
 			if err != nil {
 				return nil, err
 			}
-			fields = append(fields, nested.F(spec.Out, av))
+			vals[len(o.groupBy)+si] = av
 		}
 		var ids []int64
 		if idsArena != nil {
 			o0 := s.offsets[g]
 			ids = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
 		}
-		out = append(out, pending{value: nested.Item(fields...), inIDs: ids})
+		out = append(out, pending{value: shape.Item(vals...), inIDs: ids})
 	}
 	return out, nil
 }
@@ -267,8 +271,8 @@ func accumulate(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int32, of
 				a.best[g], a.found[g] = v, true
 				continue
 			}
-			// Strictly-better replaces: ties and NaN comparisons (which
-			// compare as 0) keep the incumbent.
+			// Strictly-better replaces: ties keep the incumbent. A NaN sorts
+			// before every other double (nested.Compare).
 			cr := compareWidened(v, a.best[g])
 			if (spec.Func == AggMax && cr > 0) || (spec.Func == AggMin && cr < 0) {
 				a.best[g] = v

@@ -233,8 +233,8 @@ func expandLeaves(p path.Path, sample nested.Value) []path.Path {
 		return []path.Path{p}
 	}
 	var out []path.Path
-	for _, f := range v.Fields() {
-		out = append(out, expandLeaves(p.Append(path.Step{Attr: f.Name, Index: path.NoIndex}), sample)...)
+	for i := 0; i < v.NumFields(); i++ {
+		out = append(out, expandLeaves(p.Append(path.Step{Attr: v.FieldName(i), Index: path.NoIndex}), sample)...)
 	}
 	if len(out) == 0 {
 		return []path.Path{p}

@@ -10,6 +10,7 @@ import (
 
 	"pebble/internal/nested"
 	"pebble/internal/obs"
+	"pebble/internal/path"
 )
 
 // DefaultPartitions is the default logical-partition count. Logical
@@ -451,14 +452,11 @@ func (e *executor) execSelect(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
 	parts := make([][]pending, len(in.Partitions))
+	ss := newSelectShape(o.fields)
 	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out := make([]pending, 0, len(in.Partitions[part]))
-		for _, r := range in.Partitions[part] {
-			item, err := evalSelect(o.fields, r.Value)
-			if err != nil {
-				return err
-			}
-			out = append(out, pending{value: item, in1: r.ID})
+		out, err := selectMorsel(o.fields, ss, in.Partitions[part])
+		if err != nil {
+			return err
 		}
 		parts[part] = out
 		if rec := e.opts.Recorder; rec != nil {
@@ -492,33 +490,70 @@ func selectEvalOps(fields []SelectField) int {
 	return n
 }
 
-func evalSelect(fields []SelectField, d nested.Value) (nested.Value, error) {
-	out := make([]nested.Field, 0, len(fields))
-	for _, f := range fields {
+// selectShape is what a select computes once from its fields: the shape of
+// its output items, that of the item nested under every struct field, and
+// the number of values one output row holds over all of them.
+type selectShape struct {
+	shape *nested.Shape
+	sub   []*selectShape // per field; nil unless the field is a struct
+	slots int
+}
+
+func newSelectShape(fields []SelectField) *selectShape {
+	ss := &selectShape{sub: make([]*selectShape, len(fields)), slots: len(fields)}
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		names[i] = f.Name
+		if len(f.Col) == 0 && len(f.Struct) > 0 {
+			ss.sub[i] = newSelectShape(f.Struct)
+			ss.slots += ss.sub[i].slots
+		}
+	}
+	ss.shape = nested.NewShape(names...)
+	return ss
+}
+
+// selectMorsel projects one partition morsel; the output items share ss's
+// shapes and one value arena.
+func selectMorsel(fields []SelectField, ss *selectShape, rows []Row) ([]pending, error) {
+	out := make([]pending, 0, len(rows))
+	arena := make([]nested.Value, len(rows)*ss.slots) // retained by the output items
+	for _, r := range rows {
+		item, err := evalSelect(fields, ss, r.Value, &arena)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pending{value: item, in1: r.ID})
+	}
+	return out, nil
+}
+
+// evalSelect builds the output item of row d in the first ss.slots values of
+// arena, which it cuts off.
+func evalSelect(fields []SelectField, ss *selectShape, d nested.Value, arena *[]nested.Value) (nested.Value, error) {
+	out := (*arena)[:len(fields):len(fields)]
+	*arena = (*arena)[len(fields):]
+	for i, f := range fields {
+		var err error
 		switch {
 		case len(f.Col) > 0:
 			v, ok := f.Col.Eval(d)
 			if !ok {
 				v = nested.Null()
 			}
-			out = append(out, nested.F(f.Name, v))
+			out[i] = v
 		case len(f.Struct) > 0:
-			v, err := evalSelect(f.Struct, d)
-			if err != nil {
-				return nested.Value{}, err
-			}
-			out = append(out, nested.F(f.Name, v))
+			out[i], err = evalSelect(f.Struct, ss.sub[i], d, arena)
 		case f.Expr != nil:
-			v, err := f.Expr.Eval(d)
-			if err != nil {
-				return nested.Value{}, err
-			}
-			out = append(out, nested.F(f.Name, v))
+			out[i], err = f.Expr.Eval(d)
 		default:
-			return nested.Value{}, fmt.Errorf("select field %q has no column, struct, or expression", f.Name)
+			err = fmt.Errorf("select field %q has no column, struct, or expression", f.Name)
+		}
+		if err != nil {
+			return nested.Value{}, err
 		}
 	}
-	return nested.Item(out...), nil
+	return ss.shape.Item(out...), nil
 }
 
 func (e *executor) execMap(o *Op) (*Dataset, error) {
@@ -554,20 +589,9 @@ func (e *executor) execFlatten(o *Op) (*Dataset, error) {
 	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
 	parts := make([][]pending, len(in.Partitions))
 	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		// Floor capacity: flatten usually emits at least one row per input row.
-		out := make([]pending, 0, len(in.Partitions[part]))
-		for _, r := range in.Partitions[part] {
-			col, ok := o.flattenCol.Eval(r.Value)
-			if !ok || col.IsNull() {
-				continue // no collection to explode
-			}
-			if !col.Kind().IsCollection() {
-				return fmt.Errorf("flatten: %s is %s, want bag or set", o.flattenCol, col.Kind())
-			}
-			for idx, elem := range col.Elems() {
-				v := r.Value.WithField(o.flattenNew, elem)
-				out = append(out, pending{value: v, in1: r.ID, pos: idx + 1})
-			}
+		out, err := flattenMorsel(o.flattenCol, o.flattenNew, in.Partitions[part])
+		if err != nil {
+			return err
 		}
 		parts[part] = out
 		if rec := e.opts.Recorder; rec != nil {
@@ -581,6 +605,46 @@ func (e *executor) execFlatten(o *Op) (*Dataset, error) {
 		return nil, err
 	}
 	return e.finalize(o.id, parts, assocFlatten)
+}
+
+// flattenMorsel explodes the collection at col of every row of one morsel
+// into one output row per element, the element under attribute name. Pass 1
+// reads the collections and sizes the output exactly; pass 2 writes every
+// item into one value arena, under its input row's shape with name set.
+func flattenMorsel(col path.Path, name string, rows []Row) ([]pending, error) {
+	cols := make([]nested.Value, len(rows))
+	var memo shapeMemo
+	nOut, slots := 0, 0
+	for i, r := range rows {
+		c, ok := col.Eval(r.Value)
+		if !ok || c.IsNull() {
+			continue // no collection to explode
+		}
+		if !c.Kind().IsCollection() {
+			return nil, fmt.Errorf("flatten: %s is %s, want bag or set", col, c.Kind())
+		}
+		cols[i] = c
+		nOut += c.Len()
+		slots += c.Len() * memo.withAttr(r.Value.Shape(), name).shape.Len()
+	}
+	out := make([]pending, 0, nOut)
+	arena := make([]nested.Value, slots) // retained by the output items
+	for i, r := range rows {
+		elems := cols[i].Elems()
+		if len(elems) == 0 {
+			continue
+		}
+		d := memo.withAttr(r.Value.Shape(), name)
+		width := d.shape.Len()
+		for idx, elem := range elems {
+			vals := arena[:width:width]
+			arena = arena[width:]
+			copy(vals, r.Value.FieldValues())
+			vals[d.at] = elem
+			out = append(out, pending{value: d.shape.Item(vals...), in1: r.ID, pos: idx + 1})
+		}
+	}
+	return out, nil
 }
 
 func (e *executor) execUnion(o *Op) (*Dataset, error) {
@@ -741,7 +805,7 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	rightSchema := topLevelSchema(right)
+	rightSchema := nested.NewShape(topLevelSchema(right)...)
 	parts := make([][]pending, e.opts.Partitions)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
 		out, err := joinBucket(lb[part], rb[part], o.leftOuter, rightSchema)
@@ -760,6 +824,7 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 		nullParts := make([][]pending, len(left.Partitions))
 		err = e.forEachPartition(len(left.Partitions), func(part int) error {
 			var out []pending
+			var memo shapeMemo
 			for _, r := range left.Partitions[part] {
 				k, err := o.leftKey.Eval(r.Value)
 				if err != nil {
@@ -768,7 +833,7 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 				if !k.IsNull() {
 					continue
 				}
-				item, err := concatWithNulls(r.Value, rightSchema)
+				item, err := concatWithNulls(&memo, r.Value, rightSchema)
 				if err != nil {
 					return err
 				}
@@ -787,19 +852,19 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 
 // concatWithNulls extends a left item with null values for the right side's
 // top-level attributes (the unmatched row of a left outer join).
-func concatWithNulls(l nested.Value, rightSchema []string) (nested.Value, error) {
+func concatWithNulls(memo *shapeMemo, l nested.Value, rightSchema *nested.Shape) (nested.Value, error) {
 	if l.Kind() != nested.KindItem {
 		return nested.Value{}, fmt.Errorf("join: inputs must be data items, got %s", l.Kind())
 	}
-	fields := make([]nested.Field, 0, l.NumFields()+len(rightSchema))
-	fields = append(fields, l.Fields()...)
-	for _, a := range rightSchema {
-		if _, dup := l.Get(a); dup {
-			return nested.Value{}, fmt.Errorf("join: attribute %q exists on both sides; project inputs to disjoint names", a)
-		}
-		fields = append(fields, nested.F(a, nested.Null()))
+	d := memo.joined(l.Shape(), rightSchema)
+	if d.err != nil {
+		return nested.Value{}, d.err
 	}
-	return nested.Item(fields...), nil
+	vals := make([]nested.Value, d.shape.Len())
+	for i := copy(vals, l.FieldValues()); i < len(vals); i++ {
+		vals[i] = nested.Null()
+	}
+	return d.shape.Item(vals...), nil
 }
 
 func (e *executor) execAggregate(o *Op) (*Dataset, error) {
@@ -810,8 +875,9 @@ func (e *executor) execAggregate(o *Op) (*Dataset, error) {
 		return nil, err
 	}
 	parts := make([][]pending, e.opts.Partitions)
+	shape := groupShape(o.groupBy, o.aggs)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		out, err := aggBucket(o, buckets[part], e.opts.Sink != nil)
+		out, err := aggBucket(o, shape, buckets[part], e.opts.Sink != nil)
 		if err != nil {
 			return err
 		}

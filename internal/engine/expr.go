@@ -143,19 +143,13 @@ func (op cmpOp) truth(cmp int) bool {
 }
 
 // compareWidened compares two values, widening int/double pairs so that
-// Int(1) == Double(1.0).
+// Int(1) == Double(1.0); the doubles order as nested.Compare orders them.
 func compareWidened(a, b nested.Value) int {
 	if a.Kind() != b.Kind() {
 		af, aok := a.AsDouble()
 		bf, bok := b.AsDouble()
 		if aok && bok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			}
-			return 0
+			return nested.Compare(nested.Double(af), nested.Double(bf))
 		}
 	}
 	return nested.Compare(a, b)

@@ -14,15 +14,16 @@ import (
 // group once and sizes the output exactly (match count and total stitched
 // fields, from the per-group row and field sums maintained at build time);
 // pass 2 emits matches in probe-major, chain-insertion order, stitching
-// left/right fields into one flat field arena instead of one allocation per
-// match. The arena is allocated exactly once per morsel and retained by the
-// output items (nested.Item keeps the slice), so it is never pooled; each
-// match takes a capacity-limited subslice.
+// left/right attribute values into one flat value arena instead of one
+// allocation per match. The arena is allocated exactly once per morsel and
+// retained by the output items (Shape.Item keeps the slice), so it is never
+// pooled; each match takes a capacity-limited subslice.
 //
 // Error contract: the join's shape rules — both inputs data items, attribute
-// names disjoint — are checked per match in emission order, so the first
-// error of a bucket is the one a row-at-a-time nested-loop join over the same
-// bucket reports (pinned by reference_test.go).
+// names disjoint — are looked at per match in emission order (the second
+// answered from the morsel's shapeMemo, once per pair of shapes), so the
+// first error of a bucket is the one a row-at-a-time nested-loop join over
+// the same bucket reports (pinned by reference_test.go).
 
 // joinScratch is the pooled per-morsel probe state: the per-row group index
 // cache, the probe-key encoding buffer, and the build-side matched flags of
@@ -61,35 +62,29 @@ func (s *joinScratch) matchedFor(n int) []bool {
 
 func putJoinScratch(s *joinScratch) { joinScratchPool.Put(s) }
 
-// stitch writes the fields of the join result r = ⟨i, j⟩ — the attributes of
-// both items concatenated — into arena[ai:] and returns them. The caller sized
-// the arena from the field counts of the matching rows, so the subslice never
-// reallocates. It runs once per match: the items come by pointer and only
-// the field slice goes back, which keeps the call off the copy budget.
-func stitch(arena []nested.Field, ai int, l, r *nested.Value) ([]nested.Field, error) {
+// stitch writes the attribute values of the join result r = ⟨i, j⟩ — those
+// of both items concatenated — to the front of arena and returns the result
+// item. The caller sized the arena from the field counts of the matching
+// rows. It runs once per match: the items come by pointer, which keeps the
+// call off the copy budget.
+func stitch(memo *shapeMemo, arena []nested.Value, l, r *nested.Value) (nested.Value, error) {
 	if l.Kind() != nested.KindItem || r.Kind() != nested.KindItem {
-		return nil, fmt.Errorf("join: inputs must be data items, got %s and %s", l.Kind(), r.Kind())
+		return nested.Value{}, fmt.Errorf("join: inputs must be data items, got %s and %s", l.Kind(), r.Kind())
 	}
-	lf, rf := l.Fields(), r.Fields()
-	n := len(lf) + len(rf)
-	dst := arena[ai : ai : ai+n]
-	dst = append(dst, lf...)
-	for _, f := range rf {
-		for _, lfd := range lf {
-			if lfd.Name == f.Name {
-				return nil, fmt.Errorf("join: attribute %q exists on both sides; project inputs to disjoint names", f.Name)
-			}
-		}
-		dst = append(dst, f)
+	d := memo.joined(l.Shape(), r.Shape())
+	if d.err != nil {
+		return nested.Value{}, d.err
 	}
-	return dst, nil
+	n := copy(arena, l.FieldValues())
+	n += copy(arena[n:], r.FieldValues())
+	return d.shape.Item(arena[:n:n]...), nil
 }
 
 // joinBucket joins one shuffle bucket, building on the left and probing with
 // the right. Bucket contents arrive in sequence order (the shuffle merge is
 // partition-major), so outputs are ordered by (right seq, left seq) and chain
 // order equals left sequence order by construction.
-func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) ([]pending, error) {
+func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape) ([]pending, error) {
 	t := getKeyTable(len(lrows))
 	defer putKeyTable(t)
 	for i, kr := range lrows {
@@ -113,8 +108,8 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) (
 		totalFields += int(t.fields[g]) + int(t.count[g])*kr.row.Value.NumFields()
 	}
 	out := make([]pending, 0, matches)
-	arena := make([]nested.Field, totalFields) // retained by the output items
-	ai := 0
+	arena := make([]nested.Value, totalFields) // retained by the output items
+	var memo shapeMemo
 	for i := range rrows {
 		g := s.groupOf[i]
 		if g < 0 {
@@ -123,15 +118,15 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) (
 		r := &rrows[i].row
 		for bi := t.head[g]; bi >= 0; bi = t.next[bi] {
 			l := &lrows[bi].row
-			fields, err := stitch(arena, ai, &l.Value, &r.Value)
+			item, err := stitch(&memo, arena, &l.Value, &r.Value)
 			if err != nil {
 				return nil, err
 			}
-			ai += len(fields)
+			arena = arena[item.NumFields():]
 			if matched != nil {
 				matched[bi] = true
 			}
-			out = append(out, pending{value: nested.Item(fields...), in1: l.ID, in2: r.ID})
+			out = append(out, pending{value: item, in1: l.ID, in2: r.ID})
 		}
 	}
 	if leftOuter {
@@ -142,7 +137,7 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) (
 			if matched[bi] {
 				continue
 			}
-			item, err := concatWithNulls(kr.row.Value, rightSchema)
+			item, err := concatWithNulls(&memo, kr.row.Value, rightSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -258,8 +253,8 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 		totalFields += int(t.fields[g]) + int(t.count[g])*rows[i].Value.NumFields()
 	}
 	out := make([]pending, 0, matches)
-	arena := make([]nested.Field, totalFields) // retained by the output items
-	ai := 0
+	arena := make([]nested.Value, totalFields) // retained by the output items
+	var memo shapeMemo
 	for i := range rows {
 		g := s.groupOf[i]
 		if g < 0 {
@@ -270,12 +265,12 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 			if !buildLeft {
 				l, r = r, l
 			}
-			fields, err := stitch(arena, ai, &l.Value, &r.Value)
+			item, err := stitch(&memo, arena, &l.Value, &r.Value)
 			if err != nil {
 				return nil, 0, err
 			}
-			ai += len(fields)
-			out = append(out, pending{value: nested.Item(fields...), in1: l.ID, in2: r.ID})
+			arena = arena[item.NumFields():]
+			out = append(out, pending{value: item, in1: l.ID, in2: r.ID})
 		}
 	}
 	return out, hashed, nil

@@ -17,13 +17,13 @@ import (
 // single arena, so building and probing allocate nothing in steady state
 // (the table and its arrays are pooled).
 //
-// Semantics contract: within one hash value, byte equality coincides exactly
-// with the operators' match disciplines — compareWidened(a,b)==0 for joins,
-// nested.Equal for aggregate grouping. The cases where those predicates are
-// coarser than byte equality (±0.0, NaNs of any payload, int/double widening)
-// all hash differently (Hash feeds on the kind tag and raw Float64bits), so
-// they never meet inside one hash chain. The residual difference is a 64-bit
-// FNV collision between structurally different keys, a non-match either way.
+// Semantics contract: byte equality is the match discipline of both kernels.
+// It is finer than compareWidened(a,b)==0 and nested.Equal in three places:
+// int/double widening, which never meets in one hash chain (Hash feeds on
+// the kind tag), and ±0.0 and NaNs of different payload, which do since Hash
+// follows Equal — there the bytes keep them distinct keys, as they have
+// always been. The residual difference is a 64-bit FNV collision between
+// structurally different keys, a non-match either way.
 //
 // Group indexes are dense and assigned in first-seen row order, and each
 // group's rows are chained through next in insertion (= sequence) order, so

@@ -393,6 +393,7 @@ func (p *Pipeline) String() string {
 type shuffleKey struct {
 	expr     Expr
 	groupBy  []GroupKey
+	shape    *nested.Shape // of the groupBy key items
 	identity bool
 }
 
@@ -401,7 +402,23 @@ func exprShuffleKey(e Expr) shuffleKey { return shuffleKey{expr: e} }
 
 // groupShuffleKey wraps an aggregate's grouping attributes; the key value is
 // the item ⟨Name: value-at-Path, ...⟩ with absent paths as null.
-func groupShuffleKey(gs []GroupKey) shuffleKey { return shuffleKey{groupBy: gs} }
+func groupShuffleKey(gs []GroupKey) shuffleKey {
+	return shuffleKey{groupBy: gs, shape: groupShape(gs, nil)}
+}
+
+// groupShape returns the shape of the items that hold the grouping
+// attributes, then one attribute per aggregation: an aggregate's shuffle keys
+// (no aggregations) and its output rows.
+func groupShape(gs []GroupKey, aggs []AggSpec) *nested.Shape {
+	names := make([]string, 0, len(gs)+len(aggs))
+	for _, g := range gs {
+		names = append(names, g.Name)
+	}
+	for _, spec := range aggs {
+		names = append(names, spec.Out)
+	}
+	return nested.NewShape(names...)
+}
 
 // identityShuffleKey keys every row by its own value (distinct).
 func identityShuffleKey() shuffleKey { return shuffleKey{identity: true} }
@@ -409,9 +426,9 @@ func identityShuffleKey() shuffleKey { return shuffleKey{identity: true} }
 // evalMorsel evaluates the key for every row of a morsel — the one key
 // function behind the shuffle map phase and both sides of the broadcast
 // join. Pure column keys (a column join key, a groupBy list) read straight
-// off the row values; group keys share one flat field array per morsel
-// instead of one allocation per row. Computed keys evaluate row by row and
-// return the first error in row order.
+// off the row values; group keys share one shape and one flat value array
+// per morsel instead of one allocation per row. Computed keys evaluate row
+// by row and return the first error in row order.
 func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
 	keys := make([]nested.Value, len(rows))
 	switch x := k.expr.(type) {
@@ -422,16 +439,16 @@ func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
 			}
 			return keys, nil
 		}
-		// Each row gets a distinct full-capacity subslice because nested.Item
+		// Each row gets a distinct full-capacity subslice because Shape.Item
 		// retains it.
 		width := len(k.groupBy)
-		flat := make([]nested.Field, len(rows)*width)
+		flat := make([]nested.Value, len(rows)*width)
 		for i, r := range rows {
-			fields := flat[i*width : (i+1)*width : (i+1)*width]
+			vals := flat[i*width : (i+1)*width : (i+1)*width]
 			for gi, g := range k.groupBy {
-				fields[gi] = nested.F(g.Name, evalColDirect(g.Path, r.Value))
+				vals[gi] = evalColDirect(g.Path, r.Value)
 			}
-			keys[i] = nested.Item(fields...)
+			keys[i] = k.shape.Item(vals...)
 		}
 	case colExpr:
 		for i, r := range rows {

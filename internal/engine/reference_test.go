@@ -38,6 +38,22 @@ func concatItemsRef(l, r nested.Value) (nested.Value, error) {
 	return nested.Item(fields...), nil
 }
 
+// concatWithNullsRef extends a left item with null values for the right
+// side's top-level attributes, one field list per row.
+func concatWithNullsRef(l nested.Value, rightSchema []string) (nested.Value, error) {
+	if l.Kind() != nested.KindItem {
+		return nested.Value{}, fmt.Errorf("join: inputs must be data items, got %s", l.Kind())
+	}
+	fields := l.Fields()
+	for _, a := range rightSchema {
+		if _, dup := l.Get(a); dup {
+			return nested.Value{}, fmt.Errorf("join: attribute %q exists on both sides; project inputs to disjoint names", a)
+		}
+		fields = append(fields, nested.F(a, nested.Null()))
+	}
+	return nested.Item(fields...), nil
+}
+
 // joinBucketRef builds a hash-chain map on the left, probes with the right
 // in sequence order, and concatenates per match.
 func joinBucketRef(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string) ([]pending, error) {
@@ -72,7 +88,7 @@ func joinBucketRef(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string
 		}
 		sort.Slice(unmatched, func(i, j int) bool { return unmatched[i].seq < unmatched[j].seq })
 		for _, kr := range unmatched {
-			item, err := concatWithNulls(kr.row.Value, rightSchema)
+			item, err := concatWithNullsRef(kr.row.Value, rightSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +402,7 @@ func TestJoinBucketMatchesReference(t *testing.T) {
 					lrows := shuffleOne(t, lvals, 1, exprShuffleKey(lKey), false)
 					rrows := shuffleOne(t, rvals, 100000, exprShuffleKey(rKey), false)
 					schema := []string{sh.rKey, sh.rPayload}
-					got := renderPending(joinBucket(lrows, rrows, sh.leftOuter, schema))
+					got := renderPending(joinBucket(lrows, rrows, sh.leftOuter, nested.NewShape(schema...)))
 					want := renderPending(joinBucketRef(lrows, rrows, sh.leftOuter, schema))
 					if got != want {
 						t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
@@ -425,7 +441,7 @@ func TestJoinBucketNonItemRows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := renderPending(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, []string{"r"}))
+			got := renderPending(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, nested.NewShape("r")))
 			want := renderPending(joinBucketRef(tc.lrows, tc.rrows, tc.leftOuter, []string{"r"}))
 			if got != want {
 				t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", got, want)
@@ -583,7 +599,7 @@ func TestAggBucketMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/n=%d/capture=%v", tc.name, n, capture), func(t *testing.T) {
 					o := &Op{groupBy: tc.groupBy, aggs: tc.aggs}
 					bucket := shuffleOne(t, aggValues(n, tc.badAt), 1, groupShuffleKey(tc.groupBy), true)
-					got := renderPending(aggBucket(o, bucket, capture))
+					got := renderPending(aggBucket(o, groupShape(o.groupBy, o.aggs), bucket, capture))
 					want := renderPending(aggBucketRef(o, bucket, capture))
 					if got != want {
 						t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -166,6 +167,28 @@ func TestFilterKernelNullAndKindShiftColumns(t *testing.T) {
 		Eq(Len(Col("shift")), LitInt(0)),
 	} {
 		t.Run(pred.String(), func(t *testing.T) { checkFilter(t, pred, rows) })
+	}
+}
+
+// TestFilterKernelOrdersNaN: the kernel's typed numeric arms and the row
+// loop order a NaN alike — before every other number and equal to itself —
+// in double columns and in columns that mix ints and doubles.
+func TestFilterKernelOrdersNaN(t *testing.T) {
+	doubles := []float64{math.NaN(), math.Inf(-1), -1.5, 0, 2, math.Inf(1)}
+	values := make([]nested.Value, batchSize+len(doubles))
+	for i := range values {
+		d := nested.Double(doubles[i%len(doubles)])
+		values[i] = nested.Item(nested.F("d", d), nested.F("i", nested.Int(int64(i%3-1))), nested.F("nan", nested.Double(math.NaN())))
+	}
+	rows := asRows(values)
+	for _, pred := range []Expr{
+		Lt(Col("d"), LitDouble(0)), Gt(Col("d"), LitDouble(0)), Eq(Col("d"), Col("nan")), Ne(Col("d"), Col("nan")),
+		Lt(Col("nan"), Col("i")), Eq(Col("i"), Col("nan")), Gt(Col("i"), Col("d")), Lt(Col("d"), LitInt(0)),
+	} {
+		t.Run(pred.String(), func(t *testing.T) { checkFilter(t, pred, rows) })
+	}
+	if out, err := filterMorsel(Lt(Col("d"), LitInt(0)), rows[:len(doubles)]); err != nil || len(out) != 3 {
+		t.Errorf("d < 0 keeps %d of NaN, -Inf, -1.5, 0, 2, +Inf (%v), want 3", len(out), err)
 	}
 }
 

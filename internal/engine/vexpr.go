@@ -118,10 +118,10 @@ func asBoolAt(c *colVec, i int) (bool, bool) {
 
 // cmpVec compares two columns element-wise. The typed arms replicate the
 // scalar kernel exactly: null rows use the null formula of cmpExpr.apply,
-// int/int pairs order by cmpInt64 (compareWidened → nested.Compare), any
-// numeric mix widens to float64 (compareWidened's AsDouble arm, NaN compares
-// equal to everything it is not ordered against), strings and bools order as
-// nested.Compare does. Every other column shape goes through the shared
+// int/int pairs order as integers (compareWidened → nested.Compare), any
+// numeric mix widens to float64 (compareWidened's AsDouble arm; a NaN sorts
+// before every other double), strings and bools order as nested.Compare
+// does. Every other column shape goes through the shared
 // kernel itself.
 func cmpVec(c cmpExpr, l, r *colVec, n int) *colVec {
 	out := make([]bool, n)
@@ -209,12 +209,12 @@ func cmpInt64Ord(a, b int64) int {
 }
 
 // cmpFloat64Ord matches the float arms of compareWidened and nested.Compare:
-// NaN is neither smaller nor greater, so it compares as 0.
+// a NaN sorts before every other double and equal to itself.
 func cmpFloat64Ord(a, b float64) int {
 	switch {
-	case a < b:
+	case a < b, a != a && b == b:
 		return -1
-	case a > b:
+	case a > b, b != b && a == a:
 		return 1
 	}
 	return 0

@@ -466,8 +466,8 @@ func countConstants(v nested.Value) int64 {
 	switch v.Kind() {
 	case nested.KindItem:
 		var n int64
-		for _, f := range v.Fields() {
-			n += countConstants(f.Value)
+		for i := 0; i < v.NumFields(); i++ {
+			n += countConstants(v.FieldValue(i))
 		}
 		return n
 	case nested.KindBag, nested.KindSet:

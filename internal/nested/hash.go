@@ -1,53 +1,57 @@
 package nested
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
+import "math"
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
 )
 
-// Hash returns a 64-bit FNV-1a hash of the value. Equal values hash equally;
-// the hash is used for hash joins, group-by shuffles, and set semantics.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	v.hashInto(h)
-	return h.Sum64()
-}
+// Hash returns a 64-bit FNV-1a hash of the value. Equal values hash equally
+// (-0.0 hashes as 0.0 and every NaN as one NaN, as Equal has them); the hash
+// is used for hash joins, group-by shuffles, and set semantics.
+func (v Value) Hash() uint64 { return v.hash(fnvOffset) }
 
-type hasher interface {
-	Write(p []byte) (n int, err error)
-}
-
-func (v Value) hashInto(h hasher) {
-	var kindBuf [1]byte
-	kindBuf[0] = byte(v.kind)
-	h.Write(kindBuf[:])
-	var buf [8]byte
+// hash folds the value into h: the kind byte, then an int or the bits of a
+// double as eight little-endian bytes, a bool as one byte, the bytes of a
+// string, an item's names and values in turn, a collection's elements.
+func (v *Value) hash(h uint64) uint64 {
+	h = (h ^ uint64(v.kind)) * fnvPrime
 	switch v.kind {
-	case KindInt:
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
-		h.Write(buf[:])
-	case KindDouble:
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		h.Write(buf[:])
+	case KindInt, KindDouble:
+		n := v.num
+		if v.kind == KindDouble {
+			if f := math.Float64frombits(n); f == 0 {
+				n = 0
+			} else if math.IsNaN(f) {
+				n = math.Float64bits(math.NaN())
+			}
+		}
+		for i := 0; i < 8; i++ {
+			h = (h ^ (n & 0xff)) * fnvPrime
+			n >>= 8
+		}
 	case KindString:
-		h.Write([]byte(v.s))
+		h = hashString(h, v.s)
 	case KindBool:
-		if v.b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	case KindItem:
-		for _, f := range v.fields {
-			h.Write([]byte(f.Name))
-			f.Value.hashInto(h)
-		}
-	case KindBag, KindSet:
-		for _, e := range v.elems {
-			e.hashInto(h)
+		h = (h ^ v.num) * fnvPrime
+	case KindItem, KindBag, KindSet:
+		for i := range v.vals {
+			if v.kind == KindItem {
+				h = hashString(h, v.shape.names[i])
+			}
+			h = v.vals[i].hash(h)
 		}
 	}
+	return h
+}
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // SizeBytes estimates the in-memory footprint of the value in bytes. The
@@ -55,18 +59,12 @@ func (v Value) hashInto(h hasher) {
 // same "simulated GB" unit as the workload generators.
 func (v Value) SizeBytes() int {
 	const valueHeader = 64 // approximate struct overhead
-	size := valueHeader
-	switch v.kind {
-	case KindString:
-		size += len(v.s)
-	case KindItem:
-		for _, f := range v.fields {
-			size += len(f.Name) + f.Value.SizeBytes()
+	size := valueHeader + len(v.s)
+	for i := range v.vals {
+		if v.kind == KindItem {
+			size += len(v.shape.names[i])
 		}
-	case KindBag, KindSet:
-		for _, e := range v.elems {
-			size += e.SizeBytes()
-		}
+		size += v.vals[i].SizeBytes()
 	}
 	return size
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -25,7 +26,8 @@ func ParseJSON(data []byte) (Value, error) {
 // ParseJSONLines decodes newline-delimited JSON (one top-level item per
 // line), the format produced by EncodeJSONLines and by cmd/datagen. Lines
 // are trimmed of Unicode white space and blank lines are skipped. One reader
-// parses all lines, so an upload's rows share their attribute name strings.
+// parses all lines, so an upload's rows share their shapes: one Shape per
+// attribute sequence and place in the document, nested items included.
 func ParseJSONLines(data []byte) ([]Value, error) {
 	var r reader
 	var out []Value
@@ -57,16 +59,65 @@ type reader struct {
 	data []byte
 	pos  int
 
-	names  map[string]string // attribute names seen so far, one string each
-	fields []Field           // fields of every item still open, innermost last
-	elems  []Value           // elements of every bag still open, innermost last
-	buf    []byte            // scratch for strings that need unescaping or repair
+	doc  shapeNode             // its inner trie holds the shapes of top-level items
+	kids map[kidKey]*shapeNode // every trie edge the predictions below did not cover
+	vals []Value               // values of every item and bag still open, innermost last
+	buf  []byte                // scratch for strings that need unescaping or repair
+}
+
+// shapeNode is a node of the reader's shape tries. The path from a trie's
+// root to a node spells an attribute sequence; an item that closes at the
+// node gets the node's Shape, built once. Every place an item can stand in
+// has a trie of its own (the document's, and per attribute the one for the
+// items in its value, through any bags), so that what came at a place last
+// predicts what comes there next and the common step is one string compare.
+type shapeNode struct {
+	name  string     // the attribute this node appends to its parent's sequence
+	up    *shapeNode // nil at a trie's root
+	next  *shapeNode // the child taken last
+	inner *shapeNode // root of the trie for items inside this attribute's value
+	shape *Shape
+}
+
+type kidKey struct {
+	of   *shapeNode
+	name string
+}
+
+// child steps from n along the attribute key.
+func (r *reader) child(n *shapeNode, key []byte) *shapeNode {
+	if c := n.next; c != nil && c.name == string(key) {
+		return c
+	}
+	c, ok := r.kids[kidKey{n, string(key)}]
+	if !ok {
+		if r.kids == nil {
+			r.kids = make(map[kidKey]*shapeNode)
+		}
+		c = &shapeNode{name: string(key), up: n}
+		r.kids[kidKey{n, c.name}] = c
+	}
+	n.next = c
+	return c
+}
+
+// sealed returns the shape of the items that close at n.
+func (n *shapeNode) sealed() *Shape {
+	if n.shape == nil {
+		var names []string
+		for c := n; c.up != nil; c = c.up {
+			names = append(names, c.name)
+		}
+		slices.Reverse(names)
+		n.shape = NewShape(names...)
+	}
+	return n.shape
 }
 
 // document parses data as exactly one JSON value.
 func (r *reader) document(data []byte) (Value, error) {
-	r.data, r.pos = data, 0 // the stacks are empty again after every document that parsed
-	v, err := r.value(0)
+	r.data, r.pos = data, 0 // the stack is empty again after every document that parsed
+	v, err := r.value(0, &r.doc)
 	if err != nil {
 		return Value{}, err
 	}
@@ -98,8 +149,9 @@ func (r *reader) next() byte {
 	return 0
 }
 
-// value parses the value that comes next, depth arrays and objects deep.
-func (r *reader) value(depth int) (Value, error) {
+// value parses the value that comes next, depth arrays and objects deep, in
+// the document or the attribute in.
+func (r *reader) value(depth int, in *shapeNode) (Value, error) {
 	switch c := r.next(); {
 	case c == '{' || c == '[':
 		if depth == maxDepth {
@@ -107,9 +159,9 @@ func (r *reader) value(depth int) (Value, error) {
 		}
 		r.pos++
 		if c == '{' {
-			return r.item(depth + 1)
+			return r.item(depth+1, in)
 		}
-		return r.bag(depth + 1)
+		return r.bag(depth+1, in)
 	case c == '"':
 		s, err := r.str()
 		return StringVal(string(s)), err
@@ -133,22 +185,26 @@ func (r *reader) literal(word string, v Value) (Value, error) {
 	return Value{}, r.syntax(r.pos, "in literal "+word)
 }
 
-// sealed leaves an array or object at its closing byte: it cuts the entries
-// above mark off a scratch stack into a slice of exactly their number.
-func sealed[T any](r *reader, stack *[]T, mark int) []T {
+// sealed leaves an array or object at its closing byte: it cuts the values
+// above mark off the scratch stack into a slice of exactly their number.
+func (r *reader) sealed(mark int) []Value {
 	r.pos++
-	top := (*stack)[mark:]
-	*stack = (*stack)[:mark]
+	top := r.vals[mark:]
+	r.vals = r.vals[:mark]
 	if len(top) == 0 {
 		return nil
 	}
-	return append(make([]T, 0, len(top)), top...)
+	return append(make([]Value, 0, len(top)), top...)
 }
 
-// item parses an object from behind its opening brace. Its fields collect
-// on the shared stack, above those of the enclosing items, until it closes.
-func (r *reader) item(depth int) (Value, error) {
-	mark := len(r.fields)
+// item parses an object from behind its opening brace. Its values collect
+// on the shared stack, above those of the enclosing items and bags, until it
+// closes; its attribute names walk the trie of the place it stands in.
+func (r *reader) item(depth int, in *shapeNode) (Value, error) {
+	if in.inner == nil {
+		in.inner = new(shapeNode)
+	}
+	mark, at := len(r.vals), in.inner
 	for more := r.next() != '}'; more; {
 		if r.next() != '"' {
 			return Value{}, r.syntax(r.pos, "looking for beginning of object key string")
@@ -157,16 +213,16 @@ func (r *reader) item(depth int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		name := r.intern(key)
+		at = r.child(at, key)
 		if r.next() != ':' {
 			return Value{}, r.syntax(r.pos, "after object key")
 		}
 		r.pos++
-		v, err := r.value(depth)
+		v, err := r.value(depth, at)
 		if err != nil {
 			return Value{}, err
 		}
-		r.fields = append(r.fields, Field{Name: name, Value: v})
+		r.vals = append(r.vals, v)
 		switch r.next() {
 		case ',':
 			r.pos++
@@ -176,18 +232,18 @@ func (r *reader) item(depth int) (Value, error) {
 			return Value{}, r.syntax(r.pos, "after object key:value pair")
 		}
 	}
-	return Item(sealed(r, &r.fields, mark)...), nil
+	return at.sealed().Item(r.sealed(mark)...), nil
 }
 
 // bag parses an array the way item parses an object.
-func (r *reader) bag(depth int) (Value, error) {
-	mark := len(r.elems)
+func (r *reader) bag(depth int, in *shapeNode) (Value, error) {
+	mark := len(r.vals)
 	for more := r.next() != ']'; more; {
-		v, err := r.value(depth)
+		v, err := r.value(depth, in)
 		if err != nil {
 			return Value{}, err
 		}
-		r.elems = append(r.elems, v)
+		r.vals = append(r.vals, v)
 		switch r.next() {
 		case ',':
 			r.pos++
@@ -197,21 +253,7 @@ func (r *reader) bag(depth int) (Value, error) {
 			return Value{}, r.syntax(r.pos, "after array element")
 		}
 	}
-	return Bag(sealed(r, &r.elems, mark)...), nil
-}
-
-// intern returns name as a string, the same one for every occurrence the
-// reader sees: an upload's rows repeat a handful of attribute names.
-func (r *reader) intern(name []byte) string {
-	if s, ok := r.names[string(name)]; ok {
-		return s
-	}
-	if r.names == nil {
-		r.names = make(map[string]string)
-	}
-	s := string(name)
-	r.names[s] = s
-	return s
+	return Bag(r.sealed(mark)...), nil
 }
 
 // number parses a number and classifies it on the way: no fraction, no
@@ -343,18 +385,21 @@ func (v Value) MarshalJSON() ([]byte, error) {
 // for depth jsonenc.Compact, and for depth >= 0 those bytes as
 // json.Indent(_, "", "  ") lays them out for a value nested depth levels
 // deep (the first line is not indented; the caller has placed it).
-func (v Value) AppendJSON(dst []byte, depth int) ([]byte, error) {
+func (v Value) AppendJSON(dst []byte, depth int) ([]byte, error) { return v.appendJSON(dst, depth) }
+
+func (v *Value) appendJSON(dst []byte, depth int) ([]byte, error) {
 	switch v.kind {
 	case KindNull, KindInvalid:
 		dst = append(dst, "null"...)
 	case KindInt:
-		dst = strconv.AppendInt(dst, v.i, 10)
+		dst = strconv.AppendInt(dst, int64(v.num), 10)
 	case KindDouble:
-		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
-			return dst, fmt.Errorf("nested: cannot encode non-finite double %g", v.f)
+		f := math.Float64frombits(v.num)
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return dst, fmt.Errorf("nested: cannot encode non-finite double %g", f)
 		}
 		n := len(dst)
-		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 		// Keep integral doubles recognisable as doubles across a round trip.
 		if !bytes.ContainsAny(dst[n:], ".eE") {
 			dst = append(dst, ".0"...)
@@ -362,13 +407,13 @@ func (v Value) AppendJSON(dst []byte, depth int) ([]byte, error) {
 	case KindString:
 		dst = jsonenc.String(dst, v.s)
 	case KindBool:
-		dst = strconv.AppendBool(dst, v.b)
+		dst = strconv.AppendBool(dst, v.num != 0)
 	case KindItem:
 		in := jsonenc.Inner(depth)
 		dst = append(dst, '{')
-		for _, f := range v.fields {
+		for i := range v.vals {
 			var err error
-			if dst, err = f.Value.AppendJSON(jsonenc.Key(dst, in, f.Name), in); err != nil {
+			if dst, err = v.vals[i].appendJSON(jsonenc.Key(dst, in, v.shape.names[i]), in); err != nil {
 				return dst, err
 			}
 		}
@@ -376,9 +421,9 @@ func (v Value) AppendJSON(dst []byte, depth int) ([]byte, error) {
 	case KindBag, KindSet:
 		in := jsonenc.Inner(depth)
 		dst = append(dst, '[')
-		for _, e := range v.elems {
+		for i := range v.vals {
 			var err error
-			if dst, err = e.AppendJSON(jsonenc.Sep(dst, in), in); err != nil {
+			if dst, err = v.vals[i].appendJSON(jsonenc.Sep(dst, in), in); err != nil {
 				return dst, err
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,9 +23,9 @@ func refEncodeJSON(v Value, buf *bytes.Buffer) {
 	case KindNull, KindInvalid:
 		buf.WriteString("null")
 	case KindInt:
-		buf.WriteString(strconv.FormatInt(v.i, 10))
+		buf.WriteString(strconv.FormatInt(int64(v.num), 10))
 	case KindDouble:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
@@ -33,10 +34,10 @@ func refEncodeJSON(v Value, buf *bytes.Buffer) {
 		b, _ := json.Marshal(v.s)
 		buf.Write(b)
 	case KindBool:
-		buf.WriteString(strconv.FormatBool(v.b))
+		buf.WriteString(strconv.FormatBool(v.num != 0))
 	case KindItem:
 		buf.WriteByte('{')
-		for i, f := range v.fields {
+		for i, f := range v.Fields() {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
@@ -48,7 +49,7 @@ func refEncodeJSON(v Value, buf *bytes.Buffer) {
 		buf.WriteByte('}')
 	case KindBag, KindSet:
 		buf.WriteByte('[')
-		for i, e := range v.elems {
+		for i, e := range v.Elems() {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
@@ -224,20 +225,18 @@ func agree(t *testing.T, doc []byte) (Value, error) {
 
 // sameShape is stricter than Equal where Equal is lenient: kinds must match
 // exactly (Equal lets an int equal a double), doubles bit for bit (-0, 0),
-// attribute order and nil-ness of empty items and bags included.
+// attribute order and nil-ness of empty items and bags included; only items
+// have a shape.
 func sameShape(a, b Value) bool {
-	if a.kind != b.kind || a.i != b.i || math.Float64bits(a.f) != math.Float64bits(b.f) || a.s != b.s || a.b != b.b ||
-		len(a.fields) != len(b.fields) || len(a.elems) != len(b.elems) ||
-		(a.fields == nil) != (b.fields == nil) || (a.elems == nil) != (b.elems == nil) {
+	if a.kind != b.kind || a.num != b.num || a.s != b.s || len(a.vals) != len(b.vals) || (a.vals == nil) != (b.vals == nil) ||
+		(a.shape == nil) != (b.shape == nil) || (a.shape == nil) != (a.kind != KindItem) {
 		return false
 	}
-	for i := range a.fields {
-		if a.fields[i].Name != b.fields[i].Name || !sameShape(a.fields[i].Value, b.fields[i].Value) {
-			return false
-		}
+	if a.shape != nil && (a.shape.Len() != len(a.vals) || !slices.Equal(a.shape.names, b.shape.names)) {
+		return false
 	}
-	for i := range a.elems {
-		if !sameShape(a.elems[i], b.elems[i]) {
+	for i := range a.vals {
+		if !sameShape(a.vals[i], b.vals[i]) {
 			return false
 		}
 	}

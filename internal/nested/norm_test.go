@@ -69,37 +69,31 @@ func TestNormEqualValuesEncodeEqually(t *testing.T) {
 	}
 }
 
-// TestNormHashConsistency pins the partitioning argument: whenever two values
-// hash equally because their hash streams are identical (the non-collision
-// case), bytes-equal must coincide with Equal — and for the coarser Equal
-// cases (±0.0, distinct NaN payloads) the hashes differ, keeping the values
-// in different chains under both the byte and the Equal discipline.
+// TestNormHashConsistency pins the partitioning argument: Hash follows Equal
+// (equal values hash equally, ±0.0 and distinct NaN payloads included), so
+// such values share a shuffle bucket and a hash chain, and the bytes, which
+// stay bitwise, keep them distinct keys there.
 func TestNormHashConsistency(t *testing.T) {
 	negZero := Double(math.Copysign(0, -1))
-	if !Equal(Double(0), negZero) {
-		t.Fatal("Equal must treat ±0.0 as equal")
-	}
-	if Double(0).Hash() == negZero.Hash() {
-		t.Fatal("±0.0 must hash differently (Float64bits)")
-	}
-	if bytes.Equal(Double(0).AppendNorm(nil), negZero.AppendNorm(nil)) {
-		t.Fatal("±0.0 must encode differently (Float64bits)")
-	}
-	// Two NaNs with different payloads: Equal, but never in one hash chain.
 	nan1 := Double(math.Float64frombits(0x7ff8000000000001))
-	nan2 := Double(math.Float64frombits(0x7ff8000000000002))
-	if !Equal(nan1, nan2) {
-		t.Fatal("Equal must treat NaNs as equal")
+	nan2 := Double(math.Float64frombits(0xfff8000000000002))
+	for _, p := range [][2]Value{
+		{Double(0), negZero},
+		{nan1, nan2},
+		{Item(F("a", Bag(negZero, nan1))), Item(F("a", Bag(Double(0), nan2)))},
+	} {
+		if !Equal(p[0], p[1]) {
+			t.Fatalf("Equal(%s, %s) = false", p[0], p[1])
+		}
+		if p[0].Hash() != p[1].Hash() {
+			t.Errorf("%s and %s are Equal and hash differently", p[0], p[1])
+		}
+		if bytes.Equal(p[0].AppendNorm(nil), p[1].AppendNorm(nil)) {
+			t.Errorf("%s and %s must encode differently (Float64bits)", p[0], p[1])
+		}
 	}
-	if nan1.Hash() == nan2.Hash() {
-		t.Fatal("distinct NaN payloads must hash differently")
-	}
-	if bytes.Equal(nan1.AppendNorm(nil), nan2.AppendNorm(nil)) {
-		t.Fatal("distinct NaN payloads must encode differently")
-	}
-	// Same-bits NaN: one chain, and byte-equal there.
-	if nan1.Hash() != Double(math.Float64frombits(0x7ff8000000000001)).Hash() {
-		t.Fatal("same NaN bits must hash equally")
+	if Double(0).Hash() == Int(0).Hash() || nan1.Hash() == Double(1).Hash() {
+		t.Error("canonical forms collide with their neighbours")
 	}
 }
 

@@ -1,0 +1,200 @@
+package nested
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// TestValueLayout pins the size the value model is built around: at 64 bytes
+// a Value moves as inline loads and stores; one word more and every copy is
+// a runtime call.
+func TestValueLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size > 64 {
+		t.Errorf("Value is %d bytes, want at most 64", size)
+	}
+}
+
+// TestShapeSharing: the rows of one ParseJSONLines call with the same
+// attribute sequence point to one Shape, nested items included; shapes that
+// differ only in attribute order are distinct and not Equal.
+func TestShapeSharing(t *testing.T) {
+	src := strings.Repeat(`{"id":1,"user":{"id_str":"a","name":"b"},"tags":[{"text":"x"},{"text":"y"}]}`+"\n", 50) +
+		`{"user":{"name":"b","id_str":"a"},"id":1,"tags":[]}` + "\n" + `{"id":2}` + "\n"
+	rows, err := ParseJSONLines([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := func(v Value) Value { u, _ := v.Get("user"); return u }
+	first := rows[0]
+	for i, row := range rows[:50] {
+		if row.Shape() != first.Shape() || user(row).Shape() != user(first).Shape() {
+			t.Fatalf("row %d does not share the shapes of row 0", i)
+		}
+		tags, _ := row.Get("tags")
+		for _, tag := range tags.Elems() {
+			if first, _ := tags.At(0); tag.Shape() != first.Shape() {
+				t.Fatalf("row %d: tag items do not share a shape", i)
+			}
+		}
+	}
+	swapped := rows[50]
+	if swapped.Shape() == first.Shape() || swapped.Shape().Equal(first.Shape()) || user(swapped).Shape().Equal(user(first).Shape()) {
+		t.Error("shapes that differ in attribute order must be distinct and unequal")
+	}
+	if Equal(user(swapped), user(first)) || Equal(Item(F("a", Int(1)), F("b", Int(2))), Item(F("b", Int(2)), F("a", Int(1)))) {
+		t.Error("items that differ in attribute order must not be Equal")
+	}
+	if rows[51].Shape() == first.Shape() || rows[51].NumFields() != 1 {
+		t.Errorf("a prefix of a shape is another shape: %s", rows[51])
+	}
+	if !NewShape("a", "b").Equal(NewShape("a", "b")) || NewShape("a").Equal(NewShape("a", "b")) || !NewShape().Equal(Item().Shape()) {
+		t.Error("Shape.Equal is not 'same names in the same order'")
+	}
+	if Int(1).Shape() != nil || Bag(Item()).Shape() != nil {
+		t.Error("only items have a shape")
+	}
+}
+
+// TestShapeAliasing: no accessor hands out memory a caller could change a
+// value through, and deriving an item from one row leaves its siblings be.
+func TestShapeAliasing(t *testing.T) {
+	shape := NewShape("a", "b")
+	rows := []Value{shape.Item(Int(1), Int(2)), shape.Item(Int(3), Int(4))}
+	want := []string{rows[0].String(), rows[1].String()}
+
+	fields := rows[0].Fields()
+	fields[0] = F("zz", Int(99))
+	_ = append(fields, F("intruder", Int(1)))
+	names := rows[0].AttrNames()
+	names[0] = "zz"
+	shapeNames := shape.Names()
+	shapeNames[1] = "zz"
+	in := []string{"p", "q"}
+	fromCaller := NewShape(in...)
+	in[0] = "zz"
+	if fromCaller.Names()[0] != "p" {
+		t.Error("NewShape kept the caller's slice")
+	}
+
+	added := rows[0].WithField("c", Int(5))
+	replaced := rows[0].WithField("a", Int(7))
+	removed := rows[0].WithoutField("a")
+	if added.String() != "{a: 1, b: 2, c: 5}" || replaced.String() != "{a: 7, b: 2}" || removed.String() != "{b: 2}" {
+		t.Errorf("derived items: %s, %s, %s", added, replaced, removed)
+	}
+	if replaced.Shape() != shape {
+		t.Error("replacing a value must keep the item's shape")
+	}
+	if added.Shape() == shape || shape.Len() != 2 || rows[1].Shape() != shape {
+		t.Error("adding an attribute must not touch the shape its siblings share")
+	}
+	for i, row := range rows {
+		if row.String() != want[i] {
+			t.Errorf("row %d changed: %s, want %s", i, row, want[i])
+		}
+	}
+	if got := Int(1).WithField("a", Int(2)).String(); got != "{a: 2}" {
+		t.Errorf("WithField on a constant: %s", got)
+	}
+}
+
+// refSet is the quadratic body Set had, kept as the reference for its
+// contract: first occurrence kept, element order kept.
+func refSet(elems ...Value) Value {
+	out := make([]Value, 0, len(elems))
+	for _, e := range elems {
+		dup := false
+		for _, o := range out {
+			if Equal(o, e) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, e)
+		}
+	}
+	return Value{kind: KindSet, vals: out}
+}
+
+func TestSetMatchesQuadraticReference(t *testing.T) {
+	negZero, nan2 := Double(math.Copysign(0, -1)), Double(math.Float64frombits(0xfff8000000000002))
+	distinct := func(i int) Value {
+		switch i % 4 {
+		case 0:
+			return Int(int64(i))
+		case 1:
+			return StringVal(fmt.Sprint("s", i))
+		case 2:
+			return Item(F("k", Int(int64(i))), F("tags", Bag(StringVal("x"), Int(int64(i%7)))))
+		}
+		return Bag(Bag(Int(int64(i))), Bag())
+	}
+	for _, n := range []int{0, 1, 2, 17, 1000} {
+		base := make([]Value, n)
+		for i := range base {
+			base[i] = distinct(i)
+		}
+		cases := map[string][]Value{"distinct": base}
+		if n > 0 {
+			cases["duplicates first"] = append([]Value{base[n-1], base[n-1], base[0]}, base...)
+			cases["duplicates last"] = append(append([]Value{}, base...), base[0], base[n/2], base[n-1])
+			all := make([]Value, n)
+			for i := range all {
+				all[i] = base[0]
+			}
+			cases["duplicates all"] = all
+			cases["zeros and NaNs"] = append(append([]Value{negZero, Double(math.NaN())}, base...), Double(0), nan2, Int(0), negZero)
+		}
+		for name, elems := range cases {
+			got, want := Set(elems...), refSet(elems...)
+			if !sameShape(got, want) {
+				t.Errorf("n=%d, %s: Set has %d elements, reference %d", n, name, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestCompareIsTotalOnDoubles: NaN sorts before every other double and equal
+// to itself, so sorting is input-order independent, and Compare is 0 exactly
+// where Equal holds for constants of one kind.
+func TestCompareIsTotalOnDoubles(t *testing.T) {
+	doubles := []Value{
+		Double(math.NaN()), Double(math.Float64frombits(0xfff8000000000002)), Double(math.Inf(-1)),
+		Double(math.Copysign(0, -1)), Double(0), Double(1), Double(math.Inf(1)),
+	}
+	rank := []int{0, 0, 1, 2, 2, 3, 4} // position in the order; equal ranks compare 0
+	for i, a := range doubles {
+		for j, b := range doubles {
+			want := cmp.Compare(rank[i], rank[j])
+			if got := Compare(a, b); got != want {
+				t.Errorf("Compare(%s, %s) = %d, want %d", a, b, got, want)
+			}
+			if Compare(a, b) != -Compare(b, a) {
+				t.Errorf("Compare(%s, %s) is not antisymmetric", a, b)
+			}
+			for _, c := range doubles {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("Compare is not transitive over %s, %s, %s", a, b, c)
+				}
+			}
+		}
+	}
+	constants := append([]Value{Int(-1), Int(0), Int(7), StringVal(""), StringVal("a"), StringVal("b"), Bool(false), Bool(true)}, doubles...)
+	for _, a := range constants {
+		for _, b := range constants {
+			if a.Kind() == b.Kind() && (Compare(a, b) == 0) != Equal(a, b) {
+				t.Errorf("Compare(%s, %s) = %d, Equal = %v", a, b, Compare(a, b), Equal(a, b))
+			}
+		}
+	}
+	sorted := Bag(Double(1), Double(math.NaN()), Double(-1)).SortElems()
+	flipped := Bag(Double(-1), Double(math.NaN()), Double(1)).SortElems()
+	if sorted.String() != "[NaN, -1, 1]" || flipped.String() != sorted.String() {
+		t.Errorf("sorting over a NaN depends on the input order: %s, %s", sorted, flipped)
+	}
+}

@@ -29,15 +29,15 @@ type FieldType struct {
 func TypeOf(v Value) Type {
 	switch v.kind {
 	case KindItem:
-		fields := make([]FieldType, len(v.fields))
-		for i, f := range v.fields {
-			fields[i] = FieldType{Name: f.Name, Type: TypeOf(f.Value)}
+		fields := make([]FieldType, len(v.vals))
+		for i := range v.vals {
+			fields[i] = FieldType{Name: v.shape.names[i], Type: TypeOf(v.vals[i])}
 		}
 		return Type{Kind: KindItem, Fields: fields}
 	case KindBag, KindSet:
 		t := Type{Kind: v.kind}
-		if len(v.elems) > 0 {
-			elem := TypeOf(v.elems[0])
+		if len(v.vals) > 0 {
+			elem := TypeOf(v.vals[0])
 			t.Elem = &elem
 		}
 		return t
@@ -131,17 +131,17 @@ func Compatible(a, b Type) bool {
 func CheckHomogeneous(v Value) error {
 	switch v.kind {
 	case KindItem:
-		for _, f := range v.fields {
-			if err := CheckHomogeneous(f.Value); err != nil {
-				return fmt.Errorf("attribute %s: %w", f.Name, err)
+		for i := range v.vals {
+			if err := CheckHomogeneous(v.vals[i]); err != nil {
+				return fmt.Errorf("attribute %s: %w", v.shape.names[i], err)
 			}
 		}
 	case KindBag, KindSet:
-		if len(v.elems) == 0 {
+		if len(v.vals) == 0 {
 			return nil
 		}
-		first := TypeOf(v.elems[0])
-		for i, e := range v.elems {
+		first := TypeOf(v.vals[0])
+		for i, e := range v.vals {
 			if !Compatible(first, TypeOf(e)) {
 				return fmt.Errorf("nested: heterogeneous collection: element %d has type %s, want %s",
 					i, TypeOf(e), first)

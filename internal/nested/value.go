@@ -11,8 +11,10 @@
 package nested
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,44 +75,105 @@ func (k Kind) IsConstant() bool {
 // IsCollection reports whether the kind is a bag or a set.
 func (k Kind) IsCollection() bool { return k == KindBag || k == KindSet }
 
-// Field is one attribute/value pair of a data item. Attribute names are
-// unique within an item and the field order is significant (Def. 4.1).
+// Field is one attribute/value pair of a data item: the argument type of the
+// convenience constructors Item and NewItem and the element type of Fields.
+// Items do not store fields; they store a Shape and one value per attribute.
 type Field struct {
 	Name  string
 	Value Value
 }
 
+// Shape is the ordered attribute-name table of a data item. Attribute names
+// are unique within an item and their order is significant (Def. 4.1), so two
+// shapes are equal when they list the same names in the same order. A shape
+// is immutable and shared: every producer (the JSON reader, the generators,
+// each engine operator) computes the shape of its items once and hands the
+// same pointer to all of them. Pointer equality is only ever a fast path;
+// shapes live as long as the values that point to them and no longer.
+type Shape struct{ names []string }
+
+// noAttrs is the shape of the item without attributes.
+var noAttrs = &Shape{names: []string{}}
+
+// NewShape returns the shape with the given attribute names, in order.
+// Duplicate names are not checked, as in Item.
+func NewShape(names ...string) *Shape {
+	if len(names) == 0 {
+		return noAttrs
+	}
+	return &Shape{names: slices.Clone(names)}
+}
+
+// Len returns the number of attributes.
+func (s *Shape) Len() int { return len(s.names) }
+
+// Names returns a copy of the attribute names, in order.
+func (s *Shape) Names() []string { return slices.Clone(s.names) }
+
+// Index returns the position of the named attribute, or -1.
+func (s *Shape) Index(name string) int { return slices.Index(s.names, name) }
+
+// Equal reports whether both shapes list the same names in the same order.
+func (s *Shape) Equal(o *Shape) bool { return s == o || slices.Equal(s.names, o.names) }
+
+// Item returns the data item of this shape with vals as its attribute
+// values, one per name. The item keeps vals; the caller must not modify it
+// afterwards.
+func (s *Shape) Item(vals ...Value) Value {
+	if len(vals) != len(s.names) {
+		panic(fmt.Sprintf("nested: %d values for a shape of %d attributes", len(vals), len(s.names)))
+	}
+	return Value{kind: KindItem, shape: s, vals: vals}
+}
+
 // Value is one nested value: a constant, a data item, a bag, or a set.
 // The zero Value has KindInvalid; use Null() for an explicit null.
+//
+// num holds an int, the bits of a double, or a bool; vals holds the
+// attribute values of an item (named by shape, which only items have) or the
+// elements of a collection. 64 bytes, so a Value moves as four 16-byte loads
+// and stores rather than through a copy loop.
 type Value struct {
-	kind   Kind
-	i      int64
-	f      float64
-	s      string
-	b      bool
-	fields []Field
-	elems  []Value
+	kind  Kind
+	num   uint64
+	s     string
+	shape *Shape
+	vals  []Value
 }
 
 // Null returns the null value.
 func Null() Value { return Value{kind: KindNull} }
 
 // Int returns an integer constant.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
 
 // Double returns a floating-point constant.
-func Double(v float64) Value { return Value{kind: KindDouble, f: v} }
+func Double(v float64) Value { return Value{kind: KindDouble, num: math.Float64bits(v)} }
 
 // String returns a string constant.
 func StringVal(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean constant.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Item returns a data item with the given fields, in order. Duplicate
 // attribute names are not checked here; use NewItem for checked construction.
+// It builds a shape of its own: code that makes many items of one schema
+// builds the Shape once and calls its Item method.
 func Item(fields ...Field) Value {
-	return Value{kind: KindItem, fields: fields}
+	if len(fields) == 0 {
+		return noAttrs.Item()
+	}
+	names, vals := make([]string, len(fields)), make([]Value, len(fields))
+	for i := range fields {
+		names[i], vals[i] = fields[i].Name, fields[i].Value
+	}
+	return (&Shape{names: names}).Item(vals...)
 }
 
 // NewItem returns a data item and verifies that attribute names are unique.
@@ -130,26 +193,50 @@ func F(name string, v Value) Field { return Field{Name: name, Value: v} }
 
 // Bag returns an ordered collection that may contain duplicates.
 func Bag(elems ...Value) Value {
-	return Value{kind: KindBag, elems: elems}
+	return Value{kind: KindBag, vals: elems}
 }
+
+// smallSet is the element count up to which Set compares every pair; above
+// it a hash table finds the candidates.
+const smallSet = 8
 
 // Set returns an ordered collection without duplicates. Duplicates in elems
 // are dropped, keeping the first occurrence.
 func Set(elems ...Value) Value {
 	out := make([]Value, 0, len(elems))
-	for _, e := range elems {
-		dup := false
-		for _, o := range out {
-			if Equal(o, e) {
-				dup = true
-				break
+	if len(elems) <= smallSet {
+		for i := range elems {
+			if !contains(out, &elems[i]) {
+				out = append(out, elems[i])
 			}
 		}
-		if !dup {
-			out = append(out, e)
+		return Value{kind: KindSet, vals: out}
+	}
+	newest := make(map[uint64]int32, len(elems)) // hash → 1 + position in out of the newest element with it
+	older := make([]int32, 0, len(elems))        // per element of out: the one before it with the same hash, likewise
+	for i := range elems {
+		h := elems[i].hash(fnvOffset)
+		j := newest[h]
+		for j > 0 && !equal(&out[j-1], &elems[i]) {
+			j = older[j-1]
+		}
+		if j == 0 {
+			older = append(older, newest[h])
+			out = append(out, elems[i])
+			newest[h] = int32(len(out))
 		}
 	}
-	return Value{kind: KindSet, elems: out}
+	return Value{kind: KindSet, vals: out}
+}
+
+// contains reports whether one of vals equals e.
+func contains(vals []Value, e *Value) bool {
+	for i := range vals {
+		if equal(&vals[i], e) {
+			return true
+		}
+	}
+	return false
 }
 
 // Kind returns the kind of the value.
@@ -159,15 +246,15 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull || v.kind == KindInvalid }
 
 // AsInt returns the integer constant and whether the value is an int.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return int64(v.num), v.kind == KindInt }
 
 // AsDouble returns the numeric value as float64 for int and double kinds.
 func (v Value) AsDouble() (float64, bool) {
 	switch v.kind {
 	case KindDouble:
-		return v.f, true
+		return math.Float64frombits(v.num), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.num)), true
 	}
 	return 0, false
 }
@@ -176,217 +263,197 @@ func (v Value) AsDouble() (float64, bool) {
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
 // AsBool returns the boolean constant and whether the value is a bool.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
+
+// Shape returns the attribute-name table of an item, or nil otherwise.
+func (v Value) Shape() *Shape { return v.shape }
 
 // NumFields returns the number of attributes of an item, or 0 otherwise.
-func (v Value) NumFields() int { return len(v.fields) }
+func (v Value) NumFields() int { return len(v.FieldValues()) }
 
-// FieldAt returns the i-th field of an item.
-func (v Value) FieldAt(i int) Field { return v.fields[i] }
+// FieldName returns the name of the i-th attribute of an item.
+func (v Value) FieldName(i int) string { return v.shape.names[i] }
 
-// Fields returns the item's fields. The returned slice must not be modified.
-func (v Value) Fields() []Field { return v.fields }
+// FieldValue returns the value of the i-th attribute of an item.
+func (v Value) FieldValue(i int) Value { return v.vals[i] }
+
+// FieldValues returns the attribute values of an item, in the order of its
+// shape, or nil for any other kind. The returned slice must not be modified.
+func (v Value) FieldValues() []Value {
+	if v.kind != KindItem {
+		return nil
+	}
+	return v.vals
+}
+
+// Fields returns the item's attributes as name/value pairs. It allocates the
+// slice on every call; loops over rows use NumFields, FieldName and
+// FieldValue.
+func (v Value) Fields() []Field {
+	fields := make([]Field, v.NumFields())
+	for i := range fields {
+		fields[i] = Field{Name: v.shape.names[i], Value: v.vals[i]}
+	}
+	return fields
+}
 
 // Get returns the value of the named attribute of an item.
 func (v Value) Get(name string) (Value, bool) {
-	for _, f := range v.fields {
-		if f.Name == name {
-			return f.Value, true
+	if v.kind == KindItem {
+		if i := v.shape.Index(name); i >= 0 {
+			return v.vals[i], true
 		}
 	}
 	return Value{}, false
 }
 
-// AttrNames returns the attribute names of an item, in order.
+// AttrNames returns a copy of the attribute names of an item, in order.
 func (v Value) AttrNames() []string {
-	names := make([]string, len(v.fields))
-	for i, f := range v.fields {
-		names[i] = f.Name
+	if v.kind != KindItem {
+		return []string{}
 	}
-	return names
+	return v.shape.Names()
 }
 
 // Len returns the number of elements of a bag or set, or 0 otherwise.
-func (v Value) Len() int { return len(v.elems) }
+func (v Value) Len() int { return len(v.Elems()) }
 
 // At returns the element at position i (0-based) of a bag or set.
 func (v Value) At(i int) (Value, bool) {
-	if !v.kind.IsCollection() || i < 0 || i >= len(v.elems) {
-		return Value{}, false
+	if elems := v.Elems(); i >= 0 && i < len(elems) {
+		return elems[i], true
 	}
-	return v.elems[i], true
+	return Value{}, false
 }
 
-// Elems returns the collection's elements. The returned slice must not be
-// modified.
-func (v Value) Elems() []Value { return v.elems }
+// Elems returns the collection's elements, or nil for any other kind. The
+// returned slice must not be modified.
+func (v Value) Elems() []Value {
+	if !v.kind.IsCollection() {
+		return nil
+	}
+	return v.vals
+}
 
 // WithField returns a copy of the item with the named attribute set to val,
-// appending the attribute if absent.
+// appending the attribute if absent. Replacing keeps the item's shape.
 func (v Value) WithField(name string, val Value) Value {
-	fields := make([]Field, 0, len(v.fields)+1)
-	replaced := false
-	for _, f := range v.fields {
-		if f.Name == name {
-			fields = append(fields, Field{Name: name, Value: val})
-			replaced = true
-		} else {
-			fields = append(fields, f)
-		}
+	if v.kind != KindItem {
+		v = noAttrs.Item()
 	}
-	if !replaced {
-		fields = append(fields, Field{Name: name, Value: val})
+	shape, i := v.shape, v.shape.Index(name)
+	if i < 0 {
+		i = len(v.vals)
+		shape = &Shape{names: append(shape.Names(), name)}
 	}
-	return Item(fields...)
+	vals := make([]Value, shape.Len())
+	copy(vals, v.vals)
+	vals[i] = val
+	return shape.Item(vals...)
 }
 
 // WithoutField returns a copy of the item with the named attribute removed.
 func (v Value) WithoutField(name string) Value {
-	fields := make([]Field, 0, len(v.fields))
-	for _, f := range v.fields {
-		if f.Name != name {
-			fields = append(fields, f)
-		}
-	}
-	return Item(fields...)
+	return Item(slices.DeleteFunc(v.Fields(), func(f Field) bool { return f.Name == name })...)
 }
 
 // Append returns a copy of the collection with e appended. For sets the
 // element is dropped when already present.
 func (v Value) Append(e Value) Value {
-	if v.kind == KindSet {
-		for _, o := range v.elems {
-			if Equal(o, e) {
-				return v
-			}
-		}
-	}
-	elems := make([]Value, len(v.elems), len(v.elems)+1)
-	copy(elems, v.elems)
-	return Value{kind: v.kind, elems: append(elems, e)}
-}
-
-// Clone returns a deep copy of the value.
-func (v Value) Clone() Value {
-	switch v.kind {
-	case KindItem:
-		fields := make([]Field, len(v.fields))
-		for i, f := range v.fields {
-			fields[i] = Field{Name: f.Name, Value: f.Value.Clone()}
-		}
-		return Value{kind: KindItem, fields: fields}
-	case KindBag, KindSet:
-		elems := make([]Value, len(v.elems))
-		for i, e := range v.elems {
-			elems[i] = e.Clone()
-		}
-		return Value{kind: v.kind, elems: elems}
-	default:
+	elems := v.Elems()
+	if v.kind == KindSet && contains(elems, &e) {
 		return v
 	}
+	vals := make([]Value, len(elems)+1)
+	copy(vals, elems)
+	vals[len(elems)] = e
+	return Value{kind: v.kind, vals: vals}
+}
+
+// Clone returns a deep copy of the value. Shapes are immutable and stay
+// shared.
+func (v Value) Clone() Value {
+	if v.vals != nil {
+		vals := make([]Value, len(v.vals))
+		for i := range vals {
+			vals[i] = v.vals[i].Clone()
+		}
+		v.vals = vals
+	}
+	return v
 }
 
 // Equal reports deep structural equality. Items are equal when they have the
 // same attributes with equal values in the same order; collections when they
 // have equal elements in the same order.
-func Equal(a, b Value) bool {
+func Equal(a, b Value) bool { return equal(&a, &b) }
+
+func equal(a, b *Value) bool {
 	if a.kind != b.kind {
 		return false
 	}
 	switch a.kind {
 	case KindNull, KindInvalid:
 		return true
-	case KindInt:
-		return a.i == b.i
+	case KindInt, KindBool:
+		return a.num == b.num
 	case KindDouble:
-		return a.f == b.f || (math.IsNaN(a.f) && math.IsNaN(b.f))
+		af, bf := math.Float64frombits(a.num), math.Float64frombits(b.num)
+		return af == bf || (math.IsNaN(af) && math.IsNaN(bf))
 	case KindString:
 		return a.s == b.s
-	case KindBool:
-		return a.b == b.b
 	case KindItem:
-		if len(a.fields) != len(b.fields) {
+		if !a.shape.Equal(b.shape) {
 			return false
 		}
-		for i := range a.fields {
-			if a.fields[i].Name != b.fields[i].Name || !Equal(a.fields[i].Value, b.fields[i].Value) {
-				return false
-			}
-		}
-		return true
-	case KindBag, KindSet:
-		if len(a.elems) != len(b.elems) {
-			return false
-		}
-		for i := range a.elems {
-			if !Equal(a.elems[i], b.elems[i]) {
-				return false
-			}
-		}
-		return true
 	}
-	return false
+	if len(a.vals) != len(b.vals) {
+		return false
+	}
+	for i := range a.vals {
+		if !equal(&a.vals[i], &b.vals[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Compare orders values totally: first by kind, then by content. It is used
-// for deterministic sorting of groups and set canonicalisation.
-func Compare(a, b Value) int {
+// for deterministic sorting of groups and set canonicalisation. NaN sorts
+// before every other double and equal to itself, as Equal has it.
+func Compare(a, b Value) int { return compare(&a, &b) }
+
+func compare(a, b *Value) int {
 	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.kind, b.kind)
 	}
 	switch a.kind {
-	case KindNull, KindInvalid:
-		return 0
-	case KindInt:
-		return cmpInt64(a.i, b.i)
+	case KindInt, KindBool:
+		return cmp.Compare(int64(a.num), int64(b.num))
 	case KindDouble:
+		af, bf := math.Float64frombits(a.num), math.Float64frombits(b.num)
 		switch {
-		case a.f < b.f:
+		case af < bf, math.IsNaN(af) && !math.IsNaN(bf):
 			return -1
-		case a.f > b.f:
+		case af > bf, math.IsNaN(bf) && !math.IsNaN(af):
 			return 1
 		}
 		return 0
 	case KindString:
 		return strings.Compare(a.s, b.s)
-	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1
-		case a.b && !b.b:
-			return 1
-		}
-		return 0
-	case KindItem:
-		for i := 0; i < len(a.fields) && i < len(b.fields); i++ {
-			if c := strings.Compare(a.fields[i].Name, b.fields[i].Name); c != 0 {
-				return c
+	case KindItem, KindBag, KindSet:
+		named := a.kind == KindItem && a.shape != b.shape // under one shape no name differs
+		for i := 0; i < len(a.vals) && i < len(b.vals); i++ {
+			if named {
+				if c := strings.Compare(a.shape.names[i], b.shape.names[i]); c != 0 {
+					return c
+				}
 			}
-			if c := Compare(a.fields[i].Value, b.fields[i].Value); c != 0 {
+			if c := compare(&a.vals[i], &b.vals[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt64(int64(len(a.fields)), int64(len(b.fields)))
-	case KindBag, KindSet:
-		for i := 0; i < len(a.elems) && i < len(b.elems); i++ {
-			if c := Compare(a.elems[i], b.elems[i]); c != 0 {
-				return c
-			}
-		}
-		return cmpInt64(int64(len(a.elems)), int64(len(b.elems)))
-	}
-	return 0
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+		return cmp.Compare(len(a.vals), len(b.vals))
 	}
 	return 0
 }
@@ -397,10 +464,9 @@ func (v Value) SortElems() Value {
 	if !v.kind.IsCollection() {
 		return v
 	}
-	elems := make([]Value, len(v.elems))
-	copy(elems, v.elems)
-	sort.Slice(elems, func(i, j int) bool { return Compare(elems[i], elems[j]) < 0 })
-	return Value{kind: v.kind, elems: elems}
+	elems := slices.Clone(v.vals)
+	sort.Slice(elems, func(i, j int) bool { return compare(&elems[i], &elems[j]) < 0 })
+	return Value{kind: v.kind, vals: elems}
 }
 
 // String renders the value in a compact JSON-like syntax with items as
@@ -411,37 +477,34 @@ func (v Value) String() string {
 	return sb.String()
 }
 
-func (v Value) writeString(sb *strings.Builder) {
+func (v *Value) writeString(sb *strings.Builder) {
 	switch v.kind {
 	case KindNull, KindInvalid:
 		sb.WriteString("null")
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(int64(v.num), 10))
 	case KindDouble:
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64))
 	case KindString:
 		sb.WriteString(strconv.Quote(v.s))
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
-	case KindItem:
-		sb.WriteByte('{')
-		for i, f := range v.fields {
+		sb.WriteString(strconv.FormatBool(v.num != 0))
+	case KindItem, KindBag, KindSet:
+		open, shut := byte('['), byte(']')
+		if v.kind == KindItem {
+			open, shut = '{', '}'
+		}
+		sb.WriteByte(open)
+		for i := range v.vals {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(f.Name)
-			sb.WriteString(": ")
-			f.Value.writeString(sb)
-		}
-		sb.WriteByte('}')
-	case KindBag, KindSet:
-		sb.WriteByte('[')
-		for i, e := range v.elems {
-			if i > 0 {
-				sb.WriteString(", ")
+			if v.kind == KindItem {
+				sb.WriteString(v.shape.names[i])
+				sb.WriteString(": ")
 			}
-			e.writeString(sb)
+			v.vals[i].writeString(sb)
 		}
-		sb.WriteByte(']')
+		sb.WriteByte(shut)
 	}
 }

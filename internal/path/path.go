@@ -387,10 +387,10 @@ func enumerate(v nested.Value, prefix Path, depth int, out *[]Path) {
 	}
 	switch v.Kind() {
 	case nested.KindItem:
-		for _, f := range v.Fields() {
-			p := prefix.Append(Step{Attr: f.Name, Index: NoIndex})
+		for i := 0; i < v.NumFields(); i++ {
+			p := prefix.Append(Step{Attr: v.FieldName(i), Index: NoIndex})
 			*out = append(*out, p)
-			enumerate(f.Value, p, depth-1, out)
+			enumerate(v.FieldValue(i), p, depth-1, out)
 		}
 	case nested.KindBag, nested.KindSet:
 		for i, e := range v.Elems() {

@@ -199,18 +199,20 @@ func (c *Compiled) matchNode(i int32, ctx nested.Value, prefix path.Path) []bind
 func (c *Compiled) collect(n *cnode, ctx nested.Value, prefix path.Path, out []binding) []binding {
 	switch ctx.Kind() {
 	case nested.KindItem:
-		for _, f := range ctx.Fields() {
-			p := prefix.Append(path.Step{Attr: f.Name, Index: path.NoIndex})
-			if f.Name == n.attr {
-				if b, ok := c.bindAt(n, f.Value, p); ok {
+		for i := 0; i < ctx.NumFields(); i++ {
+			name := ctx.FieldName(i)
+			if name != n.attr && !n.desc {
+				continue // a child edge reads the name table and the slots that match
+			}
+			val := ctx.FieldValue(i)
+			p := prefix.Append(path.Step{Attr: name, Index: path.NoIndex})
+			if name == n.attr {
+				if b, ok := c.bindAt(n, val, p); ok {
 					out = append(out, b)
-				}
-				if !n.desc {
-					continue
 				}
 			}
 			if n.desc {
-				out = c.collect(n, f.Value, p, out)
+				out = c.collect(n, val, p, out)
 			}
 		}
 	case nested.KindBag, nested.KindSet:

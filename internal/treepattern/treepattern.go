@@ -260,16 +260,17 @@ func locate(n *Node, ctx nested.Value, prefix path.Path) []location {
 	var out []location
 	switch ctx.Kind() {
 	case nested.KindItem:
-		for _, f := range ctx.Fields() {
-			p := prefix.Append(path.Step{Attr: f.Name, Index: path.NoIndex})
-			if f.Name == n.Attr {
-				out = append(out, location{val: f.Value, p: p})
+		for i := 0; i < ctx.NumFields(); i++ {
+			name, val := ctx.FieldName(i), ctx.FieldValue(i)
+			p := prefix.Append(path.Step{Attr: name, Index: path.NoIndex})
+			if name == n.Attr {
+				out = append(out, location{val: val, p: p})
 				if n.Edge == ChildEdge {
 					continue
 				}
 			}
 			if n.Edge == DescendantEdge {
-				out = append(out, locate(n, f.Value, p)...)
+				out = append(out, locate(n, val, p)...)
 			}
 		}
 	case nested.KindBag, nested.KindSet:
@@ -287,13 +288,7 @@ func compareWidened(a, b nested.Value) int {
 		af, aok := a.AsDouble()
 		bf, bok := b.AsDouble()
 		if aok && bok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			}
-			return 0
+			return nested.Compare(nested.Double(af), nested.Double(bf))
 		}
 	}
 	return nested.Compare(a, b)

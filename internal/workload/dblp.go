@@ -137,6 +137,15 @@ func GenerateDBLP(s Scale) []nested.Value {
 	return out
 }
 
+// The shapes of the generated items, one per record kind.
+var (
+	authorShape        = nested.NewShape("id", "name")
+	inproceedingsShape = nested.NewShape("key", "record_type", "title", "authors", "year", "crossref", "pages", "ee")
+	proceedingsShape   = nested.NewShape("key", "record_type", "title", "booktitle", "year", "publisher")
+	articleShape       = nested.NewShape("key", "record_type", "title", "authors", "year", "journal", "volume")
+	miscShape          = nested.NewShape("key", "record_type", "title", "authors", "year")
+)
+
 func dblpTitle(r *rand.Rand) string {
 	n := 3 + r.Intn(4)
 	title := ""
@@ -154,10 +163,7 @@ func authorBag(r *rand.Rand, authors []dblpAuthor, n int, forceHot bool) nested.
 	seen := map[string]bool{}
 	if forceHot {
 		a := authors[0]
-		items = append(items, nested.Item(
-			nested.F("id", nested.StringVal(a.id)),
-			nested.F("name", nested.StringVal(a.aliases[r.Intn(len(a.aliases))])),
-		))
+		items = append(items, authorShape.Item(nested.StringVal(a.id), nested.StringVal(a.aliases[r.Intn(len(a.aliases))])))
 		seen[a.id] = true
 	}
 	for len(items) < n {
@@ -166,10 +172,7 @@ func authorBag(r *rand.Rand, authors []dblpAuthor, n int, forceHot bool) nested.
 			continue
 		}
 		seen[a.id] = true
-		items = append(items, nested.Item(
-			nested.F("id", nested.StringVal(a.id)),
-			nested.F("name", nested.StringVal(a.aliases[r.Intn(len(a.aliases))])),
-		))
+		items = append(items, authorShape.Item(nested.StringVal(a.id), nested.StringVal(a.aliases[r.Intn(len(a.aliases))])))
 	}
 	return nested.Bag(items...)
 }
@@ -182,15 +185,15 @@ func genInproceedings(r *rand.Rand, seq int, authors []dblpAuthor, procKeys []st
 		crossref = HotProceedingKey
 		year = 2015
 	}
-	return nested.Item(
-		nested.F("key", nested.StringVal(fmt.Sprintf("conf/p%d", seq))),
-		nested.F("record_type", nested.StringVal("inproceedings")),
-		nested.F("title", nested.StringVal(dblpTitle(r))),
-		nested.F("authors", authorBag(r, authors, 1+r.Intn(4), seq%12 == 0)),
-		nested.F("year", nested.Int(year)),
-		nested.F("crossref", nested.StringVal(crossref)),
-		nested.F("pages", nested.StringVal(fmt.Sprintf("%d-%d", r.Intn(400), r.Intn(400)+400))),
-		nested.F("ee", nested.StringVal(fmt.Sprintf("https://doi.example/%d", seq))),
+	return inproceedingsShape.Item(
+		nested.StringVal(fmt.Sprintf("conf/p%d", seq)),
+		nested.StringVal("inproceedings"),
+		nested.StringVal(dblpTitle(r)),
+		authorBag(r, authors, 1+r.Intn(4), seq%12 == 0),
+		nested.Int(year),
+		nested.StringVal(crossref),
+		nested.StringVal(fmt.Sprintf("%d-%d", r.Intn(400), r.Intn(400)+400)),
+		nested.StringVal(fmt.Sprintf("https://doi.example/%d", seq)),
 	)
 }
 
@@ -199,13 +202,13 @@ func genProceedings(r *rand.Rand, key string) nested.Value {
 	if key == HotProceedingKey {
 		year = 2015
 	}
-	return nested.Item(
-		nested.F("key", nested.StringVal(key)),
-		nested.F("record_type", nested.StringVal("proceedings")),
-		nested.F("title", nested.StringVal("Proceedings of "+dblpTitle(r))),
-		nested.F("booktitle", nested.StringVal(dblpVenues[r.Intn(len(dblpVenues))])),
-		nested.F("year", nested.Int(year)),
-		nested.F("publisher", nested.StringVal("OpenProceedings")),
+	return proceedingsShape.Item(
+		nested.StringVal(key),
+		nested.StringVal("proceedings"),
+		nested.StringVal("Proceedings of "+dblpTitle(r)),
+		nested.StringVal(dblpVenues[r.Intn(len(dblpVenues))]),
+		nested.Int(year),
+		nested.StringVal("OpenProceedings"),
 	)
 }
 
@@ -214,24 +217,24 @@ func genArticle(r *rand.Rand, seq int, authors []dblpAuthor) nested.Value {
 	if seq%11 == 0 {
 		year = 2015
 	}
-	return nested.Item(
-		nested.F("key", nested.StringVal(fmt.Sprintf("journals/a%d", seq))),
-		nested.F("record_type", nested.StringVal("article")),
-		nested.F("title", nested.StringVal(dblpTitle(r))),
-		nested.F("authors", authorBag(r, authors, 1+r.Intn(3), seq%12 == 0)),
-		nested.F("year", nested.Int(year)),
-		nested.F("journal", nested.StringVal("J. "+dblpTitleWords[r.Intn(len(dblpTitleWords))])),
-		nested.F("volume", nested.Int(int64(1+r.Intn(40)))),
+	return articleShape.Item(
+		nested.StringVal(fmt.Sprintf("journals/a%d", seq)),
+		nested.StringVal("article"),
+		nested.StringVal(dblpTitle(r)),
+		authorBag(r, authors, 1+r.Intn(3), seq%12 == 0),
+		nested.Int(year),
+		nested.StringVal("J. "+dblpTitleWords[r.Intn(len(dblpTitleWords))]),
+		nested.Int(int64(1+r.Intn(40))),
 	)
 }
 
 func genMiscRecord(r *rand.Rand, seq int, rtype string, authors []dblpAuthor) nested.Value {
-	return nested.Item(
-		nested.F("key", nested.StringVal(fmt.Sprintf("%s/m%d", rtype, seq))),
-		nested.F("record_type", nested.StringVal(rtype)),
-		nested.F("title", nested.StringVal(dblpTitle(r))),
-		nested.F("authors", authorBag(r, authors, 1, false)),
-		nested.F("year", nested.Int(int64(2000+r.Intn(20)))),
+	return miscShape.Item(
+		nested.StringVal(fmt.Sprintf("%s/m%d", rtype, seq)),
+		nested.StringVal(rtype),
+		nested.StringVal(dblpTitle(r)),
+		authorBag(r, authors, 1, false),
+		nested.Int(int64(2000+r.Intn(20))),
 	)
 }
 

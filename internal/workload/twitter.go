@@ -42,6 +42,19 @@ var (
 	twitterLangs = []string{"en", "de", "ja", "es", "fr"}
 )
 
+// The shapes of the generated items, one per kind: every tweet, user,
+// hashtag, ... points to the same attribute-name table.
+var (
+	tweetShape = nested.NewShape("text", "user", "user_mentions", "retweet_cnt", "hashtags", "media",
+		"created_at", "lang", "favorite_count", "possibly_sensitive", "source", "meta")
+	userShape    = nested.NewShape("id_str", "name")
+	hashtagShape = nested.NewShape("text")
+	mediaShape   = nested.NewShape("media_url", "type")
+	placeShape   = nested.NewShape("country", "city", "coordinates")
+	metaShape    = nested.NewShape("place", "quote_count", "reply_count", "truncated", "seq",
+		"attr_00", "attr_01", "attr_02", "attr_03", "attr_04", "attr_05", "attr_06", "attr_07", "attr_08", "attr_09", "attr_10", "attr_11")
+)
+
 // twitterUser is one entry of the deterministic user pool.
 type twitterUser struct {
 	id   string
@@ -60,10 +73,7 @@ func twitterUserPool(r *rand.Rand, n int) []twitterUser {
 }
 
 func userItem(u twitterUser) nested.Value {
-	return nested.Item(
-		nested.F("id_str", nested.StringVal(u.id)),
-		nested.F("name", nested.StringVal(u.name)),
-	)
+	return userShape.Item(nested.StringVal(u.id), nested.StringVal(u.name))
 }
 
 // GenerateTwitter builds the nested Twitter dataset at the given scale. Every
@@ -108,21 +118,21 @@ func genTweet(r *rand.Rand, seq int, users []twitterUser) nested.Value {
 	tags := make([]nested.Value, 0, nTags+1)
 	var tagWords []string
 	if seq%5 == 0 {
-		tags = append(tags, nested.Item(nested.F("text", nested.StringVal(BTSHashtag))))
+		tags = append(tags, hashtagShape.Item(nested.StringVal(BTSHashtag)))
 		tagWords = append(tagWords, "#"+BTSHashtag)
 	}
 	for len(tags) < nTags {
 		tag := twitterHashtags[r.Intn(len(twitterHashtags))]
-		tags = append(tags, nested.Item(nested.F("text", nested.StringVal(tag))))
+		tags = append(tags, hashtagShape.Item(nested.StringVal(tag)))
 		tagWords = append(tagWords, "#"+tag)
 	}
 	// Media: 0–2 entries.
 	nMedia := r.Intn(3)
 	media := make([]nested.Value, 0, nMedia)
 	for m := 0; m < nMedia; m++ {
-		media = append(media, nested.Item(
-			nested.F("media_url", nested.StringVal(fmt.Sprintf("https://pic.example/%d-%d.jpg", seq, m))),
-			nested.F("type", nested.StringVal("photo")),
+		media = append(media, mediaShape.Item(
+			nested.StringVal(fmt.Sprintf("https://pic.example/%d-%d.jpg", seq, m)),
+			nested.StringVal("photo"),
 		))
 	}
 	// Text: 3–7 words plus handles and hashtags.
@@ -135,44 +145,44 @@ func genTweet(r *rand.Rand, seq int, users []twitterUser) nested.Value {
 	words = append(words, tagWords...)
 	text := strings.Join(words, " ")
 
-	return nested.Item(
-		nested.F("text", nested.StringVal(text)),
-		nested.F("user", userItem(author)),
-		nested.F("user_mentions", nested.Bag(mentions...)),
-		nested.F("retweet_cnt", nested.Int(int64(r.Intn(5)))),
-		nested.F("hashtags", nested.Bag(tags...)),
-		nested.F("media", nested.Bag(media...)),
-		nested.F("created_at", nested.StringVal(fmt.Sprintf("2019-%02d-%02dT%02d:00:00Z",
-			1+r.Intn(12), 1+r.Intn(28), r.Intn(24)))),
-		nested.F("lang", nested.StringVal(twitterLangs[r.Intn(len(twitterLangs))])),
-		nested.F("favorite_count", nested.Int(int64(r.Intn(100)))),
-		nested.F("possibly_sensitive", nested.Bool(r.Intn(20) == 0)),
-		nested.F("source", nested.StringVal("web")),
-		nested.F("meta", tweetMeta(r, seq)),
+	return tweetShape.Item(
+		nested.StringVal(text),
+		userItem(author),
+		nested.Bag(mentions...),
+		nested.Int(int64(r.Intn(5))), // retweet_cnt
+		nested.Bag(tags...),
+		nested.Bag(media...),
+		nested.StringVal(fmt.Sprintf("2019-%02d-%02dT%02d:00:00Z", 1+r.Intn(12), 1+r.Intn(28), r.Intn(24))),
+		nested.StringVal(twitterLangs[r.Intn(len(twitterLangs))]),
+		nested.Int(int64(r.Intn(100))), // favorite_count
+		nested.Bool(r.Intn(20) == 0),   // possibly_sensitive
+		nested.StringVal("web"),
+		tweetMeta(r, seq),
 	)
 }
 
 // tweetMeta is a wide nested block standing in for the long tail of tweet
 // attributes (place, entities, counters, flags, ...) that real tweets carry.
 func tweetMeta(r *rand.Rand, seq int) nested.Value {
-	fields := []nested.Field{
-		nested.F("place", nested.Item(
-			nested.F("country", nested.StringVal("wonderland")),
-			nested.F("city", nested.StringVal(fmt.Sprintf("city%02d", r.Intn(40)))),
-			nested.F("coordinates", nested.Bag(
+	vals := make([]nested.Value, 0, metaShape.Len())
+	vals = append(vals,
+		placeShape.Item(
+			nested.StringVal("wonderland"),
+			nested.StringVal(fmt.Sprintf("city%02d", r.Intn(40))),
+			nested.Bag(
 				nested.Double(float64(r.Intn(360))-180),
 				nested.Double(float64(r.Intn(180))-90),
-			)),
-		)),
-		nested.F("quote_count", nested.Int(int64(r.Intn(10)))),
-		nested.F("reply_count", nested.Int(int64(r.Intn(10)))),
-		nested.F("truncated", nested.Bool(false)),
-		nested.F("seq", nested.Int(int64(seq))),
+			),
+		),
+		nested.Int(int64(r.Intn(10))), // quote_count
+		nested.Int(int64(r.Intn(10))), // reply_count
+		nested.Bool(false),            // truncated
+		nested.Int(int64(seq)),
+	)
+	for len(vals) < metaShape.Len() { // attr_NN
+		vals = append(vals, nested.Int(int64(r.Intn(1000))))
 	}
-	for i := 0; i < 12; i++ {
-		fields = append(fields, nested.F(fmt.Sprintf("attr_%02d", i), nested.Int(int64(r.Intn(1000)))))
-	}
-	return nested.Item(fields...)
+	return metaShape.Item(vals...)
 }
 
 // TwitterInput wraps the generated tweets as the named input the Twitter
