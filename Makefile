@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json serve-smoke bench bench-e2e bench-e2e-compare bench-overhead bench-codec bench-query breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -32,6 +32,13 @@ check: pebblevet
 # CI job runs the same line.
 fuzz-json:
 	go test -fuzz FuzzParseJSONMatchesReference -fuzztime 20s ./internal/nested
+
+# Twenty seconds of the run loader (ReadRunLazy, then every bag decoded)
+# against the stream decoder kept as its reference
+# (internal/provenance/reference_test.go) on arbitrary bytes; the blocking
+# `check` CI job runs it on the same line as fuzz-json.
+fuzz-codec:
+	go test -fuzz FuzzReadRun -fuzztime 20s ./internal/provenance
 
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event
@@ -63,21 +70,6 @@ bench-e2e-compare:
 # non-blocking because shared runners are noisy).
 bench-overhead:
 	go run ./cmd/benchrunner -exp overheadgate -gb 50 -reps 5 -gate-pct 2
-
-# Codec comparison: v1 fixed-width vs v2 columnar delta+varint stream sizes
-# and encode/decode times over every scenario; regenerates the committed
-# baseline (BENCH_PR5.json, EXPERIMENTS.md; DESIGN.md §8 documents the
-# format).
-bench-codec:
-	go run ./cmd/benchrunner -exp codec -gb 10 -reps 5 -out BENCH_PR5.json
-
-# Query-side raw-speed sweep: cold (eager decode + index rebuild) vs warm
-# (lazy decode + persisted index sidecar) reload-and-trace, plus interpreted
-# vs compiled tree-pattern matching; regenerates the committed baseline
-# (BENCH_PR6.json, EXPERIMENTS.md; DESIGN.md §9 documents the sidecar
-# format).
-bench-query:
-	go run ./cmd/benchrunner -exp query -gb 25 -reps 5 -out BENCH_PR6.json
 
 # Regenerate the per-operator capture breakdown baseline (BENCH_PR4.json,
 # EXPERIMENTS.md).

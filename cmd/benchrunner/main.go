@@ -19,19 +19,6 @@
 // report as JSON (see BENCH_PR4.json). -exp overheadgate measures what an
 // attached recorder costs a capture run and exits non-zero when it exceeds
 // -gate-pct percent (default 2) — `make bench-overhead` wraps it.
-//
-// -exp codec serialises every scenario's captured run through both codec
-// versions (fixed-width v1 vs columnar delta+varint v2) and reports stream
-// sizes and encode/decode times; with -out it writes the comparison as JSON
-// (see BENCH_PR5.json) — `make bench-codec` wraps it.
-//
-// -exp query measures the query-side reload paths for every scenario: the
-// persisted run answered cold (eager decode + per-operator index rebuild)
-// vs warm (lazy column decode + persisted index sidecar), interpreted vs
-// compiled tree-pattern matching, the lazy-decode byte accounting of a
-// single-operator trace, and the load-path identity cross-check; with -out
-// it writes the sweep as JSON (see BENCH_PR6.json) — `make bench-query`
-// wraps it.
 package main
 
 import (
@@ -52,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig6, fig7, fig8a, fig8b, fig9a, fig9b, titian, perop, breakdown, overheadgate, fig10, annotations, scaling, codec, query, all")
+	exp := flag.String("exp", "all", "experiment: fig6, fig7, fig8a, fig8b, fig9a, fig9b, titian, perop, breakdown, overheadgate, fig10, annotations, scaling, all")
 	gbList := flag.String("gb", "", "comma-separated simulated-GB sizes (defaults per experiment)")
 	tweetsPerGB := flag.Int("tweets-per-gb", 40, "tweets per simulated GB")
 	recordsPerGB := flag.Int("records-per-gb", 400, "DBLP records per simulated GB")
@@ -149,65 +136,6 @@ func writeBreakdownJSON(path string, cfg experiments.Config, reports []*experime
 		Reps:             cfg.Reps,
 		Scenarios:        reports,
 		RecorderOverhead: gates,
-	}
-	if cfg.Partitions < 1 {
-		doc.Partitions = engine.DefaultPartitions
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// codecBaseline is the JSON document -exp codec -out writes: per-scenario
-// stream sizes and encode/decode times for both codec versions, with the
-// usual environment context for interpreting committed baselines.
-type codecBaseline struct {
-	NumCPU     int                    `json:"num_cpu"`
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Partitions int                    `json:"partitions"`
-	Reps       int                    `json:"reps"`
-	Rows       []experiments.CodecRow `json:"rows"`
-}
-
-func writeCodecJSON(path string, cfg experiments.Config, rows []experiments.CodecRow) error {
-	doc := codecBaseline{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Partitions: cfg.Partitions,
-		Reps:       cfg.Reps,
-		Rows:       rows,
-	}
-	if cfg.Partitions < 1 {
-		doc.Partitions = engine.DefaultPartitions
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// queryBaseline is the JSON document -exp query -out writes: per-scenario
-// cold vs warm reload-and-trace times, sidecar sizes, lazy-decode byte
-// accounting, and the interpreted vs compiled match times, with the usual
-// environment context for interpreting committed baselines.
-type queryBaseline struct {
-	NumCPU     int                         `json:"num_cpu"`
-	GOMAXPROCS int                         `json:"gomaxprocs"`
-	Partitions int                         `json:"partitions"`
-	Reps       int                         `json:"reps"`
-	Rows       []experiments.QuerySweepRow `json:"rows"`
-}
-
-func writeQueryJSON(path string, cfg experiments.Config, rows []experiments.QuerySweepRow) error {
-	doc := queryBaseline{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Partitions: cfg.Partitions,
-		Reps:       cfg.Reps,
-		Rows:       rows,
 	}
 	if cfg.Partitions < 1 {
 		doc.Partitions = engine.DefaultPartitions
@@ -406,36 +334,6 @@ func runExperiment(name string, cfg experiments.Config, gbList string, tweetsPer
 		}
 		if out != "" {
 			if err := writeScalingJSON(out, cfg, rows); err != nil {
-				return err
-			}
-			return emit(fmt.Sprintf("wrote %s\n", out))
-		}
-	case "codec":
-		rows, err := experiments.CodecComparison(cfg, sweepSmall)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.RenderCodec(
-			"Codec — v1 fixed-width vs v2 columnar delta+varint, all scenarios", rows)); err != nil {
-			return err
-		}
-		if out != "" {
-			if err := writeCodecJSON(out, cfg, rows); err != nil {
-				return err
-			}
-			return emit(fmt.Sprintf("wrote %s\n", out))
-		}
-	case "query":
-		rows, err := experiments.QuerySweep(cfg, sweepSmall)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.RenderQuerySweep(
-			"Query — cold (eager+rebuild) vs warm (lazy+sidecar) reload-and-trace, all scenarios", rows)); err != nil {
-			return err
-		}
-		if out != "" {
-			if err := writeQueryJSON(out, cfg, rows); err != nil {
 				return err
 			}
 			return emit(fmt.Sprintf("wrote %s\n", out))

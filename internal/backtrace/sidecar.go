@@ -43,9 +43,6 @@ const (
 	sidecarVersion = 1
 	// sidecarHeaderLen is magic + version + runHash + payloadHash.
 	sidecarHeaderLen = 4 + 2 + 8 + 8
-	// maxSidecarCount caps declared element counts before any allocation
-	// commits to them, mirroring the codec's maxV2Count.
-	maxSidecarCount = 1 << 32
 )
 
 // Sentinel errors callers can test with errors.Is to distinguish "this
@@ -61,8 +58,8 @@ var (
 
 // WriteIndexes builds every operator's association index and serializes the
 // set as a sidecar. The run must carry a content hash (i.e. it was loaded
-// from bytes via provenance.ReadRunLazy), since the hash is what pairs the
-// sidecar with its run at load time.
+// from its encoded bytes), since the hash is what pairs the sidecar with its
+// run at load time.
 func (t *Tracer) WriteIndexes(w io.Writer) (int64, error) {
 	runHash, ok := t.run.ContentHash()
 	if !ok {
@@ -175,53 +172,55 @@ func (t *Tracer) LoadIndexes(data []byte) error {
 	if got := binary.LittleEndian.Uint64(data[14:22]); got != provenance.HashStream(payload) {
 		return fmt.Errorf("backtrace: sidecar payload checksum mismatch: %w", ErrSidecarCorrupt)
 	}
+	// The payload is read through the run stream's cursor, so varint,
+	// truncation and count rules are the run codec's own.
 	ops := t.run.Operators()
-	d := &sideReader{data: payload}
-	nOps := d.count()
-	if d.err == nil && nOps != len(ops) {
+	d := provenance.NewCursor(payload)
+	nOps := d.Count("sidecar operator")
+	if d.Err() == nil && nOps != len(ops) {
 		return fmt.Errorf("backtrace: sidecar covers %d operators, run has %d: %w", nOps, len(ops), ErrSidecarStale)
 	}
 	// Skip-scan: pin operator identities and column region boundaries without
 	// decoding the columns.
 	regions := make([][]byte, len(ops))
 	for i, op := range ops {
-		oid := int(d.uvarint())
-		kind := provenance.AssocKind(d.byte())
-		if d.err != nil {
+		oid := int(d.Uvarint())
+		kind := provenance.AssocKind(d.Byte())
+		if d.Err() != nil {
 			break
 		}
 		if oid != op.OID || kind != op.AssocKind() {
 			return fmt.Errorf("backtrace: sidecar operator %d kind %d does not match run operator %d kind %d: %w",
 				oid, kind, op.OID, op.AssocKind(), ErrSidecarStale)
 		}
-		start := d.pos
+		start := d.Pos()
 		switch kind {
 		case provenance.AssocUnary, provenance.AssocAgg:
-			nKeys := d.count()
-			d.skip(nKeys) // Δkeys
-			nVals := d.count()
-			d.skip(nKeys) // run lengths
-			d.skip(nVals) // Δvals
+			nKeys := d.Count("sidecar key")
+			d.SkipVarints(nKeys) // Δkeys
+			nVals := d.Count("sidecar value")
+			d.SkipVarints(nKeys) // run lengths
+			d.SkipVarints(nVals) // Δvals
 		case provenance.AssocBinary:
-			nKeys := d.count()
-			d.skip(nKeys) // Δkeys
-			nVals := d.count()
-			d.skip(nKeys)     // run lengths
-			d.skip(2 * nVals) // Δlefts, Δrights
+			nKeys := d.Count("sidecar key")
+			d.SkipVarints(nKeys) // Δkeys
+			nVals := d.Count("sidecar value")
+			d.SkipVarints(nKeys)     // run lengths
+			d.SkipVarints(2 * nVals) // Δlefts, Δrights
 		case provenance.AssocFlatten:
-			nKeys := d.count()
-			d.skip(3 * nKeys) // Δkeys, Δins, positions
+			nKeys := d.Count("sidecar key")
+			d.SkipVarints(3 * nKeys) // Δkeys, Δins, positions
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			break
 		}
-		regions[i] = payload[start:d.pos:d.pos]
+		regions[i] = payload[start:d.Pos():d.Pos()]
 	}
-	if d.err != nil {
-		return fmt.Errorf("backtrace: parsing sidecar: %v: %w", d.err, ErrSidecarCorrupt)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("backtrace: parsing sidecar: %v: %w", err, ErrSidecarCorrupt)
 	}
-	if d.pos != len(payload) {
-		return fmt.Errorf("backtrace: %d trailing bytes after sidecar payload: %w", len(payload)-d.pos, ErrSidecarCorrupt)
+	if d.Rest() != 0 {
+		return fmt.Errorf("backtrace: %d trailing bytes after sidecar payload: %w", d.Rest(), ErrSidecarCorrupt)
 	}
 	for i, op := range ops {
 		t.idx.LoadOrStore(op.OID, &opIndex{side: regions[i]})
@@ -236,33 +235,33 @@ func (t *Tracer) LoadIndexes(data []byte) error {
 // fabricated checksum-colliding one must still never yield wrong answers —
 // the caller falls back to building from the operator.
 func (ix *opIndex) decodeSide(kind provenance.AssocKind) bool {
-	d := &sideReader{data: ix.side}
+	d := provenance.NewCursor(ix.side)
 	switch kind {
 	case provenance.AssocUnary:
-		ix.unary = d.readPairIdx()
+		ix.unary = readPairIdx(d)
 	case provenance.AssocAgg:
-		ix.agg = d.readPairIdx()
+		ix.agg = readPairIdx(d)
 	case provenance.AssocBinary:
-		nKeys := d.count()
-		keys := d.deltaCol(nKeys)
-		nVals := d.count()
-		offs := d.runOffs(nKeys, nVals)
-		lefts := d.deltaCol(nVals)
-		rights := d.deltaCol(nVals)
-		d.checkSorted(keys)
+		nKeys := d.Count("sidecar key")
+		keys := d.DeltaColumn(nKeys)
+		nVals := d.Count("sidecar value")
+		offs := runOffs(d, nKeys, nVals)
+		lefts := d.DeltaColumn(nVals)
+		rights := d.DeltaColumn(nVals)
+		checkSorted(d, keys)
 		ix.binary = binIdx{keys: keys, offs: offs, lefts: lefts, rights: rights}
 	case provenance.AssocFlatten:
-		nKeys := d.count()
-		keys := d.deltaCol(nKeys)
-		ins := d.deltaCol(nKeys)
-		poss := make([]int64, 0, capCount(nKeys))
-		for i := 0; i < nKeys && d.err == nil; i++ {
-			poss = append(poss, int64(d.uvarint()))
+		nKeys := d.Count("sidecar key")
+		keys := d.DeltaColumn(nKeys)
+		ins := d.DeltaColumn(nKeys)
+		poss := make([]int64, 0, d.Clamp(nKeys))
+		for i := 0; i < nKeys && d.Err() == nil; i++ {
+			poss = append(poss, int64(d.Uvarint()))
 		}
-		d.checkSorted(keys)
+		checkSorted(d, keys)
 		ix.flatten = flatIdx{keys: keys, ins: ins, poss: poss}
 	}
-	if d.err != nil || d.pos != len(ix.side) {
+	if d.Err() != nil || d.Rest() != 0 {
 		ix.unary, ix.binary, ix.flatten, ix.agg = pairIdx{}, binIdx{}, flatIdx{}, pairIdx{}
 		return false
 	}
@@ -270,140 +269,44 @@ func (ix *opIndex) decodeSide(kind provenance.AssocKind) bool {
 }
 
 // readPairIdx parses one pairIdx and validates its structure.
-func (d *sideReader) readPairIdx() pairIdx {
-	nKeys := d.count()
-	keys := d.deltaCol(nKeys)
-	nVals := d.count()
-	offs := d.runOffs(nKeys, nVals)
-	vals := d.deltaCol(nVals)
-	d.checkSorted(keys)
+func readPairIdx(d *provenance.Cursor) pairIdx {
+	nKeys := d.Count("sidecar key")
+	keys := d.DeltaColumn(nKeys)
+	nVals := d.Count("sidecar value")
+	offs := runOffs(d, nKeys, nVals)
+	vals := d.DeltaColumn(nVals)
+	checkSorted(d, keys)
 	return pairIdx{keys: keys, offs: offs, vals: vals}
-}
-
-// sideReader reads varint primitives from the sidecar payload, remembering
-// the first error.
-type sideReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *sideReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	// Fast path: most deltas are a single byte.
-	if d.pos < len(d.data) {
-		if b := d.data[d.pos]; b < 0x80 {
-			d.pos++
-			return uint64(b)
-		}
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = fmt.Errorf("truncated or overlong varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// skip advances past n varints without decoding their values, for the
-// structural skip-scan in LoadIndexes.
-func (d *sideReader) skip(n int) {
-	for i := 0; i < n && d.err == nil; i++ {
-		for {
-			if d.pos >= len(d.data) {
-				d.err = io.ErrUnexpectedEOF
-				return
-			}
-			b := d.data[d.pos]
-			d.pos++
-			if b < 0x80 {
-				break
-			}
-		}
-	}
-}
-
-func (d *sideReader) byte() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *sideReader) count() int {
-	v := d.uvarint()
-	if d.err == nil && v > maxSidecarCount {
-		d.err = fmt.Errorf("count %d exceeds limit", v)
-		return 0
-	}
-	return int(v)
-}
-
-// deltaCol reads n zigzag-delta varints with bounded-growth allocation, so a
-// lying count runs into EOF instead of forcing a huge allocation.
-func (d *sideReader) deltaCol(n int) []int64 {
-	out := make([]int64, 0, capCount(n))
-	var prev int64
-	for i := 0; i < n && d.err == nil; i++ {
-		u := d.uvarint()
-		prev += int64(u>>1) ^ -int64(u&1)
-		out = append(out, prev)
-	}
-	return out
 }
 
 // runOffs reads nKeys run lengths and folds them into the offset column,
 // requiring the lengths to sum exactly to nVals.
-func (d *sideReader) runOffs(nKeys, nVals int) []int32 {
-	offs := make([]int32, 0, capCount(nKeys)+1)
+func runOffs(d *provenance.Cursor, nKeys, nVals int) []int32 {
+	offs := make([]int32, 0, d.Clamp(nKeys)+1)
 	offs = append(offs, 0)
 	total := 0
-	for i := 0; i < nKeys && d.err == nil; i++ {
-		l := d.uvarint()
-		if l > maxSidecarCount || total+int(l) < total {
-			d.err = fmt.Errorf("run length %d exceeds limit", l)
+	for i := 0; i < nKeys && d.Err() == nil; i++ {
+		l := d.Uvarint()
+		if l > uint64(nVals) || total+int(l) > nVals {
+			d.Fail(fmt.Errorf("run length %d exceeds the %d values", l, nVals))
 			return offs
 		}
 		total += int(l)
 		offs = append(offs, int32(total))
 	}
-	if d.err == nil && total != nVals {
-		d.err = fmt.Errorf("run lengths sum to %d, want %d values", total, nVals)
+	if total != nVals {
+		d.Fail(fmt.Errorf("run lengths sum to %d, want %d values", total, nVals))
 	}
 	return offs
 }
 
 // checkSorted rejects key columns that are not strictly ascending — lookups
 // binary-search them.
-func (d *sideReader) checkSorted(keys []int64) {
-	if d.err != nil {
-		return
-	}
+func checkSorted(d *provenance.Cursor, keys []int64) {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
-			d.err = fmt.Errorf("key column not strictly ascending at %d", i)
+			d.Fail(fmt.Errorf("key column not strictly ascending at %d", i))
 			return
 		}
 	}
-}
-
-// capCount bounds initial slice capacities against lying counts.
-func capCount(n int) int {
-	const max = 1 << 16
-	if n < 0 {
-		return 0
-	}
-	if n > max {
-		return max
-	}
-	return n
 }

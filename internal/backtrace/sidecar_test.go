@@ -2,6 +2,7 @@ package backtrace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -184,6 +185,38 @@ func TestSidecarTruncations(t *testing.T) {
 		if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
 			t.Fatalf("prefix of %d bytes: error %v is neither corrupt nor stale", n, err)
 		}
+	}
+}
+
+// TestSidecarOverlongVarintRejected: the load-time scan and the column decode
+// read through one cursor, so what the decode would refuse the scan refuses.
+// A genuine sidecar whose last value is re-encoded as a 12-byte varint, with
+// the payload checksum recomputed, used to pass LoadIndexes and fail only in
+// the operator's decode, which silently rebuilt: right answer, but nobody was
+// told the sidecar was bad and the index build was paid unseen.
+func TestSidecarOverlongVarintRejected(t *testing.T) {
+	const headerLen = 4 + 2 + 8 + 8
+	for name, f := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			payload := f.sidecar[headerLen:]
+			last := len(payload) - 1
+			if payload[last] >= 0x80 || payload[last-1] >= 0x80 {
+				t.Fatalf("fixture's last varint is not a single byte: % x", payload[last-1:])
+			}
+			mut := append([]byte(nil), f.sidecar[:headerLen+last]...)
+			mut = append(mut, payload[last]|0x80)
+			mut = append(mut, bytes.Repeat([]byte{0x80}, 10)...)
+			mut = append(mut, 0x00)
+			binary.LittleEndian.PutUint64(mut[14:22], provenance.HashStream(mut[headerLen:]))
+
+			tr := f.lazyTracer(t)
+			if err := tr.LoadIndexes(mut); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
+				t.Fatalf("LoadIndexes on an overlong last varint: got %v, want ErrSidecarCorrupt", err)
+			}
+			if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+				t.Errorf("rejected sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }
 

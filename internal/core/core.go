@@ -255,8 +255,21 @@ type QueryResult struct {
 // Query matches the tree-pattern against the captured result and backtraces
 // the matches to the inputs (Alg. 1 over the captured operator provenance).
 func (c *Captured) Query(pattern *treepattern.Pattern) (*QueryResult, error) {
-	matched := pattern.MatchObserved(c.Result.Output, c.rec)
-	return c.QueryStructure(matched)
+	return c.QueryStructure(c.Match(pattern))
+}
+
+// Match matches the tree-pattern against the captured result — the first
+// half of Query — and reports its two phases into the capture's recorder:
+// obs.SpanPatternCompile around the pattern's compilation (which happens
+// once per pattern; on a pattern already compiled the span is a cache
+// lookup) and obs.SpanPatternMatch around the match proper. Together with the
+// tracer's backtrace span this splits query time into its shares.
+func (c *Captured) Match(pattern *treepattern.Pattern) *backtrace.Structure {
+	compileDone := c.rec.StartSpan(obs.SpanPatternCompile)
+	compiled := pattern.Compile()
+	compileDone()
+	defer c.rec.StartSpan(obs.SpanPatternMatch)()
+	return compiled.Match(c.Result.Output)
 }
 
 // QueryStructure backtraces an explicitly built backtracing structure.

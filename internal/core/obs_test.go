@@ -26,7 +26,7 @@ func captureRendered(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cap.Provenance.WriteToObserved(io.Discard, rec); err != nil {
+	if _, err := cap.Provenance.WriteTo(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Snapshot().Render(false)
@@ -65,6 +65,18 @@ func TestCapturedStatsWithAndWithoutRecorder(t *testing.T) {
 	}
 	if st.SpanTotal(obs.SpanSchedule) <= 0 {
 		t.Error("schedule span missing from recorder-backed stats")
+	}
+	// The run carries the recorder it was captured under, so a plain WriteTo
+	// (shell `save`, `pebble -out`) fills the enc_bytes column.
+	if got := st.Total(obs.BytesEncoded); got != 0 {
+		t.Errorf("enc_bytes = %d before any WriteTo", got)
+	}
+	n, err := withRec.Provenance.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := withRec.Stats().Total(obs.BytesEncoded); got <= 0 || got >= n {
+		t.Errorf("enc_bytes = %d after WriteTo of %d bytes, want the operators' share of the stream", got, n)
 	}
 
 	plain, err := core.NewSession(core.WithPartitions(2)).

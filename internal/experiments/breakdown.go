@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"pebble/internal/backtrace"
+	"pebble/internal/core"
 	"pebble/internal/engine"
 	"pebble/internal/obs"
 	"pebble/internal/provenance"
@@ -81,8 +81,7 @@ func CaptureBreakdown(sc workload.Scenario, scale workload.Scale, cfg Config) (*
 	}
 
 	// One observed query over the last capture for the match/backtrace split.
-	b := sc.Pattern.MatchObserved(lastRes.Output, recCapture)
-	if _, err := backtrace.NewTracer(lastRun).Observe(recCapture).Trace(lastPipe.Sink().ID(), b); err != nil {
+	if _, err := core.Reattached(lastPipe, lastRes, lastRun, nil, recCapture).Query(sc.Pattern); err != nil {
 		return nil, err
 	}
 

@@ -61,7 +61,7 @@ func renderExampleStats(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cap.Provenance.WriteToObserved(io.Discard, rec); err != nil {
+	if _, err := cap.Provenance.WriteTo(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return cap.Stats().Render(false)

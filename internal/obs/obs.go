@@ -60,8 +60,8 @@ const (
 	// operator (the deterministic Sizes model of Fig. 8), recorded at
 	// collector Finish.
 	ProvBytes
-	// BytesEncoded counts serialised codec bytes per operator, recorded
-	// when a run is persisted through WriteToObserved.
+	// BytesEncoded counts serialised codec bytes per operator, recorded by
+	// every WriteTo of a run that was captured under the recorder.
 	BytesEncoded
 
 	// NumCounters is the number of counters (array size, not a counter).
@@ -95,8 +95,9 @@ const (
 	SpanPatternMatch
 	// SpanBacktrace is the backtracing walk of a query (Alg. 1).
 	SpanBacktrace
-	// SpanRunLoad is the deserialisation of a persisted provenance run
-	// (eager or lazy load, recorded by the Observed read variants).
+	// SpanRunLoad is the deserialisation of a persisted provenance run,
+	// opened by the reload call sites (daemon trace job, shell `load`) around
+	// ReadRunLazy.
 	SpanRunLoad
 	// SpanIndexBuild is per-operator association index construction (or the
 	// sidecar load that replaces it) inside the tracer.

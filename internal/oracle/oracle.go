@@ -265,8 +265,8 @@ func crossMode(s *corpus.Spec, pipe *engine.Pipeline, pattern *treepattern.Patte
 		fullBy[oid] = sortedIDs(st.IDs())
 	}
 
-	// Load-path equivalence (PR 6): reloading the serialized run through the
-	// eager decoder, the lazy decoder, and the lazy decoder with a persisted
+	// Load-path equivalence (PR 6): reloading the serialized run decoded up
+	// front (ReadRun), lazily (ReadRunLazy), and lazily with a persisted
 	// index sidecar must answer the full-value backtrace byte-identically to
 	// the in-memory capture. The decode and index strategies may differ;
 	// answers may not.

@@ -1,13 +1,11 @@
 package provenance
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 
 	"pebble/internal/engine"
-	"pebble/internal/obs"
 	"pebble/internal/path"
 )
 
@@ -17,288 +15,144 @@ import (
 // paper are days apart in practice — auditing queries run when a breach is
 // investigated).
 //
-// Version 1 (still decoded, no longer written by default):
+// Version 1 (decoded forever, never written — its encoder lives on only as
+// the test reference that produced the frozen goldens under testdata/):
 //
 //	magic "PBLP" | u16 version=1 | u32 #ops | ops...
 //
 // with fixed-width little-endian fields; strings and slices are
 // length-prefixed and association rows are stored row-major with u32/i64
-// fields. Version 2 (the default write format, see codec_v2.go and
-// DESIGN.md §8) shares the magic/version prefix and stores a string
-// dictionary followed by per-operator columnar delta+varint association
-// columns.
+// fields. Version 2 (what WriteTo emits, see codec_v2.go and DESIGN.md §8)
+// shares the magic/version prefix and stores a string dictionary followed by
+// per-operator columnar delta+varint association columns. Neither version
+// has a trailer: a stream ends with its last operator, and both loaders
+// reject anything after it.
 const (
 	codecMagic     = "PBLP"
 	codecVersionV1 = 1
 	codecVersionV2 = 2
-	// codecVersion is the version WriteTo emits.
-	codecVersion = codecVersionV2
 )
 
-// WriteTo serialises the run in the current format version.
-func (r *Run) WriteTo(w io.Writer) (int64, error) {
-	return r.writeTo(w, nil, codecVersion)
-}
-
-// WriteToObserved serialises like WriteTo and additionally records every
-// operator's encoded byte count into the recorder (obs.BytesEncoded) — the
-// codec-level counterpart of the model-level ProvBytes counter.
-func (r *Run) WriteToObserved(w io.Writer, rec *obs.Recorder) (int64, error) {
-	return r.writeTo(w, rec, codecVersion)
-}
-
-// WriteToVersion serialises the run in an explicit format version (1 or 2).
-// Old streams stay readable forever via ReadRun; writing v1 exists for the
-// codec comparison experiment and for compatibility tests — new captures
-// should use WriteTo.
-func (r *Run) WriteToVersion(w io.Writer, version int) (int64, error) {
-	return r.writeTo(w, nil, version)
-}
-
-func (r *Run) writeTo(w io.Writer, rec *obs.Recorder, version int) (int64, error) {
-	switch version {
-	case codecVersionV1:
-		return r.writeToV1(w, rec)
-	case codecVersionV2:
-		return r.writeToV2(w, rec)
-	}
-	return 0, fmt.Errorf("provenance: cannot encode version %d", version)
-}
-
-// writeToV1 emits the fixed-width v1 layout. The counting writer sits
-// *below* the bufio buffer, so the returned byte count reflects bytes that
-// actually reached w — a failed flush cannot inflate it.
-func (r *Run) writeToV1(w io.Writer, rec *obs.Recorder) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if err := r.encodeV1(bw, rec); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, fmt.Errorf("provenance: flushing encoded run: %w", err)
-	}
-	return cw.n, nil
-}
-
-// countingWriter counts the bytes its underlying writer accepted. It wraps
-// the destination directly (not the buffer above it), so short writes and
-// post-error flushes are reported as the bytes genuinely written.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (r *Run) encodeV1(w io.Writer, rec *obs.Recorder) error {
-	e := &encoder{w: w}
-	e.bytes([]byte(codecMagic))
-	e.u16(codecVersionV1)
-	e.u32(uint32(len(r.order)))
-	for _, oid := range r.order {
-		op := r.ops[oid]
-		op.materialize() // re-encoding a lazily loaded run reads every bag
-		opStart := e.off
-		e.u32(uint32(op.OID))
-		e.str(string(op.Type))
-		e.bool(op.ManipUndefined)
-		e.u32(uint32(len(op.Inputs)))
-		for _, in := range op.Inputs {
-			e.u32(uint32(in.Pred))
-			e.str(in.SourceName)
-			e.bool(in.AccessUndefined)
-			e.u32(uint32(len(in.Accessed)))
-			for _, p := range in.Accessed {
-				e.str(p.String())
-			}
-			e.u32(uint32(len(in.Schema)))
-			for _, s := range in.Schema {
-				e.str(s)
-			}
-		}
-		e.u32(uint32(len(op.Manipulated)))
-		for _, m := range op.Manipulated {
-			e.str(m.In.String())
-			e.str(m.Out.String())
-			e.bool(m.GroupKey)
-		}
-		// Association bag, tagged by layout.
-		switch {
-		case op.SourceIDs != nil:
-			e.u8(1)
-			e.u32(uint32(len(op.SourceIDs)))
-			for _, sa := range op.SourceIDs {
-				e.i64(sa.ID)
-				e.i64(sa.OrigID)
-			}
-		case op.Unary != nil:
-			e.u8(2)
-			e.u32(uint32(len(op.Unary)))
-			for _, a := range op.Unary {
-				e.i64(a.In)
-				e.i64(a.Out)
-			}
-		case op.Binary != nil:
-			e.u8(3)
-			e.u32(uint32(len(op.Binary)))
-			for _, a := range op.Binary {
-				e.i64(a.Left)
-				e.i64(a.Right)
-				e.i64(a.Out)
-			}
-		case op.Flatten != nil:
-			e.u8(4)
-			e.u32(uint32(len(op.Flatten)))
-			for _, a := range op.Flatten {
-				e.i64(a.In)
-				e.u32(uint32(a.Pos))
-				e.i64(a.Out)
-			}
-		case op.Agg != nil:
-			e.u8(5)
-			e.u32(uint32(len(op.Agg)))
-			for _, a := range op.Agg {
-				e.i64(a.Out)
-				e.u32(uint32(len(a.Ins)))
-				for _, id := range a.Ins {
-					e.i64(id)
-				}
-			}
-		default:
-			e.u8(0)
-		}
-		if e.err != nil {
-			return fmt.Errorf("provenance: encoding operator %d (%s): %w", op.OID, op.Type, e.err)
-		}
-		rec.Add(op.OID, 0, obs.BytesEncoded, e.off-opStart)
-	}
-	return e.err
-}
-
-// ReadRun deserialises a run written by any WriteTo version: streams
-// persisted by the fixed-width v1 codec keep decoding forever (capture and
-// audit are days apart — archived provenance must outlive codec upgrades),
-// and v2 streams decode through the columnar path in codec_v2.go.
+// ReadRun deserialises a run written by any codec version, consuming r to
+// EOF: it is ReadRunLazy over everything r holds followed by the decode of
+// every association bag, so it validates exactly what the lazy load
+// validates and carries the same content hash. The returned run holds plain
+// decoded bags and does not retain the stream.
 func ReadRun(r io.Reader) (*Run, error) {
-	br := bufio.NewReader(r)
-	d := &decoder{r: br}
-	magic := d.bytes(4)
-	if d.err != nil {
-		return nil, d.err
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// An in-memory reader says how much it holds: one allocation, no
+		// regrowth copies.
+		buf.Grow(sized.Len() + bytes.MinRead)
 	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("provenance: bad magic %q", magic)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("provenance: reading encoded run: %w", err)
 	}
-	switch v := d.u16(); {
-	case d.err != nil:
-		return nil, d.err
-	case v == codecVersionV1:
-		return readRunV1(d)
-	case v == codecVersionV2:
-		return readRunV2(br)
-	default:
-		return nil, fmt.Errorf("provenance: unsupported version %d", v)
+	run, err := ReadRunLazy(buf.Bytes())
+	if err != nil {
+		return nil, err
 	}
+	for _, oid := range run.order {
+		op := run.ops[oid]
+		op.materialize()
+		op.lazy = nil
+	}
+	run.lazy = nil
+	return run, nil
 }
 
 // readRunV1 decodes the fixed-width v1 operator stream following the
 // magic/version prefix.
-func readRunV1(d *decoder) (*Run, error) {
+func readRunV1(d *Cursor) (*Run, error) {
 	nOps := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
 	}
-	run := &Run{ops: make(map[int]*Operator, capHint(nOps))}
+	run := &Run{ops: make(map[int]*Operator)}
 	for i := 0; i < nOps; i++ {
 		op := &Operator{}
 		op.OID = int(d.u32())
-		op.Type = engine.OpType(d.str())
+		op.Type = engine.OpType(d.str32())
 		op.ManipUndefined = d.bool()
 		nIn := int(d.u32())
 		for j := 0; j < nIn && d.err == nil; j++ {
 			var in engine.InputInfo
 			in.Pred = int(d.u32())
-			in.SourceName = d.str()
+			in.SourceName = d.str32()
 			in.AccessUndefined = d.bool()
 			nAcc := int(d.u32())
 			for k := 0; k < nAcc && d.err == nil; k++ {
-				p, err := path.Parse(d.str())
-				if err != nil && d.err == nil {
-					d.err = err
+				p, err := path.Parse(d.str32())
+				if err != nil {
+					d.Fail(err)
 				}
 				in.Accessed = append(in.Accessed, p)
 			}
 			nSchema := int(d.u32())
 			for k := 0; k < nSchema && d.err == nil; k++ {
-				in.Schema = append(in.Schema, d.str())
+				in.Schema = append(in.Schema, d.str32())
 			}
 			op.Inputs = append(op.Inputs, in)
 		}
 		nManip := int(d.u32())
 		for j := 0; j < nManip && d.err == nil; j++ {
 			var m engine.Mapping
-			inStr := d.str()
-			outStr := d.str()
+			inStr := d.str32()
+			outStr := d.str32()
 			m.GroupKey = d.bool()
 			if d.err == nil {
 				var err error
 				if inStr != "" {
 					if m.In, err = path.Parse(inStr); err != nil {
-						d.err = err
+						d.Fail(err)
 					}
 				}
-				if m.Out, err = path.Parse(outStr); err != nil && d.err == nil {
-					d.err = err
+				if m.Out, err = path.Parse(outStr); err != nil {
+					d.Fail(err)
 				}
 			}
 			op.Manipulated = append(op.Manipulated, m)
 		}
-		switch tag := d.u8(); tag {
+		switch tag := d.Byte(); tag {
 		case 0:
 		case 1:
 			n := int(d.u32())
-			op.SourceIDs = make([]SourceAssoc, 0, capHint(n))
+			op.SourceIDs = make([]SourceAssoc, 0, d.Clamp(n))
 			for j := 0; j < n && d.err == nil; j++ {
 				op.SourceIDs = append(op.SourceIDs, SourceAssoc{ID: d.i64(), OrigID: d.i64()})
 			}
 		case 2:
 			n := int(d.u32())
-			op.Unary = make([]UnaryAssoc, 0, capHint(n))
+			op.Unary = make([]UnaryAssoc, 0, d.Clamp(n))
 			for j := 0; j < n && d.err == nil; j++ {
 				op.Unary = append(op.Unary, UnaryAssoc{In: d.i64(), Out: d.i64()})
 			}
 		case 3:
 			n := int(d.u32())
-			op.Binary = make([]BinaryAssoc, 0, capHint(n))
+			op.Binary = make([]BinaryAssoc, 0, d.Clamp(n))
 			for j := 0; j < n && d.err == nil; j++ {
 				op.Binary = append(op.Binary, BinaryAssoc{Left: d.i64(), Right: d.i64(), Out: d.i64()})
 			}
 		case 4:
 			n := int(d.u32())
-			op.Flatten = make([]FlattenAssoc, 0, capHint(n))
+			op.Flatten = make([]FlattenAssoc, 0, d.Clamp(n))
 			for j := 0; j < n && d.err == nil; j++ {
 				op.Flatten = append(op.Flatten, FlattenAssoc{In: d.i64(), Pos: int(d.u32()), Out: d.i64()})
 			}
 		case 5:
 			n := int(d.u32())
-			op.Agg = make([]AggAssoc, 0, capHint(n))
+			op.Agg = make([]AggAssoc, 0, d.Clamp(n))
 			for j := 0; j < n && d.err == nil; j++ {
 				a := AggAssoc{Out: d.i64()}
 				nIns := int(d.u32())
-				a.Ins = make([]int64, 0, capHint(nIns))
+				a.Ins = make([]int64, 0, d.Clamp(nIns))
 				for k := 0; k < nIns && d.err == nil; k++ {
 					a.Ins = append(a.Ins, d.i64())
 				}
 				op.Agg = append(op.Agg, a)
 			}
 		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
-			}
+			d.Fail(fmt.Errorf("provenance: unknown association tag %d", tag))
 		}
 		if d.err != nil {
 			return nil, d.err
@@ -306,134 +160,8 @@ func readRunV1(d *decoder) (*Run, error) {
 		run.ops[op.OID] = op
 		run.order = append(run.order, op.OID)
 	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
 	return run, nil
-}
-
-// capHint bounds the initial capacity of decoded slices so corrupt or
-// malicious length prefixes cannot force huge allocations; slices still grow
-// to any genuine size via append.
-func capHint(n int) int {
-	const max = 1 << 16
-	if n < 0 {
-		return 0
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
-
-// encoder writes little-endian primitives, remembering the first error and
-// the logical offset (bytes handed to the writer so far — used for per-op
-// size attribution, which must not depend on when the buffer above the
-// counting writer flushes).
-type encoder struct {
-	w   io.Writer
-	off int64
-	err error
-}
-
-func (e *encoder) write(p []byte) {
-	if e.err != nil {
-		return
-	}
-	var n int
-	n, e.err = e.w.Write(p)
-	e.off += int64(n)
-}
-
-func (e *encoder) bytes(p []byte) { e.write(p) }
-func (e *encoder) u8(v uint8)     { e.write([]byte{v}) }
-
-func (e *encoder) u16(v uint16) {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	e.write(buf[:])
-}
-
-func (e *encoder) u32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	e.write(buf[:])
-}
-
-func (e *encoder) i64(v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	e.write(buf[:])
-}
-
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.write([]byte(s))
-}
-
-// decoder reads little-endian primitives, remembering the first error.
-type decoder struct {
-	r   io.Reader
-	err error
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	buf := make([]byte, n)
-	_, d.err = io.ReadFull(d.r, buf)
-	return buf
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.bytes(1)
-	if d.err != nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.bytes(2)
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.bytes(4)
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) i64() int64 {
-	b := d.bytes(8)
-	if d.err != nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	const maxStr = 1 << 20
-	if n > maxStr {
-		d.err = fmt.Errorf("provenance: string length %d exceeds limit", n)
-		return ""
-	}
-	return string(d.bytes(int(n)))
 }

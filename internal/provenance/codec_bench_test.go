@@ -67,45 +67,45 @@ func benchRun() *Run {
 	return c.Finish()
 }
 
-// BenchmarkCodecV1vsV2 measures encode and decode of the same run through
-// both codec versions and reports the stream sizes, the committed numbers
-// behind BENCH_PR5.json's ratio gate.
+// BenchmarkCodecV1vsV2 measures the codec over the same run: encode through
+// WriteTo (v2, the only encoder), decode of the v2 stream and of the frozen
+// v1 layout (stream from the test-only reference encoder) through ReadRun,
+// each reporting its stream size.
 func BenchmarkCodecV1vsV2(b *testing.B) {
 	run := benchRun()
-	for _, v := range []struct {
-		name    string
-		version int
-	}{{"v1", codecVersionV1}, {"v2", codecVersionV2}} {
-		var stream bytes.Buffer
-		if _, err := run.WriteToVersion(&stream, v.version); err != nil {
-			b.Fatal(err)
-		}
-		b.Run("encode/"+v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var w bytes.Buffer
-				if _, err := run.WriteToVersion(&w, v.version); err != nil {
-					b.Fatal(err)
-				}
+	var v2 bytes.Buffer
+	if _, err := run.WriteTo(&v2); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode/v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var w bytes.Buffer
+			if _, err := run.WriteTo(&w); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(stream.Len()), "bytes")
-		})
+		}
+		b.ReportMetric(float64(v2.Len()), "bytes")
+	})
+	for _, v := range []struct {
+		name   string
+		stream []byte
+	}{{"v1", RefEncodeV1(run)}, {"v2", v2.Bytes()}} {
 		b.Run("decode/"+v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadRun(bytes.NewReader(stream.Bytes())); err != nil {
+				if _, err := ReadRun(bytes.NewReader(v.stream)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(stream.Len()), "bytes")
+			b.ReportMetric(float64(len(v.stream)), "bytes")
 		})
 	}
 }
 
 // TestCodecBenchSmoke re-executes this test binary with one benchmark
 // iteration so broken benchmarks fail the test gate instead of waiting for
-// the next manual `make bench-codec` run (same pattern as the root
-// TestBenchSmoke).
+// the next manual benchmark run (same pattern as the root TestBenchSmoke).
 func TestCodecBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke is slow; skipped in -short mode")
@@ -128,7 +128,6 @@ func TestCodecBenchSmoke(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkCaptureSink/per-row",
 		"BenchmarkCaptureSink/morsel",
-		"BenchmarkCodecV1vsV2/encode/v1",
 		"BenchmarkCodecV1vsV2/encode/v2",
 		"BenchmarkCodecV1vsV2/decode/v1",
 		"BenchmarkCodecV1vsV2/decode/v2",

@@ -18,8 +18,9 @@ var update = flag.Bool("update", false, "rewrite codec golden files under testda
 // goldenPipelines are deterministic captures whose serialised forms are
 // committed under testdata/: <name>.golden holds the frozen v1 stream (a
 // compatibility fixture — archived provenance written before the columnar
-// codec must decode forever) and <name>.v2.golden the stream WriteTo emits
-// today. Together they exercise every association layout the codec knows:
+// codec must decode forever; nothing in the binary writes it any more, the
+// reference encoder in reference_test.go reproduces it) and <name>.v2.golden
+// the stream WriteTo emits today. Together they exercise every association layout the codec knows:
 // SourceIDs (1), Unary (2), Binary (3), Flatten (4), Agg (5), and the empty
 // tag (0) via the ⊥-annotated map. Committed bytes pin the on-disk format:
 // any codec change that silently alters the layout of existing streams fails
@@ -67,10 +68,15 @@ func goldenRun(t *testing.T, parts int, build func() *engine.Pipeline) *provenan
 	return run
 }
 
+// encodeVersion encodes the run as v2 through WriteTo, the only production
+// encoder, or as v1 through the test-only reference encoder.
 func encodeVersion(t *testing.T, run *provenance.Run, version int) []byte {
 	t.Helper()
+	if version == 1 {
+		return provenance.RefEncodeV1(run)
+	}
 	var buf bytes.Buffer
-	if _, err := run.WriteToVersion(&buf, version); err != nil {
+	if _, err := run.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -110,12 +116,12 @@ func TestCodecGoldenFiles(t *testing.T) {
 			}
 			if !bytes.Equal(gotV1, wantV1) {
 				t.Fatalf("v1 stream differs from frozen fixture %s (%d vs %d bytes); "+
-					"the v1 encoder must stay byte-stable so archived streams keep their meaning",
+					"the reference v1 encoder must stay byte-stable so archived streams keep their meaning",
 					pathV1, len(gotV1), len(wantV1))
 			}
 			if !bytes.Equal(gotV2, wantV2) {
 				t.Fatalf("captured stream differs from %s (%d vs %d bytes); "+
-					"if the format changed intentionally, bump codecVersion and rerun with -update",
+					"if the format changed intentionally, add a codec version and rerun with -update",
 					pathV2, len(gotV2), len(wantV2))
 			}
 			// The columnar layout must actually pay for itself on every

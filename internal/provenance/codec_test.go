@@ -232,13 +232,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 
 	// Every strict prefix of a valid stream truncates some field or record
 	// and must be rejected — neither format has an optional trailer. The
-	// default WriteTo stream covers v2; the explicit v1 stream keeps the
-	// legacy fixed-width path honest.
-	var v1buf bytes.Buffer
-	if _, err := run.WriteToVersion(&v1buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, stream := range [][]byte{valid, v1buf.Bytes()} {
+	// WriteTo stream covers v2; the v1 stream (from the test-only reference
+	// encoder) keeps the frozen fixed-width decode honest.
+	for _, stream := range [][]byte{valid, provenance.RefEncodeV1(run)} {
 		for n := 0; n < len(stream); n++ {
 			if _, err := provenance.ReadRun(bytes.NewReader(stream[:n])); err == nil {
 				t.Fatalf("truncated stream of %d/%d bytes accepted", n, len(stream))

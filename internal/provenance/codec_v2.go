@@ -1,15 +1,12 @@
 package provenance
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 
-	"pebble/internal/engine"
 	"pebble/internal/obs"
-	"pebble/internal/path"
 )
 
 // Codec version 2: a columnar delta+varint layout. Association bags dominate
@@ -54,10 +51,13 @@ type encBuf struct{ b []byte }
 
 var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096)} }}
 
-// writeToV2 assembles the whole v2 stream in a pooled buffer and hands it to
-// w in a single Write, so the returned count reflects bytes the destination
-// genuinely accepted.
-func (r *Run) writeToV2(w io.Writer, rec *obs.Recorder) (int64, error) {
+// WriteTo serialises the run: the whole v2 stream is assembled in a pooled
+// buffer and handed to w in a single Write, so the returned count reflects
+// bytes the destination genuinely accepted. A run captured under a recorder
+// (Collector.Observe) reports every operator's encoded byte count into it as
+// obs.BytesEncoded — the codec-level counterpart of the model-level ProvBytes
+// counter — once per call.
+func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	eb := encPool.Get().(*encBuf)
 	buf := eb.b[:0]
 	buf = append(buf, codecMagic...)
@@ -74,7 +74,7 @@ func (r *Run) writeToV2(w io.Writer, rec *obs.Recorder) (int64, error) {
 		op := r.ops[oid]
 		start := len(buf)
 		buf = appendOpV2(buf, op, refs)
-		rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
+		r.rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
 	}
 
 	n, err := w.Write(buf)
@@ -229,266 +229,4 @@ func appendBool(buf []byte, v bool) []byte {
 		return append(buf, 1)
 	}
 	return append(buf, 0)
-}
-
-// maxV2Count caps any single declared element count. Real runs stay far
-// below it; the cap only rejects counts that cannot be backed by a genuine
-// stream before the decoder commits to materialising them.
-const maxV2Count = 1 << 32
-
-// v2decoder reads varint primitives from a buffered stream, remembering the
-// first error. Column reads grow element-by-element (every element consumes
-// at least one byte), so a corrupt count prefix runs into io.EOF instead of
-// forcing a giant allocation.
-type v2decoder struct {
-	r    *bufio.Reader
-	dict []string
-	err  error
-}
-
-func readRunV2(br *bufio.Reader) (*Run, error) {
-	d := &v2decoder{r: br}
-	nDict := d.count("dictionary")
-	d.dict = make([]string, 0, capHint(nDict))
-	for i := 0; i < nDict && d.err == nil; i++ {
-		d.dict = append(d.dict, d.rawString())
-	}
-	nOps := d.count("operator")
-	if d.err != nil {
-		return nil, d.err
-	}
-	run := &Run{ops: make(map[int]*Operator, capHint(nOps))}
-	for i := 0; i < nOps; i++ {
-		op := d.readOp()
-		if d.err != nil {
-			return nil, d.err
-		}
-		run.ops[op.OID] = op
-		run.order = append(run.order, op.OID)
-	}
-	return run, nil
-}
-
-func (d *v2decoder) readOp() *Operator {
-	op := &Operator{}
-	op.OID = int(d.uvarint())
-	op.Type = engine.OpType(d.ref("operator type"))
-	op.ManipUndefined = d.bool()
-	nIn := d.count("input")
-	for j := 0; j < nIn && d.err == nil; j++ {
-		var in engine.InputInfo
-		in.Pred = int(d.uvarint())
-		in.SourceName = d.ref("source name")
-		in.AccessUndefined = d.bool()
-		nAcc := d.count("accessed path")
-		for k := 0; k < nAcc && d.err == nil; k++ {
-			in.Accessed = append(in.Accessed, d.path("accessed path"))
-		}
-		nSchema := d.count("schema string")
-		for k := 0; k < nSchema && d.err == nil; k++ {
-			in.Schema = append(in.Schema, d.ref("schema string"))
-		}
-		op.Inputs = append(op.Inputs, in)
-	}
-	nManip := d.count("mapping")
-	for j := 0; j < nManip && d.err == nil; j++ {
-		var m engine.Mapping
-		if in := d.ref("mapping input path"); in != "" && d.err == nil {
-			m.In = d.parse(in)
-		}
-		m.Out = d.path("mapping output path")
-		m.GroupKey = d.bool()
-		op.Manipulated = append(op.Manipulated, m)
-	}
-	d.readAssocs(op)
-	return op
-}
-
-func (d *v2decoder) readAssocs(op *Operator) {
-	switch tag := d.byte(); tag {
-	case 0:
-	case 1:
-		n := d.count("source association")
-		ids := d.deltaColumn(n)
-		origs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.SourceIDs = make([]SourceAssoc, n)
-		for j := range op.SourceIDs {
-			op.SourceIDs[j] = SourceAssoc{ID: ids[j], OrigID: origs[j]}
-		}
-	case 2:
-		n := d.count("unary association")
-		ins := d.deltaColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Unary = make([]UnaryAssoc, n)
-		for j := range op.Unary {
-			op.Unary[j] = UnaryAssoc{In: ins[j], Out: outs[j]}
-		}
-	case 3:
-		n := d.count("binary association")
-		lefts := d.deltaColumn(n)
-		rights := d.deltaColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Binary = make([]BinaryAssoc, n)
-		for j := range op.Binary {
-			op.Binary[j] = BinaryAssoc{Left: lefts[j], Right: rights[j], Out: outs[j]}
-		}
-	case 4:
-		n := d.count("flatten association")
-		ins := d.deltaColumn(n)
-		poss := d.uvarintColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Flatten = make([]FlattenAssoc, n)
-		for j := range op.Flatten {
-			op.Flatten[j] = FlattenAssoc{In: ins[j], Pos: int(poss[j]), Out: outs[j]}
-		}
-	case 5:
-		n := d.count("aggregate association")
-		outs := d.deltaColumn(n)
-		lens := d.uvarintColumn(n)
-		total := 0
-		for _, l := range lens {
-			if d.err == nil && (l > maxV2Count || total+int(l) < total) {
-				d.err = fmt.Errorf("provenance: aggregate input count %d exceeds limit", l)
-			}
-			total += int(l)
-		}
-		flat := d.deltaColumn(total)
-		if d.err != nil {
-			return
-		}
-		op.Agg = make([]AggAssoc, n)
-		off := 0
-		for j := range op.Agg {
-			ln := int(lens[j])
-			a := AggAssoc{Out: outs[j], Ins: make([]int64, 0, capHint(ln))}
-			a.Ins = append(a.Ins, flat[off:off+ln]...)
-			off += ln
-			op.Agg[j] = a
-		}
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
-		}
-	}
-}
-
-func (d *v2decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	return v
-}
-
-// count reads a uvarint element count and rejects absurd values before any
-// loop commits to them.
-func (d *v2decoder) count(what string) int {
-	v := d.uvarint()
-	if d.err == nil && v > maxV2Count {
-		d.err = fmt.Errorf("provenance: %s count %d exceeds limit", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *v2decoder) byte() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	return b
-}
-
-func (d *v2decoder) bool() bool { return d.byte() != 0 }
-
-// deltaColumn reads n zigzag-delta varints. Growth is append-driven with a
-// bounded initial capacity: every element consumes at least one input byte,
-// so a lying count prefix hits EOF rather than a huge allocation.
-func (d *v2decoder) deltaColumn(n int) []int64 {
-	out := make([]int64, 0, capHint(n))
-	var prev int64
-	for i := 0; i < n && d.err == nil; i++ {
-		u := d.uvarint()
-		prev += int64(u>>1) ^ -int64(u&1)
-		out = append(out, prev)
-	}
-	return out
-}
-
-func (d *v2decoder) uvarintColumn(n int) []uint64 {
-	out := make([]uint64, 0, capHint(n))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.uvarint())
-	}
-	return out
-}
-
-// rawString reads a length-prefixed dictionary entry.
-func (d *v2decoder) rawString() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	const maxStr = 1 << 20
-	if n > maxStr {
-		d.err = fmt.Errorf("provenance: string length %d exceeds limit", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(buf)
-}
-
-// ref reads a dictionary reference and resolves it, rejecting out-of-range
-// indexes.
-func (d *v2decoder) ref(what string) string {
-	i := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if i >= uint64(len(d.dict)) {
-		d.err = fmt.Errorf("provenance: %s dictionary reference %d out of range (dictionary has %d entries)", what, i, len(d.dict))
-		return ""
-	}
-	return d.dict[i]
-}
-
-// path resolves a dictionary reference and parses it as an access path.
-func (d *v2decoder) path(what string) path.Path {
-	s := d.ref(what)
-	if d.err != nil {
-		return nil
-	}
-	return d.parse(s)
-}
-
-func (d *v2decoder) parse(s string) path.Path {
-	p, err := path.Parse(s)
-	if err != nil && d.err == nil {
-		d.err = err
-	}
-	return p
 }

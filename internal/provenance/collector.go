@@ -98,7 +98,8 @@ func NewCollector() *Collector {
 
 // Observe attaches a recorder: Finish reports its merge time as a span and
 // the per-operator provenance footprint (the deterministic Sizes model) as
-// counters. Call before the capture run starts; a nil recorder is fine.
+// counters, and hands the recorder to the Run, whose WriteTo reports encoded
+// bytes. Call before the capture run starts; a nil recorder is fine.
 func (c *Collector) Observe(rec *obs.Recorder) { c.rec = rec }
 
 // maxFreeShards bounds the recycled backing arrays a collector retains, so a
@@ -160,7 +161,7 @@ func (c *Collector) Finish() *Run {
 	defer c.rec.StartSpan(obs.SpanCollectorFinish)()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	run := &Run{ops: make(map[int]*Operator, len(c.ops)), order: make([]int, 0, len(c.ops))}
+	run := &Run{ops: make(map[int]*Operator, len(c.ops)), order: make([]int, 0, len(c.ops)), rec: c.rec}
 	sort.Ints(c.order)
 	for _, oid := range c.order {
 		os := c.ops[oid]

@@ -1,16 +1,12 @@
 package provenance
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
 	"pebble/internal/engine"
-	"pebble/internal/obs"
 	"pebble/internal/path"
 )
 
@@ -23,12 +19,12 @@ import (
 // prefix of a stream is invalid, and the codec tests pin that). Instead of a
 // serialized directory, ReadRunLazy derives a per-operator offset directory
 // with a validating skip-scan: the static parts (dictionary, operator
-// headers, paths, mappings) decode eagerly exactly like ReadRun, and each
-// association block is structurally validated — count caps, varint
-// boundaries, aggregate length sums — and recorded as a byte region of the
-// backing slice. Because the scan proves every region well-formed up front,
-// materialisation is infallible and corrupt streams fail at load time, just
-// like the eager path.
+// headers, paths, mappings) decode at load, and each association block is
+// structurally validated — count caps, varint boundaries, aggregate length
+// sums — and recorded as a byte region of the backing slice. Because the scan
+// proves every region well-formed up front, materialisation is infallible
+// and corrupt streams fail at load time. There is no second decoder: ReadRun
+// is this load followed by the materialisation of every region.
 
 // AssocKind enumerates the association bag layouts of Tab. 6; the values
 // coincide with the codec's wire tags.
@@ -130,13 +126,14 @@ func (o *Operator) SourceAssocs() []SourceAssoc {
 }
 
 // ContentHash returns the FNV-1a hash of the encoded stream the run was
-// loaded from, used to pair a run with its persisted index sidecar. Only
-// byte-loaded runs (ReadRunLazy) carry a hash; ok is false otherwise.
+// loaded from, used to pair a run with its persisted index sidecar. Every
+// loaded run (ReadRunLazy, ReadRun) carries one; ok is false for a run still
+// in memory from its capture, which has no encoded form yet.
 func (r *Run) ContentHash() (uint64, bool) { return r.hash, r.hasHash }
 
 // AssocBytesTotal returns the encoded size of all association regions of a
-// lazily loaded v2 run (0 for eager or in-memory runs) — the bytes an eager
-// decode materialises unconditionally.
+// lazily loaded v2 run (0 for fully decoded or in-memory runs) — the bytes
+// ReadRun materialises unconditionally.
 func (r *Run) AssocBytesTotal() int64 {
 	if r.lazy == nil {
 		return 0
@@ -174,62 +171,64 @@ func HashStream(data []byte) uint64 {
 
 // ReadRunLazy loads a run from its encoded bytes, deferring association
 // column decode until an operator's bag is first touched. The stream is
-// fully validated up front (a corrupt or truncated stream errors here, never
-// later), so the accessors are infallible. v1 streams have no columnar
-// layout and decode fully; they still carry the content hash.
+// fully validated up front (a corrupt or truncated stream, or one with bytes
+// after its last operator, errors here, never later), so the accessors are
+// infallible. v1 streams have no columnar layout and decode fully. Every
+// loaded run carries the content hash of data. This is the one load path:
+// ReadRun is ReadRunLazy plus the decode of every bag.
 func ReadRunLazy(data []byte) (*Run, error) {
-	prefix := len(codecMagic) + 2
-	if len(data) < prefix {
-		return nil, io.ErrUnexpectedEOF
+	c := NewCursor(data)
+	magic := c.take(len(codecMagic))
+	version := c.u16()
+	if c.err != nil {
+		return nil, c.err
 	}
-	if string(data[:len(codecMagic)]) != codecMagic {
-		return nil, fmt.Errorf("provenance: bad magic %q", data[:len(codecMagic)])
+	if string(magic) != codecMagic {
+		return nil, fmt.Errorf("provenance: bad magic %q", magic)
 	}
-	switch v := binary.LittleEndian.Uint16(data[len(codecMagic):prefix]); v {
+	var (
+		run *Run
+		err error
+	)
+	switch version {
 	case codecVersionV1:
-		run, err := ReadRun(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		run.hash, run.hasHash = HashStream(data), true
-		return run, nil
+		run, err = readRunV1(c)
 	case codecVersionV2:
-		return scanRunV2(data, prefix)
+		run, err = scanRunV2(c)
 	default:
-		return nil, fmt.Errorf("provenance: unsupported version %d", v)
+		err = fmt.Errorf("provenance: unsupported version %d", version)
 	}
+	if err != nil {
+		return nil, err
+	}
+	run.hash, run.hasHash = HashStream(data), true
+	return run, nil
 }
 
-// ReadRunLazyObserved loads like ReadRunLazy and reports the load duration
-// as obs.SpanRunLoad (a nil recorder is fine).
-func ReadRunLazyObserved(data []byte, rec *obs.Recorder) (*Run, error) {
-	defer rec.StartSpan(obs.SpanRunLoad)()
-	return ReadRunLazy(data)
-}
-
-// ReadRunObserved loads eagerly like ReadRun and reports the load duration
-// as obs.SpanRunLoad.
-func ReadRunObserved(r io.Reader, rec *obs.Recorder) (*Run, error) {
-	defer rec.StartSpan(obs.SpanRunLoad)()
-	return ReadRun(r)
+// scanner reads the v2 layout following the magic/version prefix: the
+// cursor's primitives plus the string dictionary that references resolve
+// against.
+type scanner struct {
+	*Cursor
+	dict []string
 }
 
 // scanRunV2 performs the validating skip-scan over a v2 stream: static parts
 // decode eagerly, association blocks are verified and recorded as lazy
 // regions.
-func scanRunV2(data []byte, pos int) (*Run, error) {
-	d := &sdecoder{data: data, pos: pos}
-	nDict := d.scount("dictionary")
-	d.dict = make([]string, 0, capHint(nDict))
+func scanRunV2(c *Cursor) (*Run, error) {
+	d := &scanner{Cursor: c}
+	nDict := d.Count("dictionary")
+	d.dict = make([]string, 0, d.Clamp(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
-		d.dict = append(d.dict, d.rawString())
+		d.dict = append(d.dict, d.str(d.Uvarint()))
 	}
-	nOps := d.scount("operator")
+	nOps := d.Count("operator")
 	if d.err != nil {
 		return nil, d.err
 	}
-	ls := &lazyStream{data: data}
-	run := &Run{ops: make(map[int]*Operator, capHint(nOps))}
+	ls := &lazyStream{data: c.data}
+	run := &Run{ops: make(map[int]*Operator), lazy: ls}
 	for i := 0; i < nOps; i++ {
 		op := d.scanOp(ls)
 		if d.err != nil {
@@ -238,92 +237,16 @@ func scanRunV2(data []byte, pos int) (*Run, error) {
 		run.ops[op.OID] = op
 		run.order = append(run.order, op.OID)
 	}
-	run.lazy = ls
-	run.hash, run.hasHash = HashStream(data), true
+	if err := d.end(); err != nil {
+		return nil, err
+	}
 	return run, nil
 }
 
-var errVarintOverflow = errors.New("provenance: varint overflows a 64-bit integer")
-
-// sdecoder reads varint primitives from a byte slice, remembering the first
-// error — the slice-backed sibling of v2decoder.
-type sdecoder struct {
-	data []byte
-	pos  int
-	dict []string
-	err  error
-}
-
-func (d *sdecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	// Single-byte fast path: identifier deltas are tiny, so the vast majority
-	// of varints in a stream are one byte.
-	if d.pos < len(d.data) {
-		if b := d.data[d.pos]; b < 0x80 {
-			d.pos++
-			return uint64(b)
-		}
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		if n == 0 {
-			d.err = io.ErrUnexpectedEOF
-		} else {
-			d.err = errVarintOverflow
-		}
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *sdecoder) scount(what string) int {
-	v := d.uvarint()
-	if d.err == nil && v > maxV2Count {
-		d.err = fmt.Errorf("provenance: %s count %d exceeds limit", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *sdecoder) byte() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *sdecoder) bool() bool { return d.byte() != 0 }
-
-func (d *sdecoder) rawString() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	const maxStr = 1 << 20
-	if n > maxStr {
-		d.err = fmt.Errorf("provenance: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-func (d *sdecoder) ref(what string) string {
-	i := d.uvarint()
+// ref reads a dictionary reference and resolves it, rejecting out-of-range
+// indexes.
+func (d *scanner) ref(what string) string {
+	i := d.Uvarint()
 	if d.err != nil {
 		return ""
 	}
@@ -334,7 +257,8 @@ func (d *sdecoder) ref(what string) string {
 	return d.dict[i]
 }
 
-func (d *sdecoder) path(what string) path.Path {
+// path resolves a dictionary reference and parses it as an access path.
+func (d *scanner) path(what string) path.Path {
 	s := d.ref(what)
 	if d.err != nil {
 		return nil
@@ -342,73 +266,38 @@ func (d *sdecoder) path(what string) path.Path {
 	return d.parse(s)
 }
 
-func (d *sdecoder) parse(s string) path.Path {
+func (d *scanner) parse(s string) path.Path {
 	p, err := path.Parse(s)
-	if err != nil && d.err == nil {
-		d.err = err
+	if err != nil {
+		d.Fail(err)
 	}
 	return p
 }
 
-// skipVarints advances past n varints without decoding their values,
-// rejecting truncation and overlong encodings exactly like binary.ReadUvarint
-// would.
-func (d *sdecoder) skipVarints(n int) {
-	if d.err != nil {
-		return
-	}
-	data, p := d.data, d.pos
-	for i := 0; i < n; i++ {
-		for j := 0; ; j++ {
-			if p >= len(data) {
-				d.err = io.ErrUnexpectedEOF
-				d.pos = p
-				return
-			}
-			b := data[p]
-			p++
-			if b < 0x80 {
-				if j == binary.MaxVarintLen64-1 && b > 1 {
-					d.err = errVarintOverflow
-					d.pos = p
-					return
-				}
-				break
-			}
-			if j == binary.MaxVarintLen64-1 {
-				d.err = errVarintOverflow
-				d.pos = p
-				return
-			}
-		}
-	}
-	d.pos = p
-}
-
 // scanOp decodes one operator's static part and validates its association
 // block into a lazy region.
-func (d *sdecoder) scanOp(ls *lazyStream) *Operator {
+func (d *scanner) scanOp(ls *lazyStream) *Operator {
 	op := &Operator{}
-	op.OID = int(d.uvarint())
+	op.OID = int(d.Uvarint())
 	op.Type = engine.OpType(d.ref("operator type"))
 	op.ManipUndefined = d.bool()
-	nIn := d.scount("input")
+	nIn := d.Count("input")
 	for j := 0; j < nIn && d.err == nil; j++ {
 		var in engine.InputInfo
-		in.Pred = int(d.uvarint())
+		in.Pred = int(d.Uvarint())
 		in.SourceName = d.ref("source name")
 		in.AccessUndefined = d.bool()
-		nAcc := d.scount("accessed path")
+		nAcc := d.Count("accessed path")
 		for k := 0; k < nAcc && d.err == nil; k++ {
 			in.Accessed = append(in.Accessed, d.path("accessed path"))
 		}
-		nSchema := d.scount("schema string")
+		nSchema := d.Count("schema string")
 		for k := 0; k < nSchema && d.err == nil; k++ {
 			in.Schema = append(in.Schema, d.ref("schema string"))
 		}
 		op.Inputs = append(op.Inputs, in)
 	}
-	nManip := d.scount("mapping")
+	nManip := d.Count("mapping")
 	for j := 0; j < nManip && d.err == nil; j++ {
 		var m engine.Mapping
 		if in := d.ref("mapping input path"); in != "" && d.err == nil {
@@ -424,8 +313,8 @@ func (d *sdecoder) scanOp(ls *lazyStream) *Operator {
 
 // scanAssocs validates one association block and records it as a lazy
 // region instead of materialising the columns.
-func (d *sdecoder) scanAssocs(op *Operator, ls *lazyStream) {
-	tag := d.byte()
+func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
+	tag := d.Byte()
 	if d.err != nil {
 		return
 	}
@@ -435,28 +324,28 @@ func (d *sdecoder) scanAssocs(op *Operator, ls *lazyStream) {
 	case AssocNone:
 		return
 	case AssocSource:
-		n = d.scount("source association")
-		d.skipVarints(2 * n)
+		n = d.Count("source association")
+		d.SkipVarints(2 * n)
 	case AssocUnary:
-		n = d.scount("unary association")
-		d.skipVarints(2 * n)
+		n = d.Count("unary association")
+		d.SkipVarints(2 * n)
 	case AssocBinary:
-		n = d.scount("binary association")
-		d.skipVarints(3 * n)
+		n = d.Count("binary association")
+		d.SkipVarints(3 * n)
 	case AssocFlatten:
-		n = d.scount("flatten association")
-		d.skipVarints(3 * n)
+		n = d.Count("flatten association")
+		d.SkipVarints(3 * n)
 	case AssocAgg:
-		n = d.scount("aggregate association")
-		d.skipVarints(n) // Δ(Out) column
+		n = d.Count("aggregate association")
+		d.SkipVarints(n) // Δ(Out) column
 		for i := 0; i < n && d.err == nil; i++ {
-			l := d.uvarint()
-			if d.err == nil && (l > maxV2Count || totalIns+int(l) < totalIns) {
+			l := d.Uvarint()
+			if d.err == nil && (l > maxCount || totalIns+int(l) < totalIns) {
 				d.err = fmt.Errorf("provenance: aggregate input count %d exceeds limit", l)
 			}
 			totalIns += int(l)
 		}
-		d.skipVarints(totalIns)
+		d.SkipVarints(totalIns)
 	default:
 		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
 		return
@@ -472,53 +361,53 @@ func (d *sdecoder) scanAssocs(op *Operator, ls *lazyStream) {
 // region well-formed, so a decode failure here is a bug, not an input error
 // — it panics rather than silently returning partial provenance.
 func (l *lazyAssoc) decode(op *Operator) {
-	d := &sdecoder{data: l.src.data[:l.end], pos: l.off}
+	d := &Cursor{data: l.src.data[:l.end], pos: l.off}
 	switch l.tag {
 	case AssocSource:
-		n := d.scount("source association")
-		ids := d.lazyDeltaColumn(n)
-		origs := d.lazyDeltaColumn(n)
+		n := d.Count("source association")
+		ids := d.DeltaColumn(n)
+		origs := d.DeltaColumn(n)
 		op.SourceIDs = make([]SourceAssoc, n)
 		for j := range op.SourceIDs {
 			op.SourceIDs[j] = SourceAssoc{ID: ids[j], OrigID: origs[j]}
 		}
 	case AssocUnary:
-		n := d.scount("unary association")
-		ins := d.lazyDeltaColumn(n)
-		outs := d.lazyDeltaColumn(n)
+		n := d.Count("unary association")
+		ins := d.DeltaColumn(n)
+		outs := d.DeltaColumn(n)
 		op.Unary = make([]UnaryAssoc, n)
 		for j := range op.Unary {
 			op.Unary[j] = UnaryAssoc{In: ins[j], Out: outs[j]}
 		}
 	case AssocBinary:
-		n := d.scount("binary association")
-		lefts := d.lazyDeltaColumn(n)
-		rights := d.lazyDeltaColumn(n)
-		outs := d.lazyDeltaColumn(n)
+		n := d.Count("binary association")
+		lefts := d.DeltaColumn(n)
+		rights := d.DeltaColumn(n)
+		outs := d.DeltaColumn(n)
 		op.Binary = make([]BinaryAssoc, n)
 		for j := range op.Binary {
 			op.Binary[j] = BinaryAssoc{Left: lefts[j], Right: rights[j], Out: outs[j]}
 		}
 	case AssocFlatten:
-		n := d.scount("flatten association")
-		ins := d.lazyDeltaColumn(n)
+		n := d.Count("flatten association")
+		ins := d.DeltaColumn(n)
 		poss := make([]uint64, n)
 		for j := 0; j < n && d.err == nil; j++ {
-			poss[j] = d.uvarint()
+			poss[j] = d.Uvarint()
 		}
-		outs := d.lazyDeltaColumn(n)
+		outs := d.DeltaColumn(n)
 		op.Flatten = make([]FlattenAssoc, n)
 		for j := range op.Flatten {
 			op.Flatten[j] = FlattenAssoc{In: ins[j], Pos: int(poss[j]), Out: outs[j]}
 		}
 	case AssocAgg:
-		n := d.scount("aggregate association")
-		outs := d.lazyDeltaColumn(n)
+		n := d.Count("aggregate association")
+		outs := d.DeltaColumn(n)
 		lens := make([]int, n)
 		for j := 0; j < n && d.err == nil; j++ {
-			lens[j] = int(d.uvarint())
+			lens[j] = int(d.Uvarint())
 		}
-		flat := d.lazyDeltaColumn(l.totalIns)
+		flat := d.DeltaColumn(l.totalIns)
 		op.Agg = make([]AggAssoc, n)
 		off := 0
 		for j := range op.Agg {
@@ -530,17 +419,4 @@ func (l *lazyAssoc) decode(op *Operator) {
 		panic(fmt.Sprintf("provenance: lazy association decode diverged from validated scan (err=%v pos=%d end=%d)", d.err, d.pos, l.end))
 	}
 	l.src.decoded.Add(int64(l.end - l.off))
-}
-
-// lazyDeltaColumn decodes n zigzag-delta varints from a validated region;
-// n is trusted because the scan bounded it by actual region bytes.
-func (d *sdecoder) lazyDeltaColumn(n int) []int64 {
-	out := make([]int64, n)
-	var prev int64
-	for i := 0; i < n && d.err == nil; i++ {
-		u := d.uvarint()
-		prev += int64(u>>1) ^ -int64(u&1)
-		out[i] = prev
-	}
-	return out
 }

@@ -29,48 +29,97 @@ func goldenStreams(t *testing.T) map[string][]byte {
 	return streams
 }
 
-// TestLazyEqualsEagerOnGoldens: a lazily loaded run must be indistinguishable
-// from an eagerly decoded one — same operators, byte-equal association bags
-// once materialised, and an identical re-encoding.
+// requireSameRun fails unless got is indistinguishable from want: same
+// operators with the same static parts, equal association bags once
+// materialised, and identical re-encodings in both layouts.
+func requireSameRun(t *testing.T, want, got *provenance.Run) {
+	t.Helper()
+	wops, gops := want.Operators(), got.Operators()
+	if len(wops) != len(gops) {
+		t.Fatalf("operator count %d, want %d", len(gops), len(wops))
+	}
+	for i, wo := range wops {
+		gop := gops[i]
+		if wo.OID != gop.OID || wo.Type != gop.Type || wo.AssocKind() != gop.AssocKind() ||
+			wo.AssocCount() != gop.AssocCount() || wo.ManipUndefined != gop.ManipUndefined {
+			t.Fatalf("operator %d differs: %v/%v/%v vs %v/%v/%v", i,
+				gop.OID, gop.Type, gop.AssocKind(), wo.OID, wo.Type, wo.AssocKind())
+		}
+		if !reflect.DeepEqual(wo.Inputs, gop.Inputs) || !reflect.DeepEqual(wo.Manipulated, gop.Manipulated) {
+			t.Fatalf("operator %d static part differs", wo.OID)
+		}
+		if !reflect.DeepEqual(wo.UnaryAssocs(), gop.UnaryAssocs()) ||
+			!reflect.DeepEqual(wo.BinaryAssocs(), gop.BinaryAssocs()) ||
+			!reflect.DeepEqual(wo.FlattenAssocs(), gop.FlattenAssocs()) ||
+			!reflect.DeepEqual(wo.AggAssocs(), gop.AggAssocs()) ||
+			!reflect.DeepEqual(wo.SourceAssocs(), gop.SourceAssocs()) {
+			t.Fatalf("operator %d association bags differ", wo.OID)
+		}
+	}
+	var fromWant, fromGot bytes.Buffer
+	if _, err := want.WriteTo(&fromWant); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&fromGot); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromWant.Bytes(), fromGot.Bytes()) {
+		t.Errorf("re-encodings differ: %d vs %d bytes", fromGot.Len(), fromWant.Len())
+	}
+	if !bytes.Equal(provenance.RefEncodeV1(want), provenance.RefEncodeV1(got)) {
+		t.Errorf("v1 projections differ")
+	}
+}
+
+// TestLazyEqualsEagerOnGoldens: every committed stream, loaded lazily and
+// through ReadRun, must be indistinguishable from what the stream reference
+// (reference_test.go) decodes from the same bytes.
 func TestLazyEqualsEagerOnGoldens(t *testing.T) {
 	for name, data := range goldenStreams(t) {
 		t.Run(name, func(t *testing.T) {
-			eager, err := provenance.ReadRun(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("ReadRun: %v", err)
+			want, rest, err := provenance.RefReadRun(data)
+			if err != nil || rest != 0 {
+				t.Fatalf("reference decode: %v (%d bytes left)", err, rest)
 			}
 			lazyr, err := provenance.ReadRunLazy(data)
 			if err != nil {
 				t.Fatalf("ReadRunLazy: %v", err)
 			}
-			eops, lops := eager.Operators(), lazyr.Operators()
-			if len(eops) != len(lops) {
-				t.Fatalf("operator count %d vs %d", len(lops), len(eops))
+			requireSameRun(t, want, lazyr)
+			eager, err := provenance.ReadRun(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("ReadRun: %v", err)
 			}
-			for i, eo := range eops {
-				lo := lops[i]
-				if eo.OID != lo.OID || eo.Type != lo.Type || eo.AssocKind() != lo.AssocKind() {
-					t.Fatalf("operator %d differs: %v/%v vs %v/%v", i, lo.OID, lo.Type, eo.OID, eo.Type)
-				}
-				if !reflect.DeepEqual(eo.UnaryAssocs(), lo.UnaryAssocs()) ||
-					!reflect.DeepEqual(eo.BinaryAssocs(), lo.BinaryAssocs()) ||
-					!reflect.DeepEqual(eo.FlattenAssocs(), lo.FlattenAssocs()) ||
-					!reflect.DeepEqual(eo.AggAssocs(), lo.AggAssocs()) ||
-					!reflect.DeepEqual(eo.SourceAssocs(), lo.SourceAssocs()) {
-					t.Fatalf("operator %d association bags differ between lazy and eager", eo.OID)
-				}
+			requireSameRun(t, want, eager)
+			if got := eager.AssocBytesTotal(); got != 0 {
+				t.Errorf("ReadRun left %d association bytes undecoded", got)
 			}
-			var fromEager, fromLazy bytes.Buffer
-			if _, err := eager.WriteTo(&fromEager); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := lazyr.WriteTo(&fromLazy); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fromEager.Bytes(), fromLazy.Bytes()) {
-				t.Errorf("re-encodings differ: %d vs %d bytes", fromLazy.Len(), fromEager.Len())
+			lh, _ := lazyr.ContentHash()
+			if eh, ok := eager.ContentHash(); !ok || eh != lh || eh != provenance.HashStream(data) {
+				t.Errorf("ReadRun content hash %#x/%v, want %#x", eh, ok, provenance.HashStream(data))
 			}
 		})
+	}
+}
+
+// TestTrailingBytesRejected: neither codec version has a trailer, so a
+// committed stream followed by one to four junk bytes must not load — its
+// content hash would cover bytes no decoder looked at.
+func TestTrailingBytesRejected(t *testing.T) {
+	for name, data := range goldenStreams(t) {
+		for extra := 1; extra <= 4; extra++ {
+			junk := append(append([]byte(nil), data...), bytes.Repeat([]byte{0}, extra)...)
+			if _, err := provenance.ReadRunLazy(junk); err == nil {
+				t.Errorf("%s + %d trailing bytes: ReadRunLazy accepted", name, extra)
+			}
+			if _, err := provenance.ReadRun(bytes.NewReader(junk)); err == nil {
+				t.Errorf("%s + %d trailing bytes: ReadRun accepted", name, extra)
+			}
+			junk[len(junk)-1] = 0xFF
+			if _, err := provenance.ReadRunLazy(junk); err == nil {
+				t.Errorf("%s + %d trailing bytes (0xFF last): ReadRunLazy accepted", name, extra)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"pebble/internal/engine"
+	"pebble/internal/obs"
 )
 
 // UnaryAssoc is ⟨id_i, id_o⟩ for map, select, and filter.
@@ -90,6 +91,10 @@ type Run struct {
 	lazy    *lazyStream
 	hash    uint64
 	hasHash bool
+
+	// rec is the recorder the run was captured under (nil for a reloaded or
+	// unobserved run); WriteTo reports encoded bytes into it.
+	rec *obs.Recorder
 }
 
 // Op returns the operator provenance for the given operator identifier.

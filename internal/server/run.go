@@ -11,6 +11,7 @@ import (
 	"pebble/internal/core"
 	"pebble/internal/corpus"
 	"pebble/internal/engine"
+	"pebble/internal/obs"
 	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
 	"pebble/internal/workload"
@@ -147,7 +148,7 @@ func (s *Server) persistArtifacts(j *job, cap *core.Captured) (provPath, idxPath
 	if err != nil {
 		return "", "", 0, fmt.Errorf("create provenance artifact: %w", err)
 	}
-	n, werr := cap.Provenance.WriteToObserved(f, j.rec)
+	n, werr := cap.Provenance.WriteTo(f)
 	cerr := f.Close()
 	if werr != nil || cerr != nil {
 		cleanup()
@@ -202,7 +203,9 @@ func (s *Server) runTrace(j *job) error {
 	if err != nil {
 		return fmt.Errorf("read provenance artifact: %w", err)
 	}
-	run, err := provenance.ReadRunLazyObserved(data, j.rec)
+	loaded := j.rec.StartSpan(obs.SpanRunLoad)
+	run, err := provenance.ReadRunLazy(data)
+	loaded()
 	if err != nil {
 		return fmt.Errorf("load provenance artifact: %w", err)
 	}
@@ -215,7 +218,7 @@ func (s *Server) runTrace(j *job) error {
 	}
 	cap := core.Reattached(pipeline, result, run, tr, j.rec)
 
-	b, err := j.buildStructure(result)
+	b, err := j.buildStructure(cap)
 	if err != nil {
 		return err
 	}
@@ -243,12 +246,13 @@ func (s *Server) runTrace(j *job) error {
 }
 
 // buildStructure turns the trace request's question into a backtracing
-// structure over the target's result.
-func (j *job) buildStructure(result *engine.Result) (*backtrace.Structure, error) {
+// structure over the target's result; a pattern is matched through the
+// capture, which reports the compile and match spans into the job recorder.
+func (j *job) buildStructure(cap *core.Captured) (*backtrace.Structure, error) {
 	switch {
 	case j.req.TraceAll:
 		b := backtrace.NewStructure()
-		for _, row := range result.Output.Rows() {
+		for _, row := range cap.Result.Output.Rows() {
 			b.Add(row.ID, core.TreeFromValue(row.Value))
 		}
 		return b, nil
@@ -257,12 +261,12 @@ func (j *job) buildStructure(result *engine.Result) (*backtrace.Structure, error
 		if err != nil {
 			return nil, fmt.Errorf("parse pattern: %w", err)
 		}
-		return pat.MatchObserved(result.Output, j.rec), nil
+		return cap.Match(pat), nil
 	default:
 		pat := &treepattern.Pattern{}
 		if err := json.Unmarshal(j.req.Pattern, pat); err != nil {
 			return nil, fmt.Errorf("decode pattern: %w", err)
 		}
-		return pat.MatchObserved(result.Output, j.rec), nil
+		return cap.Match(pat), nil
 	}
 }

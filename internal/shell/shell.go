@@ -19,6 +19,7 @@ import (
 	"pebble/internal/core"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
+	"pebble/internal/obs"
 	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
 )
@@ -216,7 +217,9 @@ func (s *Shell) load(path string) error {
 		return err
 	}
 	rec := s.cap.Recorder()
-	run, err := provenance.ReadRunLazyObserved(data, rec)
+	loaded := rec.StartSpan(obs.SpanRunLoad)
+	run, err := provenance.ReadRunLazy(data)
+	loaded()
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
-	"pebble/internal/obs"
 	"pebble/internal/path"
 )
 
@@ -17,9 +16,9 @@ import (
 // into one closure at compile time instead of re-dispatched per candidate),
 // the count bounds, and the indexes of its child instructions. Matching
 // executes instructions against each candidate with a fused locate+bind walk
-// — the interpreter's intermediate per-node location slice is gone — while
-// preserving the interpreter's traversal order and semantics exactly (the
-// oracle tests pin this).
+// — no intermediate per-node location slice — in the traversal order and with
+// the semantics of the AST interpreter it replaced, which lives on in
+// reference_test.go as the reference the equivalence tests compare against.
 //
 // A Compiled is immutable after construction: matching keeps all per-row
 // state on the stack, so one compiled pattern is safely shared by the
@@ -47,16 +46,6 @@ type Compiled struct {
 // goroutines share one program.
 func (p *Pattern) Compile() *Compiled {
 	p.compileOnce.Do(func() { p.compiled = compile(p) })
-	return p.compiled
-}
-
-// compileObserved is Compile with the one-time build reported as
-// obs.SpanPatternCompile.
-func (p *Pattern) compileObserved(rec *obs.Recorder) *Compiled {
-	p.compileOnce.Do(func() {
-		defer rec.StartSpan(obs.SpanPatternCompile)()
-		p.compiled = compile(p)
-	})
 	return p.compiled
 }
 
@@ -128,8 +117,9 @@ func compileCheck(n *Node) func(nested.Value) bool {
 	}
 }
 
-// MatchItem matches one data item with the compiled program; semantics are
-// identical to Pattern.MatchItem.
+// MatchItem matches one data item with the compiled program and returns the
+// backtracing tree of matched paths, or ok == false when the item does not
+// satisfy the pattern.
 func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
 	var all []binding
 	for _, r := range c.roots {
@@ -145,13 +135,6 @@ func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
 // Match matches the compiled pattern against every row of the dataset in
 // parallel, one goroutine per partition.
 func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
-	return c.MatchObserved(d, nil)
-}
-
-// MatchObserved matches like Match and reports the matching phase as
-// obs.SpanPatternMatch.
-func (c *Compiled) MatchObserved(d *engine.Dataset, rec *obs.Recorder) *backtrace.Structure {
-	defer rec.StartSpan(obs.SpanPatternMatch)()
 	partResults := make([][]*backtrace.Item, len(d.Partitions))
 	var wg sync.WaitGroup
 	for pi := range d.Partitions {
@@ -177,7 +160,7 @@ func (c *Compiled) MatchObserved(d *engine.Dataset, rec *obs.Recorder) *backtrac
 
 // matchNode executes instruction i against context value ctx: all bindings,
 // or nil when the node does not match (including count violations) — the
-// compiled counterpart of the interpreter's matchNode.
+// one pattern node's verdict.
 func (c *Compiled) matchNode(i int32, ctx nested.Value, prefix path.Path) []binding {
 	n := &c.prog[i]
 	out := c.collect(n, ctx, prefix, nil)
@@ -193,9 +176,10 @@ func (c *Compiled) matchNode(i int32, ctx nested.Value, prefix path.Path) []bind
 	return out
 }
 
-// collect fuses the interpreter's locate and bindAt passes: occurrences are
-// bound as they are discovered, in the same traversal order locate produced,
-// without materialising the intermediate location slice.
+// collect finds the occurrences the node's edge can reach from ctx — direct
+// attributes (fanning through collection elements) for child edges, any depth
+// for descendant edges — and binds each as it is discovered, in document
+// order.
 func (c *Compiled) collect(n *cnode, ctx nested.Value, prefix path.Path, out []binding) []binding {
 	switch ctx.Kind() {
 	case nested.KindItem:

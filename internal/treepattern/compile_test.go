@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pebble/internal/backtrace"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/treepattern"
@@ -103,8 +104,13 @@ func TestCompiledMatchesInterpreterOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
-		want := sc.Pattern.Match(res.Output)
-		got := sc.Pattern.Compile().Match(res.Output)
+		want := backtrace.NewStructure()
+		for _, row := range res.Output.Rows() {
+			if tree, ok := sc.Pattern.MatchItem(row.Value); ok {
+				want.Add(row.ID, tree)
+			}
+		}
+		got := sc.Pattern.Match(res.Output)
 		if got.String() != want.String() {
 			t.Errorf("%s: compiled dataset match differs from interpreter:\n%s\nwant\n%s",
 				sc.Name, got, want)
@@ -181,8 +187,7 @@ func TestCompiledCountOnNestedCollections(t *testing.T) {
 }
 
 // BenchmarkMatchItem compares the reference interpreter against the compiled
-// program on real scenario outputs (the benchmark twin of the `-exp query`
-// sweep's match columns). T3 is the running example — deep nested outputs
+// program on real scenario outputs. T3 is the running example — deep nested outputs
 // under a descendant edge; T4 is a flat aggregate — many small rows.
 func BenchmarkMatchItem(b *testing.B) {
 	scale := workload.Scale{SimGB: 5, TweetsPerGB: 40, RecordsPerGB: 400, Seed: 42}

@@ -15,7 +15,6 @@ import (
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
-	"pebble/internal/obs"
 	"pebble/internal/path"
 )
 
@@ -145,23 +144,6 @@ type binding struct {
 	children []binding
 }
 
-// MatchItem matches the pattern against one data item and returns the
-// backtracing tree of matched paths, or ok == false when the item does not
-// satisfy the pattern. This is the reference AST interpreter; the dataset
-// Match path runs the compiled form (compile.go) and is pinned against this
-// one by the oracle tests.
-func (p *Pattern) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
-	var all []binding
-	for _, c := range p.Children {
-		bs := matchNode(c, d, nil)
-		if bs == nil {
-			return nil, false
-		}
-		all = append(all, bs...)
-	}
-	return bindingsTree(all), true
-}
-
 // bindingsTree folds the matched bindings into a backtracing tree of
 // contributing paths.
 func bindingsTree(all []binding) *backtrace.Tree {
@@ -180,106 +162,11 @@ func bindingsTree(all []binding) *backtrace.Tree {
 // Match matches the pattern against every row of the dataset in parallel
 // (one goroutine per partition) and returns the backtracing structure over
 // the matching rows — the distributed tree-pattern matching step that feeds
-// Alg. 1.
+// Alg. 1. The pattern runs in its compiled form (compile.go), built on first
+// use and shared — immutable and race-clean — by every partition goroutine
+// and every later Match.
 func (p *Pattern) Match(d *engine.Dataset) *backtrace.Structure {
-	return p.MatchObserved(d, nil)
-}
-
-// MatchObserved matches like Match and reports the matching phase's
-// duration into the recorder as obs.SpanPatternMatch (a nil recorder is
-// fine) — together with the tracer's backtrace span this splits query time
-// into its match and walk shares. The pattern is compiled once (reported as
-// obs.SpanPatternCompile on first use) and the compiled form — immutable and
-// race-clean — is shared by every partition goroutine and every later Match.
-func (p *Pattern) MatchObserved(d *engine.Dataset, rec *obs.Recorder) *backtrace.Structure {
-	return p.compileObserved(rec).MatchObserved(d, rec)
-}
-
-// matchNode returns all bindings of pattern node n within context value ctx
-// (addressed by prefix), or nil when the node does not match (including
-// count-constraint violations).
-func matchNode(n *Node, ctx nested.Value, prefix path.Path) []binding {
-	locs := locate(n, ctx, prefix)
-	var out []binding
-	for _, loc := range locs {
-		b, ok := bindAt(n, loc.val, loc.p)
-		if ok {
-			out = append(out, b)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	if n.MinCount > 0 && len(out) < n.MinCount {
-		return nil
-	}
-	if n.MaxCount > 0 && len(out) > n.MaxCount {
-		return nil
-	}
-	return out
-}
-
-// bindAt checks the node's value conditions and child patterns at one
-// location.
-func bindAt(n *Node, val nested.Value, p path.Path) (binding, bool) {
-	if n.Eq != nil && !nested.Equal(val, *n.Eq) {
-		return binding{}, false
-	}
-	if n.Contains != "" {
-		s, ok := val.AsString()
-		if !ok || !strings.Contains(s, n.Contains) {
-			return binding{}, false
-		}
-	}
-	if n.Lt != nil && !(compareWidened(val, *n.Lt) < 0) {
-		return binding{}, false
-	}
-	if n.Gt != nil && !(compareWidened(val, *n.Gt) > 0) {
-		return binding{}, false
-	}
-	b := binding{path: p}
-	for _, c := range n.Children {
-		cb := matchNode(c, val, p)
-		if cb == nil {
-			return binding{}, false
-		}
-		b.children = append(b.children, cb...)
-	}
-	return b, true
-}
-
-type location struct {
-	val nested.Value
-	p   path.Path
-}
-
-// locate finds the attribute occurrences the node's edge can reach from ctx:
-// direct attributes (fanning through collection elements) for child edges,
-// any depth for descendant edges.
-func locate(n *Node, ctx nested.Value, prefix path.Path) []location {
-	var out []location
-	switch ctx.Kind() {
-	case nested.KindItem:
-		for i := 0; i < ctx.NumFields(); i++ {
-			name, val := ctx.FieldName(i), ctx.FieldValue(i)
-			p := prefix.Append(path.Step{Attr: name, Index: path.NoIndex})
-			if name == n.Attr {
-				out = append(out, location{val: val, p: p})
-				if n.Edge == ChildEdge {
-					continue
-				}
-			}
-			if n.Edge == DescendantEdge {
-				out = append(out, locate(n, val, p)...)
-			}
-		}
-	case nested.KindBag, nested.KindSet:
-		for i, e := range ctx.Elems() {
-			p := prefix.Append(path.Step{Index: i + 1})
-			out = append(out, locate(n, e, p)...)
-		}
-	}
-	return out
+	return p.Compile().Match(d)
 }
 
 // compareWidened compares two values, widening int/double pairs.
