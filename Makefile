@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -39,6 +39,14 @@ fuzz-json:
 # `check` CI job runs it on the same line as fuzz-json.
 fuzz-codec:
 	go test -fuzz FuzzReadRun -fuzztime 20s ./internal/provenance
+
+# Twenty seconds of the shipped backtrace (shared trees, one rewrite per
+# distinct tree) against the per-item body kept as its reference
+# (internal/backtrace/reference_test.go): the fuzz input picks a corpus plan
+# and one of its questions; the blocking `check` CI job runs it on the same
+# line as fuzz-json and fuzz-codec.
+fuzz-trace:
+	go test -fuzz FuzzTraceMatchesReference -fuzztime 20s ./internal/backtrace
 
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event

@@ -12,12 +12,13 @@ import (
 type Item struct {
 	ID   int64
 	Tree *Tree
-	// pos is the scratch position column used while backtracing flatten and
-	// aggregation operators (pos / p_P in Algs. 2 and 4).
-	pos int
 }
 
 // Structure is the backtracing structure B = {{⟨id, T⟩}} of Def. 6.2.
+//
+// Items of one structure, and of the structures a match or a trace hands
+// out, may point at the same *Tree: such trees are shared and read-only (see
+// Tree). Clone gives a structure whose trees are private copies.
 type Structure struct {
 	Items []*Item
 }
@@ -43,30 +44,88 @@ func (b *Structure) IDs() []int64 {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy: every item gets a private copy of its tree,
+// also where b's items share one.
 func (b *Structure) Clone() *Structure {
 	out := &Structure{Items: make([]*Item, len(b.Items))}
 	for i, it := range b.Items {
-		out.Items[i] = &Item{ID: it.ID, Tree: it.Tree.Clone(), pos: it.pos}
+		out.Items[i] = &Item{ID: it.ID, Tree: it.Tree.Clone()}
 	}
 	return out
 }
 
 // MergeByID merges items sharing the same identifier into one item whose
-// tree is the union of the merged trees, preserving first-seen order.
+// tree is the union of the merged trees, preserving first-seen order. The
+// trees of b are not modified: an item that merges with nothing keeps its
+// tree, shared, and a merged item gets a tree of its own.
 func (b *Structure) MergeByID() *Structure {
-	byID := make(map[int64]*Item)
-	out := &Structure{}
-	for _, it := range b.Items {
-		if existing, ok := byID[it.ID]; ok {
-			existing.Tree.Merge(it.Tree)
-			continue
+	m := newMerger()
+	m.addAll(b)
+	return m.merged(nil)
+}
+
+// merger builds the γ_id + mergeTrees result of a backtracing step item by
+// item, in first-seen order, without an intermediate structure.
+type merger struct {
+	out Structure
+	at  map[int64]int // identifier → index in out.Items
+	// own[i] tells that out.Items[i] holds a tree only the merger knows, so
+	// further trees merge into it in place.
+	own []bool
+	// slab is where the next items come from: they are allocated by the
+	// chunk, each chunk twice the last.
+	slab []Item
+}
+
+// maxItemChunk bounds the growth of a merger's item chunks.
+const maxItemChunk = 1024
+
+func newMerger() *merger { return &merger{at: make(map[int64]int)} }
+
+// add records ⟨id, t⟩. The first tree of an identifier is kept as it is, the
+// same tree again costs nothing, and a different one is merged into a copy of
+// the first — made before the first real merge, since that tree is shared.
+func (m *merger) add(id int64, t *Tree) {
+	i, ok := m.at[id]
+	if !ok {
+		if len(m.slab) == 0 {
+			m.slab = make([]Item, min(max(2*len(m.out.Items), 4), maxItemChunk))
 		}
-		merged := &Item{ID: it.ID, Tree: it.Tree, pos: it.pos}
-		byID[it.ID] = merged
-		out.Items = append(out.Items, merged)
+		m.slab[0] = Item{ID: id, Tree: t}
+		m.at[id] = len(m.out.Items)
+		m.out.Items = append(m.out.Items, &m.slab[0])
+		m.own = append(m.own, false)
+		m.slab = m.slab[1:]
+		return
 	}
-	return out
+	it := m.out.Items[i]
+	if it.Tree == t {
+		return
+	}
+	if !m.own[i] {
+		it.Tree = it.Tree.Clone()
+		m.own[i] = true
+	}
+	it.Tree.Merge(t)
+}
+
+func (m *merger) addAll(b *Structure) {
+	for _, it := range b.Items {
+		m.add(it.ID, it.Tree)
+	}
+}
+
+// merged returns the structure. Inside a trace the trees the merger built
+// are interned, so equal merges share one tree again; in may be nil.
+func (m *merger) merged(in *interner) *Structure {
+	if in != nil {
+		for i, it := range m.out.Items {
+			if m.own[i] {
+				it.Tree = in.intern(it.Tree)
+			}
+		}
+	}
+	return &m.out
 }
 
 // String renders the structure, one item per block.

@@ -3,6 +3,7 @@ package backtrace
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,7 +16,10 @@ import (
 // Result maps each reached source operator (read) to the backtracing
 // structure over that source's annotated rows: which top-level input items
 // the queried result items trace back to, and — per item — the backtracing
-// tree distinguishing contributing from influencing attributes.
+// tree distinguishing contributing from influencing attributes. Items whose
+// trees have the same content point at the same *Tree, within a source and
+// across sources, and may share it with the structure the trace was given:
+// the trees of a result are read-only (see Tree).
 type Result struct {
 	BySource map[int]*Structure
 }
@@ -42,7 +46,10 @@ func (r *Result) ContributingIDs() map[int][]int64 {
 // Trace implements Alg. 1: starting from the backtracing structure b over
 // the output of operator startOID, it recursively steps backward through the
 // captured operator provenance until every path reaches a source operator,
-// and returns the per-source backtracing structures.
+// and returns the per-source backtracing structures. b and its trees are only
+// read. Each step joins identifiers per item and rewrites trees per distinct
+// tree: the second phase of Algs. 2–4 depends on the operator and the tree,
+// not on the item.
 func Trace(run *provenance.Run, startOID int, b *Structure) (*Result, error) {
 	return NewTracer(run).Trace(startOID, b)
 }
@@ -189,8 +196,9 @@ func (t *Tracer) TraceContext(ctx context.Context, startOID int, b *Structure) (
 		ctx = context.Background()
 	}
 	defer t.rec.StartSpan(obs.SpanBacktrace)()
-	q := &tracer{t: t, ctx: ctx, run: t.run, out: &Result{BySource: make(map[int]*Structure)}}
-	if err := q.trace(startOID, b); err != nil {
+	q := &tracer{t: t, ctx: ctx, run: t.run, out: &Result{BySource: make(map[int]*Structure)},
+		trees: interner{byHash: make(map[uint64][]*Tree)}}
+	if err := q.trace(startOID, q.trees.internAll(b)); err != nil {
 		return nil, err
 	}
 	return q.out, nil
@@ -389,12 +397,68 @@ func buildAgg(a []provenance.AggAssoc) pairIdx {
 	return x
 }
 
-// tracer is the per-query state.
+// tracer is the per-query state. Every tree a trace holds — the ones it was
+// given, every rewrite, every merge — has gone through trees, so within a
+// trace one content is one *Tree and the operator steps can key their work on
+// the pointer.
 type tracer struct {
-	t   *Tracer
-	ctx context.Context
-	run *provenance.Run
-	out *Result
+	t     *Tracer
+	ctx   context.Context
+	run   *provenance.Run
+	out   *Result
+	trees interner
+}
+
+// interner is the intern table of one trace: the canonical tree of every
+// content seen so far, found by structural hash (Tree.hash) and confirmed by
+// Tree.equal. The key is not the rendered tree: rendering a tree costs several
+// times a walk over it and allocates, and the table is consulted once per
+// rewrite and once per merge.
+type interner struct {
+	byHash map[uint64][]*Tree
+}
+
+// intern returns the canonical tree with t's content: t itself when the
+// content is new. The caller gives up t — it is shared from here on.
+func (in *interner) intern(t *Tree) *Tree {
+	h := t.hash()
+	for _, c := range in.byHash[h] {
+		if c.equal(t) {
+			return c
+		}
+	}
+	in.byHash[h] = append(in.byHash[h], t)
+	return t
+}
+
+// internAll returns b with every tree replaced by its canonical one; b and
+// its items are left as they are.
+func (in *interner) internAll(b *Structure) *Structure {
+	canon := make(map[*Tree]*Tree)
+	out := &Structure{Items: make([]*Item, len(b.Items))}
+	for i, it := range b.Items {
+		c, ok := canon[it.Tree]
+		if !ok {
+			c = in.intern(it.Tree)
+			canon[it.Tree] = c
+		}
+		if c != it.Tree {
+			it = &Item{ID: it.ID, Tree: c}
+		}
+		out.Items[i] = it
+	}
+	return out
+}
+
+// rewrite is the second phase of a backtracing step for one distinct tree:
+// f undoes the operator's manipulations and records its accesses on a private
+// copy of t, and the result is interned, so that inputs which rewrite to the
+// same content share one tree again. Steps call it behind a memo: once per
+// distinct tree, not once per item.
+func (tr *tracer) rewrite(t *Tree, f func(*Tree)) *Tree {
+	c := t.Clone()
+	f(c)
+	return tr.trees.intern(c)
 }
 
 func (tr *tracer) trace(oid int, b *Structure) error {
@@ -410,12 +474,12 @@ func (tr *tracer) trace(oid int, b *Structure) error {
 	}
 	switch op.Type {
 	case engine.OpSource:
+		m := newMerger()
 		if existing, ok := tr.out.BySource[oid]; ok {
-			merged := &Structure{Items: append(existing.Items, b.Items...)}
-			tr.out.BySource[oid] = merged.MergeByID()
-		} else {
-			tr.out.BySource[oid] = b.MergeByID()
+			m.addAll(existing)
 		}
+		m.addAll(b)
+		tr.out.BySource[oid] = m.merged(&tr.trees)
 		return nil
 	case engine.OpFilter, engine.OpSelect, engine.OpMap,
 		engine.OpDistinct, engine.OpOrderBy, engine.OpLimit:
@@ -455,123 +519,298 @@ func mappings(op *provenance.Operator, keys bool) []Mapping {
 	return out
 }
 
-// applyStatic undoes the operator's manipulations and records its accesses
-// on every tree of b (the second phase of Alg. 3, ll. 2–6).
-func applyStatic(op *provenance.Operator, b *Structure, inputIdx int) {
-	in := op.Inputs[inputIdx]
-	for _, it := range b.Items {
-		if op.ManipUndefined {
-			// Map operator: no structural information; mark everything as
-			// manipulated and flag the tree opaque (Sec. 6.3).
-			it.Tree.Opaque = true
-			it.Tree.MarkAllManip(op.OID)
-		} else {
-			it.Tree.ApplyMappings(mappings(op, false), op.OID)
-		}
-		if !in.AccessUndefined {
-			for _, a := range in.Accessed {
-				it.Tree.AccessPath(a, op.OID)
-			}
+// applyStatic undoes the operator's manipulations ms and records its accesses
+// on the tree (the second phase of Alg. 3, ll. 2–6).
+func applyStatic(op *provenance.Operator, ms []Mapping, t *Tree) {
+	if op.ManipUndefined {
+		// Map operator: no structural information; mark everything as
+		// manipulated and flag the tree opaque (Sec. 6.3).
+		t.Opaque = true
+		t.MarkAllManip(op.OID)
+	} else {
+		t.ApplyMappings(ms, op.OID)
+	}
+	if in := op.Inputs[0]; !in.AccessUndefined {
+		for _, a := range in.Accessed {
+			t.AccessPath(a, op.OID)
 		}
 	}
 }
 
 // backtraceUnary is Alg. 3 for filter, select, and map: join b's ids against
-// the ⟨id_i, id_o⟩ associations, then undo manipulations and record accesses.
+// the ⟨id_i, id_o⟩ associations per item, then undo manipulations and record
+// accesses per distinct tree.
 func (tr *tracer) backtraceUnary(op *provenance.Operator, b *Structure) *Structure {
 	idx := tr.t.indexFor(op)
-	next := &Structure{}
+	ms := mappings(op, false)
+	memo := make(map[*Tree]*Tree)
+	next := newMerger()
 	for _, it := range b.Items {
-		for _, in := range idx.unary.lookup(it.ID) {
-			next.Items = append(next.Items, &Item{ID: in, Tree: it.Tree.Clone()})
+		ins := idx.unary.lookup(it.ID)
+		if len(ins) == 0 {
+			continue
+		}
+		t, ok := memo[it.Tree]
+		if !ok {
+			t = tr.rewrite(it.Tree, func(c *Tree) { applyStatic(op, ms, c) })
+			memo[it.Tree] = t
+		}
+		for _, in := range ins {
+			next.add(in, t)
 		}
 	}
-	applyStatic(op, next, 0)
-	return next.MergeByID()
+	return next.merged(&tr.trees)
 }
 
 // backtraceFlatten is Alg. 2: the generic step rewrites the exploded
 // attribute back to a_col[pos] with an unresolved placeholder; the merge
 // step substitutes each item's concrete position and merges the trees of
-// items originating from the same input item.
+// items originating from the same input item. Both are one rewrite per
+// distinct (tree, position).
 func (tr *tracer) backtraceFlatten(op *provenance.Operator, b *Structure) *Structure {
 	idx := tr.t.indexFor(op)
-	next := &Structure{}
+	ms := mappings(op, false)
+	var colPath path.Path
+	if len(ms) > 0 {
+		colPath = ms[0].In
+	}
+	type treeAt struct {
+		tree *Tree
+		pos  int
+	}
+	memo := make(map[treeAt]*Tree)
+	next := newMerger()
 	for _, it := range b.Items {
 		a, ok := idx.flatten.lookup(it.ID)
 		if !ok {
 			continue
 		}
-		next.Items = append(next.Items, &Item{ID: a.in, Tree: it.Tree.Clone(), pos: a.pos})
-	}
-	applyStatic(op, next, 0)
-	// Merge step: resolve placeholders per item, then γ_id + mergeTrees.
-	var colPath path.Path
-	if ms := mappings(op, false); len(ms) > 0 {
-		colPath = ms[0].In
-	}
-	for _, it := range next.Items {
-		if colPath != nil {
-			it.Tree.SubstitutePlaceholder(colPath, it.pos)
+		k := treeAt{it.Tree, a.pos}
+		t, ok := memo[k]
+		if !ok {
+			t = tr.rewrite(it.Tree, func(c *Tree) {
+				applyStatic(op, ms, c)
+				if colPath != nil {
+					c.SubstitutePlaceholder(colPath, a.pos)
+				}
+			})
+			memo[k] = t
 		}
+		next.add(a.in, t)
 	}
-	return next.MergeByID()
+	return next.merged(&tr.trees)
 }
 
 // backtraceAggregation is Alg. 4, tracing aggregation and nesting back to
-// the input of the preceding grouping.
+// the input of the preceding grouping: one stem per distinct tree, one
+// rewrite per group position the tree addresses.
 func (tr *tracer) backtraceAggregation(op *provenance.Operator, b *Structure) *Structure {
 	idx := tr.t.indexFor(op)
 	aggMs := mappings(op, false)
 	keyMs := mappings(op, true)
-	next := &Structure{}
+	colls, plain := collectionAttrs(aggMs)
+	stems := make(map[*Tree]*aggStem)
+	next := newMerger()
 	for _, it := range b.Items {
-		for j, in := range idx.agg.lookup(it.ID) {
+		ins := idx.agg.lookup(it.ID)
+		if len(ins) == 0 {
+			continue
+		}
+		stem, ok := stems[it.Tree]
+		if !ok {
+			stem = newAggStem(it.Tree, colls)
+			stems[it.Tree] = stem
+		}
+		for j, in := range ins {
 			pP := j + 1 // 1-based position within the group (= nested collection)
-			t := it.Tree.Clone()
-			inProv := false
-			for _, m := range aggMs {
-				out := m.Out
-				if out.HasPlaceholder() {
-					// Bag nesting: this input contributes exactly to the
-					// element at its own position p_P (Alg. 4, l. 7).
-					out = substitutePos(out, pP)
-					if len(t.Find(out)) == 0 {
-						// A query may address the whole nested collection
-						// rather than individual positions; then every group
-						// member contributes to it.
-						if wholeCollectionAddressed(t, stripIndex(m.Out)) {
-							out = stripIndex(m.Out)
-						}
-					}
-				}
-				if len(t.Find(out)) > 0 {
-					inProv = true
-					if len(m.In) == 0 {
-						// count(*): the result value depends on the item but
-						// maps to no input attribute.
-						t.RemoveAt(out)
-					} else {
-						t.ApplyMappings([]Mapping{{In: m.In, Out: out}}, op.OID)
-					}
-				}
-				if m.Out.HasPlaceholder() {
-					// Remove the collection node and any other positions —
-					// they describe other group members (Alg. 4, l. 13).
-					t.RemoveAt(stripIndex(m.Out))
-				}
+			k := pP
+			if plain && !stem.addresses(pP) {
+				k = 0 // the rewrite is the same for every such member
 			}
-			if !inProv {
-				continue
+			t, ok := stem.byPos[k]
+			if !ok {
+				if c := stem.member(pP); aggregationMember(op, aggMs, keyMs, c, pP) {
+					t = tr.trees.intern(c)
+				}
+				stem.byPos[k] = t
 			}
-			t.ApplyMappings(keyMs, op.OID)
-			for _, a := range op.Inputs[0].Accessed {
-				t.AccessPath(a, op.OID)
+			if t != nil {
+				next.add(in, t)
 			}
-			next.Items = append(next.Items, &Item{ID: in, Tree: t})
 		}
 	}
-	return next.MergeByID()
+	return next.merged(&tr.trees)
+}
+
+// aggregationMember is the body of Alg. 4 for the group member at position
+// pP, on its private tree t (aggStem.member). It reports whether the member
+// is in the provenance of the queried items.
+func aggregationMember(op *provenance.Operator, aggMs, keyMs []Mapping, t *Tree, pP int) bool {
+	inProv := false
+	for _, m := range aggMs {
+		out := m.Out
+		if out.HasPlaceholder() {
+			// Bag nesting: this input contributes exactly to the
+			// element at its own position p_P (Alg. 4, l. 7).
+			out = substitutePos(out, pP)
+			if len(t.Find(out)) == 0 {
+				// A query may address the whole nested collection
+				// rather than individual positions; then every group
+				// member contributes to it.
+				if wholeCollectionAddressed(t, stripIndex(m.Out)) {
+					out = stripIndex(m.Out)
+				}
+			}
+		}
+		if len(t.Find(out)) > 0 {
+			inProv = true
+			if len(m.In) == 0 {
+				// count(*): the result value depends on the item but
+				// maps to no input attribute.
+				t.RemoveAt(out)
+			} else {
+				t.ApplyMappings([]Mapping{{In: m.In, Out: out}}, op.OID)
+			}
+		}
+		if m.Out.HasPlaceholder() {
+			// Remove the collection node and any other positions —
+			// they describe other group members (Alg. 4, l. 13).
+			t.RemoveAt(stripIndex(m.Out))
+		}
+	}
+	if !inProv {
+		return false
+	}
+	t.ApplyMappings(keyMs, op.OID)
+	for _, a := range op.Inputs[0].Accessed {
+		t.AccessPath(a, op.OID)
+	}
+	return true
+}
+
+// collectionAttrs returns the attributes under which the aggregation nests
+// its members by position: the a of every mapping whose output is a[pos].
+// Line 13 of Alg. 4 removes those nodes from every member's tree, so what
+// hangs under them at other members' positions can be left out of the copy a
+// member works on (aggStem), and a member whose position the tree does not
+// hold is rewritten like any other such member. Both rest on the mappings
+// being what the engine emits — each aggregate writes one top-level attribute
+// of its own, from a schema-level path. A hand-made or damaged artifact can
+// carry others: a mapping that reaches into another's collection before line
+// 13 removes it, or one that creates a node at a concrete position. Then
+// plain is false, nothing is left out and every member is rewritten on its
+// own.
+func collectionAttrs(aggMs []Mapping) (colls []string, plain bool) {
+	seen := make(map[string]bool, len(aggMs))
+	for _, m := range aggMs {
+		if len(m.Out) != 1 || m.Out[0].Attr == "" || seen[m.Out[0].Attr] {
+			return nil, false
+		}
+		for _, step := range m.In {
+			if step.Index > 0 {
+				return nil, false
+			}
+		}
+		seen[m.Out[0].Attr] = true
+		if m.Out[0].Index == path.Pos {
+			colls = append(colls, m.Out[0].Attr)
+		}
+	}
+	return colls, true
+}
+
+// aggStem is one distinct tree entering an aggregation step, split for
+// Alg. 4: the stem is the tree without the concrete position nodes under its
+// collection attributes — one node per group member, which line 13 removes
+// from every member's tree anyway — and member(pP) puts back the one position
+// a member's rewrite reads. A member then costs O(stem + its own position),
+// not O(group).
+type aggStem struct {
+	stem  *Tree
+	colls []aggColl
+	// byPos memoizes the rewritten, interned tree per addressed member
+	// position; key 0 holds the one result of all members whose position the
+	// tree does not address, and a nil tree means "not in the provenance".
+	byPos map[int]*Tree
+}
+
+// aggColl is one collection node of the shared tree.
+type aggColl struct {
+	at    int           // index of the node among the root's children, in tree and stem alike
+	byPos map[int]*Node // its concrete position children, first of each position
+	some  [2]*Node      // up to two of them, to find one that is not a given member's
+}
+
+func newAggStem(t *Tree, colls []string) *aggStem {
+	s := &aggStem{byPos: make(map[int]*Tree)}
+	root := t.Root.cloneBare(nil)
+	root.Children = make([]*Node, len(t.Root.Children))
+	taken := make([]bool, len(colls)) // Find, too, sees the first child of a name
+	for i, n := range t.Root.Children {
+		ci := slices.Index(colls, n.Name)
+		if ci < 0 || taken[ci] {
+			root.Children[i] = n.clone(root)
+			continue
+		}
+		taken[ci] = true
+		c := aggColl{at: i, byPos: make(map[int]*Node)}
+		stemNode := n.cloneBare(root)
+		for _, p := range n.Children {
+			if p.Name != "" || p.Pos == path.Pos {
+				stemNode.Children = append(stemNode.Children, p.clone(stemNode))
+				continue
+			}
+			if _, dup := c.byPos[p.Pos]; !dup {
+				c.byPos[p.Pos] = p
+			}
+			if c.some[0] == nil {
+				c.some[0] = p
+			} else if c.some[1] == nil {
+				c.some[1] = p
+			}
+		}
+		root.Children[i] = stemNode
+		s.colls = append(s.colls, c)
+	}
+	s.stem = &Tree{Root: root, Opaque: t.Opaque}
+	return s
+}
+
+// addresses reports whether the tree holds a node for group position pP.
+func (s *aggStem) addresses(pP int) bool {
+	for i := range s.colls {
+		if s.colls[i].byPos[pP] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// member returns the private tree Alg. 4 rewrites for the group member at
+// position pP: the stem, and under each collection node the member's own
+// position (the [pos] placeholder, which a concrete position also matches,
+// is part of the stem). Where the shared tree holds other members' positions
+// a bare node stands in for all of them, so that the collection still reads
+// as addressed by position rather than as a whole (wholeCollectionAddressed)
+// and still is no empty shell once the member's position is moved out
+// (ApplyMappings folds those) — exactly as with all of them present.
+func (s *aggStem) member(pP int) *Tree {
+	t := s.stem.Clone()
+	for i := range s.colls {
+		c := &s.colls[i]
+		node := t.Root.Children[c.at]
+		own := c.byPos[pP]
+		if own != nil {
+			node.Children = append(node.Children, own.clone(node))
+		}
+		for _, o := range c.some {
+			if o != nil && o != own {
+				node.addChild(&Node{Pos: o.Pos, Contributing: o.Contributing})
+				break
+			}
+		}
+	}
+	return t
 }
 
 // wholeCollectionAddressed reports whether the tree addresses the collection
@@ -609,51 +848,58 @@ func stripIndex(p path.Path) path.Path {
 
 // backtraceJoin splits b toward the two join inputs: each side receives the
 // item ids of its input, with tree nodes of the other side's schema removed
-// and the side's join-key paths marked as accessed.
+// and the side's join-key paths marked as accessed — one rewrite per distinct
+// tree and side.
 func (tr *tracer) backtraceJoin(op *provenance.Operator, b *Structure) (*Structure, *Structure) {
 	idx := tr.t.indexFor(op)
-	left, right := &Structure{}, &Structure{}
+	var memo [2]map[*Tree]*Tree
+	var next [2]*merger
+	for side := range next {
+		memo[side] = make(map[*Tree]*Tree)
+		next[side] = newMerger()
+	}
 	for _, it := range b.Items {
 		lefts, rights := idx.binary.lookup(it.ID)
 		for k := range lefts {
-			if lefts[k] != -1 {
-				lt := it.Tree.Clone()
-				lt.PruneToSchema(op.Inputs[0].Schema)
-				left.Items = append(left.Items, &Item{ID: lefts[k], Tree: lt})
-			}
-			if rights[k] != -1 {
-				rt := it.Tree.Clone()
-				rt.PruneToSchema(op.Inputs[1].Schema)
-				right.Items = append(right.Items, &Item{ID: rights[k], Tree: rt})
+			for side, in := range [2]int64{lefts[k], rights[k]} {
+				if in == -1 {
+					continue
+				}
+				t, ok := memo[side][it.Tree]
+				if !ok {
+					input := op.Inputs[side]
+					t = tr.rewrite(it.Tree, func(c *Tree) {
+						c.PruneToSchema(input.Schema)
+						for _, a := range input.Accessed {
+							c.AccessPath(a, op.OID)
+						}
+					})
+					memo[side][it.Tree] = t
+				}
+				next[side].add(in, t)
 			}
 		}
 	}
-	for i, s := range []*Structure{left, right} {
-		for _, it := range s.Items {
-			for _, a := range op.Inputs[i].Accessed {
-				it.Tree.AccessPath(a, op.OID)
-			}
-		}
-	}
-	return left.MergeByID(), right.MergeByID()
+	return next[0].merged(&tr.trees), next[1].merged(&tr.trees)
 }
 
 // backtraceUnion splits b toward the two union inputs: items whose recorded
 // identifier for the chosen side is undefined (-1) originate from the other
-// input and are filtered out.
+// input and are filtered out. A union changes no tree, so the trees are
+// passed on as they are.
 func (tr *tracer) backtraceUnion(op *provenance.Operator, b *Structure) (*Structure, *Structure) {
 	idx := tr.t.indexFor(op)
-	left, right := &Structure{}, &Structure{}
+	left, right := newMerger(), newMerger()
 	for _, it := range b.Items {
 		lefts, rights := idx.binary.lookup(it.ID)
 		for k := range lefts {
 			if lefts[k] != -1 {
-				left.Items = append(left.Items, &Item{ID: lefts[k], Tree: it.Tree.Clone()})
+				left.add(lefts[k], it.Tree)
 			}
 			if rights[k] != -1 {
-				right.Items = append(right.Items, &Item{ID: rights[k], Tree: it.Tree.Clone()})
+				right.add(rights[k], it.Tree)
 			}
 		}
 	}
-	return left.MergeByID(), right.MergeByID()
+	return left.merged(&tr.trees), right.merged(&tr.trees)
 }

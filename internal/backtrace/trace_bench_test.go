@@ -1,14 +1,86 @@
 package backtrace_test
 
 import (
+	"os"
+	"os/exec"
 	"sort"
+	"strings"
 	"testing"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/provenance"
+	"pebble/internal/workload"
 )
+
+var backtraceSink int
+
+// BenchmarkBacktrace measures the backtracing walk alone — indexes built,
+// pattern matched, no answer rendered — on the shapes that stress it at the
+// client-path benchmark's trace_repeat sizes: T2 (three flattens merging
+// positions back), T3 (an aggregation fanning one result item out to its
+// group), T5 (31 k matched items fanning in through a join to a few hundred)
+// and D1 (a join over narrow records, nothing merges). It is the layer the
+// client-path benchmark reports as backtrace.trace_s.
+func BenchmarkBacktrace(b *testing.B) {
+	scale := workload.Scale{SimGB: 1, TweetsPerGB: 2500, RecordsPerGB: 16000}
+	if testing.Short() {
+		scale = workload.DefaultScale(1)
+	}
+	for _, name := range []string{"T2", "T3", "T5", "D1"} {
+		b.Run(name, func(b *testing.B) {
+			sc, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := sc.Build()
+			res, run, err := provenance.Capture(p, sc.Input(scale, 16), engine.Options{Partitions: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			matched := sc.Pattern.Match(res.Output)
+			tr := backtrace.NewTracer(run)
+			tr.BuildIndexes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				traced, err := tr.Trace(p.Sink().ID(), matched)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range traced.BySource {
+					backtraceSink += s.Len()
+				}
+			}
+			if backtraceSink == 0 {
+				b.Fatal("nothing traced")
+			}
+		})
+	}
+}
+
+// TestBacktraceBenchSmoke re-executes this test binary with one benchmark
+// iteration so a broken benchmark fails the test gate (same pattern as the
+// root TestBenchSmoke).
+func TestBacktraceBenchSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench smoke is slow; skipped in -short mode")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(exe, "-test.run=^$", "-test.bench=BenchmarkBacktrace", "-test.benchtime=1x", "-test.short", "-test.timeout=5m").CombinedOutput()
+	if err != nil {
+		t.Fatalf("benchmark run failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"PASS", "BenchmarkBacktrace/T2", "BenchmarkBacktrace/T3", "BenchmarkBacktrace/T5", "BenchmarkBacktrace/D1"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("benchmark output misses %q:\n%s", want, out)
+		}
+	}
+}
 
 // aggRun captures a run whose aggregation operator carries a large
 // association bag: rows groups folded into keys lists.

@@ -40,6 +40,14 @@ type Node struct {
 
 // Tree is a backtracing tree T = ⟨root, N⟩. The root stands for the
 // top-level data item itself.
+//
+// A tree that sits in a Structure handed to or returned by a match or a trace
+// is shared and read-only: many items, the steps of a trace and its result
+// may all point at the one *Tree that stands for a given content. Whatever
+// changes a tree — Ensure…, AccessPath, ApplyMappings, RemoveAt,
+// SubstitutePlaceholder, MarkAllManip, PruneToSchema, being merged into, a
+// write to a field of the tree or of a node — is for a tree nobody else holds
+// yet: a new one, or a Clone.
 type Tree struct {
 	Root *Node
 	// Opaque is set once the trace crosses a map operator: the opaque λ
@@ -139,10 +147,8 @@ func (n *Node) removeChild(c *Node) {
 func (n *Node) hasMarks() bool { return len(n.Access) > 0 || len(n.Manip) > 0 }
 
 func addMark(marks []int, oid int) []int {
-	for _, m := range marks {
-		if m == oid {
-			return marks
-		}
+	if hasMark(marks, oid) {
+		return marks
 	}
 	return append(marks, oid)
 }
@@ -153,13 +159,26 @@ func (n *Node) MarkAccess(oid int) { n.Access = addMark(n.Access, oid) }
 // MarkManip records that oid structurally manipulated the node.
 func (n *Node) MarkManip(oid int) { n.Manip = addMark(n.Manip, oid) }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree: a private tree the caller may
+// modify, whatever shares the original.
 func (t *Tree) Clone() *Tree {
 	return &Tree{Root: t.Root.clone(nil), Opaque: t.Opaque}
 }
 
 func (n *Node) clone(parent *Node) *Node {
-	c := &Node{
+	c := n.cloneBare(parent)
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = ch.clone(c)
+		}
+	}
+	return c
+}
+
+// cloneBare copies the node without its children.
+func (n *Node) cloneBare(parent *Node) *Node {
+	return &Node{
 		Name:         n.Name,
 		Pos:          n.Pos,
 		Parent:       parent,
@@ -167,10 +186,98 @@ func (n *Node) clone(parent *Node) *Node {
 		Manip:        append([]int(nil), n.Manip...),
 		Contributing: n.Contributing,
 	}
-	for _, ch := range n.Children {
-		c.Children = append(c.Children, ch.clone(c))
+}
+
+// hash is the structural hash behind a trace's intern table: name, position,
+// contributing flag, the access and manipulation marks as sets, the children
+// in order, and the opaque flag — everything String and AppendJSON render,
+// without rendering it.
+func (t *Tree) hash() uint64 {
+	h := t.Root.hash()
+	if t.Opaque {
+		h = mix(h, 1)
 	}
-	return c
+	return h
+}
+
+const (
+	hashSeed  = 14695981039346656037 // FNV-1a offset basis
+	hashPrime = 1099511628211
+)
+
+// mix folds x into h; the order of calls matters.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * hashPrime
+	return h ^ h>>29
+}
+
+func (n *Node) hash() uint64 {
+	h := uint64(hashSeed)
+	for i := 0; i < len(n.Name); i++ {
+		h = (h ^ uint64(n.Name[i])) * hashPrime
+	}
+	h = mix(h, uint64(n.Pos))
+	if n.Contributing {
+		h = mix(h, 1)
+	}
+	h = mix(h, marksHash(n.Access))
+	h = mix(h, marksHash(n.Manip))
+	for _, c := range n.Children {
+		h = mix(h, c.hash())
+	}
+	return h
+}
+
+// marksHash hashes a mark list as a set: marks are rendered sorted and only
+// ever tested for membership, so their order is not content.
+func marksHash(marks []int) uint64 {
+	var h uint64
+	for _, m := range marks {
+		h += mix(hashSeed, uint64(m))
+	}
+	return mix(h, uint64(len(marks)))
+}
+
+// equal reports whether two trees have the same content, in the sense of
+// hash: they render the same and every tree operation treats them alike.
+func (t *Tree) equal(o *Tree) bool {
+	return t == o || t.Opaque == o.Opaque && t.Root.equal(o.Root)
+}
+
+func (n *Node) equal(o *Node) bool {
+	if n.Name != o.Name || n.Pos != o.Pos || n.Contributing != o.Contributing ||
+		len(n.Children) != len(o.Children) ||
+		!sameMarks(n.Access, o.Access) || !sameMarks(n.Manip, o.Manip) {
+		return false
+	}
+	for i, c := range n.Children {
+		if !c.equal(o.Children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameMarks compares two duplicate-free mark lists as sets.
+func sameMarks(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, m := range a {
+		if !hasMark(b, m) {
+			return false
+		}
+	}
+	return true
+}
+
+func hasMark(marks []int, oid int) bool {
+	for _, m := range marks {
+		if m == oid {
+			return true
+		}
+	}
+	return false
 }
 
 // Walk visits every node in depth-first pre-order, starting at the root.
@@ -406,15 +513,11 @@ func (t *Tree) attach(n *Node, in path.Path, oid int) {
 	parent.addChild(n)
 }
 
-// mergeFrom merges another node's annotations and children into n.
+// mergeFrom merges another node's annotations and children into n. The
+// children n lacks are moved over, so o must be a detached node of a tree
+// the caller owns; mergeCopy is the variant for an o that is only read.
 func (n *Node) mergeFrom(o *Node) {
-	for _, oid := range o.Access {
-		n.MarkAccess(oid)
-	}
-	for _, oid := range o.Manip {
-		n.MarkManip(oid)
-	}
-	n.Contributing = n.Contributing || o.Contributing
+	n.mergeMarks(o)
 	for _, oc := range o.Children {
 		if existing := n.childK(nkey{name: oc.Name, pos: oc.Pos}); existing != nil {
 			existing.mergeFrom(oc)
@@ -423,6 +526,29 @@ func (n *Node) mergeFrom(o *Node) {
 			n.addChild(oc)
 		}
 	}
+}
+
+// mergeCopy is mergeFrom for a node of a shared tree: o is left untouched,
+// and the children n lacks are copied over.
+func (n *Node) mergeCopy(o *Node) {
+	n.mergeMarks(o)
+	for _, oc := range o.Children {
+		if existing := n.childK(nkey{name: oc.Name, pos: oc.Pos}); existing != nil {
+			existing.mergeCopy(oc)
+		} else {
+			n.Children = append(n.Children, oc.clone(n))
+		}
+	}
+}
+
+func (n *Node) mergeMarks(o *Node) {
+	for _, oid := range o.Access {
+		n.MarkAccess(oid)
+	}
+	for _, oid := range o.Manip {
+		n.MarkManip(oid)
+	}
+	n.Contributing = n.Contributing || o.Contributing
 }
 
 // pruneShells removes n and its now-empty ancestors when they carry no
@@ -480,10 +606,11 @@ func (t *Tree) MarkAllManip(oid int) {
 	})
 }
 
-// Merge merges another tree into this one.
+// Merge merges another tree into this one. o is only read: what t lacks is
+// copied over, node by node.
 func (t *Tree) Merge(o *Tree) {
 	t.Opaque = t.Opaque || o.Opaque
-	t.Root.mergeFrom(o.Root.clone(nil))
+	t.Root.mergeCopy(o.Root)
 }
 
 // PruneToSchema keeps only the top-level children whose attribute name is in

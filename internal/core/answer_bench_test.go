@@ -14,11 +14,13 @@ var answerSink int
 
 // BenchmarkTraceAnswer measures how a finished trace becomes its answer —
 // resolving the traced identifiers to source rows, QueryResult.JSON and
-// QueryResult.Report — on a wide nested result (T3: tweets) and a narrow
-// one with many items (D1: DBLP records). It is the layer the client-path
-// benchmark reports as core.result_encode_s.
+// QueryResult.Report — on a wide nested result (T3: tweets), a narrow one
+// with many items (D1: DBLP records), the largest answer of the client-path
+// benchmark (T4: every tweet with a hashtag, a different tree for each set of
+// positions) and one whose items share two trees (T5). It is the layer the
+// client-path benchmark reports as core.result_encode_s.
 func BenchmarkTraceAnswer(b *testing.B) {
-	for _, name := range []string{"T3", "D1"} {
+	for _, name := range []string{"T3", "D1", "T4", "T5"} {
 		b.Run(name, func(b *testing.B) {
 			sc, err := workload.ByName(name)
 			if err != nil {
@@ -66,7 +68,7 @@ func TestTraceAnswerBenchSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchmark run failed: %v\n%s", err, out)
 	}
-	for _, want := range []string{"PASS", "BenchmarkTraceAnswer/T3", "BenchmarkTraceAnswer/D1"} {
+	for _, want := range []string{"PASS", "BenchmarkTraceAnswer/T3", "BenchmarkTraceAnswer/D1", "BenchmarkTraceAnswer/T4", "BenchmarkTraceAnswer/T5"} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("benchmark output misses %q:\n%s", want, out)
 		}

@@ -9,10 +9,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
@@ -404,9 +406,14 @@ func (q *QueryResult) Items() []SourceItem {
 // attributes and the operators that accessed/manipulated them).
 func (q *QueryResult) Report() string { return q.report(q.resolve()) }
 
+// previewBytes is how much of a source row the report shows.
+const previewBytes = 120
+
 func (q *QueryResult) report(sources []tracedSource) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "query matched %d result item(s)\n", q.Matched.Len())
+	buf := fmt.Appendf(nil, "query matched %d result item(s)\n", q.Matched.Len())
+	// The items of a trace share their trees (backtrace.Tree), so a tree is
+	// rendered once and its lines are copied from then on.
+	trees := make(map[*backtrace.Tree][]byte)
 	empty := true
 	for _, src := range sources {
 		if len(src.items) == 0 {
@@ -417,33 +424,70 @@ func (q *QueryResult) report(sources []tracedSource) string {
 		if src.dataset != nil {
 			name = src.dataset.Name
 		}
-		fmt.Fprintf(&sb, "source operator %d (%s):\n", src.oid, name)
-		for _, si := range src.items {
-			fmt.Fprintf(&sb, "  input item %d", si.Item.ID)
+		buf = fmt.Appendf(buf, "source operator %d (%s):\n", src.oid, name)
+		for i, si := range src.items {
+			start := len(buf)
+			buf = strconv.AppendInt(append(buf, "  input item "...), si.Item.ID, 10)
 			if si.Found {
-				fmt.Fprintf(&sb, ": %s", truncate(si.Row.Value.String(), 120))
+				buf = appendPreview(append(buf, ": "...), si.Row.Value, previewBytes)
 			}
-			sb.WriteByte('\n')
-			for _, line := range strings.Split(strings.TrimRight(si.Item.Tree.String(), "\n"), "\n") {
-				if line != "" {
-					sb.WriteString("    ")
-					sb.WriteString(line)
-					sb.WriteByte('\n')
-				}
+			buf = append(buf, '\n')
+			lines, ok := trees[si.Item.Tree]
+			if !ok {
+				lines = treeLines(si.Item.Tree)
+				trees[si.Item.Tree] = lines
+			}
+			buf = append(buf, lines...)
+			if i == 0 {
+				buf = growForRest(buf, start, len(src.items)-1)
 			}
 		}
 	}
 	if empty {
-		sb.WriteString("no contributing input items\n")
+		buf = append(buf, "no contributing input items\n"...)
 	}
-	return sb.String()
+	return string(buf)
 }
 
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
+// growForRest makes room for n more items the size of the first, which buf
+// holds from start on: an answer's buffer is grown once per source rather
+// than by doubling from 4 kB through the megabytes.
+func growForRest(buf []byte, start, n int) []byte {
+	return slices.Grow(buf, (len(buf)-start)*n)
+}
+
+// treeLines renders a tree as the report shows it: its non-empty lines,
+// indented under the item.
+func treeLines(t *backtrace.Tree) []byte {
+	var out []byte
+	for _, line := range strings.Split(strings.TrimRight(t.String(), "\n"), "\n") {
+		if line != "" {
+			out = append(append(append(out, "    "...), line...), '\n')
+		}
 	}
-	return s[:n] + "…"
+	return out
+}
+
+// appendPreview appends the first limit bytes of v.String() — rendered only
+// that far — and an ellipsis when there is more. The cut never splits a
+// rune: it falls on the last rune boundary at or before the limit.
+func appendPreview(dst []byte, v nested.Value, limit int) []byte {
+	start := len(dst)
+	dst = v.AppendString(dst, limit)
+	if len(dst)-start <= limit {
+		return dst
+	}
+	cut := start + limit
+	// A rune that straddles the limit starts at most UTFMax-1 bytes before it.
+	for p := cut; p > cut-utf8.UTFMax && p > start; p-- {
+		if utf8.RuneStart(dst[p]) {
+			if _, size := utf8.DecodeRune(dst[p:]); p+size > cut {
+				cut = p
+			}
+			break
+		}
+	}
+	return append(dst[:cut], "…"...)
 }
 
 // JSON encodes the query result for machine consumption: the matched result
@@ -466,9 +510,12 @@ func (q *QueryResult) json(sources []tracedSource) ([]byte, error) {
 		return jsonenc.Close(append(buf, "null"...), 0, '}'), nil
 	}
 	buf = append(buf, '[')
+	// Shared trees are encoded once; every item sits at the same depth, so
+	// the encoding of a tree is the same bytes wherever it recurs.
+	trees := make(map[*backtrace.Tree][]byte)
 	for _, src := range sources {
 		var err error
-		if buf, err = src.appendJSON(jsonenc.Sep(buf, 2), 2); err != nil {
+		if buf, err = src.appendJSON(jsonenc.Sep(buf, 2), 2, trees); err != nil {
 			return nil, err
 		}
 	}
@@ -487,7 +534,7 @@ func (q *QueryResult) Answer() (report string, result []byte, err error) {
 
 // appendJSON appends one source, an object at depth: operator, dataset name
 // when known, and traced items.
-func (src tracedSource) appendJSON(dst []byte, depth int) ([]byte, error) {
+func (src tracedSource) appendJSON(dst []byte, depth int, trees map[*backtrace.Tree][]byte) ([]byte, error) {
 	in := depth + 1
 	dst = append(dst, '{')
 	dst = strconv.AppendInt(jsonenc.Key(dst, in, "source_oid"), int64(src.oid), 10)
@@ -499,18 +546,23 @@ func (src tracedSource) appendJSON(dst []byte, depth int) ([]byte, error) {
 		return jsonenc.Close(append(dst, "null"...), depth, '}'), nil
 	}
 	dst = append(dst, '[')
-	for _, si := range src.items {
+	for i, si := range src.items {
+		start := len(dst)
 		var err error
-		if dst, err = si.appendJSON(jsonenc.Sep(dst, in+1), in+1); err != nil {
+		if dst, err = si.appendJSON(jsonenc.Sep(dst, in+1), in+1, trees); err != nil {
 			return dst, err
+		}
+		if i == 0 {
+			dst = growForRest(dst, start, len(src.items)-1)
 		}
 	}
 	return jsonenc.Close(jsonenc.Close(dst, in, ']'), depth, '}'), nil
 }
 
 // appendJSON appends one traced item, an object at depth: identifier, row
-// data when the source has it, and backtracing tree.
-func (si SourceItem) appendJSON(dst []byte, depth int) ([]byte, error) {
+// data when the source has it, and backtracing tree — from trees when the
+// tree was encoded before.
+func (si SourceItem) appendJSON(dst []byte, depth int, trees map[*backtrace.Tree][]byte) ([]byte, error) {
 	in := depth + 1
 	dst = append(dst, '{')
 	dst = strconv.AppendInt(jsonenc.Key(dst, in, "id"), si.Item.ID, 10)
@@ -523,8 +575,12 @@ func (si SourceItem) appendJSON(dst []byte, depth int) ([]byte, error) {
 	dst = jsonenc.Key(dst, in, "tree")
 	if si.Item.Tree == nil {
 		dst = append(dst, "null"...)
+	} else if enc, ok := trees[si.Item.Tree]; ok {
+		dst = append(dst, enc...)
 	} else {
+		start := len(dst)
 		dst = si.Item.Tree.AppendJSON(dst, in)
+		trees[si.Item.Tree] = dst[start:len(dst):len(dst)]
 	}
 	return jsonenc.Close(dst, depth, '}'), nil
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/core"
@@ -67,11 +68,7 @@ func refReport(q *core.QueryResult) string {
 		}
 		fmt.Fprintf(&sb, "  input item %d", si.Item.ID)
 		if si.Found {
-			s := si.Row.Value.String()
-			if len(s) > 120 {
-				s = s[:120] + "…"
-			}
-			fmt.Fprintf(&sb, ": %s", s)
+			fmt.Fprintf(&sb, ": %s", refPreview(si.Row.Value.String()))
 		}
 		sb.WriteByte('\n')
 		for _, line := range strings.Split(strings.TrimRight(si.Item.Tree.String(), "\n"), "\n") {
@@ -81,6 +78,24 @@ func refReport(q *core.QueryResult) string {
 		}
 	}
 	return sb.String()
+}
+
+// refPreview keeps the whole runes of s that end within its first 120 bytes,
+// and says so when that is not all of s. (Until the report stopped cutting
+// runes in half this was s[:120] + "…".)
+func refPreview(s string) string {
+	if len(s) <= 120 {
+		return s
+	}
+	cut := 0
+	for cut < len(s) {
+		_, size := utf8.DecodeRuneInString(s[cut:])
+		if cut+size > 120 {
+			break
+		}
+		cut += size
+	}
+	return s[:cut] + "…"
 }
 
 type refJSONItem struct {
@@ -253,6 +268,8 @@ func TestAnswerMatchesReferenceOnEdgeCases(t *testing.T) {
 	unnamed := engine.FromRows("", []engine.Row{{ID: 1, Value: nested.Int(7)}})
 	matched := backtrace.NewStructure()
 	matched.Add(1, tree("text"))
+	shared := tree("text", "a[2].b")
+	shared.Opaque = true
 
 	cases := map[string]*core.QueryResult{
 		"nothing traced": {Matched: backtrace.NewStructure(), Traced: &backtrace.Result{BySource: map[int]*backtrace.Structure{}}},
@@ -267,6 +284,11 @@ func TestAnswerMatchesReferenceOnEdgeCases(t *testing.T) {
 					{ID: 8, Tree: tree("long")}, {ID: 99, Tree: tree("gone")}, {ID: 5, Tree: tree("bad \xff utf8", "<k>")},
 					{ID: 3, Tree: backtrace.NewTree()}, {ID: -1, Tree: tree("a[2].b")}, {ID: 5, Tree: tree("none")},
 				}},
+			}}},
+		"one tree under many items and sources": {Matched: matched, Sources: map[int]*engine.Dataset{2: rows, 7: unnamed},
+			Traced: &backtrace.Result{BySource: map[int]*backtrace.Structure{
+				2: {Items: []*backtrace.Item{{ID: 8, Tree: shared}, {ID: 3, Tree: shared}, {ID: 5, Tree: tree("none")}, {ID: 99, Tree: shared}}},
+				7: {Items: []*backtrace.Item{{ID: 1, Tree: shared}, {ID: 2, Tree: shared}}},
 			}}},
 		"unknown and unnamed sources": {Matched: matched, Sources: map[int]*engine.Dataset{7: unnamed},
 			Traced: &backtrace.Result{BySource: map[int]*backtrace.Structure{
@@ -288,6 +310,62 @@ func TestAnswerMatchesReferenceOnEdgeCases(t *testing.T) {
 	}
 	if got, err := treeless.JSON(); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("item without a tree:\n got %s (%v)\nwant %s", got, err, want)
+	}
+}
+
+// TestReportPreviewCutsAtRuneBoundary pins the report's row preview: 120
+// bytes of the row, never part of a rune, an ellipsis exactly when something
+// is left out. The preview used to be a byte cut, which put half a rune into
+// the report whenever a multi-byte character straddled byte 120.
+func TestReportPreviewCutsAtRuneBoundary(t *testing.T) {
+	// The row renders as {t: "…"}: five bytes before the text starts.
+	const lead = `{t: "`
+	text := func(asciiBefore int, r string, after int) string {
+		return strings.Repeat("a", asciiBefore) + r + strings.Repeat("b", after)
+	}
+	cases := []struct {
+		name string
+		text string
+		want string // the preview, without the ellipsis
+	}{
+		{"exactly 120 bytes", text(120-len(lead)-2, "", 0), lead + strings.Repeat("a", 113) + `"}`},
+		{"121 bytes", text(120-len(lead)-1, "", 0), lead + strings.Repeat("a", 114) + `"`},
+		{"2-byte rune straddles", text(119-len(lead), "é", 40), lead + strings.Repeat("a", 114)},
+		{"2-byte rune ends at the limit", text(118-len(lead), "é", 40), lead + strings.Repeat("a", 113) + "é"},
+		{"3-byte rune straddles by one", text(119-len(lead), "€", 40), lead + strings.Repeat("a", 114)},
+		{"3-byte rune straddles by two", text(118-len(lead), "€", 40), lead + strings.Repeat("a", 113)},
+		{"4-byte rune straddles by three", text(117-len(lead), "😀", 40), lead + strings.Repeat("a", 112)},
+		{"4-byte rune starts at the limit", text(120-len(lead), "😀", 40), lead + strings.Repeat("a", 115)},
+		{"long text, cut well before its end", text(60, "é", 5000), lead + strings.Repeat("a", 60) + "é" + strings.Repeat("b", 53)},
+		{"all two-byte runes", strings.Repeat("é", 100), lead + strings.Repeat("é", 57)},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			row := nested.Item(nested.F("t", nested.StringVal(c.text)))
+			tree := backtrace.NewTree()
+			tree.EnsureContributing(path.New("t"))
+			q := &core.QueryResult{
+				Matched: backtrace.NewStructure(),
+				Sources: map[int]*engine.Dataset{1: engine.FromRows("in", []engine.Row{{ID: int64(i), Value: row}})},
+				Traced:  &backtrace.Result{BySource: map[int]*backtrace.Structure{1: {Items: []*backtrace.Item{{ID: int64(i), Tree: tree}}}}},
+			}
+			report := q.Report()
+			if !utf8.ValidString(report) {
+				t.Errorf("report is not valid UTF-8: %q", report)
+			}
+			want := c.want
+			if len(row.String()) > 120 {
+				want += "…"
+			}
+			line := fmt.Sprintf("  input item %d: %s\n", i, want)
+			if !strings.Contains(report, line) {
+				t.Errorf("report misses %q:\n%s", line, report)
+			}
+			if len(c.want) > 120 {
+				t.Errorf("test case keeps %d bytes", len(c.want))
+			}
+			requireSameAnswer(t, q)
+		})
 	}
 }
 

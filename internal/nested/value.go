@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind enumerates the building blocks of the data model (Tab. 4 in the
@@ -472,39 +473,62 @@ func (v Value) SortElems() Value {
 // String renders the value in a compact JSON-like syntax with items as
 // {a: v, ...} and collections as [v, ...].
 func (v Value) String() string {
-	var sb strings.Builder
-	v.writeString(&sb)
-	return sb.String()
+	return string(v.appendString(nil, math.MaxInt))
 }
 
-func (v *Value) writeString(sb *strings.Builder) {
+// AppendString appends the String rendering of v to dst, as far as a caller
+// that keeps its first limit bytes needs it: rendering stops once more than
+// limit bytes are written. What was appended is String() itself when it is
+// at most limit bytes long; otherwise it is longer than limit, its first
+// limit bytes are those of String(), and no rune that starts among them is
+// cut short.
+func (v Value) AppendString(dst []byte, limit int) []byte {
+	return v.appendString(dst, len(dst)+limit)
+}
+
+// appendString renders v until dst is longer than end.
+func (v *Value) appendString(dst []byte, end int) []byte {
 	switch v.kind {
 	case KindNull, KindInvalid:
-		sb.WriteString("null")
+		return append(dst, "null"...)
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(int64(v.num), 10))
+		return strconv.AppendInt(dst, int64(v.num), 10)
 	case KindDouble:
-		sb.WriteString(strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64))
+		return strconv.AppendFloat(dst, math.Float64frombits(v.num), 'g', -1, 64)
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		s := v.s
+		if room := max(end-len(dst), 0); len(s)-utf8.UTFMax > room {
+			// Every input byte renders as at least one, so the bytes up to
+			// end come from s[:room]; the cut moves on to where the last
+			// rune starting in there ends.
+			cut := room
+			for cut < room+utf8.UTFMax-1 && !utf8.RuneStart(s[cut]) {
+				cut++
+			}
+			s = s[:cut]
+		}
+		return strconv.AppendQuote(dst, s)
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.num != 0))
+		return strconv.AppendBool(dst, v.num != 0)
 	case KindItem, KindBag, KindSet:
 		open, shut := byte('['), byte(']')
 		if v.kind == KindItem {
 			open, shut = '{', '}'
 		}
-		sb.WriteByte(open)
+		dst = append(dst, open)
 		for i := range v.vals {
+			if len(dst) > end {
+				return dst
+			}
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
 			if v.kind == KindItem {
-				sb.WriteString(v.shape.names[i])
-				sb.WriteString(": ")
+				dst = append(append(dst, v.shape.names[i]...), ": "...)
 			}
-			v.vals[i].writeString(sb)
+			dst = v.vals[i].appendString(dst, end)
 		}
-		sb.WriteByte(shut)
+		return append(dst, shut)
 	}
+	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func sampleTweet() Value {
@@ -197,6 +198,46 @@ func TestStringRendering(t *testing.T) {
 	want := `{a: 1, b: ["x"]}`
 	if got != want {
 		t.Errorf("String() = %s, want %s", got, want)
+	}
+}
+
+// TestAppendStringIsAPrefixOfString: the bounded rendering is String()
+// itself when that fits the limit; otherwise it is longer than the limit,
+// agrees with String() on the first limit bytes, and holds every rune that
+// starts among them whole — so a caller may cut it at a rune boundary.
+func TestAppendStringIsAPrefixOfString(t *testing.T) {
+	long := strings.Repeat("é€😀x", 40)
+	values := []Value{
+		Null(), Int(-12), Double(2.5), Bool(true), StringVal(""), StringVal("plain"), StringVal(long),
+		StringVal("bad \xff\xfe utf8 " + strings.Repeat("\xa9", 30)), StringVal("quote \" and \n newline " + long),
+		sampleTweet(), Bag(), Item(),
+		Item(F("né\xffme", StringVal(long)), F("b", Bag(Int(1), StringVal(long), Item(F("c", Set(StringVal("é"), Int(2))))))),
+		Bag(StringVal(long), StringVal(long), sampleTweet()),
+	}
+	for _, v := range values {
+		full := v.String()
+		for limit := 0; limit <= len(full)+2; limit++ {
+			got := string(v.AppendString([]byte("pre"), limit))
+			if !strings.HasPrefix(got, "pre") {
+				t.Fatalf("limit %d: dst not kept: %q", limit, got)
+			}
+			got = got[3:]
+			if len(full) <= limit {
+				if got != full {
+					t.Fatalf("limit %d: got %q, want all of %q", limit, got, full)
+				}
+				continue
+			}
+			if len(got) <= limit || got[:limit] != full[:limit] {
+				t.Fatalf("limit %d: got %q, want more than %d bytes starting like %q", limit, got, limit, full)
+			}
+			for p := range full[:limit] { // rune starts of String()
+				_, size := utf8.DecodeRuneInString(full[p:])
+				if len(got) < p+size || got[p:p+size] != full[p:p+size] {
+					t.Fatalf("limit %d: the rune at byte %d of %q is cut short in %q", limit, p, full, got)
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"pebble/internal/backtrace"
@@ -215,6 +216,10 @@ func (s *Server) runTrace(j *job) error {
 			// Stale or corrupt sidecar: never wrong answers — rebuild.
 			j.event(sdk.JobEvent{Kind: "note", Message: fmt.Sprintf("index sidecar rejected (%v); rebuilding indexes", lerr)})
 		}
+	} else if !errors.Is(rerr, fs.ErrNotExist) {
+		// A sidecar that is there but cannot be read costs the same rebuild;
+		// only a missing one is nothing to report.
+		j.event(sdk.JobEvent{Kind: "note", Message: fmt.Sprintf("index sidecar unreadable (%v); rebuilding indexes", rerr)})
 	}
 	cap := core.Reattached(pipeline, result, run, tr, j.rec)
 

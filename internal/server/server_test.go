@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -434,6 +437,65 @@ func TestSpecJobOverUploadedDataset(t *testing.T) {
 	}
 	if decoded.Matched != 4 || len(decoded.Sources) != 1 || decoded.Sources[0].Dataset != "mydata" {
 		t.Errorf("trace JSON = %+v, want 4 matches traced to dataset mydata", decoded)
+	}
+}
+
+// TestUnreadableSidecarIsNoted: a sidecar that exists but cannot be read (here
+// a directory in its place) costs an index rebuild, and the trace job says so
+// in a note event, as it does for a sidecar it rejects; a sidecar that is
+// simply absent stays silent. The answer is the sidecar-backed one, byte for
+// byte, all three times.
+func TestUnreadableSidecarIsNoted(t *testing.T) {
+	dir := t.TempDir()
+	c := startDaemon(t, server.Config{DataDir: dir})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "D1", SimGB: 1})
+	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
+
+	trace := func() (sdk.TraceOutput, []string) {
+		t.Helper()
+		j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, TraceAll: true})
+		waitStatus(t, c, "s", j.ID, sdk.StatusDone)
+		out, err := c.TraceResult(ctx, "s", j.ID)
+		if err != nil {
+			t.Fatalf("trace result: %v", err)
+		}
+		var notes []string
+		if err := c.StreamEvents(ctx, "s", j.ID, func(ev sdk.JobEvent) error {
+			if ev.Kind == "note" {
+				notes = append(notes, ev.Message)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		return out, notes
+	}
+
+	want, notes := trace()
+	if len(notes) != 0 {
+		t.Fatalf("sidecar-backed trace noted %q", notes)
+	}
+	idxPath := filepath.Join(dir, "s-"+target.ID+".idx")
+	if err := os.Remove(idxPath); err != nil {
+		t.Fatalf("the target wrote no sidecar where the test expects it: %v", err)
+	}
+	absent, notes := trace()
+	if len(notes) != 0 {
+		t.Errorf("trace without a sidecar noted %q; an absent file is nothing to report", notes)
+	}
+	if err := os.Mkdir(idxPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	unreadable, notes := trace()
+	if len(notes) != 1 || !strings.Contains(notes[0], "index sidecar unreadable") || !strings.Contains(notes[0], "rebuilding indexes") {
+		t.Errorf("notes = %q, want one saying the sidecar is unreadable and the indexes are rebuilt", notes)
+	}
+	for name, got := range map[string]sdk.TraceOutput{"absent": absent, "unreadable": unreadable} {
+		if got.Matched != want.Matched || got.Report != want.Report || !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("%s sidecar: the answer differs from the sidecar-backed one", name)
+		}
 	}
 }
 

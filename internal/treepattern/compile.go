@@ -1,6 +1,7 @@
 package treepattern
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 
@@ -119,8 +120,17 @@ func compileCheck(n *Node) func(nested.Value) bool {
 
 // MatchItem matches one data item with the compiled program and returns the
 // backtracing tree of matched paths, or ok == false when the item does not
-// satisfy the pattern.
+// satisfy the pattern. The tree is the caller's own.
 func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
+	all, ok := c.bind(d)
+	if !ok {
+		return nil, false
+	}
+	return bindingsTree(all), true
+}
+
+// bind returns the bindings of every root instruction on one data item.
+func (c *Compiled) bind(d nested.Value) ([]binding, bool) {
 	var all []binding
 	for _, r := range c.roots {
 		bs := c.matchNode(r, d, nil)
@@ -129,23 +139,42 @@ func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
 		}
 		all = append(all, bs...)
 	}
-	return bindingsTree(all), true
+	return all, true
 }
 
 // Match matches the compiled pattern against every row of the dataset in
-// parallel, one goroutine per partition.
+// parallel, one goroutine per partition. Rows that bind the same paths — the
+// usual case: a pattern over top-level attributes binds the same paths on
+// every row — get the same, shared *backtrace.Tree; the trees of the returned
+// structure are read-only (see backtrace.Tree).
 func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 	partResults := make([][]*backtrace.Item, len(d.Partitions))
+	shared := &sharedTrees{bySig: make(map[string]*backtrace.Tree)}
 	var wg sync.WaitGroup
 	for pi := range d.Partitions {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			var items []*backtrace.Item
+			var (
+				items []*backtrace.Item
+				sig   []byte
+				seen  map[string]*backtrace.Tree // this goroutine's view of shared
+			)
 			for _, row := range d.Partitions[pi] {
-				if tree, ok := c.MatchItem(row.Value); ok {
-					items = append(items, &backtrace.Item{ID: row.ID, Tree: tree})
+				all, ok := c.bind(row.Value)
+				if !ok {
+					continue
 				}
+				sig = appendSignature(sig[:0], all)
+				tree, ok := seen[string(sig)]
+				if !ok {
+					tree = shared.tree(sig, all)
+					if seen == nil {
+						seen = make(map[string]*backtrace.Tree)
+					}
+					seen[string(sig)] = tree
+				}
+				items = append(items, &backtrace.Item{ID: row.ID, Tree: tree})
 			}
 			partResults[pi] = items
 		}(pi)
@@ -156,6 +185,41 @@ func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 		out.Items = append(out.Items, items...)
 	}
 	return out
+}
+
+// sharedTrees holds the one tree per distinct binding signature of a Match,
+// across its partition goroutines.
+type sharedTrees struct {
+	mu    sync.Mutex
+	bySig map[string]*backtrace.Tree // guarded by mu
+}
+
+// tree returns the tree of the bindings with signature sig, building it when
+// the signature is new.
+func (s *sharedTrees) tree(sig []byte, all []binding) *backtrace.Tree {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.bySig[string(sig)]
+	if !ok {
+		t = bindingsTree(all)
+		s.bySig[string(sig)] = t
+	}
+	return t
+}
+
+// appendSignature appends what bindingsTree reads of the bindings — every
+// bound path, in its order — so that equal signatures mean equal trees.
+func appendSignature(dst []byte, bs []binding) []byte {
+	for _, b := range bs {
+		dst = binary.AppendUvarint(dst, uint64(len(b.path)))
+		for _, s := range b.path {
+			dst = binary.AppendUvarint(dst, uint64(len(s.Attr)))
+			dst = append(dst, s.Attr...)
+			dst = binary.AppendVarint(dst, int64(s.Index))
+		}
+		dst = appendSignature(dst, b.children)
+	}
+	return dst
 }
 
 // matchNode executes instruction i against context value ctx: all bindings,

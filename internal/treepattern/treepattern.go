@@ -164,7 +164,8 @@ func bindingsTree(all []binding) *backtrace.Tree {
 // the matching rows — the distributed tree-pattern matching step that feeds
 // Alg. 1. The pattern runs in its compiled form (compile.go), built on first
 // use and shared — immutable and race-clean — by every partition goroutine
-// and every later Match.
+// and every later Match. Rows that bind the same paths share one tree; the
+// trees of the returned structure are read-only.
 func (p *Pattern) Match(d *engine.Dataset) *backtrace.Structure {
 	return p.Compile().Match(d)
 }

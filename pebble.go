@@ -119,17 +119,25 @@ type Row = engine.Row
 type Result = engine.Result
 
 // Tree is a backtracing tree distinguishing contributing from influencing
-// attributes (Def. 6.3).
+// attributes (Def. 6.3). The trees inside a match (Pattern.Match,
+// Captured.Match) or a trace result are shared — many items may point at one
+// *Tree — and read-only: build or modify only trees of your own (NewTree,
+// Tree.Clone, Structure.Clone).
 type Tree = backtrace.Tree
 
 // TreeNode is one node of a backtracing tree.
 type TreeNode = backtrace.Node
 
 // Structure is a backtracing structure: provenance identifiers paired with
-// backtracing trees (Def. 6.2).
+// backtracing trees (Def. 6.2). A trace only reads the structure it is given
+// and may hand its trees on in the result; items that carry the same tree
+// cost the trace one tree. Structure.Clone() gives a private deep copy, one
+// tree per item.
 type Structure = backtrace.Structure
 
-// TraceResult maps source operators to their backtraced structures.
+// TraceResult maps source operators to their backtraced structures. Items
+// whose trees have the same content share one *Tree, across sources too; the
+// trees are read-only (see Tree).
 type TraceResult = backtrace.Result
 
 // NewPipeline returns an empty pipeline.
