@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -47,6 +47,13 @@ fuzz-codec:
 # line as fuzz-json and fuzz-codec.
 fuzz-trace:
 	go test -fuzz FuzzTraceMatchesReference -fuzztime 20s ./internal/backtrace
+
+# Twenty seconds of the sidecar loader on arbitrary bytes: it must not panic,
+# and a sidecar it accepts must leave every answer what a rebuild gives. The
+# seeds are the sidecar of a shuffled run (a region per operator), two of
+# engine runs (flags only) and one of the previous format; same CI line.
+fuzz-sidecar:
+	go test -fuzz FuzzSidecar -fuzztime 20s ./internal/backtrace
 
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event

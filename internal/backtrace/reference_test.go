@@ -3,6 +3,7 @@ package backtrace
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"pebble/internal/engine"
 	"pebble/internal/path"
@@ -250,4 +251,225 @@ func (tr *refTracer) backtraceUnion(op *provenance.Operator, b *Structure) (*Str
 		}
 	}
 	return refMergeByID(left), refMergeByID(right)
+}
+
+// Lookups readies op's index the way a trace through op would and looks every
+// identifier up in it, returning how many it found (BenchmarkFirstLookup).
+func Lookups(t *Tracer, op *provenance.Operator, ids []int64) (found int) {
+	ix := t.indexFor(op)
+	for _, id := range ids {
+		switch op.AssocKind() {
+		case provenance.AssocUnary:
+			found += min(1, len(ix.unary.lookup(id)))
+		case provenance.AssocAgg:
+			found += min(1, len(ix.agg.lookup(id)))
+		case provenance.AssocBinary:
+			lefts, _ := ix.binary.lookup(id)
+			found += min(1, len(lefts))
+		case provenance.AssocFlatten:
+			if _, ok := ix.flatten.lookup(id); ok {
+				found++
+			}
+		}
+	}
+	return found
+}
+
+// The row-struct index build: what every operator's index was built by before
+// the run's columns became the index (trace.go: fromColumns, and build for an
+// Out column out of order). It reads the association rows, not the columns,
+// sorts through a permutation instead of sorting the columns, and always
+// spells its keys out — the reference both shipped paths are compared with in
+// inrun_test.go.
+
+// IndexMode selects how ForceIndexes readies a tracer's indexes.
+type IndexMode int
+
+const (
+	// IndexBuild sorts every operator's columns (opIndex.build), in order or
+	// not: the path an out-of-order Out column takes.
+	IndexBuild IndexMode = iota
+	// IndexReference is the row-struct build below.
+	IndexReference
+)
+
+// ForceIndexes installs an index made the given way for every operator of
+// the tracer's run, before the tracer reads any off the columns.
+func ForceIndexes(t *Tracer, mode IndexMode) {
+	for _, op := range t.run.Operators() {
+		ix := &opIndex{}
+		ix.once.Do(func() {
+			if mode == IndexBuild && op.AssocKind() > provenance.AssocSource {
+				ix.build(op.Columns())
+			} else if mode == IndexReference {
+				ix.refBuild(op)
+			}
+		})
+		t.idx.Store(op.OID, ix)
+	}
+}
+
+// refBuild constructs the flat index for the operator's association kind.
+func (ix *opIndex) refBuild(op *provenance.Operator) {
+	switch op.AssocKind() {
+	case provenance.AssocUnary:
+		a := op.UnaryAssocs()
+		ix.unary = refBuildPairs(len(a),
+			func(i int) int64 { return a[i].Out },
+			func(i int) int64 { return a[i].In })
+	case provenance.AssocBinary:
+		ix.binary = refBuildBin(op.BinaryAssocs())
+	case provenance.AssocFlatten:
+		ix.flatten = refBuildFlat(op.FlattenAssocs())
+	case provenance.AssocAgg:
+		ix.agg = refBuildAgg(op.AggAssocs())
+	}
+}
+
+// refOrderByKey returns association-row indexes ordered by key, preserving row
+// order within equal keys; nil when the rows are already sorted — the common
+// case, since identifiers grow with partition-concatenated row order.
+func refOrderByKey(n int, key func(int) int64) []int {
+	sorted := true
+	for i := 1; i < n; i++ {
+		if key(i) < key(i-1) {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return nil
+	}
+	ord := make([]int, n)
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.SliceStable(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
+	return ord
+}
+
+// refAt resolves the i-th row under an optional reorder.
+func refAt(ord []int, i int) int {
+	if ord == nil {
+		return i
+	}
+	return ord[i]
+}
+
+// refCountKeys counts distinct keys in ordered traversal, so the key and offset
+// columns allocate exactly once.
+func refCountKeys(n int, ord []int, key func(int) int64) int {
+	u := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || key(refAt(ord, i)) != key(refAt(ord, i-1)) {
+			u++
+		}
+	}
+	return u
+}
+
+// refBuildPairs groups (key, val) association rows into a pairIdx with exactly
+// three allocations: count first, allocate once, fill.
+func refBuildPairs(n int, key, val func(int) int64) pairIdx {
+	ord := refOrderByKey(n, key)
+	u := refCountKeys(n, ord, key)
+	x := pairIdx{
+		keyCol: keyCol{keys: make([]int64, 0, u)},
+		offs:   make([]int32, 0, u+1),
+		vals:   make([]int64, n),
+	}
+	for i := 0; i < n; i++ {
+		r := refAt(ord, i)
+		k := key(r)
+		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
+			x.keys = append(x.keys, k)
+			x.offs = append(x.offs, int32(i))
+		}
+		x.vals[i] = val(r)
+	}
+	x.offs = append(x.offs, int32(n))
+	return x
+}
+
+// refBuildBin groups binary associations by Out into parallel left/right runs.
+func refBuildBin(a []provenance.BinaryAssoc) binIdx {
+	n := len(a)
+	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
+	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
+	x := binIdx{
+		keyCol: keyCol{keys: make([]int64, 0, u)},
+		offs:   make([]int32, 0, u+1),
+		lefts:  make([]int64, n),
+		rights: make([]int64, n),
+	}
+	for i := 0; i < n; i++ {
+		r := refAt(ord, i)
+		k := a[r].Out
+		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
+			x.keys = append(x.keys, k)
+			x.offs = append(x.offs, int32(i))
+		}
+		x.lefts[i] = a[r].Left
+		x.rights[i] = a[r].Right
+	}
+	x.offs = append(x.offs, int32(n))
+	return x
+}
+
+// refBuildFlat indexes flatten associations by Out. Outputs are unique by
+// construction; should a duplicate ever appear, the last association row
+// wins, matching the previous map-based build.
+func refBuildFlat(a []provenance.FlattenAssoc) flatIdx {
+	n := len(a)
+	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
+	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
+	x := flatIdx{
+		keyCol: keyCol{keys: make([]int64, 0, u)},
+		ins:    make([]int64, 0, u),
+		poss:   make([]int64, 0, u),
+	}
+	for i := 0; i < n; i++ {
+		r := refAt(ord, i)
+		k := a[r].Out
+		if len(x.keys) > 0 && k == x.keys[len(x.keys)-1] {
+			x.ins[len(x.ins)-1] = a[r].In
+			x.poss[len(x.poss)-1] = int64(a[r].Pos)
+			continue
+		}
+		x.keys = append(x.keys, k)
+		x.ins = append(x.ins, a[r].In)
+		x.poss = append(x.poss, int64(a[r].Pos))
+	}
+	return x
+}
+
+// refBuildAgg flattens aggregation groups into one pairIdx: group Outs as keys,
+// the concatenated Ins as values, so an input's 1-based group position p_P
+// is its offset within the key's value run plus one. The nested per-element
+// append of the previous build is gone — the Ins column is counted first and
+// allocated once.
+func refBuildAgg(a []provenance.AggAssoc) pairIdx {
+	n := len(a)
+	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
+	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
+	total := 0
+	for i := range a {
+		total += len(a[i].Ins)
+	}
+	x := pairIdx{
+		keyCol: keyCol{keys: make([]int64, 0, u)},
+		offs:   make([]int32, 0, u+1),
+		vals:   make([]int64, 0, total),
+	}
+	for i := 0; i < n; i++ {
+		r := refAt(ord, i)
+		k := a[r].Out
+		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
+			x.keys = append(x.keys, k)
+			x.offs = append(x.offs, int32(len(x.vals)))
+		}
+		x.vals = append(x.vals, a[r].Ins...)
+	}
+	x.offs = append(x.offs, int32(len(x.vals)))
+	return x
 }

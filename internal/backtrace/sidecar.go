@@ -10,37 +10,41 @@ import (
 	"pebble/internal/provenance"
 )
 
-// Index sidecar: the tracer's per-operator association indexes serialized
-// next to a persisted run, so a reloaded session skips index construction
-// entirely — query latency decoupled from capture volume. The sidecar is
-// validated against the run it was built from via the run's content hash
-// (provenance.HashStream over the encoded stream) plus its own payload
-// checksum; a stale or corrupt sidecar is rejected with an error and the
-// caller falls back to the ordinary lazy rebuild — never wrong answers.
+// Index sidecar: the file next to a persisted run that says, per operator,
+// where the tracer finds its index. For every operator whose Out column is
+// non-decreasing — all of a run the engine wrote — that is the run's own
+// columns, and the sidecar holds a flag; only an operator whose Out column is
+// out of order gets its sorted index serialized here, so a reloaded session
+// skips the sort. The sidecar is validated against the run it was built from
+// via the run's content hash (provenance.HashStream over the encoded stream)
+// plus its own payload checksum; a stale or corrupt sidecar is rejected with
+// an error and the caller falls back to the ordinary lazy rebuild — never
+// wrong answers.
 //
-// Wire format (see DESIGN.md §9 for the byte-by-byte walk):
+// Wire format (DESIGN.md §9.2 says why it is this small):
 //
-//	magic "PBLI" | u16 version=1 | u64 runHash | u64 payloadHash
+//	magic "PBLI" | u16 version=2 | u64 runHash | u64 payloadHash
 //	payload:
 //	  uvarint #ops
-//	  per op (run order): uvarint oid | u8 kind
-//	    kind 2 (unary), 5 (agg):
+//	  per op (run order): uvarint oid | u8 kind | u8 inRun
+//	    inRun 1, or kind 0 (none), 1 (source): nothing more
+//	    inRun 0, kind 2 (unary), 5 (agg):
 //	      uvarint #keys | #keys×Δ(key) | uvarint #vals |
 //	      #keys×uvarint runLen | #vals×Δ(val)
-//	    kind 3 (binary):
+//	    inRun 0, kind 3 (binary):
 //	      uvarint #keys | #keys×Δ(key) | uvarint #vals |
 //	      #keys×uvarint runLen | #vals×Δ(left) | #vals×Δ(right)
-//	    kind 4 (flatten):
+//	    inRun 0, kind 4 (flatten):
 //	      uvarint #keys | #keys×Δ(key) | #keys×Δ(in) | #keys×uvarint pos
-//	    kind 0 (none), 1 (source): no columns
 //
 // Δ columns are zigzag(v − prev) uvarints with prev starting at 0 per
 // column. Key columns are sorted, so their deltas are non-negative and tiny;
 // the whole sidecar is a pure function of the run and byte-identical across
-// worker counts.
+// worker counts. Version 1 serialized every operator's index, which
+// duplicated the run's columns; it is rejected by the version check.
 const (
 	sidecarMagic   = "PBLI"
-	sidecarVersion = 1
+	sidecarVersion = 2
 	// sidecarHeaderLen is magic + version + runHash + payloadHash.
 	sidecarHeaderLen = 4 + 2 + 8 + 8
 )
@@ -56,49 +60,53 @@ var (
 	ErrSidecarCorrupt = errors.New("backtrace: index sidecar corrupt")
 )
 
-// WriteIndexes builds every operator's association index and serializes the
-// set as a sidecar. The run must carry a content hash (i.e. it was loaded
-// from its encoded bytes), since the hash is what pairs the sidecar with its
-// run at load time.
+// WriteIndexes serializes the sidecar: a flag for every operator whose index
+// is the run's columns, and the sorted index of any other — the only case in
+// which it builds anything. The run must carry a content hash (it was loaded
+// from its encoded bytes, or encoded by WriteTo), since the hash is what
+// pairs the sidecar with its run at load time.
 func (t *Tracer) WriteIndexes(w io.Writer) (int64, error) {
 	runHash, ok := t.run.ContentHash()
 	if !ok {
-		return 0, fmt.Errorf("backtrace: run has no content hash (reload it from bytes with provenance.ReadRunLazy before persisting indexes)")
+		return 0, fmt.Errorf("backtrace: run has no content hash (encode it with WriteTo, or reload it with provenance.ReadRunLazy, before persisting indexes)")
 	}
 	ops := t.run.Operators()
-	payload := binary.AppendUvarint(nil, uint64(len(ops)))
+	buf := append(make([]byte, 0, sidecarHeaderLen+1+4*len(ops)), sidecarMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, sidecarVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, runHash)
+	buf = append(buf, make([]byte, 8)...) // payloadHash, below
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
-		ix := t.indexFor(op)
-		payload = binary.AppendUvarint(payload, uint64(op.OID))
+		buf = binary.AppendUvarint(buf, uint64(op.OID))
 		kind := op.AssocKind()
-		payload = append(payload, byte(kind))
+		if op.OutOrdered() {
+			buf = append(buf, byte(kind), 1)
+			continue
+		}
+		buf = append(buf, byte(kind), 0)
+		ix := t.indexFor(op)
 		switch kind {
 		case provenance.AssocUnary:
-			payload = appendPairIdx(payload, &ix.unary)
+			buf = appendPairIdx(buf, &ix.unary)
 		case provenance.AssocAgg:
-			payload = appendPairIdx(payload, &ix.agg)
+			buf = appendPairIdx(buf, &ix.agg)
 		case provenance.AssocBinary:
-			payload = binary.AppendUvarint(payload, uint64(len(ix.binary.keys)))
-			payload = appendDeltaCol(payload, ix.binary.keys)
-			payload = binary.AppendUvarint(payload, uint64(len(ix.binary.lefts)))
-			payload = appendRunLens(payload, ix.binary.offs)
-			payload = appendDeltaCol(payload, ix.binary.lefts)
-			payload = appendDeltaCol(payload, ix.binary.rights)
+			buf = binary.AppendUvarint(buf, uint64(len(ix.binary.keys)))
+			buf = appendDeltaCol(buf, ix.binary.keys)
+			buf = binary.AppendUvarint(buf, uint64(len(ix.binary.lefts)))
+			buf = appendRunLens(buf, ix.binary.offs)
+			buf = appendDeltaCol(buf, ix.binary.lefts)
+			buf = appendDeltaCol(buf, ix.binary.rights)
 		case provenance.AssocFlatten:
-			payload = binary.AppendUvarint(payload, uint64(len(ix.flatten.keys)))
-			payload = appendDeltaCol(payload, ix.flatten.keys)
-			payload = appendDeltaCol(payload, ix.flatten.ins)
+			buf = binary.AppendUvarint(buf, uint64(len(ix.flatten.keys)))
+			buf = appendDeltaCol(buf, ix.flatten.keys)
+			buf = appendDeltaCol(buf, ix.flatten.ins)
 			for _, p := range ix.flatten.poss {
-				payload = binary.AppendUvarint(payload, uint64(p))
+				buf = binary.AppendUvarint(buf, uint64(p))
 			}
 		}
 	}
-	buf := make([]byte, 0, sidecarHeaderLen+len(payload))
-	buf = append(buf, sidecarMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, sidecarVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, runHash)
-	buf = binary.LittleEndian.AppendUint64(buf, provenance.HashStream(payload))
-	buf = append(buf, payload...)
+	binary.LittleEndian.PutUint64(buf[14:], provenance.HashStream(buf[sidecarHeaderLen:]))
 	n, err := w.Write(buf)
 	if err != nil {
 		return int64(n), fmt.Errorf("backtrace: writing index sidecar: %w", err)
@@ -136,20 +144,19 @@ func appendRunLens(buf []byte, offs []int32) []byte {
 	return buf
 }
 
-// LoadIndexes validates a sidecar written by WriteIndexes and installs its
-// per-operator column regions into the tracer, so queries skip index
-// construction. Validation is all-or-nothing and happens before anything is
+// LoadIndexes validates a sidecar written by WriteIndexes and installs the
+// regions it keeps for operators whose Out column is out of order, so queries
+// skip the sort. Validation is all-or-nothing and happens before anything is
 // installed: magic, version, run hash, payload checksum, and a structural
-// skip-scan pinning each operator's identity, association kind, and column
-// region boundaries. The columns themselves decode on first index use (the
-// sidecar analogue of the run's lazy association decode); a region that then
-// proves internally inconsistent — unreachable for a sidecar WriteIndexes
-// produced, since the checksum covers every payload byte — is discarded and
-// the index is rebuilt from the operator, so a sidecar can accelerate
-// answers but never change them. On error the tracer is left unchanged and
-// the caller should fall back to the ordinary rebuild. Operators whose
-// index was already built keep the built one. The tracer retains data;
-// callers must not mutate it afterwards.
+// skip-scan pinning each operator's identity, association kind, in-run flag
+// (it must be what the run's own Out column says) and region boundaries. A
+// region decodes on first index use; one that then proves internally
+// inconsistent — unreachable for a sidecar WriteIndexes produced, since the
+// checksum covers every payload byte — is discarded and the index is rebuilt
+// from the operator, so a sidecar can accelerate answers but never change
+// them. On error the tracer is left unchanged and the caller should fall back
+// to the ordinary rebuild. Operators whose index was already built keep the
+// built one. The tracer retains data; callers must not mutate it afterwards.
 func (t *Tracer) LoadIndexes(data []byte) error {
 	defer t.rec.StartSpan(obs.SpanIndexBuild)()
 	runHash, ok := t.run.ContentHash()
@@ -186,12 +193,19 @@ func (t *Tracer) LoadIndexes(data []byte) error {
 	for i, op := range ops {
 		oid := int(d.Uvarint())
 		kind := provenance.AssocKind(d.Byte())
+		inRun := d.Byte()
+		if inRun > 1 {
+			d.Fail(fmt.Errorf("in-run flag %d of operator %d is neither 0 nor 1", inRun, oid))
+		}
 		if d.Err() != nil {
 			break
 		}
-		if oid != op.OID || kind != op.AssocKind() {
-			return fmt.Errorf("backtrace: sidecar operator %d kind %d does not match run operator %d kind %d: %w",
-				oid, kind, op.OID, op.AssocKind(), ErrSidecarStale)
+		if oid != op.OID || kind != op.AssocKind() || (inRun == 1) != op.OutOrdered() {
+			return fmt.Errorf("backtrace: sidecar operator %d kind %d in-run %d does not match run operator %d kind %d: %w",
+				oid, kind, inRun, op.OID, op.AssocKind(), ErrSidecarStale)
+		}
+		if inRun == 1 {
+			continue
 		}
 		start := d.Pos()
 		switch kind {
@@ -223,7 +237,9 @@ func (t *Tracer) LoadIndexes(data []byte) error {
 		return fmt.Errorf("backtrace: %d trailing bytes after sidecar payload: %w", d.Rest(), ErrSidecarCorrupt)
 	}
 	for i, op := range ops {
-		t.idx.LoadOrStore(op.OID, &opIndex{side: regions[i]})
+		if regions[i] != nil {
+			t.idx.LoadOrStore(op.OID, &opIndex{side: regions[i]})
+		}
 	}
 	return nil
 }
@@ -249,7 +265,7 @@ func (ix *opIndex) decodeSide(kind provenance.AssocKind) bool {
 		lefts := d.DeltaColumn(nVals)
 		rights := d.DeltaColumn(nVals)
 		checkSorted(d, keys)
-		ix.binary = binIdx{keys: keys, offs: offs, lefts: lefts, rights: rights}
+		ix.binary = binIdx{keyCol{keys: keys}, offs, lefts, rights}
 	case provenance.AssocFlatten:
 		nKeys := d.Count("sidecar key")
 		keys := d.DeltaColumn(nKeys)
@@ -259,7 +275,7 @@ func (ix *opIndex) decodeSide(kind provenance.AssocKind) bool {
 			poss = append(poss, int64(d.Uvarint()))
 		}
 		checkSorted(d, keys)
-		ix.flatten = flatIdx{keys: keys, ins: ins, poss: poss}
+		ix.flatten = flatIdx{keyCol{keys: keys}, ins, poss}
 	}
 	if d.Err() != nil || d.Rest() != 0 {
 		ix.unary, ix.binary, ix.flatten, ix.agg = pairIdx{}, binIdx{}, flatIdx{}, pairIdx{}
@@ -276,7 +292,7 @@ func readPairIdx(d *provenance.Cursor) pairIdx {
 	offs := runOffs(d, nKeys, nVals)
 	vals := d.DeltaColumn(nVals)
 	checkSorted(d, keys)
-	return pairIdx{keys: keys, offs: offs, vals: vals}
+	return pairIdx{keyCol{keys: keys}, offs, vals}
 }
 
 // runOffs reads nKeys run lengths and folds them into the offset column,

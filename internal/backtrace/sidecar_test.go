@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +18,9 @@ import (
 	"pebble/internal/provenance"
 	"pebble/internal/workload"
 )
+
+// sidecarHeaderLen is magic + version + runHash + payloadHash.
+const sidecarHeaderLen = 4 + 2 + 8 + 8
 
 // joinPipeline exercises binary associations (the one kind ExamplePipeline
 // lacks): two selects joined on a shared key.
@@ -50,11 +55,29 @@ type sidecarFixture struct {
 	question *backtrace.Structure
 }
 
-func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.Dataset) *sidecarFixture {
+// shuffleRows puts the association rows of every operator but the sources in
+// a seeded random order: the run no engine writes, whose Out columns are out
+// of order.
+func shuffleRows(run *provenance.Run, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, op := range run.Operators() {
+		rng.Shuffle(len(op.Unary), func(i, j int) { op.Unary[i], op.Unary[j] = op.Unary[j], op.Unary[i] })
+		rng.Shuffle(len(op.Binary), func(i, j int) { op.Binary[i], op.Binary[j] = op.Binary[j], op.Binary[i] })
+		rng.Shuffle(len(op.Flatten), func(i, j int) { op.Flatten[i], op.Flatten[j] = op.Flatten[j], op.Flatten[i] })
+		rng.Shuffle(len(op.Agg), func(i, j int) { op.Agg[i], op.Agg[j] = op.Agg[j], op.Agg[i] })
+	}
+}
+
+// makeFixture captures the pipeline; shuffled, the association rows are put
+// out of order before the run is encoded, so its sidecar keeps regions.
+func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.Dataset, shuffled bool) *sidecarFixture {
 	t.Helper()
 	res, run, err := provenance.Capture(pipe, inputs, engine.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shuffled {
+		shuffleRows(run, 7)
 	}
 	var stream bytes.Buffer
 	if _, err := run.WriteTo(&stream); err != nil {
@@ -78,6 +101,22 @@ func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.
 		sink:     pipe.Sink().ID(),
 		question: q,
 	}
+}
+
+// flagsOnlyLen is the size of a sidecar that keeps no region: header,
+// operator count, and per operator its id, kind and in-run flag.
+func flagsOnlyLen(t testing.TB, stream []byte) int {
+	t.Helper()
+	run, err := provenance.ReadRunLazy(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := run.Operators()
+	n := sidecarHeaderLen + len(binary.AppendUvarint(nil, uint64(len(ops))))
+	for _, op := range ops {
+		n += len(binary.AppendUvarint(nil, uint64(op.OID))) + 2
+	}
+	return n
 }
 
 func (f *sidecarFixture) lazyTracer(t testing.TB) *backtrace.Tracer {
@@ -112,11 +151,29 @@ func (f *sidecarFixture) traceVia(t testing.TB, tr *backtrace.Tracer) string {
 	return render(traced)
 }
 
+// fixtures are two engine runs, whose sidecars are flags only, and the same
+// two with their association rows shuffled, whose sidecars keep a region for
+// every operator kind: unary, flatten and aggregate (example), binary (join).
 func fixtures(t testing.TB) map[string]*sidecarFixture {
-	jp, ji := joinPipeline()
-	return map[string]*sidecarFixture{
-		"example": makeFixture(t, workload.ExamplePipeline(), workload.ExampleInput(2)),
-		"join":    makeFixture(t, jp, ji),
+	out := map[string]*sidecarFixture{}
+	for name, shuffled := range map[string]bool{"": false, " shuffled": true} {
+		jp, ji := joinPipeline()
+		out["example"+name] = makeFixture(t, workload.ExamplePipeline(), workload.ExampleInput(2), shuffled)
+		out["join"+name] = makeFixture(t, jp, ji, shuffled)
+	}
+	return out
+}
+
+// TestSidecarRegionsOnlyOutOfOrder: the sidecar of an engine run is its
+// header and three bytes per operator; that of a shuffled run is larger.
+func TestSidecarRegionsOnlyOutOfOrder(t *testing.T) {
+	for name, f := range fixtures(t) {
+		flags := flagsOnlyLen(t, f.stream)
+		if shuffled := strings.HasSuffix(name, " shuffled"); !shuffled && len(f.sidecar) != flags {
+			t.Errorf("%s: sidecar of an engine run is %d bytes, want the %d of flags alone", name, len(f.sidecar), flags)
+		} else if shuffled && len(f.sidecar) <= flags {
+			t.Errorf("%s: sidecar of a shuffled run is %d bytes: no region kept", name, len(f.sidecar))
+		}
 	}
 }
 
@@ -153,22 +210,25 @@ func TestSidecarRoundTrip(t *testing.T) {
 // corruption must be rejected — and the tracer must still answer correctly
 // by rebuilding.
 func TestSidecarEveryByteFlipRejected(t *testing.T) {
-	f := fixtures(t)["example"]
-	rebuilt := f.traceVia(t, f.lazyTracer(t))
-	for i := range f.sidecar {
-		mut := append([]byte(nil), f.sidecar...)
-		mut[i] ^= 0x40
-		tr := f.lazyTracer(t)
-		err := tr.LoadIndexes(mut)
-		if err == nil {
-			t.Fatalf("byte %d flipped: LoadIndexes accepted a corrupt sidecar", i)
-		}
-		if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
-			t.Fatalf("byte %d flipped: error %v is neither corrupt nor stale", i, err)
-		}
-		if i < 64 { // spot-check the fallback on a sample, full traces are not free
-			if got := f.traceVia(t, tr); got != rebuilt {
-				t.Fatalf("byte %d flipped: rejected sidecar left tracer wrong", i)
+	fxs := fixtures(t)
+	for _, name := range []string{"example", "example shuffled", "join shuffled"} {
+		f := fxs[name]
+		rebuilt := f.traceVia(t, f.lazyTracer(t))
+		for i := range f.sidecar {
+			mut := append([]byte(nil), f.sidecar...)
+			mut[i] ^= 0x40
+			tr := f.lazyTracer(t)
+			err := tr.LoadIndexes(mut)
+			if err == nil {
+				t.Fatalf("%s: byte %d flipped: LoadIndexes accepted a corrupt sidecar", name, i)
+			}
+			if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
+				t.Fatalf("%s: byte %d flipped: error %v is neither corrupt nor stale", name, i, err)
+			}
+			if i < 64 { // spot-check the fallback on a sample, full traces are not free
+				if got := f.traceVia(t, tr); got != rebuilt {
+					t.Fatalf("%s: byte %d flipped: rejected sidecar left tracer wrong", name, i)
+				}
 			}
 		}
 	}
@@ -176,42 +236,91 @@ func TestSidecarEveryByteFlipRejected(t *testing.T) {
 
 // TestSidecarTruncations: every strict prefix must be rejected.
 func TestSidecarTruncations(t *testing.T) {
-	f := fixtures(t)["join"]
-	for n := 0; n < len(f.sidecar); n++ {
-		err := f.lazyTracer(t).LoadIndexes(f.sidecar[:n])
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes accepted", n, len(f.sidecar))
+	fxs := fixtures(t)
+	for _, name := range []string{"join", "join shuffled", "example shuffled"} {
+		f := fxs[name]
+		for n := 0; n < len(f.sidecar); n++ {
+			err := f.lazyTracer(t).LoadIndexes(f.sidecar[:n])
+			if err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes accepted", name, n, len(f.sidecar))
+			}
+			if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
+				t.Fatalf("%s: prefix of %d bytes: error %v is neither corrupt nor stale", name, n, err)
+			}
 		}
-		if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
-			t.Fatalf("prefix of %d bytes: error %v is neither corrupt nor stale", n, err)
+	}
+}
+
+// rechecksummed returns header + payload with the payload checksum made
+// right, so that what rejects the sidecar is the payload's structure.
+func rechecksummed(header, payload []byte) []byte {
+	mut := append(append([]byte(nil), header[:sidecarHeaderLen]...), payload...)
+	binary.LittleEndian.PutUint64(mut[14:22], provenance.HashStream(payload))
+	return mut
+}
+
+// TestSidecarTrailingBytesRejected: the payload ends with its last operator.
+func TestSidecarTrailingBytesRejected(t *testing.T) {
+	for name, f := range fixtures(t) {
+		mut := rechecksummed(f.sidecar, append(append([]byte(nil), f.sidecar[sidecarHeaderLen:]...), 0))
+		if err := f.lazyTracer(t).LoadIndexes(mut); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
+			t.Errorf("%s: a byte after the last operator: got %v, want ErrSidecarCorrupt", name, err)
 		}
+	}
+}
+
+// TestSidecarV1Rejected: testdata/example_v1.idx is the sidecar the previous
+// format wrote for the example fixture's run — every operator's index spelled
+// out beside the columns that already hold it. The version check turns it
+// away, so that its reader rebuilds; the run it names is this one.
+func TestSidecarV1Rejected(t *testing.T) {
+	v1, err := os.ReadFile("testdata/example_v1.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fixtures(t)["example"]
+	if got := binary.LittleEndian.Uint64(v1[6:14]); got != provenance.HashStream(f.stream) {
+		t.Fatalf("the v1 sidecar names run %016x, the example fixture is %016x", got, provenance.HashStream(f.stream))
+	}
+	tr := f.lazyTracer(t)
+	if err := tr.LoadIndexes(v1); !errors.Is(err, backtrace.ErrSidecarCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("LoadIndexes on a v1 sidecar: got %v, want ErrSidecarCorrupt naming version 1", err)
+	}
+	if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+		t.Errorf("rejected v1 sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
+	}
+	if len(f.sidecar) >= len(v1) {
+		t.Errorf("v2 sidecar is %d bytes, the v1 one was %d", len(f.sidecar), len(v1))
 	}
 }
 
 // TestSidecarOverlongVarintRejected: the load-time scan and the column decode
 // read through one cursor, so what the decode would refuse the scan refuses.
-// A genuine sidecar whose last value is re-encoded as a 12-byte varint, with
+// A genuine sidecar with one varint re-encoded in 12 bytes — the last value of
+// the last region, or where there is no region the first operator id — and
 // the payload checksum recomputed, used to pass LoadIndexes and fail only in
 // the operator's decode, which silently rebuilt: right answer, but nobody was
 // told the sidecar was bad and the index build was paid unseen.
 func TestSidecarOverlongVarintRejected(t *testing.T) {
-	const headerLen = 4 + 2 + 8 + 8
 	for name, f := range fixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			payload := f.sidecar[headerLen:]
-			last := len(payload) - 1
-			if payload[last] >= 0x80 || payload[last-1] >= 0x80 {
-				t.Fatalf("fixture's last varint is not a single byte: % x", payload[last-1:])
+			payload := f.sidecar[sidecarHeaderLen:]
+			at := 1 // the first operator's id, after a one-byte operator count
+			if strings.HasSuffix(name, " shuffled") {
+				at = len(payload) - 1
 			}
-			mut := append([]byte(nil), f.sidecar[:headerLen+last]...)
-			mut = append(mut, payload[last]|0x80)
+			if payload[at] >= 0x80 || payload[at-1] >= 0x80 {
+				t.Fatalf("fixture's varint at %d is not a single byte: % x", at, payload[at-1:at+1])
+			}
+			mut := append([]byte(nil), payload[:at]...)
+			mut = append(mut, payload[at]|0x80)
 			mut = append(mut, bytes.Repeat([]byte{0x80}, 10)...)
 			mut = append(mut, 0x00)
-			binary.LittleEndian.PutUint64(mut[14:22], provenance.HashStream(mut[headerLen:]))
+			mut = append(mut, payload[at+1:]...)
 
 			tr := f.lazyTracer(t)
-			if err := tr.LoadIndexes(mut); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
-				t.Fatalf("LoadIndexes on an overlong last varint: got %v, want ErrSidecarCorrupt", err)
+			if err := tr.LoadIndexes(rechecksummed(f.sidecar, mut)); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
+				t.Fatalf("LoadIndexes on an overlong varint: got %v, want ErrSidecarCorrupt", err)
 			}
 			if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
 				t.Errorf("rejected sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
@@ -230,8 +339,10 @@ func TestSidecarWrongRun(t *testing.T) {
 	}
 }
 
-// TestSidecarNeedsContentHash: in-memory captures have no content hash, so
-// they can neither write nor validate sidecars.
+// TestSidecarNeedsContentHash: a capture that was never encoded has no
+// content hash, so it can neither write nor validate sidecars; WriteTo gives
+// it the hash of the stream it wrote, and then it writes the very sidecar a
+// reload of that stream writes.
 func TestSidecarNeedsContentHash(t *testing.T) {
 	_, run, err := provenance.Capture(workload.ExamplePipeline(), workload.ExampleInput(2),
 		engine.Options{Partitions: 2})
@@ -239,11 +350,21 @@ func TestSidecarNeedsContentHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := backtrace.NewTracer(run).WriteIndexes(&bytes.Buffer{}); err == nil {
-		t.Error("WriteIndexes on an in-memory run must fail")
+		t.Error("WriteIndexes on a never-encoded run must fail")
 	}
 	f := fixtures(t)["example"]
 	if err := backtrace.NewTracer(run).LoadIndexes(f.sidecar); !errors.Is(err, backtrace.ErrSidecarStale) {
-		t.Errorf("LoadIndexes on an in-memory run: got %v, want ErrSidecarStale", err)
+		t.Errorf("LoadIndexes on a never-encoded run: got %v, want ErrSidecarStale", err)
+	}
+	var stream, sidecar bytes.Buffer
+	if _, err := run.WriteTo(&stream); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := run.ContentHash(); !ok || h != provenance.HashStream(stream.Bytes()) {
+		t.Errorf("after WriteTo: content hash %016x/%v, want %016x", h, ok, provenance.HashStream(stream.Bytes()))
+	}
+	if _, err := backtrace.NewTracer(run).WriteIndexes(&sidecar); err != nil || !bytes.Equal(sidecar.Bytes(), f.sidecar) {
+		t.Errorf("WriteIndexes on the encoded capture: %v, %d bytes, want the %d of the reloaded run's sidecar", err, sidecar.Len(), len(f.sidecar))
 	}
 }
 
@@ -266,9 +387,17 @@ func TestSidecarPrebuiltIndexWins(t *testing.T) {
 // load is accepted the tracer must answer exactly like a rebuild — the
 // fallback contract (a sidecar can accelerate answers, never change them).
 func FuzzSidecar(f *testing.F) {
-	fx := fixtures(f)["join"]
+	fxs := fixtures(f)
+	fx := fxs["join shuffled"]
 	rebuilt := fx.traceVia(f, fx.lazyTracer(f))
-	f.Add(fx.sidecar)
+	v1, err := os.ReadFile("testdata/example_v1.idx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fx.sidecar)             // a region per joined operator
+	f.Add(fxs["join"].sidecar)    // an engine run's: flags only, and for another run
+	f.Add(fxs["example"].sidecar) // the same, more operators
+	f.Add(v1)
 	f.Add(fx.sidecar[:len(fx.sidecar)/2])
 	f.Add([]byte("PBLI"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -64,14 +64,15 @@ func TraceOp(run *provenance.Run, op *provenance.Operator, b *Structure) (*Resul
 	return Trace(run, op.OID, b)
 }
 
-// Tracer answers provenance queries over one captured run. It builds the
-// association indexes (output id → association rows) lazily, once per
-// operator, and reuses them across queries — the query-side optimisation the
-// paper lists as future work. A Tracer is safe for concurrent queries, and
-// index construction is sharded per operator: each operator's index is built
+// Tracer answers provenance queries over one captured run. It readies an
+// operator's association index (output id → association rows) on the first
+// trace through the operator — for a run the engine wrote that is a decode of
+// the operator's columns, which are the index (see opIndex) — and reuses it
+// across queries: the query-side optimisation the paper lists as future work.
+// A Tracer is safe for concurrent queries: each operator's index is readied
 // exactly once under its own sync.Once, so concurrent queries touching
-// different operators build in parallel instead of serializing on one
-// tracer-wide lock, and queries arriving after the build proceed lock-free.
+// different operators proceed in parallel instead of serializing on one
+// tracer-wide lock, and queries arriving afterwards proceed lock-free.
 type Tracer struct {
 	run *provenance.Run
 	idx sync.Map // operator id -> *opIndex
@@ -89,16 +90,18 @@ func (t *Tracer) Observe(rec *obs.Recorder) *Tracer {
 	return t
 }
 
-// opIndex holds one operator's association indexes, built once on first use
-// (or installed wholesale from a persisted sidecar, see sidecar.go). The
-// indexes are flat sorted-array structures — columnar keys with offset-sliced
-// value runs — rather than maps: they build with O(1) allocations, look up
-// by binary search, and serialize verbatim.
+// opIndex holds one operator's association index — output identifier →
+// association rows — read off the operator's columns on first use. The engine
+// assigns output identifiers in row order, so the Out column of every run it
+// writes is already sorted and the columns are the index (fromColumns); only
+// an operator whose Out column is out of order (a hand-made, damaged or
+// foreign artifact) is sorted first (build), or takes its sorted form from
+// the region a sidecar keeps for it (sidecar.go).
 type opIndex struct {
 	once sync.Once
-	// side is the operator's column region of a validated sidecar, installed
-	// by LoadIndexes; nil means build from the operator's associations. The
-	// region decodes on first use (see decodeSide).
+	// side is the operator's region of a validated sidecar, installed by
+	// LoadIndexes for an operator whose Out column is out of order; it decodes
+	// on first use (see decodeSide).
 	side    []byte
 	unary   pairIdx
 	binary  binIdx
@@ -106,28 +109,60 @@ type opIndex struct {
 	agg     pairIdx
 }
 
-// pairIdx maps an output identifier to its associated input identifiers:
-// keys is sorted ascending (unique), and key i owns vals[offs[i]:offs[i+1]]
-// in association-row order.
+// keyCol is the key side of an index: the operator's distinct output
+// identifiers, ascending. An engine operator numbers its output base,
+// base+1, …; such a column is kept as its base alone and a lookup is a
+// subtraction, with no key array and no search.
+type keyCol struct {
+	keys  []int64 // nil when dense
+	dense bool    // the keys are base … base+n−1
+	base  int64
+	n     int
+}
+
+// find returns the position of id among the keys.
+func (k *keyCol) find(id int64) (int, bool) {
+	if k.dense {
+		i := uint64(id - k.base)
+		return int(i), i < uint64(k.n)
+	}
+	lo, hi := 0, len(k.keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if k.keys[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(k.keys) && k.keys[lo] == id
+}
+
+// pairIdx maps an output identifier to its associated input identifiers: key
+// i owns vals[offs[i]:offs[i+1]] in association-row order, or vals[i] alone
+// when offs is nil.
 type pairIdx struct {
-	keys []int64
+	keyCol
 	offs []int32
 	vals []int64
 }
 
 // lookup returns the values of one key (nil when absent).
 func (x *pairIdx) lookup(id int64) []int64 {
-	i, ok := findKey(x.keys, id)
-	if !ok {
+	i, ok := x.find(id)
+	switch {
+	case !ok:
 		return nil
+	case x.offs == nil:
+		return x.vals[i : i+1]
 	}
 	return x.vals[x.offs[i]:x.offs[i+1]]
 }
 
 // binIdx maps an output identifier to its (left, right) input pairs; key i
-// owns lefts/rights[offs[i]:offs[i+1]].
+// owns lefts/rights[offs[i]:offs[i+1]], or row i alone when offs is nil.
 type binIdx struct {
-	keys   []int64
+	keyCol
 	offs   []int32
 	lefts  []int64
 	rights []int64
@@ -135,41 +170,30 @@ type binIdx struct {
 
 // lookup returns the parallel left/right runs of one key (nil when absent).
 func (x *binIdx) lookup(id int64) ([]int64, []int64) {
-	i, ok := findKey(x.keys, id)
-	if !ok {
+	i, ok := x.find(id)
+	switch {
+	case !ok:
 		return nil, nil
+	case x.offs == nil:
+		return x.lefts[i : i+1], x.rights[i : i+1]
 	}
 	return x.lefts[x.offs[i]:x.offs[i+1]], x.rights[x.offs[i]:x.offs[i+1]]
 }
 
 // flatIdx maps a flattened output identifier to its single (in, pos) origin.
 type flatIdx struct {
-	keys []int64
+	keyCol
 	ins  []int64
 	poss []int64
 }
 
 // lookup returns the origin of one key.
 func (x *flatIdx) lookup(id int64) (flatSrc, bool) {
-	i, ok := findKey(x.keys, id)
+	i, ok := x.find(id)
 	if !ok {
 		return flatSrc{}, false
 	}
 	return flatSrc{in: x.ins[i], pos: int(x.poss[i])}, true
-}
-
-// findKey binary-searches the sorted key column.
-func findKey(keys []int64, id int64) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == id
 }
 
 type flatSrc struct {
@@ -204,19 +228,18 @@ func (t *Tracer) TraceContext(ctx context.Context, startOID int, b *Structure) (
 	return q.out, nil
 }
 
-// BuildIndexes eagerly builds the association indexes of every captured
-// operator — the rebuild counterpart of LoadIndexes for a freshly loaded
-// run, and the warm-up for query serving. On a lazily loaded run it
-// materialises every association bag.
+// BuildIndexes eagerly readies the association index of every captured
+// operator — the warm-up for query serving. On a lazily loaded run it decodes
+// every association region but the sources'.
 func (t *Tracer) BuildIndexes() {
 	for _, op := range t.run.Operators() {
 		t.indexFor(op)
 	}
 }
 
-// indexFor returns the operator's indexes, building them on first use. Only
-// the association kind the operator actually captured is built — on a lazily
-// loaded run this is also the only bag that materialises.
+// indexFor returns the operator's index, reading it off the operator's
+// columns on first use — on a lazily loaded run that is the only region a
+// trace through the operator decodes.
 func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	v, ok := t.idx.Load(op.OID)
 	if !ok {
@@ -225,176 +248,100 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	ix := v.(*opIndex)
 	ix.once.Do(func() {
 		defer t.rec.StartSpan(obs.SpanIndexBuild)()
-		if ix.side == nil || !ix.decodeSide(op.AssocKind()) {
-			ix.build(op)
+		switch kind := op.AssocKind(); {
+		case kind <= provenance.AssocSource: // nothing is looked up in a source
+		case ix.side != nil && ix.decodeSide(kind):
+		default:
+			if c := op.Columns(); slices.IsSorted(c.Out) {
+				ix.fromColumns(c, true)
+			} else {
+				ix.build(c)
+			}
 		}
 	})
 	return ix
 }
 
-// build constructs the flat index for the operator's association kind.
-func (ix *opIndex) build(op *provenance.Operator) {
-	switch op.AssocKind() {
+// fromColumns reads the index off columns whose Out column is non-decreasing
+// and keeps them as its values. A dense Out column is used as it is; one with
+// repeats (distinct) or gaps folds into keys and offsets in one linear pass.
+// dense is false for an index that goes into a sidecar region, which spells
+// its keys out.
+func (ix *opIndex) fromColumns(c provenance.Columns, dense bool) {
+	n := len(c.Out)
+	for i := 0; i < n && dense; i++ {
+		dense = c.Out[i] == c.Out[0]+int64(i)
+	}
+	k := keyCol{dense: dense, n: n}
+	var offs []int32 // key i owns rows offs[i]:offs[i+1]; nil: row i
+	switch {
+	case dense && n > 0:
+		k.base = c.Out[0]
+	case !dense:
+		k.keys, offs = make([]int64, 0, n), make([]int32, 0, n+1)
+		for i, out := range c.Out {
+			if i == 0 || out != c.Out[i-1] {
+				k.keys, offs = append(k.keys, out), append(offs, int32(i))
+			}
+		}
+		offs = append(offs, int32(n))
+	}
+	switch c.Kind {
 	case provenance.AssocUnary:
-		a := op.UnaryAssocs()
-		ix.unary = buildPairs(len(a),
-			func(i int) int64 { return a[i].Out },
-			func(i int) int64 { return a[i].In })
+		ix.unary = pairIdx{k, offs, c.In}
 	case provenance.AssocBinary:
-		ix.binary = buildBin(op.BinaryAssocs())
+		ix.binary = binIdx{k, offs, c.In, c.Right}
 	case provenance.AssocFlatten:
-		ix.flatten = buildFlat(op.FlattenAssocs())
+		// Outputs are unique by construction; should one repeat, its last
+		// association row wins.
+		ix.flatten = flatIdx{k, c.In, c.Pos}
+		if offs != nil {
+			ix.flatten.ins, ix.flatten.poss = make([]int64, len(k.keys)), make([]int64, len(k.keys))
+			for i := range k.keys {
+				ix.flatten.ins[i], ix.flatten.poss[i] = c.In[offs[i+1]-1], c.Pos[offs[i+1]-1]
+			}
+		}
 	case provenance.AssocAgg:
-		ix.agg = buildAgg(op.AggAssocs())
+		// A key's values are the inputs of its rows, adjacent in c.In, so an
+		// input's 1-based group position p_P is its offset within the key's
+		// value run plus one.
+		ix.agg = pairIdx{k, c.Offs, c.In}
+		if offs != nil {
+			ix.agg.offs = make([]int32, len(offs))
+			for i, row := range offs {
+				ix.agg.offs[i] = c.Offs[row]
+			}
+		}
 	}
 }
 
-// orderByKey returns association-row indexes ordered by key, preserving row
-// order within equal keys; nil when the rows are already sorted — the common
-// case, since identifiers grow with partition-concatenated row order.
-func orderByKey(n int, key func(int) int64) []int {
-	sorted := true
-	for i := 1; i < n; i++ {
-		if key(i) < key(i-1) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return nil
-	}
-	ord := make([]int, n)
+// build is the index of an operator whose Out column is out of order: the
+// rows are sorted by Out, keeping row order within equal keys, and then read
+// like any other.
+func (ix *opIndex) build(c provenance.Columns) {
+	ord := make([]int, len(c.Out))
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.SliceStable(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
-	return ord
-}
-
-// at resolves the i-th row under an optional reorder.
-func at(ord []int, i int) int {
-	if ord == nil {
-		return i
-	}
-	return ord[i]
-}
-
-// countKeys counts distinct keys in ordered traversal, so the key and offset
-// columns allocate exactly once.
-func countKeys(n int, ord []int, key func(int) int64) int {
-	u := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || key(at(ord, i)) != key(at(ord, i-1)) {
-			u++
+	sort.SliceStable(ord, func(a, b int) bool { return c.Out[ord[a]] < c.Out[ord[b]] })
+	pick := func(col []int64) []int64 {
+		out := make([]int64, len(col))
+		for i := range col {
+			out[i] = col[ord[i]]
 		}
+		return out
 	}
-	return u
-}
-
-// buildPairs groups (key, val) association rows into a pairIdx with exactly
-// three allocations: count first, allocate once, fill.
-func buildPairs(n int, key, val func(int) int64) pairIdx {
-	ord := orderByKey(n, key)
-	u := countKeys(n, ord, key)
-	x := pairIdx{
-		keys: make([]int64, 0, u),
-		offs: make([]int32, 0, u+1),
-		vals: make([]int64, n),
-	}
-	for i := 0; i < n; i++ {
-		r := at(ord, i)
-		k := key(r)
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(i))
+	s := provenance.Columns{Kind: c.Kind, Out: pick(c.Out)}
+	if c.Kind == provenance.AssocAgg {
+		s.In, s.Offs = make([]int64, 0, len(c.In)), make([]int32, 1, len(c.Offs))
+		for _, row := range ord {
+			s.In = append(s.In, c.In[c.Offs[row]:c.Offs[row+1]]...)
+			s.Offs = append(s.Offs, int32(len(s.In)))
 		}
-		x.vals[i] = val(r)
+	} else {
+		s.In, s.Right, s.Pos = pick(c.In), pick(c.Right), pick(c.Pos)
 	}
-	x.offs = append(x.offs, int32(n))
-	return x
-}
-
-// buildBin groups binary associations by Out into parallel left/right runs.
-func buildBin(a []provenance.BinaryAssoc) binIdx {
-	n := len(a)
-	ord := orderByKey(n, func(i int) int64 { return a[i].Out })
-	u := countKeys(n, ord, func(i int) int64 { return a[i].Out })
-	x := binIdx{
-		keys:   make([]int64, 0, u),
-		offs:   make([]int32, 0, u+1),
-		lefts:  make([]int64, n),
-		rights: make([]int64, n),
-	}
-	for i := 0; i < n; i++ {
-		r := at(ord, i)
-		k := a[r].Out
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(i))
-		}
-		x.lefts[i] = a[r].Left
-		x.rights[i] = a[r].Right
-	}
-	x.offs = append(x.offs, int32(n))
-	return x
-}
-
-// buildFlat indexes flatten associations by Out. Outputs are unique by
-// construction; should a duplicate ever appear, the last association row
-// wins, matching the previous map-based build.
-func buildFlat(a []provenance.FlattenAssoc) flatIdx {
-	n := len(a)
-	ord := orderByKey(n, func(i int) int64 { return a[i].Out })
-	u := countKeys(n, ord, func(i int) int64 { return a[i].Out })
-	x := flatIdx{
-		keys: make([]int64, 0, u),
-		ins:  make([]int64, 0, u),
-		poss: make([]int64, 0, u),
-	}
-	for i := 0; i < n; i++ {
-		r := at(ord, i)
-		k := a[r].Out
-		if len(x.keys) > 0 && k == x.keys[len(x.keys)-1] {
-			x.ins[len(x.ins)-1] = a[r].In
-			x.poss[len(x.poss)-1] = int64(a[r].Pos)
-			continue
-		}
-		x.keys = append(x.keys, k)
-		x.ins = append(x.ins, a[r].In)
-		x.poss = append(x.poss, int64(a[r].Pos))
-	}
-	return x
-}
-
-// buildAgg flattens aggregation groups into one pairIdx: group Outs as keys,
-// the concatenated Ins as values, so an input's 1-based group position p_P
-// is its offset within the key's value run plus one. The nested per-element
-// append of the previous build is gone — the Ins column is counted first and
-// allocated once.
-func buildAgg(a []provenance.AggAssoc) pairIdx {
-	n := len(a)
-	ord := orderByKey(n, func(i int) int64 { return a[i].Out })
-	u := countKeys(n, ord, func(i int) int64 { return a[i].Out })
-	total := 0
-	for i := range a {
-		total += len(a[i].Ins)
-	}
-	x := pairIdx{
-		keys: make([]int64, 0, u),
-		offs: make([]int32, 0, u+1),
-		vals: make([]int64, 0, total),
-	}
-	for i := 0; i < n; i++ {
-		r := at(ord, i)
-		k := a[r].Out
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(len(x.vals)))
-		}
-		x.vals = append(x.vals, a[r].Ins...)
-	}
-	x.offs = append(x.offs, int32(len(x.vals)))
-	return x
+	ix.fromColumns(s, false)
 }
 
 // tracer is the per-query state. Every tree a trace holds — the ones it was

@@ -120,12 +120,18 @@ func TestTraceMatchesReferenceOnScenarios(t *testing.T) {
 // plans the generator emits that fail at run time.
 func corpusTarget(t testing.TB, seed int64) (*target, *corpus.Spec, bool) {
 	t.Helper()
+	return corpusTargetAt(t, seed, 0)
+}
+
+// corpusTargetAt is corpusTarget at a given worker count (0: the default).
+func corpusTargetAt(t testing.TB, seed int64, workers int) (*target, *corpus.Spec, bool) {
+	t.Helper()
 	spec := corpus.Generate(seed)
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	res, run, err := provenance.Capture(p, spec.Inputs(3), spec.ExecOptions(engine.Options{Partitions: 3}))
+	res, run, err := provenance.Capture(p, spec.Inputs(3), spec.ExecOptions(engine.Options{Partitions: 3, Workers: workers}))
 	if err != nil {
 		return nil, spec, false
 	}

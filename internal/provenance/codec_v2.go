@@ -56,7 +56,9 @@ var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096
 // bytes the destination genuinely accepted. A run captured under a recorder
 // (Collector.Observe) reports every operator's encoded byte count into it as
 // obs.BytesEncoded — the codec-level counterpart of the model-level ProvBytes
-// counter — once per call.
+// counter — once per call. A captured run then carries the content hash of
+// the stream (ContentHash), as if it had been loaded from it; a loaded run
+// keeps the hash of the bytes it was loaded from.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	eb := encPool.Get().(*encBuf)
 	buf := eb.b[:0]
@@ -77,6 +79,9 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 		r.rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
 	}
 
+	if !r.hasHash {
+		r.hash, r.hasHash = HashStream(buf), true
+	}
 	n, err := w.Write(buf)
 	eb.b = buf
 	encPool.Put(eb)

@@ -118,37 +118,41 @@ func (c *Cursor) bool() bool { return c.Byte() != 0 }
 // SkipVarints advances past n varints without decoding their values,
 // rejecting truncation and overlong encodings exactly as Uvarint would — the
 // primitive of the validating skip-scans, which prove a column region
-// well-formed at load time so that its later decode cannot fail.
-func (c *Cursor) SkipVarints(n int) {
+// well-formed at load time so that its later decode cannot fail. It reports
+// whether the varints, read as one Δ column, are non-decreasing: a negative
+// delta is an odd zigzag value, a varint has the parity of its first byte,
+// and the first delta (from 0) says nothing about order.
+func (c *Cursor) SkipVarints(n int) (ordered bool) {
 	if c.err != nil {
-		return
+		return false
 	}
 	data, p := c.data, c.pos
+	var odd, mask byte // mask leaves the first varint out of odd
 	for i := 0; i < n; i++ {
-		for j := 0; ; j++ {
+		if p >= len(data) {
+			c.err, c.pos = io.ErrUnexpectedEOF, p
+			return false
+		}
+		b := data[p]
+		p++
+		odd |= b & mask
+		mask = 1
+		// Identifier deltas are tiny: most varints end with their first byte.
+		for j := 1; b >= 0x80; j++ {
 			if p >= len(data) {
-				c.err = io.ErrUnexpectedEOF
-				c.pos = p
-				return
+				c.err, c.pos = io.ErrUnexpectedEOF, p
+				return false
 			}
-			b := data[p]
+			b = data[p]
 			p++
-			if b < 0x80 {
-				if j == binary.MaxVarintLen64-1 && b > 1 {
-					c.err = errVarintOverflow
-					c.pos = p
-					return
-				}
-				break
-			}
-			if j == binary.MaxVarintLen64-1 {
-				c.err = errVarintOverflow
-				c.pos = p
-				return
+			if j == binary.MaxVarintLen64-1 && b > 1 {
+				c.err, c.pos = errVarintOverflow, p
+				return false
 			}
 		}
 	}
 	c.pos = p
+	return odd == 0
 }
 
 // DeltaColumn reads a column of n zigzag-delta varints (zigzag(v − prev),

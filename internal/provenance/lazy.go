@@ -3,6 +3,7 @@ package provenance
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,10 +59,76 @@ type lazyStream struct {
 type lazyAssoc struct {
 	src      *lazyStream
 	once     sync.Once
+	counted  atomic.Bool // the region is in src.decoded
 	tag      AssocKind
-	n        int // association rows
-	totalIns int // AssocAgg only: total Ins elements across all groups
-	off, end int // region [off, end): count varint + columns
+	n        int  // association rows
+	totalIns int  // AssocAgg only: total Ins elements across all groups
+	ordered  bool // the Out column is non-decreasing
+	off, end int  // region [off, end): count varint + columns
+}
+
+// Columns is one operator's association bag as parallel columns, one entry
+// per association row in captured order: the layout the run stream stores and
+// the one the tracer looks identifiers up in (internal/backtrace) — where Out
+// is non-decreasing, the columns are the index.
+type Columns struct {
+	Kind  AssocKind
+	Out   []int64 // id_o (a source's id)
+	In    []int64 // id_i (binary: id_i1; source: orig_id; aggregate: all rows' ids_i, concatenated)
+	Right []int64 // binary: id_i2
+	Pos   []int64 // flatten: pos
+	Offs  []int32 // aggregate: row i owns In[Offs[i]:Offs[i+1]]
+}
+
+// Columns returns the operator's association bag as columns. A lazily loaded
+// operator decodes them straight from its validated region, without building
+// the row structs; a captured one copies its rows out in one pass. The caller
+// owns the result.
+func (o *Operator) Columns() Columns {
+	if o.lazy != nil {
+		return o.lazy.columns()
+	}
+	n := o.AssocCount()
+	c := Columns{Kind: o.AssocKind(), Out: make([]int64, n), In: make([]int64, n)}
+	switch c.Kind {
+	case AssocSource:
+		for j, a := range o.SourceIDs {
+			c.Out[j], c.In[j] = a.ID, a.OrigID
+		}
+	case AssocUnary:
+		for j, a := range o.Unary {
+			c.Out[j], c.In[j] = a.Out, a.In
+		}
+	case AssocBinary:
+		c.Right = make([]int64, n)
+		for j, a := range o.Binary {
+			c.Out[j], c.In[j], c.Right[j] = a.Out, a.Left, a.Right
+		}
+	case AssocFlatten:
+		c.Pos = make([]int64, n)
+		for j, a := range o.Flatten {
+			c.Out[j], c.In[j], c.Pos[j] = a.Out, a.In, int64(a.Pos)
+		}
+	case AssocAgg:
+		c.In, c.Offs = c.In[:0], make([]int32, 1, n+1)
+		for j, a := range o.Agg {
+			c.Out[j] = a.Out
+			c.In = append(c.In, a.Ins...)
+			c.Offs = append(c.Offs, int32(len(c.In)))
+		}
+	}
+	return c
+}
+
+// OutOrdered reports whether the operator's Out column is non-decreasing. The
+// engine writes no other (identifiers are assigned in partition-concatenated
+// row order), and the load-time scan reads it off the column's deltas, so for
+// a loaded run the answer costs nothing.
+func (o *Operator) OutOrdered() bool {
+	if o.lazy != nil {
+		return o.lazy.ordered
+	}
+	return slices.IsSorted(o.Columns().Out)
 }
 
 // materialize decodes the operator's association columns on first touch.
@@ -127,8 +194,9 @@ func (o *Operator) SourceAssocs() []SourceAssoc {
 
 // ContentHash returns the FNV-1a hash of the encoded stream the run was
 // loaded from, used to pair a run with its persisted index sidecar. Every
-// loaded run (ReadRunLazy, ReadRun) carries one; ok is false for a run still
-// in memory from its capture, which has no encoded form yet.
+// loaded run (ReadRunLazy, ReadRun) carries one, and so does a captured run
+// once WriteTo has encoded it; ok is false for a run that has no encoded form
+// yet.
 func (r *Run) ContentHash() (uint64, bool) { return r.hash, r.hasHash }
 
 // AssocBytesTotal returns the encoded size of all association regions of a
@@ -320,24 +388,29 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 	}
 	start := d.pos
 	var n, totalIns int
+	var ordered bool // of the Out column: the last one, but the first of a source or aggregate
 	switch AssocKind(tag) {
 	case AssocNone:
 		return
 	case AssocSource:
 		n = d.Count("source association")
-		d.SkipVarints(2 * n)
+		ordered = d.SkipVarints(n)
+		d.SkipVarints(n)
 	case AssocUnary:
 		n = d.Count("unary association")
-		d.SkipVarints(2 * n)
+		d.SkipVarints(n)
+		ordered = d.SkipVarints(n)
 	case AssocBinary:
 		n = d.Count("binary association")
-		d.SkipVarints(3 * n)
+		d.SkipVarints(2 * n)
+		ordered = d.SkipVarints(n)
 	case AssocFlatten:
 		n = d.Count("flatten association")
-		d.SkipVarints(3 * n)
+		d.SkipVarints(2 * n)
+		ordered = d.SkipVarints(n)
 	case AssocAgg:
 		n = d.Count("aggregate association")
-		d.SkipVarints(n) // Δ(Out) column
+		ordered = d.SkipVarints(n)
 		for i := 0; i < n && d.err == nil; i++ {
 			l := d.Uvarint()
 			if d.err == nil && (l > maxCount || totalIns+int(l) < totalIns) {
@@ -353,70 +426,75 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 	if d.err != nil {
 		return
 	}
-	op.lazy = &lazyAssoc{src: ls, tag: AssocKind(tag), n: n, totalIns: totalIns, off: start, end: d.pos}
+	op.lazy = &lazyAssoc{src: ls, tag: AssocKind(tag), n: n, totalIns: totalIns, ordered: ordered, off: start, end: d.pos}
 	ls.total += int64(d.pos - start)
 }
 
-// decode materialises the deferred columns. The load-time scan proved the
-// region well-formed, so a decode failure here is a bug, not an input error
-// — it panics rather than silently returning partial provenance.
-func (l *lazyAssoc) decode(op *Operator) {
+// columns decodes the deferred region. The load-time scan proved it
+// well-formed, so a decode failure here is a bug, not an input error — it
+// panics rather than silently returning partial provenance.
+func (l *lazyAssoc) columns() Columns {
 	d := &Cursor{data: l.src.data[:l.end], pos: l.off}
+	n := d.Count("association")
+	c := Columns{Kind: l.tag}
 	switch l.tag {
 	case AssocSource:
-		n := d.Count("source association")
-		ids := d.DeltaColumn(n)
-		origs := d.DeltaColumn(n)
-		op.SourceIDs = make([]SourceAssoc, n)
-		for j := range op.SourceIDs {
-			op.SourceIDs[j] = SourceAssoc{ID: ids[j], OrigID: origs[j]}
-		}
+		c.Out, c.In = d.DeltaColumn(n), d.DeltaColumn(n)
 	case AssocUnary:
-		n := d.Count("unary association")
-		ins := d.DeltaColumn(n)
-		outs := d.DeltaColumn(n)
-		op.Unary = make([]UnaryAssoc, n)
-		for j := range op.Unary {
-			op.Unary[j] = UnaryAssoc{In: ins[j], Out: outs[j]}
-		}
+		c.In, c.Out = d.DeltaColumn(n), d.DeltaColumn(n)
 	case AssocBinary:
-		n := d.Count("binary association")
-		lefts := d.DeltaColumn(n)
-		rights := d.DeltaColumn(n)
-		outs := d.DeltaColumn(n)
-		op.Binary = make([]BinaryAssoc, n)
-		for j := range op.Binary {
-			op.Binary[j] = BinaryAssoc{Left: lefts[j], Right: rights[j], Out: outs[j]}
-		}
+		c.In, c.Right, c.Out = d.DeltaColumn(n), d.DeltaColumn(n), d.DeltaColumn(n)
 	case AssocFlatten:
-		n := d.Count("flatten association")
-		ins := d.DeltaColumn(n)
-		poss := make([]uint64, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			poss[j] = d.Uvarint()
+		c.In, c.Pos = d.DeltaColumn(n), make([]int64, n)
+		for j := range c.Pos {
+			c.Pos[j] = int64(d.Uvarint())
 		}
-		outs := d.DeltaColumn(n)
-		op.Flatten = make([]FlattenAssoc, n)
-		for j := range op.Flatten {
-			op.Flatten[j] = FlattenAssoc{In: ins[j], Pos: int(poss[j]), Out: outs[j]}
-		}
+		c.Out = d.DeltaColumn(n)
 	case AssocAgg:
-		n := d.Count("aggregate association")
-		outs := d.DeltaColumn(n)
-		lens := make([]int, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			lens[j] = int(d.Uvarint())
+		c.Out, c.Offs = d.DeltaColumn(n), make([]int32, n+1)
+		for j := 0; j < n; j++ {
+			c.Offs[j+1] = c.Offs[j] + int32(d.Uvarint())
 		}
-		flat := d.DeltaColumn(l.totalIns)
-		op.Agg = make([]AggAssoc, n)
-		off := 0
-		for j := range op.Agg {
-			op.Agg[j] = AggAssoc{Out: outs[j], Ins: flat[off : off+lens[j] : off+lens[j]]}
-			off += lens[j]
-		}
+		c.In = d.DeltaColumn(l.totalIns)
 	}
 	if d.err != nil || d.pos != l.end {
 		panic(fmt.Sprintf("provenance: lazy association decode diverged from validated scan (err=%v pos=%d end=%d)", d.err, d.pos, l.end))
 	}
-	l.src.decoded.Add(int64(l.end - l.off))
+	if l.counted.CompareAndSwap(false, true) {
+		l.src.decoded.Add(int64(l.end - l.off))
+	}
+	return c
+}
+
+// decode materialises the operator's association rows from its columns.
+func (l *lazyAssoc) decode(op *Operator) {
+	c := l.columns()
+	switch l.tag {
+	case AssocSource:
+		op.SourceIDs = make([]SourceAssoc, l.n)
+		for j := range op.SourceIDs {
+			op.SourceIDs[j] = SourceAssoc{ID: c.Out[j], OrigID: c.In[j]}
+		}
+	case AssocUnary:
+		op.Unary = make([]UnaryAssoc, l.n)
+		for j := range op.Unary {
+			op.Unary[j] = UnaryAssoc{In: c.In[j], Out: c.Out[j]}
+		}
+	case AssocBinary:
+		op.Binary = make([]BinaryAssoc, l.n)
+		for j := range op.Binary {
+			op.Binary[j] = BinaryAssoc{Left: c.In[j], Right: c.Right[j], Out: c.Out[j]}
+		}
+	case AssocFlatten:
+		op.Flatten = make([]FlattenAssoc, l.n)
+		for j := range op.Flatten {
+			op.Flatten[j] = FlattenAssoc{In: c.In[j], Pos: int(c.Pos[j]), Out: c.Out[j]}
+		}
+	case AssocAgg:
+		op.Agg = make([]AggAssoc, l.n)
+		for j := range op.Agg {
+			lo, hi := c.Offs[j], c.Offs[j+1]
+			op.Agg[j] = AggAssoc{Out: c.Out[j], Ins: c.In[lo:hi:hi]}
+		}
+	}
 }

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/core"
@@ -133,50 +135,55 @@ func (s *Server) runPipeline(j *job) error {
 	return nil
 }
 
-// persistArtifacts serializes the capture's provenance (.pbl) and its
-// association-index sidecar (.idx). The sidecar is keyed by the run's
-// content hash, which only byte-loaded runs carry, so the run round-trips
-// through its own serialized form before indexing — also re-verifying that
-// what was written decodes.
+// persistArtifacts serializes the capture's provenance (.pbl) and its index
+// sidecar (.idx) in one pass: the run is encoded once, the bytes in hand are
+// loaded lazily as the check that what is written decodes, and the sidecar —
+// a few dozen bytes, since the indexes of an engine run are its own columns —
+// is written from that load. Either both files exist afterwards or neither.
 func (s *Server) persistArtifacts(j *job, cap *core.Captured) (provPath, idxPath string, n int64, err error) {
-	provPath = s.artifactPath(j.sess, j, ".pbl")
-	idxPath = s.artifactPath(j.sess, j, ".idx")
-	cleanup := func() {
-		os.Remove(provPath) //nolint:errcheck // best-effort cleanup
-		os.Remove(idxPath)  //nolint:errcheck // best-effort cleanup
+	var pbl, idx bytes.Buffer
+	if _, err := cap.Provenance.WriteTo(&pbl); err != nil {
+		return "", "", 0, fmt.Errorf("encode provenance artifact: %w", err)
 	}
-	f, err := os.Create(provPath)
+	run, err := provenance.ReadRunLazy(pbl.Bytes())
 	if err != nil {
-		return "", "", 0, fmt.Errorf("create provenance artifact: %w", err)
-	}
-	n, werr := cap.Provenance.WriteTo(f)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		cleanup()
-		return "", "", 0, fmt.Errorf("write provenance artifact: %w", errors.Join(werr, cerr))
-	}
-	data, err := os.ReadFile(provPath)
-	if err != nil {
-		cleanup()
-		return "", "", 0, fmt.Errorf("reload provenance artifact: %w", err)
-	}
-	run, err := provenance.ReadRunLazy(data)
-	if err != nil {
-		cleanup()
 		return "", "", 0, fmt.Errorf("verify provenance artifact: %w", err)
 	}
-	fi, err := os.Create(idxPath)
+	if _, err := backtrace.NewTracer(run).WriteIndexes(&idx); err != nil {
+		return "", "", 0, fmt.Errorf("encode index sidecar: %w", err)
+	}
+	provPath = s.artifactPath(j.sess, j, ".pbl")
+	idxPath = s.artifactPath(j.sess, j, ".idx")
+	if err := writeArtifact(provPath, pbl.Bytes()); err != nil {
+		return "", "", 0, fmt.Errorf("write provenance artifact: %w", err)
+	}
+	if err := writeArtifact(idxPath, idx.Bytes()); err != nil {
+		os.Remove(provPath) //nolint:errcheck // best-effort cleanup
+		return "", "", 0, fmt.Errorf("write index sidecar: %w", err)
+	}
+	return provPath, idxPath, int64(pbl.Len()), nil
+}
+
+// writeArtifact puts data under path by way of a temp file beside it and a
+// rename, so no reader finds a partial artifact under the final name and a
+// failed write leaves nothing behind. There is no fsync: surviving a power
+// loss is not promised (DESIGN.md §12.2).
+func writeArtifact(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		cleanup()
-		return "", "", 0, fmt.Errorf("create index sidecar: %w", err)
+		return err
 	}
-	_, werr = backtrace.NewTracer(run).WriteIndexes(fi)
-	cerr = fi.Close()
-	if werr != nil || cerr != nil {
-		cleanup()
-		return "", "", 0, fmt.Errorf("write index sidecar: %w", errors.Join(werr, cerr))
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return provPath, idxPath, n, nil
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) //nolint:errcheck // best-effort cleanup
+	}
+	return err
 }
 
 // runTrace executes a trace job: it reloads the target pipeline job's

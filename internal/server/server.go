@@ -500,7 +500,7 @@ func (s *Server) handleJobProvenance(w http.ResponseWriter, r *http.Request, _ *
 		return
 	}
 	j.mu.Lock()
-	path := j.provPath
+	path, size := j.provPath, j.provBytes
 	j.mu.Unlock()
 	if path == "" {
 		writeErr(w, http.StatusNotFound, "job %s has no provenance artifact (capture disabled or trace job)", j.id)
@@ -512,7 +512,14 @@ func (s *Server) handleJobProvenance(w http.ResponseWriter, r *http.Request, _ *
 		return
 	}
 	defer f.Close()
+	// The artifact is served whole or not at all: the job recorded how many
+	// bytes it wrote, and a file of another size is not that artifact.
+	if fi, err := f.Stat(); err != nil || fi.Size() != size {
+		writeErr(w, http.StatusInternalServerError, "artifact damaged: job %s wrote %d bytes, the file on disk is not that size", j.id, size)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	io.Copy(w, f) //nolint:errcheck // client gone; nothing to do
 }
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -492,10 +495,116 @@ func TestUnreadableSidecarIsNoted(t *testing.T) {
 	if len(notes) != 1 || !strings.Contains(notes[0], "index sidecar unreadable") || !strings.Contains(notes[0], "rebuilding indexes") {
 		t.Errorf("notes = %q, want one saying the sidecar is unreadable and the indexes are rebuilt", notes)
 	}
-	for name, got := range map[string]sdk.TraceOutput{"absent": absent, "unreadable": unreadable} {
+	// A sidecar of the previous format — every operator's index spelled out
+	// beside the columns that already hold it — is turned away by the version
+	// check like any other the tracer cannot use.
+	v1, err := os.ReadFile("../backtrace/testdata/example_v1.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(idxPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idxPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, notes := trace()
+	if len(notes) != 1 || !strings.Contains(notes[0], "index sidecar rejected") || !strings.Contains(notes[0], "version 1") || !strings.Contains(notes[0], "rebuilding indexes") {
+		t.Errorf("notes = %q, want one saying the version 1 sidecar is rejected and the indexes are rebuilt", notes)
+	}
+	for name, got := range map[string]sdk.TraceOutput{"absent": absent, "unreadable": unreadable, "version 1": old} {
 		if got.Matched != want.Matched || got.Report != want.Report || !bytes.Equal(got.Result, want.Result) {
 			t.Errorf("%s sidecar: the answer differs from the sidecar-backed one", name)
 		}
+	}
+}
+
+// TestFailedPersistLeavesNothing: an artifact reaches its final name by a
+// rename of a finished temp file, so when DataDir cannot be written, or
+// something that is no file already has an artifact's name, the job fails
+// with the step and the cause, and DataDir holds no file of that job —
+// neither a truncated artifact nor a temp file, nor the .pbl of a pair whose
+// .idx failed.
+func TestFailedPersistLeavesNothing(t *testing.T) {
+	cases := map[string]struct {
+		sabotage func(t *testing.T, dir string)
+		message  string
+		left     []string
+	}{
+		"DataDir gone": {
+			func(t *testing.T, dir string) {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			}, "write provenance artifact", nil},
+		"a directory named like the .pbl": {
+			func(t *testing.T, dir string) {
+				if err := os.Mkdir(filepath.Join(dir, "s-j1.pbl"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}, "write provenance artifact", []string{"s-j1.pbl"}},
+		"a directory named like the .idx": {
+			func(t *testing.T, dir string) {
+				if err := os.Mkdir(filepath.Join(dir, "s-j1.idx"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}, "write index sidecar", []string{"s-j1.idx"}},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "data")
+			c := startDaemon(t, server.Config{DataDir: dir})
+			mustSession(t, c, sdk.SessionSpec{Name: "s"})
+			tc.sabotage(t, dir)
+			j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "D1", SimGB: 1})
+			if j.ID != "j1" {
+				t.Fatalf("first job is %s, the test sabotages j1", j.ID)
+			}
+			info := waitStatus(t, c, "s", j.ID, sdk.StatusFailed)
+			if !strings.Contains(info.Error, tc.message) || !strings.Contains(info.Error, dir) {
+				t.Errorf("job error %q, want the step (%s) and the path it failed on", info.Error, tc.message)
+			}
+			var left []string
+			entries, _ := os.ReadDir(dir) // gone: no entries
+			for _, e := range entries {
+				left = append(left, e.Name())
+			}
+			if !slices.Equal(left, tc.left) {
+				t.Errorf("DataDir holds %q after the failed job, want %q", left, tc.left)
+			}
+		})
+	}
+}
+
+// TestShortArtifactIsNotServed: the download carries the length the job
+// recorded when it wrote the artifact, and a file on disk of another size is
+// answered with a 500 that says so, not streamed as if it were whole.
+func TestShortArtifactIsNotServed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := bootDaemon(t, server.Config{DataDir: dir})
+	c := sdk.New(ts.URL)
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "D1", SimGB: 1})
+	info := waitStatus(t, c, "s", j.ID, sdk.StatusDone)
+
+	resp, err := http.Get(ts.URL + "/v1/sessions/s/jobs/" + j.ID + "/provenance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || resp.ContentLength != info.ProvBytes || int64(len(body)) != info.ProvBytes {
+		t.Fatalf("download: status %d, Content-Length %d, %d bytes read (%v); the job wrote %d", resp.StatusCode, resp.ContentLength, len(body), err, info.ProvBytes)
+	}
+
+	if err := os.Truncate(filepath.Join(dir, "s-"+j.ID+".pbl"), info.ProvBytes/2); err != nil {
+		t.Fatal(err)
+	}
+	data, err := c.Provenance(ctx, "s", j.ID)
+	var apiErr *sdk.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || !strings.Contains(apiErr.Message, "artifact damaged") {
+		t.Fatalf("download of a truncated artifact: %d bytes, error %v; want a 500 saying the artifact is damaged", len(data), err)
 	}
 }
 

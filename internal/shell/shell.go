@@ -150,9 +150,11 @@ func (s *Shell) help() {
   provenance               per-operator association counts and sizes
   stats                    per-operator execution metrics and query timings
                            (incl. run_load / index_build / pattern_compile phases)
-  save <path>              persist the captured provenance + index sidecar
-  load <path>              reload provenance via the fast path (lazy decode +
-                           sidecar indexes; rebuilds on a stale/corrupt sidecar)
+  save <path>              write the captured provenance to <path> and its
+                           index sidecar to <path>.idx (per-operator flags:
+                           an engine run's columns are its index)
+  load <path>              reload provenance lazily and install <path>.idx
+                           (rebuilds on a stale, corrupt or version-1 sidecar)
   impact <src-oid> <id>    forward-trace one input item to the results
   quit                     leave the shell
 anything else is parsed as a tree-pattern provenance question, e.g.
@@ -180,8 +182,8 @@ func (s *Shell) printProvenance() {
 }
 
 // save persists the captured provenance to path and writes the matching
-// index sidecar to path+".idx", so a later `load` (or any reader) gets the
-// fast path: lazy decode plus prebuilt trace indexes.
+// index sidecar to path+".idx": for a run this engine captured that is a
+// flag per operator, saying its index is the run's own columns.
 func (s *Shell) save(path string) error {
 	var buf bytes.Buffer
 	if _, err := s.cap.Provenance.WriteTo(&buf); err != nil {
@@ -190,8 +192,8 @@ func (s *Shell) save(path string) error {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	// The sidecar is keyed by the stream's content hash, so build it from a
-	// lazy reload of the exact bytes just written.
+	// The sidecar is keyed by the content hash of the bytes just written; a
+	// run that was itself loaded keeps the hash of the bytes it came from.
 	run, err := provenance.ReadRunLazy(buf.Bytes())
 	if err != nil {
 		return err
@@ -208,9 +210,9 @@ func (s *Shell) save(path string) error {
 	return nil
 }
 
-// load reloads persisted provenance through the fast path — lazy column
-// decode plus sidecar indexes when a valid path+".idx" is present — and
-// attaches it to the session, so later queries run against the reloaded run.
+// load reloads persisted provenance lazily — an operator's columns decode on
+// the first trace through it — installs path+".idx" when it is valid, and
+// attaches the run to the session, so later queries run against it.
 func (s *Shell) load(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

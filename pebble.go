@@ -197,19 +197,24 @@ func ReadProvenance(r io.Reader) (*ProvenanceRun, error) { return provenance.Rea
 // association decode: the stream is validated and indexed up front, but an
 // operator's association columns materialise only when a trace first touches
 // them — a backtrace visiting three operators of a large run decodes three
-// column regions. The run also carries a content hash pairing it with a
-// persisted index sidecar (Tracer.WriteIndexes / Tracer.LoadIndexes).
+// column regions. The run carries a content hash pairing it with its index
+// sidecar (Tracer.WriteIndexes / Tracer.LoadIndexes), as a captured run does
+// once WriteTo has encoded it.
 func ReadProvenanceLazy(data []byte) (*ProvenanceRun, error) { return provenance.ReadRunLazy(data) }
 
-// Tracer answers provenance queries over one captured or reloaded run,
-// building per-operator association indexes on first use and reusing them
-// across queries. Persist the indexes with WriteIndexes and install them on
-// a fresh tracer with LoadIndexes to skip construction after a reload.
+// Tracer answers provenance queries over one captured or reloaded run. An
+// operator's index is its own association columns, decoded on the first
+// trace through it and kept across queries: the engine numbers an operator's
+// output in row order, so a lookup is a subtraction. WriteIndexes writes the
+// sidecar that goes beside a persisted run — for a run the engine wrote, a
+// few dozen bytes of per-operator flags; for one whose rows are out of
+// order, also the sorted indexes, which LoadIndexes installs on a fresh
+// tracer so a reload skips the sort.
 type Tracer = backtrace.Tracer
 
-// NewTracer returns a tracer over the run. For query-heavy reload paths,
-// load the run with ReadProvenanceLazy and install a sidecar via
-// (*Tracer).LoadIndexes.
+// NewTracer returns a tracer over the run. On reload paths, load the run
+// with ReadProvenanceLazy, so that a trace decodes only the operators it
+// walks through, and install the sidecar via (*Tracer).LoadIndexes.
 func NewTracer(run *ProvenanceRun) *Tracer { return backtrace.NewTracer(run) }
 
 // CompiledPattern is the executable form of a tree pattern (see
