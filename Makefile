@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -67,6 +67,13 @@ serve-smoke:
 
 bench:
 	go test -bench . -benchtime 1x ./...
+
+# The engine layer of the client-path benchmark without the daemon: one plain
+# run of T1–T5 at 8 000 tweets and of D1–D5 at 60 000 / 12 000 records, under
+# the benchmark's collector policy (internal/engine/sweep_test.go); ns/op is
+# engine.plain_run_s of one sweep, B/op its engine.run_alloc_mb.
+bench-engine:
+	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 5x -benchmem
 
 # The client-path benchmark (bench/README.md; BENCHMARK.json is its
 # contract): every workload untraced then traced through an in-process

@@ -1,6 +1,6 @@
 // Package hotalloc flags per-row allocations in the engine's morsel loops.
 // A hot loop is a range over a slice of row-shaped elements (the -hottypes
-// list: Row, pending, keyedRow) or any loop nested inside one — the code that
+// list: Row, keyedRow) or any loop nested inside one — the code that
 // runs once per data row. Inside such loops, slice/map composite literals,
 // make, new, &T{} heap literals, explicit interface conversions (boxing),
 // the slice-building accessors of nested.Value (Fields, AttrNames), and
@@ -13,7 +13,7 @@
 // append target is clean when ANY reaching definition is pre-sized (make with
 // capacity, make with non-zero length, or an x[:0]-style reuse) — a
 // deliberate under-approximation that keeps the check quiet on the
-// hoisted-backing-array idiom. Struct value literals (pending{...}) are not
+// hoisted-backing-array idiom. Struct value literals (Row{...}) are not
 // allocations; implicit interface boxing at call sites is out of scope.
 // Both documented in DESIGN.md §11.
 package hotalloc
@@ -48,7 +48,7 @@ var (
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", "pebble/internal/engine", "comma-separated import paths whose loops are checked")
-	Analyzer.Flags.StringVar(&hottypes, "hottypes", "Row,pending,keyedRow", "comma-separated element type names whose slices mark a per-row loop")
+	Analyzer.Flags.StringVar(&hottypes, "hottypes", "Row,keyedRow", "comma-separated element type names whose slices mark a per-row loop")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -1,18 +1,18 @@
 // Fixture for the hotalloc analyzer: per-row allocations inside morsel
 // loops. The test points -hotalloc.pkgs at this package; the hot element
-// types are the defaults (Row, pending, keyedRow), declared in types.go.
+// types are the defaults (Row, keyedRow), declared in types.go.
 package hotalloc
 
-func flagged(rows []Row) []pending {
-	var out []pending
+func flagged(rows []Row) []keyedRow {
+	var out []keyedRow
 	for _, r := range rows {
-		tmp := []int64{r.ID}    // want `slice literal allocated in a per-row loop`
-		m := map[string]int{}   // want `map literal allocated in a per-row loop`
-		p := &pending{id: r.ID} // want `heap allocation in a per-row loop`
-		buf := make([]byte, 0)  // want `make in a per-row loop`
-		q := new(pending)       // want `new in a per-row loop`
+		tmp := []int64{r.ID}     // want `slice literal allocated in a per-row loop`
+		m := map[string]int{}    // want `map literal allocated in a per-row loop`
+		p := &keyedRow{id: r.ID} // want `heap allocation in a per-row loop`
+		buf := make([]byte, 0)   // want `make in a per-row loop`
+		q := new(keyedRow)       // want `new in a per-row loop`
 		_, _, _, _, _ = tmp, m, p, buf, q
-		out = append(out, pending{id: r.ID}) // want `append to out grows an unsized buffer in a per-row loop`
+		out = append(out, keyedRow{id: r.ID}) // want `append to out grows an unsized buffer in a per-row loop`
 	}
 	return out
 }
@@ -36,22 +36,22 @@ func nestedLoop(rows []Row, parts []int) {
 // clean is flagged's pre-sized twin: the output has a capacity floor, the
 // scratch buffer is hoisted and reused with [:0], and the struct *value*
 // literal in the append argument is not an allocation.
-func clean(rows []Row) []pending {
-	out := make([]pending, 0, len(rows))
+func clean(rows []Row) []keyedRow {
+	out := make([]keyedRow, 0, len(rows))
 	scratch := make([]byte, 0, 64)
 	for _, r := range rows {
 		scratch = scratch[:0]
 		scratch = append(scratch, byte(r.Value))
-		out = append(out, pending{id: r.ID})
+		out = append(out, keyedRow{id: r.ID})
 	}
 	return out
 }
 
 // cleanParamAppend: the target is caller-owned; its sizing is the caller's
 // responsibility (entry definitions count as pre-sized).
-func cleanParamAppend(rows []Row, out []pending) []pending {
+func cleanParamAppend(rows []Row, out []keyedRow) []keyedRow {
 	for _, r := range rows {
-		out = append(out, pending{id: r.ID})
+		out = append(out, keyedRow{id: r.ID})
 	}
 	return out
 }

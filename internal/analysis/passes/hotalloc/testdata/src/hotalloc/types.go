@@ -1,6 +1,6 @@
 package hotalloc
 
-// Row and pending mirror the engine's hot row shapes; their names are in the
+// Row and keyedRow mirror the engine's hot row shapes; their names are in the
 // analyzer's default -hottypes list, so ranging over []Row marks a hot loop.
 type Row struct {
 	ID    int64
@@ -17,7 +17,7 @@ func (v Value) AttrNames() []string    { return append([]string(nil), v.names...
 func (v Value) NumFields() int         { return len(v.names) }
 func (v Value) FieldName(i int) string { return v.names[i] }
 
-type pending struct {
+type keyedRow struct {
 	id int64
 }
 

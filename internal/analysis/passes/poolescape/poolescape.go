@@ -1,6 +1,6 @@
 // Package poolescape enforces the lifetime contract of pooled buffers. Values
 // obtained from a sync.Pool.Get or from the repo's pool helpers (getBatch,
-// getCol, the id/pos scratch free lists) are borrowed: they may be read,
+// getCol, the stage scratch) are borrowed: they may be read,
 // passed to calls, and stored inside other pooled objects, but they must not
 // escape the borrowing function — not via return, not captured by a closure,
 // and not stored into a non-pooled struct field, container, global, or
@@ -34,14 +34,14 @@ globals, or channels, used after being released with Put, or released twice.`,
 }
 
 // The engine's pool boundary (DESIGN.md §13.6): the filter kernel's batches
-// and columns, the id/position gather buffers of id-range capture, and the
+// and columns, the per-worker scratch of a stage's inner members, and the
 // keyTable with the join and aggregate scratch. The set is small and fixed; a
 // new pool is a design change that edits these lists.
 var (
 	// sources return pool-borrowed values; puts release one.
-	sources = set("getBatch", "getCol", "getIDScratch", "getPosScratch",
+	sources = set("getBatch", "getCol", "getStageScratch",
 		"getKeyTable", "getJoinScratch", "getAggScratch", "getAggAccum")
-	puts = set("putBatch", "putIDScratch", "putPosScratch",
+	puts = set("putBatch", "putStageScratch",
 		"putKeyTable", "putJoinScratch", "putAggScratch", "putAggAccum")
 	// exempt functions complete the audited boundary: their bodies are
 	// skipped like those of sources and puts.

@@ -108,3 +108,19 @@ func useAfterExplicitPut() int {
 	putKeyTable(t)
 	return len(t.head) // want `use of pooled value t after Put`
 }
+
+// stageScratch mirrors the engine's per-worker stage scratch, a listed
+// source: what a stage's last member writes leaves the stage, so it must not
+// be the scratch's.
+type stageScratch struct{ cols []int64 }
+
+func getStageScratch(members int) *stageScratch { return new(stageScratch) }
+
+func putStageScratch(s *stageScratch) {}
+
+func escapeViaStageOutput(in []int64) []int64 {
+	s := getStageScratch(1)
+	defer putStageScratch(s)
+	s.cols = append(s.cols[:0], in...)
+	return s.cols[:len(in)] // want `pool-obtained value escapes via return`
+}

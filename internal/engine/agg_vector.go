@@ -121,9 +121,9 @@ func putAggScratch(s *aggScratch) { aggScratchPool.Put(s) }
 // aggBucket groups and aggregates one shuffle bucket into items of shape
 // (groupShape's, computed once per operator); capture materialises the
 // contributing-identifier list of every group.
-func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) ([]pending, error) {
+func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (morselOut, error) {
 	if len(bucket) == 0 {
-		return nil, nil
+		return morselOut{rows: []Row{}}, nil
 	}
 	t := getKeyTable(len(bucket))
 	defer putKeyTable(t)
@@ -201,10 +201,13 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) ([]p
 		order[g] = g
 	}
 	sort.Slice(order, func(i, j int) bool { return nested.Compare(t.keys[order[i]], t.keys[order[j]]) < 0 })
-	out := make([]pending, 0, nG)
+	out := morselOut{rows: make([]Row, nG), n: nG}
+	if capture {
+		out.lists = make([][]int64, nG)
+	}
 	width := shape.Len()
 	arena := make([]nested.Value, nG*width) // retained by the output items
-	for _, g := range order {
+	for i, g := range order {
 		vals := arena[:width:width]
 		arena = arena[width:]
 		copy(vals, t.keys[g].FieldValues())
@@ -215,16 +218,15 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) ([]p
 			}
 			av, err := aggResult(spec, accums[si], int32(g), t.count[g], s.offsets[g], lv)
 			if err != nil {
-				return nil, err
+				return morselOut{}, err
 			}
 			vals[len(o.groupBy)+si] = av
 		}
-		var ids []int64
+		out.rows[i].Value = shape.Item(vals...)
 		if idsArena != nil {
 			o0 := s.offsets[g]
-			ids = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
+			out.lists[i] = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
 		}
-		out = append(out, pending{value: shape.Item(vals...), inIDs: ids})
 	}
 	return out, nil
 }

@@ -14,8 +14,8 @@ import (
 // the access paths the predicate reads into colVec columns —
 // scalar columns carry typed arrays plus a validity bitmap, everything else
 // (nested bags, items, mixed-kind attributes) stays as a generic value
-// column. Batches and the id-gather scratch buffers used by bulk capture
-// emission are recycled through sync.Pools shared by all workers.
+// column. Batches and their columns are recycled through sync.Pools shared
+// by all workers.
 //
 // Correctness contract: a colVec must reproduce Expr.Eval's view of the data
 // exactly. For every row i, at(i) returns a value equal (as a Go struct)
@@ -361,51 +361,4 @@ func putBatch(b *batch) {
 		colPool.Put(c)
 	}
 	batchPool.Put(b)
-}
-
-// idScratchPool recycles the id-gather buffers finalize and execSource use
-// for id-range capture emission. Sinks copy out of the slices (see
-// PartitionSink), so returning a buffer to the pool cannot alias captured
-// provenance.
-var idScratchPool = sync.Pool{
-	New: func() any {
-		s := make([]int64, 0, batchSize)
-		return &s
-	},
-}
-
-func getIDScratch(n int) []int64 {
-	p := idScratchPool.Get().(*[]int64)
-	s := *p
-	if cap(s) < n {
-		s = make([]int64, n)
-	}
-	return s[:n]
-}
-
-func putIDScratch(s []int64) {
-	s = s[:0]
-	idScratchPool.Put(&s)
-}
-
-// posScratchPool recycles the flatten-position buffers of bulk emission.
-var posScratchPool = sync.Pool{
-	New: func() any {
-		s := make([]int, 0, batchSize)
-		return &s
-	},
-}
-
-func getPosScratch(n int) []int {
-	p := posScratchPool.Get().(*[]int)
-	s := *p
-	if cap(s) < n {
-		s = make([]int, n)
-	}
-	return s[:n]
-}
-
-func putPosScratch(s []int) {
-	s = s[:0]
-	posScratchPool.Put(&s)
 }

@@ -79,8 +79,8 @@ type CaptureSink interface {
 //
 // The fixed-width layouts arrive in bulk: one call per partition morsel
 // covering a contiguous run of output identifiers base, base+1, …. The range
-// slices are borrowed scratch buffers: implementations must copy what they
-// keep, and the caller may recycle the slices as soon as the call returns.
+// slices are the id columns the operator wrote for the morsel, lent for the
+// call: implementations must copy what they keep.
 // The variable-length layouts (Agg, and Unary for distinct's fan-in) arrive
 // row by row.
 type PartitionSink interface {

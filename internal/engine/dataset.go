@@ -64,25 +64,18 @@ func NewDataset(name string, values []nested.Value, parts int, gen *IDGen) *Data
 	if parts > len(values) && len(values) > 0 {
 		parts = len(values)
 	}
-	partitions := newPartitions(len(values), parts)
+	partitions := make([][]Row, parts)
+	if per := (len(values) + parts - 1) / parts; per > 0 {
+		for p := range partitions {
+			partitions[p] = make([]Row, 0, per)
+		}
+	}
 	base := gen.Reserve(int64(len(values)))
 	for i, v := range values {
 		p := i % parts
 		partitions[p] = append(partitions[p], Row{ID: base + int64(i), Value: v})
 	}
 	return &Dataset{Name: name, Partitions: partitions}
-}
-
-// newPartitions returns parts empty partitions, each with room for its share
-// of rows dealt round-robin.
-func newPartitions(rows, parts int) [][]Row {
-	partitions := make([][]Row, parts)
-	if per := (rows + parts - 1) / parts; per > 0 {
-		for p := range partitions {
-			partitions[p] = make([]Row, 0, per)
-		}
-	}
-	return partitions
 }
 
 // FromRows builds a single-partition dataset from pre-identified rows; used
@@ -142,22 +135,6 @@ func (d *Dataset) SizeBytes() int64 {
 		}
 	}
 	return n
-}
-
-// Repartition redistributes the rows round-robin over parts partitions.
-func (d *Dataset) Repartition(parts int) *Dataset {
-	if parts < 1 {
-		parts = 1
-	}
-	partitions := newPartitions(d.Len(), parts)
-	i := 0
-	for _, p := range d.Partitions {
-		for _, r := range p {
-			partitions[i%parts] = append(partitions[i%parts], r)
-			i++
-		}
-	}
-	return &Dataset{Name: d.Name, Partitions: partitions}
 }
 
 // String summarises the dataset.

@@ -212,10 +212,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if d.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")
 	}
-	r3 := d.Repartition(3)
-	if len(r3.Partitions) != 3 || r3.Len() != 5 {
-		t.Errorf("Repartition: %d partitions, %d rows", len(r3.Partitions), r3.Len())
-	}
 	if !strings.Contains(d.String(), "5 rows") {
 		t.Errorf("String = %s", d)
 	}

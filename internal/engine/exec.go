@@ -10,7 +10,6 @@ import (
 
 	"pebble/internal/nested"
 	"pebble/internal/obs"
-	"pebble/internal/path"
 )
 
 // DefaultPartitions is the default logical-partition count. Logical
@@ -54,10 +53,15 @@ type Options struct {
 
 // OpStats reports per-operator execution metrics.
 type OpStats struct {
-	OID     int
-	Type    OpType
-	Rows    int
+	OID  int
+	Type OpType
+	Rows int
+	// Elapsed is the operator's own time: the wait for its turn to reserve
+	// identifiers is not in it, and inside a stage it is the operator's share
+	// (by time summed over its morsels) of the stage's wall time.
 	Elapsed time.Duration
+	// Stage numbers the stage that ran the operator, from 1 in plan order.
+	Stage int
 }
 
 // Result is the outcome of a pipeline execution.
@@ -118,25 +122,24 @@ func RunContext(ctx context.Context, p *Pipeline, inputs map[string]*Dataset, op
 	}
 	defer opts.Recorder.StartSpan(obs.SpanSchedule)()
 	ex := &executor{ctx: ctx, opts: opts, gen: gen, inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}
-	res := &Result{Sources: make(map[int]*Dataset)}
+	res := &Result{Sources: make(map[int]*Dataset), Stats: make([]OpStats, len(p.Ops()))}
 	if opts.KeepIntermediates {
 		res.Intermediates = make(map[int]*Dataset)
 	}
+	stages := planStages(p, opts.KeepIntermediates)
 	if workers <= 1 {
-		if err := ex.runSequential(p, res); err != nil {
+		if err := ex.runSequential(p, stages, res); err != nil {
 			return nil, err
 		}
 	} else {
 		ex.pool = newWorkerPool(workers)
 		defer ex.pool.close()
-		ex.gate = newReserveGate(len(p.Ops()))
-		if err := ex.runDAG(p, res); err != nil {
+		ex.gate = newReserveGate()
+		if err := ex.runDAG(stages, res); err != nil {
 			return nil, err
 		}
 	}
 	res.Output = ex.outputs[p.Sink().id]
-	// Free non-sink intermediates unless requested (sources stay reachable
-	// through res.Sources).
 	return res, nil
 }
 
@@ -157,7 +160,6 @@ type executor struct {
 
 	outMu   sync.RWMutex     // guards outputs under concurrent DAG branches
 	outputs map[int]*Dataset // guarded by outMu; access via in/setOutput
-	resMu   sync.Mutex       // guards Result bookkeeping in recordResult
 }
 
 // valueHash computes a shuffle key's hash. Indirect so tests can install a
@@ -165,22 +167,17 @@ type executor struct {
 // during the shuffle instead of recomputing it per row.
 var valueHash = nested.Value.Hash
 
-func (e *executor) exec(o *Op) (*Dataset, error) {
+// exec runs an operator that is a stage of its own — everything but the
+// row-wise unary operators, whose bodies run inside stage.compute — and
+// returns what it produced for every output partition.
+func (e *executor) exec(o *Op) ([]morselOut, error) {
 	switch o.typ {
 	case OpSource:
 		return e.execSource(o)
-	case OpFilter:
-		return e.execFilter(o)
-	case OpSelect:
-		return e.execSelect(o)
-	case OpMap:
-		return e.execMap(o)
 	case OpJoin:
 		return e.execJoin(o)
 	case OpUnion:
 		return e.execUnion(o)
-	case OpFlatten:
-		return e.execFlatten(o)
 	case OpAggregate:
 		return e.execAggregate(o)
 	case OpDistinct:
@@ -194,19 +191,12 @@ func (e *executor) exec(o *Op) (*Dataset, error) {
 }
 
 func (e *executor) in(o *Op, i int) *Dataset {
-	if e.pool == nil {
-		return e.outputs[o.inputs[i].id]
-	}
 	e.outMu.RLock()
 	defer e.outMu.RUnlock()
 	return e.outputs[o.inputs[i].id]
 }
 
 func (e *executor) setOutput(oid int, d *Dataset) {
-	if e.pool == nil {
-		e.outputs[oid] = d
-		return
-	}
 	e.outMu.Lock()
 	e.outputs[oid] = d
 	e.outMu.Unlock()
@@ -222,137 +212,96 @@ func (e *executor) reserve(oid int, n int64) int64 {
 	return e.gate.reserve(e.gen, oid, n)
 }
 
-// pending is a produced row awaiting its identifier, carrying the
-// association data the capture sink needs.
-type pending struct {
-	value nested.Value
-	in1   int64
-	in2   int64
-	pos   int
-	inIDs []int64
+// morselOut is what an operator produced for one output partition before its
+// turn at the reserve gate. Rows are written once, here, by the operator's
+// body; stage.commit fills their ID slot in place. The association ids are
+// plain columns parallel to the rows and exist only under capture
+// (Options.Sink != nil); which of them an operator fills follows its type.
+type morselOut struct {
+	rows  []Row         // nil for a member inside a stage: its rows lived in scratch
+	n     int           // rows produced; len(rows) unless rows is nil
+	in1   []int64       // the input id (source: the id in the raw dataset; binary: the left id)
+	in2   []int64       // binary: the right id; -1 marks an absent side
+	pos   []int         // flatten: 1-based position of the exploded element
+	lists [][]int64     // aggregate, distinct: the contributing input ids of every row
+	busy  time.Duration // row-wise members: time spent in the member's body
 }
 
-type assocKind uint8
-
-const (
-	assocNone assocKind = iota
-	assocUnary
-	assocBinary
-	assocFlatten
-	assocAgg
-	// assocMultiUnary emits one unary association per id in inIDs (distinct:
-	// every collapsed duplicate contributes to the output item).
-	assocMultiUnary
-)
-
-// finalize assigns identifiers to the pending rows of every partition
-// (deterministically: partition-major order) and emits the associations to
-// the sink.
-func (e *executor) finalize(oid int, parts [][]pending, kind assocKind) (*Dataset, error) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+// newBinaryOut returns an empty morsel with room for n rows of a join.
+func newBinaryOut(n int, capture bool) morselOut {
+	m := morselOut{rows: make([]Row, 0, n)}
+	if capture {
+		m.in1, m.in2 = make([]int64, 0, n), make([]int64, 0, n)
 	}
-	base := e.reserve(oid, int64(total))
-	offsets := make([]int64, len(parts))
-	off := base
-	for i, p := range parts {
-		offsets[i] = off
-		off += int64(len(p))
+	return m
+}
+
+// addBinary appends the result item of the input rows l and r (-1: none).
+func (m *morselOut) addBinary(item nested.Value, l, r int64) {
+	m.rows = append(m.rows, Row{Value: item})
+	m.n++
+	if m.in1 != nil {
+		m.in1, m.in2 = append(m.in1, l), append(m.in2, r)
 	}
-	partitions := make([][]Row, len(parts))
-	err := e.forEachPartition(len(parts), func(part int) error {
-		rows := make([]Row, len(parts[part]))
+}
+
+// commitMorsel gives one partition of operator o its identifiers, base
+// onwards in row order, and hands its associations to the sink: the
+// fixed-width layouts as one id-range call over the morsel's columns (the
+// sink copies out of them), the variable-length ones row by row. inBase
+// turns the partition-local input indexes of a member inside a stage into
+// identifiers; it is 0 where in1 holds identifiers already.
+func (e *executor) commitMorsel(o *Op, part int, m *morselOut, base, inBase int64) {
+	for i := range m.rows {
+		m.rows[i].ID = base + int64(i)
+	}
+	assocs := int64(m.n)
+	if e.opts.Sink != nil && m.n > 0 {
 		// One registry lookup per morsel: the handle appends lock-free.
-		var ps PartitionSink
-		if e.opts.Sink != nil && len(parts[part]) > 0 {
-			ps = e.opts.Sink.Partition(oid, part)
-		}
-		id := offsets[part]
-		for i, pr := range parts[part] {
-			rows[i] = Row{ID: id, Value: pr.value}
-			id++
-		}
-		if ps != nil {
-			emitAssocs(ps, parts[part], kind, offsets[part])
-		}
-		partitions[part] = rows
-		if rec := e.opts.Recorder; rec != nil {
-			rec.Add(oid, part, obs.RowsOut, int64(len(parts[part])))
-			if e.opts.Sink != nil {
-				rec.Add(oid, part, obs.AssocRows, assocRowCount(parts[part], kind))
+		ps := e.opts.Sink.Partition(o.id, part)
+		if inBase != 0 {
+			for i := range m.in1 {
+				m.in1[i] += inBase
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Partitions: partitions}, nil
-}
-
-// emitAssocs appends one partition morsel's associations to its sink
-// handle. The fixed-width layouts go out as one contiguous id-range call per
-// morsel (the output ids are base..base+len-1 by construction of finalize),
-// gathering the input ids into pooled scratch that the sink copies out of;
-// the variable-length layouts (aggregate's id lists, distinct's multi-unary
-// fan-out) append row by row.
-func emitAssocs(ps PartitionSink, prs []pending, kind assocKind, base int64) {
-	switch kind {
-	case assocUnary:
-		ids := getIDScratch(len(prs))
-		for i := range prs {
-			ids[i] = prs[i].in1
-		}
-		ps.UnaryRange(ids, base)
-		putIDScratch(ids)
-	case assocBinary:
-		l, r := getIDScratch(len(prs)), getIDScratch(len(prs))
-		for i := range prs {
-			l[i], r[i] = prs[i].in1, prs[i].in2
-		}
-		ps.BinaryRange(l, r, base)
-		putIDScratch(l)
-		putIDScratch(r)
-	case assocFlatten:
-		ids, pos := getIDScratch(len(prs)), getPosScratch(len(prs))
-		for i := range prs {
-			ids[i], pos[i] = prs[i].in1, prs[i].pos
-		}
-		ps.FlattenRange(ids, pos, base)
-		putIDScratch(ids)
-		putPosScratch(pos)
-	case assocAgg:
-		id := base
-		for _, pr := range prs {
-			// The pending slice was built for the sink (see aggBucket);
-			// ownership transfers, no copy.
-			ps.Agg(pr.inIDs, id)
-			id++
-		}
-	case assocMultiUnary:
-		id := base
-		for _, pr := range prs {
-			for _, in := range pr.inIDs {
-				ps.Unary(in, id)
+		switch o.typ {
+		case OpSource:
+			ps.SourceRows(base, m.in1)
+		case OpJoin, OpUnion:
+			ps.BinaryRange(m.in1, m.in2, base)
+		case OpFlatten:
+			ps.FlattenRange(m.in1, m.pos, base)
+		case OpAggregate:
+			id := base
+			for _, ids := range m.lists {
+				// The list was built for the sink (see aggBucket); ownership
+				// transfers, no copy.
+				ps.Agg(ids, id)
+				id++
 			}
-			id++
+		case OpDistinct:
+			// One unary association per collapsed duplicate: every witness
+			// contributes to the output item.
+			assocs = 0
+			id := base
+			for _, ids := range m.lists {
+				for _, in := range ids {
+					ps.Unary(in, id)
+				}
+				assocs += int64(len(ids))
+				id++
+			}
+		default:
+			ps.UnaryRange(m.in1, base)
+		}
+		m.in1, m.in2, m.pos, m.lists = nil, nil, nil, nil // the sink has them now
+	}
+	if rec := e.opts.Recorder; rec != nil {
+		rec.Add(o.id, part, obs.RowsOut, int64(m.n))
+		if e.opts.Sink != nil {
+			rec.Add(o.id, part, obs.AssocRows, assocs)
 		}
 	}
-}
-
-// assocRowCount counts the association rows finalize emits for one
-// partition: one per pending row, except the multi-unary layout (distinct),
-// which emits one unary association per collapsed input id.
-func assocRowCount(rows []pending, kind assocKind) int64 {
-	if kind != assocMultiUnary {
-		return int64(len(rows))
-	}
-	var n int64
-	for _, pr := range rows {
-		n += int64(len(pr.inIDs))
-	}
-	return n
 }
 
 func (e *executor) startOperator(o *Op, parts int, leftSchema, rightSchema []string, sample nested.Value) {
@@ -372,104 +321,39 @@ func sampleRow(d *Dataset) nested.Value {
 	return nested.Null()
 }
 
-func (e *executor) execSource(o *Op) (*Dataset, error) {
+// execSource deals the named input round-robin over the logical partitions,
+// one copy per row; reading annotates every top-level item with a fresh
+// identifier (stage.commit fills it in, offsets[part] + i).
+func (e *executor) execSource(o *Op) ([]morselOut, error) {
 	src, ok := e.inputs[o.sourceName]
 	if !ok {
 		return nil, fmt.Errorf("no input dataset named %q", o.sourceName)
 	}
-	in := src.Repartition(e.opts.Partitions)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
-	// Reading annotates every top-level item with a fresh identifier.
-	total := in.Len()
-	base := e.reserve(o.id, int64(total))
-	offsets := make([]int64, len(in.Partitions))
-	off := base
-	for i, p := range in.Partitions {
-		offsets[i] = off
-		off += int64(len(p))
+	parts := e.opts.Partitions
+	e.startOperator(o, parts, nil, nil, nested.Null())
+	total := src.Len()
+	outs := make([]morselOut, parts)
+	for part := range outs {
+		m := &outs[part]
+		m.n = (total + parts - 1 - part) / parts
+		m.rows = make([]Row, m.n)
+		if e.opts.Sink != nil {
+			m.in1 = make([]int64, m.n)
+		}
+		e.opts.Recorder.Add(o.id, part, obs.RowsIn, int64(m.n))
 	}
-	partitions := make([][]Row, len(in.Partitions))
-	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		rows := make([]Row, len(in.Partitions[part]))
-		var ps PartitionSink
-		if e.opts.Sink != nil && len(in.Partitions[part]) > 0 {
-			ps = e.opts.Sink.Partition(o.id, part)
-		}
-		id := offsets[part]
-		for i, r := range in.Partitions[part] {
-			rows[i] = Row{ID: id, Value: r.Value}
-			id++
-		}
-		if ps != nil {
-			orig := getIDScratch(len(in.Partitions[part]))
-			for i, r := range in.Partitions[part] {
-				orig[i] = r.ID
+	i := 0
+	for _, p := range src.Partitions {
+		for ri := range p {
+			m, at := &outs[i%parts], i/parts
+			m.rows[at].Value = p[ri].Value
+			if m.in1 != nil {
+				m.in1[at] = p[ri].ID
 			}
-			ps.SourceRows(offsets[part], orig)
-			putIDScratch(orig)
+			i++
 		}
-		partitions[part] = rows
-		if rec := e.opts.Recorder; rec != nil {
-			n := int64(len(in.Partitions[part]))
-			rec.Add(o.id, part, obs.RowsIn, n)
-			rec.Add(o.id, part, obs.RowsOut, n)
-			if e.opts.Sink != nil {
-				rec.Add(o.id, part, obs.AssocRows, n)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &Dataset{Name: o.sourceName, Partitions: partitions}, nil
-}
-
-func (e *executor) execFilter(o *Op) (*Dataset, error) {
-	in := e.in(o, 0)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
-	parts := make([][]pending, len(in.Partitions))
-	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := filterMorsel(o.pred, in.Partitions[part])
-		if err != nil {
-			return err
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			n := int64(len(in.Partitions[part]))
-			rec.Add(o.id, part, obs.RowsIn, n)
-			rec.Add(o.id, part, obs.ExprEvals, n*int64(EvalOps(o.pred)))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocUnary)
-}
-
-func (e *executor) execSelect(o *Op) (*Dataset, error) {
-	in := e.in(o, 0)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
-	parts := make([][]pending, len(in.Partitions))
-	ss := newSelectShape(o.fields)
-	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := selectMorsel(o.fields, ss, in.Partitions[part])
-		if err != nil {
-			return err
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			n := int64(len(in.Partitions[part]))
-			rec.Add(o.id, part, obs.RowsIn, n)
-			rec.Add(o.id, part, obs.ExprEvals, n*int64(selectEvalOps(o.fields)))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocUnary)
+	return outs, nil
 }
 
 // selectEvalOps is the static per-row expression cost of a select: one node
@@ -513,21 +397,6 @@ func newSelectShape(fields []SelectField) *selectShape {
 	return ss
 }
 
-// selectMorsel projects one partition morsel; the output items share ss's
-// shapes and one value arena.
-func selectMorsel(fields []SelectField, ss *selectShape, rows []Row) ([]pending, error) {
-	out := make([]pending, 0, len(rows))
-	arena := make([]nested.Value, len(rows)*ss.slots) // retained by the output items
-	for _, r := range rows {
-		item, err := evalSelect(fields, ss, r.Value, &arena)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pending{value: item, in1: r.ID})
-	}
-	return out, nil
-}
-
 // evalSelect builds the output item of row d in the first ss.slots values of
 // arena, which it cuts off.
 func evalSelect(fields []SelectField, ss *selectShape, d nested.Value, arena *[]nested.Value) (nested.Value, error) {
@@ -556,108 +425,17 @@ func evalSelect(fields []SelectField, ss *selectShape, d nested.Value, arena *[]
 	return ss.shape.Item(out...), nil
 }
 
-func (e *executor) execMap(o *Op) (*Dataset, error) {
-	in := e.in(o, 0)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
-	parts := make([][]pending, len(in.Partitions))
-	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out := make([]pending, 0, len(in.Partitions[part]))
-		for _, r := range in.Partitions[part] {
-			v, err := o.mapFn.Fn(r.Value)
-			if err != nil {
-				return fmt.Errorf("map %s: %w", o.mapFn.Name, err)
-			}
-			if v.Kind() != nested.KindItem {
-				return fmt.Errorf("map %s returned %s, want a data item (τ(λ(i)) ⇒ ⟨...⟩)", o.mapFn.Name, v.Kind())
-			}
-			out = append(out, pending{value: v, in1: r.ID})
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			rec.Add(o.id, part, obs.RowsIn, int64(len(in.Partitions[part])))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocUnary)
-}
-
-func (e *executor) execFlatten(o *Op) (*Dataset, error) {
-	in := e.in(o, 0)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
-	parts := make([][]pending, len(in.Partitions))
-	err := e.forEachPartition(len(in.Partitions), func(part int) error {
-		out, err := flattenMorsel(o.flattenCol, o.flattenNew, in.Partitions[part])
-		if err != nil {
-			return err
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			n := int64(len(in.Partitions[part]))
-			rec.Add(o.id, part, obs.RowsIn, n)
-			rec.Add(o.id, part, obs.ExprEvals, n) // one path eval per row
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocFlatten)
-}
-
-// flattenMorsel explodes the collection at col of every row of one morsel
-// into one output row per element, the element under attribute name. Pass 1
-// reads the collections and sizes the output exactly; pass 2 writes every
-// item into one value arena, under its input row's shape with name set.
-func flattenMorsel(col path.Path, name string, rows []Row) ([]pending, error) {
-	cols := make([]nested.Value, len(rows))
-	var memo shapeMemo
-	nOut, slots := 0, 0
-	for i, r := range rows {
-		c, ok := col.Eval(r.Value)
-		if !ok || c.IsNull() {
-			continue // no collection to explode
-		}
-		if !c.Kind().IsCollection() {
-			return nil, fmt.Errorf("flatten: %s is %s, want bag or set", col, c.Kind())
-		}
-		cols[i] = c
-		nOut += c.Len()
-		slots += c.Len() * memo.withAttr(r.Value.Shape(), name).shape.Len()
-	}
-	out := make([]pending, 0, nOut)
-	arena := make([]nested.Value, slots) // retained by the output items
-	for i, r := range rows {
-		elems := cols[i].Elems()
-		if len(elems) == 0 {
-			continue
-		}
-		d := memo.withAttr(r.Value.Shape(), name)
-		width := d.shape.Len()
-		for idx, elem := range elems {
-			vals := arena[:width:width]
-			arena = arena[width:]
-			copy(vals, r.Value.FieldValues())
-			vals[d.at] = elem
-			out = append(out, pending{value: d.shape.Item(vals...), in1: r.ID, pos: idx + 1})
-		}
-	}
-	return out, nil
-}
-
-func (e *executor) execUnion(o *Op) (*Dataset, error) {
+func (e *executor) execUnion(o *Op) ([]morselOut, error) {
 	left, right := e.in(o, 0), e.in(o, 1)
 	lt, lok := schemaType(left)
 	rt, rok := schemaType(right)
 	if lok && rok && !nested.Compatible(lt, rt) {
 		return nil, fmt.Errorf("union: incompatible input types %s and %s", lt, rt)
 	}
-	e.startOperator(o, len(left.Partitions)+len(right.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
-	parts := make([][]pending, len(left.Partitions)+len(right.Partitions))
 	nl := len(left.Partitions)
-	err := e.forEachPartition(len(parts), func(part int) error {
+	outs := make([]morselOut, nl+len(right.Partitions))
+	e.startOperator(o, len(outs), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	err := e.forEachPartition(len(outs), func(part int) error {
 		var src []Row
 		isLeft := part < nl
 		if isLeft {
@@ -665,26 +443,26 @@ func (e *executor) execUnion(o *Op) (*Dataset, error) {
 		} else {
 			src = right.Partitions[part-nl]
 		}
-		out := make([]pending, 0, len(src))
-		for _, r := range src {
-			p := pending{value: r.Value, in1: -1, in2: -1}
-			if isLeft {
-				p.in1 = r.ID
-			} else {
-				p.in2 = r.ID
+		m := morselOut{rows: make([]Row, len(src)), n: len(src)}
+		for i := range src {
+			m.rows[i].Value = src[i].Value
+		}
+		if e.opts.Sink != nil {
+			// The side a row did not come from is recorded as -1.
+			ids, absent := make([]int64, m.n), make([]int64, m.n)
+			for i := range src {
+				ids[i], absent[i] = src[i].ID, -1
 			}
-			out = append(out, p)
+			m.in1, m.in2 = ids, absent
+			if !isLeft {
+				m.in1, m.in2 = absent, ids
+			}
 		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			rec.Add(o.id, part, obs.RowsIn, int64(len(src)))
-		}
+		outs[part] = m
+		e.opts.Recorder.Add(o.id, part, obs.RowsIn, int64(m.n))
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocBinary)
+	return outs, err
 }
 
 // keyedRow is a row shuffled to a bucket with its evaluated key, the key's
@@ -780,7 +558,7 @@ func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keep
 // broadcast hash join heuristic).
 const defaultBroadcastThreshold = 2000
 
-func (e *executor) execJoin(o *Op) (*Dataset, error) {
+func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 	left, right := e.in(o, 0), e.in(o, 1)
 	threshold := e.opts.BroadcastJoinThreshold
 	if threshold == 0 {
@@ -806,48 +584,39 @@ func (e *executor) execJoin(o *Op) (*Dataset, error) {
 		return nil, err
 	}
 	rightSchema := nested.NewShape(topLevelSchema(right)...)
-	parts := make([][]pending, e.opts.Partitions)
+	capture := e.opts.Sink != nil
+	outs := make([]morselOut, nParts)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		out, err := joinBucket(lb[part], rb[part], o.leftOuter, rightSchema)
-		if err != nil {
-			return err
+		out, err := joinBucket(lb[part], rb[part], o.leftOuter, rightSchema, capture)
+		outs[part] = out
+		return err
+	})
+	if err != nil || !o.leftOuter {
+		return outs, err
+	}
+	// Left rows with null join keys were dropped by the shuffle but must
+	// survive a left outer join.
+	err = e.forEachPartition(len(left.Partitions), func(part int) error {
+		out := newBinaryOut(0, capture) // null-key rows are rare
+		var memo shapeMemo
+		for _, r := range left.Partitions[part] {
+			k, err := o.leftKey.Eval(r.Value)
+			if err != nil {
+				return err
+			}
+			if !k.IsNull() {
+				continue
+			}
+			item, err := concatWithNulls(&memo, r.Value, rightSchema)
+			if err != nil {
+				return err
+			}
+			out.addBinary(item, r.ID, -1)
 		}
-		parts[part] = out
+		outs[e.opts.Partitions+part] = out
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if o.leftOuter {
-		// Left rows with null join keys were dropped by the shuffle but must
-		// survive a left outer join.
-		nullParts := make([][]pending, len(left.Partitions))
-		err = e.forEachPartition(len(left.Partitions), func(part int) error {
-			var out []pending
-			var memo shapeMemo
-			for _, r := range left.Partitions[part] {
-				k, err := o.leftKey.Eval(r.Value)
-				if err != nil {
-					return err
-				}
-				if !k.IsNull() {
-					continue
-				}
-				item, err := concatWithNulls(&memo, r.Value, rightSchema)
-				if err != nil {
-					return err
-				}
-				out = append(out, pending{value: item, in1: r.ID, in2: -1}) //pebblevet:ignore hotalloc -- null-key rows are rare; pre-sizing to the partition length would waste the common case
-			}
-			nullParts[part] = out
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, nullParts...)
-	}
-	return e.finalize(o.id, parts, assocBinary)
+	return outs, err
 }
 
 // concatWithNulls extends a left item with null values for the right side's
@@ -867,47 +636,40 @@ func concatWithNulls(memo *shapeMemo, l nested.Value, rightSchema *nested.Shape)
 	return d.shape.Item(vals...), nil
 }
 
-func (e *executor) execAggregate(o *Op) (*Dataset, error) {
+func (e *executor) execAggregate(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
 	buckets, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]pending, e.opts.Partitions)
+	outs := make([]morselOut, e.opts.Partitions)
 	shape := groupShape(o.groupBy, o.aggs)
+	// Each aggregation spec with an input path evaluates it once per grouped
+	// row.
+	nIns := 0
+	for _, spec := range o.aggs {
+		if len(spec.In) > 0 {
+			nIns++
+		}
+	}
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
 		out, err := aggBucket(o, shape, buckets[part], e.opts.Sink != nil)
-		if err != nil {
-			return err
-		}
-		parts[part] = out
-		if rec := e.opts.Recorder; rec != nil {
-			// Each aggregation spec with an input path evaluates it once per
-			// grouped row.
-			nIns := 0
-			for _, spec := range o.aggs {
-				if len(spec.In) > 0 {
-					nIns++
-				}
-			}
-			rec.Add(o.id, part, obs.ExprEvals, int64(len(buckets[part]))*int64(nIns))
-		}
-		return nil
+		outs[part] = out
+		e.opts.Recorder.Add(o.id, part, obs.ExprEvals, int64(len(buckets[part]))*int64(nIns))
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocAgg)
+	return outs, err
 }
 
 // Explain renders the execution statistics as a table: one line per
-// operator with its output row count and wall time.
+// operator with the stage that ran it, its output row count and its own time
+// (operators sharing a stage number ran morsel-at-a-time as one unit).
 func (r *Result) Explain() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-4s %-10s %10s %14s\n", "op", "type", "rows", "elapsed")
+	fmt.Fprintf(&sb, "%-4s %-10s %5s %10s %14s\n", "op", "type", "stage", "rows", "elapsed")
 	for _, s := range r.Stats {
-		fmt.Fprintf(&sb, "%-4d %-10s %10d %14s\n", s.OID, s.Type, s.Rows, s.Elapsed)
+		fmt.Fprintf(&sb, "%-4d %-10s %5d %10d %14s\n", s.OID, s.Type, s.Stage, s.Rows, s.Elapsed)
 	}
 	fmt.Fprintf(&sb, "total: %d rows, %s\n", r.Output.Len(), r.TotalElapsed())
 	return sb.String()

@@ -6,23 +6,39 @@ import (
 	"pebble/internal/nested"
 )
 
-// filterMorsel filters one partition morsel. The kernel chunks the morsel
-// into batches of batchSize rows and evaluates the predicate column-wise;
-// when it declines (see evalVec's error contract) the whole morsel re-runs
-// through the per-row Eval loop, which is what reproduces the expression
-// language's short-circuit semantics: its exact first error, or its exact
-// success when short-circuiting avoids the error.
-func filterMorsel(pred Expr, rows []Row) ([]pending, error) {
-	if out, ok := filterMorselVec(pred, rows); ok {
-		return out, nil
+// filterMorsel filters one partition morsel: it selects the surviving rows,
+// then writes them — once — to d. The kernel chunks the morsel into batches
+// of batchSize rows and evaluates the predicate column-wise; when it declines
+// (see evalVec's error contract) the whole morsel re-runs through the per-row
+// Eval loop, which is what reproduces the expression language's
+// short-circuit semantics: its exact first error, or its exact success when
+// short-circuiting avoids the error.
+func filterMorsel(pred Expr, in []Row, d morselDst) (morselOut, error) {
+	d.sc.sel = grown(d.sc.sel, len(in))
+	sel, ok := filterSelectVec(pred, in, d.sc.sel[:0])
+	if !ok {
+		var err error
+		if sel, err = filterSelectRows(pred, in, d.sc.sel[:0]); err != nil {
+			return morselOut{}, err
+		}
 	}
-	return filterMorselRows(pred, rows)
+	out := d.out(len(sel))
+	for i, at := range sel {
+		out.rows[i] = Row{ID: int64(i), Value: in[at].Value}
+	}
+	if out.in1 != nil {
+		for i, at := range sel {
+			out.in1[i] = in[at].ID
+		}
+	}
+	return out, nil
 }
 
-func filterMorselRows(pred Expr, rows []Row) ([]pending, error) {
-	out := make([]pending, 0, len(rows))
-	for _, r := range rows {
-		v, err := pred.Eval(r.Value)
+// filterSelectRows appends the index of every row the predicate keeps to sel
+// (which has room for all of them), evaluating row by row.
+func filterSelectRows(pred Expr, rows []Row, sel []int32) ([]int32, error) {
+	for i := range rows {
+		v, err := pred.Eval(rows[i].Value)
 		if err != nil {
 			return nil, err
 		}
@@ -31,14 +47,15 @@ func filterMorselRows(pred Expr, rows []Row) ([]pending, error) {
 			return nil, fmt.Errorf("filter predicate %s returned non-boolean %s", pred, v)
 		}
 		if keep {
-			out = append(out, pending{value: r.Value, in1: r.ID})
+			sel = append(sel, int32(i))
 		}
 	}
-	return out, nil
+	return sel, nil
 }
 
-func filterMorselVec(pred Expr, rows []Row) ([]pending, bool) {
-	var out []pending
+// filterSelectVec is filterSelectRows through the column kernel; ok is false
+// when the kernel declines the morsel.
+func filterSelectVec(pred Expr, rows []Row, sel []int32) (_ []int32, ok bool) {
 	for start := 0; start < len(rows); start += batchSize {
 		chunk := rows[start:min(start+batchSize, len(rows))]
 		b := getBatch(chunk)
@@ -48,28 +65,18 @@ func filterMorselVec(pred Expr, rows []Row) ([]pending, bool) {
 			return nil, false
 		}
 		// The predicate must be boolean on every row (filter does not
-		// short-circuit); count survivors first for an exact-size gather.
-		// Predicate kernels produce an all-valid bool column (boolCol), so
-		// the common case scans the raw truth array without per-row dispatch.
+		// short-circuit). Predicate kernels produce an all-valid bool column
+		// (boolCol), so the common case scans the raw truth array without
+		// per-row dispatch.
 		if c.kind == nested.KindBool && c.valid == nil && !c.bcast {
-			keep := 0
-			for _, t := range c.bools {
-				if t {
-					keep++
-				}
-			}
-			if out == nil && keep > 0 {
-				out = make([]pending, 0, keep+(len(rows)-start-len(chunk)))
-			}
 			for i, t := range c.bools {
 				if t {
-					out = append(out, pending{value: chunk[i].Value, in1: chunk[i].ID})
+					sel = append(sel, int32(start+i))
 				}
 			}
 			putBatch(b)
 			continue
 		}
-		keep := 0
 		for i := range chunk {
 			truth, ok := asBoolAt(c, i)
 			if !ok {
@@ -77,18 +84,10 @@ func filterMorselVec(pred Expr, rows []Row) ([]pending, bool) {
 				return nil, false
 			}
 			if truth {
-				keep++
-			}
-		}
-		if out == nil && keep > 0 {
-			out = make([]pending, 0, keep+(len(rows)-start-len(chunk)))
-		}
-		for i := range chunk {
-			if truth, _ := asBoolAt(c, i); truth {
-				out = append(out, pending{value: chunk[i].Value, in1: chunk[i].ID})
+				sel = append(sel, int32(start+i))
 			}
 		}
 		putBatch(b)
 	}
-	return out, true
+	return sel, true
 }

@@ -12,14 +12,15 @@ import (
 // association layout; distinct records one association per collapsed
 // duplicate so that every witness contributes.
 
-func (e *executor) execDistinct(o *Op) (*Dataset, error) {
+func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
 	buckets, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]pending, e.opts.Partitions)
+	capture := e.opts.Sink != nil
+	outs := make([]morselOut, e.opts.Partitions)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
 		type entry struct {
 			value nested.Value
@@ -45,24 +46,29 @@ func (e *executor) execDistinct(o *Op) (*Dataset, error) {
 			if kr.seq < found.seq {
 				found.seq = kr.seq
 			}
-			found.ids = append(found.ids, kr.row.ID)
+			if capture {
+				found.ids = append(found.ids, kr.row.ID)
+			}
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i].seq < order[j].seq })
-		out := make([]pending, 0, len(order))
-		for _, en := range order {
-			sort.Slice(en.ids, func(i, j int) bool { return en.ids[i] < en.ids[j] })
-			out = append(out, pending{value: en.value, inIDs: en.ids})
+		out := morselOut{rows: make([]Row, len(order)), n: len(order)}
+		if capture {
+			out.lists = make([][]int64, len(order))
 		}
-		parts[part] = out
+		for i, en := range order {
+			out.rows[i].Value = en.value
+			if capture {
+				sort.Slice(en.ids, func(i, j int) bool { return en.ids[i] < en.ids[j] })
+				out.lists[i] = en.ids
+			}
+		}
+		outs[part] = out
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocMultiUnary)
+	return outs, err
 }
 
-func (e *executor) execOrderBy(o *Op) (*Dataset, error) {
+func (e *executor) execOrderBy(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
 	type keyedSortRow struct {
@@ -108,52 +114,42 @@ func (e *executor) execOrderBy(o *Op) (*Dataset, error) {
 	})
 	// A total order is a single logical partition; chunk it contiguously so
 	// partition-major iteration preserves the order.
-	out := make([]pending, len(sorted))
 	for i, sr := range sorted {
-		out[i] = pending{value: sr.row.Value, in1: sr.row.ID}
+		rows[i] = sr.row // rows is Rows' fresh slice: ours to reorder
 	}
-	return e.finalize(o.id, chunkContiguous(out, e.opts.Partitions), assocUnary)
+	return e.chunkContiguous(rows), nil
 }
 
-func (e *executor) execLimit(o *Op) (*Dataset, error) {
+func (e *executor) execLimit(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
-	rows := in.Rows()
-	e.opts.Recorder.Add(o.id, 0, obs.RowsIn, int64(len(rows)))
-	n := o.limit
-	if n < 0 {
-		n = 0
+	total := in.Len()
+	e.opts.Recorder.Add(o.id, 0, obs.RowsIn, int64(total))
+	rows := make([]Row, 0, max(min(o.limit, total), 0))
+	for _, p := range in.Partitions {
+		rows = append(rows, p[:min(len(p), cap(rows)-len(rows))]...)
 	}
-	if n > len(rows) {
-		n = len(rows)
-	}
-	out := make([]pending, n)
-	for i := 0; i < n; i++ {
-		out[i] = pending{value: rows[i].Value, in1: rows[i].ID}
-	}
-	return e.finalize(o.id, chunkContiguous(out, e.opts.Partitions), assocUnary)
+	return e.chunkContiguous(rows), nil
 }
 
-// chunkContiguous splits rows into at most parts contiguous chunks so that
-// partition-major iteration preserves the slice order.
-func chunkContiguous(rows []pending, parts int) [][]pending {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(rows) && len(rows) > 0 {
-		parts = len(rows)
-	}
-	if len(rows) == 0 {
-		return [][]pending{nil}
-	}
-	out := make([][]pending, 0, parts)
-	chunk := (len(rows) + parts - 1) / parts
-	for start := 0; start < len(rows); start += chunk {
-		end := start + chunk
-		if end > len(rows) {
-			end = len(rows)
+// chunkContiguous splits rows — a slice the operator owns, every row still
+// carrying its input identifier — into at most Options.Partitions contiguous
+// morsels, so that partition-major iteration preserves the slice order.
+func (e *executor) chunkContiguous(rows []Row) []morselOut {
+	parts := min(e.opts.Partitions, max(len(rows), 1))
+	chunk := max((len(rows)+parts-1)/parts, 1)
+	outs := make([]morselOut, 0, parts)
+	// No rows still make one (empty) morsel.
+	for start := 0; start == 0 || start < len(rows); start += chunk {
+		end := min(start+chunk, len(rows))
+		m := morselOut{rows: rows[start:end:end], n: end - start}
+		if e.opts.Sink != nil {
+			m.in1 = make([]int64, m.n)
+			for i := range m.rows {
+				m.in1[i] = m.rows[i].ID
+			}
 		}
-		out = append(out, rows[start:end])
+		outs = append(outs, m)
 	}
-	return out
+	return outs
 }

@@ -84,7 +84,7 @@ func stitch(memo *shapeMemo, arena []nested.Value, l, r *nested.Value) (nested.V
 // the right. Bucket contents arrive in sequence order (the shuffle merge is
 // partition-major), so outputs are ordered by (right seq, left seq) and chain
 // order equals left sequence order by construction.
-func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape) ([]pending, error) {
+func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool) (morselOut, error) {
 	t := getKeyTable(len(lrows))
 	defer putKeyTable(t)
 	for i, kr := range lrows {
@@ -107,7 +107,7 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Sha
 		matches += int(t.count[g])
 		totalFields += int(t.fields[g]) + int(t.count[g])*kr.row.Value.NumFields()
 	}
-	out := make([]pending, 0, matches)
+	out := newBinaryOut(matches, capture)
 	arena := make([]nested.Value, totalFields) // retained by the output items
 	var memo shapeMemo
 	for i := range rrows {
@@ -120,13 +120,13 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Sha
 			l := &lrows[bi].row
 			item, err := stitch(&memo, arena, &l.Value, &r.Value)
 			if err != nil {
-				return nil, err
+				return morselOut{}, err
 			}
 			arena = arena[item.NumFields():]
 			if matched != nil {
 				matched[bi] = true
 			}
-			out = append(out, pending{value: item, in1: l.ID, in2: r.ID})
+			out.addBinary(item, l.ID, r.ID)
 		}
 	}
 	if leftOuter {
@@ -139,9 +139,9 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Sha
 			}
 			item, err := concatWithNulls(&memo, kr.row.Value, rightSchema)
 			if err != nil {
-				return nil, err
+				return morselOut{}, err
 			}
-			out = append(out, pending{value: item, in1: kr.row.ID, in2: -1})
+			out.addBinary(item, kr.row.ID, -1)
 		}
 	}
 	return out, nil
@@ -156,7 +156,7 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Sha
 // construction) and probed concurrently by every probe partition: the table
 // is read-only after the build. Results are identical to the shuffle join up
 // to row order.
-func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, error) {
+func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) ([]morselOut, error) {
 	buildLeft := left.Len() <= right.Len()
 	buildDS, probeDS := left, right
 	buildKey, probeKey := o.leftKey, o.rightKey
@@ -178,18 +178,18 @@ func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, err
 		rec.Add(o.id, 0, obs.KeysHashed, int64(len(buildRows)))
 		rec.Add(o.id, 0, obs.ExprEvals, n*int64(bk.evalOps()))
 	}
-	parts := make([][]pending, len(probeDS.Partitions))
+	outs := make([]morselOut, len(probeDS.Partitions))
 	err = e.forEachPartition(len(probeDS.Partitions), func(part int) error {
 		rows := probeDS.Partitions[part]
 		keys, err := pk.evalMorsel(rows)
 		if err != nil {
 			return err
 		}
-		out, probeHashed, err := broadcastProbe(t, buildRows, rows, keys, buildLeft)
+		out, probeHashed, err := broadcastProbe(t, buildRows, rows, keys, buildLeft, e.opts.Sink != nil)
 		if err != nil {
 			return err
 		}
-		parts[part] = out
+		outs[part] = out
 		if rec := e.opts.Recorder; rec != nil {
 			n := int64(len(rows))
 			rec.Add(o.id, part, obs.RowsIn, n)
@@ -198,10 +198,7 @@ func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, err
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return e.finalize(o.id, parts, assocBinary)
+	return outs, err
 }
 
 // broadcastBuild keys and hashes the build side into t, sequentially (the
@@ -231,7 +228,7 @@ func broadcastBuild(t *keyTable, bk shuffleKey, buildDS *Dataset) ([]keyedRow, e
 // Same two-pass shape as joinBucket, with the left/right orientation of
 // output rows decided by which side was built. valueHash is called exactly
 // once per non-null probe key; the count is returned for the recorder.
-func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft bool) ([]pending, int, error) {
+func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft, capture bool) (morselOut, int, error) {
 	s := getJoinScratch(len(rows))
 	defer putJoinScratch(s)
 	hashed := 0
@@ -252,7 +249,7 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 		matches += int(t.count[g])
 		totalFields += int(t.fields[g]) + int(t.count[g])*rows[i].Value.NumFields()
 	}
-	out := make([]pending, 0, matches)
+	out := newBinaryOut(matches, capture)
 	arena := make([]nested.Value, totalFields) // retained by the output items
 	var memo shapeMemo
 	for i := range rows {
@@ -267,10 +264,10 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 			}
 			item, err := stitch(&memo, arena, &l.Value, &r.Value)
 			if err != nil {
-				return nil, 0, err
+				return morselOut{}, 0, err
 			}
 			arena = arena[item.NumFields():]
-			out = append(out, pending{value: item, in1: l.ID, in2: r.ID})
+			out.addBinary(item, l.ID, r.ID)
 		}
 	}
 	return out, hashed, nil

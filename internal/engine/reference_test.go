@@ -17,9 +17,23 @@ import (
 // the bodies that shipped beside the keyTable kernels until the kernels
 // became total — and the bucket-level differential tests that pin the
 // kernels to them: same output rows, same association ids, same error text,
-// at bucket sizes straddling the 256-row accumulation chunk.
+// at bucket sizes straddling the 256-row accumulation chunk. Its second half
+// is the operator-at-a-time executor the stage executor replaced
+// (runReference): every operator materialises its whole output as pending
+// rows and finalizeRef copies them into identified rows.
 
 // ---- reference bodies ----
+
+// pending is a produced row awaiting its identifier, carrying the
+// association data the capture sink needs: what every operator body built
+// per row before rows were written once.
+type pending struct {
+	value nested.Value
+	in1   int64
+	in2   int64
+	pos   int
+	inIDs []int64
+}
 
 // concatItemsRef builds the join result r = ⟨i, j⟩ by concatenating the
 // attributes of both items; attribute names must be disjoint.
@@ -295,8 +309,9 @@ func computeAggRef(spec AggSpec, rows []keyedRow) (nested.Value, error) {
 // refSizes straddle the 256-row accumulation chunk.
 var refSizes = []int{0, 1, batchSize - 1, batchSize, batchSize + 1}
 
-// renderPending renders rows, association ids and the error of one bucket
-// body, so that two bodies agree iff the strings are equal.
+// renderPending renders rows, association ids and the error of one reference
+// body, and renderOut those of one kernel, so that the two agree iff the
+// strings are equal.
 func renderPending(out []pending, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
@@ -306,6 +321,23 @@ func renderPending(out []pending, err error) string {
 		fmt.Fprintf(&sb, "%s <- %d,%d %v\n", p.value, p.in1, p.in2, p.inIDs)
 	}
 	return sb.String()
+}
+
+func renderOut(out morselOut, err error) string {
+	prs := make([]pending, len(out.rows))
+	for i, r := range out.rows {
+		prs[i].value = r.Value
+		if out.in1 != nil {
+			prs[i].in1 = out.in1[i]
+		}
+		if out.in2 != nil {
+			prs[i].in2 = out.in2[i]
+		}
+		if out.lists != nil {
+			prs[i].inIDs = out.lists[i]
+		}
+	}
+	return renderPending(prs, err)
 }
 
 // shuffleOne runs the real shuffle map and merge phases into one bucket, so
@@ -402,7 +434,7 @@ func TestJoinBucketMatchesReference(t *testing.T) {
 					lrows := shuffleOne(t, lvals, 1, exprShuffleKey(lKey), false)
 					rrows := shuffleOne(t, rvals, 100000, exprShuffleKey(rKey), false)
 					schema := []string{sh.rKey, sh.rPayload}
-					got := renderPending(joinBucket(lrows, rrows, sh.leftOuter, nested.NewShape(schema...)))
+					got := renderOut(joinBucket(lrows, rrows, sh.leftOuter, nested.NewShape(schema...), true))
 					want := renderPending(joinBucketRef(lrows, rrows, sh.leftOuter, schema))
 					if got != want {
 						t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
@@ -441,7 +473,7 @@ func TestJoinBucketNonItemRows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := renderPending(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, nested.NewShape("r")))
+			got := renderOut(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, nested.NewShape("r"), true))
 			want := renderPending(joinBucketRef(tc.lrows, tc.rrows, tc.leftOuter, []string{"r"}))
 			if got != want {
 				t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", got, want)
@@ -490,9 +522,9 @@ func TestBroadcastProbeMatchesReference(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							out, hashed, err := broadcastProbe(tab, buildRows, rows, keys, buildLeft)
+							out, hashed, err := broadcastProbe(tab, buildRows, rows, keys, buildLeft, true)
 							refOut, refHashed, refErr := broadcastProbeRef(probeKey, refBuild, rows, buildLeft)
-							got, want := renderPending(out, err), renderPending(refOut, refErr)
+							got, want := renderOut(out, err), renderPending(refOut, refErr)
 							if got != want {
 								t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
 							}
@@ -599,7 +631,7 @@ func TestAggBucketMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/n=%d/capture=%v", tc.name, n, capture), func(t *testing.T) {
 					o := &Op{groupBy: tc.groupBy, aggs: tc.aggs}
 					bucket := shuffleOne(t, aggValues(n, tc.badAt), 1, groupShuffleKey(tc.groupBy), true)
-					got := renderPending(aggBucket(o, groupShape(o.groupBy, o.aggs), bucket, capture))
+					got := renderOut(aggBucket(o, groupShape(o.groupBy, o.aggs), bucket, capture))
 					want := renderPending(aggBucketRef(o, bucket, capture))
 					if got != want {
 						t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
@@ -683,4 +715,413 @@ func TestJoinAggErrorShapesEndToEnd(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ---- the operator-at-a-time reference executor ----
+
+// runReference executes the pipeline the way the engine did before stages:
+// one operator at a time in plan order on one goroutine, every operator
+// materialising its whole output as pending rows that finalizeRef copies
+// into identified rows, join and aggregate through the row-at-a-time bodies
+// above. Rows, ids, Stats[].Rows and every sink call of a run through
+// RunContext must equal its.
+func runReference(p *Pipeline, inputs map[string]*Dataset, opts Options) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Partitions < 1 {
+		opts.Partitions = DefaultPartitions
+	}
+	gen := opts.IDGen
+	if gen == nil {
+		gen = NewIDGen(1)
+	}
+	opts.Recorder = nil
+	e := &refExecutor{executor{ctx: context.Background(), opts: opts, gen: gen, inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}}
+	res := &Result{Sources: make(map[int]*Dataset), Intermediates: make(map[int]*Dataset)}
+	for _, o := range p.Ops() {
+		out, err := e.exec(o)
+		if err != nil {
+			return nil, fmt.Errorf("engine: operator %s: %w", o, err)
+		}
+		e.outputs[o.id] = out
+		res.Stats = append(res.Stats, OpStats{OID: o.id, Type: o.typ, Rows: out.Len()})
+		res.Intermediates[o.id] = out
+		if o.typ == OpSource {
+			res.Sources[o.id] = out
+		}
+	}
+	res.Output = e.outputs[p.Sink().id]
+	return res, nil
+}
+
+// refExecutor borrows the executor's state, its shuffle and its sequential
+// forEachPartition; every operator body and the id assignment are its own.
+type refExecutor struct{ executor }
+
+func (e *refExecutor) exec(o *Op) (*Dataset, error) {
+	switch o.typ {
+	case OpSource:
+		return e.execSource(o)
+	case OpFilter, OpSelect, OpMap, OpFlatten:
+		return e.execRowWise(o)
+	case OpJoin:
+		return e.execJoin(o)
+	case OpUnion:
+		return e.execUnion(o)
+	case OpAggregate:
+		return e.execAggregate(o)
+	case OpDistinct:
+		return e.execDistinct(o)
+	case OpOrderBy:
+		return e.execOrderBy(o)
+	case OpLimit:
+		return e.execLimit(o)
+	}
+	return nil, fmt.Errorf("unknown operator type %q", o.typ)
+}
+
+// finalizeRef assigns identifiers to the pending rows of every partition
+// (partition-major) and emits the associations row by row.
+func (e *refExecutor) finalizeRef(o *Op, parts [][]pending) *Dataset {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	id := e.gen.Reserve(int64(total))
+	partitions := make([][]Row, len(parts))
+	for part, prs := range parts {
+		rows := make([]Row, len(prs))
+		var ps PartitionSink
+		if e.opts.Sink != nil && len(prs) > 0 {
+			ps = e.opts.Sink.Partition(o.id, part)
+		}
+		for i, pr := range prs {
+			rows[i] = Row{ID: id, Value: pr.value}
+			if ps != nil {
+				switch o.typ {
+				case OpJoin, OpUnion:
+					ps.BinaryRange([]int64{pr.in1}, []int64{pr.in2}, id)
+				case OpFlatten:
+					ps.FlattenRange([]int64{pr.in1}, []int{pr.pos}, id)
+				case OpAggregate:
+					ps.Agg(pr.inIDs, id)
+				case OpDistinct:
+					for _, in := range pr.inIDs {
+						ps.Unary(in, id)
+					}
+				default:
+					ps.UnaryRange([]int64{pr.in1}, id)
+				}
+			}
+			id++
+		}
+		partitions[part] = rows
+	}
+	return &Dataset{Partitions: partitions}
+}
+
+func (e *refExecutor) execSource(o *Op) (*Dataset, error) {
+	src, ok := e.inputs[o.sourceName]
+	if !ok {
+		return nil, fmt.Errorf("no input dataset named %q", o.sourceName)
+	}
+	// Deal the rows round-robin over the logical partitions, then annotate.
+	in := &Dataset{Partitions: make([][]Row, e.opts.Partitions)}
+	for i, r := range src.Rows() {
+		in.Partitions[i%e.opts.Partitions] = append(in.Partitions[i%e.opts.Partitions], r)
+	}
+	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
+	id := e.gen.Reserve(int64(in.Len()))
+	out := &Dataset{Name: o.sourceName, Partitions: make([][]Row, len(in.Partitions))}
+	for part, rows := range in.Partitions {
+		out.Partitions[part] = make([]Row, len(rows))
+		for i, r := range rows {
+			out.Partitions[part][i] = Row{ID: id, Value: r.Value}
+			if e.opts.Sink != nil {
+				e.opts.Sink.Partition(o.id, part).SourceRows(id, []int64{r.ID})
+			}
+			id++
+		}
+	}
+	return out, nil
+}
+
+// execRowWise is filter, select, map and flatten, each row by row over the
+// materialised output of the operator before it.
+func (e *refExecutor) execRowWise(o *Op) (*Dataset, error) {
+	in := e.in(o, 0)
+	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
+	parts := make([][]pending, len(in.Partitions))
+	for part, rows := range in.Partitions {
+		for _, r := range rows {
+			switch o.typ {
+			case OpFilter:
+				v, err := o.pred.Eval(r.Value)
+				if err != nil {
+					return nil, err
+				}
+				keep, ok := v.AsBool()
+				if !ok {
+					return nil, fmt.Errorf("filter predicate %s returned non-boolean %s", o.pred, v)
+				}
+				if keep {
+					parts[part] = append(parts[part], pending{value: r.Value, in1: r.ID})
+				}
+			case OpSelect:
+				item, err := evalSelectRef(o.fields, r.Value)
+				if err != nil {
+					return nil, err
+				}
+				parts[part] = append(parts[part], pending{value: item, in1: r.ID})
+			case OpMap:
+				v, err := o.mapFn.Fn(r.Value)
+				if err != nil {
+					return nil, fmt.Errorf("map %s: %w", o.mapFn.Name, err)
+				}
+				if v.Kind() != nested.KindItem {
+					return nil, fmt.Errorf("map %s returned %s, want a data item (τ(λ(i)) ⇒ ⟨...⟩)", o.mapFn.Name, v.Kind())
+				}
+				parts[part] = append(parts[part], pending{value: v, in1: r.ID})
+			case OpFlatten:
+				c, ok := o.flattenCol.Eval(r.Value)
+				if !ok || c.IsNull() {
+					continue
+				}
+				if !c.Kind().IsCollection() {
+					return nil, fmt.Errorf("flatten: %s is %s, want bag or set", o.flattenCol, c.Kind())
+				}
+				for idx, elem := range c.Elems() {
+					parts[part] = append(parts[part], pending{value: r.Value.WithField(o.flattenNew, elem), in1: r.ID, pos: idx + 1})
+				}
+			}
+		}
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+// evalSelectRef builds a select's output item one field list per row.
+func evalSelectRef(fields []SelectField, d nested.Value) (nested.Value, error) {
+	out := make([]nested.Field, len(fields))
+	for i, f := range fields {
+		var v nested.Value
+		var err error
+		switch {
+		case len(f.Col) > 0:
+			var ok bool
+			if v, ok = f.Col.Eval(d); !ok {
+				v = nested.Null()
+			}
+		case len(f.Struct) > 0:
+			v, err = evalSelectRef(f.Struct, d)
+		case f.Expr != nil:
+			v, err = f.Expr.Eval(d)
+		default:
+			err = fmt.Errorf("select field %q has no column, struct, or expression", f.Name)
+		}
+		if err != nil {
+			return nested.Value{}, err
+		}
+		out[i] = nested.F(f.Name, v)
+	}
+	return nested.Item(out...), nil
+}
+
+func (e *refExecutor) execUnion(o *Op) (*Dataset, error) {
+	left, right := e.in(o, 0), e.in(o, 1)
+	lt, lok := schemaType(left)
+	rt, rok := schemaType(right)
+	if lok && rok && !nested.Compatible(lt, rt) {
+		return nil, fmt.Errorf("union: incompatible input types %s and %s", lt, rt)
+	}
+	e.startOperator(o, len(left.Partitions)+len(right.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	var parts [][]pending
+	for _, rows := range left.Partitions {
+		out := []pending{}
+		for _, r := range rows {
+			out = append(out, pending{value: r.Value, in1: r.ID, in2: -1})
+		}
+		parts = append(parts, out)
+	}
+	for _, rows := range right.Partitions {
+		out := []pending{}
+		for _, r := range rows {
+			out = append(out, pending{value: r.Value, in1: -1, in2: r.ID})
+		}
+		parts = append(parts, out)
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+func (e *refExecutor) execJoin(o *Op) (*Dataset, error) {
+	left, right := e.in(o, 0), e.in(o, 1)
+	threshold := e.opts.BroadcastJoinThreshold
+	if threshold == 0 {
+		threshold = defaultBroadcastThreshold
+	}
+	if !o.leftOuter && threshold > 0 && (left.Len() <= threshold || right.Len() <= threshold) {
+		return e.execBroadcastJoin(o, left, right)
+	}
+	nParts := e.opts.Partitions
+	if o.leftOuter {
+		nParts += len(left.Partitions)
+	}
+	e.startOperator(o, nParts, topLevelSchema(left), topLevelSchema(right), nested.Null())
+	lb, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
+	if err != nil {
+		return nil, err
+	}
+	rb, err := e.shuffle(right, o.id, exprShuffleKey(o.rightKey), e.opts.Partitions, false)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]pending, nParts)
+	for part := 0; part < e.opts.Partitions; part++ {
+		if parts[part], err = joinBucketRef(lb[part], rb[part], o.leftOuter, topLevelSchema(right)); err != nil {
+			return nil, err
+		}
+	}
+	for part := 0; o.leftOuter && part < len(left.Partitions); part++ {
+		for _, r := range left.Partitions[part] {
+			k, err := o.leftKey.Eval(r.Value)
+			if err != nil {
+				return nil, err
+			}
+			if !k.IsNull() {
+				continue
+			}
+			item, err := concatWithNullsRef(r.Value, topLevelSchema(right))
+			if err != nil {
+				return nil, err
+			}
+			parts[e.opts.Partitions+part] = append(parts[e.opts.Partitions+part], pending{value: item, in1: r.ID, in2: -1})
+		}
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, error) {
+	buildLeft := left.Len() <= right.Len()
+	buildDS, probeDS := left, right
+	buildKey, probeKey := o.leftKey, o.rightKey
+	if !buildLeft {
+		buildDS, probeDS = right, left
+		buildKey, probeKey = o.rightKey, o.leftKey
+	}
+	e.startOperator(o, len(probeDS.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	build, err := broadcastBuildRef(buildKey, buildDS)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]pending, len(probeDS.Partitions))
+	for part, rows := range probeDS.Partitions {
+		if parts[part], _, err = broadcastProbeRef(probeKey, build, rows, buildLeft); err != nil {
+			return nil, err
+		}
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
+	in := e.in(o, 0)
+	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
+	buckets, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]pending, e.opts.Partitions)
+	for part := range parts {
+		if parts[part], err = aggBucketRef(o, buckets[part], e.opts.Sink != nil); err != nil {
+			return nil, err
+		}
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+func (e *refExecutor) execDistinct(o *Op) (*Dataset, error) {
+	in := e.in(o, 0)
+	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	buckets, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]pending, e.opts.Partitions)
+	for part, bucket := range buckets {
+		type entry struct {
+			pr  pending
+			seq int
+		}
+		var found []*entry
+		for _, kr := range bucket {
+			var en *entry
+			for _, cand := range found {
+				if nested.Equal(cand.pr.value, kr.row.Value) {
+					en = cand
+				}
+			}
+			if en == nil {
+				en = &entry{pr: pending{value: kr.row.Value}, seq: kr.seq}
+				found = append(found, en)
+			}
+			en.seq = min(en.seq, kr.seq)
+			en.pr.inIDs = append(en.pr.inIDs, kr.row.ID)
+		}
+		sort.Slice(found, func(i, j int) bool { return found[i].seq < found[j].seq })
+		for _, en := range found {
+			sort.Slice(en.pr.inIDs, func(i, j int) bool { return en.pr.inIDs[i] < en.pr.inIDs[j] })
+			parts[part] = append(parts[part], en.pr)
+		}
+	}
+	return e.finalizeRef(o, parts), nil
+}
+
+func (e *refExecutor) execOrderBy(o *Op) (*Dataset, error) {
+	in := e.in(o, 0)
+	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	rows := in.Rows()
+	keys := make(map[int64][]nested.Value, len(rows))
+	for _, r := range rows {
+		for _, k := range o.sortKeys {
+			v, err := k.Eval(r.Value)
+			if err != nil {
+				return nil, err
+			}
+			keys[r.ID] = append(keys[r.ID], v)
+		}
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		for k := range o.sortKeys {
+			if c := compareWidened(keys[rows[i].ID][k], keys[rows[j].ID][k]); c != 0 {
+				return (c < 0) != o.sortDesc
+			}
+		}
+		return false
+	})
+	return e.finalizeRef(o, chunkContiguousRef(rows, e.opts.Partitions)), nil
+}
+
+func (e *refExecutor) execLimit(o *Op) (*Dataset, error) {
+	in := e.in(o, 0)
+	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	rows := in.Rows()
+	return e.finalizeRef(o, chunkContiguousRef(rows[:max(min(o.limit, len(rows)), 0)], e.opts.Partitions)), nil
+}
+
+// chunkContiguousRef splits rows into at most parts contiguous chunks of
+// pending rows, so that partition-major iteration preserves the slice order.
+func chunkContiguousRef(rows []Row, parts int) [][]pending {
+	out := make([]pending, len(rows))
+	for i, r := range rows {
+		out[i] = pending{value: r.Value, in1: r.ID}
+	}
+	if len(out) == 0 {
+		return [][]pending{nil}
+	}
+	parts = min(max(parts, 1), len(out))
+	chunk := (len(out) + parts - 1) / parts
+	var chunks [][]pending
+	for start := 0; start < len(out); start += chunk {
+		chunks = append(chunks, out[start:min(start+chunk, len(out))])
+	}
+	return chunks
 }

@@ -17,13 +17,13 @@ import (
 //     workers race through the DAG;
 //   - runDAG: a topological-wavefront scheduler that executes independent
 //     DAG branches (both join/union inputs, disconnected subplans)
-//     concurrently with per-operator completion tracking.
+//     concurrently with per-stage completion tracking (stage.go).
 //
 // Determinism argument: every operator's *content* (row values, row order,
 // per-partition layout) is a pure function of its inputs, and every
 // operator's *identifiers* depend only on (a) the id-space position reserved
-// for it and (b) the deterministic partition-major assignment inside
-// finalize. The gate pins (a) to plan order — exactly the order the
+// for it and (b) the deterministic partition-major assignment of
+// stage.reserve. The gate pins (a) to plan order — exactly the order the
 // sequential executor reserves in — so results, ids, grouping order, and
 // captured provenance are identical for every Workers setting.
 
@@ -107,19 +107,19 @@ func (e *executor) forEachPartition(n int, f func(part int) error) error {
 }
 
 // reserveGate orders IDGen reservations by operator id (= plan order).
-// Operators compute their pending rows fully in parallel and only queue here
-// for the brief Reserve call, so the gate costs no meaningful parallelism
-// while making the assigned id ranges independent of scheduling order.
+// Stages compute their rows fully in parallel and only queue here for the
+// brief Reserve calls of their members, so the gate costs no meaningful
+// parallelism while making the assigned id ranges independent of scheduling
+// order.
 type reserveGate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	done    []bool // 1-based: done[oid] = this operator has taken its turn; guarded by mu
-	next    int    // smallest oid that has not taken its turn; guarded by mu
-	aborted bool   // guarded by mu
+	next    int  // the oid whose turn it is; guarded by mu
+	aborted bool // guarded by mu
 }
 
-func newReserveGate(nops int) *reserveGate {
-	g := &reserveGate{done: make([]bool, nops+1), next: 1}
+func newReserveGate() *reserveGate {
+	g := &reserveGate{next: 1}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -132,29 +132,11 @@ func (g *reserveGate) reserve(gen *IDGen, oid int, n int64) int64 {
 	for !g.aborted && g.next != oid {
 		g.cond.Wait()
 	}
-	base := gen.Reserve(n)
-	g.releaseLocked(oid)
-	return base
-}
-
-// release marks an operator's turn as taken without reserving; the scheduler
-// calls it for operators that fail before reaching their Reserve, so
-// later operators do not wait forever. Idempotent.
-func (g *reserveGate) release(oid int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.releaseLocked(oid)
-}
-
-func (g *reserveGate) releaseLocked(oid int) {
-	if oid < 1 || oid >= len(g.done) || g.done[oid] {
-		return
-	}
-	g.done[oid] = true
-	for g.next < len(g.done) && g.done[g.next] {
+	if g.next == oid {
 		g.next++
+		g.cond.Broadcast()
 	}
-	g.cond.Broadcast()
+	return gen.Reserve(n)
 }
 
 // abort unblocks every waiter; used once execution is known to fail, when id
@@ -166,69 +148,102 @@ func (g *reserveGate) abort() {
 	g.mu.Unlock()
 }
 
-// runSequential executes the operators one at a time in plan order — the
-// Workers == 1 path, and the canonical order every parallel schedule must
-// reproduce byte for byte.
-func (e *executor) runSequential(p *Pipeline, res *Result) error {
-	for i, o := range p.Ops() {
+// clock reads the wall clock for the per-operator statistics, the one use of
+// time the engine has.
+func clock() time.Time {
+	//pebblevet:ignore determinism -- per-op wall-clock stats; never enters results or identifiers
+	return time.Now()
+}
+
+// opError names the operator a failure belongs to.
+func opError(o *Op, err error) error { return fmt.Errorf("engine: operator %s: %w", o, err) }
+
+// runSequential walks the plan in order — the Workers == 1 path, and the
+// canonical order every parallel schedule must reproduce byte for byte. A
+// stage computes when its first member's turn comes, every member reserves
+// its identifiers at its own turn (so reservations happen in plan order even
+// when other operators sit between the members of a chain), and the stage
+// commits at its last member's turn. A failure inside a stage surfaces at
+// the failing member's turn: an operator before it in plan order that fails
+// too is the one reported, as when every operator runs alone.
+func (e *executor) runSequential(p *Pipeline, stages []*stage, res *Result) error {
+	stageOf := make(map[*Op]*stage, len(p.Ops()))
+	for _, st := range stages {
+		for _, o := range st.ops {
+			stageOf[o] = st
+		}
+	}
+	for _, o := range p.Ops() {
 		if err := e.ctx.Err(); err != nil {
-			return fmt.Errorf("engine: operator %s: %w", o, err)
+			return opError(o, err)
 		}
-		//pebblevet:ignore determinism -- per-op wall-clock stats; never enters results or identifiers
-		start := time.Now()
-		out, err := e.exec(o)
-		if err != nil {
-			return fmt.Errorf("engine: operator %s: %w", o, err)
+		st := stageOf[o]
+		if o == st.ops[0] {
+			st.compute(e)
 		}
-		e.setOutput(o.id, out)
-		e.recordResult(res, i, o, out, time.Since(start))
+		if st.err != nil && o == st.ops[st.failed] {
+			return opError(o, st.err)
+		}
+		st.reserve(e)
+		if o == st.ops[len(st.ops)-1] {
+			out, err := st.commit(e)
+			if err != nil {
+				return opError(o, err)
+			}
+			e.publish(st, out, res)
+		}
 	}
 	return nil
 }
 
-// runDAG executes the operator DAG in topological wavefronts: an operator is
-// launched as soon as all its inputs completed, so independent branches (the
-// two sides of a join or union, disconnected subplans) run concurrently.
-// Partition-level work inside each operator is further spread over the
-// worker pool.
-func (e *executor) runDAG(p *Pipeline, res *Result) error {
-	ops := p.Ops()
-	planIdx := make(map[int]int, len(ops))
-	waiting := make(map[int]int, len(ops))     // oid -> unfinished input edges
-	consumers := make(map[int][]*Op, len(ops)) // oid -> ops consuming it
-	for i, o := range ops {
-		planIdx[o.id] = i
-		waiting[o.id] = len(o.inputs)
-		for _, in := range o.inputs {
-			consumers[in.id] = append(consumers[in.id], o)
+// runDAG executes the stage DAG in topological wavefronts: a stage is
+// launched as soon as the stages producing its inputs completed, so
+// independent branches (the two sides of a join or union, disconnected
+// subplans) run concurrently. Partition-level work inside each stage is
+// further spread over the worker pool; the stage's goroutine computes, takes
+// its members' turns at the reserve gate in plan order, and commits.
+func (e *executor) runDAG(stages []*stage, res *Result) error {
+	producer := make(map[*Op]*stage, len(stages)) // by the stage's last member
+	for _, st := range stages {
+		producer[st.ops[len(st.ops)-1]] = st
+	}
+	waiting := make(map[*stage]int, len(stages))        // unfinished input edges
+	consumers := make(map[*stage][]*stage, len(stages)) // stages consuming it
+	for _, st := range stages {
+		for _, in := range st.ops[0].inputs {
+			waiting[st]++
+			consumers[producer[in]] = append(consumers[producer[in]], st)
 		}
 	}
-	res.Stats = make([]OpStats, len(ops))
 
-	type opDone struct {
-		o       *Op
-		out     *Dataset
-		elapsed time.Duration
-		err     error
+	type stageDone struct {
+		st  *stage
+		out *Dataset
+		err error // of operator st.ops[st.failed]
 	}
-	done := make(chan opDone)
-	launch := func(o *Op) {
+	done := make(chan stageDone)
+	launch := func(st *stage) {
 		go func() {
-			//pebblevet:ignore determinism -- per-op wall-clock stats; never enters results or identifiers
-			start := time.Now()
-			var out *Dataset
-			err := e.ctx.Err()
-			if err == nil {
-				out, err = o.execBy(e)
+			if err := e.ctx.Err(); err != nil {
+				done <- stageDone{st: st, err: err}
+				return
 			}
-			done <- opDone{o: o, out: out, elapsed: time.Since(start), err: err}
+			if st.compute(e); st.err != nil {
+				done <- stageDone{st: st, err: st.err}
+				return
+			}
+			for range st.ops {
+				st.reserve(e)
+			}
+			out, err := st.commit(e)
+			done <- stageDone{st, out, err}
 		}()
 	}
 
 	running := 0
-	for _, o := range ops {
-		if waiting[o.id] == 0 {
-			launch(o)
+	for _, st := range stages {
+		if waiting[st] == 0 {
+			launch(st)
 			running++
 		}
 	}
@@ -240,23 +255,21 @@ func (e *executor) runDAG(p *Pipeline, res *Result) error {
 		if d.err != nil {
 			// Report the failure of the earliest operator in plan order, the
 			// one the sequential executor would have surfaced.
-			if firstErr == nil || d.o.id < firstErrOID {
-				firstErr = fmt.Errorf("engine: operator %s: %w", d.o, d.err)
-				firstErrOID = d.o.id
+			if failed := d.st.ops[d.st.failed]; firstErr == nil || failed.id < firstErrOID {
+				firstErr, firstErrOID = opError(failed, d.err), failed.id
 			}
-			// Unblock id reservations: this operator may have failed before
-			// its turn, and its consumers will never run.
+			// Unblock id reservations: this stage may have failed before its
+			// members' turns, and its consumers will never run.
 			e.gate.abort()
 			continue
 		}
-		e.setOutput(d.o.id, d.out)
-		e.recordResult(res, planIdx[d.o.id], d.o, d.out, d.elapsed)
-		if firstErr != nil {
-			continue // stop scheduling new work, drain in-flight operators
-		}
-		for _, c := range consumers[d.o.id] {
-			waiting[c.id]--
-			if waiting[c.id] == 0 {
+		e.publish(d.st, d.out, res)
+		for _, c := range consumers[d.st] {
+			waiting[c]--
+			// After a failure only the stages that start before the failing
+			// operator in plan order still run — the sequential executor
+			// would have reached them, and one of them may fail too.
+			if waiting[c] == 0 && (firstErr == nil || c.ops[0].id < firstErrOID) {
 				launch(c)
 				running++
 			}
@@ -265,27 +278,23 @@ func (e *executor) runDAG(p *Pipeline, res *Result) error {
 	return firstErr
 }
 
-// execBy runs the operator through the executor (hook point for the
-// scheduler goroutine).
-func (o *Op) execBy(e *executor) (*Dataset, error) { return e.exec(o) }
-
-// recordResult files an operator's output under the result bookkeeping.
-// Stats are indexed by plan position, so their order is deterministic no
-// matter which schedule produced them.
-func (e *executor) recordResult(res *Result, planPos int, o *Op, out *Dataset, elapsed time.Duration) {
-	e.opts.Recorder.AddOpTime(o.id, elapsed)
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
-	if res.Stats == nil || len(res.Stats) <= planPos {
-		// Sequential path appends in plan order.
-		res.Stats = append(res.Stats, OpStats{OID: o.id, Type: o.typ, Rows: out.Len(), Elapsed: elapsed})
-	} else {
-		res.Stats[planPos] = OpStats{OID: o.id, Type: o.typ, Rows: out.Len(), Elapsed: elapsed}
+// publish hands a committed stage's output to its consumers and files every
+// member under the result bookkeeping; only the scheduling goroutine calls
+// it. Stats are indexed by plan position (an operator's id is its position
+// plus one), so their order is deterministic no matter which schedule
+// produced them.
+func (e *executor) publish(st *stage, out *Dataset, res *Result) {
+	last := st.ops[len(st.ops)-1]
+	e.setOutput(last.id, out)
+	for k, o := range st.ops {
+		s := st.stats(k)
+		e.opts.Recorder.AddOpTime(o.id, s.Elapsed)
+		res.Stats[o.id-1] = s
 	}
-	if o.typ == OpSource {
-		res.Sources[o.id] = out
+	if last.typ == OpSource {
+		res.Sources[last.id] = out
 	}
 	if res.Intermediates != nil {
-		res.Intermediates[o.id] = out
+		res.Intermediates[last.id] = out
 	}
 }

@@ -100,7 +100,7 @@ func keyed(tb testing.TB, rows []Row, key string) []keyedRow {
 // itemKernel is one engine kernel over one input, named for the benchmark.
 type itemKernel struct {
 	name string
-	run  func() ([]pending, error)
+	run  func() (morselOut, error)
 }
 
 // itemKernels returns the filter, select, flatten and join-stitch kernels
@@ -113,15 +113,18 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 	recordSS, tweetSS := newSelectShape(recordSel), newSelectShape(tweetSel)
 	recordKeys, venueKeys := keyed(tb, records, "crossref"), keyed(tb, venues, "vkey")
 	tweetKeys, profileKeys := keyed(tb, tweets, "user.id_str"), keyed(tb, profiles, "uid")
+	d := ownedDst()
 	return []itemKernel{
-		{"dblp/filter", func() ([]pending, error) { return filterMorsel(Eq(Col("year"), LitInt(2015)), records) }},
-		{"dblp/select", func() ([]pending, error) { return selectMorsel(recordSel, recordSS, records) }},
-		{"dblp/flatten", func() ([]pending, error) { return flattenMorsel(path.New("authors"), "author", records) }},
-		{"dblp/join", func() ([]pending, error) { return joinBucket(venueKeys, recordKeys, false, recordShape) }},
-		{"twitter/filter", func() ([]pending, error) { return filterMorsel(Gt(Col("retweet_cnt"), LitInt(2)), tweets) }},
-		{"twitter/select", func() ([]pending, error) { return selectMorsel(tweetSel, tweetSS, tweets) }},
-		{"twitter/flatten", func() ([]pending, error) { return flattenMorsel(path.New("user_mentions"), "mention", tweets) }},
-		{"twitter/join", func() ([]pending, error) { return joinBucket(profileKeys, tweetKeys, false, tweetShape) }},
+		{"dblp/filter", func() (morselOut, error) { return filterMorsel(Eq(Col("year"), LitInt(2015)), records, d) }},
+		{"dblp/select", func() (morselOut, error) { return selectMorsel(recordSel, recordSS, records, d) }},
+		{"dblp/flatten", func() (morselOut, error) { return flattenMorsel(path.New("authors"), "author", records, d, false) }},
+		{"dblp/join", func() (morselOut, error) { return joinBucket(venueKeys, recordKeys, false, recordShape, true) }},
+		{"twitter/filter", func() (morselOut, error) { return filterMorsel(Gt(Col("retweet_cnt"), LitInt(2)), tweets, d) }},
+		{"twitter/select", func() (morselOut, error) { return selectMorsel(tweetSel, tweetSS, tweets, d) }},
+		{"twitter/flatten", func() (morselOut, error) {
+			return flattenMorsel(path.New("user_mentions"), "mention", tweets, d, false)
+		}},
+		{"twitter/join", func() (morselOut, error) { return joinBucket(profileKeys, tweetKeys, false, tweetShape, true) }},
 	}
 }
 
@@ -132,15 +135,15 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 func TestKernelsShareShapesAndAllocatePerMorsel(t *testing.T) {
 	for _, k := range itemKernels(t, 3000, 400) {
 		out, err := k.run()
-		if err != nil || len(out) < 100 {
-			t.Fatalf("%s: %d rows, %v", k.name, len(out), err)
+		if err != nil || out.n < 100 {
+			t.Fatalf("%s: %d rows, %v", k.name, out.n, err)
 		}
-		first := out[0].value
-		for i, p := range out {
-			if p.value.Shape() != first.Shape() {
-				t.Fatalf("%s: row %d does not share the shape of row 0: %s", k.name, i, p.value)
+		first := out.rows[0].Value
+		for i, p := range out.rows {
+			if p.Value.Shape() != first.Shape() {
+				t.Fatalf("%s: row %d does not share the shape of row 0: %s", k.name, i, p.Value)
 			}
-			if who, ok := p.value.Get("who"); ok {
+			if who, ok := p.Value.Get("who"); ok {
 				if w0, _ := first.Get("who"); who.Shape() != w0.Shape() {
 					t.Fatalf("%s: row %d: nested item does not share its shape", k.name, i)
 				}
@@ -152,8 +155,8 @@ func TestKernelsShareShapesAndAllocatePerMorsel(t *testing.T) {
 		// Output slice, arena, the shapes a memo derives and the pooled
 		// scratch a kernel has to grow again after a collection: a handful
 		// per morsel, where one allocation per row would be len(out).
-		if allocs := testing.AllocsPerRun(5, func() { k.run() }); allocs > float64(len(out))/10 {
-			t.Errorf("%s: %v allocations for %d output rows", k.name, allocs, len(out))
+		if allocs := testing.AllocsPerRun(5, func() { k.run() }); allocs > float64(out.n)/10 {
+			t.Errorf("%s: %v allocations for %d output rows", k.name, allocs, out.n)
 		}
 	}
 }
@@ -180,15 +183,15 @@ func TestAggregateSharesShapes(t *testing.T) {
 	}
 	shape := groupShape(o.groupBy, o.aggs)
 	out, err := aggBucket(o, shape, buckets[0], true)
-	if err != nil || len(out) != 10 {
-		t.Fatalf("%d groups, %v", len(out), err)
+	if err != nil || out.n != 10 {
+		t.Fatalf("%d groups, %v", out.n, err)
 	}
-	for _, p := range out {
-		if p.value.Shape() != shape {
-			t.Fatalf("output row %s has a shape of its own", p.value)
+	for _, p := range out.rows {
+		if p.Value.Shape() != shape {
+			t.Fatalf("output row %s has a shape of its own", p.Value)
 		}
 	}
-	if got := out[0].value.String()[:40]; got != `{year: 2010, record_type: "inproceedings` {
+	if got := out.rows[0].Value.String()[:40]; got != `{year: 2010, record_type: "inproceedings` {
 		t.Errorf("first group: %s", got)
 	}
 }
@@ -197,16 +200,16 @@ func TestAggregateSharesShapes(t *testing.T) {
 // share one shape per left shape, right attributes null.
 func TestLeftOuterNullSideSharesShapes(t *testing.T) {
 	records, _ := recordRows(300)
-	out, err := joinBucket(keyed(t, records, "key"), nil, true, venueShape)
-	if err != nil || len(out) != 300 {
-		t.Fatalf("%d rows, %v", len(out), err)
+	out, err := joinBucket(keyed(t, records, "key"), nil, true, venueShape, true)
+	if err != nil || out.n != 300 {
+		t.Fatalf("%d rows, %v", out.n, err)
 	}
-	for _, p := range out {
-		if p.value.Shape() != out[0].value.Shape() || p.value.NumFields() != recordShape.Len()+venueShape.Len() {
-			t.Fatalf("row %s does not share the shape of row 0", p.value)
+	for _, p := range out.rows {
+		if p.Value.Shape() != out.rows[0].Value.Shape() || p.Value.NumFields() != recordShape.Len()+venueShape.Len() {
+			t.Fatalf("row %s does not share the shape of row 0", p.Value)
 		}
-		if v, ok := p.value.Get("publisher"); !ok || v.Kind() != nested.KindNull {
-			t.Fatalf("right side of %s is not null", p.value)
+		if v, ok := p.Value.Get("publisher"); !ok || v.Kind() != nested.KindNull {
+			t.Fatalf("right side of %s is not null", p.Value)
 		}
 	}
 }
@@ -222,8 +225,8 @@ func BenchmarkItemAccess(b *testing.B) {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if out, err := k.run(); err != nil || len(out) == 0 {
-					b.Fatalf("%d rows, %v", len(out), err)
+				if out, err := k.run(); err != nil || out.n == 0 {
+					b.Fatalf("%d rows, %v", out.n, err)
 				}
 			}
 		})

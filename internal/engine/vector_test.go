@@ -11,7 +11,7 @@ import (
 	"pebble/internal/nested"
 )
 
-// This file pins the filter kernel (filterMorselVec over batch.go/vexpr.go)
+// This file pins the filter kernel (filterSelectVec over batch.go/vexpr.go)
 // to its per-row Eval loop at the batch boundaries that matter: morsel sizes
 // straddling batchSize, empty morsels, all-null and kind-shifting columns —
 // and proves that where the kernel declines, the row loop's short-circuit
@@ -100,19 +100,37 @@ func asRows(values []nested.Value) []Row {
 	return rows
 }
 
+// ownedDst is where a test has a row-wise body write a morsel on its own: a
+// one-member stage under capture, so rows and id columns are fresh memory.
+func ownedDst() morselDst {
+	return morselDst{sc: getStageScratch(1), owned: true, capture: true}
+}
+
+// renderSelected renders the rows a filter's selection keeps the way
+// renderOut renders the morsel filterMorsel writes from it.
+func renderSelected(rows []Row) func([]int32, error) string {
+	return func(sel []int32, err error) string {
+		out := morselOut{in1: make([]int64, 0, len(sel))}
+		for _, at := range sel {
+			out.rows, out.in1 = append(out.rows, rows[at]), append(out.in1, rows[at].ID)
+		}
+		return renderOut(out, err)
+	}
+}
+
 // checkFilter requires the kernel to accept the morsel and agree with the
 // row loop, and filterMorsel to return that answer.
 func checkFilter(t *testing.T, pred Expr, rows []Row) {
 	t.Helper()
-	want := renderPending(filterMorselRows(pred, rows))
-	vec, ok := filterMorselVec(pred, rows)
+	want := renderSelected(rows)(filterSelectRows(pred, rows, nil))
+	vec, ok := filterSelectVec(pred, rows, nil)
 	if !ok {
 		t.Fatalf("kernel declined %s over %d rows", pred, len(rows))
 	}
-	if got := renderPending(vec, nil); got != want {
+	if got := renderSelected(rows)(vec, nil); got != want {
 		t.Errorf("kernel and row loop diverge at %d rows:\nkernel: %s\nrows:   %s", len(rows), head(got), head(want))
 	}
-	if got := renderPending(filterMorsel(pred, rows)); got != want {
+	if got := renderOut(filterMorsel(pred, rows, ownedDst())); got != want {
 		t.Errorf("filterMorsel diverges from the row loop at %d rows:\ngot:  %s\nwant: %s", len(rows), head(got), head(want))
 	}
 }
@@ -187,8 +205,8 @@ func TestFilterKernelOrdersNaN(t *testing.T) {
 	} {
 		t.Run(pred.String(), func(t *testing.T) { checkFilter(t, pred, rows) })
 	}
-	if out, err := filterMorsel(Lt(Col("d"), LitInt(0)), rows[:len(doubles)]); err != nil || len(out) != 3 {
-		t.Errorf("d < 0 keeps %d of NaN, -Inf, -1.5, 0, 2, +Inf (%v), want 3", len(out), err)
+	if out, err := filterMorsel(Lt(Col("d"), LitInt(0)), rows[:len(doubles)], ownedDst()); err != nil || out.n != 3 {
+		t.Errorf("d < 0 keeps %d of NaN, -Inf, -1.5, 0, 2, +Inf (%v), want 3", out.n, err)
 	}
 }
 
@@ -213,14 +231,14 @@ func TestFilterKernelDeclinesToRowLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := filterMorselVec(tc.pred, rows); ok {
+			if _, ok := filterSelectVec(tc.pred, rows, nil); ok {
 				t.Fatalf("kernel accepted %s; the case no longer exercises the decline path", tc.pred)
 			}
-			wantOut, wantErr := filterMorselRows(tc.pred, rows)
+			wantSel, wantErr := filterSelectRows(tc.pred, rows, nil)
 			if (wantErr != nil) != tc.wantErr {
 				t.Fatalf("row loop error = %v, want error: %v", wantErr, tc.wantErr)
 			}
-			got, want := renderPending(filterMorsel(tc.pred, rows)), renderPending(wantOut, wantErr)
+			got, want := renderOut(filterMorsel(tc.pred, rows, ownedDst())), renderSelected(rows)(wantSel, wantErr)
 			if got != want {
 				t.Fatalf("filterMorsel must return the row loop's answer:\ngot:  %s\nwant: %s", head(got), head(want))
 			}

@@ -60,7 +60,7 @@ func (s *shard) Agg(inIDs []int64, outID int64) {
 
 // The bulk id-range appends below are the executor's morsel-level emission
 // (one call per partition instead of one per row). The range slices are
-// borrowed scratch — the loops copy every id into the shard's own arrays.
+// borrowed — the loops copy every id into the shard's own arrays.
 
 // SourceRows implements engine.PartitionSink.
 func (s *shard) SourceRows(base int64, origIDs []int64) {

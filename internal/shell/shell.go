@@ -39,7 +39,7 @@ func New(cap *core.Captured, out io.Writer) *Shell {
 // parsed as a tree-pattern question and answered with a provenance report.
 func (s *Shell) Run(in io.Reader) error {
 	fmt.Fprintln(s.out, `pebble provenance shell — enter a tree-pattern (e.g. //id_str == "lp"),`)
-	fmt.Fprintln(s.out, `or a command: help, plan, schema, result [n], provenance, stats, save <path>, load <path>, impact <source-oid> <id>, quit`)
+	fmt.Fprintln(s.out, `or a command: help, plan, schema, result [n], provenance, stats, explain, save <path>, load <path>, impact <source-oid> <id>, quit`)
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -93,6 +93,9 @@ func (s *Shell) dispatch(line string) error {
 		return nil
 	case "stats", ":stats":
 		fmt.Fprint(s.out, s.cap.Stats().Render(true))
+		return nil
+	case "explain":
+		fmt.Fprint(s.out, s.cap.Result.Explain())
 		return nil
 	case "schema":
 		return s.printSchemas()
@@ -150,6 +153,9 @@ func (s *Shell) help() {
   provenance               per-operator association counts and sizes
   stats                    per-operator execution metrics and query timings
                            (incl. run_load / index_build / pattern_compile phases)
+  explain                  per operator: the stage that ran it, its rows and
+                           its own time (operators of one stage ran
+                           morsel-at-a-time as one unit)
   save <path>              write the captured provenance to <path> and its
                            index sidecar to <path>.idx (per-operator flags:
                            an engine run's columns are its index)

@@ -74,6 +74,29 @@ func TestShellCommands(t *testing.T) {
 	}
 }
 
+// TestShellExplain: the running example is cut into stages 1 | 2 3 | 4 | 5 6 |
+// 7 | 8 | 9; explain lists every operator with its stage and its row count.
+func TestShellExplain(t *testing.T) {
+	sh, out, cap := newShell(t)
+	if err := sh.Exec("explain"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 11 || !strings.Contains(lines[0], "stage") {
+		t.Fatalf("explain prints %d lines, want a header, nine operators and a total:\n%s", len(lines), out)
+	}
+	wantStage := []string{"1", "2", "2", "3", "4", "4", "5", "6", "7"}
+	for i, st := range cap.Result.Stats {
+		f := strings.Fields(lines[i+1])
+		if len(f) != 5 || f[0] != strconv.Itoa(st.OID) || f[1] != string(st.Type) || f[2] != wantStage[i] || f[3] != strconv.Itoa(st.Rows) {
+			t.Errorf("operator %d: explain line %q, want stage %s and %d rows", st.OID, lines[i+1], wantStage[i], st.Rows)
+		}
+	}
+	if cap.Result.Stats[4].Rows == 0 || cap.Result.Stats[1].Rows == 0 {
+		t.Errorf("operators inside a stage report no rows:\n%s", out)
+	}
+}
+
 func TestShellErrors(t *testing.T) {
 	sh, _, _ := newShell(t)
 	if err := sh.Exec("== broken pattern"); err == nil {
