@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -74,6 +74,15 @@ bench:
 # engine.plain_run_s of one sweep, B/op its engine.run_alloc_mb.
 bench-engine:
 	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 5x -benchmem
+
+# The capture side without the daemon, time and bytes: the sink's appends,
+# the collector's merge, a capture job's persist (encode, lazy check, sidecar)
+# and a T1–T5 / D1–D5 capture + WriteTo sweep at the sizes of bench-engine,
+# whose B/row is what one association row costs over a plain sweep.
+bench-capture:
+	go test ./internal/provenance -run '^$$' -bench 'CaptureSink|CollectorFinish' -benchmem
+	go test ./internal/backtrace -run '^$$' -bench 'Persist' -benchtime 20x -benchmem
+	go test ./internal/engine -run '^$$' -bench CaptureSweep -benchtime 5x -benchmem
 
 # The client-path benchmark (bench/README.md; BENCHMARK.json is its
 # contract): every workload untraced then traced through an in-process

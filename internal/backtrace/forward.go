@@ -22,8 +22,8 @@ func (r *ForwardResult) AffectedIDs(oid int) []int64 { return r.ByOperator[oid] 
 // — in particular the pipeline result — are derived from them. This is the
 // impact-analysis complement to backtracing: an auditor asks "which query
 // results contain customer X's data?" before tracing those results back at
-// attribute level. Identifiers are the source operator's output ids (the
-// values recorded in its SourceAssoc rows).
+// attribute level. Identifiers are the source operator's output ids (the Out
+// column of its bag).
 func TraceForward(run *provenance.Run, sourceOID int, ids []int64) (*ForwardResult, error) {
 	op, ok := run.Op(sourceOID)
 	if !ok {
@@ -79,34 +79,29 @@ func TraceForward(run *provenance.Run, sourceOID int, ids []int64) (*ForwardResu
 // consumer's output ids, using the operator's association layout.
 func forwardThrough(op *provenance.Operator, inputIdx int, in map[int64]bool) map[int64]bool {
 	out := make(map[int64]bool)
-	switch op.AssocKind() {
-	case provenance.AssocUnary:
-		for _, a := range op.UnaryAssocs() {
-			if in[a.In] {
-				out[a.Out] = true
-			}
-		}
-	case provenance.AssocFlatten:
-		for _, a := range op.FlattenAssocs() {
-			if in[a.In] {
-				out[a.Out] = true
+	c := op.Columns()
+	switch c.Kind {
+	case provenance.AssocUnary, provenance.AssocFlatten:
+		for i, id := range c.In {
+			if in[id] {
+				out[c.Out[i]] = true
 			}
 		}
 	case provenance.AssocBinary:
-		for _, a := range op.BinaryAssocs() {
-			side := a.Left
-			if inputIdx == 1 {
-				side = a.Right
-			}
-			if side != -1 && in[side] {
-				out[a.Out] = true
+		side := c.In
+		if inputIdx == 1 {
+			side = c.Right
+		}
+		for i, id := range side {
+			if id != -1 && in[id] {
+				out[c.Out[i]] = true
 			}
 		}
 	case provenance.AssocAgg:
-		for _, a := range op.AggAssocs() {
-			for _, id := range a.Ins {
+		for i, o := range c.Out {
+			for _, id := range c.In[c.Offs[i]:c.Offs[i+1]] {
 				if in[id] {
-					out[a.Out] = true
+					out[o] = true
 					break
 				}
 			}

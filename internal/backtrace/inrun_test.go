@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"pebble/internal/backtrace"
@@ -68,8 +69,8 @@ func encoded(t testing.TB, run *provenance.Run) ([]byte, *provenance.Run) {
 // non-decreasing, and dense — base, base+1, … — for every operator type but
 // distinct, whose output rows each stand for several input rows. The load-time
 // scan reads the same off the stream, the columns decoded from the stream are
-// the columns copied out of the capture, and so the sidecar of every such run
-// keeps no region: WriteIndexes built and sorted nothing.
+// the columns the collector merged, and so the sidecar of every such run keeps
+// no region: WriteIndexes built and sorted nothing.
 func TestEngineOutColumnsAreOrdered(t *testing.T) {
 	ops := map[engine.OpType]int{}
 	for _, workers := range []int{1, runtime.NumCPU()} {
@@ -92,7 +93,7 @@ func TestEngineOutColumnsAreOrdered(t *testing.T) {
 				if !lop.OutOrdered() {
 					t.Fatalf("%s workers %d: operator %d (%s): the scan read an ordered Out column as out of order", r.name, workers, op.OID, op.Type)
 				}
-				if lc := lop.Columns(); !reflect.DeepEqual(lc, c) && op.AssocCount() > 0 {
+				if lc := lop.Columns(); !reflect.DeepEqual(lc, c) {
 					t.Fatalf("%s workers %d: operator %d (%s): columns decoded from the stream differ from the capture's:\n%v\n%v", r.name, workers, op.OID, op.Type, lc, c)
 				}
 			}
@@ -192,8 +193,8 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 			want = append(want, sortedIDs(res))
 		}
 
-		shuffleRows(tg.run, 11)
-		stream, lazy := encoded(t, tg.run)
+		shuffled := shuffledRun(tg.run, 11)
+		stream, lazy := encoded(t, shuffled)
 		for _, op := range lazy.Operators() {
 			if ordered := slices.IsSorted(op.Columns().Out); op.OutOrdered() != ordered {
 				t.Fatalf("%s: operator %d (%s): the scan says ordered = %v, the decoded Out column says %v", name, op.OID, op.Type, op.OutOrdered(), ordered)
@@ -219,7 +220,7 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 		requireSameAnswers(t, name, tg.sink, questions,
 			withSidecar,
 			func() *backtrace.Tracer { return backtrace.NewTracer(lazy) },
-			func() *backtrace.Tracer { return backtrace.NewTracer(tg.run) },
+			func() *backtrace.Tracer { return backtrace.NewTracer(shuffled) },
 			forced(lazy, backtrace.IndexReference))
 		for i, q := range questions {
 			res, err := withSidecar().Trace(tg.sink, q)
@@ -234,6 +235,68 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 	for _, k := range []provenance.AssocKind{provenance.AssocUnary, provenance.AssocBinary, provenance.AssocFlatten, provenance.AssocAgg} {
 		if outOfOrder[k] == 0 {
 			t.Errorf("no shuffled scenario has an out-of-order operator of association kind %d", k)
+		}
+	}
+}
+
+// TestTracersShareTheRunsColumns: the index of an operator whose Out column is
+// ordered is the operator's columns themselves — of a captured run as of a
+// loaded one — so any number of tracers over one run hold one copy of its
+// identifiers. Indexing such an operator allocates what indexing a source
+// does, where nothing is looked up: the tracer's bookkeeping and no column.
+// Two tracers then trace one run at once — the captured one, and a loaded
+// one nothing has touched yet (run it with -race).
+func TestTracersShareTheRunsColumns(t *testing.T) {
+	for _, name := range scenarioNames {
+		tg, sc := scenarioTarget(t, name, 1)
+		_, lazy := encoded(t, tg.run)
+		var source, largest *provenance.Operator
+		for _, run := range []*provenance.Run{tg.run, lazy} {
+			tr := backtrace.NewTracer(run)
+			for _, op := range run.Operators() {
+				switch {
+				case op.AssocKind() == provenance.AssocSource:
+					source = op
+				case op.AssocCount() > 0:
+					if vals := backtrace.IndexValues(tr, op); &vals[0] != &op.Columns().In[0] {
+						t.Errorf("%s: the index of operator %d (%s) copied the In column", name, op.OID, op.Type)
+					}
+					if op.Type != engine.OpDistinct && (largest == nil || op.AssocCount() > largest.AssocCount()) {
+						largest = op
+					}
+				}
+			}
+		}
+		index := func(op *provenance.Operator) float64 {
+			return testing.AllocsPerRun(5, func() { backtrace.IndexValues(backtrace.NewTracer(lazy), op) })
+		}
+		if got, want := index(largest), index(source); got != want {
+			t.Errorf("%s: indexing operator %d (%s, %d rows) takes %.0f allocations, indexing a source %.0f",
+				name, largest.OID, largest.Type, largest.AssocCount(), got, want)
+		}
+
+		q := sc.Pattern.Match(tg.res.Output)
+		_, untouched := encoded(t, tg.run) // its first touches race, too
+		for _, run := range []*provenance.Run{tg.run, untouched} {
+			results := make([]*backtrace.Result, 2)
+			var wg sync.WaitGroup
+			for g := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var err error
+					if results[g], err = backtrace.NewTracer(run).Trace(tg.sink, q); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if err := sameResult(results[0], results[1]); err != nil {
+				t.Errorf("%s: two tracers over one run: %v", name, err)
+			}
 		}
 	}
 }

@@ -275,6 +275,24 @@ func Lookups(t *Tracer, op *provenance.Operator, ids []int64) (found int) {
 	return found
 }
 
+// IndexValues readies op's index and returns its value column — the id_i of a
+// unary, flatten or aggregate operator, the id_i1 of a binary one — so a test
+// can tell whether it is the operator's own In column or a copy.
+func IndexValues(t *Tracer, op *provenance.Operator) []int64 {
+	ix := t.indexFor(op)
+	switch op.AssocKind() {
+	case provenance.AssocUnary:
+		return ix.unary.vals
+	case provenance.AssocBinary:
+		return ix.binary.lefts
+	case provenance.AssocFlatten:
+		return ix.flatten.ins
+	case provenance.AssocAgg:
+		return ix.agg.vals
+	}
+	return nil
+}
+
 // The row-struct index build: what every operator's index was built by before
 // the run's columns became the index (trace.go: fromColumns, and build for an
 // Out column out of order). It reads the association rows, not the columns,
@@ -309,20 +327,47 @@ func ForceIndexes(t *Tracer, mode IndexMode) {
 	}
 }
 
+// The association rows of Tab. 6 as structs: the form the reference index is
+// built from, scattered out of the operator's columns.
+type (
+	refBinaryRow  struct{ Left, Right, Out int64 }
+	refFlattenRow struct {
+		In  int64
+		Pos int
+		Out int64
+	}
+	refAggRow struct {
+		Ins []int64
+		Out int64
+	}
+)
+
 // refBuild constructs the flat index for the operator's association kind.
 func (ix *opIndex) refBuild(op *provenance.Operator) {
-	switch op.AssocKind() {
+	c := op.Columns()
+	switch c.Kind {
 	case provenance.AssocUnary:
-		a := op.UnaryAssocs()
-		ix.unary = refBuildPairs(len(a),
-			func(i int) int64 { return a[i].Out },
-			func(i int) int64 { return a[i].In })
+		ix.unary = refBuildPairs(len(c.Out),
+			func(i int) int64 { return c.Out[i] },
+			func(i int) int64 { return c.In[i] })
 	case provenance.AssocBinary:
-		ix.binary = refBuildBin(op.BinaryAssocs())
+		rows := make([]refBinaryRow, len(c.Out))
+		for i := range rows {
+			rows[i] = refBinaryRow{Left: c.In[i], Right: c.Right[i], Out: c.Out[i]}
+		}
+		ix.binary = refBuildBin(rows)
 	case provenance.AssocFlatten:
-		ix.flatten = refBuildFlat(op.FlattenAssocs())
+		rows := make([]refFlattenRow, len(c.Out))
+		for i := range rows {
+			rows[i] = refFlattenRow{In: c.In[i], Pos: int(c.Pos[i]), Out: c.Out[i]}
+		}
+		ix.flatten = refBuildFlat(rows)
 	case provenance.AssocAgg:
-		ix.agg = refBuildAgg(op.AggAssocs())
+		rows := make([]refAggRow, len(c.Out))
+		for i := range rows {
+			rows[i] = refAggRow{Ins: c.In[c.Offs[i]:c.Offs[i+1]], Out: c.Out[i]}
+		}
+		ix.agg = refBuildAgg(rows)
 	}
 }
 
@@ -392,7 +437,7 @@ func refBuildPairs(n int, key, val func(int) int64) pairIdx {
 }
 
 // refBuildBin groups binary associations by Out into parallel left/right runs.
-func refBuildBin(a []provenance.BinaryAssoc) binIdx {
+func refBuildBin(a []refBinaryRow) binIdx {
 	n := len(a)
 	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
 	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
@@ -419,7 +464,7 @@ func refBuildBin(a []provenance.BinaryAssoc) binIdx {
 // refBuildFlat indexes flatten associations by Out. Outputs are unique by
 // construction; should a duplicate ever appear, the last association row
 // wins, matching the previous map-based build.
-func refBuildFlat(a []provenance.FlattenAssoc) flatIdx {
+func refBuildFlat(a []refFlattenRow) flatIdx {
 	n := len(a)
 	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
 	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
@@ -448,7 +493,7 @@ func refBuildFlat(a []provenance.FlattenAssoc) flatIdx {
 // is its offset within the key's value run plus one. The nested per-element
 // append of the previous build is gone — the Ins column is counted first and
 // allocated once.
-func refBuildAgg(a []provenance.AggAssoc) pairIdx {
+func refBuildAgg(a []refAggRow) pairIdx {
 	n := len(a)
 	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
 	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })

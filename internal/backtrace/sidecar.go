@@ -92,15 +92,15 @@ func (t *Tracer) WriteIndexes(w io.Writer) (int64, error) {
 			buf = appendPairIdx(buf, &ix.agg)
 		case provenance.AssocBinary:
 			buf = binary.AppendUvarint(buf, uint64(len(ix.binary.keys)))
-			buf = appendDeltaCol(buf, ix.binary.keys)
+			buf = provenance.AppendDeltaColumn(buf, ix.binary.keys)
 			buf = binary.AppendUvarint(buf, uint64(len(ix.binary.lefts)))
 			buf = appendRunLens(buf, ix.binary.offs)
-			buf = appendDeltaCol(buf, ix.binary.lefts)
-			buf = appendDeltaCol(buf, ix.binary.rights)
+			buf = provenance.AppendDeltaColumn(buf, ix.binary.lefts)
+			buf = provenance.AppendDeltaColumn(buf, ix.binary.rights)
 		case provenance.AssocFlatten:
 			buf = binary.AppendUvarint(buf, uint64(len(ix.flatten.keys)))
-			buf = appendDeltaCol(buf, ix.flatten.keys)
-			buf = appendDeltaCol(buf, ix.flatten.ins)
+			buf = provenance.AppendDeltaColumn(buf, ix.flatten.keys)
+			buf = provenance.AppendDeltaColumn(buf, ix.flatten.ins)
 			for _, p := range ix.flatten.poss {
 				buf = binary.AppendUvarint(buf, uint64(p))
 			}
@@ -118,21 +118,10 @@ func (t *Tracer) WriteIndexes(w io.Writer) (int64, error) {
 // lengths, values.
 func appendPairIdx(buf []byte, x *pairIdx) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(x.keys)))
-	buf = appendDeltaCol(buf, x.keys)
+	buf = provenance.AppendDeltaColumn(buf, x.keys)
 	buf = binary.AppendUvarint(buf, uint64(len(x.vals)))
 	buf = appendRunLens(buf, x.offs)
-	return appendDeltaCol(buf, x.vals)
-}
-
-// appendDeltaCol appends a zigzag-delta varint column.
-func appendDeltaCol(buf []byte, col []int64) []byte {
-	prev := int64(0)
-	for _, v := range col {
-		d := v - prev
-		prev = v
-		buf = binary.AppendUvarint(buf, uint64(d<<1)^uint64(d>>63))
-	}
-	return buf
+	return provenance.AppendDeltaColumn(buf, x.vals)
 }
 
 // appendRunLens appends the per-key run lengths derived from an offset

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -55,17 +56,42 @@ type sidecarFixture struct {
 	question *backtrace.Structure
 }
 
-// shuffleRows puts the association rows of every operator but the sources in
-// a seeded random order: the run no engine writes, whose Out columns are out
-// of order.
-func shuffleRows(run *provenance.Run, seed int64) {
+// shuffledRun returns a copy of run with the association rows of every
+// operator but the sources in a seeded random order: the run no engine
+// writes, whose Out columns are out of order. A run's columns are shared and
+// read-only, so the copy is made the way any run is — its rows replayed, one
+// at a time in the permuted order, through a provenance.Collector.
+func shuffledRun(run *provenance.Run, seed int64) *provenance.Run {
 	rng := rand.New(rand.NewSource(seed))
+	col := provenance.NewCollector()
 	for _, op := range run.Operators() {
-		rng.Shuffle(len(op.Unary), func(i, j int) { op.Unary[i], op.Unary[j] = op.Unary[j], op.Unary[i] })
-		rng.Shuffle(len(op.Binary), func(i, j int) { op.Binary[i], op.Binary[j] = op.Binary[j], op.Binary[i] })
-		rng.Shuffle(len(op.Flatten), func(i, j int) { op.Flatten[i], op.Flatten[j] = op.Flatten[j], op.Flatten[i] })
-		rng.Shuffle(len(op.Agg), func(i, j int) { op.Agg[i], op.Agg[j] = op.Agg[j], op.Agg[i] })
+		col.StartOperator(engine.OpInfo{OID: op.OID, Type: op.Type, Inputs: op.Inputs,
+			Manipulated: op.Manipulated, ManipUndefined: op.ManipUndefined}, 1)
+		sink := col.Partition(op.OID, 0)
+		c := op.Columns()
+		rows := make([]int, len(c.Out))
+		for i := range rows {
+			rows[i] = i
+		}
+		if c.Kind != provenance.AssocSource {
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
+		for _, r := range rows {
+			switch c.Kind {
+			case provenance.AssocSource:
+				sink.SourceRows(c.Out[r], c.In[r:r+1])
+			case provenance.AssocUnary:
+				sink.Unary(c.In[r], c.Out[r])
+			case provenance.AssocBinary:
+				sink.BinaryRange(c.In[r:r+1], c.Right[r:r+1], c.Out[r])
+			case provenance.AssocFlatten:
+				sink.FlattenRange(c.In[r:r+1], []int{int(c.Pos[r])}, c.Out[r])
+			case provenance.AssocAgg:
+				sink.Agg(slices.Clone(c.In[c.Offs[r]:c.Offs[r+1]]), c.Out[r])
+			}
+		}
 	}
+	return col.Finish()
 }
 
 // makeFixture captures the pipeline; shuffled, the association rows are put
@@ -77,7 +103,7 @@ func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.
 		t.Fatal(err)
 	}
 	if shuffled {
-		shuffleRows(run, 7)
+		run = shuffledRun(run, 7)
 	}
 	var stream bytes.Buffer
 	if _, err := run.WriteTo(&stream); err != nil {

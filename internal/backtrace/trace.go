@@ -66,8 +66,8 @@ func TraceOp(run *provenance.Run, op *provenance.Operator, b *Structure) (*Resul
 
 // Tracer answers provenance queries over one captured run. It readies an
 // operator's association index (output id → association rows) on the first
-// trace through the operator — for a run the engine wrote that is a decode of
-// the operator's columns, which are the index (see opIndex) — and reuses it
+// trace through the operator — for a run the engine wrote that is the
+// operator's own columns, shared and not copied (see opIndex) — and reuses it
 // across queries: the query-side optimisation the paper lists as future work.
 // A Tracer is safe for concurrent queries: each operator's index is readied
 // exactly once under its own sync.Once, so concurrent queries touching
@@ -252,7 +252,7 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 		case kind <= provenance.AssocSource: // nothing is looked up in a source
 		case ix.side != nil && ix.decodeSide(kind):
 		default:
-			if c := op.Columns(); slices.IsSorted(c.Out) {
+			if c := op.Columns(); op.OutOrdered() {
 				ix.fromColumns(c, true)
 			} else {
 				ix.build(c)
@@ -263,7 +263,8 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 }
 
 // fromColumns reads the index off columns whose Out column is non-decreasing
-// and keeps them as its values. A dense Out column is used as it is; one with
+// and keeps them as its values: c may be the operator's shared bag, so it is
+// read and aliased, never written. A dense Out column is used as it is; one with
 // repeats (distinct) or gaps folds into keys and offsets in one linear pass.
 // dense is false for an index that goes into a sidecar region, which spells
 // its keys out.
@@ -316,8 +317,8 @@ func (ix *opIndex) fromColumns(c provenance.Columns, dense bool) {
 }
 
 // build is the index of an operator whose Out column is out of order: the
-// rows are sorted by Out, keeping row order within equal keys, and then read
-// like any other.
+// rows are copied out sorted by Out, keeping row order within equal keys, and
+// the copy is read like any other.
 func (ix *opIndex) build(c provenance.Columns) {
 	ord := make([]int, len(c.Out))
 	for i := range ord {

@@ -232,17 +232,17 @@ func BenchmarkTracerIndexBuild(b *testing.B) {
 	b.Run("legacy-map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			legacyAggIndex(agg.AggAssocs())
+			legacyAggIndex(agg.Columns())
 		}
 	})
 }
 
 // legacyAggIndex is the pre-flattening index shape: a per-output map of
 // grown value slices plus a sorted key slice for deterministic iteration.
-func legacyAggIndex(assocs []provenance.AggAssoc) (map[int64][]int64, []int64) {
+func legacyAggIndex(c provenance.Columns) (map[int64][]int64, []int64) {
 	m := make(map[int64][]int64)
-	for _, a := range assocs {
-		m[a.Out] = append(m[a.Out], a.Ins...)
+	for i, out := range c.Out {
+		m[out] = append(m[out], c.In[c.Offs[i]:c.Offs[i+1]]...)
 	}
 	keys := make([]int64, 0, len(m))
 	for k := range m {

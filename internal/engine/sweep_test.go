@@ -1,11 +1,13 @@
 package engine_test
 
 import (
+	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"pebble/internal/engine"
+	"pebble/internal/provenance"
 	"pebble/internal/workload"
 )
 
@@ -40,12 +42,11 @@ func sweepInputs(scs []workload.Scenario, tweets, records, d3Records int) map[st
 	return inputs
 }
 
-// BenchmarkEngineSweep is engine.plain_run_s and engine.run_alloc_mb without
-// the daemon: one plain run of every scenario at the twitter_capture and
-// dblp_capture sizes, under the benchmark's collector policy (bench/README.md:
-// a full collection before the timed operation, the collector off inside
-// it). `make bench-engine`.
-func BenchmarkEngineSweep(b *testing.B) {
+// eachSweep runs body as a sub-benchmark per scenario sweep — T1–T5 and D1–D5
+// at the twitter_capture and dblp_capture sizes (-short: a twentieth) — under
+// the benchmark's collector policy (bench/README.md: a full collection before
+// the timed operation, the collector off inside it).
+func eachSweep(b *testing.B, body func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset)) {
 	tweets, records, d3Records := 8000, 60000, 12000
 	if testing.Short() {
 		tweets, records, d3Records = 400, 3000, 600
@@ -58,18 +59,76 @@ func BenchmarkEngineSweep(b *testing.B) {
 			inputs := sweepInputs(sweep.scs, tweets, records, d3Records)
 			b.ReportAllocs()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runtime.GC()
-				b.StartTimer()
-				for _, sc := range sweep.scs {
-					if _, err := engine.Run(sc.Build(), inputs[sc.Name], engine.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			body(b, sweep.scs, inputs)
 		})
 	}
+}
+
+// BenchmarkEngineSweep is engine.plain_run_s and engine.run_alloc_mb without
+// the daemon: one plain run of every scenario. `make bench-engine`.
+func BenchmarkEngineSweep(b *testing.B) {
+	eachSweep(b, func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			for _, sc := range scs {
+				if _, err := engine.Run(sc.Build(), inputs[sc.Name], engine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCaptureSweep is the capture side of the same sweep: every scenario
+// run under a provenance.Collector, the run merged (Finish) and encoded
+// (WriteTo) — what a capture job adds to the plain run before its artifact
+// exists. rows is the association rows the sweep captured; B/row is what one
+// of them costs in allocation: the sweep's bytes less those of a plain sweep
+// (provenance.capture_alloc_mb, with the encode), per row. `make bench-capture`.
+func BenchmarkCaptureSweep(b *testing.B) {
+	eachSweep(b, func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset) {
+		var rows int
+		var allocated uint64 // by the capture sweeps, less the plain ones
+		sweepBytes := func(timed bool, run func(sc workload.Scenario)) uint64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if timed {
+				b.StartTimer()
+			}
+			for _, sc := range scs {
+				run(sc)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		b.ResetTimer()
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			allocated += sweepBytes(true, func(sc workload.Scenario) {
+				_, run, err := provenance.Capture(sc.Build(), inputs[sc.Name], engine.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := run.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+				for _, op := range run.Operators() {
+					rows += op.AssocCount()
+				}
+			})
+			allocated -= sweepBytes(false, func(sc workload.Scenario) {
+				if _, err := engine.Run(sc.Build(), inputs[sc.Name], engine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+		b.ReportMetric(float64(rows)/float64(b.N), "rows")
+		b.ReportMetric(float64(allocated)/float64(rows), "B/row")
+	})
 }
 
 // TestStagedRunsStayLean is the allocation guard of the stage executor: T2

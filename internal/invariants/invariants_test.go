@@ -80,10 +80,7 @@ func TestSufficiencyInvariant(t *testing.T) {
 			if keep[name] == nil {
 				keep[name] = map[int64]bool{}
 			}
-			toOrig := map[int64]int64{}
-			for _, sa := range op.SourceIDs {
-				toOrig[sa.ID] = sa.OrigID
-			}
+			toOrig := op.OrigIDs()
 			for _, it := range s.Items {
 				orig, ok := toOrig[it.ID]
 				if !ok {
@@ -178,20 +175,8 @@ func TestAssociationClosureInvariant(t *testing.T) {
 		produced := map[int]map[int64]bool{}
 		for _, op := range run.Operators() {
 			ids := map[int64]bool{}
-			for _, a := range op.Unary {
-				ids[a.Out] = true
-			}
-			for _, a := range op.Binary {
-				ids[a.Out] = true
-			}
-			for _, a := range op.Flatten {
-				ids[a.Out] = true
-			}
-			for _, a := range op.Agg {
-				ids[a.Out] = true
-			}
-			for _, sa := range op.SourceIDs {
-				ids[sa.ID] = true
+			for _, id := range op.Columns().Out {
+				ids[id] = true
 			}
 			produced[op.OID] = ids
 		}
@@ -207,20 +192,12 @@ func TestAssociationClosureInvariant(t *testing.T) {
 					t.Errorf("trial %d: op %d consumes unknown id %d\nplan:\n%s", trial, op.OID, id, pipe)
 				}
 			}
-			for _, a := range op.Unary {
-				check(a.In, 0)
+			c := op.Columns()
+			for _, id := range c.In {
+				check(id, 0)
 			}
-			for _, a := range op.Binary {
-				check(a.Left, 0)
-				check(a.Right, 1)
-			}
-			for _, a := range op.Flatten {
-				check(a.In, 0)
-			}
-			for _, a := range op.Agg {
-				for _, id := range a.Ins {
-					check(id, 0)
-				}
+			for _, id := range c.Right {
+				check(id, 1)
 			}
 		}
 		sinkIDs := produced[pipe.Sink().ID()]
@@ -424,10 +401,7 @@ func traceOrigIDs(t *testing.T, pipe *engine.Pipeline, res *engine.Result, run *
 	out := map[int64]bool{}
 	for oid, s := range traced.BySource {
 		op, _ := run.Op(oid)
-		toOrig := map[int64]int64{}
-		for _, sa := range op.SourceIDs {
-			toOrig[sa.ID] = sa.OrigID
-		}
+		toOrig := op.OrigIDs()
 		for _, it := range s.Items {
 			out[toOrig[it.ID]] = true
 		}

@@ -74,11 +74,7 @@ func Query(build func() *engine.Pipeline, inputs map[string]*engine.Dataset,
 		if s, ok := traced.BySource[sourceOID]; ok {
 			out.BySource[sourceOID] = s
 			if op, ok := run.Op(sourceOID); ok {
-				m := make(map[int64]int64, len(op.SourceIDs))
-				for _, sa := range op.SourceIDs {
-					m[sa.ID] = sa.OrigID
-				}
-				out.OrigIDs[sourceOID] = m
+				out.OrigIDs[sourceOID] = op.OrigIDs()
 			}
 		}
 	}

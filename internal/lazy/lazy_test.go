@@ -66,10 +66,7 @@ func TestLazyMatchesEager(t *testing.T) {
 		for oid, ls := range lz.BySource {
 			eagerStruct := eager.Traced.Structure(oid)
 			eagerOp, _ := cap.Provenance.Op(oid)
-			eagerTrans := make(map[int64]int64)
-			for _, sa := range eagerOp.SourceIDs {
-				eagerTrans[sa.ID] = sa.OrigID
-			}
+			eagerTrans := eagerOp.OrigIDs()
 			lazyIDs := origIDsOf(ls.IDs(), lz.OrigIDs[oid])
 			eagerIDs := origIDsOf(eagerStruct.IDs(), eagerTrans)
 			if len(lazyIDs) != len(eagerIDs) {

@@ -477,10 +477,7 @@ func toOrigIDs(run *provenance.Run, oid int, ids []int64) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("no captured operator %d", oid)
 	}
-	m := make(map[int64]int64, len(op.SourceIDs))
-	for _, sa := range op.SourceIDs {
-		m[sa.ID] = sa.OrigID
-	}
+	m := op.OrigIDs()
 	out := make([]int64, 0, len(ids))
 	for _, id := range ids {
 		orig, ok := m[id]

@@ -36,8 +36,8 @@ const (
 // ReadRun deserialises a run written by any codec version, consuming r to
 // EOF: it is ReadRunLazy over everything r holds followed by the decode of
 // every association bag, so it validates exactly what the lazy load
-// validates and carries the same content hash. The returned run holds plain
-// decoded bags and does not retain the stream.
+// validates and carries the same content hash. The returned run holds decoded
+// bags and does not retain the stream.
 func ReadRun(r io.Reader) (*Run, error) {
 	var buf bytes.Buffer
 	if sized, ok := r.(interface{ Len() int }); ok {
@@ -54,7 +54,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 	}
 	for _, oid := range run.order {
 		op := run.ops[oid]
-		op.materialize()
+		op.Columns()
 		op.lazy = nil
 	}
 	run.lazy = nil
@@ -113,47 +113,7 @@ func readRunV1(d *Cursor) (*Run, error) {
 			}
 			op.Manipulated = append(op.Manipulated, m)
 		}
-		switch tag := d.Byte(); tag {
-		case 0:
-		case 1:
-			n := int(d.u32())
-			op.SourceIDs = make([]SourceAssoc, 0, d.Clamp(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.SourceIDs = append(op.SourceIDs, SourceAssoc{ID: d.i64(), OrigID: d.i64()})
-			}
-		case 2:
-			n := int(d.u32())
-			op.Unary = make([]UnaryAssoc, 0, d.Clamp(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Unary = append(op.Unary, UnaryAssoc{In: d.i64(), Out: d.i64()})
-			}
-		case 3:
-			n := int(d.u32())
-			op.Binary = make([]BinaryAssoc, 0, d.Clamp(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Binary = append(op.Binary, BinaryAssoc{Left: d.i64(), Right: d.i64(), Out: d.i64()})
-			}
-		case 4:
-			n := int(d.u32())
-			op.Flatten = make([]FlattenAssoc, 0, d.Clamp(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Flatten = append(op.Flatten, FlattenAssoc{In: d.i64(), Pos: int(d.u32()), Out: d.i64()})
-			}
-		case 5:
-			n := int(d.u32())
-			op.Agg = make([]AggAssoc, 0, d.Clamp(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				a := AggAssoc{Out: d.i64()}
-				nIns := int(d.u32())
-				a.Ins = make([]int64, 0, d.Clamp(nIns))
-				for k := 0; k < nIns && d.err == nil; k++ {
-					a.Ins = append(a.Ins, d.i64())
-				}
-				op.Agg = append(op.Agg, a)
-			}
-		default:
-			d.Fail(fmt.Errorf("provenance: unknown association tag %d", tag))
-		}
+		op.setColumns(readAssocsV1(d))
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -164,4 +124,47 @@ func readRunV1(d *Cursor) (*Run, error) {
 		return nil, err
 	}
 	return run, nil
+}
+
+// readAssocsV1 reads one row-major v1 association block into columns.
+func readAssocsV1(d *Cursor) Columns {
+	c := Columns{Kind: AssocKind(d.Byte())}
+	if c.Kind == AssocNone {
+		return c
+	}
+	if c.Kind > AssocAgg {
+		d.Fail(fmt.Errorf("provenance: unknown association tag %d", c.Kind))
+		return Columns{}
+	}
+	n := int(d.u32())
+	col := func() []int64 { return make([]int64, 0, d.Clamp(n)) }
+	c.Out, c.In = col(), col()
+	switch c.Kind {
+	case AssocBinary:
+		c.Right = col()
+	case AssocFlatten:
+		c.Pos = col()
+	case AssocAgg:
+		c.Offs = append(make([]int32, 0, d.Clamp(n)+1), 0)
+	}
+	for j := 0; j < n && d.err == nil; j++ {
+		switch c.Kind {
+		case AssocSource:
+			c.Out, c.In = append(c.Out, d.i64()), append(c.In, d.i64())
+		case AssocUnary:
+			c.In, c.Out = append(c.In, d.i64()), append(c.Out, d.i64())
+		case AssocBinary:
+			c.In, c.Right, c.Out = append(c.In, d.i64()), append(c.Right, d.i64()), append(c.Out, d.i64())
+		case AssocFlatten:
+			c.In, c.Pos, c.Out = append(c.In, d.i64()), append(c.Pos, int64(d.u32())), append(c.Out, d.i64())
+		case AssocAgg:
+			c.Out = append(c.Out, d.i64())
+			nIns := int(d.u32())
+			for k := 0; k < nIns && d.err == nil; k++ {
+				c.In = append(c.In, d.i64())
+			}
+			c.Offs = append(c.Offs, int32(len(c.In)))
+		}
+	}
+	return c
 }

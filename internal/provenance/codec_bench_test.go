@@ -63,7 +63,7 @@ func BenchmarkCaptureSink(b *testing.B) {
 // benchRun builds a deterministic synthetic run with every association kind.
 func benchRun() *Run {
 	c := NewCollector()
-	fillCollector(c, 8, 16, 500)
+	fillCollector(c, 10, 16, 2000)
 	return c.Finish()
 }
 

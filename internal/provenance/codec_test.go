@@ -67,9 +67,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Errorf("op %d mapping %d mismatch: %v vs %v", o.OID, j, om, bm)
 			}
 		}
-		if !reflect.DeepEqual(o.Unary, b.Unary) || !reflect.DeepEqual(o.Binary, b.Binary) ||
-			!reflect.DeepEqual(o.Flatten, b.Flatten) || !reflect.DeepEqual(o.Agg, b.Agg) ||
-			!reflect.DeepEqual(o.SourceIDs, b.SourceIDs) {
+		if !reflect.DeepEqual(o.Columns(), b.Columns()) {
 			t.Errorf("op %d associations mismatch", o.OID)
 		}
 	}

@@ -124,7 +124,6 @@ func (r *Run) v2Dict() ([]string, map[string]uint64) {
 }
 
 func appendOpV2(buf []byte, op *Operator, refs map[string]uint64) []byte {
-	op.materialize() // re-encoding a lazily loaded run reads every bag
 	buf = binary.AppendUvarint(buf, uint64(op.OID))
 	buf = binary.AppendUvarint(buf, refs[string(op.Type)])
 	buf = appendBool(buf, op.ManipUndefined)
@@ -148,85 +147,46 @@ func appendOpV2(buf []byte, op *Operator, refs map[string]uint64) []byte {
 		buf = binary.AppendUvarint(buf, refs[m.Out.String()])
 		buf = appendBool(buf, m.GroupKey)
 	}
-	switch {
-	case op.SourceIDs != nil:
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(op.SourceIDs)))
-		prev := int64(0)
-		for _, a := range op.SourceIDs {
-			buf = appendDelta(buf, a.ID, &prev)
+	c := op.Columns() // re-encoding a lazily loaded run reads every bag
+	buf = append(buf, byte(c.Kind))
+	if c.Kind == AssocNone {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(c.Out)))
+	switch c.Kind {
+	case AssocSource:
+		buf = AppendDeltaColumn(AppendDeltaColumn(buf, c.Out), c.In)
+	case AssocUnary:
+		buf = AppendDeltaColumn(AppendDeltaColumn(buf, c.In), c.Out)
+	case AssocBinary:
+		buf = AppendDeltaColumn(AppendDeltaColumn(AppendDeltaColumn(buf, c.In), c.Right), c.Out)
+	case AssocFlatten:
+		buf = AppendDeltaColumn(buf, c.In)
+		for _, p := range c.Pos {
+			buf = binary.AppendUvarint(buf, uint64(p))
 		}
-		prev = 0
-		for _, a := range op.SourceIDs {
-			buf = appendDelta(buf, a.OrigID, &prev)
+		buf = AppendDeltaColumn(buf, c.Out)
+	case AssocAgg:
+		buf = AppendDeltaColumn(buf, c.Out)
+		for j := range c.Out {
+			buf = binary.AppendUvarint(buf, uint64(c.Offs[j+1]-c.Offs[j]))
 		}
-	case op.Unary != nil:
-		buf = append(buf, 2)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Unary)))
-		prev := int64(0)
-		for _, a := range op.Unary {
-			buf = appendDelta(buf, a.In, &prev)
-		}
-		prev = 0
-		for _, a := range op.Unary {
-			buf = appendDelta(buf, a.Out, &prev)
-		}
-	case op.Binary != nil:
-		buf = append(buf, 3)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Binary)))
-		prev := int64(0)
-		for _, a := range op.Binary {
-			buf = appendDelta(buf, a.Left, &prev)
-		}
-		prev = 0
-		for _, a := range op.Binary {
-			buf = appendDelta(buf, a.Right, &prev)
-		}
-		prev = 0
-		for _, a := range op.Binary {
-			buf = appendDelta(buf, a.Out, &prev)
-		}
-	case op.Flatten != nil:
-		buf = append(buf, 4)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Flatten)))
-		prev := int64(0)
-		for _, a := range op.Flatten {
-			buf = appendDelta(buf, a.In, &prev)
-		}
-		for _, a := range op.Flatten {
-			buf = binary.AppendUvarint(buf, uint64(a.Pos))
-		}
-		prev = 0
-		for _, a := range op.Flatten {
-			buf = appendDelta(buf, a.Out, &prev)
-		}
-	case op.Agg != nil:
-		buf = append(buf, 5)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Agg)))
-		prev := int64(0)
-		for _, a := range op.Agg {
-			buf = appendDelta(buf, a.Out, &prev)
-		}
-		for _, a := range op.Agg {
-			buf = binary.AppendUvarint(buf, uint64(len(a.Ins)))
-		}
-		prev = 0
-		for _, a := range op.Agg {
-			for _, id := range a.Ins {
-				buf = appendDelta(buf, id, &prev)
-			}
-		}
-	default:
-		buf = append(buf, 0)
+		buf = AppendDeltaColumn(buf, c.In)
 	}
 	return buf
 }
 
-// appendDelta appends zigzag(v − *prev) as a uvarint and advances prev.
-func appendDelta(buf []byte, v int64, prev *int64) []byte {
-	d := v - *prev
-	*prev = v
-	return binary.AppendUvarint(buf, uint64(d<<1)^uint64(d>>63))
+// AppendDeltaColumn appends col as zigzag(v − prev) uvarints, prev starting
+// at 0: the writer of what Cursor.DeltaColumn reads, for the run stream and
+// the index sidecar alike.
+func AppendDeltaColumn(buf []byte, col []int64) []byte {
+	prev := int64(0)
+	for _, v := range col {
+		d := v - prev
+		prev = v
+		buf = binary.AppendUvarint(buf, uint64(d<<1)^uint64(d>>63))
+	}
+	return buf
 }
 
 func appendBool(buf []byte, v bool) []byte {

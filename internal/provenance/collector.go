@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,8 +22,8 @@ type Collector struct {
 	ops   map[int]*opShards // guarded by mu
 	order []int             // guarded by mu
 	// free recycles shard backing arrays across Finish/reuse cycles: the
-	// merge copies every association out of the shards, so the arrays can
-	// back the next capture without aliasing the returned Run.
+	// merge copies every column out of the shards, so the arrays can back the
+	// next capture without aliasing the returned Run.
 	free [][]shard // guarded by mu
 
 	// rec receives the Finish span and per-operator provenance-size
@@ -36,58 +37,65 @@ type opShards struct {
 	shards []shard
 }
 
-// shard buffers the association rows of one (operator, partition) pair. It
-// is the collector's engine.PartitionSink: the executor owns a shard for the
-// duration of a morsel, so the append methods need no synchronisation.
+// shard buffers the association rows of one (operator, partition) pair as
+// columns. It is the collector's engine.PartitionSink: the executor owns a
+// shard for the duration of a morsel, so the append methods need no
+// synchronisation. The id slices of the bulk appends are lent — a shard
+// copies them, one append per column and morsel — and an aggregate's id list
+// is owned and kept as it is until Finish.
 type shard struct {
-	unary   []UnaryAssoc
-	binary  []BinaryAssoc
-	flatten []FlattenAssoc
-	agg     []AggAssoc
-	source  []SourceAssoc
+	kind                AssocKind // of the rows appended so far
+	out, in, right, pos []int64
+	lists               [][]int64 // aggregate: ids_i per row
+}
+
+// appendOuts appends the output identifiers base, base+1, … of a bulk append.
+func (s *shard) appendOuts(kind AssocKind, base int64, n int) {
+	s.kind = kind
+	s.out = slices.Grow(s.out, n)
+	for i := 0; i < n; i++ {
+		s.out = append(s.out, base+int64(i))
+	}
+}
+
+// SourceRows implements engine.PartitionSink.
+func (s *shard) SourceRows(base int64, origIDs []int64) {
+	s.appendOuts(AssocSource, base, len(origIDs))
+	s.in = append(s.in, origIDs...)
 }
 
 // Unary implements engine.PartitionSink.
 func (s *shard) Unary(inID, outID int64) {
-	s.unary = append(s.unary, UnaryAssoc{In: inID, Out: outID})
+	s.kind = AssocUnary
+	s.out, s.in = append(s.out, outID), append(s.in, inID)
+}
+
+// UnaryRange implements engine.PartitionSink.
+func (s *shard) UnaryRange(inIDs []int64, base int64) {
+	s.appendOuts(AssocUnary, base, len(inIDs))
+	s.in = append(s.in, inIDs...)
+}
+
+// BinaryRange implements engine.PartitionSink.
+func (s *shard) BinaryRange(leftIDs, rightIDs []int64, base int64) {
+	s.appendOuts(AssocBinary, base, len(leftIDs))
+	s.in, s.right = append(s.in, leftIDs...), append(s.right, rightIDs...)
+}
+
+// FlattenRange implements engine.PartitionSink.
+func (s *shard) FlattenRange(inIDs []int64, positions []int, base int64) {
+	s.appendOuts(AssocFlatten, base, len(inIDs))
+	s.in, s.pos = append(s.in, inIDs...), slices.Grow(s.pos, len(positions))
+	for _, p := range positions {
+		s.pos = append(s.pos, int64(p))
+	}
 }
 
 // Agg implements engine.PartitionSink, taking ownership of inIDs (the
 // executor materialises the slice for the sink and never reuses it).
 func (s *shard) Agg(inIDs []int64, outID int64) {
-	s.agg = append(s.agg, AggAssoc{Ins: inIDs, Out: outID})
-}
-
-// The bulk id-range appends below are the executor's morsel-level emission
-// (one call per partition instead of one per row). The range slices are
-// borrowed — the loops copy every id into the shard's own arrays.
-
-// SourceRows implements engine.PartitionSink.
-func (s *shard) SourceRows(base int64, origIDs []int64) {
-	for i, orig := range origIDs {
-		s.source = append(s.source, SourceAssoc{ID: base + int64(i), OrigID: orig})
-	}
-}
-
-// UnaryRange implements engine.PartitionSink.
-func (s *shard) UnaryRange(inIDs []int64, base int64) {
-	for i, in := range inIDs {
-		s.unary = append(s.unary, UnaryAssoc{In: in, Out: base + int64(i)})
-	}
-}
-
-// BinaryRange implements engine.PartitionSink.
-func (s *shard) BinaryRange(leftIDs, rightIDs []int64, base int64) {
-	for i := range leftIDs {
-		s.binary = append(s.binary, BinaryAssoc{Left: leftIDs[i], Right: rightIDs[i], Out: base + int64(i)})
-	}
-}
-
-// FlattenRange implements engine.PartitionSink.
-func (s *shard) FlattenRange(inIDs []int64, positions []int, base int64) {
-	for i := range inIDs {
-		s.flatten = append(s.flatten, FlattenAssoc{In: inIDs[i], Pos: positions[i], Out: base + int64(i)})
-	}
+	s.kind = AssocAgg
+	s.out, s.lists = append(s.out, outID), append(s.lists, inIDs)
 }
 
 // NewCollector returns an empty collector ready to be passed as
@@ -129,11 +137,8 @@ func (c *Collector) takeShards(partitions int) []shard {
 		sh = sh[:partitions]
 		for j := range sh {
 			s := &sh[j]
-			s.unary = s.unary[:0]
-			s.binary = s.binary[:0]
-			s.flatten = s.flatten[:0]
-			s.agg = s.agg[:0]
-			s.source = s.source[:0]
+			clear(s.lists) // merged into a run's In column: garbage now
+			*s = shard{out: s.out[:0], in: s.in[:0], right: s.right[:0], pos: s.pos[:0], lists: s.lists[:0]}
 		}
 		return sh
 	}
@@ -151,12 +156,11 @@ func (c *Collector) Partition(oid, part int) engine.PartitionSink {
 
 // Finish merges the shards into an immutable Run. The collector can be
 // reused afterwards for a fresh capture; the shard backing arrays are
-// recycled (the merge copies every association row, so the Run never aliases
-// them). Operators are ordered by id — the engine announces concurrently
-// executing DAG branches in schedule order, but the serialized run must not
-// depend on that schedule. Each association slice is allocated at its exact
-// final size before merging, so large runs don't pay repeated append
-// re-allocations.
+// recycled (the merge copies every column, so the Run never aliases them).
+// Operators are ordered by id — the engine announces concurrently executing
+// DAG branches in schedule order, but the serialized run must not depend on
+// that schedule. Each column is concatenated once, into an array of its exact
+// final size; an operator without rows has no bag (AssocNone).
 func (c *Collector) Finish() *Run {
 	defer c.rec.StartSpan(obs.SpanCollectorFinish)()
 	c.mu.Lock()
@@ -172,37 +176,7 @@ func (c *Collector) Finish() *Run {
 			Manipulated:    os.info.Manipulated,
 			ManipUndefined: os.info.ManipUndefined,
 		}
-		var nUnary, nBinary, nFlatten, nAgg, nSource int
-		for _, sh := range os.shards {
-			nUnary += len(sh.unary)
-			nBinary += len(sh.binary)
-			nFlatten += len(sh.flatten)
-			nAgg += len(sh.agg)
-			nSource += len(sh.source)
-		}
-		// Slices stay nil when empty (codec round-trips rely on that).
-		if nUnary > 0 {
-			op.Unary = make([]UnaryAssoc, 0, nUnary)
-		}
-		if nBinary > 0 {
-			op.Binary = make([]BinaryAssoc, 0, nBinary)
-		}
-		if nFlatten > 0 {
-			op.Flatten = make([]FlattenAssoc, 0, nFlatten)
-		}
-		if nAgg > 0 {
-			op.Agg = make([]AggAssoc, 0, nAgg)
-		}
-		if nSource > 0 {
-			op.SourceIDs = make([]SourceAssoc, 0, nSource)
-		}
-		for _, sh := range os.shards {
-			op.Unary = append(op.Unary, sh.unary...)
-			op.Binary = append(op.Binary, sh.binary...)
-			op.Flatten = append(op.Flatten, sh.flatten...)
-			op.Agg = append(op.Agg, sh.agg...)
-			op.SourceIDs = append(op.SourceIDs, sh.source...)
-		}
+		op.setColumns(mergeShards(os.shards))
 		if len(c.free) < maxFreeShards {
 			c.free = append(c.free, os.shards)
 		}
@@ -213,6 +187,50 @@ func (c *Collector) Finish() *Run {
 	c.ops = make(map[int]*opShards)
 	c.order = nil
 	return run
+}
+
+// mergeShards concatenates the shards' columns in partition order.
+func mergeShards(shards []shard) Columns {
+	var c Columns
+	n, totalIns := 0, 0
+	for i := range shards {
+		s := &shards[i]
+		if len(s.out) > 0 {
+			c.Kind = s.kind
+		}
+		n += len(s.out)
+		for _, l := range s.lists {
+			totalIns += len(l)
+		}
+	}
+	if n == 0 {
+		return c
+	}
+	concat := func(col func(*shard) []int64) []int64 {
+		out := make([]int64, 0, n)
+		for i := range shards {
+			out = append(out, col(&shards[i])...)
+		}
+		return out
+	}
+	c.Out = concat(func(s *shard) []int64 { return s.out })
+	switch c.Kind {
+	case AssocBinary:
+		c.Right = concat(func(s *shard) []int64 { return s.right })
+	case AssocFlatten:
+		c.Pos = concat(func(s *shard) []int64 { return s.pos })
+	case AssocAgg:
+		c.In, c.Offs = make([]int64, 0, totalIns), make([]int32, 1, n+1)
+		for i := range shards {
+			for _, l := range shards[i].lists {
+				c.In = append(c.In, l...)
+				c.Offs = append(c.Offs, int32(len(c.In)))
+			}
+		}
+		return c
+	}
+	c.In = concat(func(s *shard) []int64 { return s.in })
+	return c
 }
 
 // Capture is a convenience wrapper: it runs the pipeline with a fresh

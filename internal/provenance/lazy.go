@@ -3,7 +3,6 @@ package provenance
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +11,9 @@ import (
 )
 
 // Lazy decoding: ReadRunLazy returns a Run whose association columns stay
-// encoded until an operator's bag is first touched. A backtrace visits only
-// the operators on its walk — typically a handful out of a large run — so
-// the load phase should not pay for materialising every column.
+// encoded until an operator's bag is first touched (Operator.Columns). A
+// backtrace visits only the operators on its walk — typically a handful out
+// of a large run — so the load phase should not pay for decoding every column.
 //
 // The v2 wire format is unchanged (it has no optional trailer; every strict
 // prefix of a stream is invalid, and the codec tests pin that). Instead of a
@@ -23,28 +22,9 @@ import (
 // headers, paths, mappings) decode at load, and each association block is
 // structurally validated — count caps, varint boundaries, aggregate length
 // sums — and recorded as a byte region of the backing slice. Because the scan
-// proves every region well-formed up front, materialisation is infallible
-// and corrupt streams fail at load time. There is no second decoder: ReadRun
-// is this load followed by the materialisation of every region.
-
-// AssocKind enumerates the association bag layouts of Tab. 6; the values
-// coincide with the codec's wire tags.
-type AssocKind uint8
-
-const (
-	// AssocNone marks an operator that captured no association bag.
-	AssocNone AssocKind = iota
-	// AssocSource is the ⟨id, orig_id⟩ layout of source operators.
-	AssocSource
-	// AssocUnary is the ⟨id_i, id_o⟩ layout of map, select, and filter.
-	AssocUnary
-	// AssocBinary is the ⟨id_i1, id_i2, id_o⟩ layout of join and union.
-	AssocBinary
-	// AssocFlatten is the ⟨id_i, pos, id_o⟩ layout of flatten.
-	AssocFlatten
-	// AssocAgg is the ⟨ids_i, id_o⟩ layout of grouping/aggregation.
-	AssocAgg
-)
+// proves every region well-formed up front, the decode is infallible and
+// corrupt streams fail at load time. There is no second decoder: ReadRun is
+// this load followed by a touch of every bag.
 
 // lazyStream is the shared backing state of one lazily loaded run: the raw
 // encoded bytes plus the materialisation accounting the query sweep reports.
@@ -54,142 +34,12 @@ type lazyStream struct {
 	decoded atomic.Int64 // bytes of regions materialised so far
 }
 
-// lazyAssoc defers one operator's association columns: a validated byte
-// region of the stream plus the counts the scan already proved consistent.
+// lazyAssoc is one operator's validated byte region of the stream, decoded
+// once, on the first Operator.Columns call.
 type lazyAssoc struct {
 	src      *lazyStream
 	once     sync.Once
-	counted  atomic.Bool // the region is in src.decoded
-	tag      AssocKind
-	n        int  // association rows
-	totalIns int  // AssocAgg only: total Ins elements across all groups
-	ordered  bool // the Out column is non-decreasing
-	off, end int  // region [off, end): count varint + columns
-}
-
-// Columns is one operator's association bag as parallel columns, one entry
-// per association row in captured order: the layout the run stream stores and
-// the one the tracer looks identifiers up in (internal/backtrace) — where Out
-// is non-decreasing, the columns are the index.
-type Columns struct {
-	Kind  AssocKind
-	Out   []int64 // id_o (a source's id)
-	In    []int64 // id_i (binary: id_i1; source: orig_id; aggregate: all rows' ids_i, concatenated)
-	Right []int64 // binary: id_i2
-	Pos   []int64 // flatten: pos
-	Offs  []int32 // aggregate: row i owns In[Offs[i]:Offs[i+1]]
-}
-
-// Columns returns the operator's association bag as columns. A lazily loaded
-// operator decodes them straight from its validated region, without building
-// the row structs; a captured one copies its rows out in one pass. The caller
-// owns the result.
-func (o *Operator) Columns() Columns {
-	if o.lazy != nil {
-		return o.lazy.columns()
-	}
-	n := o.AssocCount()
-	c := Columns{Kind: o.AssocKind(), Out: make([]int64, n), In: make([]int64, n)}
-	switch c.Kind {
-	case AssocSource:
-		for j, a := range o.SourceIDs {
-			c.Out[j], c.In[j] = a.ID, a.OrigID
-		}
-	case AssocUnary:
-		for j, a := range o.Unary {
-			c.Out[j], c.In[j] = a.Out, a.In
-		}
-	case AssocBinary:
-		c.Right = make([]int64, n)
-		for j, a := range o.Binary {
-			c.Out[j], c.In[j], c.Right[j] = a.Out, a.Left, a.Right
-		}
-	case AssocFlatten:
-		c.Pos = make([]int64, n)
-		for j, a := range o.Flatten {
-			c.Out[j], c.In[j], c.Pos[j] = a.Out, a.In, int64(a.Pos)
-		}
-	case AssocAgg:
-		c.In, c.Offs = c.In[:0], make([]int32, 1, n+1)
-		for j, a := range o.Agg {
-			c.Out[j] = a.Out
-			c.In = append(c.In, a.Ins...)
-			c.Offs = append(c.Offs, int32(len(c.In)))
-		}
-	}
-	return c
-}
-
-// OutOrdered reports whether the operator's Out column is non-decreasing. The
-// engine writes no other (identifiers are assigned in partition-concatenated
-// row order), and the load-time scan reads it off the column's deltas, so for
-// a loaded run the answer costs nothing.
-func (o *Operator) OutOrdered() bool {
-	if o.lazy != nil {
-		return o.lazy.ordered
-	}
-	return slices.IsSorted(o.Columns().Out)
-}
-
-// materialize decodes the operator's association columns on first touch.
-func (o *Operator) materialize() {
-	if o.lazy == nil {
-		return
-	}
-	o.lazy.once.Do(func() { o.lazy.decode(o) })
-}
-
-// AssocKind returns the layout of the operator's association bag without
-// materialising it.
-func (o *Operator) AssocKind() AssocKind {
-	if o.lazy != nil {
-		return o.lazy.tag
-	}
-	switch {
-	case o.SourceIDs != nil:
-		return AssocSource
-	case o.Unary != nil:
-		return AssocUnary
-	case o.Binary != nil:
-		return AssocBinary
-	case o.Flatten != nil:
-		return AssocFlatten
-	case o.Agg != nil:
-		return AssocAgg
-	}
-	return AssocNone
-}
-
-// UnaryAssocs returns the ⟨id_i, id_o⟩ bag, decoding it on first touch for
-// lazily loaded runs. All query-side consumers go through these accessors;
-// the exported fields stay valid for eagerly built or decoded runs.
-func (o *Operator) UnaryAssocs() []UnaryAssoc {
-	o.materialize()
-	return o.Unary
-}
-
-// BinaryAssocs returns the ⟨id_i1, id_i2, id_o⟩ bag, decoding on first touch.
-func (o *Operator) BinaryAssocs() []BinaryAssoc {
-	o.materialize()
-	return o.Binary
-}
-
-// FlattenAssocs returns the ⟨id_i, pos, id_o⟩ bag, decoding on first touch.
-func (o *Operator) FlattenAssocs() []FlattenAssoc {
-	o.materialize()
-	return o.Flatten
-}
-
-// AggAssocs returns the ⟨ids_i, id_o⟩ bag, decoding on first touch.
-func (o *Operator) AggAssocs() []AggAssoc {
-	o.materialize()
-	return o.Agg
-}
-
-// SourceAssocs returns the ⟨id, orig_id⟩ bag, decoding on first touch.
-func (o *Operator) SourceAssocs() []SourceAssoc {
-	o.materialize()
-	return o.SourceIDs
+	off, end int // region [off, end): count varint + columns
 }
 
 // ContentHash returns the FNV-1a hash of the encoded stream the run was
@@ -426,18 +276,20 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 	if d.err != nil {
 		return
 	}
-	op.lazy = &lazyAssoc{src: ls, tag: AssocKind(tag), n: n, totalIns: totalIns, ordered: ordered, off: start, end: d.pos}
+	op.kind, op.n, op.totalIns, op.outOfOrder = AssocKind(tag), n, totalIns, !ordered
+	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos}
 	ls.total += int64(d.pos - start)
 }
 
-// columns decodes the deferred region. The load-time scan proved it
-// well-formed, so a decode failure here is a bug, not an input error — it
-// panics rather than silently returning partial provenance.
-func (l *lazyAssoc) columns() Columns {
+// decode reads the region's columns and charges its bytes to the stream's
+// decoded count. The load-time scan proved the region well-formed, so a
+// decode failure here is a bug, not an input error — it panics rather than
+// silently returning partial provenance.
+func (l *lazyAssoc) decode(op *Operator) Columns {
 	d := &Cursor{data: l.src.data[:l.end], pos: l.off}
 	n := d.Count("association")
-	c := Columns{Kind: l.tag}
-	switch l.tag {
+	c := Columns{Kind: op.kind}
+	switch c.Kind {
 	case AssocSource:
 		c.Out, c.In = d.DeltaColumn(n), d.DeltaColumn(n)
 	case AssocUnary:
@@ -455,46 +307,11 @@ func (l *lazyAssoc) columns() Columns {
 		for j := 0; j < n; j++ {
 			c.Offs[j+1] = c.Offs[j] + int32(d.Uvarint())
 		}
-		c.In = d.DeltaColumn(l.totalIns)
+		c.In = d.DeltaColumn(op.totalIns)
 	}
 	if d.err != nil || d.pos != l.end {
 		panic(fmt.Sprintf("provenance: lazy association decode diverged from validated scan (err=%v pos=%d end=%d)", d.err, d.pos, l.end))
 	}
-	if l.counted.CompareAndSwap(false, true) {
-		l.src.decoded.Add(int64(l.end - l.off))
-	}
+	l.src.decoded.Add(int64(l.end - l.off))
 	return c
-}
-
-// decode materialises the operator's association rows from its columns.
-func (l *lazyAssoc) decode(op *Operator) {
-	c := l.columns()
-	switch l.tag {
-	case AssocSource:
-		op.SourceIDs = make([]SourceAssoc, l.n)
-		for j := range op.SourceIDs {
-			op.SourceIDs[j] = SourceAssoc{ID: c.Out[j], OrigID: c.In[j]}
-		}
-	case AssocUnary:
-		op.Unary = make([]UnaryAssoc, l.n)
-		for j := range op.Unary {
-			op.Unary[j] = UnaryAssoc{In: c.In[j], Out: c.Out[j]}
-		}
-	case AssocBinary:
-		op.Binary = make([]BinaryAssoc, l.n)
-		for j := range op.Binary {
-			op.Binary[j] = BinaryAssoc{Left: c.In[j], Right: c.Right[j], Out: c.Out[j]}
-		}
-	case AssocFlatten:
-		op.Flatten = make([]FlattenAssoc, l.n)
-		for j := range op.Flatten {
-			op.Flatten[j] = FlattenAssoc{In: c.In[j], Pos: int(c.Pos[j]), Out: c.Out[j]}
-		}
-	case AssocAgg:
-		op.Agg = make([]AggAssoc, l.n)
-		for j := range op.Agg {
-			lo, hi := c.Offs[j], c.Offs[j+1]
-			op.Agg[j] = AggAssoc{Out: c.Out[j], Ins: c.In[lo:hi:hi]}
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pebble/internal/backtrace"
 	"pebble/internal/provenance"
 )
 
@@ -30,8 +31,9 @@ func goldenStreams(t *testing.T) map[string][]byte {
 }
 
 // requireSameRun fails unless got is indistinguishable from want: same
-// operators with the same static parts, equal association bags once
-// materialised, and identical re-encodings in both layouts.
+// operators with the same static parts, equal association bags (columns
+// DeepEqual, nil versus empty included, and every fact answered without
+// them), and identical re-encodings in both layouts.
 func requireSameRun(t *testing.T, want, got *provenance.Run) {
 	t.Helper()
 	wops, gops := want.Operators(), got.Operators()
@@ -48,12 +50,12 @@ func requireSameRun(t *testing.T, want, got *provenance.Run) {
 		if !reflect.DeepEqual(wo.Inputs, gop.Inputs) || !reflect.DeepEqual(wo.Manipulated, gop.Manipulated) {
 			t.Fatalf("operator %d static part differs", wo.OID)
 		}
-		if !reflect.DeepEqual(wo.UnaryAssocs(), gop.UnaryAssocs()) ||
-			!reflect.DeepEqual(wo.BinaryAssocs(), gop.BinaryAssocs()) ||
-			!reflect.DeepEqual(wo.FlattenAssocs(), gop.FlattenAssocs()) ||
-			!reflect.DeepEqual(wo.AggAssocs(), gop.AggAssocs()) ||
-			!reflect.DeepEqual(wo.SourceAssocs(), gop.SourceAssocs()) {
-			t.Fatalf("operator %d association bags differ", wo.OID)
+		if wo.OutOrdered() != gop.OutOrdered() || wo.Sizes() != gop.Sizes() {
+			t.Fatalf("operator %d: ordered %v, sizes %+v, want %v, %+v", wo.OID,
+				gop.OutOrdered(), gop.Sizes(), wo.OutOrdered(), wo.Sizes())
+		}
+		if !reflect.DeepEqual(wo.Columns(), gop.Columns()) {
+			t.Fatalf("operator %d association bags differ:\n got %+v\nwant %+v", wo.OID, gop.Columns(), wo.Columns())
 		}
 	}
 	var fromWant, fromGot bytes.Buffer
@@ -154,8 +156,10 @@ func TestLazyRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
-// TestLazyDecodedBytesAccounting: nothing decodes at load, touched bags are
-// charged once, and materialising everything accounts for every region.
+// TestLazyDecodedBytesAccounting: nothing decodes at load, and a region is
+// charged once, by whichever reader touches it first — Columns, a forward
+// trace, a tracer's index — so touching everything through all of them
+// accounts for every region exactly.
 func TestLazyDecodedBytesAccounting(t *testing.T) {
 	data := goldenStreams(t)["example.v2.golden"]
 	run, err := provenance.ReadRunLazy(data)
@@ -170,20 +174,46 @@ func TestLazyDecodedBytesAccounting(t *testing.T) {
 		t.Fatalf("decoded %d bytes before any access, want 0", got)
 	}
 	ops := run.Operators()
-	first := ops[len(ops)-1]
-	first.UnaryAssocs() // touch one operator (kind-independent: every accessor materialises)
+	for _, op := range ops { // none of these reads a column
+		op.AssocKind()
+		op.AssocCount()
+		op.OutOrdered()
+		op.Sizes()
+	}
+	if got := run.AssocBytesDecoded(); got != 0 {
+		t.Fatalf("decoded %d bytes answering kind, count, order and sizes, want 0", got)
+	}
+	source := ops[0]
+	ids := source.Columns().Out // touch one operator
 	after := run.AssocBytesDecoded()
 	if after <= 0 || after >= total {
 		t.Fatalf("single-operator touch decoded %d of %d bytes, want strictly between", after, total)
 	}
-	if again := func() int64 { first.UnaryAssocs(); return run.AssocBytesDecoded() }(); again != after {
+	if again := func() int64 { source.Columns(); return run.AssocBytesDecoded() }(); again != after {
 		t.Fatalf("second touch re-charged decode: %d then %d", after, again)
 	}
+	// A forward trace reads the bags downstream of the source; a second one,
+	// and a tracer indexing the same operators afterwards, find them decoded.
+	var forward int64
+	for i := 0; i < 2; i++ {
+		if _, err := backtrace.TraceForward(run, source.OID, ids); err != nil {
+			t.Fatal(err)
+		}
+		if got := run.AssocBytesDecoded(); i == 0 {
+			forward = got
+		} else if got != forward {
+			t.Fatalf("second forward trace re-charged decode: %d then %d", forward, got)
+		}
+	}
+	if forward <= after || forward > total {
+		t.Fatalf("forward trace decoded %d bytes, want more than %d and at most %d", forward, after, total)
+	}
+	backtrace.NewTracer(run).BuildIndexes()
 	for _, op := range ops {
-		op.UnaryAssocs()
+		op.Columns()
 	}
 	if got := run.AssocBytesDecoded(); got != total {
-		t.Fatalf("full materialisation decoded %d bytes, want total %d", got, total)
+		t.Fatalf("touching every bag through every reader decoded %d bytes, want total %d", got, total)
 	}
 }
 

@@ -3,47 +3,54 @@
 // static part (accessed paths I.A and manipulation mapping M, both on schema
 // level) is recorded once per operator, and whose association bag P records
 // per-item top-level identifiers in the operator-dependent layouts of Tab. 6.
+// A bag has one in-memory form, from the collector to the tracer: Columns.
 package provenance
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pebble/internal/engine"
 	"pebble/internal/obs"
 )
 
-// UnaryAssoc is ⟨id_i, id_o⟩ for map, select, and filter.
-type UnaryAssoc struct {
-	In, Out int64
-}
+// AssocKind enumerates the association bag layouts of Tab. 6; the values
+// coincide with the codec's wire tags.
+type AssocKind uint8
 
-// BinaryAssoc is ⟨id_i1, id_i2, id_o⟩ for join and union; for union the
-// absent side is -1.
-type BinaryAssoc struct {
-	Left, Right, Out int64
-}
+const (
+	// AssocNone marks an operator that captured no association bag.
+	AssocNone AssocKind = iota
+	// AssocSource is the ⟨id, orig_id⟩ layout of source operators: the
+	// identifier a read assigned and the one the row carried in the raw input.
+	AssocSource
+	// AssocUnary is the ⟨id_i, id_o⟩ layout of map, select, and filter.
+	AssocUnary
+	// AssocBinary is the ⟨id_i1, id_i2, id_o⟩ layout of join and union; for
+	// union the absent side is -1.
+	AssocBinary
+	// AssocFlatten is the ⟨id_i, pos, id_o⟩ layout of flatten, with the
+	// 1-based position of the flattened element within its collection.
+	AssocFlatten
+	// AssocAgg is the ⟨ids_i, id_o⟩ layout of grouping/aggregation; the order
+	// of ids_i equals the element order of every nested collection the
+	// aggregation produced for the group.
+	AssocAgg
+)
 
-// FlattenAssoc is ⟨id_i, pos, id_o⟩ with the 1-based position of the
-// flattened element within its collection.
-type FlattenAssoc struct {
-	In  int64
-	Pos int
-	Out int64
-}
-
-// AggAssoc is ⟨ids_i, id_o⟩; the order of Ins equals the element order of
-// every nested collection the aggregation produced for this group.
-type AggAssoc struct {
-	Ins []int64
-	Out int64
-}
-
-// SourceAssoc links a source-assigned identifier to the identifier the row
-// carried in the raw input dataset.
-type SourceAssoc struct {
-	ID     int64
-	OrigID int64
+// Columns is one operator's association bag as parallel columns, one entry
+// per association row in captured order: the layout the collector merges
+// into, the run stream stores and the tracer looks identifiers up in
+// (internal/backtrace) — where Out is non-decreasing, the columns are the
+// index.
+type Columns struct {
+	Kind  AssocKind
+	Out   []int64 // id_o (a source's id)
+	In    []int64 // id_i (binary: id_i1; source: orig_id; aggregate: all rows' ids_i, concatenated)
+	Right []int64 // binary: id_i2
+	Pos   []int64 // flatten: pos
+	Offs  []int32 // aggregate: row i owns In[Offs[i]:Offs[i+1]]
 }
 
 // Operator is the captured provenance P of one operator.
@@ -58,20 +65,65 @@ type Operator struct {
 	// ManipUndefined marks M = ⊥ (map operator).
 	ManipUndefined bool
 
-	// The association bag P, in the operator-dependent layout of Tab. 6.
-	// Exactly one of the following is populated (by operator type). For
-	// lazily loaded runs (ReadRunLazy) the populated field stays nil until
-	// first touch — read the bag through the *Assocs accessors in lazy.go,
-	// which materialise on demand.
-	Unary     []UnaryAssoc
-	Binary    []BinaryAssoc
-	Flatten   []FlattenAssoc
-	Agg       []AggAssoc
-	SourceIDs []SourceAssoc
-
-	// lazy, when non-nil, defers the association columns of a lazily loaded
-	// run to first touch (see lazy.go).
+	// The association bag P: what is known of it without its columns (all the
+	// load-time scan of a lazily loaded run establishes; fixed from then on,
+	// so read without synchronisation), and the columns, which a lazily
+	// loaded operator writes once, under lazy.once.
+	kind       AssocKind
+	n          int  // association rows
+	totalIns   int  // AssocAgg only: len(cols.In)
+	outOfOrder bool // the Out column decreases somewhere
+	cols       Columns
+	// lazy, while non-nil, is the validated region of a lazily loaded run
+	// that cols decodes from on first touch (see Columns).
 	lazy *lazyAssoc
+}
+
+// setColumns installs decoded columns as the operator's bag and derives the
+// facts the other methods answer from.
+func (o *Operator) setColumns(c Columns) {
+	o.kind, o.n, o.totalIns, o.cols = c.Kind, len(c.Out), 0, c
+	if c.Kind == AssocAgg {
+		o.totalIns = len(c.In)
+	}
+	o.outOfOrder = !slices.IsSorted(c.Out)
+}
+
+// Columns returns the operator's association bag. The columns are shared —
+// with the run, with every tracer that indexes it and with every other
+// caller — and read-only. A lazily loaded operator decodes them from its
+// validated region on first touch, once, whichever reader comes first.
+func (o *Operator) Columns() Columns {
+	if l := o.lazy; l != nil {
+		l.once.Do(func() { o.cols = l.decode(o) })
+	}
+	return o.cols
+}
+
+// AssocKind returns the layout of the operator's association bag.
+func (o *Operator) AssocKind() AssocKind { return o.kind }
+
+// AssocCount returns the number of association rows of the operator.
+func (o *Operator) AssocCount() int { return o.n }
+
+// OutOrdered reports whether the operator's Out column is non-decreasing. The
+// engine writes no other: identifiers are assigned in partition-concatenated
+// row order.
+func (o *Operator) OutOrdered() bool { return !o.outOfOrder }
+
+// OrigIDs maps the identifiers a source operator assigned to the ones the
+// rows carried in the raw input dataset, so analyses can correlate several
+// reads of one input. It is empty for any other operator.
+func (o *Operator) OrigIDs() map[int64]int64 {
+	if o.kind != AssocSource {
+		return map[int64]int64{}
+	}
+	c := o.Columns()
+	m := make(map[int64]int64, len(c.Out))
+	for i, id := range c.Out {
+		m[id] = c.In[i]
+	}
+	return m
 }
 
 // OpID identifies an operator within a pipeline and its captured
@@ -131,28 +183,6 @@ func (r *Run) String() string {
 	return sb.String()
 }
 
-// AssocCount returns the number of association rows of the operator. For a
-// lazily loaded operator the count comes from the load-time scan, without
-// materialising the columns.
-func (o *Operator) AssocCount() int {
-	if o.lazy != nil {
-		return o.lazy.n
-	}
-	switch {
-	case o.Unary != nil:
-		return len(o.Unary)
-	case o.Binary != nil:
-		return len(o.Binary)
-	case o.Flatten != nil:
-		return len(o.Flatten)
-	case o.Agg != nil:
-		return len(o.Agg)
-	case o.SourceIDs != nil:
-		return len(o.SourceIDs)
-	}
-	return 0
-}
-
 // Sizes reports the storage footprint of the captured provenance, split the
 // way Fig. 8 stacks its bars: the lineage share (top-level identifier
 // associations, which a Titian-style solution stores too) and the structural
@@ -167,50 +197,26 @@ func (s Sizes) Total() int64 { return s.LineageBytes + s.StructuralExtra }
 
 const idBytes = 8
 
-// Sizes computes the storage footprint of one operator's provenance.
+// Sizes computes the storage footprint of one operator's provenance: a pure
+// function of its row and element counts, so it never decodes a column.
 func (o *Operator) Sizes() Sizes {
 	var s Sizes
-	if o.lazy != nil {
-		// Lazily loaded: the footprint model is a pure function of the row
-		// and element counts the load-time scan recorded, so Sizes never
-		// forces materialisation.
-		switch o.lazy.tag {
-		case AssocUnary:
-			s.LineageBytes = int64(o.lazy.n) * 2 * idBytes
-		case AssocBinary:
-			s.LineageBytes = int64(o.lazy.n) * 3 * idBytes
-		case AssocFlatten:
-			s.LineageBytes = int64(o.lazy.n) * 2 * idBytes
-			s.StructuralExtra = int64(o.lazy.n) * idBytes
-		case AssocAgg:
-			s.LineageBytes = int64(o.lazy.totalIns+o.lazy.n) * idBytes
-		case AssocSource:
-			s.LineageBytes = int64(o.lazy.n) * idBytes
-		}
-		return o.addStaticSizes(s)
-	}
-	switch {
-	case o.Unary != nil:
-		s.LineageBytes = int64(len(o.Unary)) * 2 * idBytes
-	case o.Binary != nil:
-		s.LineageBytes = int64(len(o.Binary)) * 3 * idBytes
-	case o.Flatten != nil:
-		s.LineageBytes = int64(len(o.Flatten)) * 2 * idBytes
+	n := int64(o.n)
+	switch o.kind {
+	case AssocSource:
+		s.LineageBytes = n * idBytes
+	case AssocUnary:
+		s.LineageBytes = n * 2 * idBytes
+	case AssocBinary:
+		s.LineageBytes = n * 3 * idBytes
+	case AssocFlatten:
+		s.LineageBytes = n * 2 * idBytes
 		// Lineage solutions do not capture the element positions (Sec. 7.3.2).
-		s.StructuralExtra = int64(len(o.Flatten)) * idBytes
-	case o.Agg != nil:
-		for _, a := range o.Agg {
-			s.LineageBytes += int64(len(a.Ins)+1) * idBytes
-		}
-	case o.SourceIDs != nil:
-		s.LineageBytes = int64(len(o.SourceIDs)) * idBytes
+		s.StructuralExtra = n * idBytes
+	case AssocAgg:
+		s.LineageBytes = (int64(o.totalIns) + n) * idBytes
 	}
-	return o.addStaticSizes(s)
-}
-
-// addStaticSizes adds the schema-level paths and mappings, recorded once per
-// operator.
-func (o *Operator) addStaticSizes(s Sizes) Sizes {
+	// The schema-level paths and mappings, recorded once per operator.
 	for _, in := range o.Inputs {
 		for _, p := range in.Accessed {
 			s.StructuralExtra += int64(len(p.String()))

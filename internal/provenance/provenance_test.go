@@ -31,35 +31,23 @@ func TestCaptureExamplePipeline(t *testing.T) {
 		}
 	}
 	// Tab. 6 layouts per operator type.
+	layouts := map[engine.OpType]provenance.AssocKind{
+		engine.OpSource: provenance.AssocSource, engine.OpFilter: provenance.AssocUnary,
+		engine.OpSelect: provenance.AssocUnary, engine.OpMap: provenance.AssocUnary,
+		engine.OpJoin: provenance.AssocBinary, engine.OpUnion: provenance.AssocBinary,
+		engine.OpFlatten: provenance.AssocFlatten, engine.OpAggregate: provenance.AssocAgg,
+	}
 	for _, op := range ops {
-		switch op.Type {
-		case engine.OpSource:
-			if op.SourceIDs == nil || op.Unary != nil {
-				t.Errorf("source %d: wrong association layout", op.OID)
-			}
-		case engine.OpFilter, engine.OpSelect, engine.OpMap:
-			if op.Unary == nil && op.AssocCount() != 0 {
-				t.Errorf("%s %d: want unary associations", op.Type, op.OID)
-			}
-		case engine.OpJoin, engine.OpUnion:
-			if op.Binary == nil {
-				t.Errorf("%s %d: want binary associations", op.Type, op.OID)
-			}
-		case engine.OpFlatten:
-			if op.Flatten == nil {
-				t.Errorf("flatten %d: want flatten associations", op.OID)
-			}
-		case engine.OpAggregate:
-			if op.Agg == nil {
-				t.Errorf("aggregate %d: want aggregation associations", op.OID)
-			}
+		if c := op.Columns(); op.AssocKind() != layouts[op.Type] || c.Kind != op.AssocKind() || len(c.Out) != op.AssocCount() {
+			t.Errorf("%s %d: layout %d with %d rows (columns say %d, %d), want layout %d", op.Type, op.OID,
+				op.AssocKind(), op.AssocCount(), c.Kind, len(c.Out), layouts[op.Type])
 		}
 	}
 	// The two reads annotate 5 tweets each.
 	src1, _ := run.Op(1)
 	src4, _ := run.Op(4)
-	if len(src1.SourceIDs) != 5 || len(src4.SourceIDs) != 5 {
-		t.Errorf("source annotations: %d and %d, want 5 and 5", len(src1.SourceIDs), len(src4.SourceIDs))
+	if n1, n4 := len(src1.OrigIDs()), len(src4.OrigIDs()); n1 != 5 || n4 != 5 {
+		t.Errorf("source annotations: %d and %d, want 5 and 5", n1, n4)
 	}
 	// Filter keeps 4 of 5; flatten explodes 5 mentions; union merges 4+5;
 	// aggregation groups into 3 users.
@@ -76,8 +64,8 @@ func TestCaptureExamplePipeline(t *testing.T) {
 	// Every output row of the sink has an aggregation association.
 	agg, _ := run.Op(9)
 	outIDs := map[int64]bool{}
-	for _, a := range agg.Agg {
-		outIDs[a.Out] = true
+	for _, id := range agg.Columns().Out {
+		outIDs[id] = true
 	}
 	for _, r := range res.Output.Rows() {
 		if !outIDs[r.ID] {
@@ -93,20 +81,8 @@ func TestAssociationChainIsClosed(t *testing.T) {
 	outs := map[int]map[int64]bool{} // oid -> produced ids
 	for _, op := range run.Operators() {
 		ids := map[int64]bool{}
-		for _, a := range op.Unary {
-			ids[a.Out] = true
-		}
-		for _, a := range op.Binary {
-			ids[a.Out] = true
-		}
-		for _, a := range op.Flatten {
-			ids[a.Out] = true
-		}
-		for _, a := range op.Agg {
-			ids[a.Out] = true
-		}
-		for _, sa := range op.SourceIDs {
-			ids[sa.ID] = true
+		for _, id := range op.Columns().Out {
+			ids[id] = true
 		}
 		outs[op.OID] = ids
 	}
@@ -123,20 +99,12 @@ func TestAssociationChainIsClosed(t *testing.T) {
 				t.Errorf("operator %d consumes id %d not produced by predecessor %d", op.OID, id, pred)
 			}
 		}
-		for _, a := range op.Unary {
-			check(a.In, 0)
+		c := op.Columns()
+		for _, id := range c.In {
+			check(id, 0)
 		}
-		for _, a := range op.Binary {
-			check(a.Left, 0)
-			check(a.Right, 1)
-		}
-		for _, a := range op.Flatten {
-			check(a.In, 0)
-		}
-		for _, a := range op.Agg {
-			for _, id := range a.Ins {
-				check(id, 0)
-			}
+		for _, id := range c.Right {
+			check(id, 1)
 		}
 	}
 }
@@ -158,16 +126,13 @@ func TestSizesSplitLineageVsStructural(t *testing.T) {
 	// the flatten contribution is accounted.
 	fl, _ := run.Op(5)
 	s := fl.Sizes()
-	if s.StructuralExtra < int64(len(fl.Flatten))*8 {
+	if s.StructuralExtra < int64(len(fl.Columns().Pos))*8 {
 		t.Errorf("flatten structural extra %d misses position storage", s.StructuralExtra)
 	}
 	// Aggregation lineage grows with group sizes.
 	agg, _ := run.Op(9)
 	as := agg.Sizes()
-	var ids int
-	for _, a := range agg.Agg {
-		ids += len(a.Ins) + 1
-	}
+	ids := len(agg.Columns().In) + len(agg.Columns().Out)
 	if as.LineageBytes != int64(ids)*8 {
 		t.Errorf("aggregation lineage bytes = %d, want %d", as.LineageBytes, ids*8)
 	}

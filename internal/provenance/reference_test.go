@@ -20,9 +20,13 @@ import (
 //     production Cursor: its own varint reads (binary.ReadUvarint), its own
 //     count cap and capacity clamp. It stops at the last operator and reports
 //     how many bytes follow, where the production loaders reject them.
-//   - RefEncodeV1, the v1 encoder, written over the exported accessors. The
-//     frozen *.golden fixtures pin its bytes; it is what lets the tests keep
-//     asking "does this run still project onto the archived v1 stream".
+//   - RefEncodeV1, the v1 encoder, written over Operator.Columns. The frozen
+//     *.golden fixtures pin its bytes; it is what lets the tests keep asking
+//     "does this run still project onto the archived v1 stream".
+//
+// The decoder keeps the row-major form the production code no longer has: it
+// collects refRows and gathers them into columns at the end (refColumns), so
+// "rows and columns say the same" stays checked from outside the column code.
 
 // ---- v1 encoder ----
 
@@ -68,33 +72,26 @@ func RefEncodeV1(r *Run) []byte {
 			buf = str(buf, m.Out.String())
 			buf = flag(buf, m.GroupKey)
 		}
-		// Association bag, tagged by layout.
-		kind := op.AssocKind()
-		buf = append(buf, byte(kind))
-		if kind != AssocNone {
-			buf = le.AppendUint32(buf, uint32(op.AssocCount()))
+		// Association bag, tagged by layout, row-major.
+		c := op.Columns()
+		buf = append(buf, byte(c.Kind))
+		if c.Kind != AssocNone {
+			buf = le.AppendUint32(buf, uint32(len(c.Out)))
 		}
-		switch kind {
-		case AssocSource:
-			for _, sa := range op.SourceAssocs() {
-				buf = i64(i64(buf, sa.ID), sa.OrigID)
-			}
-		case AssocUnary:
-			for _, a := range op.UnaryAssocs() {
-				buf = i64(i64(buf, a.In), a.Out)
-			}
-		case AssocBinary:
-			for _, a := range op.BinaryAssocs() {
-				buf = i64(i64(i64(buf, a.Left), a.Right), a.Out)
-			}
-		case AssocFlatten:
-			for _, a := range op.FlattenAssocs() {
-				buf = i64(le.AppendUint32(i64(buf, a.In), uint32(a.Pos)), a.Out)
-			}
-		case AssocAgg:
-			for _, a := range op.AggAssocs() {
-				buf = le.AppendUint32(i64(buf, a.Out), uint32(len(a.Ins)))
-				for _, id := range a.Ins {
+		for j, out := range c.Out {
+			switch c.Kind {
+			case AssocSource:
+				buf = i64(i64(buf, out), c.In[j])
+			case AssocUnary:
+				buf = i64(i64(buf, c.In[j]), out)
+			case AssocBinary:
+				buf = i64(i64(i64(buf, c.In[j]), c.Right[j]), out)
+			case AssocFlatten:
+				buf = i64(le.AppendUint32(i64(buf, c.In[j]), uint32(c.Pos[j])), out)
+			case AssocAgg:
+				ins := c.In[c.Offs[j]:c.Offs[j+1]]
+				buf = le.AppendUint32(i64(buf, out), uint32(len(ins)))
+				for _, id := range ins {
 					buf = i64(buf, id)
 				}
 			}
@@ -104,6 +101,46 @@ func RefEncodeV1(r *Run) []byte {
 }
 
 // ---- stream decoder ----
+
+// refRow is one association row of any layout, as the reference decoder
+// collects them: a source's ⟨id, orig_id⟩ sits in out/in, a binary row's
+// id_i1/id_i2 in in/right, an aggregate's ids_i in ins.
+type refRow struct {
+	out, in, right, pos int64
+	ins                 []int64
+}
+
+// refColumns gathers rows into the columns of the given layout.
+func refColumns(kind AssocKind, rows []refRow) Columns {
+	c := Columns{Kind: kind}
+	if kind == AssocNone {
+		return c
+	}
+	c.Out, c.In = make([]int64, len(rows)), make([]int64, len(rows))
+	switch kind {
+	case AssocBinary:
+		c.Right = make([]int64, len(rows))
+	case AssocFlatten:
+		c.Pos = make([]int64, len(rows))
+	case AssocAgg:
+		c.In, c.Offs = c.In[:0], make([]int32, 1, len(rows)+1)
+	}
+	for j, r := range rows {
+		c.Out[j] = r.out
+		switch kind {
+		case AssocBinary:
+			c.In[j], c.Right[j] = r.in, r.right
+		case AssocFlatten:
+			c.In[j], c.Pos[j] = r.in, r.pos
+		case AssocAgg:
+			c.In = append(c.In, r.ins...)
+			c.Offs = append(c.Offs, int32(len(c.In)))
+		default:
+			c.In[j] = r.in
+		}
+	}
+	return c
+}
 
 // RefReadRun decodes a stream of either codec version eagerly and returns
 // the run together with the number of bytes left after its last operator.
@@ -186,49 +223,37 @@ func refReadRunV1(d *refDecoder) (*Run, error) {
 			}
 			op.Manipulated = append(op.Manipulated, m)
 		}
-		switch tag := d.u8(); tag {
-		case 0:
-		case 1:
+		tag := AssocKind(d.u8())
+		var rows []refRow
+		if tag > AssocAgg && d.err == nil {
+			d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
+		}
+		if tag != AssocNone && d.err == nil {
 			n := int(d.u32())
-			op.SourceIDs = make([]SourceAssoc, 0, refCapHint(n))
+			rows = make([]refRow, 0, refCapHint(n))
 			for j := 0; j < n && d.err == nil; j++ {
-				op.SourceIDs = append(op.SourceIDs, SourceAssoc{ID: d.i64(), OrigID: d.i64()})
-			}
-		case 2:
-			n := int(d.u32())
-			op.Unary = make([]UnaryAssoc, 0, refCapHint(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Unary = append(op.Unary, UnaryAssoc{In: d.i64(), Out: d.i64()})
-			}
-		case 3:
-			n := int(d.u32())
-			op.Binary = make([]BinaryAssoc, 0, refCapHint(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Binary = append(op.Binary, BinaryAssoc{Left: d.i64(), Right: d.i64(), Out: d.i64()})
-			}
-		case 4:
-			n := int(d.u32())
-			op.Flatten = make([]FlattenAssoc, 0, refCapHint(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				op.Flatten = append(op.Flatten, FlattenAssoc{In: d.i64(), Pos: int(d.u32()), Out: d.i64()})
-			}
-		case 5:
-			n := int(d.u32())
-			op.Agg = make([]AggAssoc, 0, refCapHint(n))
-			for j := 0; j < n && d.err == nil; j++ {
-				a := AggAssoc{Out: d.i64()}
-				nIns := int(d.u32())
-				a.Ins = make([]int64, 0, refCapHint(nIns))
-				for k := 0; k < nIns && d.err == nil; k++ {
-					a.Ins = append(a.Ins, d.i64())
+				var r refRow
+				switch tag {
+				case AssocSource:
+					r.out, r.in = d.i64(), d.i64()
+				case AssocUnary:
+					r.in, r.out = d.i64(), d.i64()
+				case AssocBinary:
+					r.in, r.right, r.out = d.i64(), d.i64(), d.i64()
+				case AssocFlatten:
+					r.in, r.pos, r.out = d.i64(), int64(d.u32()), d.i64()
+				case AssocAgg:
+					r.out = d.i64()
+					nIns := int(d.u32())
+					r.ins = make([]int64, 0, refCapHint(nIns))
+					for k := 0; k < nIns && d.err == nil; k++ {
+						r.ins = append(r.ins, d.i64())
+					}
 				}
-				op.Agg = append(op.Agg, a)
-			}
-		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
+				rows = append(rows, r)
 			}
 		}
+		op.setColumns(refColumns(tag, rows))
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -388,58 +413,29 @@ func (d *refV2Decoder) readOp() *Operator {
 }
 
 func (d *refV2Decoder) readAssocs(op *Operator) {
-	switch tag := d.byte(); tag {
-	case 0:
-	case 1:
-		n := d.count("source association")
-		ids := d.deltaColumn(n)
-		origs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.SourceIDs = make([]SourceAssoc, n)
-		for j := range op.SourceIDs {
-			op.SourceIDs[j] = SourceAssoc{ID: ids[j], OrigID: origs[j]}
-		}
-	case 2:
-		n := d.count("unary association")
-		ins := d.deltaColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Unary = make([]UnaryAssoc, n)
-		for j := range op.Unary {
-			op.Unary[j] = UnaryAssoc{In: ins[j], Out: outs[j]}
-		}
-	case 3:
-		n := d.count("binary association")
-		lefts := d.deltaColumn(n)
-		rights := d.deltaColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Binary = make([]BinaryAssoc, n)
-		for j := range op.Binary {
-			op.Binary[j] = BinaryAssoc{Left: lefts[j], Right: rights[j], Out: outs[j]}
-		}
-	case 4:
-		n := d.count("flatten association")
-		ins := d.deltaColumn(n)
-		poss := d.uvarintColumn(n)
-		outs := d.deltaColumn(n)
-		if d.err != nil {
-			return
-		}
-		op.Flatten = make([]FlattenAssoc, n)
-		for j := range op.Flatten {
-			op.Flatten[j] = FlattenAssoc{In: ins[j], Pos: int(poss[j]), Out: outs[j]}
-		}
-	case 5:
-		n := d.count("aggregate association")
-		outs := d.deltaColumn(n)
-		lens := d.uvarintColumn(n)
+	tag := AssocKind(d.byte())
+	if tag == AssocNone || d.err != nil {
+		return
+	}
+	if tag > AssocAgg {
+		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
+		return
+	}
+	n := d.count("association")
+	// The columns of the layout in stream order; a row takes one entry of each.
+	var outs, ins, rights []int64
+	var poss, lens []uint64
+	switch tag {
+	case AssocSource:
+		outs, ins = d.deltaColumn(n), d.deltaColumn(n)
+	case AssocUnary:
+		ins, outs = d.deltaColumn(n), d.deltaColumn(n)
+	case AssocBinary:
+		ins, rights, outs = d.deltaColumn(n), d.deltaColumn(n), d.deltaColumn(n)
+	case AssocFlatten:
+		ins, poss, outs = d.deltaColumn(n), d.uvarintColumn(n), d.deltaColumn(n)
+	case AssocAgg:
+		outs, lens = d.deltaColumn(n), d.uvarintColumn(n)
 		total := 0
 		for _, l := range lens {
 			if d.err == nil && (l > refMaxCount || total+int(l) < total) {
@@ -447,24 +443,30 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 			}
 			total += int(l)
 		}
-		flat := d.deltaColumn(total)
-		if d.err != nil {
-			return
-		}
-		op.Agg = make([]AggAssoc, n)
-		off := 0
-		for j := range op.Agg {
-			ln := int(lens[j])
-			a := AggAssoc{Out: outs[j], Ins: make([]int64, 0, refCapHint(ln))}
-			a.Ins = append(a.Ins, flat[off:off+ln]...)
-			off += ln
-			op.Agg[j] = a
-		}
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
-		}
+		ins = d.deltaColumn(total)
 	}
+	if d.err != nil {
+		return
+	}
+	rows := make([]refRow, n)
+	off := 0
+	for j := range rows {
+		r := refRow{out: outs[j]}
+		switch tag {
+		case AssocBinary:
+			r.in, r.right = ins[j], rights[j]
+		case AssocFlatten:
+			r.in, r.pos = ins[j], int64(poss[j])
+		case AssocAgg:
+			ln := int(lens[j])
+			r.ins = append(make([]int64, 0, refCapHint(ln)), ins[off:off+ln]...)
+			off += ln
+		default:
+			r.in = ins[j]
+		}
+		rows[j] = r
+	}
+	op.setColumns(refColumns(tag, rows))
 }
 
 func (d *refV2Decoder) uvarint() uint64 {

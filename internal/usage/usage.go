@@ -99,10 +99,7 @@ func (a *Analysis) AddQuery(q *core.QueryResult, run *provenance.Run) {
 		if !ok {
 			continue
 		}
-		toOrig := make(map[int64]int64, len(op.SourceIDs))
-		for _, sa := range op.SourceIDs {
-			toOrig[sa.ID] = sa.OrigID
-		}
+		toOrig := op.OrigIDs()
 		for _, it := range s.Items {
 			orig, ok := toOrig[it.ID]
 			if !ok {

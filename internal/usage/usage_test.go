@@ -1,11 +1,14 @@
 package usage_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"pebble/internal/core"
+	"pebble/internal/provenance"
 	"pebble/internal/usage"
 	"pebble/internal/workload"
 )
@@ -188,6 +191,60 @@ func TestSuggestColumnGroups(t *testing.T) {
 	for _, a := range inproceedingsSchema {
 		if seen[a] != 1 {
 			t.Errorf("attribute %s appears %d times across groups", a, seen[a])
+		}
+	}
+}
+
+// TestUsageOverReloadedRun: the analysis needs the run only for the sources'
+// id → raw-input-id associations, and must find them whichever way the run
+// came to be — captured, ReadRun, or ReadRunLazy with nothing decoded yet
+// (where it once merged nothing: it read a field the lazy loader had not
+// filled).
+func TestUsageOverReloadedRun(t *testing.T) {
+	scale := workload.Scale{SimGB: 1, RecordsPerGB: 400, Seed: 42}
+	session := core.Session{Partitions: 4}
+	var universe []int64
+	for _, r := range workload.DBLPInput(scale, 1)["dblp.json"].Rows() {
+		universe = append(universe, r.ID)
+	}
+	for _, sc := range workload.DBLPScenarios() {
+		cap, err := session.Capture(sc.Build(), sc.Input(scale, 4))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		q, err := cap.QueryAll()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		var stream bytes.Buffer
+		if _, err := cap.Provenance.WriteTo(&stream); err != nil {
+			t.Fatal(err)
+		}
+		eager, err := provenance.ReadRun(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := provenance.ReadRunLazy(stream.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := func(run *provenance.Run) (string, int) {
+			a := usage.NewAnalysis()
+			a.AddQuery(q, run)
+			return fmt.Sprintf("%+v\n%s", a.Audit(universe, inproceedingsSchema),
+				a.Heatmap(usage.SampleItems(universe, 25, 42), inproceedingsSchema)), len(a.AttrPerItem)
+		}
+		want, items := render(cap.Provenance)
+		if items == 0 {
+			t.Errorf("%s: the captured run merges no item", sc.Name)
+		}
+		for _, load := range []struct {
+			name string
+			run  *provenance.Run
+		}{{"ReadRun", eager}, {"ReadRunLazy", lazy}} {
+			if got, n := render(load.run); got != want {
+				t.Errorf("%s over %s merges %d items, the captured run %d:\n got %s\nwant %s", sc.Name, load.name, n, items, got, want)
+			}
 		}
 	}
 }
