@@ -35,10 +35,13 @@ fuzz-json:
 
 # Twenty seconds of the run loader (ReadRunLazy, then every bag decoded)
 # against the stream decoder kept as its reference
-# (internal/provenance/reference_test.go) on arbitrary bytes; the blocking
-# `check` CI job runs it on the same line as fuzz-json.
+# (internal/provenance/reference_test.go) on arbitrary bytes, allocation
+# bounded by the stream; then twenty of the round trip of every accepted run
+# through WriteTo and the v2 reference encoder. The blocking `check` CI job
+# runs both on the same line as fuzz-json.
 fuzz-codec:
-	go test -fuzz FuzzReadRun -fuzztime 20s ./internal/provenance
+	go test -fuzz '^FuzzReadRun$$' -fuzztime 20s ./internal/provenance
+	go test -fuzz '^FuzzCodecVersions$$' -fuzztime 20s ./internal/provenance
 
 # Twenty seconds of the shipped backtrace (shared trees, one rewrite per
 # distinct tree) against the per-item body kept as its reference
@@ -76,11 +79,14 @@ bench-engine:
 	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 5x -benchmem
 
 # The capture side without the daemon, time and bytes: the sink's appends,
-# the collector's merge, a capture job's persist (encode, lazy check, sidecar)
-# and a T1–T5 / D1–D5 capture + WriteTo sweep at the sizes of bench-engine,
-# whose B/row is what one association row costs over a plain sweep.
+# the collector's merge, the codec (v2 reference vs v3 on T5 and D4: encode,
+# lazy scan, full decode, bytes per association row), a capture job's persist
+# (encode, lazy check, sidecar) and a T1–T5 / D1–D5 capture + WriteTo sweep at
+# the sizes of bench-engine, whose B/row is what one association row costs
+# over a plain sweep.
 bench-capture:
 	go test ./internal/provenance -run '^$$' -bench 'CaptureSink|CollectorFinish' -benchmem
+	go test ./internal/provenance -run '^$$' -bench 'Codec' -benchtime 20x -benchmem
 	go test ./internal/backtrace -run '^$$' -bench 'Persist' -benchtime 20x -benchmem
 	go test ./internal/engine -run '^$$' -bench CaptureSweep -benchtime 5x -benchmem
 

@@ -296,23 +296,30 @@ func TestSidecarTrailingBytesRejected(t *testing.T) {
 }
 
 // TestSidecarV1Rejected: testdata/example_v1.idx is the sidecar the previous
-// format wrote for the example fixture's run — every operator's index spelled
-// out beside the columns that already hold it. The version check turns it
-// away, so that its reader rebuilds; the run it names is this one.
+// format wrote for the example fixture's run, stored beside it as the codec
+// v2 stream of that day (testdata/example_v2.pbl) — every operator's index
+// spelled out beside the columns that already hold it. The version check
+// turns it away from the run it names, so that its reader rebuilds, and the
+// rebuild answers as today's stream of the same capture does.
 func TestSidecarV1Rejected(t *testing.T) {
 	v1, err := os.ReadFile("testdata/example_v1.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fixtures(t)["example"]
-	if got := binary.LittleEndian.Uint64(v1[6:14]); got != provenance.HashStream(f.stream) {
-		t.Fatalf("the v1 sidecar names run %016x, the example fixture is %016x", got, provenance.HashStream(f.stream))
+	stream, err := os.ReadFile("testdata/example_v2.pbl")
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := f.lazyTracer(t)
+	if got := binary.LittleEndian.Uint64(v1[6:14]); got != provenance.HashStream(stream) {
+		t.Fatalf("the v1 sidecar names run %016x, its stream is %016x", got, provenance.HashStream(stream))
+	}
+	f := fixtures(t)["example"]
+	archived := &sidecarFixture{stream: stream, sink: f.sink, question: f.question}
+	tr := archived.lazyTracer(t)
 	if err := tr.LoadIndexes(v1); !errors.Is(err, backtrace.ErrSidecarCorrupt) || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("LoadIndexes on a v1 sidecar: got %v, want ErrSidecarCorrupt naming version 1", err)
 	}
-	if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+	if got, want := archived.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
 		t.Errorf("rejected v1 sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
 	}
 	if len(f.sidecar) >= len(v1) {

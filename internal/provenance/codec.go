@@ -22,15 +22,17 @@ import (
 //
 // with fixed-width little-endian fields; strings and slices are
 // length-prefixed and association rows are stored row-major with u32/i64
-// fields. Version 2 (what WriteTo emits, see codec_v2.go and DESIGN.md §8)
-// shares the magic/version prefix and stores a string dictionary followed by
-// per-operator columnar delta+varint association columns. Neither version
-// has a trailer: a stream ends with its last operator, and both loaders
-// reject anything after it.
+// fields. Versions 2 and 3 (v3 is what WriteTo emits, see codec_v3.go and
+// DESIGN.md §8) share the magic/version prefix and store a string
+// dictionary followed by per-operator association columns; v3 marks in a
+// bag's tag byte the columns it stores as runs of equal deltas. No version
+// has a trailer: a stream ends with its last operator, and the loader
+// rejects anything after it.
 const (
 	codecMagic     = "PBLP"
 	codecVersionV1 = 1
 	codecVersionV2 = 2
+	codecVersionV3 = 3
 )
 
 // ReadRun deserialises a run written by any codec version, consuming r to

@@ -16,16 +16,17 @@ import (
 var update = flag.Bool("update", false, "rewrite codec golden files under testdata/")
 
 // goldenPipelines are deterministic captures whose serialised forms are
-// committed under testdata/: <name>.golden holds the frozen v1 stream (a
-// compatibility fixture — archived provenance written before the columnar
-// codec must decode forever; nothing in the binary writes it any more, the
-// reference encoder in reference_test.go reproduces it) and <name>.v2.golden
-// the stream WriteTo emits today. Together they exercise every association layout the codec knows:
-// SourceIDs (1), Unary (2), Binary (3), Flatten (4), Agg (5), and the empty
-// tag (0) via the ⊥-annotated map. Committed bytes pin the on-disk format:
-// any codec change that silently alters the layout of existing streams fails
-// here before it can strand archived provenance (capture and audit are days
-// apart in practice).
+// committed under testdata/: <name>.golden holds the frozen v1 stream and
+// <name>.v2.golden the frozen v2 stream — compatibility fixtures: archived
+// provenance written before the current codec must decode forever; nothing
+// in the binary writes them any more, the reference encoders in
+// reference_test.go reproduce them — and <name>.v3.golden the stream WriteTo
+// emits today. Together they exercise every association layout the codec
+// knows: SourceIDs (1), Unary (2), Binary (3), Flatten (4), Agg (5), and the
+// empty tag (0) via the ⊥-annotated map. Committed bytes pin the on-disk
+// format: any codec change that silently alters the layout of existing
+// streams fails here before it can strand archived provenance (capture and
+// audit are days apart in practice).
 var goldenPipelines = []struct {
 	name  string
 	parts int
@@ -68,13 +69,22 @@ func goldenRun(t *testing.T, parts int, build func() *engine.Pipeline) *provenan
 	return run
 }
 
-// encodeVersion encodes the run as v2 through WriteTo, the only production
-// encoder, or as v1 through the test-only reference encoder.
-func encodeVersion(t *testing.T, run *provenance.Run, version int) []byte {
+// goldenVersions are the three committed streams of a golden pipeline: the
+// file suffix, and the encoder that reproduces it — the test-only references
+// for the frozen v1 and v2 fixtures, WriteTo for v3.
+var goldenVersions = []struct {
+	suffix string
+	frozen bool
+	encode func(t testing.TB, run *provenance.Run) []byte
+}{
+	{".golden", true, func(_ testing.TB, run *provenance.Run) []byte { return provenance.RefEncodeV1(run) }},
+	{".v2.golden", true, func(_ testing.TB, run *provenance.Run) []byte { return provenance.RefEncodeV2(run) }},
+	{".v3.golden", false, writeTo},
+}
+
+// writeTo encodes the run through WriteTo, the only production encoder.
+func writeTo(t testing.TB, run *provenance.Run) []byte {
 	t.Helper()
-	if version == 1 {
-		return provenance.RefEncodeV1(run)
-	}
 	var buf bytes.Buffer
 	if _, err := run.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -83,74 +93,58 @@ func encodeVersion(t *testing.T, run *provenance.Run, version int) []byte {
 }
 
 // TestCodecGoldenFiles compares freshly captured runs against the committed
-// streams byte for byte — the frozen v1 fixture and the current v2 stream —
-// then proves decode → re-encode reproduces each committed stream exactly
-// and that both versions decode to the same run. Regenerate with:
+// streams byte for byte — the frozen v1 and v2 fixtures and the current v3
+// stream — then proves decode → re-encode reproduces each committed stream
+// exactly, that all three decode to the same run, and that v3 is never
+// longer than v2. Regenerate the v3 stream (only) with:
 //
 //	go test ./internal/provenance -run TestCodecGoldenFiles -update
 func TestCodecGoldenFiles(t *testing.T) {
 	for _, g := range goldenPipelines {
-		g := g
 		t.Run(g.name, func(t *testing.T) {
 			run := goldenRun(t, g.parts, g.build)
-			gotV1 := encodeVersion(t, run, 1)
-			gotV2 := encodeVersion(t, run, 2)
-			pathV1 := filepath.Join("testdata", g.name+".golden")
-			pathV2 := filepath.Join("testdata", g.name+".v2.golden")
-			if *update {
-				if err := os.WriteFile(pathV1, gotV1, 0o644); err != nil {
-					t.Fatal(err)
+			var streams [][]byte
+			for _, v := range goldenVersions {
+				got := v.encode(t, run)
+				p := filepath.Join("testdata", g.name+v.suffix)
+				if *update && !v.frozen {
+					if err := os.WriteFile(p, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := os.WriteFile(pathV2, gotV2, 0o644); err != nil {
-					t.Fatal(err)
+				want, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatalf("missing golden file (regenerate the current one with -update): %v", err)
 				}
-				return
+				if !bytes.Equal(got, want) {
+					if v.frozen {
+						t.Fatalf("stream differs from frozen fixture %s (%d vs %d bytes); "+
+							"the reference encoder must stay byte-stable so archived streams keep their meaning",
+							p, len(got), len(want))
+					}
+					t.Fatalf("captured stream differs from %s (%d vs %d bytes); "+
+						"if the format changed intentionally, add a codec version and rerun with -update",
+						p, len(got), len(want))
+				}
+				// The committed stream decodes and re-encodes byte-identically.
+				back, err := provenance.ReadRun(bytes.NewReader(want))
+				if err != nil {
+					t.Fatalf("decode %s: %v", p, err)
+				}
+				if re := v.encode(t, back); !bytes.Equal(re, want) {
+					t.Errorf("decode → re-encode of %s is not byte-identical (%d vs %d bytes)", p, len(re), len(want))
+				}
+				// And describes the same run as the others: its v3 encoding is
+				// the v3 golden.
+				if re := writeTo(t, back); !bytes.Equal(re, writeTo(t, run)) {
+					t.Errorf("%s decodes to a different run than was captured", p)
+				}
+				streams = append(streams, want)
 			}
-			wantV1, err := os.ReadFile(pathV1)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			wantV2, err := os.ReadFile(pathV2)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(gotV1, wantV1) {
-				t.Fatalf("v1 stream differs from frozen fixture %s (%d vs %d bytes); "+
-					"the reference v1 encoder must stay byte-stable so archived streams keep their meaning",
-					pathV1, len(gotV1), len(wantV1))
-			}
-			if !bytes.Equal(gotV2, wantV2) {
-				t.Fatalf("captured stream differs from %s (%d vs %d bytes); "+
-					"if the format changed intentionally, add a codec version and rerun with -update",
-					pathV2, len(gotV2), len(wantV2))
-			}
-			// The columnar layout must actually pay for itself on every
-			// committed shape.
-			if len(wantV2)*10 > len(wantV1)*6 {
-				t.Errorf("v2 stream is %d bytes vs %d for v1 — above the 60%% budget",
-					len(wantV2), len(wantV1))
-			}
-			// Both committed streams decode, re-encode byte-identically, and
-			// describe the same run (compared through the v1 encoding, a pure
-			// function of the run's structure).
-			r1, err := provenance.ReadRun(bytes.NewReader(wantV1))
-			if err != nil {
-				t.Fatalf("decode %s: %v", pathV1, err)
-			}
-			r2, err := provenance.ReadRun(bytes.NewReader(wantV2))
-			if err != nil {
-				t.Fatalf("decode %s: %v", pathV2, err)
-			}
-			if re := encodeVersion(t, r1, 1); !bytes.Equal(re, wantV1) {
-				t.Errorf("decode → re-encode of %s is not byte-identical (%d vs %d bytes)",
-					pathV1, len(re), len(wantV1))
-			}
-			if re := encodeVersion(t, r2, 2); !bytes.Equal(re, wantV2) {
-				t.Errorf("decode → re-encode of %s is not byte-identical (%d vs %d bytes)",
-					pathV2, len(re), len(wantV2))
-			}
-			if !bytes.Equal(encodeVersion(t, r2, 1), wantV1) {
-				t.Errorf("v1 and v2 streams of %s decode to different runs", g.name)
+			// v3 run-codes a column only where that is shorter, and its run
+			// bits ride in the tag byte: it is never longer than v2.
+			if v2, v3 := streams[1], streams[2]; len(v3) > len(v2) {
+				t.Errorf("v3 stream is %d bytes vs %d for v2", len(v3), len(v2))
 			}
 		})
 	}

@@ -229,10 +229,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 
 	// Every strict prefix of a valid stream truncates some field or record
-	// and must be rejected — neither format has an optional trailer. The
-	// WriteTo stream covers v2; the v1 stream (from the test-only reference
-	// encoder) keeps the frozen fixed-width decode honest.
-	for _, stream := range [][]byte{valid, provenance.RefEncodeV1(run)} {
+	// and must be rejected — no format has an optional trailer. The WriteTo
+	// stream covers v3; the v2 and v1 streams (from the test-only reference
+	// encoders) keep the archived decodes honest.
+	for _, stream := range [][]byte{valid, provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
 		for n := 0; n < len(stream); n++ {
 			if _, err := provenance.ReadRun(bytes.NewReader(stream[:n])); err == nil {
 				t.Fatalf("truncated stream of %d/%d bytes accepted", n, len(stream))
@@ -273,5 +273,160 @@ func TestCodecHandlesMapAndJoin(t *testing.T) {
 	jo, _ := back.Op(p.Sink().ID())
 	if len(jo.Inputs[0].Schema) == 0 || len(jo.Inputs[1].Schema) == 0 {
 		t.Error("join schemas lost in round trip")
+	}
+}
+
+// v3Bag hand-assembles a one-operator v3 stream whose association bag has
+// the given tag, run bits and row count; body writes its columns.
+func v3Bag(tag, runs uint8, n uint64, body func(s *rawStream)) []byte {
+	s := new(rawStream)
+	s.WriteString("PBLP")
+	s.u16(3)
+	s.uv(1)
+	s.dstr("op")
+	s.uv(1) // one operator
+	s.uv(7) // OID
+	s.uv(0) // type ref → "op"
+	s.u8(0) // ManipUndefined
+	s.uv(0) // no inputs
+	s.uv(0) // no mappings
+	s.u8(runs<<3 | tag)
+	if tag != 0 {
+		s.uv(n)
+	}
+	body(s)
+	return s.Bytes()
+}
+
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+// deltas writes a Δ column.
+func (s *rawStream) deltas(vals ...int64) {
+	prev := int64(0)
+	for _, v := range vals {
+		s.uv(zigzag(v - prev))
+		prev = v
+	}
+}
+
+// runs writes a run column: the run count, then per run its length and delta.
+func (s *rawStream) runs(runs ...[2]int64) {
+	s.uv(uint64(len(runs)))
+	for _, r := range runs {
+		s.uv(uint64(r[0]))
+		s.uv(zigzag(r[1]))
+	}
+}
+
+// TestCodecRejectsHostileRuns: a run-coded column is a few bytes whatever the
+// count it declares, so the v3 loader must not let a run stand in for the
+// bytes a row needs: every stream here is rejected at ReadRunLazy, by the
+// stream reference as well, and without allocating beyond the stream's bound
+// — above all a bag that declares 2³² − 1 rows and run-codes every column of
+// n entries in a dozen bytes. The controls, well-formed bags of the same
+// shapes, load.
+func TestCodecRejectsHostileRuns(t *testing.T) {
+	const huge = 1<<32 - 1
+	four := func(s *rawStream) { s.deltas(10, 11, 12, 13) }
+	controls := []struct {
+		name string
+		data []byte
+		want provenance.Columns
+	}{
+		{"unary, In run-coded", v3Bag(2, 0b01, 4, func(s *rawStream) { s.runs([2]int64{4, 1}); four(s) }),
+			provenance.Columns{Kind: provenance.AssocUnary, In: []int64{1, 2, 3, 4}, Out: []int64{10, 11, 12, 13}}},
+		{"binary, In and Out run-coded", v3Bag(3, 0b101, 4, func(s *rawStream) {
+			s.runs([2]int64{1, 5}, [2]int64{3, 0})
+			s.deltas(-1, -1, 7, 7)
+			s.runs([2]int64{1, 10}, [2]int64{3, 1})
+		}), provenance.Columns{Kind: provenance.AssocBinary, In: []int64{5, 5, 5, 5}, Right: []int64{-1, -1, 7, 7}, Out: []int64{10, 11, 12, 13}}},
+		{"flatten, Out run-coded", v3Bag(4, 0b100, 2, func(s *rawStream) {
+			s.deltas(3, 3)
+			s.uv(1)
+			s.uv(2)
+			s.runs([2]int64{2, -4})
+		}), provenance.Columns{Kind: provenance.AssocFlatten, In: []int64{3, 3}, Pos: []int64{1, 2}, Out: []int64{-4, -8}}},
+		{"aggregate, Out run-coded", v3Bag(5, 0b001, 2, func(s *rawStream) {
+			s.runs([2]int64{2, 9})
+			s.uv(1)
+			s.uv(0)
+			s.deltas(4)
+		}), provenance.Columns{Kind: provenance.AssocAgg, Out: []int64{9, 18}, In: []int64{4}, Offs: []int32{0, 1, 1}}},
+	}
+	for _, c := range controls {
+		run, err := provenance.ReadRunLazy(c.data)
+		if err != nil {
+			t.Fatalf("control %s rejected: %v", c.name, err)
+		}
+		op, _ := run.Op(7)
+		if got := op.Columns(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("control %s decodes to %+v, want %+v", c.name, got, c.want)
+		}
+		want, rest, err := provenance.RefReadRun(c.data)
+		if err != nil || rest != 0 {
+			t.Fatalf("control %s: reference decode: %v (%d bytes left)", c.name, err, rest)
+		}
+		requireSameRun(t, want, run)
+	}
+
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"source, every column of n = 2³²−1 run-coded", v3Bag(1, 0b11, huge, func(s *rawStream) {
+			s.runs([2]int64{huge, 1})
+			s.runs([2]int64{huge, 1})
+		})},
+		{"unary, every column of n = 2³²−1 run-coded", v3Bag(2, 0b11, huge, func(s *rawStream) {
+			s.runs([2]int64{huge, 1})
+			s.runs([2]int64{huge, 1})
+		})},
+		{"binary, every column of n = 2³²−1 run-coded", v3Bag(3, 0b111, huge, func(s *rawStream) {
+			s.runs([2]int64{huge, 1})
+			s.runs([2]int64{huge, -1})
+			s.runs([2]int64{huge, 1})
+		})},
+		{"binary, n = 2³²−1 with one Δ column of four bytes", v3Bag(3, 0b011, huge, func(s *rawStream) {
+			s.runs([2]int64{huge, 1})
+			s.runs([2]int64{huge, -1})
+			four(s)
+		})},
+		{"runs summing to n + 1", v3Bag(2, 0b01, 4, func(s *rawStream) { s.runs([2]int64{2, 1}, [2]int64{3, 1}); four(s) })},
+		{"runs summing to n − 1", v3Bag(2, 0b01, 4, func(s *rawStream) { s.runs([2]int64{2, 1}, [2]int64{1, 1}); four(s) })},
+		{"a zero-length run", v3Bag(2, 0b01, 4, func(s *rawStream) { s.runs([2]int64{0, 1}, [2]int64{4, 1}); four(s) })},
+		{"more runs than n", v3Bag(2, 0b01, 4, func(s *rawStream) {
+			s.uv(5)
+			for i := 0; i < 5; i++ {
+				s.uv(1)
+				s.uv(2)
+			}
+			four(s)
+		})},
+		{"a run count of 2³²", v3Bag(2, 0b01, 4, func(s *rawStream) { s.uv(1 << 32); four(s) })},
+		{"flatten In run-coded", v3Bag(4, 0b001, 2, func(s *rawStream) { s.runs([2]int64{2, 3}); s.uv(1); s.uv(2); s.deltas(5, 6) })},
+		{"flatten Pos run-coded", v3Bag(4, 0b010, 2, func(s *rawStream) { s.deltas(3, 3); s.runs([2]int64{2, 1}); s.deltas(5, 6) })},
+		{"aggregate lens run-coded", v3Bag(5, 0b010, 2, func(s *rawStream) { s.deltas(5, 6); s.runs([2]int64{2, 1}); s.deltas(1, 2) })},
+		{"aggregate Ins run-coded", v3Bag(5, 0b100, 2, func(s *rawStream) { s.deltas(5, 6); s.uv(1); s.uv(1); s.runs([2]int64{2, 1}) })},
+		{"unknown run bit 3", v3Bag(2, 0b01001, 4, func(s *rawStream) { s.runs([2]int64{4, 1}); four(s) })},
+		{"unknown run bit 4", v3Bag(2, 0b10000, 4, func(s *rawStream) { four(s); four(s) })},
+		{"run bits on an operator without a bag", v3Bag(0, 0b001, 0, func(*rawStream) {})},
+		{"run bits in a v2 stream", func() []byte {
+			data := v3Bag(2, 0b01, 4, func(s *rawStream) { s.runs([2]int64{4, 1}); four(s) })
+			data[4] = 2
+			return data
+		}()},
+	}
+	for _, c := range cases {
+		if _, err := provenance.ReadRunLazy(c.data); err == nil {
+			t.Errorf("%s: ReadRunLazy accepted the stream", c.name)
+		}
+		if _, _, err := provenance.RefReadRun(c.data); err == nil {
+			t.Errorf("%s: the stream reference accepted the stream", c.name)
+		}
+		_, err, allocated := readRunAllocating(c.data)
+		if err == nil {
+			t.Errorf("%s: ReadRun accepted the stream", c.name)
+		}
+		requireBoundedLoad(t, c.name, c.data, allocated)
 	}
 }

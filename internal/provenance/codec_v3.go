@@ -1,0 +1,283 @@
+package provenance
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/bits"
+	"sync"
+
+	"pebble/internal/obs"
+)
+
+// Codec version 3, what WriteTo writes: a columnar layout. Association bags
+// dominate the stream (millions of monotonically growing int64 identifiers
+// per operator), so every association field is its own column, and an
+// identifier column is stored the shorter way: as zigzag deltas, one or two
+// bytes each instead of the fixed eight of v1, or — where deltas repeat, as
+// in a dense Out column (base, 1, 1, …) — as runs of equal deltas, a few
+// bytes whatever the length. The schema-level strings repeat heavily across
+// operators, so the stream opens with a string dictionary and every string
+// position holds a varint dictionary reference.
+//
+// Layout after the shared magic "PBLP" | u16 version=3 prefix:
+//
+//	dict:  uvarint #strings | per string: uvarint len | bytes
+//	uvarint #ops
+//	per op:
+//	  uvarint oid | uvarint typeRef | u8 manipUndefined
+//	  uvarint #inputs | per input:
+//	    uvarint pred | uvarint sourceNameRef | u8 accessUndefined
+//	    uvarint #accessed | #accessed × uvarint pathRef
+//	    uvarint #schema   | #schema   × uvarint strRef
+//	  uvarint #mappings | per mapping:
+//	    uvarint inRef ("" encodes a nil In) | uvarint outRef | u8 groupKey
+//	  u8 runs<<3 | assocTag (0 none, 1 source, 2 unary, 3 binary, 4 flatten, 5 agg)
+//	  tag 1: uvarint n | C(Out)   | C(In)
+//	  tag 2: uvarint n | C(In)    | C(Out)
+//	  tag 3: uvarint n | C(In)    | C(Right)      | C(Out)
+//	  tag 4: uvarint n | n×Δ(In)  | n×uvarint Pos | C(Out)
+//	  tag 5: uvarint n | C(Out)   | n×uvarint len(Ins) | ΣΔ(Ins) chain
+//
+// A column C is n×Δ — zigzag(v − prev) uvarints, prev starting at 0 — unless
+// bit k of runs is set, k its place in the row above; then it is uvarint
+// #runs, then per run uvarint len ≥ 1 | zigzag Δ (len values, each Δ past the
+// one before), Σ len = n. The agg Ins chain is one delta column spanning all
+// groups. Version 2 is this layout with runs = 0, so v3 is never longer. A
+// bag keeps one column of n entries not run-coded (chooseRuns), so every row
+// it declares is backed by a byte of its region, which bounds what a loader
+// allocates. The bytes are a pure function of the Run — the dictionary is in
+// first-occurrence order over r.order — so they are identical whatever the
+// worker count (the oracle asserts this byte-for-byte).
+
+// runColumns are the columns of each layout that may be run-coded, and
+// rowColumns those with one entry per association row (bit k: k-th column).
+var (
+	runColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b100, AssocAgg: 0b001}
+	rowColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b111, AssocAgg: 0b011}
+)
+
+// encBuf wraps the pooled encode buffer; pooling pointers keeps Put from
+// allocating and lets the grown backing array survive across encodes.
+type encBuf struct{ b []byte }
+
+var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096)} }}
+
+// WriteTo serialises the run: the whole v3 stream is assembled in a pooled
+// buffer and handed to w in a single Write, so the returned count reflects
+// bytes the destination genuinely accepted. A run captured under a recorder
+// (Collector.Observe) reports every operator's encoded byte count into it as
+// obs.BytesEncoded — the codec-level counterpart of the model-level ProvBytes
+// counter — once per call. A captured run then carries the content hash of
+// the stream (ContentHash), as if it had been loaded from it; a loaded run
+// keeps the hash of the bytes it was loaded from.
+func (r *Run) WriteTo(w io.Writer) (int64, error) {
+	eb := encPool.Get().(*encBuf)
+	buf := eb.b[:0]
+	buf = append(buf, codecMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV3)
+
+	dict, refs := r.dict()
+	buf = binary.AppendUvarint(buf, uint64(len(dict)))
+	for _, s := range dict {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.order)))
+	for _, oid := range r.order {
+		op := r.ops[oid]
+		start := len(buf)
+		buf = appendOp(buf, op, refs)
+		r.rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
+	}
+
+	if !r.hasHash {
+		r.hash, r.hasHash = HashStream(buf), true
+	}
+	n, err := w.Write(buf)
+	eb.b = buf
+	encPool.Put(eb)
+	if err != nil {
+		return int64(n), fmt.Errorf("provenance: writing encoded run: %w", err)
+	}
+	return int64(n), nil
+}
+
+// dict collects every string of the run in deterministic first-occurrence
+// order (the same walk the encoder performs) and returns the dictionary plus
+// the string→index mapping.
+func (r *Run) dict() ([]string, map[string]uint64) {
+	var dict []string
+	refs := make(map[string]uint64)
+	add := func(s string) {
+		if _, ok := refs[s]; !ok {
+			refs[s] = uint64(len(dict))
+			dict = append(dict, s)
+		}
+	}
+	for _, oid := range r.order {
+		op := r.ops[oid]
+		add(string(op.Type))
+		for _, in := range op.Inputs {
+			add(in.SourceName)
+			for _, p := range in.Accessed {
+				add(p.String())
+			}
+			for _, s := range in.Schema {
+				add(s)
+			}
+		}
+		for _, m := range op.Manipulated {
+			add(m.In.String())
+			add(m.Out.String())
+		}
+	}
+	return dict, refs
+}
+
+func appendOp(buf []byte, op *Operator, refs map[string]uint64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(op.OID))
+	buf = binary.AppendUvarint(buf, refs[string(op.Type)])
+	buf = appendBool(buf, op.ManipUndefined)
+	buf = binary.AppendUvarint(buf, uint64(len(op.Inputs)))
+	for _, in := range op.Inputs {
+		buf = binary.AppendUvarint(buf, uint64(in.Pred))
+		buf = binary.AppendUvarint(buf, refs[in.SourceName])
+		buf = appendBool(buf, in.AccessUndefined)
+		buf = binary.AppendUvarint(buf, uint64(len(in.Accessed)))
+		for _, p := range in.Accessed {
+			buf = binary.AppendUvarint(buf, refs[p.String()])
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(in.Schema)))
+		for _, s := range in.Schema {
+			buf = binary.AppendUvarint(buf, refs[s])
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(op.Manipulated)))
+	for _, m := range op.Manipulated {
+		buf = binary.AppendUvarint(buf, refs[m.In.String()])
+		buf = binary.AppendUvarint(buf, refs[m.Out.String()])
+		buf = appendBool(buf, m.GroupKey)
+	}
+	c := op.Columns()   // re-encoding a lazily loaded run reads every bag
+	var wire [3][]int64 // the identifier columns in wire order; Pos and lens are written below
+	switch c.Kind {
+	case AssocSource:
+		wire = [3][]int64{c.Out, c.In}
+	case AssocUnary:
+		wire = [3][]int64{c.In, c.Out}
+	case AssocBinary:
+		wire = [3][]int64{c.In, c.Right, c.Out}
+	case AssocFlatten:
+		wire = [3][]int64{c.In, nil, c.Out}
+	case AssocAgg:
+		wire = [3][]int64{c.Out, nil, c.In}
+	}
+	runs, nRuns := chooseRuns(c.Kind, &wire)
+	buf = append(buf, runs<<3|byte(c.Kind))
+	if c.Kind == AssocNone {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(c.Out)))
+	for k, col := range wire {
+		switch {
+		case runs>>k&1 != 0:
+			buf = appendRunColumn(buf, col, nRuns[k])
+		case k == 1 && c.Kind == AssocFlatten:
+			for _, p := range c.Pos {
+				buf = binary.AppendUvarint(buf, uint64(p))
+			}
+		case k == 1 && c.Kind == AssocAgg:
+			for j := range c.Out {
+				buf = binary.AppendUvarint(buf, uint64(c.Offs[j+1]-c.Offs[j]))
+			}
+		default:
+			buf = AppendDeltaColumn(buf, col)
+		}
+	}
+	return buf
+}
+
+// chooseRuns returns the runs bits of a bag and the run count of every
+// column it run-codes: a column is run-coded iff that is strictly shorter,
+// but when that would leave no column of n entries Δ-coded, the one of
+// shortest Δ form stays. One counting pass per eligible column, nothing
+// allocated.
+func chooseRuns(kind AssocKind, wire *[3][]int64) (runs uint8, nRuns [3]int) {
+	keep, keepBytes := 0, -1 // the row column of shortest Δ form, the first of equals
+	for k, col := range wire {
+		if runColumns[kind]>>k&1 == 0 {
+			continue
+		}
+		delta, run, n := columnCost(col)
+		if run < delta {
+			runs, nRuns[k] = runs|1<<k, n
+		}
+		if keepBytes < 0 || delta < keepBytes {
+			keep, keepBytes = k, delta
+		}
+	}
+	if runs&rowColumns[kind] == rowColumns[kind] {
+		runs &^= 1 << keep
+	}
+	return runs, nRuns
+}
+
+// columnCost returns the bytes col takes Δ-coded and run-coded, and its
+// number of runs.
+func columnCost(col []int64) (delta, run, runs int) {
+	for i, prev := 0, int64(0); i < len(col); runs++ {
+		j, d := deltaRun(col, i, prev)
+		l := uvarintLen(zigzag(d))
+		delta += (j - i) * l
+		run += uvarintLen(uint64(j-i)) + l
+		i, prev = j, col[j-1]
+	}
+	return delta, run + uvarintLen(uint64(runs)), runs
+}
+
+// appendRunColumn appends col run-coded; runs is its run count.
+func appendRunColumn(buf []byte, col []int64, runs int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(runs))
+	for i, prev := 0, int64(0); i < len(col); {
+		j, d := deltaRun(col, i, prev)
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(j-i)), zigzag(d))
+		i, prev = j, col[j-1]
+	}
+	return buf
+}
+
+// deltaRun returns the end of the run that starts at col[i] — the maximal
+// stretch whose values each lie the same delta past the one before, prev
+// being the value before col[i] — and that delta.
+func deltaRun(col []int64, i int, prev int64) (int, int64) {
+	d := col[i] - prev
+	j := i + 1
+	for j < len(col) && col[j]-col[j-1] == d {
+		j++
+	}
+	return j, d
+}
+
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// AppendDeltaColumn appends col as zigzag(v − prev) uvarints, prev starting
+// at 0: the writer of what Cursor.DeltaColumn reads, for the run stream and
+// the index sidecar alike.
+func AppendDeltaColumn(buf []byte, col []int64) []byte {
+	prev := int64(0)
+	for _, v := range col {
+		buf = binary.AppendUvarint(buf, zigzag(v-prev))
+		prev = v
+	}
+	return buf
+}
+
+func appendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}

@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// Cursor is the one reader of artifact bytes: both versions of the run
+// Cursor is the one reader of artifact bytes: every version of the run
 // stream and the index sidecar next to it (internal/backtrace) parse through
 // it, so truncation, varint overflow, count caps and allocation bounds are
 // decided in one place. It walks a byte slice and remembers the first error;
@@ -85,10 +85,11 @@ func (c *Cursor) Count(what string) int {
 }
 
 // Clamp bounds a declared element count to the bytes left, for sizing an
-// allocation before the elements are read: every element of every format
-// occupies at least one byte, so a genuine count is allocated exactly once
-// and a lying one cannot reserve more elements than the input has bytes —
-// it then runs into the end of the data.
+// allocation before the elements are read: every declared row of every
+// format is backed by at least one byte of its region — a run-coded column
+// is not, but its bag keeps a column that is — so a genuine count is
+// allocated exactly once and a lying one cannot reserve more elements than
+// the input has bytes: it then runs into the end of the data.
 func (c *Cursor) Clamp(n int) int {
 	if n < 0 {
 		return 0
@@ -168,6 +169,54 @@ func (c *Cursor) DeltaColumn(n int) []int64 {
 	return out
 }
 
+// skipColumn validates the k-th column of a bag, n values, as column reads
+// it — SkipVarints unless bit k of runs is set — and reports whether it is
+// non-decreasing. A run-coded column (codec_v3.go) holds at most n runs,
+// none empty, their lengths summing to exactly n; it decreases where a run's
+// delta is negative, unless all that run holds is the first value.
+func (c *Cursor) skipColumn(n int, runs uint8, k int) (ordered bool) {
+	if runs>>k&1 == 0 {
+		return c.SkipVarints(n)
+	}
+	count, left, ordered := c.Count("run"), uint64(n), true
+	if c.err == nil && count > n {
+		c.err = fmt.Errorf("provenance: %d runs for %d values", count, n)
+	}
+	for i := 0; i < count && c.err == nil; i++ {
+		l, u := c.Uvarint(), c.Uvarint()
+		if c.err == nil && (l == 0 || l > left) {
+			c.err = fmt.Errorf("provenance: run of %d values where %d are left", l, left)
+		}
+		left -= l
+		ordered = ordered && (u&1 == 0 || i == 0 && l == 1)
+	}
+	if c.err == nil && left != 0 {
+		c.err = fmt.Errorf("provenance: runs cover %d of %d values", uint64(n)-left, n)
+	}
+	return ordered && c.err == nil
+}
+
+// column reads the k-th column of a bag, n values, that skipColumn accepted:
+// DeltaColumn unless bit k of runs is set. A run-coded column is allocated at
+// once — its runs say nothing about the bytes behind its values, the bag's
+// other columns do.
+func (c *Cursor) column(n int, runs uint8, k int) []int64 {
+	if runs>>k&1 == 0 {
+		return c.DeltaColumn(n)
+	}
+	out := make([]int64, 0, n)
+	var prev int64
+	for count := c.Count("run"); count > 0 && c.err == nil; count-- {
+		l, u := c.Uvarint(), c.Uvarint()
+		d := int64(u>>1) ^ -int64(u&1)
+		for ; l > 0 && len(out) < n; l-- {
+			prev += d
+			out = append(out, prev)
+		}
+	}
+	return out
+}
+
 // take returns the next n bytes as a view of the data.
 func (c *Cursor) take(n int) []byte {
 	if c.err != nil {
@@ -191,8 +240,8 @@ func (c *Cursor) str(n uint64) string {
 	return string(c.take(int(n)))
 }
 
-// end requires the cursor at the end of a run stream: neither codec version
-// has a trailer, and the content hash must not cover bytes no decoder read.
+// end requires the cursor at the end of a run stream: no codec version has
+// a trailer, and the content hash must not cover bytes no decoder read.
 func (c *Cursor) end() error {
 	if n := c.Rest(); n > 0 {
 		return fmt.Errorf("provenance: %d trailing bytes after the last operator", n)

@@ -15,16 +15,16 @@ import (
 // backtrace visits only the operators on its walk — typically a handful out
 // of a large run — so the load phase should not pay for decoding every column.
 //
-// The v2 wire format is unchanged (it has no optional trailer; every strict
-// prefix of a stream is invalid, and the codec tests pin that). Instead of a
-// serialized directory, ReadRunLazy derives a per-operator offset directory
-// with a validating skip-scan: the static parts (dictionary, operator
-// headers, paths, mappings) decode at load, and each association block is
-// structurally validated — count caps, varint boundaries, aggregate length
-// sums — and recorded as a byte region of the backing slice. Because the scan
-// proves every region well-formed up front, the decode is infallible and
-// corrupt streams fail at load time. There is no second decoder: ReadRun is
-// this load followed by a touch of every bag.
+// The stream carries no directory (nor any optional trailer; every strict
+// prefix of a stream is invalid, and the codec tests pin that). ReadRunLazy
+// derives a per-operator offset directory with a validating skip-scan of a
+// v2 or v3 stream: the static parts (dictionary, operator headers, paths,
+// mappings) decode at load, and each association block is structurally
+// validated — count caps, varint boundaries, the run bits and the run
+// lengths, aggregate length sums — and recorded as a byte region of the
+// backing slice. Because the scan proves every region well-formed up front,
+// the decode is infallible and corrupt streams fail at load time. There is
+// no second decoder: ReadRun is this load followed by a touch of every bag.
 
 // lazyStream is the shared backing state of one lazily loaded run: the raw
 // encoded bytes plus the materialisation accounting the query sweep reports.
@@ -39,7 +39,8 @@ type lazyStream struct {
 type lazyAssoc struct {
 	src      *lazyStream
 	once     sync.Once
-	off, end int // region [off, end): count varint + columns
+	off, end int   // region [off, end): count varint + columns
+	runs     uint8 // the run-coded columns (0 in a v2 stream)
 }
 
 // ContentHash returns the FNV-1a hash of the encoded stream the run was
@@ -50,7 +51,7 @@ type lazyAssoc struct {
 func (r *Run) ContentHash() (uint64, bool) { return r.hash, r.hasHash }
 
 // AssocBytesTotal returns the encoded size of all association regions of a
-// lazily loaded v2 run (0 for fully decoded or in-memory runs) — the bytes
+// lazily loaded columnar run (0 for fully decoded or in-memory runs) — the bytes
 // ReadRun materialises unconditionally.
 func (r *Run) AssocBytesTotal() int64 {
 	if r.lazy == nil {
@@ -111,8 +112,8 @@ func ReadRunLazy(data []byte) (*Run, error) {
 	switch version {
 	case codecVersionV1:
 		run, err = readRunV1(c)
-	case codecVersionV2:
-		run, err = scanRunV2(c)
+	case codecVersionV2, codecVersionV3:
+		run, err = scanRun(c, version)
 	default:
 		err = fmt.Errorf("provenance: unsupported version %d", version)
 	}
@@ -123,19 +124,21 @@ func ReadRunLazy(data []byte) (*Run, error) {
 	return run, nil
 }
 
-// scanner reads the v2 layout following the magic/version prefix: the
+// scanner reads the columnar layout following the magic/version prefix: the
 // cursor's primitives plus the string dictionary that references resolve
-// against.
+// against, each entry parsed as a path at most once.
 type scanner struct {
 	*Cursor
-	dict []string
+	dict  []string
+	paths map[string]path.Path
+	v3    bool // tag bytes carry run bits
 }
 
-// scanRunV2 performs the validating skip-scan over a v2 stream: static parts
-// decode eagerly, association blocks are verified and recorded as lazy
+// scanRun performs the validating skip-scan over a v2 or v3 stream: static
+// parts decode eagerly, association blocks are verified and recorded as lazy
 // regions.
-func scanRunV2(c *Cursor) (*Run, error) {
-	d := &scanner{Cursor: c}
+func scanRun(c *Cursor, version uint16) (*Run, error) {
+	d := &scanner{Cursor: c, paths: map[string]path.Path{}, v3: version >= codecVersionV3}
 	nDict := d.Count("dictionary")
 	d.dict = make([]string, 0, d.Clamp(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
@@ -176,18 +179,21 @@ func (d *scanner) ref(what string) string {
 }
 
 // path resolves a dictionary reference and parses it as an access path.
-func (d *scanner) path(what string) path.Path {
-	s := d.ref(what)
-	if d.err != nil {
-		return nil
-	}
-	return d.parse(s)
-}
+func (d *scanner) path(what string) path.Path { return d.parse(d.ref(what)) }
 
+// parse parses s as an access path once however often the stream names it,
+// so what a load allocates stays proportional to the stream, and hands it
+// out with cap = len, so an append to one operator's path never writes into
+// another's.
 func (d *scanner) parse(s string) path.Path {
-	p, err := path.Parse(s)
-	if err != nil {
-		d.Fail(err)
+	p, ok := d.paths[s]
+	if d.err == nil && !ok {
+		var err error
+		if p, err = path.Parse(s); err != nil {
+			d.Fail(err)
+		}
+		p = p[:len(p):len(p)]
+		d.paths[s] = p
 	}
 	return p
 }
@@ -232,35 +238,42 @@ func (d *scanner) scanOp(ls *lazyStream) *Operator {
 // scanAssocs validates one association block and records it as a lazy
 // region instead of materialising the columns.
 func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
-	tag := d.Byte()
-	if d.err != nil {
+	tag, runs := d.Byte(), uint8(0)
+	if d.v3 {
+		tag, runs = tag&7, tag>>3
+	}
+	kind := AssocKind(tag)
+	switch {
+	case d.err != nil:
+	case kind > AssocAgg:
+		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
+	case runs&^runColumns[kind] != 0:
+		d.err = fmt.Errorf("provenance: run bits %#b name a column a layout-%d bag cannot run-code", runs, kind)
+	case kind != AssocNone && runs&rowColumns[kind] == rowColumns[kind]:
+		d.err = fmt.Errorf("provenance: run bits %#b run-code every column of n entries of a layout-%d bag", runs, kind)
+	}
+	if d.err != nil || kind == AssocNone {
 		return
 	}
 	start := d.pos
-	var n, totalIns int
+	n, totalIns := d.Count("association"), 0
 	var ordered bool // of the Out column: the last one, but the first of a source or aggregate
-	switch AssocKind(tag) {
-	case AssocNone:
-		return
+	switch kind {
 	case AssocSource:
-		n = d.Count("source association")
-		ordered = d.SkipVarints(n)
-		d.SkipVarints(n)
+		ordered = d.skipColumn(n, runs, 0)
+		d.skipColumn(n, runs, 1)
 	case AssocUnary:
-		n = d.Count("unary association")
-		d.SkipVarints(n)
-		ordered = d.SkipVarints(n)
+		d.skipColumn(n, runs, 0)
+		ordered = d.skipColumn(n, runs, 1)
 	case AssocBinary:
-		n = d.Count("binary association")
-		d.SkipVarints(2 * n)
-		ordered = d.SkipVarints(n)
+		d.skipColumn(n, runs, 0)
+		d.skipColumn(n, runs, 1)
+		ordered = d.skipColumn(n, runs, 2)
 	case AssocFlatten:
-		n = d.Count("flatten association")
 		d.SkipVarints(2 * n)
-		ordered = d.SkipVarints(n)
+		ordered = d.skipColumn(n, runs, 2)
 	case AssocAgg:
-		n = d.Count("aggregate association")
-		ordered = d.SkipVarints(n)
+		ordered = d.skipColumn(n, runs, 0)
 		for i := 0; i < n && d.err == nil; i++ {
 			l := d.Uvarint()
 			if d.err == nil && (l > maxCount || totalIns+int(l) < totalIns) {
@@ -269,15 +282,12 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 			totalIns += int(l)
 		}
 		d.SkipVarints(totalIns)
-	default:
-		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
-		return
 	}
 	if d.err != nil {
 		return
 	}
-	op.kind, op.n, op.totalIns, op.outOfOrder = AssocKind(tag), n, totalIns, !ordered
-	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos}
+	op.kind, op.n, op.totalIns, op.outOfOrder = kind, n, totalIns, !ordered
+	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos, runs: runs}
 	ls.total += int64(d.pos - start)
 }
 
@@ -287,23 +297,23 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 // silently returning partial provenance.
 func (l *lazyAssoc) decode(op *Operator) Columns {
 	d := &Cursor{data: l.src.data[:l.end], pos: l.off}
-	n := d.Count("association")
+	n, runs := d.Count("association"), l.runs
 	c := Columns{Kind: op.kind}
 	switch c.Kind {
 	case AssocSource:
-		c.Out, c.In = d.DeltaColumn(n), d.DeltaColumn(n)
+		c.Out, c.In = d.column(n, runs, 0), d.column(n, runs, 1)
 	case AssocUnary:
-		c.In, c.Out = d.DeltaColumn(n), d.DeltaColumn(n)
+		c.In, c.Out = d.column(n, runs, 0), d.column(n, runs, 1)
 	case AssocBinary:
-		c.In, c.Right, c.Out = d.DeltaColumn(n), d.DeltaColumn(n), d.DeltaColumn(n)
+		c.In, c.Right, c.Out = d.column(n, runs, 0), d.column(n, runs, 1), d.column(n, runs, 2)
 	case AssocFlatten:
 		c.In, c.Pos = d.DeltaColumn(n), make([]int64, n)
 		for j := range c.Pos {
 			c.Pos[j] = int64(d.Uvarint())
 		}
-		c.Out = d.DeltaColumn(n)
+		c.Out = d.column(n, runs, 2)
 	case AssocAgg:
-		c.Out, c.Offs = d.DeltaColumn(n), make([]int32, n+1)
+		c.Out, c.Offs = d.column(n, runs, 0), make([]int32, n+1)
 		for j := 0; j < n; j++ {
 			c.Offs[j+1] = c.Offs[j] + int32(d.Uvarint())
 		}

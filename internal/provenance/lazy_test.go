@@ -3,22 +3,25 @@ package provenance_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pebble/internal/backtrace"
 	"pebble/internal/provenance"
 )
 
-// goldenStreams loads every committed golden stream (v1 and v2) keyed by
+// goldenStreams loads every committed golden stream (v1, v2 and v3) keyed by
 // file name.
 func goldenStreams(t *testing.T) map[string][]byte {
 	t.Helper()
 	streams := map[string][]byte{}
 	for _, name := range []string{"example", "map-join", "ordering"} {
-		for _, suffix := range []string{".golden", ".v2.golden"} {
+		for _, suffix := range []string{".golden", ".v2.golden", ".v3.golden"} {
 			p := filepath.Join("testdata", name+suffix)
 			data, err := os.ReadFile(p)
 			if err != nil {
@@ -33,7 +36,8 @@ func goldenStreams(t *testing.T) map[string][]byte {
 // requireSameRun fails unless got is indistinguishable from want: same
 // operators with the same static parts, equal association bags (columns
 // DeepEqual, nil versus empty included, and every fact answered without
-// them), and identical re-encodings in both layouts.
+// them — OutOrdered is whether Out is sorted), and identical re-encodings in
+// the v3 and v1 layouts.
 func requireSameRun(t *testing.T, want, got *provenance.Run) {
 	t.Helper()
 	wops, gops := want.Operators(), got.Operators()
@@ -56,6 +60,9 @@ func requireSameRun(t *testing.T, want, got *provenance.Run) {
 		}
 		if !reflect.DeepEqual(wo.Columns(), gop.Columns()) {
 			t.Fatalf("operator %d association bags differ:\n got %+v\nwant %+v", wo.OID, gop.Columns(), wo.Columns())
+		}
+		if sorted := slices.IsSorted(gop.Columns().Out); gop.OutOrdered() != sorted {
+			t.Fatalf("operator %d: OutOrdered %v, but the Out column sorted is %v", wo.OID, gop.OutOrdered(), sorted)
 		}
 	}
 	var fromWant, fromGot bytes.Buffer
@@ -140,6 +147,61 @@ func TestLazyRejectsStrictPrefixes(t *testing.T) {
 	}
 }
 
+// TestLoadAllocationIsBounded: whatever a stream declares, ReadRun allocates
+// within its bound (allocPerByte per byte, fuzz_test.go) — over every strict
+// prefix and every single-byte flip of every golden stream. A flipped stream
+// the loader accepts, the stream reference accepts too, as the same run.
+func TestLoadAllocationIsBounded(t *testing.T) {
+	for name, data := range goldenStreams(t) {
+		for n := 0; n < len(data); n++ {
+			_, _, allocated := readRunAllocating(data[:n])
+			requireBoundedLoad(t, fmt.Sprintf("%s, prefix of %d bytes", name, n), data[:n], allocated)
+		}
+		accepted := 0
+		for i := range data {
+			for _, flip := range []byte{0x01, 0x40, 0x80} {
+				mut := append([]byte(nil), data...)
+				mut[i] ^= flip
+				got, err, allocated := readRunAllocating(mut)
+				what := fmt.Sprintf("%s, byte %d ^ %#x", name, i, flip)
+				requireBoundedLoad(t, what, mut, allocated)
+				want, rest, refErr := provenance.RefReadRun(mut)
+				if (err == nil) != (refErr == nil && rest == 0) {
+					t.Fatalf("%s: verdicts differ: ReadRun %v, reference %v (%d bytes left)", what, err, refErr, rest)
+				}
+				if err == nil {
+					accepted++
+					requireSameRun(t, want, got)
+				}
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("%s: no flipped stream loads, so the bound held on rejections only", name)
+		}
+	}
+	// A valid stream that names one long access path from every byte: a
+	// dictionary entry is parsed once, not once per reference.
+	s := new(rawStream).headerV2("op", strings.Repeat("a.", 99)+"a")
+	s.uv(1)                                // one operator
+	s.uv(7)                                // OID
+	s.uv(0)                                // type "op"
+	s.u8(0)                                // ManipUndefined
+	s.uv(1)                                // one input:
+	s.uv(0)                                // pred
+	s.uv(0)                                // source name "op"
+	s.u8(0)                                // AccessUndefined
+	s.uv(2000)                             // accessed paths,
+	s.Write(bytes.Repeat([]byte{1}, 2000)) // each the long one
+	s.uv(0)                                // no schema
+	s.uv(0)                                // no mappings
+	s.u8(0)                                // no bag
+	_, err, allocated := readRunAllocating(s.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBoundedLoad(t, "2 000 references to one path", s.Bytes(), allocated)
+}
+
 // TestLazyRejectsCorruptHeaders: wrong magic and unknown versions error.
 func TestLazyRejectsCorruptHeaders(t *testing.T) {
 	data := goldenStreams(t)["example.v2.golden"]
@@ -161,7 +223,12 @@ func TestLazyRejectsCorruptHeaders(t *testing.T) {
 // trace, a tracer's index — so touching everything through all of them
 // accounts for every region exactly.
 func TestLazyDecodedBytesAccounting(t *testing.T) {
-	data := goldenStreams(t)["example.v2.golden"]
+	for _, name := range []string{"example.v2.golden", "example.v3.golden"} {
+		t.Run(name, func(t *testing.T) { checkDecodedBytesAccounting(t, goldenStreams(t)[name]) })
+	}
+}
+
+func checkDecodedBytesAccounting(t *testing.T, data []byte) {
 	run, err := provenance.ReadRunLazy(data)
 	if err != nil {
 		t.Fatal(err)

@@ -15,14 +15,16 @@ import (
 // paths against — the bodies that shipped beside them until ReadRun folded
 // into ReadRunLazy and WriteTo became the only encoder:
 //
-//   - RefReadRun, the eager stream decoder of both codec versions (fixed-width
-//     v1 over io.Reader, columnar v2 over bufio). It shares no code with the
-//     production Cursor: its own varint reads (binary.ReadUvarint), its own
-//     count cap and capacity clamp. It stops at the last operator and reports
-//     how many bytes follow, where the production loaders reject them.
-//   - RefEncodeV1, the v1 encoder, written over Operator.Columns. The frozen
-//     *.golden fixtures pin its bytes; it is what lets the tests keep asking
-//     "does this run still project onto the archived v1 stream".
+//   - RefReadRun, the eager stream decoder of every codec version (fixed-width
+//     v1 over io.Reader, columnar v2 and v3 over bufio). It shares no code
+//     with the production Cursor: its own varint reads (binary.ReadUvarint),
+//     its own count cap and capacity clamp, its own run-column reader and
+//     rules for the run bits. It stops at the last operator and reports how
+//     many bytes follow, where the production loaders reject them.
+//   - RefEncodeV1 and RefEncodeV2, the v1 and v2 encoders, written over
+//     Operator.Columns. The frozen *.golden and *.v2.golden fixtures pin their
+//     bytes; they are what lets the tests keep asking "does this run still
+//     project onto the archived streams".
 //
 // The decoder keeps the row-major form the production code no longer has: it
 // collects refRows and gathers them into columns at the end (refColumns), so
@@ -100,6 +102,113 @@ func RefEncodeV1(r *Run) []byte {
 	return buf
 }
 
+// ---- v2 encoder ----
+
+// RefEncodeV2 serialises the run in the columnar v2 layout: v3 without the
+// run bits, every column Δ-coded (codec_v3.go has the table).
+func RefEncodeV2(r *Run) []byte {
+	var dict []string
+	refs := map[string]uint64{}
+	add := func(s string) {
+		if _, ok := refs[s]; !ok {
+			refs[s] = uint64(len(dict))
+			dict = append(dict, s)
+		}
+	}
+	for _, op := range r.Operators() {
+		add(string(op.Type))
+		for _, in := range op.Inputs {
+			add(in.SourceName)
+			for _, p := range in.Accessed {
+				add(p.String())
+			}
+			for _, s := range in.Schema {
+				add(s)
+			}
+		}
+		for _, m := range op.Manipulated {
+			add(m.In.String())
+			add(m.Out.String())
+		}
+	}
+	uv := binary.AppendUvarint
+	flag := func(buf []byte, v bool) []byte {
+		if v {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	}
+	delta := func(buf []byte, col []int64) []byte {
+		prev := int64(0)
+		for _, v := range col {
+			d := v - prev
+			prev = v
+			buf = uv(buf, uint64(d<<1)^uint64(d>>63))
+		}
+		return buf
+	}
+
+	buf := append([]byte(nil), codecMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV2)
+	buf = uv(buf, uint64(len(dict)))
+	for _, s := range dict {
+		buf = append(uv(buf, uint64(len(s))), s...)
+	}
+	buf = uv(buf, uint64(len(r.order)))
+	for _, op := range r.Operators() {
+		buf = uv(buf, uint64(op.OID))
+		buf = uv(buf, refs[string(op.Type)])
+		buf = flag(buf, op.ManipUndefined)
+		buf = uv(buf, uint64(len(op.Inputs)))
+		for _, in := range op.Inputs {
+			buf = uv(buf, uint64(in.Pred))
+			buf = uv(buf, refs[in.SourceName])
+			buf = flag(buf, in.AccessUndefined)
+			buf = uv(buf, uint64(len(in.Accessed)))
+			for _, p := range in.Accessed {
+				buf = uv(buf, refs[p.String()])
+			}
+			buf = uv(buf, uint64(len(in.Schema)))
+			for _, s := range in.Schema {
+				buf = uv(buf, refs[s])
+			}
+		}
+		buf = uv(buf, uint64(len(op.Manipulated)))
+		for _, m := range op.Manipulated {
+			buf = uv(buf, refs[m.In.String()])
+			buf = uv(buf, refs[m.Out.String()])
+			buf = flag(buf, m.GroupKey)
+		}
+		c := op.Columns()
+		buf = append(buf, byte(c.Kind))
+		if c.Kind == AssocNone {
+			continue
+		}
+		buf = uv(buf, uint64(len(c.Out)))
+		switch c.Kind {
+		case AssocSource:
+			buf = delta(delta(buf, c.Out), c.In)
+		case AssocUnary:
+			buf = delta(delta(buf, c.In), c.Out)
+		case AssocBinary:
+			buf = delta(delta(delta(buf, c.In), c.Right), c.Out)
+		case AssocFlatten:
+			buf = delta(buf, c.In)
+			for _, p := range c.Pos {
+				buf = uv(buf, uint64(p))
+			}
+			buf = delta(buf, c.Out)
+		case AssocAgg:
+			buf = delta(buf, c.Out)
+			for j := range c.Out {
+				buf = uv(buf, uint64(c.Offs[j+1]-c.Offs[j]))
+			}
+			buf = delta(buf, c.In)
+		}
+	}
+	return buf
+}
+
 // ---- stream decoder ----
 
 // refRow is one association row of any layout, as the reference decoder
@@ -142,7 +251,7 @@ func refColumns(kind AssocKind, rows []refRow) Columns {
 	return c
 }
 
-// RefReadRun decodes a stream of either codec version eagerly and returns
+// RefReadRun decodes a stream of any codec version eagerly and returns
 // the run together with the number of bytes left after its last operator.
 func RefReadRun(data []byte) (run *Run, rest int, err error) {
 	src := bytes.NewReader(data)
@@ -160,8 +269,8 @@ func RefReadRun(data []byte) (run *Run, rest int, err error) {
 		return nil, 0, d.err
 	case v == codecVersionV1:
 		run, err = refReadRunV1(d)
-	case v == codecVersionV2:
-		run, err = refReadRunV2(br)
+	case v == codecVersionV2 || v == codecVersionV3:
+		run, err = refReadRunV2(br, v == codecVersionV3)
 	default:
 		return nil, 0, fmt.Errorf("provenance: unsupported version %d", v)
 	}
@@ -344,18 +453,20 @@ func (d *refDecoder) str() string {
 // stream before the decoder commits to materialising them.
 const refMaxCount = 1 << 32
 
-// refV2Decoder reads varint primitives from a buffered stream, remembering the
-// first error. Column reads grow element-by-element (every element consumes
-// at least one byte), so a corrupt count prefix runs into io.EOF instead of
-// forcing a giant allocation.
+// refV2Decoder reads varint primitives from a buffered v2 or v3 stream,
+// remembering the first error. Column reads grow element-by-element (every
+// element consumes at least one byte), so a corrupt count prefix runs into
+// io.EOF instead of forcing a giant allocation; run columns are kept as their
+// runs until the bag's other columns have shown that n is backed by bytes.
 type refV2Decoder struct {
 	r    *bufio.Reader
+	v3   bool
 	dict []string
 	err  error
 }
 
-func refReadRunV2(br *bufio.Reader) (*Run, error) {
-	d := &refV2Decoder{r: br}
+func refReadRunV2(br *bufio.Reader, v3 bool) (*Run, error) {
+	d := &refV2Decoder{r: br, v3: v3}
 	nDict := d.count("dictionary")
 	d.dict = make([]string, 0, refCapHint(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
@@ -413,40 +524,88 @@ func (d *refV2Decoder) readOp() *Operator {
 }
 
 func (d *refV2Decoder) readAssocs(op *Operator) {
-	tag := AssocKind(d.byte())
-	if tag == AssocNone || d.err != nil {
+	b := d.byte()
+	if d.err != nil {
 		return
+	}
+	// v3: the high bits say which columns are run-coded (bit k: the k-th in
+	// stream order). A layout may run-code only its identifier columns bar
+	// flatten's In and the aggregate's Ins, and a source, unary or binary bag
+	// not all of them.
+	tag, mask := AssocKind(b), uint8(0)
+	if d.v3 {
+		tag, mask = AssocKind(b%8), b/8
 	}
 	if tag > AssocAgg {
 		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
 		return
 	}
+	runnable := map[AssocKind]uint8{AssocSource: 3, AssocUnary: 3, AssocBinary: 7, AssocFlatten: 4, AssocAgg: 1}[tag]
+	if mask&^runnable != 0 || tag <= AssocBinary && tag != AssocNone && mask == runnable {
+		d.err = fmt.Errorf("provenance: bad run bits %#x for association tag %d", mask, tag)
+		return
+	}
+	if tag == AssocNone {
+		return
+	}
 	n := d.count("association")
-	// The columns of the layout in stream order; a row takes one entry of each.
-	var outs, ins, rights []int64
+	// The columns of the layout in stream order; a row takes one entry of
+	// each. A run-coded one is expanded only once every column has been read.
+	var wire [3][]int64
+	var held [3][]refRun
 	var poss, lens []uint64
-	switch tag {
-	case AssocSource:
-		outs, ins = d.deltaColumn(n), d.deltaColumn(n)
-	case AssocUnary:
-		ins, outs = d.deltaColumn(n), d.deltaColumn(n)
-	case AssocBinary:
-		ins, rights, outs = d.deltaColumn(n), d.deltaColumn(n), d.deltaColumn(n)
-	case AssocFlatten:
-		ins, poss, outs = d.deltaColumn(n), d.uvarintColumn(n), d.deltaColumn(n)
-	case AssocAgg:
-		outs, lens = d.deltaColumn(n), d.uvarintColumn(n)
-		total := 0
-		for _, l := range lens {
-			if d.err == nil && (l > refMaxCount || total+int(l) < total) {
-				d.err = fmt.Errorf("provenance: aggregate input count %d exceeds limit", l)
+	slots := 3
+	if tag == AssocSource || tag == AssocUnary {
+		slots = 2
+	}
+	for k := 0; k < slots && d.err == nil; k++ {
+		switch {
+		case mask&(1<<k) != 0:
+			held[k] = d.runs(n)
+		case tag == AssocFlatten && k == 1:
+			poss = d.uvarintColumn(n)
+		case tag == AssocAgg && k == 1:
+			lens = d.uvarintColumn(n)
+		case tag == AssocAgg && k == 2:
+			total := 0
+			for _, l := range lens {
+				if d.err == nil && (l > refMaxCount || total+int(l) < total) {
+					d.err = fmt.Errorf("provenance: aggregate input count %d exceeds limit", l)
+				}
+				total += int(l)
 			}
-			total += int(l)
+			wire[k] = d.deltaColumn(total)
+		default:
+			wire[k] = d.deltaColumn(n)
 		}
-		ins = d.deltaColumn(total)
 	}
 	if d.err != nil {
 		return
+	}
+	for k, runs := range held {
+		if mask&(1<<k) != 0 {
+			wire[k] = make([]int64, 0, n)
+			var v int64
+			for _, r := range runs {
+				for i := uint64(0); i < r.len; i++ {
+					v += r.delta
+					wire[k] = append(wire[k], v)
+				}
+			}
+		}
+	}
+	var outs, ins, rights []int64
+	switch tag {
+	case AssocSource:
+		outs, ins = wire[0], wire[1]
+	case AssocUnary:
+		ins, outs = wire[0], wire[1]
+	case AssocBinary:
+		ins, rights, outs = wire[0], wire[1], wire[2]
+	case AssocFlatten:
+		ins, outs = wire[0], wire[2]
+	case AssocAgg:
+		outs, ins = wire[0], wire[2]
 	}
 	rows := make([]refRow, n)
 	off := 0
@@ -516,6 +675,37 @@ func (d *refV2Decoder) deltaColumn(n int) []int64 {
 		u := d.uvarint()
 		prev += int64(u>>1) ^ -int64(u&1)
 		out = append(out, prev)
+	}
+	return out
+}
+
+// refRun is one run of a run-coded column: len values, each delta past the
+// one before.
+type refRun struct {
+	len   uint64
+	delta int64
+}
+
+// runs reads a run-coded column of n values as its runs: a count of at most
+// n, then runs of at least one value that together hold exactly n. Every run
+// consumes at least two bytes, so what it holds is bounded by the stream.
+func (d *refV2Decoder) runs(n int) []refRun {
+	count := d.count("run")
+	if d.err == nil && count > n {
+		d.err = fmt.Errorf("provenance: %d runs declared for %d values", count, n)
+	}
+	out := make([]refRun, 0, refCapHint(count))
+	sum := uint64(0)
+	for i := 0; i < count && d.err == nil; i++ {
+		l, u := d.uvarint(), d.uvarint()
+		if d.err == nil && (l < 1 || l > uint64(n)-sum) {
+			d.err = fmt.Errorf("provenance: run length %d with %d of %d values covered", l, sum, n)
+		}
+		sum += l
+		out = append(out, refRun{len: l, delta: int64(u>>1) ^ -int64(u&1)})
+	}
+	if d.err == nil && sum != uint64(n) {
+		d.err = fmt.Errorf("provenance: runs hold %d values, the bag %d", sum, n)
 	}
 	return out
 }
