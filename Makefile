@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-e2e bench-e2e-compare bench-overhead breakdown scaling soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -24,7 +24,7 @@ pebblevet-fix-list:
 	@go build -o bin/pebblevet ./cmd/pebblevet
 	@go vet -vettool=bin/pebblevet ./... 2>&1 | sed -n 's/^\(.*\.go:[0-9]*\):.*/\1/p' | sort -u
 
-check: pebblevet
+check:
 	sh scripts/check.sh
 
 # Twenty seconds of the JSON reader against its encoding/json reference
@@ -101,22 +101,6 @@ bench-e2e:
 # differs. Usage: make bench-e2e-compare A=before.json B=after.json
 bench-e2e-compare:
 	go run ./bench -compare $(A) $(B)
-
-# Observability overhead gate: fails when attaching a metrics recorder to a
-# capture run costs more than 2% (see DESIGN.md §7; CI runs this
-# non-blocking because shared runners are noisy).
-bench-overhead:
-	go run ./cmd/benchrunner -exp overheadgate -gb 50 -reps 5 -gate-pct 2
-
-# Regenerate the per-operator capture breakdown baseline (BENCH_PR4.json,
-# EXPERIMENTS.md).
-breakdown:
-	go run ./cmd/benchrunner -exp breakdown -gb 100 -reps 5 -out BENCH_PR4.json
-
-# Regenerate the worker-scaling baseline (see BENCH_PR1.json and
-# EXPERIMENTS.md; numbers are only meaningful on a multi-core machine).
-scaling:
-	go run ./cmd/benchrunner -exp scaling -gb 50 -reps 5 -workers 1,2,4 -out BENCH_PR1.json
 
 # Differential soak: random pipelines under all four capture modes and
 # several worker counts until the time budget runs out (see EXPERIMENTS.md).

@@ -12,8 +12,8 @@
 //     receiver, so instrumented code calls unconditionally and a session
 //     without a recorder pays one predictable branch per call site. Call
 //     sites in the engine are bulk — once per partition morsel, never per
-//     row — which keeps the disabled path well under the 2% budget
-//     enforced by `make bench-overhead`.
+//     row — which keeps the disabled path well under the 2% budget that
+//     `obs.recorder_overhead_ratio` of `go run ./bench -trace 1` reports.
 //   - Counter totals are deterministic: they count data-dependent facts
 //     (rows, association rows, bytes) that are byte-identical for every
 //     Workers setting, and merging shards sums order-insensitively. Span

@@ -197,6 +197,44 @@ func TestScenarioResultsAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestAnnotationComparison reproduces the Sec. 2 annotation argument: on the
+// five tweets of Tab. 1 a Lipstick-style model annotates the item and every
+// constant inside it (the table's superscripts, 35 in all), where structural
+// provenance annotates the five top-level items only.
+func TestAnnotationComparison(t *testing.T) {
+	var constants func(v nested.Value) int
+	constants = func(v nested.Value) int {
+		n := 0
+		switch v.Kind() {
+		case nested.KindItem:
+			for i := 0; i < v.NumFields(); i++ {
+				n += constants(v.FieldValue(i))
+			}
+		case nested.KindBag, nested.KindSet:
+			for _, e := range v.Elems() {
+				n += constants(e)
+			}
+		default:
+			n = 1
+		}
+		return n
+	}
+	count := func(values []nested.Value) (topLevel, every int) {
+		for _, v := range values {
+			topLevel++
+			every += 1 + constants(v)
+		}
+		return topLevel, every
+	}
+	if top, every := count(workload.ExampleTweets()); top != 5 || every != 35 {
+		t.Errorf("Tab. 1 annotations: top-level %d, Lipstick %d; want 5 and 35", top, every)
+	}
+	// On the wide synthetic tweets the gap widens far beyond 7x.
+	if top, every := count(workload.GenerateTwitter(workload.DefaultScale(1))); every < 20*top {
+		t.Errorf("wide tweets need %d annotations for %d items, want at least 20x", every, top)
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := workload.ByName("T9"); err == nil {
 		t.Error("unknown scenario should error")

@@ -29,11 +29,4 @@ echo "== pebbled serve smoke (SDK vs library byte-identity)"
 go run ./cmd/pebbled -smoke T3
 go run ./cmd/pebbled -smoke D1
 
-# Opt-in observability overhead gate (wall-clock benchmark, so not part of
-# the default gate): PEBBLE_BENCH_OVERHEAD=1 make check
-if [ "${PEBBLE_BENCH_OVERHEAD:-0}" = "1" ]; then
-	echo "== benchrunner -exp overheadgate"
-	go run ./cmd/benchrunner -exp overheadgate -gb 50 -reps 5 -gate-pct 2
-fi
-
 echo "OK"
