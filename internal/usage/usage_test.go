@@ -32,37 +32,64 @@ var (
 func analyzeD(t *testing.T) (*usage.Analysis, []int64) {
 	t.Helper()
 	analyzeOnce.Do(func() {
-		scale := workload.Scale{SimGB: 1, RecordsPerGB: 400, Seed: 42}
-		session := core.Session{Partitions: 4}
-		analysis := usage.NewAnalysis()
-		for _, sc := range workload.DBLPScenarios() {
-			cap, err := session.Capture(sc.Build(), sc.Input(scale, 4))
-			if err != nil {
-				analyzeFailures = sc.Name + ": " + err.Error()
-				return
-			}
-			q, err := cap.QueryAll()
-			if err != nil {
-				analyzeFailures = sc.Name + ": " + err.Error()
-				return
-			}
-			analysis.AddQuery(q, cap.Provenance)
-		}
-		// Universe: the raw-input ids of the inproceedings records (Fig. 10
-		// analyses the DBLP inproceedings dataset).
-		inputs := workload.DBLPInput(scale, 1)
-		for _, r := range inputs["dblp.json"].Rows() {
-			rt, _ := r.Value.Get("record_type")
-			if s, _ := rt.AsString(); s == "inproceedings" {
-				cachedUniverse = append(cachedUniverse, r.ID)
-			}
-		}
-		cachedAnalysis = analysis
+		cachedAnalysis, cachedUniverse, analyzeFailures = analyzeWith(4)
 	})
 	if analyzeFailures != "" {
 		t.Fatal(analyzeFailures)
 	}
 	return cachedAnalysis, cachedUniverse
+}
+
+// analyzeWith runs the Fig. 10 setup with the given partition count and
+// returns the merged analysis, its universe, or the failing scenario.
+func analyzeWith(parts int) (*usage.Analysis, []int64, string) {
+	scale := workload.Scale{SimGB: 1, RecordsPerGB: 400, Seed: 42}
+	session := core.Session{Partitions: parts}
+	analysis := usage.NewAnalysis()
+	for _, sc := range workload.DBLPScenarios() {
+		cap, err := session.Capture(sc.Build(), sc.Input(scale, parts))
+		if err != nil {
+			return nil, nil, sc.Name + ": " + err.Error()
+		}
+		q, err := cap.QueryAll()
+		if err != nil {
+			return nil, nil, sc.Name + ": " + err.Error()
+		}
+		analysis.AddQuery(q, cap.Provenance)
+	}
+	// Universe: the raw-input ids of the inproceedings records (Fig. 10
+	// analyses the DBLP inproceedings dataset).
+	var universe []int64
+	for _, r := range workload.DBLPInput(scale, 1)["dblp.json"].Rows() {
+		rt, _ := r.Value.Get("record_type")
+		if s, _ := rt.AsString(); s == "inproceedings" {
+			universe = append(universe, r.ID)
+		}
+	}
+	return analysis, universe, ""
+}
+
+// TestFig10Rendering renders the whole Fig. 10 report — heatmap, audit, top
+// pairs and column groups — and requires the same bytes whether D1–D5 ran on
+// one partition or on four: the figure depends on the data, not the layout.
+func TestFig10Rendering(t *testing.T) {
+	render := func(a *usage.Analysis, universe []int64) string {
+		return fmt.Sprintf("%s\n%+v\n%v\n%+v", a.Heatmap(usage.SampleItems(universe, 25, 42), inproceedingsSchema),
+			a.Audit(universe, inproceedingsSchema), a.TopPairs(5), a.SuggestColumnGroups(universe, inproceedingsSchema))
+	}
+	one, universe1, failed := analyzeWith(1)
+	if failed != "" {
+		t.Fatal(failed)
+	}
+	want := render(analyzeD(t))
+	if got := render(one, universe1); got != want {
+		t.Errorf("Fig. 10 on one partition differs from four:\n got %s\nwant %s", got, want)
+	}
+	for _, s := range []string{"tuple", "year", "key+title"} {
+		if !strings.Contains(want, s) {
+			t.Errorf("Fig. 10 report lacks %q:\n%s", s, want)
+		}
+	}
 }
 
 func TestUsagePatternsMatchPaperNarrative(t *testing.T) {
