@@ -83,7 +83,8 @@ func main() {
 // serve runs the daemon — hs, serving srv's handler — on ln until ctx is
 // cancelled (or the listener fails), then shuts down in the order that loses
 // no response: first the job server, which cancels every job and so brings
-// the event streams clients are following to their terminal line; then the
+// the event streams clients are following to their terminal line and answers
+// the long polls parked on those jobs; then the
 // HTTP server, whose Shutdown returns once those in-flight responses have
 // been written, or after drain at the latest. It returns only when both are
 // down.

@@ -15,10 +15,11 @@ import (
 )
 
 // TestServeShutdownAnswersParkedClients pins the daemon's shutdown order. A
-// client following a running job's events is parked on the daemon when the
-// signal arrives: serve must cancel the job first, so the stream reaches its
-// terminal line, and return only after that response is out — not cut it by
-// returning early, and not sit out the drain timeout.
+// client following a running job's events and a client long-polling it in
+// WaitJob are parked on the daemon when the signal arrives: serve must cancel
+// the job first, so the stream reaches its terminal line and the long poll
+// its terminal snapshot, and return only after those responses are out — not
+// cut them by returning early, and not sit out the drain timeout.
 func TestServeShutdownAnswersParkedClients(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -49,7 +50,14 @@ func TestServeShutdownAnswersParkedClients(t *testing.T) {
 	defer signal()
 	const drain = time.Minute
 	served := make(chan error, 1)
-	go func() { served <- serve(ctx, srv, &http.Server{Handler: srv.Handler()}, ln, drain) }()
+	polled := make(chan struct{}, 1)
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Has("wait") {
+			polled <- struct{}{}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	})
+	go func() { served <- serve(ctx, srv, &http.Server{Handler: handler}, ln, drain) }()
 
 	c := sdk.New("http://" + ln.Addr().String())
 	bg := context.Background()
@@ -74,6 +82,16 @@ func TestServeShutdownAnswersParkedClients(t *testing.T) {
 		})
 	}()
 	<-following
+	type waited struct {
+		info sdk.JobInfo
+		err  error
+	}
+	waitedOut := make(chan waited, 1)
+	go func() {
+		info, err := c.WaitJob(bg, "s", job.ID)
+		waitedOut <- waited{info, err}
+	}()
+	<-polled
 
 	signal()
 	close(release) // the morsel in flight drains, as a real one would
@@ -87,5 +105,8 @@ func TestServeShutdownAnswersParkedClients(t *testing.T) {
 	}
 	if err := <-streamed; err != nil || !sdk.TerminalStatus(last.Status) {
 		t.Errorf("event follower ended with %v after a %q event with status %q; want a clean end on the terminal status", err, last.Kind, last.Status)
+	}
+	if w := <-waitedOut; w.err != nil || !sdk.TerminalStatus(w.info.Status) {
+		t.Errorf("WaitJob ended with %s, %v; want the terminal snapshot", w.info.Status, w.err)
 	}
 }

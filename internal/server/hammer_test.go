@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,13 +33,17 @@ func tinyFactory(rows int) server.Factory {
 // lands (and then reaches a terminal status) or is refused with the 429
 // backpressure signal — no hangs, no lost jobs, and the bounded queue keeps
 // admitted work at a size the daemon can hold. Run with -race, this is also
-// the concurrency audit of the whole job/queue/session path.
+// the concurrency audit of the whole job/queue/session path. Every admitted
+// client parks a long poll in WaitJob; after Close no handler or wait timer
+// may outlive its request.
 func TestHammer100Clients(t *testing.T) {
 	const clients = 100
-	c := startDaemon(t, server.Config{
+	baseline := runtime.NumGoroutine()
+	srv, ts := bootDaemon(t, server.Config{
 		Runners: 2, SessionCap: 2, QueueDepth: 4,
 		Pipelines: map[string]server.Factory{"tiny": tinyFactory(32)},
 	})
+	c := sdk.New(ts.URL)
 	mustSession(t, c, sdk.SessionSpec{Name: "h", Partitions: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -101,5 +106,15 @@ func TestHammer100Clients(t *testing.T) {
 	}
 	if stats.Queued != 0 || stats.Running != 0 {
 		t.Errorf("queue not drained after hammer: queued=%d running=%d", stats.Queued, stats.Running)
+	}
+
+	srv.Close()
+	ts.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5s after Close, %d before the daemon booted:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -54,6 +54,10 @@ type job struct {
 
 	// trace-job output.
 	trace *sdk.TraceOutput
+
+	// done is closed by finish once the job is terminal and absorbed into
+	// its session's /stats, releasing every long poll parked on the job.
+	done chan struct{}
 }
 
 func newJob(id, kind string, sess *session, req sdk.SubmitJobRequest) *job {
@@ -64,6 +68,7 @@ func newJob(id, kind string, sess *session, req sdk.SubmitJobRequest) *job {
 		rec:     obs.NewRecorder(),
 		status:  sdk.StatusQueued,
 		created: time.Now(),
+		done:    make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -113,13 +118,15 @@ func (j *job) start() bool {
 	return true
 }
 
-// finish moves the job to a terminal status (idempotent: the first
-// terminal transition wins) and stops tap delivery.
+// finish moves the job to a terminal status, stops tap delivery, folds the
+// job into its session's /stats and then closes done, so a released waiter
+// always finds its job counted. It is idempotent: the first terminal
+// transition wins, and only it absorbs the job and closes done.
 func (j *job) finish(status, errMsg string) {
 	j.rec.SetTap(nil)
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if sdk.TerminalStatus(j.status) {
+		j.mu.Unlock()
 		return
 	}
 	j.status = status
@@ -130,6 +137,20 @@ func (j *job) finish(status, errMsg string) {
 		ev.Message = errMsg
 	}
 	j.appendEventLocked(ev)
+	j.mu.Unlock()
+	j.sess.absorb(j)
+	close(j.done)
+}
+
+// wait blocks until the job is terminal, d has passed, or ctx ends.
+func (j *job) wait(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 // info snapshots the job for the wire.

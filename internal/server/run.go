@@ -22,7 +22,7 @@ import (
 )
 
 // runJob is the runner-pool entry point: it drives one job through its
-// terminal status and folds its metrics into the session aggregates.
+// terminal status (finish folds its metrics into the session aggregates).
 func (s *Server) runJob(j *job) {
 	if !j.start() {
 		// Finished before dispatch (shutdown drained the queue).
@@ -45,7 +45,6 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.finish(sdk.StatusFailed, err.Error())
 	}
-	j.sess.absorb(j)
 }
 
 // resolvePipeline turns a pipeline-job request into an executable plan and

@@ -130,7 +130,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops admission, cancels queued and running jobs, and waits for
 // the runner pool to drain. Every job is terminal when it returns, so
-// event-stream followers have reached the end of their streams: close the
+// event-stream followers have reached the end of their streams and long
+// polls have their answers: close the
 // Server before shutting its http.Server down, or the shutdown waits for
 // them.
 func (s *Server) Close() {
@@ -380,7 +381,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *s
 		// Admission refused: the job dies without ever being schedulable.
 		j.cancel()
 		j.finish(sdk.StatusFailed, err.Error())
-		sess.absorb(j)
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
 			writeErr(w, http.StatusTooManyRequests, "%v", err)
@@ -396,11 +396,26 @@ func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request, sess *se
 	writeJSON(w, http.StatusOK, sess.listJobs())
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, _ *http.Request, _ *session, j *job) {
+// maxJobWait clamps the wait a long poll may ask for: when it runs out the
+// poll is answered with the job's current, non-terminal snapshot.
+var maxJobWait = 30 * time.Second
+
+// handleGetJob answers with the job's snapshot. With ?wait=<duration> it is
+// a long poll: the answer comes when the job is terminal, the wait (clamped
+// to maxJobWait) runs out, or the client goes away, whichever is first.
+func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, _ *session, j *job) {
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			writeErr(w, http.StatusBadRequest, "invalid wait %q: want a non-negative duration such as 10s", v)
+			return
+		}
+		j.wait(r.Context(), min(d, maxJobWait))
+	}
 	writeJSON(w, http.StatusOK, j.info())
 }
 
-func (s *Server) handleCancelJob(w http.ResponseWriter, _ *http.Request, sess *session, j *job) {
+func (s *Server) handleCancelJob(w http.ResponseWriter, _ *http.Request, _ *session, j *job) {
 	j.mu.Lock()
 	status := j.status
 	j.mu.Unlock()
@@ -408,9 +423,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, _ *http.Request, sess *s
 	case sdk.StatusQueued:
 		j.cancel()
 		if s.queue.remove(j) {
-			// Never dispatched: finish it here and account for it.
+			// Never dispatched: finish it here.
 			j.finish(sdk.StatusCancelled, "cancelled while queued")
-			sess.absorb(j)
 		}
 		// Lost the race with a runner: the cancelled context fails the run
 		// immediately and the runner finishes the job as cancelled.

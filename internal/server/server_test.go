@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -37,6 +38,12 @@ func startDaemon(t *testing.T, cfg server.Config) *sdk.Client {
 // listener, which waits for open requests.
 func bootDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
+	return bootWrapped(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// bootWrapped is bootDaemon with wrap between the listener and the daemon.
+func bootWrapped(t *testing.T, cfg server.Config, wrap func(http.Handler) http.Handler) (*server.Server, *httptest.Server) {
+	t.Helper()
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
 	}
@@ -44,7 +51,7 @@ func bootDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serv
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(func() {
 		srv.Close()
 		ts.Close()
@@ -728,5 +735,330 @@ func TestCloseReleasesEventFollowers(t *testing.T) {
 		if err := <-streamed; err != nil {
 			t.Errorf("event follower ended with %v, want a clean end of stream", err)
 		}
+	}
+}
+
+// bootPolled boots a daemon that reports the job id of every long poll (a
+// GET of one job with a wait parameter) on polls as the request arrives, so
+// a test can act while a waiter is parked.
+func bootPolled(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, <-chan string) {
+	t.Helper()
+	polls := make(chan string, 64)
+	srv, ts := bootWrapped(t, cfg, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && r.URL.Query().Has("wait") {
+				polls <- path.Base(r.URL.Path)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	return srv, ts, polls
+}
+
+// awaitPoll waits for one long poll to reach the daemon and returns its job.
+func awaitPoll(t *testing.T, polls <-chan string) string {
+	t.Helper()
+	select {
+	case id := <-polls:
+		return id
+	case <-time.After(30 * time.Second):
+		t.Fatal("no long poll reached the daemon within 30s")
+		return ""
+	}
+}
+
+type waited struct {
+	info sdk.JobInfo
+	err  error
+}
+
+// waitAsync runs WaitJob in the background.
+func waitAsync(ctx context.Context, c *sdk.Client, sess, id string) <-chan waited {
+	out := make(chan waited, 1)
+	go func() {
+		info, err := c.WaitJob(ctx, sess, id)
+		out <- waited{info, err}
+	}()
+	return out
+}
+
+func awaitWaited(t *testing.T, res <-chan waited) waited {
+	t.Helper()
+	select {
+	case w := <-res:
+		return w
+	case <-time.After(30 * time.Second):
+		t.Fatal("WaitJob still parked after 30s")
+		return waited{}
+	}
+}
+
+// getWait issues one long poll by hand and times it.
+func getWait(t *testing.T, base, sess, id, wait string) (sdk.JobInfo, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	resp, err := http.Get(base + "/v1/sessions/" + sess + "/jobs/" + id + "?wait=" + wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info sdk.JobInfo
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET ?wait=%s: status %s", wait, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info, time.Since(start)
+}
+
+// blockCfg is a one-runner daemon whose "block" pipeline waits on g.
+func blockCfg(g *gate) server.Config {
+	return server.Config{
+		Runners: 1, SessionCap: 1, QueueDepth: 8,
+		Pipelines: map[string]server.Factory{"block": gatedFactory(g, "b", 8)},
+	}
+}
+
+// TestLongPollReleasedWhenJobEnds: a WaitJob parked on a running job returns
+// the done snapshot as the job ends, not when its wait runs out.
+func TestLongPollReleasedWhenJobEnds(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	_, ts, polls := bootPolled(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+
+	res := waitAsync(context.Background(), c, "s", j.ID)
+	awaitPoll(t, polls)
+	opened := time.Now()
+	g.open()
+	w := awaitWaited(t, res)
+	if w.err != nil || w.info.Status != sdk.StatusDone {
+		t.Fatalf("WaitJob = %s, %v; want done", w.info.Status, w.err)
+	}
+	if took := time.Since(opened); took > 5*time.Second {
+		t.Errorf("WaitJob returned %v after the job could finish: released by its wait running out, not by the job's end", took)
+	}
+}
+
+// TestLongPollOnCancelledQueuedJob: cancelling a queued job releases the
+// waiter parked on it with the cancelled snapshot.
+func TestLongPollOnCancelledQueuedJob(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	_, ts, polls := bootPolled(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	queued := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+
+	res := waitAsync(context.Background(), c, "s", queued.ID)
+	awaitPoll(t, polls)
+	if _, err := c.CancelJob(context.Background(), "s", queued.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if w := awaitWaited(t, res); w.err != nil || w.info.Status != sdk.StatusCancelled {
+		t.Errorf("WaitJob = %s, %v; want cancelled", w.info.Status, w.err)
+	}
+}
+
+// TestLongPollOnCancelledRunningJob: cancelling a running job releases the
+// waiter once the run unwinds.
+func TestLongPollOnCancelledRunningJob(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	_, ts, polls := bootPolled(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+
+	res := waitAsync(context.Background(), c, "s", j.ID)
+	awaitPoll(t, polls)
+	if _, err := c.CancelJob(context.Background(), "s", j.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	g.open()
+	if w := awaitWaited(t, res); w.err != nil || w.info.Status != sdk.StatusCancelled {
+		t.Errorf("WaitJob = %s, %v; want cancelled", w.info.Status, w.err)
+	}
+}
+
+// TestLongPollOnTerminalJob: a long poll of a job that has already ended is
+// answered at once, whatever wait it asks for.
+func TestLongPollOnTerminalJob(t *testing.T) {
+	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
+	waitStatus(t, c, "s", j.ID, sdk.StatusDone)
+	info, took := getWait(t, ts.URL, "s", j.ID, "1h")
+	if info.Status != sdk.StatusDone || took > 5*time.Second {
+		t.Errorf("long poll of a done job: %s after %v; want done at once", info.Status, took)
+	}
+}
+
+// TestLongPollClamp: a wait longer than the server's clamp is answered with
+// the job's non-terminal snapshot when the clamp runs out.
+func TestLongPollClamp(t *testing.T) {
+	const clamp = 200 * time.Millisecond
+	t.Cleanup(server.SetMaxJobWait(clamp)) // runs after the daemon closes
+	g := newGate()
+	defer g.open()
+	_, ts := bootDaemon(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	info, took := getWait(t, ts.URL, "s", j.ID, "1h")
+	if info.Status != sdk.StatusRunning {
+		t.Errorf("clamped long poll answered %s, want the running snapshot", info.Status)
+	}
+	if took < clamp || took > clamp+10*time.Second {
+		t.Errorf("wait=1h answered after %v; want the %v clamp", took, clamp)
+	}
+}
+
+// setQuery is a transport that replaces every request's query.
+type setQuery string
+
+func (q setQuery) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.URL.RawQuery = string(q)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestLongPollBadWait: a wait that is not a non-negative duration is a 400,
+// which the SDK surfaces as a typed *sdk.APIError.
+func TestLongPollBadWait(t *testing.T) {
+	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
+	for _, wait := range []string{"abc", "-1s"} {
+		bad := sdk.New(ts.URL, sdk.WithHTTPClient(&http.Client{Transport: setQuery("wait=" + wait)}))
+		_, err := bad.WaitJob(context.Background(), "s", j.ID)
+		var ae *sdk.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, "invalid wait") {
+			t.Errorf("wait=%s: err %v (%T); want a 400 *sdk.APIError about the wait", wait, err, err)
+		}
+	}
+}
+
+// TestWaitJobContextExpires: WaitJob parked on a job that does not end
+// returns the context's error when the context expires.
+func TestWaitJobContextExpires(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	c := startDaemon(t, blockCfg(g))
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := c.WaitJob(ctx, "s", j.ID)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("WaitJob past its deadline: %v; want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("WaitJob returned %v after a 200ms deadline", took)
+	}
+}
+
+// TestCloseReleasesLongPolls pins shutdown for long polls, as
+// TestCloseReleasesEventFollowers does for event streams: Server.Close makes
+// every job terminal, which answers the waiters parked on a running and a
+// queued job, so the HTTP server behind them can stop.
+func TestCloseReleasesLongPolls(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	srv, ts, polls := bootPolled(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	running := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	queued := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	res := []<-chan waited{
+		waitAsync(context.Background(), c, "s", running.ID),
+		waitAsync(context.Background(), c, "s", queued.ID),
+	}
+	awaitPoll(t, polls)
+	awaitPoll(t, polls)
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close() // cancels both jobs, then waits for the runner
+		ts.Close()  // waits for every open request
+		close(closed)
+	}()
+	g.open()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close and the listener's shutdown still blocked after 30s")
+	}
+	for i, r := range res {
+		if w := awaitWaited(t, r); w.err != nil || !sdk.TerminalStatus(w.info.Status) {
+			t.Errorf("waiter %d ended with %s, %v; want a terminal snapshot", i, w.info.Status, w.err)
+		}
+	}
+}
+
+// TestLongPollSeesJobInStats: the job is folded into /stats before the long
+// poll on it is released, so a client that has seen its job end finds it
+// counted.
+func TestLongPollSeesJobInStats(t *testing.T) {
+	c := startDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	for i := 1; i <= 20; i++ {
+		j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
+		waitStatus(t, c, "s", j.ID, sdk.StatusDone)
+		stats, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Jobs[sdk.StatusDone] != i {
+			t.Fatalf("after %d finished jobs /stats counts %v", i, stats.Jobs)
+		}
+	}
+}
+
+// TestStatsCountEveryJob: every submitted job shows in /stats under its
+// status after Close, including the queued ones shutdown drains.
+func TestStatsCountEveryJob(t *testing.T) {
+	g := newGate()
+	defer g.open()
+	srv, ts := bootDaemon(t, blockCfg(g))
+	c := sdk.New(ts.URL)
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 4})
+	const jobs = 5 // one running, four queued behind the one runner
+	submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	g.await(t)
+	for range jobs - 1 {
+		submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "block"})
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	g.open()
+	<-closed
+	stats, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted int
+	for _, n := range stats.Jobs {
+		counted += n
+	}
+	if counted != jobs {
+		t.Errorf("/stats counts %d jobs (%v) after Close, %d were submitted", counted, stats.Jobs, jobs)
 	}
 }

@@ -146,7 +146,8 @@ func (s *session) listJobs() []sdk.JobInfo {
 	return out
 }
 
-// absorb folds a finished job's metrics into the session aggregates.
+// absorb folds a finished job's metrics into the session aggregates. Its one
+// caller is job.finish, once per job, so no job is counted twice or missed.
 func (s *session) absorb(j *job) {
 	snap := j.rec.Snapshot()
 	info := j.info()

@@ -44,8 +44,6 @@ func IsQueueFull(err error) (*APIError, bool) {
 type Client struct {
 	base string
 	http *http.Client
-	// PollInterval paces WaitJob's status polling (default 25ms).
-	PollInterval time.Duration
 }
 
 // ClientOption configures a Client.
@@ -58,9 +56,8 @@ func WithHTTPClient(h *http.Client) ClientOption { return func(c *Client) { c.ht
 // New builds a client for a daemon at baseURL (e.g. "http://127.0.0.1:7077").
 func New(baseURL string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:         trimSlash(baseURL),
-		http:         &http.Client{},
-		PollInterval: 25 * time.Millisecond,
+		base: trimSlash(baseURL),
+		http: &http.Client{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -218,27 +215,44 @@ func (c *Client) CancelJob(ctx context.Context, session, id string) (JobInfo, er
 	return info, err
 }
 
-// WaitJob polls until the job reaches a terminal status (done, failed,
-// cancelled) or ctx expires.
+// Long-poll pacing of WaitJob. jobWait is the wait each request asks the
+// daemon for; the daemon answers sooner when the job ends, and may clamp the
+// wait lower. A non-terminal answer that comes back in under half of jobWait
+// means something on the path (a proxy that drops the query) answered
+// without waiting, and WaitJob sleeps proxyBackoff before it asks again.
+const (
+	jobWait      = 10 * time.Second
+	proxyBackoff = 25 * time.Millisecond
+)
+
+// WaitJob returns the job's info once it reaches a terminal status (done,
+// failed, cancelled), or the last info and ctx's error when ctx ends first.
+// It long-polls GET …/jobs/{id}?wait=: the daemon parks the request until
+// the job ends, so WaitJob returns as the job does, not on a poll timer.
 func (c *Client) WaitJob(ctx context.Context, session, id string) (JobInfo, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
+	path := c.jobPath(session, id, "") + "?wait=" + jobWait.String()
+	var last JobInfo
 	for {
-		info, err := c.GetJob(ctx, session, id)
-		if err != nil {
-			return info, err
+		asked := time.Now()
+		var info JobInfo
+		if err := c.do(ctx, http.MethodGet, path, nil, &info); err != nil {
+			if ctx.Err() != nil {
+				err = ctx.Err()
+			}
+			return last, err
 		}
 		if TerminalStatus(info.Status) {
 			return info, nil
 		}
-		select {
-		case <-ctx.Done():
-			return info, ctx.Err()
-		case <-t.C:
+		last = info
+		if time.Since(asked) < jobWait/2 {
+			t := time.NewTimer(proxyBackoff)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return last, ctx.Err()
+			case <-t.C:
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package sdk
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,5 +60,59 @@ func TestTerminalStatus(t *testing.T) {
 		if TerminalStatus(s) {
 			t.Errorf("TerminalStatus(%q) = true", s)
 		}
+	}
+}
+
+// TestWaitJobBehindProxyThatDropsWait: a proxy that strips the query turns
+// every long poll into an immediate non-terminal answer. WaitJob must then
+// back off between requests instead of spinning, and still return the
+// terminal info once the job ends.
+func TestWaitJobBehindProxyThatDropsWait(t *testing.T) {
+	var finished atomic.Bool
+	// The daemon side: a job that is running until finished is set.
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Has("wait") {
+			t.Errorf("the proxy let the wait through: %s", r.URL)
+		}
+		status := StatusRunning
+		if finished.Load() {
+			status = StatusDone
+		}
+		json.NewEncoder(w).Encode(JobInfo{ID: "j1", Status: status}) //nolint:errcheck
+	}))
+	defer daemon.Close()
+	var asked, withWait atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		if r.URL.Query().Has("wait") {
+			withWait.Add(1)
+		}
+		resp, err := http.Get(daemon.URL + r.URL.Path)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		var info JobInfo
+		json.NewDecoder(resp.Body).Decode(&info) //nolint:errcheck
+		json.NewEncoder(w).Encode(info)          //nolint:errcheck
+	}))
+	defer proxy.Close()
+
+	const window = 200 * time.Millisecond
+	time.AfterFunc(window, func() { finished.Store(true) })
+	start := time.Now()
+	info, err := New(proxy.URL).WaitJob(context.Background(), "s", "j1")
+	if err != nil || info.Status != StatusDone {
+		t.Fatalf("WaitJob = %s, %v; want done", info.Status, err)
+	}
+	n := asked.Load()
+	if withWait.Load() != n {
+		t.Errorf("%d of %d requests carried a wait", withWait.Load(), n)
+	}
+	// At the 25 ms back-off ≈ 9 requests cover the window; 40 is a loose bound
+	// that a client without a back-off would exceed many times over.
+	if n < 2 || n > 40 {
+		t.Errorf("WaitJob made %d requests in %v behind the proxy; want a bounded handful", n, time.Since(start))
 	}
 }
