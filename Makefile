@@ -10,8 +10,8 @@ build:
 test:
 	go test ./...
 
-# The project's own static-analysis suite (determinism, capturesound,
-# lockcheck, codecerr, poolescape, rangecapture, hotalloc, plus the
+# The project's own static-analysis suite: six analyzers (determinism,
+# capturesound, lockcheck, codecerr, rangecapture, hotalloc) plus the
 # staleignore directive audit — see DESIGN.md §6 and §11). Builds the
 # vettool into bin/ and runs it repo-wide; a clean exit is part of the gate.
 pebblevet:

@@ -3,8 +3,8 @@
 // graph built directly over go/ast (no SSA — consistent with the from-scratch
 // x/tools-compatible framework in internal/analysis), classic
 // reaching-definitions over it, a conservative value-flow ("taint") lattice
-// for tracking where values such as pooled buffers travel, and loop/induction
-// helpers for reasoning about monotone identifier arguments.
+// for tracking where values such as a helper's parameters travel, and
+// loop/induction helpers for reasoning about monotone identifier arguments.
 //
 // The engine is deliberately a may-analysis with documented approximations
 // (see DESIGN.md §11): extra CFG edges and over-tainting only make the

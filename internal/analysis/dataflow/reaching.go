@@ -330,9 +330,6 @@ func bitsetEq(a, b bitset) bool {
 	return true
 }
 
-// DefsAt returns the definitions generated at node n.
-func (r *Reaching) DefsAt(n *Node) []*Def { return r.defsAt[n.Index] }
-
 // ReachingAt returns the definitions of v reaching the entry of node n.
 func (r *Reaching) ReachingAt(v *types.Var, n *Node) []*Def {
 	var ds []*Def

@@ -10,13 +10,8 @@ import (
 // the fixpoint is monotone: once a definition taints it stays tainted.
 type TaintConfig struct {
 	// Source reports whether evaluating e (typically a call) produces a
-	// tainted value directly.
+	// tainted value directly; every other call result is untainted.
 	Source func(e ast.Expr) bool
-	// Borrow, when non-nil, reports whether a call expression propagates
-	// taint from its receiver/arguments to its result (e.g. a method that
-	// returns an aliased view of a pooled buffer). By default call results
-	// are untainted unless Source says otherwise.
-	Borrow func(call *ast.CallExpr) bool
 }
 
 // Taint is the solved taint state over a Reaching solution.
@@ -34,18 +29,6 @@ func NewTaint(r *Reaching, cfg TaintConfig) *Taint {
 	t := &Taint{R: r, cfg: cfg, tainted: make(map[*Def]bool)}
 	t.resolve()
 	return t
-}
-
-// DefTainted reports whether a specific definition is tainted.
-func (t *Taint) DefTainted(d *Def) bool { return t.tainted[d] }
-
-// MarkTainted seeds a definition as tainted. Callers must re-run Resolve
-// afterwards to propagate.
-func (t *Taint) MarkTainted(d *Def) {
-	if !t.tainted[d] {
-		t.tainted[d] = true
-		t.resolve()
-	}
 }
 
 func (t *Taint) resolve() {
@@ -94,7 +77,7 @@ func (t *Taint) VarTaintedAt(v *types.Var, n *Node) bool {
 //     field/result has pointer-like type (aliasing is possible);
 //   - index *reads* do not propagate (b.cols[i] yields an element the
 //     analyzers model separately); call results are untainted unless Source
-//     or Borrow says otherwise.
+//     says otherwise.
 func (t *Taint) ExprTaintedAt(e ast.Expr, n *Node) bool {
 	if t.cfg.Source != nil && t.cfg.Source(e) {
 		return true
@@ -133,19 +116,6 @@ func (t *Taint) ExprTaintedAt(e ast.Expr, n *Node) bool {
 			return false
 		}
 		return t.ExprTaintedAt(e.X, n)
-	case *ast.CallExpr:
-		if t.cfg.Borrow != nil && t.cfg.Borrow(e) {
-			// Taint flows through receiver and arguments.
-			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && t.ExprTaintedAt(sel.X, n) {
-				return true
-			}
-			for _, a := range e.Args {
-				if t.ExprTaintedAt(a, n) {
-					return true
-				}
-			}
-		}
-		return false
 	}
 	return false
 }

@@ -156,18 +156,12 @@ func orderInsensitive(pass *analysis.Pass, stmts []ast.Stmt, collected map[types
 			}
 		case *ast.ExprStmt:
 			// delete(m, k) commutes across iterations (each key visited once),
-			// sorting a slice in the body is itself the determinism fix, and
-			// sync.Pool.Put inserts into an explicitly unordered free list —
-			// the batch-recycle shape `for k, c := range cache { delete(cache, k);
-			// pool.Put(c) }` leaks no order anywhere.
+			// and sorting a slice in the body is itself the determinism fix.
 			if call, ok := st.X.(*ast.CallExpr); ok {
 				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && pass.TypesInfo.Uses[id] == types.Universe.Lookup("delete") {
 					continue
 				}
 				if isSortCall(pass, call.Fun) {
-					continue
-				}
-				if isPoolPut(pass, call.Fun) {
 					continue
 				}
 			}
@@ -412,33 +406,6 @@ func helperOrderSensitive(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// isPoolPut reports whether fun is the Put method of sync.Pool (or a type
-// embedding it). Pools are explicitly unordered — Get may return any pooled
-// value — so the insertion order of a map-range recycle loop is unobservable.
-func isPoolPut(pass *analysis.Pass, fun ast.Expr) bool {
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" {
-		return false
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Pool" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
 
 // checkClockAndRand flags time.Now and the global math/rand convenience

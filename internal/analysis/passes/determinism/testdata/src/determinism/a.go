@@ -5,7 +5,6 @@ package determinism
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -115,18 +114,8 @@ type column struct {
 	vals  []int64
 }
 
-// goodBatchRecycle mirrors the engine's putBatch shape: draining a per-batch
-// column cache back into a sync.Pool. delete commutes and pool insertion
-// order is unobservable (Get may return any pooled value): allowed.
-func goodBatchRecycle(cache map[string]*column, pool *sync.Pool) {
-	for k, c := range cache {
-		delete(cache, k)
-		pool.Put(c)
-	}
-}
-
-// badBatchDrain drains the same cache but appends the columns to a slice the
-// caller will iterate: cache order leaks into downstream work.
+// badBatchDrain drains a column cache into a slice the caller will iterate:
+// cache order leaks into downstream work.
 func badBatchDrain(cache map[string]*column, out []*column) []*column {
 	for k, c := range cache { // want `collected here but never sorted`
 		delete(cache, k)

@@ -9,12 +9,11 @@ import (
 	"pebble/internal/analysis/passes/determinism"
 	"pebble/internal/analysis/passes/hotalloc"
 	"pebble/internal/analysis/passes/lockcheck"
-	"pebble/internal/analysis/passes/poolescape"
 	"pebble/internal/analysis/passes/rangecapture"
 )
 
 // Analyzers returns the checks `make check` and CI enforce on every push:
-// the seven analyzers plus the driver-level stale-ignore check, which
+// the six analyzers plus the driver-level stale-ignore check, which
 // reports //pebblevet:ignore directives that no longer suppress anything.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		capturesound.Analyzer,
 		lockcheck.Analyzer,
 		codecerr.Analyzer,
-		poolescape.Analyzer,
 		rangecapture.Analyzer,
 		hotalloc.Analyzer,
 		analysis.StaleIgnore,

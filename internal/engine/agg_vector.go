@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pebble/internal/nested"
 )
@@ -16,9 +15,8 @@ import (
 // offset lists — instead of buffering every group's rows and re-walking them
 // per spec. Contributing-identifier lists for capture are CSR subslices of
 // one bucket-sized arena (ownership of each group's subslice transfers to
-// the sink via ps.Agg, so the arena is a plain allocation, never pooled).
-// Float sums accumulate in bucket (= sequence) order, so results are
-// bit-identical across worker counts.
+// the sink via ps.Agg). Float sums accumulate in bucket (= sequence) order,
+// so results are bit-identical across worker counts.
 //
 // Error contract: a spec the bucket cannot compute — an aggregate missing
 // its input path, an unknown function, a non-numeric value under sum/avg —
@@ -28,7 +26,7 @@ import (
 // rows reports (pinned by reference_test.go). An empty bucket has no groups
 // and therefore no error.
 
-// aggAccum is one spec's pooled accumulator state, indexed by dense group id.
+// aggAccum is one spec's accumulator state, indexed by dense group id.
 type aggAccum struct {
 	n      []int64        // count / sum / avg: non-null values seen
 	sumF   []float64      // sum / avg: float accumulation (row order)
@@ -38,85 +36,31 @@ type aggAccum struct {
 	best   []nested.Value // min / max: current winner
 	found  []bool         // min / max: any non-null seen
 	cursor []int32        // collect: per-group fill cursor into the CSR arena
-	setBuf []nested.Value // collect_set staging; pooled (nested.Set copies)
+	setBuf []nested.Value // collect_set staging (nested.Set copies)
 }
 
-var aggAccumPool = sync.Pool{
-	New: func() any { return new(aggAccum) },
-}
-
-// grown returns s resized to n, reusing capacity; contents are unspecified.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-func getAggAccum(nG, bucketLen int, fn AggFunc) *aggAccum {
-	a := aggAccumPool.Get().(*aggAccum)
+// newAggAccum allocates the arrays fn accumulates into, for nG groups over a
+// bucket of bucketLen rows.
+func newAggAccum(nG, bucketLen int, fn AggFunc) *aggAccum {
+	a := new(aggAccum)
 	switch fn {
 	case AggCount:
-		a.n = grown(a.n, nG)
-		clear(a.n)
+		a.n = make([]int64, nG)
 	case AggSum, AggAvg:
-		a.n = grown(a.n, nG)
-		clear(a.n)
-		a.sumF = grown(a.sumF, nG)
-		clear(a.sumF)
-		a.sumI = grown(a.sumI, nG)
-		clear(a.sumI)
-		a.allInt = grown(a.allInt, nG)
+		a.n, a.sumF, a.sumI = make([]int64, nG), make([]float64, nG), make([]int64, nG)
+		a.allInt, a.bad = make([]bool, nG), make([]nested.Kind, nG)
 		for i := range a.allInt {
 			a.allInt[i] = true
 		}
-		a.bad = grown(a.bad, nG)
-		clear(a.bad)
 	case AggMax, AggMin:
-		a.best = grown(a.best, nG)
-		a.found = grown(a.found, nG)
-		clear(a.found)
+		a.best, a.found = make([]nested.Value, nG), make([]bool, nG)
 	case AggCollectList:
-		a.cursor = grown(a.cursor, nG)
-		clear(a.cursor)
+		a.cursor = make([]int32, nG)
 	case AggCollectSet:
-		a.cursor = grown(a.cursor, nG)
-		clear(a.cursor)
-		a.setBuf = grown(a.setBuf, bucketLen)
+		a.cursor, a.setBuf = make([]int32, nG), make([]nested.Value, bucketLen)
 	}
 	return a
 }
-
-func putAggAccum(a *aggAccum) { aggAccumPool.Put(a) }
-
-// aggScratch is the pooled per-bucket scratch of the aggregate: per-row
-// group indexes, CSR offsets and id cursors, and the group sort order.
-type aggScratch struct {
-	groupOf []int32
-	offsets []int32
-	idCur   []int32
-	order   []int
-}
-
-var aggScratchPool = sync.Pool{
-	New: func() any { return new(aggScratch) },
-}
-
-func getAggScratch(n int) *aggScratch {
-	s := aggScratchPool.Get().(*aggScratch)
-	s.groupOf = grown(s.groupOf, n)
-	return s
-}
-
-// sizeGroups prepares the per-group arrays once the group count is known.
-func (s *aggScratch) sizeGroups(nG int) {
-	s.offsets = grown(s.offsets, nG)
-	s.idCur = grown(s.idCur, nG)
-	clear(s.idCur)
-	s.order = grown(s.order, nG)
-}
-
-func putAggScratch(s *aggScratch) { aggScratchPool.Put(s) }
 
 // aggBucket groups and aggregates one shuffle bucket into items of shape
 // (groupShape's, computed once per operator); capture materialises the
@@ -125,57 +69,45 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 	if len(bucket) == 0 {
 		return morselOut{rows: []Row{}}, nil
 	}
-	t := getKeyTable(len(bucket))
-	defer putKeyTable(t)
-	s := getAggScratch(len(bucket))
-	defer putAggScratch(s)
+	t := newKeyTable(len(bucket))
+	groupOf := make([]int32, len(bucket))
 	for i, kr := range bucket {
-		s.groupOf[i] = t.insert(kr.hash, kr.key, int32(i), 0, true)
+		groupOf[i] = t.insert(kr.hash, kr.key, int32(i), 0)
 	}
 	nG := t.groups()
-	s.sizeGroups(nG)
 	// CSR offsets by dense group id; arena layout order is irrelevant, the
 	// per-group subslices just have to be disjoint and sized to the group.
+	offsets := make([]int32, nG)
 	off := int32(0)
-	for g := 0; g < nG; g++ {
-		s.offsets[g] = off
+	for g := range offsets {
+		offsets[g] = off
 		off += t.count[g]
 	}
 	accums := make([]*aggAccum, len(o.aggs))
-	defer func() {
-		for _, a := range accums {
-			if a != nil {
-				putAggAccum(a)
-			}
-		}
-	}()
 	var listVals [][]nested.Value
 	for si, spec := range o.aggs {
-		accums[si] = getAggAccum(nG, len(bucket), spec.Func) //pebblevet:ignore poolescape -- function-local registry of borrowed accumulators; the deferred loop releases every element before return and aggResult copies values out
-
+		accums[si] = newAggAccum(nG, len(bucket), spec.Func)
 		if spec.Func == AggCollectList {
 			if listVals == nil {
 				listVals = make([][]nested.Value, len(o.aggs))
 			}
-			// Retained by the output bags (nested.Bag keeps the subslices),
-			// so this arena is a plain allocation, never pooled.
-			listVals[si] = make([]nested.Value, len(bucket))
+			listVals[si] = make([]nested.Value, len(bucket)) // retained by the output bags
 		}
 	}
 	var idsArena []int64
+	var idCur []int32
 	if capture {
 		// The contributing-identifier collection is only materialised when
 		// provenance is captured — it is the dominant share of the
 		// aggregation's capture cost (Sec. 7.3.1). Ownership of each group's
-		// subslice transfers to the sink (ps.Agg); plain allocation, never
-		// pooled.
-		idsArena = make([]int64, len(bucket))
+		// subslice transfers to the sink (ps.Agg).
+		idsArena, idCur = make([]int64, len(bucket)), make([]int32, nG)
 	}
 	// Chunked so that the specs' passes over the same rows stay cache-resident.
 	for start := 0; start < len(bucket); start += batchSize {
 		end := min(start+batchSize, len(bucket))
 		chunk := bucket[start:end]
-		gix := s.groupOf[start:end]
+		gix := groupOf[start:end]
 		for si, spec := range o.aggs {
 			if len(spec.In) == 0 {
 				continue // plain count: group sizes come from the table
@@ -184,23 +116,25 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 			if listVals != nil {
 				lv = listVals[si]
 			}
-			accumulate(spec, accums[si], chunk, gix, s.offsets, lv)
+			accumulate(spec, accums[si], chunk, gix, offsets, lv)
 		}
 		if idsArena != nil {
 			for i, kr := range chunk {
 				g := gix[i]
-				idsArena[s.offsets[g]+s.idCur[g]] = kr.row.ID
-				s.idCur[g]++
+				idsArena[offsets[g]+idCur[g]] = kr.row.ID
+				idCur[g]++
 			}
 		}
 	}
 	// Emit groups sorted by key, starting from first-seen order so that
-	// Compare-equal distinct keys order deterministically.
-	order := s.order[:nG]
+	// Compare-equal distinct keys order deterministically. A group's key is
+	// that of its first-seen row.
+	key := func(g int) nested.Value { return bucket[t.head[g]].key }
+	order := make([]int, nG)
 	for g := range order {
 		order[g] = g
 	}
-	sort.Slice(order, func(i, j int) bool { return nested.Compare(t.keys[order[i]], t.keys[order[j]]) < 0 })
+	sort.Slice(order, func(i, j int) bool { return nested.Compare(key(order[i]), key(order[j])) < 0 })
 	out := morselOut{rows: make([]Row, nG), n: nG}
 	if capture {
 		out.lists = make([][]int64, nG)
@@ -210,13 +144,13 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 	for i, g := range order {
 		vals := arena[:width:width]
 		arena = arena[width:]
-		copy(vals, t.keys[g].FieldValues())
+		copy(vals, key(g).FieldValues())
 		for si, spec := range o.aggs {
 			var lv []nested.Value
 			if listVals != nil {
 				lv = listVals[si]
 			}
-			av, err := aggResult(spec, accums[si], int32(g), t.count[g], s.offsets[g], lv)
+			av, err := aggResult(spec, accums[si], int32(g), t.count[g], offsets[g], lv)
 			if err != nil {
 				return morselOut{}, err
 			}
@@ -224,7 +158,7 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 		}
 		out.rows[i].Value = shape.Item(vals...)
 		if idsArena != nil {
-			o0 := s.offsets[g]
+			o0 := offsets[g]
 			out.lists[i] = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
 		}
 	}

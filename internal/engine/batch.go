@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"sync"
 
 	"pebble/internal/nested"
 	"pebble/internal/path"
@@ -14,8 +13,7 @@ import (
 // the access paths the predicate reads into colVec columns —
 // scalar columns carry typed arrays plus a validity bitmap, everything else
 // (nested bags, items, mixed-kind attributes) stays as a generic value
-// column. Batches and their columns are recycled through sync.Pools shared
-// by all workers.
+// column. A batch and its columns are allocated per chunk.
 //
 // Correctness contract: a colVec must reproduce Expr.Eval's view of the data
 // exactly. For every row i, at(i) returns a value equal (as a Go struct)
@@ -26,9 +24,9 @@ import (
 // re-encoded lossily.
 
 // batchSize is the maximum rows per column batch. Small enough that a
-// chunk's columns stay cache-resident and pooled allocations stay bounded,
-// large enough to amortise per-batch setup; partitions smaller than one
-// batch (the common case at DefaultPartitions) form a single chunk.
+// chunk's columns stay cache-resident, large enough to amortise per-batch
+// setup; partitions smaller than one batch (the common case at
+// DefaultPartitions) form a single chunk.
 const batchSize = 256
 
 // validity is a little-endian bitmap with one bit per row; a set bit means
@@ -148,6 +146,8 @@ type batch struct {
 	cols map[string]*colVec
 }
 
+func newBatch(rows []Row) *batch { return &batch{rows: rows, cols: make(map[string]*colVec)} }
+
 func (b *batch) n() int { return len(b.rows) }
 
 // column returns the decoded column for an access path, decoding on first
@@ -167,7 +167,7 @@ func (b *batch) column(p path.Path) *colVec {
 // otherwise generic. Absent paths decode as null, exactly like colExpr.Eval.
 func decodeColumn(p path.Path, rows []Row) *colVec {
 	n := len(rows)
-	c := getCol(n)
+	c := &colVec{n: n} // generic until a scalar kind is adopted
 	valid := newValidity(n)
 	nulls := 0
 	for i, r := range rows {
@@ -201,11 +201,8 @@ func decodeColumn(p path.Path, rows []Row) *colVec {
 		}
 		c.appendVal(v)
 	}
-	if c.kind != nested.KindInvalid {
-		if nulls > 0 {
-			c.valid = valid
-		}
-		c.vals = c.vals[:0]
+	if c.kind != nested.KindInvalid && nulls > 0 {
+		c.valid = valid
 	}
 	return c
 }
@@ -214,25 +211,16 @@ func decodeColumn(p path.Path, rows []Row) *colVec {
 // backfilling i zero slots for the null prefix. The typed slice is sized for
 // the whole chunk up front so the decode loop never regrows it.
 func (c *colVec) adoptKind(k nested.Kind, i int) {
-	c.kind = k
-	c.vals = c.vals[:0]
+	c.kind, c.vals = k, nil
 	switch k {
 	case nested.KindInt:
-		if cap(c.ints) < c.n {
-			c.ints = make([]int64, 0, c.n)
-		}
+		c.ints = make([]int64, 0, c.n)
 	case nested.KindDouble:
-		if cap(c.dbls) < c.n {
-			c.dbls = make([]float64, 0, c.n)
-		}
+		c.dbls = make([]float64, 0, c.n)
 	case nested.KindString:
-		if cap(c.strs) < c.n {
-			c.strs = make([]string, 0, c.n)
-		}
+		c.strs = make([]string, 0, c.n)
 	case nested.KindBool:
-		if cap(c.bools) < c.n {
-			c.bools = make([]bool, 0, c.n)
-		}
+		c.bools = make([]bool, 0, c.n)
 	}
 	for j := 0; j < i; j++ {
 		c.appendZero()
@@ -272,10 +260,7 @@ func (c *colVec) appendTyped(v nested.Value) {
 // demote rewrites the first i typed slots as generic values and switches the
 // column to generic storage (a later row broke the single-kind assumption).
 func (c *colVec) demote(valid validity, i int) {
-	vals := c.vals[:0]
-	if cap(vals) < c.n {
-		vals = make([]nested.Value, 0, c.n)
-	}
+	vals := make([]nested.Value, 0, c.n)
 	for j := 0; j < i; j++ {
 		if !valid.get(j) {
 			vals = append(vals, nested.Null())
@@ -293,72 +278,15 @@ func (c *colVec) demote(valid validity, i int) {
 		}
 	}
 	c.kind = nested.KindInvalid
-	c.ints, c.dbls, c.strs, c.bools = c.ints[:0], c.dbls[:0], c.strs[:0], c.bools[:0]
+	c.ints, c.dbls, c.strs, c.bools = nil, nil, nil, nil
 	c.vals = vals
 }
 
-// batchPool recycles batch headers and their column-cache maps across
-// morsels and workers. Decoded columns are recycled too (colPool): every
-// consumer materialises values out of a column before putBatch — at() and the
-// typed kernels return copies, never slice references — so recycling the
-// backing arrays cannot alias operator output (pinned by
-// TestBatchPoolsDoNotAliasResults).
-var batchPool = sync.Pool{
-	New: func() any { return &batch{cols: make(map[string]*colVec, 8)} },
-}
-
-// colPool recycles decoded colVec columns together with their backing
-// arrays, so steady-state decoding allocates nothing beyond the validity
-// bitmap. Pooled slices keep their previous contents until overwritten
-// (bounded by batchSize rows and released whenever the GC clears the pool);
-// getCol resets lengths, not memory.
-var colPool = sync.Pool{
-	New: func() any { return new(colVec) },
-}
-
-// getCol returns a column ready for decoding an n-row chunk: generic kind
-// and empty slices with retained capacity. The generic value buffer is NOT
-// pre-sized here — typed columns (the common case) only touch it for their
-// null prefix, and a chunk-sized []nested.Value is a large zeroed
-// allocation that would recur every time the GC drains the pool; appendVal
-// grows it to full chunk size in one step the first time a column actually
-// goes generic.
-func getCol(n int) *colVec {
-	c := colPool.Get().(*colVec)
-	c.n, c.kind, c.bcast, c.valid = n, nested.KindInvalid, false, nil
-	c.ints, c.dbls, c.strs, c.bools = c.ints[:0], c.dbls[:0], c.strs[:0], c.bools[:0]
-	c.vals = c.vals[:0]
-	return c
-}
-
-// appendVal appends to the generic value buffer, growing it to the full
-// chunk size in a single allocation on first need.
+// appendVal appends to the generic value buffer, sized for the whole chunk on
+// first need; a typed column reaches it at most for its null prefix.
 func (c *colVec) appendVal(v nested.Value) {
-	if len(c.vals) == cap(c.vals) && cap(c.vals) < c.n {
-		grown := make([]nested.Value, len(c.vals), c.n)
-		copy(grown, c.vals)
-		c.vals = grown
+	if c.vals == nil {
+		c.vals = make([]nested.Value, 0, c.n)
 	}
 	c.vals = append(c.vals, v)
-}
-
-// getBatch wraps a row chunk in a pooled batch.
-func getBatch(rows []Row) *batch {
-	b := batchPool.Get().(*batch)
-	b.rows = rows
-	return b
-}
-
-// putBatch returns a batch to the pool, recycling its decoded columns and
-// dropping the row reference so the next morsel starts clean. Only columns
-// that went through the cache are recycled: evalVec result columns (boolCol,
-// cmpVec, constCol, …) are plain allocations and stay off the pool, so a
-// column can never be put back twice.
-func putBatch(b *batch) {
-	b.rows = nil
-	for k, c := range b.cols {
-		delete(b.cols, k)
-		colPool.Put(c)
-	}
-	batchPool.Put(b)
 }

@@ -58,10 +58,8 @@ func filterSelectRows(pred Expr, rows []Row, sel []int32) ([]int32, error) {
 func filterSelectVec(pred Expr, rows []Row, sel []int32) (_ []int32, ok bool) {
 	for start := 0; start < len(rows); start += batchSize {
 		chunk := rows[start:min(start+batchSize, len(rows))]
-		b := getBatch(chunk)
-		c, err := evalVec(pred, b)
+		c, err := evalVec(pred, newBatch(chunk))
 		if err != nil {
-			putBatch(b)
 			return nil, false
 		}
 		// The predicate must be boolean on every row (filter does not
@@ -74,20 +72,17 @@ func filterSelectVec(pred Expr, rows []Row, sel []int32) (_ []int32, ok bool) {
 					sel = append(sel, int32(start+i))
 				}
 			}
-			putBatch(b)
 			continue
 		}
 		for i := range chunk {
 			truth, ok := asBoolAt(c, i)
 			if !ok {
-				putBatch(b)
 				return nil, false
 			}
 			if truth {
 				sel = append(sel, int32(start+i))
 			}
 		}
-		putBatch(b)
 	}
 	return sel, true
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"pebble/internal/nested"
 	"pebble/internal/obs"
@@ -16,51 +15,14 @@ import (
 // pass 2 emits matches in probe-major, chain-insertion order, stitching
 // left/right attribute values into one flat value arena instead of one
 // allocation per match. The arena is allocated exactly once per morsel and
-// retained by the output items (Shape.Item keeps the slice), so it is never
-// pooled; each match takes a capacity-limited subslice.
+// retained by the output items (Shape.Item keeps the slice); each match
+// takes a capacity-limited subslice.
 //
 // Error contract: the join's shape rules — both inputs data items, attribute
 // names disjoint — are looked at per match in emission order (the second
 // answered from the morsel's shapeMemo, once per pair of shapes), so the
 // first error of a bucket is the one a row-at-a-time nested-loop join over
 // the same bucket reports (pinned by reference_test.go).
-
-// joinScratch is the pooled per-morsel probe state: the per-row group index
-// cache, the probe-key encoding buffer, and the build-side matched flags of
-// left outer joins.
-type joinScratch struct {
-	groupOf []int32
-	keyBuf  []byte
-	matched []bool
-}
-
-var joinScratchPool = sync.Pool{
-	New: func() any { return new(joinScratch) },
-}
-
-func getJoinScratch(n int) *joinScratch {
-	s := joinScratchPool.Get().(*joinScratch)
-	if cap(s.groupOf) < n {
-		s.groupOf = make([]int32, n)
-	} else {
-		s.groupOf = s.groupOf[:n]
-	}
-	return s
-}
-
-// matchedFor returns the matched-flag array sized and cleared for n build
-// rows.
-func (s *joinScratch) matchedFor(n int) []bool {
-	if cap(s.matched) < n {
-		s.matched = make([]bool, n)
-	} else {
-		s.matched = s.matched[:n]
-		clear(s.matched)
-	}
-	return s.matched
-}
-
-func putJoinScratch(s *joinScratch) { joinScratchPool.Put(s) }
 
 // stitch writes the attribute values of the join result r = ⟨i, j⟩ — those
 // of both items concatenated — to the front of arena and returns the result
@@ -85,22 +47,21 @@ func stitch(memo *shapeMemo, arena []nested.Value, l, r *nested.Value) (nested.V
 // partition-major), so outputs are ordered by (right seq, left seq) and chain
 // order equals left sequence order by construction.
 func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool) (morselOut, error) {
-	t := getKeyTable(len(lrows))
-	defer putKeyTable(t)
+	t := newKeyTable(len(lrows))
 	for i, kr := range lrows {
-		t.insert(kr.hash, kr.key, int32(i), int32(kr.row.Value.NumFields()), false)
+		t.insert(kr.hash, kr.key, int32(i), int32(kr.row.Value.NumFields()))
 	}
-	s := getJoinScratch(len(rrows))
-	defer putJoinScratch(s)
-	var matched []bool
+	groupOf := make([]int32, len(rrows)) // pass 1: each probe row's group, or -1
+	var matched []bool                   // left outer: build rows that matched
 	if leftOuter {
-		matched = s.matchedFor(len(lrows))
+		matched = make([]bool, len(lrows))
 	}
+	var keyBuf []byte
 	matches, totalFields := 0, 0
 	for i, kr := range rrows {
-		s.keyBuf = kr.key.AppendNorm(s.keyBuf[:0])
-		g := t.lookup(kr.hash, s.keyBuf)
-		s.groupOf[i] = g
+		keyBuf = kr.key.AppendNorm(keyBuf[:0])
+		g := t.lookup(kr.hash, keyBuf)
+		groupOf[i] = g
 		if g < 0 {
 			continue
 		}
@@ -111,7 +72,7 @@ func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Sha
 	arena := make([]nested.Value, totalFields) // retained by the output items
 	var memo shapeMemo
 	for i := range rrows {
-		g := s.groupOf[i]
+		g := groupOf[i]
 		if g < 0 {
 			continue
 		}
@@ -165,8 +126,7 @@ func (e *executor) execBroadcastJoin(o *Op, left, right *Dataset) ([]morselOut, 
 		buildKey, probeKey = o.rightKey, o.leftKey
 	}
 	e.startOperator(o, len(probeDS.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
-	t := getKeyTable(buildDS.Len())
-	defer putKeyTable(t)
+	t := newKeyTable(buildDS.Len())
 	bk, pk := exprShuffleKey(buildKey), exprShuffleKey(probeKey)
 	buildRows, err := broadcastBuild(t, bk, buildDS)
 	if err != nil {
@@ -217,7 +177,7 @@ func broadcastBuild(t *keyTable, bk shuffleKey, buildDS *Dataset) ([]keyedRow, e
 				continue
 			}
 			h := valueHash(k)
-			t.insert(h, k, int32(len(buildRows)), int32(r.Value.NumFields()), false)
+			t.insert(h, k, int32(len(buildRows)), int32(r.Value.NumFields()))
 			buildRows = append(buildRows, keyedRow{row: r, key: k, hash: h})
 		}
 	}
@@ -229,20 +189,20 @@ func broadcastBuild(t *keyTable, bk shuffleKey, buildDS *Dataset) ([]keyedRow, e
 // output rows decided by which side was built. valueHash is called exactly
 // once per non-null probe key; the count is returned for the recorder.
 func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft, capture bool) (morselOut, int, error) {
-	s := getJoinScratch(len(rows))
-	defer putJoinScratch(s)
+	groupOf := make([]int32, len(rows)) // pass 1: each probe row's group, or -1
+	var keyBuf []byte
 	hashed := 0
 	matches, totalFields := 0, 0
 	for i := range rows {
 		k := keys[i]
 		if k.IsNull() {
-			s.groupOf[i] = -1
+			groupOf[i] = -1
 			continue
 		}
 		hashed++
-		s.keyBuf = k.AppendNorm(s.keyBuf[:0])
-		g := t.lookup(valueHash(k), s.keyBuf)
-		s.groupOf[i] = g
+		keyBuf = k.AppendNorm(keyBuf[:0])
+		g := t.lookup(valueHash(k), keyBuf)
+		groupOf[i] = g
 		if g < 0 {
 			continue
 		}
@@ -253,7 +213,7 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 	arena := make([]nested.Value, totalFields) // retained by the output items
 	var memo shapeMemo
 	for i := range rows {
-		g := s.groupOf[i]
+		g := groupOf[i]
 		if g < 0 {
 			continue
 		}

@@ -3,14 +3,14 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // joinAggPipeline joins two inputs on a sometimes-missing string key (null
 // keys exercise the skip paths) and aggregates the matches with one spec per
-// accumulator family, so one run churns the keyTable, joinScratch, aggAccum,
-// and aggScratch pools together.
+// accumulator family.
 func joinAggPipeline() *Pipeline {
 	p := NewPipeline()
 	l := p.Source("l")
@@ -30,44 +30,61 @@ func joinAggPipeline() *Pipeline {
 	return p
 }
 
-// TestJoinAggScratchPoolsDoNotAliasResults proves the join/aggregate kernel
-// pools (keyTable, joinScratch, aggAccum/aggScratch) never let a later run
-// overwrite values an earlier result still references: the first result is
-// rendered, several further join+aggregate pipelines churn the pools under
-// both join shapes, and the first result must render identically afterwards.
-func TestJoinAggScratchPoolsDoNotAliasResults(t *testing.T) {
-	inputs := map[string]*Dataset{
-		"l": dataset(t, "l", genRows(21, batchSize+31), 3),
-		"r": dataset(t, "r", genRows(22, batchSize+17), 3),
+// TestLaterRunsLeaveEarlierResults: no run changes a result an earlier run
+// returned. The filter pipeline and the join+aggregate pipeline, the latter
+// on both join shapes, run and are rendered; four rounds of all three over
+// other inputs reuse the stage scratch, and the first results must render as
+// before.
+func TestLaterRunsLeaveEarlierResults(t *testing.T) {
+	filterIn := func(seed int64) map[string]*Dataset {
+		return map[string]*Dataset{"in": dataset(t, "in", genRows(seed, batchSize+19), 2)}
 	}
-	res := runPipeline(t, joinAggPipeline(), inputs, Options{Partitions: 3, Workers: 1, BroadcastJoinThreshold: -1})
-	before := make([]string, 0, len(res.Output.Rows()))
-	for _, r := range res.Output.Rows() {
-		before = append(before, fmt.Sprintf("%d:%s", r.ID, r.Value))
-	}
-	for i := 0; i < 4; i++ {
-		churn := map[string]*Dataset{
-			"l": dataset(t, "l", genRows(int64(300+i), batchSize+23), 3),
-			"r": dataset(t, "r", genRows(int64(400+i), batchSize+11), 3),
+	joinAggIn := func(seed int64) map[string]*Dataset {
+		return map[string]*Dataset{
+			"l": dataset(t, "l", genRows(seed, batchSize+31), 3),
+			"r": dataset(t, "r", genRows(seed+1, batchSize+17), 3),
 		}
-		threshold := -1
-		if i%2 == 1 {
-			threshold = 1 << 30 // broadcast shape churns the shared-table path
-		}
-		runPipeline(t, joinAggPipeline(), churn, Options{Partitions: 3, Workers: 2, BroadcastJoinThreshold: threshold})
 	}
-	for i, r := range res.Output.Rows() {
-		if got := fmt.Sprintf("%d:%s", r.ID, r.Value); got != before[i] {
-			t.Fatalf("row %d mutated by pool recycling:\nbefore %s\nafter  %s", i, before[i], got)
+	runs := []struct {
+		build  func() *Pipeline
+		inputs func(seed int64) map[string]*Dataset
+		opts   Options
+	}{
+		{boundaryPipeline, filterIn, Options{Partitions: 2}},
+		{joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: -1}},
+		{joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: 1 << 30}},
+	}
+	render := func(res *Result) string {
+		var b strings.Builder
+		for _, r := range res.Output.Rows() {
+			fmt.Fprintf(&b, "%d:%s\n", r.ID, r.Value)
+		}
+		return b.String()
+	}
+	first, before := make([]*Result, len(runs)), make([]string, len(runs))
+	for i, r := range runs {
+		r.opts.Workers = 1
+		first[i] = runPipeline(t, r.build(), r.inputs(int64(5+10*i)), r.opts)
+		before[i] = render(first[i])
+	}
+	for seed := int64(100); seed < 104; seed++ {
+		for _, r := range runs {
+			r.opts.Workers = 2
+			runPipeline(t, r.build(), r.inputs(seed), r.opts)
+		}
+	}
+	for i, res := range first {
+		if got := render(res); got != before[i] {
+			t.Fatalf("run %d changed by later runs at %s", i, firstDiff(got, before[i]))
 		}
 	}
 }
 
-// TestJoinAggSharedPoolsRace drives the join and aggregate kernels with the
-// full worker fan-out over the shared pools, two engines in one process and
-// both join shapes (the broadcast probe reads one shared keyTable from every
-// partition worker). The -race run of the suite is the assertion.
-func TestJoinAggSharedPoolsRace(t *testing.T) {
+// TestBroadcastProbeSharedTableRace drives the join and aggregate kernels
+// with the full worker fan-out, two engines in one process and both join
+// shapes: the broadcast probe reads one shared keyTable from every partition
+// worker. The -race run of the suite is the assertion.
+func TestBroadcastProbeSharedTableRace(t *testing.T) {
 	lvals := genRows(31, 4*batchSize+29)
 	rvals := genRows(32, 4*batchSize+37)
 	var wg sync.WaitGroup

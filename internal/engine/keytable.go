@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"sync"
 
 	"pebble/internal/nested"
 )
@@ -14,8 +13,7 @@ import (
 // decides equality. Compared with a map[uint64][]keyedRow and a structural
 // comparison per candidate (the reference in reference_test.go), the table
 // keeps all per-group state in parallel int32 arrays and all key bytes in a
-// single arena, so building and probing allocate nothing in steady state
-// (the table and its arrays are pooled).
+// single arena, so building and probing allocate per table, not per row.
 //
 // Semantics contract: byte equality is the match discipline of both kernels.
 // It is finer than compareWidened(a,b)==0 and nested.Equal in three places:
@@ -39,37 +37,33 @@ type keyTable struct {
 	head   []int32
 	tail   []int32
 	count  []int32
-	fields []int32        // join build: Σ NumFields() over the group's rows
-	keys   []nested.Value // aggregate: first-seen key value per group
+	fields []int32 // join build: Σ NumFields() over the group's rows
 
 	next  []int32 // per inserted row: next row index of the same group, -1 ends
 	arena []byte  // normalized key bytes of all groups
 }
 
-// reset prepares the table for up to n insertions: power-of-two slot count at
-// load factor ≤ 1/2, so the probe loops never need a mid-build rehash.
-func (t *keyTable) reset(n int) {
+// newKeyTable returns a table for up to n insertions. The slot count is a
+// power of two at load factor ≤ 1/2, so the probe loops never need a
+// mid-build rehash, and every per-group array has room for n groups, so no
+// insert regrows one.
+func newKeyTable(n int) *keyTable {
 	capSlots := 16
 	for capSlots < 2*n {
 		capSlots *= 2
 	}
-	if cap(t.slots) < capSlots {
-		t.slots = make([]int32, capSlots)
-	} else {
-		t.slots = t.slots[:capSlots]
-		clear(t.slots)
+	return &keyTable{
+		slots:  make([]int32, capSlots),
+		mask:   uint64(capSlots - 1),
+		hash:   make([]uint64, 0, n),
+		keyOff: make([]int32, 0, n),
+		keyLen: make([]int32, 0, n),
+		head:   make([]int32, 0, n),
+		tail:   make([]int32, 0, n),
+		count:  make([]int32, 0, n),
+		fields: make([]int32, 0, n),
+		next:   make([]int32, 0, n),
 	}
-	t.mask = uint64(capSlots - 1)
-	t.hash = t.hash[:0]
-	t.keyOff, t.keyLen = t.keyOff[:0], t.keyLen[:0]
-	t.head, t.tail, t.count, t.fields = t.head[:0], t.tail[:0], t.count[:0], t.fields[:0]
-	t.keys = t.keys[:0]
-	if cap(t.next) < n {
-		t.next = make([]int32, 0, n)
-	} else {
-		t.next = t.next[:0]
-	}
-	t.arena = t.arena[:0]
 }
 
 // groups returns the number of distinct keys inserted.
@@ -82,10 +76,9 @@ func (t *keyTable) keyBytes(g int32) []byte {
 
 // insert adds row index ri (rows must be inserted with consecutive indexes
 // starting at 0) under key k with cached hash h, and returns the row's dense
-// group index. nFields accumulates into the group's field sum (join output
-// sizing); keepKey retains the first-seen key value per group (aggregate
-// output keys).
-func (t *keyTable) insert(h uint64, k nested.Value, ri int32, nFields int32, keepKey bool) int32 {
+// group index; a group's first-seen row is head[g]. nFields accumulates into
+// the group's field sum (join output sizing).
+func (t *keyTable) insert(h uint64, k nested.Value, ri int32, nFields int32) int32 {
 	start := len(t.arena)
 	t.arena = k.AppendNorm(t.arena)
 	kb := t.arena[start:]
@@ -102,9 +95,6 @@ func (t *keyTable) insert(h uint64, k nested.Value, ri int32, nFields int32, kee
 			t.tail = append(t.tail, ri)
 			t.count = append(t.count, 1)
 			t.fields = append(t.fields, nFields)
-			if keepKey {
-				t.keys = append(t.keys, k)
-			}
 			t.next = append(t.next, -1)
 			return g
 		}
@@ -139,22 +129,3 @@ func (t *keyTable) lookup(h uint64, kb []byte) int32 {
 		i = (i + 1) & t.mask
 	}
 }
-
-// keyTablePool recycles tables with their slot, group, chain, and arena
-// storage across morsels and workers. Pooled slices keep stale contents
-// (including key Values in keys) until overwritten, bounded by the largest
-// morsel and released when the GC clears the pool; reset trims lengths, not
-// memory. Outputs never alias the table: group walks read ids and boxed
-// values out of it, so putting a table back cannot mutate operator results
-// (pinned by TestJoinAggScratchPoolsDoNotAliasResults).
-var keyTablePool = sync.Pool{
-	New: func() any { return new(keyTable) },
-}
-
-func getKeyTable(n int) *keyTable {
-	t := keyTablePool.Get().(*keyTable)
-	t.reset(n)
-	return t
-}
-
-func putKeyTable(t *keyTable) { keyTablePool.Put(t) }

@@ -506,8 +506,7 @@ func TestBroadcastProbeMatchesReference(t *testing.T) {
 							buildDS, probeDS = right, left
 							buildKey, probeKey = probeKey, buildKey
 						}
-						tab := getKeyTable(buildDS.Len())
-						defer putKeyTable(tab)
+						tab := newKeyTable(buildDS.Len())
 						buildRows, err := broadcastBuild(tab, exprShuffleKey(buildKey), buildDS)
 						if err != nil {
 							t.Fatal(err)

@@ -152,9 +152,9 @@ func TestKernelsShareShapesAndAllocatePerMorsel(t *testing.T) {
 		if strings.HasSuffix(k.name, "/filter") {
 			continue // passes its input rows on, and allocates per 256-row batch
 		}
-		// Output slice, arena, the shapes a memo derives and the pooled
-		// scratch a kernel has to grow again after a collection: a handful
-		// per morsel, where one allocation per row would be len(out).
+		// Output slice, arena, the shapes a memo derives and the kernel's
+		// working arrays: a handful per morsel, where one allocation per row
+		// would be len(out).
 		if allocs := testing.AllocsPerRun(5, func() { k.run() }); allocs > float64(out.n)/10 {
 			t.Errorf("%s: %v allocations for %d output rows", k.name, allocs, out.n)
 		}

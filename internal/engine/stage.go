@@ -164,6 +164,14 @@ var stageScratchPool = sync.Pool{
 	New: func() any { return new(stageScratch) },
 }
 
+// grown returns s resized to n, reusing capacity; contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // scratchPoison, when a test sets it, overwrites a scratch that goes back to
 // the pool, so a row that still points into it reads garbage at once.
 var scratchPoison func(*stageScratch)

@@ -143,8 +143,8 @@ func TestStagedRunsStayLean(t *testing.T) {
 	}
 	const tweets = 2000
 	// A collection between the warm-up and the measured run would empty the
-	// pools, and a move to another P would miss them: either has the run
-	// allocate its scratch again.
+	// stage scratch pool, and a move to another P would miss it: either has
+	// the run allocate its scratch again.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	budget := map[string]float64{"T2": 1393 * 1.15, "T4": 5568 * 1.15} // bytes per input tweet
@@ -159,7 +159,7 @@ func TestStagedRunsStayLean(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // pools and scratch warm, as in a daemon past its first job
+		run() // stage scratch warm, as in a daemon past its first job
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()

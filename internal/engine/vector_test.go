@@ -16,8 +16,8 @@ import (
 // straddling batchSize, empty morsels, all-null and kind-shifting columns —
 // and proves that where the kernel declines, the row loop's short-circuit
 // answer (its exact error, or its exact success) is what the operator
-// returns. The pool tests at the end keep the shared batch/column/scratch
-// pools honest under recycling and under the race detector.
+// returns. The test at the end drives two engines at once under the race
+// detector.
 
 // genRows builds n deterministic rows shaped like the corpus base schema,
 // with every vectorization hazard mixed in: missing attributes (decoded as
@@ -63,7 +63,7 @@ func genRows(seed int64, n int) []nested.Value {
 }
 
 // boundaryPipeline runs a short-circuit filter in front of every other
-// operator family, so one run churns the batch, column and id-scratch pools.
+// operator family.
 func boundaryPipeline() *Pipeline {
 	p := NewPipeline()
 	src := p.Source("in")
@@ -246,33 +246,11 @@ func TestFilterKernelDeclinesToRowLoop(t *testing.T) {
 	}
 }
 
-// TestBatchPoolsDoNotAliasResults proves the sync.Pool recycling never lets
-// a later run's batches overwrite values an earlier result still references:
-// the first result is rendered, several further pipelines churn the pools,
-// and the first result must render identically afterwards.
-func TestBatchPoolsDoNotAliasResults(t *testing.T) {
-	values := genRows(5, batchSize+19)
-	inputs := map[string]*Dataset{"in": dataset(t, "in", values, 2)}
-	res := runPipeline(t, boundaryPipeline(), inputs, Options{Partitions: 2, Workers: 1})
-	before := make([]string, 0, len(res.Output.Rows()))
-	for _, r := range res.Output.Rows() {
-		before = append(before, fmt.Sprintf("%d:%s", r.ID, r.Value))
-	}
-	for i := 0; i < 4; i++ {
-		churn := map[string]*Dataset{"in": dataset(t, "in", genRows(int64(100+i), batchSize+7), 2)}
-		runPipeline(t, boundaryPipeline(), churn, Options{Partitions: 2, Workers: 2})
-	}
-	for i, r := range res.Output.Rows() {
-		if got := fmt.Sprintf("%d:%s", r.ID, r.Value); got != before[i] {
-			t.Fatalf("row %d mutated by pool recycling:\nbefore %s\nafter  %s", i, before[i], got)
-		}
-	}
-}
-
-// TestVectorSharedPoolsRace drives the filter kernel and the id-range
-// emission with the full worker fan-out over the shared batch/scratch pools, including two engines running
-// concurrently in one process. The -race run of the suite is the assertion.
-func TestVectorSharedPoolsRace(t *testing.T) {
+// TestConcurrentEnginesRace drives the filter kernel and the id-range
+// emission with the full worker fan-out, two engines running concurrently in
+// one process over the one stage scratch pool. The -race run of the suite is
+// the assertion.
+func TestConcurrentEnginesRace(t *testing.T) {
 	values := genRows(11, 4*batchSize+13)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

@@ -12,9 +12,8 @@ import (
 // BenchmarkCodec measures what codec v3 costs against v2 on the largest
 // captures of the two capture workloads at the client benchmark's sizes —
 // T5 (twitter_capture, 8 000 tweets) and D4 (dblp_capture, 60 000 records);
-// -short: a twentieth. Per version: encode (WriteTo for v3; for v2 the
-// reference encoder, which builds its stream in a fresh buffer where WriteTo
-// reuses a pooled one), the validating scan of a load (ReadRunLazy) and the
+// -short: a twentieth. Per version: encode (WriteTo for v3, the reference
+// encoder for v2), the validating scan of a load (ReadRunLazy) and the
 // full decode (ReadRun), each reporting B/row, the stream's bytes per
 // association row.
 func BenchmarkCodec(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"pebble/internal/obs"
 )
@@ -57,13 +56,7 @@ var (
 	rowColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b111, AssocAgg: 0b011}
 )
 
-// encBuf wraps the pooled encode buffer; pooling pointers keeps Put from
-// allocating and lets the grown backing array survive across encodes.
-type encBuf struct{ b []byte }
-
-var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096)} }}
-
-// WriteTo serialises the run: the whole v3 stream is assembled in a pooled
+// WriteTo serialises the run: the whole v3 stream is assembled in one
 // buffer and handed to w in a single Write, so the returned count reflects
 // bytes the destination genuinely accepted. A run captured under a recorder
 // (Collector.Observe) reports every operator's encoded byte count into it as
@@ -72,9 +65,7 @@ var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096
 // the stream (ContentHash), as if it had been loaded from it; a loaded run
 // keeps the hash of the bytes it was loaded from.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
-	eb := encPool.Get().(*encBuf)
-	buf := eb.b[:0]
-	buf = append(buf, codecMagic...)
+	buf := append(make([]byte, 0, 4096), codecMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV3)
 
 	dict, refs := r.dict()
@@ -95,8 +86,6 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 		r.hash, r.hasHash = HashStream(buf), true
 	}
 	n, err := w.Write(buf)
-	eb.b = buf
-	encPool.Put(eb)
 	if err != nil {
 		return int64(n), fmt.Errorf("provenance: writing encoded run: %w", err)
 	}
