@@ -46,13 +46,14 @@ func TestLaterRunsLeaveEarlierResults(t *testing.T) {
 		}
 	}
 	runs := []struct {
+		name   string
 		build  func() *Pipeline
 		inputs func(seed int64) map[string]*Dataset
 		opts   Options
 	}{
-		{boundaryPipeline, filterIn, Options{Partitions: 2}},
-		{joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: -1}},
-		{joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: 1 << 30}},
+		{"filter", boundaryPipeline, filterIn, Options{Partitions: 2}},
+		{"join-aggregate/shuffle", joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: -1}},
+		{"join-aggregate/broadcast", joinAggPipeline, joinAggIn, Options{Partitions: 3, BroadcastJoinThreshold: 1 << 30}},
 	}
 	render := func(res *Result) string {
 		var b strings.Builder
@@ -73,10 +74,12 @@ func TestLaterRunsLeaveEarlierResults(t *testing.T) {
 			runPipeline(t, r.build(), r.inputs(seed), r.opts)
 		}
 	}
-	for i, res := range first {
-		if got := render(res); got != before[i] {
-			t.Fatalf("run %d changed by later runs at %s", i, firstDiff(got, before[i]))
-		}
+	for i, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			if got := render(first[i]); got != before[i] {
+				t.Fatalf("first result changed by later runs at %s", firstDiff(got, before[i]))
+			}
+		})
 	}
 }
 
