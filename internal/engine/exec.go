@@ -476,22 +476,35 @@ type keyedRow struct {
 	seq  int
 }
 
-// shuffle hash-partitions the dataset's rows into buckets by shuffle key,
-// in two phases: a map phase evaluating and hashing keys per input
-// partition, and a merge phase concatenating the per-partition bucket runs
-// in parallel, one exactly-sized output bucket per morsel. The merge keeps
-// partition-major order inside every bucket, so the bucket contents are
-// byte-identical to a sequential merge.
+// shuffleMap is what the shuffle's map phase keeps of one input partition
+// for the merge: every row's key and the key's hash, and the indexes of the
+// kept rows sorted by bucket, bucket b's at order[start[b]:start[b+1]].
+type shuffleMap struct {
+	keys   []nested.Value
+	hashes []uint64
+	order  []int32
+	start  []int32
+}
+
+// shuffle hash-partitions the dataset's rows into buckets by shuffle key and
+// writes each row to its bucket once. The map phase, per input partition,
+// evaluates the keys (evalMorsel), hashes each kept key once, marks every row
+// with its bucket and sorts the row indexes by bucket with a stable counting
+// sort. The merge phase fills each output bucket, sized exactly from those
+// counts, one bucket per morsel: partition by partition, in row order, so a
+// bucket's rows are in sequence order whatever the worker count.
 //
 // Rows with null keys are dropped (they can never match an equi-join and
 // SQL group-by treats them as their own group — callers that need null
-// groups pass keepNull).
+// groups pass keepNull). Beside the buckets, shuffle returns every input
+// partition's bucket marks, -1 where a row was dropped.
 //
 // oid feeds the recorder: rows in, keys hashed, and the static per-row
 // expression cost of the key.
-func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keepNull bool) ([][]keyedRow, error) {
+func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keepNull bool) ([][]keyedRow, [][]int32, error) {
 	keyOps := sk.evalOps()
-	perPart := make([][][]keyedRow, len(d.Partitions))
+	maps := make([]shuffleMap, len(d.Partitions))
+	marks := make([][]int32, len(d.Partitions))
 	// Global sequence numbers: partition-major.
 	starts := make([]int, len(d.Partitions))
 	n := 0
@@ -500,24 +513,38 @@ func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keep
 		n += len(p)
 	}
 	err := e.forEachPartition(len(d.Partitions), func(part int) error {
-		local := make([][]keyedRow, buckets)
-		hashed := 0
 		rows := d.Partitions[part]
 		keys, err := sk.evalMorsel(rows)
 		if err != nil {
 			return err
 		}
-		for i, r := range rows {
-			k := keys[i]
-			if k.IsNull() && !keepNull {
+		m := shuffleMap{keys: keys, hashes: make([]uint64, len(rows)), start: make([]int32, buckets+1)}
+		mark := make([]int32, len(rows))
+		hashed := 0
+		for i := range keys {
+			if keys[i].IsNull() && !keepNull {
+				mark[i] = -1
 				continue
 			}
-			h := valueHash(k)
+			h := valueHash(keys[i])
+			b := int32(h % uint64(buckets))
+			m.hashes[i], mark[i] = h, b
+			m.start[b+1]++
 			hashed++
-			b := int(h % uint64(buckets))
-			local[b] = append(local[b], keyedRow{row: r, key: k, hash: h, seq: starts[part] + i})
 		}
-		perPart[part] = local
+		for b := 1; b <= buckets; b++ {
+			m.start[b] += m.start[b-1]
+		}
+		m.order = make([]int32, hashed)
+		next := make([]int32, buckets)
+		copy(next, m.start)
+		for i, b := range mark {
+			if b >= 0 {
+				m.order[next[b]] = int32(i)
+				next[b]++
+			}
+		}
+		maps[part], marks[part] = m, mark
 		if rec := e.opts.Recorder; rec != nil {
 			n := int64(len(rows))
 			rec.Add(oid, part, obs.RowsIn, n)
@@ -527,30 +554,34 @@ func (e *executor) shuffle(d *Dataset, oid int, sk shuffleKey, buckets int, keep
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Merge phase: size every output bucket exactly from the per-partition
-	// counts and concatenate the runs, one bucket per morsel.
 	out := make([][]keyedRow, buckets)
 	err = e.forEachPartition(buckets, func(b int) error {
 		total := 0
-		for _, local := range perPart {
-			total += len(local[b])
+		for p := range maps {
+			total += int(maps[p].start[b+1] - maps[p].start[b])
 		}
 		if total == 0 {
 			return nil
 		}
-		merged := make([]keyedRow, 0, total)
-		for _, local := range perPart {
-			merged = append(merged, local[b]...)
+		bucket := make([]keyedRow, total)
+		at := 0
+		for p := range maps {
+			m, rows := &maps[p], d.Partitions[p]
+			for _, i := range m.order[m.start[b]:m.start[b+1]] {
+				kr := &bucket[at]
+				kr.row, kr.key, kr.hash, kr.seq = rows[i], m.keys[i], m.hashes[i], starts[p]+int(i)
+				at++
+			}
 		}
-		out[b] = merged
+		out[b] = bucket
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, marks, nil
 }
 
 // defaultBroadcastThreshold is the build-side row count up to which the
@@ -575,11 +606,11 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 		nParts += len(left.Partitions)
 	}
 	e.startOperator(o, nParts, topLevelSchema(left), topLevelSchema(right), nested.Null())
-	lb, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
+	lb, leftMarks, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := e.shuffle(right, o.id, exprShuffleKey(o.rightKey), e.opts.Partitions, false)
+	rb, _, err := e.shuffle(right, o.id, exprShuffleKey(o.rightKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
 	}
@@ -594,19 +625,16 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 	if err != nil || !o.leftOuter {
 		return outs, err
 	}
-	// Left rows with null join keys were dropped by the shuffle but must
-	// survive a left outer join.
+	// Left rows with null join keys were dropped by the shuffle, which
+	// marked them -1, but must survive a left outer join.
 	err = e.forEachPartition(len(left.Partitions), func(part int) error {
 		out := newBinaryOut(0, capture) // null-key rows are rare
 		var memo shapeMemo
-		for _, r := range left.Partitions[part] {
-			k, err := o.leftKey.Eval(r.Value)
-			if err != nil {
-				return err
-			}
-			if !k.IsNull() {
+		for i, b := range leftMarks[part] {
+			if b >= 0 {
 				continue
 			}
+			r := &left.Partitions[part][i]
 			item, err := concatWithNulls(&memo, r.Value, rightSchema)
 			if err != nil {
 				return err
@@ -639,7 +667,7 @@ func concatWithNulls(memo *shapeMemo, l nested.Value, rightSchema *nested.Shape)
 func (e *executor) execAggregate(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
-	buckets, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
+	buckets, _, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
-	buckets, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
+	buckets, _, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}

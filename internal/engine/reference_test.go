@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pebble/internal/nested"
+	"pebble/internal/obs"
 	"pebble/internal/path"
 )
 
@@ -347,11 +348,162 @@ func shuffleOne(t *testing.T, values []nested.Value, firstID int64, sk shuffleKe
 	t.Helper()
 	ds := NewDataset("in", values, 3, NewIDGen(firstID))
 	e := &executor{ctx: context.Background()}
-	buckets, err := e.shuffle(ds, 1, sk, 1, keepNull)
+	buckets, _, err := e.shuffle(ds, 1, sk, 1, keepNull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buckets[0]
+}
+
+// shuffleRef is the two-phase shuffle that shipped until rows were written to
+// their bucket once: the map phase appends each kept row, keyed, to
+// append-grown per-partition bucket runs, and the merge concatenates the runs
+// of every bucket partition by partition. The reference executor shuffles
+// through it.
+func (e *executor) shuffleRef(d *Dataset, oid int, sk shuffleKey, buckets int, keepNull bool) ([][]keyedRow, error) {
+	keyOps := sk.evalOps()
+	perPart := make([][][]keyedRow, len(d.Partitions))
+	starts := make([]int, len(d.Partitions))
+	n := 0
+	for i, p := range d.Partitions {
+		starts[i] = n
+		n += len(p)
+	}
+	err := e.forEachPartition(len(d.Partitions), func(part int) error {
+		local := make([][]keyedRow, buckets)
+		hashed := 0
+		rows := d.Partitions[part]
+		keys, err := sk.evalMorsel(rows)
+		if err != nil {
+			return err
+		}
+		for i, r := range rows {
+			k := keys[i]
+			if k.IsNull() && !keepNull {
+				continue
+			}
+			h := valueHash(k)
+			hashed++
+			b := int(h % uint64(buckets))
+			local[b] = append(local[b], keyedRow{row: r, key: k, hash: h, seq: starts[part] + i})
+		}
+		perPart[part] = local
+		if rec := e.opts.Recorder; rec != nil {
+			n := int64(len(rows))
+			rec.Add(oid, part, obs.RowsIn, n)
+			rec.Add(oid, part, obs.KeysHashed, int64(hashed))
+			rec.Add(oid, part, obs.ExprEvals, n*int64(keyOps))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]keyedRow, buckets)
+	err = e.forEachPartition(buckets, func(b int) error {
+		total := 0
+		for _, local := range perPart {
+			total += len(local[b])
+		}
+		if total == 0 {
+			return nil
+		}
+		merged := make([]keyedRow, 0, total)
+		for _, local := range perPart {
+			merged = append(merged, local[b]...)
+		}
+		out[b] = merged
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TestShuffleMatchesReference: the shuffle fills every bucket with the rows,
+// keys, hashes and sequence numbers of the two-phase reference, in the same
+// order, and marks -1 exactly the rows the reference drops — at 1, 3 and 16
+// buckets, keeping null keys and not, over an empty partition, a partition of
+// only null keys, and with hashes forced to collide between distinct keys.
+func TestShuffleMatchesReference(t *testing.T) {
+	mixed := make([]nested.Value, 300)
+	for i := range mixed {
+		switch {
+		case i%7 == 3:
+			mixed[i] = nested.Null()
+		case i%5 == 0:
+			mixed[i] = nested.StringVal(fmt.Sprint("s", i%11))
+		default:
+			mixed[i] = nested.Int(int64(i % 23))
+		}
+	}
+	var parts [][]Row
+	id := int64(1)
+	for _, keys := range [][]nested.Value{mixed, {}, {nested.Null(), nested.Null(), nested.Null()}, mixed[:100]} {
+		rows := make([]Row, len(keys))
+		for i, k := range keys {
+			rows[i] = Row{ID: id, Value: nested.Item(nested.F("k", k), nested.F("id", nested.Int(id)))}
+			id++
+		}
+		parts = append(parts, rows)
+	}
+	ds := &Dataset{Partitions: parts}
+	orig := valueHash
+	defer func() { valueHash = orig }()
+	for _, collide := range []bool{false, true} {
+		valueHash = orig
+		if collide {
+			valueHash = func(v nested.Value) uint64 { return orig(v) % 4 }
+		}
+		for _, sk := range []struct {
+			name string
+			key  shuffleKey
+		}{{"column", exprShuffleKey(Col("k"))}, {"group", groupShuffleKey([]GroupKey{Key("k")})}} {
+			for _, buckets := range []int{1, 3, 16} {
+				for _, keepNull := range []bool{false, true} {
+					t.Run(fmt.Sprintf("collide=%v/%s/buckets=%d/keepNull=%v", collide, sk.name, buckets, keepNull), func(t *testing.T) {
+						ref := &executor{ctx: context.Background()}
+						want, err := ref.shuffleRef(ds, 1, sk.key, buckets, keepNull)
+						if err != nil {
+							t.Fatal(err)
+						}
+						e := &executor{ctx: context.Background(), pool: newWorkerPool(2)}
+						defer e.pool.close()
+						got, marks, err := e.shuffle(ds, 1, sk.key, buckets, keepNull)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != buckets || len(want) != buckets {
+							t.Fatalf("%d buckets, reference %d, want %d", len(got), len(want), buckets)
+						}
+						for b := range got {
+							if len(got[b]) != len(want[b]) {
+								t.Fatalf("bucket %d: %d rows, reference %d", b, len(got[b]), len(want[b]))
+							}
+							for i, g := range got[b] {
+								w := want[b][i]
+								if g.row.ID != w.row.ID || !nested.Equal(g.row.Value, w.row.Value) || g.key.Kind() != w.key.Kind() ||
+									!nested.Equal(g.key, w.key) || g.hash != w.hash || g.seq != w.seq {
+									t.Fatalf("bucket %d row %d: got {%d %s %s %x %d}, reference {%d %s %s %x %d}", b, i,
+										g.row.ID, g.row.Value, g.key, g.hash, g.seq, w.row.ID, w.row.Value, w.key, w.hash, w.seq)
+								}
+							}
+						}
+						for p, rows := range parts {
+							for i, r := range rows {
+								k, _ := r.Value.Get("k")
+								dropped := sk.name == "column" && k.IsNull() && !keepNull
+								if m := marks[p][i]; (m < 0) != dropped || m >= int32(buckets) {
+									t.Fatalf("partition %d row %d (key %s): mark %d", p, i, k, m)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
 }
 
 // joinSide builds n rows for one join input: key attribute kName cycling
@@ -966,11 +1118,11 @@ func (e *refExecutor) execJoin(o *Op) (*Dataset, error) {
 		nParts += len(left.Partitions)
 	}
 	e.startOperator(o, nParts, topLevelSchema(left), topLevelSchema(right), nested.Null())
-	lb, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
+	lb, err := e.shuffleRef(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := e.shuffle(right, o.id, exprShuffleKey(o.rightKey), e.opts.Partitions, false)
+	rb, err := e.shuffleRef(right, o.id, exprShuffleKey(o.rightKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1024,7 +1176,7 @@ func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, 
 func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
-	buckets, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
+	buckets, err := e.shuffleRef(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}
@@ -1040,7 +1192,7 @@ func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
 func (e *refExecutor) execDistinct(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
 	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
-	buckets, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
+	buckets, err := e.shuffleRef(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
 	}

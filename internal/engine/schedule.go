@@ -80,8 +80,9 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 // forEachPartition runs f for every logical partition index as morsels on
 // the worker pool (inline when sequential) and returns the first error. A
 // morsel may chunk its rows internally (the filter kernel's column batches,
-// the aggregate's accumulation chunks) and draws scratch from pools shared
-// across all workers; the morsel is still the unit of scheduling and of
+// the aggregate's accumulation chunks) and allocates its kernel scratch per
+// call; only a stage's inner members draw theirs from the per-worker stage
+// scratch pool. The morsel is still the unit of scheduling and of
 // capture-sink handles.
 //
 // This is the engine's cancellation checkpoint: a morsel only starts while

@@ -90,7 +90,7 @@ func tweetRows(n int) (tweets, profiles []Row) {
 func keyed(tb testing.TB, rows []Row, key string) []keyedRow {
 	tb.Helper()
 	e := &executor{ctx: context.Background()}
-	buckets, err := e.shuffle(&Dataset{Partitions: [][]Row{rows}}, 1, exprShuffleKey(Col(key)), 1, false)
+	buckets, _, err := e.shuffle(&Dataset{Partitions: [][]Row{rows}}, 1, exprShuffleKey(Col(key)), 1, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAggregateSharesShapes(t *testing.T) {
 		}
 	}
 	e := &executor{ctx: context.Background()}
-	buckets, err := e.shuffle(&Dataset{Partitions: [][]Row{records}}, 1, sk, 1, true)
+	buckets, _, err := e.shuffle(&Dataset{Partitions: [][]Row{records}}, 1, sk, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,3 +171,49 @@ func TestStagedRunsStayLean(t *testing.T) {
 		}
 	}
 }
+
+// TestHashPathStaysLean is the allocation guard of the shuffle path, measured
+// as TestStagedRunsStayLean measures: T5 at 2 000 tweets, D1 and D5 at 6 000
+// records, on one worker with every join shuffled, may not allocate more per
+// input row than they did once the shuffle wrote each row to its bucket once
+// and derived shapes were shared (T5 / D1 / D5: 4 961 / 383 / 1 208 bytes;
+// 5 285 / 447 / 1 918 before), plus 15 %. Deriving a shape per row again
+// costs D5 more than that margin, and writing keyed rows twice D1.
+func TestHashPathStaysLean(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops the stage scratch at random under the race detector")
+	}
+	const tweets, records = 2000, 6000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	budget := map[string]float64{"T5": 4961 * 1.15, "D1": 383 * 1.15, "D5": 1208 * 1.15} // bytes per input row
+	scs := append(workload.TwitterScenarios(), workload.DBLPScenarios()...)
+	for _, sc := range scs {
+		limit, ok := budget[sc.Name]
+		if !ok {
+			continue
+		}
+		var inputs map[string]*engine.Dataset
+		rows := tweets
+		if sc.Dataset == "twitter" {
+			inputs = workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: tweets, Seed: 42}, engine.DefaultPartitions)
+		} else {
+			rows, inputs = records, workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: records, Seed: 42}, engine.DefaultPartitions)
+		}
+		run := func() {
+			if _, err := engine.Run(sc.Build(), inputs, engine.Options{Workers: 1, BroadcastJoinThreshold: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+		t.Logf("%s: %.0f bytes allocated per input row (limit %.0f)", sc.Name, perRow, limit)
+		if perRow > limit {
+			t.Errorf("%s allocates %.0f bytes per input row, over %.0f: the shuffle writes rows twice or a shape is derived per row again", sc.Name, perRow, limit)
+		}
+	}
+}

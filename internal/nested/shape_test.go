@@ -102,6 +102,138 @@ func TestShapeAliasing(t *testing.T) {
 	}
 }
 
+// TestDerivedShapesAreShared: WithField and WithoutField derive each shape
+// once per (parent shape, name), so rows derived alike share it, down a chain
+// of derivations too; past maxToggled names a parent derives a fresh shape
+// per call, still Equal to the cached kind.
+func TestDerivedShapesAreShared(t *testing.T) {
+	shape := NewShape("key", "authors", "crossref")
+	rows := []Value{
+		shape.Item(StringVal("a"), Bag(Int(1)), StringVal("x")),
+		shape.Item(StringVal("b"), Bag(), StringVal("y")),
+	}
+	// D5's countAuthors: one attribute out, another in.
+	derive := func(v Value) Value {
+		authors, _ := v.Get("authors")
+		return v.WithoutField("authors").WithField("n_authors", Int(int64(authors.Len())))
+	}
+	d0, d1 := derive(rows[0]), derive(rows[1])
+	if d0.Shape() != d1.Shape() || rows[0].WithoutField("authors").Shape() != rows[1].WithoutField("authors").Shape() {
+		t.Error("rows of one shape derived alike do not share the derived shape")
+	}
+	if got := d1.String(); got != `{key: "b", crossref: "y", n_authors: 0}` {
+		t.Errorf("derived item %s", got)
+	}
+	if rows[0].WithField("crossref", Null()).Shape() != shape || rows[0].WithoutField("absent").Shape() != shape {
+		t.Error("replacing or removing an absent attribute must keep the item's shape")
+	}
+
+	parent := NewShape("a")
+	item := parent.Item(Int(1))
+	for i := 0; i < maxToggled; i++ {
+		name := fmt.Sprint("n", i)
+		if item.WithField(name, Int(2)).Shape() != item.WithField(name, Int(3)).Shape() {
+			t.Errorf("derivation %d is not cached", i)
+		}
+	}
+	if item.WithoutField("a").Shape() == item.WithoutField("a").Shape() {
+		t.Errorf("derivation %d is cached past the bound of %d", maxToggled+1, maxToggled)
+	}
+	over, again := item.WithField("extra", Int(2)), item.WithField("extra", Int(2))
+	if over.Shape() == again.Shape() || !over.Shape().Equal(again.Shape()) || !Equal(over, again) {
+		t.Error("past the bound a derivation must build a fresh shape Equal to the last one")
+	}
+}
+
+// TestDerivedShapesConcurrently: goroutines deriving from one parent at once
+// all get the one cached shape per name (run under -race).
+func TestDerivedShapesConcurrently(t *testing.T) {
+	parent := NewShape("a", "b")
+	item := parent.Item(Int(1), Int(2))
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	const workers = 8
+	got := make([][]*Shape, workers)
+	done := make(chan struct{})
+	for w := range got {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := range 50 {
+				name := names[(w+i)%len(names)]
+				var v Value
+				if name == "a" || name == "b" {
+					v = item.WithoutField(name)
+				} else {
+					v = item.WithField(name, Int(int64(i)))
+				}
+				got[w] = append(got[w], v.Shape())
+			}
+		}()
+	}
+	for range got {
+		<-done
+	}
+	first := map[string]*Shape{}
+	for w, shapes := range got {
+		for i, s := range shapes {
+			name := names[(w+i)%len(names)]
+			if f, ok := first[name]; !ok {
+				first[name] = s
+			} else if f != s {
+				t.Fatalf("worker %d call %d: %s derived a second shape", w, i, name)
+			}
+		}
+	}
+}
+
+// TestWithFieldMatchesItemReference: WithField and WithoutField build items
+// whose names, Equal, Hash, AppendNorm and AppendJSON are those of the same
+// item built field list by field list through Item, for a present, an absent
+// and a duplicated name and for receivers that are no item.
+func TestWithFieldMatchesItemReference(t *testing.T) {
+	refWith := func(v Value, name string, val Value) Value {
+		fields := v.Fields()
+		for i := range fields {
+			if fields[i].Name == name {
+				fields[i].Value = val
+				return Item(fields...)
+			}
+		}
+		return Item(append(fields, F(name, val))...)
+	}
+	refWithout := func(v Value, name string) Value {
+		fields := v.Fields()
+		out := fields[:0]
+		for _, f := range fields {
+			if f.Name != name {
+				out = append(out, f)
+			}
+		}
+		return Item(out...)
+	}
+	receivers := []Value{
+		Item(F("a", Int(1)), F("b", StringVal("x"))),
+		Item(F("a", Int(1)), F("b", Int(2)), F("a", Int(3))),
+		Item(),
+		Int(7), Null(), Bag(Int(1)), StringVal("s"),
+	}
+	same := func(what string, got, want Value) {
+		t.Helper()
+		gj, gerr := got.AppendJSON(nil, 64)
+		wj, werr := want.AppendJSON(nil, 64)
+		if !Equal(got, want) || got.String() != want.String() || got.Hash() != want.Hash() ||
+			string(got.AppendNorm(nil)) != string(want.AppendNorm(nil)) || string(gj) != string(wj) || (gerr == nil) != (werr == nil) ||
+			strings.Join(got.AttrNames(), ",") != strings.Join(want.AttrNames(), ",") {
+			t.Errorf("%s: %s, reference %s", what, got, want)
+		}
+	}
+	for _, v := range receivers {
+		for _, name := range []string{"a", "b", "c"} {
+			same(fmt.Sprintf("%s.WithField(%s)", v, name), v.WithField(name, Int(9)), refWith(v, name, Int(9)))
+			same(fmt.Sprintf("%s.WithoutField(%s)", v, name), v.WithoutField(name), refWithout(v, name))
+		}
+	}
+}
+
 // refSet is the quadratic body Set had, kept as the reference for its
 // contract: first occurrence kept, element order kept.
 func refSet(elems ...Value) Value {

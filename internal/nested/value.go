@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -89,9 +90,72 @@ type Field struct {
 // shapes are equal when they list the same names in the same order. A shape
 // is immutable and shared: every producer (the JSON reader, the generators,
 // each engine operator) computes the shape of its items once and hands the
-// same pointer to all of them. Pointer equality is only ever a fast path;
-// shapes live as long as the values that point to them and no longer.
-type Shape struct{ names []string }
+// same pointer to all of them, and WithField / WithoutField derive theirs
+// once per parent shape. Pointer equality is only ever a fast path; shapes
+// live as long as the values, or the parent shape, that point to them.
+type Shape struct {
+	names []string
+	// toggled caches the shapes WithField and WithoutField derive from this
+	// one (see toggle), so that rows derived alike share one shape.
+	toggled atomic.Pointer[[]toggledShape]
+}
+
+// toggledShape is one entry of a shape's derivation cache: the shape with
+// name added, or removed if the parent has it.
+type toggledShape struct {
+	name  string
+	shape *Shape
+}
+
+// maxToggled bounds a shape's derivation cache; past it a derivation builds
+// a fresh shape on every call.
+const maxToggled = 8
+
+// toggle returns the shape with name appended if s lacks it, or with every
+// attribute called name removed if s has it: the one shape WithField or
+// WithoutField derives from s for name, so name alone keys the cache. The
+// cache is copied on write: readers load it without a lock, and a writer that
+// loses a race rereads it and retries.
+func (s *Shape) toggle(name string) *Shape {
+	cached := s.toggled.Load()
+	if d := findToggled(cached, name); d != nil {
+		return d
+	}
+	var d *Shape
+	if s.Index(name) < 0 {
+		d = &Shape{names: append(s.Names(), name)}
+	} else {
+		d = &Shape{names: slices.DeleteFunc(s.Names(), func(n string) bool { return n == name })}
+	}
+	for cached == nil || len(*cached) < maxToggled {
+		var next []toggledShape
+		if cached != nil {
+			next = append(next, *cached...)
+		}
+		next = append(next, toggledShape{name: name, shape: d})
+		if s.toggled.CompareAndSwap(cached, &next) {
+			return d
+		}
+		cached = s.toggled.Load()
+		if won := findToggled(cached, name); won != nil {
+			return won
+		}
+	}
+	return d
+}
+
+// findToggled returns the cached shape for name, or nil.
+func findToggled(cached *[]toggledShape, name string) *Shape {
+	if cached == nil {
+		return nil
+	}
+	for _, t := range *cached {
+		if t.name == name {
+			return t.shape
+		}
+	}
+	return nil
+}
 
 // noAttrs is the shape of the item without attributes.
 var noAttrs = &Shape{names: []string{}}
@@ -337,7 +401,9 @@ func (v Value) Elems() []Value {
 }
 
 // WithField returns a copy of the item with the named attribute set to val,
-// appending the attribute if absent. Replacing keeps the item's shape.
+// appending the attribute if absent. Replacing keeps the item's shape;
+// appending derives the new shape once per (shape, name), so the items
+// derived from rows of one shape share one.
 func (v Value) WithField(name string, val Value) Value {
 	if v.kind != KindItem {
 		v = noAttrs.Item()
@@ -345,7 +411,7 @@ func (v Value) WithField(name string, val Value) Value {
 	shape, i := v.shape, v.shape.Index(name)
 	if i < 0 {
 		i = len(v.vals)
-		shape = &Shape{names: append(shape.Names(), name)}
+		shape = shape.toggle(name)
 	}
 	vals := make([]Value, shape.Len())
 	copy(vals, v.vals)
@@ -353,9 +419,25 @@ func (v Value) WithField(name string, val Value) Value {
 	return shape.Item(vals...)
 }
 
-// WithoutField returns a copy of the item with the named attribute removed.
+// WithoutField returns a copy of the item with the named attribute removed;
+// any other value yields the item without attributes. Like WithField, it
+// derives the new shape once per (shape, name); without the attribute the
+// copy keeps the item's shape.
 func (v Value) WithoutField(name string) Value {
-	return Item(slices.DeleteFunc(v.Fields(), func(f Field) bool { return f.Name == name })...)
+	if v.kind != KindItem {
+		return noAttrs.Item()
+	}
+	shape := v.shape
+	if shape.Index(name) >= 0 {
+		shape = shape.toggle(name)
+	}
+	vals := make([]Value, 0, shape.Len())
+	for i, n := range v.shape.names {
+		if n != name {
+			vals = append(vals, v.vals[i])
+		}
+	}
+	return shape.Item(vals...)
 }
 
 // Append returns a copy of the collection with e appended. For sets the
