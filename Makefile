@@ -10,10 +10,10 @@ build:
 test:
 	go test ./...
 
-# The project's own static-analysis suite: six analyzers (determinism,
-# capturesound, lockcheck, codecerr, rangecapture, hotalloc) plus the
-# staleignore directive audit — see DESIGN.md §6 and §11). Builds the
-# vettool into bin/ and runs it repo-wide; a clean exit is part of the gate.
+# The project's own static-analysis suite: four analyzers (determinism,
+# capturesound, lockcheck, codecerr) plus the staleignore directive audit —
+# see DESIGN.md §6 and §11. Builds the vettool into bin/ and runs it
+# repo-wide; a clean exit is part of the gate.
 pebblevet:
 	go build -o bin/pebblevet ./cmd/pebblevet
 	go vet -vettool=bin/pebblevet ./...

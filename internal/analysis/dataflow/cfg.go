@@ -1,16 +1,14 @@
-// Package dataflow is the shared intraprocedural analysis engine behind the
-// pebblevet analyzers that need more than a syntactic walk: a control-flow
-// graph built directly over go/ast (no SSA — consistent with the from-scratch
+// Package dataflow is the intraprocedural analysis engine behind the
+// determinism analyzer's one-hop helper check: a control-flow graph built
+// directly over go/ast (no SSA — consistent with the from-scratch
 // x/tools-compatible framework in internal/analysis), classic
-// reaching-definitions over it, a conservative value-flow ("taint") lattice
-// for tracking where values such as a helper's parameters travel, and
-// loop/induction helpers for reasoning about monotone identifier arguments.
+// reaching-definitions over it, and a conservative value-flow ("taint")
+// lattice for tracking where values such as a helper's parameters travel.
 //
 // The engine is deliberately a may-analysis with documented approximations
 // (see DESIGN.md §11): extra CFG edges and over-tainting only make the
-// analyzers conservative, never silently permissive, and every analyzer built
-// on it pairs with fixture tests pinning both the flagged and the clean
-// shapes.
+// analyzer conservative, never silently permissive, and its fixture tests
+// pin both the flagged and the clean shapes.
 package dataflow
 
 import (
@@ -308,25 +306,4 @@ func (b *builder) target(stack []branchTarget, label string) *Node {
 		}
 	}
 	return b.g.Exit
-}
-
-// Reachable reports whether to is reachable from from along CFG edges
-// (excluding the trivial zero-length path: from reaches itself only through a
-// cycle).
-func (g *Graph) Reachable(from, to *Node) bool {
-	seen := make([]bool, len(g.Nodes))
-	stack := make([]*Node, 0, 8)
-	stack = append(stack, from.Succs...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == to {
-			return true
-		}
-		if n.Index < len(seen) && !seen[n.Index] {
-			seen[n.Index] = true
-			stack = append(stack, n.Succs...)
-		}
-	}
-	return false
 }

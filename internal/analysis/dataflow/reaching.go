@@ -66,20 +66,7 @@ func (b bitset) clone() bitset {
 // inside (free variables of closures) get an entry def too, so reads before
 // the first inner write see a definition.
 func NewReaching(fn *ast.FuncDecl, info *types.Info) *Reaching {
-	var recv, params *ast.FieldList
-	if fn.Recv != nil {
-		recv = fn.Recv
-	}
-	params = fn.Type.Params
-	return solveReaching(New(fn.Body), fn.Body, recv, params, fn.Type.Results, info)
-}
-
-// NewReachingLit is NewReaching for a function literal.
-func NewReachingLit(fn *ast.FuncLit, info *types.Info) *Reaching {
-	return solveReaching(New(fn.Body), fn.Body, nil, fn.Type.Params, fn.Type.Results, info)
-}
-
-func solveReaching(g *Graph, body *ast.BlockStmt, recv, params, results *ast.FieldList, info *types.Info) *Reaching {
+	g := New(fn.Body)
 	r := &Reaching{
 		Graph:  g,
 		Info:   info,
@@ -107,9 +94,9 @@ func solveReaching(g *Graph, body *ast.BlockStmt, recv, params, results *ast.Fie
 			}
 		}
 	}
-	entryDef(recv)
-	entryDef(params)
-	entryDef(results)
+	entryDef(fn.Recv)
+	entryDef(fn.Type.Params)
+	entryDef(fn.Type.Results)
 
 	// Collect defs generated at each node.
 	for _, n := range g.Nodes {
@@ -124,7 +111,7 @@ func solveReaching(g *Graph, body *ast.BlockStmt, recv, params, results *ast.Fie
 	// inner write are not def-free. Iterate in declaration order so Def IDs
 	// are deterministic across runs.
 	declared := make(map[*types.Var]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
+	ast.Inspect(fn.Body, func(x ast.Node) bool {
 		if id, ok := x.(*ast.Ident); ok {
 			if v, ok := info.Defs[id].(*types.Var); ok {
 				declared[v] = true

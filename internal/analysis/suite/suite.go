@@ -7,13 +7,11 @@ import (
 	"pebble/internal/analysis/passes/capturesound"
 	"pebble/internal/analysis/passes/codecerr"
 	"pebble/internal/analysis/passes/determinism"
-	"pebble/internal/analysis/passes/hotalloc"
 	"pebble/internal/analysis/passes/lockcheck"
-	"pebble/internal/analysis/passes/rangecapture"
 )
 
 // Analyzers returns the checks `make check` and CI enforce on every push:
-// the six analyzers plus the driver-level stale-ignore check, which
+// the four analyzers plus the driver-level stale-ignore check, which
 // reports //pebblevet:ignore directives that no longer suppress anything.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -21,8 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		capturesound.Analyzer,
 		lockcheck.Analyzer,
 		codecerr.Analyzer,
-		rangecapture.Analyzer,
-		hotalloc.Analyzer,
 		analysis.StaleIgnore,
 	}
 }

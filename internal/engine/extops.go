@@ -39,9 +39,9 @@ func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 				}
 			}
 			if found == nil {
-				found = &entry{value: kr.row.Value, seq: kr.seq} //pebblevet:ignore hotalloc -- one allocation per distinct value, not per row
+				found = &entry{value: kr.row.Value, seq: kr.seq}
 				byHash[h] = append(byHash[h], found)
-				order = append(order, found) //pebblevet:ignore hotalloc -- grows once per distinct value; distinct count is data-dependent
+				order = append(order, found)
 			}
 			if kr.seq < found.seq {
 				found.seq = kr.seq

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -97,14 +96,25 @@ func keyed(tb testing.TB, rows []Row, key string) []keyedRow {
 	return buckets[0]
 }
 
-// itemKernel is one engine kernel over one input, named for the benchmark.
+// itemKernel is one engine kernel over one input, named for the benchmark;
+// in is the number of input rows one run reads.
 type itemKernel struct {
 	name string
+	in   int
 	run  func() (morselOut, error)
 }
 
-// itemKernels returns the filter, select, flatten and join-stitch kernels
-// over nRecords DBLP-shaped and nTweets tweet-shaped rows.
+// The filter kernel's two paths over DBLP records: the column kernel takes
+// keepYear, and it declines keepAll (Not over a string column) which the row
+// loop answers, short-circuiting Or before it reaches the string.
+var (
+	keepYear = Ge(Col("year"), LitInt(2015))
+	keepAll  = Or(Lt(Col("year"), LitInt(3000)), Not(Col("title")))
+)
+
+// itemKernels returns every kernel path over nRecords DBLP-shaped and
+// nTweets tweet-shaped rows: filter (column kernel and row loop), select,
+// map, flatten, shuffled and broadcast join, aggregate and union.
 func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 	records, venues := recordRows(nRecords)
 	tweets, profiles := tweetRows(nTweets)
@@ -113,51 +123,113 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 	recordSS, tweetSS := newSelectShape(recordSel), newSelectShape(tweetSel)
 	recordKeys, venueKeys := keyed(tb, records, "crossref"), keyed(tb, venues, "vkey")
 	tweetKeys, profileKeys := keyed(tb, tweets, "user.id_str"), keyed(tb, profiles, "uid")
+	identity := MapFunc{Name: "identity", Fn: func(v nested.Value) (nested.Value, error) { return v, nil }}
+
+	// Broadcast join: the venues are the build side, built once; a run is
+	// what one probe partition costs, its keys and its probe.
+	table, probeKey := newKeyTable(len(venues)), exprShuffleKey(Col("crossref"))
+	buildRows, err := broadcastBuild(table, exprShuffleKey(Col("vkey")), &Dataset{Partitions: [][]Row{venues}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	broadcast := func() (morselOut, error) {
+		keys, err := probeKey.evalMorsel(records)
+		if err != nil {
+			return morselOut{}, err
+		}
+		out, _, err := broadcastProbe(table, buildRows, records, keys, true, true)
+		return out, err
+	}
+
+	// Aggregate: one bucket holding every record, grouped by venue.
+	agg := &Op{groupBy: []GroupKey{Key("crossref")}, aggs: []AggSpec{
+		Agg(AggCount, "", "n"), Agg(AggSum, "year", "years"), Agg(AggMax, "title", "last"), Agg(AggCollectList, "key", "keys"),
+	}}
+	e := &executor{ctx: context.Background()}
+	groups, _, err := e.shuffle(&Dataset{Partitions: [][]Row{records}}, 1, groupShuffleKey(agg.groupBy), 1, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	aggShape := groupShape(agg.groupBy, agg.aggs)
+
+	// Union: the records with themselves, one partition a side; a run is
+	// both morsels, and the first is checked.
+	p := NewPipeline()
+	union := p.Union(p.Source("a"), p.Source("b"))
+	whole := &Dataset{Partitions: [][]Row{records}}
+	ue := &executor{ctx: context.Background(), opts: Options{Sink: newRecordingSink()},
+		outputs: map[int]*Dataset{union.inputs[0].id: whole, union.inputs[1].id: whole}}
+
 	d := ownedDst()
+	nr, nt := len(records), len(tweets)
 	return []itemKernel{
-		{"dblp/filter", func() (morselOut, error) { return filterMorsel(Eq(Col("year"), LitInt(2015)), records, d) }},
-		{"dblp/select", func() (morselOut, error) { return selectMorsel(recordSel, recordSS, records, d) }},
-		{"dblp/flatten", func() (morselOut, error) { return flattenMorsel(path.New("authors"), "author", records, d, false) }},
-		{"dblp/join", func() (morselOut, error) { return joinBucket(venueKeys, recordKeys, false, recordShape, true) }},
-		{"twitter/filter", func() (morselOut, error) { return filterMorsel(Gt(Col("retweet_cnt"), LitInt(2)), tweets, d) }},
-		{"twitter/select", func() (morselOut, error) { return selectMorsel(tweetSel, tweetSS, tweets, d) }},
-		{"twitter/flatten", func() (morselOut, error) {
+		{"dblp/filter", nr, func() (morselOut, error) { return filterMorsel(keepYear, records, d) }},
+		{"dblp/filter-rows", nr, func() (morselOut, error) { return filterMorsel(keepAll, records, d) }},
+		{"dblp/select", nr, func() (morselOut, error) { return selectMorsel(recordSel, recordSS, records, d) }},
+		{"dblp/map", nr, func() (morselOut, error) { return mapMorsel(identity, records, d) }},
+		{"dblp/flatten", nr, func() (morselOut, error) { return flattenMorsel(path.New("authors"), "author", records, d, false) }},
+		{"dblp/join", nr + len(venues), func() (morselOut, error) { return joinBucket(venueKeys, recordKeys, false, recordShape, true) }},
+		{"dblp/broadcast-join", nr, broadcast},
+		{"dblp/aggregate", nr, func() (morselOut, error) { return aggBucket(agg, aggShape, groups[0], true) }},
+		{"dblp/union", 2 * nr, func() (morselOut, error) {
+			outs, err := ue.execUnion(union)
+			if err != nil {
+				return morselOut{}, err
+			}
+			return outs[0], nil
+		}},
+		{"twitter/filter", nt, func() (morselOut, error) { return filterMorsel(Gt(Col("retweet_cnt"), LitInt(2)), tweets, d) }},
+		{"twitter/select", nt, func() (morselOut, error) { return selectMorsel(tweetSel, tweetSS, tweets, d) }},
+		{"twitter/flatten", nt, func() (morselOut, error) {
 			return flattenMorsel(path.New("user_mentions"), "mention", tweets, d, false)
 		}},
-		{"twitter/join", func() (morselOut, error) { return joinBucket(profileKeys, tweetKeys, false, tweetShape, true) }},
+		{"twitter/join", nt + len(profiles), func() (morselOut, error) {
+			return joinBucket(profileKeys, tweetKeys, false, tweetShape, true)
+		}},
 	}
 }
 
+// allocsPerInputRow is the kernels' allocation budget: a handful of
+// allocations per morsel — the output slice, the arena, the shapes a memo
+// derives, the working arrays, one column batch per 256 rows — measured per
+// input row. One allocation per row, however small, adds 1.
+const allocsPerInputRow = 0.25
+
 // TestKernelsShareShapesAndAllocatePerMorsel: at one input shape every
-// output row of a select, flatten or join morsel points to the same Shape
-// (nested output items to theirs), and the morsel allocates its output
-// slice, its value arena and its shapes — nothing per row.
+// output row of a kernel points to the same Shape (nested output items to
+// theirs), and no kernel path allocates per row: each stays within
+// allocsPerInputRow. The two filter rows are shown to take the two paths.
 func TestKernelsShareShapesAndAllocatePerMorsel(t *testing.T) {
+	records, _ := recordRows(3000)
+	if _, ok := filterSelectVec(keepYear, records, nil); !ok {
+		t.Fatalf("the column kernel declined %s; dblp/filter no longer measures it", keepYear)
+	}
+	if _, ok := filterSelectVec(keepAll, records, nil); ok {
+		t.Fatalf("the column kernel took %s; dblp/filter-rows no longer measures filterSelectRows", keepAll)
+	}
 	for _, k := range itemKernels(t, 3000, 400) {
-		out, err := k.run()
-		if err != nil || out.n < 100 {
-			t.Fatalf("%s: %d rows, %v", k.name, out.n, err)
-		}
-		first := out.rows[0].Value
-		for i, p := range out.rows {
-			if p.Value.Shape() != first.Shape() {
-				t.Fatalf("%s: row %d does not share the shape of row 0: %s", k.name, i, p.Value)
+		t.Run(k.name, func(t *testing.T) {
+			out, err := k.run()
+			if err != nil || out.n < 100 {
+				t.Fatalf("%d rows, %v", out.n, err)
 			}
-			if who, ok := p.Value.Get("who"); ok {
-				if w0, _ := first.Get("who"); who.Shape() != w0.Shape() {
-					t.Fatalf("%s: row %d: nested item does not share its shape", k.name, i)
+			first := out.rows[0].Value
+			for i, p := range out.rows {
+				if p.Value.Shape() != first.Shape() {
+					t.Fatalf("row %d does not share the shape of row 0: %s", i, p.Value)
+				}
+				if who, ok := p.Value.Get("who"); ok {
+					if w0, _ := first.Get("who"); who.Shape() != w0.Shape() {
+						t.Fatalf("row %d: nested item does not share its shape", i)
+					}
 				}
 			}
-		}
-		if strings.HasSuffix(k.name, "/filter") {
-			continue // passes its input rows on, and allocates per 256-row batch
-		}
-		// Output slice, arena, the shapes a memo derives and the kernel's
-		// working arrays: a handful per morsel, where one allocation per row
-		// would be len(out).
-		if allocs := testing.AllocsPerRun(5, func() { k.run() }); allocs > float64(out.n)/10 {
-			t.Errorf("%s: %v allocations for %d output rows", k.name, allocs, out.n)
-		}
+			perRow := testing.AllocsPerRun(5, func() { k.run() }) / float64(k.in)
+			t.Logf("%.3f allocations per input row", perRow)
+			if perRow > allocsPerInputRow {
+				t.Errorf("%.3f allocations per input row, over %.2f: the kernel allocates per row", perRow, allocsPerInputRow)
+			}
+		})
 	}
 }
 
@@ -214,8 +286,8 @@ func TestLeftOuterNullSideSharesShapes(t *testing.T) {
 	}
 }
 
-// BenchmarkItemAccess is engine.op_busy_s for filter, select, flatten and
-// join over the benchmark's two carrier shapes at its sizes, one morsel each.
+// BenchmarkItemAccess is engine.op_busy_s for every kernel path over the
+// benchmark's two carrier shapes at its sizes, one morsel each.
 func BenchmarkItemAccess(b *testing.B) {
 	nRecords, nTweets := 60000, 8000
 	if testing.Short() {

@@ -131,89 +131,73 @@ func BenchmarkCaptureSweep(b *testing.B) {
 	})
 }
 
-// TestStagedRunsStayLean is the allocation guard of the stage executor: T2
-// (three flattens into a select) and T4 (two staged branches into a union)
-// at 2 000 tweets on one worker may not allocate more per input tweet than
-// they did when unary chains stopped materialising their inner operators
-// (1 393 and 5 568 bytes; 9 230 and 14 200 before), plus 15 %. Materialising
-// one inner flatten again costs either several times that margin.
-func TestStagedRunsStayLean(t *testing.T) {
+// TestScenariosStayLean is the allocation guard of whole runs: T2 and T4 at
+// 2 000 tweets, T5 at 2 000 tweets, D1 and D5 at 6 000 records, on one worker
+// with every join shuffled (T2 and T4 have none), each measured per input row
+// against two budgets, plus 15 %.
+//
+//   - Bytes: what the run allocated once unary chains stopped materialising
+//     their inner operators (T2 / T4: 1 393 / 4 090; 9 230 / 14 200 before)
+//     and once the shuffle wrote each row to its bucket once and derived
+//     shapes were shared (T5 / D1 / D5: 4 961 / 383 / 1 208; 5 285 / 447 /
+//     1 918 before). Materialising one inner flatten again, writing keyed
+//     rows twice or deriving a shape per row costs more than the margin.
+//   - Allocations: a handful per morsel and per operator. One more allocation
+//     per row, however small, adds at least 1 — which the byte budget, at a
+//     few percent of a row's bytes, would miss.
+func TestScenariosStayLean(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops the stage scratch at random under the race detector")
 	}
-	const tweets = 2000
+	const tweets, records = 2000, 6000
 	// A collection between the warm-up and the measured run would empty the
 	// stage scratch pool, and a move to another P would miss it: either has
 	// the run allocate its scratch again.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	budget := map[string]float64{"T2": 1393 * 1.15, "T4": 5568 * 1.15} // bytes per input tweet
-	for _, sc := range workload.TwitterScenarios() {
-		limit, ok := budget[sc.Name]
-		if !ok {
-			continue
-		}
-		inputs := workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: tweets, Seed: 42}, engine.DefaultPartitions)
-		run := func() {
-			if _, err := engine.Run(sc.Build(), inputs, engine.Options{Workers: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // stage scratch warm, as in a daemon past its first job
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		perTweet := float64(after.TotalAlloc-before.TotalAlloc) / tweets
-		t.Logf("%s: %.0f bytes allocated per input tweet (limit %.0f)", sc.Name, perTweet, limit)
-		if perTweet > limit {
-			t.Errorf("%s allocates %.0f bytes per input tweet, over %.0f: an inner operator of a stage is being materialised again", sc.Name, perTweet, limit)
-		}
+	inputs := map[string]map[string]*engine.Dataset{
+		"twitter": workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: tweets, Seed: 42}, engine.DefaultPartitions),
+		"dblp":    workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: records, Seed: 42}, engine.DefaultPartitions),
 	}
-}
-
-// TestHashPathStaysLean is the allocation guard of the shuffle path, measured
-// as TestStagedRunsStayLean measures: T5 at 2 000 tweets, D1 and D5 at 6 000
-// records, on one worker with every join shuffled, may not allocate more per
-// input row than they did once the shuffle wrote each row to its bucket once
-// and derived shapes were shared (T5 / D1 / D5: 4 961 / 383 / 1 208 bytes;
-// 5 285 / 447 / 1 918 before), plus 15 %. Deriving a shape per row again
-// costs D5 more than that margin, and writing keyed rows twice D1.
-func TestHashPathStaysLean(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops the stage scratch at random under the race detector")
+	scs := map[string]workload.Scenario{}
+	for _, sc := range append(workload.TwitterScenarios(), workload.DBLPScenarios()...) {
+		scs[sc.Name] = sc
 	}
-	const tweets, records = 2000, 6000
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	budget := map[string]float64{"T5": 4961 * 1.15, "D1": 383 * 1.15, "D5": 1208 * 1.15} // bytes per input row
-	scs := append(workload.TwitterScenarios(), workload.DBLPScenarios()...)
-	for _, sc := range scs {
-		limit, ok := budget[sc.Name]
-		if !ok {
-			continue
-		}
-		var inputs map[string]*engine.Dataset
-		rows := tweets
-		if sc.Dataset == "twitter" {
-			inputs = workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: tweets, Seed: 42}, engine.DefaultPartitions)
-		} else {
-			rows, inputs = records, workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: records, Seed: 42}, engine.DefaultPartitions)
-		}
-		run := func() {
-			if _, err := engine.Run(sc.Build(), inputs, engine.Options{Workers: 1, BroadcastJoinThreshold: -1}); err != nil {
-				t.Fatal(err)
+	for _, row := range []struct {
+		scenario      string
+		bytes, allocs float64 // per input row, before the margin
+	}{
+		{"T2", 1393, 0.168},
+		{"T4", 4090, 0.483},
+		{"T5", 4961, 0.597},
+		{"D1", 383, 0.297},
+		{"D5", 1208, 1.282},
+	} {
+		t.Run(row.scenario, func(t *testing.T) {
+			sc := scs[row.scenario]
+			rows := tweets
+			if sc.Dataset == "dblp" {
+				rows = records
 			}
-		}
-		run()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
-		t.Logf("%s: %.0f bytes allocated per input row (limit %.0f)", sc.Name, perRow, limit)
-		if perRow > limit {
-			t.Errorf("%s allocates %.0f bytes per input row, over %.0f: the shuffle writes rows twice or a shape is derived per row again", sc.Name, perRow, limit)
-		}
+			run := func() {
+				if _, err := engine.Run(sc.Build(), inputs[sc.Dataset], engine.Options{Workers: 1, BroadcastJoinThreshold: -1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // stage scratch warm, as in a daemon past its first job
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(rows)
+			t.Logf("per input row: %.0f bytes (limit %.0f), %.3f allocations (limit %.3f)", bytes, row.bytes*1.15, allocs, row.allocs*1.15)
+			if bytes > row.bytes*1.15 {
+				t.Errorf("%.0f bytes per input row, over %.0f: an inner operator of a stage is materialised again, the shuffle writes rows twice or a shape is derived per row", bytes, row.bytes*1.15)
+			}
+			if allocs > row.allocs*1.15 {
+				t.Errorf("%.3f allocations per input row, over %.3f: something allocates per row", allocs, row.allocs*1.15)
+			}
+		})
 	}
 }
