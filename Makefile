@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -89,6 +89,15 @@ bench-capture:
 	go test ./internal/provenance -run '^$$' -bench 'Codec' -benchtime 20x -benchmem
 	go test ./internal/backtrace -run '^$$' -bench 'Persist' -benchtime 20x -benchmem
 	go test ./internal/engine -run '^$$' -bench CaptureSweep -benchtime 5x -benchmem
+
+# The query layer without the daemon, time and allocations: one
+# trace_repeat round's matching at its sizes (the ten scenario patterns, D2's
+# point question twenty times, and one point match on its own) and
+# QueryResult.Answer, the daemon's rendering of both answer forms, on T3, D1,
+# T4 and T5.
+bench-query:
+	go test ./internal/treepattern -run '^$$' -bench MatchSweep -benchtime 20x -benchmem
+	go test ./internal/core -run '^$$' -bench TraceAnswer -benchtime 20x -benchmem
 
 # The client-path benchmark (bench/README.md; BENCHMARK.json is its
 # contract): every workload untraced then traced through an in-process

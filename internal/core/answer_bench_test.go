@@ -13,8 +13,9 @@ import (
 var answerSink int
 
 // BenchmarkTraceAnswer measures how a finished trace becomes its answer —
-// resolving the traced identifiers to source rows, QueryResult.JSON and
-// QueryResult.Report — on a wide nested result (T3: tweets), a narrow one
+// QueryResult.Answer, the call the daemon's trace job makes: the traced
+// identifiers resolved to source rows once, then the report and the JSON
+// rendered concurrently — on a wide nested result (T3: tweets), a narrow one
 // with many items (D1: DBLP records), the largest answer of the client-path
 // benchmark (T4: every tweet with a hashtag, a different tree for each set of
 // positions) and one whose items share two trees (T5). It is the layer the
@@ -41,11 +42,10 @@ func BenchmarkTraceAnswer(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				js, err := q.JSON()
+				report, js, err := q.Answer()
 				if err != nil {
 					b.Fatal(err)
 				}
-				report := q.Report()
 				b.SetBytes(int64(len(js) + len(report)))
 				answerSink += len(js) + len(report)
 			}

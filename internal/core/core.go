@@ -425,23 +425,7 @@ func (q *QueryResult) report(sources []tracedSource) string {
 			name = src.dataset.Name
 		}
 		buf = fmt.Appendf(buf, "source operator %d (%s):\n", src.oid, name)
-		for i, si := range src.items {
-			start := len(buf)
-			buf = strconv.AppendInt(append(buf, "  input item "...), si.Item.ID, 10)
-			if si.Found {
-				buf = appendPreview(append(buf, ": "...), si.Row.Value, previewBytes)
-			}
-			buf = append(buf, '\n')
-			lines, ok := trees[si.Item.Tree]
-			if !ok {
-				lines = treeLines(si.Item.Tree)
-				trees[si.Item.Tree] = lines
-			}
-			buf = append(buf, lines...)
-			if i == 0 {
-				buf = growForRest(buf, start, len(src.items)-1)
-			}
-		}
+		buf, _ = appendItems(buf, src.items, trees, appendReportItem) // a report item never fails
 	}
 	if empty {
 		buf = append(buf, "no contributing input items\n"...)
@@ -449,11 +433,80 @@ func (q *QueryResult) report(sources []tracedSource) string {
 	return string(buf)
 }
 
-// growForRest makes room for n more items the size of the first, which buf
-// holds from start on: an answer's buffer is grown once per source rather
-// than by doubling from 4 kB through the megabytes.
-func growForRest(buf []byte, start, n int) []byte {
-	return slices.Grow(buf, (len(buf)-start)*n)
+// appendReportItem appends one traced item's report lines: identifier, row
+// preview when the source has the row, and the tree's lines — from trees
+// when the tree was rendered before.
+func appendReportItem(dst []byte, si SourceItem, trees map[*backtrace.Tree][]byte) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, "  input item "...), si.Item.ID, 10)
+	if si.Found {
+		dst = appendPreview(append(dst, ": "...), si.Row.Value, previewBytes)
+	}
+	dst = append(dst, '\n')
+	lines, ok := trees[si.Item.Tree]
+	if !ok {
+		lines = treeLines(si.Item.Tree)
+		trees[si.Item.Tree] = lines
+	}
+	return append(dst, lines...), nil
+}
+
+// splitItems is the item count from which a source's items are rendered in
+// two halves, one per goroutine.
+const splitItems = 64
+
+// itemRenderer appends one traced item in one answer form; trees memoizes
+// the form's fragment of each tree rendered before.
+type itemRenderer func(dst []byte, si SourceItem, trees map[*backtrace.Tree][]byte) ([]byte, error)
+
+// appendItems appends the items of one source in item order. From
+// splitItems items on, the second half is rendered on another goroutine into
+// its own buffer, with its own tree memo, and appended to the first: every
+// item sits at the same depth, so a tree's fragment is the same bytes
+// wherever it recurs, and the answer is the bytes a sequential rendering
+// gives. The first error in item order wins.
+func appendItems(dst []byte, items []SourceItem, trees map[*backtrace.Tree][]byte, render itemRenderer) ([]byte, error) {
+	if len(items) < splitItems {
+		return appendRange(dst, items, len(items), trees, render)
+	}
+	mid := len(items) / 2
+	var (
+		rest    []byte
+		restErr error
+		done    = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		// The second half follows an item, so its buffer starts with the
+		// '}' that closes a JSON item — a separator then finds its
+		// predecessor. The byte is dropped when the halves are joined.
+		rest, restErr = appendRange([]byte{'}'}, items[mid:], len(items)-mid, make(map[*backtrace.Tree][]byte), render)
+	}()
+	dst, err := appendRange(dst, items[:mid], len(items), trees, render)
+	<-done
+	if err == nil {
+		err = restErr
+	}
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, rest[1:]...), nil
+}
+
+// appendRange renders items sequentially. After the first it grows dst for
+// total items the size of the first: an answer's buffer is grown once per
+// source rather than by doubling from 4 kB through the megabytes.
+func appendRange(dst []byte, items []SourceItem, total int, trees map[*backtrace.Tree][]byte, render itemRenderer) ([]byte, error) {
+	for i, si := range items {
+		start := len(dst)
+		var err error
+		if dst, err = render(dst, si, trees); err != nil {
+			return dst, err
+		}
+		if i == 0 {
+			dst = slices.Grow(dst, (len(dst)-start)*(total-1))
+		}
+	}
+	return dst, nil
 }
 
 // treeLines renders a tree as the report shows it: its non-empty lines,
@@ -523,13 +576,21 @@ func (q *QueryResult) json(sources []tracedSource) ([]byte, error) {
 }
 
 // Answer is Report and JSON together, for a caller that wants both forms of
-// one result: the traced items are paired with their source rows once.
+// one result: the traced items are paired with their source rows once, and
+// the two forms are rendered concurrently.
 func (q *QueryResult) Answer() (report string, result []byte, err error) {
 	sources := q.resolve()
-	if result, err = q.json(sources); err != nil {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		report = q.report(sources)
+	}()
+	result, err = q.json(sources)
+	<-done
+	if err != nil {
 		return "", nil, err
 	}
-	return q.report(sources), result, nil
+	return report, result, nil
 }
 
 // appendJSON appends one source, an object at depth: operator, dataset name
@@ -545,16 +606,11 @@ func (src tracedSource) appendJSON(dst []byte, depth int, trees map[*backtrace.T
 	if len(src.items) == 0 {
 		return jsonenc.Close(append(dst, "null"...), depth, '}'), nil
 	}
-	dst = append(dst, '[')
-	for i, si := range src.items {
-		start := len(dst)
-		var err error
-		if dst, err = si.appendJSON(jsonenc.Sep(dst, in+1), in+1, trees); err != nil {
-			return dst, err
-		}
-		if i == 0 {
-			dst = growForRest(dst, start, len(src.items)-1)
-		}
+	dst, err := appendItems(append(dst, '['), src.items, trees, func(dst []byte, si SourceItem, trees map[*backtrace.Tree][]byte) ([]byte, error) {
+		return si.appendJSON(jsonenc.Sep(dst, in+1), in+1, trees)
+	})
+	if err != nil {
+		return dst, err
 	}
 	return jsonenc.Close(jsonenc.Close(dst, in, ']'), depth, '}'), nil
 }

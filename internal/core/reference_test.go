@@ -192,6 +192,7 @@ func around(a, b []byte) []byte {
 }
 
 func TestAnswerMatchesReferenceOnScenarios(t *testing.T) {
+	split := 0 // sources rendered in two halves (64 items or more)
 	for _, sc := range workload.AllScenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			s := core.Session{Partitions: 4}
@@ -212,7 +213,17 @@ func TestAnswerMatchesReferenceOnScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameAnswer(t, all)
+			for _, r := range []*core.QueryResult{q, all} {
+				for _, s := range r.Traced.BySource {
+					if s.Len() >= 64 {
+						split++
+					}
+				}
+			}
 		})
+	}
+	if split == 0 {
+		t.Error("no scenario source has 64 items: the two-goroutine rendering went untested")
 	}
 }
 
@@ -395,5 +406,71 @@ func TestJSONReportsUnencodableRow(t *testing.T) {
 	// Report does not encode rows as JSON and still renders.
 	if !strings.Contains(q.Report(), "input item 2") {
 		t.Errorf("report lost the item:\n%s", q.Report())
+	}
+}
+
+// TestAnswerSplitsLargeSources: a source with 64 items or more is rendered
+// in two halves on two goroutines, and Answer renders the report beside the
+// JSON. The bytes must be those of the references — trees shared across the
+// halves, first seen in either, and an item without a row among them — and
+// an unencodable row fails Answer with JSON's error, the first in item order
+// when both halves hold one. Run under -race, it also checks that the
+// renderers share nothing they write.
+func TestAnswerSplitsLargeSources(t *testing.T) {
+	const n = 150
+	tree := func(p string) *backtrace.Tree {
+		tr := backtrace.NewTree()
+		tr.EnsureContributing(path.MustParse(p))
+		return tr
+	}
+	shared, firstHalf, secondHalf := tree("x"), tree("a[2].b"), tree("b")
+	rowsOf := func(bad ...int64) *engine.Dataset {
+		var rows []engine.Row
+		for id := int64(1); id <= n; id++ {
+			x := nested.Double(float64(id) / 4)
+			for _, b := range bad {
+				if id == b {
+					x = nested.Double(math.NaN())
+				}
+			}
+			if id != 7 { // item 7 is traced but has no row
+				rows = append(rows, engine.Row{ID: id, Value: nested.Item(nested.F("x", x), nested.F("s", nested.StringVal(strings.Repeat("é", int(id)))))})
+			}
+		}
+		return engine.FromRows("in", rows)
+	}
+	query := func(src *engine.Dataset) *core.QueryResult {
+		items := make([]*backtrace.Item, 0, n)
+		for id := int64(n); id >= 1; id-- { // unsorted, as a trace may leave them
+			tr := shared
+			switch {
+			case id%5 == 0 && id <= n/2:
+				tr = firstHalf
+			case id%7 == 0 && id > n/2:
+				tr = secondHalf
+			}
+			items = append(items, &backtrace.Item{ID: id, Tree: tr})
+		}
+		small := []*backtrace.Item{{ID: 3, Tree: shared}, {ID: 4, Tree: secondHalf}}
+		return &core.QueryResult{
+			Matched: backtrace.NewStructure(),
+			Traced:  &backtrace.Result{BySource: map[int]*backtrace.Structure{1: {Items: items}, 2: {Items: small}}},
+			Sources: map[int]*engine.Dataset{1: src, 2: src},
+		}
+	}
+	requireSameAnswer(t, query(rowsOf()))
+
+	for _, bad := range [][]int64{{n - 10}, {n / 4, n - 10}} {
+		q := query(rowsOf(bad...))
+		_, jsonErr := q.JSON()
+		if jsonErr == nil {
+			t.Fatalf("rows %v: JSON encoded a non-finite double", bad)
+		}
+		if want := fmt.Sprintf("input item %d", bad[0]); !strings.Contains(jsonErr.Error(), want) {
+			t.Errorf("rows %v: JSON error %q does not name %s, the first in item order", bad, jsonErr, want)
+		}
+		if _, _, err := q.Answer(); err == nil || err.Error() != jsonErr.Error() {
+			t.Errorf("rows %v: Answer error %v, JSON error %v", bad, err, jsonErr)
+		}
 	}
 }

@@ -105,6 +105,10 @@ const (
 	// SpanPatternCompile is the one-time compilation of a tree pattern into
 	// its instruction form.
 	SpanPatternCompile
+	// SpanAnswerRender is the rendering of a query result into its report
+	// and JSON answer forms, opened by the daemon's trace job around
+	// core.QueryResult.Answer.
+	SpanAnswerRender
 
 	// NumSpans is the number of spans (array size, not a span).
 	NumSpans
@@ -112,7 +116,7 @@ const (
 
 var spanNames = [NumSpans]string{
 	"schedule", "collector_finish", "pattern_match", "backtrace",
-	"run_load", "index_build", "pattern_compile",
+	"run_load", "index_build", "pattern_compile", "answer_render",
 }
 
 // String returns the snake_case name of the span.

@@ -245,7 +245,9 @@ func (s *Server) runTrace(j *job) error {
 	if err != nil {
 		return err
 	}
+	rendered := j.rec.StartSpan(obs.SpanAnswerRender)
 	report, js, err := qr.Answer()
+	rendered()
 	if err != nil {
 		return fmt.Errorf("encode trace result: %w", err)
 	}

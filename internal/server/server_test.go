@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/server"
+	"pebble/internal/workload"
 	"pebble/pkg/sdk"
 )
 
@@ -380,6 +382,42 @@ func TestEventStreamShape(t *testing.T) {
 	}
 	if ops == 0 {
 		t.Error("no operator registration events streamed")
+	}
+}
+
+// TestTraceJobShowsItsPhases: a pattern trace job streams a phase span for
+// each of its terms — run load, pattern compile and match, backtrace and the
+// rendering of its two answer forms — and the session's /stats sums them.
+func TestTraceJobShowsItsPhases(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "T3", SimGB: 1})
+	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
+	tj := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID,
+		PatternText: fmt.Sprintf(`//id_str == %q, tweets(text)`, workload.HotUserID)})
+	waitStatus(t, c, "s", tj.ID, sdk.StatusDone)
+
+	phases := map[string]bool{}
+	if err := c.StreamEvents(ctx, "s", tj.ID, func(ev sdk.JobEvent) error {
+		if ev.Kind == "phase_end" {
+			phases[ev.Span] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil || len(st.Sessions) != 1 {
+		t.Fatalf("stats: %+v, %v", st, err)
+	}
+	for _, span := range []string{"run_load", "pattern_compile", "pattern_match", "backtrace", "answer_render"} {
+		if !phases[span] {
+			t.Errorf("trace job streamed no %s phase (phases %v)", span, phases)
+		}
+		if ms, ok := st.Sessions[0].SpansMS[span]; !ok || ms <= 0 {
+			t.Errorf("spans_ms[%q] = %v (present %v), want > 0", span, ms, ok)
+		}
 	}
 }
 

@@ -21,9 +21,15 @@ import (
 // the semantics of the AST interpreter it replaced, which lives on in
 // reference_test.go as the reference the equivalence tests compare against.
 //
-// A Compiled is immutable after construction: matching keeps all per-row
-// state on the stack, so one compiled pattern is safely shared by the
-// parallel per-partition Match goroutines and by concurrent queries.
+// The walk keeps the path to the value it visits on a step stack (matcher):
+// a step is pushed per field or element visited and popped on the way back,
+// and a path is copied out only for an occurrence that binds, so a walk that
+// visits many nodes and binds few allocates nothing per node. The copies and
+// the root bindings of a row go into buffers the next row reuses, since a
+// row's bindings are read before the next row binds. Each Match goroutine and
+// each MatchItem call owns its matcher; a Compiled is immutable after
+// construction, so one compiled pattern is safely shared by the parallel
+// per-partition Match goroutines and by concurrent queries.
 
 // cnode is one compiled pattern instruction.
 type cnode struct {
@@ -122,24 +128,43 @@ func compileCheck(n *Node) func(nested.Value) bool {
 // backtracing tree of matched paths, or ok == false when the item does not
 // satisfy the pattern. The tree is the caller's own.
 func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
-	all, ok := c.bind(d)
+	m := matcher{c: c}
+	all, ok := m.bind(d)
 	if !ok {
 		return nil, false
 	}
 	return bindingsTree(all), true
 }
 
-// bind returns the bindings of every root instruction on one data item.
-func (c *Compiled) bind(d nested.Value) ([]binding, bool) {
-	var all []binding
-	for _, r := range c.roots {
-		bs := c.matchNode(r, d, nil)
-		if bs == nil {
-			return nil, false
+// stackSteps is the step capacity a matcher starts with: deeper than the
+// scenarios' results nest, so the stack is allocated once per goroutine.
+const stackSteps = 16
+
+// matcher is the state of one walk: the program, the steps from the data
+// item to the value being visited, and storage reused from row to row. It
+// belongs to one goroutine.
+type matcher struct {
+	c     *Compiled
+	stack path.Path
+	// A row's bindings are read — its signature taken, its tree built — before
+	// the next row is bound, so the root bindings and every bound path of a
+	// row live in buffers the next row overwrites.
+	roots []binding
+	paths []path.Step
+}
+
+// bind returns the bindings of every root instruction on one data item,
+// valid until the next call.
+func (m *matcher) bind(d nested.Value) ([]binding, bool) {
+	all, ok := m.roots[:0], true
+	m.paths = m.paths[:0]
+	for _, r := range m.c.roots {
+		if all, ok = m.matchNode(r, d, all); !ok {
+			break
 		}
-		all = append(all, bs...)
 	}
-	return all, true
+	m.roots = all
+	return all, ok
 }
 
 // Match matches the compiled pattern against every row of the dataset in
@@ -156,12 +181,14 @@ func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 		go func(pi int) {
 			defer wg.Done()
 			var (
+				m     = matcher{c: c, stack: make(path.Path, 0, stackSteps)}
 				items []*backtrace.Item
+				slab  []backtrace.Item // the items, allocated itemChunk at a time
 				sig   []byte
 				seen  map[string]*backtrace.Tree // this goroutine's view of shared
 			)
 			for _, row := range d.Partitions[pi] {
-				all, ok := c.bind(row.Value)
+				all, ok := m.bind(row.Value)
 				if !ok {
 					continue
 				}
@@ -174,7 +201,11 @@ func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 					}
 					seen[string(sig)] = tree
 				}
-				items = append(items, &backtrace.Item{ID: row.ID, Tree: tree})
+				if len(slab) == cap(slab) {
+					slab = make([]backtrace.Item, 0, itemChunk)
+				}
+				slab = append(slab, backtrace.Item{ID: row.ID, Tree: tree})
+				items = append(items, &slab[len(slab)-1])
 			}
 			partResults[pi] = items
 		}(pi)
@@ -186,6 +217,9 @@ func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 	}
 	return out
 }
+
+// itemChunk is how many matched items Match allocates together.
+const itemChunk = 256
 
 // sharedTrees holds the one tree per distinct binding signature of a Match,
 // across its partition goroutines.
@@ -222,69 +256,82 @@ func appendSignature(dst []byte, bs []binding) []byte {
 	return dst
 }
 
-// matchNode executes instruction i against context value ctx: all bindings,
-// or nil when the node does not match (including count violations) — the
-// one pattern node's verdict.
-func (c *Compiled) matchNode(i int32, ctx nested.Value, prefix path.Path) []binding {
-	n := &c.prog[i]
-	out := c.collect(n, ctx, prefix, nil)
-	if len(out) == 0 {
-		return nil
+// matchNode executes instruction i against context value ctx, which the
+// stack addresses, and appends its bindings to out. ok is false, and out
+// comes back as it was given, when the node does not match (including count
+// violations) — the one pattern node's verdict.
+func (m *matcher) matchNode(i int32, ctx nested.Value, out []binding) (_ []binding, ok bool) {
+	n := &m.c.prog[i]
+	start := len(out)
+	out = m.collect(n, &ctx, out)
+	k := len(out) - start
+	if k == 0 || (n.minCount > 0 && k < n.minCount) || (n.maxCount > 0 && k > n.maxCount) {
+		return out[:start], false
 	}
-	if n.minCount > 0 && len(out) < n.minCount {
-		return nil
-	}
-	if n.maxCount > 0 && len(out) > n.maxCount {
-		return nil
-	}
-	return out
+	return out, true
 }
 
 // collect finds the occurrences the node's edge can reach from ctx — direct
 // attributes (fanning through collection elements) for child edges, any depth
 // for descendant edges — and binds each as it is discovered, in document
-// order.
-func (c *Compiled) collect(n *cnode, ctx nested.Value, prefix path.Path, out []binding) []binding {
+// order. Each field or element it visits is a step pushed on the stack for
+// the visit and popped after it; a scalar it cannot bind or descend into is
+// not visited.
+func (m *matcher) collect(n *cnode, ctx *nested.Value, out []binding) []binding {
 	switch ctx.Kind() {
 	case nested.KindItem:
-		for i := 0; i < ctx.NumFields(); i++ {
-			name := ctx.FieldName(i)
-			if name != n.attr && !n.desc {
+		vals := ctx.FieldValues()
+		for i := range vals {
+			name, val := ctx.FieldName(i), &vals[i]
+			hit := name == n.attr
+			if !hit && !(n.desc && nests(val)) {
 				continue // a child edge reads the name table and the slots that match
 			}
-			val := ctx.FieldValue(i)
-			p := prefix.Append(path.Step{Attr: name, Index: path.NoIndex})
-			if name == n.attr {
-				if b, ok := c.bindAt(n, val, p); ok {
+			m.stack = append(m.stack, path.Step{Attr: name, Index: path.NoIndex})
+			if hit {
+				if b, ok := m.bindAt(n, *val); ok {
 					out = append(out, b)
 				}
 			}
 			if n.desc {
-				out = c.collect(n, val, p, out)
+				out = m.collect(n, val, out)
 			}
+			m.stack = m.stack[:len(m.stack)-1]
 		}
 	case nested.KindBag, nested.KindSet:
-		for i, e := range ctx.Elems() {
-			p := prefix.Append(path.Step{Index: i + 1})
-			out = c.collect(n, e, p, out)
+		elems := ctx.Elems()
+		for i := range elems {
+			if e := &elems[i]; nests(e) {
+				m.stack = append(m.stack, path.Step{Index: i + 1})
+				out = m.collect(n, e, out)
+				m.stack = m.stack[:len(m.stack)-1]
+			}
 		}
 	}
 	return out
 }
 
-// bindAt applies the node's constraint thunk and child instructions at one
-// occurrence.
-func (c *Compiled) bindAt(n *cnode, val nested.Value, p path.Path) (binding, bool) {
+// nests reports whether v holds attributes or elements: an item or a
+// collection, where collect finds occurrences.
+func nests(v *nested.Value) bool {
+	return v.Kind() == nested.KindItem || v.Kind().IsCollection()
+}
+
+// bindAt applies the node's constraint thunk and child instructions at the
+// occurrence val the stack addresses. The binding's path is a copy of the
+// stack into the row's path buffer, taken once the children have bound.
+func (m *matcher) bindAt(n *cnode, val nested.Value) (binding, bool) {
 	if n.check != nil && !n.check(val) {
 		return binding{}, false
 	}
-	b := binding{path: p}
+	var children []binding
 	for _, ci := range n.children {
-		cb := c.matchNode(ci, val, p)
-		if cb == nil {
+		var ok bool
+		if children, ok = m.matchNode(ci, val, children); !ok {
 			return binding{}, false
 		}
-		b.children = append(b.children, cb...)
 	}
-	return b, true
+	start := len(m.paths)
+	m.paths = append(m.paths, m.stack...)
+	return binding{path: m.paths[start:len(m.paths):len(m.paths)], children: children}, true
 }

@@ -250,3 +250,95 @@ func TestCompiledMatchConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestStackNeverLeaksIntoResults: the matcher walks with one reused step
+// stack per goroutine and copies a path out only when an occurrence binds.
+// Sibling bindings at one depth, a descendant edge that binds at several
+// depths and count bounds must each get their own paths, equal to the
+// interpreter's, and the trees of a structure must not change when the same
+// patterns later match other datasets, whose paths overwrite the stack.
+func TestStackNeverLeaksIntoResults(t *testing.T) {
+	s := nested.StringVal
+	first := []nested.Value{
+		nested.Item( // siblings at one depth, under one parent and under two
+			nested.F("a", nested.Item(nested.F("x", nested.Int(1)), nested.F("y", nested.Int(2)))),
+			nested.F("b", nested.Item(nested.F("x", nested.Int(3)))),
+		),
+		nested.Item( // one attribute name at three depths
+			nested.F("n", nested.Item(
+				nested.F("x", nested.Int(4)),
+				nested.F("n", nested.Item(nested.F("n", nested.Int(5)))),
+			)),
+		),
+		nested.Item( // a collection whose elements bind by count
+			nested.F("tags", nested.Bag(
+				nested.Item(nested.F("t", s("p")), nested.F("x", nested.Int(6))),
+				nested.Item(nested.F("t", s("q"))),
+			)),
+		),
+	}
+	second := []nested.Value{
+		nested.Item(nested.F("deep", nested.Bag(nested.Item(
+			nested.F("n", nested.Bag(nested.Item(nested.F("x", nested.Int(7)), nested.F("t", s("r"))))),
+			nested.F("zz", nested.Item(nested.F("y", nested.Int(8)), nested.F("a", nested.Int(9)))),
+		)))),
+		nested.Item(nested.F("tags", nested.Bag(nested.Item(nested.F("t", s("s")))))),
+	}
+	queries := []string{
+		`a(x, y)`,
+		`//x`,
+		`//x, //y`,
+		`//n`,
+		`n(n(n))`,
+		`//n(x)`,
+		`tags(t #[2,2])`,
+		`tags(t #[1,1])`,
+		`//t #[1,0]`,
+		`tags(t == "p", x)`,
+	}
+	reference := func(p *treepattern.Pattern, d *engine.Dataset) string {
+		want := backtrace.NewStructure()
+		for _, row := range d.Rows() {
+			if tree, ok := p.MatchItem(row.Value); ok {
+				want.Add(row.ID, tree)
+			}
+		}
+		return want.String()
+	}
+	dsFirst := engine.NewDataset("first", first, 2, engine.NewIDGen(1))
+	dsSecond := engine.NewDataset("second", second, 2, engine.NewIDGen(100))
+	type kept struct {
+		q        string
+		got      *backtrace.Structure
+		rendered string
+	}
+	var earlier []kept
+	for _, q := range queries {
+		p := treepattern.MustParse(q)
+		got := p.Match(dsFirst)
+		if want := reference(p, dsFirst); got.String() != want {
+			t.Errorf("%q: compiled match\n%s\nwant\n%s", q, got, want)
+		}
+		for i, d := range first {
+			wantTree, wantOK := p.MatchItem(d)
+			gotTree, gotOK := p.Compile().MatchItem(d)
+			if gotOK != wantOK || (wantOK && gotTree.String() != wantTree.String()) {
+				t.Errorf("%q on item %d: compiled (%v)\n%v\nwant (%v)\n%v", q, i, gotOK, gotTree, wantOK, wantTree)
+			}
+		}
+		earlier = append(earlier, kept{q: q, got: got, rendered: got.String()})
+	}
+	for _, q := range queries {
+		p := treepattern.MustParse(q)
+		for r := 0; r < 3; r++ {
+			if got, want := p.Match(dsSecond).String(), reference(p, dsSecond); got != want {
+				t.Errorf("%q on the second dataset: compiled match\n%s\nwant\n%s", q, got, want)
+			}
+		}
+	}
+	for _, k := range earlier {
+		if got := k.got.String(); got != k.rendered {
+			t.Errorf("%q: an earlier structure changed after later matches:\n%s\nwas\n%s", k.q, got, k.rendered)
+		}
+	}
+}
