@@ -1,6 +1,7 @@
 package main_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,8 +12,10 @@ import (
 
 // TestVetToolExitStatus builds the vettool, seeds a scratch module, and
 // exercises the full `go vet -vettool` protocol end to end: a violation makes
-// vet exit non-zero, a justified ignore silences it, and an ignore that no
-// longer covers anything is itself reported by staleignore.
+// vet exit non-zero, so does a one-hop helper handed a slice inside a map
+// range, a justified ignore silences a violation, and an ignore that no
+// longer covers anything is itself reported by staleignore. The tool's
+// -flags answer lists only protocol flags and enable switches.
 func TestVetToolExitStatus(t *testing.T) {
 	tmp := t.TempDir()
 	tool := filepath.Join(tmp, "pebblevet")
@@ -56,6 +59,36 @@ func main() {
 		t.Fatalf("expected determinism diagnostic in vet output, got:\n%s", out)
 	}
 
+	// A one-hop violation: the body parks the helper's result in a local,
+	// but the helper is handed the shared slice.
+	writeFile(t, filepath.Join(mod, "main.go"), `package main
+
+import "fmt"
+
+func main() {
+	m := map[int]int{1: 10, 2: 20}
+	dst := make([]int, 1)
+	for k, v := range m {
+		if ok := record(dst, k, v); !ok {
+			continue
+		}
+	}
+	fmt.Println(dst)
+}
+
+func record(dst []int, k, v int) bool {
+	dst[k%len(dst)] = v
+	return true
+}
+`)
+	out, err = vet()
+	if err == nil {
+		t.Fatalf("go vet -vettool exited 0 on a seeded one-hop violation; output:\n%s", out)
+	}
+	if !strings.Contains(out, "map iteration order is nondeterministic") {
+		t.Fatalf("expected determinism diagnostic for the one-hop helper, got:\n%s", out)
+	}
+
 	// The same violation with a justified trailing ignore passes clean — and
 	// the directive is live, so staleignore stays quiet too.
 	writeFile(t, filepath.Join(mod, "main.go"), `package main
@@ -92,6 +125,22 @@ func main() {
 	}
 	if !strings.Contains(out, "stale //pebblevet:ignore determinism") {
 		t.Fatalf("expected staleignore diagnostic in vet output, got:\n%s", out)
+	}
+
+	// go vet forwards only the flags -flags describes; an analyzer option
+	// would appear as <analyzer>.<name>.
+	flagsOut, err := command(t, "", tool, "-flags").Output()
+	if err != nil {
+		t.Fatalf("%s -flags: %v", tool, err)
+	}
+	var flags []struct{ Name string }
+	if err := json.Unmarshal(flagsOut, &flags); err != nil {
+		t.Fatalf("decoding -flags output: %v\n%s", err, flagsOut)
+	}
+	for _, f := range flags {
+		if strings.Contains(f.Name, ".") {
+			t.Errorf("-flags lists analyzer option %q; analyzers take no options", f.Name)
+		}
 	}
 }
 

@@ -1,17 +1,17 @@
-// Package analysis is a lightweight, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis API surface that pebble's static-analysis
-// suite needs. The container this repo grows in has no module proxy access,
-// so instead of vendoring x/tools we mirror the parts of its contract we use:
-// an Analyzer is a named check with a Run function over a typechecked
-// compilation unit (a Pass), and drivers — the go vet -vettool protocol in
+// Package analysis is a small, dependency-free reimplementation of the part
+// of the golang.org/x/tools/go/analysis API that pebble's static-analysis
+// suite needs, so the module keeps no external requirements. An Analyzer is
+// a named check with a Run function over one typechecked compilation unit (a
+// Pass); drivers — the go vet -vettool protocol in
 // internal/analysis/unitchecker, the fixture harness in
 // internal/analysis/analysistest — construct Passes and collect Diagnostics.
-// Analyzer authors write against the same shapes they would upstream, which
-// keeps a future migration to the real framework mechanical.
+// The suite's analyzers need only syntax and types, so the upstream shapes
+// they never use are left out: there are no facts, no Requires graph or
+// ResultOf results, and no analyzer flags. Analyzer code still reads as it
+// would upstream, which keeps a future migration mechanical.
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -20,27 +20,20 @@ import (
 
 // An Analyzer describes one static-analysis check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags, and
-	// //pebblevet:ignore directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics, in its go vet enable
+	// switch (-NAME), and in //pebblevet:ignore directives. It must be a
+	// valid Go identifier.
 	Name string
 
 	// Doc is the analyzer's documentation; the first line is used as a
 	// one-line summary by the driver's help output.
 	Doc string
 
-	// Flags defines analyzer-specific flags. The unitchecker driver exposes
-	// them prefixed with the analyzer name (e.g. -determinism.idpkgs=...).
-	Flags flag.FlagSet
-
 	// Run executes the check over one compilation unit and reports findings
-	// via pass.Report. The result value is made available to dependent
-	// analyzers through Pass.ResultOf (unused by the current suite, kept for
-	// API compatibility).
-	Run func(*Pass) (interface{}, error)
-
-	// Requires lists analyzers whose results this one consumes; the driver
-	// runs them first.
-	Requires []*Analyzer
+	// via pass.Report. Analyzers are independent: none consumes another's
+	// output, and none takes options — a scope an analyzer needs is a
+	// constant in its package.
+	Run func(*Pass) error
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -53,7 +46,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	ResultOf  map[*Analyzer]interface{}
 	Report    func(Diagnostic)
 }
 
@@ -72,38 +64,16 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Validate checks that the analyzer graph is well formed: names are unique
-// and non-empty, Run functions are set, and Requires edges are acyclic.
+// Validate checks that the analyzer list is well formed: names are unique
+// and non-empty, and Run functions are set.
 func Validate(analyzers []*Analyzer) error {
 	seen := make(map[string]bool)
-	// color: 0 unvisited, 1 on stack, 2 done — standard DFS cycle check.
-	color := make(map[*Analyzer]int)
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch color[a] {
-		case 1:
-			return fmt.Errorf("analysis: cycle involving analyzer %q", a.Name)
-		case 2:
-			return nil
-		}
+	for _, a := range analyzers {
 		if a.Name == "" {
 			return fmt.Errorf("analysis: analyzer with empty name")
 		}
 		if a.Run == nil {
 			return fmt.Errorf("analysis: analyzer %q has no Run function", a.Name)
-		}
-		color[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		color[a] = 2
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return err
 		}
 		if seen[a.Name] {
 			return fmt.Errorf("analysis: duplicate analyzer name %q", a.Name)

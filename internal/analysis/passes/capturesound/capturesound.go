@@ -42,7 +42,7 @@ type exprMethods struct {
 	paths *ast.FuncDecl
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	byType := make(map[string]*exprMethods)
 	var order []string
 	for _, file := range pass.Files {
@@ -91,7 +91,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 func recvTypeName(t ast.Expr) string {

@@ -11,7 +11,6 @@ package codecerr
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"pebble/internal/analysis"
 )
@@ -20,27 +19,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "codecerr",
 	Doc: `flag discarded errors from the provenance and sidecar codecs and encoding/binary
 
-Errors returned by functions and methods of the listed packages (default:
-encoding/binary, pebble/internal/provenance, and pebble/internal/backtrace)
-must not be dropped via a bare call statement, assignment to blank
-identifiers only, or defer.`,
+Errors returned by functions and methods of encoding/binary,
+pebble/internal/provenance and pebble/internal/backtrace must not be dropped
+via a bare call statement, assignment to blank identifiers only, defer, or
+go.`,
 	Run: run,
 }
 
-// pkgs lists the import paths whose error results must be consumed.
-var pkgs string
-
-func init() {
-	Analyzer.Flags.StringVar(&pkgs, "pkgs", "encoding/binary,pebble/internal/provenance,pebble/internal/backtrace", "comma-separated packages whose returned errors must be checked")
+// watched lists the import paths whose error results must be consumed.
+var watched = map[string]bool{
+	"encoding/binary":            true,
+	"pebble/internal/provenance": true,
+	"pebble/internal/backtrace":  true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	watched := make(map[string]bool)
-	for _, p := range strings.Split(pkgs, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			watched[p] = true
-		}
-	}
+func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -48,20 +41,20 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
-				check(pass, watched, st.X, "discarded")
+				check(pass, st.X, "discarded")
 			case *ast.DeferStmt:
-				check(pass, watched, st.Call, "discarded by defer")
+				check(pass, st.Call, "discarded by defer")
 			case *ast.GoStmt:
-				check(pass, watched, st.Call, "discarded by go statement")
+				check(pass, st.Call, "discarded by go statement")
 			case *ast.AssignStmt:
 				if len(st.Rhs) == 1 && allBlank(st.Lhs) {
-					check(pass, watched, st.Rhs[0], "assigned to _")
+					check(pass, st.Rhs[0], "assigned to _")
 				}
 			}
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func allBlank(exprs []ast.Expr) bool {
@@ -74,7 +67,7 @@ func allBlank(exprs []ast.Expr) bool {
 	return true
 }
 
-func check(pass *analysis.Pass, watched map[string]bool, e ast.Expr, how string) {
+func check(pass *analysis.Pass, e ast.Expr, how string) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return

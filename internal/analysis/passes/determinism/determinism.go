@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"pebble/internal/analysis"
-	"pebble/internal/analysis/dataflow"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -28,45 +27,31 @@ var Analyzer = &analysis.Analyzer{
 Results, identifiers, and captured provenance must be byte-identical across
 runs and Options.Workers settings (see internal/engine/schedule.go). This
 analyzer flags range-over-map statements unless the body is order-insensitive
-or feeds the collect-then-sort idiom, and flags time.Now and global math/rand
-functions inside the identifier/provenance-producing packages.`,
+or feeds the collect-then-sort idiom and hands no slice to a function of its
+own package, and flags time.Now and global math/rand functions inside the
+identifier/provenance-producing packages.`,
 	Run: run,
 }
 
 // idPkgs scopes the time.Now / global-rand checks: import paths (plus their
 // subpackages) where wall-clock time or an unseeded global generator could
-// leak into identifiers, provenance, or generated datasets.
-var idPkgs string
-
-// exemptPkgs subtracts from idPkgs: import paths (plus their subpackages)
-// where wall-clock use is an explicit part of the contract and never reaches
-// provenance bytes. The service layer is the canonical case — pebbled stamps
-// job Created/Started/Finished times and Retry-After hints, and the SDK
-// polls on wall-clock intervals, while the deterministic capture path those
-// jobs run stays inside the idPkgs scope. Listing them here keeps the
-// exemption decision in one reviewable place even if idpkgs is later
-// broadened to a prefix that would cover them.
-var exemptPkgs string
-
-func init() {
-	Analyzer.Flags.StringVar(&idPkgs, "idpkgs", strings.Join([]string{
-		"pebble/internal/engine",
-		"pebble/internal/provenance",
-		"pebble/internal/backtrace",
-		"pebble/internal/lineage",
-		"pebble/internal/nested",
-		"pebble/internal/path",
-		"pebble/internal/corpus",
-		"pebble/internal/workload",
-		"pebble/internal/usage",
-	}, ","), "comma-separated import paths (with subpackages) subject to the time.Now/math.rand checks")
-	Analyzer.Flags.StringVar(&exemptPkgs, "exemptpkgs", strings.Join([]string{
-		"pebble/internal/server",
-		"pebble/pkg/sdk",
-	}, ","), "comma-separated import paths (with subpackages) exempt from the time.Now/math.rand checks even when matched by -idpkgs: packages whose wall-clock use is part of their contract (job timestamps, retry hints) and never enters provenance")
+// leak into identifiers, provenance, or generated datasets. The service
+// layer (internal/server, pkg/sdk) is outside it: job timestamps, retry
+// hints and polling intervals are wall-clock by contract and never reach
+// provenance bytes.
+var idPkgs = []string{
+	"pebble/internal/engine",
+	"pebble/internal/provenance",
+	"pebble/internal/backtrace",
+	"pebble/internal/lineage",
+	"pebble/internal/nested",
+	"pebble/internal/path",
+	"pebble/internal/corpus",
+	"pebble/internal/workload",
+	"pebble/internal/usage",
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	checkClock := inScope(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
@@ -90,22 +75,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
+	return nil
 }
 
+// inScope reports whether pkgPath is an idPkgs entry or one of its
+// subpackages.
 func inScope(pkgPath string) bool {
-	return !matchesList(pkgPath, exemptPkgs) && matchesList(pkgPath, idPkgs)
-}
-
-// matchesList reports whether pkgPath equals an entry of the comma-separated
-// list or lives under one as a subpackage.
-func matchesList(pkgPath, list string) bool {
-	for _, entry := range strings.Split(list, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		if pkgPath == entry || strings.HasPrefix(pkgPath, entry+"/") {
+	for _, p := range idPkgs {
+		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
 			return true
 		}
 	}
@@ -128,7 +105,7 @@ func checkMapRange(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 		return
 	}
 	collected := make(map[types.Object]bool)
-	if !orderInsensitive(pass, rs.Body.List, collected) {
+	if !orderInsensitive(pass, rs.Body.List, collected) || callsHelperWithSlice(pass, rs.Body) {
 		pass.Reportf(rs.Pos(), "map iteration order is nondeterministic here; collect the keys and sort them first (or annotate //pebblevet:ignore determinism -- reason)")
 		return
 	}
@@ -241,12 +218,6 @@ func orderInsensitiveAssign(pass *analysis.Pass, st *ast.AssignStmt, collected m
 						}
 					}
 				}
-				// One interprocedural hop: a local helper called from the
-				// body can leak iteration order through its own writes even
-				// though the result lands in a per-iteration local.
-				if fd := localCallee(pass, call); fd != nil && helperOrderSensitive(pass, fd) {
-					return false
-				}
 			}
 			// Defining a fresh per-iteration local is harmless.
 			return st.Tok == token.DEFINE
@@ -276,8 +247,7 @@ func isInteger(pass *analysis.Pass, e ast.Expr) bool {
 }
 
 // sortedLater reports whether any collected variable is passed to a sorting
-// call (package sort or slices, or a helper whose name starts with "sort")
-// somewhere in the enclosing function body.
+// call (isSortCall) somewhere in the enclosing function body.
 func sortedLater(pass *analysis.Pass, body *ast.BlockStmt, collected map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -303,13 +273,22 @@ func sortedLater(pass *analysis.Pass, body *ast.BlockStmt, collected map[types.O
 	return found
 }
 
+// sortFuncs names, per package, the functions that sort their argument in
+// place. Everything else in sort and slices — Search*, Contains, Index,
+// IsSorted, ... — reads the slice and leaves its order as the map gave it.
+var sortFuncs = map[string]map[string]bool{
+	"sort":   {"Sort": true, "Stable": true, "Slice": true, "SliceStable": true, "Strings": true, "Ints": true, "Float64s": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
+// isSortCall reports whether fun sorts: one of sortFuncs, or a local helper
+// or method whose name starts with "sort".
 func isSortCall(pass *analysis.Pass, fun ast.Expr) bool {
 	switch fun := fun.(type) {
 	case *ast.SelectorExpr:
 		if x, ok := fun.X.(*ast.Ident); ok {
 			if pn, ok := pass.TypesInfo.Uses[x].(*types.PkgName); ok {
-				p := pn.Imported().Path()
-				return p == "sort" || p == "slices"
+				return sortFuncs[pn.Imported().Path()][fun.Sel.Name]
 			}
 		}
 		return strings.HasPrefix(strings.ToLower(fun.Sel.Name), "sort")
@@ -319,93 +298,37 @@ func isSortCall(pass *analysis.Pass, fun ast.Expr) bool {
 	return false
 }
 
-// localCallee resolves a call to its *ast.FuncDecl when the callee is a
-// plain function declared in this package's files; nil otherwise (methods,
-// builtins, imported functions, function values).
-func localCallee(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncDecl {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok {
-		return nil
-	}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && pass.TypesInfo.Defs[fd.Name] == types.Object(fn) {
-				return fd
+// callsHelperWithSlice is the one-hop interprocedural check (DESIGN.md §6):
+// a function of this package called once per map iteration and handed a
+// slice can write into storage shared across iterations, where colliding
+// writes resolve by call order. The rule is syntactic and conservative — a
+// helper that only reads the slice is reported too; hoist the call out of
+// the range or justify an ignore. Local sort* helpers are the fix, not the
+// hazard, and helpers of helpers are not followed.
+func callsHelperWithSlice(pass *analysis.Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if found || !ok {
+			return !found
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok || isSortCall(pass, id) {
+			return true
+		}
+		if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); !ok || fn.Pkg() != pass.Pkg {
+			return true
+		}
+		for _, arg := range call.Args {
+			if t := pass.TypesInfo.TypeOf(arg); t != nil {
+				if _, isSlice := t.Underlying().(*types.Slice); isSlice {
+					found = true
+				}
 			}
 		}
-	}
-	return nil
-}
-
-// helperOrderSensitive is the one-hop interprocedural check (DESIGN.md §11):
-// a helper invoked once per map iteration makes the order observable when it
-// stores an argument-derived value by index into a slice parameter — slices
-// are shared across iterations, and colliding indices resolve by call order.
-// The dataflow engine's taint lattice tracks argument influence through the
-// helper's body; one hop only, helpers of helpers are not followed.
-func helperOrderSensitive(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if fd.Body == nil || fd.Type.Params == nil {
-		return false
-	}
-	params := make(map[*types.Var]bool)
-	sliceParams := make(map[*types.Var]bool)
-	for _, f := range fd.Type.Params.List {
-		for _, name := range f.Names {
-			v, ok := pass.TypesInfo.Defs[name].(*types.Var)
-			if !ok {
-				continue
-			}
-			params[v] = true
-			if _, isSlice := v.Type().Underlying().(*types.Slice); isSlice {
-				sliceParams[v] = true
-			}
-		}
-	}
-	if len(sliceParams) == 0 {
-		return false
-	}
-	r := dataflow.NewReaching(fd, pass.TypesInfo)
-	taint := dataflow.NewTaint(r, dataflow.TaintConfig{
-		Source: func(e ast.Expr) bool {
-			id, ok := e.(*ast.Ident)
-			if !ok {
-				return false
-			}
-			v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-			return ok && params[v]
-		},
+		return !found
 	})
-	for _, n := range r.Graph.Nodes {
-		if n.Stmt == nil {
-			continue
-		}
-		as, ok := n.Stmt.(*ast.AssignStmt)
-		if !ok {
-			continue
-		}
-		for i, lhs := range as.Lhs {
-			ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-			if !ok {
-				continue
-			}
-			base, ok := ast.Unparen(ix.X).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			v, ok := pass.TypesInfo.Uses[base].(*types.Var)
-			if !ok || !sliceParams[v] {
-				continue
-			}
-			if taint.ExprTaintedAt(ix.Index, n) || (i < len(as.Rhs) && taint.ExprTaintedAt(as.Rhs[i], n)) {
-				return true
-			}
-		}
-	}
-	return false
+	return found
 }
 
 // checkClockAndRand flags time.Now and the global math/rand convenience

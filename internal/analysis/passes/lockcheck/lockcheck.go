@@ -40,10 +40,10 @@ the field; every function accessing the field must lock that mutex, carry the
 var guardedRe = regexp.MustCompile(`(?i)guarded by (\w+)`)
 var holderDocRe = regexp.MustCompile(`(?i)(must hold|while holding|holds) \w*`)
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	guards := collectGuards(pass)
 	if len(guards) == 0 {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
@@ -57,7 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkFunc(pass, fd, guards)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // guardKey identifies a guarded field by its defining object.

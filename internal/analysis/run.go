@@ -23,10 +23,10 @@ type Finding struct {
 	Diagnostic Diagnostic
 }
 
-// RunAnalyzers executes the analyzers (and their Requires closure) over the
-// unit, filters diagnostics silenced by //pebblevet:ignore directives, and
-// returns the survivors sorted by position then analyzer name. An analyzer
-// returning an error aborts the run.
+// RunAnalyzers executes the analyzers over the unit, filters diagnostics
+// silenced by //pebblevet:ignore directives, and returns the survivors
+// sorted by position then analyzer name. An analyzer returning an error
+// aborts the run.
 //
 // When the StaleIgnore pseudo-analyzer is in the list, the driver appends
 // one finding per ignore directive that names an analyzer which ran here but
@@ -36,25 +36,14 @@ func RunAnalyzers(unit *Unit, analyzers []*Analyzer) ([]Finding, error) {
 	if err := Validate(analyzers); err != nil {
 		return nil, err
 	}
-	results := make(map[*Analyzer]interface{})
-	ran := make(map[*Analyzer]bool)
 	sup := NewSuppressor(unit.Fset, unit.Files)
+	ran := make(map[string]bool, len(analyzers))
+	staleEnabled := false
 	var findings []Finding
-
-	var exec func(a *Analyzer) error
-	exec = func(a *Analyzer) error {
-		if ran[a] {
-			return nil
-		}
-		ran[a] = true
-		for _, req := range a.Requires {
-			if err := exec(req); err != nil {
-				return err
-			}
-		}
-		inputs := make(map[*Analyzer]interface{}, len(a.Requires))
-		for _, req := range a.Requires {
-			inputs[req] = results[req]
+	for _, a := range analyzers {
+		if a == StaleIgnore {
+			staleEnabled = true
+			continue
 		}
 		pass := &Pass{
 			Analyzer:  a,
@@ -62,7 +51,6 @@ func RunAnalyzers(unit *Unit, analyzers []*Analyzer) ([]Finding, error) {
 			Files:     unit.Files,
 			Pkg:       unit.Pkg,
 			TypesInfo: unit.Info,
-			ResultOf:  inputs,
 			Report: func(d Diagnostic) {
 				if sup.Suppressed(a.Name, d.Pos) {
 					return
@@ -70,29 +58,13 @@ func RunAnalyzers(unit *Unit, analyzers []*Analyzer) ([]Finding, error) {
 				findings = append(findings, Finding{Analyzer: a, Diagnostic: d})
 			},
 		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return fmt.Errorf("analyzer %s: %v", a.Name, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
-		results[a] = res
-		return nil
-	}
-	staleEnabled := false
-	for _, a := range analyzers {
-		if a == StaleIgnore {
-			staleEnabled = true
-			continue
-		}
-		if err := exec(a); err != nil {
-			return nil, err
-		}
+		ran[a.Name] = true
 	}
 	if staleEnabled {
-		ranNames := make(map[string]bool, len(ran))
-		for a := range ran {
-			ranNames[a.Name] = true
-		}
-		for _, d := range sup.Stale(ranNames) {
+		for _, d := range sup.Stale(ran) {
 			findings = append(findings, Finding{Analyzer: StaleIgnore, Diagnostic: d})
 		}
 	}

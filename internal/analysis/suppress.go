@@ -40,7 +40,7 @@ var StaleIgnore = &Analyzer{
 A directive naming an analyzer that ran on the package but produced no
 diagnostic on the covered line is stale: it documents an exemption that does
 not exist. Remove it, or narrow its analyzer list.`,
-	Run: func(*Pass) (interface{}, error) { return nil, nil },
+	Run: func(*Pass) error { return nil },
 }
 
 // A directive is one parsed //pebblevet:ignore comment.

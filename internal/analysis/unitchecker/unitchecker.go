@@ -128,21 +128,16 @@ func Main(analyzers ...*analysis.Analyzer) {
 		log.Fatal(err)
 	}
 
-	printflags := flag.Bool("flags", false, "print analyzer flags in JSON")
+	printflags := flag.Bool("flags", false, "print the tool's flags in JSON")
 	jsonOut := flag.Bool("json", false, "emit JSON output")
 	_ = flag.Int("c", -1, "display offending line with this many lines of context")
 	flag.Var(versionFlag{}, "V", "print version and exit")
 
 	enabled := make(map[*analysis.Analyzer]*triState, len(analyzers))
 	for _, a := range analyzers {
-		a := a
 		ts := new(triState)
 		enabled[a] = ts
 		flag.Var(ts, a.Name, "enable "+a.Name+" analysis")
-		prefix := a.Name + "."
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			flag.Var(f.Value, prefix+f.Name, f.Usage)
-		})
 	}
 
 	flag.Usage = func() {
