@@ -32,8 +32,9 @@ type Session struct {
 	// engine.DefaultPartitions). It fixes identifiers and result order, not
 	// the goroutine count.
 	Partitions int
-	// Workers is the physical worker-goroutine count (0 = NumCPU). Results
-	// are byte-identical for every value; only wall time changes.
+	// Workers sizes the engine's morsel pool (0 = NumCPU); at 1 there is no
+	// pool, and only independent plan branches may overlap (engine.Options).
+	// Results are byte-identical for every value; only wall time changes.
 	Workers int
 	// AnalyzeFirst type-checks the plan against the input schemas before
 	// executing, failing fast on unknown columns and type errors.
@@ -51,7 +52,8 @@ type Option func(*Session)
 // and result order); values < 1 keep the engine default.
 func WithPartitions(n int) Option { return func(s *Session) { s.Partitions = n } }
 
-// WithWorkers sets the physical worker-goroutine count (0 = NumCPU).
+// WithWorkers sets the size of the engine's morsel pool (0 = NumCPU; 1 = no
+// pool, see Session.Workers).
 func WithWorkers(n int) Option { return func(s *Session) { s.Workers = n } }
 
 // WithAnalyzeFirst enables plan type-checking before every execution.

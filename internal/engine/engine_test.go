@@ -449,21 +449,18 @@ func TestSourceAnnotatesFreshIDsPerRead(t *testing.T) {
 
 func TestStatsAndIntermediates(t *testing.T) {
 	inputs := map[string]*Dataset{"tweets.json": dataset(t, "tweets.json", tab1(), 2)}
-	res := runPipeline(t, figure1(), inputs, Options{Partitions: 2, KeepIntermediates: true})
+	res := runPipeline(t, figure1(), inputs, Options{Partitions: 2})
 	if len(res.Stats) != 9 {
 		t.Errorf("stats for %d ops, want 9", len(res.Stats))
 	}
 	if res.TotalElapsed() <= 0 {
 		t.Error("TotalElapsed should be positive")
 	}
-	if len(res.Intermediates) != 9 {
-		t.Errorf("intermediates for %d ops, want 9", len(res.Intermediates))
-	}
 	if len(res.Sources) != 2 {
 		t.Errorf("sources = %d, want 2", len(res.Sources))
 	}
 	// union output = filtered upper (4) + flattened lower (5)
-	if got := res.Intermediates[7].Len(); got != 9 {
+	if got := res.Stats[6].Rows; got != 9 {
 		t.Errorf("union rows = %d, want 9", got)
 	}
 }

@@ -27,19 +27,14 @@ type Options struct {
 	// and identifier assignment, and therefore must be held fixed for
 	// reproducible runs.
 	Partitions int
-	// Workers bounds the *physical* parallelism: the number of goroutines
-	// executing partition morsels and DAG branches (default
-	// runtime.NumCPU()). Any value yields byte-identical results, ids, and
-	// captured provenance; 1 disables goroutine parallelism.
+	// Workers sizes the morsel pool: the goroutines executing the partition
+	// morsels of a stage (default runtime.NumCPU()). At 1 there is no pool
+	// and each stage runs its morsels on its own goroutine; independent
+	// branches (both sides of a join or union) may still overlap. Any value
+	// yields byte-identical results, ids, and captured provenance.
 	Workers int
 	// Sink receives provenance capture events; nil disables capture.
 	Sink CaptureSink
-	// IDGen supplies top-level identifiers. When nil a fresh generator
-	// starting at 1 is used.
-	IDGen *IDGen
-	// KeepIntermediates retains every operator's output dataset in the
-	// result (source outputs are always retained).
-	KeepIntermediates bool
 	// BroadcastJoinThreshold is the build-side row count up to which joins
 	// broadcast the smaller side instead of shuffling both. 0 uses the
 	// default (2000); negative disables broadcast joins.
@@ -71,9 +66,6 @@ type Result struct {
 	// Sources maps source operator ids to their (freshly annotated) output
 	// datasets; backtracing resolves provenance identifiers against these.
 	Sources map[int]*Dataset
-	// Intermediates maps every operator id to its output when
-	// Options.KeepIntermediates is set.
-	Intermediates map[int]*Dataset
 	// Stats lists per-operator metrics in execution order.
 	Stats []OpStats
 }
@@ -113,31 +105,18 @@ func RunContext(ctx context.Context, p *Pipeline, inputs map[string]*Dataset, op
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	gen := opts.IDGen
-	if gen == nil {
-		gen = NewIDGen(1)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer opts.Recorder.StartSpan(obs.SpanSchedule)()
-	ex := &executor{ctx: ctx, opts: opts, gen: gen, inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}
-	res := &Result{Sources: make(map[int]*Dataset), Stats: make([]OpStats, len(p.Ops()))}
-	if opts.KeepIntermediates {
-		res.Intermediates = make(map[int]*Dataset)
-	}
-	stages := planStages(p, opts.KeepIntermediates)
-	if workers <= 1 {
-		if err := ex.runSequential(p, stages, res); err != nil {
-			return nil, err
-		}
-	} else {
+	ex := &executor{ctx: ctx, opts: opts, gen: NewIDGen(1), gate: newReserveGate(), inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}
+	if workers > 1 {
 		ex.pool = newWorkerPool(workers)
 		defer ex.pool.close()
-		ex.gate = newReserveGate()
-		if err := ex.runDAG(stages, res); err != nil {
-			return nil, err
-		}
+	}
+	res := &Result{Sources: make(map[int]*Dataset), Stats: make([]OpStats, len(p.Ops()))}
+	if err := ex.runDAG(planStages(p), res); err != nil {
+		return nil, err
 	}
 	res.Output = ex.outputs[p.Sink().id]
 	return res, nil
@@ -151,10 +130,9 @@ type executor struct {
 	gen    *IDGen
 	inputs map[string]*Dataset
 
-	// pool executes partition morsels when physical parallelism is on; nil
-	// means fully sequential execution. gate serialises id reservation in
-	// plan order under the DAG scheduler (nil when sequential — the plan
-	// loop already reserves in that order).
+	// pool executes partition morsels when Workers > 1; nil runs a stage's
+	// morsels inline on the stage's goroutine. gate serialises id reservation
+	// in plan order, whatever order the stages finish in.
 	pool *workerPool
 	gate *reserveGate
 
@@ -202,13 +180,10 @@ func (e *executor) setOutput(oid int, d *Dataset) {
 	e.outMu.Unlock()
 }
 
-// reserve hands out n consecutive identifiers for operator oid. Under the
-// DAG scheduler the reservation is serialised in plan order (see
-// reserveGate), so ids are independent of the physical schedule.
+// reserve hands out n consecutive identifiers for operator oid. The
+// reservation is serialised in plan order (see reserveGate), so ids are
+// independent of the physical schedule.
 func (e *executor) reserve(oid int, n int64) int64 {
-	if e.gate == nil {
-		return e.gen.Reserve(n)
-	}
 	return e.gate.reserve(e.gen, oid, n)
 }
 

@@ -883,13 +883,9 @@ func runReference(p *Pipeline, inputs map[string]*Dataset, opts Options) (*Resul
 	if opts.Partitions < 1 {
 		opts.Partitions = DefaultPartitions
 	}
-	gen := opts.IDGen
-	if gen == nil {
-		gen = NewIDGen(1)
-	}
 	opts.Recorder = nil
-	e := &refExecutor{executor{ctx: context.Background(), opts: opts, gen: gen, inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}}
-	res := &Result{Sources: make(map[int]*Dataset), Intermediates: make(map[int]*Dataset)}
+	e := &refExecutor{executor{ctx: context.Background(), opts: opts, gen: NewIDGen(1), inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}}
+	res := &Result{Sources: make(map[int]*Dataset)}
 	for _, o := range p.Ops() {
 		out, err := e.exec(o)
 		if err != nil {
@@ -897,7 +893,6 @@ func runReference(p *Pipeline, inputs map[string]*Dataset, opts Options) (*Resul
 		}
 		e.outputs[o.id] = out
 		res.Stats = append(res.Stats, OpStats{OID: o.id, Type: o.typ, Rows: out.Len()})
-		res.Intermediates[o.id] = out
 		if o.typ == OpSource {
 			res.Sources[o.id] = out
 		}

@@ -9,9 +9,9 @@ import (
 // This file implements the physical execution layer that decouples logical
 // partitioning from hardware parallelism:
 //
-//   - workerPool: a bounded pool of Options.Workers goroutines executing
-//     logical partitions as morsels, so Partitions can rise (default 16)
-//     without unbounded goroutine fan-out;
+//   - workerPool: a bounded pool of Options.Workers goroutines (none at
+//     Workers 1) executing logical partitions as morsels, so Partitions can
+//     rise (default 16) without unbounded goroutine fan-out;
 //   - reserveGate: serialises identifier reservation in plan order, so the
 //     identifiers an operator assigns are byte-identical no matter how many
 //     workers race through the DAG;
@@ -23,9 +23,10 @@ import (
 // per-partition layout) is a pure function of its inputs, and every
 // operator's *identifiers* depend only on (a) the id-space position reserved
 // for it and (b) the deterministic partition-major assignment of
-// stage.reserve. The gate pins (a) to plan order — exactly the order the
-// sequential executor reserves in — so results, ids, grouping order, and
-// captured provenance are identical for every Workers setting.
+// stage.reserve. The gate pins (a) to plan order — the order in which the
+// operator-at-a-time reference executor (runReference, reference_test.go)
+// reserves — so results, ids, grouping order, and captured provenance are
+// identical for every Workers setting.
 
 // workerPool executes morsels (one logical partition of one operator) on a
 // fixed set of goroutines. Submission blocks while all workers are busy,
@@ -78,7 +79,7 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 }
 
 // forEachPartition runs f for every logical partition index as morsels on
-// the worker pool (inline when sequential) and returns the first error. A
+// the worker pool (inline when there is none) and returns the first error. A
 // morsel may chunk its rows internally (the filter kernel's column batches,
 // the aggregate's accumulation chunks) and allocates its kernel scratch per
 // call; only a stage's inner members draw theirs from the per-worker stage
@@ -159,50 +160,13 @@ func clock() time.Time {
 // opError names the operator a failure belongs to.
 func opError(o *Op, err error) error { return fmt.Errorf("engine: operator %s: %w", o, err) }
 
-// runSequential walks the plan in order — the Workers == 1 path, and the
-// canonical order every parallel schedule must reproduce byte for byte. A
-// stage computes when its first member's turn comes, every member reserves
-// its identifiers at its own turn (so reservations happen in plan order even
-// when other operators sit between the members of a chain), and the stage
-// commits at its last member's turn. A failure inside a stage surfaces at
-// the failing member's turn: an operator before it in plan order that fails
-// too is the one reported, as when every operator runs alone.
-func (e *executor) runSequential(p *Pipeline, stages []*stage, res *Result) error {
-	stageOf := make(map[*Op]*stage, len(p.Ops()))
-	for _, st := range stages {
-		for _, o := range st.ops {
-			stageOf[o] = st
-		}
-	}
-	for _, o := range p.Ops() {
-		if err := e.ctx.Err(); err != nil {
-			return opError(o, err)
-		}
-		st := stageOf[o]
-		if o == st.ops[0] {
-			st.compute(e)
-		}
-		if st.err != nil && o == st.ops[st.failed] {
-			return opError(o, st.err)
-		}
-		st.reserve(e)
-		if o == st.ops[len(st.ops)-1] {
-			out, err := st.commit(e)
-			if err != nil {
-				return opError(o, err)
-			}
-			e.publish(st, out, res)
-		}
-	}
-	return nil
-}
-
 // runDAG executes the stage DAG in topological wavefronts: a stage is
 // launched as soon as the stages producing its inputs completed, so
 // independent branches (the two sides of a join or union, disconnected
-// subplans) run concurrently. Partition-level work inside each stage is
-// further spread over the worker pool; the stage's goroutine computes, takes
-// its members' turns at the reserve gate in plan order, and commits.
+// subplans) run concurrently. It is the one scheduler, at every Workers
+// value. Partition-level work inside each stage is further spread over the
+// worker pool, if there is one; the stage's goroutine computes, takes its
+// members' turns at the reserve gate in plan order, and commits.
 func (e *executor) runDAG(stages []*stage, res *Result) error {
 	producer := make(map[*Op]*stage, len(stages)) // by the stage's last member
 	for _, st := range stages {
@@ -255,7 +219,7 @@ func (e *executor) runDAG(stages []*stage, res *Result) error {
 		running--
 		if d.err != nil {
 			// Report the failure of the earliest operator in plan order, the
-			// one the sequential executor would have surfaced.
+			// one the reference executor surfaces.
 			if failed := d.st.ops[d.st.failed]; firstErr == nil || failed.id < firstErrOID {
 				firstErr, firstErrOID = opError(failed, d.err), failed.id
 			}
@@ -268,8 +232,8 @@ func (e *executor) runDAG(stages []*stage, res *Result) error {
 		for _, c := range consumers[d.st] {
 			waiting[c]--
 			// After a failure only the stages that start before the failing
-			// operator in plan order still run — the sequential executor
-			// would have reached them, and one of them may fail too.
+			// operator in plan order still run — the reference executor
+			// reaches them, and one of them may fail too.
 			if waiting[c] == 0 && (firstErr == nil || c.ops[0].id < firstErrOID) {
 				launch(c)
 				running++
@@ -294,8 +258,5 @@ func (e *executor) publish(st *stage, out *Dataset, res *Result) {
 	}
 	if last.typ == OpSource {
 		res.Sources[last.id] = out
-	}
-	if res.Intermediates != nil {
-		res.Intermediates[last.id] = out
 	}
 }

@@ -39,9 +39,8 @@ func rowWise(t OpType) bool {
 	return t == OpFilter || t == OpFlatten || t == OpSelect || t == OpMap
 }
 
-// planStages cuts the plan into stages. keepAll makes every operator a stage
-// of its own (Options.KeepIntermediates wants every output materialised).
-func planStages(p *Pipeline, keepAll bool) []*stage {
+// planStages cuts the plan into stages.
+func planStages(p *Pipeline) []*stage {
 	consumers := make(map[*Op][]*Op, len(p.Ops()))
 	for _, o := range p.Ops() {
 		for _, in := range o.inputs {
@@ -55,7 +54,7 @@ func planStages(p *Pipeline, keepAll bool) []*stage {
 			continue
 		}
 		st := &stage{index: len(stages) + 1, ops: []*Op{o}}
-		for cur := o; rowWise(cur.typ) && !keepAll && len(consumers[cur]) == 1 && rowWise(consumers[cur][0].typ); {
+		for cur := o; rowWise(cur.typ) && len(consumers[cur]) == 1 && rowWise(consumers[cur][0].typ); {
 			cur = consumers[cur][0]
 			st.ops = append(st.ops, cur)
 			inside[cur] = true
@@ -312,8 +311,7 @@ func flattenMorsel(col path.Path, name string, in []Row, d morselDst, arenaScrat
 // compute runs the stage's bodies over every partition and leaves what they
 // produced in outs. A failure is kept, not returned: the stage reports the
 // earliest member in plan order that fails, then the lowest partition — what
-// running the members one after the other over all partitions would report —
-// and the sequential scheduler reports it when that member's turn comes.
+// running the members one after the other over all partitions would report.
 func (st *stage) compute(e *executor) {
 	start := clock()
 	defer func() { st.wall += time.Since(start) }()

@@ -173,18 +173,8 @@ func renderStages(stages []*stage) string {
 
 func TestStageBoundaries(t *testing.T) {
 	for _, pl := range stagePlans() {
-		if got := renderStages(planStages(pl.build(), false)); got != pl.stages {
+		if got := renderStages(planStages(pl.build())); got != pl.stages {
 			t.Errorf("%s: stages %q, want %q", pl.name, got, pl.stages)
-		}
-		// KeepIntermediates: every operator is a stage of its own, and no
-		// arena is scratch because every output leaves.
-		var alone []string
-		p := pl.build()
-		for _, o := range p.Ops() {
-			alone = append(alone, fmt.Sprint(o.id))
-		}
-		if got, want := renderStages(planStages(p, true)), strings.Join(alone, " | "); got != want {
-			t.Errorf("%s under KeepIntermediates: stages %q, want %q", pl.name, got, want)
 		}
 	}
 }
@@ -289,30 +279,28 @@ func TestStagedRunsMatchReference(t *testing.T) {
 	}
 }
 
-// TestKeepIntermediatesMatchesReference: with KeepIntermediates every
-// operator's output is present and equals what the reference materialised.
-func TestKeepIntermediatesMatchesReference(t *testing.T) {
+// TestEveryOperatorMatchesReference: the plan cut after any operator runs,
+// on the production stage plan, to the reference's rows, ids, row counts and
+// sink calls. Ids are reserved in plan order, so the cut assigns every
+// operator the ids the full run does: this checks each operator's output,
+// also of the members a stage never materialises.
+func TestEveryOperatorMatchesReference(t *testing.T) {
 	poisonScratch(t)
 	for _, pl := range stagePlans() {
-		ref, err := runReference(pl.build(), planInputs(t), Options{Partitions: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			p := pl.build()
-			res := runPipeline(t, p, planInputs(t), Options{Partitions: 5, Workers: workers, KeepIntermediates: true})
-			for _, o := range p.Ops() {
-				var got, want strings.Builder
-				if res.Intermediates[o.id] == nil {
-					t.Fatalf("%s workers %d: no intermediate for operator %s", pl.name, workers, o)
-				}
-				renderDataset(&got, "", res.Intermediates[o.id])
-				renderDataset(&want, "", ref.Intermediates[o.id])
-				if got.String() != want.String() {
-					t.Fatalf("%s workers %d: intermediate of %s differs at %s", pl.name, workers, o, firstDiff(got.String(), want.String()))
-				}
-				if st := res.Stats[o.id-1]; st.Stage != o.id {
-					t.Errorf("%s: operator %d ran in stage %d, want a stage of its own", pl.name, o.id, st.Stage)
+		full := pl.build()
+		for _, o := range full.Ops() {
+			cut := &Pipeline{ops: full.ops[:o.id], sink: o}
+			refSink := newRecordingSink()
+			ref, err := runReference(cut, planInputs(t), Options{Partitions: 5, Sink: refSink})
+			if err != nil {
+				t.Fatalf("%s cut at %s: reference: %v", pl.name, o, err)
+			}
+			want := renderRun(ref, refSink)
+			for _, workers := range []int{1, 4} {
+				sink := newRecordingSink()
+				res := runPipeline(t, cut, planInputs(t), Options{Partitions: 5, Workers: workers, Sink: sink})
+				if got := renderRun(res, sink); got != want {
+					t.Fatalf("%s cut at %s, workers %d: run differs from the reference at %s", pl.name, o, workers, firstDiff(got, want))
 				}
 			}
 		}

@@ -54,7 +54,7 @@ type Config struct {
 	// compared runs (it determines ids). Default 4.
 	Partitions int
 	// Workers lists the physical worker counts to cross-check. Default
-	// {1, 2, NumCPU}.
+	// DefaultWorkers().
 	Workers []int
 	// WrapSink, when set, wraps the eager provenance collector before the
 	// capture run — the fault-injection hook the oracle's own tests use to
@@ -73,9 +73,13 @@ func (c Config) withDefaults() Config {
 }
 
 // DefaultWorkers returns the worker counts the oracle cross-checks by
-// default: 1, 2, and NumCPU.
+// default: 1, 2, and NumCPU when it is more than 2, each once.
 func DefaultWorkers() []int {
-	return []int{1, 2, runtime.NumCPU()}
+	workers := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		workers = append(workers, n)
+	}
+	return workers
 }
 
 // Disagreement describes one oracle failure: which check tripped and a

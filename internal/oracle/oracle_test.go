@@ -3,7 +3,6 @@ package oracle
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -12,9 +11,9 @@ import (
 )
 
 // testConfig is the deterministic corpus configuration: all four capture
-// modes × Workers ∈ {1, 2, NumCPU}.
+// modes × the default worker counts.
 func testConfig() Config {
-	return Config{Partitions: 4, Workers: []int{1, 2, runtime.NumCPU()}}
+	return Config{Partitions: 4, Workers: DefaultWorkers()}
 }
 
 // TestCorpusAgreement is the tier-1 differential gate: a deterministic
@@ -26,6 +25,13 @@ func TestCorpusAgreement(t *testing.T) {
 		n = 50
 	}
 	cfg := testConfig()
+	seen := make(map[int]bool)
+	for _, w := range cfg.Workers {
+		if seen[w] {
+			t.Fatalf("worker counts %v check %d twice", cfg.Workers, w)
+		}
+		seen[w] = true
+	}
 	for seed := int64(0); seed < n; seed++ {
 		if d := CheckSpec(corpus.Generate(seed), cfg); d != nil {
 			t.Fatalf("%v", d)

@@ -64,8 +64,6 @@ type Config struct {
 	SessionCap int
 	// MaxUploadBytes bounds one dataset upload. Default 64 MiB.
 	MaxUploadBytes int64
-	// RetryAfter is the backpressure hint returned with 429. Default 1s.
-	RetryAfter time.Duration
 	// Pipelines are extra named pipeline factories; the ten paper
 	// scenarios (T1–T5, D1–D5) are always available under their names.
 	Pipelines map[string]Factory
@@ -86,9 +84,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 64 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return nil
 }
@@ -253,6 +248,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// maxParallelism bounds a session's Partitions and Workers. Both come from
+// the client, and each sizes per-job allocations: the worker pool's
+// goroutines, an operator's per-partition outputs and shuffle buckets.
+const maxParallelism = 1024
+
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var spec sdk.SessionSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil {
@@ -261,6 +261,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	if spec.Name == "" || strings.ContainsAny(spec.Name, "/\\") {
 		writeErr(w, http.StatusBadRequest, "invalid session name %q", spec.Name)
+		return
+	}
+	if spec.Partitions > maxParallelism || spec.Workers > maxParallelism {
+		writeErr(w, http.StatusBadRequest, "session partitions %d and workers %d must not exceed %d", spec.Partitions, spec.Workers, maxParallelism)
 		return
 	}
 	sess := newSession(spec)
@@ -382,7 +386,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *s
 		j.cancel()
 		j.finish(sdk.StatusFailed, err.Error())
 		if errors.Is(err, errQueueFull) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+			w.Header().Set("Retry-After", "1") // seconds
 			writeErr(w, http.StatusTooManyRequests, "%v", err)
 			return
 		}

@@ -270,8 +270,8 @@ func TestQueueFull429(t *testing.T) {
 	if !full {
 		t.Fatalf("third submission: got err %v, want 429 queue-full", err)
 	}
-	if ae.RetryAfter <= 0 {
-		t.Errorf("429 carried Retry-After %v, want a positive hint", ae.RetryAfter)
+	if ae.RetryAfter != time.Second {
+		t.Errorf("429 carried Retry-After %v, want 1s", ae.RetryAfter)
 	}
 
 	g.open()
@@ -723,6 +723,43 @@ func TestStaleSequentialFieldIgnored(t *testing.T) {
 	}
 	if info.Partitions != 4 {
 		t.Errorf("partitions = %d, want 4", info.Partitions)
+	}
+}
+
+// TestCreateSessionValidatesSpec: a session spec is refused with 400, and no
+// session is created, when its name is empty or holds a path separator, or
+// when its partitions or workers exceed the bound on client parallelism.
+func TestCreateSessionValidatesSpec(t *testing.T) {
+	_, ts := bootDaemon(t, server.Config{Runners: 1, SessionCap: 1, QueueDepth: 4})
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"empty-name", `{"name":""}`, http.StatusBadRequest},
+		{"slash-in-name", `{"name":"a/b"}`, http.StatusBadRequest},
+		{"backslash-in-name", `{"name":"a\\b"}`, http.StatusBadRequest},
+		{"not-json", `{"name":`, http.StatusBadRequest},
+		{"partitions-above-bound", `{"name":"p","partitions":1025}`, http.StatusBadRequest},
+		{"workers-above-bound", `{"name":"w","workers":1073741824}`, http.StatusBadRequest},
+		{"at-bound", `{"name":"max","partitions":1024,"workers":1024}`, http.StatusCreated},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s: status %s, want %d", tc.body, resp.Status, tc.want)
+			}
+		})
+	}
+	sessions, err := sdk.New(ts.URL).ListSessions(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != 1 || sessions[0].Name != "max" {
+		t.Errorf("sessions after the table: %+v, want only %q", sessions, "max")
 	}
 }
 

@@ -65,8 +65,10 @@ func NewSession(opts ...Option) Session { return core.NewSession(opts...) }
 // and result order; default engine partition count).
 func WithPartitions(n int) Option { return core.WithPartitions(n) }
 
-// WithWorkers sets the physical worker-goroutine count (0 = NumCPU);
-// results are byte-identical for every value.
+// WithWorkers sets the size of the engine's morsel pool (0 = NumCPU). At 1
+// there is no pool: a stage runs its partitions one after another, and only
+// independent plan branches may overlap. Results are byte-identical for
+// every value.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithAnalyzeFirst type-checks plans against input schemas before running.

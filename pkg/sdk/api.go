@@ -37,7 +37,9 @@ const (
 // SessionSpec configures a named daemon session — the remote form of
 // pebble.NewSession options. Partitions/Workers <= 0 keep the server
 // defaults (precedence: explicit > session > engine default, exactly as in
-// the library).
+// the library); the daemon rejects either above 1 024 with 400. Workers
+// sizes the engine's morsel pool, as pebble.WithWorkers does: 1 means no
+// pool, though independent plan branches may still overlap.
 type SessionSpec struct {
 	Name       string `json:"name"`
 	Partitions int    `json:"partitions,omitempty"`
