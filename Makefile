@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar serve-smoke bench bench-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern serve-smoke bench bench-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -58,6 +58,12 @@ fuzz-trace:
 fuzz-sidecar:
 	go test -fuzz FuzzSidecar -fuzztime 20s ./internal/backtrace
 
+# Twenty seconds of the text-pattern parser (the daemon's pattern_text and
+# the shells' query syntax) on arbitrary strings: it must not panic or blow
+# its stack, and a pattern it accepts must render and match; same CI line.
+fuzz-pattern:
+	go test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/treepattern
+
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event
 # stream, provenance download, remote trace — and require the daemon's
@@ -112,6 +118,7 @@ bench-e2e-compare:
 	go run ./bench -compare $(A) $(B)
 
 # Differential soak: random pipelines under all four capture modes and
-# several worker counts until the time budget runs out (see EXPERIMENTS.md).
+# several worker counts, plus closure, coverage, sufficiency and optimizer
+# checks per pipeline, until the time budget runs out (see EXPERIMENTS.md).
 soak:
 	go run ./cmd/oracle -duration 60s

@@ -243,7 +243,6 @@ func TestNewSessionCoversEverySessionField(t *testing.T) {
 	s := pebble.NewSession(
 		pebble.WithPartitions(3),
 		pebble.WithWorkers(2),
-		pebble.WithAnalyzeFirst(),
 		pebble.WithRecorder(pebble.NewRecorder()),
 	)
 	v := reflect.ValueOf(s)
@@ -254,7 +253,7 @@ func TestNewSessionCoversEverySessionField(t *testing.T) {
 		}
 	}
 	// And the struct-literal path keeps working.
-	lit := pebble.Session{Partitions: 3, Workers: 2, AnalyzeFirst: true, Recorder: s.Recorder}
+	lit := pebble.Session{Partitions: 3, Workers: 2, Recorder: s.Recorder}
 	if lit != s {
 		t.Error("NewSession with all options differs from the equivalent struct literal")
 	}

@@ -36,9 +36,6 @@ type Session struct {
 	// pool, and only independent plan branches may overlap (engine.Options).
 	// Results are byte-identical for every value; only wall time changes.
 	Workers int
-	// AnalyzeFirst type-checks the plan against the input schemas before
-	// executing, failing fast on unknown columns and type errors.
-	AnalyzeFirst bool
 	// Recorder, when non-nil, receives per-operator execution metrics and
 	// query-side timing spans for every run of this session. Nil (the
 	// default) disables observability at near-zero cost.
@@ -55,9 +52,6 @@ func WithPartitions(n int) Option { return func(s *Session) { s.Partitions = n }
 // WithWorkers sets the size of the engine's morsel pool (0 = NumCPU; 1 = no
 // pool, see Session.Workers).
 func WithWorkers(n int) Option { return func(s *Session) { s.Workers = n } }
-
-// WithAnalyzeFirst enables plan type-checking before every execution.
-func WithAnalyzeFirst() Option { return func(s *Session) { s.AnalyzeFirst = true } }
 
 // WithRecorder attaches an observability recorder to the session.
 func WithRecorder(rec *obs.Recorder) Option { return func(s *Session) { s.Recorder = rec } }
@@ -78,7 +72,7 @@ func NewSession(opts ...Option) Session {
 // then the engine default. Every partition decision — Session.options,
 // Session.NewDataset, pebble.NewDataset — routes through it, so a session
 // and the datasets built for it can never disagree regardless of which
-// other options (WithWorkers, WithAnalyzeFirst, …) the session was built
+// other options (WithWorkers, WithRecorder) the session was built
 // with. Pinned by TestPartitionPrecedence.
 func (s Session) ResolvePartitions(explicit int) int {
 	if explicit > 0 {
@@ -209,18 +203,7 @@ func (s Session) Run(p *engine.Pipeline, inputs map[string]*engine.Dataset) (*en
 // context at every morsel boundary, so cancelling ctx stops the run from
 // scheduling new work promptly (see engine.RunContext).
 func (s Session) RunContext(ctx context.Context, p *engine.Pipeline, inputs map[string]*engine.Dataset) (*engine.Result, error) {
-	if err := s.maybeAnalyze(p, inputs); err != nil {
-		return nil, err
-	}
 	return engine.RunContext(ctx, p, inputs, s.options())
-}
-
-func (s Session) maybeAnalyze(p *engine.Pipeline, inputs map[string]*engine.Dataset) error {
-	if !s.AnalyzeFirst {
-		return nil
-	}
-	_, err := engine.Analyze(p, engine.InferInputTypes(inputs))
-	return err
 }
 
 // Capture executes the pipeline with structural provenance capture. It is
@@ -234,9 +217,6 @@ func (s Session) Capture(p *engine.Pipeline, inputs map[string]*engine.Dataset) 
 // scheduling new morsels promptly and discards its partial provenance. This
 // is the execution entry point pebbled's async jobs run through.
 func (s Session) CaptureContext(ctx context.Context, p *engine.Pipeline, inputs map[string]*engine.Dataset) (*Captured, error) {
-	if err := s.maybeAnalyze(p, inputs); err != nil {
-		return nil, err
-	}
 	res, run, err := provenance.CaptureContext(ctx, p, inputs, s.options())
 	if err != nil {
 		return nil, err

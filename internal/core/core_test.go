@@ -176,23 +176,19 @@ func TestQueryResultJSON(t *testing.T) {
 	}
 }
 
+// TestSessionAnalyzeFirst: plan analysis is the caller's step, not a
+// session option. engine.Analyze rejects the typo plan against the input
+// schemas, and a plain session still runs it (missing columns are null).
 func TestSessionAnalyzeFirst(t *testing.T) {
-	bad := core.Session{Partitions: 1, AnalyzeFirst: true}
-	p := workload.ExamplePipeline()
-	// Valid plan passes.
-	if _, err := bad.Capture(p, workload.ExampleInput(1)); err != nil {
+	in := workload.ExampleInput(1)
+	if _, err := engine.Analyze(workload.ExamplePipeline(), engine.InferInputTypes(in)); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
-	// Invalid plan fails before executing.
-	broken := core.Session{Partitions: 1, AnalyzeFirst: true}
-	p2 := pipelineWithTypo()
-	if _, err := broken.Run(p2, workload.ExampleInput(1)); err == nil {
-		t.Error("typo plan accepted with AnalyzeFirst")
+	if _, err := engine.Analyze(pipelineWithTypo(), engine.InferInputTypes(in)); err == nil {
+		t.Error("typo plan accepted by engine.Analyze")
 	}
-	// Without AnalyzeFirst the engine runs it (missing columns are null).
-	lax := core.Session{Partitions: 1}
-	if _, err := lax.Run(pipelineWithTypo(), workload.ExampleInput(1)); err != nil {
-		t.Errorf("lax session rejected runnable plan: %v", err)
+	if _, err := (core.Session{Partitions: 1}).Run(pipelineWithTypo(), in); err != nil {
+		t.Errorf("plain session rejected runnable plan: %v", err)
 	}
 }
 

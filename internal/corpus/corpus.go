@@ -3,15 +3,13 @@
 // a declarative form that can be rebuilt, serialized, mutated (shrunk to
 // minimal reproducers), and rendered as runnable Go code.
 //
-// It is the generator that was originally buried inside the invariants
-// property tests, extracted and generalized so the invariants suite, the
-// differential oracle (internal/oracle), the native fuzz targets, and the
-// cmd/oracle soak runner all draw from one corpus: every generated pipeline
-// is schema-tracked during construction, so all operators — filter, select,
-// flatten, join, union, grouping/aggregation, distinct, orderBy, limit — can
-// be combined freely without producing ill-typed plans, and every generated
-// tree pattern (including the extended contains/range/count constraints)
-// refers to attributes that actually exist in the sink schema.
+// The differential oracle (internal/oracle), its native fuzz targets, and
+// the cmd/oracle soak runner all draw from this one corpus: every generated
+// pipeline is schema-tracked during construction, so all operators — filter,
+// select, flatten, join, union, grouping/aggregation, distinct, orderBy,
+// limit — can be combined freely without producing ill-typed plans, and
+// every generated tree pattern (including the extended contains/range/count
+// constraints) refers to attributes that actually exist in the sink schema.
 package corpus
 
 import (

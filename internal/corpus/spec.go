@@ -157,7 +157,7 @@ type Spec struct {
 }
 
 // ExecOptions returns base with the spec's execution-shape knobs applied;
-// every harness that executes a spec (oracle, invariants, fuzz) must build
+// every harness that executes a spec (oracle, fuzz, soak) must build
 // its engine options through this so serialized specs replay faithfully.
 func (s *Spec) ExecOptions(base engine.Options) engine.Options {
 	if s.ShuffleJoin {
@@ -384,6 +384,32 @@ func (s *Spec) AggOutputsReachSink() bool {
 		}
 	}
 	return ok
+}
+
+// LimitCutsFanOut reports whether some limit step has a join, union or
+// flatten among its inputs' ancestors: an operator that can derive several
+// rows from one input row. Such a limit may keep one of those rows and cut
+// its siblings, and a re-run on only the inputs a result row traced to
+// brings the siblings back, where a later aggregate counts them. A limit is
+// positional (which rows it keeps depends on rows that contribute nothing to
+// the queried item), so row-level sufficiency (Def. 6.3) is not promised
+// past such a limit.
+func (s *Spec) LimitCutsFanOut() bool {
+	fanOut := make([]bool, len(s.Steps))
+	for i, st := range s.Steps {
+		switch st.Op {
+		case StepSource:
+		case StepJoin, StepUnion, StepFlatten:
+			fanOut[i] = true
+		case StepLimit:
+			if fanOut[st.In] {
+				return true
+			}
+		default:
+			fanOut[i] = fanOut[st.In]
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy of the spec (values are immutable and shared).

@@ -7,6 +7,9 @@
 // paths act as each other's ground truth, in the spirit of how ProvSQL
 // validates provenance engines; after the logical/physical split of PR 1,
 // agreement across schedules is the strongest correctness signal available.
+// Each spec is also held to the whole-stack properties of the paper: the
+// captured associations are closed, one result row's inputs suffice to
+// reproduce it (§6, Def. 6.3), and the optimized plan answers the same.
 //
 // On disagreement, Shrink reduces the failing spec to a minimal reproducer
 // (greedy operator-dropping, then ddmin-style row-dropping) and WriteRepro
@@ -16,6 +19,7 @@ package oracle
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -26,6 +30,7 @@ import (
 	"pebble/internal/engine"
 	"pebble/internal/lazy"
 	"pebble/internal/lineage"
+	"pebble/internal/nested"
 	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
 )
@@ -40,12 +45,16 @@ const (
 	KindProvBytes   = "provenance-bytes-differ"
 	KindLineageDet  = "lineage-nondeterministic"
 	KindLazyDet     = "lazy-nondeterministic"
+	KindClosure     = "association-not-closed"
+	KindLoadPath    = "load-path-divergence"
 	KindEagerExtra  = "eager-exceeds-lineage"
 	KindEagerMissed = "eager-misses-lineage"
 	KindLazyVsEager = "lazy-vs-eager-pattern"
 	KindPatternSub  = "pattern-not-subset-of-full"
 	KindForward     = "forward-backward-inconsistent"
-	KindLoadPath    = "load-path-divergence"
+	KindCoverage    = "row-trace-not-subset-of-full"
+	KindSufficiency = "traced-inputs-insufficient"
+	KindOptimizer   = "optimizer-changed-answer"
 )
 
 // Config tunes a differential check.
@@ -147,7 +156,8 @@ func CheckSpec(s *corpus.Spec, cfg Config) *Disagreement {
 			return fail(KindLazyDet, fmt.Sprintf("lazy query differs from workers=%d", cfg.Workers[0]), w)
 		}
 	}
-	return crossMode(s, pipe, pattern, base)
+	opts := s.ExecOptions(engine.Options{Partitions: cfg.Partitions, Workers: cfg.Workers[0]})
+	return crossMode(s, pipe, inputs, pattern, opts, base)
 }
 
 // runModes executes the pipeline once per capture mode at one worker count
@@ -224,9 +234,12 @@ func runModes(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.D
 }
 
 // crossMode checks trace agreement between the capture modes using the
-// first worker count's artifacts.
+// first worker count's artifacts, which ran under opts.
 //
 // Agreement semantics (see DESIGN.md):
+//   - Before any trace, the eager run's associations must be closed: every
+//     input id an operator recorded was produced by its predecessor, and
+//     every result row is an output of the sink (KindClosure).
 //   - Eager full-value backtraces must never reach an input row lineage does
 //     not contain: lineage is complete row-level provenance, so an eager
 //     extra is always a bug (KindEagerExtra).
@@ -249,11 +262,20 @@ func runModes(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.D
 //     source it must be a subset of the full-value trace (KindPatternSub).
 //   - Forward tracing the full-trace contributors must cover exactly the
 //     result rows with non-empty structural provenance (KindForward).
-func crossMode(s *corpus.Spec, pipe *engine.Pipeline, pattern *treepattern.Pattern, a *artifacts) *Disagreement {
+//   - One result row, picked from the seed, is traced alone: its trace must
+//     lie within the full trace (KindCoverage), re-running on only its raw
+//     inputs must reproduce it when the spec is strict (KindSufficiency), and
+//     the optimized plan must return the same rows with a duplicate of it
+//     tracing to the same raw inputs (KindOptimizer).
+func crossMode(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.Dataset,
+	pattern *treepattern.Pattern, opts engine.Options, a *artifacts) *Disagreement {
 	fail := func(kind, detail string) *Disagreement {
 		return &Disagreement{Kind: kind, Detail: detail, Seed: s.Seed}
 	}
 	sinkOID := pipe.Sink().ID()
+	if detail := checkClosure(a.run, a.res, sinkOID); detail != "" {
+		return fail(KindClosure, detail)
+	}
 
 	// Full-value backtrace of every result row.
 	full := backtrace.NewStructure()
@@ -329,15 +351,8 @@ func crossMode(s *corpus.Spec, pipe *engine.Pipeline, pattern *treepattern.Patte
 	}
 
 	// Pattern trace ⊆ full trace, per source.
-	for _, oid := range sortedOIDs(patBy) {
-		ids := patBy[oid]
-		fullSet := toSet(fullBy[oid])
-		for _, id := range ids {
-			if !fullSet[id] {
-				return fail(KindPatternSub,
-					fmt.Sprintf("source %d: pattern trace reached id %d outside the full trace", oid, id))
-			}
-		}
+	if oid, id, ok := firstOutside(patBy, fullBy); ok {
+		return fail(KindPatternSub, fmt.Sprintf("source %d: pattern trace reached id %d outside the full trace", oid, id))
 	}
 
 	// Forward/backward consistency: tracing the full-trace contributors
@@ -370,21 +385,200 @@ func crossMode(s *corpus.Spec, pipe *engine.Pipeline, pattern *treepattern.Patte
 		if reached[row.ID] {
 			continue
 		}
-		one := backtrace.NewStructure()
-		one.Add(row.ID, core.TreeFromValue(row.Value))
-		tr, err := backtrace.Trace(a.run, sinkOID, one)
+		by, _, err := traceRow(a.run, sinkOID, row)
 		if err != nil {
 			return fail(KindRun, "row trace: "+err.Error())
 		}
-		for _, oid := range sortedOIDs(tr.BySource) {
-			st := tr.BySource[oid]
-			if st.Len() > 0 {
+		for _, oid := range sortedOIDs(by) {
+			if len(by[oid]) > 0 {
 				return fail(KindForward, fmt.Sprintf(
 					"result row %d has provenance in source %d but no forward path reaches it", row.ID, oid))
 			}
 		}
 	}
-	return nil
+
+	rows := a.res.Output.Rows()
+	if len(rows) == 0 {
+		return nil
+	}
+	row := rows[rand.New(rand.NewSource(s.Seed)).Intn(len(rows))]
+	rowBy, rowOrig, err := traceRow(a.run, sinkOID, row)
+	if err != nil {
+		return fail(KindRun, "row trace: "+err.Error())
+	}
+	if oid, id, ok := firstOutside(rowBy, fullBy); ok {
+		return fail(KindCoverage, fmt.Sprintf(
+			"source %d: trace of result row %d reached id %d outside the full trace", oid, row.ID, id))
+	}
+	// Sufficiency is promised only where every aggregate output reaches the
+	// sink (otherwise Alg. 4 marks no group member relevant, Ex. 6.6) and no
+	// limit cuts rows that share an input (corpus.Spec.LimitCutsFanOut).
+	if s.AggOutputsReachSink() && !s.LimitCutsFanOut() {
+		if d := checkSufficiency(pipe, inputs, opts, row, rowOrig, fail); d != nil {
+			return d
+		}
+	}
+	return checkOptimizer(pipe, inputs, opts, a.res, row, rowOrig, fail)
+}
+
+// checkClosure returns why the run's associations are not closed, or "":
+// every input id an operator recorded must be an output of its predecessor
+// on that side (-1 is a left-outer join's missing match), and every result
+// row an output of the sink.
+func checkClosure(run *provenance.Run, res *engine.Result, sinkOID int) string {
+	produced := map[int]map[int64]bool{}
+	for _, op := range run.Operators() {
+		produced[op.OID] = toSet(op.Columns().Out)
+	}
+	for _, op := range run.Operators() {
+		if op.Type == engine.OpSource {
+			continue
+		}
+		c := op.Columns()
+		for side, ids := range [][]int64{c.In, c.Right} {
+			for _, id := range ids {
+				if pred := op.Inputs[side].Pred; id != -1 && !produced[pred][id] {
+					return fmt.Sprintf("operator %d recorded input id %d that operator %d never produced", op.OID, id, pred)
+				}
+			}
+		}
+	}
+	for _, row := range res.Output.Rows() {
+		if !produced[sinkOID][row.ID] {
+			return fmt.Sprintf("result row %d is no output of sink %d", row.ID, sinkOID)
+		}
+	}
+	return ""
+}
+
+// checkSufficiency is the paper's central claim at row level: re-running
+// the pipeline on only the raw input rows the queried row traced to (orig)
+// reproduces the row. The reduced run partitions its rows differently, so
+// collection order is ignored.
+func checkSufficiency(pipe *engine.Pipeline, inputs map[string]*engine.Dataset, opts engine.Options,
+	row engine.Row, orig []int64, fail func(kind, detail string) *Disagreement) *Disagreement {
+	if len(orig) == 0 {
+		return fail(KindSufficiency, fmt.Sprintf("result row %d traced to no input", row.ID))
+	}
+	keep := toSet(orig) // raw ids are unique across datasets (corpus.Spec.Inputs)
+	gen := engine.NewIDGen(1)
+	reduced := make(map[string]*engine.Dataset, len(inputs))
+	for _, name := range []string{corpus.DatasetIn, corpus.DatasetAux} {
+		ds, ok := inputs[name]
+		if !ok {
+			continue
+		}
+		var vals []nested.Value
+		for _, r := range ds.Rows() {
+			if keep[r.ID] {
+				vals = append(vals, r.Value)
+			}
+		}
+		reduced[name] = engine.NewDataset(name, vals, opts.Partitions, gen)
+	}
+	res, err := engine.Run(pipe, reduced, opts)
+	if err != nil {
+		return fail(KindRun, "reduced run: "+err.Error())
+	}
+	want := normalize(row.Value)
+	for _, r := range res.Output.Rows() {
+		if nested.Equal(normalize(r.Value), want) {
+			return nil
+		}
+	}
+	return fail(KindSufficiency, fmt.Sprintf("re-running on the %d inputs of result row %d does not reproduce %s",
+		len(orig), row.ID, row.Value))
+}
+
+// checkOptimizer runs the optimized plan with capture when a rewrite fires:
+// its result multiset must equal res's, and among its rows equal to the
+// queried row one must trace to the same raw inputs (orig). Duplicates of a
+// value may carry different provenance, so any one of them will do.
+func checkOptimizer(pipe *engine.Pipeline, inputs map[string]*engine.Dataset, opts engine.Options,
+	res *engine.Result, row engine.Row, orig []int64, fail func(kind, detail string) *Disagreement) *Disagreement {
+	opt, rules, err := engine.Optimize(pipe)
+	if err != nil {
+		return fail(KindRun, "optimize: "+err.Error())
+	}
+	if len(rules) == 0 {
+		return nil
+	}
+	optRes, optRun, err := provenance.Capture(opt, inputs, opts)
+	if err != nil {
+		return fail(KindRun, "optimized run: "+err.Error())
+	}
+	if df := firstDiff(valueMultiset(res.Output), valueMultiset(optRes.Output)); df != "" {
+		return fail(KindOptimizer, fmt.Sprintf("rules %v changed the result multiset: %s", rules, df))
+	}
+	want, wantIDs := normalize(row.Value), fmtIDs(orig)
+	for _, r := range optRes.Output.Rows() {
+		if !nested.Equal(normalize(r.Value), want) {
+			continue
+		}
+		_, got, err := traceRow(optRun, opt.Sink().ID(), r)
+		if err != nil {
+			return fail(KindRun, "optimized row trace: "+err.Error())
+		}
+		if firstDiff(wantIDs, fmtIDs(got)) == "" {
+			return nil
+		}
+	}
+	return fail(KindOptimizer, fmt.Sprintf("rules %v: no optimized duplicate of result row %d traces to its inputs %v",
+		rules, row.ID, orig))
+}
+
+// traceRow backtraces one result row by its full value and returns the
+// run-space ids it reached per source and, over all sources, their sorted
+// raw-input ids.
+func traceRow(run *provenance.Run, sinkOID int, row engine.Row) (map[int][]int64, []int64, error) {
+	b := backtrace.NewStructure()
+	b.Add(row.ID, core.TreeFromValue(row.Value))
+	tr, err := backtrace.Trace(run, sinkOID, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	by := make(map[int][]int64, len(tr.BySource))
+	var orig []int64
+	for _, oid := range sortedOIDs(tr.BySource) {
+		by[oid] = sortedIDs(tr.BySource[oid].IDs())
+		o, err := toOrigIDs(run, oid, by[oid])
+		if err != nil {
+			return nil, nil, err
+		}
+		orig = append(orig, o...)
+	}
+	return by, sortedIDs(orig), nil
+}
+
+// normalize sorts every (transitively) contained collection, so values
+// compare independently of partition-induced element order.
+func normalize(v nested.Value) nested.Value {
+	switch v.Kind() {
+	case nested.KindItem:
+		fields := make([]nested.Field, v.NumFields())
+		for i := range fields {
+			fields[i] = nested.F(v.FieldName(i), normalize(v.FieldValue(i)))
+		}
+		return nested.Item(fields...)
+	case nested.KindBag, nested.KindSet:
+		elems := make([]nested.Value, len(v.Elems()))
+		for i, e := range v.Elems() {
+			elems[i] = normalize(e)
+		}
+		return nested.Bag(elems...).SortElems()
+	default:
+		return v
+	}
+}
+
+// valueMultiset renders a dataset's normalized values in sorted order.
+func valueMultiset(d *engine.Dataset) []string {
+	out := make([]string, 0, d.Len())
+	for _, r := range d.Rows() {
+		out = append(out, normalize(r.Value).String())
+	}
+	sort.Strings(out)
+	return out
 }
 
 // checkLoadPaths reloads the serialized run through every load path — eager
@@ -549,6 +743,20 @@ func sortedIDSet(m map[int64]bool) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// firstOutside returns the first id of by, in ascending source order, that
+// full lacks for the same source.
+func firstOutside(by, full map[int][]int64) (int, int64, bool) {
+	for _, oid := range sortedOIDs(by) {
+		fullSet := toSet(full[oid])
+		for _, id := range by[oid] {
+			if !fullSet[id] {
+				return oid, id, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 func toSet(ids []int64) map[int64]bool {

@@ -3,11 +3,13 @@ package oracle
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"pebble/internal/corpus"
 	"pebble/internal/engine"
+	"pebble/internal/provenance"
 )
 
 // testConfig is the deterministic corpus configuration: all four capture
@@ -37,6 +39,53 @@ func TestCorpusAgreement(t *testing.T) {
 			t.Fatalf("%v", d)
 		}
 	}
+}
+
+// TestPinnedInvariantSeeds runs the seed ranges of the whole-stack
+// property tests the oracle absorbed through CheckSpec, one subtest each,
+// and keeps their guards against generator drift: at least a count of the
+// range must satisfy the guard.
+func TestPinnedInvariantSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		first, n int64
+		guard    func(*corpus.Spec) bool
+		atLeast  int
+	}{
+		// Half the sufficiency range must be strict, or the check is vacuous.
+		{"Sufficiency", 1000, 60, (*corpus.Spec).AggOutputsReachSink, 30},
+		{"AssociationClosure", 5000, 40, nil, 0},
+		{"Determinism", 9000, 25, nil, 0},
+		{"BacktraceTotalCoverage", 7000, 20, nil, 0},
+		// Some spec of the optimizer range must fire a rewrite.
+		{"OptimizerPreservesResultsAndProvenance", 3000, 40, firesRewrite, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			guarded := 0
+			for seed := tc.first; seed < tc.first+tc.n; seed++ {
+				s := corpus.Generate(seed)
+				if d := CheckSpec(s, testConfig()); d != nil {
+					t.Errorf("%v", d)
+				}
+				if tc.guard != nil && tc.guard(s) {
+					guarded++
+				}
+			}
+			if guarded < tc.atLeast {
+				t.Errorf("only %d of %d seeds pass the guard, want %d; the generator drifted", guarded, tc.n, tc.atLeast)
+			}
+		})
+	}
+}
+
+// firesRewrite reports whether engine.Optimize rewrites the spec's plan.
+func firesRewrite(s *corpus.Spec) bool {
+	p, err := s.Build()
+	if err != nil {
+		return false
+	}
+	_, rules, err := engine.Optimize(p)
+	return err == nil && len(rules) > 0
 }
 
 // TestReplayCommittedRepros re-runs every spec committed under testdata/;
@@ -98,50 +147,102 @@ func TestAggregateKeyOnlyGranularity(t *testing.T) {
 	}
 }
 
-// droppingSink wraps a capture sink and suppresses unary associations whose
-// input id is congruent to 3 mod 7 — a deterministic "lost association"
-// fault that is independent of scheduling, so it models a collector shard
-// losing writes without tripping the cross-worker checks first. It
-// interposes on the morsel handles: Partition wraps the inner sink's
-// PartitionSink, so the drop applies on the lock-free append path the
-// engine actually uses.
-type droppingSink struct {
+// TestLimitCutsFanOutIsExcluded pins the sufficiency finding of the soak
+// (seed 358, shrunk): join, then limit, then aggregate. The limit keeps some
+// join rows of an input row and cuts others, so re-running on the inputs a
+// group traced to brings the cut rows back and the group's count grows. The
+// finding is kept: the reproducer must still fail the sufficiency check
+// itself, and CheckSpec must skip it by the named corpus predicate.
+func TestLimitCutsFanOutIsExcluded(t *testing.T) {
+	spec, err := ReadRepro(filepath.Join("testdata", "seed-358.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.LimitCutsFanOut() || !spec.AggOutputsReachSink() {
+		t.Fatalf("committed spec lost its shape: %+v", spec.Steps)
+	}
+	if d := CheckSpec(spec, testConfig()); d != nil {
+		t.Fatalf("excluded spec flagged: %v", d)
+	}
+	pipe, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, opts := spec.Inputs(4), spec.ExecOptions(engine.Options{Partitions: 4})
+	res, run, err := provenance.Capture(pipe, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(kind, detail string) *Disagreement { return &Disagreement{Kind: kind, Detail: detail} }
+	for _, row := range res.Output.Rows() {
+		_, orig, err := traceRow(run, pipe.Sink().ID(), row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := checkSufficiency(pipe, inputs, opts, row, orig, fail); d != nil && d.Kind == KindSufficiency {
+			return
+		}
+	}
+	t.Error("every result row is reproduced by its traced inputs; the LimitCutsFanOut exclusion may be obsolete")
+}
+
+// faultSink wraps a capture sink and, in ranged unary associations, records
+// fault(inIDs, i) in place of each input id congruent to 3 mod 7 — a
+// deterministic fault that is independent of scheduling, so it does not trip
+// the cross-worker checks first. It interposes on the morsel handles:
+// Partition wraps the inner sink's PartitionSink, so the fault applies on
+// the lock-free append path the engine actually uses.
+type faultSink struct {
 	engine.CaptureSink
+	fault func(inIDs []int64, i int) int64
 }
 
-func (d *droppingSink) Partition(oid, part int) engine.PartitionSink {
-	return &droppingPartition{PartitionSink: d.CaptureSink.Partition(oid, part)}
+func (f *faultSink) Partition(oid, part int) engine.PartitionSink {
+	return &faultPartition{PartitionSink: f.CaptureSink.Partition(oid, part), fault: f.fault}
 }
 
-type droppingPartition struct {
+type faultPartition struct {
 	engine.PartitionSink
+	fault func(inIDs []int64, i int) int64
 }
 
-func (d *droppingPartition) Unary(inID, outID int64) {
-	if inID%7 == 3 {
-		return
-	}
-	d.PartitionSink.Unary(inID, outID)
-}
-
-// UnaryRange must intercept the bulk form too — it is how every fixed-width
-// unary association arrives, and embedding would otherwise forward the whole
-// range unfiltered, so the injected fault would silently vanish.
-func (d *droppingPartition) UnaryRange(inIDs []int64, base int64) {
+func (f *faultPartition) UnaryRange(inIDs []int64, base int64) {
 	for i, in := range inIDs {
-		d.Unary(in, base+int64(i))
+		if in%7 == 3 {
+			in = f.fault(inIDs, i)
+		}
+		f.PartitionSink.Unary(in, base+int64(i))
 	}
 }
 
-// TestInjectedFaultIsCaughtAndShrunk proves the oracle end to end: dropping
-// associations in the eager collector must be detected as a disagreement
-// with lineage, and the shrinker must reduce the failing pipeline to at
-// most 3 operators while preserving the disagreement kind. The reproducer
-// is then emitted and replayed from its JSON form.
+// TestInjectedFaultIsCaughtAndShrunk proves the oracle end to end: each
+// injected collector fault must be detected with its expected kind, and the
+// shrinker must reduce the failing pipeline to at most 3 operators while
+// preserving the kind. The reproducer is then emitted and replayed from its
+// JSON form.
 func TestInjectedFaultIsCaughtAndShrunk(t *testing.T) {
-	cfg := testConfig()
-	cfg.WrapSink = func(s engine.CaptureSink) engine.CaptureSink { return &droppingSink{CaptureSink: s} }
+	for _, tc := range []struct {
+		name  string
+		fault func(inIDs []int64, i int) int64
+		kinds []string
+	}{
+		// An output attributed to the next input of its range: every id is
+		// one the predecessor produced, so a trace kind must catch it.
+		{"misattributed", func(inIDs []int64, i int) int64 { return inIDs[(i+1)%len(inIDs)] },
+			[]string{KindEagerMissed, KindForward}},
+		// An input id no operator produced: only closure sees it.
+		{"foreign-input", func(inIDs []int64, i int) int64 { return inIDs[i] + 1<<40 },
+			[]string{KindClosure}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.WrapSink = func(s engine.CaptureSink) engine.CaptureSink { return &faultSink{CaptureSink: s, fault: tc.fault} }
+			checkFaultCaughtAndShrunk(t, cfg, tc.kinds)
+		})
+	}
+}
 
+func checkFaultCaughtAndShrunk(t *testing.T, cfg Config, kinds []string) {
 	var spec *corpus.Spec
 	var d *Disagreement
 	for seed := int64(0); seed < 50; seed++ {
@@ -154,8 +255,8 @@ func TestInjectedFaultIsCaughtAndShrunk(t *testing.T) {
 	if spec == nil {
 		t.Fatal("injected fault was not detected on any of 50 seeds")
 	}
-	if d.Kind != KindEagerMissed && d.Kind != KindForward {
-		t.Fatalf("unexpected disagreement kind %q: %v", d.Kind, d)
+	if !slices.Contains(kinds, d.Kind) {
+		t.Fatalf("disagreement kind %q, want one of %v: %v", d.Kind, kinds, d)
 	}
 
 	shrunk, sd := Shrink(spec, cfg)

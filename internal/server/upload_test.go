@@ -92,6 +92,25 @@ func TestDeepUploadIsBadRequest(t *testing.T) {
 	}
 }
 
+// TestDeepPatternTextFailsTheJob: a 9 MB pattern_text nested three million
+// levels deep used to overflow the daemon's stack; now the trace job fails
+// with a short error and the daemon keeps serving.
+func TestDeepPatternTextFailsTheJob(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "T3", SimGB: 1})
+	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
+	tj := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID,
+		PatternText: strings.Repeat("a(", 3_000_000)})
+	if info := waitStatus(t, c, "s", tj.ID, sdk.StatusFailed); len(info.Error) >= 1<<10 {
+		t.Errorf("job error is %d bytes, want under 1 KiB", len(info.Error))
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after deep pattern: %+v, %v", h, err)
+	}
+}
+
 // TestUploadShowsInStats: an accepted upload moves the session's
 // upload_bytes / upload_rows counters and upload_parse / upload_build spans;
 // a refused one moves nothing.

@@ -24,15 +24,15 @@ type Remote struct {
 	session string
 	job     string
 	out     io.Writer
-
-	// Timeout bounds each remote round trip (submit + wait + fetch).
-	Timeout time.Duration
 }
+
+// remoteTimeout bounds each remote round trip (submit + wait + fetch).
+const remoteTimeout = 2 * time.Minute
 
 // NewRemote returns a shell over the completed pipeline job `job` in
 // `session` on the daemon behind c, writing to out.
 func NewRemote(c *sdk.Client, session, job string, out io.Writer) *Remote {
-	return &Remote{c: c, session: session, job: job, out: out, Timeout: 2 * time.Minute}
+	return &Remote{c: c, session: session, job: job, out: out}
 }
 
 // Run reads commands from in until EOF or "quit", mirroring Shell.Run.
@@ -240,5 +240,5 @@ func (r *Remote) printStats() error {
 }
 
 func (r *Remote) ctx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), r.Timeout)
+	return context.WithTimeout(context.Background(), remoteTimeout)
 }

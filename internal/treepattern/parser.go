@@ -53,9 +53,19 @@ func MustParse(input string) *Pattern {
 	return p
 }
 
+// maxDepth is how deep clauses may nest, the limit of nested.ParseJSON and
+// encoding/json: deeper input is an error, not a stack the runtime gives up
+// on.
+const maxDepth = 10000
+
+// errWindow is how many input bytes an error quotes on each side of its
+// offset.
+const errWindow = 32
+
 type parser struct {
-	in  string
-	pos int
+	in    string
+	pos   int
+	depth int
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.in) }
@@ -68,7 +78,8 @@ func (p *parser) peek() byte {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("treepattern: %s at offset %d in %q", fmt.Sprintf(format, args...), p.pos, p.in)
+	lo, hi := max(p.pos-errWindow, 0), min(p.pos+errWindow, len(p.in))
+	return fmt.Errorf("treepattern: %s at offset %d near %q", fmt.Sprintf(format, args...), p.pos, p.in[lo:hi])
 }
 
 func (p *parser) skipSpace() {
@@ -150,7 +161,12 @@ func (p *parser) parseClause() (*Node, error) {
 			}
 			n.Gt = &v
 		case p.consume("("):
+			if p.depth == maxDepth {
+				return nil, p.errf("pattern nested deeper than %d levels", maxDepth)
+			}
+			p.depth++
 			children, err := p.parsePattern()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}

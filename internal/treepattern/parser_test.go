@@ -98,12 +98,23 @@ func TestParseErrors(t *testing.T) {
 		`a) trailing`,
 		`==5`,
 		`a ~= 5`,
+		nest(10001),
 	}
 	for _, q := range bad {
 		if _, err := treepattern.Parse(q); err == nil {
-			t.Errorf("Parse(%q) should fail", q)
+			t.Errorf("Parse(%.40q) should fail", q)
+		} else if len(err.Error()) > 200 {
+			t.Errorf("Parse(%.40q): error of %d bytes quotes too much input", q, len(err.Error()))
 		}
 	}
+	if _, err := treepattern.Parse(nest(10000)); err != nil {
+		t.Errorf("pattern nested 10000 levels deep rejected: %v", err)
+	}
+}
+
+// nest returns a clause nested depth levels deep: a(a(...a...)).
+func nest(depth int) string {
+	return strings.Repeat("a(", depth) + "a" + strings.Repeat(")", depth)
 }
 
 func TestMustParsePanics(t *testing.T) {

@@ -71,9 +71,6 @@ func WithPartitions(n int) Option { return core.WithPartitions(n) }
 // every value.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
-// WithAnalyzeFirst type-checks plans against input schemas before running.
-func WithAnalyzeFirst() Option { return core.WithAnalyzeFirst() }
-
 // WithRecorder attaches an observability recorder to the session; every run
 // reports per-operator counters and timing spans into it.
 func WithRecorder(rec *Recorder) Option { return core.WithRecorder(rec) }
