@@ -2,7 +2,7 @@
 # the pebblevet analyzers), formatting, and the full suite under the race
 # detector.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern serve-smoke bench bench-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather serve-smoke bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
 
 build:
 	go build ./...
@@ -64,6 +64,12 @@ fuzz-sidecar:
 fuzz-pattern:
 	go test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/treepattern
 
+# Twenty seconds of gather, the operators' path read, against Path.Eval on
+# arbitrary JSON-lines morsels and paths (internal/engine/gather_test.go);
+# same CI line.
+fuzz-gather:
+	go test -fuzz '^FuzzGather$$' -fuzztime 20s ./internal/engine
+
 # Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
 # drive a scenario end-to-end through the pkg/sdk client — capture, event
 # stream, provenance download, remote trace — and require the daemon's
@@ -83,6 +89,14 @@ bench:
 # engine.plain_run_s of one sweep, B/op its engine.run_alloc_mb.
 bench-engine:
 	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 5x -benchmem
+
+# A CPU profile of ten plain sweeps of bench-engine, written to engine.prof
+# beside the test binary engine.test. The share of the operators' path reads
+# is the flat% of engine.gather, (*slotMemo).read and path.Path.Eval in
+# `go tool pprof -top engine.test engine.prof`; for one sweep, run the same
+# line with -bench 'EngineSweep/dblp' (or /twitter).
+profile-engine:
+	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 10x -cpuprofile engine.prof -o engine.test
 
 # The capture side without the daemon, time and bytes: the sink's appends,
 # the collector's merge, the codec (v2 reference vs v3 on T5 and D4: encode,

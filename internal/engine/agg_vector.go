@@ -10,10 +10,10 @@ import (
 // Aggregate state (DESIGN.md §13). One pass over the bucket fills the
 // keyTable (dense group ids in first-seen order, reusing the hashes the
 // shuffle cached) and records each row's group index; accumulation then
-// evaluates each spec's input path once per row and updates per-group typed
-// accumulator arrays — sum/count as int64/float64 columns, collect as CSR
-// offset lists — instead of buffering every group's rows and re-walking them
-// per spec. Contributing-identifier lists for capture are CSR subslices of
+// gathers each spec's input path off a chunk of rows and updates per-group
+// typed accumulator arrays — sum/count as int64/float64 columns, collect as
+// CSR offset lists — instead of buffering every group's rows and re-walking
+// them per spec. Contributing-identifier lists for capture are CSR subslices of
 // one bucket-sized arena (ownership of each group's subslice transfers to
 // the sink via ps.Agg). Float sums accumulate in bucket (= sequence) order,
 // so results are bit-identical across worker counts.
@@ -103,11 +103,20 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 		// subslice transfers to the sink (ps.Agg).
 		idsArena, idCur = make([]int64, len(bucket)), make([]int32, nG)
 	}
-	// Chunked so that the specs' passes over the same rows stay cache-resident.
+	// Chunked so that the specs' passes over the same rows stay
+	// cache-resident: a chunk's rows are copied out of the keyed rows once,
+	// and each spec gathers its input off them, both into a borrowed scratch.
+	sc := getStageScratch(0)
+	defer putStageScratch(sc)
+	n := min(len(bucket), batchSize)
+	sc.chunk, sc.vals = grown(sc.chunk, n), grown(sc.vals, n)
 	for start := 0; start < len(bucket); start += batchSize {
 		end := min(start+batchSize, len(bucket))
-		chunk := bucket[start:end]
+		chunk, rows, vals := bucket[start:end], sc.chunk[:end-start], sc.vals[:end-start]
 		gix := groupOf[start:end]
+		for i := range chunk {
+			rows[i] = chunk[i].row
+		}
 		for si, spec := range o.aggs {
 			if len(spec.In) == 0 {
 				continue // plain count: group sizes come from the table
@@ -116,7 +125,8 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 			if listVals != nil {
 				lv = listVals[si]
 			}
-			accumulate(spec, accums[si], chunk, gix, offsets, lv)
+			gather(spec.In, rows, vals, 0, 1)
+			accumulate(spec, accums[si], vals, gix, offsets, lv)
 		}
 		if idsArena != nil {
 			for i, kr := range chunk {
@@ -165,16 +175,12 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 	return out, nil
 }
 
-// accumulate folds one chunk into a spec's accumulators, evaluating the
-// input path once per row; absent paths evaluate as null. A non-numeric
-// value under sum/avg is recorded per group and reported by aggResult. Specs
+// accumulate folds the input values of one chunk, gathered in row order
+// (absent paths as null), into a spec's accumulators. A non-numeric value
+// under sum/avg is recorded per group and reported by aggResult. Specs
 // aggResult rejects statically (unknown function) accumulate nothing.
-func accumulate(spec AggSpec, a *aggAccum, chunk []keyedRow, groupOf []int32, offsets []int32, list []nested.Value) {
-	for i := range chunk {
-		v, ok := spec.In.Eval(chunk[i].row.Value)
-		if !ok {
-			v = nested.Null()
-		}
+func accumulate(spec AggSpec, a *aggAccum, vals []nested.Value, groupOf []int32, offsets []int32, list []nested.Value) {
+	for i, v := range vals {
 		g := groupOf[i]
 		switch spec.Func {
 		case AggCount:

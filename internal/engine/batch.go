@@ -13,7 +13,7 @@ import (
 // the access paths the predicate reads into colVec columns —
 // scalar columns carry typed arrays plus a validity bitmap, everything else
 // (nested bags, items, mixed-kind attributes) stays as a generic value
-// column. A batch and its columns are allocated per chunk.
+// column. A batch is made per morsel, its columns per chunk.
 //
 // Correctness contract: a colVec must reproduce Expr.Eval's view of the data
 // exactly. For every row i, at(i) returns a value equal (as a Go struct)
@@ -138,43 +138,54 @@ func boolCol(truth []bool) *colVec {
 }
 
 // batch wraps one chunk of a partition morsel with a lazily populated column
-// cache. The rows slice is borrowed (read-only); cols is keyed by the
-// rendered access path so every expression node sharing a path decodes it
-// once per chunk.
+// cache. The rows slice is borrowed (read-only); cols holds the chunk's
+// decoded columns by access path, so every expression node sharing a path
+// decodes it once per chunk. A filter morsel makes one batch and resets it
+// per chunk, so a chunk allocates only its columns.
 type batch struct {
 	rows []Row
-	cols map[string]*colVec
+	vals []nested.Value // gather's destination, at least a chunk long
+	cols []batchCol
 }
 
-func newBatch(rows []Row) *batch { return &batch{rows: rows, cols: make(map[string]*colVec)} }
+type batchCol struct {
+	p path.Path
+	c *colVec
+}
+
+// reset points the batch at the next chunk and drops the last one's columns.
+func (b *batch) reset(rows []Row) {
+	b.rows, b.cols = rows, b.cols[:0]
+}
 
 func (b *batch) n() int { return len(b.rows) }
 
 // column returns the decoded column for an access path, decoding on first
 // use and caching for the rest of the chunk.
 func (b *batch) column(p path.Path) *colVec {
-	key := p.String()
-	if c, ok := b.cols[key]; ok {
-		return c
+	for _, bc := range b.cols {
+		if bc.p.Equal(p) {
+			return bc.c
+		}
 	}
-	c := decodeColumn(p, b.rows)
-	b.cols[key] = c
+	c := decodeColumn(p, b.rows, b.vals)
+	b.cols = append(b.cols, batchCol{p, c})
 	return c
 }
 
-// decodeColumn evaluates an access path over every row of the chunk. The
-// column comes out typed when all non-null values share one scalar kind;
-// otherwise generic. Absent paths decode as null, exactly like colExpr.Eval.
-func decodeColumn(p path.Path, rows []Row) *colVec {
+// decodeColumn gathers an access path off every row of the chunk into buf,
+// then fills the column from it. The column comes out typed when all
+// non-null values share one scalar kind; otherwise generic. Absent paths
+// decode as null, exactly like colExpr.Eval.
+func decodeColumn(p path.Path, rows []Row, buf []nested.Value) *colVec {
 	n := len(rows)
+	vals := buf[:n]
+	gather(p, rows, vals, 0, 1)
 	c := &colVec{n: n} // generic until a scalar kind is adopted
 	valid := newValidity(n)
 	nulls := 0
-	for i, r := range rows {
-		v, ok := p.Eval(r.Value)
-		if !ok {
-			v = nested.Null()
-		}
+	for i := range vals {
+		v := &vals[i]
 		k := v.Kind()
 		if k == nested.KindNull {
 			nulls++
@@ -199,7 +210,7 @@ func decodeColumn(p path.Path, rows []Row) *colVec {
 			// Mixed kinds: demote everything decoded so far to generic.
 			c.demote(valid, i)
 		}
-		c.appendVal(v)
+		c.appendVal(*v)
 	}
 	if c.kind != nested.KindInvalid && nulls > 0 {
 		c.valid = valid
@@ -240,7 +251,7 @@ func (c *colVec) appendZero() {
 	}
 }
 
-func (c *colVec) appendTyped(v nested.Value) {
+func (c *colVec) appendTyped(v *nested.Value) {
 	switch c.kind {
 	case nested.KindInt:
 		i, _ := v.AsInt()

@@ -10,6 +10,7 @@ import (
 
 	"pebble/internal/nested"
 	"pebble/internal/obs"
+	"pebble/internal/path"
 )
 
 // DefaultPartitions is the default logical-partition count. Logical
@@ -351,43 +352,59 @@ func selectEvalOps(fields []SelectField) int {
 
 // selectShape is what a select computes once from its fields: the shape of
 // its output items, that of the item nested under every struct field, and
-// the number of values one output row holds over all of them.
+// where each item's values and each column leaf sit among the slots one
+// output row holds over all of them.
 type selectShape struct {
-	shape *nested.Shape
-	sub   []*selectShape // per field; nil unless the field is a struct
-	slots int
+	shape  *nested.Shape
+	sub    []*selectShape // per field; nil unless the field is a struct
+	at     int            // the first slot of this item's values
+	slots  int            // slots of this item and the items nested in it
+	leaves []selectLeaf   // the outermost item only: every column leaf
+}
+
+// selectLeaf is a column of a select, at any depth, and its slot.
+type selectLeaf struct {
+	col path.Path
+	at  int
 }
 
 func newSelectShape(fields []SelectField) *selectShape {
-	ss := &selectShape{sub: make([]*selectShape, len(fields)), slots: len(fields)}
+	ss := new(selectShape)
+	ss.layout(fields, 0, &ss.leaves)
+	return ss
+}
+
+// layout places the values of fields at slot at, then those of each struct
+// field's item in field order, and lists the column leaves.
+func (ss *selectShape) layout(fields []SelectField, at int, leaves *[]selectLeaf) {
+	ss.sub, ss.at, ss.slots = make([]*selectShape, len(fields)), at, len(fields)
 	names := make([]string, len(fields))
 	for i, f := range fields {
 		names[i] = f.Name
-		if len(f.Col) == 0 && len(f.Struct) > 0 {
-			ss.sub[i] = newSelectShape(f.Struct)
+		switch {
+		case len(f.Col) > 0:
+			*leaves = append(*leaves, selectLeaf{col: f.Col, at: at + i})
+		case len(f.Struct) > 0:
+			ss.sub[i] = new(selectShape)
+			ss.sub[i].layout(f.Struct, at+ss.slots, leaves)
 			ss.slots += ss.sub[i].slots
 		}
 	}
 	ss.shape = nested.NewShape(names...)
-	return ss
 }
 
-// evalSelect builds the output item of row d in the first ss.slots values of
-// arena, which it cuts off.
-func evalSelect(fields []SelectField, ss *selectShape, d nested.Value, arena *[]nested.Value) (nested.Value, error) {
-	out := (*arena)[:len(fields):len(fields)]
-	*arena = (*arena)[len(fields):]
+// item builds the output item of row d in row, the slots of one output row,
+// where the columns are already gathered: it evaluates the computed fields
+// and builds the items of the struct fields.
+func (ss *selectShape) item(fields []SelectField, row []nested.Value, d nested.Value) (nested.Value, error) {
+	out := row[ss.at : ss.at+len(fields) : ss.at+len(fields)]
 	for i, f := range fields {
 		var err error
 		switch {
 		case len(f.Col) > 0:
-			v, ok := f.Col.Eval(d)
-			if !ok {
-				v = nested.Null()
-			}
-			out[i] = v
+			continue // gathered
 		case len(f.Struct) > 0:
-			out[i], err = evalSelect(f.Struct, ss.sub[i], d, arena)
+			out[i], err = ss.sub[i].item(f.Struct, row, d)
 		case f.Expr != nil:
 			out[i], err = f.Expr.Eval(d)
 		default:

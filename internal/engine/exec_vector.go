@@ -14,8 +14,8 @@ import (
 // short-circuit semantics: its exact first error, or its exact success when
 // short-circuiting avoids the error.
 func filterMorsel(pred Expr, in []Row, d morselDst) (morselOut, error) {
-	d.sc.sel = grown(d.sc.sel, len(in))
-	sel, ok := filterSelectVec(pred, in, d.sc.sel[:0])
+	d.sc.sel, d.sc.vals = grown(d.sc.sel, len(in)), grown(d.sc.vals, min(len(in), batchSize))
+	sel, ok := filterSelectVec(pred, in, d.sc.sel[:0], d.sc.vals)
 	if !ok {
 		var err error
 		if sel, err = filterSelectRows(pred, in, d.sc.sel[:0]); err != nil {
@@ -54,11 +54,14 @@ func filterSelectRows(pred Expr, rows []Row, sel []int32) ([]int32, error) {
 }
 
 // filterSelectVec is filterSelectRows through the column kernel; ok is false
-// when the kernel declines the morsel.
-func filterSelectVec(pred Expr, rows []Row, sel []int32) (_ []int32, ok bool) {
+// when the kernel declines the morsel. The batch gathers into buf, which
+// holds a chunk.
+func filterSelectVec(pred Expr, rows []Row, sel []int32, buf []nested.Value) (_ []int32, ok bool) {
+	b := &batch{vals: buf}
 	for start := 0; start < len(rows); start += batchSize {
 		chunk := rows[start:min(start+batchSize, len(rows))]
-		c, err := evalVec(pred, newBatch(chunk))
+		b.reset(chunk)
+		c, err := evalVec(pred, b)
 		if err != nil {
 			return nil, false
 		}

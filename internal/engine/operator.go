@@ -425,10 +425,10 @@ func identityShuffleKey() shuffleKey { return shuffleKey{identity: true} }
 
 // evalMorsel evaluates the key for every row of a morsel — the one key
 // function behind the shuffle map phase and both sides of the broadcast
-// join. Pure column keys (a column join key, a groupBy list) read straight
-// off the row values; group keys share one shape and one flat value array
-// per morsel instead of one allocation per row. Computed keys evaluate row
-// by row and return the first error in row order.
+// join. Pure column keys (a column join key, a groupBy list) are gathered off
+// the rows; group keys share one shape and one flat value array per morsel
+// instead of one allocation per row. Computed keys evaluate row by row and
+// return the first error in row order.
 func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
 	keys := make([]nested.Value, len(rows))
 	switch x := k.expr.(type) {
@@ -443,17 +443,14 @@ func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
 		// retains it.
 		width := len(k.groupBy)
 		flat := make([]nested.Value, len(rows)*width)
-		for i, r := range rows {
-			vals := flat[i*width : (i+1)*width : (i+1)*width]
-			for gi, g := range k.groupBy {
-				vals[gi] = evalColDirect(g.Path, r.Value)
-			}
-			keys[i] = k.shape.Item(vals...)
+		for gi, g := range k.groupBy {
+			gather(g.Path, rows, flat, gi, width)
+		}
+		for i := range rows {
+			keys[i] = k.shape.Item(flat[i*width : (i+1)*width : (i+1)*width]...)
 		}
 	case colExpr:
-		for i, r := range rows {
-			keys[i] = evalColDirect(x.p, r.Value)
-		}
+		gather(x.p, rows, keys, 0, 1)
 	default:
 		for i, r := range rows {
 			v, err := x.Eval(r.Value)
@@ -464,16 +461,6 @@ func (k shuffleKey) evalMorsel(rows []Row) ([]nested.Value, error) {
 		}
 	}
 	return keys, nil
-}
-
-// evalColDirect reads an access path off one row with absent paths and
-// explicit nulls both normalised to the canonical null.
-func evalColDirect(p path.Path, row nested.Value) nested.Value {
-	v, ok := p.Eval(row)
-	if !ok || v.Kind() == nested.KindNull {
-		return nested.Null()
-	}
-	return v
 }
 
 // evalOps is the static per-row expression cost of the key (see EvalOps).

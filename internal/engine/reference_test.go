@@ -355,11 +355,27 @@ func shuffleOne(t *testing.T, values []nested.Value, firstID int64, sk shuffleKe
 	return buckets[0]
 }
 
+// evalRef is the shuffle key of one row, evaluated on its own: the row
+// itself, an item of the grouping paths' values, or the key expression.
+func (k shuffleKey) evalRef(row nested.Value) (nested.Value, error) {
+	switch {
+	case k.identity:
+		return row, nil
+	case k.expr != nil:
+		return k.expr.Eval(row)
+	}
+	vals := make([]nested.Value, len(k.groupBy))
+	for gi, g := range k.groupBy {
+		vals[gi], _ = ColPath(g.Path).Eval(row)
+	}
+	return k.shape.Item(vals...), nil
+}
+
 // shuffleRef is the two-phase shuffle that shipped until rows were written to
 // their bucket once: the map phase appends each kept row, keyed, to
 // append-grown per-partition bucket runs, and the merge concatenates the runs
-// of every bucket partition by partition. The reference executor shuffles
-// through it.
+// of every bucket partition by partition. It evaluates the keys row by row
+// (evalRef). The reference executor shuffles through it.
 func (e *executor) shuffleRef(d *Dataset, oid int, sk shuffleKey, buckets int, keepNull bool) ([][]keyedRow, error) {
 	keyOps := sk.evalOps()
 	perPart := make([][][]keyedRow, len(d.Partitions))
@@ -373,12 +389,11 @@ func (e *executor) shuffleRef(d *Dataset, oid int, sk shuffleKey, buckets int, k
 		local := make([][]keyedRow, buckets)
 		hashed := 0
 		rows := d.Partitions[part]
-		keys, err := sk.evalMorsel(rows)
-		if err != nil {
-			return err
-		}
 		for i, r := range rows {
-			k := keys[i]
+			k, err := sk.evalRef(r.Value)
+			if err != nil {
+				return err
+			}
 			if k.IsNull() && !keepNull {
 				continue
 			}

@@ -201,10 +201,10 @@ const allocsPerInputRow = 0.25
 // allocsPerInputRow. The two filter rows are shown to take the two paths.
 func TestKernelsShareShapesAndAllocatePerMorsel(t *testing.T) {
 	records, _ := recordRows(3000)
-	if _, ok := filterSelectVec(keepYear, records, nil); !ok {
+	if _, ok := filterSelectVec(keepYear, records, nil, make([]nested.Value, batchSize)); !ok {
 		t.Fatalf("the column kernel declined %s; dblp/filter no longer measures it", keepYear)
 	}
-	if _, ok := filterSelectVec(keepAll, records, nil); ok {
+	if _, ok := filterSelectVec(keepAll, records, nil, make([]nested.Value, batchSize)); ok {
 		t.Fatalf("the column kernel took %s; dblp/filter-rows no longer measures filterSelectRows", keepAll)
 	}
 	for _, k := range itemKernels(t, 3000, 400) {

@@ -152,11 +152,14 @@ func stepsIn(p path.Path) bool {
 // ownership rule releases, and the bodies' working arrays. One is borrowed
 // per morsel, so a worker reuses it morsel after morsel; nothing in it is
 // cleared between uses, and nothing the stage hands on may point into it.
+// An aggregate borrows one per bucket for its working arrays.
 type stageScratch struct {
 	rows  [][]Row          // per member
 	arena [][]nested.Value // per member
 	cols  []nested.Value   // flatten: the collection of every input row
+	vals  []nested.Value   // filter, aggregate: one path gathered off a chunk
 	sel   []int32          // filter: the surviving rows
+	chunk []Row            // aggregate: the rows of a chunk of the bucket
 }
 
 var stageScratchPool = sync.Pool{
@@ -215,12 +218,16 @@ func (d morselDst) out(n int) morselOut {
 }
 
 // selectMorsel projects one partition morsel; the output items share ss's
-// shapes and one value arena.
+// shapes and one value arena. The columns are gathered into the arena one
+// leaf at a time, then each row's computed fields and items are built.
 func selectMorsel(fields []SelectField, ss *selectShape, in []Row, d morselDst) (morselOut, error) {
 	out := d.out(len(in))
 	arena := make([]nested.Value, len(in)*ss.slots) // retained by the output items
+	for _, l := range ss.leaves {
+		gather(l.col, in, arena, l.at, ss.slots)
+	}
 	for i := range in {
-		item, err := evalSelect(fields, ss, in[i].Value, &arena)
+		item, err := ss.item(fields, arena[i*ss.slots:(i+1)*ss.slots], in[i].Value)
 		if err != nil {
 			return morselOut{}, err
 		}
@@ -252,24 +259,23 @@ func mapMorsel(fn MapFunc, in []Row, d morselDst) (morselOut, error) {
 
 // flattenMorsel explodes the collection at col of every row of one morsel
 // into one output row per element, the element under attribute name. Pass 1
-// reads the collections and sizes the output exactly; pass 2 writes every
+// gathers the collections and sizes the output exactly; pass 2 writes every
 // item into one value arena — scratch when the ownership rule allows — under
 // its input row's shape with name set.
 func flattenMorsel(col path.Path, name string, in []Row, d morselDst, arenaScratch bool) (morselOut, error) {
 	d.sc.cols = grown(d.sc.cols, len(in))
 	cols := d.sc.cols
+	gather(col, in, cols, 0, 1)
 	var memo shapeMemo
 	nOut, slots := 0, 0
 	for i := range in {
-		cols[i] = nested.Value{}
-		c, ok := col.Eval(in[i].Value)
-		if !ok || c.IsNull() {
+		c := &cols[i]
+		if c.IsNull() {
 			continue // no collection to explode
 		}
 		if !c.Kind().IsCollection() {
 			return morselOut{}, fmt.Errorf("flatten: %s is %s, want bag or set", col, c.Kind())
 		}
-		cols[i] = c
 		nOut += c.Len()
 		slots += c.Len() * memo.withAttr(in[i].Value.Shape(), name).shape.Len()
 	}

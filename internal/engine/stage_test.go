@@ -27,19 +27,17 @@ import (
 func poisonScratch(t testing.TB) {
 	sentinel := nested.StringVal("<recycled scratch>")
 	scratchPoison = func(s *stageScratch) {
-		for k := range s.rows {
-			rows := s.rows[k][:cap(s.rows[k])]
+		for _, rows := range append([][]Row{s.chunk}, s.rows...) {
+			rows = rows[:cap(rows)]
 			for i := range rows {
 				rows[i] = Row{ID: -1 << 40, Value: sentinel}
 			}
-			arena := s.arena[k][:cap(s.arena[k])]
-			for i := range arena {
-				arena[i] = sentinel
-			}
 		}
-		cols := s.cols[:cap(s.cols)]
-		for i := range cols {
-			cols[i] = sentinel
+		for _, vals := range append([][]nested.Value{s.cols, s.vals}, s.arena...) {
+			vals = vals[:cap(vals)]
+			for i := range vals {
+				vals[i] = sentinel
+			}
 		}
 		sel := s.sel[:cap(s.sel)]
 		for i := range sel {

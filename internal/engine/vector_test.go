@@ -123,7 +123,7 @@ func renderSelected(rows []Row) func([]int32, error) string {
 func checkFilter(t *testing.T, pred Expr, rows []Row) {
 	t.Helper()
 	want := renderSelected(rows)(filterSelectRows(pred, rows, nil))
-	vec, ok := filterSelectVec(pred, rows, nil)
+	vec, ok := filterSelectVec(pred, rows, nil, make([]nested.Value, batchSize))
 	if !ok {
 		t.Fatalf("kernel declined %s over %d rows", pred, len(rows))
 	}
@@ -231,7 +231,7 @@ func TestFilterKernelDeclinesToRowLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := filterSelectVec(tc.pred, rows, nil); ok {
+			if _, ok := filterSelectVec(tc.pred, rows, nil, make([]nested.Value, batchSize)); ok {
 				t.Fatalf("kernel accepted %s; the case no longer exercises the decline path", tc.pred)
 			}
 			wantSel, wantErr := filterSelectRows(tc.pred, rows, nil)
