@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -30,18 +29,22 @@ func ParseJSON(data []byte) (Value, error) {
 // attribute sequence and place in the document, nested items included.
 func ParseJSONLines(data []byte) ([]Value, error) {
 	var r reader
-	var out []Value
+	out := make([]Value, 0, bytes.Count(data, []byte{'\n'})+1)
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		var line []byte
 		line, data, _ = bytes.Cut(data, []byte{'\n'})
 		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
+		r.rest = len(data)
 		v, err := r.document(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }
@@ -53,16 +56,29 @@ const maxDepth = 10000
 // reader is the JSON reader behind ParseJSON and ParseJSONLines: one
 // recursive descent over the input bytes that builds Values directly. It
 // accepts what encoding/json accepts (RFC 8259, no extensions) and repairs
-// strings as encoding/json does. Every string it hands out is a copy, so a
-// parsed value never pins the input buffer.
+// strings as encoding/json does. It allocates per document and per chunk,
+// not per value: the value slices of items and bags are carved from shared
+// chunks, and the string values of a document are cut from one string made
+// when it closes. That string is a copy, so a parsed value never pins the
+// input buffer.
 type reader struct {
 	data []byte
 	pos  int
+	rest int // input bytes behind data, which later documents will parse
 
-	doc  shapeNode             // its inner trie holds the shapes of top-level items
-	kids map[kidKey]*shapeNode // every trie edge the predictions below did not cover
-	vals []Value               // values of every item and bag still open, innermost last
-	buf  []byte                // scratch for strings that need unescaping or repair
+	doc   shapeNode             // its inner trie holds the shapes of top-level items
+	kids  map[kidKey]*shapeNode // every trie edge the predictions below did not cover
+	vals  []Value               // values of every item and bag still open, innermost last
+	chunk []Value               // what is left of the chunk value slices are carved from
+	buf   []byte                // scratch for strings that need unescaping or repair
+
+	// The string values of the open document: their bytes back to back in
+	// text, the end of the i-th at ends[i-1]. Until the document closes a
+	// string value is a placeholder whose num is that i; patch points to
+	// every placeholder that has reached its final place in a carved slice.
+	text  []byte
+	ends  []int
+	patch []*Value
 }
 
 // shapeNode is a node of the reader's shape tries. The path from a trie's
@@ -73,6 +89,7 @@ type reader struct {
 // predicts what comes there next and the common step is one string compare.
 type shapeNode struct {
 	name  string     // the attribute this node appends to its parent's sequence
+	plain bool       // name holds no byte a JSON string must escape
 	up    *shapeNode // nil at a trie's root
 	next  *shapeNode // the child taken last
 	inner *shapeNode // root of the trie for items inside this attribute's value
@@ -94,22 +111,33 @@ func (r *reader) child(n *shapeNode, key []byte) *shapeNode {
 		if r.kids == nil {
 			r.kids = make(map[kidKey]*shapeNode)
 		}
-		c = &shapeNode{name: string(key), up: n}
+		c = &shapeNode{name: string(key), plain: !bytes.ContainsFunc(key, mustEscape), up: n}
 		r.kids[kidKey{n, c.name}] = c
 	}
 	n.next = c
 	return c
 }
 
+// mustEscape reports whether a JSON string can hold r only as an escape. A
+// name that comes out of str holds no invalid UTF-8, so runes suffice.
+func mustEscape(r rune) bool { return r < ' ' || r == '"' || r == '\\' }
+
 // sealed returns the shape of the items that close at n.
 func (n *shapeNode) sealed() *Shape {
 	if n.shape == nil {
-		var names []string
+		k := 0
 		for c := n; c.up != nil; c = c.up {
-			names = append(names, c.name)
+			k++
 		}
-		slices.Reverse(names)
-		n.shape = NewShape(names...)
+		n.shape = noAttrs
+		if k > 0 {
+			names := make([]string, k) // the shape's own, so not cloned again
+			for c := n; c.up != nil; c = c.up {
+				k--
+				names[k] = c.name
+			}
+			n.shape = &Shape{names: names}
+		}
 	}
 	return n.shape
 }
@@ -117,6 +145,7 @@ func (n *shapeNode) sealed() *Shape {
 // document parses data as exactly one JSON value.
 func (r *reader) document(data []byte) (Value, error) {
 	r.data, r.pos = data, 0 // the stack is empty again after every document that parsed
+	r.text, r.ends, r.patch = r.text[:0], r.ends[:0], r.patch[:0]
 	v, err := r.value(0, &r.doc)
 	if err != nil {
 		return Value{}, err
@@ -124,7 +153,29 @@ func (r *reader) document(data []byte) (Value, error) {
 	if r.next(); r.pos < len(r.data) {
 		return Value{}, r.syntax(r.pos, "after top-level value")
 	}
+	if len(r.ends) > 0 {
+		text := string(r.text) // the document's one string copy
+		if placeholder(&v) {
+			r.fill(&v, text)
+		}
+		for _, p := range r.patch {
+			r.fill(p, text)
+		}
+	}
 	return v, nil
+}
+
+// placeholder reports whether v stands for a string value of the open
+// document; the empty string never does.
+func placeholder(v *Value) bool { return v.kind == KindString && v.num != 0 }
+
+// fill turns the placeholder v into the string it stands for, cut from text.
+func (r *reader) fill(v *Value, text string) {
+	from, i := 0, int(v.num)
+	if i > 1 {
+		from = r.ends[i-2]
+	}
+	v.s, v.num = text[from:r.ends[i-1]], 0
 }
 
 // syntax reports that the byte at offset at, or the end of the input there,
@@ -164,7 +215,12 @@ func (r *reader) value(depth int, in *shapeNode) (Value, error) {
 		return r.bag(depth+1, in)
 	case c == '"':
 		s, err := r.str()
-		return StringVal(string(s)), err
+		if err != nil || len(s) == 0 {
+			return StringVal(""), err
+		}
+		r.text = append(r.text, s...)
+		r.ends = append(r.ends, len(r.text))
+		return Value{kind: KindString, num: uint64(len(r.ends))}, nil
 	case c == '-' || '0' <= c && c <= '9':
 		return r.number()
 	case c == 't':
@@ -185,8 +241,22 @@ func (r *reader) literal(word string, v Value) (Value, error) {
 	return Value{}, r.syntax(r.pos, "in literal "+word)
 }
 
-// sealed leaves an array or object at its closing byte: it cuts the values
-// above mark off the scratch stack into a slice of exactly their number.
+// open returns the mark of an array or object that opens: the height of the
+// scratch stack, which starts at 16 values instead of growing from one.
+func (r *reader) open() int {
+	if r.vals == nil {
+		r.vals = make([]Value, 0, 16)
+	}
+	return len(r.vals)
+}
+
+// chunkValues is how many values (64 KB) a chunk holds at most. A sequence
+// longer than a quarter of that gets a slice of its own.
+const chunkValues = 1 << 10
+
+// sealed leaves an array or object at its closing byte: it moves the values
+// above mark off the scratch stack into a carved slice of exactly their
+// number and notes where their string placeholders now stand.
 func (r *reader) sealed(mark int) []Value {
 	r.pos++
 	top := r.vals[mark:]
@@ -194,7 +264,30 @@ func (r *reader) sealed(mark int) []Value {
 	if len(top) == 0 {
 		return nil
 	}
-	return append(make([]Value, 0, len(top)), top...)
+	out := r.carve(len(top))
+	copy(out, top)
+	for i := range out {
+		if placeholder(&out[i]) {
+			r.patch = append(r.patch, &out[i])
+		}
+	}
+	return out
+}
+
+// carve returns a slice of n values with len == cap, so that an append to
+// it can never write into a neighbour. A new chunk is sized for the values
+// the rest of the input can still hold (each takes at least two bytes), so
+// a short document does not pin a full chunk.
+func (r *reader) carve(n int) []Value {
+	if n > len(r.chunk) {
+		if n > chunkValues/4 {
+			return make([]Value, n)
+		}
+		r.chunk = make([]Value, min(chunkValues, n+(len(r.data)-r.pos+r.rest)/2))
+	}
+	out := r.chunk[:n:n]
+	r.chunk = r.chunk[n:]
+	return out
 }
 
 // item parses an object from behind its opening brace. Its values collect
@@ -204,16 +297,20 @@ func (r *reader) item(depth int, in *shapeNode) (Value, error) {
 	if in.inner == nil {
 		in.inner = new(shapeNode)
 	}
-	mark, at := len(r.vals), in.inner
+	mark, at := r.open(), in.inner
 	for more := r.next() != '}'; more; {
 		if r.next() != '"' {
 			return Value{}, r.syntax(r.pos, "looking for beginning of object key string")
 		}
-		key, err := r.str()
-		if err != nil {
-			return Value{}, err
+		if c := at.next; c != nil && c.plain && r.quoted(c.name) {
+			at = c
+		} else {
+			key, err := r.str()
+			if err != nil {
+				return Value{}, err
+			}
+			at = r.child(at, key)
 		}
-		at = r.child(at, key)
 		if r.next() != ':' {
 			return Value{}, r.syntax(r.pos, "after object key")
 		}
@@ -237,7 +334,7 @@ func (r *reader) item(depth int, in *shapeNode) (Value, error) {
 
 // bag parses an array the way item parses an object.
 func (r *reader) bag(depth int, in *shapeNode) (Value, error) {
-	mark := len(r.vals)
+	mark := r.open()
 	for more := r.next() != ']'; more; {
 		v, err := r.value(depth, in)
 		if err != nil {
@@ -254,6 +351,19 @@ func (r *reader) bag(depth int, in *shapeNode) (Value, error) {
 		}
 	}
 	return Bag(r.sealed(mark)...), nil
+}
+
+// quoted consumes the string whose opening quote is at r.pos if its raw
+// bytes are name, which holds no byte that must be escaped: then str would
+// return exactly those bytes.
+func (r *reader) quoted(name string) bool {
+	from := r.pos + 1
+	end := from + len(name)
+	if end < len(r.data) && r.data[end] == '"' && string(r.data[from:end]) == name {
+		r.pos = end + 1
+		return true
+	}
+	return false
 }
 
 // number parses a number and classifies it on the way: no fraction, no
@@ -292,6 +402,16 @@ func (r *reader) number() (Value, error) {
 	num := d[r.pos:i] // converted where used, so the string never reaches the heap
 	r.pos = i
 	if integral {
+		if digits := bytes.TrimPrefix(num, []byte{'-'}); len(digits) <= 18 { // below 10^18: inside int64
+			var n int64
+			for _, c := range digits {
+				n = n*10 + int64(c-'0')
+			}
+			if len(digits) < len(num) {
+				n = -n
+			}
+			return Int(n), nil
+		}
 		if n, err := strconv.ParseInt(string(num), 10, 64); err == nil {
 			return Int(n), nil
 		}
@@ -311,11 +431,11 @@ func (r *reader) number() (Value, error) {
 // not UTF-8 becomes U+FFFD.
 func (r *reader) str() ([]byte, error) {
 	d, start := r.data, r.pos+1
-	i := start
-	for i < len(d) && d[i] != '"' && d[i] != '\\' && d[i] >= ' ' {
-		i++
+	i, high := start, byte(0) // high has its top bit set once a byte is not ASCII
+	for ; i < len(d) && d[i] != '"' && d[i] != '\\' && d[i] >= ' '; i++ {
+		high |= d[i]
 	}
-	if i < len(d) && d[i] == '"' && utf8.Valid(d[start:i]) {
+	if i < len(d) && d[i] == '"' && (high < utf8.RuneSelf || utf8.Valid(d[start:i])) {
 		r.pos = i + 1
 		return d[start:i], nil
 	}

@@ -214,6 +214,33 @@ func TestReaderInternsNames(t *testing.T) {
 	}
 }
 
+// TestReaderAllocatesNoMoreOnOneLine: a one-line document, the size of a
+// pattern or spec constant, costs no more allocations than it did when every
+// string and every value slice was an allocation of its own (the counts of
+// that reader, Go 1.24). The shared chunk and string replace several
+// allocations only when a document has several values; here it is the
+// scratch stack and the shape names that pay for them.
+func TestReaderAllocatesNoMoreOnOneLine(t *testing.T) {
+	for _, tc := range []struct {
+		doc    string
+		before float64
+	}{
+		{`{"a":"x","b":[1,2]}`, 14},
+		{`{"name":"plain","tags":["x","yz"],"n":{"k":1}}`, 26},
+	} {
+		data := []byte(tc.doc)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ParseJSON(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocations", tc.doc, allocs)
+		if allocs > tc.before {
+			t.Errorf("%s: %v allocations, more than the %v of the reader that allocated per value", tc.doc, allocs, tc.before)
+		}
+	}
+}
+
 // FuzzParseJSONMatchesReference: for arbitrary bytes the reader and the
 // reference accept or reject together and, when they accept, return the
 // same value, as one document and as JSON lines.
@@ -223,6 +250,15 @@ func FuzzParseJSONMatchesReference(f *testing.F) {
 		`[]`, `{}`, `"s"`, `-12`, `1e3`, `{"a":{"b":{"c":[[1],[2]]}}}`,
 		`"\ud83d\ude00 \ud83d x \u00e9 \/\b\f"`, "\"\xff\xed\xa0\x80\"", `9223372036854775808`, `-0`, `[1e400]`,
 		"{\"a\":1}\r\n\u00a0{\"a\":\n2}\n", `{"a":1,"a":[{}, [], ""]}`,
+		// predicted keys: the same key again, once written with an escape;
+		// a key that shares a prefix with the predicted one, either way
+		"{\"a\":\"x\"}\n{\"a\":\"y\"}", "{\"a\":\"x\"}\n" + `{"\u0061":"y\t"}` + "\n{\"a\":\"z\"}",
+		"{\"ab\":1}\n{\"abc\":2}", "{\"abc\":1}\n{\"ab\":2}\n{\"ab\":3,\"abc\":\"\"}", "{\"a\":1}\n{\"a\\\"\":2}",
+		// string placeholders: empty strings beside non-empty ones, and a
+		// string document
+		`{"a":"","b":"x","c":["","yz",""],"d":""}`, `["","",""]`, `""`, `"only"`,
+		// carved slices: a bag longer than one chunk
+		"[" + strings.Repeat(`1,`, chunkValues) + `"a\n"]`,
 	} {
 		f.Add([]byte(seed))
 	}

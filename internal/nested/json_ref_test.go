@@ -138,9 +138,14 @@ func refParseJSONLines(data []byte) ([]Value, error) {
 	return out, nil
 }
 
-// RefParseJSONLines hands the reference to the external tests, which sit
-// outside the package because internal/workload imports it.
-var RefParseJSONLines = refParseJSONLines
+// RefParseJSONLines, SameShape and ExactSlices hand the reference and the
+// strict comparisons to the external tests, which sit outside the package
+// because internal/workload imports it.
+var (
+	RefParseJSONLines = refParseJSONLines
+	SameShape         = sameShape
+	ExactSlices       = exactSlices
+)
 
 func refDecodeValue(dec *json.Decoder, depth int) (Value, error) {
 	tok, err := dec.Token()
@@ -237,6 +242,20 @@ func sameShape(a, b Value) bool {
 	}
 	for i := range a.vals {
 		if !sameShape(a.vals[i], b.vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// exactSlices reports whether every value slice in v, nested ones included,
+// has len == cap, so that an append to one can never write into another.
+func exactSlices(v Value) bool {
+	if len(v.vals) != cap(v.vals) {
+		return false
+	}
+	for i := range v.vals {
+		if !exactSlices(v.vals[i]) {
 			return false
 		}
 	}

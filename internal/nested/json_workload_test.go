@@ -26,8 +26,10 @@ func uploads(tb testing.TB, seed int64) map[string][]byte {
 }
 
 // TestParseJSONLinesMatchesReferenceOnWorkloads: on the two input shapes of
-// the paper's evaluation the reader and the reference return equal rows with
-// equal hashes.
+// the paper's evaluation the reader and the reference return the same rows,
+// field by field (SameShape: kinds, number bits, strings, attribute names,
+// nil-ness), with equal hashes, and every value slice the reader carved has
+// len == cap.
 func TestParseJSONLinesMatchesReferenceOnWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parses 8 MB twice")
@@ -42,9 +44,33 @@ func TestParseJSONLinesMatchesReferenceOnWorkloads(t *testing.T) {
 			t.Fatalf("%s: reader %d rows, reference %d rows (%v)", name, len(got), len(want), err)
 		}
 		for i := range got {
-			if !nested.Equal(got[i], want[i]) || got[i].Hash() != want[i].Hash() {
+			if !nested.SameShape(got[i], want[i]) || got[i].Hash() != want[i].Hash() || !nested.ExactSlices(got[i]) {
 				t.Fatalf("%s row %d:\n reader    %s\n reference %s", name, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestReaderAllocatesPerDocumentOnUploads: parsing the benchmark's uploads
+// costs one allocation per row, the string copy every document with string
+// values gets, plus at most half an allocation per row for everything else:
+// chunks, shapes, the output slice. One allocation per value, as a string or
+// a value slice of its own would be, adds several per row on either upload.
+func TestReaderAllocatesPerDocumentOnUploads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parses 8 MB four times")
+	}
+	for name, data := range uploads(t, 42) {
+		rows := bytes.Count(data, []byte{'\n'})
+		allocs := testing.AllocsPerRun(3, func() {
+			if vals, err := nested.ParseJSONLines(data); err != nil || len(vals) != rows {
+				t.Fatalf("%s: %d rows, %v", name, len(vals), err)
+			}
+		})
+		perRow := allocs/float64(rows) - 1
+		t.Logf("%s: %.0f allocations, %.3f per row beyond the string copy", name, allocs, perRow)
+		if perRow > 0.5 {
+			t.Errorf("%s: %.3f allocations per row beyond the string copy, over 0.5: the reader allocates per value", name, perRow)
 		}
 	}
 }

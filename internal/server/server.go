@@ -248,9 +248,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// maxParallelism bounds a session's Partitions and Workers. Both come from
-// the client, and each sizes per-job allocations: the worker pool's
-// goroutines, an operator's per-partition outputs and shuffle buckets.
+// maxParallelism bounds a session's Partitions and Workers and an upload's
+// parts. All come from the client, and each sizes allocations: the worker
+// pool's goroutines, an operator's per-partition outputs and shuffle
+// buckets, a dataset's partitions (which an empty upload does not clamp).
 const maxParallelism = 1024
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -309,6 +310,10 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request, ses
 		n, err := strconv.Atoi(p)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "invalid parts %q", p)
+			return
+		}
+		if n > maxParallelism {
+			writeErr(w, http.StatusBadRequest, "parts %d must not exceed %d", n, maxParallelism)
 			return
 		}
 		parts = n

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +90,33 @@ func TestDeepUploadIsBadRequest(t *testing.T) {
 	}
 	if ds, err := c.UploadDataset(ctx, "s", "fine", 0, strings.NewReader(`{"a":[[[[1]]]]}`+"\n")); err != nil || ds.Rows != 1 {
 		t.Fatalf("upload after deep upload: %+v, %v", ds, err)
+	}
+}
+
+// TestUploadPartsBounded: parts past maxParallelism is a 400 before the body
+// is parsed. An empty body used to reach engine.NewDataset with parts 1<<40,
+// which does not clamp an empty dataset's partition count, and the daemon
+// died out of memory, which no recover() contains.
+func TestUploadPartsBounded(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	for _, tc := range []struct {
+		parts  int
+		body   string
+		status int // 0: accepted
+	}{
+		{1 << 40, "", http.StatusBadRequest},
+		{1025, `{"a":1}` + "\n", http.StatusBadRequest},
+		{1024, "", 0},
+	} {
+		_, err := c.UploadDataset(ctx, "s", fmt.Sprintf("parts-%d", tc.parts), tc.parts, strings.NewReader(tc.body))
+		if got := uploadStatus(err); got != tc.status || (tc.status == 0) != (err == nil) {
+			t.Errorf("parts %d: %v, want http %d", tc.parts, err, tc.status)
+		}
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after parts 1<<40: %+v, %v", h, err)
 	}
 }
 
