@@ -293,11 +293,17 @@ func (c *Captured) TraceAtContext(ctx context.Context, op *provenance.Operator, 
 // leaves contributing. Use-case analyses (auditing, data-usage patterns)
 // merge such full queries across a workload.
 func (c *Captured) QueryAll() (*QueryResult, error) {
+	return c.QueryStructure(FullStructure(c.Result.Output))
+}
+
+// FullStructure is the full-coverage backtracing structure of a result:
+// every item with every one of its paths contributing.
+func FullStructure(d *engine.Dataset) *backtrace.Structure {
 	b := backtrace.NewStructure()
-	for _, row := range c.Result.Output.Rows() {
+	for _, row := range d.Rows() {
 		b.Add(row.ID, TreeFromValue(row.Value))
 	}
-	return c.QueryStructure(b)
+	return b
 }
 
 // TreeFromValue builds a backtracing tree covering every path of the value,

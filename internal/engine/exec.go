@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"pebble/internal/nested"
@@ -110,7 +109,7 @@ func RunContext(ctx context.Context, p *Pipeline, inputs map[string]*Dataset, op
 		ctx = context.Background()
 	}
 	defer opts.Recorder.StartSpan(obs.SpanSchedule)()
-	ex := &executor{ctx: ctx, opts: opts, gen: NewIDGen(1), gate: newReserveGate(), inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}
+	ex := &executor{ctx: ctx, opts: opts, gen: NewIDGen(1), inputs: inputs, outputs: make([]*Dataset, len(p.Ops())+1)}
 	if workers > 1 {
 		ex.pool = newWorkerPool(workers)
 		defer ex.pool.close()
@@ -132,13 +131,13 @@ type executor struct {
 	inputs map[string]*Dataset
 
 	// pool executes partition morsels when Workers > 1; nil runs a stage's
-	// morsels inline on the stage's goroutine. gate serialises id reservation
-	// in plan order, whatever order the stages finish in.
+	// morsels inline on the stage's goroutine.
 	pool *workerPool
-	gate *reserveGate
 
-	outMu   sync.RWMutex     // guards outputs under concurrent DAG branches
-	outputs map[int]*Dataset // guarded by outMu; access via in/setOutput
+	// outputs is every committed operator's dataset by operator id. Only
+	// runDAG's goroutine writes it, each slot before the stages reading it
+	// launch, so no lock guards it.
+	outputs []*Dataset
 }
 
 // valueHash computes a shuffle key's hash. Indirect so tests can install a
@@ -169,27 +168,10 @@ func (e *executor) exec(o *Op) ([]morselOut, error) {
 	return nil, fmt.Errorf("unknown operator type %q", o.typ)
 }
 
-func (e *executor) in(o *Op, i int) *Dataset {
-	e.outMu.RLock()
-	defer e.outMu.RUnlock()
-	return e.outputs[o.inputs[i].id]
-}
-
-func (e *executor) setOutput(oid int, d *Dataset) {
-	e.outMu.Lock()
-	e.outputs[oid] = d
-	e.outMu.Unlock()
-}
-
-// reserve hands out n consecutive identifiers for operator oid. The
-// reservation is serialised in plan order (see reserveGate), so ids are
-// independent of the physical schedule.
-func (e *executor) reserve(oid int, n int64) int64 {
-	return e.gate.reserve(e.gen, oid, n)
-}
+func (e *executor) in(o *Op, i int) *Dataset { return e.outputs[o.inputs[i].id] }
 
 // morselOut is what an operator produced for one output partition before its
-// turn at the reserve gate. Rows are written once, here, by the operator's
+// turn to reserve identifiers. Rows are written once, here, by the operator's
 // body; stage.commit fills their ID slot in place. The association ids are
 // plain columns parallel to the rows and exist only under capture
 // (Options.Sink != nil); which of them an operator fills follows its type.

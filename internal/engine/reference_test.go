@@ -899,7 +899,7 @@ func runReference(p *Pipeline, inputs map[string]*Dataset, opts Options) (*Resul
 		opts.Partitions = DefaultPartitions
 	}
 	opts.Recorder = nil
-	e := &refExecutor{executor{ctx: context.Background(), opts: opts, gen: NewIDGen(1), inputs: inputs, outputs: make(map[int]*Dataset, len(p.Ops()))}}
+	e := &refExecutor{executor{ctx: context.Background(), opts: opts, gen: NewIDGen(1), inputs: inputs, outputs: make([]*Dataset, len(p.Ops())+1)}}
 	res := &Result{Sources: make(map[int]*Dataset)}
 	for _, o := range p.Ops() {
 		out, err := e.exec(o)

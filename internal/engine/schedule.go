@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -12,18 +13,18 @@ import (
 //   - workerPool: a bounded pool of Options.Workers goroutines (none at
 //     Workers 1) executing logical partitions as morsels, so Partitions can
 //     rise (default 16) without unbounded goroutine fan-out;
-//   - reserveGate: serialises identifier reservation in plan order, so the
-//     identifiers an operator assigns are byte-identical no matter how many
-//     workers race through the DAG;
-//   - runDAG: a topological-wavefront scheduler that executes independent
+//   - runDAG: a topological-wavefront scheduler that computes independent
 //     DAG branches (both join/union inputs, disconnected subplans)
-//     concurrently with per-stage completion tracking (stage.go).
+//     concurrently, one goroutine per stage (stage.go), while it alone
+//     reserves identifiers, in plan order, and commits, so the identifiers
+//     an operator assigns are byte-identical no matter how many workers race
+//     through the DAG.
 //
 // Determinism argument: every operator's *content* (row values, row order,
 // per-partition layout) is a pure function of its inputs, and every
 // operator's *identifiers* depend only on (a) the id-space position reserved
 // for it and (b) the deterministic partition-major assignment of
-// stage.reserve. The gate pins (a) to plan order — the order in which the
+// stage.reserve. runDAG pins (a) to plan order — the order in which the
 // operator-at-a-time reference executor (runReference, reference_test.go)
 // reserves — so results, ids, grouping order, and captured provenance are
 // identical for every Workers setting.
@@ -89,9 +90,10 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 // This is the engine's cancellation checkpoint: a morsel only starts while
 // the executor's context is live, so a cancelled job stops scheduling new
 // morsels here (in-flight morsels run to completion — they are small by
-// construction).
+// construction). A panic in f is the morsel's error (Recover).
 func (e *executor) forEachPartition(n int, f func(part int) error) error {
-	g := func(part int) error {
+	g := func(part int) (err error) {
+		defer Recover(&err)
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
@@ -108,48 +110,6 @@ func (e *executor) forEachPartition(n int, f func(part int) error) error {
 	return e.pool.forEach(n, g)
 }
 
-// reserveGate orders IDGen reservations by operator id (= plan order).
-// Stages compute their rows fully in parallel and only queue here for the
-// brief Reserve calls of their members, so the gate costs no meaningful
-// parallelism while making the assigned id ranges independent of scheduling
-// order.
-type reserveGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	next    int  // the oid whose turn it is; guarded by mu
-	aborted bool // guarded by mu
-}
-
-func newReserveGate() *reserveGate {
-	g := &reserveGate{next: 1}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// reserve blocks until every operator with a smaller id has reserved (or the
-// gate is aborted), then reserves n identifiers for oid.
-func (g *reserveGate) reserve(gen *IDGen, oid int, n int64) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for !g.aborted && g.next != oid {
-		g.cond.Wait()
-	}
-	if g.next == oid {
-		g.next++
-		g.cond.Broadcast()
-	}
-	return gen.Reserve(n)
-}
-
-// abort unblocks every waiter; used once execution is known to fail, when id
-// determinism no longer matters.
-func (g *reserveGate) abort() {
-	g.mu.Lock()
-	g.aborted = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
 // clock reads the wall clock for the per-operator statistics, the one use of
 // time the engine has.
 func clock() time.Time {
@@ -160,83 +120,103 @@ func clock() time.Time {
 // opError names the operator a failure belongs to.
 func opError(o *Op, err error) error { return fmt.Errorf("engine: operator %s: %w", o, err) }
 
-// runDAG executes the stage DAG in topological wavefronts: a stage is
-// launched as soon as the stages producing its inputs completed, so
-// independent branches (the two sides of a join or union, disconnected
-// subplans) run concurrently. It is the one scheduler, at every Workers
-// value. Partition-level work inside each stage is further spread over the
-// worker pool, if there is one; the stage's goroutine computes, takes its
-// members' turns at the reserve gate in plan order, and commits.
-func (e *executor) runDAG(stages []*stage, res *Result) error {
-	producer := make(map[*Op]*stage, len(stages)) // by the stage's last member
-	for _, st := range stages {
-		producer[st.ops[len(st.ops)-1]] = st
+// PanicError is a panic recovered on a goroutine of a run, which then fails
+// with it like with any operator error; Stack is where the panic was raised.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
+
+// Recover, deferred, turns a panic of the goroutine that deferred it into a
+// *PanicError in *err. Every goroutine a run starts defers it; so does a
+// caller that must outlive a failing run.
+func Recover(err *error) {
+	if r := recover(); r != nil {
+		*err = &PanicError{Value: r, Stack: debug.Stack()}
 	}
-	waiting := make(map[*stage]int, len(stages))        // unfinished input edges
+}
+
+// runDAG executes the stage DAG in topological wavefronts: a stage is
+// launched as soon as the stages producing its inputs committed, so
+// independent branches (the two sides of a join or union, disconnected
+// subplans) compute concurrently. It is the one scheduler, at every Workers
+// value. A stage's goroutine only computes, spreading its partitions over the
+// worker pool if there is one; this goroutine owns the identifiers, the
+// outputs and the commits. As stages report, it moves a pointer over the
+// operator ids in plan order: it reserves for every operator whose stage has
+// computed, skips those of a failed stage, and commits and publishes a stage
+// once its last member has reserved.
+func (e *executor) runDAG(stages []*stage, res *Result) error {
+	member := make([]*stage, len(res.Stats)+1) // by operator id
+	for _, st := range stages {
+		for _, o := range st.ops {
+			member[o.id] = st
+		}
+	}
+	done := make(chan *stage, len(stages)) // a stage computes once: no send blocks
+	launch := func(st *stage) {
+		go func() {
+			defer func() { done <- st }()
+			defer Recover(&st.err)
+			if st.err = e.ctx.Err(); st.err == nil {
+				st.compute(e)
+			}
+		}()
+	}
+	running := 0
+	waiting := make(map[*stage]int, len(stages))        // uncommitted inputs
 	consumers := make(map[*stage][]*stage, len(stages)) // stages consuming it
 	for _, st := range stages {
 		for _, in := range st.ops[0].inputs {
-			waiting[st]++
-			consumers[producer[in]] = append(consumers[producer[in]], st)
+			consumers[member[in.id]] = append(consumers[member[in.id]], st)
 		}
-	}
-
-	type stageDone struct {
-		st  *stage
-		out *Dataset
-		err error // of operator st.ops[st.failed]
-	}
-	done := make(chan stageDone)
-	launch := func(st *stage) {
-		go func() {
-			if err := e.ctx.Err(); err != nil {
-				done <- stageDone{st: st, err: err}
-				return
-			}
-			if st.compute(e); st.err != nil {
-				done <- stageDone{st: st, err: st.err}
-				return
-			}
-			for range st.ops {
-				st.reserve(e)
-			}
-			out, err := st.commit(e)
-			done <- stageDone{st, out, err}
-		}()
-	}
-
-	running := 0
-	for _, st := range stages {
-		if waiting[st] == 0 {
+		if waiting[st] = len(st.ops[0].inputs); waiting[st] == 0 {
 			launch(st)
 			running++
 		}
 	}
+
 	var firstErr error
 	firstErrOID := 0
-	for running > 0 {
-		d := <-done
-		running--
-		if d.err != nil {
-			// Report the failure of the earliest operator in plan order, the
-			// one the reference executor surfaces.
-			if failed := d.st.ops[d.st.failed]; firstErr == nil || failed.id < firstErrOID {
-				firstErr, firstErrOID = opError(failed, d.err), failed.id
-			}
-			// Unblock id reservations: this stage may have failed before its
-			// members' turns, and its consumers will never run.
-			e.gate.abort()
-			continue
+	fail := func(st *stage) {
+		// Report the failure of the earliest operator in plan order, the one
+		// the reference executor surfaces.
+		if o := st.ops[st.failed]; firstErr == nil || o.id < firstErrOID {
+			firstErr, firstErrOID = opError(o, st.err), o.id
 		}
-		e.publish(d.st, d.out, res)
-		for _, c := range consumers[d.st] {
-			waiting[c]--
-			// After a failure only the stages that start before the failing
-			// operator in plan order still run — the reference executor
-			// reaches them, and one of them may fail too.
-			if waiting[c] == 0 && (firstErr == nil || c.ops[0].id < firstErrOID) {
-				launch(c)
-				running++
+	}
+	computed := make(map[*stage]bool, len(stages))
+	for next := 1; running > 0; {
+		st := <-done
+		running--
+		computed[st] = true
+		if st.err != nil {
+			fail(st)
+		}
+		for ; next < len(member) && computed[member[next]]; next++ {
+			st := member[next]
+			if st.err != nil {
+				continue
+			}
+			if st.reserve(e); next < st.ops[len(st.ops)-1].id {
+				continue
+			}
+			if st.commit(e); st.err != nil {
+				fail(st)
+				continue
+			}
+			e.publish(st, res)
+			for _, c := range consumers[st] {
+				waiting[c]--
+				// After a failure only the stages that start before the failing
+				// operator in plan order still run — the reference executor
+				// reaches them, and one of them may fail too.
+				if waiting[c] == 0 && (firstErr == nil || c.ops[0].id < firstErrOID) {
+					launch(c)
+					running++
+				}
 			}
 		}
 	}
@@ -244,13 +224,12 @@ func (e *executor) runDAG(stages []*stage, res *Result) error {
 }
 
 // publish hands a committed stage's output to its consumers and files every
-// member under the result bookkeeping; only the scheduling goroutine calls
-// it. Stats are indexed by plan position (an operator's id is its position
-// plus one), so their order is deterministic no matter which schedule
-// produced them.
-func (e *executor) publish(st *stage, out *Dataset, res *Result) {
+// member under the result bookkeeping. Stats are indexed by plan position (an
+// operator's id is its position plus one), so their order is deterministic no
+// matter which schedule produced them.
+func (e *executor) publish(st *stage, res *Result) {
 	last := st.ops[len(st.ops)-1]
-	e.setOutput(last.id, out)
+	out := e.outputs[last.id]
 	for k, o := range st.ops {
 		s := st.stats(k)
 		e.opts.Recorder.AddOpTime(o.id, s.Elapsed)

@@ -158,7 +158,7 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 	union := p.Union(p.Source("a"), p.Source("b"))
 	whole := &Dataset{Partitions: [][]Row{records}}
 	ue := &executor{ctx: context.Background(), opts: Options{Sink: newRecordingSink()},
-		outputs: map[int]*Dataset{union.inputs[0].id: whole, union.inputs[1].id: whole}}
+		outputs: []*Dataset{1: whole, 2: whole}} // by id: the sources
 
 	d := ownedDst()
 	nr, nt := len(records), len(tweets)

@@ -18,9 +18,9 @@ import (
 //
 // compute runs the bodies over all partitions: rows carry their
 // partition-local index where an identifier will be, and a member inside the
-// chain records the local index of its input row. reserve takes one member's
-// turn at the reserve gate for Σ counts identifiers, so member k's row i of
-// partition p is bases[k][p] + i, as if every member had run alone. commit
+// chain records the local index of its input row. At each member's turn in
+// plan order the scheduler reserves Σ counts identifiers, so member k's row
+// i of partition p is bases[k][p] + i, as if every member had run alone. commit
 // writes the identifiers into the last member's rows and emits every
 // member's association columns, the input side shifted by bases[k-1][p].
 type stage struct {
@@ -32,7 +32,7 @@ type stage struct {
 	bases  [][]int64     // [member][partition] first identifier; reserve appends a member's
 	failed int           // compute: the earliest failing member
 	err    error         // compute: its error in the lowest failing partition
-	wall   time.Duration // compute + commit; no wait at the reserve gate
+	wall   time.Duration // compute + commit; no wait for a turn to reserve
 }
 
 func rowWise(t OpType) bool {
@@ -346,15 +346,18 @@ func (st *stage) compute(e *executor) {
 }
 
 // runMorsel takes one partition through every member, each reading what the
-// one before it wrote into the scratch; it returns the member that failed.
-func (st *stage) runMorsel(e *executor, part int, in []Row) (int, error) {
+// one before it wrote into the scratch; it returns the member that failed,
+// or panicked: it recovers itself to name that member.
+func (st *stage) runMorsel(e *executor, part int, in []Row) (k int, err error) {
+	defer Recover(&err)
 	sc := getStageScratch(len(st.ops))
 	defer putStageScratch(sc)
 	last := len(st.ops) - 1
 	t := clock()
-	for k, o := range st.ops {
-		out, err := st.members[k].run(in, morselDst{sc: sc, k: k, owned: k == last, capture: e.opts.Sink != nil})
-		if err != nil {
+	for k = range st.ops {
+		o := st.ops[k]
+		var out morselOut
+		if out, err = st.members[k].run(in, morselDst{sc: sc, k: k, owned: k == last, capture: e.opts.Sink != nil}); err != nil {
 			return k, err
 		}
 		if rec := e.opts.Recorder; rec != nil {
@@ -372,8 +375,8 @@ func (st *stage) runMorsel(e *executor, part int, in []Row) (int, error) {
 	return 0, nil
 }
 
-// reserve takes the next member's turn at the reserve gate: Σ counts
-// identifiers, dealt to its partitions in order.
+// reserve takes the next member's turn to reserve: Σ counts identifiers,
+// dealt to its partitions in order.
 func (st *stage) reserve(e *executor) {
 	k := len(st.bases)
 	outs := st.outs[k]
@@ -382,7 +385,7 @@ func (st *stage) reserve(e *executor) {
 		total += outs[i].n
 	}
 	bases := make([]int64, len(outs))
-	next := e.reserve(st.ops[k].id, int64(total))
+	next := e.gen.Reserve(int64(total))
 	for i := range outs {
 		bases[i] = next
 		next += int64(outs[i].n)
@@ -391,11 +394,12 @@ func (st *stage) reserve(e *executor) {
 }
 
 // commit writes the reserved identifiers into the stage's output rows, emits
-// every member's associations and returns the output dataset.
-func (st *stage) commit(e *executor) (*Dataset, error) {
+// every member's associations and files the output dataset under the last
+// member's id. Like compute, it keeps a failure in st.err.
+func (st *stage) commit(e *executor) {
 	start := clock()
 	last := len(st.ops) - 1
-	err := e.forEachPartition(len(st.outs[last]), func(part int) error {
+	st.err = e.forEachPartition(len(st.outs[last]), func(part int) error {
 		for k, o := range st.ops {
 			var inBase int64
 			if k > 0 {
@@ -405,15 +409,15 @@ func (st *stage) commit(e *executor) (*Dataset, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	if st.err != nil {
+		return
 	}
 	out := &Dataset{Name: st.ops[last].sourceName, Partitions: make([][]Row, len(st.outs[last]))}
 	for part := range out.Partitions {
 		out.Partitions[part] = st.outs[last][part].rows
 	}
+	e.outputs[st.ops[last].id] = out
 	st.wall += time.Since(start)
-	return out, nil
 }
 
 // stats returns member k's OpStats once the stage has committed. The stage's

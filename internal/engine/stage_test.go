@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -381,6 +382,148 @@ func TestStageErrorOrderIsPlanOrder(t *testing.T) {
 	}
 }
 
+// TestStraddledStageCompletionOrders: stage 2 5 straddles stage 3 4 in plan
+// order, and either may finish computing first. The first row of one stage's
+// last map waits until the other stage's last map has taken every row, so
+// that stage almost always finishes second. In both orders the rows, ids and
+// sink calls equal the reference's, and so does the error when map 5 fails,
+// which the scheduler learns before it reserves for stage 3 4. The held
+// stage waits on the other one, so a scheduler that ran one stage at a time
+// hangs here.
+func TestStraddledStageCompletionOrders(t *testing.T) {
+	const rows = 16
+	// hold is the map whose first row waits (0: none); a failing map 5
+	// refuses the last row of its morsel, so the other map still counts to
+	// rows.
+	build := func(hold int, fail bool) *Pipeline {
+		release := make(chan struct{})
+		var taken atomic.Int64 // rows the other map took
+		m := func(k int) MapFunc {
+			return MapFunc{Name: fmt.Sprint("m", k), Fn: func(v nested.Value) (nested.Value, error) {
+				n, _ := mustGet(v, "n").AsInt()
+				switch {
+				case k == hold && n == 0:
+					<-release
+				case k == 9-hold && taken.Add(1) == rows:
+					close(release)
+				}
+				if fail && k == 5 && n == rows-1 {
+					return nested.Value{}, fmt.Errorf("m5 refuses %d", n)
+				}
+				return v, nil
+			}}
+		}
+		p := NewPipeline()
+		src := p.Source("in")                        // 1
+		f := p.Filter(src, Gt(Col("n"), LitInt(-1))) // 2
+		m4 := p.Map(p.Map(src, m(3)), m(4))          // 3, 4
+		p.Union(p.Map(f, m(5)), m4)                  // 5: same stage as 2; 6
+		return p
+	}
+	if got := renderStages(planStages(build(0, false))); got != "1 | 2 5 | 3 4 | 6" {
+		t.Fatalf("stages %q, want 1 | 2 5 | 3 4 | 6", got)
+	}
+	for _, fail := range []bool{false, true} {
+		refSink := newRecordingSink()
+		ref, refErr := runReference(build(0, fail), slowInput(rows, 4), Options{Partitions: 4, Sink: refSink})
+		if fail != (refErr != nil) {
+			t.Fatalf("fail %v: the reference reports %v", fail, refErr)
+		}
+		for _, hold := range []int{4, 5} {
+			for _, workers := range []int{1, 4} {
+				sink := newRecordingSink()
+				res, err := Run(build(hold, fail), slowInput(rows, 4), Options{Partitions: 4, Workers: workers, Sink: sink})
+				switch {
+				case fail:
+					if err == nil || err.Error() != refErr.Error() {
+						t.Fatalf("map %d held, workers %d: got %v, want %v", hold, workers, err, refErr)
+					}
+				case err != nil:
+					t.Fatalf("map %d held, workers %d: %v", hold, workers, err)
+				default:
+					if got, want := renderRun(res, sink), renderRun(ref, refSink); got != want {
+						t.Fatalf("map %d held, workers %d: run differs from the reference at %s", hold, workers, firstDiff(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// panicSink panics where a run hands operator oid to it: at its
+// announcement (at "start") or with a partition to fill (at "partition").
+type panicSink struct {
+	*recordingSink
+	oid int
+	at  string
+}
+
+func (s panicSink) StartOperator(info OpInfo, parts int) {
+	if s.at == "start" && info.OID == s.oid {
+		panic("sink refuses to start")
+	}
+	s.recordingSink.StartOperator(info, parts)
+}
+
+func (s panicSink) Partition(oid, part int) PartitionSink {
+	if s.at == "partition" && oid == s.oid {
+		panic("sink refuses a partition")
+	}
+	return s.recordingSink.Partition(oid, part)
+}
+
+// TestPanicIsTheRunsError: a panic in a run — in a map's body inside a stage
+// morsel, in the capture sink while a stage's goroutine starts an operator,
+// or while the scheduler commits a union's partitions — fails the run with an
+// operator error carrying the panic value and its stack, at every worker
+// count, and leaves no goroutine behind.
+func TestPanicIsTheRunsError(t *testing.T) {
+	boom := MapFunc{Name: "boom", Fn: func(v nested.Value) (nested.Value, error) {
+		if n, _ := mustGet(v, "n").AsInt(); n == 6 {
+			panic("boom at 6")
+		}
+		return v, nil
+	}}
+	chain := func() *Pipeline {
+		p := NewPipeline()
+		p.Select(p.Map(p.Filter(p.Source("in"), Gt(Col("n"), LitInt(-1))), boom), Column("n", "n"))
+		return p
+	}
+	union := func() *Pipeline {
+		p := NewPipeline()
+		p.Union(p.Source("in"), p.Source("in"))
+		return p
+	}
+	cases := []struct {
+		name  string
+		build func() *Pipeline
+		sink  CaptureSink
+		value any
+		want  string
+	}{
+		{"map", chain, nil, "boom at 6", "engine: operator 3:map[boom]: panic: boom at 6"},
+		{"start", chain, panicSink{newRecordingSink(), 2, "start"}, "sink refuses to start", "engine: operator 2:filter"},
+		{"commit", union, panicSink{newRecordingSink(), 3, "partition"}, "sink refuses a partition", "engine: operator 3:union"},
+	}
+	base := runtime.NumGoroutine()
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 4} {
+			_, err := Run(tc.build(), slowInput(16, 4), Options{Partitions: 4, Workers: workers, Sink: tc.sink})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != tc.value || len(pe.Stack) == 0 || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Errorf("%s, workers %d: got %v, want %s…: panic: %v", tc.name, workers, err, tc.want, tc.value)
+			}
+			// The stage goroutines exit right after their last send.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%s, workers %d: %d goroutines after the run, %d before", tc.name, workers, n, base)
+			}
+		}
+	}
+}
+
 // TestCancelMidStage cancels a run while a morsel is provably inside the
 // second member of a three-member stage: the run fails with the context's
 // error, wrapped as every operator failure is.
@@ -414,9 +557,9 @@ func TestCancelMidStage(t *testing.T) {
 	}
 }
 
-// TestElapsedExcludesGateWait: a source that has to wait at the reserve gate
-// for a slow operator before it in plan order does not count the wait as its
-// own time, and the members of a stage split the stage's time between them.
+// TestElapsedExcludesGateWait: a source whose turn to reserve waits for a
+// slow operator before it in plan order does not count the wait as its own
+// time, and the members of a stage split the stage's time between them.
 func TestElapsedExcludesGateWait(t *testing.T) {
 	const nap = 60 * time.Millisecond
 	p := NewPipeline()

@@ -278,10 +278,7 @@ func crossMode(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.
 	}
 
 	// Full-value backtrace of every result row.
-	full := backtrace.NewStructure()
-	for _, row := range a.res.Output.Rows() {
-		full.Add(row.ID, core.TreeFromValue(row.Value))
-	}
+	full := core.FullStructure(a.res.Output)
 	tracedFull, err := backtrace.Trace(a.run, sinkOID, full)
 	if err != nil {
 		return fail(KindRun, "full trace: "+err.Error())

@@ -35,7 +35,7 @@ type job struct {
 	rec *obs.Recorder
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on event append / status change
+	changed  chan struct{} // closed and replaced on every event append; guarded by mu
 	status   string
 	errMsg   string
 	created  time.Time
@@ -69,8 +69,8 @@ func newJob(id, kind string, sess *session, req sdk.SubmitJobRequest) *job {
 		status:  sdk.StatusQueued,
 		created: time.Now(),
 		done:    make(chan struct{}),
+		changed: make(chan struct{}),
 	}
-	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
@@ -85,7 +85,8 @@ func (j *job) appendEventLocked(ev sdk.JobEvent) {
 	ev.Seq = len(j.events)
 	ev.Time = time.Now()
 	j.events = append(j.events, ev)
-	j.cond.Broadcast()
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // start transitions queued → running and installs the observability tap
@@ -198,27 +199,16 @@ func (j *job) eventsFrom(from int) ([]sdk.JobEvent, bool) {
 // waitEvents blocks until the log grows past from, the job terminates, or
 // wake is closed (the watcher's way out when its client disconnects).
 func (j *job) waitEvents(from int, wake <-chan struct{}) {
-	// A helper goroutine converts the channel signal into a cond broadcast;
-	// it exits as soon as either side fires.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-wake:
-			j.mu.Lock()
-			j.cond.Broadcast()
-			j.mu.Unlock()
-		case <-done:
-		}
-	}()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	for from >= len(j.events) && !sdk.TerminalStatus(j.status) {
-		select {
-		case <-wake:
-			return
-		default:
-		}
-		j.cond.Wait()
+	changed := j.changed
+	ready := from < len(j.events) || sdk.TerminalStatus(j.status)
+	j.mu.Unlock()
+	if ready {
+		return
+	}
+	// Every status change appends an event, so one append is enough.
+	select {
+	case <-changed:
+	case <-wake:
 	}
 }

@@ -22,20 +22,18 @@ import (
 )
 
 // runJob is the runner-pool entry point: it drives one job through its
-// terminal status (finish folds its metrics into the session aggregates).
+// terminal status (finish folds its metrics into the session aggregates). A
+// panic in the job fails it, with the stack as a note, and leaves the runner
+// to the next job.
 func (s *Server) runJob(j *job) {
 	if !j.start() {
 		// Finished before dispatch (shutdown drained the queue).
 		return
 	}
-	var err error
-	switch j.kind {
-	case sdk.KindPipeline:
-		err = s.runPipeline(j)
-	case sdk.KindTrace:
-		err = s.runTrace(j)
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.kind)
+	err := s.runKind(j)
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		j.event(sdk.JobEvent{Kind: "note", Message: string(pe.Stack)})
 	}
 	switch {
 	case err == nil:
@@ -45,6 +43,18 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.finish(sdk.StatusFailed, err.Error())
 	}
+}
+
+// runKind does the job's work; a panic in it is returned as its error.
+func (s *Server) runKind(j *job) (err error) {
+	defer engine.Recover(&err)
+	switch j.kind {
+	case sdk.KindPipeline:
+		return s.runPipeline(j)
+	case sdk.KindTrace:
+		return s.runTrace(j)
+	}
+	return fmt.Errorf("unknown job kind %q", j.kind)
 }
 
 // resolvePipeline turns a pipeline-job request into an executable plan and
@@ -264,11 +274,7 @@ func (s *Server) runTrace(j *job) error {
 func (j *job) buildStructure(cap *core.Captured) (*backtrace.Structure, error) {
 	switch {
 	case j.req.TraceAll:
-		b := backtrace.NewStructure()
-		for _, row := range cap.Result.Output.Rows() {
-			b.Add(row.ID, core.TreeFromValue(row.Value))
-		}
-		return b, nil
+		return core.FullStructure(cap.Result.Output), nil
 	case j.req.PatternText != "":
 		pat, err := treepattern.Parse(j.req.PatternText)
 		if err != nil {

@@ -385,6 +385,46 @@ func TestEventStreamShape(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFailsAlone: a registered pipeline whose map panics fails
+// its own job, with the panic in the job's error and the stack as a note; the
+// daemon stays healthy and the session's next job, on the same runner, ends
+// done.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	panics := tinyFactory(8)
+	panics.Build = func() (*engine.Pipeline, error) {
+		p := engine.NewPipeline()
+		p.Map(p.Source("in"), engine.MapFunc{Name: "boom", Fn: func(nested.Value) (nested.Value, error) {
+			panic("boom")
+		}})
+		return p, nil
+	}
+	c := startDaemon(t, server.Config{Runners: 1, Pipelines: map[string]server.Factory{"panics": panics, "tiny": tinyFactory(8)}})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "panics"})
+	info := waitStatus(t, c, "s", j.ID, sdk.StatusFailed)
+	if want := "engine: operator 2:map[boom]: panic: boom"; info.Error != want {
+		t.Errorf("error %q, want %q", info.Error, want)
+	}
+	var notes []string
+	if err := c.StreamEvents(ctx, "s", j.ID, func(ev sdk.JobEvent) error {
+		if ev.Kind == "note" {
+			notes = append(notes, ev.Message)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "TestPanickingJobFailsAlone") {
+		t.Errorf("notes %q, want the stack of the panic", notes)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Errorf("health after the panic: %+v, %v", h, err)
+	}
+	next := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
+	waitStatus(t, c, "s", next.ID, sdk.StatusDone)
+}
+
 // TestTraceJobShowsItsPhases: a pattern trace job streams a phase span for
 // each of its terms — run load, pattern compile and match, backtrace and the
 // rendering of its two answer forms — and the session's /stats sums them.
