@@ -1,28 +1,14 @@
-# Developer entry points. `make check` is the gate PRs must pass: vet (with
-# the pebblevet analyzers), formatting, and the full suite under the race
-# detector.
+# Developer entry points. `make check` is the gate PRs must pass: stock vet,
+# formatting, the full suite under the race detector (which checks the
+# `// guarded by` field comments) and the daemon smoke.
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather serve-smoke bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak pebblevet pebblevet-fix-list
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather serve-smoke bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
 
 build:
 	go build ./...
 
 test:
 	go test ./...
-
-# The project's own static-analysis suite: four analyzers (determinism,
-# capturesound, lockcheck, codecerr) plus the staleignore directive audit —
-# see DESIGN.md §6 and §11. Builds the vettool into bin/ and runs it
-# repo-wide; a clean exit is part of the gate.
-pebblevet:
-	go build -o bin/pebblevet ./cmd/pebblevet
-	go vet -vettool=bin/pebblevet ./...
-
-# The same run collapsed to unique file:line sites — paste-ready for working
-# through findings one location at a time.
-pebblevet-fix-list:
-	@go build -o bin/pebblevet ./cmd/pebblevet
-	@go vet -vettool=bin/pebblevet ./... 2>&1 | sed -n 's/^\(.*\.go:[0-9]*\):.*/\1/p' | sort -u
 
 check:
 	sh scripts/check.sh

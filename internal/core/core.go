@@ -391,13 +391,23 @@ func (q *QueryResult) Items() []SourceItem {
 
 // Report renders the query result for humans: per source, the contributing
 // input items with their backtracing trees (contributing vs influencing
-// attributes and the operators that accessed/manipulated them).
-func (q *QueryResult) Report() string { return q.report(q.resolve()) }
+// attributes and the operators that accessed/manipulated them). A panic of
+// a render goroutine is raised again on the caller's goroutine, as an
+// *engine.PanicError.
+func (q *QueryResult) Report() string {
+	report, err := q.report(q.resolve())
+	if err != nil {
+		panic(err)
+	}
+	return report
+}
 
 // previewBytes is how much of a source row the report shows.
 const previewBytes = 120
 
-func (q *QueryResult) report(sources []tracedSource) string {
+// report renders the report of sources; it fails only where a render
+// goroutine panicked.
+func (q *QueryResult) report(sources []tracedSource) (string, error) {
 	buf := fmt.Appendf(nil, "query matched %d result item(s)\n", q.Matched.Len())
 	// The items of a trace share their trees (backtrace.Tree), so a tree is
 	// rendered once and its lines are copied from then on.
@@ -413,12 +423,15 @@ func (q *QueryResult) report(sources []tracedSource) string {
 			name = src.dataset.Name
 		}
 		buf = fmt.Appendf(buf, "source operator %d (%s):\n", src.oid, name)
-		buf, _ = appendItems(buf, src.items, trees, appendReportItem) // a report item never fails
+		var err error
+		if buf, err = appendItems(buf, src.items, trees, appendReportItem); err != nil {
+			return "", err
+		}
 	}
 	if empty {
 		buf = append(buf, "no contributing input items\n"...)
 	}
-	return string(buf)
+	return string(buf), nil
 }
 
 // appendReportItem appends one traced item's report lines: identifier, row
@@ -451,7 +464,8 @@ type itemRenderer func(dst []byte, si SourceItem, trees map[*backtrace.Tree][]by
 // its own buffer, with its own tree memo, and appended to the first: every
 // item sits at the same depth, so a tree's fragment is the same bytes
 // wherever it recurs, and the answer is the bytes a sequential rendering
-// gives. The first error in item order wins.
+// gives. The first error in item order wins; a panic of the second half is
+// its error.
 func appendItems(dst []byte, items []SourceItem, trees map[*backtrace.Tree][]byte, render itemRenderer) ([]byte, error) {
 	if len(items) < splitItems {
 		return appendRange(dst, items, len(items), trees, render)
@@ -464,6 +478,7 @@ func appendItems(dst []byte, items []SourceItem, trees map[*backtrace.Tree][]byt
 	)
 	go func() {
 		defer close(done)
+		defer engine.Recover(&restErr)
 		// The second half follows an item, so its buffer starts with the
 		// '}' that closes a JSON item — a separator then finds its
 		// predecessor. The byte is dropped when the halves are joined.
@@ -565,16 +580,22 @@ func (q *QueryResult) json(sources []tracedSource) ([]byte, error) {
 
 // Answer is Report and JSON together, for a caller that wants both forms of
 // one result: the traced items are paired with their source rows once, and
-// the two forms are rendered concurrently.
+// the two forms are rendered concurrently. A panic of a render goroutine is
+// the call's error.
 func (q *QueryResult) Answer() (report string, result []byte, err error) {
 	sources := q.resolve()
+	var reportErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		report = q.report(sources)
+		defer engine.Recover(&reportErr)
+		report, reportErr = q.report(sources)
 	}()
 	result, err = q.json(sources)
 	<-done
+	if err == nil {
+		err = reportErr
+	}
 	if err != nil {
 		return "", nil, err
 	}

@@ -3,8 +3,10 @@ package core_test
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
+	"pebble/internal/backtrace"
 	"pebble/internal/core"
 	"pebble/internal/engine"
 	"pebble/internal/nested"
@@ -52,6 +54,39 @@ func TestSessionCaptureAndQuery(t *testing.T) {
 	for _, want := range []string{"matched 1 result item", "Hello World", "retweet_cnt (influencing)", "contributing"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
+		}
+	}
+}
+
+// TestConcurrentQueriesShareOneTracer: queries on one capture from several
+// goroutines build its lazily created tracer once and answer alike; under
+// the race detector this checks the tracer's lock.
+func TestConcurrentQueriesShareOneTracer(t *testing.T) {
+	cap, err := core.Session{Partitions: 2}.Capture(workload.ExamplePipeline(), workload.ExampleInput(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := treepattern.New(treepattern.Desc("id_str").WithEq(nested.StringVal("lp")))
+	const n = 8
+	reports := make([]string, n)
+	tracers := make([]*backtrace.Tracer, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := cap.Query(pattern)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reports[i], tracers[i] = q.Report(), cap.Tracer()
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if tracers[i] != tracers[0] || reports[i] != reports[0] {
+			t.Fatalf("query %d: tracer %p, report\n%s\nquery 0: tracer %p, report\n%s", i, tracers[i], reports[i], tracers[0], reports[0])
 		}
 	}
 }

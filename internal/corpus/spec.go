@@ -354,7 +354,7 @@ func (s *Spec) AggOutputsReachSink() bool {
 			for _, ag := range st.aggSpecs() {
 				ins[ag.In] = true
 			}
-			//pebblevet:ignore determinism -- the body only ANDs into ok; the result is iteration-order independent
+			// The body only ANDs into ok, so the map's order cannot show.
 			for name := range alias[st.In] {
 				if !ins[name] {
 					ok = false

@@ -108,3 +108,41 @@ func TestScenariosAndCorpusMatchReference(t *testing.T) {
 		t.Errorf("%d of 240 corpus plans fail: the corpus no longer exercises the executor", failed)
 	}
 }
+
+// TestColumnFilterRecordsBothOperands: D3's co-author filter compares two
+// columns (a1.id != a2.id); the captured operator records both as accessed,
+// or a trace through it would drop the attribute that decided the pair.
+func TestColumnFilterRecordsBothOperands(t *testing.T) {
+	sc, err := workload.ByName("D3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sc.Build()
+	c := provenance.NewCollector()
+	inputs := workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: 200, Seed: 42}, 2)
+	if _, err := engine.Run(p, inputs, engine.Options{Sink: c}); err != nil {
+		t.Fatal(err)
+	}
+	run := c.Finish()
+	var filters int
+	for _, o := range p.Ops() {
+		if o.Type() != engine.OpFilter || !strings.Contains(o.String(), "a2.id") {
+			continue
+		}
+		filters++
+		op, ok := run.Op(o.ID())
+		if !ok {
+			t.Fatalf("%s captured no provenance", o)
+		}
+		var acc []string
+		for _, a := range op.Inputs[0].Accessed {
+			acc = append(acc, a.String())
+		}
+		if got := strings.Join(acc, ", "); got != "a1.id, a2.id" {
+			t.Errorf("%s accessed [%s], want [a1.id, a2.id]", o, got)
+		}
+	}
+	if filters != 1 {
+		t.Fatalf("D3 has %d filters over a2.id, want 1", filters)
+	}
+}

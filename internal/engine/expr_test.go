@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pebble/internal/nested"
+	"pebble/internal/path"
 )
 
 func evalBool(t *testing.T, e Expr, d nested.Value) bool {
@@ -150,4 +151,95 @@ func TestExprPathsAndString(t *testing.T) {
 	if got := Len(Col("a")).Paths(); len(got) != 1 {
 		t.Errorf("Len paths = %v", got)
 	}
+}
+
+// TestEvalReadsOnlyPaths is the capture contract of Expr (Def. 5.1, Tab. 5):
+// an operator records an expression's Paths() as its accessed-path set A, so
+// Eval must read nothing outside them. Every Expr type of expr.go appears
+// with a column in each operand slot, on values for which every operand
+// decides the result; Eval on the item pruned to Paths() must equal Eval on
+// the whole item.
+func TestEvalReadsOnlyPaths(t *testing.T) {
+	d := nested.Item(
+		nested.F("a", nested.Int(7)),
+		nested.F("b", nested.Int(7)),
+		nested.F("c", nested.Int(9)),
+		nested.F("seven", nested.Double(7)),
+		nested.F("yes", nested.Bool(true)),
+		nested.F("on", nested.Bool(true)),
+		nested.F("also", nested.Bool(true)),
+		nested.F("no", nested.Bool(false)),
+		nested.F("off", nested.Bool(false)),
+		nested.F("text", nested.StringVal("Hello World")),
+		nested.F("word", nested.StringVal("World")),
+		nested.F("tags", nested.Bag(nested.StringVal("a"), nested.StringVal("b"))),
+		nested.F("user", nested.Item(
+			nested.F("id_str", nested.StringVal("lp")),
+			nested.F("alias", nested.StringVal("lp")),
+			nested.F("langs", nested.Bag(nested.StringVal("en"))),
+		)),
+	)
+	for _, e := range []Expr{
+		Col("text"),
+		Col("user.id_str"),
+		Col("tags"),
+		LitInt(5),
+		LitString("x"),
+		Eq(Col("a"), Col("b")),
+		Ne(Col("a"), Col("b")),
+		Lt(Col("a"), Col("c")),
+		Le(Col("a"), Col("b")),
+		Gt(Col("c"), Col("a")),
+		Ge(Col("a"), Col("b")),
+		Eq(Col("a"), Col("seven")),
+		Eq(Col("user.id_str"), Col("user.alias")),
+		And(Col("yes"), Col("on")),
+		And(Col("yes"), Col("on"), Col("also")),
+		Or(Col("no"), Col("yes")),
+		Or(Col("no"), Col("off"), Col("yes")),
+		Not(Col("no")),
+		Not(Ne(Col("a"), Col("b"))),
+		Contains(Col("text"), Col("word")),
+		Contains(Col("user.id_str"), Col("user.alias")),
+		IsNull(Col("text")),
+		IsNull(Col("user.id_str")),
+		Len(Col("tags")),
+		Len(Col("user.langs")),
+		And(Eq(Col("a"), Col("b")), Contains(Col("text"), Col("word")), Not(IsNull(Col("user.alias")))),
+	} {
+		t.Run(e.String(), func(t *testing.T) {
+			want, werr := e.Eval(d)
+			got, gerr := e.Eval(pruneTo(d, e.Paths()))
+			if werr != nil || gerr != nil || !nested.Equal(got, want) {
+				t.Errorf("over the item pruned to its Paths() %v: %s (%v); over the item: %s (%v)", e.Paths(), got, gerr, want, werr)
+			}
+		})
+	}
+}
+
+// pruneTo keeps of item d the attributes on the attribute paths ps — what an
+// operator that recorded A = ps may rely on — and drops the rest.
+func pruneTo(d nested.Value, ps []path.Path) nested.Value {
+	var fields []nested.Field
+	for i := 0; i < d.NumFields(); i++ {
+		name := d.FieldName(i)
+		var rest []path.Path
+		whole := false
+		for _, p := range ps {
+			if p[0].Attr != name {
+				continue
+			}
+			if len(p) == 1 {
+				whole = true
+			}
+			rest = append(rest, p[1:])
+		}
+		switch {
+		case whole:
+			fields = append(fields, nested.F(name, d.FieldValue(i)))
+		case rest != nil:
+			fields = append(fields, nested.F(name, pruneTo(d.FieldValue(i), rest)))
+		}
+	}
+	return nested.Item(fields...)
 }

