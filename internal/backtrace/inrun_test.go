@@ -193,7 +193,7 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 			want = append(want, sortedIDs(res))
 		}
 
-		shuffled := shuffledRun(tg.run, 11)
+		shuffled := shuffledRun(t, tg.run, 11)
 		stream, lazy := encoded(t, shuffled)
 		for _, op := range lazy.Operators() {
 			if ordered := slices.IsSorted(op.Columns().Out); op.OutOrdered() != ordered {

@@ -62,14 +62,10 @@ var (
 
 // WriteIndexes serializes the sidecar: a flag for every operator whose index
 // is the run's columns, and the sorted index of any other — the only case in
-// which it builds anything. The run must carry a content hash (it was loaded
-// from its encoded bytes, or encoded by WriteTo), since the hash is what
-// pairs the sidecar with its run at load time.
+// which it builds anything. The run's content hash is what pairs the sidecar
+// with its run at load time.
 func (t *Tracer) WriteIndexes(w io.Writer) (int64, error) {
-	runHash, ok := t.run.ContentHash()
-	if !ok {
-		return 0, fmt.Errorf("backtrace: run has no content hash (encode it with WriteTo, or reload it with provenance.ReadRunLazy, before persisting indexes)")
-	}
+	runHash := t.run.ContentHash()
 	ops := t.run.Operators()
 	buf := append(make([]byte, 0, sidecarHeaderLen+1+4*len(ops)), sidecarMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, sidecarVersion)
@@ -148,10 +144,7 @@ func appendRunLens(buf []byte, offs []int32) []byte {
 // built one. The tracer retains data; callers must not mutate it afterwards.
 func (t *Tracer) LoadIndexes(data []byte) error {
 	defer t.rec.StartSpan(obs.SpanIndexBuild)()
-	runHash, ok := t.run.ContentHash()
-	if !ok {
-		return fmt.Errorf("backtrace: run has no content hash to validate the sidecar against: %w", ErrSidecarStale)
-	}
+	runHash := t.run.ContentHash()
 	if len(data) < sidecarHeaderLen {
 		return fmt.Errorf("backtrace: sidecar truncated at %d bytes: %w", len(data), ErrSidecarCorrupt)
 	}

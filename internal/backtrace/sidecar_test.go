@@ -61,7 +61,8 @@ type sidecarFixture struct {
 // writes, whose Out columns are out of order. A run's columns are shared and
 // read-only, so the copy is made the way any run is — its rows replayed, one
 // at a time in the permuted order, through a provenance.Collector.
-func shuffledRun(run *provenance.Run, seed int64) *provenance.Run {
+func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	col := provenance.NewCollector()
 	for _, op := range run.Operators() {
@@ -91,7 +92,11 @@ func shuffledRun(run *provenance.Run, seed int64) *provenance.Run {
 			}
 		}
 	}
-	return col.Finish()
+	shuffled, err := col.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shuffled
 }
 
 // makeFixture captures the pipeline; shuffled, the association rows are put
@@ -103,7 +108,7 @@ func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.
 		t.Fatal(err)
 	}
 	if shuffled {
-		run = shuffledRun(run, 7)
+		run = shuffledRun(t, run, 7)
 	}
 	var stream bytes.Buffer
 	if _, err := run.WriteTo(&stream); err != nil {
@@ -372,32 +377,29 @@ func TestSidecarWrongRun(t *testing.T) {
 	}
 }
 
-// TestSidecarNeedsContentHash: a capture that was never encoded has no
-// content hash, so it can neither write nor validate sidecars; WriteTo gives
-// it the hash of the stream it wrote, and then it writes the very sidecar a
+// TestCapturedRunHashesItsStream: a capture is the lazy view of the stream
+// Finish encoded, so it carries that stream's content hash from the start —
+// the hash of the bytes WriteTo writes — and writes the very sidecar a
 // reload of that stream writes.
-func TestSidecarNeedsContentHash(t *testing.T) {
+func TestCapturedRunHashesItsStream(t *testing.T) {
 	_, run, err := provenance.Capture(workload.ExamplePipeline(), workload.ExampleInput(2),
 		engine.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backtrace.NewTracer(run).WriteIndexes(&bytes.Buffer{}); err == nil {
-		t.Error("WriteIndexes on a never-encoded run must fail")
-	}
-	f := fixtures(t)["example"]
-	if err := backtrace.NewTracer(run).LoadIndexes(f.sidecar); !errors.Is(err, backtrace.ErrSidecarStale) {
-		t.Errorf("LoadIndexes on a never-encoded run: got %v, want ErrSidecarStale", err)
-	}
 	var stream, sidecar bytes.Buffer
 	if _, err := run.WriteTo(&stream); err != nil {
 		t.Fatal(err)
 	}
-	if h, ok := run.ContentHash(); !ok || h != provenance.HashStream(stream.Bytes()) {
-		t.Errorf("after WriteTo: content hash %016x/%v, want %016x", h, ok, provenance.HashStream(stream.Bytes()))
+	if h := run.ContentHash(); h != provenance.HashStream(stream.Bytes()) {
+		t.Errorf("content hash %016x, want HashStream of the written stream %016x", h, provenance.HashStream(stream.Bytes()))
 	}
+	f := fixtures(t)["example"]
 	if _, err := backtrace.NewTracer(run).WriteIndexes(&sidecar); err != nil || !bytes.Equal(sidecar.Bytes(), f.sidecar) {
-		t.Errorf("WriteIndexes on the encoded capture: %v, %d bytes, want the %d of the reloaded run's sidecar", err, sidecar.Len(), len(f.sidecar))
+		t.Errorf("WriteIndexes on the capture: %v, %d bytes, want the %d of the reloaded run's sidecar", err, sidecar.Len(), len(f.sidecar))
+	}
+	if err := backtrace.NewTracer(run).LoadIndexes(f.sidecar); err != nil {
+		t.Errorf("LoadIndexes of the reload's sidecar on the capture: %v", err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // captureRendered runs the example workload under capture with a fresh
-// recorder at the given worker count, serialises the provenance through the
-// observed codec path, and returns the timing-free stats rendering.
+// recorder at the given worker count — Finish encodes the provenance —
+// writes the stream, and returns the timing-free stats rendering.
 func captureRendered(t *testing.T, workers int) string {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -66,17 +66,19 @@ func TestCapturedStatsWithAndWithoutRecorder(t *testing.T) {
 	if st.SpanTotal(obs.SpanSchedule) <= 0 {
 		t.Error("schedule span missing from recorder-backed stats")
 	}
-	// The run carries the recorder it was captured under, so a plain WriteTo
-	// (shell `save`, `pebble -out`) fills the enc_bytes column.
-	if got := st.Total(obs.BytesEncoded); got != 0 {
-		t.Errorf("enc_bytes = %d before any WriteTo", got)
-	}
-	n, err := withRec.Provenance.WriteTo(io.Discard)
+	// The capture encodes the run once, at Finish, so enc_bytes is the
+	// operators' share of the stream right away, and a WriteTo, which writes
+	// the held stream, does not change it.
+	var stream strings.Builder
+	n, err := withRec.Provenance.WriteTo(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := withRec.Stats().Total(obs.BytesEncoded); got <= 0 || got >= n {
-		t.Errorf("enc_bytes = %d after WriteTo of %d bytes, want the operators' share of the stream", got, n)
+	if got := st.Total(obs.BytesEncoded); got <= 0 || got >= n {
+		t.Errorf("enc_bytes = %d after Capture of a %d-byte stream, want the operators' share of it", got, n)
+	}
+	if got, want := withRec.Stats().Total(obs.BytesEncoded), st.Total(obs.BytesEncoded); got != want {
+		t.Errorf("enc_bytes = %d after WriteTo, %d before", got, want)
 	}
 
 	plain, err := core.NewSession(core.WithPartitions(2)).

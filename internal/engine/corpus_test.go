@@ -43,8 +43,12 @@ func capture(run func(engine.Options) (*engine.Result, error), opts engine.Optio
 		}
 	}
 	render("output", res.Output)
+	prov, err := c.Finish()
+	if err != nil {
+		return captured{err: "finish: " + err.Error()}
+	}
 	var pbl bytes.Buffer
-	if _, err := c.Finish().WriteTo(&pbl); err != nil {
+	if _, err := prov.WriteTo(&pbl); err != nil {
 		return captured{err: "encode: " + err.Error()}
 	}
 	return captured{rows: sb.String(), pbl: pbl.Bytes()}
@@ -123,7 +127,10 @@ func TestColumnFilterRecordsBothOperands(t *testing.T) {
 	if _, err := engine.Run(p, inputs, engine.Options{Sink: c}); err != nil {
 		t.Fatal(err)
 	}
-	run := c.Finish()
+	run, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var filters int
 	for _, o := range p.Ops() {
 		if o.Type() != engine.OpFilter || !strings.Contains(o.String(), "a2.id") {

@@ -82,11 +82,12 @@ func BenchmarkEngineSweep(b *testing.B) {
 }
 
 // BenchmarkCaptureSweep is the capture side of the same sweep: every scenario
-// run under a provenance.Collector, the run merged (Finish) and encoded
-// (WriteTo) — what a capture job adds to the plain run before its artifact
-// exists. rows is the association rows the sweep captured; B/row is what one
-// of them costs in allocation: the sweep's bytes less those of a plain sweep
-// (provenance.capture_alloc_mb, with the encode), per row. `make bench-capture`.
+// run under a provenance.Collector, the run merged, encoded and loaded lazily
+// (Finish) and written (WriteTo) — what a capture job adds to the plain run
+// before its artifact exists. rows is the association rows the sweep
+// captured; B/row is what one of them costs in allocation: the sweep's bytes
+// less those of a plain sweep (provenance.capture_alloc_mb, with the encode),
+// per row. `make bench-capture`.
 func BenchmarkCaptureSweep(b *testing.B) {
 	eachSweep(b, func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset) {
 		var rows int

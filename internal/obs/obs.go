@@ -60,8 +60,8 @@ const (
 	// operator (the deterministic Sizes model of Fig. 8), recorded at
 	// collector Finish.
 	ProvBytes
-	// BytesEncoded counts serialised codec bytes per operator, recorded by
-	// every WriteTo of a run that was captured under the recorder.
+	// BytesEncoded counts serialised codec bytes per operator, recorded once,
+	// when collector Finish encodes the run.
 	BytesEncoded
 
 	// NumCounters is the number of counters (array size, not a counter).
@@ -89,7 +89,8 @@ const (
 	// SpanSchedule is one pipeline execution end to end (wave scheduling
 	// plus all operator evals).
 	SpanSchedule Span = iota
-	// SpanCollectorFinish is the provenance collector's shard merge.
+	// SpanCollectorFinish is the provenance collector's Finish: the shard
+	// merge, the encode and the lazy load of the stream.
 	SpanCollectorFinish
 	// SpanPatternMatch is the tree-pattern matching phase of a query.
 	SpanPatternMatch
@@ -109,6 +110,9 @@ const (
 	// and JSON answer forms, opened by the daemon's trace job around
 	// core.QueryResult.Answer.
 	SpanAnswerRender
+	// SpanPersist is the daemon's write of a capture job's artifacts: the
+	// temp writes and renames of the .pbl and its .idx sidecar.
+	SpanPersist
 
 	// NumSpans is the number of spans (array size, not a span).
 	NumSpans
@@ -117,6 +121,7 @@ const (
 var spanNames = [NumSpans]string{
 	"schedule", "collector_finish", "pattern_match", "backtrace",
 	"run_load", "index_build", "pattern_compile", "answer_render",
+	"persist",
 }
 
 // String returns the snake_case name of the span.

@@ -191,7 +191,9 @@ func runModes(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.D
 		return fail(KindRun, "eager: "+err.Error())
 	}
 	a.res = resEager
-	a.run = col.Finish()
+	if a.run, err = col.Finish(); err != nil {
+		return fail(KindRun, "eager finish: "+err.Error())
+	}
 	if diff := firstDiff(a.rows, rowStrings(resEager.Output)); diff != "" {
 		return fail(KindResult, "eager capture changed the result: "+diff)
 	}

@@ -22,7 +22,7 @@ import (
 //
 // with fixed-width little-endian fields; strings and slices are
 // length-prefixed and association rows are stored row-major with u32/i64
-// fields. Versions 2 and 3 (v3 is what WriteTo emits, see codec_v3.go and
+// fields. Versions 2 and 3 (v3 is what a capture encodes, see codec_v3.go and
 // DESIGN.md §8) share the magic/version prefix and store a string
 // dictionary followed by per-operator association columns; v3 marks in a
 // bag's tag byte the columns it stores as runs of equal deltas. No version
@@ -39,7 +39,8 @@ const (
 // EOF: it is ReadRunLazy over everything r holds followed by the decode of
 // every association bag, so it validates exactly what the lazy load
 // validates and carries the same content hash. The returned run holds decoded
-// bags and does not retain the stream.
+// bags and retains the stream: its WriteTo writes the bytes read, so a v1 or
+// v2 archive is written back as it is, not re-encoded as v3.
 func ReadRun(r io.Reader) (*Run, error) {
 	var buf bytes.Buffer
 	if sized, ok := r.(interface{ Len() int }); ok {
@@ -54,8 +55,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, oid := range run.order {
-		op := run.ops[oid]
+	for _, op := range run.ops {
 		op.Columns()
 		op.lazy = nil
 	}

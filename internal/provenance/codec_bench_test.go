@@ -24,7 +24,7 @@ func BenchmarkCaptureSink(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fill(c)
 			b.StopTimer()
-			c.Finish() // drain so shards recycle instead of growing
+			c.Finish() // drain, so the next fill starts empty
 			b.StartTimer()
 		}
 	}

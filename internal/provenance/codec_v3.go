@@ -9,15 +9,15 @@ import (
 	"pebble/internal/obs"
 )
 
-// Codec version 3, what WriteTo writes: a columnar layout. Association bags
-// dominate the stream (millions of monotonically growing int64 identifiers
-// per operator), so every association field is its own column, and an
-// identifier column is stored the shorter way: as zigzag deltas, one or two
-// bytes each instead of the fixed eight of v1, or — where deltas repeat, as
-// in a dense Out column (base, 1, 1, …) — as runs of equal deltas, a few
-// bytes whatever the length. The schema-level strings repeat heavily across
-// operators, so the stream opens with a string dictionary and every string
-// position holds a varint dictionary reference.
+// Codec version 3, what Collector.Finish encodes: a columnar layout.
+// Association bags dominate the stream (millions of monotonically growing
+// int64 identifiers per operator), so every association field is its own
+// column, and an identifier column is stored the shorter way: as zigzag
+// deltas, one or two bytes each instead of the fixed eight of v1, or — where
+// deltas repeat, as in a dense Out column (base, 1, 1, …) — as runs of equal
+// deltas, a few bytes whatever the length. The schema-level strings repeat
+// heavily across operators, so the stream opens with a string dictionary and
+// every string position holds a varint dictionary reference.
 //
 // Layout after the shared magic "PBLP" | u16 version=3 prefix:
 //
@@ -45,9 +45,9 @@ import (
 // groups. Version 2 is this layout with runs = 0, so v3 is never longer. A
 // bag keeps one column of n entries not run-coded (chooseRuns), so every row
 // it declares is backed by a byte of its region, which bounds what a loader
-// allocates. The bytes are a pure function of the Run — the dictionary is in
-// first-occurrence order over r.order — so they are identical whatever the
-// worker count (the oracle asserts this byte-for-byte).
+// allocates. The bytes are a pure function of the run — the dictionary is in
+// first-occurrence order over the operators — so they are identical whatever
+// the worker count (the oracle asserts this byte-for-byte).
 
 // runColumns are the columns of each layout that may be run-coded, and
 // rowColumns those with one entry per association row (bit k: k-th column).
@@ -56,46 +56,46 @@ var (
 	rowColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b111, AssocAgg: 0b011}
 )
 
-// WriteTo serialises the run: the whole v3 stream is assembled in one
-// buffer and handed to w in a single Write, so the returned count reflects
-// bytes the destination genuinely accepted. A run captured under a recorder
-// (Collector.Observe) reports every operator's encoded byte count into it as
-// obs.BytesEncoded — the codec-level counterpart of the model-level ProvBytes
-// counter — once per call. A captured run then carries the content hash of
-// the stream (ContentHash), as if it had been loaded from it; a loaded run
-// keeps the hash of the bytes it was loaded from.
+// WriteTo writes the run's encoded stream verbatim in a single Write, so the
+// returned count reflects bytes the destination genuinely accepted. A
+// captured run's stream is the v3 encoding Collector.Finish produced; a
+// loaded run's is the bytes it was loaded from, whatever their version.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(r.stream)
+	if err != nil {
+		err = fmt.Errorf("provenance: writing encoded run: %w", err)
+	}
+	return int64(n), err
+}
+
+// encode returns the v3 stream of ops. bag returns an operator's association
+// columns; it is called once per operator, in order, and its result is not
+// kept past the call, so a caller may hand out one reused buffer. Every
+// operator's encoded byte count goes to rec as obs.BytesEncoded — the
+// codec-level counterpart of the model-level ProvBytes counter.
+func encode(ops []*Operator, bag func(*Operator) Columns, rec *obs.Recorder) []byte {
 	buf := append(make([]byte, 0, 4096), codecMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV3)
 
-	dict, refs := r.dict()
+	dict, refs := dictionary(ops)
 	buf = binary.AppendUvarint(buf, uint64(len(dict)))
 	for _, s := range dict {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.order)))
-	for _, oid := range r.order {
-		op := r.ops[oid]
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	for _, op := range ops {
 		start := len(buf)
-		buf = appendOp(buf, op, refs)
-		r.rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
+		buf = appendOp(buf, op, bag(op), refs)
+		rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
 	}
-
-	if !r.hasHash {
-		r.hash, r.hasHash = HashStream(buf), true
-	}
-	n, err := w.Write(buf)
-	if err != nil {
-		return int64(n), fmt.Errorf("provenance: writing encoded run: %w", err)
-	}
-	return int64(n), nil
+	return buf
 }
 
-// dict collects every string of the run in deterministic first-occurrence
+// dictionary collects every string of ops in deterministic first-occurrence
 // order (the same walk the encoder performs) and returns the dictionary plus
 // the string→index mapping.
-func (r *Run) dict() ([]string, map[string]uint64) {
+func dictionary(ops []*Operator) ([]string, map[string]uint64) {
 	var dict []string
 	refs := make(map[string]uint64)
 	add := func(s string) {
@@ -104,8 +104,7 @@ func (r *Run) dict() ([]string, map[string]uint64) {
 			dict = append(dict, s)
 		}
 	}
-	for _, oid := range r.order {
-		op := r.ops[oid]
+	for _, op := range ops {
 		add(string(op.Type))
 		for _, in := range op.Inputs {
 			add(in.SourceName)
@@ -124,7 +123,7 @@ func (r *Run) dict() ([]string, map[string]uint64) {
 	return dict, refs
 }
 
-func appendOp(buf []byte, op *Operator, refs map[string]uint64) []byte {
+func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(op.OID))
 	buf = binary.AppendUvarint(buf, refs[string(op.Type)])
 	buf = appendBool(buf, op.ManipUndefined)
@@ -148,7 +147,6 @@ func appendOp(buf []byte, op *Operator, refs map[string]uint64) []byte {
 		buf = binary.AppendUvarint(buf, refs[m.Out.String()])
 		buf = appendBool(buf, m.GroupKey)
 	}
-	c := op.Columns()   // re-encoding a lazily loaded run reads every bag
 	var wire [3][]int64 // the identifier columns in wire order; Pos and lens are written below
 	switch c.Kind {
 	case AssocSource:

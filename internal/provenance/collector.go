@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -21,14 +22,10 @@ type Collector struct {
 	mu    sync.RWMutex
 	ops   map[int]*opShards // guarded by mu
 	order []int             // guarded by mu
-	// free recycles shard backing arrays across Finish/reuse cycles: the
-	// merge copies every column out of the shards, so the arrays can back the
-	// next capture without aliasing the returned Run.
-	free [][]shard // guarded by mu
 
-	// rec receives the Finish span and per-operator provenance-size
-	// counters; set it with Observe before the run starts (not guarded —
-	// written only while the collector is idle).
+	// rec receives the Finish span and the per-operator encoded-byte and
+	// provenance-size counters; set it with Observe before the run starts
+	// (not guarded — written only while the collector is idle).
 	rec *obs.Recorder
 }
 
@@ -104,15 +101,11 @@ func NewCollector() *Collector {
 	return &Collector{ops: make(map[int]*opShards)}
 }
 
-// Observe attaches a recorder: Finish reports its merge time as a span and
-// the per-operator provenance footprint (the deterministic Sizes model) as
-// counters, and hands the recorder to the Run, whose WriteTo reports encoded
-// bytes. Call before the capture run starts; a nil recorder is fine.
+// Observe attaches a recorder: Finish reports its time as a span and, per
+// operator, the encoded bytes and the provenance footprint (the deterministic
+// Sizes model) as counters. Call before the capture run starts; a nil
+// recorder is fine.
 func (c *Collector) Observe(rec *obs.Recorder) { c.rec = rec }
-
-// maxFreeShards bounds the recycled backing arrays a collector retains, so a
-// one-off giant pipeline cannot pin its shard memory forever.
-const maxFreeShards = 32
 
 // StartOperator implements engine.CaptureSink.
 func (c *Collector) StartOperator(info engine.OpInfo, partitions int) {
@@ -121,28 +114,8 @@ func (c *Collector) StartOperator(info engine.OpInfo, partitions int) {
 	if partitions < 1 {
 		partitions = 1
 	}
-	c.ops[info.OID] = &opShards{info: info, shards: c.takeShards(partitions)}
+	c.ops[info.OID] = &opShards{info: info, shards: make([]shard, partitions)}
 	c.order = append(c.order, info.OID)
-}
-
-// takeShards returns a zeroed-length shard slice for partitions morsels,
-// reusing a recycled backing array when one is large enough. Caller holds mu.
-func (c *Collector) takeShards(partitions int) []shard {
-	for i, sh := range c.free {
-		if cap(sh) < partitions {
-			continue
-		}
-		c.free[i] = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		sh = sh[:partitions]
-		for j := range sh {
-			s := &sh[j]
-			clear(s.lists) // merged into a run's In column: garbage now
-			*s = shard{out: s.out[:0], in: s.in[:0], right: s.right[:0], pos: s.pos[:0], lists: s.lists[:0]}
-		}
-		return sh
-	}
-	return make([]shard, partitions)
 }
 
 // Partition implements engine.CaptureSink: one read-locked registry lookup
@@ -154,44 +127,48 @@ func (c *Collector) Partition(oid, part int) engine.PartitionSink {
 	return &c.ops[oid].shards[part]
 }
 
-// Finish merges the shards into an immutable Run. The collector can be
-// reused afterwards for a fresh capture; the shard backing arrays are
-// recycled (the merge copies every column, so the Run never aliases them).
-// Operators are ordered by id — the engine announces concurrently executing
-// DAG branches in schedule order, but the serialized run must not depend on
-// that schedule. Each column is concatenated once, into an array of its exact
-// final size; an operator without rows has no bag (AssocNone).
-func (c *Collector) Finish() *Run {
+// Finish encodes the capture into its v3 stream and returns the run loaded
+// lazily from it (ReadRunLazy): a captured run is the same object as a
+// reloaded one, and its bags decode on first touch. Operators are ordered by
+// id — the engine announces concurrently executing DAG branches in schedule
+// order, but the stream must not depend on that schedule. Each operator's
+// shards are concatenated into one scratch bag, reused across operators, that
+// the encoder reads; an operator without rows has no bag (AssocNone). The
+// collector can be reused afterwards for a fresh capture. The error is the
+// load's: a stream Finish encoded that does not load is a bug, not an input
+// error.
+func (c *Collector) Finish() (*Run, error) {
 	defer c.rec.StartSpan(obs.SpanCollectorFinish)()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	run := &Run{ops: make(map[int]*Operator, len(c.ops)), order: make([]int, 0, len(c.ops)), rec: c.rec}
 	sort.Ints(c.order)
-	for _, oid := range c.order {
-		os := c.ops[oid]
-		op := &Operator{
-			OID:            os.info.OID,
-			Type:           os.info.Type,
-			Inputs:         os.info.Inputs,
-			Manipulated:    os.info.Manipulated,
-			ManipUndefined: os.info.ManipUndefined,
-		}
-		op.setColumns(mergeShards(os.shards))
-		if len(c.free) < maxFreeShards {
-			c.free = append(c.free, os.shards)
-		}
-		run.ops[oid] = op
-		run.order = append(run.order, oid)
-		c.rec.Add(oid, 0, obs.ProvBytes, op.Sizes().Total())
+	ops := make([]*Operator, len(c.order))
+	for i, oid := range c.order {
+		info := c.ops[oid].info
+		ops[i] = &Operator{OID: info.OID, Type: info.Type, Inputs: info.Inputs,
+			Manipulated: info.Manipulated, ManipUndefined: info.ManipUndefined}
 	}
-	c.ops = make(map[int]*opShards)
-	c.order = nil
-	return run
+	var scratch Columns
+	stream := encode(ops, func(op *Operator) Columns {
+		scratch = mergeShards(scratch, c.ops[op.OID].shards)
+		return scratch
+	}, c.rec)
+	c.ops, c.order = make(map[int]*opShards), nil
+	run, err := ReadRunLazy(stream)
+	if err != nil {
+		return nil, fmt.Errorf("provenance: captured run does not load: %w", err)
+	}
+	for _, op := range run.Operators() {
+		c.rec.Add(op.OID, 0, obs.ProvBytes, op.Sizes().Total())
+	}
+	return run, nil
 }
 
-// mergeShards concatenates the shards' columns in partition order.
-func mergeShards(shards []shard) Columns {
-	var c Columns
+// mergeShards concatenates the shards' columns in partition order into the
+// arrays of c, each grown to the bag's size where it is shorter, and returns
+// them.
+func mergeShards(c Columns, shards []shard) Columns {
+	c.Kind = AssocNone
 	n, totalIns := 0, 0
 	for i := range shards {
 		s := &shards[i]
@@ -203,24 +180,21 @@ func mergeShards(shards []shard) Columns {
 			totalIns += len(l)
 		}
 	}
-	if n == 0 {
-		return c
-	}
-	concat := func(col func(*shard) []int64) []int64 {
-		out := make([]int64, 0, n)
+	concat := func(dst []int64, col func(*shard) []int64) []int64 {
+		dst = slices.Grow(dst[:0], n)
 		for i := range shards {
-			out = append(out, col(&shards[i])...)
+			dst = append(dst, col(&shards[i])...)
 		}
-		return out
+		return dst
 	}
-	c.Out = concat(func(s *shard) []int64 { return s.out })
+	c.Out = concat(c.Out, func(s *shard) []int64 { return s.out })
 	switch c.Kind {
 	case AssocBinary:
-		c.Right = concat(func(s *shard) []int64 { return s.right })
+		c.Right = concat(c.Right, func(s *shard) []int64 { return s.right })
 	case AssocFlatten:
-		c.Pos = concat(func(s *shard) []int64 { return s.pos })
+		c.Pos = concat(c.Pos, func(s *shard) []int64 { return s.pos })
 	case AssocAgg:
-		c.In, c.Offs = make([]int64, 0, totalIns), make([]int32, 1, n+1)
+		c.In, c.Offs = slices.Grow(c.In[:0], totalIns), append(slices.Grow(c.Offs[:0], n+1), 0)
 		for i := range shards {
 			for _, l := range shards[i].lists {
 				c.In = append(c.In, l...)
@@ -229,7 +203,7 @@ func mergeShards(shards []shard) Columns {
 		}
 		return c
 	}
-	c.In = concat(func(s *shard) []int64 { return s.in })
+	c.In = concat(c.In, func(s *shard) []int64 { return s.in })
 	return c
 }
 
@@ -252,5 +226,9 @@ func CaptureContext(ctx context.Context, p *engine.Pipeline, inputs map[string]*
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, c.Finish(), nil
+	run, err := c.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, run, nil
 }

@@ -43,16 +43,14 @@ type lazyAssoc struct {
 	runs     uint8 // the run-coded columns (0 in a v2 stream)
 }
 
-// ContentHash returns the FNV-1a hash of the encoded stream the run was
-// loaded from, used to pair a run with its persisted index sidecar. Every
-// loaded run (ReadRunLazy, ReadRun) carries one, and so does a captured run
-// once WriteTo has encoded it; ok is false for a run that has no encoded form
-// yet.
-func (r *Run) ContentHash() (uint64, bool) { return r.hash, r.hasHash }
+// ContentHash returns HashStream of the run's encoded stream — the bytes it
+// was loaded from, or a capture's own — used to pair a run with its persisted
+// index sidecar.
+func (r *Run) ContentHash() uint64 { return HashStream(r.stream) }
 
 // AssocBytesTotal returns the encoded size of all association regions of a
-// lazily loaded columnar run (0 for fully decoded or in-memory runs) — the bytes
-// ReadRun materialises unconditionally.
+// lazily loaded or captured columnar run (0 for a run ReadRun decoded or a
+// v1 stream) — the bytes ReadRun materialises unconditionally.
 func (r *Run) AssocBytesTotal() int64 {
 	if r.lazy == nil {
 		return 0
@@ -92,9 +90,10 @@ func HashStream(data []byte) uint64 {
 // column decode until an operator's bag is first touched. The stream is
 // fully validated up front (a corrupt or truncated stream, or one with bytes
 // after its last operator, errors here, never later), so the accessors are
-// infallible. v1 streams have no columnar layout and decode fully. Every
-// loaded run carries the content hash of data. This is the one load path:
-// ReadRun is ReadRunLazy plus the decode of every bag.
+// infallible. v1 streams have no columnar layout and decode fully. The run
+// retains data, which WriteTo writes back verbatim. This is the one load
+// path: ReadRun is ReadRunLazy plus the decode of every bag, and
+// Collector.Finish ends in it.
 func ReadRunLazy(data []byte) (*Run, error) {
 	c := NewCursor(data)
 	magic := c.take(len(codecMagic))
@@ -120,7 +119,7 @@ func ReadRunLazy(data []byte) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	run.hash, run.hasHash = HashStream(data), true
+	run.stream = data
 	return run, nil
 }
 

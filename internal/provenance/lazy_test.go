@@ -65,15 +65,8 @@ func requireSameRun(t *testing.T, want, got *provenance.Run) {
 			t.Fatalf("operator %d: OutOrdered %v, but the Out column sorted is %v", wo.OID, gop.OutOrdered(), sorted)
 		}
 	}
-	var fromWant, fromGot bytes.Buffer
-	if _, err := want.WriteTo(&fromWant); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.WriteTo(&fromGot); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromWant.Bytes(), fromGot.Bytes()) {
-		t.Errorf("re-encodings differ: %d vs %d bytes", fromGot.Len(), fromWant.Len())
+	if fromWant, fromGot := provenance.EncodeV3(want), provenance.EncodeV3(got); !bytes.Equal(fromWant, fromGot) {
+		t.Errorf("re-encodings differ: %d vs %d bytes", len(fromGot), len(fromWant))
 	}
 	if !bytes.Equal(provenance.RefEncodeV1(want), provenance.RefEncodeV1(got)) {
 		t.Errorf("v1 projections differ")
@@ -103,11 +96,32 @@ func TestLazyEqualsEagerOnGoldens(t *testing.T) {
 			if got := eager.AssocBytesTotal(); got != 0 {
 				t.Errorf("ReadRun left %d association bytes undecoded", got)
 			}
-			lh, _ := lazyr.ContentHash()
-			if eh, ok := eager.ContentHash(); !ok || eh != lh || eh != provenance.HashStream(data) {
-				t.Errorf("ReadRun content hash %#x/%v, want %#x", eh, ok, provenance.HashStream(data))
+			if eh, lh := eager.ContentHash(), lazyr.ContentHash(); eh != lh || eh != provenance.HashStream(data) {
+				t.Errorf("ReadRun content hash %#x, ReadRunLazy %#x, want %#x", eh, lh, provenance.HashStream(data))
 			}
 		})
+	}
+}
+
+// TestLoadedRunWritesItsStream: a run writes the stream it was loaded from,
+// whatever its version — each frozen v1 and v2 golden, and the v3 one,
+// loaded lazily or through ReadRun, writes its file back byte for byte.
+func TestLoadedRunWritesItsStream(t *testing.T) {
+	for name, data := range goldenStreams(t) {
+		lazyr, err := provenance.ReadRunLazy(data)
+		if err != nil {
+			t.Fatalf("%s: ReadRunLazy: %v", name, err)
+		}
+		eager, err := provenance.ReadRun(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: ReadRun: %v", name, err)
+		}
+		for _, run := range []*provenance.Run{lazyr, eager} {
+			var back bytes.Buffer
+			if n, err := run.WriteTo(&back); err != nil || n != int64(len(data)) || !bytes.Equal(back.Bytes(), data) {
+				t.Errorf("%s: wrote %d bytes (%v), want the %d of the file", name, n, err, len(data))
+			}
+		}
 	}
 }
 
@@ -324,11 +338,7 @@ func TestHashStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := run.ContentHash()
-	if !ok {
-		t.Fatal("byte-loaded run has no content hash")
-	}
-	if h != provenance.HashStream(data) {
+	if h := run.ContentHash(); h != provenance.HashStream(data) {
 		t.Errorf("ContentHash %#x != HashStream %#x", h, provenance.HashStream(data))
 	}
 }

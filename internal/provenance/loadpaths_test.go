@@ -39,7 +39,7 @@ func eachCapture(t *testing.T, workers int, f func(name string, run *provenance.
 
 // TestLoadPathsGiveTheCapturedColumns: a bag has one form, so however a run
 // comes to be — merged by the collector, ReadRun or ReadRunLazy over the v3
-// stream WriteTo writes, the archived v2 stream or the frozen v1 stream —
+// stream Finish encoded, the archived v2 stream or the frozen v1 stream —
 // every operator holds DeepEqual columns (nil versus empty included),
 // answers kind, count, order (whether Out is sorted, for a run-coded Out as
 // for a Δ-coded one) and sizes alike, and re-encodes to the same bytes in the
@@ -72,7 +72,7 @@ func TestLoadPathsGiveTheCapturedColumns(t *testing.T) {
 			t.Errorf("no captured operator has association kind %d", k)
 		}
 	}
-	run := runCodedRun()
+	run := runCodedRun(t)
 	v3 := writeTo(t, run)
 	// Eight of its 40-row columns may be run-coded, each saving 30 bytes or more.
 	if v2 := provenance.RefEncodeV2(run); len(v2)-len(v3) < 8*30 {
@@ -81,10 +81,15 @@ func TestLoadPathsGiveTheCapturedColumns(t *testing.T) {
 	checkLoadPaths(t, "run-coded", run, v3)
 }
 
-// checkLoadPaths loads the run's v3 stream, its v2 and its v1 stream every
-// way there is and requires each load to be the captured run.
+// checkLoadPaths requires the encoder over the captured run's decoded bags to
+// reproduce the v3 stream Finish encoded from its shards, then loads that
+// stream, its v2 and its v1 stream every way there is and requires each load
+// to be the captured run.
 func checkLoadPaths(t *testing.T, name string, run *provenance.Run, v3 []byte) {
 	t.Helper()
+	if re := provenance.EncodeV3(run); !bytes.Equal(re, v3) {
+		t.Fatalf("%s: the captured bags re-encode to %d bytes, not the %d Finish encoded", name, len(re), len(v3))
+	}
 	for _, stream := range [][]byte{v3, provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
 		eager, err := provenance.ReadRun(bytes.NewReader(stream))
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"pebble/internal/engine"
-	"pebble/internal/obs"
 )
 
 // AssocKind enumerates the association bag layouts of Tab. 6; the values
@@ -137,16 +136,12 @@ type Run struct {
 	ops   map[int]*Operator
 	order []int
 
-	// lazy is the shared backing stream of a lazily loaded run (nil for
-	// eagerly built or decoded runs); hash is the FNV-1a content hash of the
-	// encoded stream when the run was loaded from bytes (see ContentHash).
-	lazy    *lazyStream
-	hash    uint64
-	hasHash bool
-
-	// rec is the recorder the run was captured under (nil for a reloaded or
-	// unobserved run); WriteTo reports encoded bytes into it.
-	rec *obs.Recorder
+	// stream is the encoded form the run was loaded from — a capture's is
+	// the one Collector.Finish encoded — which WriteTo writes and
+	// ContentHash fingerprints; lazy is its shared backing state while bags
+	// remain undecoded (nil once ReadRun has decoded every bag).
+	stream []byte
+	lazy   *lazyStream
 }
 
 // Op returns the operator provenance for the given operator identifier.

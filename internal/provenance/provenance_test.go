@@ -144,17 +144,17 @@ func TestCollectorReuseAfterFinish(t *testing.T) {
 	if _, err := engine.Run(workload.ExamplePipeline(), workload.ExampleInput(1), opts); err != nil {
 		t.Fatal(err)
 	}
-	first := c.Finish()
-	if len(first.Operators()) != 9 {
-		t.Fatalf("first run captured %d ops", len(first.Operators()))
+	first, err := c.Finish()
+	if err != nil || len(first.Operators()) != 9 {
+		t.Fatalf("first run: %v, %d ops", err, len(first.Operators()))
 	}
 	// Reuse for a second run.
 	if _, err := engine.Run(workload.ExamplePipeline(), workload.ExampleInput(1), opts); err != nil {
 		t.Fatal(err)
 	}
-	second := c.Finish()
-	if len(second.Operators()) != 9 {
-		t.Errorf("collector not reusable after Finish: %d ops", len(second.Operators()))
+	second, err := c.Finish()
+	if err != nil || len(second.Operators()) != 9 {
+		t.Fatalf("collector not reusable after Finish: %v, %d ops", err, len(second.Operators()))
 	}
 	// Finished runs are independent.
 	if &first.Operators()[0] == &second.Operators()[0] {

@@ -25,10 +25,17 @@ import (
 //     Operator.Columns. The frozen *.golden and *.v2.golden fixtures pin their
 //     bytes; they are what lets the tests keep asking "does this run still
 //     project onto the archived streams".
+//   - EncodeV3, the production v3 encoder over a run's decoded bags: a run
+//     writes the stream it holds, so the tests that re-encode a loaded or
+//     reference-built run call the encoder through this.
 //
 // The decoder keeps the row-major form the production code no longer has: it
 // collects refRows and gathers them into columns at the end (refColumns), so
 // "rows and columns say the same" stays checked from outside the column code.
+
+// EncodeV3 returns the v3 stream of the run's operators and bags, whatever
+// stream the run holds — what Collector.Finish would encode for it.
+func EncodeV3(r *Run) []byte { return encode(r.Operators(), (*Operator).Columns, nil) }
 
 // ---- v1 encoder ----
 

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -144,45 +144,34 @@ func (s *Server) runPipeline(j *job) error {
 	return nil
 }
 
-// persistArtifacts serializes the capture's provenance (.pbl) and its index
-// sidecar (.idx) in one pass: the run is encoded once, the bytes in hand are
-// loaded lazily as the check that what is written decodes, and the sidecar —
-// a few dozen bytes, since the indexes of an engine run are its own columns —
-// is written from that load. Either both files exist afterwards or neither.
+// persistArtifacts writes the capture's provenance (.pbl) — the stream
+// Finish encoded and loaded, so it needs no check here — and its index
+// sidecar (.idx), a few dozen bytes, since the indexes of an engine run are
+// its own columns. Either both files exist afterwards or neither. The writes
+// are the job's persist span.
 func (s *Server) persistArtifacts(j *job, cap *core.Captured) (provPath, idxPath string, n int64, err error) {
-	var pbl, idx bytes.Buffer
-	if _, err := cap.Provenance.WriteTo(&pbl); err != nil {
-		return "", "", 0, fmt.Errorf("encode provenance artifact: %w", err)
-	}
-	run, err := provenance.ReadRunLazy(pbl.Bytes())
-	if err != nil {
-		return "", "", 0, fmt.Errorf("verify provenance artifact: %w", err)
-	}
-	if _, err := backtrace.NewTracer(run).WriteIndexes(&idx); err != nil {
-		return "", "", 0, fmt.Errorf("encode index sidecar: %w", err)
-	}
-	provPath = s.artifactPath(j.sess, j, ".pbl")
-	idxPath = s.artifactPath(j.sess, j, ".idx")
-	if err := writeArtifact(provPath, pbl.Bytes()); err != nil {
+	defer j.rec.StartSpan(obs.SpanPersist)()
+	provPath, idxPath = s.artifactPath(j.sess, j, ".pbl"), s.artifactPath(j.sess, j, ".idx")
+	if n, err = writeArtifact(provPath, cap.Provenance.WriteTo); err != nil {
 		return "", "", 0, fmt.Errorf("write provenance artifact: %w", err)
 	}
-	if err := writeArtifact(idxPath, idx.Bytes()); err != nil {
+	if _, err := writeArtifact(idxPath, backtrace.NewTracer(cap.Provenance).WriteIndexes); err != nil {
 		os.Remove(provPath) //nolint:errcheck // best-effort cleanup
 		return "", "", 0, fmt.Errorf("write index sidecar: %w", err)
 	}
-	return provPath, idxPath, int64(pbl.Len()), nil
+	return provPath, idxPath, n, nil
 }
 
-// writeArtifact puts data under path by way of a temp file beside it and a
-// rename, so no reader finds a partial artifact under the final name and a
-// failed write leaves nothing behind. There is no fsync: surviving a power
-// loss is not promised (DESIGN.md §12.2).
-func writeArtifact(path string, data []byte) error {
+// writeArtifact puts what write writes under path by way of a temp file
+// beside it and a rename, so no reader finds a partial artifact under the
+// final name and a failed write leaves nothing behind. There is no fsync:
+// surviving a power loss is not promised (DESIGN.md §12.2).
+func writeArtifact(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = f.Write(data)
+	n, err := write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -192,7 +181,7 @@ func writeArtifact(path string, data []byte) error {
 	if err != nil {
 		os.Remove(f.Name()) //nolint:errcheck // best-effort cleanup
 	}
-	return err
+	return n, err
 }
 
 // runTrace executes a trace job: it reloads the target pipeline job's

@@ -323,6 +323,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request, ses
 	// length grows its buffer as it arrives and is cut off a byte past the
 	// limit.
 	var body bytes.Buffer
+	start := time.Now()
 	tooLarge := r.ContentLength > s.cfg.MaxUploadBytes
 	if !tooLarge {
 		if r.ContentLength > 0 {
@@ -339,7 +340,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request, ses
 		return
 	}
 	data := body.Bytes()
-	start := time.Now()
+	read := time.Now()
 	vals, err := nested.ParseJSONLines(data)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parse JSON lines: %v", err)
@@ -347,7 +348,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request, ses
 	}
 	parsed := time.Now()
 	ds := sess.base.NewDataset(name, vals, parts)
-	info, err := sess.addDataset(name, ds, int64(len(data)), parsed.Sub(start), time.Since(parsed))
+	info, err := sess.addDataset(name, ds, int64(len(data)), read.Sub(start), parsed.Sub(read), time.Since(parsed))
 	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return

@@ -75,8 +75,9 @@ func (s *session) info() sdk.SessionInfo {
 // addDataset registers a dataset built from uploaded values. Duplicate
 // names are rejected: jobs may already reference the existing data, and
 // silent replacement would make provenance non-reproducible. An accepted
-// upload shows in /stats: bytes and rows as counters, parse and build as spans.
-func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64, parse, build time.Duration) (sdk.DatasetInfo, error) {
+// upload shows in /stats: bytes and rows as counters, body read, parse and
+// build as spans.
+func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64, read, parse, build time.Duration) (sdk.DatasetInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.datasets[name]; ok {
@@ -87,6 +88,7 @@ func (s *session) addDataset(name string, ds *engine.Dataset, rawBytes int64, pa
 	s.dsOrder = append(s.dsOrder, name)
 	s.counters["upload_bytes"] += rawBytes
 	s.counters["upload_rows"] += int64(ds.Len())
+	s.spansMS["upload_read"] += float64(read.Nanoseconds()) / 1e6
 	s.spansMS["upload_parse"] += float64(parse.Nanoseconds()) / 1e6
 	s.spansMS["upload_build"] += float64(build.Nanoseconds()) / 1e6
 	return sdk.DatasetInfo{Name: name, Rows: ds.Len(), Partitions: len(ds.Partitions), Bytes: rawBytes}, nil

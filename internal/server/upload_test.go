@@ -182,3 +182,26 @@ func TestUploadShowsInStats(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistAndUploadReadShowInStats: a capture job's artifact writes show
+// in /stats as the persist span, and an upload's body read as upload_read.
+func TestPersistAndUploadReadShowInStats(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s", Partitions: 2})
+	body := strings.Repeat(`{"user":{"id":7,"tags":["x","y"]}}`+"\n", 500)
+	if _, err := c.UploadDataset(ctx, "s", "a", 0, strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "T3", SimGB: 1})
+	waitStatus(t, c, "s", j.ID, sdk.StatusDone)
+	st, err := c.Stats(ctx)
+	if err != nil || len(st.Sessions) != 1 {
+		t.Fatalf("stats: %+v, %v", st, err)
+	}
+	for _, span := range []string{"persist", "upload_read"} {
+		if ms, ok := st.Sessions[0].SpansMS[span]; !ok || ms <= 0 {
+			t.Errorf("spans_ms[%q] = %v (present %v), want > 0", span, ms, ok)
+		}
+	}
+}

@@ -189,23 +189,18 @@ func (s *Shell) printProvenance() {
 
 // save persists the captured provenance to path and writes the matching
 // index sidecar to path+".idx": for a run this engine captured that is a
-// flag per operator, saying its index is the run's own columns.
+// flag per operator, saying its index is the run's own columns. The sidecar
+// is keyed by the content hash of the run's stream — the bytes written to
+// path, whether the run was captured or loaded.
 func (s *Shell) save(path string) error {
-	var buf bytes.Buffer
+	var buf, idx bytes.Buffer
 	if _, err := s.cap.Provenance.WriteTo(&buf); err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	// The sidecar is keyed by the content hash of the bytes just written; a
-	// run that was itself loaded keeps the hash of the bytes it came from.
-	run, err := provenance.ReadRunLazy(buf.Bytes())
-	if err != nil {
-		return err
-	}
-	var idx bytes.Buffer
-	if _, err := backtrace.NewTracer(run).WriteIndexes(&idx); err != nil {
+	if _, err := backtrace.NewTracer(s.cap.Provenance).WriteIndexes(&idx); err != nil {
 		return err
 	}
 	if err := os.WriteFile(path+".idx", idx.Bytes(), 0o644); err != nil {

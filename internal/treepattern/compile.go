@@ -171,15 +171,19 @@ func (m *matcher) bind(d nested.Value) ([]binding, bool) {
 // parallel, one goroutine per partition. Rows that bind the same paths — the
 // usual case: a pattern over top-level attributes binds the same paths on
 // every row — get the same, shared *backtrace.Tree; the trees of the returned
-// structure are read-only (see backtrace.Tree).
+// structure are read-only (see backtrace.Tree). A panic of a partition
+// goroutine is raised again on the caller's goroutine, once every goroutine
+// has ended, as an *engine.PanicError.
 func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 	partResults := make([][]*backtrace.Item, len(d.Partitions))
+	panics := make([]error, len(d.Partitions))
 	shared := &sharedTrees{bySig: make(map[string]*backtrace.Tree)}
 	var wg sync.WaitGroup
 	for pi := range d.Partitions {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
+			defer engine.Recover(&panics[pi])
 			var (
 				m     = matcher{c: c, stack: make(path.Path, 0, stackSteps)}
 				items []*backtrace.Item
@@ -211,6 +215,11 @@ func (c *Compiled) Match(d *engine.Dataset) *backtrace.Structure {
 		}(pi)
 	}
 	wg.Wait()
+	for _, err := range panics {
+		if err != nil {
+			panic(err)
+		}
+	}
 	out := backtrace.NewStructure()
 	for _, items := range partResults {
 		out.Items = append(out.Items, items...)

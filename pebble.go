@@ -184,9 +184,11 @@ func TreeFromValue(v Value) *Tree { return core.TreeFromValue(v) }
 // provenance questions.
 func NewStructure() *Structure { return backtrace.NewStructure() }
 
-// ProvenanceRun is the captured structural provenance of one execution; it
-// can be persisted with WriteTo and reloaded with ReadProvenance so queries
-// can run long after the pipeline did (e.g. during a breach investigation).
+// ProvenanceRun is the captured structural provenance of one execution. A
+// capture ends by encoding it, and the run is the lazy view of those bytes,
+// exactly as a reload is: WriteTo persists them verbatim, and ReadProvenance
+// reloads them so queries can run long after the pipeline did (e.g. during a
+// breach investigation).
 type ProvenanceRun = provenance.Run
 
 // ReadProvenance loads a provenance run persisted with (*ProvenanceRun).WriteTo.
@@ -196,9 +198,8 @@ func ReadProvenance(r io.Reader) (*ProvenanceRun, error) { return provenance.Rea
 // association decode: the stream is validated and indexed up front, but an
 // operator's association columns materialise only when a trace first touches
 // them — a backtrace visiting three operators of a large run decodes three
-// column regions. The run carries a content hash pairing it with its index
-// sidecar (Tracer.WriteIndexes / Tracer.LoadIndexes), as a captured run does
-// once WriteTo has encoded it.
+// column regions. Its content hash pairs it with its index sidecar
+// (Tracer.WriteIndexes / Tracer.LoadIndexes), as a captured run's does.
 func ReadProvenanceLazy(data []byte) (*ProvenanceRun, error) { return provenance.ReadRunLazy(data) }
 
 // Tracer answers provenance queries over one captured or reloaded run. An
