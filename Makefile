@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the gate PRs must pass: stock vet,
-# formatting, the full suite under the race detector (which checks the
-# `// guarded by` field comments) and the daemon smoke.
+# formatting and the full suite under the race detector (which checks the
+# `// guarded by` field comments).
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather serve-smoke bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
+.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
 
 build:
 	go build ./...
@@ -55,16 +55,6 @@ fuzz-pattern:
 # same CI line.
 fuzz-gather:
 	go test -fuzz '^FuzzGather$$' -fuzztime 20s ./internal/engine
-
-# Daemon smoke gate (blocking in CI): boot pebbled on an ephemeral port,
-# drive a scenario end-to-end through the pkg/sdk client — capture, event
-# stream, provenance download, remote trace — and require the daemon's
-# provenance bytes and trace report to be identical to a direct library
-# execution (see cmd/pebbled and DESIGN.md §12). One twitter and one dblp
-# scenario cover both input shapes.
-serve-smoke:
-	go run ./cmd/pebbled -smoke T3
-	go run ./cmd/pebbled -smoke D1
 
 bench:
 	go test -bench . -benchtime 1x ./...

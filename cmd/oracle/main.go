@@ -2,7 +2,8 @@
 // pipelines from consecutive seeds and runs the full differential check —
 // four capture modes × the configured worker counts — until the time budget
 // is spent or a disagreement is found. On disagreement it shrinks the spec
-// to a minimal reproducer, writes it under -out, and exits non-zero.
+// to a minimal reproducer, writes it under -out, prints it to stderr, and
+// exits non-zero.
 //
 // Usage:
 //
@@ -54,15 +55,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "DISAGREEMENT after %d pipelines: %v\n", checked, d)
 			shrunk, sd := oracle.Shrink(spec, cfg)
 			if sd != nil {
-				jsonPath, goPath, err := oracle.WriteRepro(*out, shrunk, sd)
+				path, data, err := oracle.WriteRepro(*out, shrunk, sd)
 				if err != nil {
 					// Exit distinctly: the disagreement is real but the
 					// reproducer was lost, so the run is not replayable.
 					fmt.Fprintf(os.Stderr, "writing reproducer: %v\n", err)
 					os.Exit(3)
 				}
-				fmt.Fprintf(os.Stderr, "shrunk to %d operators / %d rows; reproducer: %s, %s\n",
-					shrunk.NumOps(), len(shrunk.Rows), jsonPath, goPath)
+				// The file may live on a machine that is thrown away (a CI
+				// runner), so the log carries the reproducer itself too.
+				fmt.Fprintf(os.Stderr, "shrunk to %d operators / %d rows; reproducer: %s\n%s",
+					shrunk.NumOps(), len(shrunk.Rows), path, data)
 			}
 			os.Exit(1)
 		}

@@ -7,19 +7,10 @@
 //
 //	pebbled [-addr 127.0.0.1:7077] [-data ./pebbled-data]
 //	        [-queue-depth 64] [-runners 2] [-session-cap 1]
-//	pebbled -smoke T3
-//
-// The -smoke form is the CI gate (`make serve-smoke`): it boots the daemon
-// on an ephemeral port, drives the named scenario end-to-end through the
-// pkg/sdk client — capture, provenance download, trace — and exits non-zero
-// unless the daemon's provenance bytes and trace answer (report and JSON
-// result) are identical to a direct library execution.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -29,10 +20,7 @@ import (
 	"syscall"
 	"time"
 
-	"pebble"
 	"pebble/internal/server"
-	"pebble/internal/workload"
-	"pebble/pkg/sdk"
 )
 
 func main() {
@@ -41,17 +29,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 64, "max queued jobs before 429 backpressure")
 	runners := flag.Int("runners", 2, "job runner goroutines")
 	sessionCap := flag.Int("session-cap", 1, "max concurrently running jobs per session")
-	smoke := flag.String("smoke", "", "run the end-to-end smoke check for the named scenario (T1–T5, D1–D5) and exit")
 	flag.Parse()
-
-	if *smoke != "" {
-		if err := runSmoke(*smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "pebbled smoke %s: FAIL: %v\n", *smoke, err)
-			os.Exit(1)
-		}
-		fmt.Printf("pebbled smoke %s: PASS\n", *smoke)
-		return
-	}
 
 	cfg := server.Config{
 		DataDir:    *dataDir,
@@ -106,120 +84,5 @@ func serve(ctx context.Context, srv *server.Server, hs *http.Server, ln net.List
 	if serveErr != nil && serveErr != http.ErrServerClosed {
 		return fmt.Errorf("serve: %w", serveErr)
 	}
-	return nil
-}
-
-// runSmoke is the serve-smoke gate: one scenario through a live daemon via
-// the SDK must reproduce the library execution byte for byte.
-func runSmoke(scenario string) error {
-	sc, err := workload.ByName(scenario)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "pebbled-smoke-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	srv, err := server.New(server.Config{DataDir: dir})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln) //nolint:errcheck // shut down below
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	c := sdk.New("http://" + ln.Addr().String())
-
-	if _, err := c.CreateSession(ctx, sdk.SessionSpec{Name: "smoke"}); err != nil {
-		return fmt.Errorf("create session: %w", err)
-	}
-	job, err := c.SubmitJob(ctx, "smoke", sdk.SubmitJobRequest{
-		Kind: sdk.KindPipeline, Scenario: scenario, SimGB: 1,
-	})
-	if err != nil {
-		return fmt.Errorf("submit pipeline: %w", err)
-	}
-	// Follow the event stream while the job runs: the smoke check also
-	// exercises live progress delivery end to end.
-	events := 0
-	if err := c.StreamEvents(ctx, "smoke", job.ID, func(sdk.JobEvent) error {
-		events++
-		return nil
-	}); err != nil {
-		return fmt.Errorf("stream events: %w", err)
-	}
-	info, err := c.WaitJob(ctx, "smoke", job.ID)
-	if err != nil {
-		return fmt.Errorf("wait pipeline: %w", err)
-	}
-	if info.Status != sdk.StatusDone {
-		return fmt.Errorf("pipeline job %s: %s (%s)", job.ID, info.Status, info.Error)
-	}
-	remote, err := c.Provenance(ctx, "smoke", job.ID)
-	if err != nil {
-		return fmt.Errorf("download provenance: %w", err)
-	}
-
-	// The library execution the daemon must match byte for byte.
-	sess := pebble.NewSession()
-	cap, err := sess.CaptureContext(ctx, sc.Build(), sc.Input(workload.DefaultScale(1), sess.ResolvePartitions(0)))
-	if err != nil {
-		return fmt.Errorf("library capture: %w", err)
-	}
-	var local bytes.Buffer
-	if _, err := cap.Provenance.WriteTo(&local); err != nil {
-		return err
-	}
-	if !bytes.Equal(remote, local.Bytes()) {
-		return fmt.Errorf("provenance bytes differ: daemon %d bytes, library %d bytes", len(remote), local.Len())
-	}
-
-	// Trace through the daemon (pattern over the wire as JSON) vs library.
-	patJSON, err := json.Marshal(sc.Pattern)
-	if err != nil {
-		return err
-	}
-	tjob, err := c.SubmitJob(ctx, "smoke", sdk.SubmitJobRequest{
-		Kind: sdk.KindTrace, TargetJob: job.ID, Pattern: patJSON,
-	})
-	if err != nil {
-		return fmt.Errorf("submit trace: %w", err)
-	}
-	tinfo, err := c.WaitJob(ctx, "smoke", tjob.ID)
-	if err != nil {
-		return fmt.Errorf("wait trace: %w", err)
-	}
-	if tinfo.Status != sdk.StatusDone {
-		return fmt.Errorf("trace job %s: %s (%s)", tjob.ID, tinfo.Status, tinfo.Error)
-	}
-	out, err := c.TraceResult(ctx, "smoke", tjob.ID)
-	if err != nil {
-		return fmt.Errorf("trace result: %w", err)
-	}
-	q, err := cap.Query(sc.Pattern)
-	if err != nil {
-		return fmt.Errorf("library query: %w", err)
-	}
-	if out.Report != q.Report() {
-		return fmt.Errorf("trace reports differ:\n-- daemon --\n%s\n-- library --\n%s", out.Report, q.Report())
-	}
-	result, err := q.JSON()
-	if err != nil {
-		return fmt.Errorf("library result: %w", err)
-	}
-	if !bytes.Equal(out.Result, result) {
-		return fmt.Errorf("trace results differ: daemon %d bytes, library %d bytes", len(out.Result), len(result))
-	}
-	fmt.Printf("scenario %s: %d events streamed, %d provenance bytes, %d matched item(s) — daemon == library\n",
-		scenario, events, len(remote), out.Matched)
 	return nil
 }

@@ -114,9 +114,9 @@ type Captured struct {
 	rec *obs.Recorder
 }
 
-// Tracer returns the query tracer over the captured provenance; its
-// association indexes are built lazily and shared across all queries on this
-// capture (until AttachProvenance swaps in a reloaded run).
+// Tracer returns the query tracer over the captured provenance: the one
+// Reattached was given, or one built on first use. Its association indexes
+// are built lazily and shared across all queries on this capture.
 func (c *Captured) Tracer() *backtrace.Tracer {
 	c.tracerMu.Lock()
 	defer c.tracerMu.Unlock()
@@ -126,32 +126,18 @@ func (c *Captured) Tracer() *backtrace.Tracer {
 	return c.tracer
 }
 
-// AttachProvenance swaps in a (typically reloaded) provenance run, replacing
-// the capture's in-memory run for every later query. tr, when non-nil, is a
-// prepared tracer over that run — e.g. one whose indexes were installed from
-// a persisted sidecar; nil builds a fresh tracer. The session recorder is
-// (re)attached either way, so query spans keep reporting.
-func (c *Captured) AttachProvenance(run *provenance.Run, tr *backtrace.Tracer) {
-	if tr == nil {
-		tr = backtrace.NewTracer(run)
-	}
-	c.tracerMu.Lock()
-	defer c.tracerMu.Unlock()
-	c.Provenance = run
-	c.tracer = tr.Observe(c.rec)
-}
-
 // Recorder returns the session recorder attached when the capture ran (nil
 // when the session had none) — reload paths report their load and
 // index-install phases into it.
 func (c *Captured) Recorder() *obs.Recorder { return c.rec }
 
 // Reattached assembles a query-capable Captured from reloaded pieces — the
-// daemon/service reload path: the pipeline and execution result of the
-// original run, a provenance run reloaded from persisted bytes, and
-// optionally a tracer prepared over that run (e.g. with sidecar indexes
-// installed). rec, when non-nil, observes every query on the capture, same
-// as a session recorder would.
+// one way the daemon and the shell make a reloaded capture: the pipeline
+// and execution result of the original run, a provenance run reloaded from
+// persisted bytes, and optionally a tracer prepared over that run (e.g. with
+// sidecar indexes installed). rec, when non-nil, observes every query on the
+// capture, same as a session recorder would. A Captured's provenance is set
+// here or by the capture and never replaced.
 func Reattached(p *engine.Pipeline, res *engine.Result, run *provenance.Run, tr *backtrace.Tracer, rec *obs.Recorder) *Captured {
 	c := &Captured{Pipeline: p, Result: res, Provenance: run, rec: rec}
 	if tr != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/path"
+	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
 	"pebble/internal/workload"
 )
@@ -231,4 +233,63 @@ func pipelineWithTypo() *engine.Pipeline {
 	p := engine.NewPipeline()
 	p.Select(p.Source("tweets.json"), engine.Column("x", "text_typo"))
 	return p
+}
+
+// TestReattachedAnswersLikeTheCapture: a capture reassembled from its
+// persisted stream holds the reloaded run, queries through the tracer it was
+// given (or one it builds over that run), and answers the original capture's
+// pattern query alike, while the original capture keeps its own run.
+func TestReattachedAnswersLikeTheCapture(t *testing.T) {
+	s := core.Session{Partitions: 2}
+	cap, err := s.Capture(workload.ExamplePipeline(), workload.ExampleInput(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := treepattern.New(
+		treepattern.Desc("id_str").WithEq(nested.StringVal("lp")),
+		treepattern.Child("tweets",
+			treepattern.Child("text").WithEq(nested.StringVal("Hello World")).WithCount(2, 2),
+		),
+	)
+	q, err := cap.Query(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := q.Report()
+	original := cap.Provenance
+
+	var buf bytes.Buffer
+	if _, err := cap.Provenance.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, withTracer := range []bool{false, true} {
+		run, err := provenance.ReadRunLazy(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr *backtrace.Tracer
+		if withTracer {
+			tr = backtrace.NewTracer(run)
+		}
+		re := core.Reattached(cap.Pipeline, cap.Result, run, tr, nil)
+		if re.Provenance != run {
+			t.Errorf("withTracer=%v: Reattached does not hold the run it was given", withTracer)
+		}
+		if withTracer && re.Tracer() != tr {
+			t.Error("Reattached does not query through the tracer it was given")
+		}
+		if re.Tracer() != re.Tracer() {
+			t.Errorf("withTracer=%v: Tracer builds a new tracer per call", withTracer)
+		}
+		rq, err := re.Query(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rq.Report(); got != want {
+			t.Errorf("withTracer=%v: reattached capture answers\n%s\nwant\n%s", withTracer, got, want)
+		}
+	}
+	if cap.Provenance != original {
+		t.Error("reattaching re-pointed the original capture's provenance")
+	}
 }

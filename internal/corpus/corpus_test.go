@@ -2,9 +2,7 @@ package corpus
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pebble/internal/engine"
@@ -125,24 +123,6 @@ func TestDropStepKeepsSpecsWellFormed(t *testing.T) {
 			if _, err := engine.Run(p, c.Inputs(4), engine.Options{Partitions: 4}); err != nil {
 				t.Fatalf("seed %d drop %d: run: %v", seed, i, err)
 			}
-		}
-	}
-}
-
-// The generated snippet mentions every operator of the spec and stays
-// syntactically plausible (balanced builder calls, package clause).
-func TestGoSnippetMentionsAllSteps(t *testing.T) {
-	s := Generate(7)
-	snip := GoSnippet(s)
-	if !strings.HasPrefix(snip, "// Reproducer generated from corpus seed 7") {
-		t.Fatalf("missing header: %q", snip[:60])
-	}
-	if !strings.Contains(snip, "package main") {
-		t.Fatal("missing package clause")
-	}
-	for i := range s.Steps {
-		if !strings.Contains(snip, fmt.Sprintf("op%d :=", i)) {
-			t.Fatalf("snippet missing op%d", i)
 		}
 	}
 }

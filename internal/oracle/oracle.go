@@ -13,7 +13,7 @@
 //
 // On disagreement, Shrink reduces the failing spec to a minimal reproducer
 // (greedy operator-dropping, then ddmin-style row-dropping) and WriteRepro
-// renders it as a seed file plus a runnable Go snippet.
+// writes it as a JSON seed file that CheckSpec replays.
 package oracle
 
 import (
@@ -46,7 +46,6 @@ const (
 	KindLineageDet  = "lineage-nondeterministic"
 	KindLazyDet     = "lazy-nondeterministic"
 	KindClosure     = "association-not-closed"
-	KindLoadPath    = "load-path-divergence"
 	KindEagerExtra  = "eager-exceeds-lineage"
 	KindEagerMissed = "eager-misses-lineage"
 	KindLazyVsEager = "lazy-vs-eager-pattern"
@@ -288,15 +287,6 @@ func crossMode(s *corpus.Spec, pipe *engine.Pipeline, inputs map[string]*engine.
 	fullBy := make(map[int][]int64, len(tracedFull.BySource))
 	for oid, st := range tracedFull.BySource {
 		fullBy[oid] = sortedIDs(st.IDs())
-	}
-
-	// Load-path equivalence (PR 6): reloading the serialized run decoded up
-	// front (ReadRun), lazily (ReadRunLazy), and lazily with a persisted
-	// index sidecar must answer the full-value backtrace byte-identically to
-	// the in-memory capture. The decode and index strategies may differ;
-	// answers may not.
-	if d := checkLoadPaths(s, a, sinkOID, full, renderResult(tracedFull)); d != nil {
-		return d
 	}
 
 	// Eager vs lineage, in run-space ids (identical across sinks because id
@@ -578,78 +568,6 @@ func valueMultiset(d *engine.Dataset) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// checkLoadPaths reloads the serialized run through every load path — eager
-// decode, lazy decode, lazy decode plus a freshly written index sidecar —
-// and requires each to render the full-value backtrace exactly as the
-// in-memory capture did (want).
-func checkLoadPaths(s *corpus.Spec, a *artifacts, sinkOID int, q *backtrace.Structure, want string) *Disagreement {
-	fail := func(kind, detail string) *Disagreement {
-		return &Disagreement{Kind: kind, Detail: detail, Seed: s.Seed}
-	}
-	sidecarRun, err := provenance.ReadRunLazy(a.provBytes)
-	if err != nil {
-		return fail(KindRun, "lazy reload: "+err.Error())
-	}
-	var sidecar bytes.Buffer
-	if _, err := backtrace.NewTracer(sidecarRun).WriteIndexes(&sidecar); err != nil {
-		return fail(KindRun, "write sidecar: "+err.Error())
-	}
-	paths := []struct {
-		name string
-		load func() (*backtrace.Tracer, error)
-	}{
-		{"eager", func() (*backtrace.Tracer, error) {
-			r, err := provenance.ReadRun(bytes.NewReader(a.provBytes))
-			if err != nil {
-				return nil, err
-			}
-			return backtrace.NewTracer(r), nil
-		}},
-		{"lazy", func() (*backtrace.Tracer, error) {
-			r, err := provenance.ReadRunLazy(a.provBytes)
-			if err != nil {
-				return nil, err
-			}
-			return backtrace.NewTracer(r), nil
-		}},
-		{"lazy+sidecar", func() (*backtrace.Tracer, error) {
-			r, err := provenance.ReadRunLazy(a.provBytes)
-			if err != nil {
-				return nil, err
-			}
-			tr := backtrace.NewTracer(r)
-			if err := tr.LoadIndexes(sidecar.Bytes()); err != nil {
-				return nil, err
-			}
-			return tr, nil
-		}},
-	}
-	for _, p := range paths {
-		tr, err := p.load()
-		if err != nil {
-			return fail(KindRun, p.name+" reload: "+err.Error())
-		}
-		traced, err := tr.Trace(sinkOID, q.Clone())
-		if err != nil {
-			return fail(KindRun, p.name+" reload trace: "+err.Error())
-		}
-		if got := renderResult(traced); got != want {
-			return fail(KindLoadPath, fmt.Sprintf("%s load path answered differently:\n got %q\nwant %q", p.name, got, want))
-		}
-	}
-	return nil
-}
-
-// renderResult renders a backtrace result deterministically for byte-level
-// comparison across load paths.
-func renderResult(r *backtrace.Result) string {
-	var sb strings.Builder
-	for _, oid := range sortedOIDs(r.BySource) {
-		fmt.Fprintf(&sb, "source %d\n%s", oid, r.BySource[oid].String())
-	}
-	return sb.String()
 }
 
 // lazyOrigSets flattens a lazy result to sorted raw-input id lists per

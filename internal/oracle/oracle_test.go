@@ -1,10 +1,12 @@
 package oracle
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"pebble/internal/corpus"
@@ -90,7 +92,9 @@ func firesRewrite(s *corpus.Spec) bool {
 
 // TestReplayCommittedRepros re-runs every spec committed under testdata/;
 // these are regression seeds that once exposed interesting shapes (joins,
-// aggregates behind flattens, ...). All must agree.
+// aggregates behind flattens, ...). All must agree, and each file must be
+// exactly what WriteRepro writes for the spec and disagreement it holds, so
+// the one reproducer form cannot drift from its writer.
 func TestReplayCommittedRepros(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "seed-*.json"))
 	if err != nil {
@@ -101,9 +105,18 @@ func TestReplayCommittedRepros(t *testing.T) {
 	}
 	cfg := testConfig()
 	for _, p := range paths {
-		spec, err := ReadRepro(p)
+		spec, recorded, err := ReadRepro(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
+		}
+		committed, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, written, err := WriteRepro(t.TempDir(), spec, recorded); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		} else if !bytes.Equal(written, committed) {
+			t.Errorf("%s is not WriteRepro's encoding of the spec it holds", p)
 		}
 		if d := CheckSpec(spec, cfg); d != nil {
 			t.Errorf("%s: %v", p, d)
@@ -119,7 +132,7 @@ func TestReplayCommittedRepros(t *testing.T) {
 // non-strict and settle for eager ⊆ lineage rather than flag a
 // disagreement.
 func TestAggregateKeyOnlyGranularity(t *testing.T) {
-	spec, err := ReadRepro(filepath.Join("testdata", "seed-881.json"))
+	spec, _, err := ReadRepro(filepath.Join("testdata", "seed-881.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func TestAggregateKeyOnlyGranularity(t *testing.T) {
 // finding is kept: the reproducer must still fail the sufficiency check
 // itself, and CheckSpec must skip it by the named corpus predicate.
 func TestLimitCutsFanOutIsExcluded(t *testing.T) {
-	spec, err := ReadRepro(filepath.Join("testdata", "seed-358.json"))
+	spec, _, err := ReadRepro(filepath.Join("testdata", "seed-358.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +231,8 @@ func (f *faultPartition) UnaryRange(inIDs []int64, base int64) {
 // TestInjectedFaultIsCaughtAndShrunk proves the oracle end to end: each
 // injected collector fault must be detected with its expected kind, and the
 // shrinker must reduce the failing pipeline to at most 3 operators while
-// preserving the kind. The reproducer is then emitted and replayed from its
-// JSON form.
+// preserving the kind. The reproducer is then emitted — the bytes WriteRepro
+// returns are the file's — and replayed from the file.
 func TestInjectedFaultIsCaughtAndShrunk(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -273,22 +286,19 @@ func checkFaultCaughtAndShrunk(t *testing.T, cfg Config, kinds []string) {
 		t.Errorf("row shrinking removed nothing: %d rows before and after", len(spec.Rows))
 	}
 
-	dir := t.TempDir()
-	jsonPath, goPath, err := WriteRepro(dir, shrunk, sd)
+	path, data, err := WriteRepro(t.TempDir(), shrunk, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snippet, err := os.ReadFile(goPath)
+	if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, data) {
+		t.Fatalf("WriteRepro returned bytes other than the file's (read error %v)", err)
+	}
+	back, recorded, err := ReadRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(snippet), "Disagreement: "+sd.Kind) ||
-		!strings.Contains(string(snippet), "package main") {
-		t.Errorf("snippet missing header or body:\n%s", snippet)
-	}
-	back, err := ReadRepro(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	if recorded == nil || recorded.Kind != sd.Kind {
+		t.Fatalf("reproducer records %v, want kind %q", recorded, sd.Kind)
 	}
 	rd := CheckSpec(back, cfg)
 	if rd == nil || rd.Kind != sd.Kind {
@@ -310,5 +320,45 @@ func TestShrinkIsNoOpOnAgreeingSpec(t *testing.T) {
 	}
 	if out != s {
 		t.Error("healthy spec was modified by Shrink")
+	}
+}
+
+// TestReproRecordsItsDisagreement: WriteRepro's file reads back through
+// ReadRepro as the spec it was given and the kind and detail of its
+// disagreement (none when it was written without one), the bytes it returns
+// are the file's, and a file without a spec is refused.
+func TestReproRecordsItsDisagreement(t *testing.T) {
+	spec := corpus.Generate(7)
+	for _, d := range []*Disagreement{nil, {Kind: KindSufficiency, Detail: "row 3 not reproduced", Seed: spec.Seed}} {
+		path, data, err := WriteRepro(t.TempDir(), spec, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, data) {
+			t.Fatalf("WriteRepro returned bytes other than the file's (read error %v)", err)
+		}
+		back, recorded, err := ReadRepro(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A spec holds parsed predicates and patterns, so it is compared in
+		// its JSON form, the form a reproducer keeps.
+		got, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := json.Marshal(spec); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("spec read back differs (marshal error %v):\n%s\nwant\n%s", err, got, want)
+		}
+		if !reflect.DeepEqual(recorded, d) {
+			t.Errorf("disagreement read back as %v, want %v", recorded, d)
+		}
+	}
+	empty := filepath.Join(t.TempDir(), "seed-0.json")
+	if err := os.WriteFile(empty, []byte(`{"kind":"`+KindSufficiency+`"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadRepro(empty); err == nil {
+		t.Error("ReadRepro accepted a reproducer without a spec")
 	}
 }

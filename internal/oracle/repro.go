@@ -9,56 +9,53 @@ import (
 	"pebble/internal/corpus"
 )
 
-// WriteRepro persists a (typically shrunk) failing spec under dir as two
-// files: seed-<seed>.json, the replayable spec, and seed-<seed>.go.txt, a
-// self-contained Go snippet rebuilding the pipeline with the plain builder
-// API. It returns the two paths. The disagreement is embedded as a header
-// comment in the snippet and a sibling field in the JSON envelope.
-func WriteRepro(dir string, s *corpus.Spec, d *Disagreement) (jsonPath, goPath string, err error) {
+// repro is the JSON envelope of a reproducer: the spec, and the
+// disagreement it showed when one was recorded.
+type repro struct {
+	Kind   string       `json:"kind,omitempty"`
+	Detail string       `json:"detail,omitempty"`
+	Spec   *corpus.Spec `json:"spec"`
+}
+
+// WriteRepro persists a (typically shrunk) failing spec under dir as
+// seed-<seed>.json, the replayable spec with the disagreement d beside it,
+// and returns the file's path and the bytes it wrote.
+func WriteRepro(dir string, s *corpus.Spec, d *Disagreement) (path string, data []byte, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", err
+		return "", nil, err
 	}
-	envelope := struct {
-		Kind   string       `json:"kind,omitempty"`
-		Detail string       `json:"detail,omitempty"`
-		Spec   *corpus.Spec `json:"spec"`
-	}{Spec: s}
+	envelope := repro{Spec: s}
 	if d != nil {
 		envelope.Kind, envelope.Detail = d.Kind, d.Detail
 	}
-	data, err := json.MarshalIndent(envelope, "", "  ")
-	if err != nil {
-		return "", "", err
+	if data, err = json.MarshalIndent(envelope, "", "  "); err != nil {
+		return "", nil, err
 	}
-	jsonPath = filepath.Join(dir, fmt.Sprintf("seed-%d.json", s.Seed))
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return "", "", err
+	data = append(data, '\n')
+	path = filepath.Join(dir, fmt.Sprintf("seed-%d.json", s.Seed))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return "", nil, err
 	}
-	snippet := corpus.GoSnippet(s)
-	if d != nil {
-		snippet = fmt.Sprintf("// Disagreement: %s: %s\n%s", d.Kind, d.Detail, snippet)
-	}
-	goPath = filepath.Join(dir, fmt.Sprintf("seed-%d.go.txt", s.Seed))
-	if err := os.WriteFile(goPath, []byte(snippet), 0o644); err != nil {
-		return "", "", err
-	}
-	return jsonPath, goPath, nil
+	return path, data, nil
 }
 
-// ReadRepro loads a spec written by WriteRepro (the JSON form).
-func ReadRepro(path string) (*corpus.Spec, error) {
+// ReadRepro loads a reproducer written by WriteRepro: the spec, and the
+// disagreement recorded with it (nil when the file records none).
+func ReadRepro(path string) (*corpus.Spec, *Disagreement, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var envelope struct {
-		Spec *corpus.Spec `json:"spec"`
-	}
+	var envelope repro
 	if err := json.Unmarshal(data, &envelope); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if envelope.Spec == nil {
-		return nil, fmt.Errorf("oracle: %s: no spec in envelope", path)
+		return nil, nil, fmt.Errorf("oracle: %s: no spec in envelope", path)
 	}
-	return envelope.Spec, nil
+	var d *Disagreement
+	if envelope.Kind != "" || envelope.Detail != "" {
+		d = &Disagreement{Kind: envelope.Kind, Detail: envelope.Detail, Seed: envelope.Spec.Seed}
+	}
+	return envelope.Spec, d, nil
 }

@@ -10,8 +10,7 @@
 // The daemon adds *no* execution semantics of its own: every job funnels
 // into core.Session.CaptureContext / RunContext and the backtrace tracer,
 // so a capture through pebbled is byte-identical to the same capture
-// through the library (pinned by the differential tests and the serve-smoke
-// CI gate).
+// through the library (pinned by TestDaemonMatchesLibrary).
 package server
 
 import (

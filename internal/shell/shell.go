@@ -213,7 +213,8 @@ func (s *Shell) save(path string) error {
 
 // load reloads persisted provenance lazily — an operator's columns decode on
 // the first trace through it — installs path+".idx" when it is valid, and
-// attaches the run to the session, so later queries run against it.
+// makes the session's capture a fresh one over the reloaded run (the
+// daemon's core.Reattached), so later queries run against it.
 func (s *Shell) load(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -234,7 +235,7 @@ func (s *Shell) load(path string) error {
 			fmt.Fprintf(s.out, "index sidecar installed (%d B)\n", len(sidecar))
 		}
 	}
-	s.cap.AttachProvenance(run, tr)
+	s.cap = core.Reattached(s.cap.Pipeline, s.cap.Result, run, tr, rec)
 	fmt.Fprintf(s.out, "loaded provenance from %s: %d operator(s), %d association bytes deferred\n",
 		path, len(run.Operators()), run.AssocBytesTotal())
 	return nil

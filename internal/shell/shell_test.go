@@ -334,3 +334,37 @@ func TestShellJSON(t *testing.T) {
 		t.Error("bare json accepted")
 	}
 }
+
+// TestShellLoadLeavesItsCaptureAlone: load makes the session a new capture
+// over the reloaded run; the capture the shell was built on keeps its own
+// provenance and tracer, and still answers as it did before the load.
+func TestShellLoadLeavesItsCaptureAlone(t *testing.T) {
+	sh, out, cap := newShell(t)
+	path := filepath.Join(t.TempDir(), "run.pbl")
+	if err := sh.Exec("save " + path); err != nil {
+		t.Fatal(err)
+	}
+	run, tracer := cap.Provenance, cap.Tracer()
+	report := func() string {
+		t.Helper()
+		q, err := cap.QueryAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.Report()
+	}
+	before := report()
+
+	if err := sh.Exec("load " + path); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "loaded provenance") {
+		t.Errorf("load output wrong:\n%s", out)
+	}
+	if cap.Provenance != run || cap.Tracer() != tracer {
+		t.Error("load re-pointed the capture the shell was built on")
+	}
+	if after := report(); after != before {
+		t.Errorf("the original capture answers differently after load:\n%s\nwant\n%s", after, before)
+	}
+}

@@ -22,8 +22,4 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== pebbled serve smoke (SDK vs library byte-identity)"
-go run ./cmd/pebbled -smoke T3
-go run ./cmd/pebbled -smoke D1
-
 echo "OK"
