@@ -38,9 +38,10 @@ fuzz-trace:
 	go test -fuzz FuzzTraceMatchesReference -fuzztime 20s ./internal/backtrace
 
 # Twenty seconds of the sidecar loader on arbitrary bytes: it must not panic,
-# and a sidecar it accepts must leave every answer what a rebuild gives. The
-# seeds are the sidecar of a shuffled run (a region per operator), two of
-# engine runs (flags only) and one of the previous format; same CI line.
+# it accepts only the sidecar WriteIndexes writes for its run, and a tracer it
+# accepted answers as before. The seeds are that sidecar (a shuffled run's:
+# in-run flag 0 on each shuffled operator), two of engine runs (every flag 1)
+# and one of the previous format; same CI line.
 fuzz-sidecar:
 	go test -fuzz FuzzSidecar -fuzztime 20s ./internal/backtrace
 

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address")
-	dataDir := flag.String("data", "./pebbled-data", "artifact directory (.pbl/.idx job outputs)")
+	dataDir := flag.String("data", "./pebbled-data", "artifact directory (.pbl provenance of capture jobs)")
 	queueDepth := flag.Int("queue-depth", 64, "max queued jobs before 429 backpressure")
 	runners := flag.Int("runners", 2, "job runner goroutines")
 	sessionCap := flag.Int("session-cap", 1, "max concurrently running jobs per session")

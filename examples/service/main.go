@@ -125,8 +125,8 @@ func main() {
 		job.ID, info.ResultRows, info.ProvBytes)
 
 	// --- 4. A provenance question as a trace job. The daemon reloads the
-	// persisted artifact lazily (index sidecar included) — this works even
-	// if the capturing process restarted in between.
+	// persisted artifact lazily — this works even if the capturing process
+	// restarted in between.
 	trace, err := c.SubmitJob(ctx, "demo", sdk.SubmitJobRequest{
 		Kind: sdk.KindTrace, TargetJob: job.ID,
 		PatternText: `//customer == "alice"`,

@@ -16,11 +16,11 @@ import (
 )
 
 // The tracer reads an operator's index off the run's own columns when the Out
-// column is non-decreasing, and the sidecar then keeps nothing for it. That
-// every run the engine writes is such a run is a property of how the engine
-// assigns identifiers (partition-major, in row order), not of this package:
-// the first test below pins it where an engine change would break it, the
-// others hold the in-run index to the sort-and-build it replaced.
+// column is non-decreasing. That every run the engine writes is such a run is
+// a property of how the engine assigns identifiers (partition-major, in row
+// order), not of this package: the first test below pins it where an engine
+// change would break it, the others hold the in-run index to the
+// sort-and-build it replaced.
 
 var scenarioNames = []string{"T1", "T2", "T3", "T4", "T5", "D1", "D2", "D3", "D4", "D5"}
 
@@ -50,8 +50,8 @@ func eachEngineRun(t *testing.T, workers int, f func(r engineRun)) {
 	}
 }
 
-// encoded is the run's stream and a lazy load of it.
-func encoded(t testing.TB, run *provenance.Run) ([]byte, *provenance.Run) {
+// encoded is a lazy load of the run's stream.
+func encoded(t testing.TB, run *provenance.Run) *provenance.Run {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := run.WriteTo(&buf); err != nil {
@@ -61,21 +61,20 @@ func encoded(t testing.TB, run *provenance.Run) ([]byte, *provenance.Run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), lazy
+	return lazy
 }
 
 // TestEngineOutColumnsAreOrdered: over the scenarios and the corpus, at one
 // worker and at NumCPU, every captured operator's Out column is
 // non-decreasing, and dense — base, base+1, … — for every operator type but
 // distinct, whose output rows each stand for several input rows. The load-time
-// scan reads the same off the stream, the columns decoded from the stream are
-// the columns the collector merged, and so the sidecar of every such run keeps
-// no region: WriteIndexes built and sorted nothing.
+// scan reads the same off the stream, and the columns decoded from the stream
+// are the columns the collector merged.
 func TestEngineOutColumnsAreOrdered(t *testing.T) {
 	ops := map[engine.OpType]int{}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		eachEngineRun(t, workers, func(r engineRun) {
-			stream, lazy := encoded(t, r.tg.run)
+			lazy := encoded(t, r.tg.run)
 			for i, op := range r.tg.run.Operators() {
 				c := op.Columns()
 				ops[op.Type]++
@@ -96,13 +95,6 @@ func TestEngineOutColumnsAreOrdered(t *testing.T) {
 				if lc := lop.Columns(); !reflect.DeepEqual(lc, c) {
 					t.Fatalf("%s workers %d: operator %d (%s): columns decoded from the stream differ from the capture's:\n%v\n%v", r.name, workers, op.OID, op.Type, lc, c)
 				}
-			}
-			var sidecar bytes.Buffer
-			if _, err := backtrace.NewTracer(lazy).WriteIndexes(&sidecar); err != nil {
-				t.Fatal(err)
-			}
-			if want := flagsOnlyLen(t, stream); sidecar.Len() != want || want >= 1024 {
-				t.Fatalf("%s workers %d: sidecar is %d bytes, want the %d (< 1 KB) of flags alone: a fallback region was written", r.name, workers, sidecar.Len(), want)
 			}
 		})
 	}
@@ -156,7 +148,7 @@ func forced(run *provenance.Run, mode backtrace.IndexMode) func() *backtrace.Tra
 func TestInRunIndexMatchesBuild(t *testing.T) {
 	kinds := map[provenance.AssocKind]bool{}
 	eachEngineRun(t, 0, func(r engineRun) {
-		_, lazy := encoded(t, r.tg.run)
+		lazy := encoded(t, r.tg.run)
 		for _, op := range lazy.Operators() {
 			kinds[op.AssocKind()] = true
 		}
@@ -175,26 +167,15 @@ func TestInRunIndexMatchesBuild(t *testing.T) {
 
 // TestShuffledRunTakesTheFallback: a hand-made run — a scenario's capture with
 // its association rows shuffled — is out of order in every operator with more
-// than a row or two. Each such operator takes the sort, keeps a region in the
-// sidecar, and answers identically with the sidecar, without it, and through
-// the row-struct reference; the inputs reached are those of the run as the
-// engine wrote it.
+// than a row or two. Each such operator takes the sort, with no sidecar, and
+// the shuffled run answers as the run the engine captured does: loaded or in
+// memory, and through the row-struct reference.
 func TestShuffledRunTakesTheFallback(t *testing.T) {
 	outOfOrder := map[provenance.AssocKind]int{}
 	for _, name := range scenarioNames {
 		tg, sc := scenarioTarget(t, name, 1)
-		questions := []*backtrace.Structure{sc.Pattern.Match(tg.res.Output), tg.all()}
-		var want []map[int][]int64
-		for _, q := range questions {
-			res, err := backtrace.Trace(tg.run, tg.sink, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, sortedIDs(res))
-		}
-
 		shuffled := shuffledRun(t, tg.run, 11)
-		stream, lazy := encoded(t, shuffled)
+		lazy := encoded(t, shuffled)
 		for _, op := range lazy.Operators() {
 			if ordered := slices.IsSorted(op.Columns().Out); op.OutOrdered() != ordered {
 				t.Fatalf("%s: operator %d (%s): the scan says ordered = %v, the decoded Out column says %v", name, op.OID, op.Type, op.OutOrdered(), ordered)
@@ -203,34 +184,11 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 				outOfOrder[op.AssocKind()]++
 			}
 		}
-		var sidecar bytes.Buffer
-		if _, err := backtrace.NewTracer(lazy).WriteIndexes(&sidecar); err != nil {
-			t.Fatal(err)
-		}
-		if sidecar.Len() <= flagsOnlyLen(t, stream) {
-			t.Fatalf("%s: the sidecar of the shuffled run keeps no region", name)
-		}
-		withSidecar := func() *backtrace.Tracer {
-			tr := backtrace.NewTracer(lazy)
-			if err := tr.LoadIndexes(sidecar.Bytes()); err != nil {
-				t.Fatalf("%s: LoadIndexes: %v", name, err)
-			}
-			return tr
-		}
-		requireSameAnswers(t, name, tg.sink, questions,
-			withSidecar,
+		requireSameAnswers(t, name, tg.sink, []*backtrace.Structure{sc.Pattern.Match(tg.res.Output), tg.all()},
+			func() *backtrace.Tracer { return backtrace.NewTracer(tg.run) },
 			func() *backtrace.Tracer { return backtrace.NewTracer(lazy) },
 			func() *backtrace.Tracer { return backtrace.NewTracer(shuffled) },
 			forced(lazy, backtrace.IndexReference))
-		for i, q := range questions {
-			res, err := withSidecar().Trace(tg.sink, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sortedIDs(res); !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("%s question %d: the shuffled run reaches other inputs than the run as captured", name, i)
-			}
-		}
 	}
 	for _, k := range []provenance.AssocKind{provenance.AssocUnary, provenance.AssocBinary, provenance.AssocFlatten, provenance.AssocAgg} {
 		if outOfOrder[k] == 0 {
@@ -249,7 +207,7 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 func TestTracersShareTheRunsColumns(t *testing.T) {
 	for _, name := range scenarioNames {
 		tg, sc := scenarioTarget(t, name, 1)
-		_, lazy := encoded(t, tg.run)
+		lazy := encoded(t, tg.run)
 		var source, largest *provenance.Operator
 		for _, run := range []*provenance.Run{tg.run, lazy} {
 			tr := backtrace.NewTracer(run)
@@ -276,7 +234,7 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 		}
 
 		q := sc.Pattern.Match(tg.res.Output)
-		_, untouched := encoded(t, tg.run) // its first touches race, too
+		untouched := encoded(t, tg.run) // its first touches race, too
 		for _, run := range []*provenance.Run{tg.run, untouched} {
 			results := make([]*backtrace.Result, 2)
 			var wg sync.WaitGroup
@@ -299,13 +257,4 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 			}
 		}
 	}
-}
-
-// sortedIDs is the contributing identifiers per source, in ascending order.
-func sortedIDs(r *backtrace.Result) map[int][]int64 {
-	ids := r.ContributingIDs()
-	for _, s := range ids {
-		slices.Sort(s)
-	}
-	return ids
 }

@@ -3,7 +3,6 @@ package backtrace_test
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -46,8 +45,8 @@ func joinPipeline() (*engine.Pipeline, map[string]*engine.Dataset) {
 	return p, map[string]*engine.Dataset{"l": mk("l", "a", 10), "r": mk("r", "b", 8)}
 }
 
-// sidecarFixture captures a pipeline, serializes it, reloads it lazily, and
-// writes its index sidecar.
+// sidecarFixture is a captured run's stream, the sidecar WriteIndexes writes
+// for its lazy load, and a question about every result row.
 type sidecarFixture struct {
 	stream  []byte
 	sidecar []byte
@@ -100,7 +99,7 @@ func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run 
 }
 
 // makeFixture captures the pipeline; shuffled, the association rows are put
-// out of order before the run is encoded, so its sidecar keeps regions.
+// out of order before the run is encoded.
 func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.Dataset, shuffled bool) *sidecarFixture {
 	t.Helper()
 	res, run, err := provenance.Capture(pipe, inputs, engine.Options{Partitions: 2})
@@ -134,29 +133,17 @@ func makeFixture(t testing.TB, pipe *engine.Pipeline, inputs map[string]*engine.
 	}
 }
 
-// flagsOnlyLen is the size of a sidecar that keeps no region: header,
-// operator count, and per operator its id, kind and in-run flag.
-func flagsOnlyLen(t testing.TB, stream []byte) int {
-	t.Helper()
-	run, err := provenance.ReadRunLazy(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := run.Operators()
-	n := sidecarHeaderLen + len(binary.AppendUvarint(nil, uint64(len(ops))))
-	for _, op := range ops {
-		n += len(binary.AppendUvarint(nil, uint64(op.OID))) + 2
-	}
-	return n
-}
-
-func (f *sidecarFixture) lazyTracer(t testing.TB) *backtrace.Tracer {
+func (f *sidecarFixture) lazyRun(t testing.TB) *provenance.Run {
 	t.Helper()
 	run, err := provenance.ReadRunLazy(f.stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return backtrace.NewTracer(run)
+	return run
+}
+
+func (f *sidecarFixture) lazyTracer(t testing.TB) *backtrace.Tracer {
+	return backtrace.NewTracer(f.lazyRun(t))
 }
 
 // render stringifies a trace result deterministically.
@@ -182,9 +169,9 @@ func (f *sidecarFixture) traceVia(t testing.TB, tr *backtrace.Tracer) string {
 	return render(traced)
 }
 
-// fixtures are two engine runs, whose sidecars are flags only, and the same
-// two with their association rows shuffled, whose sidecars keep a region for
-// every operator kind: unary, flatten and aggregate (example), binary (join).
+// fixtures are two engine runs and the same two with their association rows
+// shuffled, together of every operator kind: unary, flatten and aggregate
+// (example), binary (join).
 func fixtures(t testing.TB) map[string]*sidecarFixture {
 	out := map[string]*sidecarFixture{}
 	for name, shuffled := range map[string]bool{"": false, " shuffled": true} {
@@ -195,95 +182,104 @@ func fixtures(t testing.TB) map[string]*sidecarFixture {
 	return out
 }
 
-// TestSidecarRegionsOnlyOutOfOrder: the sidecar of an engine run is its
-// header and three bytes per operator; that of a shuffled run is larger.
-func TestSidecarRegionsOnlyOutOfOrder(t *testing.T) {
-	for name, f := range fixtures(t) {
-		flags := flagsOnlyLen(t, f.stream)
-		if shuffled := strings.HasSuffix(name, " shuffled"); !shuffled && len(f.sidecar) != flags {
-			t.Errorf("%s: sidecar of an engine run is %d bytes, want the %d of flags alone", name, len(f.sidecar), flags)
-		} else if shuffled && len(f.sidecar) <= flags {
-			t.Errorf("%s: sidecar of a shuffled run is %d bytes: no region kept", name, len(f.sidecar))
-		}
-	}
-}
-
-// TestSidecarRoundTrip: loading a persisted sidecar must answer every trace
-// exactly like a rebuilt tracer, and re-serializing the loaded indexes must
-// reproduce the sidecar byte for byte (the regions decode lazily, so this
-// also proves decode∘encode is the identity).
-func TestSidecarRoundTrip(t *testing.T) {
+// TestSidecarIsFlags: the sidecar of any run, in order or shuffled out of
+// it, is its header and per operator its id, kind and in-run flag — 1 where
+// the Out column is in order, 0 with nothing after it where it is not — and
+// LoadIndexes accepts it and leaves the answers as they were.
+func TestSidecarIsFlags(t *testing.T) {
 	for name, f := range fixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			rebuilt := f.traceVia(t, f.lazyTracer(t))
-
-			tr := f.lazyTracer(t)
-			if err := tr.LoadIndexes(f.sidecar); err != nil {
-				t.Fatalf("LoadIndexes: %v", err)
+			// One-byte operator count and ids: each operator is three bytes.
+			ops := f.lazyRun(t).Operators()
+			if want := sidecarHeaderLen + 1 + 3*len(ops); len(ops) >= 0x80 || len(f.sidecar) != want {
+				t.Fatalf("sidecar of %d operators is %d bytes, want the %d of flags alone", len(ops), len(f.sidecar), want)
 			}
-			if got := f.traceVia(t, tr); got != rebuilt {
-				t.Errorf("sidecar trace differs from rebuild:\n%s\nwant\n%s", got, rebuilt)
+			zeros := 0
+			for i, op := range ops {
+				entry := f.sidecar[sidecarHeaderLen+1+3*i:][:3]
+				want := []byte{byte(op.OID), byte(op.AssocKind()), 1}
+				if !op.OutOrdered() {
+					want[2] = 0
+					zeros++
+				}
+				if !bytes.Equal(entry, want) {
+					t.Errorf("operator %d is % x in the sidecar, want % x", op.OID, entry, want)
+				}
 			}
-
-			var again bytes.Buffer
-			if _, err := tr.WriteIndexes(&again); err != nil {
-				t.Fatalf("re-write: %v", err)
-			}
-			if !bytes.Equal(again.Bytes(), f.sidecar) {
-				t.Errorf("re-serialized sidecar differs: %d vs %d bytes", again.Len(), len(f.sidecar))
+			if shuffled := strings.HasSuffix(name, " shuffled"); shuffled != (zeros > 0) {
+				t.Errorf("%d operators flagged out of order", zeros)
 			}
 		})
 	}
 }
 
-// TestSidecarEveryByteFlipRejected: the header pins magic, version, and run
-// hash; the checksum covers every payload byte. So any single-byte
-// corruption must be rejected — and the tracer must still answer correctly
-// by rebuilding.
-func TestSidecarEveryByteFlipRejected(t *testing.T) {
-	fxs := fixtures(t)
-	for _, name := range []string{"example", "example shuffled", "join shuffled"} {
-		f := fxs[name]
-		rebuilt := f.traceVia(t, f.lazyTracer(t))
-		for i := range f.sidecar {
-			mut := append([]byte(nil), f.sidecar...)
-			mut[i] ^= 0x40
+// TestSidecarRoundTrip: the loader accepts the sidecar of its own run, the
+// tracer then answers every trace exactly like a fresh one, and writing the
+// sidecar again reproduces it byte for byte.
+func TestSidecarRoundTrip(t *testing.T) {
+	for name, f := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
 			tr := f.lazyTracer(t)
-			err := tr.LoadIndexes(mut)
-			if err == nil {
-				t.Fatalf("%s: byte %d flipped: LoadIndexes accepted a corrupt sidecar", name, i)
+			if err := tr.LoadIndexes(f.sidecar); err != nil {
+				t.Fatalf("LoadIndexes: %v", err)
 			}
-			if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
-				t.Fatalf("%s: byte %d flipped: error %v is neither corrupt nor stale", name, i, err)
+			if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+				t.Errorf("answers after LoadIndexes differ:\n%s\nwant\n%s", got, want)
 			}
-			if i < 64 { // spot-check the fallback on a sample, full traces are not free
-				if got := f.traceVia(t, tr); got != rebuilt {
-					t.Fatalf("%s: byte %d flipped: rejected sidecar left tracer wrong", name, i)
-				}
+			var again bytes.Buffer
+			if _, err := tr.WriteIndexes(&again); err != nil {
+				t.Fatalf("re-write: %v", err)
 			}
+			if !bytes.Equal(again.Bytes(), f.sidecar) {
+				t.Errorf("re-written sidecar differs: %d vs %d bytes", again.Len(), len(f.sidecar))
+			}
+		})
+	}
+}
+
+// rejects loads data as f's sidecar, fails the test if it is accepted, and
+// checks that the tracer answers as a fresh one after the rejection.
+func rejects(t *testing.T, what string, f *sidecarFixture, data []byte, checkAnswers bool) {
+	t.Helper()
+	tr := f.lazyTracer(t)
+	if err := tr.LoadIndexes(data); err == nil {
+		t.Fatalf("%s: LoadIndexes accepted it", what)
+	}
+	if checkAnswers {
+		if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+			t.Fatalf("%s: rejected sidecar left the tracer wrong:\n%s\nwant\n%s", what, got, want)
 		}
 	}
 }
 
-// TestSidecarTruncations: every strict prefix must be rejected.
+// TestSidecarEveryByteFlipRejected: the header pins magic, version and run
+// hash, and the checksum covers every payload byte, so no single corrupted
+// byte is accepted; the tracer still answers right after the rejection.
+func TestSidecarEveryByteFlipRejected(t *testing.T) {
+	fxs := fixtures(t)
+	for _, name := range []string{"example", "example shuffled", "join shuffled"} {
+		f := fxs[name]
+		for i := range f.sidecar {
+			mut := append([]byte(nil), f.sidecar...)
+			mut[i] ^= 0x40
+			rejects(t, fmt.Sprintf("%s, byte %d flipped", name, i), f, mut, i < 64)
+		}
+	}
+}
+
+// TestSidecarTruncations: every strict prefix is rejected.
 func TestSidecarTruncations(t *testing.T) {
 	fxs := fixtures(t)
 	for _, name := range []string{"join", "join shuffled", "example shuffled"} {
 		f := fxs[name]
 		for n := 0; n < len(f.sidecar); n++ {
-			err := f.lazyTracer(t).LoadIndexes(f.sidecar[:n])
-			if err == nil {
-				t.Fatalf("%s: prefix of %d/%d bytes accepted", name, n, len(f.sidecar))
-			}
-			if !errors.Is(err, backtrace.ErrSidecarCorrupt) && !errors.Is(err, backtrace.ErrSidecarStale) {
-				t.Fatalf("%s: prefix of %d bytes: error %v is neither corrupt nor stale", name, n, err)
-			}
+			rejects(t, fmt.Sprintf("%s, prefix of %d/%d bytes", name, n, len(f.sidecar)), f, f.sidecar[:n], false)
 		}
 	}
 }
 
 // rechecksummed returns header + payload with the payload checksum made
-// right, so that what rejects the sidecar is the payload's structure.
+// right, so that what rejects the sidecar is the payload itself.
 func rechecksummed(header, payload []byte) []byte {
 	mut := append(append([]byte(nil), header[:sidecarHeaderLen]...), payload...)
 	binary.LittleEndian.PutUint64(mut[14:22], provenance.HashStream(payload))
@@ -293,19 +289,17 @@ func rechecksummed(header, payload []byte) []byte {
 // TestSidecarTrailingBytesRejected: the payload ends with its last operator.
 func TestSidecarTrailingBytesRejected(t *testing.T) {
 	for name, f := range fixtures(t) {
-		mut := rechecksummed(f.sidecar, append(append([]byte(nil), f.sidecar[sidecarHeaderLen:]...), 0))
-		if err := f.lazyTracer(t).LoadIndexes(mut); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
-			t.Errorf("%s: a byte after the last operator: got %v, want ErrSidecarCorrupt", name, err)
-		}
+		payload := append(slices.Clone(f.sidecar[sidecarHeaderLen:]), 0)
+		rejects(t, name+", a byte after the last operator", f, rechecksummed(f.sidecar, payload), false)
 	}
 }
 
 // TestSidecarV1Rejected: testdata/example_v1.idx is the sidecar the previous
 // format wrote for the example fixture's run, stored beside it as the codec
 // v2 stream of that day (testdata/example_v2.pbl) — every operator's index
-// spelled out beside the columns that already hold it. The version check
-// turns it away from the run it names, so that its reader rebuilds, and the
-// rebuild answers as today's stream of the same capture does.
+// spelled out beside the columns that already hold it. The loader turns it
+// away from the run it names, and that run answers as today's stream of the
+// same capture does.
 func TestSidecarV1Rejected(t *testing.T) {
 	v1, err := os.ReadFile("testdata/example_v1.idx")
 	if err != nil {
@@ -320,60 +314,51 @@ func TestSidecarV1Rejected(t *testing.T) {
 	}
 	f := fixtures(t)["example"]
 	archived := &sidecarFixture{stream: stream, sink: f.sink, question: f.question}
-	tr := archived.lazyTracer(t)
-	if err := tr.LoadIndexes(v1); !errors.Is(err, backtrace.ErrSidecarCorrupt) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("LoadIndexes on a v1 sidecar: got %v, want ErrSidecarCorrupt naming version 1", err)
-	}
-	if got, want := archived.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
-		t.Errorf("rejected v1 sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
+	rejects(t, "the version-1 sidecar of the archived stream", archived, v1, true)
+	if got, want := archived.traceVia(t, archived.lazyTracer(t)), f.traceVia(t, f.lazyTracer(t)); got != want {
+		t.Errorf("the archived v2 stream answers otherwise than today's:\n%s\nwant\n%s", got, want)
 	}
 	if len(f.sidecar) >= len(v1) {
 		t.Errorf("v2 sidecar is %d bytes, the v1 one was %d", len(f.sidecar), len(v1))
 	}
 }
 
-// TestSidecarOverlongVarintRejected: the load-time scan and the column decode
-// read through one cursor, so what the decode would refuse the scan refuses.
-// A genuine sidecar with one varint re-encoded in 12 bytes — the last value of
-// the last region, or where there is no region the first operator id — and
-// the payload checksum recomputed, used to pass LoadIndexes and fail only in
-// the operator's decode, which silently rebuilt: right answer, but nobody was
-// told the sidecar was bad and the index build was paid unseen.
+// TestSidecarOverlongVarintRejected: a genuine sidecar with the first
+// operator's id re-encoded as a 12-byte varint, under a recomputed payload
+// checksum, is rejected, and the tracer still answers right.
 func TestSidecarOverlongVarintRejected(t *testing.T) {
 	for name, f := range fixtures(t) {
 		t.Run(name, func(t *testing.T) {
 			payload := f.sidecar[sidecarHeaderLen:]
-			at := 1 // the first operator's id, after a one-byte operator count
-			if strings.HasSuffix(name, " shuffled") {
-				at = len(payload) - 1
-			}
+			const at = 1 // the first operator's id, after a one-byte operator count
 			if payload[at] >= 0x80 || payload[at-1] >= 0x80 {
 				t.Fatalf("fixture's varint at %d is not a single byte: % x", at, payload[at-1:at+1])
 			}
-			mut := append([]byte(nil), payload[:at]...)
-			mut = append(mut, payload[at]|0x80)
-			mut = append(mut, bytes.Repeat([]byte{0x80}, 10)...)
-			mut = append(mut, 0x00)
+			mut := append(slices.Clone(payload[:at]), payload[at]|0x80)
+			mut = append(append(mut, bytes.Repeat([]byte{0x80}, 10)...), 0x00)
 			mut = append(mut, payload[at+1:]...)
-
-			tr := f.lazyTracer(t)
-			if err := tr.LoadIndexes(rechecksummed(f.sidecar, mut)); !errors.Is(err, backtrace.ErrSidecarCorrupt) {
-				t.Fatalf("LoadIndexes on an overlong varint: got %v, want ErrSidecarCorrupt", err)
-			}
-			if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
-				t.Errorf("rejected sidecar left the tracer wrong:\n%s\nwant\n%s", got, want)
-			}
+			rejects(t, "an overlong varint", f, rechecksummed(f.sidecar, mut), true)
 		})
 	}
 }
 
-// TestSidecarWrongRun: a valid sidecar of a different run must be detected
-// as stale via the run content hash.
+// TestSidecarWrongRun: a valid sidecar of another run is rejected.
 func TestSidecarWrongRun(t *testing.T) {
-	fs := fixtures(t)
-	err := fs["example"].lazyTracer(t).LoadIndexes(fs["join"].sidecar)
-	if !errors.Is(err, backtrace.ErrSidecarStale) {
-		t.Fatalf("foreign sidecar: got %v, want ErrSidecarStale", err)
+	fxs := fixtures(t)
+	rejects(t, "the join's sidecar on the example", fxs["example"], fxs["join"].sidecar, true)
+}
+
+// TestSidecarPrebuiltIndexWins: LoadIndexes installs nothing, so indexes
+// already built stay and the answers do not move.
+func TestSidecarPrebuiltIndexWins(t *testing.T) {
+	f := fixtures(t)["example"]
+	tr := f.lazyTracer(t)
+	tr.BuildIndexes()
+	if err := tr.LoadIndexes(f.sidecar); err != nil {
+		t.Fatalf("LoadIndexes after BuildIndexes: %v", err)
+	}
+	if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+		t.Errorf("sidecar over pre-built indexes changed answers:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -403,24 +388,9 @@ func TestCapturedRunHashesItsStream(t *testing.T) {
 	}
 }
 
-// TestSidecarPrebuiltIndexWins: operators whose index was already built keep
-// it — LoadIndexes only fills the gaps.
-func TestSidecarPrebuiltIndexWins(t *testing.T) {
-	f := fixtures(t)["example"]
-	rebuilt := f.traceVia(t, f.lazyTracer(t))
-	tr := f.lazyTracer(t)
-	tr.BuildIndexes() // everything pre-built
-	if err := tr.LoadIndexes(f.sidecar); err != nil {
-		t.Fatalf("LoadIndexes after BuildIndexes: %v", err)
-	}
-	if got := f.traceVia(t, tr); got != rebuilt {
-		t.Errorf("sidecar over pre-built indexes changed answers:\n%s\nwant\n%s", got, rebuilt)
-	}
-}
-
-// FuzzSidecar: arbitrary bytes must never panic the loader, and whenever a
-// load is accepted the tracer must answer exactly like a rebuild — the
-// fallback contract (a sidecar can accelerate answers, never change them).
+// FuzzSidecar: arbitrary bytes never panic the loader, it accepts exactly
+// the sidecar WriteIndexes writes for its run, and a tracer it accepted for
+// answers like any other.
 func FuzzSidecar(f *testing.F) {
 	fxs := fixtures(f)
 	fx := fxs["join shuffled"]
@@ -429,8 +399,8 @@ func FuzzSidecar(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(fx.sidecar)             // a region per joined operator
-	f.Add(fxs["join"].sidecar)    // an engine run's: flags only, and for another run
+	f.Add(fx.sidecar)             // its own: an in-run flag 0 for each shuffled operator
+	f.Add(fxs["join"].sidecar)    // an engine run's: every flag 1, and for another run
 	f.Add(fxs["example"].sidecar) // the same, more operators
 	f.Add(v1)
 	f.Add(fx.sidecar[:len(fx.sidecar)/2])
@@ -439,6 +409,9 @@ func FuzzSidecar(f *testing.F) {
 		tr := fx.lazyTracer(t)
 		if err := tr.LoadIndexes(data); err != nil {
 			return
+		}
+		if !bytes.Equal(data, fx.sidecar) {
+			t.Fatalf("accepted % x, which is not the run's sidecar", data)
 		}
 		traced, err := tr.Trace(fx.sink, fx.question.Clone())
 		if err != nil {

@@ -95,14 +95,9 @@ func (t *Tracer) Observe(rec *obs.Recorder) *Tracer {
 // assigns output identifiers in row order, so the Out column of every run it
 // writes is already sorted and the columns are the index (fromColumns); only
 // an operator whose Out column is out of order (a hand-made, damaged or
-// foreign artifact) is sorted first (build), or takes its sorted form from
-// the region a sidecar keeps for it (sidecar.go).
+// foreign artifact) is sorted first (build).
 type opIndex struct {
-	once sync.Once
-	// side is the operator's region of a validated sidecar, installed by
-	// LoadIndexes for an operator whose Out column is out of order; it decodes
-	// on first use (see decodeSide).
-	side    []byte
+	once    sync.Once
 	unary   pairIdx
 	binary  binIdx
 	flatten flatIdx
@@ -248,15 +243,12 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	ix := v.(*opIndex)
 	ix.once.Do(func() {
 		defer t.rec.StartSpan(obs.SpanIndexBuild)()
-		switch kind := op.AssocKind(); {
-		case kind <= provenance.AssocSource: // nothing is looked up in a source
-		case ix.side != nil && ix.decodeSide(kind):
+		switch {
+		case op.AssocKind() <= provenance.AssocSource: // nothing is looked up in a source
+		case op.OutOrdered():
+			ix.fromColumns(op.Columns())
 		default:
-			if c := op.Columns(); op.OutOrdered() {
-				ix.fromColumns(c, true)
-			} else {
-				ix.build(c)
-			}
+			ix.build(op.Columns())
 		}
 	})
 	return ix
@@ -266,10 +258,8 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 // and keeps them as its values: c may be the operator's shared bag, so it is
 // read and aliased, never written. A dense Out column is used as it is; one with
 // repeats (distinct) or gaps folds into keys and offsets in one linear pass.
-// dense is false for an index that goes into a sidecar region, which spells
-// its keys out.
-func (ix *opIndex) fromColumns(c provenance.Columns, dense bool) {
-	n := len(c.Out)
+func (ix *opIndex) fromColumns(c provenance.Columns) {
+	n, dense := len(c.Out), true
 	for i := 0; i < n && dense; i++ {
 		dense = c.Out[i] == c.Out[0]+int64(i)
 	}
@@ -342,7 +332,7 @@ func (ix *opIndex) build(c provenance.Columns) {
 	} else {
 		s.In, s.Right, s.Pos = pick(c.In), pick(c.Right), pick(c.Pos)
 	}
-	ix.fromColumns(s, false)
+	ix.fromColumns(s)
 }
 
 // tracer is the per-query state. Every tree a trace holds — the ones it was

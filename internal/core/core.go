@@ -134,8 +134,10 @@ func (c *Captured) Recorder() *obs.Recorder { return c.rec }
 // Reattached assembles a query-capable Captured from reloaded pieces — the
 // one way the daemon and the shell make a reloaded capture: the pipeline
 // and execution result of the original run, a provenance run reloaded from
-// persisted bytes, and optionally a tracer prepared over that run (e.g. with
-// sidecar indexes installed). rec, when non-nil, observes every query on the
+// persisted bytes, and optionally a tracer over that run, which the capture
+// then queries through (the benchmark's trace replay hands in the tracer it
+// timed); with nil the capture makes its own on the first query, as a
+// captured one does. rec, when non-nil, observes every query on the
 // capture, same as a session recorder would. A Captured's provenance is set
 // here or by the capture and never replaced.
 func Reattached(p *engine.Pipeline, res *engine.Result, run *provenance.Run, tr *backtrace.Tracer, rec *obs.Recorder) *Captured {

@@ -215,7 +215,7 @@ func accumulate(spec AggSpec, a *aggAccum, vals []nested.Value, groupOf []int32,
 			}
 			// Strictly-better replaces: ties keep the incumbent. A NaN sorts
 			// before every other double (nested.Compare).
-			cr := compareWidened(v, a.best[g])
+			cr := nested.CompareWidened(v, a.best[g])
 			if (spec.Func == AggMax && cr > 0) || (spec.Func == AggMin && cr < 0) {
 				a.best[g] = v
 			}

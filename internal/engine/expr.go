@@ -120,7 +120,7 @@ func (c cmpExpr) apply(lv, rv nested.Value) nested.Value {
 	if lv.IsNull() || rv.IsNull() {
 		return nested.Bool(c.op == opNe && !(lv.IsNull() && rv.IsNull()))
 	}
-	return nested.Bool(c.op.truth(compareWidened(lv, rv)))
+	return nested.Bool(c.op.truth(nested.CompareWidened(lv, rv)))
 }
 
 // truth maps a three-way comparison result to the operator's truth value.
@@ -140,19 +140,6 @@ func (op cmpOp) truth(cmp int) bool {
 		return cmp >= 0
 	}
 	return false
-}
-
-// compareWidened compares two values, widening int/double pairs so that
-// Int(1) == Double(1.0); the doubles order as nested.Compare orders them.
-func compareWidened(a, b nested.Value) int {
-	if a.Kind() != b.Kind() {
-		af, aok := a.AsDouble()
-		bf, bok := b.AsDouble()
-		if aok && bok {
-			return nested.Compare(nested.Double(af), nested.Double(bf))
-		}
-	}
-	return nested.Compare(a, b)
 }
 
 func (c cmpExpr) Paths() []path.Path { return append(c.l.Paths(), c.r.Paths()...) }

@@ -102,7 +102,7 @@ func (e *executor) execOrderBy(o *Op) ([]morselOut, error) {
 	}
 	sort.SliceStable(sorted, func(i, j int) bool {
 		for k := range sorted[i].keys {
-			c := compareWidened(sorted[i].keys[k], sorted[j].keys[k])
+			c := nested.CompareWidened(sorted[i].keys[k], sorted[j].keys[k])
 			if c != 0 {
 				if o.sortDesc {
 					return c > 0

@@ -16,7 +16,7 @@ import (
 // single arena, so building and probing allocate per table, not per row.
 //
 // Semantics contract: byte equality is the match discipline of both kernels.
-// It is finer than compareWidened(a,b)==0 and nested.Equal in three places:
+// It is finer than nested.CompareWidened(a,b)==0 and nested.Equal in three places:
 // int/double widening, which never meets in one hash chain (Hash feeds on
 // the kind tag), and ±0.0 and NaNs of different payload, which do since Hash
 // follows Equal — there the bytes keep them distinct keys, as they have

@@ -83,7 +83,7 @@ func joinBucketRef(lrows, rrows []keyedRow, leftOuter bool, rightSchema []string
 	sort.Slice(probe, func(i, j int) bool { return probe[i].seq < probe[j].seq })
 	for _, rkr := range probe {
 		for _, lkr := range build[rkr.hash] {
-			if compareWidened(lkr.key, rkr.key) != 0 {
+			if nested.CompareWidened(lkr.key, rkr.key) != 0 {
 				continue
 			}
 			item, err := concatItemsRef(lkr.row.Value, rkr.row.Value)
@@ -148,7 +148,7 @@ func broadcastProbeRef(probeKey Expr, build map[uint64][]keyedRow, rows []Row, b
 		}
 		probeHashed++
 		for _, bkr := range build[valueHash(k)] {
-			if compareWidened(bkr.key, k) != 0 {
+			if nested.CompareWidened(bkr.key, k) != 0 {
 				continue
 			}
 			lRow, rRow := bkr.row, r
@@ -282,7 +282,7 @@ func computeAggRef(spec AggSpec, rows []keyedRow) (nested.Value, error) {
 				found = true
 				continue
 			}
-			c := compareWidened(v, best)
+			c := nested.CompareWidened(v, best)
 			if (spec.Func == AggMax && c > 0) || (spec.Func == AggMin && c < 0) {
 				best = v
 			}
@@ -1252,7 +1252,7 @@ func (e *refExecutor) execOrderBy(o *Op) (*Dataset, error) {
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k := range o.sortKeys {
-			if c := compareWidened(keys[rows[i].ID][k], keys[rows[j].ID][k]); c != 0 {
+			if c := nested.CompareWidened(keys[rows[i].ID][k], keys[rows[j].ID][k]); c != 0 {
 				return (c < 0) != o.sortDesc
 			}
 		}

@@ -118,8 +118,8 @@ func asBoolAt(c *colVec, i int) (bool, bool) {
 
 // cmpVec compares two columns element-wise. The typed arms replicate the
 // scalar kernel exactly: null rows use the null formula of cmpExpr.apply,
-// int/int pairs order as integers (compareWidened → nested.Compare), any
-// numeric mix widens to float64 (compareWidened's AsDouble arm; a NaN sorts
+// int/int pairs order as integers (nested.CompareWidened → nested.Compare), any
+// numeric mix widens to float64 (nested.CompareWidened's AsDouble arm; a NaN sorts
 // before every other double), strings and bools order as nested.Compare
 // does. Every other column shape goes through the shared
 // kernel itself.
@@ -208,7 +208,7 @@ func cmpInt64Ord(a, b int64) int {
 	return 0
 }
 
-// cmpFloat64Ord matches the float arms of compareWidened and nested.Compare:
+// cmpFloat64Ord matches the float arms of nested.CompareWidened and nested.Compare:
 // a NaN sorts before every other double and equal to itself.
 func cmpFloat64Ord(a, b float64) int {
 	switch {

@@ -506,6 +506,21 @@ func equal(a, b *Value) bool {
 // before every other double and equal to itself, as Equal has it.
 func Compare(a, b Value) int { return compare(&a, &b) }
 
+// CompareWidened is Compare with int/double pairs widened, so that
+// Int(1) == Double(1.0); the doubles order as Compare orders them. It is the
+// one numeric comparison of engine predicates, aggregates and sorts and of
+// tree-pattern bounds.
+func CompareWidened(a, b Value) int {
+	if a.Kind() != b.Kind() {
+		af, aok := a.AsDouble()
+		bf, bok := b.AsDouble()
+		if aok && bok {
+			return Compare(Double(af), Double(bf))
+		}
+	}
+	return Compare(a, b)
+}
+
 func compare(a, b *Value) int {
 	if a.kind != b.kind {
 		return cmp.Compare(a.kind, b.kind)

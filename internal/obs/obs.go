@@ -100,8 +100,9 @@ const (
 	// opened by the reload call sites (daemon trace job, shell `load`) around
 	// ReadRunLazy.
 	SpanRunLoad
-	// SpanIndexBuild is per-operator association index construction (or the
-	// sidecar load that replaces it) inside the tracer.
+	// SpanIndexBuild is per-operator association index construction inside
+	// the tracer: reading the index off the operator's columns, or sorting
+	// an out-of-order operator first.
 	SpanIndexBuild
 	// SpanPatternCompile is the one-time compilation of a tree pattern into
 	// its instruction form.
@@ -111,7 +112,7 @@ const (
 	// core.QueryResult.Answer.
 	SpanAnswerRender
 	// SpanPersist is the daemon's write of a capture job's artifacts: the
-	// temp writes and renames of the .pbl and its .idx sidecar.
+	// temp writes and renames of the .pbl and its index sidecar.
 	SpanPersist
 
 	// NumSpans is the number of spans (array size, not a span).

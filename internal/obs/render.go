@@ -47,7 +47,7 @@ func (s *Stats) Render(withTimings bool) string {
 			fmt.Fprintf(&sb, "query time: match %s (%.1f%%) + backtrace %s (%.1f%%)\n",
 				match, 100*float64(match)/float64(q), bt, 100*float64(bt)/float64(q))
 		}
-		// Reload-path phases (lazy run load, index build/sidecar install,
+		// Reload-path phases (lazy run load, index build,
 		// pattern compilation) — the query-side split of the PR 6 fast path.
 		load, idx, comp := s.SpanTotal(SpanRunLoad), s.SpanTotal(SpanIndexBuild), s.SpanTotal(SpanPatternCompile)
 		if load+idx+comp > 0 {

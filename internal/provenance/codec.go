@@ -65,7 +65,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 
 // readRunV1 decodes the fixed-width v1 operator stream following the
 // magic/version prefix.
-func readRunV1(d *Cursor) (*Run, error) {
+func readRunV1(d *cursor) (*Run, error) {
 	nOps := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
@@ -129,7 +129,7 @@ func readRunV1(d *Cursor) (*Run, error) {
 }
 
 // readAssocsV1 reads one row-major v1 association block into columns.
-func readAssocsV1(d *Cursor) Columns {
+func readAssocsV1(d *cursor) Columns {
 	c := Columns{Kind: AssocKind(d.Byte())}
 	if c.Kind == AssocNone {
 		return c

@@ -179,7 +179,7 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byt
 				buf = binary.AppendUvarint(buf, uint64(c.Offs[j+1]-c.Offs[j]))
 			}
 		default:
-			buf = AppendDeltaColumn(buf, col)
+			buf = appendDeltaColumn(buf, col)
 		}
 	}
 	return buf
@@ -250,10 +250,9 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// AppendDeltaColumn appends col as zigzag(v − prev) uvarints, prev starting
-// at 0: the writer of what Cursor.DeltaColumn reads, for the run stream and
-// the index sidecar alike.
-func AppendDeltaColumn(buf []byte, col []int64) []byte {
+// appendDeltaColumn appends col as zigzag(v − prev) uvarints, prev starting
+// at 0: the writer of what cursor.DeltaColumn reads.
+func appendDeltaColumn(buf []byte, col []int64) []byte {
 	prev := int64(0)
 	for _, v := range col {
 		buf = binary.AppendUvarint(buf, zigzag(v-prev))

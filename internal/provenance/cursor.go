@@ -7,43 +7,34 @@ import (
 	"io"
 )
 
-// Cursor is the one reader of artifact bytes: every version of the run
-// stream and the index sidecar next to it (internal/backtrace) parse through
-// it, so truncation, varint overflow, count caps and allocation bounds are
-// decided in one place. It walks a byte slice and remembers the first error;
-// after an error every read returns zero and leaves the position alone, so
-// callers read a whole record and check Err once.
-type Cursor struct {
+// cursor is the one reader of artifact bytes: every version of the run
+// stream parses through it, so truncation, varint overflow, count caps and
+// allocation bounds are decided in one place. It walks a byte slice and
+// remembers the first error; after an error every read returns zero and
+// leaves the position alone, so callers read a whole record and check err
+// once.
+type cursor struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-// NewCursor returns a cursor at the start of data, which it never modifies.
-func NewCursor(data []byte) *Cursor { return &Cursor{data: data} }
-
-// Err returns the first error the cursor ran into, nil while reads succeed.
-func (c *Cursor) Err() error { return c.err }
-
 // Fail records err unless an earlier error is already pending — for the
 // format-specific checks callers layer on top of the primitive reads.
-func (c *Cursor) Fail(err error) {
+func (c *cursor) Fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
 }
 
-// Pos returns the offset of the next unread byte.
-func (c *Cursor) Pos() int { return c.pos }
-
 // Rest returns the number of unread bytes. Every format read through a
 // cursor ends with its last record, so a loader requires Rest() == 0.
-func (c *Cursor) Rest() int { return len(c.data) - c.pos }
+func (c *cursor) Rest() int { return len(c.data) - c.pos }
 
 var errVarintOverflow = errors.New("provenance: varint overflows a 64-bit integer")
 
 // Uvarint reads one unsigned varint.
-func (c *Cursor) Uvarint() uint64 {
+func (c *cursor) Uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
@@ -75,7 +66,7 @@ const maxCount = 1 << 32
 
 // Count reads a varint element count, rejecting absurd values; what names
 // the counted thing in the error.
-func (c *Cursor) Count(what string) int {
+func (c *cursor) Count(what string) int {
 	v := c.Uvarint()
 	if c.err == nil && v > maxCount {
 		c.err = fmt.Errorf("provenance: %s count %d exceeds limit", what, v)
@@ -90,7 +81,7 @@ func (c *Cursor) Count(what string) int {
 // is not, but its bag keeps a column that is — so a genuine count is
 // allocated exactly once and a lying one cannot reserve more elements than
 // the input has bytes: it then runs into the end of the data.
-func (c *Cursor) Clamp(n int) int {
+func (c *cursor) Clamp(n int) int {
 	if n < 0 {
 		return 0
 	}
@@ -101,7 +92,7 @@ func (c *Cursor) Clamp(n int) int {
 }
 
 // Byte reads one byte.
-func (c *Cursor) Byte() uint8 {
+func (c *cursor) Byte() uint8 {
 	if c.err != nil {
 		return 0
 	}
@@ -114,7 +105,7 @@ func (c *Cursor) Byte() uint8 {
 	return b
 }
 
-func (c *Cursor) bool() bool { return c.Byte() != 0 }
+func (c *cursor) bool() bool { return c.Byte() != 0 }
 
 // SkipVarints advances past n varints without decoding their values,
 // rejecting truncation and overlong encodings exactly as Uvarint would — the
@@ -123,7 +114,7 @@ func (c *Cursor) bool() bool { return c.Byte() != 0 }
 // whether the varints, read as one Δ column, are non-decreasing: a negative
 // delta is an odd zigzag value, a varint has the parity of its first byte,
 // and the first delta (from 0) says nothing about order.
-func (c *Cursor) SkipVarints(n int) (ordered bool) {
+func (c *cursor) SkipVarints(n int) (ordered bool) {
 	if c.err != nil {
 		return false
 	}
@@ -158,7 +149,7 @@ func (c *Cursor) SkipVarints(n int) (ordered bool) {
 
 // DeltaColumn reads a column of n zigzag-delta varints (zigzag(v − prev),
 // prev starting at 0).
-func (c *Cursor) DeltaColumn(n int) []int64 {
+func (c *cursor) DeltaColumn(n int) []int64 {
 	out := make([]int64, 0, c.Clamp(n))
 	var prev int64
 	for i := 0; i < n && c.err == nil; i++ {
@@ -174,7 +165,7 @@ func (c *Cursor) DeltaColumn(n int) []int64 {
 // non-decreasing. A run-coded column (codec_v3.go) holds at most n runs,
 // none empty, their lengths summing to exactly n; it decreases where a run's
 // delta is negative, unless all that run holds is the first value.
-func (c *Cursor) skipColumn(n int, runs uint8, k int) (ordered bool) {
+func (c *cursor) skipColumn(n int, runs uint8, k int) (ordered bool) {
 	if runs>>k&1 == 0 {
 		return c.SkipVarints(n)
 	}
@@ -200,7 +191,7 @@ func (c *Cursor) skipColumn(n int, runs uint8, k int) (ordered bool) {
 // DeltaColumn unless bit k of runs is set. A run-coded column is allocated at
 // once — its runs say nothing about the bytes behind its values, the bag's
 // other columns do.
-func (c *Cursor) column(n int, runs uint8, k int) []int64 {
+func (c *cursor) column(n int, runs uint8, k int) []int64 {
 	if runs>>k&1 == 0 {
 		return c.DeltaColumn(n)
 	}
@@ -218,7 +209,7 @@ func (c *Cursor) column(n int, runs uint8, k int) []int64 {
 }
 
 // take returns the next n bytes as a view of the data.
-func (c *Cursor) take(n int) []byte {
+func (c *cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
@@ -232,7 +223,7 @@ func (c *Cursor) take(n int) []byte {
 }
 
 // str reads a string of n bytes, n being a length prefix just read.
-func (c *Cursor) str(n uint64) string {
+func (c *cursor) str(n uint64) string {
 	const maxStr = 1 << 20
 	if c.err == nil && n > maxStr {
 		c.err = fmt.Errorf("provenance: string length %d exceeds limit", n)
@@ -242,7 +233,7 @@ func (c *Cursor) str(n uint64) string {
 
 // end requires the cursor at the end of a run stream: no codec version has
 // a trailer, and the content hash must not cover bytes no decoder read.
-func (c *Cursor) end() error {
+func (c *cursor) end() error {
 	if n := c.Rest(); n > 0 {
 		return fmt.Errorf("provenance: %d trailing bytes after the last operator", n)
 	}
@@ -251,21 +242,21 @@ func (c *Cursor) end() error {
 
 // The fixed-width little-endian reads of the frozen v1 layout.
 
-func (c *Cursor) u16() uint16 {
+func (c *cursor) u16() uint16 {
 	if b := c.take(2); b != nil {
 		return binary.LittleEndian.Uint16(b)
 	}
 	return 0
 }
 
-func (c *Cursor) u32() uint32 {
+func (c *cursor) u32() uint32 {
 	if b := c.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
 
-func (c *Cursor) i64() int64 {
+func (c *cursor) i64() int64 {
 	if b := c.take(8); b != nil {
 		return int64(binary.LittleEndian.Uint64(b))
 	}
@@ -273,4 +264,4 @@ func (c *Cursor) i64() int64 {
 }
 
 // str32 reads a v1 string: u32 length, then the bytes.
-func (c *Cursor) str32() string { return c.str(uint64(c.u32())) }
+func (c *cursor) str32() string { return c.str(uint64(c.u32())) }

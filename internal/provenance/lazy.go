@@ -44,8 +44,8 @@ type lazyAssoc struct {
 }
 
 // ContentHash returns HashStream of the run's encoded stream — the bytes it
-// was loaded from, or a capture's own — used to pair a run with its persisted
-// index sidecar.
+// was loaded from, or a capture's own. The index sidecar records it; nothing
+// on the load or trace path computes it.
 func (r *Run) ContentHash() uint64 { return HashStream(r.stream) }
 
 // AssocBytesTotal returns the encoded size of all association regions of a
@@ -68,11 +68,10 @@ func (r *Run) AssocBytesDecoded() int64 {
 	return r.lazy.decoded.Load()
 }
 
-// HashStream fingerprints an encoded stream — the content hash sidecars are
-// validated against. It is the FNV-1a mixing step folded over the length and
+// HashStream fingerprints an encoded stream — the content hash an index
+// sidecar records. It is the FNV-1a mixing step folded over the length and
 // 8-byte little-endian words (tail bytes fold individually), so hashing runs
-// at word speed: reload paths hash every stream and sidecar they open, and a
-// byte-at-a-time hash would rival the decode it guards.
+// at word speed.
 func HashStream(data []byte) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := (uint64(offset64) ^ uint64(len(data))) * prime64
@@ -95,7 +94,7 @@ func HashStream(data []byte) uint64 {
 // path: ReadRun is ReadRunLazy plus the decode of every bag, and
 // Collector.Finish ends in it.
 func ReadRunLazy(data []byte) (*Run, error) {
-	c := NewCursor(data)
+	c := &cursor{data: data}
 	magic := c.take(len(codecMagic))
 	version := c.u16()
 	if c.err != nil {
@@ -127,7 +126,7 @@ func ReadRunLazy(data []byte) (*Run, error) {
 // cursor's primitives plus the string dictionary that references resolve
 // against, each entry parsed as a path at most once.
 type scanner struct {
-	*Cursor
+	*cursor
 	dict  []string
 	paths map[string]path.Path
 	v3    bool // tag bytes carry run bits
@@ -136,8 +135,8 @@ type scanner struct {
 // scanRun performs the validating skip-scan over a v2 or v3 stream: static
 // parts decode eagerly, association blocks are verified and recorded as lazy
 // regions.
-func scanRun(c *Cursor, version uint16) (*Run, error) {
-	d := &scanner{Cursor: c, paths: map[string]path.Path{}, v3: version >= codecVersionV3}
+func scanRun(c *cursor, version uint16) (*Run, error) {
+	d := &scanner{cursor: c, paths: map[string]path.Path{}, v3: version >= codecVersionV3}
 	nDict := d.Count("dictionary")
 	d.dict = make([]string, 0, d.Clamp(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
@@ -295,7 +294,7 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 // decode failure here is a bug, not an input error — it panics rather than
 // silently returning partial provenance.
 func (l *lazyAssoc) decode(op *Operator) Columns {
-	d := &Cursor{data: l.src.data[:l.end], pos: l.off}
+	d := &cursor{data: l.src.data[:l.end], pos: l.off}
 	n, runs := d.Count("association"), l.runs
 	c := Columns{Kind: op.kind}
 	switch c.Kind {

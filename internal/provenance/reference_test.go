@@ -17,7 +17,7 @@ import (
 //
 //   - RefReadRun, the eager stream decoder of every codec version (fixed-width
 //     v1 over io.Reader, columnar v2 and v3 over bufio). It shares no code
-//     with the production Cursor: its own varint reads (binary.ReadUvarint),
+//     with the production cursor: its own varint reads (binary.ReadUvarint),
 //     its own count cap and capacity clamp, its own run-column reader and
 //     rules for the run bits. It stops at the last operator and reports how
 //     many bytes follow, where the production loaders reject them.

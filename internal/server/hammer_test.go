@@ -9,16 +9,25 @@ import (
 	"time"
 
 	"pebble/internal/engine"
+	"pebble/internal/nested"
 	"pebble/internal/server"
 	"pebble/pkg/sdk"
 )
 
-// tinyFactory is a fast, gate-free pipeline for load tests.
-func tinyFactory(rows int) server.Factory {
+// tinyFactory is a fast pipeline for load tests. Given a gate, a map before
+// the filter holds every row until the gate is closed, so no job of it
+// finishes before then; a nil gate adds no map.
+func tinyFactory(rows int, gate <-chan struct{}) server.Factory {
 	return server.Factory{
 		Build: func() (*engine.Pipeline, error) {
 			p := engine.NewPipeline()
 			src := p.Source("in")
+			if gate != nil {
+				src = p.Map(src, engine.MapFunc{Name: "gate", Fn: func(v nested.Value) (nested.Value, error) {
+					<-gate
+					return v, nil
+				}})
+			}
 			p.Filter(src, engine.Gt(engine.Col("n"), engine.LitInt(2)))
 			return p, nil
 		},
@@ -32,16 +41,19 @@ func tinyFactory(rows int) server.Factory {
 // against a tiny queue. The contract under load: every submission either
 // lands (and then reaches a terminal status) or is refused with the 429
 // backpressure signal — no hangs, no lost jobs, and the bounded queue keeps
-// admitted work at a size the daemon can hold. Run with -race, this is also
-// the concurrency audit of the whole job/queue/session path. Every admitted
-// client parks a long poll in WaitJob; after Close no handler or wait timer
-// may outlive its request.
+// admitted work at a size the daemon can hold: no job finishes until every
+// submission has been answered, so at most QueueDepth + Runners are
+// admitted and the rest are refused, on any number of CPUs. Run with -race,
+// this is also the concurrency audit of the whole job/queue/session path.
+// Every admitted client parks a long poll in WaitJob; after Close no
+// handler or wait timer may outlive its request.
 func TestHammer100Clients(t *testing.T) {
-	const clients = 100
+	const clients, queueDepth, runners = 100, 4, 2
 	baseline := runtime.NumGoroutine()
+	gate := make(chan struct{})
 	srv, ts := bootDaemon(t, server.Config{
-		Runners: 2, SessionCap: 2, QueueDepth: 4,
-		Pipelines: map[string]server.Factory{"tiny": tinyFactory(32)},
+		Runners: runners, SessionCap: 2, QueueDepth: queueDepth,
+		Pipelines: map[string]server.Factory{"tiny": tinyFactory(32, gate)},
 	})
 	c := sdk.New(ts.URL)
 	mustSession(t, c, sdk.SessionSpec{Name: "h", Partitions: 4})
@@ -49,12 +61,18 @@ func TestHammer100Clients(t *testing.T) {
 	defer cancel()
 
 	var accepted, rejected, completed, otherErr atomic.Int64
-	var wg sync.WaitGroup
+	var wg, submitted sync.WaitGroup
+	submitted.Add(clients)
+	go func() {
+		submitted.Wait()
+		close(gate)
+	}()
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			info, err := c.SubmitJob(ctx, "h", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
+			submitted.Done()
 			if err != nil {
 				if _, full := sdk.IsQueueFull(err); full {
 					rejected.Add(1)
@@ -89,8 +107,9 @@ func TestHammer100Clients(t *testing.T) {
 		t.Errorf("accounting broken: accepted %d + rejected %d != %d (other errors %d)",
 			accepted.Load(), rejected.Load(), clients, otherErr.Load())
 	}
-	if rejected.Load() == 0 {
-		t.Error("100 clients against queue depth 4 produced no 429s; admission control is not engaging")
+	if rejected.Load() < clients-queueDepth-runners {
+		t.Errorf("%d of %d clients refused while no job could finish, want at least %d: admission control admits past queue depth %d + %d runners",
+			rejected.Load(), clients, clients-queueDepth-runners, queueDepth, runners)
 	}
 	if completed.Load() != accepted.Load() {
 		t.Errorf("%d accepted but only %d completed: jobs were lost", accepted.Load(), completed.Load())

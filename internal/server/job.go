@@ -44,12 +44,11 @@ type job struct {
 	events   []sdk.JobEvent
 
 	// pipeline-job outputs. result stays in memory for later pattern
-	// matching; the provenance itself lives only in the .pbl/.idx artifacts
-	// once persisted, so completed captures cost disk, not heap.
+	// matching; the provenance itself lives only in the .pbl artifact once
+	// persisted, so completed captures cost disk, not heap.
 	pipeline  *engine.Pipeline
 	result    *engine.Result
 	provPath  string
-	idxPath   string
 	provBytes int64
 
 	// trace-job output.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -110,9 +109,9 @@ func (s *Server) resolvePipeline(j *job) (*engine.Pipeline, map[string]*engine.D
 
 // runPipeline executes a pipeline job under the session configuration with
 // the job's recorder and context. Captured provenance is persisted as a
-// .pbl artifact plus a .idx index sidecar and then dropped from memory:
-// the execution result stays resident for pattern matching, the provenance
-// reloads lazily when a trace job needs it.
+// .pbl artifact and then dropped from memory: the execution result stays
+// resident for pattern matching, the provenance reloads lazily when a trace
+// job needs it.
 func (s *Server) runPipeline(j *job) error {
 	p, inputs, err := s.resolvePipeline(j)
 	if err != nil {
@@ -133,33 +132,34 @@ func (s *Server) runPipeline(j *job) error {
 	if err != nil {
 		return err
 	}
-	provPath, idxPath, n, err := s.persistArtifacts(j, cap)
+	provPath, n, err := s.persistArtifacts(j, cap)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	j.pipeline, j.result = p, cap.Result
-	j.provPath, j.idxPath, j.provBytes = provPath, idxPath, n
+	j.provPath, j.provBytes = provPath, n
 	j.mu.Unlock()
 	return nil
 }
 
 // persistArtifacts writes the capture's provenance (.pbl) — the stream
 // Finish encoded and loaded, so it needs no check here — and its index
-// sidecar (.idx), a few dozen bytes, since the indexes of an engine run are
-// its own columns. Either both files exist afterwards or neither. The writes
-// are the job's persist span.
-func (s *Server) persistArtifacts(j *job, cap *core.Captured) (provPath, idxPath string, n int64, err error) {
+// sidecar (.idx), a few dozen bytes that no trace reads: the benchmark
+// still measures the file (backtrace/sidecar.go says why it remains).
+// Either both files exist afterwards or neither. The writes are the job's
+// persist span.
+func (s *Server) persistArtifacts(j *job, cap *core.Captured) (provPath string, n int64, err error) {
 	defer j.rec.StartSpan(obs.SpanPersist)()
-	provPath, idxPath = s.artifactPath(j.sess, j, ".pbl"), s.artifactPath(j.sess, j, ".idx")
+	provPath, idxPath := s.artifactPath(j.sess, j, ".pbl"), s.artifactPath(j.sess, j, ".idx")
 	if n, err = writeArtifact(provPath, cap.Provenance.WriteTo); err != nil {
-		return "", "", 0, fmt.Errorf("write provenance artifact: %w", err)
+		return "", 0, fmt.Errorf("write provenance artifact: %w", err)
 	}
 	if _, err := writeArtifact(idxPath, backtrace.NewTracer(cap.Provenance).WriteIndexes); err != nil {
 		os.Remove(provPath) //nolint:errcheck // best-effort cleanup
-		return "", "", 0, fmt.Errorf("write index sidecar: %w", err)
+		return "", 0, fmt.Errorf("write index sidecar: %w", err)
 	}
-	return provPath, idxPath, n, nil
+	return provPath, n, nil
 }
 
 // writeArtifact puts what write writes under path by way of a temp file
@@ -185,10 +185,9 @@ func writeArtifact(path string, write func(io.Writer) (int64, error)) (int64, er
 }
 
 // runTrace executes a trace job: it reloads the target pipeline job's
-// persisted provenance lazily, installs the index sidecar (falling back to
-// an in-memory rebuild if the sidecar is stale or damaged), builds the
-// backtracing structure from the requested pattern, and walks the
-// provenance back to the sources.
+// persisted provenance lazily — the one file it reads, whose columns are the
+// tracer's indexes — builds the backtracing structure from the requested
+// pattern, and walks the provenance back to the sources.
 func (s *Server) runTrace(j *job) error {
 	target, ok := j.sess.job(j.req.TargetJob)
 	if !ok {
@@ -199,7 +198,7 @@ func (s *Server) runTrace(j *job) error {
 		return fmt.Errorf("target job %s is %s %s; need a done pipeline job", target.id, tinfo.Status, target.kind)
 	}
 	target.mu.Lock()
-	provPath, idxPath := target.provPath, target.idxPath
+	provPath := target.provPath
 	pipeline, result := target.pipeline, target.result
 	target.mu.Unlock()
 	if provPath == "" {
@@ -215,18 +214,7 @@ func (s *Server) runTrace(j *job) error {
 	if err != nil {
 		return fmt.Errorf("load provenance artifact: %w", err)
 	}
-	tr := backtrace.NewTracer(run)
-	if idxData, rerr := os.ReadFile(idxPath); rerr == nil {
-		if lerr := tr.LoadIndexes(idxData); lerr != nil {
-			// Stale or corrupt sidecar: never wrong answers — rebuild.
-			j.event(sdk.JobEvent{Kind: "note", Message: fmt.Sprintf("index sidecar rejected (%v); rebuilding indexes", lerr)})
-		}
-	} else if !errors.Is(rerr, fs.ErrNotExist) {
-		// A sidecar that is there but cannot be read costs the same rebuild;
-		// only a missing one is nothing to report.
-		j.event(sdk.JobEvent{Kind: "note", Message: fmt.Sprintf("index sidecar unreadable (%v); rebuilding indexes", rerr)})
-	}
-	cap := core.Reattached(pipeline, result, run, tr, j.rec)
+	cap := core.Reattached(pipeline, result, run, nil, j.rec)
 
 	b, err := j.buildStructure(cap)
 	if err != nil {

@@ -2,7 +2,7 @@
 // HTTP/JSON facade over the library's Session API. Clients create named
 // sessions, register datasets, and submit pipeline executions and
 // backtracing queries as asynchronous jobs with cancellation and streamed
-// progress events; completed captures persist as .pbl/.idx artifacts so
+// progress events; completed captures persist as .pbl artifacts so
 // provenance outlives the run that produced it. Admission control is a
 // bounded job queue with backpressure (429 + Retry-After) and a per-session
 // running cap (see queue.go).
@@ -49,8 +49,8 @@ type Factory struct {
 
 // Config parameterises a daemon instance.
 type Config struct {
-	// DataDir is where job artifacts (.pbl provenance, .idx sidecars) are
-	// persisted. Required.
+	// DataDir is where job artifacts (.pbl provenance and its index sidecar)
+	// are persisted. Required.
 	DataDir string
 	// QueueDepth bounds the number of queued (admitted, not yet running)
 	// jobs; submissions beyond it get 429 + Retry-After. Default 64.

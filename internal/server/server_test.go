@@ -390,7 +390,7 @@ func TestEventStreamShape(t *testing.T) {
 // daemon stays healthy and the session's next job, on the same runner, ends
 // done.
 func TestPanickingJobFailsAlone(t *testing.T) {
-	panics := tinyFactory(8)
+	panics := tinyFactory(8, nil)
 	panics.Build = func() (*engine.Pipeline, error) {
 		p := engine.NewPipeline()
 		p.Map(p.Source("in"), engine.MapFunc{Name: "boom", Fn: func(nested.Value) (nested.Value, error) {
@@ -398,7 +398,7 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 		}})
 		return p, nil
 	}
-	c := startDaemon(t, server.Config{Runners: 1, Pipelines: map[string]server.Factory{"panics": panics, "tiny": tinyFactory(8)}})
+	c := startDaemon(t, server.Config{Runners: 1, Pipelines: map[string]server.Factory{"panics": panics, "tiny": tinyFactory(8, nil)}})
 	ctx := context.Background()
 	mustSession(t, c, sdk.SessionSpec{Name: "s"})
 	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "panics"})
@@ -528,12 +528,11 @@ func TestSpecJobOverUploadedDataset(t *testing.T) {
 	}
 }
 
-// TestUnreadableSidecarIsNoted: a sidecar that exists but cannot be read (here
-// a directory in its place) costs an index rebuild, and the trace job says so
-// in a note event, as it does for a sidecar it rejects; a sidecar that is
-// simply absent stays silent. The answer is the sidecar-backed one, byte for
-// byte, all three times.
-func TestUnreadableSidecarIsNoted(t *testing.T) {
+// TestTraceReadsNoSidecar: a trace job reads the target's .pbl and nothing
+// beside it, so whether the .idx the capture wrote is there, absent, a
+// directory or garbage, the answer is the same byte for byte and the job
+// emits no note.
+func TestTraceReadsNoSidecar(t *testing.T) {
 	dir := t.TempDir()
 	c := startDaemon(t, server.Config{DataDir: dir})
 	ctx := context.Background()
@@ -541,65 +540,43 @@ func TestUnreadableSidecarIsNoted(t *testing.T) {
 	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "D1", SimGB: 1})
 	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
 
-	trace := func() (sdk.TraceOutput, []string) {
+	trace := func(state string) sdk.TraceOutput {
 		t.Helper()
 		j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, TraceAll: true})
 		waitStatus(t, c, "s", j.ID, sdk.StatusDone)
 		out, err := c.TraceResult(ctx, "s", j.ID)
 		if err != nil {
-			t.Fatalf("trace result: %v", err)
+			t.Fatalf("%s: trace result: %v", state, err)
 		}
-		var notes []string
 		if err := c.StreamEvents(ctx, "s", j.ID, func(ev sdk.JobEvent) error {
 			if ev.Kind == "note" {
-				notes = append(notes, ev.Message)
+				t.Errorf("%s: the trace job noted %q", state, ev.Message)
 			}
 			return nil
 		}); err != nil {
-			t.Fatalf("stream: %v", err)
+			t.Fatalf("%s: stream: %v", state, err)
 		}
-		return out, notes
+		return out
 	}
 
-	want, notes := trace()
-	if len(notes) != 0 {
-		t.Fatalf("sidecar-backed trace noted %q", notes)
-	}
 	idxPath := filepath.Join(dir, "s-"+target.ID+".idx")
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatalf("the target wrote no sidecar where the test expects it: %v", err)
+	if _, err := os.Stat(idxPath); err != nil {
+		t.Fatalf("the capture wrote no .idx where the test expects it: %v", err)
 	}
-	absent, notes := trace()
-	if len(notes) != 0 {
-		t.Errorf("trace without a sidecar noted %q; an absent file is nothing to report", notes)
-	}
-	if err := os.Mkdir(idxPath, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	unreadable, notes := trace()
-	if len(notes) != 1 || !strings.Contains(notes[0], "index sidecar unreadable") || !strings.Contains(notes[0], "rebuilding indexes") {
-		t.Errorf("notes = %q, want one saying the sidecar is unreadable and the indexes are rebuilt", notes)
-	}
-	// A sidecar of the previous format — every operator's index spelled out
-	// beside the columns that already hold it — is turned away by the version
-	// check like any other the tracer cannot use.
-	v1, err := os.ReadFile("../backtrace/testdata/example_v1.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idxPath, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, notes := trace()
-	if len(notes) != 1 || !strings.Contains(notes[0], "index sidecar rejected") || !strings.Contains(notes[0], "version 1") || !strings.Contains(notes[0], "rebuilding indexes") {
-		t.Errorf("notes = %q, want one saying the version 1 sidecar is rejected and the indexes are rebuilt", notes)
-	}
-	for name, got := range map[string]sdk.TraceOutput{"absent": absent, "unreadable": unreadable, "version 1": old} {
-		if got.Matched != want.Matched || got.Report != want.Report || !bytes.Equal(got.Result, want.Result) {
-			t.Errorf("%s sidecar: the answer differs from the sidecar-backed one", name)
+	want := trace("as written")
+	for state, sabotage := range map[string]func() error{
+		"absent":      func() error { return nil },
+		"a directory": func() error { return os.Mkdir(idxPath, 0o755) },
+		"garbage":     func() error { return os.WriteFile(idxPath, []byte("PBLI\x02\x00 not this run's"), 0o644) },
+	} {
+		if err := os.RemoveAll(idxPath); err != nil {
+			t.Fatal(err)
+		}
+		if err := sabotage(); err != nil {
+			t.Fatal(err)
+		}
+		if got := trace(state); got.Matched != want.Matched || got.Report != want.Report || !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("%s .idx: the answer differs from the one beside the .idx the capture wrote", state)
 		}
 	}
 }
@@ -1017,7 +994,7 @@ func TestLongPollOnCancelledRunningJob(t *testing.T) {
 // TestLongPollOnTerminalJob: a long poll of a job that has already ended is
 // answered at once, whatever wait it asks for.
 func TestLongPollOnTerminalJob(t *testing.T) {
-	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8, nil)}})
 	c := sdk.New(ts.URL)
 	mustSession(t, c, sdk.SessionSpec{Name: "s"})
 	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
@@ -1061,7 +1038,7 @@ func (q setQuery) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestLongPollBadWait: a wait that is not a non-negative duration is a 400,
 // which the SDK surfaces as a typed *sdk.APIError.
 func TestLongPollBadWait(t *testing.T) {
-	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	_, ts := bootDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8, nil)}})
 	c := sdk.New(ts.URL)
 	mustSession(t, c, sdk.SessionSpec{Name: "s"})
 	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "tiny"})
@@ -1139,7 +1116,7 @@ func TestCloseReleasesLongPolls(t *testing.T) {
 // poll on it is released, so a client that has seen its job end finds it
 // counted.
 func TestLongPollSeesJobInStats(t *testing.T) {
-	c := startDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8)}})
+	c := startDaemon(t, server.Config{Pipelines: map[string]server.Factory{"tiny": tinyFactory(8, nil)}})
 	ctx := context.Background()
 	mustSession(t, c, sdk.SessionSpec{Name: "s"})
 	for i := 1; i <= 20; i++ {

@@ -16,7 +16,7 @@ import (
 // Shell, but every tree-pattern question becomes an asynchronous trace job
 // submitted to a pebbled daemon through the SDK, run against the persisted
 // provenance of a completed pipeline job. The daemon reloads that artifact
-// lazily (sidecar indexes included), so an interactive explorer can attach
+// lazily from that one file, so an interactive explorer can attach
 // to any capture the service ever ran — long after the capturing process
 // exited — and the reports are byte-identical to local execution.
 type Remote struct {

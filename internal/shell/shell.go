@@ -156,11 +156,9 @@ func (s *Shell) help() {
   explain                  per operator: the stage that ran it, its rows and
                            its own time (operators of one stage ran
                            morsel-at-a-time as one unit)
-  save <path>              write the captured provenance to <path> and its
-                           index sidecar to <path>.idx (per-operator flags:
-                           an engine run's columns are its index)
-  load <path>              reload provenance lazily and install <path>.idx
-                           (rebuilds on a stale, corrupt or version-1 sidecar)
+  save <path>              write the captured provenance to <path>
+  load <path>              reload provenance from <path> lazily (its columns
+                           are its indexes)
   impact <src-oid> <id>    forward-trace one input item to the results
   quit                     leave the shell
 anything else is parsed as a tree-pattern provenance question, e.g.
@@ -187,34 +185,24 @@ func (s *Shell) printProvenance() {
 	}
 }
 
-// save persists the captured provenance to path and writes the matching
-// index sidecar to path+".idx": for a run this engine captured that is a
-// flag per operator, saying its index is the run's own columns. The sidecar
-// is keyed by the content hash of the run's stream — the bytes written to
-// path, whether the run was captured or loaded.
+// save persists the captured provenance to path: the run's stream, captured
+// or loaded, which is all a later load reads.
 func (s *Shell) save(path string) error {
-	var buf, idx bytes.Buffer
+	var buf bytes.Buffer
 	if _, err := s.cap.Provenance.WriteTo(&buf); err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	if _, err := backtrace.NewTracer(s.cap.Provenance).WriteIndexes(&idx); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path+".idx", idx.Bytes(), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "saved provenance (%d B) to %s and index sidecar (%d B) to %s.idx\n",
-		buf.Len(), path, idx.Len(), path)
+	fmt.Fprintf(s.out, "saved provenance (%d B) to %s\n", buf.Len(), path)
 	return nil
 }
 
 // load reloads persisted provenance lazily — an operator's columns decode on
-// the first trace through it — installs path+".idx" when it is valid, and
-// makes the session's capture a fresh one over the reloaded run (the
-// daemon's core.Reattached), so later queries run against it.
+// the first trace through it and are its index — and makes the session's
+// capture a fresh one over the reloaded run (the daemon's core.Reattached),
+// so later queries run against it.
 func (s *Shell) load(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -227,15 +215,7 @@ func (s *Shell) load(path string) error {
 	if err != nil {
 		return err
 	}
-	tr := backtrace.NewTracer(run).Observe(rec)
-	if sidecar, err := os.ReadFile(path + ".idx"); err == nil {
-		if lerr := tr.LoadIndexes(sidecar); lerr != nil {
-			fmt.Fprintf(s.out, "index sidecar rejected (%v); indexes will rebuild lazily\n", lerr)
-		} else {
-			fmt.Fprintf(s.out, "index sidecar installed (%d B)\n", len(sidecar))
-		}
-	}
-	s.cap = core.Reattached(s.cap.Pipeline, s.cap.Result, run, tr, rec)
+	s.cap = core.Reattached(s.cap.Pipeline, s.cap.Result, run, nil, rec)
 	fmt.Fprintf(s.out, "loaded provenance from %s: %d operator(s), %d association bytes deferred\n",
 		path, len(run.Operators()), run.AssocBytesTotal())
 	return nil

@@ -204,9 +204,14 @@ func TestShellRunLoop(t *testing.T) {
 	}
 }
 
+// TestShellSaveLoad: save writes the run's stream and nothing beside it, and
+// a fresh shell that loads it answers the pattern query exactly like the
+// capturing shell did — with a stale .idx left beside the .pbl too, which
+// load never opens.
 func TestShellSaveLoad(t *testing.T) {
 	sh, out, _ := newShell(t)
-	path := filepath.Join(t.TempDir(), "run.pbl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.pbl")
 
 	if err := sh.Exec("save " + path); err != nil {
 		t.Fatal(err)
@@ -214,75 +219,44 @@ func TestShellSaveLoad(t *testing.T) {
 	if !strings.Contains(out.String(), "saved provenance") {
 		t.Errorf("save output wrong:\n%s", out)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("run stream not written: %v", err)
-	}
-	if _, err := os.Stat(path + ".idx"); err != nil {
-		t.Fatalf("index sidecar not written: %v", err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "run.pbl" {
+		t.Fatalf("save left %v (%v), want run.pbl alone", entries, err)
 	}
 
-	// A fresh shell answers the pattern query from the persisted run+sidecar
-	// exactly like the capturing shell did.
-	want := func(s *shell.Shell, buf *bytes.Buffer) string {
+	answer := func(s *shell.Shell, buf *bytes.Buffer) string {
 		buf.Reset()
 		if err := s.Exec(`//id_str == "lp", tweets(text == "Hello World" #[2,2])`); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
-	}(sh, out)
-
-	sh2, out2, _ := newShell(t)
-	if err := sh2.Exec("load " + path); err != nil {
-		t.Fatal(err)
 	}
-	if !strings.Contains(out2.String(), "index sidecar installed") {
-		t.Errorf("load did not install the sidecar:\n%s", out2)
-	}
-	got := func(s *shell.Shell, buf *bytes.Buffer) string {
-		buf.Reset()
-		if err := s.Exec(`//id_str == "lp", tweets(text == "Hello World" #[2,2])`); err != nil {
+	want := answer(sh, out)
+	for _, stale := range [][]byte{nil, []byte("PBLI\x02\x00 a sidecar of some other run")} {
+		if stale != nil {
+			if err := os.WriteFile(path+".idx", stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh2, out2, _ := newShell(t)
+		if err := sh2.Exec("load " + path); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
-	}(sh2, out2)
-	if got != want {
-		t.Errorf("loaded shell answers differ:\n%s\nwant\n%s", got, want)
-	}
-
-	// A corrupt sidecar is rejected with a warning, and the query still works.
-	idx, err := os.ReadFile(path + ".idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx[len(idx)-1] ^= 0x40
-	if err := os.WriteFile(path+".idx", idx, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sh3, out3, _ := newShell(t)
-	if err := sh3.Exec("load " + path); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out3.String(), "index sidecar rejected") {
-		t.Errorf("corrupt sidecar not reported:\n%s", out3)
-	}
-	if got := func(s *shell.Shell, buf *bytes.Buffer) string {
-		buf.Reset()
-		if err := s.Exec(`//id_str == "lp", tweets(text == "Hello World" #[2,2])`); err != nil {
-			t.Fatal(err)
+		if strings.Contains(out2.String(), "sidecar") {
+			t.Errorf("load spoke of a sidecar:\n%s", out2)
 		}
-		return buf.String()
-	}(sh3, out3); got != want {
-		t.Errorf("rebuild-after-rejection answers differ:\n%s\nwant\n%s", got, want)
+		if got := answer(sh2, out2); got != want {
+			t.Errorf("loaded shell (stale .idx: %v) answers differ:\n%s\nwant\n%s", stale != nil, got, want)
+		}
 	}
 
 	// Error paths: missing args and unreadable files.
-	if err := sh3.Exec("save"); err == nil {
+	if err := sh.Exec("save"); err == nil {
 		t.Error("bare save accepted")
 	}
-	if err := sh3.Exec("load"); err == nil {
+	if err := sh.Exec("load"); err == nil {
 		t.Error("bare load accepted")
 	}
-	if err := sh3.Exec("load " + filepath.Join(t.TempDir(), "missing.pbl")); err == nil {
+	if err := sh.Exec("load " + filepath.Join(t.TempDir(), "missing.pbl")); err == nil {
 		t.Error("load of a missing file accepted")
 	}
 	// A truncated run stream fails the load, and the shell keeps answering
@@ -294,16 +268,10 @@ func TestShellSaveLoad(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh3.Exec("load " + path); err == nil {
+	if err := sh.Exec("load " + path); err == nil {
 		t.Error("load of a truncated run accepted")
 	}
-	if got := func(s *shell.Shell, buf *bytes.Buffer) string {
-		buf.Reset()
-		if err := s.Exec(`//id_str == "lp", tweets(text == "Hello World" #[2,2])`); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}(sh3, out3); got != want {
+	if got := answer(sh, out); got != want {
 		t.Errorf("answers after a failed load differ:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -101,11 +101,11 @@ func compileCheck(n *Node) func(nested.Value) bool {
 	}
 	if n.Lt != nil {
 		want := *n.Lt
-		checks = append(checks, func(v nested.Value) bool { return compareWidened(v, want) < 0 })
+		checks = append(checks, func(v nested.Value) bool { return nested.CompareWidened(v, want) < 0 })
 	}
 	if n.Gt != nil {
 		want := *n.Gt
-		checks = append(checks, func(v nested.Value) bool { return compareWidened(v, want) > 0 })
+		checks = append(checks, func(v nested.Value) bool { return nested.CompareWidened(v, want) > 0 })
 	}
 	switch len(checks) {
 	case 0:

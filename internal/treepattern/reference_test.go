@@ -66,10 +66,10 @@ func bindAt(n *Node, val nested.Value, p path.Path) (binding, bool) {
 			return binding{}, false
 		}
 	}
-	if n.Lt != nil && !(compareWidened(val, *n.Lt) < 0) {
+	if n.Lt != nil && !(nested.CompareWidened(val, *n.Lt) < 0) {
 		return binding{}, false
 	}
-	if n.Gt != nil && !(compareWidened(val, *n.Gt) > 0) {
+	if n.Gt != nil && !(nested.CompareWidened(val, *n.Gt) > 0) {
 		return binding{}, false
 	}
 	b := binding{path: p}

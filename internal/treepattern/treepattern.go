@@ -169,15 +169,3 @@ func bindingsTree(all []binding) *backtrace.Tree {
 func (p *Pattern) Match(d *engine.Dataset) *backtrace.Structure {
 	return p.Compile().Match(d)
 }
-
-// compareWidened compares two values, widening int/double pairs.
-func compareWidened(a, b nested.Value) int {
-	if a.Kind() != b.Kind() {
-		af, aok := a.AsDouble()
-		bf, bok := b.AsDouble()
-		if aok && bok {
-			return nested.Compare(nested.Double(af), nested.Double(bf))
-		}
-	}
-	return nested.Compare(a, b)
-}

@@ -198,23 +198,21 @@ func ReadProvenance(r io.Reader) (*ProvenanceRun, error) { return provenance.Rea
 // association decode: the stream is validated and indexed up front, but an
 // operator's association columns materialise only when a trace first touches
 // them — a backtrace visiting three operators of a large run decodes three
-// column regions. Its content hash pairs it with its index sidecar
-// (Tracer.WriteIndexes / Tracer.LoadIndexes), as a captured run's does.
+// column regions. The bytes are all a reload needs: a tracer over the run
+// reads its indexes off those columns.
 func ReadProvenanceLazy(data []byte) (*ProvenanceRun, error) { return provenance.ReadRunLazy(data) }
 
 // Tracer answers provenance queries over one captured or reloaded run. An
 // operator's index is its own association columns, decoded on the first
 // trace through it and kept across queries: the engine numbers an operator's
-// output in row order, so a lookup is a subtraction. WriteIndexes writes the
-// sidecar that goes beside a persisted run — for a run the engine wrote, a
-// few dozen bytes of per-operator flags; for one whose rows are out of
-// order, also the sorted indexes, which LoadIndexes installs on a fresh
-// tracer so a reload skips the sort.
+// output in row order, so a lookup is a subtraction. An operator whose rows
+// are out of order (a run the engine did not write) is sorted on the first
+// trace through it.
 type Tracer = backtrace.Tracer
 
 // NewTracer returns a tracer over the run. On reload paths, load the run
 // with ReadProvenanceLazy, so that a trace decodes only the operators it
-// walks through, and install the sidecar via (*Tracer).LoadIndexes.
+// walks through.
 func NewTracer(run *ProvenanceRun) *Tracer { return backtrace.NewTracer(run) }
 
 // CompiledPattern is the executable form of a tree pattern (see
