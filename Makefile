@@ -2,7 +2,7 @@
 # formatting and the full suite under the race detector (which checks the
 # `// guarded by` field comments).
 
-.PHONY: build test check fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
+.PHONY: build test check figures fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
 
 build:
 	go build ./...
@@ -59,6 +59,13 @@ fuzz-gather:
 
 bench:
 	go test -bench . -benchtime 1x ./...
+
+# The paper's figures (EXPERIMENTS.md, DESIGN.md §3): the root families of
+# bench_test.go, 41 rotating pairs each. Figs 6/7 and 9, Sec 7.3.1, Sec 7.3.4
+# and the capture-mode ablation report each side's time ratio to the base
+# side (median and quartiles); Fig 8 the bytes of each captured stream.
+figures:
+	go test -run '^$$' -bench 'Fig|TitianComparison|PerOperatorOverhead|AblationCaptureMode' -benchtime 41x -timeout 30m .
 
 # The engine layer of the client-path benchmark without the daemon: one plain
 # run of T1–T5 at 8 000 tweets and of D1–D5 at 60 000 / 12 000 records, under

@@ -1,17 +1,18 @@
 // Benchmarks regenerating the paper's tables and figures (Sec. 7.3), one
-// benchmark family per figure. Compare the /spark vs /pebble (or /eager vs
-// /lazy, /titian vs /pebble) timings of the same scenario to read off the
-// relative overheads the paper plots; Fig. 8's sizes are emitted as
-// benchmark metrics. The tests beside the families pin each figure's
-// deterministic shape; EXPERIMENTS.md names the command per table.
+// benchmark family per figure. The families that compare capture modes or
+// query strategies run their sides in pairs (paired) and report each side's
+// time as a ratio to the base side; Fig. 8 reports the bytes of the captured
+// stream, split by provenance.Sizes. The tests beside the families pin each
+// figure's deterministic shape. `make figures` runs the paired families;
+// EXPERIMENTS.md records one such run.
 package pebble_test
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,52 +31,89 @@ import (
 // for `go test -bench=.` to finish quickly, large enough to dominate setup.
 const benchGB = 5
 
-var (
-	inputsMu    sync.Mutex
-	inputsCache = map[string]map[string]*engine.Dataset{}
-)
+var inputsCache = map[string]map[string]*engine.Dataset{}
 
-// benchInputs generates (and caches) the input datasets for a scenario.
-func benchInputs(b *testing.B, sc workload.Scenario) map[string]*engine.Dataset {
-	b.Helper()
-	inputsMu.Lock()
-	defer inputsMu.Unlock()
-	if in, ok := inputsCache[sc.Dataset]; ok {
-		return in
+// benchInputs generates (and caches) a scenario's input datasets at gb
+// simulated GB.
+func benchInputs(sc workload.Scenario, gb int) map[string]*engine.Dataset {
+	key := fmt.Sprint(sc.Dataset, gb)
+	if _, ok := inputsCache[key]; !ok {
+		inputsCache[key] = sc.Input(workload.DefaultScale(gb), 4)
 	}
-	in := sc.Input(workload.DefaultScale(benchGB), 4)
-	inputsCache[sc.Dataset] = in
-	return in
+	return inputsCache[key]
 }
 
-func benchRun(b *testing.B, sc workload.Scenario, capture bool) {
-	b.Helper()
-	inputs := benchInputs(b, sc)
-	opts := engine.Options{Partitions: 4}
-	b.ResetTimer()
+// side is one side of a paired benchmark: its name and one run of it.
+type side struct {
+	name string
+	run  func() error
+}
+
+// paired runs every side once per iteration, rotating which side goes first,
+// each from a collected heap, so drift and garbage fall on all sides alike.
+// Per side after the first, the base, it reports the per-iteration ratio of
+// its time to the base's as median ("pebble/spark") and quartiles
+// ("pebble/spark-q1", "-q3"); a ratio whose quartiles straddle 1 is
+// unresolved at that many pairs (-benchtime Nx). ns/op is all sides together.
+func paired(b *testing.B, sides ...side) {
+	ratios, took := make([][]float64, len(sides)), make([]time.Duration, len(sides))
 	for i := 0; i < b.N; i++ {
-		var err error
-		if capture {
-			_, _, err = provenance.Capture(sc.Build(), inputs, opts)
-		} else {
-			_, err = engine.Run(sc.Build(), inputs, opts)
+		for k := range sides {
+			s := (i + k) % len(sides)
+			runtime.GC()
+			start := time.Now()
+			if err := sides[s].run(); err != nil {
+				b.Fatal(err)
+			}
+			took[s] = time.Since(start)
 		}
-		if err != nil {
-			b.Fatal(err)
+		for s := 1; s < len(sides); s++ {
+			ratios[s] = append(ratios[s], float64(took[s])/float64(took[0]))
 		}
+	}
+	for s := 1; s < len(sides); s++ {
+		r, unit := ratios[s], sides[s].name+"/"+sides[0].name
+		slices.Sort(r)
+		b.ReportMetric(quantile(r, 0.5), unit)
+		b.ReportMetric(quantile(r, 0.25), unit+"-q1")
+		b.ReportMetric(quantile(r, 0.75), unit+"-q3")
+	}
+}
+
+// quantile interpolates the q-quantile of sorted.
+func quantile(sorted []float64, q float64) float64 {
+	x := q * float64(len(sorted)-1)
+	i := int(x)
+	if i+1 == len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + (x-float64(i))*(sorted[i+1]-sorted[i])
+}
+
+// modes returns build over inputs in the three capture modes as paired
+// sides: no capture (spark), Titian-style lineage (titian) and structural
+// provenance (pebble).
+func modes(build func() *engine.Pipeline, inputs map[string]*engine.Dataset) []side {
+	opts := engine.Options{Partitions: 4}
+	return []side{
+		{"spark", func() error { _, err := engine.Run(build(), inputs, opts); return err }},
+		{"titian", func() error { _, _, err := lineage.Capture(build(), inputs, opts); return err }},
+		{"pebble", func() error { _, _, err := provenance.Capture(build(), inputs, opts); return err }},
 	}
 }
 
 func benchCaptureOverhead(b *testing.B, scenarios []workload.Scenario) {
 	for _, sc := range scenarios {
-		sc := sc
-		b.Run(sc.Name+"/spark", func(b *testing.B) { benchRun(b, sc, false) })
-		b.Run(sc.Name+"/pebble", func(b *testing.B) { benchRun(b, sc, true) })
+		for _, gb := range []int{1, benchGB} {
+			m := modes(sc.Build, benchInputs(sc, gb))
+			b.Run(fmt.Sprintf("%s/gb=%d", sc.Name, gb), func(b *testing.B) { paired(b, m[0], m[2]) })
+		}
 	}
 }
 
 // BenchmarkFig6CaptureOverheadTwitter regenerates Fig. 6: execution time of
-// T1–T5 without (spark) and with (pebble) structural provenance capture.
+// T1–T5 with structural provenance capture (pebble) over without (spark), at
+// 1 and benchGB simulated GB.
 func BenchmarkFig6CaptureOverheadTwitter(b *testing.B) {
 	benchCaptureOverhead(b, workload.TwitterScenarios())
 }
@@ -148,27 +186,25 @@ func TestFig6And7Sweeps(t *testing.T) {
 
 func benchSizes(b *testing.B, scenarios []workload.Scenario) {
 	for _, sc := range scenarios {
-		sc := sc
 		b.Run(sc.Name, func(b *testing.B) {
-			inputs := benchInputs(b, sc)
-			var sizes provenance.Sizes
-			b.ResetTimer()
+			var s provenance.Sizes
 			for i := 0; i < b.N; i++ {
-				_, run, err := provenance.Capture(sc.Build(), inputs, engine.Options{Partitions: 4})
+				_, run, err := provenance.Capture(sc.Build(), benchInputs(sc, benchGB), engine.Options{Partitions: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
-				sizes = run.Sizes()
+				s = run.Sizes()
 			}
-			b.ReportMetric(float64(sizes.LineageBytes)/1024, "lineage_KB")
-			b.ReportMetric(float64(sizes.StructuralExtra)/1024, "structural_extra_KB")
+			b.ReportMetric(float64(s.LineageBytes), "lineage_B")
+			b.ReportMetric(float64(s.StructuralExtra), "structural_extra_B")
+			b.ReportMetric(float64(s.Framing), "framing_B")
 		})
 	}
 }
 
-// BenchmarkFig8aProvenanceSizeTwitter regenerates Fig. 8(a): the size of the
-// captured provenance for T1–T5, split into the lineage share and the
-// structural extra (reported as benchmark metrics).
+// BenchmarkFig8aProvenanceSizeTwitter regenerates Fig. 8(a): the bytes of
+// the captured stream for T1–T5, split into the lineage share, the
+// structural extra and the framing (reported as benchmark metrics).
 func BenchmarkFig8aProvenanceSizeTwitter(b *testing.B) {
 	benchSizes(b, workload.TwitterScenarios())
 }
@@ -184,10 +220,10 @@ func smallScale(gb int) workload.Scale {
 	return workload.Scale{SimGB: gb, TweetsPerGB: 100, RecordsPerGB: 300, Seed: 42}
 }
 
-// TestFig8Sizes pins the shape of Fig. 8 at one scale: every scenario
-// captures a lineage share and a structural extra, and DBLP, with more items
-// per simulated GB than Twitter, captures more provenance in total (the
-// MB-vs-GB y-axis contrast of the figure).
+// TestFig8Sizes pins the shape of Fig. 8 at one scale on measured bytes:
+// every scenario's stream has a lineage share and a structural extra, and
+// DBLP, with more items per simulated GB than Twitter, captures more
+// provenance in total (the MB-vs-GB y-axis contrast of the figure).
 func TestFig8Sizes(t *testing.T) {
 	total := func(scenarios []workload.Scenario) int64 {
 		var sum int64
@@ -197,7 +233,7 @@ func TestFig8Sizes(t *testing.T) {
 			if s.LineageBytes <= 0 || s.StructuralExtra <= 0 {
 				t.Errorf("%s: sizes missing: %+v", sc.Name, s)
 			}
-			sum += s.Total()
+			sum += s.LineageBytes + s.StructuralExtra
 		}
 		return sum
 	}
@@ -208,37 +244,23 @@ func TestFig8Sizes(t *testing.T) {
 
 func benchQueries(b *testing.B, scenarios []workload.Scenario) {
 	for _, sc := range scenarios {
-		sc := sc
-		b.Run(sc.Name+"/eager", func(b *testing.B) {
-			inputs := benchInputs(b, sc)
-			pipe := sc.Build()
-			res, run, err := provenance.Capture(pipe, inputs, engine.Options{Partitions: 4})
+		b.Run(sc.Name, func(b *testing.B) {
+			inputs, pipe, opts := benchInputs(sc, benchGB), sc.Build(), engine.Options{Partitions: 4}
+			res, run, err := provenance.Capture(pipe, inputs, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bs := sc.Pattern.Match(res.Output)
-				if _, err := backtrace.Trace(run, pipe.Sink().ID(), bs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(sc.Name+"/lazy", func(b *testing.B) {
-			inputs := benchInputs(b, sc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := lazy.Query(sc.Build, inputs, sc.Pattern, engine.Options{Partitions: 4}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			paired(b, side{"eager", func() error {
+				_, err := backtrace.Trace(run, pipe.Sink().ID(), sc.Pattern.Match(res.Output))
+				return err
+			}}, side{"lazy", func() error { _, _, err := lazy.Query(sc.Build, inputs, sc.Pattern, opts); return err }})
 		})
 	}
 }
 
 // BenchmarkFig9aQueryTwitter regenerates Fig. 9(a): structural provenance
-// query time for T1–T5, eager (holistic: match + backtrace over captured
-// provenance) vs fully lazy (PROVision-style re-execution per input).
+// query time for T1–T5, fully lazy (PROVision-style re-execution per input)
+// over eager (holistic: match + backtrace over captured provenance).
 func BenchmarkFig9aQueryTwitter(b *testing.B) {
 	benchQueries(b, workload.TwitterScenarios())
 }
@@ -354,68 +376,39 @@ func TestFlatWorkloadShape(t *testing.T) {
 }
 
 // BenchmarkTitianComparison regenerates Sec. 7.3.4: the flat-data workload
-// (filter "2015", union of articles and inproceedings) without capture, with
-// Titian-style lineage capture, and with Pebble's structural capture.
+// (filter "2015", union of articles and inproceedings) with Titian-style
+// lineage capture and with Pebble's structural capture, over no capture.
 func BenchmarkTitianComparison(b *testing.B) {
-	scale := workload.DefaultScale(benchGB)
-	inputs := flatDBLPInputs(scale, 4)
-	build := flatPipeline
-	opts := engine.Options{Partitions: 4}
-	b.Run("base", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("titian", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := lineage.Capture(build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pebble", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := provenance.Capture(build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	paired(b, modes(flatPipeline, flatDBLPInputs(workload.DefaultScale(benchGB), 4))...)
 }
 
 // TestTitianComparisonRows checks the Sec. 7.3.4 comparison on the flat
-// workload: base, Titian and Pebble compute the same rows, and Pebble stores
-// exactly Titian's lineage plus a structural extra.
+// workload by content: base, Titian and Pebble compute the same rows, and
+// traced from every sink row as a whole (an empty tree), Titian's id join
+// and Pebble's backtrace reach the same input items.
 func TestTitianComparisonRows(t *testing.T) {
 	titian, pebble := captureSame(t, "flat", flatPipeline, flatDBLPInputs(smallScale(2), 2))
-	if s := pebble.Sizes(); s.LineageBytes != titian.SizeBytes() || s.StructuralExtra <= 0 {
-		t.Errorf("pebble sizes %+v, titian lineage %d bytes", s, titian.SizeBytes())
+	sink, _ := pebble.Op(flatPipeline().Sink().ID())
+	for _, id := range sink.Columns().Out {
+		b := backtrace.NewStructure()
+		b.Add(id, backtrace.NewTree())
+		got, err := backtrace.Trace(pebble, sink.OID, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := titian.Trace(sink.OID, []int64{id}); err != nil || len(want) == 0 || !reflect.DeepEqual(got.ContributingIDs(), want) {
+			t.Fatalf("sink row %d: pebble traces %v, titian %v (%v)", id, got.ContributingIDs(), want, err)
+		}
 	}
 }
 
 // BenchmarkPerOperatorOverhead regenerates the per-operator analysis of
-// Sec. 7.3.1: each operator in isolation, without and with capture.
+// Sec. 7.3.1: each operator in isolation, with capture over without.
 func BenchmarkPerOperatorOverhead(b *testing.B) {
-	scale := workload.DefaultScale(benchGB)
-	inputs := workload.TwitterInput(scale, 4)
-	opts := engine.Options{Partitions: 4}
+	inputs := workload.TwitterInput(workload.DefaultScale(benchGB), 4)
 	for _, m := range microPipelines() {
-		m := m
-		b.Run(m.name+"/spark", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(m.build(), inputs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(m.name+"/pebble", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := provenance.Capture(m.build(), inputs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		sides := modes(m.build, inputs)
+		b.Run(m.name, func(b *testing.B) { paired(b, sides[0], sides[2]) })
 	}
 }
 
@@ -522,36 +515,14 @@ func fig4Pattern() *pebble.Pattern {
 // --- Ablations: the design choices DESIGN.md calls out ---
 
 // BenchmarkAblationCaptureMode isolates what each capture level costs on the
-// running-example pipeline (T3): no capture, Titian-style lineage (ids
-// only), and full structural provenance (ids + positions + schema paths).
+// running-example pipeline (T3) over no capture: Titian-style lineage (ids
+// only) and full structural provenance (ids + positions + schema paths).
 func BenchmarkAblationCaptureMode(b *testing.B) {
 	sc, err := workload.ByName("T3")
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := benchInputs(b, sc)
-	opts := engine.Options{Partitions: 4}
-	b.Run("none", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(sc.Build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lineage", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := lineage.Capture(sc.Build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("structural", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := provenance.Capture(sc.Build(), inputs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	paired(b, modes(sc.Build, benchInputs(sc, benchGB))...)
 }
 
 // BenchmarkAblationTracerReuse quantifies the query-side optimisation of a
@@ -562,7 +533,7 @@ func BenchmarkAblationTracerReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := benchInputs(b, sc)
+	inputs := benchInputs(sc, benchGB)
 	pipe := sc.Build()
 	res, run, err := provenance.Capture(pipe, inputs, engine.Options{Partitions: 4})
 	if err != nil {
@@ -621,7 +592,6 @@ func BenchmarkAblationPartitions(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, parts := range []int{1, 2, 4, 8} {
-		parts := parts
 		inputs := sc.Input(workload.DefaultScale(benchGB), parts)
 		b.Run(fmt.Sprintf("parts=%d/capture", parts), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -642,9 +612,8 @@ func BenchmarkScalingWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := benchInputs(b, sc)
+	inputs := benchInputs(sc, benchGB)
 	for _, workers := range workerCounts(runtime.NumCPU()) {
-		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := engine.Options{Partitions: engine.DefaultPartitions, Workers: workers}
 			for i := 0; i < b.N; i++ {
@@ -686,7 +655,7 @@ func BenchmarkProvenanceCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := benchInputs(b, sc)
+	inputs := benchInputs(sc, benchGB)
 	_, run, err := provenance.Capture(sc.Build(), inputs, engine.Options{Partitions: 4})
 	if err != nil {
 		b.Fatal(err)

@@ -104,8 +104,8 @@ func main() {
 	}
 	printStats(cap.Result)
 	sizes := cap.Provenance.Sizes()
-	fmt.Printf("provenance: lineage %d B + structural extra %d B = %d B\n",
-		sizes.LineageBytes, sizes.StructuralExtra, sizes.Total())
+	fmt.Printf("provenance stream: lineage %d B + structural extra %d B + framing %d B\n",
+		sizes.LineageBytes, sizes.StructuralExtra, sizes.Framing)
 	if *saveProv != "" {
 		f, err := os.Create(*saveProv)
 		if err != nil {

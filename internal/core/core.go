@@ -156,10 +156,10 @@ func Reattached(p *engine.Pipeline, res *engine.Result, run *provenance.Run, tr 
 // Without a recorder, Stats synthesises a reduced fallback view from what
 // the engine and collector retain anyway, so it never returns nil. The
 // fallback covers exactly rows_out (from the engine's per-operator row
-// counts), assoc_rows, and prov_bytes (from the captured run), plus
-// per-operator elapsed times; rows_in, expr_evals, keys_hashed, enc_bytes,
-// and all spans read as zero, and the view is per-capture rather than
-// session-cumulative. Callers needing the full taxonomy must attach a
+// counts), assoc_rows, and prov_bytes (each operator's bytes in the captured
+// run's stream, as the encoder counts them), plus per-operator elapsed
+// times; rows_in, expr_evals, keys_hashed, and all spans read as zero, and
+// the view is per-capture rather than session-cumulative. Callers needing the full taxonomy must attach a
 // recorder (pebble.WithRecorder) before running.
 func (c *Captured) Stats() *obs.Stats {
 	if c.rec != nil {
@@ -172,7 +172,7 @@ func (c *Captured) Stats() *obs.Stats {
 		if c.Provenance != nil {
 			if pop, ok := c.Provenance.Op(os.OID); ok {
 				op.Counters[obs.AssocRows] = int64(pop.AssocCount())
-				op.Counters[obs.ProvBytes] = pop.Sizes().Total()
+				op.Counters[obs.ProvBytes] = pop.EncodedBytes()
 			}
 		}
 		st.Ops = append(st.Ops, op)

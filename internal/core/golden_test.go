@@ -32,9 +32,9 @@ func renderExampleStats(t *testing.T) string {
 }
 
 // TestRenderStatsGolden pins the timing-free Stats rendering byte for byte:
-// the whole observability chain — engine counter hooks, collector footprint
-// accounting, codec byte accounting, shard merge, formatting — must produce
-// identical bytes on every run. Run with -update-golden after an
+// the whole observability chain — engine counter hooks, codec byte
+// accounting, shard merge, formatting — must produce identical bytes on
+// every run. Run with -update-golden after an
 // intentional format or instrumentation change.
 func TestRenderStatsGolden(t *testing.T) {
 	got := renderExampleStats(t)

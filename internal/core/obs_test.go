@@ -34,7 +34,7 @@ func captureRendered(t *testing.T, workers int) string {
 
 // TestCounterTotalsDeterministicAcrossWorkers is the observability
 // determinism regression: every counter total (rows, expression evals,
-// hashed keys, association rows, provenance and codec bytes) must be
+// hashed keys, association rows, encoded provenance bytes) must be
 // byte-identical for Workers 1, 2, and NumCPU. Timings are wall-clock and
 // excluded via Render(false).
 func TestCounterTotalsDeterministicAcrossWorkers(t *testing.T) {
@@ -66,7 +66,7 @@ func TestCapturedStatsWithAndWithoutRecorder(t *testing.T) {
 	if st.SpanTotal(obs.SpanSchedule) <= 0 {
 		t.Error("schedule span missing from recorder-backed stats")
 	}
-	// The capture encodes the run once, at Finish, so enc_bytes is the
+	// The capture encodes the run once, at Finish, so prov_bytes is the
 	// operators' share of the stream right away, and a WriteTo, which writes
 	// the held stream, does not change it.
 	var stream strings.Builder
@@ -74,11 +74,11 @@ func TestCapturedStatsWithAndWithoutRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Total(obs.BytesEncoded); got <= 0 || got >= n {
-		t.Errorf("enc_bytes = %d after Capture of a %d-byte stream, want the operators' share of it", got, n)
+	if got := st.Total(obs.ProvBytes); got <= 0 || got >= n {
+		t.Errorf("prov_bytes = %d after Capture of a %d-byte stream, want the operators' share of it", got, n)
 	}
-	if got, want := withRec.Stats().Total(obs.BytesEncoded), st.Total(obs.BytesEncoded); got != want {
-		t.Errorf("enc_bytes = %d after WriteTo, %d before", got, want)
+	if got, want := withRec.Stats().Total(obs.ProvBytes), st.Total(obs.ProvBytes); got != want {
+		t.Errorf("prov_bytes = %d after WriteTo, %d before", got, want)
 	}
 
 	plain, err := core.NewSession(core.WithPartitions(2)).

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"pebble/internal/nested"
 	"pebble/internal/path"
@@ -40,35 +39,21 @@ func Analyze(p *Pipeline, inputTypes map[string]nested.Type) (map[int]nested.Typ
 }
 
 // InferInputTypes derives declared input types from the datasets by merging
-// the types of up to inferSampleRows rows per input: semi-structured inputs
-// (like the DBLP dataset, whose record types carry different attributes)
-// yield the union of their attributes, with conflicting attribute kinds
-// recorded as unknown (null, compatible with anything).
+// the types of every row of each input: semi-structured inputs (like the
+// DBLP dataset, whose record types carry different attributes) yield the
+// union of their attributes, with conflicting attribute kinds recorded as
+// unknown (null, compatible with anything).
 func InferInputTypes(inputs map[string]*Dataset) map[string]nested.Type {
-	const inferSampleRows = 200
 	out := make(map[string]nested.Type, len(inputs))
-	names := make([]string, 0, len(inputs))
-	for name := range inputs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d := inputs[name]
+	for name, d := range inputs {
 		var merged nested.Type
 		have := false
-		n := 0
 		for _, p := range d.Partitions {
 			for _, r := range p {
-				if n >= inferSampleRows {
-					break
-				}
-				n++
-				t := nested.TypeOf(r.Value)
-				if !have {
-					merged = t
-					have = true
-				} else {
+				if t := nested.TypeOf(r.Value); have {
 					merged = mergeTypes(merged, t)
+				} else {
+					merged, have = t, true
 				}
 			}
 		}

@@ -153,6 +153,21 @@ func TestAnalyzeHeterogeneousInput(t *testing.T) {
 	}
 }
 
+// TestAnalyzeLateAttribute: an attribute that first appears in row 201 is
+// part of the inferred schema, so a select of it analyzes.
+func TestAnalyzeLateAttribute(t *testing.T) {
+	values := make([]nested.Value, 201)
+	for i := range values {
+		values[i] = nested.Item(nested.F("key", nested.Int(int64(i))))
+	}
+	values[200] = nested.Item(nested.F("key", nested.Int(200)), nested.F("late", nested.StringVal("x")))
+	p := NewPipeline()
+	p.Select(p.Source("recs"), Column("l", "late"))
+	if _, err := Analyze(p, InferInputTypes(map[string]*Dataset{"recs": dataset(t, "recs", values, 1)})); err != nil {
+		t.Errorf("select of an attribute first present in row 201: %v", err)
+	}
+}
+
 func TestAnalyzeAllScenariosPass(t *testing.T) {
 	// Analysis against the generated workloads must accept every Tab. 7
 	// scenario (scenarios are the analyzer's regression corpus).

@@ -77,12 +77,6 @@ const (
 	AggCollectSet  AggFunc = "collect_set"
 )
 
-// ReturnsCollection reports whether the function is a bag/set-returning
-// nesting function (A_B) rather than a constant-returning one (A_c).
-func (f AggFunc) ReturnsCollection() bool {
-	return f == AggCollectList || f == AggCollectSet
-}
-
 // AggSpec is one aggregation: Func applied to the values at In, stored in
 // the output attribute Out. In may be empty for AggCount (count of items).
 type AggSpec struct {

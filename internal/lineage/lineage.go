@@ -166,21 +166,6 @@ func (c *Collector) Finish() *Run {
 	return run
 }
 
-// SizeBytes estimates the storage footprint of the captured lineage.
-func (r *Run) SizeBytes() int64 {
-	const idBytes = 8
-	var n int64
-	for _, o := range r.ops {
-		n += int64(len(o.source)) * idBytes
-		n += int64(len(o.unary)) * 2 * idBytes
-		n += int64(len(o.binary)) * 3 * idBytes
-		for _, a := range o.agg {
-			n += int64(len(a.ins)+1) * idBytes
-		}
-	}
-	return n
-}
-
 // Trace traces the given output identifiers of operator startOID back to the
 // sources by joining ids against the per-operator associations (the
 // backtracing join that Titian, RAMP, and Newt apply, Sec. 6.3). It returns

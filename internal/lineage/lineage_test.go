@@ -1,6 +1,7 @@
 package lineage_test
 
 import (
+	"reflect"
 	"testing"
 
 	"pebble/internal/backtrace"
@@ -118,31 +119,41 @@ func TestLineageIsSupersetOfStructural(t *testing.T) {
 	}
 }
 
-// TestLineageSizeVsStructural: lineage is the dark bar of Fig. 8; the
-// structural extra on top stays small relative to id-heavy lineage.
+// TestLineageSizeVsStructural: lineage is the dark bar of Fig. 8 — the ids
+// Titian stores are the structural capture's id columns. Traced from every
+// sink row of T2 as a whole (an empty tree asks about no attribute), Titian's
+// id join and the structural backtrace reach the same input items.
 func TestLineageSizeVsStructural(t *testing.T) {
 	sc, _ := workload.ByName("T2")
-	scale := workload.DefaultScale(2)
-	_, lrun, err := lineage.Capture(sc.Build(), sc.Input(scale, 4), engine.Options{Partitions: 4})
+	inputs := sc.Input(workload.DefaultScale(2), 4)
+	_, lrun, err := lineage.Capture(sc.Build(), inputs, engine.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, srun, err := provenance.Capture(sc.Build(), sc.Input(scale, 4), engine.Options{Partitions: 4})
+	_, srun, err := provenance.Capture(sc.Build(), inputs, engine.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsize := lrun.SizeBytes()
-	ssize := srun.Sizes()
-	if lsize <= 0 {
-		t.Fatal("lineage size must be positive")
+	sink, _ := srun.Op(sc.Build().Sink().ID())
+	rows := sink.Columns().Out
+	if len(rows) == 0 {
+		t.Fatal("no sink rows")
 	}
-	// The lineage share of the structural capture matches the dedicated
-	// lineage run (same pipeline, same data, same association counts).
-	if ssize.LineageBytes != lsize {
-		t.Errorf("structural lineage share %d != lineage size %d", ssize.LineageBytes, lsize)
-	}
-	if ssize.StructuralExtra <= 0 {
-		t.Error("structural extra missing")
+	tr := backtrace.NewTracer(srun)
+	for _, id := range rows {
+		want, err := lrun.Trace(sink.OID, []int64{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := backtrace.NewStructure()
+		b.Add(id, backtrace.NewTree())
+		got, err := tr.Trace(sink.OID, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got.ContributingIDs(), want) {
+			t.Fatalf("sink row %d: structural trace reaches %v, Titian %v", id, got.ContributingIDs(), want)
+		}
 	}
 }
 

@@ -56,13 +56,12 @@ const (
 	// AssocRows counts provenance association rows written to the capture
 	// sink (zero when capture is off).
 	AssocRows
-	// ProvBytes is the storage footprint of the captured provenance per
-	// operator (the deterministic Sizes model of Fig. 8), recorded at
-	// collector Finish.
+	// ProvBytes counts the bytes collector Finish encodes per operator: its
+	// header and association bag in the run stream (provenance.Sizes splits
+	// them into lineage and structural extra). The stream's framing, which
+	// no operator owns, is not counted, so the total is a little below the
+	// artifact's file size, sdk.JobInfo.ProvBytes.
 	ProvBytes
-	// BytesEncoded counts serialised codec bytes per operator, recorded once,
-	// when collector Finish encodes the run.
-	BytesEncoded
 
 	// NumCounters is the number of counters (array size, not a counter).
 	NumCounters
@@ -70,7 +69,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"rows_in", "rows_out", "expr_evals", "keys_hashed",
-	"assoc_rows", "prov_bytes", "enc_bytes",
+	"assoc_rows", "prov_bytes",
 }
 
 // String returns the snake_case column name of the counter.

@@ -13,9 +13,9 @@ import (
 func (s *Stats) Render(withTimings bool) string {
 	var sb strings.Builder
 	sb.WriteString("per-operator execution metrics\n")
-	fmt.Fprintf(&sb, "%-4s %-10s %12s %12s %12s %12s %12s %12s %12s",
+	fmt.Fprintf(&sb, "%-4s %-10s %12s %12s %12s %12s %12s %12s",
 		"op", "type",
-		RowsIn, RowsOut, ExprEvals, KeysHashed, AssocRows, ProvBytes, BytesEncoded)
+		RowsIn, RowsOut, ExprEvals, KeysHashed, AssocRows, ProvBytes)
 	if withTimings {
 		fmt.Fprintf(&sb, " %14s", "elapsed")
 	}

@@ -71,8 +71,8 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 // encode returns the v3 stream of ops. bag returns an operator's association
 // columns; it is called once per operator, in order, and its result is not
 // kept past the call, so a caller may hand out one reused buffer. Every
-// operator's encoded byte count goes to rec as obs.BytesEncoded — the
-// codec-level counterpart of the model-level ProvBytes counter.
+// operator's encoded byte count, header and bag, goes to rec as
+// obs.ProvBytes.
 func encode(ops []*Operator, bag func(*Operator) Columns, rec *obs.Recorder) []byte {
 	buf := append(make([]byte, 0, 4096), codecMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV3)
@@ -87,7 +87,7 @@ func encode(ops []*Operator, bag func(*Operator) Columns, rec *obs.Recorder) []b
 	for _, op := range ops {
 		start := len(buf)
 		buf = appendOp(buf, op, bag(op), refs)
-		rec.Add(op.OID, 0, obs.BytesEncoded, int64(len(buf)-start))
+		rec.Add(op.OID, 0, obs.ProvBytes, int64(len(buf)-start))
 	}
 	return buf
 }

@@ -23,9 +23,9 @@ type Collector struct {
 	ops   map[int]*opShards // guarded by mu
 	order []int             // guarded by mu
 
-	// rec receives the Finish span and the per-operator encoded-byte and
-	// provenance-size counters; set it with Observe before the run starts
-	// (not guarded — written only while the collector is idle).
+	// rec receives the Finish span and the per-operator encoded bytes; set
+	// it with Observe before the run starts (not guarded — written only
+	// while the collector is idle).
 	rec *obs.Recorder
 }
 
@@ -101,10 +101,9 @@ func NewCollector() *Collector {
 	return &Collector{ops: make(map[int]*opShards)}
 }
 
-// Observe attaches a recorder: Finish reports its time as a span and, per
-// operator, the encoded bytes and the provenance footprint (the deterministic
-// Sizes model) as counters. Call before the capture run starts; a nil
-// recorder is fine.
+// Observe attaches a recorder: Finish reports its time as a span and each
+// operator's encoded bytes as obs.ProvBytes. Call before the capture run
+// starts; a nil recorder is fine.
 func (c *Collector) Observe(rec *obs.Recorder) { c.rec = rec }
 
 // StartOperator implements engine.CaptureSink.
@@ -158,9 +157,6 @@ func (c *Collector) Finish() (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("provenance: captured run does not load: %w", err)
 	}
-	for _, op := range run.Operators() {
-		c.rec.Add(op.OID, 0, obs.ProvBytes, op.Sizes().Total())
-	}
 	return run, nil
 }
 
@@ -210,7 +206,7 @@ func mergeShards(c Columns, shards []shard) Columns {
 // Capture is a convenience wrapper: it runs the pipeline with a fresh
 // collector and returns both the execution result and the captured run.
 // When opts.Recorder is set, the collector reports its Finish span and
-// per-operator provenance footprints into it.
+// per-operator encoded bytes into it.
 func Capture(p *engine.Pipeline, inputs map[string]*engine.Dataset, opts engine.Options) (*engine.Result, *Run, error) {
 	return CaptureContext(context.Background(), p, inputs, opts)
 }

@@ -129,7 +129,8 @@ type scanner struct {
 	*cursor
 	dict  []string
 	paths map[string]path.Path
-	v3    bool // tag bytes carry run bits
+	v3    bool  // tag bytes carry run bits
+	sizes Sizes // the operators' shares so far
 }
 
 // scanRun performs the validating skip-scan over a v2 or v3 stream: static
@@ -159,6 +160,8 @@ func scanRun(c *cursor, version uint16) (*Run, error) {
 	if err := d.end(); err != nil {
 		return nil, err
 	}
+	run.sizes = d.sizes
+	run.sizes.Framing = int64(len(c.data)) - d.sizes.LineageBytes - d.sizes.StructuralExtra
 	return run, nil
 }
 
@@ -196,10 +199,10 @@ func (d *scanner) parse(s string) path.Path {
 	return p
 }
 
-// scanOp decodes one operator's static part and validates its association
-// block into a lazy region.
+// scanOp decodes one operator's static part, validates its association
+// block into a lazy region and counts its bytes into the scanner's sizes.
 func (d *scanner) scanOp(ls *lazyStream) *Operator {
-	op := &Operator{}
+	op, start := &Operator{}, d.pos
 	op.OID = int(d.Uvarint())
 	op.Type = engine.OpType(d.ref("operator type"))
 	op.ManipUndefined = d.bool()
@@ -229,13 +232,17 @@ func (d *scanner) scanOp(ls *lazyStream) *Operator {
 		m.GroupKey = d.bool()
 		op.Manipulated = append(op.Manipulated, m)
 	}
-	d.scanAssocs(op, ls)
+	lineage := d.scanAssocs(op, ls)
+	op.bytes = int64(d.pos - start)
+	d.sizes.LineageBytes += lineage
+	d.sizes.StructuralExtra += op.bytes - lineage
 	return op
 }
 
 // scanAssocs validates one association block and records it as a lazy
-// region instead of materialising the columns.
-func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
+// region instead of materialising the columns. It returns the region's
+// lineage bytes: all of it but a flatten's Pos column.
+func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) (lineage int64) {
 	tag, runs := d.Byte(), uint8(0)
 	if d.v3 {
 		tag, runs = tag&7, tag>>3
@@ -251,9 +258,9 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 		d.err = fmt.Errorf("provenance: run bits %#b run-code every column of n entries of a layout-%d bag", runs, kind)
 	}
 	if d.err != nil || kind == AssocNone {
-		return
+		return 0
 	}
-	start := d.pos
+	start, posBytes := d.pos, 0
 	n, totalIns := d.Count("association"), 0
 	var ordered bool // of the Out column: the last one, but the first of a source or aggregate
 	switch kind {
@@ -268,7 +275,10 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 		d.skipColumn(n, runs, 1)
 		ordered = d.skipColumn(n, runs, 2)
 	case AssocFlatten:
-		d.SkipVarints(2 * n)
+		d.SkipVarints(n)
+		pos := d.pos
+		d.SkipVarints(n)
+		posBytes = d.pos - pos
 		ordered = d.skipColumn(n, runs, 2)
 	case AssocAgg:
 		ordered = d.skipColumn(n, runs, 0)
@@ -282,11 +292,12 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) {
 		d.SkipVarints(totalIns)
 	}
 	if d.err != nil {
-		return
+		return 0
 	}
 	op.kind, op.n, op.totalIns, op.outOfOrder = kind, n, totalIns, !ordered
 	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos, runs: runs}
 	ls.total += int64(d.pos - start)
+	return int64(d.pos - start - posBytes)
 }
 
 // decode reads the region's columns and charges its bytes to the stream's

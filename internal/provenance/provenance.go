@@ -76,6 +76,8 @@ type Operator struct {
 	// lazy, while non-nil, is the validated region of a lazily loaded run
 	// that cols decodes from on first touch (see Columns).
 	lazy *lazyAssoc
+	// bytes is the operator's share of the stream (EncodedBytes).
+	bytes int64
 }
 
 // setColumns installs decoded columns as the operator's bag and derives the
@@ -142,6 +144,7 @@ type Run struct {
 	// remain undecoded (nil once ReadRun has decoded every bag).
 	stream []byte
 	lazy   *lazyStream
+	sizes  Sizes // of stream, measured by the load scan
 }
 
 // Op returns the operator provenance for the given operator identifier.
@@ -178,58 +181,23 @@ func (r *Run) String() string {
 	return sb.String()
 }
 
-// Sizes reports the storage footprint of the captured provenance, split the
-// way Fig. 8 stacks its bars: the lineage share (top-level identifier
-// associations, which a Titian-style solution stores too) and the structural
-// extra (flatten positions plus the schema-level path and mapping strings).
+// Sizes splits a run's stream the way Fig. 8 stacks its bars, as the load
+// scan measured it; the shares sum to the stream's length. LineageBytes are
+// the association regions less flatten's Pos columns: the id columns (with
+// row counts and group lengths) a lineage solution such as Titian stores
+// too. StructuralExtra is what structural provenance adds: the Pos columns
+// and each operator's header (type, inputs, paths, mappings, tag). Framing
+// is what no operator owns: magic, version, string dictionary, op count.
 type Sizes struct {
 	LineageBytes    int64
 	StructuralExtra int64
+	Framing         int64
 }
 
-// Total returns the combined footprint.
-func (s Sizes) Total() int64 { return s.LineageBytes + s.StructuralExtra }
+// Sizes returns the split of the run's stream the load scan measured. A v1
+// stream has no columnar layout to split and reports zeros.
+func (r *Run) Sizes() Sizes { return r.sizes }
 
-const idBytes = 8
-
-// Sizes computes the storage footprint of one operator's provenance: a pure
-// function of its row and element counts, so it never decodes a column.
-func (o *Operator) Sizes() Sizes {
-	var s Sizes
-	n := int64(o.n)
-	switch o.kind {
-	case AssocSource:
-		s.LineageBytes = n * idBytes
-	case AssocUnary:
-		s.LineageBytes = n * 2 * idBytes
-	case AssocBinary:
-		s.LineageBytes = n * 3 * idBytes
-	case AssocFlatten:
-		s.LineageBytes = n * 2 * idBytes
-		// Lineage solutions do not capture the element positions (Sec. 7.3.2).
-		s.StructuralExtra = n * idBytes
-	case AssocAgg:
-		s.LineageBytes = (int64(o.totalIns) + n) * idBytes
-	}
-	// The schema-level paths and mappings, recorded once per operator.
-	for _, in := range o.Inputs {
-		for _, p := range in.Accessed {
-			s.StructuralExtra += int64(len(p.String()))
-		}
-	}
-	for _, m := range o.Manipulated {
-		s.StructuralExtra += int64(len(m.In.String()) + len(m.Out.String()))
-	}
-	return s
-}
-
-// Sizes sums the per-operator footprints of the whole run.
-func (r *Run) Sizes() Sizes {
-	var total Sizes
-	for _, op := range r.ops {
-		s := op.Sizes()
-		total.LineageBytes += s.LineageBytes
-		total.StructuralExtra += s.StructuralExtra
-	}
-	return total
-}
+// EncodedBytes returns the operator's share of the stream, its header and
+// its bag: what the encoder reported as its obs.ProvBytes (0 in a v1 run).
+func (o *Operator) EncodedBytes() int64 { return o.bytes }

@@ -1,9 +1,16 @@
 package provenance_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pebble/internal/engine"
+	"pebble/internal/obs"
 	"pebble/internal/provenance"
 	"pebble/internal/workload"
 )
@@ -109,32 +116,77 @@ func TestAssociationChainIsClosed(t *testing.T) {
 	}
 }
 
-func TestSizesSplitLineageVsStructural(t *testing.T) {
-	_, run := captureExample(t, 2)
-	total := run.Sizes()
-	if total.LineageBytes <= 0 {
-		t.Error("lineage bytes must be positive")
+// TestSizesSplitTheStream: Fig. 8's split is measured on the stream. On the
+// ten scenarios and the golden pipelines, at Workers 1 and NumCPU, the three
+// shares sum exactly to the stream's length; the lineage share is the
+// association regions less the flatten Pos columns; the encoder's prov_bytes
+// is every operator's EncodedBytes and totals lineage plus structural extra;
+// and both loads of the stream report the same split. A committed v2 stream
+// splits too; a v1 stream, which has no columnar layout, reports zeros.
+func TestSizesSplitTheStream(t *testing.T) {
+	check := func(name string, run *provenance.Run, st *obs.Stats) {
+		t.Helper()
+		s, stream := run.Sizes(), writeTo(t, run)
+		if s.LineageBytes <= 0 || s.StructuralExtra <= 0 || s.Framing <= 0 ||
+			s.LineageBytes+s.StructuralExtra+s.Framing != int64(len(stream)) {
+			t.Errorf("%s: sizes %+v do not split the %d-byte stream", name, s, len(stream))
+		}
+		pos := int64(0)
+		for _, op := range run.Operators() {
+			for _, p := range op.Columns().Pos {
+				pos += int64(len(binary.AppendUvarint(nil, uint64(p))))
+			}
+			if rec, _ := st.Op(op.OID); rec.Counter(obs.ProvBytes) != op.EncodedBytes() {
+				t.Errorf("%s: operator %d encoded %d bytes, loaded %d", name, op.OID, rec.Counter(obs.ProvBytes), op.EncodedBytes())
+			}
+		}
+		if s.LineageBytes != run.AssocBytesTotal()-pos {
+			t.Errorf("%s: lineage %d B, want the %d B of association regions less %d B of Pos", name, s.LineageBytes, run.AssocBytesTotal(), pos)
+		}
+		if got := st.Total(obs.ProvBytes); got != s.LineageBytes+s.StructuralExtra {
+			t.Errorf("%s: prov_bytes %d, lineage + structural extra %d", name, got, s.LineageBytes+s.StructuralExtra)
+		}
+		eager, err := provenance.ReadRun(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := provenance.ReadRunLazy(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eager.Sizes() != s || lazy.Sizes() != s {
+			t.Errorf("%s: captured %+v, reloaded %+v and %+v", name, s, eager.Sizes(), lazy.Sizes())
+		}
 	}
-	if total.StructuralExtra <= 0 {
-		t.Error("structural extra must be positive (paths + flatten positions)")
+	capture := func(name string, build func() *engine.Pipeline, inputs map[string]*engine.Dataset, parts int) {
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			rec := obs.NewRecorder()
+			_, run, err := provenance.Capture(build(), inputs, engine.Options{Partitions: parts, Workers: workers, Recorder: rec})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(fmt.Sprintf("%s workers %d", name, workers), run, rec.Snapshot())
+		}
 	}
-	if total.Total() != total.LineageBytes+total.StructuralExtra {
-		t.Error("Total() inconsistent")
+	for _, sc := range workload.AllScenarios() {
+		capture(sc.Name, sc.Build, sc.Input(workload.DefaultScale(1), 4), 4)
 	}
-	// The structural extra is small relative to lineage for id-heavy
-	// pipelines; here paths dominate because the data is tiny, so just check
-	// the flatten contribution is accounted.
-	fl, _ := run.Op(5)
-	s := fl.Sizes()
-	if s.StructuralExtra < int64(len(fl.Columns().Pos))*8 {
-		t.Errorf("flatten structural extra %d misses position storage", s.StructuralExtra)
-	}
-	// Aggregation lineage grows with group sizes.
-	agg, _ := run.Op(9)
-	as := agg.Sizes()
-	ids := len(agg.Columns().In) + len(agg.Columns().Out)
-	if as.LineageBytes != int64(ids)*8 {
-		t.Errorf("aggregation lineage bytes = %d, want %d", as.LineageBytes, ids*8)
+	for _, g := range goldenPipelines {
+		capture(g.name, g.build, workload.ExampleInput(g.parts), g.parts)
+		for suffix, split := range map[string]bool{".golden": false, ".v2.golden": true} {
+			data, err := os.ReadFile(filepath.Join("testdata", g.name+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := provenance.ReadRunLazy(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := run.Sizes()
+			if split && s.LineageBytes+s.StructuralExtra+s.Framing != int64(len(data)) || !split && s != (provenance.Sizes{}) {
+				t.Errorf("%s%s: sizes %+v of a %d-byte stream", g.name, suffix, s, len(data))
+			}
+		}
 	}
 }
 

@@ -253,6 +253,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // buckets, a dataset's partitions (which an empty upload does not clamp).
 const maxParallelism = 1024
 
+// maxSpecSteps and maxPatternText bound what one job request may ask the
+// daemon to build: a spec's step count and a trace's pattern_text length.
+// A request past either is refused at submit and never queued.
+const (
+	maxSpecSteps   = 1000
+	maxPatternText = 64 << 10
+)
+
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var spec sdk.SessionSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil {
@@ -371,6 +379,13 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *s
 			writeErr(w, http.StatusBadRequest, "pipeline job needs scenario or spec")
 			return
 		}
+		var spec struct {
+			Steps []json.RawMessage `json:"steps"`
+		}
+		if json.Unmarshal(req.Spec, &spec) == nil && len(spec.Steps) > maxSpecSteps {
+			writeErr(w, http.StatusBadRequest, "spec has %d steps, more than %d", len(spec.Steps), maxSpecSteps)
+			return
+		}
 	case sdk.KindTrace:
 		if req.TargetJob == "" {
 			writeErr(w, http.StatusBadRequest, "trace job needs target_job")
@@ -378,6 +393,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *s
 		}
 		if len(req.Pattern) == 0 && req.PatternText == "" && !req.TraceAll {
 			writeErr(w, http.StatusBadRequest, "trace job needs pattern, pattern_text, or trace_all")
+			return
+		}
+		if len(req.PatternText) > maxPatternText {
+			writeErr(w, http.StatusBadRequest, "pattern_text is %d bytes, more than %d", len(req.PatternText), maxPatternText)
 			return
 		}
 	default:

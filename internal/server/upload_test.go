@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -120,9 +121,55 @@ func TestUploadPartsBounded(t *testing.T) {
 	}
 }
 
-// TestDeepPatternTextFailsTheJob: a 9 MB pattern_text nested three million
-// levels deep used to overflow the daemon's stack; now the trace job fails
-// with a short error and the daemon keeps serving.
+// TestSubmitBounded: a spec of more than 1 000 steps or a pattern_text of
+// more than 64 KiB is a 400 at submit and never becomes a job; one at the
+// bound is queued.
+func TestSubmitBounded(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	ctx := context.Background()
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "T3", SimGB: 1})
+	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
+	spec := func(steps int) json.RawMessage {
+		return json.RawMessage(`{"steps":[` + strings.Repeat(`{"op":"limit","in":0,"in2":-1},`, steps-1) + `{"op":"limit","in":0,"in2":-1}]}`)
+	}
+	trace := func(n int) sdk.SubmitJobRequest {
+		return sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, PatternText: strings.Repeat("a(", n/2)}
+	}
+	for _, tc := range []struct {
+		name   string
+		req    sdk.SubmitJobRequest
+		status int // 0: accepted
+	}{
+		{"1000 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1000)}, 0},
+		{"1001 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1001)}, http.StatusBadRequest},
+		{"64 KiB pattern", trace(64 << 10), 0},
+		{"64 KiB + 1 pattern", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, PatternText: trace(64<<10).PatternText + "a"}, http.StatusBadRequest},
+	} {
+		before, err := c.ListJobs(ctx, "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := c.SubmitJob(ctx, "s", tc.req)
+		if got := uploadStatus(err); got != tc.status || (tc.status == 0) != (err == nil) {
+			t.Errorf("%s: %v, want http %d", tc.name, err, tc.status)
+		}
+		if err == nil {
+			if _, err := c.WaitJob(ctx, "s", j.ID); err != nil {
+				t.Fatalf("%s: wait: %v", tc.name, err)
+			}
+		} else if after, err := c.ListJobs(ctx, "s"); err != nil || len(after) != len(before) {
+			t.Errorf("%s: refused, but the session went from %d to %d jobs (%v)", tc.name, len(before), len(after), err)
+		}
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after the bounds: %+v, %v", h, err)
+	}
+}
+
+// TestDeepPatternTextFailsTheJob: a pattern_text nested deeper than the
+// parser's cap (here 20 000 levels in 40 KB) fails the trace job with a short
+// error, and the daemon keeps serving.
 func TestDeepPatternTextFailsTheJob(t *testing.T) {
 	c := startDaemon(t, server.Config{})
 	ctx := context.Background()
@@ -130,7 +177,7 @@ func TestDeepPatternTextFailsTheJob(t *testing.T) {
 	target := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "T3", SimGB: 1})
 	waitStatus(t, c, "s", target.ID, sdk.StatusDone)
 	tj := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID,
-		PatternText: strings.Repeat("a(", 3_000_000)})
+		PatternText: strings.Repeat("a(", 20_000)})
 	if info := waitStatus(t, c, "s", tj.ID, sdk.StatusFailed); len(info.Error) >= 1<<10 {
 		t.Errorf("job error is %d bytes, want under 1 KiB", len(info.Error))
 	}

@@ -150,7 +150,8 @@ func (s *Shell) help() {
   schema                   print per-operator output schemas
   json <pattern>           answer a pattern question as JSON
   result [n]               print the first n result rows (default 10)
-  provenance               per-operator association counts and sizes
+  provenance               the stream's byte split, and per operator its
+                           association count and encoded bytes
   stats                    per-operator execution metrics and query timings
                            (incl. run_load / index_build / pattern_compile phases)
   explain                  per operator: the stage that ran it, its rows and
@@ -178,10 +179,10 @@ func (s *Shell) printResult(n int) {
 
 func (s *Shell) printProvenance() {
 	sizes := s.cap.Provenance.Sizes()
-	fmt.Fprintf(s.out, "captured provenance: lineage %dB + structural extra %dB\n",
-		sizes.LineageBytes, sizes.StructuralExtra)
+	fmt.Fprintf(s.out, "provenance stream: lineage %dB + structural extra %dB + framing %dB\n",
+		sizes.LineageBytes, sizes.StructuralExtra, sizes.Framing)
 	for _, op := range s.cap.Provenance.Operators() {
-		fmt.Fprintf(s.out, "  P%-3d %-10s assocs=%d\n", op.OID, op.Type, op.AssocCount())
+		fmt.Fprintf(s.out, "  P%-3d %-10s assocs=%d bytes=%d\n", op.OID, op.Type, op.AssocCount(), op.EncodedBytes())
 	}
 }
 

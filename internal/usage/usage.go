@@ -27,9 +27,6 @@ type AttrStats struct {
 	Influencing  int
 }
 
-// Used reports whether the attribute was touched at all.
-func (s AttrStats) Used() bool { return s.Contributing > 0 || s.Influencing > 0 }
-
 // Analysis accumulates merged provenance over a workload. Items are keyed by
 // their identifier in the raw input dataset, so multiple reads of the same
 // input aggregate onto the same item.

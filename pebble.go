@@ -270,7 +270,7 @@ func Analyze(p *Pipeline, inputTypes map[string]Type) (map[int]Type, error) {
 }
 
 // InferInputTypes derives input types from datasets by merging the types of
-// sampled rows (semi-structured inputs yield the union of attributes).
+// every row (semi-structured inputs yield the union of attributes).
 func InferInputTypes(inputs map[string]*Dataset) map[string]Type {
 	return engine.InferInputTypes(inputs)
 }

@@ -106,7 +106,9 @@ type JobInfo struct {
 	Finished *time.Time `json:"finished,omitempty"`
 	// ResultRows is the sink row count of a done pipeline job.
 	ResultRows int `json:"result_rows,omitempty"`
-	// ProvBytes is the size of the persisted provenance artifact.
+	// ProvBytes is the size of the persisted provenance artifact: the whole
+	// run stream. The session counter prov_bytes sums only the operators'
+	// encoded bytes, so it stays below this by the stream's framing.
 	ProvBytes int64 `json:"prov_bytes,omitempty"`
 	// Matched is the matched-item count of a done trace job.
 	Matched int `json:"matched,omitempty"`
