@@ -2,7 +2,7 @@
 # formatting and the full suite under the race detector (which checks the
 # `// guarded by` field comments).
 
-.PHONY: build test check figures fuzz-json fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
+.PHONY: build test check figures fuzz-json fuzz-spec fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
 
 build:
 	go build ./...
@@ -18,6 +18,14 @@ check:
 # CI job runs the same line.
 fuzz-json:
 	go test -fuzz FuzzParseJSONMatchesReference -fuzztime 20s ./internal/nested
+
+# Twenty seconds of the corpus spec codec (internal/oracle/fuzz_test.go) on
+# arbitrary bytes: a spec that decodes (its rows through
+# nested.Value.UnmarshalJSON, its question through treepattern's codec)
+# re-marshals to bytes that decode and re-marshal to themselves, and builds
+# and runs without a panic; same CI line.
+fuzz-spec:
+	go test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 20s ./internal/oracle
 
 # Twenty seconds of the run loader (ReadRunLazy, then every bag decoded)
 # against the stream decoder kept as its reference

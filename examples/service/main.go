@@ -93,11 +93,11 @@ func main() {
 		},
 		Sink: 1,
 	}
-	specJSON, err := json.Marshal(&spec)
+	specBytes, err := json.Marshal(&spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	job, err := c.SubmitJob(ctx, "demo", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: specJSON})
+	job, err := c.SubmitJob(ctx, "demo", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: specBytes})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,7 +142,11 @@ func corpusTargetAt(t testing.TB, seed int64, workers int) (*target, *corpus.Spe
 // everything, and single attributes of the result, which reach into nested
 // collections by position.
 func corpusQueries(tg *target, spec *corpus.Spec) []*backtrace.Structure {
-	qs := []*backtrace.Structure{spec.BuildPattern().Match(tg.res.Output), tg.all()}
+	pattern := spec.Pattern
+	if pattern == nil {
+		pattern = treepattern.New()
+	}
+	qs := []*backtrace.Structure{pattern.Match(tg.res.Output), tg.all()}
 	for _, attr := range []string{"k", "v", "n", "tag"} {
 		qs = append(qs, treepattern.New(treepattern.Desc(attr)).Match(tg.res.Output))
 	}

@@ -16,6 +16,7 @@ import (
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/path"
+	"pebble/internal/treepattern"
 	"pebble/internal/workload"
 )
 
@@ -239,8 +240,12 @@ func TestAnswerMatchesReferenceOnCorpus(t *testing.T) {
 		if err != nil {
 			continue // the generator also emits plans that fail at run time
 		}
+		pattern := spec.Pattern
+		if pattern == nil {
+			pattern = treepattern.New()
+		}
 		for _, query := range []func() (*core.QueryResult, error){
-			func() (*core.QueryResult, error) { return cap.Query(spec.BuildPattern()) },
+			func() (*core.QueryResult, error) { return cap.Query(pattern) },
 			cap.QueryAll,
 		} {
 			q, err := query()

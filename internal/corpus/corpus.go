@@ -1,7 +1,7 @@
 // Package corpus generates seeded random test cases — nested datasets plus
 // well-formed operator pipelines plus tree-pattern provenance questions — in
-// a declarative form that can be rebuilt, serialized, mutated (shrunk to
-// minimal reproducers), and rendered as runnable Go code.
+// a declarative form that can be rebuilt, serialized, and mutated (shrunk to
+// minimal reproducers).
 //
 // The differential oracle (internal/oracle), its native fuzz targets, and
 // the cmd/oracle soak runner all draw from this one corpus: every generated
@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"pebble/internal/nested"
+	"pebble/internal/treepattern"
 )
 
 // Attribute type tags used while tracking the schema during generation.
@@ -201,15 +202,7 @@ func randStep(r *rand.Rand, s *Spec, st *genState) {
 			aggs = append(aggs, AggStep{Fn: fns[r.Intn(len(fns))], In: ints[r.Intn(len(ints))], Out: out})
 			attrs[out] = typOther
 		}
-		stp := Step{Op: StepAggregate, In: st.cur, In2: -1}
-		if len(keys) == 1 && len(aggs) == 1 {
-			// Keep the legacy single-aggregate spelling so simple generated
-			// specs stay textually comparable with committed reproducers.
-			stp.GroupBy, stp.AggFn, stp.AggIn, stp.AggOut = keys[0], aggs[0].Fn, aggs[0].In, aggs[0].Out
-		} else {
-			stp.GroupBys, stp.Aggs = keys, aggs
-		}
-		st.cur = s.push(stp)
+		st.cur = s.push(Step{Op: StepAggregate, In: st.cur, In2: -1, GroupBys: keys, Aggs: aggs})
 		st.attrs = attrs
 	case StepUnion:
 		// Union with itself keeps the schema and doubles multiplicities; the
@@ -310,39 +303,39 @@ func randSelect(r *rand.Rand, in map[string]string) ([]FieldSpec, map[string]str
 // time the match-all pattern (trace the whole result), otherwise a single
 // constrained node covering the extended constraint set — value equality,
 // substring containment, open range bounds, and occurrence counts.
-func randPattern(r *rand.Rand, attrs map[string]string) *PatternSpec {
+func randPattern(r *rand.Rand, attrs map[string]string) *treepattern.Pattern {
 	if r.Intn(2) == 0 {
 		return nil // match-all
 	}
-	var cands []*PatternSpec
+	var cands []*treepattern.Node
 	for _, name := range sortedKeys(attrs) {
 		switch attrs[name] {
 		case typInt:
 			cands = append(cands,
-				&PatternSpec{Attr: name, Kind: "lt-int", Int: int64(3 + r.Intn(18))},
-				&PatternSpec{Attr: name, Kind: "gt-int", Int: int64(r.Intn(15))},
-				&PatternSpec{Attr: name, Kind: "eq-int", Int: int64(r.Intn(20))},
+				treepattern.Child(name).WithLt(nested.Int(int64(3+r.Intn(18)))),
+				treepattern.Child(name).WithGt(nested.Int(int64(r.Intn(15)))),
+				treepattern.Child(name).WithEq(nested.Int(int64(r.Intn(20)))),
 			)
 		case typStr:
 			cands = append(cands,
-				&PatternSpec{Attr: name, Kind: "eq-str", Str: cats[r.Intn(len(cats))]},
-				&PatternSpec{Attr: name, Kind: "contains", Str: words[r.Intn(len(words))]},
+				treepattern.Child(name).WithEq(nested.StringVal(cats[r.Intn(len(cats))])),
+				treepattern.Child(name).WithContains(words[r.Intn(len(words))]),
 			)
 		case typSubBag:
-			c := &PatternSpec{Attr: "k", Desc: true, Kind: "eq-str", Str: words[r.Intn(len(words))]}
+			c := treepattern.Desc("k").WithEq(nested.StringVal(words[r.Intn(len(words))]))
 			if r.Intn(2) == 0 {
-				c.MinCount, c.MaxCount = 1, 2
+				c.WithCount(1, 2)
 			}
 			cands = append(cands, c,
-				&PatternSpec{Attr: "v", Desc: true, Kind: "lt-int", Int: int64(2 + r.Intn(8))})
+				treepattern.Desc("v").WithLt(nested.Int(int64(2+r.Intn(8)))))
 		case typSubItem:
-			cands = append(cands, &PatternSpec{Attr: "v", Desc: true, Kind: "lt-int", Int: int64(2 + r.Intn(8))})
+			cands = append(cands, treepattern.Desc("v").WithLt(nested.Int(int64(2+r.Intn(8)))))
 		}
 	}
 	if len(cands) == 0 {
 		return nil
 	}
-	return cands[r.Intn(len(cands))]
+	return treepattern.New(cands[r.Intn(len(cands))])
 }
 
 func copyAttrs(in map[string]string) map[string]string {

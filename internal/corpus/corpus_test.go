@@ -22,7 +22,9 @@ func TestGeneratedSpecsBuildAndRun(t *testing.T) {
 		}
 		_ = res
 		// The pattern must compile too.
-		s.BuildPattern()
+		if s.Pattern != nil {
+			s.Pattern.Compile()
+		}
 	}
 }
 
@@ -105,6 +107,19 @@ func mustRun(t *testing.T, s *Spec) []string {
 		out = append(out, v.String())
 	}
 	return out
+}
+
+// A step in the retired single-aggregate spelling decodes with no groupBys
+// and no aggs, and Build refuses it by index instead of running it.
+func TestBuildRejectsLegacyAggregate(t *testing.T) {
+	var s Spec
+	if err := json.Unmarshal([]byte(`{"steps":[{"op":"source","in":-1,"in2":-1,"dataset":"in"},`+
+		`{"op":"aggregate","in":0,"in2":-1,"groupBy":"cat","aggFn":"max","aggIn":"val","aggOut":"agg_out"}],"sink":1}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Build(); err == nil || err.Error() != "corpus: step 1: aggregate needs groupBys and aggs" {
+		t.Fatalf("Build = %v, want the step 1 aggregate error", err)
+	}
 }
 
 // Dropping any droppable step must leave a buildable, runnable spec.

@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -81,19 +80,6 @@ type AggStep struct {
 	Out string `json:"out"`
 }
 
-// PatternSpec is a serializable single-node tree pattern with the extended
-// constraint set: equality, containment, open range bounds, and counts.
-// Kind is one of "eq-int", "eq-str", "contains", "lt-int", "gt-int".
-type PatternSpec struct {
-	Attr     string `json:"attr"`
-	Desc     bool   `json:"desc,omitempty"`
-	Kind     string `json:"kind"`
-	Int      int64  `json:"int,omitempty"`
-	Str      string `json:"str,omitempty"`
-	MinCount int    `json:"minCount,omitempty"`
-	MaxCount int    `json:"maxCount,omitempty"`
-}
-
 // Step is one declarative pipeline operator. In and In2 index into
 // Spec.Steps (-1 when absent). Parameter fields are populated by Op kind.
 type Step struct {
@@ -106,10 +92,6 @@ type Step struct {
 	Fields       []FieldSpec `json:"fields,omitempty"`
 	FlattenCol   string      `json:"flattenCol,omitempty"`
 	FlattenAs    string      `json:"flattenAs,omitempty"`
-	GroupBy      string      `json:"groupBy,omitempty"`
-	AggFn        string      `json:"aggFn,omitempty"`
-	AggIn        string      `json:"aggIn,omitempty"`
-	AggOut       string      `json:"aggOut,omitempty"`
 	GroupBys     []string    `json:"groupBys,omitempty"`
 	Aggs         []AggStep   `json:"aggs,omitempty"`
 	JoinLeftKey  string      `json:"joinLeftKey,omitempty"`
@@ -119,40 +101,24 @@ type Step struct {
 	Limit        int         `json:"limit,omitempty"`
 }
 
-// groupKeys returns an aggregate step's grouping attributes: the plural
-// GroupBys when present, else the legacy single GroupBy. Committed repro
-// specs predate the plural form, so both spellings must stay loadable.
-func (st *Step) groupKeys() []string {
-	if len(st.GroupBys) > 0 {
-		return st.GroupBys
-	}
-	return []string{st.GroupBy}
-}
-
-// aggSpecs returns an aggregate step's computations, normalizing the legacy
-// single-aggregate fields (AggFn/AggIn/AggOut) into the plural form.
-func (st *Step) aggSpecs() []AggStep {
-	if len(st.Aggs) > 0 {
-		return st.Aggs
-	}
-	return []AggStep{{Fn: st.AggFn, In: st.AggIn, Out: st.AggOut}}
-}
-
 // Spec is one generated test case: datasets, pipeline, and the tree-pattern
-// provenance question. A nil Pattern means "trace the whole result".
+// provenance question, in treepattern's JSON form (the form a trace job's
+// pattern takes). A nil Pattern means "trace the whole result". Rows and Aux
+// encode as JSON values and decode through nested.ParseJSON.
 type Spec struct {
-	Seed    int64          `json:"seed"`
-	Rows    []nested.Value `json:"-"`
-	Aux     []nested.Value `json:"-"`
-	Steps   []Step         `json:"steps"`
-	Sink    int            `json:"sink"`
-	Pattern *PatternSpec   `json:"pattern,omitempty"`
+	Seed    int64                `json:"seed"`
+	Rows    []nested.Value       `json:"rows"`
+	Aux     []nested.Value       `json:"aux,omitempty"`
+	Steps   []Step               `json:"steps"`
+	Sink    int                  `json:"sink"`
+	Pattern *treepattern.Pattern `json:"pattern,omitempty"`
 	// ShuffleJoin pins every join in the spec to the repartition (shuffle)
 	// path by disabling the broadcast threshold. Corpus datasets are small
 	// enough that the default threshold would otherwise route every join
 	// through the broadcast kernels; carrying the shape on the spec means
 	// both kernels get differential coverage and a shrunk reproducer replays
-	// with the join shape that exposed the disagreement.
+	// with the join shape that exposed the disagreement. pebbled refuses a
+	// spec that sets it: its joins follow the session's options.
 	ShuffleJoin bool `json:"shuffleJoin,omitempty"`
 }
 
@@ -210,12 +176,15 @@ func (s *Spec) Build() (p *engine.Pipeline, err error) {
 		case StepFlatten:
 			ops[i] = p.Flatten(a, st.FlattenCol, st.FlattenAs)
 		case StepAggregate:
+			if len(st.GroupBys) == 0 || len(st.Aggs) == 0 {
+				return nil, fmt.Errorf("corpus: step %d: aggregate needs groupBys and aggs", i)
+			}
 			var keys []engine.GroupKey
-			for _, k := range st.groupKeys() {
+			for _, k := range st.GroupBys {
 				keys = append(keys, engine.Key(k))
 			}
 			var aggs []engine.AggSpec
-			for _, ag := range st.aggSpecs() {
+			for _, ag := range st.Aggs {
 				aggs = append(aggs, engine.Agg(engine.AggFunc(ag.Fn), ag.In, ag.Out))
 			}
 			ops[i] = p.Aggregate(a, keys, aggs)
@@ -263,37 +232,6 @@ func (s *Spec) Inputs(partitions int) map[string]*engine.Dataset {
 		}
 	}
 	return inputs
-}
-
-// BuildPattern constructs the tree pattern of the spec's provenance
-// question; a nil PatternSpec yields the match-all pattern.
-func (s *Spec) BuildPattern() *treepattern.Pattern {
-	p := s.Pattern
-	if p == nil {
-		return treepattern.New()
-	}
-	var n *treepattern.Node
-	if p.Desc {
-		n = treepattern.Desc(p.Attr)
-	} else {
-		n = treepattern.Child(p.Attr)
-	}
-	switch p.Kind {
-	case "eq-int":
-		n = n.WithEq(nested.Int(p.Int))
-	case "eq-str":
-		n = n.WithEq(nested.StringVal(p.Str))
-	case "contains":
-		n = n.WithContains(p.Str)
-	case "lt-int":
-		n = n.WithLt(nested.Int(p.Int))
-	case "gt-int":
-		n = n.WithGt(nested.Int(p.Int))
-	}
-	if p.MinCount > 0 || p.MaxCount > 0 {
-		n = n.WithCount(p.MinCount, p.MaxCount)
-	}
-	return treepattern.New(n)
 }
 
 // HasStep reports whether any step has the given op kind.
@@ -350,19 +288,15 @@ func (s *Spec) AggOutputsReachSink() bool {
 			// The aggregate keeps only its group keys and its own outputs:
 			// an upstream aggregate alias survives only by being consumed as
 			// some aggregate's input.
-			ins := map[string]bool{}
-			for _, ag := range st.aggSpecs() {
-				ins[ag.In] = true
+			ins, out := map[string]bool{}, map[string]bool{}
+			for _, ag := range st.Aggs {
+				ins[ag.In], out[ag.Out] = true, true
 			}
 			// The body only ANDs into ok, so the map's order cannot show.
 			for name := range alias[st.In] {
 				if !ins[name] {
 					ok = false
 				}
-			}
-			out := map[string]bool{}
-			for _, ag := range st.aggSpecs() {
-				out[ag.Out] = true
 			}
 			alias[i] = out
 		case StepFlatten:
@@ -412,9 +346,10 @@ func (s *Spec) LimitCutsFanOut() bool {
 	return false
 }
 
-// Clone returns a deep copy of the spec (values are immutable and shared).
+// Clone returns a deep copy of the spec. Values and the pattern are
+// read-only and shared.
 func (s *Spec) Clone() *Spec {
-	out := &Spec{Seed: s.Seed, Sink: s.Sink, ShuffleJoin: s.ShuffleJoin}
+	out := &Spec{Seed: s.Seed, Sink: s.Sink, Pattern: s.Pattern, ShuffleJoin: s.ShuffleJoin}
 	out.Rows = append([]nested.Value(nil), s.Rows...)
 	out.Aux = append([]nested.Value(nil), s.Aux...)
 	out.Steps = make([]Step, len(s.Steps))
@@ -428,10 +363,6 @@ func (s *Spec) Clone() *Spec {
 		cp.GroupBys = append([]string(nil), st.GroupBys...)
 		cp.Aggs = append([]AggStep(nil), st.Aggs...)
 		out.Steps[i] = cp
-	}
-	if s.Pattern != nil {
-		p := *s.Pattern
-		out.Pattern = &p
 	}
 	return out
 }
@@ -504,76 +435,6 @@ func (s *Spec) DropStep(i int) (*Spec, bool) {
 		c.Aux = nil
 	}
 	return c, true
-}
-
-// specJSON is the serialized form: rows are embedded as raw JSON values
-// (nested.Value marshals naturally; parsing restores items, bags, and
-// constants).
-type specJSON struct {
-	Seed        int64             `json:"seed"`
-	Rows        []json.RawMessage `json:"rows"`
-	Aux         []json.RawMessage `json:"aux,omitempty"`
-	Steps       []Step            `json:"steps"`
-	Sink        int               `json:"sink"`
-	Pattern     *PatternSpec      `json:"pattern,omitempty"`
-	ShuffleJoin bool              `json:"shuffleJoin,omitempty"`
-}
-
-// MarshalJSON serializes the spec including its datasets.
-func (s *Spec) MarshalJSON() ([]byte, error) {
-	enc := func(vals []nested.Value) ([]json.RawMessage, error) {
-		out := make([]json.RawMessage, 0, len(vals))
-		for _, v := range vals {
-			b, err := v.MarshalJSON()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, b)
-		}
-		return out, nil
-	}
-	rows, err := enc(s.Rows)
-	if err != nil {
-		return nil, err
-	}
-	aux, err := enc(s.Aux)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(specJSON{
-		Seed: s.Seed, Rows: rows, Aux: aux,
-		Steps: s.Steps, Sink: s.Sink, Pattern: s.Pattern, ShuffleJoin: s.ShuffleJoin,
-	})
-}
-
-// UnmarshalJSON restores a spec serialized by MarshalJSON.
-func (s *Spec) UnmarshalJSON(data []byte) error {
-	var sj specJSON
-	if err := json.Unmarshal(data, &sj); err != nil {
-		return err
-	}
-	dec := func(raw []json.RawMessage) ([]nested.Value, error) {
-		out := make([]nested.Value, 0, len(raw))
-		for _, r := range raw {
-			v, err := nested.ParseJSON(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
-	}
-	rows, err := dec(sj.Rows)
-	if err != nil {
-		return err
-	}
-	aux, err := dec(sj.Aux)
-	if err != nil {
-		return err
-	}
-	*s = Spec{Seed: sj.Seed, Rows: rows, Aux: aux, Steps: sj.Steps, Sink: sj.Sink,
-		Pattern: sj.Pattern, ShuffleJoin: sj.ShuffleJoin}
-	return nil
 }
 
 func sortedKeys(m map[string]string) []string {

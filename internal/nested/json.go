@@ -501,6 +501,18 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	return v.AppendJSON(nil, jsonenc.Compact)
 }
 
+// UnmarshalJSON decodes one JSON document into v through ParseJSON, so a
+// Value nested in an encoding/json struct reads as ParseJSON reads it. A
+// JSON null becomes the null value.
+func (v *Value) UnmarshalJSON(data []byte) error {
+	p, err := ParseJSON(data)
+	if err != nil {
+		return err
+	}
+	*v = p
+	return nil
+}
+
 // AppendJSON appends the value's JSON encoding to dst: MarshalJSON's bytes
 // for depth jsonenc.Compact, and for depth >= 0 those bytes as
 // json.Indent(_, "", "  ") lays them out for a value nested depth levels

@@ -2,6 +2,7 @@ package nested
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,6 +65,35 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !Equal(orig, back) {
 		t.Errorf("round trip changed value:\n %s\n %s", orig, back)
+	}
+}
+
+// TestUnmarshalJSONIsParseJSON: a Value inside an encoding/json struct
+// decodes as ParseJSON decodes it, a null element included, and the struct
+// re-marshals to the bytes it was read from.
+func TestUnmarshalJSONIsParseJSON(t *testing.T) {
+	data := []byte(`{"rows":[{"z":1,"a":[2.5,"x"]},null],"one":{"k":true}}`)
+	var doc struct {
+		Rows []Value `json:"rows"`
+		One  Value   `json:"one"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range []string{`{"z":1,"a":[2.5,"x"]}`, `null`} {
+		want, err := ParseJSON([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(doc.Rows[i], want) || doc.Rows[i].Kind() != want.Kind() {
+			t.Errorf("rows[%d] = %s, want %s", i, doc.Rows[i], want)
+		}
+	}
+	if back, err := json.Marshal(doc); err != nil || !bytes.Equal(back, data) {
+		t.Errorf("re-marshal = %s, %v; want %s", back, err, data)
+	}
+	if err := json.Unmarshal([]byte(`{"one":{"k":}}`), &doc); err == nil {
+		t.Error("accepted a malformed value")
 	}
 }
 

@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"pebble/internal/corpus"
@@ -29,8 +31,10 @@ func FuzzCheckSpec(f *testing.F) {
 }
 
 // FuzzSpecJSON feeds arbitrary bytes through the spec codec: inputs that
-// parse must round-trip, rebuild, and execute without panicking; parse
-// failures must be reported as errors, never as crashes.
+// parse must rebuild and execute without panicking, and re-marshal to bytes
+// that parse and re-marshal to themselves; parse failures must be reported
+// as errors, never as crashes. Seeded with generated specs, a committed
+// reproducer, and a rowless wire spec over a registered dataset.
 func FuzzSpecJSON(f *testing.F) {
 	for _, seed := range []int64{0, 2, 3, 6, 7} {
 		data, err := json.Marshal(corpus.Generate(seed))
@@ -39,21 +43,21 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	repro, _, err := ReadRepro(filepath.Join("testdata", "seed-881.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := json.Marshal(repro)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"seed":0,"rows":null,"steps":[{"op":"source","in":-1,"in2":-1,"dataset":"tweets"},` +
+		`{"op":"flatten","in":0,"in2":-1,"flattenCol":"hashtags","flattenAs":"htag"},` +
+		`{"op":"select","in":1,"in2":-1,"fields":[{"name":"text","col":"text"},{"name":"tag","col":"htag.text"}]}],"sink":2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s corpus.Spec
 		if err := json.Unmarshal(data, &s); err != nil {
-			return
-		}
-		// Bound the work per input: chained self-unions double multiplicity
-		// per step, so unconstrained fuzzed plans can explode exponentially.
-		if len(s.Steps) > 8 || len(s.Rows) > 100 || len(s.Aux) > 100 {
-			return
-		}
-		p, err := s.Build()
-		if err != nil {
-			return
-		}
-		if _, err := engine.Run(p, s.Inputs(2), s.ExecOptions(engine.Options{Partitions: 2})); err != nil {
 			return
 		}
 		again, err := json.Marshal(&s)
@@ -64,5 +68,18 @@ func FuzzSpecJSON(f *testing.F) {
 		if err := json.Unmarshal(again, &back); err != nil {
 			t.Fatalf("round-trip parse failed: %v", err)
 		}
+		if twice, err := json.Marshal(&back); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("re-marshal is not byte-identical (%v):\n%s\n%s", err, again, twice)
+		}
+		// Bound the work per input: chained self-unions double multiplicity
+		// per step, so unconstrained fuzzed plans can explode exponentially.
+		if len(s.Steps) > 8 || len(s.Rows) > 100 || len(s.Aux) > 100 {
+			return
+		}
+		p, err := s.Build()
+		if err != nil {
+			return
+		}
+		_, _ = engine.Run(p, s.Inputs(2), s.ExecOptions(engine.Options{Partitions: 2}))
 	})
 }

@@ -128,7 +128,10 @@ func CheckSpec(s *corpus.Spec, cfg Config) *Disagreement {
 		return fail(KindBuild, err.Error(), 0)
 	}
 	inputs := s.Inputs(cfg.Partitions)
-	pattern := s.BuildPattern()
+	pattern := s.Pattern
+	if pattern == nil {
+		pattern = treepattern.New()
+	}
 
 	var base *artifacts
 	for _, w := range cfg.Workers {

@@ -255,7 +255,8 @@ const maxParallelism = 1024
 
 // maxSpecSteps and maxPatternText bound what one job request may ask the
 // daemon to build: a spec's step count and a trace's pattern_text length.
-// A request past either is refused at submit and never queued.
+// A request past either, or a spec that sets shuffleJoin, is refused at
+// submit and never queued.
 const (
 	maxSpecSteps   = 1000
 	maxPatternText = 64 << 10
@@ -380,10 +381,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *s
 			return
 		}
 		var spec struct {
-			Steps []json.RawMessage `json:"steps"`
+			Steps       []json.RawMessage `json:"steps"`
+			ShuffleJoin bool              `json:"shuffleJoin"`
 		}
 		if json.Unmarshal(req.Spec, &spec) == nil && len(spec.Steps) > maxSpecSteps {
 			writeErr(w, http.StatusBadRequest, "spec has %d steps, more than %d", len(spec.Steps), maxSpecSteps)
+			return
+		}
+		// A job's joins follow the session's options, so a spec that pins
+		// them to the shuffle path would run in a shape it does not name.
+		if spec.ShuffleJoin {
+			writeErr(w, http.StatusBadRequest, "spec sets shuffleJoin, which the daemon does not run: joins follow the session's options")
 			return
 		}
 	case sdk.KindTrace:

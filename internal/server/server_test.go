@@ -528,6 +528,26 @@ func TestSpecJobOverUploadedDataset(t *testing.T) {
 	}
 }
 
+// TestLegacyAggregateSpecFails: an aggregate step in the retired
+// single-aggregate spelling (groupBy/aggFn/aggIn/aggOut) carries no
+// groupBys and aggs, so the job fails with the error that names the step
+// and produces no result.
+func TestLegacyAggregateSpecFails(t *testing.T) {
+	c := startDaemon(t, server.Config{})
+	mustSession(t, c, sdk.SessionSpec{Name: "s"})
+	spec := json.RawMessage(`{"rows":[{"cat":"a","val":1}],"steps":[` +
+		`{"op":"source","in":-1,"in2":-1,"dataset":"in"},` +
+		`{"op":"aggregate","in":0,"in2":-1,"groupBy":"cat","aggFn":"sum","aggIn":"val","aggOut":"s"}],"sink":1}`)
+	j := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec})
+	info := waitStatus(t, c, "s", j.ID, sdk.StatusFailed)
+	if !strings.Contains(info.Error, "step 1: aggregate needs groupBys and aggs") {
+		t.Errorf("job error %q does not name the aggregate step", info.Error)
+	}
+	if info.ResultRows != 0 || info.ProvBytes != 0 {
+		t.Errorf("failed job reports %d rows and %d provenance bytes, want none", info.ResultRows, info.ProvBytes)
+	}
+}
+
 // TestTraceReadsNoSidecar: a trace job reads the target's .pbl and nothing
 // beside it, so whether the .idx the capture wrote is there, absent, a
 // directory or garbage, the answer is the same byte for byte and the job

@@ -139,12 +139,14 @@ func TestSubmitBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		req    sdk.SubmitJobRequest
-		status int // 0: accepted
+		status int    // 0: accepted
+		names  string // what a refusal's message names
 	}{
-		{"1000 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1000)}, 0},
-		{"1001 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1001)}, http.StatusBadRequest},
-		{"64 KiB pattern", trace(64 << 10), 0},
-		{"64 KiB + 1 pattern", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, PatternText: trace(64<<10).PatternText + "a"}, http.StatusBadRequest},
+		{"1000 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1000)}, 0, ""},
+		{"1001 steps", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: spec(1001)}, http.StatusBadRequest, "1001 steps"},
+		{"shuffleJoin", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Spec: json.RawMessage(`{"steps":[{"op":"source","in":-1,"in2":-1,"dataset":"in"}],"shuffleJoin":true}`)}, http.StatusBadRequest, "shuffleJoin"},
+		{"64 KiB pattern", trace(64 << 10), 0, ""},
+		{"64 KiB + 1 pattern", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: target.ID, PatternText: trace(64<<10).PatternText + "a"}, http.StatusBadRequest, "pattern_text"},
 	} {
 		before, err := c.ListJobs(ctx, "s")
 		if err != nil {
@@ -153,6 +155,9 @@ func TestSubmitBounded(t *testing.T) {
 		j, err := c.SubmitJob(ctx, "s", tc.req)
 		if got := uploadStatus(err); got != tc.status || (tc.status == 0) != (err == nil) {
 			t.Errorf("%s: %v, want http %d", tc.name, err, tc.status)
+		}
+		if err != nil && !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: %v does not name %q", tc.name, err, tc.names)
 		}
 		if err == nil {
 			if _, err := c.WaitJob(ctx, "s", j.ID); err != nil {

@@ -41,6 +41,8 @@ func TestPatternJSONRoundTrip(t *testing.T) {
 		)},
 		{"eq-double", New(Child("score").WithEq(nested.Double(2.5)))},
 		{"eq-bool", New(Child("flag").WithEq(nested.Bool(true)))},
+		// "eq": null is an equals-null constraint, not an absent one.
+		{"eq-null", New(Child("a").WithEq(nested.Null()))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +53,13 @@ func TestPatternJSONRoundTrip(t *testing.T) {
 				t.Errorf("round trip changed pattern:\nbefore: %s\nafter:  %s", tc.p, got)
 			}
 		})
+	}
+	var p Pattern
+	if err := json.Unmarshal([]byte(`[{"attr":"a","eq":null}]`), &p); err != nil {
+		t.Fatal(err)
+	}
+	if eq := p.Children[0].Eq; eq == nil || eq.Kind() != nested.KindNull {
+		t.Errorf(`{"attr":"a","eq":null} decoded to Eq %v, want the null constraint`, eq)
 	}
 }
 
@@ -81,12 +90,12 @@ func TestPatternJSONMatchesEqually(t *testing.T) {
 
 func TestPatternJSONRejectsMalformed(t *testing.T) {
 	bad := []string{
-		`[{"desc":true}]`,        // node without attr
-		`[{"attr":"x","eq":}]`,   // invalid JSON
-		`{"attr":"x"}`,           // pattern must be an array
-		`[{"attr":"x","lt":{}}]`, // empty item is fine actually? keep: lt of object parses
+		`[{"desc":true}]`,                  // node without attr
+		`[{"attr":"x","eq":}]`,             // invalid JSON
+		`{"attr":"x"}`,                     // pattern must be an array
+		`[{"attr":"x","children":[null]}]`, // a null child is no node
 	}
-	for _, s := range bad[:3] {
+	for _, s := range bad {
 		p := &Pattern{}
 		if err := json.Unmarshal([]byte(s), p); err == nil {
 			t.Errorf("accepted malformed pattern %s", s)

@@ -72,7 +72,8 @@ type DatasetInfo struct {
 //     SimGB scale) or an operator-registered factory;
 //   - Spec: a corpus pipeline spec as JSON (internal/corpus.Spec wire
 //     form). Source steps resolve against the session's uploaded datasets
-//     first, then the spec's inline rows.
+//     first, then the spec's inline rows. A spec that sets shuffleJoin is
+//     refused: a job's joins follow the session's options.
 //
 // Trace jobs (Kind == KindTrace) backtrace a completed pipeline job:
 // TargetJob names it; the question is a tree pattern (Pattern, the
