@@ -78,7 +78,9 @@ figures:
 # The engine layer of the client-path benchmark without the daemon: one plain
 # run of T1–T5 at 8 000 tweets and of D1–D5 at 60 000 / 12 000 records, under
 # the benchmark's collector policy (internal/engine/sweep_test.go); ns/op is
-# engine.plain_run_s of one sweep, B/op its engine.run_alloc_mb.
+# engine.plain_run_s of one sweep, B/op its engine.run_alloc_mb, and T1-ms …
+# D5-ms each scenario's share of the sweep, so one scenario that dominates it
+# shows without a profiler.
 bench-engine:
 	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 5x -benchmem
 
@@ -95,7 +97,8 @@ profile-engine:
 # vs v3 on T5 and D4: encode, lazy scan, full decode, bytes per association
 # row), a capture job's persist (the written stream and its sidecar) and a
 # T1–T5 / D1–D5 capture + WriteTo sweep at the sizes of bench-engine, whose
-# B/row is what one association row costs over a plain sweep.
+# B/row is what one association row costs over a plain sweep (T1-ms … D5-ms:
+# each scenario's capture time).
 bench-capture:
 	go test ./internal/provenance -run '^$$' -bench 'CaptureSink|CollectorFinish' -benchmem
 	go test ./internal/provenance -run '^$$' -bench 'Codec' -benchtime 20x -benchmem

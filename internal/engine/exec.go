@@ -185,21 +185,21 @@ type morselOut struct {
 	busy  time.Duration // row-wise members: time spent in the member's body
 }
 
-// newBinaryOut returns an empty morsel with room for n rows of a join.
+// newBinaryOut returns a morsel of n join rows, which setBinary fills in.
 func newBinaryOut(n int, capture bool) morselOut {
-	m := morselOut{rows: make([]Row, 0, n)}
+	m := morselOut{rows: make([]Row, n), n: n}
 	if capture {
-		m.in1, m.in2 = make([]int64, 0, n), make([]int64, 0, n)
+		m.in1, m.in2 = make([]int64, n), make([]int64, n)
 	}
 	return m
 }
 
-// addBinary appends the result item of the input rows l and r (-1: none).
-func (m *morselOut) addBinary(item nested.Value, l, r int64) {
-	m.rows = append(m.rows, Row{Value: item})
-	m.n++
+// setBinary writes row i: the result item of the input rows l and r (-1:
+// none).
+func (m *morselOut) setBinary(i int, item nested.Value, l, r int64) {
+	m.rows[i].Value = item
 	if m.in1 != nil {
-		m.in1, m.in2 = append(m.in1, l), append(m.in2, r)
+		m.in1[i], m.in2[i] = l, r
 	}
 }
 
@@ -590,21 +590,51 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 	}
 	rightSchema := nested.NewShape(topLevelSchema(right)...)
 	capture := e.opts.Sink != nil
-	outs := make([]morselOut, nParts)
+	// Pass 1 per bucket, then pass 2 per chunk: one morsel list over every
+	// bucket's chunks, bucket-major, so the first error by morsel index is
+	// the first bucket's first.
+	plans := make([]bucketJoin, e.opts.Partitions)
 	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		out, err := joinBucket(lb[part], rb[part], o.leftOuter, rightSchema, capture)
-		outs[part] = out
-		return err
+		plans[part] = planJoinBucket(lb[part], rb[part], o.leftOuter, rightSchema, capture, joinChunkMatches)
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for part := range plans {
+		n += plans[part].chunks()
+	}
+	tasks := make([][2]int32, 0, n) // (bucket, chunk)
+	for part := range plans {
+		for c := range plans[part].chunks() {
+			tasks = append(tasks, [2]int32{int32(part), int32(c)})
+		}
+	}
+	err = e.forEachPartition(len(tasks), func(i int) error {
+		return plans[tasks[i][0]].emit(int(tasks[i][1]))
+	})
+	outs := make([]morselOut, nParts)
+	for part := range plans {
+		outs[part] = plans[part].out
+	}
 	if err != nil || !o.leftOuter {
 		return outs, err
 	}
 	// Left rows with null join keys were dropped by the shuffle, which
 	// marked them -1, but must survive a left outer join.
 	err = e.forEachPartition(len(left.Partitions), func(part int) error {
-		out := newBinaryOut(0, capture) // null-key rows are rare
+		marks := leftMarks[part]
+		n := 0
+		for _, b := range marks {
+			if b < 0 {
+				n++
+			}
+		}
+		out := newBinaryOut(n, capture)
 		var memo shapeMemo
-		for i, b := range leftMarks[part] {
+		at := 0
+		for i, b := range marks {
 			if b >= 0 {
 				continue
 			}
@@ -613,7 +643,8 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 			if err != nil {
 				return err
 			}
-			out.addBinary(item, r.ID, -1)
+			out.setBinary(at, item, r.ID, -1)
+			at++
 		}
 		outs[e.opts.Partitions+part] = out
 		return nil

@@ -9,20 +9,28 @@ import (
 
 // Hash-join build/probe (DESIGN.md §13). The build side fills a keyTable —
 // flat open addressing on (cached shuffle hash, normalized key bytes) — and
-// probing runs in two passes per morsel: pass 1 resolves each probe row's
-// group once and sizes the output exactly (match count and total stitched
-// fields, from the per-group row and field sums maintained at build time);
-// pass 2 emits matches in probe-major, chain-insertion order, stitching
-// left/right attribute values into one flat value arena instead of one
-// allocation per match. The arena is allocated exactly once per morsel and
-// retained by the output items (Shape.Item keeps the slice); each match
-// takes a capacity-limited subslice.
+// probing runs in two passes: pass 1 resolves each probe row's group once
+// and sizes the output exactly (match count and total stitched fields, from
+// the per-group row and field sums maintained at build time); pass 2 emits
+// matches in probe-major, chain-insertion order, stitching left/right
+// attribute values into one flat value arena instead of one allocation per
+// match. The arena is allocated once per pass-2 morsel and retained by the
+// output items (Shape.Item keeps the slice); each match takes a
+// capacity-limited subslice.
+//
+// A shuffle bucket's probe rows are cut in pass 1 into chunks of about
+// joinChunkMatches matches, and every chunk is a pass-2 morsel of its own: a
+// hot key's bucket runs on every worker rather than on one. The chunks write
+// disjoint, precomputed ranges of the bucket's one output, so the rows, their
+// order and the ids are those of one morsel; where the cuts fall depends on
+// the bucket alone, never on Options.Workers.
 //
 // Error contract: the join's shape rules — both inputs data items, attribute
 // names disjoint — are looked at per match in emission order (the second
-// answered from the morsel's shapeMemo, once per pair of shapes), so the
-// first error of a bucket is the one a row-at-a-time nested-loop join over
-// the same bucket reports (pinned by reference_test.go).
+// answered from the chunk's shapeMemo, once per pair of shapes), so the
+// first error of a bucket — that of its first failing chunk — is the one a
+// row-at-a-time nested-loop join over the same bucket reports (pinned by
+// reference_test.go).
 
 // stitch writes the attribute values of the join result r = ⟨i, j⟩ — those
 // of both items concatenated — to the front of arena and returns the result
@@ -42,70 +50,150 @@ func stitch(memo *shapeMemo, arena []nested.Value, l, r *nested.Value) (nested.V
 	return d.shape.Item(arena[:n:n]...), nil
 }
 
-// joinBucket joins one shuffle bucket, building on the left and probing with
-// the right. Bucket contents arrive in sequence order (the shuffle merge is
-// partition-major), so outputs are ordered by (right seq, left seq) and chain
-// order equals left sequence order by construction.
-func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool) (morselOut, error) {
-	t := newKeyTable(len(lrows))
-	for i, kr := range lrows {
-		t.insert(kr.hash, kr.key, int32(i), int32(kr.row.Value.NumFields()))
-	}
-	groupOf := make([]int32, len(rrows)) // pass 1: each probe row's group, or -1
-	var matched []bool                   // left outer: build rows that matched
+// joinChunkMatches is the match count at which pass 1 cuts a shuffle
+// bucket's probe rows into the next chunk. A probe row is never split, so a
+// chunk holds at least this many matches unless it is the bucket's last, and
+// at most this many plus one probe row's chain.
+const joinChunkMatches = 1 << 14
+
+// bucketJoin is one shuffle bucket after pass 1, building on the left and
+// probing with the right: the build table, every probe row's group, the
+// chunks pass 2 runs and the bucket's output, sized for all of them. Bucket
+// contents arrive in sequence order (the shuffle merge is partition-major),
+// so outputs are ordered by (right seq, left seq) and chain order equals
+// left sequence order by construction.
+type bucketJoin struct {
+	lrows, rrows []keyedRow
+	t            keyTable
+	groupOf      []int32 // each probe row's group, or -1
+	unmatched    []int32 // left outer: the build rows of groups no probe row resolved to
+	rightSchema  *nested.Shape
+	memo         shapeMemo   // what every chunk's memo starts from
+	cut          []joinChunk // the chunks before the last: nil unless pass 1 cut
+	last         joinChunk
+	out          morselOut
+}
+
+// joinChunk is a run of a bucket's probe rows that pass 2 stitches as one
+// morsel.
+type joinChunk struct {
+	lo, hi int // probe rows [lo, hi)
+	at     int // the output row of its first match
+	fields int // the values its matches stitch: its arena's length
+}
+
+// planJoinBucket is pass 1 of one shuffle bucket: it builds the table,
+// resolves the probe rows, cuts them into chunks of maxMatches matches and
+// sizes the output. A left outer join marks the groups that a probe row
+// resolved to and lists the build rows of the others, in build order; the
+// bucket's last chunk emits them after its matches, so their errors come
+// after those of every match, as in the nested loop.
+func planJoinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool, maxMatches int) bucketJoin {
+	b := bucketJoin{lrows: lrows, rrows: rrows, t: *newKeyTable(len(lrows)), groupOf: make([]int32, len(rrows)), rightSchema: rightSchema}
+	var leftGroup []int32 // left outer: each build row's group
+	var matched []bool    // left outer: per group, whether a probe row resolved to it
 	if leftOuter {
-		matched = make([]bool, len(lrows))
+		leftGroup, matched = make([]int32, len(lrows)), make([]bool, len(lrows))
+	}
+	for i, kr := range lrows {
+		g := b.t.insert(kr.hash, kr.key, int32(i), int32(kr.row.Value.NumFields()))
+		if leftGroup != nil {
+			leftGroup[i] = g
+		}
 	}
 	var keyBuf []byte
-	matches, totalFields := 0, 0
+	lo, at, n, fields := 0, 0, 0, 0 // the open chunk: first probe row, first output row, matches, fields
 	for i, kr := range rrows {
 		keyBuf = kr.key.AppendNorm(keyBuf[:0])
-		g := t.lookup(kr.hash, keyBuf)
-		groupOf[i] = g
+		g := b.t.lookup(kr.hash, keyBuf)
+		b.groupOf[i] = g
 		if g < 0 {
 			continue
 		}
-		matches += int(t.count[g])
-		totalFields += int(t.fields[g]) + int(t.count[g])*kr.row.Value.NumFields()
+		if matched != nil {
+			matched[g] = true
+		}
+		n += int(b.t.count[g])
+		fields += int(b.t.fields[g]) + int(b.t.count[g])*kr.row.Value.NumFields()
+		if n >= maxMatches {
+			b.cut = append(b.cut, joinChunk{lo: lo, hi: i + 1, at: at, fields: fields})
+			lo, at, n, fields = i+1, at+n, 0, 0
+		}
 	}
-	out := newBinaryOut(matches, capture)
-	arena := make([]nested.Value, totalFields) // retained by the output items
-	var memo shapeMemo
-	for i := range rrows {
-		g := groupOf[i]
+	b.last = joinChunk{lo: lo, hi: len(rrows), at: at, fields: fields}
+	if n == 0 && len(b.cut) > 0 {
+		// No match after the last cut: its chunk takes the remaining rows.
+		b.cut, b.last = b.cut[:len(b.cut)-1], b.cut[len(b.cut)-1]
+		b.last.hi = len(rrows)
+	}
+	if len(b.cut) > 0 {
+		// Every chunk's memo starts from the shape of one match — the probe
+		// row that closed the first chunk — so that the bucket's rows share
+		// it, as one morsel's would.
+		i := b.cut[0].hi - 1
+		l, r := b.lrows[b.t.head[b.groupOf[i]]].row.Value, rrows[i].row.Value
+		if l.Kind() == nested.KindItem && r.Kind() == nested.KindItem {
+			b.memo.joined(l.Shape(), r.Shape())
+		}
+	}
+	for bi, g := range leftGroup {
+		if !matched[g] {
+			b.unmatched = append(b.unmatched, int32(bi))
+		}
+	}
+	b.out = newBinaryOut(at+n+len(b.unmatched), capture)
+	return b
+}
+
+// chunks returns the number of chunks pass 1 cut the probe rows into.
+func (b *bucketJoin) chunks() int { return len(b.cut) + 1 }
+
+// emit is pass 2 of chunk c: it stitches the chunk's matches into an arena
+// of its own, with a copy of the bucket's shapeMemo, and writes them to the chunk's
+// range of the bucket's output; the last chunk then writes the unmatched
+// build rows of a left outer join. Beside their disjoint output ranges,
+// chunks only read what pass 1 built, so a bucket's chunks run concurrently.
+func (b *bucketJoin) emit(c int) error {
+	ch := b.last
+	if c < len(b.cut) {
+		ch = b.cut[c]
+	}
+	arena := make([]nested.Value, ch.fields) // retained by the output items
+	memo := b.memo
+	at := ch.at
+	for i := ch.lo; i < ch.hi; i++ {
+		g := b.groupOf[i]
 		if g < 0 {
 			continue
 		}
-		r := &rrows[i].row
-		for bi := t.head[g]; bi >= 0; bi = t.next[bi] {
-			l := &lrows[bi].row
+		r := &b.rrows[i].row
+		for bi := b.t.head[g]; bi >= 0; bi = b.t.next[bi] {
+			l := &b.lrows[bi].row
 			item, err := stitch(&memo, arena, &l.Value, &r.Value)
 			if err != nil {
-				return morselOut{}, err
+				return err
 			}
 			arena = arena[item.NumFields():]
-			if matched != nil {
-				matched[bi] = true
-			}
-			out.addBinary(item, l.ID, r.ID)
+			b.out.setBinary(at, item, l.ID, r.ID)
+			at++
 		}
 	}
-	if leftOuter {
-		// Unmatched left rows survive with null right attributes; rows whose
-		// key is null never reached this bucket (execJoin handles them per
-		// left partition).
-		for bi, kr := range lrows {
-			if matched[bi] {
-				continue
-			}
-			item, err := concatWithNulls(&memo, kr.row.Value, rightSchema)
-			if err != nil {
-				return morselOut{}, err
-			}
-			out.addBinary(item, kr.row.ID, -1)
-		}
+	if c < len(b.cut) {
+		return nil
 	}
-	return out, nil
+	// Unmatched left rows survive with null right attributes; rows whose key
+	// is null never reached this bucket (execJoin handles them per left
+	// partition).
+	for _, bi := range b.unmatched {
+		l := &b.lrows[bi].row
+		item, err := concatWithNulls(&memo, l.Value, b.rightSchema)
+		if err != nil {
+			return err
+		}
+		b.out.setBinary(at, item, l.ID, -1)
+		at++
+	}
+	return nil
 }
 
 // ---- broadcast join ----
@@ -185,7 +273,8 @@ func broadcastBuild(t *keyTable, bk shuffleKey, buildDS *Dataset) ([]keyedRow, e
 }
 
 // broadcastProbe probes the shared build table with one probe partition.
-// Same two-pass shape as joinBucket, with the left/right orientation of
+// Same two passes as a shuffle bucket's join, in one morsel (the probe side
+// is an input partition, not a key's bucket), with the left/right orientation of
 // output rows decided by which side was built. valueHash is called exactly
 // once per non-null probe key; the count is returned for the recorder.
 func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested.Value, buildLeft, capture bool) (morselOut, int, error) {
@@ -212,6 +301,7 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 	out := newBinaryOut(matches, capture)
 	arena := make([]nested.Value, totalFields) // retained by the output items
 	var memo shapeMemo
+	at := 0
 	for i := range rows {
 		g := groupOf[i]
 		if g < 0 {
@@ -227,7 +317,8 @@ func broadcastProbe(t *keyTable, buildRows []keyedRow, rows []Row, keys []nested
 				return morselOut{}, 0, err
 			}
 			arena = arena[item.NumFields():]
-			out.addBinary(item, l.ID, r.ID)
+			out.setBinary(at, item, l.ID, r.ID)
+			at++
 		}
 	}
 	return out, hashed, nil

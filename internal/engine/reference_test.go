@@ -590,27 +590,130 @@ func joinShapes() []joinShape {
 	}
 }
 
+// joinBucket joins one shuffle bucket as execJoin does — pass 1, then pass 2
+// of every chunk — with the probe rows cut at maxMatches matches. It runs the
+// chunks last to first, so that a chunk reading what an earlier one wrote
+// would show, and reports the first error by chunk index, as
+// forEachPartition does.
+func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool, maxMatches int) (morselOut, error) {
+	b := planJoinBucket(lrows, rrows, leftOuter, rightSchema, capture, maxMatches)
+	var first error
+	for c := b.chunks() - 1; c >= 0; c-- {
+		if err := b.emit(c); err != nil {
+			first = err
+		}
+	}
+	return b.out, first
+}
+
 func TestJoinBucketMatchesReference(t *testing.T) {
 	for _, sh := range joinShapes() {
 		for _, nl := range refSizes {
 			for _, nr := range refSizes {
-				t.Run(fmt.Sprintf("%s/l=%d/r=%d", sh.name, nl, nr), func(t *testing.T) {
-					lvals := joinSide(nl, "lk", "lv", sh.mutL)
-					rvals := joinSide(nr, sh.rKey, sh.rPayload, sh.mutR)
-					lKey, rKey := sh.keys()
-					lrows := shuffleOne(t, lvals, 1, exprShuffleKey(lKey), false)
-					rrows := shuffleOne(t, rvals, 100000, exprShuffleKey(rKey), false)
-					schema := []string{sh.rKey, sh.rPayload}
-					got := renderOut(joinBucket(lrows, rrows, sh.leftOuter, nested.NewShape(schema...), true))
-					want := renderPending(joinBucketRef(lrows, rrows, sh.leftOuter, schema))
-					if got != want {
-						t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
+				for _, maxMatches := range []int{joinChunkMatches, 1} {
+					name := fmt.Sprintf("%s/l=%d/r=%d", sh.name, nl, nr)
+					if maxMatches != joinChunkMatches {
+						name += fmt.Sprintf("/cut=%d", maxMatches)
 					}
-					if sh.wantErr != "" && nl > 0 && (nr > 0 || sh.leftOuter) && !strings.Contains(got, sh.wantErr) {
-						t.Fatalf("want error containing %q, got %s", sh.wantErr, head(got))
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						lvals := joinSide(nl, "lk", "lv", sh.mutL)
+						rvals := joinSide(nr, sh.rKey, sh.rPayload, sh.mutR)
+						lKey, rKey := sh.keys()
+						lrows := shuffleOne(t, lvals, 1, exprShuffleKey(lKey), false)
+						rrows := shuffleOne(t, rvals, 100000, exprShuffleKey(rKey), false)
+						schema := []string{sh.rKey, sh.rPayload}
+						got := renderOut(joinBucket(lrows, rrows, sh.leftOuter, nested.NewShape(schema...), true, maxMatches))
+						want := renderPending(joinBucketRef(lrows, rrows, sh.leftOuter, schema))
+						if got != want {
+							t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
+						}
+						if sh.wantErr != "" && nl > 0 && (nr > 0 || sh.leftOuter) && !strings.Contains(got, sh.wantErr) {
+							t.Fatalf("want error containing %q, got %s", sh.wantErr, head(got))
+						}
+					})
+				}
 			}
+		}
+	}
+}
+
+// TestJoinBucketSplitsHotKey joins a bucket whose hot key has 100 build rows
+// and 200 probe rows, 20 000 matches, beside cold keys, some of whose build
+// rows match nothing: at joinChunkMatches the probe rows fall into two chunks
+// (the first ends at probe row 198), at 1 into one per probe row. Rows, ids
+// and the error — a non-item or clashing probe row past the first cut, an
+// unmatched non-item build row in the left outer tail — must be the
+// nested-loop reference's, and the matches of every chunk share one shape.
+func TestJoinBucketSplitsHotKey(t *testing.T) {
+	const hot, past = 7, 230
+	side := func(n int, firstID int64, kName, payload string, keyOf func(i int) int64, mut map[int]nested.Value) []keyedRow {
+		rows, shape := make([]keyedRow, n), nested.NewShape(kName, payload)
+		for i := range rows {
+			k := nested.Int(keyOf(i))
+			v := shape.Item(k, nested.Int(int64(i)))
+			if m, ok := mut[i]; ok {
+				v = m
+			}
+			rows[i] = keyedRow{row: Row{ID: firstID + int64(i), Value: v}, key: k, hash: valueHash(k), seq: i}
+		}
+		return rows
+	}
+	// 300 build rows: a third on the hot key, a third on a key of their own
+	// that no probe row has, a third on one of ten cold keys. 250 probe rows:
+	// every fifth on a cold key (4 or 9, ten build rows each), the others hot.
+	lkey := func(i int) int64 {
+		switch i % 3 {
+		case 1:
+			return hot
+		case 2:
+			return 1000 + int64(i)
+		}
+		return int64(i % 10)
+	}
+	rkey := func(i int) int64 {
+		if i%5 == 4 {
+			return int64(i % 10)
+		}
+		return hot
+	}
+	bare := nested.StringVal("bare")
+	clash := nested.Item(nested.F("rk", nested.Int(hot)), nested.F("lv", nested.Int(0)))
+	cases := []struct {
+		name       string
+		leftOuter  bool
+		mutL, mutR map[int]nested.Value
+		wantErr    string
+	}{
+		{name: "inner"},
+		{name: "left-outer", leftOuter: true},
+		{name: "probe-non-item", mutR: map[int]nested.Value{past: bare}, wantErr: "got item and string"},
+		{name: "probe-clash", mutR: map[int]nested.Value{past: clash}, wantErr: `attribute "lv" exists on both sides`},
+		{name: "left-outer-probe-clash", leftOuter: true, mutR: map[int]nested.Value{past: clash}, wantErr: `attribute "lv" exists on both sides`},
+		{name: "left-outer-unmatched-non-item", leftOuter: true, mutL: map[int]nested.Value{5: bare}, wantErr: "must be data items, got string"},
+		{name: "left-outer-match-error-first", leftOuter: true, mutL: map[int]nested.Value{5: bare}, mutR: map[int]nested.Value{past: clash}, wantErr: `attribute "lv" exists on both sides`},
+	}
+	for _, tc := range cases {
+		lrows := side(300, 1, "lk", "lv", lkey, tc.mutL)
+		rrows := side(250, 100000, "rk", "rv", rkey, tc.mutR)
+		want := renderPending(joinBucketRef(lrows, rrows, tc.leftOuter, []string{"rk", "rv"}))
+		for _, maxMatches := range []int{1, 1000, joinChunkMatches} {
+			t.Run(fmt.Sprintf("%s/cut=%d", tc.name, maxMatches), func(t *testing.T) {
+				if b := planJoinBucket(lrows, rrows, tc.leftOuter, nil, false, maxMatches); len(b.cut) == 0 || b.cut[0].hi > past {
+					t.Fatalf("chunks %v, %v: the hot key no longer spans several, or row %d is in the first", b.cut, b.last, past)
+				}
+				out, err := joinBucket(lrows, rrows, tc.leftOuter, nested.NewShape("rk", "rv"), true, maxMatches)
+				if got := renderOut(out, err); got != want {
+					t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
+				}
+				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) || tc.wantErr == "" && err != nil {
+					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
+				}
+				for i, r := range out.rows {
+					if err == nil && out.in2[i] >= 0 && r.Value.Shape() != out.rows[0].Value.Shape() {
+						t.Fatalf("match %d does not share the shape of match 0: the chunks derive their own", i)
+					}
+				}
+			})
 		}
 	}
 }
@@ -640,7 +743,7 @@ func TestJoinBucketNonItemRows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := renderOut(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, nested.NewShape("r"), true))
+			got := renderOut(joinBucket(tc.lrows, tc.rrows, tc.leftOuter, nested.NewShape("r"), true, joinChunkMatches))
 			want := renderPending(joinBucketRef(tc.lrows, tc.rrows, tc.leftOuter, []string{"r"}))
 			if got != want {
 				t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", got, want)

@@ -79,18 +79,25 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 	return nil
 }
 
-// forEachPartition runs f for every logical partition index as morsels on
-// the worker pool (inline when there is none) and returns the first error. A
-// morsel may chunk its rows internally (the filter kernel's column batches,
-// the aggregate's accumulation chunks) and allocates its kernel scratch per
-// call; only a stage's inner members draw theirs from the per-worker stage
-// scratch pool. The morsel is still the unit of scheduling and of
+// forEachPartition runs f for every morsel index — a logical partition, or
+// a chunk of one shuffle join bucket — on the worker pool (inline when there
+// is none) and returns the first error by index. A morsel may chunk its rows
+// internally (the filter kernel's column batches, the aggregate's
+// accumulation chunks) and allocates its kernel scratch per call; only a
+// stage's inner members draw theirs from the per-worker stage scratch pool.
+// The morsel is the unit of scheduling; a logical partition is the unit of
 // capture-sink handles.
 //
 // This is the engine's cancellation checkpoint: a morsel only starts while
 // the executor's context is live, so a cancelled job stops scheduling new
-// morsels here (in-flight morsels run to completion — they are small by
-// construction). A panic in f is the morsel's error (Recover).
+// morsels here (in-flight morsels run to completion). Morsels are small by
+// construction: a logical partition of a dataset holds its share of the
+// rows, and a shuffle join's pass-2 morsel stitches fewer than
+// joinChunkMatches matches plus one probe row's chain (and, in a bucket's
+// last chunk, its unmatched build rows), however hot its key; an aggregate
+// bucket, one accumulator per group, is the morsel a key's skew still
+// enlarges. A panic in f is the
+// morsel's error (Recover).
 func (e *executor) forEachPartition(n int, f func(part int) error) error {
 	g := func(part int) (err error) {
 		defer Recover(&err)

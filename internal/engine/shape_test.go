@@ -168,7 +168,9 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 		{"dblp/select", nr, func() (morselOut, error) { return selectMorsel(recordSel, recordSS, records, d) }},
 		{"dblp/map", nr, func() (morselOut, error) { return mapMorsel(identity, records, d) }},
 		{"dblp/flatten", nr, func() (morselOut, error) { return flattenMorsel(path.New("authors"), "author", records, d, false) }},
-		{"dblp/join", nr + len(venues), func() (morselOut, error) { return joinBucket(venueKeys, recordKeys, false, recordShape, true) }},
+		{"dblp/join", nr + len(venues), func() (morselOut, error) {
+			return joinBucket(venueKeys, recordKeys, false, recordShape, true, joinChunkMatches)
+		}},
 		{"dblp/broadcast-join", nr, broadcast},
 		{"dblp/aggregate", nr, func() (morselOut, error) { return aggBucket(agg, aggShape, groups[0], true) }},
 		{"dblp/union", 2 * nr, func() (morselOut, error) {
@@ -184,7 +186,7 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 			return flattenMorsel(path.New("user_mentions"), "mention", tweets, d, false)
 		}},
 		{"twitter/join", nt + len(profiles), func() (morselOut, error) {
-			return joinBucket(profileKeys, tweetKeys, false, tweetShape, true)
+			return joinBucket(profileKeys, tweetKeys, false, tweetShape, true, joinChunkMatches)
 		}},
 	}
 }
@@ -272,7 +274,7 @@ func TestAggregateSharesShapes(t *testing.T) {
 // share one shape per left shape, right attributes null.
 func TestLeftOuterNullSideSharesShapes(t *testing.T) {
 	records, _ := recordRows(300)
-	out, err := joinBucket(keyed(t, records, "key"), nil, true, venueShape, true)
+	out, err := joinBucket(keyed(t, records, "key"), nil, true, venueShape, true, joinChunkMatches)
 	if err != nil || out.n != 300 {
 		t.Fatalf("%d rows, %v", out.n, err)
 	}

@@ -382,6 +382,82 @@ func TestStageErrorOrderIsPlanOrder(t *testing.T) {
 	}
 }
 
+// TestSkewedJoinMatchesReference: a shuffle join whose hot key has 100 build
+// rows and 200 probe rows puts 20 000 matches into one bucket, which the join
+// cuts into two chunks, the first ending at probe row 203. On one worker
+// and on four, where either chunk may finish first, the run equals the
+// reference executor's; with a clashing probe row planted in the second chunk
+// it fails with the reference's error, and with another in the first chunk
+// too, with the first chunk's. CI runs it twenty times under the race
+// detector.
+func TestSkewedJoinMatchesReference(t *testing.T) {
+	input := func(planted map[int]string) map[string]*Dataset {
+		var users, mentions []nested.Value
+		for i := 0; i < 150; i++ {
+			uid := "hot"
+			if i%3 == 2 {
+				uid = fmt.Sprint("u", i)
+			}
+			users = append(users, nested.Item(nested.F("uid", nested.StringVal(uid)), nested.F("uname", nested.Int(int64(i)))))
+		}
+		for i := 0; i < 250; i++ {
+			author := "hot"
+			if i%5 == 4 {
+				author = fmt.Sprint("u", i)
+			}
+			v := nested.Item(nested.F("author", nested.StringVal(author)), nested.F("txt", nested.Int(int64(i))))
+			if name, ok := planted[i]; ok { // a hot row whose payload clashes
+				v = nested.Item(nested.F("author", nested.StringVal("hot")), nested.F(name, nested.Int(int64(i))))
+			}
+			mentions = append(mentions, v)
+		}
+		gen := NewIDGen(1)
+		// One mentions partition: the bucket's probe rows keep their order.
+		return map[string]*Dataset{"users": NewDataset("users", users, 3, gen), "mentions": NewDataset("mentions", mentions, 1, gen)}
+	}
+	build := func() *Pipeline {
+		p := NewPipeline()
+		p.Join(p.Source("users"), p.Source("mentions"), Col("uid"), Col("author"))
+		return p
+	}
+	cases := []struct {
+		name    string
+		planted map[int]string
+		wantErr string
+	}{
+		{"no-error", nil, ""},
+		{"second-chunk", map[int]string{230: "uid"}, `attribute "uid" exists on both sides`},
+		{"both-chunks", map[int]string{100: "uname", 230: "uid"}, `attribute "uname" exists on both sides`},
+	}
+	for _, tc := range cases {
+		opts := Options{Partitions: 4, BroadcastJoinThreshold: -1}
+		refSink := newRecordingSink()
+		ref, refErr := runReference(build(), input(tc.planted), Options{Partitions: 4, BroadcastJoinThreshold: -1, Sink: refSink})
+		if tc.wantErr == "" && refErr != nil || tc.wantErr != "" && (refErr == nil || !strings.Contains(refErr.Error(), tc.wantErr)) {
+			t.Fatalf("%s: the reference reports %v, want %q", tc.name, refErr, tc.wantErr)
+		}
+		for _, workers := range []int{1, 4} {
+			sink := newRecordingSink()
+			opts.Workers, opts.Sink = workers, sink
+			res, err := Run(build(), input(tc.planted), opts)
+			switch {
+			case refErr != nil:
+				if err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("%s workers %d: got %v, want %v", tc.name, workers, err, refErr)
+				}
+			case err != nil:
+				t.Fatalf("%s workers %d: %v", tc.name, workers, err)
+			case res.Output.Len() < joinChunkMatches:
+				t.Fatalf("%d rows: the hot bucket no longer spans two chunks", res.Output.Len())
+			default:
+				if got, want := renderRun(res, sink), renderRun(ref, refSink); got != want {
+					t.Fatalf("%s workers %d: run differs from the reference at %s", tc.name, workers, firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
 // TestStraddledStageCompletionOrders: stage 2 5 straddles stage 3 4 in plan
 // order, and either may finish computing first. The first row of one stage's
 // last map waits until the other stage's last map has taken every row, so

@@ -4,7 +4,10 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"pebble/internal/engine"
 	"pebble/internal/provenance"
@@ -64,20 +67,34 @@ func eachSweep(b *testing.B, body func(b *testing.B, scs []workload.Scenario, in
 	}
 }
 
+// reportScenarios reports every scenario's share of a sweep, as the metric
+// "<scenario>-ms" per sweep: one scenario that takes half the sweep shows
+// without a profiler.
+func reportScenarios(b *testing.B, scs []workload.Scenario, took []time.Duration) {
+	for k, sc := range scs {
+		b.ReportMetric(float64(took[k].Microseconds())/1000/float64(b.N), sc.Name+"-ms")
+	}
+}
+
 // BenchmarkEngineSweep is engine.plain_run_s and engine.run_alloc_mb without
-// the daemon: one plain run of every scenario. `make bench-engine`.
+// the daemon: one plain run of every scenario, and each scenario's time.
+// `make bench-engine`.
 func BenchmarkEngineSweep(b *testing.B) {
 	eachSweep(b, func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset) {
+		took := make([]time.Duration, len(scs))
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			runtime.GC()
 			b.StartTimer()
-			for _, sc := range scs {
+			for k, sc := range scs {
+				start := time.Now()
 				if _, err := engine.Run(sc.Build(), inputs[sc.Name], engine.Options{}); err != nil {
 					b.Fatal(err)
 				}
+				took[k] += time.Since(start)
 			}
 		}
+		reportScenarios(b, scs, took)
 	})
 }
 
@@ -87,11 +104,13 @@ func BenchmarkEngineSweep(b *testing.B) {
 // before its artifact exists. rows is the association rows the sweep
 // captured; B/row is what one of them costs in allocation: the sweep's bytes
 // less those of a plain sweep (provenance.capture_alloc_mb, with the encode),
-// per row. `make bench-capture`.
+// per row; each scenario's capture time is reported beside them. `make
+// bench-capture`.
 func BenchmarkCaptureSweep(b *testing.B) {
 	eachSweep(b, func(b *testing.B, scs []workload.Scenario, inputs map[string]map[string]*engine.Dataset) {
 		var rows int
 		var allocated uint64 // by the capture sweeps, less the plain ones
+		took := make([]time.Duration, len(scs))
 		sweepBytes := func(timed bool, run func(sc workload.Scenario)) uint64 {
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -99,8 +118,12 @@ func BenchmarkCaptureSweep(b *testing.B) {
 			if timed {
 				b.StartTimer()
 			}
-			for _, sc := range scs {
+			for k, sc := range scs {
+				start := time.Now()
 				run(sc)
+				if timed {
+					took[k] += time.Since(start)
+				}
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
@@ -129,13 +152,16 @@ func BenchmarkCaptureSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(rows)/float64(b.N), "rows")
 		b.ReportMetric(float64(allocated)/float64(rows), "B/row")
+		reportScenarios(b, scs, took)
 	})
 }
 
 // TestScenariosStayLean is the allocation guard of whole runs: T2 and T4 at
-// 2 000 tweets, T5 at 2 000 tweets, D1 and D5 at 6 000 records, on one worker
-// with every join shuffled (T2 and T4 have none), each measured per input row
-// against two budgets, plus 15 %.
+// 2 000 tweets, T5 at 2 000 and at 8 000 tweets, D1 and D5 at 6 000 records,
+// on one worker with every join shuffled (T2 and T4 have none), each measured
+// per input row against two budgets, plus 15 %. T5's hot join bucket holds
+// 296 738 matches at 8 000 tweets, which the join cuts into 18 chunks
+// (join_vector.go), and 21 465 in 2 chunks at 2 000.
 //
 //   - Bytes: what the run allocated once unary chains stopped materialising
 //     their inner operators (T2 / T4: 1 393 / 4 090; 9 230 / 14 200 before)
@@ -143,9 +169,12 @@ func BenchmarkCaptureSweep(b *testing.B) {
 //     shapes were shared (T5 / D1 / D5: 4 961 / 383 / 1 208; 5 285 / 447 /
 //     1 918 before). Materialising one inner flatten again, writing keyed
 //     rows twice or deriving a shape per row costs more than the margin.
-//   - Allocations: a handful per morsel and per operator. One more allocation
-//     per row, however small, adds at least 1 — which the byte budget, at a
-//     few percent of a row's bytes, would miss.
+//     T5 at 8 000 tweets: 13 622, where one morsel per bucket took 13 611.
+//   - Allocations: a handful per morsel and per operator; a join chunk is a
+//     morsel, with its arena (T5 at 8 000 tweets: 0.186; 0.183 at one morsel
+//     per bucket). One more allocation per row,
+//     however small, adds at least 1 — which the byte budget, at a few
+//     percent of a row's bytes, would miss.
 func TestScenariosStayLean(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops the stage scratch at random under the race detector")
@@ -156,32 +185,38 @@ func TestScenariosStayLean(t *testing.T) {
 	// the run allocate its scratch again.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	inputs := map[string]map[string]*engine.Dataset{
-		"twitter": workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: tweets, Seed: 42}, engine.DefaultPartitions),
-		"dblp":    workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: records, Seed: 42}, engine.DefaultPartitions),
-	}
 	scs := map[string]workload.Scenario{}
 	for _, sc := range append(workload.TwitterScenarios(), workload.DBLPScenarios()...) {
 		scs[sc.Name] = sc
 	}
 	for _, row := range []struct {
-		scenario      string
+		name          string  // the scenario, then "@" and its input rows where not the default
 		bytes, allocs float64 // per input row, before the margin
 	}{
 		{"T2", 1393, 0.168},
 		{"T4", 4090, 0.483},
 		{"T5", 4961, 0.597},
+		{"T5@8000", 13622, 0.186},
 		{"D1", 383, 0.297},
 		{"D5", 1208, 1.282},
 	} {
-		t.Run(row.scenario, func(t *testing.T) {
-			sc := scs[row.scenario]
-			rows := tweets
-			if sc.Dataset == "dblp" {
-				rows = records
+		t.Run(row.name, func(t *testing.T) {
+			scenario, n, _ := strings.Cut(row.name, "@")
+			sc := scs[scenario]
+			rows, in := tweets, func(n int) map[string]*engine.Dataset {
+				return workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: n, Seed: 42}, engine.DefaultPartitions)
 			}
+			if sc.Dataset == "dblp" {
+				rows, in = records, func(n int) map[string]*engine.Dataset {
+					return workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: n, Seed: 42}, engine.DefaultPartitions)
+				}
+			}
+			if n != "" {
+				rows, _ = strconv.Atoi(n)
+			}
+			inputs := in(rows)
 			run := func() {
-				if _, err := engine.Run(sc.Build(), inputs[sc.Dataset], engine.Options{Workers: 1, BroadcastJoinThreshold: -1}); err != nil {
+				if _, err := engine.Run(sc.Build(), inputs, engine.Options{Workers: 1, BroadcastJoinThreshold: -1}); err != nil {
 					t.Fatal(err)
 				}
 			}
