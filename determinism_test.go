@@ -176,8 +176,9 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 // TestSkewedJoinDeterminismAcrossWorkers: a shuffle join whose hot key has
 // 100 build rows and 200 probe rows puts 20 000 matches into one bucket,
 // more than a join morsel takes, so the bucket's probe rows are cut into
-// chunks that run on every worker. At Workers 1, 2 and 4, inner and left
-// outer, a plain run and every capture mode must give the same results,
+// chunks that run on every worker; so does a broadcast join with one probe
+// partition. At Workers 1, 2 and 4, inner and left outer, shuffled and
+// broadcast, a plain run and every capture mode must give the same results,
 // identifiers and captured runs.
 func TestSkewedJoinDeterminismAcrossWorkers(t *testing.T) {
 	var users, mentions []nested.Value
@@ -202,9 +203,19 @@ func TestSkewedJoinDeterminismAcrossWorkers(t *testing.T) {
 			"mentions": engine.NewDataset("mentions", mentions, 3, gen),
 		}
 	}
-	for _, leftOuter := range []bool{false, true} {
+	shuffled := engine.Options{Partitions: 4, BroadcastJoinThreshold: -1}
+	for _, v := range []struct {
+		name      string
+		leftOuter bool
+		opts      engine.Options
+	}{
+		{"skewed/leftOuter=false", false, shuffled},
+		{"skewed/leftOuter=true", true, shuffled},
+		{"skewed/broadcast", false, engine.Options{Partitions: 1}}, // one probe partition holds every hot probe row
+	} {
+		leftOuter := v.leftOuter
 		sc := workload.Scenario{
-			Name: fmt.Sprintf("skewed/leftOuter=%v", leftOuter),
+			Name: v.name,
 			Build: func() *engine.Pipeline {
 				p := engine.NewPipeline()
 				l, r := p.Source("users"), p.Source("mentions")
@@ -219,7 +230,9 @@ func TestSkewedJoinDeterminismAcrossWorkers(t *testing.T) {
 		}
 		t.Run(sc.Name, func(t *testing.T) {
 			opts := func(workers int) engine.Options {
-				return engine.Options{Partitions: 4, Workers: workers, BroadcastJoinThreshold: -1}
+				o := v.opts
+				o.Workers = workers
+				return o
 			}
 			plain, err := engine.Run(sc.Build(), inputs(), opts(1))
 			if err != nil {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +122,75 @@ func TestQueryAllCoversEverySourceItemInUse(t *testing.T) {
 	}
 	if got := q.Traced.Structure(4).Len(); got != 3 {
 		t.Errorf("lower branch items = %d, want 3", got)
+	}
+}
+
+// traceAll captures p over inputs, each in one partition, and returns
+// every traced input item by identifier.
+func traceAll(t *testing.T, p *engine.Pipeline, inputs map[string][]nested.Value) map[int64]core.SourceItem {
+	t.Helper()
+	gen := engine.NewIDGen(1)
+	ds := make(map[string]*engine.Dataset)
+	for _, name := range []string{"l", "r"} {
+		if vals, ok := inputs[name]; ok {
+			ds[name] = engine.NewDataset(name, vals, 1, gen)
+		}
+	}
+	cap, err := (&core.Session{Partitions: 2}).Capture(p, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := cap.QueryAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make(map[int64]core.SourceItem)
+	for _, si := range q.Items() {
+		items[si.Row.ID] = si
+	}
+	return items
+}
+
+// TestJoinSchemaReadsEveryRow: a join's input schema is that of all its
+// rows, so the trace keeps an attribute only a later row has.
+func TestJoinSchemaReadsEveryRow(t *testing.T) {
+	p := engine.NewPipeline()
+	p.Join(p.Source("l"), p.Source("r"), engine.Col("k"), engine.Col("rk"))
+	items := traceAll(t, p, map[string][]nested.Value{
+		"l": {
+			nested.Item(nested.F("k", nested.Int(1)), nested.F("a", nested.Int(10))),
+			nested.Item(nested.F("k", nested.Int(2)), nested.F("a", nested.Int(20)), nested.F("extra", nested.Int(1))),
+		},
+		"r": {
+			nested.Item(nested.F("rk", nested.Int(1)), nested.F("b", nested.Int(100))),
+			nested.Item(nested.F("rk", nested.Int(2)), nested.F("b", nested.Int(200))),
+		},
+	})
+	si, ok := items[2]
+	if !ok {
+		t.Fatalf("left item 2 not traced: %v", items)
+	}
+	if len(si.Item.Tree.Find(path.MustParse("extra"))) == 0 {
+		t.Fatalf("the trace of left item 2 lost the attribute only it has:\n%s", si.Item.Tree)
+	}
+}
+
+// TestGroupKeyLeavesReadEveryRow: grouping by a struct accesses every leaf
+// any row's struct has, not only those of the first row's.
+func TestGroupKeyLeavesReadEveryRow(t *testing.T) {
+	p := engine.NewPipeline()
+	agg := p.Aggregate(p.Source("l"), []engine.GroupKey{engine.Key("u")}, []engine.AggSpec{engine.Agg(engine.AggCollectList, "v", "vs")})
+	items := traceAll(t, p, map[string][]nested.Value{"l": {
+		nested.Item(nested.F("u", nested.Item(nested.F("id", nested.Int(1)))), nested.F("v", nested.Int(1))),
+		nested.Item(nested.F("u", nested.Item(nested.F("id", nested.Int(1)), nested.F("name", nested.StringVal("n")))), nested.F("v", nested.Int(2))),
+	}})
+	si, ok := items[2]
+	if !ok {
+		t.Fatalf("item 2 not traced: %v", items)
+	}
+	nodes := si.Item.Tree.Find(path.MustParse("u.name"))
+	if len(nodes) != 1 || !slices.Contains(nodes[0].Access, agg.ID()) {
+		t.Fatalf("u.name of item 2 is not accessed by the aggregate %d:\n%s", agg.ID(), si.Item.Tree)
 	}
 }
 

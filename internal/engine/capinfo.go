@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"pebble/internal/nested"
 	"pebble/internal/path"
 )
@@ -110,9 +112,9 @@ type PartitionSink interface {
 // opInfo derives the static provenance of an operator per the inference
 // rules of Tab. 5. Join and union need the input schemas (for the identity
 // mapping over all top-level attributes and for side pruning), and
-// aggregation needs a sample input item to expand struct-valued group keys
-// into their leaf paths; the executor supplies these from the data.
-func opInfo(o *Op, leftSchema, rightSchema []string, sample nested.Value) OpInfo {
+// aggregation needs its input's rows to expand struct-valued group keys
+// into their leaf paths; the executor passes the inputs it read them from.
+func opInfo(o *Op, ins []*Dataset) OpInfo {
 	info := OpInfo{OID: o.id, Type: o.typ}
 	for _, in := range o.inputs {
 		info.Inputs = append(info.Inputs, InputInfo{Pred: in.id})
@@ -136,20 +138,19 @@ func opInfo(o *Op, leftSchema, rightSchema []string, sample nested.Value) OpInfo
 	case OpJoin:
 		info.Inputs[0].Accessed = dedupPaths(o.leftKey.Paths())
 		info.Inputs[1].Accessed = dedupPaths(o.rightKey.Paths())
-		info.Inputs[0].Schema = leftSchema
-		info.Inputs[1].Schema = rightSchema
+		info.Inputs[0].Schema = topLevelSchema(ins[0])
+		info.Inputs[1].Schema = topLevelSchema(ins[1])
 		// M: every top-level attribute of either schema maps identically
 		// into the result item r = ⟨i, j⟩.
-		for _, a := range leftSchema {
-			info.Manipulated = append(info.Manipulated, Mapping{In: path.New(a), Out: path.New(a)})
-		}
-		for _, a := range rightSchema {
-			info.Manipulated = append(info.Manipulated, Mapping{In: path.New(a), Out: path.New(a)})
+		for _, in := range info.Inputs {
+			for _, a := range in.Schema {
+				info.Manipulated = append(info.Manipulated, Mapping{In: path.New(a), Out: path.New(a)})
+			}
 		}
 	case OpUnion:
 		// A = ∅ (schema comparison only) and M = ∅.
-		info.Inputs[0].Schema = leftSchema
-		info.Inputs[1].Schema = rightSchema
+		info.Inputs[0].Schema = topLevelSchema(ins[0])
+		info.Inputs[1].Schema = topLevelSchema(ins[1])
 	case OpDistinct, OpLimit:
 		// Identity structure; distinct compares whole items and limit reads
 		// nothing, so both leave A = ∅ and M = ∅.
@@ -173,7 +174,7 @@ func opInfo(o *Op, leftSchema, rightSchema []string, sample nested.Value) OpInfo
 			// Grouping by a struct-valued key compares every leaf of the
 			// struct, so all its leaf attributes are accessed (Ex. 6.6 marks
 			// user and its children).
-			accessed = append(accessed, expandLeaves(g.Path.SchemaLevel(), sample)...)
+			accessed = append(accessed, expandLeaves(g.Path.SchemaLevel(), ins[0])...)
 			manip = append(manip, Mapping{In: g.Path.SchemaLevel(), Out: path.New(g.Name), GroupKey: true})
 		}
 		for _, a := range o.aggs {
@@ -221,23 +222,50 @@ func collectSelect(fields []SelectField, outPrefix path.Path, accessed *[]path.P
 	}
 }
 
-// expandLeaves expands a path whose value is a struct (data item) into the
-// paths of all its leaf attributes, using a sample item to discover the
-// schema. Non-struct values yield the path itself.
-func expandLeaves(p path.Path, sample nested.Value) []path.Path {
-	if sample.IsNull() {
-		return []path.Path{p}
+// expandLeaves expands a path whose values are structs (data items) into the
+// paths of all their leaf attributes, over every row of in, in first-seen
+// order. A path at which no row holds a struct with attributes yields itself.
+func expandLeaves(p path.Path, in *Dataset) []path.Path {
+	var root leafTree
+	vals := make([]nested.Value, batchSize)
+	for _, part := range in.Partitions {
+		for lo := 0; lo < len(part); lo += batchSize {
+			rows := part[lo:min(lo+batchSize, len(part))]
+			gather(p, rows, vals, 0, 1)
+			for i := range rows {
+				root.add(vals[i])
+			}
+		}
 	}
-	v, ok := p.Eval(sample)
-	if !ok || v.Kind() != nested.KindItem {
-		return []path.Path{p}
+	return root.paths(p, nil)
+}
+
+// leafTree holds the attribute names of the structs seen at one path, in
+// first-seen order, each with the tree of its values.
+type leafTree struct {
+	names []string
+	kids  []leafTree
+}
+
+// add merges v's attributes, and theirs, into the tree.
+func (t *leafTree) add(v nested.Value) {
+	for i := range v.NumFields() {
+		k := slices.Index(t.names, v.FieldName(i))
+		if k < 0 {
+			k = len(t.names)
+			t.names, t.kids = append(t.names, v.FieldName(i)), append(t.kids, leafTree{})
+		}
+		t.kids[k].add(v.FieldValue(i))
 	}
-	var out []path.Path
-	for i := 0; i < v.NumFields(); i++ {
-		out = append(out, expandLeaves(p.Append(path.Step{Attr: v.FieldName(i), Index: path.NoIndex}), sample)...)
+}
+
+// paths appends the leaf paths under p to out.
+func (t *leafTree) paths(p path.Path, out []path.Path) []path.Path {
+	if len(t.names) == 0 {
+		return append(out, p)
 	}
-	if len(out) == 0 {
-		return []path.Path{p}
+	for k, name := range t.names {
+		out = t.kids[k].paths(p.Append(path.Step{Attr: name, Index: path.NoIndex}), out)
 	}
 	return out
 }
@@ -247,15 +275,22 @@ func dedupPaths(paths []path.Path) []path.Path {
 	return s.Paths()
 }
 
-// topLevelSchema returns the top-level attribute names of a dataset,
-// inferred from its first row; empty datasets yield nil.
+// topLevelSchema returns the top-level attribute names of a dataset's rows,
+// those of every distinct row shape in first-seen order; empty datasets
+// yield nil.
 func topLevelSchema(d *Dataset) []string {
+	var t leafTree
+	var last *nested.Shape
+	seen := make(map[*nested.Shape]bool)
 	for _, part := range d.Partitions {
-		if len(part) > 0 {
-			return part[0].Value.AttrNames()
+		for i := range part {
+			if s := part[i].Value.Shape(); s != last && !seen[s] {
+				last, seen[s] = s, true
+				t.add(part[i].Value)
+			}
 		}
 	}
-	return nil
+	return t.names
 }
 
 // schemaType returns the item type of the dataset's rows, for union's type

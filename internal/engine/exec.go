@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -262,21 +263,15 @@ func (e *executor) commitMorsel(o *Op, part int, m *morselOut, base, inBase int6
 	}
 }
 
-func (e *executor) startOperator(o *Op, parts int, leftSchema, rightSchema []string, sample nested.Value) {
+// startOperator announces o, with its output partition count, to the
+// recorder and, when capturing, its static provenance to the sink; ins are
+// the inputs that provenance is read from (join and union: both, for their
+// schemas; aggregate: its one, for the leaves of its group keys).
+func (e *executor) startOperator(o *Op, parts int, ins ...*Dataset) {
 	e.opts.Recorder.StartOp(o.id, string(o.typ), parts)
 	if e.opts.Sink != nil {
-		e.opts.Sink.StartOperator(opInfo(o, leftSchema, rightSchema, sample), parts)
+		e.opts.Sink.StartOperator(opInfo(o, ins), parts)
 	}
-}
-
-// sampleRow returns the first row value of a dataset, or null when empty.
-func sampleRow(d *Dataset) nested.Value {
-	for _, p := range d.Partitions {
-		if len(p) > 0 {
-			return p[0].Value
-		}
-	}
-	return nested.Null()
 }
 
 // execSource deals the named input round-robin over the logical partitions,
@@ -288,7 +283,7 @@ func (e *executor) execSource(o *Op) ([]morselOut, error) {
 		return nil, fmt.Errorf("no input dataset named %q", o.sourceName)
 	}
 	parts := e.opts.Partitions
-	e.startOperator(o, parts, nil, nil, nested.Null())
+	e.startOperator(o, parts)
 	total := src.Len()
 	outs := make([]morselOut, parts)
 	for part := range outs {
@@ -408,7 +403,7 @@ func (e *executor) execUnion(o *Op) ([]morselOut, error) {
 	}
 	nl := len(left.Partitions)
 	outs := make([]morselOut, nl+len(right.Partitions))
-	e.startOperator(o, len(outs), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	e.startOperator(o, len(outs), left, right)
 	err := e.forEachPartition(len(outs), func(part int) error {
 		var src []Row
 		isLeft := part < nl
@@ -569,17 +564,41 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 	if threshold == 0 {
 		threshold = defaultBroadcastThreshold
 	}
-	// Left outer joins always take the shuffle path (the broadcast probe
-	// cannot track unmatched build rows without cross-partition state).
+	// Left outer joins always take the shuffle path (a broadcast probe
+	// partition cannot tell which build rows no other partition matched).
+	plan := e.planShuffle
 	if !o.leftOuter && threshold > 0 && (left.Len() <= threshold || right.Len() <= threshold) {
-		return e.execBroadcastJoin(o, left, right)
+		plan = e.planBroadcast
 	}
+	plans, err := plan(o, left, right)
+	// Pass 2 of every partition pass 1 planned, writing its output in place:
+	// one morsel list over every partition's chunks, partition-major, so the
+	// first error by morsel index is the first partition's first, and an
+	// error that ended pass 1's list comes after all of theirs.
+	outs := make([]morselOut, len(plans))
+	var tasks [][2]int32 // (partition, chunk)
+	for part := range plans {
+		outs[part] = plans[part].out
+		for c := range plans[part].chunks() {
+			tasks = append(tasks, [2]int32{int32(part), int32(c)})
+		}
+	}
+	err = cmp.Or(e.forEachPartition(len(tasks), func(i int) error {
+		return plans[tasks[i][0]].emit(int(tasks[i][1]))
+	}), err)
+	return outs, err
+}
+
+// planShuffle is pass 1 of a shuffle hash join: both inputs are shuffled on
+// their keys and every bucket is planned, built on the left. A left outer
+// join adds one partition per left input partition for its rows with null
+// keys, which the shuffle dropped (marked -1) but which must survive.
+func (e *executor) planShuffle(o *Op, left, right *Dataset) ([]bucketJoin, error) {
 	nParts := e.opts.Partitions
 	if o.leftOuter {
-		// Null-key left rows are emitted in extra per-left-partition chunks.
 		nParts += len(left.Partitions)
 	}
-	e.startOperator(o, nParts, topLevelSchema(left), topLevelSchema(right), nested.Null())
+	e.startOperator(o, nParts, left, right)
 	lb, leftMarks, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
@@ -588,90 +607,35 @@ func (e *executor) execJoin(o *Op) ([]morselOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	rightSchema := nested.NewShape(topLevelSchema(right)...)
+	var rightSchema *nested.Shape
+	if o.leftOuter {
+		rightSchema = nested.NewShape(topLevelSchema(right)...)
+	}
 	capture := e.opts.Sink != nil
-	// Pass 1 per bucket, then pass 2 per chunk: one morsel list over every
-	// bucket's chunks, bucket-major, so the first error by morsel index is
-	// the first bucket's first.
-	plans := make([]bucketJoin, e.opts.Partitions)
-	err = e.forEachPartition(e.opts.Partitions, func(part int) error {
-		plans[part] = planJoinBucket(lb[part], rb[part], o.leftOuter, rightSchema, capture, joinChunkMatches)
+	plans := make([]bucketJoin, nParts)
+	err = e.forEachPartition(nParts, func(part int) error {
+		if part < e.opts.Partitions {
+			plans[part] = planJoinBucket(lb[part], rb[part], o.leftOuter, rightSchema, capture, joinChunkMatches)
+			return nil
+		}
+		var nulls []keyedRow
+		for i, b := range leftMarks[part-e.opts.Partitions] {
+			if b < 0 {
+				nulls = append(nulls, keyedRow{row: left.Partitions[part-e.opts.Partitions][i], key: nested.Null()})
+			}
+		}
+		plans[part] = planJoinBucket(nulls, nil, true, rightSchema, capture, joinChunkMatches)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for part := range plans {
-		n += plans[part].chunks()
-	}
-	tasks := make([][2]int32, 0, n) // (bucket, chunk)
-	for part := range plans {
-		for c := range plans[part].chunks() {
-			tasks = append(tasks, [2]int32{int32(part), int32(c)})
-		}
-	}
-	err = e.forEachPartition(len(tasks), func(i int) error {
-		return plans[tasks[i][0]].emit(int(tasks[i][1]))
-	})
-	outs := make([]morselOut, nParts)
-	for part := range plans {
-		outs[part] = plans[part].out
-	}
-	if err != nil || !o.leftOuter {
-		return outs, err
-	}
-	// Left rows with null join keys were dropped by the shuffle, which
-	// marked them -1, but must survive a left outer join.
-	err = e.forEachPartition(len(left.Partitions), func(part int) error {
-		marks := leftMarks[part]
-		n := 0
-		for _, b := range marks {
-			if b < 0 {
-				n++
-			}
-		}
-		out := newBinaryOut(n, capture)
-		var memo shapeMemo
-		at := 0
-		for i, b := range marks {
-			if b >= 0 {
-				continue
-			}
-			r := &left.Partitions[part][i]
-			item, err := concatWithNulls(&memo, r.Value, rightSchema)
-			if err != nil {
-				return err
-			}
-			out.setBinary(at, item, r.ID, -1)
-			at++
-		}
-		outs[e.opts.Partitions+part] = out
-		return nil
-	})
-	return outs, err
-}
-
-// concatWithNulls extends a left item with null values for the right side's
-// top-level attributes (the unmatched row of a left outer join).
-func concatWithNulls(memo *shapeMemo, l nested.Value, rightSchema *nested.Shape) (nested.Value, error) {
-	if l.Kind() != nested.KindItem {
-		return nested.Value{}, fmt.Errorf("join: inputs must be data items, got %s", l.Kind())
-	}
-	d := memo.joined(l.Shape(), rightSchema)
-	if d.err != nil {
-		return nested.Value{}, d.err
-	}
-	vals := make([]nested.Value, d.shape.Len())
-	for i := copy(vals, l.FieldValues()); i < len(vals); i++ {
-		vals[i] = nested.Null()
-	}
-	return d.shape.Item(vals...), nil
+	return plans, nil
 }
 
 func (e *executor) execAggregate(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
+	e.startOperator(o, e.opts.Partitions, in)
 	buckets, _, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err

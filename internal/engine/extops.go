@@ -14,7 +14,7 @@ import (
 
 func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	buckets, _, err := e.shuffle(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 
 func (e *executor) execOrderBy(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	type keyedSortRow struct {
 		row  Row
 		keys []nested.Value
@@ -122,7 +122,7 @@ func (e *executor) execOrderBy(o *Op) ([]morselOut, error) {
 
 func (e *executor) execLimit(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	total := in.Len()
 	e.opts.Recorder.Add(o.id, 0, obs.RowsIn, int64(total))
 	rows := make([]Row, 0, max(min(o.limit, total), 0))

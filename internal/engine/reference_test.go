@@ -591,12 +591,16 @@ func joinShapes() []joinShape {
 }
 
 // joinBucket joins one shuffle bucket as execJoin does — pass 1, then pass 2
-// of every chunk — with the probe rows cut at maxMatches matches. It runs the
-// chunks last to first, so that a chunk reading what an earlier one wrote
-// would show, and reports the first error by chunk index, as
-// forEachPartition does.
+// of every chunk — with the probe rows cut at maxMatches matches.
 func joinBucket(lrows, rrows []keyedRow, leftOuter bool, rightSchema *nested.Shape, capture bool, maxMatches int) (morselOut, error) {
 	b := planJoinBucket(lrows, rrows, leftOuter, rightSchema, capture, maxMatches)
+	return emitChunks(&b)
+}
+
+// emitChunks runs pass 2 of every chunk of b. It runs them last to first, so
+// that a chunk reading what an earlier one wrote would show, and reports the
+// first error by chunk index, as forEachPartition does.
+func emitChunks(b *bucketJoin) (morselOut, error) {
 	var first error
 	for c := b.chunks() - 1; c >= 0; c-- {
 		if err := b.emit(c); err != nil {
@@ -698,7 +702,7 @@ func TestJoinBucketSplitsHotKey(t *testing.T) {
 		want := renderPending(joinBucketRef(lrows, rrows, tc.leftOuter, []string{"rk", "rv"}))
 		for _, maxMatches := range []int{1, 1000, joinChunkMatches} {
 			t.Run(fmt.Sprintf("%s/cut=%d", tc.name, maxMatches), func(t *testing.T) {
-				if b := planJoinBucket(lrows, rrows, tc.leftOuter, nil, false, maxMatches); len(b.cut) == 0 || b.cut[0].hi > past {
+				if b := planJoinBucket(lrows, rrows, tc.leftOuter, nested.NewShape("rk", "rv"), false, maxMatches); len(b.cut) == 0 || b.cut[0].hi > past {
 					t.Fatalf("chunks %v, %v: the hot key no longer spans several, or row %d is in the first", b.cut, b.last, past)
 				}
 				out, err := joinBucket(lrows, rrows, tc.leftOuter, nested.NewShape("rk", "rv"), true, maxMatches)
@@ -755,6 +759,8 @@ func TestJoinBucketNonItemRows(t *testing.T) {
 	}
 }
 
+// TestBroadcastProbeMatchesReference: pass 1 and 2 of every broadcast probe
+// partition equal the row-at-a-time probe, built on either side.
 func TestBroadcastProbeMatchesReference(t *testing.T) {
 	for _, sh := range joinShapes() {
 		if sh.leftOuter {
@@ -791,13 +797,14 @@ func TestBroadcastProbeMatchesReference(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							out, hashed, err := broadcastProbe(tab, buildRows, rows, keys, buildLeft, true)
+							b := planBroadcastProbe(tab, buildRows, rows, keys, buildLeft, true, joinChunkMatches)
+							out, err := emitChunks(&b)
 							refOut, refHashed, refErr := broadcastProbeRef(probeKey, refBuild, rows, buildLeft)
 							got, want := renderOut(out, err), renderPending(refOut, refErr)
 							if got != want {
 								t.Fatalf("kernel and reference disagree:\nkernel:    %s\nreference: %s", head(got), head(want))
 							}
-							if err == nil && hashed != refHashed {
+							if hashed := len(b.probe); err == nil && hashed != refHashed {
 								t.Fatalf("probe hashed %d keys, reference %d", hashed, refHashed)
 							}
 							sawErr = sawErr || err != nil
@@ -1095,7 +1102,7 @@ func (e *refExecutor) execSource(o *Op) (*Dataset, error) {
 	for i, r := range src.Rows() {
 		in.Partitions[i%e.opts.Partitions] = append(in.Partitions[i%e.opts.Partitions], r)
 	}
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
+	e.startOperator(o, len(in.Partitions))
 	id := e.gen.Reserve(int64(in.Len()))
 	out := &Dataset{Name: o.sourceName, Partitions: make([][]Row, len(in.Partitions))}
 	for part, rows := range in.Partitions {
@@ -1115,7 +1122,7 @@ func (e *refExecutor) execSource(o *Op) (*Dataset, error) {
 // materialised output of the operator before it.
 func (e *refExecutor) execRowWise(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, len(in.Partitions), nil, nil, nested.Null())
+	e.startOperator(o, len(in.Partitions))
 	parts := make([][]pending, len(in.Partitions))
 	for part, rows := range in.Partitions {
 		for _, r := range rows {
@@ -1198,7 +1205,7 @@ func (e *refExecutor) execUnion(o *Op) (*Dataset, error) {
 	if lok && rok && !nested.Compatible(lt, rt) {
 		return nil, fmt.Errorf("union: incompatible input types %s and %s", lt, rt)
 	}
-	e.startOperator(o, len(left.Partitions)+len(right.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	e.startOperator(o, len(left.Partitions)+len(right.Partitions), left, right)
 	var parts [][]pending
 	for _, rows := range left.Partitions {
 		out := []pending{}
@@ -1230,7 +1237,7 @@ func (e *refExecutor) execJoin(o *Op) (*Dataset, error) {
 	if o.leftOuter {
 		nParts += len(left.Partitions)
 	}
-	e.startOperator(o, nParts, topLevelSchema(left), topLevelSchema(right), nested.Null())
+	e.startOperator(o, nParts, left, right)
 	lb, err := e.shuffleRef(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
@@ -1272,7 +1279,7 @@ func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, 
 		buildDS, probeDS = right, left
 		buildKey, probeKey = o.rightKey, o.leftKey
 	}
-	e.startOperator(o, len(probeDS.Partitions), topLevelSchema(left), topLevelSchema(right), nested.Null())
+	e.startOperator(o, len(probeDS.Partitions), left, right)
 	build, err := broadcastBuildRef(buildKey, buildDS)
 	if err != nil {
 		return nil, err
@@ -1288,7 +1295,7 @@ func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, 
 
 func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, sampleRow(in))
+	e.startOperator(o, e.opts.Partitions, in)
 	buckets, err := e.shuffleRef(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
@@ -1304,7 +1311,7 @@ func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
 
 func (e *refExecutor) execDistinct(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	buckets, err := e.shuffleRef(in, o.id, identityShuffleKey(), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err
@@ -1341,7 +1348,7 @@ func (e *refExecutor) execDistinct(o *Op) (*Dataset, error) {
 
 func (e *refExecutor) execOrderBy(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	rows := in.Rows()
 	keys := make(map[int64][]nested.Value, len(rows))
 	for _, r := range rows {
@@ -1366,7 +1373,7 @@ func (e *refExecutor) execOrderBy(o *Op) (*Dataset, error) {
 
 func (e *refExecutor) execLimit(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, nil, nil, nested.Null())
+	e.startOperator(o, e.opts.Partitions)
 	rows := in.Rows()
 	return e.finalizeRef(o, chunkContiguousRef(rows[:max(min(o.limit, len(rows)), 0)], e.opts.Partitions)), nil
 }

@@ -80,7 +80,7 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 }
 
 // forEachPartition runs f for every morsel index — a logical partition, or
-// a chunk of one shuffle join bucket — on the worker pool (inline when there
+// a chunk of one join output partition — on the worker pool (inline when there
 // is none) and returns the first error by index. A morsel may chunk its rows
 // internally (the filter kernel's column batches, the aggregate's
 // accumulation chunks) and allocates its kernel scratch per call; only a
@@ -92,12 +92,12 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 // the executor's context is live, so a cancelled job stops scheduling new
 // morsels here (in-flight morsels run to completion). Morsels are small by
 // construction: a logical partition of a dataset holds its share of the
-// rows, and a shuffle join's pass-2 morsel stitches fewer than
-// joinChunkMatches matches plus one probe row's chain (and, in a bucket's
-// last chunk, its unmatched build rows), however hot its key; an aggregate
-// bucket, one accumulator per group, is the morsel a key's skew still
-// enlarges. A panic in f is the
-// morsel's error (Recover).
+// rows, and a join's pass-2 morsel — of a shuffle bucket or a broadcast
+// probe partition — stitches fewer than joinChunkMatches matches plus one
+// probe row's chain (and, in a left outer bucket's last chunk, its
+// unmatched build rows), however hot its key; an aggregate bucket, one
+// accumulator per group, is the morsel a key's skew still enlarges. A panic
+// in f is the morsel's error (Recover).
 func (e *executor) forEachPartition(n int, f func(part int) error) error {
 	g := func(part int) (err error) {
 		defer Recover(&err)

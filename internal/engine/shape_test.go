@@ -137,8 +137,8 @@ func itemKernels(tb testing.TB, nRecords, nTweets int) []itemKernel {
 		if err != nil {
 			return morselOut{}, err
 		}
-		out, _, err := broadcastProbe(table, buildRows, records, keys, true, true)
-		return out, err
+		b := planBroadcastProbe(table, buildRows, records, keys, true, true, joinChunkMatches)
+		return emitChunks(&b)
 	}
 
 	// Aggregate: one bucket holding every record, grouped by venue.

@@ -331,7 +331,7 @@ func (st *stage) compute(e *executor) {
 	st.outs = make([][]morselOut, len(st.ops))
 	for k, o := range st.ops {
 		st.outs[k] = make([]morselOut, parts)
-		e.startOperator(o, parts, nil, nil, nested.Null())
+		e.startOperator(o, parts)
 	}
 	failed, errs := make([]int, parts), make([]error, parts)
 	st.err = e.forEachPartition(parts, func(part int) error {

@@ -458,6 +458,136 @@ func TestSkewedJoinMatchesReference(t *testing.T) {
 	}
 }
 
+// refuseKey is a computed join key: the value at attr, except on the row
+// whose txt is bad, where it fails.
+type refuseKey struct {
+	attr string
+	bad  int64
+}
+
+func (k refuseKey) Eval(v nested.Value) (nested.Value, error) {
+	if n, _ := mustGet(v, "txt").AsInt(); n == k.bad {
+		return nested.Value{}, fmt.Errorf("key refuses %d", n)
+	}
+	return mustGet(v, k.attr), nil
+}
+func (k refuseKey) Paths() []path.Path { return []path.Path{path.New(k.attr), path.New("txt")} }
+func (k refuseKey) String() string     { return fmt.Sprintf("refuse(%s, %d)", k.attr, k.bad) }
+
+// TestHotBroadcastJoinMatchesReference: a broadcast join whose hot build key
+// has 100 rows meets 170 hot probe rows in probe partition 0, so that
+// partition's 17 000 matches are cut into two chunks, which read the one
+// shared table beside partition 1's cold rows. Built on either side, on one,
+// two and four workers, with capture and without, the run equals the
+// reference executor's. A clashing probe row in partition 0's second chunk
+// fails the run, on one worker and on four, with the reference's error; so
+// does a probe key failing in partition 1, unless partition 0 holds a shape
+// error, which comes first, and a key failing in partition 0 comes before
+// partition 1's shape error (these three built on the left only). CI runs
+// it twenty times under the race detector.
+func TestHotBroadcastJoinMatchesReference(t *testing.T) {
+	input := func(planted map[int]string) map[string]*Dataset {
+		var users, mentions []nested.Value
+		for i := 0; i < 150; i++ {
+			uid := "hot"
+			if i%3 == 2 {
+				uid = fmt.Sprint("u", i)
+			}
+			users = append(users, nested.Item(nested.F("uid", nested.StringVal(uid)), nested.F("uname", nested.Int(int64(i)))))
+		}
+		// Mention i lands in probe partition i%2, as its row i/2.
+		for i := 0; i < 340; i++ {
+			author := "hot"
+			if i%2 == 1 {
+				author = fmt.Sprint("u", i)
+			}
+			payload := "txt"
+			if name, ok := planted[i]; ok { // a hot row whose payload clashes
+				author, payload = "hot", name
+			}
+			mentions = append(mentions, nested.Item(nested.F("author", nested.StringVal(author)), nested.F(payload, nested.Int(int64(i)))))
+		}
+		gen := NewIDGen(1)
+		// One mentions partition: the source deals its rows in order.
+		return map[string]*Dataset{"users": NewDataset("users", users, 3, gen), "mentions": NewDataset("mentions", mentions, 1, gen)}
+	}
+	build := func(probeLeft bool, mentionKey Expr) *Pipeline {
+		p := NewPipeline()
+		users, mentions := p.Source("users"), p.Source("mentions")
+		if probeLeft {
+			p.Join(mentions, users, mentionKey, Col("uid"))
+		} else {
+			p.Join(users, mentions, Col("uid"), mentionKey)
+		}
+		return p
+	}
+	cases := []struct {
+		name    string
+		planted map[int]string
+		bad     int64 // the mention whose key fails; -1: none
+		wantErr string
+	}{
+		{"no-error", nil, -1, ""},
+		{"second-chunk", map[int]string{332: "uid"}, -1, `attribute "uid" exists on both sides`},
+		{"key-fails", nil, 301, "key refuses 301"},
+		{"shape-error-before-key", map[int]string{332: "uname"}, 301, `attribute "uname" exists on both sides`},
+		{"key-before-shape-error", map[int]string{331: "uname"}, 300, "key refuses 300"},
+	}
+	for _, probeLeft := range []bool{false, true} {
+		for _, tc := range cases {
+			if probeLeft && tc.bad >= 0 {
+				continue
+			}
+			name := fmt.Sprintf("%s/probeLeft=%v", tc.name, probeLeft)
+			var key Expr = Col("author")
+			if tc.bad >= 0 {
+				key = refuseKey{attr: "author", bad: tc.bad}
+			}
+			captures, workerCounts := []bool{false, true}, []int{1, 2, 4}
+			if tc.wantErr != "" {
+				captures, workerCounts = []bool{true}, []int{1, 4}
+			}
+			for _, capture := range captures {
+				// Without capture the sinks stay empty and render nothing.
+				opts, refSink := Options{Partitions: 2}, newRecordingSink()
+				if capture {
+					opts.Sink = refSink
+				}
+				ref, refErr := runReference(build(probeLeft, key), input(tc.planted), opts)
+				if tc.wantErr == "" && refErr != nil || tc.wantErr != "" && (refErr == nil || !strings.Contains(refErr.Error(), tc.wantErr)) {
+					t.Fatalf("%s: the reference reports %v, want %q", name, refErr, tc.wantErr)
+				}
+				var want string
+				if refErr == nil {
+					want = renderRun(ref, refSink)
+				}
+				for _, workers := range workerCounts {
+					sink := newRecordingSink()
+					opts.Workers, opts.Sink = workers, nil
+					if capture {
+						opts.Sink = sink
+					}
+					res, err := Run(build(probeLeft, key), input(tc.planted), opts)
+					switch {
+					case refErr != nil:
+						if err == nil || err.Error() != refErr.Error() {
+							t.Fatalf("%s workers %d: got %v, want %v", name, workers, err, refErr)
+						}
+					case err != nil:
+						t.Fatalf("%s workers %d: %v", name, workers, err)
+					case res.Output.Len() < joinChunkMatches:
+						t.Fatalf("%d rows: probe partition 0 no longer spans two chunks", res.Output.Len())
+					default:
+						if got := renderRun(res, sink); got != want {
+							t.Fatalf("%s workers %d capture %v: run differs from the reference at %s", name, workers, capture, firstDiff(got, want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStraddledStageCompletionOrders: stage 2 5 straddles stage 3 4 in plan
 // order, and either may finish computing first. The first row of one stage's
 // last map waits until the other stage's last map has taken every row, so
