@@ -14,10 +14,12 @@ check:
 	sh scripts/check.sh
 
 # Twenty seconds of the JSON reader against its encoding/json reference
-# (internal/nested/json_ref_test.go) on arbitrary bytes; the blocking `check`
-# CI job runs the same line.
+# (internal/nested/json_ref_test.go) on arbitrary bytes, under the race
+# detector, whose pointer checks see every string and value slice a Value
+# holds go through unsafe.String and unsafe.Slice; the blocking `check` CI
+# job runs the same line.
 fuzz-json:
-	go test -fuzz FuzzParseJSONMatchesReference -fuzztime 20s ./internal/nested
+	go test -race -fuzz FuzzParseJSONMatchesReference -fuzztime 20s ./internal/nested
 
 # Twenty seconds of the corpus spec codec (internal/oracle/fuzz_test.go) on
 # arbitrary bytes: a spec that decodes (its rows through
@@ -60,10 +62,10 @@ fuzz-pattern:
 	go test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/treepattern
 
 # Twenty seconds of gather, the operators' path read, against Path.Eval on
-# arbitrary JSON-lines morsels and paths (internal/engine/gather_test.go);
-# same CI line.
+# arbitrary JSON-lines morsels and paths (internal/engine/gather_test.go),
+# under the race detector as fuzz-json; same CI line.
 fuzz-gather:
-	go test -fuzz '^FuzzGather$$' -fuzztime 20s ./internal/engine
+	go test -race -fuzz '^FuzzGather$$' -fuzztime 20s ./internal/engine
 
 bench:
 	go test -bench . -benchtime 1x ./...

@@ -126,17 +126,6 @@ func (d *Dataset) FindByID(id int64) (Row, bool) {
 	return Row{}, false
 }
 
-// SizeBytes estimates the dataset's in-memory footprint.
-func (d *Dataset) SizeBytes() int64 {
-	var n int64
-	for _, p := range d.Partitions {
-		for _, r := range p {
-			n += 8 + int64(r.Value.SizeBytes())
-		}
-	}
-	return n
-}
-
 // String summarises the dataset.
 func (d *Dataset) String() string {
 	return fmt.Sprintf("dataset %q: %d rows in %d partitions", d.Name, d.Len(), len(d.Partitions))

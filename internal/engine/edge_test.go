@@ -209,9 +209,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if _, ok := d.FindByID(-99); ok {
 		t.Error("FindByID of unknown id should fail")
 	}
-	if d.SizeBytes() <= 0 {
-		t.Error("SizeBytes should be positive")
-	}
 	if !strings.Contains(d.String(), "5 rows") {
 		t.Errorf("String = %s", d)
 	}

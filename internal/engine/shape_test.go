@@ -15,9 +15,11 @@ import (
 // produces, and producing a row allocates nothing of its own. The benchmark
 // at the end is the engine's item-access layer without the daemon around it.
 
+// TestRowLayout: a row is its id and a 32-byte Value, so every arena,
+// gather column and shuffle bucket moves 40 bytes per row.
 func TestRowLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Row{}); size > 72 {
-		t.Errorf("Row is %d bytes, want at most 72", size)
+	if size := unsafe.Sizeof(Row{}); size != 40 {
+		t.Errorf("Row is %d bytes, want 40", size)
 	}
 }
 

@@ -164,12 +164,14 @@ func BenchmarkCaptureSweep(b *testing.B) {
 // (join_vector.go), and 21 465 in 2 chunks at 2 000.
 //
 //   - Bytes: what the run allocated once unary chains stopped materialising
-//     their inner operators (T2 / T4: 1 393 / 4 090; 9 230 / 14 200 before)
-//     and once the shuffle wrote each row to its bucket once and derived
-//     shapes were shared (T5 / D1 / D5: 4 961 / 383 / 1 208; 5 285 / 447 /
-//     1 918 before). Materialising one inner flatten again, writing keyed
-//     rows twice or deriving a shape per row costs more than the margin.
-//     T5 at 8 000 tweets: 13 622, where one morsel per bucket took 13 611.
+//     their inner operators (T2 / T4: 1 393 / 4 090; 9 230 / 14 200 before),
+//     once the shuffle wrote each row to its bucket once and derived shapes
+//     were shared (T5 / D1 / D5: 4 961 / 383 / 1 208; 5 285 / 447 / 1 918
+//     before), and once a Value fell from 64 to 32 bytes (T2 / T4 / T5 /
+//     T5@8000 / D1 / D5: 749 / 2 399 / 2 636 / 7 035 / 252 / 717; 1 394 /
+//     4 090 / 4 974 / 13 622 / 386 / 1 211 before). Materialising one inner
+//     flatten again, writing keyed rows twice, deriving a shape per row or a
+//     field more in Value costs more than the margin.
 //   - Allocations: a handful per morsel and per operator; a join chunk is a
 //     morsel, with its arena (T5 at 8 000 tweets: 0.186; 0.183 at one morsel
 //     per bucket). One more allocation per row,
@@ -193,12 +195,12 @@ func TestScenariosStayLean(t *testing.T) {
 		name          string  // the scenario, then "@" and its input rows where not the default
 		bytes, allocs float64 // per input row, before the margin
 	}{
-		{"T2", 1393, 0.168},
-		{"T4", 4090, 0.483},
-		{"T5", 4961, 0.597},
-		{"T5@8000", 13622, 0.186},
-		{"D1", 383, 0.297},
-		{"D5", 1208, 1.282},
+		{"T2", 749, 0.168},
+		{"T4", 2399, 0.483},
+		{"T5", 2636, 0.597},
+		{"T5@8000", 7035, 0.186},
+		{"D1", 252, 0.297},
+		{"D5", 717, 1.282},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			scenario, n, _ := strings.Cut(row.name, "@")
@@ -229,7 +231,7 @@ func TestScenariosStayLean(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / float64(rows)
 			t.Logf("per input row: %.0f bytes (limit %.0f), %.3f allocations (limit %.3f)", bytes, row.bytes*1.15, allocs, row.allocs*1.15)
 			if bytes > row.bytes*1.15 {
-				t.Errorf("%.0f bytes per input row, over %.0f: an inner operator of a stage is materialised again, the shuffle writes rows twice or a shape is derived per row", bytes, row.bytes*1.15)
+				t.Errorf("%.0f bytes per input row, over %.0f: an inner operator of a stage is materialised again, the shuffle writes rows twice, a shape is derived per row or a Value grew", bytes, row.bytes*1.15)
 			}
 			if allocs > row.allocs*1.15 {
 				t.Errorf("%.3f allocations per input row, over %.3f: something allocates per row", allocs, row.allocs*1.15)

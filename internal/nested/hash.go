@@ -33,15 +33,16 @@ func (v *Value) hash(h uint64) uint64 {
 			n >>= 8
 		}
 	case KindString:
-		h = hashString(h, v.s)
+		h = hashString(h, v.str())
 	case KindBool:
 		h = (h ^ v.num) * fnvPrime
 	case KindItem, KindBag, KindSet:
-		for i := range v.vals {
+		vals := v.vs()
+		for i := range vals {
 			if v.kind == KindItem {
 				h = hashString(h, v.shape.names[i])
 			}
-			h = v.vals[i].hash(h)
+			h = vals[i].hash(h)
 		}
 	}
 	return h
@@ -52,19 +53,4 @@ func hashString(h uint64, s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
-}
-
-// SizeBytes estimates the in-memory footprint of the value in bytes. The
-// evaluation harness uses it to report dataset and provenance sizes in the
-// same "simulated GB" unit as the workload generators.
-func (v Value) SizeBytes() int {
-	const valueHeader = 64 // approximate struct overhead
-	size := valueHeader + len(v.s)
-	for i := range v.vals {
-		if v.kind == KindItem {
-			size += len(v.shape.names[i])
-		}
-		size += v.vals[i].SizeBytes()
-	}
-	return size
 }

@@ -74,8 +74,9 @@ type reader struct {
 
 	// The string values of the open document: their bytes back to back in
 	// text, the end of the i-th at ends[i-1]. Until the document closes a
-	// string value is a placeholder whose num is that i; patch points to
-	// every placeholder that has reached its final place in a carved slice.
+	// string value is a placeholder with no bytes and that i as its length;
+	// patch points to every placeholder that has reached its final place in
+	// a carved slice.
 	text  []byte
 	ends  []int
 	patch []*Value
@@ -166,8 +167,9 @@ func (r *reader) document(data []byte) (Value, error) {
 }
 
 // placeholder reports whether v stands for a string value of the open
-// document; the empty string never does.
-func placeholder(v *Value) bool { return v.kind == KindString && v.num != 0 }
+// document: a string value with a length but no bytes. The empty string
+// never is one.
+func placeholder(v *Value) bool { return v.kind == KindString && v.ref == nil && v.num != 0 }
 
 // fill turns the placeholder v into the string it stands for, cut from text.
 func (r *reader) fill(v *Value, text string) {
@@ -175,7 +177,7 @@ func (r *reader) fill(v *Value, text string) {
 	if i > 1 {
 		from = r.ends[i-2]
 	}
-	v.s, v.num = text[from:r.ends[i-1]], 0
+	*v = StringVal(text[from:r.ends[i-1]])
 }
 
 // syntax reports that the byte at offset at, or the end of the input there,
@@ -250,7 +252,7 @@ func (r *reader) open() int {
 	return len(r.vals)
 }
 
-// chunkValues is how many values (64 KB) a chunk holds at most. A sequence
+// chunkValues is how many values (32 KB) a chunk holds at most. A sequence
 // longer than a quarter of that gets a slice of its own.
 const chunkValues = 1 << 10
 
@@ -537,15 +539,16 @@ func (v *Value) appendJSON(dst []byte, depth int) ([]byte, error) {
 			dst = append(dst, ".0"...)
 		}
 	case KindString:
-		dst = jsonenc.String(dst, v.s)
+		dst = jsonenc.String(dst, v.str())
 	case KindBool:
 		dst = strconv.AppendBool(dst, v.num != 0)
 	case KindItem:
 		in := jsonenc.Inner(depth)
 		dst = append(dst, '{')
-		for i := range v.vals {
+		vals := v.vs()
+		for i := range vals {
 			var err error
-			if dst, err = v.vals[i].appendJSON(jsonenc.Key(dst, in, v.shape.names[i]), in); err != nil {
+			if dst, err = vals[i].appendJSON(jsonenc.Key(dst, in, v.shape.names[i]), in); err != nil {
 				return dst, err
 			}
 		}
@@ -553,9 +556,10 @@ func (v *Value) appendJSON(dst []byte, depth int) ([]byte, error) {
 	case KindBag, KindSet:
 		in := jsonenc.Inner(depth)
 		dst = append(dst, '[')
-		for i := range v.vals {
+		vals := v.vs()
+		for i := range vals {
 			var err error
-			if dst, err = v.vals[i].appendJSON(jsonenc.Sep(dst, in), in); err != nil {
+			if dst, err = vals[i].appendJSON(jsonenc.Sep(dst, in), in); err != nil {
 				return dst, err
 			}
 		}

@@ -31,7 +31,7 @@ func refEncodeJSON(v Value, buf *bytes.Buffer) {
 		}
 		buf.WriteString(s)
 	case KindString:
-		b, _ := json.Marshal(v.s)
+		b, _ := json.Marshal(v.str())
 		buf.Write(b)
 	case KindBool:
 		buf.WriteString(strconv.FormatBool(v.num != 0))
@@ -230,18 +230,20 @@ func agree(t *testing.T, doc []byte) (Value, error) {
 
 // sameShape is stricter than Equal where Equal is lenient: kinds must match
 // exactly (Equal lets an int equal a double), doubles bit for bit (-0, 0),
-// attribute order and nil-ness of empty items and bags included; only items
-// have a shape.
+// and attribute order included; only items have a shape, and an empty
+// string, item or bag holds no pointer.
 func sameShape(a, b Value) bool {
-	if a.kind != b.kind || a.num != b.num || a.s != b.s || len(a.vals) != len(b.vals) || (a.vals == nil) != (b.vals == nil) ||
+	if a.kind != b.kind || a.num != b.num || a.str() != b.str() ||
+		(a.ref != nil) != (len(a.str()) > 0 || len(a.vs()) > 0) ||
 		(a.shape == nil) != (b.shape == nil) || (a.shape == nil) != (a.kind != KindItem) {
 		return false
 	}
-	if a.shape != nil && (a.shape.Len() != len(a.vals) || !slices.Equal(a.shape.names, b.shape.names)) {
+	as, bs := a.vs(), b.vs()
+	if a.shape != nil && (a.shape.Len() != len(as) || !slices.Equal(a.shape.names, b.shape.names)) {
 		return false
 	}
-	for i := range a.vals {
-		if !sameShape(a.vals[i], b.vals[i]) {
+	for i := range as {
+		if !sameShape(as[i], bs[i]) {
 			return false
 		}
 	}
@@ -251,11 +253,12 @@ func sameShape(a, b Value) bool {
 // exactSlices reports whether every value slice in v, nested ones included,
 // has len == cap, so that an append to one can never write into another.
 func exactSlices(v Value) bool {
-	if len(v.vals) != cap(v.vals) {
+	vals := v.vs()
+	if len(vals) != cap(vals) {
 		return false
 	}
-	for i := range v.vals {
-		if !exactSlices(v.vals[i]) {
+	for i := range vals {
+		if !exactSlices(vals[i]) {
 			return false
 		}
 	}

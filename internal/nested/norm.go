@@ -34,17 +34,18 @@ func (v *Value) appendNorm(dst []byte) []byte {
 	case KindBool:
 		dst = append(dst, byte(v.num))
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.num)
+		dst = append(dst, v.str()...)
 	case KindItem, KindBag, KindSet:
-		dst = binary.AppendUvarint(dst, uint64(len(v.vals)))
-		for i := range v.vals {
+		dst = binary.AppendUvarint(dst, v.num)
+		vals := v.vs()
+		for i := range vals {
 			if v.kind == KindItem {
 				name := v.shape.names[i]
 				dst = binary.AppendUvarint(dst, uint64(len(name)))
 				dst = append(dst, name...)
 			}
-			dst = v.vals[i].appendNorm(dst)
+			dst = vals[i].appendNorm(dst)
 		}
 	}
 	return dst

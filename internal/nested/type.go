@@ -29,15 +29,16 @@ type FieldType struct {
 func TypeOf(v Value) Type {
 	switch v.kind {
 	case KindItem:
-		fields := make([]FieldType, len(v.vals))
-		for i := range v.vals {
-			fields[i] = FieldType{Name: v.shape.names[i], Type: TypeOf(v.vals[i])}
+		vals := v.vs()
+		fields := make([]FieldType, len(vals))
+		for i := range vals {
+			fields[i] = FieldType{Name: v.shape.names[i], Type: TypeOf(vals[i])}
 		}
 		return Type{Kind: KindItem, Fields: fields}
 	case KindBag, KindSet:
 		t := Type{Kind: v.kind}
-		if len(v.vals) > 0 {
-			elem := TypeOf(v.vals[0])
+		if vals := v.vs(); len(vals) > 0 {
+			elem := TypeOf(vals[0])
 			t.Elem = &elem
 		}
 		return t
@@ -131,17 +132,18 @@ func Compatible(a, b Type) bool {
 func CheckHomogeneous(v Value) error {
 	switch v.kind {
 	case KindItem:
-		for i := range v.vals {
-			if err := CheckHomogeneous(v.vals[i]); err != nil {
+		for i, e := range v.vs() {
+			if err := CheckHomogeneous(e); err != nil {
 				return fmt.Errorf("attribute %s: %w", v.shape.names[i], err)
 			}
 		}
 	case KindBag, KindSet:
-		if len(v.vals) == 0 {
+		vals := v.vs()
+		if len(vals) == 0 {
 			return nil
 		}
-		first := TypeOf(v.vals[0])
-		for i, e := range v.vals {
+		first := TypeOf(vals[0])
+		for i, e := range vals {
 			if !Compatible(first, TypeOf(e)) {
 				return fmt.Errorf("nested: heterogeneous collection: element %d has type %s, want %s",
 					i, TypeOf(e), first)

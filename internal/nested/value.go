@@ -7,7 +7,8 @@
 // A Value is a small variant record rather than an interface hierarchy so
 // that constants do not allocate and values copy cheaply. Values are treated
 // as immutable once shared: operators build new values instead of mutating
-// inputs.
+// inputs. Compare values with Equal, never with ==, which compares where
+// their strings and values are stored, not what they hold.
 package nested
 
 import (
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Kind enumerates the building blocks of the data model (Tab. 4 in the
@@ -188,22 +190,56 @@ func (s *Shape) Item(vals ...Value) Value {
 	if len(vals) != len(s.names) {
 		panic(fmt.Sprintf("nested: %d values for a shape of %d attributes", len(vals), len(s.names)))
 	}
-	return Value{kind: KindItem, shape: s, vals: vals}
+	return seq(KindItem, s, vals)
 }
 
 // Value is one nested value: a constant, a data item, a bag, or a set.
 // The zero Value has KindInvalid; use Null() for an explicit null.
 //
-// num holds an int, the bits of a double, or a bool; vals holds the
-// attribute values of an item (named by shape, which only items have) or the
-// elements of a collection. 64 bytes, so a Value moves as four 16-byte loads
-// and stores rather than through a copy loop.
+// num holds an int, the bits of a double or a bool, or a count: the bytes
+// of a string, or the values of an item (named by shape, which only items
+// have) or of a collection. ref points to the first of those bytes or
+// values and is nil when there are none; no capacity is kept. A value is
+// only ever one of these, so they share two words where a string and a
+// slice header of their own took five: 32 bytes, which the compiler keeps
+// in four registers and every operator moves at half the cost.
+//
+// ref is written only from a Go string or slice (StringVal and seq) and read
+// back only as one (str and vs), through the unsafe.String, StringData,
+// Slice and SliceData conversions; it is never arithmetic.
 type Value struct {
-	kind  Kind
+	ref   unsafe.Pointer
 	num   uint64
-	s     string
 	shape *Shape
-	vals  []Value
+	kind  Kind
+}
+
+// seq returns the item (shape non-nil) or collection of kind with vals as
+// its values. It keeps vals; an empty vals leaves ref nil.
+func seq(kind Kind, shape *Shape, vals []Value) Value {
+	v := Value{kind: kind, shape: shape}
+	if len(vals) > 0 {
+		v.ref, v.num = unsafe.Pointer(unsafe.SliceData(vals)), uint64(len(vals))
+	}
+	return v
+}
+
+// vs returns the attribute values of an item or the elements of a bag or
+// set, and nil for any other kind. The slice's capacity is its length, so
+// an append to it copies.
+func (v *Value) vs() []Value {
+	if v.kind < KindItem { // the kinds from KindItem on hold values
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.ref), v.num)
+}
+
+// str returns the bytes of a string constant, and "" for any other kind.
+func (v *Value) str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ref), v.num)
 }
 
 // Null returns the null value.
@@ -216,7 +252,12 @@ func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
 func Double(v float64) Value { return Value{kind: KindDouble, num: math.Float64bits(v)} }
 
 // String returns a string constant.
-func StringVal(v string) Value { return Value{kind: KindString, s: v} }
+func StringVal(v string) Value {
+	if len(v) == 0 {
+		return Value{kind: KindString} // StringData of "" may or may not be nil
+	}
+	return Value{kind: KindString, ref: unsafe.Pointer(unsafe.StringData(v)), num: uint64(len(v))}
+}
 
 // Bool returns a boolean constant.
 func Bool(v bool) Value {
@@ -258,7 +299,7 @@ func F(name string, v Value) Field { return Field{Name: name, Value: v} }
 
 // Bag returns an ordered collection that may contain duplicates.
 func Bag(elems ...Value) Value {
-	return Value{kind: KindBag, vals: elems}
+	return seq(KindBag, nil, elems)
 }
 
 // smallSet is the element count up to which Set compares every pair; above
@@ -275,7 +316,7 @@ func Set(elems ...Value) Value {
 				out = append(out, elems[i])
 			}
 		}
-		return Value{kind: KindSet, vals: out}
+		return seq(KindSet, nil, out)
 	}
 	newest := make(map[uint64]int32, len(elems)) // hash → 1 + position in out of the newest element with it
 	older := make([]int32, 0, len(elems))        // per element of out: the one before it with the same hash, likewise
@@ -291,7 +332,7 @@ func Set(elems ...Value) Value {
 			newest[h] = int32(len(out))
 		}
 	}
-	return Value{kind: KindSet, vals: out}
+	return seq(KindSet, nil, out)
 }
 
 // contains reports whether one of vals equals e.
@@ -325,7 +366,7 @@ func (v Value) AsDouble() (float64, bool) {
 }
 
 // AsString returns the string constant and whether the value is a string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) { return v.str(), v.kind == KindString }
 
 // AsBool returns the boolean constant and whether the value is a bool.
 func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
@@ -340,7 +381,7 @@ func (v Value) NumFields() int { return len(v.FieldValues()) }
 func (v Value) FieldName(i int) string { return v.shape.names[i] }
 
 // FieldValue returns the value of the i-th attribute of an item.
-func (v Value) FieldValue(i int) Value { return v.vals[i] }
+func (v Value) FieldValue(i int) Value { return v.FieldValues()[i] }
 
 // FieldValues returns the attribute values of an item, in the order of its
 // shape, or nil for any other kind. The returned slice must not be modified.
@@ -348,16 +389,17 @@ func (v Value) FieldValues() []Value {
 	if v.kind != KindItem {
 		return nil
 	}
-	return v.vals
+	return v.vs()
 }
 
 // Fields returns the item's attributes as name/value pairs. It allocates the
 // slice on every call; loops over rows use NumFields, FieldName and
 // FieldValue.
 func (v Value) Fields() []Field {
-	fields := make([]Field, v.NumFields())
+	vals := v.FieldValues()
+	fields := make([]Field, len(vals))
 	for i := range fields {
-		fields[i] = Field{Name: v.shape.names[i], Value: v.vals[i]}
+		fields[i] = Field{Name: v.shape.names[i], Value: vals[i]}
 	}
 	return fields
 }
@@ -366,7 +408,7 @@ func (v Value) Fields() []Field {
 func (v Value) Get(name string) (Value, bool) {
 	if v.kind == KindItem {
 		if i := v.shape.Index(name); i >= 0 {
-			return v.vals[i], true
+			return v.vs()[i], true
 		}
 	}
 	return Value{}, false
@@ -397,7 +439,7 @@ func (v Value) Elems() []Value {
 	if !v.kind.IsCollection() {
 		return nil
 	}
-	return v.vals
+	return v.vs()
 }
 
 // WithField returns a copy of the item with the named attribute set to val,
@@ -408,13 +450,13 @@ func (v Value) WithField(name string, val Value) Value {
 	if v.kind != KindItem {
 		v = noAttrs.Item()
 	}
-	shape, i := v.shape, v.shape.Index(name)
+	from, shape, i := v.vs(), v.shape, v.shape.Index(name)
 	if i < 0 {
-		i = len(v.vals)
+		i = len(from)
 		shape = shape.toggle(name)
 	}
 	vals := make([]Value, shape.Len())
-	copy(vals, v.vals)
+	copy(vals, from)
 	vals[i] = val
 	return shape.Item(vals...)
 }
@@ -431,39 +473,41 @@ func (v Value) WithoutField(name string) Value {
 	if shape.Index(name) >= 0 {
 		shape = shape.toggle(name)
 	}
-	vals := make([]Value, 0, shape.Len())
+	vals, from := make([]Value, 0, shape.Len()), v.vs()
 	for i, n := range v.shape.names {
 		if n != name {
-			vals = append(vals, v.vals[i])
+			vals = append(vals, from[i])
 		}
 	}
 	return shape.Item(vals...)
 }
 
 // Append returns a copy of the collection with e appended. For sets the
-// element is dropped when already present.
+// element is dropped when already present. Any other value is returned
+// unchanged.
 func (v Value) Append(e Value) Value {
 	elems := v.Elems()
-	if v.kind == KindSet && contains(elems, &e) {
+	if !v.kind.IsCollection() || v.kind == KindSet && contains(elems, &e) {
 		return v
 	}
 	vals := make([]Value, len(elems)+1)
 	copy(vals, elems)
 	vals[len(elems)] = e
-	return Value{kind: v.kind, vals: vals}
+	return seq(v.kind, nil, vals)
 }
 
-// Clone returns a deep copy of the value. Shapes are immutable and stay
-// shared.
+// Clone returns a deep copy of the value. Strings and shapes are immutable
+// and stay shared.
 func (v Value) Clone() Value {
-	if v.vals != nil {
-		vals := make([]Value, len(v.vals))
-		for i := range vals {
-			vals[i] = v.vals[i].Clone()
-		}
-		v.vals = vals
+	from := v.vs()
+	if len(from) == 0 {
+		return v
 	}
-	return v
+	vals := make([]Value, len(from))
+	for i := range vals {
+		vals[i] = from[i].Clone()
+	}
+	return seq(v.kind, v.shape, vals)
 }
 
 // Equal reports deep structural equality. Items are equal when they have the
@@ -484,17 +528,18 @@ func equal(a, b *Value) bool {
 		af, bf := math.Float64frombits(a.num), math.Float64frombits(b.num)
 		return af == bf || (math.IsNaN(af) && math.IsNaN(bf))
 	case KindString:
-		return a.s == b.s
+		return a.str() == b.str()
 	case KindItem:
 		if !a.shape.Equal(b.shape) {
 			return false
 		}
 	}
-	if len(a.vals) != len(b.vals) {
+	if a.num != b.num {
 		return false
 	}
-	for i := range a.vals {
-		if !equal(&a.vals[i], &b.vals[i]) {
+	as, bs := a.vs(), b.vs()
+	for i := range as {
+		if !equal(&as[i], &bs[i]) {
 			return false
 		}
 	}
@@ -538,20 +583,21 @@ func compare(a, b *Value) int {
 		}
 		return 0
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindItem, KindBag, KindSet:
 		named := a.kind == KindItem && a.shape != b.shape // under one shape no name differs
-		for i := 0; i < len(a.vals) && i < len(b.vals); i++ {
+		as, bs := a.vs(), b.vs()
+		for i := 0; i < len(as) && i < len(bs); i++ {
 			if named {
 				if c := strings.Compare(a.shape.names[i], b.shape.names[i]); c != 0 {
 					return c
 				}
 			}
-			if c := compare(&a.vals[i], &b.vals[i]); c != 0 {
+			if c := compare(&as[i], &bs[i]); c != 0 {
 				return c
 			}
 		}
-		return cmp.Compare(len(a.vals), len(b.vals))
+		return cmp.Compare(len(as), len(bs))
 	}
 	return 0
 }
@@ -562,9 +608,9 @@ func (v Value) SortElems() Value {
 	if !v.kind.IsCollection() {
 		return v
 	}
-	elems := slices.Clone(v.vals)
+	elems := slices.Clone(v.vs())
 	sort.Slice(elems, func(i, j int) bool { return compare(&elems[i], &elems[j]) < 0 })
-	return Value{kind: v.kind, vals: elems}
+	return seq(v.kind, nil, elems)
 }
 
 // String renders the value in a compact JSON-like syntax with items as
@@ -593,7 +639,7 @@ func (v *Value) appendString(dst []byte, end int) []byte {
 	case KindDouble:
 		return strconv.AppendFloat(dst, math.Float64frombits(v.num), 'g', -1, 64)
 	case KindString:
-		s := v.s
+		s := v.str()
 		if room := max(end-len(dst), 0); len(s)-utf8.UTFMax > room {
 			// Every input byte renders as at least one, so the bytes up to
 			// end come from s[:room]; the cut moves on to where the last
@@ -613,7 +659,8 @@ func (v *Value) appendString(dst []byte, end int) []byte {
 			open, shut = '{', '}'
 		}
 		dst = append(dst, open)
-		for i := range v.vals {
+		vals := v.vs()
+		for i := range vals {
 			if len(dst) > end {
 				return dst
 			}
@@ -623,7 +670,7 @@ func (v *Value) appendString(dst []byte, end int) []byte {
 			if v.kind == KindItem {
 				dst = append(append(dst, v.shape.names[i]...), ": "...)
 			}
-			dst = v.vals[i].appendString(dst, end)
+			dst = vals[i].appendString(dst, end)
 		}
 		return append(dst, shut)
 	}

@@ -256,17 +256,6 @@ func TestSortElems(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	small := Int(1)
-	big := sampleTweet()
-	if small.SizeBytes() >= big.SizeBytes() {
-		t.Errorf("SizeBytes not monotone: %d vs %d", small.SizeBytes(), big.SizeBytes())
-	}
-	if Bag().SizeBytes() <= 0 {
-		t.Error("empty bag should still have positive footprint")
-	}
-}
-
 // randomValue builds a random value of bounded depth for property tests.
 func randomValue(r *rand.Rand, depth int) Value {
 	if depth <= 0 {
