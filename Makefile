@@ -2,7 +2,7 @@
 # formatting and the full suite under the race detector (which checks the
 # `// guarded by` field comments).
 
-.PHONY: build test check figures fuzz-json fuzz-spec fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
+.PHONY: build test check figures fuzz-json fuzz-spec fuzz-codec fuzz-trace fuzz-sidecar fuzz-pattern fuzz-gather fuzz-type bench bench-engine profile-engine bench-capture bench-query bench-e2e bench-e2e-compare soak
 
 build:
 	go build ./...
@@ -66,6 +66,14 @@ fuzz-pattern:
 # under the race detector as fuzz-json; same CI line.
 fuzz-gather:
 	go test -race -fuzz '^FuzzGather$$' -fuzztime 20s ./internal/engine
+
+# Twenty seconds of datasetType, the one merge of a dataset's row types,
+# against its reference (internal/engine/reference_test.go) on arbitrary
+# JSON-lines rows and paths; the rows reversed must give a compatible type
+# with the same top-level names. Under the race detector as fuzz-gather; same
+# CI line.
+fuzz-type:
+	go test -race -run '^$$' -fuzz '^FuzzDatasetType$$' -fuzztime 20s ./internal/engine
 
 bench:
 	go test -bench . -benchtime 1x ./...

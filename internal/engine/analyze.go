@@ -38,78 +38,20 @@ func Analyze(p *Pipeline, inputTypes map[string]nested.Type) (map[int]nested.Typ
 	return out, nil
 }
 
-// InferInputTypes derives declared input types from the datasets by merging
-// the types of every row of each input: semi-structured inputs (like the
-// DBLP dataset, whose record types carry different attributes) yield the
-// union of their attributes, with conflicting attribute kinds recorded as
-// unknown (null, compatible with anything).
+// InferInputTypes derives declared input types from the datasets: each
+// input's type is the merge (nested.Type.Merge) of its every row, so
+// semi-structured inputs (like the DBLP dataset, whose record types carry
+// different attributes) yield the union of their attributes, int and double
+// widen to double, and conflicting kinds are recorded as unknown (null,
+// compatible with anything). Empty inputs are left out.
 func InferInputTypes(inputs map[string]*Dataset) map[string]nested.Type {
 	out := make(map[string]nested.Type, len(inputs))
 	for name, d := range inputs {
-		var merged nested.Type
-		have := false
-		for _, p := range d.Partitions {
-			for _, r := range p {
-				if t := nested.TypeOf(r.Value); have {
-					merged = mergeTypes(merged, t)
-				} else {
-					merged, have = t, true
-				}
-			}
-		}
-		if have {
-			out[name] = merged
+		if t, ok := datasetType(d, nil); ok {
+			out[name] = t
 		}
 	}
 	return out
-}
-
-// mergeTypes unifies two types: items merge field-wise (union of
-// attributes), collections merge element types, equal kinds keep themselves,
-// int/double widen to double, and conflicts become unknown (null).
-func mergeTypes(a, b nested.Type) nested.Type {
-	if a.Kind == nested.KindNull {
-		return b
-	}
-	if b.Kind == nested.KindNull {
-		return a
-	}
-	if a.Kind != b.Kind {
-		if (a.Kind == nested.KindInt || a.Kind == nested.KindDouble) &&
-			(b.Kind == nested.KindInt || b.Kind == nested.KindDouble) {
-			return nested.Type{Kind: nested.KindDouble}
-		}
-		return nested.Type{Kind: nested.KindNull}
-	}
-	switch a.Kind {
-	case nested.KindItem:
-		var fields []nested.FieldType
-		index := map[string]int{}
-		for _, f := range a.Fields {
-			index[f.Name] = len(fields)
-			fields = append(fields, f)
-		}
-		for _, f := range b.Fields {
-			if i, ok := index[f.Name]; ok {
-				fields[i] = nested.FieldType{Name: f.Name, Type: mergeTypes(fields[i].Type, f.Type)}
-			} else {
-				fields = append(fields, f)
-			}
-		}
-		return nested.Type{Kind: nested.KindItem, Fields: fields}
-	case nested.KindBag, nested.KindSet:
-		switch {
-		case a.Elem == nil:
-			return b
-		case b.Elem == nil:
-			return a
-		default:
-			elem := mergeTypes(*a.Elem, *b.Elem)
-			return nested.Type{Kind: a.Kind, Elem: &elem}
-		}
-	default:
-		return a
-	}
 }
 
 func analyzeOp(o *Op, inputTypes map[string]nested.Type, schemas map[int]nested.Type, known map[int]bool) (nested.Type, bool, error) {

@@ -180,18 +180,20 @@ func TestAnalyzeAllScenariosPass(t *testing.T) {
 }
 
 func TestMergeTypes(t *testing.T) {
-	intT := nested.Type{Kind: nested.KindInt}
-	dblT := nested.Type{Kind: nested.KindDouble}
-	strT := nested.Type{Kind: nested.KindString}
-	if got := mergeTypes(intT, dblT); got.Kind != nested.KindDouble {
+	merged := func(vals ...nested.Value) nested.Type {
+		var ty nested.Type
+		for _, v := range vals {
+			ty.Merge(v)
+		}
+		return ty
+	}
+	if got := merged(nested.Int(1), nested.Double(2)); got.Kind != nested.KindDouble {
 		t.Errorf("int+double = %s", got)
 	}
-	if got := mergeTypes(intT, strT); got.Kind != nested.KindNull {
+	if got := merged(nested.Int(1), nested.StringVal("x")); got.Kind != nested.KindNull {
 		t.Errorf("int+string = %s (want unknown)", got)
 	}
-	bagInt := nested.Type{Kind: nested.KindBag, Elem: &intT}
-	bagNil := nested.Type{Kind: nested.KindBag}
-	if got := mergeTypes(bagNil, bagInt); got.Elem == nil || got.Elem.Kind != nested.KindInt {
+	if got := merged(nested.Bag(), nested.Bag(nested.Int(1))); got.Elem == nil || got.Elem.Kind != nested.KindInt {
 		t.Errorf("bag merge = %s", got)
 	}
 }

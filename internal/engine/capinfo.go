@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"pebble/internal/nested"
 	"pebble/internal/path"
 )
@@ -110,11 +108,12 @@ type PartitionSink interface {
 }
 
 // opInfo derives the static provenance of an operator per the inference
-// rules of Tab. 5. Join and union need the input schemas (for the identity
-// mapping over all top-level attributes and for side pruning), and
-// aggregation needs its input's rows to expand struct-valued group keys
-// into their leaf paths; the executor passes the inputs it read them from.
-func opInfo(o *Op, ins []*Dataset) OpInfo {
+// rules of Tab. 5. Join and union need the row types of both inputs (their
+// top-level attributes give the identity mapping and the side pruning), and
+// aggregation needs the type at each of its group keys, whose attribute names
+// expand a struct-valued key into its leaf paths; the executor passes those
+// types, read by datasetType, in types.
+func opInfo(o *Op, types []nested.Type) OpInfo {
 	info := OpInfo{OID: o.id, Type: o.typ}
 	for _, in := range o.inputs {
 		info.Inputs = append(info.Inputs, InputInfo{Pred: in.id})
@@ -138,8 +137,8 @@ func opInfo(o *Op, ins []*Dataset) OpInfo {
 	case OpJoin:
 		info.Inputs[0].Accessed = dedupPaths(o.leftKey.Paths())
 		info.Inputs[1].Accessed = dedupPaths(o.rightKey.Paths())
-		info.Inputs[0].Schema = topLevelSchema(ins[0])
-		info.Inputs[1].Schema = topLevelSchema(ins[1])
+		info.Inputs[0].Schema = fieldNames(types[0])
+		info.Inputs[1].Schema = fieldNames(types[1])
 		// M: every top-level attribute of either schema maps identically
 		// into the result item r = ⟨i, j⟩.
 		for _, in := range info.Inputs {
@@ -149,8 +148,8 @@ func opInfo(o *Op, ins []*Dataset) OpInfo {
 		}
 	case OpUnion:
 		// A = ∅ (schema comparison only) and M = ∅.
-		info.Inputs[0].Schema = topLevelSchema(ins[0])
-		info.Inputs[1].Schema = topLevelSchema(ins[1])
+		info.Inputs[0].Schema = fieldNames(types[0])
+		info.Inputs[1].Schema = fieldNames(types[1])
 	case OpDistinct, OpLimit:
 		// Identity structure; distinct compares whole items and limit reads
 		// nothing, so both leave A = ∅ and M = ∅.
@@ -170,11 +169,11 @@ func opInfo(o *Op, ins []*Dataset) OpInfo {
 	case OpAggregate:
 		var accessed []path.Path
 		var manip []Mapping
-		for _, g := range o.groupBy {
+		for i, g := range o.groupBy {
 			// Grouping by a struct-valued key compares every leaf of the
 			// struct, so all its leaf attributes are accessed (Ex. 6.6 marks
 			// user and its children).
-			accessed = append(accessed, expandLeaves(g.Path.SchemaLevel(), ins[0])...)
+			accessed = leafPaths(types[i], g.Path.SchemaLevel(), accessed)
 			manip = append(manip, Mapping{In: g.Path.SchemaLevel(), Out: path.New(g.Name), GroupKey: true})
 		}
 		for _, a := range o.aggs {
@@ -222,50 +221,15 @@ func collectSelect(fields []SelectField, outPrefix path.Path, accessed *[]path.P
 	}
 }
 
-// expandLeaves expands a path whose values are structs (data items) into the
-// paths of all their leaf attributes, over every row of in, in first-seen
-// order. A path at which no row holds a struct with attributes yields itself.
-func expandLeaves(p path.Path, in *Dataset) []path.Path {
-	var root leafTree
-	vals := make([]nested.Value, batchSize)
-	for _, part := range in.Partitions {
-		for lo := 0; lo < len(part); lo += batchSize {
-			rows := part[lo:min(lo+batchSize, len(part))]
-			gather(p, rows, vals, 0, 1)
-			for i := range rows {
-				root.add(vals[i])
-			}
-		}
-	}
-	return root.paths(p, nil)
-}
-
-// leafTree holds the attribute names of the structs seen at one path, in
-// first-seen order, each with the tree of its values.
-type leafTree struct {
-	names []string
-	kids  []leafTree
-}
-
-// add merges v's attributes, and theirs, into the tree.
-func (t *leafTree) add(v nested.Value) {
-	for i := range v.NumFields() {
-		k := slices.Index(t.names, v.FieldName(i))
-		if k < 0 {
-			k = len(t.names)
-			t.names, t.kids = append(t.names, v.FieldName(i)), append(t.kids, leafTree{})
-		}
-		t.kids[k].add(v.FieldValue(i))
-	}
-}
-
-// paths appends the leaf paths under p to out.
-func (t *leafTree) paths(p path.Path, out []path.Path) []path.Path {
-	if len(t.names) == 0 {
+// leafPaths appends to out the leaf paths under p of t, the type at p: a
+// type with attribute names, an item's or those a kind conflict kept,
+// expands into them, and any other yields p itself.
+func leafPaths(t nested.Type, p path.Path, out []path.Path) []path.Path {
+	if len(t.Fields) == 0 {
 		return append(out, p)
 	}
-	for k, name := range t.names {
-		out = t.kids[k].paths(p.Append(path.Step{Attr: name, Index: path.NoIndex}), out)
+	for _, f := range t.Fields {
+		out = leafPaths(f.Type, p.Append(path.Step{Attr: f.Name, Index: path.NoIndex}), out)
 	}
 	return out
 }
@@ -275,31 +239,30 @@ func dedupPaths(paths []path.Path) []path.Path {
 	return s.Paths()
 }
 
-// topLevelSchema returns the top-level attribute names of a dataset's rows,
-// those of every distinct row shape in first-seen order; empty datasets
-// yield nil.
-func topLevelSchema(d *Dataset) []string {
-	var t leafTree
-	var last *nested.Shape
-	seen := make(map[*nested.Shape]bool)
+// datasetType merges into one type (nested.Type.Merge) the values gather
+// reads at p off every row of d, the rows themselves when p is empty; ok is
+// false when d has no rows.
+func datasetType(d *Dataset, p path.Path) (t nested.Type, ok bool) {
+	vals := make([]nested.Value, batchSize)
 	for _, part := range d.Partitions {
-		for i := range part {
-			if s := part[i].Value.Shape(); s != last && !seen[s] {
-				last, seen[s] = s, true
-				t.add(part[i].Value)
+		for lo := 0; lo < len(part); lo += batchSize {
+			rows := part[lo:min(lo+batchSize, len(part))]
+			gather(p, rows, vals, 0, 1)
+			for i := range rows {
+				t.Merge(vals[i])
 			}
+			ok = true
 		}
 	}
-	return t.names
+	return t, ok
 }
 
-// schemaType returns the item type of the dataset's rows, for union's type
-// precondition; ok is false for empty datasets.
-func schemaType(d *Dataset) (nested.Type, bool) {
-	for _, part := range d.Partitions {
-		if len(part) > 0 {
-			return nested.TypeOf(part[0].Value), true
-		}
+// fieldNames returns the attribute names of t in order, nil when it has
+// none.
+func fieldNames(t nested.Type) []string {
+	var names []string
+	for _, f := range t.Fields {
+		names = append(names, f.Name)
 	}
-	return nested.Type{}, false
+	return names
 }

@@ -264,14 +264,25 @@ func (e *executor) commitMorsel(o *Op, part int, m *morselOut, base, inBase int6
 }
 
 // startOperator announces o, with its output partition count, to the
-// recorder and, when capturing, its static provenance to the sink; ins are
-// the inputs that provenance is read from (join and union: both, for their
-// schemas; aggregate: its one, for the leaves of its group keys).
-func (e *executor) startOperator(o *Op, parts int, ins ...*Dataset) {
+// recorder and, when capturing, its static provenance to the sink, read
+// from types (opInfo): a union's or join's row types, or an aggregation's
+// types at its group keys.
+func (e *executor) startOperator(o *Op, parts int, types ...nested.Type) {
 	e.opts.Recorder.StartOp(o.id, string(o.typ), parts)
 	if e.opts.Sink != nil {
-		e.opts.Sink.StartOperator(opInfo(o, ins), parts)
+		e.opts.Sink.StartOperator(opInfo(o, types), parts)
 	}
+}
+
+// joinTypes returns the row types of a join's inputs when the capture or a
+// left outer join (its all-null right item) reads them, and nil otherwise.
+func (e *executor) joinTypes(o *Op, left, right *Dataset) []nested.Type {
+	if e.opts.Sink == nil && !o.leftOuter {
+		return nil
+	}
+	lt, _ := datasetType(left, nil)
+	rt, _ := datasetType(right, nil)
+	return []nested.Type{lt, rt}
 }
 
 // execSource deals the named input round-robin over the logical partitions,
@@ -396,14 +407,14 @@ func (ss *selectShape) item(fields []SelectField, row []nested.Value, d nested.V
 
 func (e *executor) execUnion(o *Op) ([]morselOut, error) {
 	left, right := e.in(o, 0), e.in(o, 1)
-	lt, lok := schemaType(left)
-	rt, rok := schemaType(right)
+	lt, lok := datasetType(left, nil)
+	rt, rok := datasetType(right, nil)
 	if lok && rok && !nested.Compatible(lt, rt) {
 		return nil, fmt.Errorf("union: incompatible input types %s and %s", lt, rt)
 	}
 	nl := len(left.Partitions)
 	outs := make([]morselOut, nl+len(right.Partitions))
-	e.startOperator(o, len(outs), left, right)
+	e.startOperator(o, len(outs), lt, rt)
 	err := e.forEachPartition(len(outs), func(part int) error {
 		var src []Row
 		isLeft := part < nl
@@ -598,7 +609,8 @@ func (e *executor) planShuffle(o *Op, left, right *Dataset) ([]bucketJoin, error
 	if o.leftOuter {
 		nParts += len(left.Partitions)
 	}
-	e.startOperator(o, nParts, left, right)
+	types := e.joinTypes(o, left, right)
+	e.startOperator(o, nParts, types...)
 	lb, leftMarks, err := e.shuffle(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
@@ -609,7 +621,7 @@ func (e *executor) planShuffle(o *Op, left, right *Dataset) ([]bucketJoin, error
 	}
 	var rightSchema *nested.Shape
 	if o.leftOuter {
-		rightSchema = nested.NewShape(topLevelSchema(right)...)
+		rightSchema = nested.NewShape(fieldNames(types[1])...)
 	}
 	capture := e.opts.Sink != nil
 	plans := make([]bucketJoin, nParts)
@@ -635,7 +647,14 @@ func (e *executor) planShuffle(o *Op, left, right *Dataset) ([]bucketJoin, error
 
 func (e *executor) execAggregate(o *Op) ([]morselOut, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, in)
+	var keyTypes []nested.Type // the capture's, for the leaves of its keys
+	if e.opts.Sink != nil {
+		for _, g := range o.groupBy {
+			t, _ := datasetType(in, g.Path.SchemaLevel())
+			keyTypes = append(keyTypes, t)
+		}
+	}
+	e.startOperator(o, e.opts.Partitions, keyTypes...)
 	buckets, _, err := e.shuffle(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err

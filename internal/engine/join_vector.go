@@ -254,7 +254,7 @@ func (e *executor) planBroadcast(o *Op, left, right *Dataset) ([]bucketJoin, err
 		buildDS, probeDS = right, left
 		buildKey, probeKey = o.rightKey, o.leftKey
 	}
-	e.startOperator(o, len(probeDS.Partitions), left, right)
+	e.startOperator(o, len(probeDS.Partitions), e.joinTypes(o, left, right)...)
 	t := newKeyTable(buildDS.Len())
 	bk, pk := exprShuffleKey(buildKey), exprShuffleKey(probeKey)
 	buildRows, err := broadcastBuild(t, bk, buildDS)

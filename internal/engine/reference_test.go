@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,6 +304,111 @@ func computeAggRef(spec AggSpec, rows []keyedRow) (nested.Value, error) {
 		return nested.Set(elems...), nil
 	}
 	return nested.Value{}, fmt.Errorf("unknown aggregate function %q", spec.Func)
+}
+
+// ---- dataset types ----
+
+// topLevelSchema returns the top-level attribute names of a dataset's rows,
+// those of every distinct row shape in first-seen order; empty datasets
+// yield nil. The engine reads them off datasetType.
+func topLevelSchema(d *Dataset) []string {
+	var names []string
+	seen := make(map[*nested.Shape]bool)
+	for _, part := range d.Partitions {
+		for i := range part {
+			if s := part[i].Value.Shape(); s != nil && !seen[s] {
+				seen[s] = true
+				for _, n := range s.Names() {
+					if !slices.Contains(names, n) {
+						names = append(names, n)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// refTypeOf is the reference for merging vals one by one into the zero
+// nested.Type: it decides the kind from the set of kinds among vals, where
+// the merge folds them in order. One kind is itself, int with double is
+// double, more are unknown (null), and none is null if a null is among them.
+// The attributes are those of every item in first-seen order, each the
+// reference type of its values; a collection's element type is that of all
+// the collections' elements.
+func refTypeOf(vals []nested.Value) nested.Type {
+	var t nested.Type
+	kinds := map[nested.Kind]bool{}
+	var elems []nested.Value
+	byName := map[string][]nested.Value{}
+	for _, v := range vals {
+		switch k := v.Kind(); k {
+		case nested.KindNull, nested.KindInvalid:
+			if t.Kind == nested.KindInvalid {
+				t.Kind = k
+			}
+			continue
+		case nested.KindItem:
+			for i := range v.NumFields() {
+				name := v.FieldName(i)
+				if _, ok := byName[name]; !ok {
+					t.Fields = append(t.Fields, nested.FieldType{Name: name})
+				}
+				byName[name] = append(byName[name], v.FieldValue(i))
+			}
+		case nested.KindBag, nested.KindSet:
+			elems = append(elems, v.Elems()...)
+		}
+		kinds[v.Kind()] = true
+	}
+	switch {
+	case len(kinds) == 1:
+		for k := range kinds {
+			t.Kind = k
+		}
+	case len(kinds) == 2 && kinds[nested.KindInt] && kinds[nested.KindDouble]:
+		t.Kind = nested.KindDouble
+	case len(kinds) > 1:
+		t.Kind = nested.KindNull
+	}
+	for i, f := range t.Fields {
+		t.Fields[i].Type = refTypeOf(byName[f.Name])
+	}
+	if t.Kind.IsCollection() && len(elems) > 0 {
+		elem := refTypeOf(elems)
+		t.Elem = &elem
+	}
+	return t
+}
+
+// refDatasetType is refTypeOf over the values p reads off d's rows, null
+// where it reads none; ok is false when d has no rows.
+func refDatasetType(d *Dataset, p path.Path) (nested.Type, bool) {
+	var vals []nested.Value
+	for _, part := range d.Partitions {
+		for _, r := range part {
+			v, ok := p.Eval(r.Value)
+			if !ok {
+				v = nested.Null()
+			}
+			vals = append(vals, v)
+		}
+	}
+	return refTypeOf(vals), len(vals) > 0
+}
+
+// sameType reports whether two types agree in kind, in attribute names and
+// types (the names a conflict kept too), and in element types.
+func sameType(a, b nested.Type) bool {
+	if a.Kind != b.Kind || len(a.Fields) != len(b.Fields) || (a.Elem == nil) != (b.Elem == nil) {
+		return false
+	}
+	for i := range a.Fields {
+		if a.Fields[i].Name != b.Fields[i].Name || !sameType(a.Fields[i].Type, b.Fields[i].Type) {
+			return false
+		}
+	}
+	return a.Elem == nil || sameType(*a.Elem, *b.Elem)
 }
 
 // ---- differential harness ----
@@ -1200,12 +1306,12 @@ func evalSelectRef(fields []SelectField, d nested.Value) (nested.Value, error) {
 
 func (e *refExecutor) execUnion(o *Op) (*Dataset, error) {
 	left, right := e.in(o, 0), e.in(o, 1)
-	lt, lok := schemaType(left)
-	rt, rok := schemaType(right)
+	lt, lok := refDatasetType(left, nil)
+	rt, rok := refDatasetType(right, nil)
 	if lok && rok && !nested.Compatible(lt, rt) {
 		return nil, fmt.Errorf("union: incompatible input types %s and %s", lt, rt)
 	}
-	e.startOperator(o, len(left.Partitions)+len(right.Partitions), left, right)
+	e.startOperator(o, len(left.Partitions)+len(right.Partitions), lt, rt)
 	var parts [][]pending
 	for _, rows := range left.Partitions {
 		out := []pending{}
@@ -1237,7 +1343,9 @@ func (e *refExecutor) execJoin(o *Op) (*Dataset, error) {
 	if o.leftOuter {
 		nParts += len(left.Partitions)
 	}
-	e.startOperator(o, nParts, left, right)
+	lt, _ := refDatasetType(left, nil)
+	rt, _ := refDatasetType(right, nil)
+	e.startOperator(o, nParts, lt, rt)
 	lb, err := e.shuffleRef(left, o.id, exprShuffleKey(o.leftKey), e.opts.Partitions, false)
 	if err != nil {
 		return nil, err
@@ -1279,7 +1387,9 @@ func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, 
 		buildDS, probeDS = right, left
 		buildKey, probeKey = o.rightKey, o.leftKey
 	}
-	e.startOperator(o, len(probeDS.Partitions), left, right)
+	lt, _ := refDatasetType(left, nil)
+	rt, _ := refDatasetType(right, nil)
+	e.startOperator(o, len(probeDS.Partitions), lt, rt)
 	build, err := broadcastBuildRef(buildKey, buildDS)
 	if err != nil {
 		return nil, err
@@ -1295,7 +1405,11 @@ func (e *refExecutor) execBroadcastJoin(o *Op, left, right *Dataset) (*Dataset, 
 
 func (e *refExecutor) execAggregate(o *Op) (*Dataset, error) {
 	in := e.in(o, 0)
-	e.startOperator(o, e.opts.Partitions, in)
+	keyTypes := make([]nested.Type, len(o.groupBy))
+	for i, g := range o.groupBy {
+		keyTypes[i], _ = refDatasetType(in, g.Path.SchemaLevel())
+	}
+	e.startOperator(o, e.opts.Partitions, keyTypes...)
 	buckets, err := e.shuffleRef(in, o.id, groupShuffleKey(o.groupBy), e.opts.Partitions, true)
 	if err != nil {
 		return nil, err

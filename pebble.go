@@ -269,8 +269,10 @@ func Analyze(p *Pipeline, inputTypes map[string]Type) (map[int]Type, error) {
 	return engine.Analyze(p, inputTypes)
 }
 
-// InferInputTypes derives input types from datasets by merging the types of
-// every row (semi-structured inputs yield the union of attributes).
+// InferInputTypes derives each input's type by merging its every row into
+// one type (Type.Merge): semi-structured inputs yield the union of their
+// attributes, int and double widen to double, and other kind conflicts are
+// unknown (null).
 func InferInputTypes(inputs map[string]*Dataset) map[string]Type {
 	return engine.InferInputTypes(inputs)
 }
