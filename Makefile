@@ -102,8 +102,8 @@ bench-engine:
 profile-engine:
 	go test ./internal/engine -run '^$$' -bench EngineSweep -benchtime 10x -cpuprofile engine.prof -o engine.test
 
-# The capture side without the daemon, time and bytes: the sink's appends,
-# the collector's Finish (merge, encode, lazy load), the codec (v2 reference
+# The capture side without the daemon, time and bytes: the morsels handed to
+# the collector, its Finish (merge, encode, lazy load), the codec (v2 reference
 # vs v3 on T5 and D4: encode, lazy scan, full decode, bytes per association
 # row), a capture job's persist (the written stream and its sidecar) and a
 # T1–T5 / D1–D5 capture + WriteTo sweep at the sizes of bench-engine, whose

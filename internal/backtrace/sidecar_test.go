@@ -58,8 +58,9 @@ type sidecarFixture struct {
 // shuffledRun returns a copy of run with the association rows of every
 // operator but the sources in a seeded random order: the run no engine
 // writes, whose Out columns are out of order. A run's columns are shared and
-// read-only, so the copy is made the way any run is — its rows replayed, one
-// at a time in the permuted order, through a provenance.Collector.
+// read-only, so the copy is made the way any run is — its rows replayed in the
+// permuted order, each a morsel of one row, through a provenance.Collector,
+// which only reads the columns it is handed.
 func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -67,7 +68,6 @@ func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run 
 	for _, op := range run.Operators() {
 		col.StartOperator(engine.OpInfo{OID: op.OID, Type: op.Type, Inputs: op.Inputs,
 			Manipulated: op.Manipulated, ManipUndefined: op.ManipUndefined}, 1)
-		sink := col.Partition(op.OID, 0)
 		c := op.Columns()
 		rows := make([]int, len(c.Out))
 		for i := range rows {
@@ -77,18 +77,16 @@ func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run 
 			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		}
 		for _, r := range rows {
+			a := engine.Assocs{In: c.In[r : r+1]}
 			switch c.Kind {
-			case provenance.AssocSource:
-				sink.SourceRows(c.Out[r], c.In[r:r+1])
-			case provenance.AssocUnary:
-				sink.Unary(c.In[r], c.Out[r])
 			case provenance.AssocBinary:
-				sink.BinaryRange(c.In[r:r+1], c.Right[r:r+1], c.Out[r])
+				a.Right = c.Right[r : r+1]
 			case provenance.AssocFlatten:
-				sink.FlattenRange(c.In[r:r+1], []int{int(c.Pos[r])}, c.Out[r])
+				a.Pos = c.Pos[r : r+1]
 			case provenance.AssocAgg:
-				sink.Agg(slices.Clone(c.In[c.Offs[r]:c.Offs[r+1]]), c.Out[r])
+				a.In, a.Lists = nil, [][]int64{c.In[c.Offs[r]:c.Offs[r+1]]}
 			}
+			col.Morsel(op.OID, 0, c.Out[r], 1, a)
 		}
 	}
 	shuffled, err := col.Finish()

@@ -15,8 +15,8 @@ import (
 // CSR offset lists — instead of buffering every group's rows and re-walking
 // them per spec. Contributing-identifier lists for capture are CSR subslices of
 // one bucket-sized arena (ownership of each group's subslice transfers to
-// the sink via ps.Agg). Float sums accumulate in bucket (= sequence) order,
-// so results are bit-identical across worker counts.
+// the sink with the morsel). Float sums accumulate in bucket (= sequence)
+// order, so results are bit-identical across worker counts.
 //
 // Error contract: a spec the bucket cannot compute — an aggregate missing
 // its input path, an unknown function, a non-numeric value under sum/avg —
@@ -100,7 +100,7 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 		// The contributing-identifier collection is only materialised when
 		// provenance is captured — it is the dominant share of the
 		// aggregation's capture cost (Sec. 7.3.1). Ownership of each group's
-		// subslice transfers to the sink (ps.Agg).
+		// subslice transfers to the sink with the morsel.
 		idsArena, idCur = make([]int64, len(bucket)), make([]int32, nG)
 	}
 	// Chunked so that the specs' passes over the same rows stay
@@ -147,7 +147,7 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 	sort.Slice(order, func(i, j int) bool { return nested.Compare(key(order[i]), key(order[j])) < 0 })
 	out := morselOut{rows: make([]Row, nG), n: nG}
 	if capture {
-		out.lists = make([][]int64, nG)
+		out.Lists = make([][]int64, nG)
 	}
 	width := shape.Len()
 	arena := make([]nested.Value, nG*width) // retained by the output items
@@ -169,7 +169,7 @@ func aggBucket(o *Op, shape *nested.Shape, bucket []keyedRow, capture bool) (mor
 		out.rows[i].Value = shape.Item(vals...)
 		if idsArena != nil {
 			o0 := offsets[g]
-			out.lists[i] = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
+			out.Lists[i] = idsArena[o0 : o0+t.count[g] : o0+t.count[g]]
 		}
 	}
 	return out, nil

@@ -42,7 +42,7 @@ type InputInfo struct {
 
 // OpInfo is the static, data-item-independent part of the lightweight
 // operator provenance P = ⟨oid, type, I, M, P⟩ (Def. 5.1): everything but
-// the per-item association bag P, which the sink collects row by row.
+// the per-item association bag P, which the sink receives morsel by morsel.
 type OpInfo struct {
 	OID    int
 	Type   OpType
@@ -54,57 +54,40 @@ type OpInfo struct {
 }
 
 // CaptureSink receives provenance during execution. StartOperator is called
-// once per operator before its rows flow; the executor then requests one
-// PartitionSink per partition morsel and appends every association of that
-// morsel through it. StartOperator for one operator may race with Partition
-// calls and per-row appends of another (the engine executes independent DAG
-// branches concurrently), so the registry behind Partition must be
-// synchronised — but each returned PartitionSink is used by exactly one
-// goroutine at a time and can append without locking. A nil sink disables
-// capture entirely.
+// once per operator before its rows flow; Morsel then hands over the
+// association bag of every partition morsel, as the operator wrote it.
+// StartOperator for one operator may race with Morsel calls of another (the
+// engine executes independent DAG branches concurrently), and the partitions
+// of one operator hand over concurrently, but the morsels of one (operator,
+// partition) pair arrive in order from one goroutine at a time. A nil sink
+// disables capture entirely.
 type CaptureSink interface {
 	// StartOperator announces an operator and its static provenance.
 	StartOperator(info OpInfo, partitions int)
-	// Partition returns the morsel-scoped sink for one partition of an
-	// announced operator. The executor calls it once per morsel — any
-	// registry lookup or locking is paid here, once, instead of once per
-	// row. The handle must not be shared across partitions or retained
-	// after the operator finishes.
-	Partition(oid, part int) PartitionSink
+	// Morsel hands over the associations of n rows of partition part of an
+	// announced operator, whose output identifiers are base, base+1, … in row
+	// order. The sink owns a's slices from then on; the executor neither
+	// reads nor reuses them.
+	Morsel(oid, part int, base int64, n int, a Assocs)
 }
 
-// PartitionSink appends the association rows of one partition morsel. All
-// methods are single-goroutine: the executor owns the morsel for the
-// duration of the handle, so implementations append without locking.
-//
-// The fixed-width layouts arrive in bulk: one call per partition morsel
-// covering a contiguous run of output identifiers base, base+1, …. The range
-// slices are the id columns the operator wrote for the morsel, lent for the
-// call: implementations must copy what they keep.
-// The variable-length layouts (Agg, and Unary for distinct's fan-in) arrive
-// row by row.
-type PartitionSink interface {
-	// SourceRows records a contiguous run of source rows: the row that
-	// carried identifier origIDs[i] in the raw input dataset was assigned
-	// top-level identifier base+i (so analyses can correlate multiple reads
-	// of the same input).
-	SourceRows(base int64, origIDs []int64)
-	// Unary records ⟨id_i, id_o⟩ for distinct, where several collapsed
-	// duplicates contribute to one output item.
-	Unary(inID, outID int64)
-	// UnaryRange records ⟨inIDs[i], base+i⟩ for every i: map, select,
-	// filter, orderBy, limit.
-	UnaryRange(inIDs []int64, base int64)
-	// BinaryRange records ⟨leftIDs[i], rightIDs[i], base+i⟩ for every i:
-	// join and union; for union the absent side is -1.
-	BinaryRange(leftIDs, rightIDs []int64, base int64)
-	// FlattenRange records ⟨inIDs[i], positions[i], base+i⟩ for every i,
-	// with the 1-based position of the flattened element.
-	FlattenRange(inIDs []int64, positions []int, base int64)
-	// Agg records ⟨ids_i, id_o⟩; the order of inIDs matches the element
-	// order of every nested collection the aggregation produced. The sink
-	// takes ownership of the slice — the caller must not reuse it.
-	Agg(inIDs []int64, outID int64)
+// Assocs is a morsel's association bag P (Def. 5.1) as columns parallel to
+// its rows; which of them are set follows the operator's layout (Tab. 6).
+type Assocs struct {
+	// In is each row's input id: the id the row carried in the raw dataset
+	// for a source, the left id for join and union, and nil for aggregate
+	// and distinct.
+	In []int64
+	// Right is a join's or union's right id; -1 marks the absent side of a
+	// union row.
+	Right []int64
+	// Pos is flatten's 1-based position of the exploded element.
+	Pos []int64
+	// Lists holds, for aggregate and distinct, the ids of every input row
+	// that contributes to each output row: for an aggregate in the element
+	// order of every nested collection it produced, for distinct one unary
+	// association per collapsed duplicate.
+	Lists [][]int64
 }
 
 // opInfo derives the static provenance of an operator per the inference

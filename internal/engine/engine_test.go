@@ -465,10 +465,12 @@ func TestStatsAndIntermediates(t *testing.T) {
 	}
 }
 
-// recordingSink captures all events for assertions.
+// recordingSink captures all events for assertions, the associations of a
+// morsel by the layout of its operator's type.
 type recordingSink struct {
 	mu      sync.Mutex
 	infos   []OpInfo
+	types   map[int]OpType
 	sources []int64
 	unaries []struct {
 		oid     int
@@ -491,75 +493,57 @@ type recordingSink struct {
 	}
 }
 
-func newRecordingSink() *recordingSink { return &recordingSink{} }
+func newRecordingSink() *recordingSink { return &recordingSink{types: make(map[int]OpType)} }
 
 func (s *recordingSink) StartOperator(info OpInfo, parts int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.infos = append(s.infos, info)
+	s.types[info.OID] = info.Type
 }
 
-// Partition implements CaptureSink; the recording handle locks per append
-// (this sink asserts content, not the hot path).
-func (s *recordingSink) Partition(oid, part int) PartitionSink {
-	return &recordingPartition{s: s, oid: oid}
-}
-
-type recordingPartition struct {
-	s   *recordingSink
-	oid int
-}
-
-func (p *recordingPartition) SourceRows(base int64, origIDs []int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	for i := range origIDs {
-		p.s.sources = append(p.s.sources, base+int64(i))
+// Morsel implements CaptureSink; it locks per morsel (this sink asserts
+// content, not the hot path).
+func (s *recordingSink) Morsel(oid, part int, base int64, n int, a Assocs) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	unary := func(in, out int64) {
+		s.unaries = append(s.unaries, struct {
+			oid     int
+			in, out int64
+		}{oid, in, out})
 	}
-}
-func (p *recordingPartition) Unary(in, out int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	p.s.unaries = append(p.s.unaries, struct {
-		oid     int
-		in, out int64
-	}{p.oid, in, out})
-}
-func (p *recordingPartition) UnaryRange(inIDs []int64, base int64) {
-	for i, in := range inIDs {
-		p.Unary(in, base+int64(i))
+	for i := range n {
+		out := base + int64(i)
+		switch s.types[oid] {
+		case OpSource:
+			s.sources = append(s.sources, out)
+		case OpJoin, OpUnion:
+			s.binaries = append(s.binaries, struct {
+				oid       int
+				l, r, out int64
+			}{oid, a.In[i], a.Right[i], out})
+		case OpFlatten:
+			s.flattens = append(s.flattens, struct {
+				oid int
+				in  int64
+				pos int
+				out int64
+			}{oid, a.In[i], int(a.Pos[i]), out})
+		case OpAggregate:
+			s.aggs = append(s.aggs, struct {
+				oid int
+				ins []int64
+				out int64
+			}{oid, a.Lists[i], out})
+		case OpDistinct:
+			for _, in := range a.Lists[i] {
+				unary(in, out)
+			}
+		default:
+			unary(a.In[i], out)
+		}
 	}
-}
-func (p *recordingPartition) BinaryRange(leftIDs, rightIDs []int64, base int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	for i := range leftIDs {
-		p.s.binaries = append(p.s.binaries, struct {
-			oid       int
-			l, r, out int64
-		}{p.oid, leftIDs[i], rightIDs[i], base + int64(i)})
-	}
-}
-func (p *recordingPartition) FlattenRange(inIDs []int64, positions []int, base int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	for i := range inIDs {
-		p.s.flattens = append(p.s.flattens, struct {
-			oid int
-			in  int64
-			pos int
-			out int64
-		}{p.oid, inIDs[i], positions[i], base + int64(i)})
-	}
-}
-func (p *recordingPartition) Agg(ins []int64, out int64) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	p.s.aggs = append(p.s.aggs, struct {
-		oid int
-		ins []int64
-		out int64
-	}{p.oid, ins, out})
 }
 
 func TestCaptureEventsFigure1(t *testing.T) {

@@ -173,24 +173,21 @@ func (e *executor) in(o *Op, i int) *Dataset { return e.outputs[o.inputs[i].id] 
 
 // morselOut is what an operator produced for one output partition before its
 // turn to reserve identifiers. Rows are written once, here, by the operator's
-// body; stage.commit fills their ID slot in place. The association ids are
-// plain columns parallel to the rows and exist only under capture
-// (Options.Sink != nil); which of them an operator fills follows its type.
+// body; stage.commit fills their ID slot in place. The association columns
+// exist only under capture (Options.Sink != nil) and go to the sink as they
+// are.
 type morselOut struct {
-	rows  []Row         // nil for a member inside a stage: its rows lived in scratch
-	n     int           // rows produced; len(rows) unless rows is nil
-	in1   []int64       // the input id (source: the id in the raw dataset; binary: the left id)
-	in2   []int64       // binary: the right id; -1 marks an absent side
-	pos   []int         // flatten: 1-based position of the exploded element
-	lists [][]int64     // aggregate, distinct: the contributing input ids of every row
-	busy  time.Duration // row-wise members: time spent in the member's body
+	rows []Row // nil for a member inside a stage: its rows lived in scratch
+	n    int   // rows produced; len(rows) unless rows is nil
+	Assocs
+	busy time.Duration // row-wise members: time spent in the member's body
 }
 
 // newBinaryOut returns a morsel of n join rows, which setBinary fills in.
 func newBinaryOut(n int, capture bool) morselOut {
 	m := morselOut{rows: make([]Row, n), n: n}
 	if capture {
-		m.in1, m.in2 = make([]int64, n), make([]int64, n)
+		m.In, m.Right = make([]int64, n), make([]int64, n)
 	}
 	return m
 }
@@ -199,67 +196,42 @@ func newBinaryOut(n int, capture bool) morselOut {
 // none).
 func (m *morselOut) setBinary(i int, item nested.Value, l, r int64) {
 	m.rows[i].Value = item
-	if m.in1 != nil {
-		m.in1[i], m.in2[i] = l, r
+	if m.In != nil {
+		m.In[i], m.Right[i] = l, r
 	}
 }
 
 // commitMorsel gives one partition of operator o its identifiers, base
-// onwards in row order, and hands its associations to the sink: the
-// fixed-width layouts as one id-range call over the morsel's columns (the
-// sink copies out of them), the variable-length ones row by row. inBase
+// onwards in row order, and hands its association columns to the sink. inBase
 // turns the partition-local input indexes of a member inside a stage into
-// identifiers; it is 0 where in1 holds identifiers already.
+// identifiers; it is 0 where In holds identifiers already.
 func (e *executor) commitMorsel(o *Op, part int, m *morselOut, base, inBase int64) {
 	for i := range m.rows {
 		m.rows[i].ID = base + int64(i)
 	}
-	assocs := int64(m.n)
-	if e.opts.Sink != nil && m.n > 0 {
-		// One registry lookup per morsel: the handle appends lock-free.
-		ps := e.opts.Sink.Partition(o.id, part)
-		if inBase != 0 {
-			for i := range m.in1 {
-				m.in1[i] += inBase
-			}
-		}
-		switch o.typ {
-		case OpSource:
-			ps.SourceRows(base, m.in1)
-		case OpJoin, OpUnion:
-			ps.BinaryRange(m.in1, m.in2, base)
-		case OpFlatten:
-			ps.FlattenRange(m.in1, m.pos, base)
-		case OpAggregate:
-			id := base
-			for _, ids := range m.lists {
-				// The list was built for the sink (see aggBucket); ownership
-				// transfers, no copy.
-				ps.Agg(ids, id)
-				id++
-			}
-		case OpDistinct:
-			// One unary association per collapsed duplicate: every witness
-			// contributes to the output item.
-			assocs = 0
-			id := base
-			for _, ids := range m.lists {
-				for _, in := range ids {
-					ps.Unary(in, id)
-				}
-				assocs += int64(len(ids))
-				id++
-			}
-		default:
-			ps.UnaryRange(m.in1, base)
-		}
-		m.in1, m.in2, m.pos, m.lists = nil, nil, nil, nil // the sink has them now
-	}
 	if rec := e.opts.Recorder; rec != nil {
 		rec.Add(o.id, part, obs.RowsOut, int64(m.n))
 		if e.opts.Sink != nil {
+			assocs := int64(m.n)
+			if o.typ == OpDistinct {
+				// One association per collapsed duplicate: every witness
+				// contributes to the output item.
+				assocs = 0
+				for _, ids := range m.Lists {
+					assocs += int64(len(ids))
+				}
+			}
 			rec.Add(o.id, part, obs.AssocRows, assocs)
 		}
+	}
+	if e.opts.Sink != nil && m.n > 0 {
+		if inBase != 0 {
+			for i := range m.In {
+				m.In[i] += inBase
+			}
+		}
+		e.opts.Sink.Morsel(o.id, part, base, m.n, m.Assocs)
+		m.Assocs = Assocs{} // the sink has them now
 	}
 }
 
@@ -302,7 +274,7 @@ func (e *executor) execSource(o *Op) ([]morselOut, error) {
 		m.n = (total + parts - 1 - part) / parts
 		m.rows = make([]Row, m.n)
 		if e.opts.Sink != nil {
-			m.in1 = make([]int64, m.n)
+			m.In = make([]int64, m.n)
 		}
 		e.opts.Recorder.Add(o.id, part, obs.RowsIn, int64(m.n))
 	}
@@ -311,8 +283,8 @@ func (e *executor) execSource(o *Op) ([]morselOut, error) {
 		for ri := range p {
 			m, at := &outs[i%parts], i/parts
 			m.rows[at].Value = p[ri].Value
-			if m.in1 != nil {
-				m.in1[at] = p[ri].ID
+			if m.In != nil {
+				m.In[at] = p[ri].ID
 			}
 			i++
 		}
@@ -433,9 +405,9 @@ func (e *executor) execUnion(o *Op) ([]morselOut, error) {
 			for i := range src {
 				ids[i], absent[i] = src[i].ID, -1
 			}
-			m.in1, m.in2 = ids, absent
+			m.In, m.Right = ids, absent
 			if !isLeft {
-				m.in1, m.in2 = absent, ids
+				m.In, m.Right = absent, ids
 			}
 		}
 		outs[part] = m

@@ -26,9 +26,9 @@ func filterMorsel(pred Expr, in []Row, d morselDst) (morselOut, error) {
 	for i, at := range sel {
 		out.rows[i] = Row{ID: int64(i), Value: in[at].Value}
 	}
-	if out.in1 != nil {
+	if out.In != nil {
 		for i, at := range sel {
-			out.in1[i] = in[at].ID
+			out.In[i] = in[at].ID
 		}
 	}
 	return out, nil

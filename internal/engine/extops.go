@@ -53,13 +53,13 @@ func (e *executor) execDistinct(o *Op) ([]morselOut, error) {
 		sort.Slice(order, func(i, j int) bool { return order[i].seq < order[j].seq })
 		out := morselOut{rows: make([]Row, len(order)), n: len(order)}
 		if capture {
-			out.lists = make([][]int64, len(order))
+			out.Lists = make([][]int64, len(order))
 		}
 		for i, en := range order {
 			out.rows[i].Value = en.value
 			if capture {
 				sort.Slice(en.ids, func(i, j int) bool { return en.ids[i] < en.ids[j] })
-				out.lists[i] = en.ids
+				out.Lists[i] = en.ids
 			}
 		}
 		outs[part] = out
@@ -144,9 +144,9 @@ func (e *executor) chunkContiguous(rows []Row) []morselOut {
 		end := min(start+chunk, len(rows))
 		m := morselOut{rows: rows[start:end:end], n: end - start}
 		if e.opts.Sink != nil {
-			m.in1 = make([]int64, m.n)
+			m.In = make([]int64, m.n)
 			for i := range m.rows {
-				m.in1[i] = m.rows[i].ID
+				m.In[i] = m.rows[i].ID
 			}
 		}
 		outs = append(outs, m)

@@ -434,14 +434,14 @@ func renderOut(out morselOut, err error) string {
 	prs := make([]pending, len(out.rows))
 	for i, r := range out.rows {
 		prs[i].value = r.Value
-		if out.in1 != nil {
-			prs[i].in1 = out.in1[i]
+		if out.In != nil {
+			prs[i].in1 = out.In[i]
 		}
-		if out.in2 != nil {
-			prs[i].in2 = out.in2[i]
+		if out.Right != nil {
+			prs[i].in2 = out.Right[i]
 		}
-		if out.lists != nil {
-			prs[i].inIDs = out.lists[i]
+		if out.Lists != nil {
+			prs[i].inIDs = out.Lists[i]
 		}
 	}
 	return renderPending(prs, err)
@@ -819,7 +819,7 @@ func TestJoinBucketSplitsHotKey(t *testing.T) {
 					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 				}
 				for i, r := range out.rows {
-					if err == nil && out.in2[i] >= 0 && r.Value.Shape() != out.rows[0].Value.Shape() {
+					if err == nil && out.Right[i] >= 0 && r.Value.Shape() != out.rows[0].Value.Shape() {
 						t.Fatalf("match %d does not share the shape of match 0: the chunks derive their own", i)
 					}
 				}
@@ -1159,7 +1159,8 @@ func (e *refExecutor) exec(o *Op) (*Dataset, error) {
 }
 
 // finalizeRef assigns identifiers to the pending rows of every partition
-// (partition-major) and emits the associations row by row.
+// (partition-major) and emits the associations row by row, each a morsel of
+// one row.
 func (e *refExecutor) finalizeRef(o *Op, parts [][]pending) *Dataset {
 	total := 0
 	for _, p := range parts {
@@ -1169,27 +1170,21 @@ func (e *refExecutor) finalizeRef(o *Op, parts [][]pending) *Dataset {
 	partitions := make([][]Row, len(parts))
 	for part, prs := range parts {
 		rows := make([]Row, len(prs))
-		var ps PartitionSink
-		if e.opts.Sink != nil && len(prs) > 0 {
-			ps = e.opts.Sink.Partition(o.id, part)
-		}
 		for i, pr := range prs {
 			rows[i] = Row{ID: id, Value: pr.value}
-			if ps != nil {
+			if e.opts.Sink != nil {
+				var a Assocs
 				switch o.typ {
 				case OpJoin, OpUnion:
-					ps.BinaryRange([]int64{pr.in1}, []int64{pr.in2}, id)
+					a.In, a.Right = []int64{pr.in1}, []int64{pr.in2}
 				case OpFlatten:
-					ps.FlattenRange([]int64{pr.in1}, []int{pr.pos}, id)
-				case OpAggregate:
-					ps.Agg(pr.inIDs, id)
-				case OpDistinct:
-					for _, in := range pr.inIDs {
-						ps.Unary(in, id)
-					}
+					a.In, a.Pos = []int64{pr.in1}, []int64{int64(pr.pos)}
+				case OpAggregate, OpDistinct:
+					a.Lists = [][]int64{pr.inIDs}
 				default:
-					ps.UnaryRange([]int64{pr.in1}, id)
+					a.In = []int64{pr.in1}
 				}
+				e.opts.Sink.Morsel(o.id, part, id, 1, a)
 			}
 			id++
 		}
@@ -1216,7 +1211,7 @@ func (e *refExecutor) execSource(o *Op) (*Dataset, error) {
 		for i, r := range rows {
 			out.Partitions[part][i] = Row{ID: id, Value: r.Value}
 			if e.opts.Sink != nil {
-				e.opts.Sink.Partition(o.id, part).SourceRows(id, []int64{r.ID})
+				e.opts.Sink.Morsel(o.id, part, id, 1, Assocs{In: []int64{r.ID}})
 			}
 			id++
 		}

@@ -86,7 +86,7 @@ func (p *workerPool) forEach(n int, f func(i int) error) error {
 // accumulation chunks) and allocates its kernel scratch per call; only a
 // stage's inner members draw theirs from the per-worker stage scratch pool.
 // The morsel is the unit of scheduling; a logical partition is the unit of
-// capture-sink handles.
+// capture-sink hand-offs.
 //
 // This is the engine's cancellation checkpoint: a morsel only starts while
 // the executor's context is live, so a cancelled job stops scheduling new

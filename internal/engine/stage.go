@@ -212,7 +212,7 @@ func (d morselDst) out(n int) morselOut {
 		m.rows = d.sc.rows[d.k]
 	}
 	if d.capture {
-		m.in1 = make([]int64, n)
+		m.In = make([]int64, n)
 	}
 	return m
 }
@@ -232,8 +232,8 @@ func selectMorsel(fields []SelectField, ss *selectShape, in []Row, d morselDst) 
 			return morselOut{}, err
 		}
 		out.rows[i] = Row{ID: int64(i), Value: item}
-		if out.in1 != nil {
-			out.in1[i] = in[i].ID
+		if out.In != nil {
+			out.In[i] = in[i].ID
 		}
 	}
 	return out, nil
@@ -250,8 +250,8 @@ func mapMorsel(fn MapFunc, in []Row, d morselDst) (morselOut, error) {
 			return morselOut{}, fmt.Errorf("map %s returned %s, want a data item (τ(λ(i)) ⇒ ⟨...⟩)", fn.Name, v.Kind())
 		}
 		out.rows[i] = Row{ID: int64(i), Value: v}
-		if out.in1 != nil {
-			out.in1[i] = in[i].ID
+		if out.In != nil {
+			out.In[i] = in[i].ID
 		}
 	}
 	return out, nil
@@ -281,7 +281,7 @@ func flattenMorsel(col path.Path, name string, in []Row, d morselDst, arenaScrat
 	}
 	out := d.out(nOut)
 	if d.capture {
-		out.pos = make([]int, nOut)
+		out.Pos = make([]int64, nOut)
 	}
 	var arena []nested.Value
 	if arenaScratch {
@@ -305,8 +305,8 @@ func flattenMorsel(col path.Path, name string, in []Row, d morselDst, arenaScrat
 			copy(vals, r.Value.FieldValues())
 			vals[ds.at] = elem
 			out.rows[n] = Row{ID: int64(n), Value: ds.shape.Item(vals...)}
-			if out.in1 != nil {
-				out.in1[n], out.pos[n] = r.ID, idx+1
+			if out.In != nil {
+				out.In[n], out.Pos[n] = r.ID, int64(idx+1)
 			}
 			n++
 		}

@@ -657,7 +657,7 @@ func TestStraddledStageCompletionOrders(t *testing.T) {
 }
 
 // panicSink panics where a run hands operator oid to it: at its
-// announcement (at "start") or with a partition to fill (at "partition").
+// announcement (at "start") or with a morsel's associations (at "morsel").
 type panicSink struct {
 	*recordingSink
 	oid int
@@ -671,11 +671,11 @@ func (s panicSink) StartOperator(info OpInfo, parts int) {
 	s.recordingSink.StartOperator(info, parts)
 }
 
-func (s panicSink) Partition(oid, part int) PartitionSink {
-	if s.at == "partition" && oid == s.oid {
-		panic("sink refuses a partition")
+func (s panicSink) Morsel(oid, part int, base int64, n int, a Assocs) {
+	if s.at == "morsel" && oid == s.oid {
+		panic("sink refuses a morsel")
 	}
-	return s.recordingSink.Partition(oid, part)
+	s.recordingSink.Morsel(oid, part, base, n, a)
 }
 
 // TestPanicIsTheRunsError: a panic in a run — in a map's body inside a stage
@@ -709,7 +709,7 @@ func TestPanicIsTheRunsError(t *testing.T) {
 	}{
 		{"map", chain, nil, "boom at 6", "engine: operator 3:map[boom]: panic: boom at 6"},
 		{"start", chain, panicSink{newRecordingSink(), 2, "start"}, "sink refuses to start", "engine: operator 2:filter"},
-		{"commit", union, panicSink{newRecordingSink(), 3, "partition"}, "sink refuses a partition", "engine: operator 3:union"},
+		{"commit", union, panicSink{newRecordingSink(), 3, "morsel"}, "sink refuses a morsel", "engine: operator 3:union"},
 	}
 	base := runtime.NumGoroutine()
 	for _, tc := range cases {

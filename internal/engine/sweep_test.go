@@ -239,3 +239,65 @@ func TestScenariosStayLean(t *testing.T) {
 		})
 	}
 }
+
+// TestCaptureBytesPerAssocRow is the allocation guard of capture: what a
+// provenance.Capture of T2 (2 000 tweets) and D1 (6 000 records) allocates
+// beyond the plain run, per association row, on one worker with every join
+// shuffled, against a budget plus 15 %. The capture's bytes are the
+// association columns the engine writes, the collector's record of the
+// morsels handed over, and Finish: the merged bag, the stream and its lazy
+// load. The budgets are what capture allocated once the sink kept the
+// engine's columns as they were handed over (T2 / D1: 36.4 / 23.0); copying
+// every id into the collector's own columns, as before, cost 58.3 / 39.8.
+func TestCaptureBytesPerAssocRow(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops the stage scratch at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, row := range []struct {
+		name   string
+		inputs map[string]*engine.Dataset
+		bytes  float64 // per association row, before the margin
+	}{
+		{"T2", workload.TwitterInput(workload.Scale{SimGB: 1, TweetsPerGB: 2000, Seed: 42}, engine.DefaultPartitions), 36.4},
+		{"D1", workload.DBLPInput(workload.Scale{SimGB: 1, RecordsPerGB: 6000, Seed: 42}, engine.DefaultPartitions), 23.0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sc, err := workload.ByName(row.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := engine.Options{Workers: 1, BroadcastJoinThreshold: -1}
+			allocated := func(run func()) uint64 {
+				run() // stage scratch warm, as in a daemon past its first job
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			plain := allocated(func() {
+				if _, err := engine.Run(sc.Build(), row.inputs, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var rows int
+			captured := allocated(func() {
+				_, run, err := provenance.Capture(sc.Build(), row.inputs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = 0
+				for _, op := range run.Operators() {
+					rows += op.AssocCount()
+				}
+			})
+			bytes := (float64(captured) - float64(plain)) / float64(rows)
+			t.Logf("%d association rows, %.1f bytes each beyond the plain run (limit %.1f)", rows, bytes, row.bytes*1.15)
+			if bytes > row.bytes*1.15 {
+				t.Errorf("%.1f bytes per association row, over %.1f: the association ids are copied again between the engine and the stream", bytes, row.bytes*1.15)
+			}
+		})
+	}
+}

@@ -110,9 +110,9 @@ func ownedDst() morselDst {
 // renderOut renders the morsel filterMorsel writes from it.
 func renderSelected(rows []Row) func([]int32, error) string {
 	return func(sel []int32, err error) string {
-		out := morselOut{in1: make([]int64, 0, len(sel))}
+		out := morselOut{Assocs: Assocs{In: make([]int64, 0, len(sel))}}
 		for _, at := range sel {
-			out.rows, out.in1 = append(out.rows, rows[at]), append(out.in1, rows[at].ID)
+			out.rows, out.In = append(out.rows, rows[at]), append(out.In, rows[at].ID)
 		}
 		return renderOut(out, err)
 	}

@@ -45,10 +45,10 @@ type Run struct {
 }
 
 // Collector implements engine.CaptureSink, capturing lineage only. As with
-// the structural collector, Partition read-locks the operator registry once
-// per morsel (the engine starts concurrently executing operators while
-// morsels of others still flow) and the returned handle appends to its
-// morsel-owned shard without locking.
+// the structural collector, Morsel read-locks the operator registry (the
+// engine starts concurrently executing operators while morsels of others
+// still flow) and appends to the partition's shard, which one goroutine at a
+// time hands over to.
 type Collector struct {
 	mu    sync.RWMutex
 	ops   map[int]*opShards
@@ -62,8 +62,7 @@ type opShards struct {
 	shards []shard
 }
 
-// shard is the collector's engine.PartitionSink: single-goroutine appends
-// for one (operator, partition) morsel.
+// shard holds the associations of one (operator, partition) pair.
 type shard struct {
 	source []int64
 	unary  []unaryAssoc
@@ -90,54 +89,39 @@ func (c *Collector) StartOperator(info engine.OpInfo, partitions int) {
 	c.order = append(c.order, info.OID)
 }
 
-// Partition implements engine.CaptureSink; the read lock only covers the
-// registry lookup, appends through the returned handle are morsel-owned.
-func (c *Collector) Partition(oid, part int) engine.PartitionSink {
+// Morsel implements engine.CaptureSink, copying every id into the row
+// structs Titian keeps. Titian has no flatten notion; the positions are
+// dropped and only the id pairs retained (Sec. 7.3.2: "the overhead can
+// increase when flatten operators store positions that lineage solutions do
+// not capture").
+func (c *Collector) Morsel(oid, part int, base int64, n int, a engine.Assocs) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return &c.ops[oid].shards[part]
-}
-
-// Unary implements engine.PartitionSink.
-func (s *shard) Unary(inID, outID int64) {
-	s.unary = append(s.unary, unaryAssoc{in: inID, out: outID})
-}
-
-// Agg implements engine.PartitionSink, taking ownership of inIDs per the
-// PartitionSink contract (the executor never reuses the slice).
-func (s *shard) Agg(inIDs []int64, outID int64) {
-	s.agg = append(s.agg, aggAssoc{ins: inIDs, out: outID})
-}
-
-// SourceRows implements engine.PartitionSink. The range slices of the bulk
-// forms are borrowed; every id is copied out.
-func (s *shard) SourceRows(base int64, origIDs []int64) {
-	for i := range origIDs {
-		s.source = append(s.source, base+int64(i))
-	}
-}
-
-// UnaryRange implements engine.PartitionSink.
-func (s *shard) UnaryRange(inIDs []int64, base int64) {
-	for i, in := range inIDs {
-		s.unary = append(s.unary, unaryAssoc{in: in, out: base + int64(i)})
-	}
-}
-
-// BinaryRange implements engine.PartitionSink.
-func (s *shard) BinaryRange(leftIDs, rightIDs []int64, base int64) {
-	for i := range leftIDs {
-		s.binary = append(s.binary, binaryAssoc{left: leftIDs[i], right: rightIDs[i], out: base + int64(i)})
-	}
-}
-
-// FlattenRange implements engine.PartitionSink. Titian has no flatten
-// notion; the positions are dropped and only the id pairs retained
-// (Sec. 7.3.2: "the overhead can increase when flatten operators store
-// positions that lineage solutions do not capture").
-func (s *shard) FlattenRange(inIDs []int64, positions []int, base int64) {
-	for i, in := range inIDs {
-		s.unary = append(s.unary, unaryAssoc{in: in, out: base + int64(i)})
+	op := c.ops[oid]
+	s := &op.shards[part]
+	switch op.typ {
+	case engine.OpSource:
+		for i := range n {
+			s.source = append(s.source, base+int64(i))
+		}
+	case engine.OpAggregate:
+		for i, ins := range a.Lists {
+			s.agg = append(s.agg, aggAssoc{ins: ins, out: base + int64(i)})
+		}
+	case engine.OpJoin, engine.OpUnion:
+		for i := range a.In {
+			s.binary = append(s.binary, binaryAssoc{left: a.In[i], right: a.Right[i], out: base + int64(i)})
+		}
+	case engine.OpDistinct:
+		for i, ins := range a.Lists {
+			for _, in := range ins {
+				s.unary = append(s.unary, unaryAssoc{in: in, out: base + int64(i)})
+			}
+		}
+	default:
+		for i, in := range a.In {
+			s.unary = append(s.unary, unaryAssoc{in: in, out: base + int64(i)})
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package nested
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"unsafe"
@@ -115,37 +114,6 @@ func (t Type) Get(name string) (Type, bool) {
 	return Type{}, false
 }
 
-// EqualType reports deep equality of two types. A nil collection element
-// type only equals another nil element type; use Compatible for the laxer
-// check used by union.
-func EqualType(a, b Type) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case KindItem:
-		if len(a.Fields) != len(b.Fields) {
-			return false
-		}
-		for i := range a.Fields {
-			if a.Fields[i].Name != b.Fields[i].Name || !EqualType(a.Fields[i].Type, b.Fields[i].Type) {
-				return false
-			}
-		}
-		return true
-	case KindBag, KindSet:
-		if (a.Elem == nil) != (b.Elem == nil) {
-			return false
-		}
-		if a.Elem == nil {
-			return true
-		}
-		return EqualType(*a.Elem, *b.Elem)
-	default:
-		return true
-	}
-}
-
 // Compatible reports whether two types are compatible in the sense of the
 // union precondition τ(I1) = τ(I2): equal up to unknown (nil) collection
 // element types, up to null and unknown types, which are compatible with
@@ -181,35 +149,6 @@ func Compatible(a, b Type) bool {
 	default:
 		return true
 	}
-}
-
-// CheckHomogeneous verifies the data-model restriction that all elements of
-// every (transitively) contained collection have compatible types.
-func CheckHomogeneous(v Value) error {
-	switch v.kind {
-	case KindItem:
-		for i, e := range v.vs() {
-			if err := CheckHomogeneous(e); err != nil {
-				return fmt.Errorf("attribute %s: %w", v.shape.names[i], err)
-			}
-		}
-	case KindBag, KindSet:
-		vals := v.vs()
-		if len(vals) == 0 {
-			return nil
-		}
-		first := TypeOf(vals[0])
-		for i, e := range vals {
-			if !Compatible(first, TypeOf(e)) {
-				return fmt.Errorf("nested: heterogeneous collection: element %d has type %s, want %s",
-					i, TypeOf(e), first)
-			}
-			if err := CheckHomogeneous(e); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-	}
-	return nil
 }
 
 // String renders the type in the paper's notation: scalars by name, items as

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"pebble/internal/corpus"
@@ -199,33 +200,43 @@ func TestLimitCutsFanOutIsExcluded(t *testing.T) {
 	t.Error("every result row is reproduced by its traced inputs; the LimitCutsFanOut exclusion may be obsolete")
 }
 
-// faultSink wraps a capture sink and, in ranged unary associations, records
-// fault(inIDs, i) in place of each input id congruent to 3 mod 7 — a
+// faultSink wraps a capture sink and, in the morsels of the unary operators
+// that write one input id per row (filter, select, map, orderBy, limit),
+// records fault(inIDs, i) in place of each input id congruent to 3 mod 7 — a
 // deterministic fault that is independent of scheduling, so it does not trip
-// the cross-worker checks first. It interposes on the morsel handles:
-// Partition wraps the inner sink's PartitionSink, so the fault applies on
-// the lock-free append path the engine actually uses.
+// the cross-worker checks first. A source writes its ids in the same column;
+// StartOperator tells which operators are sources, and they are left alone.
 type faultSink struct {
 	engine.CaptureSink
 	fault func(inIDs []int64, i int) int64
+
+	mu      sync.Mutex
+	sources map[int]bool
 }
 
-func (f *faultSink) Partition(oid, part int) engine.PartitionSink {
-	return &faultPartition{PartitionSink: f.CaptureSink.Partition(oid, part), fault: f.fault}
-}
-
-type faultPartition struct {
-	engine.PartitionSink
-	fault func(inIDs []int64, i int) int64
-}
-
-func (f *faultPartition) UnaryRange(inIDs []int64, base int64) {
-	for i, in := range inIDs {
-		if in%7 == 3 {
-			in = f.fault(inIDs, i)
-		}
-		f.PartitionSink.Unary(in, base+int64(i))
+func (f *faultSink) StartOperator(info engine.OpInfo, parts int) {
+	f.mu.Lock()
+	if info.Type == engine.OpSource {
+		f.sources[info.OID] = true
 	}
+	f.mu.Unlock()
+	f.CaptureSink.StartOperator(info, parts)
+}
+
+func (f *faultSink) Morsel(oid, part int, base int64, n int, a engine.Assocs) {
+	f.mu.Lock()
+	source := f.sources[oid]
+	f.mu.Unlock()
+	if !source && a.Right == nil && a.Pos == nil && a.Lists == nil {
+		in := slices.Clone(a.In)
+		for i, id := range a.In {
+			if id%7 == 3 {
+				in[i] = f.fault(a.In, i)
+			}
+		}
+		a.In = in
+	}
+	f.CaptureSink.Morsel(oid, part, base, n, a)
 }
 
 // TestInjectedFaultIsCaughtAndShrunk proves the oracle end to end: each
@@ -249,7 +260,9 @@ func TestInjectedFaultIsCaughtAndShrunk(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.WrapSink = func(s engine.CaptureSink) engine.CaptureSink { return &faultSink{CaptureSink: s, fault: tc.fault} }
+			cfg.WrapSink = func(s engine.CaptureSink) engine.CaptureSink {
+				return &faultSink{CaptureSink: s, fault: tc.fault, sources: make(map[int]bool)}
+			}
 			checkFaultCaughtAndShrunk(t, cfg, tc.kinds)
 		})
 	}

@@ -11,13 +11,13 @@ import (
 	"pebble/internal/obs"
 )
 
-// Collector implements engine.CaptureSink and assembles a Run. The executor
-// requests one PartitionSink handle per partition morsel; the registry lock
-// is paid once per morsel in Partition, and the handle then appends to its
-// shard with zero locking and no map lookups (each morsel is owned by one
-// worker during execution). StartOperator takes the write lock — the engine
-// announces concurrently executing DAG branches while morsels of other
-// operators still flow.
+// Collector implements engine.CaptureSink and assembles a Run. It keeps every
+// morsel's association columns as the engine hands them over, per operator and
+// partition, and lays them out as one bag per operator only in Finish. Morsel
+// read-locks the registry: the engine announces concurrently executing DAG
+// branches, under the write lock in StartOperator, while morsels of other
+// operators still flow. Each partition's morsels arrive from one goroutine at
+// a time, so appending them to its shard needs no lock of its own.
 type Collector struct {
 	mu    sync.RWMutex
 	ops   map[int]*opShards // guarded by mu
@@ -31,68 +31,31 @@ type Collector struct {
 
 type opShards struct {
 	info   engine.OpInfo
-	shards []shard
+	kind   AssocKind  // the layout of info.Type
+	shards [][]morsel // per partition, in hand-over order
 }
 
-// shard buffers the association rows of one (operator, partition) pair as
-// columns. It is the collector's engine.PartitionSink: the executor owns a
-// shard for the duration of a morsel, so the append methods need no
-// synchronisation. The id slices of the bulk appends are lent — a shard
-// copies them, one append per column and morsel — and an aggregate's id list
-// is owned and kept as it is until Finish.
-type shard struct {
-	kind                AssocKind // of the rows appended so far
-	out, in, right, pos []int64
-	lists               [][]int64 // aggregate: ids_i per row
+// morsel is one hand-over: n association rows with the output identifiers
+// base, base+1, … and the columns the engine wrote for them.
+type morsel struct {
+	base int64
+	n    int
+	engine.Assocs
 }
 
-// appendOuts appends the output identifiers base, base+1, … of a bulk append.
-func (s *shard) appendOuts(kind AssocKind, base int64, n int) {
-	s.kind = kind
-	s.out = slices.Grow(s.out, n)
-	for i := 0; i < n; i++ {
-		s.out = append(s.out, base+int64(i))
+// assocKind is the layout Tab. 6 assigns to an operator type.
+func assocKind(t engine.OpType) AssocKind {
+	switch t {
+	case engine.OpSource:
+		return AssocSource
+	case engine.OpJoin, engine.OpUnion:
+		return AssocBinary
+	case engine.OpFlatten:
+		return AssocFlatten
+	case engine.OpAggregate:
+		return AssocAgg
 	}
-}
-
-// SourceRows implements engine.PartitionSink.
-func (s *shard) SourceRows(base int64, origIDs []int64) {
-	s.appendOuts(AssocSource, base, len(origIDs))
-	s.in = append(s.in, origIDs...)
-}
-
-// Unary implements engine.PartitionSink.
-func (s *shard) Unary(inID, outID int64) {
-	s.kind = AssocUnary
-	s.out, s.in = append(s.out, outID), append(s.in, inID)
-}
-
-// UnaryRange implements engine.PartitionSink.
-func (s *shard) UnaryRange(inIDs []int64, base int64) {
-	s.appendOuts(AssocUnary, base, len(inIDs))
-	s.in = append(s.in, inIDs...)
-}
-
-// BinaryRange implements engine.PartitionSink.
-func (s *shard) BinaryRange(leftIDs, rightIDs []int64, base int64) {
-	s.appendOuts(AssocBinary, base, len(leftIDs))
-	s.in, s.right = append(s.in, leftIDs...), append(s.right, rightIDs...)
-}
-
-// FlattenRange implements engine.PartitionSink.
-func (s *shard) FlattenRange(inIDs []int64, positions []int, base int64) {
-	s.appendOuts(AssocFlatten, base, len(inIDs))
-	s.in, s.pos = append(s.in, inIDs...), slices.Grow(s.pos, len(positions))
-	for _, p := range positions {
-		s.pos = append(s.pos, int64(p))
-	}
-}
-
-// Agg implements engine.PartitionSink, taking ownership of inIDs (the
-// executor materialises the slice for the sink and never reuses it).
-func (s *shard) Agg(inIDs []int64, outID int64) {
-	s.kind = AssocAgg
-	s.out, s.lists = append(s.out, outID), append(s.lists, inIDs)
+	return AssocUnary
 }
 
 // NewCollector returns an empty collector ready to be passed as
@@ -113,17 +76,16 @@ func (c *Collector) StartOperator(info engine.OpInfo, partitions int) {
 	if partitions < 1 {
 		partitions = 1
 	}
-	c.ops[info.OID] = &opShards{info: info, shards: make([]shard, partitions)}
+	c.ops[info.OID] = &opShards{info: info, kind: assocKind(info.Type), shards: make([][]morsel, partitions)}
 	c.order = append(c.order, info.OID)
 }
 
-// Partition implements engine.CaptureSink: one read-locked registry lookup
-// per morsel, returning the shard the morsel owns. All subsequent appends go
-// through the handle without any locking.
-func (c *Collector) Partition(oid, part int) engine.PartitionSink {
+// Morsel implements engine.CaptureSink, keeping a as it is.
+func (c *Collector) Morsel(oid, part int, base int64, n int, a engine.Assocs) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return &c.ops[oid].shards[part]
+	s := &c.ops[oid].shards[part]
+	*s = append(*s, morsel{base: base, n: n, Assocs: a})
 }
 
 // Finish encodes the capture into its v3 stream and returns the run loaded
@@ -131,8 +93,9 @@ func (c *Collector) Partition(oid, part int) engine.PartitionSink {
 // reloaded one, and its bags decode on first touch. Operators are ordered by
 // id — the engine announces concurrently executing DAG branches in schedule
 // order, but the stream must not depend on that schedule. Each operator's
-// shards are concatenated into one scratch bag, reused across operators, that
-// the encoder reads; an operator without rows has no bag (AssocNone). The
+// morsels are laid out in one scratch bag (mergeShards), reused across
+// operators, that the encoder reads; an operator without rows has no bag
+// (AssocNone). The
 // collector can be reused afterwards for a fresh capture. The error is the
 // load's: a stream Finish encoded that does not load is a bug, not an input
 // error.
@@ -149,7 +112,8 @@ func (c *Collector) Finish() (*Run, error) {
 	}
 	var scratch Columns
 	stream := encode(ops, func(op *Operator) Columns {
-		scratch = mergeShards(scratch, c.ops[op.OID].shards)
+		o := c.ops[op.OID]
+		scratch = mergeShards(scratch, o.kind, o.shards)
 		return scratch
 	}, c.rec)
 	c.ops, c.order = make(map[int]*opShards), nil
@@ -160,46 +124,59 @@ func (c *Collector) Finish() (*Run, error) {
 	return run, nil
 }
 
-// mergeShards concatenates the shards' columns in partition order into the
-// arrays of c, each grown to the bag's size where it is shorter, and returns
-// them.
-func mergeShards(c Columns, shards []shard) Columns {
-	c.Kind = AssocNone
-	n, totalIns := 0, 0
-	for i := range shards {
-		s := &shards[i]
-		if len(s.out) > 0 {
-			c.Kind = s.kind
-		}
-		n += len(s.out)
-		for _, l := range s.lists {
-			totalIns += len(l)
-		}
-	}
-	concat := func(dst []int64, col func(*shard) []int64) []int64 {
-		dst = slices.Grow(dst[:0], n)
-		for i := range shards {
-			dst = append(dst, col(&shards[i])...)
-		}
-		return dst
-	}
-	c.Out = concat(c.Out, func(s *shard) []int64 { return s.out })
-	switch c.Kind {
-	case AssocBinary:
-		c.Right = concat(c.Right, func(s *shard) []int64 { return s.right })
-	case AssocFlatten:
-		c.Pos = concat(c.Pos, func(s *shard) []int64 { return s.pos })
-	case AssocAgg:
-		c.In, c.Offs = slices.Grow(c.In[:0], totalIns), append(slices.Grow(c.Offs[:0], n+1), 0)
-		for i := range shards {
-			for _, l := range shards[i].lists {
-				c.In = append(c.In, l...)
-				c.Offs = append(c.Offs, int32(len(c.In)))
+// mergeShards lays the morsels of shards out, in partition and hand-over
+// order, as one bag of the given kind in the arrays of c, each grown to the
+// bag's size where it is shorter, and returns them. Out is written from each
+// morsel's base; a distinct's lists expand to one unary row per input.
+func mergeShards(c Columns, kind AssocKind, shards [][]morsel) Columns {
+	n, ins := 0, 0 // association rows; ids in the lists
+	for _, ms := range shards {
+		for _, m := range ms {
+			n += m.n
+			for _, l := range m.Lists {
+				ins += len(l)
 			}
 		}
-		return c
 	}
-	c.In = concat(c.In, func(s *shard) []int64 { return s.in })
+	if kind == AssocUnary && ins > 0 {
+		n = ins // distinct: a row per contributing input
+	}
+	c.Kind = kind
+	if n == 0 {
+		c.Kind = AssocNone
+	}
+	c.Out, c.In = slices.Grow(c.Out[:0], n), slices.Grow(c.In[:0], max(n, ins))
+	c.Right, c.Pos, c.Offs = c.Right[:0], c.Pos[:0], c.Offs[:0]
+	switch kind {
+	case AssocBinary:
+		c.Right = slices.Grow(c.Right, n)
+	case AssocFlatten:
+		c.Pos = slices.Grow(c.Pos, n)
+	case AssocAgg:
+		c.Offs = append(slices.Grow(c.Offs, n+1), 0)
+	}
+	for _, ms := range shards {
+		for _, m := range ms {
+			switch {
+			case kind == AssocAgg:
+				for i, l := range m.Lists {
+					c.Out, c.In = append(c.Out, m.base+int64(i)), append(c.In, l...)
+					c.Offs = append(c.Offs, int32(len(c.In)))
+				}
+			case m.Lists != nil: // distinct
+				for i, l := range m.Lists {
+					for _, in := range l {
+						c.Out, c.In = append(c.Out, m.base+int64(i)), append(c.In, in)
+					}
+				}
+			default:
+				for i := range m.n {
+					c.Out = append(c.Out, m.base+int64(i))
+				}
+				c.In, c.Right, c.Pos = append(c.In, m.In...), append(c.Right, m.Right...), append(c.Pos, m.Pos...)
+			}
+		}
+	}
 	return c
 }
 

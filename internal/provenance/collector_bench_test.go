@@ -8,34 +8,38 @@ import (
 )
 
 // fillCollector populates a collector with a synthetic run: ops operators
-// cycling through the five association layouts, each with parts shards of
-// rowsPerShard rows. The shape mirrors what a mid-size capture produces, so
-// the benchmark isolates exactly the merge cost of Finish.
+// cycling through the five association layouts, each of an operator type with
+// that layout, and each with parts morsels of rowsPerShard rows. The shape
+// mirrors what a mid-size capture produces, so the benchmark isolates exactly
+// the merge cost of Finish.
 func fillCollector(c *Collector, ops, parts, rowsPerShard int) {
+	types := [...]engine.OpType{engine.OpSource, engine.OpMap, engine.OpJoin, engine.OpFlatten, engine.OpAggregate}
 	for oid := 1; oid <= ops; oid++ {
-		c.StartOperator(engine.OpInfo{OID: oid, Type: engine.OpMap}, parts)
+		typ := types[oid%len(types)]
+		c.StartOperator(engine.OpInfo{OID: oid, Type: typ}, parts)
 		for p := 0; p < parts; p++ {
-			ps := c.Partition(oid, p)
 			base := int64(oid*1000000 + p*10000)
-			ids := make([]int64, rowsPerShard)
-			pos := make([]int, rowsPerShard)
+			ids, pos := make([]int64, rowsPerShard), make([]int64, rowsPerShard)
 			for i := range ids {
-				ids[i], pos[i] = base+int64(i), i
+				ids[i], pos[i] = base+int64(i), int64(i)
 			}
-			switch AssocKind(1 + oid%5) {
+			var a engine.Assocs
+			switch assocKind(typ) {
 			case AssocSource:
-				ps.SourceRows(base, ids)
+				a.In = ids
 			case AssocUnary:
-				ps.UnaryRange(ids, base+1)
+				a.In, base = ids, base+1
 			case AssocBinary:
-				ps.BinaryRange(ids, ids, base+2)
+				a.In, a.Right, base = ids, ids, base+2
 			case AssocFlatten:
-				ps.FlattenRange(ids, pos, base+3)
+				a.In, a.Pos, base = ids, pos, base+3
 			case AssocAgg:
-				for _, id := range ids {
-					ps.Agg([]int64{id, id + 1}, id+4)
+				a.Lists, base = make([][]int64, len(ids)), base+4
+				for i, id := range ids {
+					a.Lists[i] = []int64{id, id + 1}
 				}
 			}
+			c.Morsel(oid, p, base, rowsPerShard, a)
 		}
 	}
 }

@@ -46,31 +46,31 @@ func runCodedRun(tb testing.TB) *provenance.Run {
 	for i, typ := range types {
 		oid := i + 1
 		c.StartOperator(engine.OpInfo{OID: oid, Type: typ}, 1)
-		ps, base := c.Partition(oid, 0), int64(oid*1000)
+		base := int64(oid * 1000)
 		switch oid {
 		case 1:
-			ps.SourceRows(base, seq(1, 1))
+			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(1, 1)})
 		case 2:
-			ps.UnaryRange(seq(1000, 1), base)
+			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(1000, 1)})
 		case 3:
-			ps.BinaryRange(seq(2000, 1), seq(-1, 0), base)
+			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(2000, 1), Right: seq(-1, 0)})
 		case 4:
-			pos := make([]int, n)
+			pos := make([]int64, n)
 			for j := range pos {
-				pos[j] = j%4 + 1
+				pos[j] = int64(j%4 + 1)
 			}
-			ps.FlattenRange(seq(3000, 0), pos, base)
+			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(3000, 0), Pos: pos})
 		case 5:
 			for j, out := range seq(base+n, -1) {
-				ps.Agg([]int64{int64(4000 + 2*j), int64(4001 + 2*j)}, out)
+				c.Morsel(oid, 0, out, 1, engine.Assocs{Lists: [][]int64{{int64(4000 + 2*j), int64(4001 + 2*j)}}})
 			}
 		case 6:
 			for j, out := range append([]int64{-base}, seq(base, 1)[1:]...) {
-				ps.Unary(int64(5000+j), out)
+				c.Morsel(oid, 0, out, 1, engine.Assocs{Lists: [][]int64{{int64(5000 + j)}}})
 			}
 		case 7:
 			for j, out := range seq(base, -2) {
-				ps.Unary(int64(6000+j), out)
+				c.Morsel(oid, 0, out, 1, engine.Assocs{Lists: [][]int64{{int64(6000 + j)}}})
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"pebble/internal/backtrace"
 	"pebble/internal/core"
 	"pebble/internal/engine"
-	"pebble/internal/nested"
 	"pebble/internal/obs"
 	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
@@ -282,21 +281,14 @@ func (s *Shell) query(line string) error {
 	return nil
 }
 
-// printSchemas analyzes the captured pipeline against its source schemas and
-// prints per-operator output types.
+// printSchemas analyzes the captured pipeline against the types of the
+// datasets its sources read and prints per-operator output types.
 func (s *Shell) printSchemas() error {
-	inputTypes := map[string]nested.Type{}
-	for _, op := range s.cap.Pipeline.Ops() {
-		if op.Type() != engine.OpSource {
-			continue
-		}
-		src, ok := s.cap.Result.Sources[op.ID()]
-		if !ok {
-			continue
-		}
-		inputTypes[src.Name] = mergeSourceType(src)
+	sources := map[string]*engine.Dataset{}
+	for _, src := range s.cap.Result.Sources {
+		sources[src.Name] = src
 	}
-	schemas, err := engine.Analyze(s.cap.Pipeline, inputTypes)
+	schemas, err := engine.Analyze(s.cap.Pipeline, engine.InferInputTypes(sources))
 	if err != nil {
 		return err
 	}
@@ -308,10 +300,4 @@ func (s *Shell) printSchemas() error {
 		}
 	}
 	return nil
-}
-
-// mergeSourceType infers the source's item type from its rows.
-func mergeSourceType(d *engine.Dataset) nested.Type {
-	types := engine.InferInputTypes(map[string]*engine.Dataset{"x": d})
-	return types["x"]
 }
