@@ -17,8 +17,10 @@ import (
 // suspended downstream of a map until an operator re-establishes a schema
 // (none can, so everything below a map is accepted).
 //
-// The returned map holds each operator's output item type (absent for
-// operators below a map).
+// The returned map holds each operator's output item type. It is absent for
+// a map and the operators below one, and for the operators below a source
+// whose input has no declared type — InferInputTypes leaves an input without
+// rows out.
 func Analyze(p *Pipeline, inputTypes map[string]nested.Type) (map[int]nested.Type, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

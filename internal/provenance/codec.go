@@ -22,25 +22,27 @@ import (
 //
 // with fixed-width little-endian fields; strings and slices are
 // length-prefixed and association rows are stored row-major with u32/i64
-// fields. Versions 2 and 3 (v3 is what a capture encodes, see codec_v3.go and
+// fields. Versions 2 to 4 (v4 is what a capture encodes, see codec_v3.go and
 // DESIGN.md §8) share the magic/version prefix and store a string
 // dictionary followed by per-operator association columns; v3 marks in a
-// bag's tag byte the columns it stores as runs of equal deltas. No version
-// has a trailer: a stream ends with its last operator, and the loader
-// rejects anything after it.
+// bag's tag byte the columns it stores as runs of equal deltas, and v4 stores
+// a flatten's positions as what they differ from the ones their input ids
+// imply. No version has a trailer: a stream ends with its last operator, and
+// the loader rejects anything after it.
 const (
 	codecMagic     = "PBLP"
 	codecVersionV1 = 1
 	codecVersionV2 = 2
 	codecVersionV3 = 3
+	codecVersionV4 = 4
 )
 
 // ReadRun deserialises a run written by any codec version, consuming r to
 // EOF: it is ReadRunLazy over everything r holds followed by the decode of
 // every association bag, so it validates exactly what the lazy load
 // validates and carries the same content hash. The returned run holds decoded
-// bags and retains the stream: its WriteTo writes the bytes read, so a v1 or
-// v2 archive is written back as it is, not re-encoded as v3.
+// bags and retains the stream: its WriteTo writes the bytes read, so a v1,
+// v2 or v3 archive is written back as it is, not re-encoded as v4.
 func ReadRun(r io.Reader) (*Run, error) {
 	var buf bytes.Buffer
 	if sized, ok := r.(interface{ Len() int }); ok {

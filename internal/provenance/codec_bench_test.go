@@ -62,6 +62,7 @@ func TestCodecBenchSmoke(t *testing.T) {
 		"BenchmarkCodec/T5/v2/encode",
 		"BenchmarkCodec/T5/v3/scan",
 		"BenchmarkCodec/D4/v3/decode",
+		"BenchmarkCodec/T2/v4/decode",
 		"BenchmarkCollectorFinish",
 	} {
 		if !strings.Contains(s, name) {

@@ -9,19 +9,20 @@ import (
 	"pebble/internal/workload"
 )
 
-// BenchmarkCodec measures what codec v3 costs against v2 on the largest
+// BenchmarkCodec measures what codec v4 costs against v3 and v2 on the
 // captures of the two capture workloads at the client benchmark's sizes —
-// T5 (twitter_capture, 8 000 tweets) and D4 (dblp_capture, 60 000 records);
-// -short: a twentieth. Per version: encode (WriteTo for v3, the reference
-// encoder for v2), the validating scan of a load (ReadRunLazy) and the
-// full decode (ReadRun), each reporting B/row, the stream's bytes per
-// association row.
+// T2, the flattens' scenario, and T5 (twitter_capture, 8 000 tweets), and D4
+// (dblp_capture, 60 000 records); -short: a twentieth. Per version: encode
+// (the capture's encoder over the decoded bags for v4, the reference encoders
+// for v3 and v2), the validating scan of a load (ReadRunLazy) and the full
+// decode (ReadRun), each reporting B/row, the stream's bytes per association
+// row.
 func BenchmarkCodec(b *testing.B) {
 	tweets, records := 8000, 60000
 	if testing.Short() {
 		tweets, records = 400, 3000
 	}
-	for _, name := range []string{"T5", "D4"} {
+	for _, name := range []string{"T2", "T5", "D4"} {
 		b.Run(name, func(b *testing.B) {
 			sc, err := workload.ByName(name)
 			if err != nil {
@@ -36,24 +37,17 @@ func BenchmarkCodec(b *testing.B) {
 			for _, op := range run.Operators() {
 				rows += op.AssocCount()
 			}
-			writeTo := func() []byte {
-				var w bytes.Buffer
-				if _, err := run.WriteTo(&w); err != nil {
-					b.Fatal(err)
-				}
-				return w.Bytes()
-			}
 			for _, v := range []struct {
 				name   string
-				encode func() []byte
-			}{{"v2", func() []byte { return provenance.RefEncodeV2(run) }}, {"v3", writeTo}} {
-				stream := v.encode()
+				encode func(*provenance.Run) []byte
+			}{{"v2", provenance.RefEncodeV2}, {"v3", provenance.RefEncodeV3}, {"v4", provenance.EncodeV4}} {
+				stream := v.encode(run)
 				perRow := float64(len(stream)) / float64(rows)
 				for _, step := range []struct {
 					name string
 					do   func() error
 				}{
-					{"encode", func() error { v.encode(); return nil }},
+					{"encode", func() error { v.encode(run); return nil }},
 					{"scan", func() error { _, err := provenance.ReadRunLazy(stream); return err }},
 					{"decode", func() error { _, err := provenance.ReadRun(bytes.NewReader(stream)); return err }},
 				} {

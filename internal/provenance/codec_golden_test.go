@@ -16,12 +16,12 @@ import (
 var update = flag.Bool("update", false, "rewrite codec golden files under testdata/")
 
 // goldenPipelines are deterministic captures whose serialised forms are
-// committed under testdata/: <name>.golden holds the frozen v1 stream and
-// <name>.v2.golden the frozen v2 stream — compatibility fixtures: archived
-// provenance written before the current codec must decode forever; nothing
-// in the binary writes them any more, the reference encoders in
-// reference_test.go reproduce them — and <name>.v3.golden the stream WriteTo
-// emits today. Together they exercise every association layout the codec
+// committed under testdata/: <name>.golden holds the frozen v1 stream,
+// <name>.v2.golden the frozen v2 stream and <name>.v3.golden the frozen v3
+// stream — compatibility fixtures: archived provenance written before the
+// current codec must decode forever; nothing in the binary writes them any
+// more, the reference encoders in reference_test.go reproduce them — and
+// <name>.v4.golden the stream WriteTo emits today. Together they exercise every association layout the codec
 // knows: SourceIDs (1), Unary (2), Binary (3), Flatten (4), Agg (5), and the
 // empty tag (0) via the ⊥-annotated map. Committed bytes pin the on-disk
 // format: any codec change that silently alters the layout of existing
@@ -69,9 +69,9 @@ func goldenRun(t *testing.T, parts int, build func() *engine.Pipeline) *provenan
 	return run
 }
 
-// goldenVersions are the three committed streams of a golden pipeline: the
+// goldenVersions are the four committed streams of a golden pipeline: the
 // file suffix, and the encoder that reproduces it — the test-only references
-// for the frozen v1 and v2 fixtures, the capture's own stream for v3.
+// for the frozen v1, v2 and v3 fixtures, the capture's own stream for v4.
 var goldenVersions = []struct {
 	suffix string
 	frozen bool
@@ -79,10 +79,11 @@ var goldenVersions = []struct {
 }{
 	{".golden", true, func(_ testing.TB, run *provenance.Run) []byte { return provenance.RefEncodeV1(run) }},
 	{".v2.golden", true, func(_ testing.TB, run *provenance.Run) []byte { return provenance.RefEncodeV2(run) }},
-	{".v3.golden", false, writeTo},
+	{".v3.golden", true, func(_ testing.TB, run *provenance.Run) []byte { return provenance.RefEncodeV3(run) }},
+	{".v4.golden", false, writeTo},
 }
 
-// writeTo returns the stream the run writes: for a capture, the v3 stream
+// writeTo returns the stream the run writes: for a capture, the v4 stream
 // Finish encoded.
 func writeTo(t testing.TB, run *provenance.Run) []byte {
 	t.Helper()
@@ -94,10 +95,11 @@ func writeTo(t testing.TB, run *provenance.Run) []byte {
 }
 
 // TestCodecGoldenFiles compares freshly captured runs against the committed
-// streams byte for byte — the frozen v1 and v2 fixtures and the current v3
-// stream — then proves decode → re-encode reproduces each committed stream
-// exactly, that all three decode to the same run, and that v3 is never
-// longer than v2. Regenerate the v3 stream (only) with:
+// streams byte for byte — the frozen v1, v2 and v3 fixtures and the current
+// v4 stream — then proves decode → re-encode reproduces each committed stream
+// exactly, that all four decode to the same run, and that each columnar
+// version is no longer than the one before. Regenerate the v4 stream (only)
+// with:
 //
 //	go test ./internal/provenance -run TestCodecGoldenFiles -update
 func TestCodecGoldenFiles(t *testing.T) {
@@ -128,7 +130,7 @@ func TestCodecGoldenFiles(t *testing.T) {
 						p, len(got), len(want))
 				}
 				// The committed stream decodes and re-encodes byte-identically
-				// (a v3 run writes the stream it was loaded from).
+				// (a loaded run writes the stream it was loaded from).
 				back, err := provenance.ReadRun(bytes.NewReader(want))
 				if err != nil {
 					t.Fatalf("decode %s: %v", p, err)
@@ -136,17 +138,18 @@ func TestCodecGoldenFiles(t *testing.T) {
 				if re := v.encode(t, back); !bytes.Equal(re, want) {
 					t.Errorf("decode → re-encode of %s is not byte-identical (%d vs %d bytes)", p, len(re), len(want))
 				}
-				// And describes the same run as the others: its v3 encoding is
-				// the v3 golden.
-				if re := provenance.EncodeV3(back); !bytes.Equal(re, writeTo(t, run)) {
+				// And describes the same run as the others: its v4 encoding is
+				// the v4 golden.
+				if re := provenance.EncodeV4(back); !bytes.Equal(re, writeTo(t, run)) {
 					t.Errorf("%s decodes to a different run than was captured", p)
 				}
 				streams = append(streams, want)
 			}
 			// v3 run-codes a column only where that is shorter, and its run
-			// bits ride in the tag byte: it is never longer than v2.
-			if v2, v3 := streams[1], streams[2]; len(v3) > len(v2) {
-				t.Errorf("v3 stream is %d bytes vs %d for v2", len(v3), len(v2))
+			// bits ride in the tag byte: it is never longer than v2. v4 codes
+			// a capture's flatten positions, all implied, as one run.
+			if v2, v3, v4 := streams[1], streams[2], streams[3]; len(v3) > len(v2) || len(v4) > len(v3) {
+				t.Errorf("v4, v3 and v2 streams are %d, %d and %d bytes: want each no longer than the next", len(v4), len(v3), len(v2))
 			}
 		})
 	}

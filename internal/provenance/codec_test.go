@@ -3,6 +3,7 @@ package provenance_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -230,9 +231,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 
 	// Every strict prefix of a valid stream truncates some field or record
 	// and must be rejected — no format has an optional trailer. The WriteTo
-	// stream covers v3; the v2 and v1 streams (from the test-only reference
-	// encoders) keep the archived decodes honest.
-	for _, stream := range [][]byte{valid, provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
+	// stream covers v4; the v3, v2 and v1 streams (from the test-only
+	// reference encoders) keep the archived decodes honest.
+	for _, stream := range [][]byte{valid, provenance.RefEncodeV3(run), provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
 		for n := 0; n < len(stream); n++ {
 			if _, err := provenance.ReadRun(bytes.NewReader(stream[:n])); err == nil {
 				t.Fatalf("truncated stream of %d/%d bytes accepted", n, len(stream))
@@ -298,6 +299,13 @@ func v3Bag(tag, runs uint8, n uint64, body func(s *rawStream)) []byte {
 	return s.Bytes()
 }
 
+// v4Bag is v3Bag in a v4 stream.
+func v4Bag(tag, runs uint8, n uint64, body func(s *rawStream)) []byte {
+	data := v3Bag(tag, runs, n, body)
+	data[4] = 4
+	return data
+}
+
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 // deltas writes a Δ column.
@@ -319,12 +327,13 @@ func (s *rawStream) runs(runs ...[2]int64) {
 }
 
 // TestCodecRejectsHostileRuns: a run-coded column is a few bytes whatever the
-// count it declares, so the v3 loader must not let a run stand in for the
-// bytes a row needs: every stream here is rejected at ReadRunLazy, by the
-// stream reference as well, and without allocating beyond the stream's bound
-// — above all a bag that declares 2³² − 1 rows and run-codes every column of
-// n entries in a dozen bytes. The controls, well-formed bags of the same
-// shapes, load.
+// count it declares, so the v3 and v4 loaders must not let a run stand in
+// for the bytes a row needs: every stream here is rejected at ReadRunLazy, by
+// the stream reference as well, and without allocating beyond the stream's
+// bound — above all a bag that declares 2³² − 1 rows and run-codes every
+// column of n entries in a dozen bytes. The controls, well-formed bags of the
+// same shapes, load. A flatten may run-code its positions from v4 on, as
+// residuals against the ones its input ids imply.
 func TestCodecRejectsHostileRuns(t *testing.T) {
 	const huge = 1<<32 - 1
 	four := func(s *rawStream) { s.deltas(10, 11, 12, 13) }
@@ -346,6 +355,11 @@ func TestCodecRejectsHostileRuns(t *testing.T) {
 			s.uv(2)
 			s.runs([2]int64{2, -4})
 		}), provenance.Columns{Kind: provenance.AssocFlatten, In: []int64{3, 3}, Pos: []int64{1, 2}, Out: []int64{-4, -8}}},
+		{"v4 flatten, Pos and Out run-coded", v4Bag(4, 0b110, 3, func(s *rawStream) {
+			s.deltas(3, 3, 4)
+			s.runs([2]int64{1, 0}, [2]int64{2, 2}) // residuals 0, 2, 4
+			s.runs([2]int64{3, 1})
+		}), provenance.Columns{Kind: provenance.AssocFlatten, In: []int64{3, 3, 4}, Pos: []int64{1, 4, 5}, Out: []int64{1, 2, 3}}},
 		{"aggregate, Out run-coded", v3Bag(5, 0b001, 2, func(s *rawStream) {
 			s.runs([2]int64{2, 9})
 			s.uv(1)
@@ -404,7 +418,17 @@ func TestCodecRejectsHostileRuns(t *testing.T) {
 		})},
 		{"a run count of 2³²", v3Bag(2, 0b01, 4, func(s *rawStream) { s.uv(1 << 32); four(s) })},
 		{"flatten In run-coded", v3Bag(4, 0b001, 2, func(s *rawStream) { s.runs([2]int64{2, 3}); s.uv(1); s.uv(2); s.deltas(5, 6) })},
-		{"flatten Pos run-coded", v3Bag(4, 0b010, 2, func(s *rawStream) { s.deltas(3, 3); s.runs([2]int64{2, 1}); s.deltas(5, 6) })},
+		{"v3 flatten Pos run-coded", v3Bag(4, 0b010, 2, func(s *rawStream) { s.deltas(3, 3); s.runs([2]int64{2, 1}); s.deltas(5, 6) })},
+		{"v4 flatten, n = 2³²−1 with Pos and Out run-coded and In of four bytes", v4Bag(4, 0b110, huge, func(s *rawStream) {
+			four(s)
+			s.runs([2]int64{huge, 0})
+			s.runs([2]int64{huge, 1})
+		})},
+		{"v4 flatten, every column run-coded", v4Bag(4, 0b111, 2, func(s *rawStream) {
+			s.runs([2]int64{2, 3})
+			s.runs([2]int64{2, 0})
+			s.runs([2]int64{2, 1})
+		})},
 		{"aggregate lens run-coded", v3Bag(5, 0b010, 2, func(s *rawStream) { s.deltas(5, 6); s.runs([2]int64{2, 1}); s.deltas(1, 2) })},
 		{"aggregate Ins run-coded", v3Bag(5, 0b100, 2, func(s *rawStream) { s.deltas(5, 6); s.uv(1); s.uv(1); s.runs([2]int64{2, 1}) })},
 		{"unknown run bit 3", v3Bag(2, 0b01001, 4, func(s *rawStream) { s.runs([2]int64{4, 1}); four(s) })},
@@ -428,5 +452,56 @@ func TestCodecRejectsHostileRuns(t *testing.T) {
 			t.Errorf("%s: ReadRun accepted the stream", c.name)
 		}
 		requireBoundedLoad(t, c.name, c.data, allocated)
+	}
+}
+
+// TestCodecKeepsPositionsNotImplied: v4 stores a flatten's positions as
+// residuals against the ones their input ids imply, so positions the engine
+// never writes — a 0, gaps, an input id that comes back after another, values
+// whose implied successor wraps past MaxInt64 — must come back as they were:
+// the captured stream loads to the hand-built columns, through ReadRunLazy,
+// ReadRun and the stream reference alike, and re-encodes byte for byte.
+func TestCodecKeepsPositionsNotImplied(t *testing.T) {
+	const maxPos, minPos = math.MaxInt64, math.MinInt64
+	for _, c := range []struct {
+		name    string
+		in, pos []int64
+	}{
+		{"Pos 0", []int64{7, 7, 8}, []int64{0, 1, 0}},
+		{"gaps", []int64{7, 7, 7, 8}, []int64{1, 3, 4, 9}},
+		{"an input id repeated after another", []int64{7, 8, 7, 7}, []int64{1, 1, 2, 3}},
+		{"Pos near MaxInt64", []int64{7, 7, 7, 7, 8}, []int64{maxPos - 1, maxPos, minPos, maxPos, maxPos}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			col := provenance.NewCollector()
+			col.StartOperator(engine.OpInfo{OID: 7, Type: engine.OpFlatten}, 1)
+			col.Morsel(7, 0, 100, len(c.in), engine.Assocs{In: c.in, Pos: c.pos})
+			run, err := col.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := writeTo(t, run)
+			want := provenance.Columns{Kind: provenance.AssocFlatten, In: c.in, Pos: c.pos, Out: make([]int64, len(c.in))}
+			for j := range want.Out {
+				want.Out[j] = 100 + int64(j)
+			}
+			eager, err := provenance.ReadRun(bytes.NewReader(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, rest, err := provenance.RefReadRun(stream)
+			if err != nil || rest != 0 {
+				t.Fatalf("reference decode: %v (%d bytes left)", err, rest)
+			}
+			for _, got := range []*provenance.Run{run, eager, ref} {
+				op, _ := got.Op(7)
+				if cols := op.Columns(); !reflect.DeepEqual(cols, want) {
+					t.Fatalf("decodes to %+v, want %+v", cols, want)
+				}
+				if re := provenance.EncodeV4(got); !bytes.Equal(re, stream) {
+					t.Fatalf("re-encodes to %d bytes, not the %d captured", len(re), len(stream))
+				}
+			}
+		})
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"pebble/internal/obs"
 )
 
-// Codec version 3, what Collector.Finish encodes: a columnar layout.
+// Codec version 4, what Collector.Finish encodes: a columnar layout.
 // Association bags dominate the stream (millions of monotonically growing
 // int64 identifiers per operator), so every association field is its own
 // column, and an identifier column is stored the shorter way: as zigzag
@@ -19,7 +20,7 @@ import (
 // heavily across operators, so the stream opens with a string dictionary and
 // every string position holds a varint dictionary reference.
 //
-// Layout after the shared magic "PBLP" | u16 version=3 prefix:
+// Layout after the shared magic "PBLP" | u16 version=4 prefix:
 //
 //	dict:  uvarint #strings | per string: uvarint len | bytes
 //	uvarint #ops
@@ -35,30 +36,50 @@ import (
 //	  tag 1: uvarint n | C(Out)   | C(In)
 //	  tag 2: uvarint n | C(In)    | C(Out)
 //	  tag 3: uvarint n | C(In)    | C(Right)      | C(Out)
-//	  tag 4: uvarint n | n×Δ(In)  | n×uvarint Pos | C(Out)
+//	  tag 4: uvarint n | n×Δ(In)  | C(Pos − e)    | C(Out)
 //	  tag 5: uvarint n | C(Out)   | n×uvarint len(Ins) | ΣΔ(Ins) chain
 //
 // A column C is n×Δ — zigzag(v − prev) uvarints, prev starting at 0 — unless
 // bit k of runs is set, k its place in the row above; then it is uvarint
 // #runs, then per run uvarint len ≥ 1 | zigzag Δ (len values, each Δ past the
 // one before), Σ len = n. The agg Ins chain is one delta column spanning all
-// groups. Version 2 is this layout with runs = 0, so v3 is never longer. A
-// bag keeps one column of n entries not run-coded (chooseRuns), so every row
-// it declares is backed by a byte of its region, which bounds what a loader
-// allocates. The bytes are a pure function of the run — the dictionary is in
-// first-occurrence order over the operators — so they are identical whatever
-// the worker count (the oracle asserts this byte-for-byte).
+// groups. A flatten stores each position as its residual r_j = Pos_j − e_j
+// against the position its input id implies: e_j = Pos_{j−1} + 1 where
+// In_j = In_{j−1}, else 1. The engine numbers the elements of each input row
+// 1, 2, …, so every residual of a capture is 0 and the column one run; the
+// arithmetic wraps (int64), so every position round-trips. A bag keeps one
+// column of n entries not run-coded (chooseRuns) — a flatten its In — so
+// every row it declares is backed by a byte of its region, which bounds what
+// a loader allocates. The bytes are a pure function of the run — the
+// dictionary is in first-occurrence order over the operators — so they are
+// identical whatever the worker count (the oracle asserts this
+// byte-for-byte).
+//
+// Version 3, decoded forever and written only by the test reference that
+// froze its goldens, is this layout with a flatten's positions stored as
+// they are, n×uvarint Pos, never run-coded. Version 2 is version 3 with
+// runs = 0.
 
 // runColumns are the columns of each layout that may be run-coded, and
 // rowColumns those with one entry per association row (bit k: k-th column).
+// Version 3 cannot run-code a flatten's Pos column (runnable).
 var (
-	runColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b100, AssocAgg: 0b001}
+	runColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b110, AssocAgg: 0b001}
 	rowColumns = [...]uint8{AssocSource: 0b011, AssocUnary: 0b011, AssocBinary: 0b111, AssocFlatten: 0b111, AssocAgg: 0b011}
 )
 
+// runnable returns the columns a layout-kind bag of the given version may
+// run-code.
+func runnable(kind AssocKind, version uint16) uint8 {
+	if kind == AssocFlatten && version < codecVersionV4 {
+		return runColumns[kind] &^ 0b010
+	}
+	return runColumns[kind]
+}
+
 // WriteTo writes the run's encoded stream verbatim in a single Write, so the
 // returned count reflects bytes the destination genuinely accepted. A
-// captured run's stream is the v3 encoding Collector.Finish produced; a
+// captured run's stream is the v4 encoding Collector.Finish produced; a
 // loaded run's is the bytes it was loaded from, whatever their version.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	n, err := w.Write(r.stream)
@@ -68,14 +89,14 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// encode returns the v3 stream of ops. bag returns an operator's association
+// encode returns the v4 stream of ops. bag returns an operator's association
 // columns; it is called once per operator, in order, and its result is not
 // kept past the call, so a caller may hand out one reused buffer. Every
 // operator's encoded byte count, header and bag, goes to rec as
 // obs.ProvBytes.
 func encode(ops []*Operator, bag func(*Operator) Columns, rec *obs.Recorder) []byte {
 	buf := append(make([]byte, 0, 4096), codecMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV3)
+	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV4)
 
 	dict, refs := dictionary(ops)
 	buf = binary.AppendUvarint(buf, uint64(len(dict)))
@@ -84,9 +105,10 @@ func encode(ops []*Operator, bag func(*Operator) Columns, rec *obs.Recorder) []b
 		buf = append(buf, s...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	var resid []int64 // a flatten's Pos residuals, one array for every bag
 	for _, op := range ops {
 		start := len(buf)
-		buf = appendOp(buf, op, bag(op), refs)
+		buf = appendOp(buf, op, bag(op), refs, &resid)
 		rec.Add(op.OID, 0, obs.ProvBytes, int64(len(buf)-start))
 	}
 	return buf
@@ -123,7 +145,9 @@ func dictionary(ops []*Operator) ([]string, map[string]uint64) {
 	return dict, refs
 }
 
-func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byte {
+// appendOp appends op's header and bag c; a flatten's residuals are written
+// into *resid first.
+func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64, resid *[]int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(op.OID))
 	buf = binary.AppendUvarint(buf, refs[string(op.Type)])
 	buf = appendBool(buf, op.ManipUndefined)
@@ -147,7 +171,7 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byt
 		buf = binary.AppendUvarint(buf, refs[m.Out.String()])
 		buf = appendBool(buf, m.GroupKey)
 	}
-	var wire [3][]int64 // the identifier columns in wire order; Pos and lens are written below
+	var wire [3][]int64 // the columns in wire order; an aggregate's lens are written below
 	switch c.Kind {
 	case AssocSource:
 		wire = [3][]int64{c.Out, c.In}
@@ -156,7 +180,8 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byt
 	case AssocBinary:
 		wire = [3][]int64{c.In, c.Right, c.Out}
 	case AssocFlatten:
-		wire = [3][]int64{c.In, nil, c.Out}
+		*resid = posResiduals(*resid, c.In, c.Pos)
+		wire = [3][]int64{c.In, *resid, c.Out}
 	case AssocAgg:
 		wire = [3][]int64{c.Out, nil, c.In}
 	}
@@ -170,10 +195,6 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byt
 		switch {
 		case runs>>k&1 != 0:
 			buf = appendRunColumn(buf, col, nRuns[k])
-		case k == 1 && c.Kind == AssocFlatten:
-			for _, p := range c.Pos {
-				buf = binary.AppendUvarint(buf, uint64(p))
-			}
 		case k == 1 && c.Kind == AssocAgg:
 			for j := range c.Out {
 				buf = binary.AppendUvarint(buf, uint64(c.Offs[j+1]-c.Offs[j]))
@@ -183,6 +204,33 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64) []byt
 		}
 	}
 	return buf
+}
+
+// posResiduals returns, in r's array grown to fit, each position of pos less
+// the one its input id implies (codec layout above), wrapping.
+func posResiduals(r, in, pos []int64) []int64 {
+	r = slices.Grow(r[:0], len(pos))
+	for j, p := range pos {
+		r = append(r, p-impliedPos(in, pos, j))
+	}
+	return r
+}
+
+// addImpliedPos turns the residuals in pos back into positions, in place: the
+// inverse of posResiduals.
+func addImpliedPos(in, pos []int64) {
+	for j := range pos {
+		pos[j] += impliedPos(in, pos, j)
+	}
+}
+
+// impliedPos is e_j: the position after the row before's where both rows
+// have the same input id, else 1.
+func impliedPos(in, pos []int64, j int) int64 {
+	if j > 0 && in[j] == in[j-1] {
+		return pos[j-1] + 1
+	}
+	return 1
 }
 
 // chooseRuns returns the runs bits of a bag and the run count of every

@@ -88,7 +88,7 @@ func (c *Collector) Morsel(oid, part int, base int64, n int, a engine.Assocs) {
 	*s = append(*s, morsel{base: base, n: n, Assocs: a})
 }
 
-// Finish encodes the capture into its v3 stream and returns the run loaded
+// Finish encodes the capture into its v4 stream and returns the run loaded
 // lazily from it (ReadRunLazy): a captured run is the same object as a
 // reloaded one, and its bags decode on first touch. Operators are ordered by
 // id — the engine announces concurrently executing DAG branches in schedule

@@ -45,7 +45,7 @@ func fillCollector(c *Collector, ops, parts, rowsPerShard int) {
 }
 
 // BenchmarkCollectorFinish measures Finish: merging each operator's
-// per-partition shards into one reused scratch bag, encoding it into the v3
+// per-partition shards into one reused scratch bag, encoding it into the v4
 // stream, and the lazy load of that stream.
 func BenchmarkCollectorFinish(b *testing.B) {
 	const ops, parts, rowsPerShard = 10, 16, 2000

@@ -2,6 +2,8 @@ package provenance_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -11,9 +13,9 @@ import (
 )
 
 // fuzzSeeds returns genuine streams of every codec version — the example
-// capture as v1 and v2 (the reference encoders) and as v3 (WriteTo) — and the
-// v3 stream of runCodedRun, whose columns are run-coded wherever the codec
-// allows it.
+// capture as v1, v2 and v3 (the reference encoders) and as v4 (WriteTo) — the
+// v3 and v4 streams of runCodedRun, whose columns are run-coded wherever the
+// codec allows it, and the committed v4 goldens.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	_, run, err := provenance.Capture(workload.ExamplePipeline(), workload.ExampleInput(1),
@@ -21,13 +23,25 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return [][]byte{provenance.RefEncodeV1(run), provenance.RefEncodeV2(run), writeTo(f, run), writeTo(f, runCodedRun(f))}
+	coded := runCodedRun(f)
+	seeds := [][]byte{provenance.RefEncodeV1(run), provenance.RefEncodeV2(run), provenance.RefEncodeV3(run), writeTo(f, run),
+		provenance.RefEncodeV3(coded), writeTo(f, coded)}
+	for _, name := range []string{"example", "map-join", "ordering"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name+".v4.golden"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	return seeds
 }
 
 // runCodedRun is a run of every layout whose identifier columns are
 // arithmetic, so that Finish run-codes every column it may: all but one of a
-// source, unary or binary bag's, the Out column of a flatten and an
-// aggregate. Two Out columns decrease throughout, one is sorted but starts
+// source, unary or binary bag's, the Pos and Out columns of a flatten — its
+// positions skip every other number, so all but the first differ from the
+// ones their input id implies, by residuals that are arithmetic — and the Out
+// column of an aggregate. Two Out columns decrease throughout, one is sorted but starts
 // with a negative delta (from 0 to its first value, a run of one), and one
 // operator captured no bag.
 func runCodedRun(tb testing.TB) *provenance.Run {
@@ -55,11 +69,7 @@ func runCodedRun(tb testing.TB) *provenance.Run {
 		case 3:
 			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(2000, 1), Right: seq(-1, 0)})
 		case 4:
-			pos := make([]int64, n)
-			for j := range pos {
-				pos[j] = int64(j%4 + 1)
-			}
-			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(3000, 0), Pos: pos})
+			c.Morsel(oid, 0, base, n, engine.Assocs{In: seq(3000, 0), Pos: seq(1, 2)})
 		case 5:
 			for j, out := range seq(base+n, -1) {
 				c.Morsel(oid, 0, out, 1, engine.Assocs{Lists: [][]int64{{int64(4000 + 2*j), int64(4001 + 2*j)}}})
@@ -122,7 +132,7 @@ func FuzzReadRun(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Add(append(append([]byte(nil), seeds[2]...), 0))
+	f.Add(append(append([]byte(nil), seeds[3]...), 0))
 	f.Add([]byte("PBLP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,11 +161,12 @@ func FuzzReadRun(f *testing.F) {
 }
 
 // FuzzCodecVersions is the cross-version round-trip property: any run the
-// decoder accepts (from any format) must survive re-encoding through the v3
-// encoder unchanged — decode(EncodeV3(r)) describes the same run as r — and so must
-// its v2 encoding, which re-encodes to the same v3 bytes. Equality is checked
-// through the reference v1 encoding, which is a pure function of the run's
-// structure.
+// decoder accepts (from any format) must survive re-encoding through the v4
+// encoder unchanged — decode(EncodeV4(r)) describes the same run as r — and so
+// must its v2 and v3 encodings, which re-encode to the same v4 bytes.
+// Equality is checked through the reference v1 encoding, which is a pure
+// function of the run's structure but for positions past 2³² − 1, and
+// through the v4 bytes, which hold every position.
 func FuzzCodecVersions(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -166,8 +177,8 @@ func FuzzCodecVersions(f *testing.F) {
 			return
 		}
 		want := provenance.RefEncodeV1(r)
-		v3 := provenance.EncodeV3(r)
-		for _, stream := range [][]byte{v3, provenance.RefEncodeV2(r)} {
+		v4 := provenance.EncodeV4(r)
+		for _, stream := range [][]byte{v4, provenance.RefEncodeV2(r), provenance.RefEncodeV3(r)} {
 			back, err := provenance.ReadRun(bytes.NewReader(stream))
 			if err != nil {
 				t.Fatalf("re-encoding of an accepted run failed to decode: %v", err)
@@ -175,8 +186,8 @@ func FuzzCodecVersions(f *testing.F) {
 			if got := provenance.RefEncodeV1(back); !bytes.Equal(got, want) {
 				t.Fatalf("round trip changed the run: v1 projections differ (%d vs %d bytes)", len(got), len(want))
 			}
-			if got := provenance.EncodeV3(back); !bytes.Equal(got, v3) {
-				t.Fatalf("the run re-encodes to %d bytes, want the %d of its v3 stream", len(got), len(v3))
+			if got := provenance.EncodeV4(back); !bytes.Equal(got, v4) {
+				t.Fatalf("the run re-encodes to %d bytes, want the %d of its v4 stream", len(got), len(v4))
 			}
 		}
 	})

@@ -18,11 +18,11 @@ import (
 // The stream carries no directory (nor any optional trailer; every strict
 // prefix of a stream is invalid, and the codec tests pin that). ReadRunLazy
 // derives a per-operator offset directory with a validating skip-scan of a
-// v2 or v3 stream: the static parts (dictionary, operator headers, paths,
-// mappings) decode at load, and each association block is structurally
-// validated — count caps, varint boundaries, the run bits and the run
-// lengths, aggregate length sums — and recorded as a byte region of the
-// backing slice. Because the scan proves every region well-formed up front,
+// columnar (v2 to v4) stream: the static parts (dictionary, operator
+// headers, paths, mappings) decode at load, and each association block is
+// structurally validated — count caps, varint boundaries, the run bits and
+// the run lengths, aggregate length sums — and recorded as a byte region of
+// the backing slice. Because the scan proves every region well-formed up front,
 // the decode is infallible and corrupt streams fail at load time. There is
 // no second decoder: ReadRun is this load followed by a touch of every bag.
 
@@ -41,6 +41,7 @@ type lazyAssoc struct {
 	once     sync.Once
 	off, end int   // region [off, end): count varint + columns
 	runs     uint8 // the run-coded columns (0 in a v2 stream)
+	resid    bool  // a flatten's Pos column holds residuals (v4)
 }
 
 // ContentHash returns HashStream of the run's encoded stream — the bytes it
@@ -110,7 +111,7 @@ func ReadRunLazy(data []byte) (*Run, error) {
 	switch version {
 	case codecVersionV1:
 		run, err = readRunV1(c)
-	case codecVersionV2, codecVersionV3:
+	case codecVersionV2, codecVersionV3, codecVersionV4:
 		run, err = scanRun(c, version)
 	default:
 		err = fmt.Errorf("provenance: unsupported version %d", version)
@@ -127,17 +128,17 @@ func ReadRunLazy(data []byte) (*Run, error) {
 // against, each entry parsed as a path at most once.
 type scanner struct {
 	*cursor
-	dict  []string
-	paths map[string]path.Path
-	v3    bool  // tag bytes carry run bits
-	sizes Sizes // the operators' shares so far
+	dict    []string
+	paths   map[string]path.Path
+	version uint16
+	sizes   Sizes // the operators' shares so far
 }
 
-// scanRun performs the validating skip-scan over a v2 or v3 stream: static
+// scanRun performs the validating skip-scan over a columnar stream: static
 // parts decode eagerly, association blocks are verified and recorded as lazy
 // regions.
 func scanRun(c *cursor, version uint16) (*Run, error) {
-	d := &scanner{cursor: c, paths: map[string]path.Path{}, v3: version >= codecVersionV3}
+	d := &scanner{cursor: c, paths: map[string]path.Path{}, version: version}
 	nDict := d.Count("dictionary")
 	d.dict = make([]string, 0, d.Clamp(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
@@ -244,7 +245,7 @@ func (d *scanner) scanOp(ls *lazyStream) *Operator {
 // lineage bytes: all of it but a flatten's Pos column.
 func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) (lineage int64) {
 	tag, runs := d.Byte(), uint8(0)
-	if d.v3 {
+	if d.version >= codecVersionV3 { // the tag byte carries run bits
 		tag, runs = tag&7, tag>>3
 	}
 	kind := AssocKind(tag)
@@ -252,7 +253,7 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) (lineage int64) {
 	case d.err != nil:
 	case kind > AssocAgg:
 		d.err = fmt.Errorf("provenance: unknown association tag %d", tag)
-	case runs&^runColumns[kind] != 0:
+	case runs&^runnable(kind, d.version) != 0:
 		d.err = fmt.Errorf("provenance: run bits %#b name a column a layout-%d bag cannot run-code", runs, kind)
 	case kind != AssocNone && runs&rowColumns[kind] == rowColumns[kind]:
 		d.err = fmt.Errorf("provenance: run bits %#b run-code every column of n entries of a layout-%d bag", runs, kind)
@@ -277,7 +278,7 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) (lineage int64) {
 	case AssocFlatten:
 		d.SkipVarints(n)
 		pos := d.pos
-		d.SkipVarints(n)
+		d.skipColumn(n, runs, 1) // n uvarints before v4, where runs cannot name it
 		posBytes = d.pos - pos
 		ordered = d.skipColumn(n, runs, 2)
 	case AssocAgg:
@@ -295,7 +296,7 @@ func (d *scanner) scanAssocs(op *Operator, ls *lazyStream) (lineage int64) {
 		return 0
 	}
 	op.kind, op.n, op.totalIns, op.outOfOrder = kind, n, totalIns, !ordered
-	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos, runs: runs}
+	op.lazy = &lazyAssoc{src: ls, off: start, end: d.pos, runs: runs, resid: d.version >= codecVersionV4}
 	ls.total += int64(d.pos - start)
 	return int64(d.pos - start - posBytes)
 }
@@ -316,9 +317,15 @@ func (l *lazyAssoc) decode(op *Operator) Columns {
 	case AssocBinary:
 		c.In, c.Right, c.Out = d.column(n, runs, 0), d.column(n, runs, 1), d.column(n, runs, 2)
 	case AssocFlatten:
-		c.In, c.Pos = d.DeltaColumn(n), make([]int64, n)
-		for j := range c.Pos {
-			c.Pos[j] = int64(d.Uvarint())
+		c.In = d.DeltaColumn(n)
+		if l.resid {
+			c.Pos = d.column(n, runs, 1)
+			addImpliedPos(c.In, c.Pos)
+		} else {
+			c.Pos = make([]int64, n)
+			for j := range c.Pos {
+				c.Pos[j] = int64(d.Uvarint())
+			}
 		}
 		c.Out = d.column(n, runs, 2)
 	case AssocAgg:

@@ -15,13 +15,13 @@ import (
 	"pebble/internal/provenance"
 )
 
-// goldenStreams loads every committed golden stream (v1, v2 and v3) keyed by
+// goldenStreams loads every committed golden stream (v1 to v4) keyed by
 // file name.
 func goldenStreams(t *testing.T) map[string][]byte {
 	t.Helper()
 	streams := map[string][]byte{}
 	for _, name := range []string{"example", "map-join", "ordering"} {
-		for _, suffix := range []string{".golden", ".v2.golden", ".v3.golden"} {
+		for _, suffix := range []string{".golden", ".v2.golden", ".v3.golden", ".v4.golden"} {
 			p := filepath.Join("testdata", name+suffix)
 			data, err := os.ReadFile(p)
 			if err != nil {
@@ -37,7 +37,7 @@ func goldenStreams(t *testing.T) map[string][]byte {
 // operators with the same static parts, equal association bags (columns
 // DeepEqual, nil versus empty included, and every fact answered without
 // them — OutOrdered is whether Out is sorted), and identical re-encodings in
-// the v3 and v1 layouts.
+// the v4 and v1 layouts.
 func requireSameRun(t *testing.T, want, got *provenance.Run) {
 	t.Helper()
 	wops, gops := want.Operators(), got.Operators()
@@ -70,7 +70,7 @@ func requireSameRun(t *testing.T, want, got *provenance.Run) {
 			t.Fatalf("operator %d: OutOrdered %v, but the Out column sorted is %v", wo.OID, gop.OutOrdered(), sorted)
 		}
 	}
-	if fromWant, fromGot := provenance.EncodeV3(want), provenance.EncodeV3(got); !bytes.Equal(fromWant, fromGot) {
+	if fromWant, fromGot := provenance.EncodeV4(want), provenance.EncodeV4(got); !bytes.Equal(fromWant, fromGot) {
 		t.Errorf("re-encodings differ: %d vs %d bytes", len(fromGot), len(fromWant))
 	}
 	if !bytes.Equal(provenance.RefEncodeV1(want), provenance.RefEncodeV1(got)) {
@@ -109,7 +109,7 @@ func TestLazyEqualsEagerOnGoldens(t *testing.T) {
 }
 
 // TestLoadedRunWritesItsStream: a run writes the stream it was loaded from,
-// whatever its version — each frozen v1 and v2 golden, and the v3 one,
+// whatever its version — each frozen v1, v2 and v3 golden, and the v4 one,
 // loaded lazily or through ReadRun, writes its file back byte for byte.
 func TestLoadedRunWritesItsStream(t *testing.T) {
 	for name, data := range goldenStreams(t) {
@@ -242,7 +242,7 @@ func TestLazyRejectsCorruptHeaders(t *testing.T) {
 // trace, a tracer's index — so touching everything through all of them
 // accounts for every region exactly.
 func TestLazyDecodedBytesAccounting(t *testing.T) {
-	for _, name := range []string{"example.v2.golden", "example.v3.golden"} {
+	for _, name := range []string{"example.v2.golden", "example.v3.golden", "example.v4.golden"} {
 		t.Run(name, func(t *testing.T) { checkDecodedBytesAccounting(t, goldenStreams(t)[name]) })
 	}
 }

@@ -38,30 +38,30 @@ func eachCapture(t *testing.T, workers int, f func(name string, run *provenance.
 }
 
 // TestLoadPathsGiveTheCapturedColumns: a bag has one form, so however a run
-// comes to be — merged by the collector, ReadRun or ReadRunLazy over the v3
-// stream Finish encoded, the archived v2 stream or the frozen v1 stream —
-// every operator holds DeepEqual columns (nil versus empty included),
-// answers kind, count, order (whether Out is sorted, for a run-coded Out as
-// for a Δ-coded one) and sizes alike, and re-encodes to the same bytes in the
-// v3 and v1 layouts, so an archived stream re-encodes to the v3 bytes of its
+// comes to be — merged by the collector, ReadRun or ReadRunLazy over the v4
+// stream Finish encoded, or its archived v3, v2 or v1 stream — every
+// operator holds DeepEqual columns (nil versus empty included), answers
+// kind, count, order (whether Out is sorted, for a run-coded Out as for a
+// Δ-coded one) and sizes alike, and re-encodes to the same bytes in the v4
+// and v1 layouts, so an archived stream re-encodes to the v4 bytes of its
 // capture; the stream reference, which gathers its own row structs, agrees.
-// The v3 bytes of a capture are the same at every worker count.
+// The v4 bytes of a capture are the same at every worker count.
 func TestLoadPathsGiveTheCapturedColumns(t *testing.T) {
 	runs, kinds := 0, map[provenance.AssocKind]bool{}
-	streams := map[string][]byte{} // v3 bytes at the first worker count
+	streams := map[string][]byte{} // v4 bytes at the first worker count
 	for _, workers := range []int{1, 2, 4} {
 		eachCapture(t, workers, func(name string, run *provenance.Run) {
 			runs++
 			for _, op := range run.Operators() {
 				kinds[op.AssocKind()] = true
 			}
-			v3 := writeTo(t, run)
+			v4 := writeTo(t, run)
 			if first, ok := streams[name]; !ok {
-				streams[name] = v3
-			} else if !bytes.Equal(first, v3) {
-				t.Fatalf("%s: v3 stream at workers %d differs from workers 1 (%d vs %d bytes)", name, workers, len(v3), len(first))
+				streams[name] = v4
+			} else if !bytes.Equal(first, v4) {
+				t.Fatalf("%s: v4 stream at workers %d differs from workers 1 (%d vs %d bytes)", name, workers, len(v4), len(first))
 			}
-			checkLoadPaths(t, fmt.Sprintf("%s workers %d", name, workers), run, v3)
+			checkLoadPaths(t, fmt.Sprintf("%s workers %d", name, workers), run, v4)
 		})
 	}
 	if runs < 3*200 {
@@ -73,24 +73,25 @@ func TestLoadPathsGiveTheCapturedColumns(t *testing.T) {
 		}
 	}
 	run := runCodedRun(t)
-	v3 := writeTo(t, run)
-	// Eight of its 40-row columns may be run-coded, each saving 30 bytes or more.
-	if v2 := provenance.RefEncodeV2(run); len(v2)-len(v3) < 8*30 {
-		t.Errorf("the run-coded run's v3 stream is %d bytes, its v2 stream %d: not every column that may be was run-coded", len(v3), len(v2))
+	v4 := writeTo(t, run)
+	// Nine of its 40-row columns may be run-coded, each saving 30 bytes or
+	// more; v3 could not run-code the flatten's positions.
+	if v2, v3 := provenance.RefEncodeV2(run), provenance.RefEncodeV3(run); len(v2)-len(v4) < 9*30 || len(v3)-len(v4) < 30 {
+		t.Errorf("the run-coded run's v4 stream is %d bytes, its v3 stream %d and its v2 stream %d: not every column that may be was run-coded", len(v4), len(v3), len(v2))
 	}
-	checkLoadPaths(t, "run-coded", run, v3)
+	checkLoadPaths(t, "run-coded", run, v4)
 }
 
 // checkLoadPaths requires the encoder over the captured run's decoded bags to
-// reproduce the v3 stream Finish encoded from its shards, then loads that
-// stream, its v2 and its v1 stream every way there is and requires each load
+// reproduce the v4 stream Finish encoded from its shards, then loads that
+// stream, its v3, v2 and v1 streams every way there is and requires each load
 // to be the captured run.
-func checkLoadPaths(t *testing.T, name string, run *provenance.Run, v3 []byte) {
+func checkLoadPaths(t *testing.T, name string, run *provenance.Run, v4 []byte) {
 	t.Helper()
-	if re := provenance.EncodeV3(run); !bytes.Equal(re, v3) {
-		t.Fatalf("%s: the captured bags re-encode to %d bytes, not the %d Finish encoded", name, len(re), len(v3))
+	if re := provenance.EncodeV4(run); !bytes.Equal(re, v4) {
+		t.Fatalf("%s: the captured bags re-encode to %d bytes, not the %d Finish encoded", name, len(re), len(v4))
 	}
-	for _, stream := range [][]byte{v3, provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
+	for _, stream := range [][]byte{v4, provenance.RefEncodeV3(run), provenance.RefEncodeV2(run), provenance.RefEncodeV1(run)} {
 		eager, err := provenance.ReadRun(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("%s: ReadRun: %v", name, err)

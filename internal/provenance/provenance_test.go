@@ -2,7 +2,6 @@ package provenance_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -119,7 +118,8 @@ func TestAssociationChainIsClosed(t *testing.T) {
 // TestSizesSplitTheStream: Fig. 8's split is measured on the stream. On the
 // ten scenarios and the golden pipelines, at Workers 1 and NumCPU, the three
 // shares sum exactly to the stream's length; the lineage share is the
-// association regions less the flatten Pos columns; the encoder's prov_bytes
+// association regions less the flatten Pos columns, each as long as the
+// reference counts it from the columns (RefPosBytes); the encoder's prov_bytes
 // is every operator's EncodedBytes and totals lineage plus structural extra;
 // and both loads of the stream report the same split. A committed v2 stream
 // splits too; a v1 stream, which has no columnar layout, reports zeros.
@@ -133,8 +133,8 @@ func TestSizesSplitTheStream(t *testing.T) {
 		}
 		pos := int64(0)
 		for _, op := range run.Operators() {
-			for _, p := range op.Columns().Pos {
-				pos += int64(len(binary.AppendUvarint(nil, uint64(p))))
+			if c := op.Columns(); c.Kind == provenance.AssocFlatten {
+				pos += int64(provenance.RefPosBytes(c))
 			}
 			if rec, _ := st.Op(op.OID); rec.Counter(obs.ProvBytes) != op.EncodedBytes() {
 				t.Errorf("%s: operator %d encoded %d bytes, loaded %d", name, op.OID, rec.Counter(obs.ProvBytes), op.EncodedBytes())
@@ -186,6 +186,39 @@ func TestSizesSplitTheStream(t *testing.T) {
 			if split && s.LineageBytes+s.StructuralExtra+s.Framing != int64(len(data)) || !split && s != (provenance.Sizes{}) {
 				t.Errorf("%s%s: sizes %+v of a %d-byte stream", g.name, suffix, s, len(data))
 			}
+		}
+	}
+}
+
+// TestImpliedPositionsCostNothing: the engine numbers the elements of each
+// input row 1, 2, …, so every position a capture holds is the one its input
+// id implies, and v4 codes each flatten's Pos column as one run whatever its
+// length: at most 8 bytes a bag on T2, T4 and D3 (three flattens each), where
+// v3 spent a byte or more a row. The stream's own split agrees.
+func TestImpliedPositionsCostNothing(t *testing.T) {
+	scale := workload.Scale{SimGB: 1, TweetsPerGB: 2000, RecordsPerGB: 6000, Seed: 42}
+	for _, name := range []string{"T2", "T4", "D3"} {
+		sc, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, run, err := provenance.Capture(sc.Build(), sc.Input(scale, 4), engine.Options{Partitions: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bags, pos := 0, 0
+		for _, op := range run.Operators() {
+			if c := op.Columns(); c.Kind == provenance.AssocFlatten {
+				n := provenance.RefPosBytes(c)
+				if n > 8 {
+					t.Errorf("%s: flatten %d codes the positions of %d rows in %d bytes, want at most 8", name, op.OID, len(c.Pos), n)
+				}
+				bags, pos = bags+1, pos+n
+			}
+		}
+		s := run.Sizes()
+		if share := run.AssocBytesTotal() - s.LineageBytes; bags < 3 || share != int64(pos) {
+			t.Errorf("%s: %d flatten bags, %d bytes of positions in the stream, want 3 or more and %d", name, bags, share, pos)
 		}
 	}
 }

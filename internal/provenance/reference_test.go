@@ -16,26 +16,29 @@ import (
 // into ReadRunLazy and WriteTo became the only encoder:
 //
 //   - RefReadRun, the eager stream decoder of every codec version (fixed-width
-//     v1 over io.Reader, columnar v2 and v3 over bufio). It shares no code
+//     v1 over io.Reader, columnar v2 to v4 over bufio). It shares no code
 //     with the production cursor: its own varint reads (binary.ReadUvarint),
-//     its own count cap and capacity clamp, its own run-column reader and
-//     rules for the run bits. It stops at the last operator and reports how
-//     many bytes follow, where the production loaders reject them.
-//   - RefEncodeV1 and RefEncodeV2, the v1 and v2 encoders, written over
-//     Operator.Columns. The frozen *.golden and *.v2.golden fixtures pin their
-//     bytes; they are what lets the tests keep asking "does this run still
-//     project onto the archived streams".
-//   - EncodeV3, the production v3 encoder over a run's decoded bags: a run
+//     its own count cap and capacity clamp, its own run-column reader, rules
+//     for the run bits and flatten positions. It stops at the last operator
+//     and reports how many bytes follow, where the production loaders reject
+//     them.
+//   - RefEncodeV1, RefEncodeV2 and RefEncodeV3, the v1, v2 and v3 encoders,
+//     written over Operator.Columns. The frozen *.golden, *.v2.golden and
+//     *.v3.golden fixtures pin their bytes; they are what lets the tests keep
+//     asking "does this run still project onto the archived streams".
+//   - EncodeV4, the production v4 encoder over a run's decoded bags: a run
 //     writes the stream it holds, so the tests that re-encode a loaded or
 //     reference-built run call the encoder through this.
+//   - RefPosBytes, the length of a flatten's v4 Pos column, counted from its
+//     columns.
 //
 // The decoder keeps the row-major form the production code no longer has: it
 // collects refRows and gathers them into columns at the end (refColumns), so
 // "rows and columns say the same" stays checked from outside the column code.
 
-// EncodeV3 returns the v3 stream of the run's operators and bags, whatever
+// EncodeV4 returns the v4 stream of the run's operators and bags, whatever
 // stream the run holds — what Collector.Finish would encode for it.
-func EncodeV3(r *Run) []byte { return encode(r.Operators(), (*Operator).Columns, nil) }
+func EncodeV4(r *Run) []byte { return encode(r.Operators(), (*Operator).Columns, nil) }
 
 // ---- v1 encoder ----
 
@@ -109,11 +112,18 @@ func RefEncodeV1(r *Run) []byte {
 	return buf
 }
 
-// ---- v2 encoder ----
+// ---- v2 and v3 encoders ----
 
 // RefEncodeV2 serialises the run in the columnar v2 layout: v3 without the
 // run bits, every column Δ-coded (codec_v3.go has the table).
-func RefEncodeV2(r *Run) []byte {
+func RefEncodeV2(r *Run) []byte { return refEncodeColumnar(r, codecVersionV2) }
+
+// RefEncodeV3 serialises the run in the columnar v3 layout: v4 with a
+// flatten's positions written as they are, n uvarints, and only its Out
+// column eligible for runs.
+func RefEncodeV3(r *Run) []byte { return refEncodeColumnar(r, codecVersionV3) }
+
+func refEncodeColumnar(r *Run, version uint16) []byte {
 	var dict []string
 	refs := map[string]uint64{}
 	add := func(s string) {
@@ -145,18 +155,9 @@ func RefEncodeV2(r *Run) []byte {
 		}
 		return append(buf, 0)
 	}
-	delta := func(buf []byte, col []int64) []byte {
-		prev := int64(0)
-		for _, v := range col {
-			d := v - prev
-			prev = v
-			buf = uv(buf, uint64(d<<1)^uint64(d>>63))
-		}
-		return buf
-	}
 
 	buf := append([]byte(nil), codecMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, codecVersionV2)
+	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = uv(buf, uint64(len(dict)))
 	for _, s := range dict {
 		buf = append(uv(buf, uint64(len(s))), s...)
@@ -186,34 +187,116 @@ func RefEncodeV2(r *Run) []byte {
 			buf = uv(buf, refs[m.Out.String()])
 			buf = flag(buf, m.GroupKey)
 		}
-		c := op.Columns()
-		buf = append(buf, byte(c.Kind))
-		if c.Kind == AssocNone {
-			continue
+		buf = refAppendBag(buf, op.Columns(), version)
+	}
+	return buf
+}
+
+// refAppendBag appends a v2 or v3 association bag. Every column is written
+// both ways; v3 takes the run form of an identifier column it may run-code
+// where that is strictly shorter — but a source, unary or binary bag keeps
+// the column of shortest Δ form (the first of equals) Δ-coded.
+func refAppendBag(buf []byte, c Columns, version uint16) []byte {
+	var cols [][]int64 // the identifier columns in stream order; nil: Pos or lens
+	var runnable []bool
+	switch c.Kind {
+	case AssocSource:
+		cols, runnable = [][]int64{c.Out, c.In}, []bool{true, true}
+	case AssocUnary:
+		cols, runnable = [][]int64{c.In, c.Out}, []bool{true, true}
+	case AssocBinary:
+		cols, runnable = [][]int64{c.In, c.Right, c.Out}, []bool{true, true, true}
+	case AssocFlatten:
+		cols, runnable = [][]int64{c.In, nil, c.Out}, []bool{false, false, true}
+	case AssocAgg:
+		cols, runnable = [][]int64{c.Out, nil, c.In}, []bool{true, false, false}
+	}
+	forms := make([][2][]byte, len(cols)) // per column: Δ form, run form
+	var mask byte
+	for k, col := range cols {
+		forms[k] = [2][]byte{refDeltas(nil, col), refRunForm(nil, col)}
+		if version >= codecVersionV3 && runnable[k] && len(forms[k][1]) < len(forms[k][0]) {
+			mask |= 1 << k
 		}
-		buf = uv(buf, uint64(len(c.Out)))
-		switch c.Kind {
-		case AssocSource:
-			buf = delta(delta(buf, c.Out), c.In)
-		case AssocUnary:
-			buf = delta(delta(buf, c.In), c.Out)
-		case AssocBinary:
-			buf = delta(delta(delta(buf, c.In), c.Right), c.Out)
-		case AssocFlatten:
-			buf = delta(buf, c.In)
+	}
+	if c.Kind >= AssocSource && c.Kind <= AssocBinary && int(mask) == 1<<len(cols)-1 {
+		keep := 0
+		for k := range cols {
+			if len(forms[k][0]) < len(forms[keep][0]) {
+				keep = k
+			}
+		}
+		mask &^= 1 << keep
+	}
+	buf = append(buf, mask<<3|byte(c.Kind))
+	if c.Kind == AssocNone {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(c.Out)))
+	for k := range cols {
+		switch {
+		case mask&(1<<k) != 0:
+			buf = append(buf, forms[k][1]...)
+		case c.Kind == AssocFlatten && k == 1:
 			for _, p := range c.Pos {
-				buf = uv(buf, uint64(p))
+				buf = binary.AppendUvarint(buf, uint64(p))
 			}
-			buf = delta(buf, c.Out)
-		case AssocAgg:
-			buf = delta(buf, c.Out)
+		case c.Kind == AssocAgg && k == 1:
 			for j := range c.Out {
-				buf = uv(buf, uint64(c.Offs[j+1]-c.Offs[j]))
+				buf = binary.AppendUvarint(buf, uint64(c.Offs[j+1]-c.Offs[j]))
 			}
-			buf = delta(buf, c.In)
+		default:
+			buf = append(buf, forms[k][0]...)
 		}
 	}
 	return buf
+}
+
+// refDeltas appends col as zigzag deltas, prev starting at 0.
+func refDeltas(buf []byte, col []int64) []byte {
+	prev := int64(0)
+	for _, v := range col {
+		d := v - prev
+		prev = v
+		buf = binary.AppendUvarint(buf, uint64(d<<1)^uint64(d>>63))
+	}
+	return buf
+}
+
+// refRunForm appends col as runs of equal deltas: the run count, then per
+// run its length and zigzag delta.
+func refRunForm(buf []byte, col []int64) []byte {
+	var runs []refRun
+	prev := int64(0)
+	for _, v := range col {
+		if d := v - prev; len(runs) > 0 && runs[len(runs)-1].delta == d {
+			runs[len(runs)-1].len++
+		} else {
+			runs = append(runs, refRun{len: 1, delta: d})
+		}
+		prev = v
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(runs)))
+	for _, r := range runs {
+		buf = binary.AppendUvarint(buf, r.len)
+		buf = binary.AppendUvarint(buf, uint64(r.delta<<1)^uint64(r.delta>>63))
+	}
+	return buf
+}
+
+// RefPosBytes returns the length of a flatten bag's v4 Pos column: its
+// residuals — each position less 1, or less the position before plus 1 where
+// the input id repeats — in the shorter of the Δ and the run form.
+func RefPosBytes(c Columns) int {
+	resid := make([]int64, len(c.Pos))
+	for j, p := range c.Pos {
+		implied := int64(1)
+		if j > 0 && c.In[j] == c.In[j-1] {
+			implied = c.Pos[j-1] + 1
+		}
+		resid[j] = p - implied
+	}
+	return min(len(refDeltas(nil, resid)), len(refRunForm(nil, resid)))
 }
 
 // ---- stream decoder ----
@@ -276,8 +359,8 @@ func RefReadRun(data []byte) (run *Run, rest int, err error) {
 		return nil, 0, d.err
 	case v == codecVersionV1:
 		run, err = refReadRunV1(d)
-	case v == codecVersionV2 || v == codecVersionV3:
-		run, err = refReadRunV2(br, v == codecVersionV3)
+	case v >= codecVersionV2 && v <= codecVersionV4:
+		run, err = refReadRunV2(br, v)
 	default:
 		return nil, 0, fmt.Errorf("provenance: unsupported version %d", v)
 	}
@@ -460,20 +543,20 @@ func (d *refDecoder) str() string {
 // stream before the decoder commits to materialising them.
 const refMaxCount = 1 << 32
 
-// refV2Decoder reads varint primitives from a buffered v2 or v3 stream,
+// refV2Decoder reads varint primitives from a buffered columnar stream,
 // remembering the first error. Column reads grow element-by-element (every
 // element consumes at least one byte), so a corrupt count prefix runs into
 // io.EOF instead of forcing a giant allocation; run columns are kept as their
 // runs until the bag's other columns have shown that n is backed by bytes.
 type refV2Decoder struct {
-	r    *bufio.Reader
-	v3   bool
-	dict []string
-	err  error
+	r       *bufio.Reader
+	version uint16
+	dict    []string
+	err     error
 }
 
-func refReadRunV2(br *bufio.Reader, v3 bool) (*Run, error) {
-	d := &refV2Decoder{r: br, v3: v3}
+func refReadRunV2(br *bufio.Reader, version uint16) (*Run, error) {
+	d := &refV2Decoder{r: br, version: version}
 	nDict := d.count("dictionary")
 	d.dict = make([]string, 0, refCapHint(nDict))
 	for i := 0; i < nDict && d.err == nil; i++ {
@@ -535,12 +618,12 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 	if d.err != nil {
 		return
 	}
-	// v3: the high bits say which columns are run-coded (bit k: the k-th in
-	// stream order). A layout may run-code only its identifier columns bar
-	// flatten's In and the aggregate's Ins, and a source, unary or binary bag
-	// not all of them.
+	// v3 on: the high bits say which columns are run-coded (bit k: the k-th
+	// in stream order). A layout may run-code only its identifier columns bar
+	// flatten's In and the aggregate's Ins — and from v4 on flatten's
+	// position residuals — and a source, unary or binary bag not all of them.
 	tag, mask := AssocKind(b), uint8(0)
-	if d.v3 {
+	if d.version >= 3 {
 		tag, mask = AssocKind(b%8), b/8
 	}
 	if tag > AssocAgg {
@@ -548,6 +631,9 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 		return
 	}
 	runnable := map[AssocKind]uint8{AssocSource: 3, AssocUnary: 3, AssocBinary: 7, AssocFlatten: 4, AssocAgg: 1}[tag]
+	if tag == AssocFlatten && d.version >= 4 {
+		runnable = 6
+	}
 	if mask&^runnable != 0 || tag <= AssocBinary && tag != AssocNone && mask == runnable {
 		d.err = fmt.Errorf("provenance: bad run bits %#x for association tag %d", mask, tag)
 		return
@@ -560,7 +646,7 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 	// each. A run-coded one is expanded only once every column has been read.
 	var wire [3][]int64
 	var held [3][]refRun
-	var poss, lens []uint64
+	var poss, lens []uint64 // v2 and v3 positions; aggregate lens
 	slots := 3
 	if tag == AssocSource || tag == AssocUnary {
 		slots = 2
@@ -569,7 +655,7 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 		switch {
 		case mask&(1<<k) != 0:
 			held[k] = d.runs(n)
-		case tag == AssocFlatten && k == 1:
+		case tag == AssocFlatten && k == 1 && d.version < 4:
 			poss = d.uvarintColumn(n)
 		case tag == AssocAgg && k == 1:
 			lens = d.uvarintColumn(n)
@@ -611,6 +697,20 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 		ins, rights, outs = wire[0], wire[1], wire[2]
 	case AssocFlatten:
 		ins, outs = wire[0], wire[2]
+		if d.version < 4 {
+			wire[1] = make([]int64, n)
+			for j, p := range poss {
+				wire[1][j] = int64(p)
+			}
+		} else { // residuals against 1, or the position before plus 1 where the input repeats
+			for j := range wire[1] {
+				implied := int64(1)
+				if j > 0 && ins[j] == ins[j-1] {
+					implied = wire[1][j-1] + 1
+				}
+				wire[1][j] += implied
+			}
+		}
 	case AssocAgg:
 		outs, ins = wire[0], wire[2]
 	}
@@ -622,7 +722,7 @@ func (d *refV2Decoder) readAssocs(op *Operator) {
 		case AssocBinary:
 			r.in, r.right = ins[j], rights[j]
 		case AssocFlatten:
-			r.in, r.pos = ins[j], int64(poss[j])
+			r.in, r.pos = ins[j], wire[1][j]
 		case AssocAgg:
 			ln := int(lens[j])
 			r.ins = append(make([]int64, 0, refCapHint(ln)), ins[off:off+ln]...)

@@ -18,6 +18,7 @@ import (
 	"pebble/internal/backtrace"
 	"pebble/internal/core"
 	"pebble/internal/engine"
+	"pebble/internal/nested"
 	"pebble/internal/obs"
 	"pebble/internal/provenance"
 	"pebble/internal/treepattern"
@@ -282,7 +283,9 @@ func (s *Shell) query(line string) error {
 }
 
 // printSchemas analyzes the captured pipeline against the types of the
-// datasets its sources read and prints per-operator output types.
+// datasets its sources read and prints per-operator output types. An
+// operator without one is below a map, or else reads an input without rows,
+// whose type is unknown: the line names which.
 func (s *Shell) printSchemas() error {
 	sources := map[string]*engine.Dataset{}
 	for _, src := range s.cap.Result.Sources {
@@ -296,8 +299,37 @@ func (s *Shell) printSchemas() error {
 		if t, ok := schemas[op.ID()]; ok {
 			fmt.Fprintf(s.out, "  %-3d %s\n", op.ID(), t)
 		} else {
-			fmt.Fprintf(s.out, "  %-3d (unknown: below a map)\n", op.ID())
+			fmt.Fprintf(s.out, "  %-3d (unknown: %s)\n", op.ID(), unknownCause(s.cap.Pipeline.Ops(), op, schemas))
 		}
 	}
 	return nil
+}
+
+// unknownCause says why Analyze gave op no type: a map at or above it, or
+// else the sources above it whose inputs have no rows.
+func unknownCause(ops []*engine.Op, op *engine.Op, schemas map[int]nested.Type) string {
+	above := map[int]bool{}
+	var walk func(o *engine.Op)
+	walk = func(o *engine.Op) {
+		if !above[o.ID()] {
+			above[o.ID()] = true
+			for _, in := range o.Inputs() {
+				walk(in)
+			}
+		}
+	}
+	walk(op)
+	var empty []string
+	for _, o := range ops {
+		if !above[o.ID()] {
+			continue
+		}
+		if o.Type() == engine.OpMap {
+			return "below a map"
+		}
+		if _, typed := schemas[o.ID()]; o.Type() == engine.OpSource && !typed {
+			empty = append(empty, o.String())
+		}
+	}
+	return "no rows in " + strings.Join(empty, ", ")
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"pebble/internal/core"
+	"pebble/internal/engine"
+	"pebble/internal/nested"
 	"pebble/internal/shell"
 	"pebble/internal/workload"
 )
@@ -284,6 +286,34 @@ func TestShellSchema(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, "tweets:{{<text:string>}}") {
 		t.Errorf("schema output missing aggregate type:\n%s", got)
+	}
+}
+
+// TestShellSchemaNamesTheCause: an operator the analysis gives no type is
+// below a map, or reads an input without rows; the schema line names which —
+// the source of a filter on an empty input, the map above a wrapped one.
+func TestShellSchemaNamesTheCause(t *testing.T) {
+	p := engine.NewPipeline()
+	empty := p.Filter(p.Source("empty.json"), engine.Gt(engine.Col("n"), engine.LitInt(1)))
+	p.Union(p.Map(empty, engine.MapFunc{Name: "id", Fn: func(v nested.Value) (nested.Value, error) { return v, nil }}), empty)
+	cap, err := core.Session{Partitions: 1}.Capture(p, map[string]*engine.Dataset{"empty.json": engine.FromRows("empty.json", nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := shell.New(cap, &out).Exec("schema"); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"  1   (unknown: no rows in 1:source(empty.json))\n",
+		"  2   (unknown: no rows in 1:source(empty.json))\n",
+		"  3   (unknown: below a map)\n",
+		"  4   (unknown: below a map)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("schema output missing %q:\n%s", want, got)
+		}
 	}
 }
 
