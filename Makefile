@@ -117,11 +117,14 @@ bench-capture:
 
 # The query layer without the daemon, time and allocations: one
 # trace_repeat round's matching at its sizes (the ten scenario patterns, D2's
-# point question twenty times, and one point match on its own) and
+# point question twenty times, and one point match on its own), the
+# backtracing walk behind backtrace.trace_s (T2, T3, T5 and D1 at those sizes)
+# with the first index and lookups of a lazily loaded run, and
 # QueryResult.Answer, the daemon's rendering of both answer forms, on T3, D1,
 # T4 and T5.
 bench-query:
 	go test ./internal/treepattern -run '^$$' -bench MatchSweep -benchtime 20x -benchmem
+	go test ./internal/backtrace -run '^$$' -bench 'Backtrace|FirstLookup' -benchtime 20x -benchmem
 	go test ./internal/core -run '^$$' -bench TraceAnswer -benchtime 20x -benchmem
 
 # The client-path benchmark (bench/README.md; BENCHMARK.json is its

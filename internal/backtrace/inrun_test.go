@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"pebble/internal/backtrace"
+	"pebble/internal/core"
 	"pebble/internal/engine"
+	"pebble/internal/nested"
+	"pebble/internal/path"
 	"pebble/internal/provenance"
 	"pebble/internal/workload"
 )
@@ -81,11 +84,7 @@ func TestEngineOutColumnsAreOrdered(t *testing.T) {
 				if !slices.IsSorted(c.Out) || !op.OutOrdered() {
 					t.Fatalf("%s workers %d: operator %d (%s): Out column out of order", r.name, workers, op.OID, op.Type)
 				}
-				dense := true
-				for j, out := range c.Out {
-					dense = dense && out == c.Out[0]+int64(j)
-				}
-				if !dense && op.Type != engine.OpDistinct {
+				if !denseOut(c.Out) && op.Type != engine.OpDistinct {
 					t.Fatalf("%s workers %d: operator %d (%s): Out column is not base, base+1, …", r.name, workers, op.OID, op.Type)
 				}
 				lop := lazy.Operators()[i]
@@ -143,8 +142,8 @@ func forced(run *provenance.Run, mode backtrace.IndexMode) func() *backtrace.Tra
 // TestInRunIndexMatchesBuild: on the scenarios' own patterns and the corpus
 // questions, the index read off the columns — of the loaded stream and of the
 // capture in memory — answers exactly as the sort-and-build an out-of-order
-// operator falls back to (opIndex.build), and as the row-struct build both
-// replaced (reference_test.go).
+// operator falls back to (opIndex.build), and as the map-grouping reference
+// build (reference_test.go).
 func TestInRunIndexMatchesBuild(t *testing.T) {
 	kinds := map[provenance.AssocKind]bool{}
 	eachEngineRun(t, 0, func(r engineRun) {
@@ -169,7 +168,7 @@ func TestInRunIndexMatchesBuild(t *testing.T) {
 // its association rows shuffled — is out of order in every operator with more
 // than a row or two. Each such operator takes the sort, with no sidecar, and
 // the shuffled run answers as the run the engine captured does: loaded or in
-// memory, and through the row-struct reference.
+// memory, and through the reference index build.
 func TestShuffledRunTakesTheFallback(t *testing.T) {
 	outOfOrder := map[provenance.AssocKind]int{}
 	for _, name := range scenarioNames {
@@ -197,30 +196,77 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 	}
 }
 
+// repeatedOutRun is a run whose flatten and aggregate bags repeat an output
+// identifier, as no engine operator but distinct does: each gets two one-row
+// morsels with one base through a provenance.Collector. The flatten's last row
+// of the repeated identifier is its origin; the aggregate's two rows are one
+// group of two members.
+func repeatedOutRun(t testing.TB) (run *provenance.Run, sink int, q *backtrace.Structure) {
+	t.Helper()
+	col := provenance.NewCollector()
+	col.StartOperator(engine.OpInfo{OID: 1, Type: engine.OpSource, Inputs: []engine.InputInfo{{SourceName: "in"}}}, 1)
+	col.Morsel(1, 0, 10, 2, engine.Assocs{In: []int64{1, 2}})
+	col.StartOperator(engine.OpInfo{OID: 2, Type: engine.OpFlatten,
+		Inputs:      []engine.InputInfo{{Pred: 1, Accessed: []path.Path{path.New("xs")}}},
+		Manipulated: []engine.Mapping{{In: path.MustParse("xs[pos]"), Out: path.New("x")}}}, 1)
+	col.Morsel(2, 0, 20, 1, engine.Assocs{In: []int64{10}, Pos: []int64{1}})
+	col.Morsel(2, 0, 20, 1, engine.Assocs{In: []int64{11}, Pos: []int64{2}})
+	col.Morsel(2, 0, 21, 1, engine.Assocs{In: []int64{10}, Pos: []int64{3}})
+	col.StartOperator(engine.OpInfo{OID: 3, Type: engine.OpAggregate,
+		Inputs:      []engine.InputInfo{{Pred: 2}},
+		Manipulated: []engine.Mapping{{In: path.New("x"), Out: path.MustParse("ys[pos]")}}}, 1)
+	col.Morsel(3, 0, 30, 1, engine.Assocs{Lists: [][]int64{{20}}})
+	col.Morsel(3, 0, 30, 1, engine.Assocs{Lists: [][]int64{{21}}})
+	run, err := col.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q = backtrace.NewStructure()
+	q.Add(30, core.TreeFromValue(nested.Item(nested.F("ys", nested.Bag(nested.Int(1), nested.Int(2))))))
+	return run, 3, q
+}
+
+// denseOut reports whether an Out column is base, base+1, ….
+func denseOut(out []int64) bool {
+	for i := range out {
+		if out[i] != out[0]+int64(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestTracersShareTheRunsColumns: the index of an operator whose Out column is
 // ordered is the operator's columns themselves — of a captured run as of a
 // loaded one — so any number of tracers over one run hold one copy of its
-// identifiers. Indexing such an operator allocates what indexing a source
-// does, where nothing is looked up: the tracer's bookkeeping and no column.
-// Two tracers then trace one run at once — the captured one, and a loaded
-// one nothing has touched yet (run it with -race).
+// identifiers, also where an Out column repeats (repeatedOutRun). Indexing such
+// an operator allocates what indexing a source does, where nothing is looked
+// up — the tracer's bookkeeping and no column — plus, where the Out column is
+// not dense, its keys and offsets. Two tracers then trace one run at once —
+// the captured one, and a loaded one nothing has touched yet (run it with
+// -race) — and answer as the per-item reference trace over the reference
+// index build.
 func TestTracersShareTheRunsColumns(t *testing.T) {
+	type tracedRun struct {
+		name string
+		run  *provenance.Run
+		sink int
+		q    *backtrace.Structure
+	}
+	run, sink, q := repeatedOutRun(t)
+	cases := []tracedRun{{"repeated Out", run, sink, q}}
 	for _, name := range scenarioNames {
 		tg, sc := scenarioTarget(t, name, 1)
-		lazy := encoded(t, tg.run)
-		var source, largest *provenance.Operator
-		for _, run := range []*provenance.Run{tg.run, lazy} {
+		cases = append(cases, tracedRun{name, tg.run, tg.sink, sc.Pattern.Match(tg.res.Output)})
+	}
+	for _, c := range cases {
+		lazy := encoded(t, c.run)
+		for _, run := range []*provenance.Run{c.run, lazy} {
 			tr := backtrace.NewTracer(run)
 			for _, op := range run.Operators() {
-				switch {
-				case op.AssocKind() == provenance.AssocSource:
-					source = op
-				case op.AssocCount() > 0:
+				if op.AssocKind() > provenance.AssocSource {
 					if vals := backtrace.IndexValues(tr, op); &vals[0] != &op.Columns().In[0] {
-						t.Errorf("%s: the index of operator %d (%s) copied the In column", name, op.OID, op.Type)
-					}
-					if op.Type != engine.OpDistinct && (largest == nil || op.AssocCount() > largest.AssocCount()) {
-						largest = op
+						t.Errorf("%s: the index of operator %d (%s) copied the In column", c.name, op.OID, op.Type)
 					}
 				}
 			}
@@ -228,14 +274,34 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 		index := func(op *provenance.Operator) float64 {
 			return testing.AllocsPerRun(5, func() { backtrace.IndexValues(backtrace.NewTracer(lazy), op) })
 		}
-		if got, want := index(largest), index(source); got != want {
-			t.Errorf("%s: indexing operator %d (%s, %d rows) takes %.0f allocations, indexing a source %.0f",
-				name, largest.OID, largest.Type, largest.AssocCount(), got, want)
+		source := lazy.Operators()[0]
+		if source.AssocKind() != provenance.AssocSource {
+			t.Fatalf("%s: operator %d is no source", c.name, source.OID)
+		}
+		bookkeeping := index(source)
+		for _, op := range lazy.Operators() {
+			if op.AssocKind() <= provenance.AssocSource {
+				continue
+			}
+			want := bookkeeping
+			if !denseOut(op.Columns().Out) {
+				want += 2 // keys and offsets
+			}
+			if got := index(op); got != want {
+				t.Errorf("%s: indexing operator %d (%s, %d rows) takes %.0f allocations, want %.0f",
+					c.name, op.OID, op.Type, op.AssocCount(), got, want)
+			}
 		}
 
-		q := sc.Pattern.Match(tg.res.Output)
-		untouched := encoded(t, tg.run) // its first touches race, too
-		for _, run := range []*provenance.Run{tg.run, untouched} {
+		want, err := backtrace.RefTrace(forced(lazy, backtrace.IndexReference)(), c.sink, c.q.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.BySource) == 0 {
+			t.Fatalf("%s: the question reaches no source", c.name)
+		}
+		untouched := encoded(t, c.run) // its first touches race, too
+		for _, run := range []*provenance.Run{c.run, untouched} {
 			results := make([]*backtrace.Result, 2)
 			var wg sync.WaitGroup
 			for g := range results {
@@ -243,7 +309,7 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					var err error
-					if results[g], err = backtrace.NewTracer(run).Trace(tg.sink, q); err != nil {
+					if results[g], err = backtrace.NewTracer(run).Trace(c.sink, c.q); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -252,8 +318,40 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			if err := sameResult(results[0], results[1]); err != nil {
-				t.Errorf("%s: two tracers over one run: %v", name, err)
+			for _, got := range results {
+				if err := sameResult(got, want); err != nil {
+					t.Errorf("%s: two tracers over one run, against the reference: %v", c.name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRelabelledOperatorFindsNothing: an operator whose type names another
+// layout than its bag's — a hand-made or damaged artifact — has an empty index,
+// so a trace that starts at it with every output identifier it captured finds
+// nothing there, instead of reading its columns as another layout's.
+func TestRelabelledOperatorFindsNothing(t *testing.T) {
+	for _, name := range []string{"T2", "T3", "T5", "D1"} {
+		tg, _ := scenarioTarget(t, name, 1)
+		for _, typ := range []engine.OpType{engine.OpFilter, engine.OpFlatten, engine.OpAggregate} {
+			lazy := encoded(t, tg.run)
+			for _, op := range lazy.Operators() {
+				if op.AssocKind() <= provenance.AssocSource || op.AssocKind() == provenance.KindOf(typ) {
+					continue
+				}
+				q := backtrace.NewStructure()
+				for _, out := range op.Columns().Out {
+					q.Add(out, backtrace.NewTree())
+				}
+				op.Type = typ
+				got, err := backtrace.NewTracer(lazy).Trace(op.OID, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.BySource) != 0 {
+					t.Errorf("%s: operator %d relabelled %s traced to %d sources", name, op.OID, typ, len(got.BySource))
+				}
 			}
 		}
 	}

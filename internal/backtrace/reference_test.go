@@ -3,7 +3,7 @@ package backtrace
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pebble/internal/engine"
 	"pebble/internal/path"
@@ -129,7 +129,8 @@ func (tr *refTracer) backtraceUnary(op *provenance.Operator, b *Structure) *Stru
 	idx := tr.t.indexFor(op)
 	next := &Structure{}
 	for _, it := range b.Items {
-		for _, in := range idx.unary.lookup(it.ID) {
+		lo, hi := idx.rows(it.ID)
+		for _, in := range idx.c.In[lo:hi] {
 			next.Items = append(next.Items, &Item{ID: in, Tree: it.Tree.Clone()})
 		}
 	}
@@ -142,13 +143,13 @@ func (tr *refTracer) backtraceFlatten(op *provenance.Operator, b *Structure) *St
 	next := &Structure{}
 	var items []refItem
 	for _, it := range b.Items {
-		a, ok := idx.flatten.lookup(it.ID)
-		if !ok {
+		lo, hi := idx.rows(it.ID)
+		if lo == hi {
 			continue
 		}
-		item := &Item{ID: a.in, Tree: it.Tree.Clone()}
+		item := &Item{ID: idx.c.In[hi-1], Tree: it.Tree.Clone()}
 		next.Items = append(next.Items, item)
-		items = append(items, refItem{Item: item, pos: a.pos})
+		items = append(items, refItem{Item: item, pos: int(idx.c.Pos[hi-1])})
 	}
 	refApplyStatic(op, next, 0)
 	var colPath path.Path
@@ -169,7 +170,11 @@ func (tr *refTracer) backtraceAggregation(op *provenance.Operator, b *Structure)
 	keyMs := mappings(op, true)
 	next := &Structure{}
 	for _, it := range b.Items {
-		for j, in := range idx.agg.lookup(it.ID) {
+		lo, hi := idx.rows(it.ID)
+		if lo == hi {
+			continue
+		}
+		for j, in := range idx.c.In[idx.c.Offs[lo]:idx.c.Offs[hi]] {
 			pP := j + 1
 			t := it.Tree.Clone()
 			inProv := false
@@ -212,17 +217,17 @@ func (tr *refTracer) backtraceJoin(op *provenance.Operator, b *Structure) (*Stru
 	idx := tr.t.indexFor(op)
 	left, right := &Structure{}, &Structure{}
 	for _, it := range b.Items {
-		lefts, rights := idx.binary.lookup(it.ID)
-		for k := range lefts {
-			if lefts[k] != -1 {
+		lo, hi := idx.rows(it.ID)
+		for k := lo; k < hi; k++ {
+			if in := idx.c.In[k]; in != -1 {
 				lt := it.Tree.Clone()
 				lt.PruneToSchema(op.Inputs[0].Schema)
-				left.Items = append(left.Items, &Item{ID: lefts[k], Tree: lt})
+				left.Items = append(left.Items, &Item{ID: in, Tree: lt})
 			}
-			if rights[k] != -1 {
+			if in := idx.c.Right[k]; in != -1 {
 				rt := it.Tree.Clone()
 				rt.PruneToSchema(op.Inputs[1].Schema)
-				right.Items = append(right.Items, &Item{ID: rights[k], Tree: rt})
+				right.Items = append(right.Items, &Item{ID: in, Tree: rt})
 			}
 		}
 	}
@@ -240,13 +245,13 @@ func (tr *refTracer) backtraceUnion(op *provenance.Operator, b *Structure) (*Str
 	idx := tr.t.indexFor(op)
 	left, right := &Structure{}, &Structure{}
 	for _, it := range b.Items {
-		lefts, rights := idx.binary.lookup(it.ID)
-		for k := range lefts {
-			if lefts[k] != -1 {
-				left.Items = append(left.Items, &Item{ID: lefts[k], Tree: it.Tree.Clone()})
+		lo, hi := idx.rows(it.ID)
+		for k := lo; k < hi; k++ {
+			if in := idx.c.In[k]; in != -1 {
+				left.Items = append(left.Items, &Item{ID: in, Tree: it.Tree.Clone()})
 			}
-			if rights[k] != -1 {
-				right.Items = append(right.Items, &Item{ID: rights[k], Tree: it.Tree.Clone()})
+			if in := idx.c.Right[k]; in != -1 {
+				right.Items = append(right.Items, &Item{ID: in, Tree: it.Tree.Clone()})
 			}
 		}
 	}
@@ -258,47 +263,19 @@ func (tr *refTracer) backtraceUnion(op *provenance.Operator, b *Structure) (*Str
 func Lookups(t *Tracer, op *provenance.Operator, ids []int64) (found int) {
 	ix := t.indexFor(op)
 	for _, id := range ids {
-		switch op.AssocKind() {
-		case provenance.AssocUnary:
-			found += min(1, len(ix.unary.lookup(id)))
-		case provenance.AssocAgg:
-			found += min(1, len(ix.agg.lookup(id)))
-		case provenance.AssocBinary:
-			lefts, _ := ix.binary.lookup(id)
-			found += min(1, len(lefts))
-		case provenance.AssocFlatten:
-			if _, ok := ix.flatten.lookup(id); ok {
-				found++
-			}
+		if lo, hi := ix.rows(id); lo < hi {
+			found++
 		}
 	}
 	return found
 }
 
-// IndexValues readies op's index and returns its value column — the id_i of a
-// unary, flatten or aggregate operator, the id_i1 of a binary one — so a test
-// can tell whether it is the operator's own In column or a copy.
+// IndexValues readies op's index and returns the In column it reads — the
+// id_i of a unary, flatten or aggregate operator, the id_i1 of a binary one —
+// so a test can tell whether it is the operator's own column or a copy.
 func IndexValues(t *Tracer, op *provenance.Operator) []int64 {
-	ix := t.indexFor(op)
-	switch op.AssocKind() {
-	case provenance.AssocUnary:
-		return ix.unary.vals
-	case provenance.AssocBinary:
-		return ix.binary.lefts
-	case provenance.AssocFlatten:
-		return ix.flatten.ins
-	case provenance.AssocAgg:
-		return ix.agg.vals
-	}
-	return nil
+	return t.indexFor(op).c.In
 }
-
-// The row-struct index build: what every operator's index was built by before
-// the run's columns became the index (trace.go: fromColumns, and build for an
-// Out column out of order). It reads the association rows, not the columns,
-// sorts through a permutation instead of sorting the columns, and always
-// spells its keys out — the reference both shipped paths are compared with in
-// inrun_test.go.
 
 // IndexMode selects how ForceIndexes readies a tracer's indexes.
 type IndexMode int
@@ -307,7 +284,7 @@ const (
 	// IndexBuild sorts every operator's columns (opIndex.build), in order or
 	// not: the path an out-of-order Out column takes.
 	IndexBuild IndexMode = iota
-	// IndexReference is the row-struct build below.
+	// IndexReference is refBuild below.
 	IndexReference
 )
 
@@ -317,204 +294,52 @@ func ForceIndexes(t *Tracer, mode IndexMode) {
 	for _, op := range t.run.Operators() {
 		ix := &opIndex{}
 		ix.once.Do(func() {
-			if mode == IndexBuild && op.AssocKind() > provenance.AssocSource {
+			switch {
+			case !indexed(op):
+			case mode == IndexBuild:
 				ix.build(op.Columns())
-			} else if mode == IndexReference {
-				ix.refBuild(op)
+			default:
+				ix.refBuild(op.Columns())
 			}
 		})
 		t.idx.Store(op.OID, ix)
 	}
 }
 
-// The association rows of Tab. 6 as structs: the form the reference index is
-// built from, scattered out of the operator's columns.
-type (
-	refBinaryRow  struct{ Left, Right, Out int64 }
-	refFlattenRow struct {
-		In  int64
-		Pos int
-		Out int64
+// refBuild is the reference index, the one both shipped paths (fromColumns,
+// and build for an Out column out of order) are compared with in
+// inrun_test.go. It shares no code with them: it groups the row numbers by
+// output identifier in a map, orders the keys, copies each key's rows out in
+// row order and always spells keys and offsets out.
+func (ix *opIndex) refBuild(c provenance.Columns) {
+	byOut := make(map[int64][]int)
+	for r, out := range c.Out {
+		byOut[out] = append(byOut[out], r)
 	}
-	refAggRow struct {
-		Ins []int64
-		Out int64
+	for out := range byOut {
+		ix.keys = append(ix.keys, out)
 	}
-)
-
-// refBuild constructs the flat index for the operator's association kind.
-func (ix *opIndex) refBuild(op *provenance.Operator) {
-	c := op.Columns()
-	switch c.Kind {
-	case provenance.AssocUnary:
-		ix.unary = refBuildPairs(len(c.Out),
-			func(i int) int64 { return c.Out[i] },
-			func(i int) int64 { return c.In[i] })
-	case provenance.AssocBinary:
-		rows := make([]refBinaryRow, len(c.Out))
-		for i := range rows {
-			rows[i] = refBinaryRow{Left: c.In[i], Right: c.Right[i], Out: c.Out[i]}
+	slices.Sort(ix.keys)
+	s := &ix.c
+	s.Kind, ix.offs = c.Kind, []int32{0}
+	if c.Kind == provenance.AssocAgg {
+		s.Offs = []int32{0}
+	}
+	for _, out := range ix.keys {
+		for _, r := range byOut[out] {
+			s.Out = append(s.Out, out)
+			switch c.Kind {
+			case provenance.AssocAgg:
+				s.In = append(s.In, c.In[c.Offs[r]:c.Offs[r+1]]...)
+				s.Offs = append(s.Offs, int32(len(s.In)))
+			case provenance.AssocBinary:
+				s.In, s.Right = append(s.In, c.In[r]), append(s.Right, c.Right[r])
+			case provenance.AssocFlatten:
+				s.In, s.Pos = append(s.In, c.In[r]), append(s.Pos, c.Pos[r])
+			default:
+				s.In = append(s.In, c.In[r])
+			}
 		}
-		ix.binary = refBuildBin(rows)
-	case provenance.AssocFlatten:
-		rows := make([]refFlattenRow, len(c.Out))
-		for i := range rows {
-			rows[i] = refFlattenRow{In: c.In[i], Pos: int(c.Pos[i]), Out: c.Out[i]}
-		}
-		ix.flatten = refBuildFlat(rows)
-	case provenance.AssocAgg:
-		rows := make([]refAggRow, len(c.Out))
-		for i := range rows {
-			rows[i] = refAggRow{Ins: c.In[c.Offs[i]:c.Offs[i+1]], Out: c.Out[i]}
-		}
-		ix.agg = refBuildAgg(rows)
+		ix.offs = append(ix.offs, int32(len(s.Out)))
 	}
-}
-
-// refOrderByKey returns association-row indexes ordered by key, preserving row
-// order within equal keys; nil when the rows are already sorted — the common
-// case, since identifiers grow with partition-concatenated row order.
-func refOrderByKey(n int, key func(int) int64) []int {
-	sorted := true
-	for i := 1; i < n; i++ {
-		if key(i) < key(i-1) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return nil
-	}
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
-	return ord
-}
-
-// refAt resolves the i-th row under an optional reorder.
-func refAt(ord []int, i int) int {
-	if ord == nil {
-		return i
-	}
-	return ord[i]
-}
-
-// refCountKeys counts distinct keys in ordered traversal, so the key and offset
-// columns allocate exactly once.
-func refCountKeys(n int, ord []int, key func(int) int64) int {
-	u := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || key(refAt(ord, i)) != key(refAt(ord, i-1)) {
-			u++
-		}
-	}
-	return u
-}
-
-// refBuildPairs groups (key, val) association rows into a pairIdx with exactly
-// three allocations: count first, allocate once, fill.
-func refBuildPairs(n int, key, val func(int) int64) pairIdx {
-	ord := refOrderByKey(n, key)
-	u := refCountKeys(n, ord, key)
-	x := pairIdx{
-		keyCol: keyCol{keys: make([]int64, 0, u)},
-		offs:   make([]int32, 0, u+1),
-		vals:   make([]int64, n),
-	}
-	for i := 0; i < n; i++ {
-		r := refAt(ord, i)
-		k := key(r)
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(i))
-		}
-		x.vals[i] = val(r)
-	}
-	x.offs = append(x.offs, int32(n))
-	return x
-}
-
-// refBuildBin groups binary associations by Out into parallel left/right runs.
-func refBuildBin(a []refBinaryRow) binIdx {
-	n := len(a)
-	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
-	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
-	x := binIdx{
-		keyCol: keyCol{keys: make([]int64, 0, u)},
-		offs:   make([]int32, 0, u+1),
-		lefts:  make([]int64, n),
-		rights: make([]int64, n),
-	}
-	for i := 0; i < n; i++ {
-		r := refAt(ord, i)
-		k := a[r].Out
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(i))
-		}
-		x.lefts[i] = a[r].Left
-		x.rights[i] = a[r].Right
-	}
-	x.offs = append(x.offs, int32(n))
-	return x
-}
-
-// refBuildFlat indexes flatten associations by Out. Outputs are unique by
-// construction; should a duplicate ever appear, the last association row
-// wins, matching the previous map-based build.
-func refBuildFlat(a []refFlattenRow) flatIdx {
-	n := len(a)
-	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
-	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
-	x := flatIdx{
-		keyCol: keyCol{keys: make([]int64, 0, u)},
-		ins:    make([]int64, 0, u),
-		poss:   make([]int64, 0, u),
-	}
-	for i := 0; i < n; i++ {
-		r := refAt(ord, i)
-		k := a[r].Out
-		if len(x.keys) > 0 && k == x.keys[len(x.keys)-1] {
-			x.ins[len(x.ins)-1] = a[r].In
-			x.poss[len(x.poss)-1] = int64(a[r].Pos)
-			continue
-		}
-		x.keys = append(x.keys, k)
-		x.ins = append(x.ins, a[r].In)
-		x.poss = append(x.poss, int64(a[r].Pos))
-	}
-	return x
-}
-
-// refBuildAgg flattens aggregation groups into one pairIdx: group Outs as keys,
-// the concatenated Ins as values, so an input's 1-based group position p_P
-// is its offset within the key's value run plus one. The nested per-element
-// append of the previous build is gone — the Ins column is counted first and
-// allocated once.
-func refBuildAgg(a []refAggRow) pairIdx {
-	n := len(a)
-	ord := refOrderByKey(n, func(i int) int64 { return a[i].Out })
-	u := refCountKeys(n, ord, func(i int) int64 { return a[i].Out })
-	total := 0
-	for i := range a {
-		total += len(a[i].Ins)
-	}
-	x := pairIdx{
-		keyCol: keyCol{keys: make([]int64, 0, u)},
-		offs:   make([]int32, 0, u+1),
-		vals:   make([]int64, 0, total),
-	}
-	for i := 0; i < n; i++ {
-		r := refAt(ord, i)
-		k := a[r].Out
-		if len(x.keys) == 0 || k != x.keys[len(x.keys)-1] {
-			x.keys = append(x.keys, k)
-			x.offs = append(x.offs, int32(len(x.vals)))
-		}
-		x.vals = append(x.vals, a[r].Ins...)
-	}
-	x.offs = append(x.offs, int32(len(x.vals)))
-	return x
 }

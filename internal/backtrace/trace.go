@@ -90,18 +90,18 @@ func (t *Tracer) Observe(rec *obs.Recorder) *Tracer {
 	return t
 }
 
-// opIndex holds one operator's association index — output identifier →
+// opIndex is one operator's association index — output identifier →
 // association rows — read off the operator's columns on first use. The engine
 // assigns output identifiers in row order, so the Out column of every run it
-// writes is already sorted and the columns are the index (fromColumns); only
-// an operator whose Out column is out of order (a hand-made, damaged or
-// foreign artifact) is sorted first (build).
+// writes is already sorted and the columns are the index (fromColumns): the
+// index adds only its key side, and offsets where a key owns more than one
+// row. Only an operator whose Out column is out of order (a hand-made, damaged
+// or foreign artifact) is sorted first (build).
 type opIndex struct {
-	once    sync.Once
-	unary   pairIdx
-	binary  binIdx
-	flatten flatIdx
-	agg     pairIdx
+	once sync.Once
+	keyCol
+	offs []int32 // key i owns rows offs[i]:offs[i+1]; nil: row i alone
+	c    provenance.Columns
 }
 
 // keyCol is the key side of an index: the operator's distinct output
@@ -133,67 +133,22 @@ func (k *keyCol) find(id int64) (int, bool) {
 	return lo, lo < len(k.keys) && k.keys[lo] == id
 }
 
-// pairIdx maps an output identifier to its associated input identifiers: key
-// i owns vals[offs[i]:offs[i+1]] in association-row order, or vals[i] alone
-// when offs is nil.
-type pairIdx struct {
-	keyCol
-	offs []int32
-	vals []int64
-}
-
-// lookup returns the values of one key (nil when absent).
-func (x *pairIdx) lookup(id int64) []int64 {
-	i, ok := x.find(id)
+// rows returns the association rows lo:hi of one output identifier, in row
+// order; lo == hi when it has none. The steps read the columns at them: a
+// unary operator's inputs are c.In[lo:hi], a binary one's c.In and c.Right
+// [lo:hi], a flatten's origin is row hi-1 (outputs are unique by
+// construction; should one repeat, its last row wins) and an aggregate's
+// inputs are c.In[c.Offs[lo]:c.Offs[hi]], adjacent, so an input's 1-based
+// group position p_P is its offset there plus one.
+func (ix *opIndex) rows(id int64) (lo, hi int) {
+	i, ok := ix.find(id)
 	switch {
 	case !ok:
-		return nil
-	case x.offs == nil:
-		return x.vals[i : i+1]
+		return 0, 0
+	case ix.offs == nil:
+		return i, i + 1
 	}
-	return x.vals[x.offs[i]:x.offs[i+1]]
-}
-
-// binIdx maps an output identifier to its (left, right) input pairs; key i
-// owns lefts/rights[offs[i]:offs[i+1]], or row i alone when offs is nil.
-type binIdx struct {
-	keyCol
-	offs   []int32
-	lefts  []int64
-	rights []int64
-}
-
-// lookup returns the parallel left/right runs of one key (nil when absent).
-func (x *binIdx) lookup(id int64) ([]int64, []int64) {
-	i, ok := x.find(id)
-	switch {
-	case !ok:
-		return nil, nil
-	case x.offs == nil:
-		return x.lefts[i : i+1], x.rights[i : i+1]
-	}
-	return x.lefts[x.offs[i]:x.offs[i+1]], x.rights[x.offs[i]:x.offs[i+1]]
-}
-
-// flatIdx maps a flattened output identifier to its single (in, pos) origin.
-type flatIdx struct {
-	keyCol
-	ins  []int64
-	poss []int64
-}
-
-// lookup returns the origin of one key.
-func (x *flatIdx) lookup(id int64) (flatSrc, bool) {
-	i, ok := x.find(id)
-	if !ok {
-		return flatSrc{}, false
-	}
-	return flatSrc{in: x.ins[i], pos: int(x.poss[i])}, true
-}
-
-type flatSrc struct {
-	in  int64
-	pos int
+	return int(ix.offs[i]), int(ix.offs[i+1])
 }
 
 // NewTracer returns a tracer over the captured run.
@@ -244,7 +199,7 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	ix.once.Do(func() {
 		defer t.rec.StartSpan(obs.SpanIndexBuild)()
 		switch {
-		case op.AssocKind() <= provenance.AssocSource: // nothing is looked up in a source
+		case !indexed(op):
 		case op.OutOrdered():
 			ix.fromColumns(op.Columns())
 		default:
@@ -254,55 +209,36 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	return ix
 }
 
+// indexed reports whether a trace looks identifiers up in the operator's bag:
+// not in a source's, and not in one of another layout than the one its type
+// captures (which only a hand-made or damaged artifact has) — the index of
+// such an operator stays empty, and the step finds nothing.
+func indexed(op *provenance.Operator) bool {
+	return op.AssocKind() > provenance.AssocSource && op.AssocKind() == provenance.KindOf(op.Type)
+}
+
 // fromColumns reads the index off columns whose Out column is non-decreasing
-// and keeps them as its values: c may be the operator's shared bag, so it is
-// read and aliased, never written. A dense Out column is used as it is; one with
-// repeats (distinct) or gaps folds into keys and offsets in one linear pass.
+// and keeps them as they are: c may be the operator's shared bag, so it is
+// read and aliased, never written. A dense Out column needs nothing more; one
+// with repeats (distinct) or gaps folds into keys and offsets in one linear
+// pass.
 func (ix *opIndex) fromColumns(c provenance.Columns) {
 	n, dense := len(c.Out), true
 	for i := 0; i < n && dense; i++ {
 		dense = c.Out[i] == c.Out[0]+int64(i)
 	}
-	k := keyCol{dense: dense, n: n}
-	var offs []int32 // key i owns rows offs[i]:offs[i+1]; nil: row i
+	ix.c, ix.keyCol = c, keyCol{dense: dense, n: n}
 	switch {
 	case dense && n > 0:
-		k.base = c.Out[0]
+		ix.base = c.Out[0]
 	case !dense:
-		k.keys, offs = make([]int64, 0, n), make([]int32, 0, n+1)
+		ix.keys, ix.offs = make([]int64, 0, n), make([]int32, 0, n+1)
 		for i, out := range c.Out {
 			if i == 0 || out != c.Out[i-1] {
-				k.keys, offs = append(k.keys, out), append(offs, int32(i))
+				ix.keys, ix.offs = append(ix.keys, out), append(ix.offs, int32(i))
 			}
 		}
-		offs = append(offs, int32(n))
-	}
-	switch c.Kind {
-	case provenance.AssocUnary:
-		ix.unary = pairIdx{k, offs, c.In}
-	case provenance.AssocBinary:
-		ix.binary = binIdx{k, offs, c.In, c.Right}
-	case provenance.AssocFlatten:
-		// Outputs are unique by construction; should one repeat, its last
-		// association row wins.
-		ix.flatten = flatIdx{k, c.In, c.Pos}
-		if offs != nil {
-			ix.flatten.ins, ix.flatten.poss = make([]int64, len(k.keys)), make([]int64, len(k.keys))
-			for i := range k.keys {
-				ix.flatten.ins[i], ix.flatten.poss[i] = c.In[offs[i+1]-1], c.Pos[offs[i+1]-1]
-			}
-		}
-	case provenance.AssocAgg:
-		// A key's values are the inputs of its rows, adjacent in c.In, so an
-		// input's 1-based group position p_P is its offset within the key's
-		// value run plus one.
-		ix.agg = pairIdx{k, c.Offs, c.In}
-		if offs != nil {
-			ix.agg.offs = make([]int32, len(offs))
-			for i, row := range offs {
-				ix.agg.offs[i] = c.Offs[row]
-			}
-		}
+		ix.offs = append(ix.offs, int32(n))
 	}
 }
 
@@ -484,8 +420,8 @@ func (tr *tracer) backtraceUnary(op *provenance.Operator, b *Structure) *Structu
 	memo := make(map[*Tree]*Tree)
 	next := newMerger()
 	for _, it := range b.Items {
-		ins := idx.unary.lookup(it.ID)
-		if len(ins) == 0 {
+		lo, hi := idx.rows(it.ID)
+		if lo == hi {
 			continue
 		}
 		t, ok := memo[it.Tree]
@@ -493,7 +429,7 @@ func (tr *tracer) backtraceUnary(op *provenance.Operator, b *Structure) *Structu
 			t = tr.rewrite(it.Tree, func(c *Tree) { applyStatic(op, ms, c) })
 			memo[it.Tree] = t
 		}
-		for _, in := range ins {
+		for _, in := range idx.c.In[lo:hi] {
 			next.add(in, t)
 		}
 	}
@@ -519,22 +455,23 @@ func (tr *tracer) backtraceFlatten(op *provenance.Operator, b *Structure) *Struc
 	memo := make(map[treeAt]*Tree)
 	next := newMerger()
 	for _, it := range b.Items {
-		a, ok := idx.flatten.lookup(it.ID)
-		if !ok {
+		lo, hi := idx.rows(it.ID)
+		if lo == hi {
 			continue
 		}
-		k := treeAt{it.Tree, a.pos}
+		in, pos := idx.c.In[hi-1], int(idx.c.Pos[hi-1])
+		k := treeAt{it.Tree, pos}
 		t, ok := memo[k]
 		if !ok {
 			t = tr.rewrite(it.Tree, func(c *Tree) {
 				applyStatic(op, ms, c)
 				if colPath != nil {
-					c.SubstitutePlaceholder(colPath, a.pos)
+					c.SubstitutePlaceholder(colPath, pos)
 				}
 			})
 			memo[k] = t
 		}
-		next.add(a.in, t)
+		next.add(in, t)
 	}
 	return next.merged(&tr.trees)
 }
@@ -550,10 +487,11 @@ func (tr *tracer) backtraceAggregation(op *provenance.Operator, b *Structure) *S
 	stems := make(map[*Tree]*aggStem)
 	next := newMerger()
 	for _, it := range b.Items {
-		ins := idx.agg.lookup(it.ID)
-		if len(ins) == 0 {
+		lo, hi := idx.rows(it.ID)
+		if lo == hi {
 			continue
 		}
+		ins := idx.c.In[idx.c.Offs[lo]:idx.c.Offs[hi]]
 		stem, ok := stems[it.Tree]
 		if !ok {
 			stem = newAggStem(it.Tree, colls)
@@ -797,9 +735,9 @@ func (tr *tracer) backtraceJoin(op *provenance.Operator, b *Structure) (*Structu
 		next[side] = newMerger()
 	}
 	for _, it := range b.Items {
-		lefts, rights := idx.binary.lookup(it.ID)
-		for k := range lefts {
-			for side, in := range [2]int64{lefts[k], rights[k]} {
+		lo, hi := idx.rows(it.ID)
+		for k := lo; k < hi; k++ {
+			for side, in := range [2]int64{idx.c.In[k], idx.c.Right[k]} {
 				if in == -1 {
 					continue
 				}
@@ -829,13 +767,13 @@ func (tr *tracer) backtraceUnion(op *provenance.Operator, b *Structure) (*Struct
 	idx := tr.t.indexFor(op)
 	left, right := newMerger(), newMerger()
 	for _, it := range b.Items {
-		lefts, rights := idx.binary.lookup(it.ID)
-		for k := range lefts {
-			if lefts[k] != -1 {
-				left.add(lefts[k], it.Tree)
+		lo, hi := idx.rows(it.ID)
+		for k := lo; k < hi; k++ {
+			if in := idx.c.In[k]; in != -1 {
+				left.add(in, it.Tree)
 			}
-			if rights[k] != -1 {
-				right.add(rights[k], it.Tree)
+			if in := idx.c.Right[k]; in != -1 {
+				right.add(in, it.Tree)
 			}
 		}
 	}

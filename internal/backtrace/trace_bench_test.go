@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
 	"testing"
 
@@ -203,47 +202,16 @@ func aggRun(b *testing.B, rows, keys int) *provenance.Run {
 	return run
 }
 
-// BenchmarkTracerIndexBuild pins the counted-first flat index build against
-// the nested-map build it replaced (kept below as legacyAggIndex): the flat
-// build allocates three exact-size columns where the map grew per-key
-// buckets and rehashed along the way.
+// BenchmarkTracerIndexBuild measures BuildIndexes on a fresh tracer over a
+// run whose aggregation folds 40 000 rows into 500 groups: the aggregate's
+// Out column is dense, so its index is its columns with no key array or
+// offsets (fromColumns' one pass), and the source is not indexed.
 func BenchmarkTracerIndexBuild(b *testing.B) {
 	run := aggRun(b, 40000, 500)
-	var agg *provenance.Operator
-	for _, op := range run.Operators() {
-		if op.AssocKind() == provenance.AssocAgg {
-			agg = op
-		}
-	}
-	if agg == nil {
-		b.Fatal("no aggregation operator captured")
-	}
-
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			backtrace.NewTracer(run).BuildIndexes()
 		}
 	})
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyAggIndex(agg.Columns())
-		}
-	})
-}
-
-// legacyAggIndex is the pre-flattening index shape: a per-output map of
-// grown value slices plus a sorted key slice for deterministic iteration.
-func legacyAggIndex(c provenance.Columns) (map[int64][]int64, []int64) {
-	m := make(map[int64][]int64)
-	for i, out := range c.Out {
-		m[out] = append(m[out], c.In[c.Offs[i]:c.Offs[i+1]]...)
-	}
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return m, keys
 }

@@ -89,23 +89,6 @@ func (k nkey) isPos() bool { return k.name == "" }
 // newNode returns a fresh unattached node with this identity.
 func (k nkey) newNode() *Node { return &Node{Name: k.name, Pos: k.pos} }
 
-// keyToNKey parses the rendered key form back into its structural identity.
-func keyToNKey(key string) nkey {
-	if strings.HasPrefix(key, "#") {
-		if key == "#pos" {
-			return nkey{pos: path.Pos}
-		}
-		pos, _ := strconv.Atoi(key[1:])
-		return nkey{pos: pos}
-	}
-	return nkey{name: key}
-}
-
-// child returns the child with the given rendered key.
-func (n *Node) child(key string) *Node {
-	return n.childK(keyToNKey(key))
-}
-
 // childK returns the child with the given structural identity.
 func (n *Node) childK(k nkey) *Node {
 	for _, c := range n.Children {

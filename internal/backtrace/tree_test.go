@@ -15,12 +15,12 @@ func TestEnsureAndFind(t *testing.T) {
 	if n.Name != "id_str" || !n.Contributing {
 		t.Fatalf("EnsureContributing leaf = %+v", n)
 	}
-	if u := tr.Root.child("user"); u == nil || !u.Contributing {
+	if u := tr.Root.childK(nkey{name: "user"}); u == nil || !u.Contributing {
 		t.Fatal("intermediate node missing or not contributing")
 	}
 	// Position expansion: tweets[2].text -> tweets / #2 / text.
 	tr.EnsureContributing(mp("tweets[2].text"))
-	tw := tr.Root.child("user")
+	tw := tr.Root.childK(nkey{name: "user"})
 	_ = tw
 	found := tr.Find(mp("tweets[2].text"))
 	if len(found) != 1 || found[0].Name != "text" {
@@ -41,7 +41,7 @@ func TestEnsureAndFind(t *testing.T) {
 	tr2 := NewTree()
 	tr2.EnsureContributing(mp("a.b"))
 	tr2.Ensure(mp("a.c"), false)
-	if !tr2.Root.child("a").Contributing {
+	if !tr2.Root.childK(nkey{name: "a"}).Contributing {
 		t.Error("Ensure downgraded existing node")
 	}
 	if tr2.Find(mp("a.c"))[0].Contributing {
@@ -54,7 +54,7 @@ func TestAccessPath(t *testing.T) {
 	tr.EnsureContributing(mp("user.id_str"))
 	// Case 1: all nodes exist — mark every node along the path.
 	tr.AccessPath(mp("user.id_str"), 9)
-	u := tr.Root.child("user")
+	u := tr.Root.childK(nkey{name: "user"})
 	if len(u.Access) != 1 || u.Access[0] != 9 {
 		t.Errorf("user access = %v", u.Access)
 	}
@@ -94,10 +94,10 @@ func TestApplyMappingsRename(t *testing.T) {
 	if len(n[0].Manip) != 1 || n[0].Manip[0] != 3 {
 		t.Errorf("manip mark = %v", n[0].Manip)
 	}
-	if !tr.Root.child("user").Contributing {
+	if !tr.Root.childK(nkey{name: "user"}).Contributing {
 		t.Error("created ancestor should inherit contributing")
 	}
-	if tr.Root.child("id_str") != nil {
+	if tr.Root.childK(nkey{name: "id_str"}) != nil {
 		t.Error("old node still present")
 	}
 }
@@ -137,12 +137,12 @@ func TestApplyMappingsFoldsEmptyShells(t *testing.T) {
 	tr := NewTree()
 	tr.EnsureContributing(mp("user.id_str"))
 	tr.EnsureContributing(mp("user.name"))
-	tr.Root.child("user").MarkAccess(9)
+	tr.Root.childK(nkey{name: "user"}).MarkAccess(9)
 	tr.ApplyMappings([]Mapping{
 		{In: mp("id_str"), Out: mp("user.id_str")},
 		{In: mp("name"), Out: mp("user.name")},
 	}, 8)
-	if tr.Root.child("user") != nil {
+	if tr.Root.childK(nkey{name: "user"}) != nil {
 		t.Fatalf("empty shell survived:\n%s", tr)
 	}
 	for _, attr := range []string{"id_str", "name"} {
@@ -193,7 +193,7 @@ func TestRemoveAtAndPrune(t *testing.T) {
 	tr.EnsureContributing(mp("tweets[3].text"))
 	tr.EnsureContributing(mp("user.id_str"))
 	tr.RemoveAt(mp("tweets"))
-	if tr.Root.child("tweets") != nil {
+	if tr.Root.childK(nkey{name: "tweets"}) != nil {
 		t.Error("RemoveAt left the node")
 	}
 	if len(tr.Find(mp("user.id_str"))) != 1 {
@@ -212,7 +212,7 @@ func TestMergeTrees(t *testing.T) {
 	if len(a.Find(mp("x.y"))) != 1 || len(a.Find(mp("x.z"))) != 1 {
 		t.Fatalf("merge lost nodes:\n%s", a)
 	}
-	if !a.Root.child("x").Contributing {
+	if !a.Root.childK(nkey{name: "x"}).Contributing {
 		t.Error("merge must not downgrade contributing")
 	}
 	// b unchanged by the merge.
@@ -227,7 +227,7 @@ func TestPruneToSchema(t *testing.T) {
 	tr.EnsureContributing(mp("b"))
 	tr.EnsureContributing(mp("c"))
 	tr.PruneToSchema([]string{"a", "c"})
-	if tr.Root.child("b") != nil || tr.Root.child("a") == nil || tr.Root.child("c") == nil {
+	if tr.Root.childK(nkey{name: "b"}) != nil || tr.Root.childK(nkey{name: "a"}) == nil || tr.Root.childK(nkey{name: "c"}) == nil {
 		t.Errorf("prune wrong:\n%s", tr)
 	}
 }

@@ -275,13 +275,13 @@ func TestAnswerMatchesReferenceOnEdgeCases(t *testing.T) {
 		}
 		return tr
 	}
-	rows := engine.FromRows(`in<&>.json`, []engine.Row{
+	rows := &engine.Dataset{Name: `in<&>.json`, Partitions: [][]engine.Row{{
 		{ID: 3, Value: nested.Item(nested.F("text", nested.StringVal(`<b>Tom & "Jerry"</b>`)), nested.F("n", nested.Double(2)))},
 		{ID: 5, Value: nested.Item(nested.F("bad \xff utf8", nested.StringVal("caf\xe9 \u2028 ✓")), nested.F("empty", nested.Item()), nested.F("none", nested.Bag()))},
 		{ID: 5, Value: nested.Item(nested.F("shadowed", nested.Bool(true)))},
 		{ID: 8, Value: nested.Item(nested.F("long", nested.StringVal(strings.Repeat("é", 100))))},
-	})
-	unnamed := engine.FromRows("", []engine.Row{{ID: 1, Value: nested.Int(7)}})
+	}}}
+	unnamed := &engine.Dataset{Partitions: [][]engine.Row{{{ID: 1, Value: nested.Int(7)}}}}
 	matched := backtrace.NewStructure()
 	matched.Add(1, tree("text"))
 	shared := tree("text", "a[2].b")
@@ -362,7 +362,7 @@ func TestReportPreviewCutsAtRuneBoundary(t *testing.T) {
 			tree.EnsureContributing(path.New("t"))
 			q := &core.QueryResult{
 				Matched: backtrace.NewStructure(),
-				Sources: map[int]*engine.Dataset{1: engine.FromRows("in", []engine.Row{{ID: int64(i), Value: row}})},
+				Sources: map[int]*engine.Dataset{1: &engine.Dataset{Name: "in", Partitions: [][]engine.Row{{{ID: int64(i), Value: row}}}}},
 				Traced:  &backtrace.Result{BySource: map[int]*backtrace.Structure{1: {Items: []*backtrace.Item{{ID: int64(i), Tree: tree}}}}},
 			}
 			report := q.Report()
@@ -388,10 +388,10 @@ func TestReportPreviewCutsAtRuneBoundary(t *testing.T) {
 // TestJSONReportsUnencodableRow pins the fix for a row whose encoding fails:
 // JSON used to drop the "row" member and succeed.
 func TestJSONReportsUnencodableRow(t *testing.T) {
-	src := engine.FromRows("in", []engine.Row{
+	src := &engine.Dataset{Name: "in", Partitions: [][]engine.Row{{
 		{ID: 1, Value: nested.Item(nested.F("x", nested.Double(1.5)))},
 		{ID: 2, Value: nested.Item(nested.F("x", nested.Bag(nested.Double(math.Inf(1)))))},
-	})
+	}}}
 	items := []*backtrace.Item{{ID: 1, Tree: backtrace.NewTree()}, {ID: 2, Tree: backtrace.NewTree()}}
 	q := &core.QueryResult{
 		Matched: backtrace.NewStructure(),
@@ -442,7 +442,7 @@ func TestAnswerSplitsLargeSources(t *testing.T) {
 				rows = append(rows, engine.Row{ID: id, Value: nested.Item(nested.F("x", x), nested.F("s", nested.StringVal(strings.Repeat("é", int(id)))))})
 			}
 		}
-		return engine.FromRows("in", rows)
+		return &engine.Dataset{Name: "in", Partitions: [][]engine.Row{rows}}
 	}
 	query := func(src *engine.Dataset) *core.QueryResult {
 		items := make([]*backtrace.Item, 0, n)

@@ -234,16 +234,6 @@ func (s *Spec) Inputs(partitions int) map[string]*engine.Dataset {
 	return inputs
 }
 
-// HasStep reports whether any step has the given op kind.
-func (s *Spec) HasStep(op string) bool {
-	for _, st := range s.Steps {
-		if st.Op == op {
-			return true
-		}
-	}
-	return false
-}
-
 // NumOps returns the number of pipeline operators (steps).
 func (s *Spec) NumOps() int { return len(s.Steps) }
 

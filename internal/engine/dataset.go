@@ -78,12 +78,6 @@ func NewDataset(name string, values []nested.Value, parts int, gen *IDGen) *Data
 	return &Dataset{Name: name, Partitions: partitions}
 }
 
-// FromRows builds a single-partition dataset from pre-identified rows; used
-// by tests and by backtracing intermediates.
-func FromRows(name string, rows []Row) *Dataset {
-	return &Dataset{Name: name, Partitions: [][]Row{rows}}
-}
-
 // Len returns the total number of rows.
 func (d *Dataset) Len() int {
 	n := 0

@@ -212,10 +212,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if !strings.Contains(d.String(), "5 rows") {
 		t.Errorf("String = %s", d)
 	}
-	fr := FromRows("x", d.Rows())
-	if fr.Len() != 5 || len(fr.Partitions) != 1 {
-		t.Error("FromRows broken")
-	}
 }
 
 func TestIDGenConcurrency(t *testing.T) {

@@ -27,7 +27,6 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip failed for %q -> %q", input, p.String())
 		}
 		_, _ = p.Eval(ctx)
-		_ = p.EvalAll(ctx)
 		_ = p.SchemaLevel()
 	})
 }

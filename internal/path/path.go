@@ -150,9 +150,6 @@ func (p Path) Append(q ...Step) Path {
 	return append(out, q...)
 }
 
-// Concat returns the concatenation p.q.
-func (p Path) Concat(q Path) Path { return p.Append(q...) }
-
 // HasPrefix reports whether p starts with prefix. A [pos] placeholder in the
 // prefix matches any concrete position in p (and vice versa) so that
 // schema-level manipulation paths match data-level tree paths.
@@ -251,55 +248,6 @@ func (p Path) Eval(d nested.Value) (nested.Value, bool) {
 		}
 	}
 	return cur, true
-}
-
-// EvalAll evaluates the path treating every un-indexed collection step as
-// "all elements": it returns every value the path reaches. This is the
-// evaluation mode used by select over nested data and by the tree-pattern
-// matcher.
-func (p Path) EvalAll(d nested.Value) []nested.Value {
-	return evalAll(p, d)
-}
-
-func evalAll(p Path, cur nested.Value) []nested.Value {
-	if len(p) == 0 {
-		return []nested.Value{cur}
-	}
-	s := p[0]
-	if s.Attr != "" {
-		if cur.Kind() != nested.KindItem {
-			return nil
-		}
-		v, ok := cur.Get(s.Attr)
-		if !ok {
-			return nil
-		}
-		cur = v
-	}
-	switch {
-	case s.Index == NoIndex:
-		if len(p) > 1 && cur.Kind().IsCollection() {
-			// Fan out over all elements for the remaining steps.
-			var out []nested.Value
-			for _, e := range cur.Elems() {
-				out = append(out, evalAll(p[1:], e)...)
-			}
-			return out
-		}
-		return evalAll(p[1:], cur)
-	case s.Index == Pos:
-		var out []nested.Value
-		for _, e := range cur.Elems() {
-			out = append(out, evalAll(p[1:], e)...)
-		}
-		return out
-	default:
-		v, ok := cur.At(s.Index - 1)
-		if !ok {
-			return nil
-		}
-		return evalAll(p[1:], v)
-	}
 }
 
 // Set is an ordered, duplicate-free collection of paths keyed by their

@@ -91,25 +91,6 @@ func TestEvalPaperExample(t *testing.T) {
 	}
 }
 
-func TestEvalAllFansOut(t *testing.T) {
-	d := tweet102()
-	texts := MustParse("tweets.text").EvalAll(d)
-	if len(texts) != 4 {
-		t.Fatalf("EvalAll(tweets.text) returned %d values, want 4", len(texts))
-	}
-	if s, _ := texts[1].AsString(); s != "Hello World" {
-		t.Errorf("texts[1] = %q", s)
-	}
-	pos := MustParse("tweets[pos].text").EvalAll(d)
-	if len(pos) != 4 {
-		t.Errorf("EvalAll with [pos] returned %d values, want 4", len(pos))
-	}
-	one := MustParse("tweets[3].text").EvalAll(d)
-	if len(one) != 1 {
-		t.Errorf("EvalAll with concrete position returned %d values", len(one))
-	}
-}
-
 func TestPrefixOperations(t *testing.T) {
 	p := MustParse("user_mentions[2].id_str")
 	if !p.HasPrefix(MustParse("user_mentions[2]")) {
@@ -157,9 +138,6 @@ func TestAppendCloneEqual(t *testing.T) {
 	}
 	if !p.Clone().Equal(p) || p.Equal(q) {
 		t.Error("Equal/Clone inconsistent")
-	}
-	if got := p.Concat(New("x", "y")).String(); got != "a.b.x.y" {
-		t.Errorf("Concat = %s", got)
 	}
 }
 

@@ -43,8 +43,9 @@ type morsel struct {
 	engine.Assocs
 }
 
-// assocKind is the layout Tab. 6 assigns to an operator type.
-func assocKind(t engine.OpType) AssocKind {
+// KindOf is the layout Tab. 6 assigns to an operator type: the layout of
+// every bag the collector captures for it.
+func KindOf(t engine.OpType) AssocKind {
 	switch t {
 	case engine.OpSource:
 		return AssocSource
@@ -76,7 +77,7 @@ func (c *Collector) StartOperator(info engine.OpInfo, partitions int) {
 	if partitions < 1 {
 		partitions = 1
 	}
-	c.ops[info.OID] = &opShards{info: info, kind: assocKind(info.Type), shards: make([][]morsel, partitions)}
+	c.ops[info.OID] = &opShards{info: info, kind: KindOf(info.Type), shards: make([][]morsel, partitions)}
 	c.order = append(c.order, info.OID)
 }
 

@@ -24,7 +24,7 @@ func fillCollector(c *Collector, ops, parts, rowsPerShard int) {
 				ids[i], pos[i] = base+int64(i), int64(i)
 			}
 			var a engine.Assocs
-			switch assocKind(typ) {
+			switch KindOf(typ) {
 			case AssocSource:
 				a.In = ids
 			case AssocUnary:

@@ -296,7 +296,7 @@ func TestShellSchemaNamesTheCause(t *testing.T) {
 	p := engine.NewPipeline()
 	empty := p.Filter(p.Source("empty.json"), engine.Gt(engine.Col("n"), engine.LitInt(1)))
 	p.Union(p.Map(empty, engine.MapFunc{Name: "id", Fn: func(v nested.Value) (nested.Value, error) { return v, nil }}), empty)
-	cap, err := core.Session{Partitions: 1}.Capture(p, map[string]*engine.Dataset{"empty.json": engine.FromRows("empty.json", nil)})
+	cap, err := core.Session{Partitions: 1}.Capture(p, map[string]*engine.Dataset{"empty.json": engine.NewDataset("empty.json", nil, 1, engine.NewIDGen(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
