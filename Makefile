@@ -30,9 +30,10 @@ fuzz-spec:
 	go test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 20s ./internal/oracle
 
 # Twenty seconds of the run loader (ReadRunLazy, then every bag decoded)
-# against the stream decoder kept as its reference
+# against the stream decoder and load rules kept as its reference
 # (internal/provenance/reference_test.go) on arbitrary bytes, allocation
-# bounded by the stream; then twenty of the round trip of every accepted run
+# bounded by the stream, and every run it accepts traced from every operator
+# with no panic; then twenty of the round trip of every accepted run
 # through WriteTo and the v2 reference encoder. The blocking `check` CI job
 # runs both on the same line as fuzz-json.
 fuzz-codec:

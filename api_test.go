@@ -160,7 +160,7 @@ func TestProvenancePersistenceShims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traced.ContributingIDs()) == 0 {
+	if len(traced.BySource) == 0 {
 		t.Error("trace over reloaded run empty")
 	}
 }
@@ -296,10 +296,9 @@ func TestTraceFromAndOpByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(typed.ContributingIDs()) == 0 ||
-		len(typed.ContributingIDs()) != len(ctxTraced.ContributingIDs()) {
-		t.Errorf("typed trace found %d ids, context variant %d",
-			len(typed.ContributingIDs()), len(ctxTraced.ContributingIDs()))
+	if len(typed.BySource) == 0 || len(typed.BySource) != len(ctxTraced.BySource) {
+		t.Errorf("typed trace reached %d sources, context variant %d",
+			len(typed.BySource), len(ctxTraced.BySource))
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

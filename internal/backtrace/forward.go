@@ -29,8 +29,8 @@ func TraceForward(run *provenance.Run, sourceOID int, ids []int64) (*ForwardResu
 	if !ok {
 		return nil, fmt.Errorf("backtrace: no captured provenance for operator %d", sourceOID)
 	}
-	if op.Type != engine.OpSource {
-		return nil, fmt.Errorf("backtrace: operator %d is %s, want a source", sourceOID, op.Type)
+	if op.Type() != engine.OpSource {
+		return nil, fmt.Errorf("backtrace: operator %d is %s, want a source", sourceOID, op.Type())
 	}
 	// successors[oid] lists (consumer, inputIdx) pairs.
 	type edge struct {
@@ -39,7 +39,7 @@ func TraceForward(run *provenance.Run, sourceOID int, ids []int64) (*ForwardResu
 	}
 	successors := make(map[int][]edge)
 	for _, o := range run.Operators() {
-		for idx, in := range o.Inputs {
+		for idx, in := range o.Inputs() {
 			if in.Pred != 0 {
 				successors[in.Pred] = append(successors[in.Pred], edge{consumer: o, inputIdx: idx})
 			}

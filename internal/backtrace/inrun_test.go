@@ -80,19 +80,19 @@ func TestEngineOutColumnsAreOrdered(t *testing.T) {
 			lazy := encoded(t, r.tg.run)
 			for i, op := range r.tg.run.Operators() {
 				c := op.Columns()
-				ops[op.Type]++
+				ops[op.Type()]++
 				if !slices.IsSorted(c.Out) || !op.OutOrdered() {
-					t.Fatalf("%s workers %d: operator %d (%s): Out column out of order", r.name, workers, op.OID, op.Type)
+					t.Fatalf("%s workers %d: operator %d (%s): Out column out of order", r.name, workers, op.OID, op.Type())
 				}
-				if !denseOut(c.Out) && op.Type != engine.OpDistinct {
-					t.Fatalf("%s workers %d: operator %d (%s): Out column is not base, base+1, …", r.name, workers, op.OID, op.Type)
+				if !denseOut(c.Out) && op.Type() != engine.OpDistinct {
+					t.Fatalf("%s workers %d: operator %d (%s): Out column is not base, base+1, …", r.name, workers, op.OID, op.Type())
 				}
 				lop := lazy.Operators()[i]
 				if !lop.OutOrdered() {
-					t.Fatalf("%s workers %d: operator %d (%s): the scan read an ordered Out column as out of order", r.name, workers, op.OID, op.Type)
+					t.Fatalf("%s workers %d: operator %d (%s): the scan read an ordered Out column as out of order", r.name, workers, op.OID, op.Type())
 				}
 				if lc := lop.Columns(); !reflect.DeepEqual(lc, c) {
-					t.Fatalf("%s workers %d: operator %d (%s): columns decoded from the stream differ from the capture's:\n%v\n%v", r.name, workers, op.OID, op.Type, lc, c)
+					t.Fatalf("%s workers %d: operator %d (%s): columns decoded from the stream differ from the capture's:\n%v\n%v", r.name, workers, op.OID, op.Type(), lc, c)
 				}
 			}
 		})
@@ -177,9 +177,9 @@ func TestShuffledRunTakesTheFallback(t *testing.T) {
 		lazy := encoded(t, shuffled)
 		for _, op := range lazy.Operators() {
 			if ordered := slices.IsSorted(op.Columns().Out); op.OutOrdered() != ordered {
-				t.Fatalf("%s: operator %d (%s): the scan says ordered = %v, the decoded Out column says %v", name, op.OID, op.Type, op.OutOrdered(), ordered)
+				t.Fatalf("%s: operator %d (%s): the scan says ordered = %v, the decoded Out column says %v", name, op.OID, op.Type(), op.OutOrdered(), ordered)
 			}
-			if !op.OutOrdered() && op.Type != engine.OpSource {
+			if !op.OutOrdered() && op.Type() != engine.OpSource {
 				outOfOrder[op.AssocKind()]++
 			}
 		}
@@ -266,7 +266,7 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 			for _, op := range run.Operators() {
 				if op.AssocKind() > provenance.AssocSource {
 					if vals := backtrace.IndexValues(tr, op); &vals[0] != &op.Columns().In[0] {
-						t.Errorf("%s: the index of operator %d (%s) copied the In column", c.name, op.OID, op.Type)
+						t.Errorf("%s: the index of operator %d (%s) copied the In column", c.name, op.OID, op.Type())
 					}
 				}
 			}
@@ -289,7 +289,7 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 			}
 			if got := index(op); got != want {
 				t.Errorf("%s: indexing operator %d (%s, %d rows) takes %.0f allocations, want %.0f",
-					c.name, op.OID, op.Type, op.AssocCount(), got, want)
+					c.name, op.OID, op.Type(), op.AssocCount(), got, want)
 			}
 		}
 
@@ -321,36 +321,6 @@ func TestTracersShareTheRunsColumns(t *testing.T) {
 			for _, got := range results {
 				if err := sameResult(got, want); err != nil {
 					t.Errorf("%s: two tracers over one run, against the reference: %v", c.name, err)
-				}
-			}
-		}
-	}
-}
-
-// TestRelabelledOperatorFindsNothing: an operator whose type names another
-// layout than its bag's — a hand-made or damaged artifact — has an empty index,
-// so a trace that starts at it with every output identifier it captured finds
-// nothing there, instead of reading its columns as another layout's.
-func TestRelabelledOperatorFindsNothing(t *testing.T) {
-	for _, name := range []string{"T2", "T3", "T5", "D1"} {
-		tg, _ := scenarioTarget(t, name, 1)
-		for _, typ := range []engine.OpType{engine.OpFilter, engine.OpFlatten, engine.OpAggregate} {
-			lazy := encoded(t, tg.run)
-			for _, op := range lazy.Operators() {
-				if op.AssocKind() <= provenance.AssocSource || op.AssocKind() == provenance.KindOf(typ) {
-					continue
-				}
-				q := backtrace.NewStructure()
-				for _, out := range op.Columns().Out {
-					q.Add(out, backtrace.NewTree())
-				}
-				op.Type = typ
-				got, err := backtrace.NewTracer(lazy).Trace(op.OID, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got.BySource) != 0 {
-					t.Errorf("%s: operator %d relabelled %s traced to %d sources", name, op.OID, typ, len(got.BySource))
 				}
 			}
 		}

@@ -54,7 +54,7 @@ func (tr *refTracer) trace(oid int, b *Structure) error {
 	if !ok {
 		return fmt.Errorf("backtrace: no captured provenance for operator %d", oid)
 	}
-	switch op.Type {
+	switch op.Type() {
 	case engine.OpSource:
 		if existing, ok := tr.out.BySource[oid]; ok {
 			merged := &Structure{Items: append(existing.Items, b.Items...)}
@@ -66,27 +66,27 @@ func (tr *refTracer) trace(oid int, b *Structure) error {
 	case engine.OpFilter, engine.OpSelect, engine.OpMap,
 		engine.OpDistinct, engine.OpOrderBy, engine.OpLimit:
 		next := tr.backtraceUnary(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpFlatten:
 		next := tr.backtraceFlatten(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpAggregate:
 		next := tr.backtraceAggregation(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpJoin:
 		left, right := tr.backtraceJoin(op, b)
-		if err := tr.trace(op.Inputs[0].Pred, left); err != nil {
+		if err := tr.trace(op.Inputs()[0].Pred, left); err != nil {
 			return err
 		}
-		return tr.trace(op.Inputs[1].Pred, right)
+		return tr.trace(op.Inputs()[1].Pred, right)
 	case engine.OpUnion:
 		left, right := tr.backtraceUnion(op, b)
-		if err := tr.trace(op.Inputs[0].Pred, left); err != nil {
+		if err := tr.trace(op.Inputs()[0].Pred, left); err != nil {
 			return err
 		}
-		return tr.trace(op.Inputs[1].Pred, right)
+		return tr.trace(op.Inputs()[1].Pred, right)
 	}
-	return fmt.Errorf("backtrace: unsupported operator type %q", op.Type)
+	return fmt.Errorf("backtrace: unsupported operator type %q", op.Type())
 }
 
 // refMergeByID merges items sharing an identifier into the first one's tree,
@@ -109,9 +109,9 @@ func refMergeByID(b *Structure) *Structure {
 // refApplyStatic undoes the operator's manipulations and records its
 // accesses on every tree of b (the second phase of Alg. 3, ll. 2–6).
 func refApplyStatic(op *provenance.Operator, b *Structure, inputIdx int) {
-	in := op.Inputs[inputIdx]
+	in := op.Inputs()[inputIdx]
 	for _, it := range b.Items {
-		if op.ManipUndefined {
+		if op.ManipUndefined() {
 			it.Tree.Opaque = true
 			it.Tree.MarkAllManip(op.OID)
 		} else {
@@ -204,7 +204,7 @@ func (tr *refTracer) backtraceAggregation(op *provenance.Operator, b *Structure)
 				continue
 			}
 			t.ApplyMappings(keyMs, op.OID)
-			for _, a := range op.Inputs[0].Accessed {
+			for _, a := range op.Inputs()[0].Accessed {
 				t.AccessPath(a, op.OID)
 			}
 			next.Items = append(next.Items, &Item{ID: in, Tree: t})
@@ -221,19 +221,19 @@ func (tr *refTracer) backtraceJoin(op *provenance.Operator, b *Structure) (*Stru
 		for k := lo; k < hi; k++ {
 			if in := idx.c.In[k]; in != -1 {
 				lt := it.Tree.Clone()
-				lt.PruneToSchema(op.Inputs[0].Schema)
+				lt.PruneToSchema(op.Inputs()[0].Schema)
 				left.Items = append(left.Items, &Item{ID: in, Tree: lt})
 			}
 			if in := idx.c.Right[k]; in != -1 {
 				rt := it.Tree.Clone()
-				rt.PruneToSchema(op.Inputs[1].Schema)
+				rt.PruneToSchema(op.Inputs()[1].Schema)
 				right.Items = append(right.Items, &Item{ID: in, Tree: rt})
 			}
 		}
 	}
 	for i, s := range []*Structure{left, right} {
 		for _, it := range s.Items {
-			for _, a := range op.Inputs[i].Accessed {
+			for _, a := range op.Inputs()[i].Accessed {
 				it.Tree.AccessPath(a, op.OID)
 			}
 		}
@@ -294,11 +294,9 @@ func ForceIndexes(t *Tracer, mode IndexMode) {
 	for _, op := range t.run.Operators() {
 		ix := &opIndex{}
 		ix.once.Do(func() {
-			switch {
-			case !indexed(op):
-			case mode == IndexBuild:
+			if mode == IndexBuild {
 				ix.build(op.Columns())
-			default:
+			} else {
 				ix.refBuild(op.Columns())
 			}
 		})

@@ -66,8 +66,8 @@ func shuffledRun(t testing.TB, run *provenance.Run, seed int64) *provenance.Run 
 	rng := rand.New(rand.NewSource(seed))
 	col := provenance.NewCollector()
 	for _, op := range run.Operators() {
-		col.StartOperator(engine.OpInfo{OID: op.OID, Type: op.Type, Inputs: op.Inputs,
-			Manipulated: op.Manipulated, ManipUndefined: op.ManipUndefined}, 1)
+		col.StartOperator(engine.OpInfo{OID: op.OID, Type: op.Type(), Inputs: op.Inputs(),
+			Manipulated: op.Manipulated(), ManipUndefined: op.ManipUndefined()}, 1)
 		c := op.Columns()
 		rows := make([]int, len(c.Out))
 		for i := range rows {
@@ -351,11 +351,11 @@ func TestSidecarWrongRun(t *testing.T) {
 func TestSidecarPrebuiltIndexWins(t *testing.T) {
 	f := fixtures(t)["example"]
 	tr := f.lazyTracer(t)
-	tr.BuildIndexes()
+	before := f.traceVia(t, tr) // builds the indexes the question reaches
 	if err := tr.LoadIndexes(f.sidecar); err != nil {
-		t.Fatalf("LoadIndexes after BuildIndexes: %v", err)
+		t.Fatalf("LoadIndexes after a trace: %v", err)
 	}
-	if got, want := f.traceVia(t, tr), f.traceVia(t, f.lazyTracer(t)); got != want {
+	if got, want := f.traceVia(t, tr), before; got != want {
 		t.Errorf("sidecar over pre-built indexes changed answers:\n%s\nwant\n%s", got, want)
 	}
 }

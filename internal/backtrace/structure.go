@@ -54,16 +54,6 @@ func (b *Structure) Clone() *Structure {
 	return out
 }
 
-// MergeByID merges items sharing the same identifier into one item whose
-// tree is the union of the merged trees, preserving first-seen order. The
-// trees of b are not modified: an item that merges with nothing keeps its
-// tree, shared, and a merged item gets a tree of its own.
-func (b *Structure) MergeByID() *Structure {
-	m := newMerger()
-	m.addAll(b)
-	return m.merged(nil)
-}
-
 // merger builds the γ_id + mergeTrees result of a backtracing step item by
 // item, in first-seen order, without an intermediate structure.
 type merger struct {

@@ -28,12 +28,14 @@ func TestStructureMergeByID(t *testing.T) {
 	t1 := NewTree()
 	t1.EnsureContributing(mp("a"))
 	t2 := NewTree()
-	t2.Ensure(mp("b"), false)
+	ensure(t2, mp("b"))
 	t2.Find(mp("b"))[0].MarkAccess(4)
 	b.Add(5, t1)
 	b.Add(5, t2)
 	b.Add(9, NewTree())
-	merged := b.MergeByID()
+	m := newMerger()
+	m.addAll(b)
+	merged := m.merged(nil)
 	if merged.Len() != 2 {
 		t.Fatalf("merged Len = %d, want 2", merged.Len())
 	}
@@ -96,9 +98,8 @@ func TestResultHelpers(t *testing.T) {
 	b.Add(4, NewTree())
 	b.Add(2, NewTree())
 	r.BySource[1] = b
-	ids := r.ContributingIDs()
-	if got := ids[1]; len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("ContributingIDs = %v", ids)
+	if got := r.Structure(1).IDs(); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Errorf("Structure(1).IDs() = %v", got)
 	}
 }
 

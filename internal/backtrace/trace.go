@@ -33,16 +33,6 @@ func (r *Result) Structure(sourceOID int) *Structure {
 	return NewStructure()
 }
 
-// ContributingIDs returns the identifiers of all contributing input items
-// across all sources, keyed by source operator.
-func (r *Result) ContributingIDs() map[int][]int64 {
-	out := make(map[int][]int64, len(r.BySource))
-	for oid, s := range r.BySource {
-		out[oid] = s.IDs()
-	}
-	return out
-}
-
 // Trace implements Alg. 1: starting from the backtracing structure b over
 // the output of operator startOID, it recursively steps backward through the
 // captured operator provenance until every path reaches a source operator,
@@ -178,15 +168,6 @@ func (t *Tracer) TraceContext(ctx context.Context, startOID int, b *Structure) (
 	return q.out, nil
 }
 
-// BuildIndexes eagerly readies the association index of every captured
-// operator — the warm-up for query serving. On a lazily loaded run it decodes
-// every association region but the sources'.
-func (t *Tracer) BuildIndexes() {
-	for _, op := range t.run.Operators() {
-		t.indexFor(op)
-	}
-}
-
 // indexFor returns the operator's index, reading it off the operator's
 // columns on first use — on a lazily loaded run that is the only region a
 // trace through the operator decodes.
@@ -198,23 +179,13 @@ func (t *Tracer) indexFor(op *provenance.Operator) *opIndex {
 	ix := v.(*opIndex)
 	ix.once.Do(func() {
 		defer t.rec.StartSpan(obs.SpanIndexBuild)()
-		switch {
-		case !indexed(op):
-		case op.OutOrdered():
+		if op.OutOrdered() {
 			ix.fromColumns(op.Columns())
-		default:
+		} else {
 			ix.build(op.Columns())
 		}
 	})
 	return ix
-}
-
-// indexed reports whether a trace looks identifiers up in the operator's bag:
-// not in a source's, and not in one of another layout than the one its type
-// captures (which only a hand-made or damaged artifact has) — the index of
-// such an operator stays empty, and the step finds nothing.
-func indexed(op *provenance.Operator) bool {
-	return op.AssocKind() > provenance.AssocSource && op.AssocKind() == provenance.KindOf(op.Type)
 }
 
 // fromColumns reads the index off columns whose Out column is non-decreasing
@@ -346,7 +317,7 @@ func (tr *tracer) trace(oid int, b *Structure) error {
 	if !ok {
 		return fmt.Errorf("backtrace: no captured provenance for operator %d", oid)
 	}
-	switch op.Type {
+	switch op.Type() {
 	case engine.OpSource:
 		m := newMerger()
 		if existing, ok := tr.out.BySource[oid]; ok {
@@ -358,34 +329,34 @@ func (tr *tracer) trace(oid int, b *Structure) error {
 	case engine.OpFilter, engine.OpSelect, engine.OpMap,
 		engine.OpDistinct, engine.OpOrderBy, engine.OpLimit:
 		next := tr.backtraceUnary(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpFlatten:
 		next := tr.backtraceFlatten(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpAggregate:
 		next := tr.backtraceAggregation(op, b)
-		return tr.trace(op.Inputs[0].Pred, next)
+		return tr.trace(op.Inputs()[0].Pred, next)
 	case engine.OpJoin:
 		left, right := tr.backtraceJoin(op, b)
-		if err := tr.trace(op.Inputs[0].Pred, left); err != nil {
+		if err := tr.trace(op.Inputs()[0].Pred, left); err != nil {
 			return err
 		}
-		return tr.trace(op.Inputs[1].Pred, right)
+		return tr.trace(op.Inputs()[1].Pred, right)
 	case engine.OpUnion:
 		left, right := tr.backtraceUnion(op, b)
-		if err := tr.trace(op.Inputs[0].Pred, left); err != nil {
+		if err := tr.trace(op.Inputs()[0].Pred, left); err != nil {
 			return err
 		}
-		return tr.trace(op.Inputs[1].Pred, right)
+		return tr.trace(op.Inputs()[1].Pred, right)
 	}
-	return fmt.Errorf("backtrace: unsupported operator type %q", op.Type)
+	return fmt.Errorf("backtrace: unsupported operator type %q", op.Type())
 }
 
 // mappings converts the captured manipulation mapping; keysOnly selects
 // either the group-key mappings or the remaining ones.
 func mappings(op *provenance.Operator, keys bool) []Mapping {
 	var out []Mapping
-	for _, m := range op.Manipulated {
+	for _, m := range op.Manipulated() {
 		if m.GroupKey == keys {
 			out = append(out, Mapping{In: m.In, Out: m.Out})
 		}
@@ -396,7 +367,7 @@ func mappings(op *provenance.Operator, keys bool) []Mapping {
 // applyStatic undoes the operator's manipulations ms and records its accesses
 // on the tree (the second phase of Alg. 3, ll. 2–6).
 func applyStatic(op *provenance.Operator, ms []Mapping, t *Tree) {
-	if op.ManipUndefined {
+	if op.ManipUndefined() {
 		// Map operator: no structural information; mark everything as
 		// manipulated and flag the tree opaque (Sec. 6.3).
 		t.Opaque = true
@@ -404,7 +375,7 @@ func applyStatic(op *provenance.Operator, ms []Mapping, t *Tree) {
 	} else {
 		t.ApplyMappings(ms, op.OID)
 	}
-	if in := op.Inputs[0]; !in.AccessUndefined {
+	if in := op.Inputs()[0]; !in.AccessUndefined {
 		for _, a := range in.Accessed {
 			t.AccessPath(a, op.OID)
 		}
@@ -558,7 +529,7 @@ func aggregationMember(op *provenance.Operator, aggMs, keyMs []Mapping, t *Tree,
 		return false
 	}
 	t.ApplyMappings(keyMs, op.OID)
-	for _, a := range op.Inputs[0].Accessed {
+	for _, a := range op.Inputs()[0].Accessed {
 		t.AccessPath(a, op.OID)
 	}
 	return true
@@ -743,7 +714,7 @@ func (tr *tracer) backtraceJoin(op *provenance.Operator, b *Structure) (*Structu
 				}
 				t, ok := memo[side][it.Tree]
 				if !ok {
-					input := op.Inputs[side]
+					input := op.Inputs()[side]
 					t = tr.rewrite(it.Tree, func(c *Tree) {
 						c.PruneToSchema(input.Schema)
 						for _, a := range input.Accessed {

@@ -9,7 +9,6 @@ import (
 
 	"pebble/internal/backtrace"
 	"pebble/internal/engine"
-	"pebble/internal/nested"
 	"pebble/internal/provenance"
 	"pebble/internal/workload"
 )
@@ -41,7 +40,9 @@ func BenchmarkBacktrace(b *testing.B) {
 			}
 			matched := sc.Pattern.Match(res.Output)
 			tr := backtrace.NewTracer(run)
-			tr.BuildIndexes()
+			if _, err := tr.Trace(p.Sink().ID(), matched); err != nil { // readies the indexes
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -127,7 +128,7 @@ func BenchmarkFirstLookup(b *testing.B) {
 			run, stream := capturedAt(b, name, scale)
 			var largest *provenance.Operator
 			for _, op := range run.Operators() {
-				if op.Type != engine.OpSource && (largest == nil || op.AssocCount() > largest.AssocCount()) {
+				if op.Type() != engine.OpSource && (largest == nil || op.AssocCount() > largest.AssocCount()) {
 					largest = op
 				}
 			}
@@ -174,44 +175,4 @@ func TestBacktraceBenchSmoke(t *testing.T) {
 			t.Fatalf("benchmark output misses %q:\n%s", want, out)
 		}
 	}
-}
-
-// aggRun captures a run whose aggregation operator carries a large
-// association bag: rows groups folded into keys lists.
-func aggRun(b *testing.B, rows, keys int) *provenance.Run {
-	b.Helper()
-	var vals []nested.Value
-	for i := 0; i < rows; i++ {
-		vals = append(vals, nested.Item(
-			nested.F("k", nested.Int(int64(i%keys))),
-			nested.F("v", nested.Int(int64(i))),
-		))
-	}
-	p := engine.NewPipeline()
-	src := p.Source("in")
-	p.Aggregate(src,
-		[]engine.GroupKey{engine.Key("k")},
-		[]engine.AggSpec{engine.Agg(engine.AggCollectList, "v", "vs")},
-	)
-	gen := engine.NewIDGen(1)
-	inputs := map[string]*engine.Dataset{"in": engine.NewDataset("in", vals, 4, gen)}
-	_, run, err := provenance.Capture(p, inputs, engine.Options{Partitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return run
-}
-
-// BenchmarkTracerIndexBuild measures BuildIndexes on a fresh tracer over a
-// run whose aggregation folds 40 000 rows into 500 groups: the aggregate's
-// Out column is dense, so its index is its columns with no key array or
-// offsets (fromColumns' one pass), and the source is not indexed.
-func BenchmarkTracerIndexBuild(b *testing.B) {
-	run := aggRun(b, 40000, 500)
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			backtrace.NewTracer(run).BuildIndexes()
-		}
-	})
 }

@@ -418,7 +418,9 @@ func TestTraceAllocsPerItem(t *testing.T) {
 	for _, width := range []int{4, 64} {
 		tg, q := fanInTarget(t, n, width)
 		tr := backtrace.NewTracer(tg.run)
-		tr.BuildIndexes()
+		if _, err := tr.Trace(tg.sink, q); err != nil { // readies the indexes
+			t.Fatal(err)
+		}
 		perItem := testing.AllocsPerRun(3, func() {
 			if _, err := tr.Trace(tg.sink, q); err != nil {
 				t.Fatal(err)
@@ -559,6 +561,22 @@ func TestAggregationCases(t *testing.T) {
 	}
 }
 
+// remapSink captures like its Collector, but records ms, after the group key
+// mapping, as operator oid's manipulation mapping: an aggregate no engine
+// writes.
+type remapSink struct {
+	*provenance.Collector
+	oid int
+	ms  []engine.Mapping
+}
+
+func (s *remapSink) StartOperator(info engine.OpInfo, partitions int) {
+	if info.OID == s.oid {
+		info.Manipulated = append(info.Manipulated[:1:1], s.ms...)
+	}
+	s.Collector.StartOperator(info, partitions)
+}
+
 // TestAggregationOddMappings: Alg. 4 leaves other members' positions out of a
 // member's tree only for the mapping sets the engine emits. A run read from a
 // hand-made or damaged artifact can carry others — two aggregates writing one
@@ -594,13 +612,16 @@ func TestAggregationOddMappings(t *testing.T) {
 			p.Aggregate(src, []engine.GroupKey{engine.Key("g")}, []engine.AggSpec{
 				engine.Agg(engine.AggCollectList, "w", "ws"), engine.Agg(engine.AggSum, "v", "total")})
 			gen := engine.NewIDGen(1)
-			tg := captureTarget(t, p, map[string]*engine.Dataset{"in": engine.NewDataset("in", rows, 2, gen)}, engine.Options{Partitions: 2})
-			agg, ok := tg.run.Op(tg.sink)
-			if !ok {
-				t.Fatal("no aggregate captured")
+			sink := &remapSink{Collector: provenance.NewCollector(), oid: p.Sink().ID(), ms: ms}
+			res, err := engine.Run(p, map[string]*engine.Dataset{"in": engine.NewDataset("in", rows, 2, gen)}, engine.Options{Partitions: 2, Sink: sink})
+			if err != nil {
+				t.Fatal(err)
 			}
-			keys := agg.Manipulated[:1] // the group key mapping g → g
-			agg.Manipulated = append(append([]engine.Mapping(nil), keys...), ms...)
+			run, err := sink.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tg := &target{res: res, run: run, sink: p.Sink().ID()}
 			for _, paths := range trees {
 				tree := backtrace.NewTree()
 				for _, s := range paths {

@@ -273,9 +273,6 @@ func (n *Node) walk(f func(*Node)) {
 	}
 }
 
-// IsEmpty reports whether the tree has no nodes besides the root.
-func (t *Tree) IsEmpty() bool { return len(t.Root.Children) == 0 }
-
 // pathNKeys expands a path into per-level structural node keys: a step a[2]
 // expands into the attribute key "a" followed by the position key 2.
 func pathNKeys(p path.Path) []nkey {
@@ -289,21 +286,6 @@ func pathNKeys(p path.Path) []nkey {
 		}
 	}
 	return keys
-}
-
-// Ensure creates (or finds) the node at path p. Newly created nodes get the
-// given contributing flag; existing nodes are left unchanged.
-func (t *Tree) Ensure(p path.Path, contributing bool) *Node {
-	cur := t.Root
-	for _, s := range p {
-		if s.Attr != "" {
-			cur = cur.ensureChild(nkey{name: s.Attr}, contributing)
-		}
-		if s.Index != path.NoIndex {
-			cur = cur.ensureChild(nkey{pos: s.Index}, contributing)
-		}
-	}
-	return cur
 }
 
 // ensureChild finds or creates the child with identity k; a created node
@@ -612,17 +594,6 @@ func (t *Tree) PruneToSchema(schema []string) {
 		}
 	}
 	t.Root.Children = kept
-}
-
-// Leaves returns the paths of all leaf nodes together with the leaves.
-func (t *Tree) Leaves() map[string]*Node {
-	out := make(map[string]*Node)
-	t.Walk(func(n *Node) {
-		if len(n.Children) == 0 && n != t.Root {
-			out[n.PathString()] = n
-		}
-	})
-	return out
 }
 
 // PathString renders the path from the root to the node.

@@ -34,8 +34,8 @@ func TestCaptureIsLazyFromTheStart(t *testing.T) {
 			// trace from it reads (a source's is never looked up), and the
 			// question is one of its own outputs.
 			op := run.Operators()[1]
-			if run.Operators()[0].Type != engine.OpSource || op.Type == engine.OpSource {
-				t.Fatalf("operators 1 and 2 are %s and %s, want a source and not", run.Operators()[0].Type, op.Type)
+			if run.Operators()[0].Type() != engine.OpSource || op.Type() == engine.OpSource {
+				t.Fatalf("operators 1 and 2 are %s and %s, want a source and not", run.Operators()[0].Type(), op.Type())
 			}
 			q := backtrace.NewStructure()
 			q.Add(op.Columns().Out[0], backtrace.NewTree())

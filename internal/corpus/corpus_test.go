@@ -102,9 +102,9 @@ func mustRun(t *testing.T, s *Spec) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]string, 0, len(res.Output.Values()))
-	for _, v := range res.Output.Values() {
-		out = append(out, v.String())
+	out := make([]string, 0, res.Output.Len())
+	for _, r := range res.Output.Rows() {
+		out = append(out, r.Value.String())
 	}
 	return out
 }

@@ -142,7 +142,7 @@ func TestColumnFilterRecordsBothOperands(t *testing.T) {
 			t.Fatalf("%s captured no provenance", o)
 		}
 		var acc []string
-		for _, a := range op.Inputs[0].Accessed {
+		for _, a := range op.Inputs()[0].Accessed {
 			acc = append(acc, a.String())
 		}
 		if got := strings.Join(acc, ", "); got != "a1.id, a2.id" {

@@ -49,9 +49,6 @@ func NewIDGen(start int64) *IDGen {
 	return g
 }
 
-// Next returns a fresh identifier.
-func (g *IDGen) Next() int64 { return g.next.Add(1) - 1 }
-
 // Reserve returns the first of n consecutive fresh identifiers.
 func (g *IDGen) Reserve(n int64) int64 { return g.next.Add(n) - n }
 
@@ -93,17 +90,6 @@ func (d *Dataset) Rows() []Row {
 	out := make([]Row, 0, d.Len())
 	for _, p := range d.Partitions {
 		out = append(out, p...)
-	}
-	return out
-}
-
-// Values returns all values in row order.
-func (d *Dataset) Values() []nested.Value {
-	out := make([]nested.Value, 0, d.Len())
-	for _, p := range d.Partitions {
-		for _, r := range p {
-			out = append(out, r.Value)
-		}
 	}
 	return out
 }

@@ -198,9 +198,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if got := len(d.Rows()); got != 5 {
 		t.Errorf("Rows = %d", got)
 	}
-	if got := len(d.Values()); got != 5 {
-		t.Errorf("Values = %d", got)
-	}
 	first := d.Rows()[0]
 	row, ok := d.FindByID(first.ID)
 	if !ok || !nested.Equal(row.Value, first.Value) {
@@ -225,7 +222,7 @@ func TestIDGenConcurrency(t *testing.T) {
 			defer wg.Done()
 			ids := make([]int64, perG)
 			for i := range ids {
-				ids[i] = gen.Next()
+				ids[i] = gen.Reserve(1)
 			}
 			seen[g] = ids
 		}(g)
@@ -244,7 +241,7 @@ func TestIDGenConcurrency(t *testing.T) {
 		}
 	}
 	base := gen.Reserve(10)
-	if next := gen.Next(); next != base+10 {
+	if next := gen.Reserve(1); next != base+10 {
 		t.Errorf("Reserve did not advance: base=%d next=%d", base, next)
 	}
 }
@@ -308,7 +305,7 @@ func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
 		if joinAssocs != res.Output.Len() {
 			t.Fatalf("threshold=%d: %d associations for %d rows", threshold, joinAssocs, res.Output.Len())
 		}
-		vals := res.Output.Values()
+		vals := valuesOf(res.Output)
 		sort.Slice(vals, func(i, j int) bool { return nested.Compare(vals[i], vals[j]) < 0 })
 		return vals
 	}
@@ -373,7 +370,7 @@ func TestLeftJoinKeepsUnmatchedRows(t *testing.T) {
 	res := runPipeline(t, p, inputs, Options{Partitions: 2, Sink: sink})
 	// x matches twice; y and the null-key row survive unmatched: 4 rows.
 	if res.Output.Len() != 4 {
-		t.Fatalf("left join rows = %d, want 4:\n%v", res.Output.Len(), res.Output.Values())
+		t.Fatalf("left join rows = %d, want 4:\n%v", res.Output.Len(), res.Output.Rows())
 	}
 	nullRights := 0
 	for _, row := range res.Output.Rows() {

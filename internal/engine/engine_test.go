@@ -42,6 +42,15 @@ func dataset(t *testing.T, name string, values []nested.Value, parts int) *Datas
 	return NewDataset(name, values, parts, NewIDGen(1000))
 }
 
+// valuesOf returns d's values in row order.
+func valuesOf(d *Dataset) []nested.Value {
+	out := make([]nested.Value, 0, d.Len())
+	for _, r := range d.Rows() {
+		out = append(out, r.Value)
+	}
+	return out
+}
+
 func runPipeline(t *testing.T, p *Pipeline, inputs map[string]*Dataset, opts Options) *Result {
 	t.Helper()
 	res, err := Run(p, inputs, opts)
@@ -160,7 +169,7 @@ func TestSelectProjectionsAndStructs(t *testing.T) {
 	inputs := map[string]*Dataset{"in": dataset(t, "in", tab1(), 1)}
 	res := runPipeline(t, p, inputs, Options{Partitions: 1})
 	first := res.Output.Rows()[0].Value
-	if got := first.AttrNames(); strings.Join(got, ",") != "t,who,mlen" {
+	if got := first.Shape().Names(); strings.Join(got, ",") != "t,who,mlen" {
 		t.Fatalf("select output attrs = %v", got)
 	}
 	who := mustAttr(t, first, "who")
@@ -381,7 +390,7 @@ func TestAggregateGroupsDeterministically(t *testing.T) {
 	}
 	r1 := runPipeline(t, build(), inputs, Options{Partitions: 3})
 	r2 := runPipeline(t, build(), inputs, Options{Partitions: 3})
-	v1, v2 := r1.Output.Values(), r2.Output.Values()
+	v1, v2 := valuesOf(r1.Output), valuesOf(r2.Output)
 	if len(v1) != len(v2) {
 		t.Fatal("nondeterministic group count")
 	}

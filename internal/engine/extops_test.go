@@ -44,8 +44,8 @@ func TestDistinctDeterministic(t *testing.T) {
 		p.Distinct(p.Source("in"))
 		return p
 	}
-	a := runPipeline(t, build(), inputs, Options{Partitions: 2}).Output.Values()
-	b := runPipeline(t, build(), inputs, Options{Partitions: 2}).Output.Values()
+	a := valuesOf(runPipeline(t, build(), inputs, Options{Partitions: 2}).Output)
+	b := valuesOf(runPipeline(t, build(), inputs, Options{Partitions: 2}).Output)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic distinct")
 	}

@@ -25,7 +25,7 @@ func optimizeOK(t *testing.T, p *Pipeline) (*Pipeline, []string) {
 func sortedValues(t *testing.T, p *Pipeline, inputs map[string]*Dataset) []nested.Value {
 	t.Helper()
 	res := runPipeline(t, p, inputs, Options{Partitions: 3})
-	vals := res.Output.Values()
+	vals := valuesOf(res.Output)
 	sort.Slice(vals, func(i, j int) bool { return nested.Compare(vals[i], vals[j]) < 0 })
 	return vals
 }

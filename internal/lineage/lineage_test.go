@@ -108,7 +108,8 @@ func TestLineageIsSupersetOfStructural(t *testing.T) {
 			t.Fatal(err)
 		}
 		checked := 0
-		for oid, ids := range straced.ContributingIDs() {
+		for oid, s := range straced.BySource {
+			ids := s.IDs()
 			checked += len(ids)
 			lin := make(map[int64]bool, len(ltraced[oid]))
 			for _, id := range ltraced[oid] {
@@ -159,8 +160,13 @@ func TestLineageSizeVsStructural(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want) == 0 || !reflect.DeepEqual(got.ContributingIDs(), want) {
-			t.Fatalf("sink row %d: structural trace reaches %v, Titian %v", id, got.ContributingIDs(), want)
+		if len(want) == 0 || len(want) != len(got.BySource) {
+			t.Fatalf("sink row %d: structural trace reaches %d sources, Titian %d", id, len(got.BySource), len(want))
+		}
+		for oid, ids := range want {
+			if !reflect.DeepEqual(got.Structure(oid).IDs(), ids) {
+				t.Fatalf("sink row %d, source %d: structural trace reaches %v, Titian %v", id, oid, got.Structure(oid).IDs(), ids)
+			}
 		}
 	}
 }

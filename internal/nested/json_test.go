@@ -16,12 +16,12 @@ func TestParseJSONPreservesAttributeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := v.AttrNames()
+	names := v.Shape().Names()
 	if names[0] != "zeta" || names[1] != "alpha" || names[2] != "mid" {
 		t.Errorf("attribute order lost: %v", names)
 	}
 	inner, _ := v.Get("alpha")
-	if got := inner.AttrNames(); got[0] != "y" || got[1] != "x" {
+	if got := inner.Shape().Names(); got[0] != "y" || got[1] != "x" {
 		t.Errorf("nested attribute order lost: %v", got)
 	}
 }

@@ -29,14 +29,6 @@ type FieldType struct {
 	Type Type
 }
 
-// TypeOf returns the type of a value: v merged into the zero Type, so a
-// collection's element type is the merge of all its elements.
-func TypeOf(v Value) Type {
-	var t Type
-	t.Merge(v)
-	return t
-}
-
 // Merge folds v into t in place, so that t describes every value merged into
 // it since the zero Type: a null leaves a known type as it is; int and double
 // widen to double; any other kind conflict makes t unknown (KindNull) for

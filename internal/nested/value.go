@@ -80,7 +80,7 @@ func (k Kind) IsConstant() bool {
 func (k Kind) IsCollection() bool { return k == KindBag || k == KindSet }
 
 // Field is one attribute/value pair of a data item: the argument type of the
-// convenience constructors Item and NewItem and the element type of Fields.
+// convenience constructor Item and the element type of Fields.
 // Items do not store fields; they store a Shape and one value per attribute.
 type Field struct {
 	Name  string
@@ -268,7 +268,7 @@ func Bool(v bool) Value {
 }
 
 // Item returns a data item with the given fields, in order. Duplicate
-// attribute names are not checked here; use NewItem for checked construction.
+// attribute names are not checked.
 // It builds a shape of its own: code that makes many items of one schema
 // builds the Shape once and calls its Item method.
 func Item(fields ...Field) Value {
@@ -280,18 +280,6 @@ func Item(fields ...Field) Value {
 		names[i], vals[i] = fields[i].Name, fields[i].Value
 	}
 	return (&Shape{names: names}).Item(vals...)
-}
-
-// NewItem returns a data item and verifies that attribute names are unique.
-func NewItem(fields ...Field) (Value, error) {
-	seen := make(map[string]struct{}, len(fields))
-	for _, f := range fields {
-		if _, dup := seen[f.Name]; dup {
-			return Value{}, fmt.Errorf("nested: duplicate attribute %q in item", f.Name)
-		}
-		seen[f.Name] = struct{}{}
-	}
-	return Item(fields...), nil
 }
 
 // F is shorthand for constructing a Field.
@@ -412,14 +400,6 @@ func (v Value) Get(name string) (Value, bool) {
 		}
 	}
 	return Value{}, false
-}
-
-// AttrNames returns a copy of the attribute names of an item, in order.
-func (v Value) AttrNames() []string {
-	if v.kind != KindItem {
-		return []string{}
-	}
-	return v.shape.Names()
 }
 
 // Len returns the number of elements of a bag or set, or 0 otherwise.

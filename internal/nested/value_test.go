@@ -65,19 +65,10 @@ func TestItemAccess(t *testing.T) {
 	if _, ok := tw.Get("nope"); ok {
 		t.Error("Get(nope) should be absent")
 	}
-	names := tw.AttrNames()
+	names := tw.Shape().Names()
 	want := []string{"text", "user", "user_mentions", "retweet_cnt"}
 	if !reflect.DeepEqual(names, want) {
-		t.Errorf("AttrNames = %v, want %v", names, want)
-	}
-}
-
-func TestNewItemRejectsDuplicates(t *testing.T) {
-	if _, err := NewItem(F("a", Int(1)), F("a", Int(2))); err == nil {
-		t.Error("NewItem with duplicate attribute should fail")
-	}
-	if _, err := NewItem(F("a", Int(1)), F("b", Int(2))); err != nil {
-		t.Errorf("NewItem unique attrs failed: %v", err)
+		t.Errorf("Shape().Names() = %v, want %v", names, want)
 	}
 }
 

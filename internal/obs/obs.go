@@ -308,20 +308,6 @@ func (r *Recorder) StartSpan(s Span) func() {
 	}
 }
 
-// Reset clears all recorded state, keeping the recorder usable.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ops = make(map[int]*opRec)
-	r.mu.Unlock()
-	for i := range r.spans {
-		r.spans[i].ns.Store(0)
-		r.spans[i].count.Store(0)
-	}
-}
-
 // OpStat is one operator's merged totals.
 type OpStat struct {
 	OID      int

@@ -13,7 +13,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Add(1, 0, RowsIn, 10)
 	r.AddOpTime(1, time.Millisecond)
 	r.StartSpan(SpanSchedule)()
-	r.Reset()
 	s := r.Snapshot()
 	if len(s.Ops) != 0 || len(s.Spans) != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", s)
@@ -127,16 +126,5 @@ func TestRenderDeterministicWithoutTimings(t *testing.T) {
 	// Operators appear sorted by id even though registered out of order.
 	if strings.Index(first, "1    source") > strings.Index(first, "2    filter") {
 		t.Fatalf("ops not sorted by id:\n%s", first)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.Add(1, 0, RowsIn, 5)
-	r.StartSpan(SpanSchedule)()
-	r.Reset()
-	s := r.Snapshot()
-	if len(s.Ops) != 0 || len(s.Spans) != 0 {
-		t.Fatalf("reset left state: %+v", s)
 	}
 }

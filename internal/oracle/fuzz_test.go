@@ -43,7 +43,7 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	repro, _, err := ReadRepro(filepath.Join("testdata", "seed-881.json"))
+	repro, _, err := readRepro(filepath.Join("testdata", "seed-881.json"))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -423,13 +423,13 @@ func checkClosure(run *provenance.Run, res *engine.Result, sinkOID int) string {
 		produced[op.OID] = toSet(op.Columns().Out)
 	}
 	for _, op := range run.Operators() {
-		if op.Type == engine.OpSource {
+		if op.Type() == engine.OpSource {
 			continue
 		}
 		c := op.Columns()
 		for side, ids := range [][]int64{c.In, c.Right} {
 			for _, id := range ids {
-				if pred := op.Inputs[side].Pred; id != -1 && !produced[pred][id] {
+				if pred := op.Inputs()[side].Pred; id != -1 && !produced[pred][id] {
 					return fmt.Sprintf("operator %d recorded input id %d that operator %d never produced", op.OID, id, pred)
 				}
 			}

@@ -3,6 +3,7 @@ package oracle
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,27 @@ import (
 	"pebble/internal/engine"
 	"pebble/internal/provenance"
 )
+
+// readRepro loads a reproducer written by WriteRepro: the spec, and the
+// disagreement recorded with it (nil when the file records none).
+func readRepro(path string) (*corpus.Spec, *Disagreement, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var envelope repro
+	if err := json.Unmarshal(data, &envelope); err != nil {
+		return nil, nil, err
+	}
+	if envelope.Spec == nil {
+		return nil, nil, fmt.Errorf("oracle: %s: no spec in envelope", path)
+	}
+	var d *Disagreement
+	if envelope.Kind != "" || envelope.Detail != "" {
+		d = &Disagreement{Kind: envelope.Kind, Detail: envelope.Detail, Seed: envelope.Spec.Seed}
+	}
+	return envelope.Spec, d, nil
+}
 
 // testConfig is the deterministic corpus configuration: all four capture
 // modes × the default worker counts.
@@ -106,7 +128,7 @@ func TestReplayCommittedRepros(t *testing.T) {
 	}
 	cfg := testConfig()
 	for _, p := range paths {
-		spec, recorded, err := ReadRepro(p)
+		spec, recorded, err := readRepro(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -133,7 +155,7 @@ func TestReplayCommittedRepros(t *testing.T) {
 // non-strict and settle for eager ⊆ lineage rather than flag a
 // disagreement.
 func TestAggregateKeyOnlyGranularity(t *testing.T) {
-	spec, _, err := ReadRepro(filepath.Join("testdata", "seed-881.json"))
+	spec, _, err := readRepro(filepath.Join("testdata", "seed-881.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +193,7 @@ func TestAggregateKeyOnlyGranularity(t *testing.T) {
 // finding is kept: the reproducer must still fail the sufficiency check
 // itself, and CheckSpec must skip it by the named corpus predicate.
 func TestLimitCutsFanOutIsExcluded(t *testing.T) {
-	spec, _, err := ReadRepro(filepath.Join("testdata", "seed-358.json"))
+	spec, _, err := readRepro(filepath.Join("testdata", "seed-358.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +331,7 @@ func checkFaultCaughtAndShrunk(t *testing.T, cfg Config, kinds []string) {
 	if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, data) {
 		t.Fatalf("WriteRepro returned bytes other than the file's (read error %v)", err)
 	}
-	back, recorded, err := ReadRepro(path)
+	back, recorded, err := readRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +362,7 @@ func TestShrinkIsNoOpOnAgreeingSpec(t *testing.T) {
 }
 
 // TestReproRecordsItsDisagreement: WriteRepro's file reads back through
-// ReadRepro as the spec it was given and the kind and detail of its
+// readRepro as the spec it was given and the kind and detail of its
 // disagreement (none when it was written without one), the bytes it returns
 // are the file's, and a file without a spec is refused.
 func TestReproRecordsItsDisagreement(t *testing.T) {
@@ -353,7 +375,7 @@ func TestReproRecordsItsDisagreement(t *testing.T) {
 		if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, data) {
 			t.Fatalf("WriteRepro returned bytes other than the file's (read error %v)", err)
 		}
-		back, recorded, err := ReadRepro(path)
+		back, recorded, err := readRepro(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +396,7 @@ func TestReproRecordsItsDisagreement(t *testing.T) {
 	if err := os.WriteFile(empty, []byte(`{"kind":"`+KindSufficiency+`"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadRepro(empty); err == nil {
-		t.Error("ReadRepro accepted a reproducer without a spec")
+	if _, _, err := readRepro(empty); err == nil {
+		t.Error("readRepro accepted a reproducer without a spec")
 	}
 }

@@ -38,24 +38,3 @@ func WriteRepro(dir string, s *corpus.Spec, d *Disagreement) (path string, data 
 	}
 	return path, data, nil
 }
-
-// ReadRepro loads a reproducer written by WriteRepro: the spec, and the
-// disagreement recorded with it (nil when the file records none).
-func ReadRepro(path string) (*corpus.Spec, *Disagreement, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var envelope repro
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return nil, nil, err
-	}
-	if envelope.Spec == nil {
-		return nil, nil, fmt.Errorf("oracle: %s: no spec in envelope", path)
-	}
-	var d *Disagreement
-	if envelope.Kind != "" || envelope.Detail != "" {
-		d = &Disagreement{Kind: envelope.Kind, Detail: envelope.Detail, Seed: envelope.Spec.Seed}
-	}
-	return envelope.Spec, d, nil
-}

@@ -76,8 +76,8 @@ func readRunV1(d *cursor) (*Run, error) {
 	for i := 0; i < nOps; i++ {
 		op := &Operator{}
 		op.OID = int(d.u32())
-		op.Type = engine.OpType(d.str32())
-		op.ManipUndefined = d.bool()
+		op.typ = engine.OpType(d.str32())
+		op.manipUndefined = d.bool()
 		nIn := int(d.u32())
 		for j := 0; j < nIn && d.err == nil; j++ {
 			var in engine.InputInfo
@@ -96,7 +96,7 @@ func readRunV1(d *cursor) (*Run, error) {
 			for k := 0; k < nSchema && d.err == nil; k++ {
 				in.Schema = append(in.Schema, d.str32())
 			}
-			op.Inputs = append(op.Inputs, in)
+			op.inputs = append(op.inputs, in)
 		}
 		nManip := int(d.u32())
 		for j := 0; j < nManip && d.err == nil; j++ {
@@ -115,7 +115,7 @@ func readRunV1(d *cursor) (*Run, error) {
 					d.Fail(err)
 				}
 			}
-			op.Manipulated = append(op.Manipulated, m)
+			op.manip = append(op.manip, m)
 		}
 		op.setColumns(readAssocsV1(d))
 		if d.err != nil {

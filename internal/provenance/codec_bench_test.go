@@ -24,13 +24,19 @@ func BenchmarkCaptureSink(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for oid := 1; oid <= ops; oid++ {
-			c.StartOperator(engine.OpInfo{OID: oid, Type: engine.OpMap}, parts)
+			typ := engine.OpMap // reading the one before it, and the first a source
+			if oid == 1 {
+				typ = engine.OpSource
+			}
+			c.StartOperator(ChainInfo(oid, typ), parts)
 			for p := 0; p < parts; p++ {
 				c.Morsel(oid, p, int64(oid*1000000+p*10000), rows, engine.Assocs{In: ids})
 			}
 		}
 		b.StopTimer()
-		c.Finish() // drain, so the next hand-over starts empty
+		if _, err := c.Finish(); err != nil { // drain, so the next hand-over starts empty
+			b.Fatal(err)
+		}
 		b.StartTimer()
 	}
 }

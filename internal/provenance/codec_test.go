@@ -36,14 +36,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for i := range origOps {
 		o, b := origOps[i], backOps[i]
-		if o.OID != b.OID || o.Type != b.Type || o.ManipUndefined != b.ManipUndefined {
+		if o.OID != b.OID || o.Type() != b.Type() || o.ManipUndefined() != b.ManipUndefined() {
 			t.Errorf("op %d header mismatch: %+v vs %+v", o.OID, o, b)
 		}
-		if len(o.Inputs) != len(b.Inputs) {
-			t.Fatalf("op %d inputs %d vs %d", o.OID, len(o.Inputs), len(b.Inputs))
+		if len(o.Inputs()) != len(b.Inputs()) {
+			t.Fatalf("op %d inputs %d vs %d", o.OID, len(o.Inputs()), len(b.Inputs()))
 		}
-		for j := range o.Inputs {
-			oi, bi := o.Inputs[j], b.Inputs[j]
+		for j := range o.Inputs() {
+			oi, bi := o.Inputs()[j], b.Inputs()[j]
 			if oi.Pred != bi.Pred || oi.SourceName != bi.SourceName || oi.AccessUndefined != bi.AccessUndefined {
 				t.Errorf("op %d input %d mismatch", o.OID, j)
 			}
@@ -59,11 +59,11 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Errorf("op %d schema %v vs %v", o.OID, oi.Schema, bi.Schema)
 			}
 		}
-		if len(o.Manipulated) != len(b.Manipulated) {
-			t.Fatalf("op %d manipulated %d vs %d", o.OID, len(o.Manipulated), len(b.Manipulated))
+		if len(o.Manipulated()) != len(b.Manipulated()) {
+			t.Fatalf("op %d manipulated %d vs %d", o.OID, len(o.Manipulated()), len(b.Manipulated()))
 		}
-		for j := range o.Manipulated {
-			om, bm := o.Manipulated[j], b.Manipulated[j]
+		for j := range o.Manipulated() {
+			om, bm := o.Manipulated()[j], b.Manipulated()[j]
 			if om.In.String() != bm.In.String() || om.Out.String() != bm.Out.String() || om.GroupKey != bm.GroupKey {
 				t.Errorf("op %d mapping %d mismatch: %v vs %v", o.OID, j, om, bm)
 			}
@@ -268,28 +268,62 @@ func TestCodecHandlesMapAndJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo, _ := back.Op(m.ID())
-	if !mo.ManipUndefined || !mo.Inputs[0].AccessUndefined {
+	if !mo.ManipUndefined() || !mo.Inputs()[0].AccessUndefined {
 		t.Error("map ⊥ flags lost in round trip")
 	}
 	jo, _ := back.Op(p.Sink().ID())
-	if len(jo.Inputs[0].Schema) == 0 || len(jo.Inputs[1].Schema) == 0 {
+	if len(jo.Inputs()[0].Schema) == 0 || len(jo.Inputs()[1].Schema) == 0 {
 		t.Error("join schemas lost in round trip")
 	}
 }
 
-// v3Bag hand-assembles a one-operator v3 stream whose association bag has
-// the given tag, run bits and row count; body writes its columns.
+// v3Bag hand-assembles a v3 stream of source 6, which captured no bag, and
+// operator 7 of the type whose layout is tag (a filter for any other tag),
+// reading operator 6; operator 7's association bag has the given tag, run
+// bits and row count, and body writes its columns.
 func v3Bag(tag, runs uint8, n uint64, body func(s *rawStream)) []byte {
+	types := []string{"filter", "source", "filter", "join", "flatten", "aggregate"}
+	typ := "filter"
+	if int(tag) < len(types) {
+		typ = types[tag]
+	}
 	s := new(rawStream)
 	s.WriteString("PBLP")
 	s.u16(3)
-	s.uv(1)
-	s.dstr("op")
-	s.uv(1) // one operator
-	s.uv(7) // OID
-	s.uv(0) // type ref → "op"
+	s.uv(3)
+	s.dstr("source")
+	s.dstr("")
+	s.dstr(typ)
+	s.uv(2) // two operators
+	input := func(pred uint64) {
+		s.uv(pred)
+		s.uv(1) // source name ref → ""
+		s.u8(0) // AccessUndefined
+		s.uv(0) // no accessed paths
+		s.uv(0) // no schema
+	}
+	s.uv(6) // OID
+	s.uv(0) // type ref → "source"
 	s.u8(0) // ManipUndefined
-	s.uv(0) // no inputs
+	s.uv(1)
+	input(0)
+	s.uv(0) // no mappings
+	s.u8(0) // no bag
+	s.uv(7) // OID
+	s.uv(2) // type ref → typ
+	s.u8(0) // ManipUndefined
+	switch typ {
+	case "source":
+		s.uv(1)
+		input(0)
+	case "join":
+		s.uv(2)
+		input(6)
+		input(6)
+	default:
+		s.uv(1)
+		input(6)
+	}
 	s.uv(0) // no mappings
 	s.u8(runs<<3 | tag)
 	if tag != 0 {
@@ -474,7 +508,8 @@ func TestCodecKeepsPositionsNotImplied(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			col := provenance.NewCollector()
-			col.StartOperator(engine.OpInfo{OID: 7, Type: engine.OpFlatten}, 1)
+			col.StartOperator(provenance.ChainInfo(6, engine.OpSource), 1) // captures no bag
+			col.StartOperator(provenance.ChainInfo(7, engine.OpFlatten), 1)
 			col.Morsel(7, 0, 100, len(c.in), engine.Assocs{In: c.in, Pos: c.pos})
 			run, err := col.Finish()
 			if err != nil {

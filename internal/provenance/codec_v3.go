@@ -127,8 +127,8 @@ func dictionary(ops []*Operator) ([]string, map[string]uint64) {
 		}
 	}
 	for _, op := range ops {
-		add(string(op.Type))
-		for _, in := range op.Inputs {
+		add(string(op.typ))
+		for _, in := range op.inputs {
 			add(in.SourceName)
 			for _, p := range in.Accessed {
 				add(p.String())
@@ -137,7 +137,7 @@ func dictionary(ops []*Operator) ([]string, map[string]uint64) {
 				add(s)
 			}
 		}
-		for _, m := range op.Manipulated {
+		for _, m := range op.manip {
 			add(m.In.String())
 			add(m.Out.String())
 		}
@@ -149,10 +149,10 @@ func dictionary(ops []*Operator) ([]string, map[string]uint64) {
 // into *resid first.
 func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64, resid *[]int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(op.OID))
-	buf = binary.AppendUvarint(buf, refs[string(op.Type)])
-	buf = appendBool(buf, op.ManipUndefined)
-	buf = binary.AppendUvarint(buf, uint64(len(op.Inputs)))
-	for _, in := range op.Inputs {
+	buf = binary.AppendUvarint(buf, refs[string(op.typ)])
+	buf = appendBool(buf, op.manipUndefined)
+	buf = binary.AppendUvarint(buf, uint64(len(op.inputs)))
+	for _, in := range op.inputs {
 		buf = binary.AppendUvarint(buf, uint64(in.Pred))
 		buf = binary.AppendUvarint(buf, refs[in.SourceName])
 		buf = appendBool(buf, in.AccessUndefined)
@@ -165,8 +165,8 @@ func appendOp(buf []byte, op *Operator, c Columns, refs map[string]uint64, resid
 			buf = binary.AppendUvarint(buf, refs[s])
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(op.Manipulated)))
-	for _, m := range op.Manipulated {
+	buf = binary.AppendUvarint(buf, uint64(len(op.manip)))
+	for _, m := range op.manip {
 		buf = binary.AppendUvarint(buf, refs[m.In.String()])
 		buf = binary.AppendUvarint(buf, refs[m.Out.String()])
 		buf = appendBool(buf, m.GroupKey)

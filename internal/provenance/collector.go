@@ -108,8 +108,8 @@ func (c *Collector) Finish() (*Run, error) {
 	ops := make([]*Operator, len(c.order))
 	for i, oid := range c.order {
 		info := c.ops[oid].info
-		ops[i] = &Operator{OID: info.OID, Type: info.Type, Inputs: info.Inputs,
-			Manipulated: info.Manipulated, ManipUndefined: info.ManipUndefined}
+		ops[i] = &Operator{OID: info.OID, typ: info.Type, inputs: info.Inputs,
+			manip: info.Manipulated, manipUndefined: info.ManipUndefined}
 	}
 	var scratch Columns
 	stream := encode(ops, func(op *Operator) Columns {

@@ -8,15 +8,16 @@ import (
 )
 
 // fillCollector populates a collector with a synthetic run: ops operators
-// cycling through the five association layouts, each of an operator type with
-// that layout, and each with parts morsels of rowsPerShard rows. The shape
+// cycling through the five association layouts from a source, each of an
+// operator type with that layout reading the one before it, and each with
+// parts morsels of rowsPerShard rows. The shape
 // mirrors what a mid-size capture produces, so the benchmark isolates exactly
 // the merge cost of Finish.
 func fillCollector(c *Collector, ops, parts, rowsPerShard int) {
 	types := [...]engine.OpType{engine.OpSource, engine.OpMap, engine.OpJoin, engine.OpFlatten, engine.OpAggregate}
 	for oid := 1; oid <= ops; oid++ {
-		typ := types[oid%len(types)]
-		c.StartOperator(engine.OpInfo{OID: oid, Type: typ}, parts)
+		typ := types[(oid-1)%len(types)]
+		c.StartOperator(ChainInfo(oid, typ), parts)
 		for p := 0; p < parts; p++ {
 			base := int64(oid*1000000 + p*10000)
 			ids, pos := make([]int64, rowsPerShard), make([]int64, rowsPerShard)

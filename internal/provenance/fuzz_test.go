@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pebble/internal/backtrace"
 	"pebble/internal/engine"
 	"pebble/internal/provenance"
 	"pebble/internal/workload"
@@ -15,7 +16,8 @@ import (
 // fuzzSeeds returns genuine streams of every codec version — the example
 // capture as v1, v2 and v3 (the reference encoders) and as v4 (WriteTo) — the
 // v3 and v4 streams of runCodedRun, whose columns are run-coded wherever the
-// codec allows it, and the committed v4 goldens.
+// codec allows it, the committed v4 goldens, and the hand-made streams that
+// break a load rule.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	_, run, err := provenance.Capture(workload.ExamplePipeline(), workload.ExampleInput(1),
@@ -32,6 +34,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, data)
+	}
+	for _, b := range provenance.RuleBreakingStreams() {
+		seeds = append(seeds, b.Stream)
 	}
 	return seeds
 }
@@ -59,7 +64,7 @@ func runCodedRun(tb testing.TB) *provenance.Run {
 		engine.OpAggregate, engine.OpDistinct, engine.OpDistinct, engine.OpFilter}
 	for i, typ := range types {
 		oid := i + 1
-		c.StartOperator(engine.OpInfo{OID: oid, Type: typ}, 1)
+		c.StartOperator(provenance.ChainInfo(oid, typ), 1)
 		base := int64(oid * 1000)
 		switch oid {
 		case 1:
@@ -126,7 +131,10 @@ func requireBoundedLoad(t testing.TB, what string, data []byte, allocated uint64
 // bytes left over must be rejected, the reference stops reading at the last
 // operator — and a stream both accept must give the same run: equal
 // operators, equal association bags, equal re-encodings. ReadRun, the eager
-// entry point over the same path, is held to the same run.
+// entry point over the same path, is held to the same run. And a run the
+// loader accepts is one a trace can walk: from every operator, the full
+// structure — every identifier the operator output, each with the paths its
+// mappings write — traces to an answer or an error, never a panic.
 func FuzzReadRun(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for _, s := range seeds {
@@ -157,6 +165,18 @@ func FuzzReadRun(f *testing.F) {
 		}
 		requireSameRun(t, want, got)
 		requireSameRun(t, want, eager)
+		tr := backtrace.NewTracer(got)
+		for _, op := range got.Operators() {
+			tree := backtrace.NewTree()
+			for _, m := range op.Manipulated() {
+				tree.EnsureContributing(m.Out)
+			}
+			q := backtrace.NewStructure()
+			for _, id := range op.Columns().Out {
+				q.Add(id, tree)
+			}
+			_, _ = tr.Trace(op.OID, q) // an answer or an error
+		}
 	})
 }
 

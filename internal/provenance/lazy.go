@@ -90,10 +90,10 @@ func HashStream(data []byte) uint64 {
 // column decode until an operator's bag is first touched. The stream is
 // fully validated up front (a corrupt or truncated stream, or one with bytes
 // after its last operator, errors here, never later), so the accessors are
-// infallible. v1 streams have no columnar layout and decode fully. The run
-// retains data, which WriteTo writes back verbatim. This is the one load
-// path: ReadRun is ReadRunLazy plus the decode of every bag, and
-// Collector.Finish ends in it.
+// infallible, and the run is checked against what a trace reads (check). v1
+// streams have no columnar layout and decode fully. The run retains data,
+// which WriteTo writes back verbatim. This is the one load path: ReadRun is
+// ReadRunLazy plus the decode of every bag, and Collector.Finish ends in it.
 func ReadRunLazy(data []byte) (*Run, error) {
 	c := &cursor{data: data}
 	magic := c.take(len(codecMagic))
@@ -116,11 +116,52 @@ func ReadRunLazy(data []byte) (*Run, error) {
 	default:
 		err = fmt.Errorf("provenance: unsupported version %d", version)
 	}
+	if err == nil {
+		err = run.check()
+	}
 	if err != nil {
 		return nil, err
 	}
 	run.stream = data
 	return run, nil
+}
+
+// check holds a decoded run to what a trace reads off it, so that a run the
+// loader accepts is one every trace can walk:
+//   - input count: a join or union has two inputs, every other operator one,
+//     and a source's names its dataset (Pred 0);
+//   - layout: a captured bag has the layout the operator's type captures
+//     (KindOf);
+//   - Pred: every other input names an operator earlier in the run, so a walk
+//     back from an operator never meets it again. The engine numbers its
+//     operators in dependency order, so its runs always pass.
+func (r *Run) check() error {
+	earlier := make(map[int]bool, len(r.order))
+	for _, oid := range r.order {
+		op := r.ops[oid]
+		if earlier[oid] {
+			return fmt.Errorf("provenance: operator %d breaks the Pred rule: it appears twice in the run", oid)
+		}
+		want := 1
+		if op.typ == engine.OpJoin || op.typ == engine.OpUnion {
+			want = 2
+		}
+		switch k := KindOf(op.typ); {
+		case len(op.inputs) != want:
+			return fmt.Errorf("provenance: operator %d (%s) breaks the input count rule: %d inputs, want %d", oid, op.typ, len(op.inputs), want)
+		case op.typ == engine.OpSource && op.inputs[0].Pred != 0:
+			return fmt.Errorf("provenance: operator %d (source) breaks the input count rule: its input names operator %d, not a dataset", oid, op.inputs[0].Pred)
+		case op.kind != AssocNone && op.kind != k:
+			return fmt.Errorf("provenance: operator %d (%s) breaks the layout rule: its bag has layout %d, its type captures %d", oid, op.typ, op.kind, k)
+		}
+		for _, in := range op.inputs {
+			if op.typ != engine.OpSource && !earlier[in.Pred] {
+				return fmt.Errorf("provenance: operator %d (%s) breaks the Pred rule: its input names operator %d, which does not precede it in the run", oid, op.typ, in.Pred)
+			}
+		}
+		earlier[oid] = true
+	}
+	return nil
 }
 
 // scanner reads the columnar layout following the magic/version prefix: the
@@ -205,8 +246,8 @@ func (d *scanner) parse(s string) path.Path {
 func (d *scanner) scanOp(ls *lazyStream) *Operator {
 	op, start := &Operator{}, d.pos
 	op.OID = int(d.Uvarint())
-	op.Type = engine.OpType(d.ref("operator type"))
-	op.ManipUndefined = d.bool()
+	op.typ = engine.OpType(d.ref("operator type"))
+	op.manipUndefined = d.bool()
 	nIn := d.Count("input")
 	for j := 0; j < nIn && d.err == nil; j++ {
 		var in engine.InputInfo
@@ -221,7 +262,7 @@ func (d *scanner) scanOp(ls *lazyStream) *Operator {
 		for k := 0; k < nSchema && d.err == nil; k++ {
 			in.Schema = append(in.Schema, d.ref("schema string"))
 		}
-		op.Inputs = append(op.Inputs, in)
+		op.inputs = append(op.inputs, in)
 	}
 	nManip := d.Count("mapping")
 	for j := 0; j < nManip && d.err == nil; j++ {
@@ -231,7 +272,7 @@ func (d *scanner) scanOp(ls *lazyStream) *Operator {
 		}
 		m.Out = d.path("mapping output path")
 		m.GroupKey = d.bool()
-		op.Manipulated = append(op.Manipulated, m)
+		op.manip = append(op.manip, m)
 	}
 	lineage := d.scanAssocs(op, ls)
 	op.bytes = int64(d.pos - start)

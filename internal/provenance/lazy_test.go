@@ -51,12 +51,12 @@ func requireSameRun(t *testing.T, want, got *provenance.Run) {
 	}
 	for i, wo := range wops {
 		gop := gops[i]
-		if wo.OID != gop.OID || wo.Type != gop.Type || wo.AssocKind() != gop.AssocKind() ||
-			wo.AssocCount() != gop.AssocCount() || wo.ManipUndefined != gop.ManipUndefined {
+		if wo.OID != gop.OID || wo.Type() != gop.Type() || wo.AssocKind() != gop.AssocKind() ||
+			wo.AssocCount() != gop.AssocCount() || wo.ManipUndefined() != gop.ManipUndefined() {
 			t.Fatalf("operator %d differs: %v/%v/%v vs %v/%v/%v", i,
-				gop.OID, gop.Type, gop.AssocKind(), wo.OID, wo.Type, wo.AssocKind())
+				gop.OID, gop.Type(), gop.AssocKind(), wo.OID, wo.Type(), wo.AssocKind())
 		}
-		if !reflect.DeepEqual(wo.Inputs, gop.Inputs) || !reflect.DeepEqual(wo.Manipulated, gop.Manipulated) {
+		if !reflect.DeepEqual(wo.Inputs(), gop.Inputs()) || !reflect.DeepEqual(wo.Manipulated(), gop.Manipulated()) {
 			t.Fatalf("operator %d static part differs", wo.OID)
 		}
 		if wo.OutOrdered() != gop.OutOrdered() || sameStream && wo.EncodedBytes() != gop.EncodedBytes() {
@@ -151,6 +151,32 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRunsATraceCannotWalk: a run with an operator that breaks a
+// load rule — an input count its type does not read, a bag of another layout
+// than its type captures, an input that names no earlier operator — is
+// rejected by both loaders, with the operator and the rule, and by the
+// stream reference.
+func TestLoadRejectsRunsATraceCannotWalk(t *testing.T) {
+	rules := map[string]bool{}
+	for _, b := range provenance.RuleBreakingStreams() {
+		rules[b.Rule] = true
+		_, lazyErr := provenance.ReadRunLazy(b.Stream)
+		_, eagerErr := provenance.ReadRun(bytes.NewReader(b.Stream))
+		for _, err := range []error{lazyErr, eagerErr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("operator %d ", b.OID)) ||
+				!strings.Contains(err.Error(), "breaks the "+b.Rule+" rule") {
+				t.Errorf("%s: loads with error %v, want operator %d breaking the %s rule", b.Name, err, b.OID, b.Rule)
+			}
+		}
+		if _, _, err := provenance.RefReadRun(b.Stream); err == nil {
+			t.Errorf("%s: the stream reference accepts it", b.Name)
+		}
+	}
+	if len(rules) != 3 {
+		t.Errorf("the streams break %d rules, want all 3", len(rules))
+	}
+}
+
 // TestLazyRejectsStrictPrefixes: the validating skip-scan must reject every
 // truncation up front — the accessors are infallible, so nothing may load
 // that could fail later.
@@ -200,14 +226,14 @@ func TestLoadAllocationIsBounded(t *testing.T) {
 	}
 	// A valid stream that names one long access path from every byte: a
 	// dictionary entry is parsed once, not once per reference.
-	s := new(rawStream).headerV2("op", strings.Repeat("a.", 99)+"a")
+	s := new(rawStream).headerV2("source", strings.Repeat("a.", 99)+"a")
 	s.uv(1)                                // one operator
 	s.uv(7)                                // OID
-	s.uv(0)                                // type "op"
+	s.uv(0)                                // type "source"
 	s.u8(0)                                // ManipUndefined
 	s.uv(1)                                // one input:
-	s.uv(0)                                // pred
-	s.uv(0)                                // source name "op"
+	s.uv(0)                                // pred: a dataset
+	s.uv(0)                                // source name "source"
 	s.u8(0)                                // AccessUndefined
 	s.uv(2000)                             // accessed paths,
 	s.Write(bytes.Repeat([]byte{1}, 2000)) // each the long one
@@ -295,7 +321,6 @@ func checkDecodedBytesAccounting(t *testing.T, data []byte) {
 	if forward <= after || forward > total {
 		t.Fatalf("forward trace decoded %d bytes, want more than %d and at most %d", forward, after, total)
 	}
-	backtrace.NewTracer(run).BuildIndexes()
 	for _, op := range ops {
 		op.Columns()
 	}

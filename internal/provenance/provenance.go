@@ -52,17 +52,15 @@ type Columns struct {
 	Offs  []int32 // aggregate: row i owns In[Offs[i]:Offs[i+1]]
 }
 
-// Operator is the captured provenance P of one operator.
+// Operator is the captured provenance P of one operator. Its static part is
+// read through accessors: a loaded run has been checked against it (see
+// ReadRunLazy), so it is shared and read-only, like the columns.
 type Operator struct {
-	OID  int
-	Type engine.OpType
-	// Inputs mirrors I: predecessor operator (or source dataset) plus the
-	// accessed paths A on schema level.
-	Inputs []engine.InputInfo
-	// Manipulated is the schema-level manipulation mapping M.
-	Manipulated []engine.Mapping
-	// ManipUndefined marks M = ⊥ (map operator).
-	ManipUndefined bool
+	OID            int
+	typ            engine.OpType
+	inputs         []engine.InputInfo
+	manip          []engine.Mapping
+	manipUndefined bool
 
 	// The association bag P: what is known of it without its columns (all the
 	// load-time scan of a lazily loaded run establishes; fixed from then on,
@@ -100,6 +98,20 @@ func (o *Operator) Columns() Columns {
 	}
 	return o.cols
 }
+
+// Type returns the operator's type.
+func (o *Operator) Type() engine.OpType { return o.typ }
+
+// Inputs mirrors I: per input the predecessor operator (or, for a source, the
+// dataset) and the accessed paths A on schema level. Shared and read-only.
+func (o *Operator) Inputs() []engine.InputInfo { return o.inputs }
+
+// Manipulated is the schema-level manipulation mapping M. Shared and
+// read-only.
+func (o *Operator) Manipulated() []engine.Mapping { return o.manip }
+
+// ManipUndefined reports M = ⊥ (map operator).
+func (o *Operator) ManipUndefined() bool { return o.manipUndefined }
 
 // AssocKind returns the layout of the operator's association bag.
 func (o *Operator) AssocKind() AssocKind { return o.kind }
@@ -176,7 +188,7 @@ func (r *Run) Operators() []*Operator {
 func (r *Run) String() string {
 	var sb strings.Builder
 	for _, op := range r.Operators() {
-		fmt.Fprintf(&sb, "P%d type=%s assocs=%d\n", op.OID, op.Type, op.AssocCount())
+		fmt.Fprintf(&sb, "P%d type=%s assocs=%d\n", op.OID, op.typ, op.AssocCount())
 	}
 	return sb.String()
 }

@@ -44,9 +44,9 @@ func TestCaptureExamplePipeline(t *testing.T) {
 		engine.OpFlatten: provenance.AssocFlatten, engine.OpAggregate: provenance.AssocAgg,
 	}
 	for _, op := range ops {
-		if c := op.Columns(); op.AssocKind() != layouts[op.Type] || c.Kind != op.AssocKind() || len(c.Out) != op.AssocCount() {
-			t.Errorf("%s %d: layout %d with %d rows (columns say %d, %d), want layout %d", op.Type, op.OID,
-				op.AssocKind(), op.AssocCount(), c.Kind, len(c.Out), layouts[op.Type])
+		if c := op.Columns(); op.AssocKind() != layouts[op.Type()] || c.Kind != op.AssocKind() || len(c.Out) != op.AssocCount() {
+			t.Errorf("%s %d: layout %d with %d rows (columns say %d, %d), want layout %d", op.Type(), op.OID,
+				op.AssocKind(), op.AssocCount(), c.Kind, len(c.Out), layouts[op.Type()])
 		}
 	}
 	// The two reads annotate 5 tweets each.
@@ -93,14 +93,14 @@ func TestAssociationChainIsClosed(t *testing.T) {
 		outs[op.OID] = ids
 	}
 	for _, op := range run.Operators() {
-		if len(op.Inputs) == 0 || op.Type == engine.OpSource {
+		if len(op.Inputs()) == 0 || op.Type() == engine.OpSource {
 			continue
 		}
 		check := func(id int64, inputIdx int) {
 			if id == -1 {
 				return // absent union side
 			}
-			pred := op.Inputs[inputIdx].Pred
+			pred := op.Inputs()[inputIdx].Pred
 			if !outs[pred][id] {
 				t.Errorf("operator %d consumes id %d not produced by predecessor %d", op.OID, id, pred)
 			}

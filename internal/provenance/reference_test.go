@@ -31,6 +31,7 @@ import (
 //     reference-built run call the encoder through this.
 //   - RefPosBytes, the length of a flatten's v4 Pos column, counted from its
 //     columns.
+//   - refCheck, the load rules RefReadRun holds a decoded run to.
 //
 // The decoder keeps the row-major form the production code no longer has: it
 // collects refRows and gathers them into columns at the end (refColumns), so
@@ -62,10 +63,10 @@ func RefEncodeV1(r *Run) []byte {
 	buf = le.AppendUint32(buf, uint32(len(ops)))
 	for _, op := range ops {
 		buf = le.AppendUint32(buf, uint32(op.OID))
-		buf = str(buf, string(op.Type))
-		buf = flag(buf, op.ManipUndefined)
-		buf = le.AppendUint32(buf, uint32(len(op.Inputs)))
-		for _, in := range op.Inputs {
+		buf = str(buf, string(op.typ))
+		buf = flag(buf, op.manipUndefined)
+		buf = le.AppendUint32(buf, uint32(len(op.inputs)))
+		for _, in := range op.inputs {
 			buf = le.AppendUint32(buf, uint32(in.Pred))
 			buf = str(buf, in.SourceName)
 			buf = flag(buf, in.AccessUndefined)
@@ -78,8 +79,8 @@ func RefEncodeV1(r *Run) []byte {
 				buf = str(buf, s)
 			}
 		}
-		buf = le.AppendUint32(buf, uint32(len(op.Manipulated)))
-		for _, m := range op.Manipulated {
+		buf = le.AppendUint32(buf, uint32(len(op.manip)))
+		for _, m := range op.manip {
 			buf = str(buf, m.In.String())
 			buf = str(buf, m.Out.String())
 			buf = flag(buf, m.GroupKey)
@@ -133,8 +134,8 @@ func refEncodeColumnar(r *Run, version uint16) []byte {
 		}
 	}
 	for _, op := range r.Operators() {
-		add(string(op.Type))
-		for _, in := range op.Inputs {
+		add(string(op.typ))
+		for _, in := range op.inputs {
 			add(in.SourceName)
 			for _, p := range in.Accessed {
 				add(p.String())
@@ -143,7 +144,7 @@ func refEncodeColumnar(r *Run, version uint16) []byte {
 				add(s)
 			}
 		}
-		for _, m := range op.Manipulated {
+		for _, m := range op.manip {
 			add(m.In.String())
 			add(m.Out.String())
 		}
@@ -165,10 +166,10 @@ func refEncodeColumnar(r *Run, version uint16) []byte {
 	buf = uv(buf, uint64(len(r.order)))
 	for _, op := range r.Operators() {
 		buf = uv(buf, uint64(op.OID))
-		buf = uv(buf, refs[string(op.Type)])
-		buf = flag(buf, op.ManipUndefined)
-		buf = uv(buf, uint64(len(op.Inputs)))
-		for _, in := range op.Inputs {
+		buf = uv(buf, refs[string(op.typ)])
+		buf = flag(buf, op.manipUndefined)
+		buf = uv(buf, uint64(len(op.inputs)))
+		for _, in := range op.inputs {
 			buf = uv(buf, uint64(in.Pred))
 			buf = uv(buf, refs[in.SourceName])
 			buf = flag(buf, in.AccessUndefined)
@@ -181,8 +182,8 @@ func refEncodeColumnar(r *Run, version uint16) []byte {
 				buf = uv(buf, refs[s])
 			}
 		}
-		buf = uv(buf, uint64(len(op.Manipulated)))
-		for _, m := range op.Manipulated {
+		buf = uv(buf, uint64(len(op.manip)))
+		for _, m := range op.manip {
 			buf = uv(buf, refs[m.In.String()])
 			buf = uv(buf, refs[m.Out.String()])
 			buf = flag(buf, m.GroupKey)
@@ -364,10 +365,53 @@ func RefReadRun(data []byte) (run *Run, rest int, err error) {
 	default:
 		return nil, 0, fmt.Errorf("provenance: unsupported version %d", v)
 	}
+	if err == nil {
+		err = refCheck(run)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	return run, br.Buffered() + src.Len(), nil
+}
+
+// refCheck holds a decoded run to the load rules: per type, the inputs it
+// reads and the layout it captures (Tab. 6), with a source reading its
+// dataset (Pred 0), and every other input naming an operator at an earlier
+// position of the run.
+func refCheck(r *Run) error {
+	at := make(map[int]int, len(r.order))
+	for i, oid := range r.order {
+		if _, dup := at[oid]; dup {
+			return fmt.Errorf("reference: operator %d breaks the Pred rule: it is in the run twice", oid)
+		}
+		at[oid] = i
+	}
+	for i, oid := range r.order {
+		op := r.ops[oid]
+		inputs, layout := 1, AssocUnary
+		switch op.typ {
+		case engine.OpSource:
+			layout = AssocSource
+		case engine.OpJoin, engine.OpUnion:
+			inputs, layout = 2, AssocBinary
+		case engine.OpFlatten:
+			layout = AssocFlatten
+		case engine.OpAggregate:
+			layout = AssocAgg
+		}
+		if len(op.inputs) != inputs || op.typ == engine.OpSource && op.inputs[0].Pred != 0 {
+			return fmt.Errorf("reference: operator %d (%s) breaks the input count rule", oid, op.typ)
+		}
+		if op.kind != AssocNone && op.kind != layout {
+			return fmt.Errorf("reference: operator %d (%s) breaks the layout rule", oid, op.typ)
+		}
+		for _, in := range op.inputs {
+			if j, ok := at[in.Pred]; op.typ != engine.OpSource && (!ok || j >= i) {
+				return fmt.Errorf("reference: operator %d (%s) breaks the Pred rule", oid, op.typ)
+			}
+		}
+	}
+	return nil
 }
 
 // refReadRunV1 decodes the fixed-width v1 operator stream following the
@@ -381,8 +425,8 @@ func refReadRunV1(d *refDecoder) (*Run, error) {
 	for i := 0; i < nOps; i++ {
 		op := &Operator{}
 		op.OID = int(d.u32())
-		op.Type = engine.OpType(d.str())
-		op.ManipUndefined = d.bool()
+		op.typ = engine.OpType(d.str())
+		op.manipUndefined = d.bool()
 		nIn := int(d.u32())
 		for j := 0; j < nIn && d.err == nil; j++ {
 			var in engine.InputInfo
@@ -401,7 +445,7 @@ func refReadRunV1(d *refDecoder) (*Run, error) {
 			for k := 0; k < nSchema && d.err == nil; k++ {
 				in.Schema = append(in.Schema, d.str())
 			}
-			op.Inputs = append(op.Inputs, in)
+			op.inputs = append(op.inputs, in)
 		}
 		nManip := int(d.u32())
 		for j := 0; j < nManip && d.err == nil; j++ {
@@ -420,7 +464,7 @@ func refReadRunV1(d *refDecoder) (*Run, error) {
 					d.err = err
 				}
 			}
-			op.Manipulated = append(op.Manipulated, m)
+			op.manip = append(op.manip, m)
 		}
 		tag := AssocKind(d.u8())
 		var rows []refRow
@@ -581,8 +625,8 @@ func refReadRunV2(br *bufio.Reader, version uint16) (*Run, error) {
 func (d *refV2Decoder) readOp() *Operator {
 	op := &Operator{}
 	op.OID = int(d.uvarint())
-	op.Type = engine.OpType(d.ref("operator type"))
-	op.ManipUndefined = d.bool()
+	op.typ = engine.OpType(d.ref("operator type"))
+	op.manipUndefined = d.bool()
 	nIn := d.count("input")
 	for j := 0; j < nIn && d.err == nil; j++ {
 		var in engine.InputInfo
@@ -597,7 +641,7 @@ func (d *refV2Decoder) readOp() *Operator {
 		for k := 0; k < nSchema && d.err == nil; k++ {
 			in.Schema = append(in.Schema, d.ref("schema string"))
 		}
-		op.Inputs = append(op.Inputs, in)
+		op.inputs = append(op.inputs, in)
 	}
 	nManip := d.count("mapping")
 	for j := 0; j < nManip && d.err == nil; j++ {
@@ -607,7 +651,7 @@ func (d *refV2Decoder) readOp() *Operator {
 		}
 		m.Out = d.path("mapping output path")
 		m.GroupKey = d.bool()
-		op.Manipulated = append(op.Manipulated, m)
+		op.manip = append(op.manip, m)
 	}
 	d.readAssocs(op)
 	return op

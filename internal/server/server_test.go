@@ -661,7 +661,9 @@ func TestFailedPersistLeavesNothing(t *testing.T) {
 // TestShortArtifactIsNotServed: the download carries the length the job
 // recorded when it wrote the artifact, and a file on disk of another size is
 // answered with a 500 that says so, not streamed as if it were whole; a trace
-// job on it fails with the load error.
+// job on it fails with the load error. So does a trace job on an artifact
+// damaged at its length — D1's select relabelled a source, which the loader's
+// input count rule rejects.
 func TestShortArtifactIsNotServed(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := bootDaemon(t, server.Config{DataDir: dir})
@@ -698,6 +700,28 @@ func TestShortArtifactIsNotServed(t *testing.T) {
 	}
 	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
 		t.Fatalf("healthz after a trace of a truncated artifact: %+v, %v", h, err)
+	}
+
+	j2 := submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindPipeline, Scenario: "D1", SimGB: 1})
+	waitStatus(t, c, "s", j2.ID, sdk.StatusDone)
+	file := filepath.Join(dir, "s-"+j2.ID+".pbl")
+	pbl, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(pbl, []byte("\x06select")); n != 1 {
+		t.Fatalf("D1's artifact names select %d times, want once, in its dictionary", n)
+	}
+	if err := os.WriteFile(file, bytes.Replace(pbl, []byte("\x06select"), []byte("\x06source"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tj = submit(t, c, "s", sdk.SubmitJobRequest{Kind: sdk.KindTrace, TargetJob: j2.ID, TraceAll: true})
+	tinfo = waitStatus(t, c, "s", tj.ID, sdk.StatusFailed)
+	if !strings.Contains(tinfo.Error, "load provenance artifact") || !strings.Contains(tinfo.Error, "breaks the input count rule") {
+		t.Errorf("trace of an artifact with a select relabelled a source failed with %q; want the load error naming the rule", tinfo.Error)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after a trace of a relabelled artifact: %+v, %v", h, err)
 	}
 }
 

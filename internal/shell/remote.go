@@ -60,10 +60,6 @@ func (r *Remote) Run(in io.Reader) error {
 	}
 }
 
-// Exec runs a single shell line; it backs Run and is handy for scripting
-// and tests.
-func (r *Remote) Exec(line string) error { return r.dispatch(strings.TrimSpace(line)) }
-
 func (r *Remote) dispatch(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {

@@ -61,10 +61,6 @@ func (s *Shell) Run(in io.Reader) error {
 	}
 }
 
-// Exec runs a single shell line and returns its output; it backs Run and is
-// handy for scripting and tests.
-func (s *Shell) Exec(line string) error { return s.dispatch(strings.TrimSpace(line)) }
-
 func (s *Shell) dispatch(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -182,7 +178,7 @@ func (s *Shell) printProvenance() {
 	fmt.Fprintf(s.out, "provenance stream: lineage %dB + structural extra %dB + framing %dB\n",
 		sizes.LineageBytes, sizes.StructuralExtra, sizes.Framing)
 	for _, op := range s.cap.Provenance.Operators() {
-		fmt.Fprintf(s.out, "  P%-3d %-10s assocs=%d bytes=%d\n", op.OID, op.Type, op.AssocCount(), op.EncodedBytes())
+		fmt.Fprintf(s.out, "  P%-3d %-10s assocs=%d bytes=%d\n", op.OID, op.Type(), op.AssocCount(), op.EncodedBytes())
 	}
 }
 

@@ -335,34 +335,74 @@ func TestShellJSON(t *testing.T) {
 
 // TestShellLoadLeavesItsCaptureAlone: load makes the session a new capture
 // over the reloaded run; the capture the shell was built on keeps its own
-// provenance and tracer, and still answers as it did before the load.
+// provenance and tracer, and still answers as it did before the load. A
+// stream the loader rejects — the saved run with its flatten relabelled a
+// join — fails the load with the loader's error and leaves the session on its
+// capture, so the next question is answered as before.
 func TestShellLoadLeavesItsCaptureAlone(t *testing.T) {
-	sh, out, cap := newShell(t)
-	path := filepath.Join(t.TempDir(), "run.pbl")
-	if err := sh.Exec("save " + path); err != nil {
-		t.Fatal(err)
-	}
-	run, tracer := cap.Provenance, cap.Tracer()
-	report := func() string {
-		t.Helper()
-		q, err := cap.QueryAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q.Report()
-	}
-	before := report()
+	const question = `//id_str == "lp", tweets(text == "Hello World" #[2,2])`
+	for _, c := range []struct {
+		name    string
+		damage  func([]byte) []byte
+		wantErr string // empty: the load succeeds
+	}{
+		{"saved run", func(b []byte) []byte { return b }, ""},
+		{"flatten relabelled a join", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("\x07flatten"), []byte("\x04join"), 1)
+		}, "breaks the input count rule"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sh, out, cap := newShell(t)
+			path := filepath.Join(t.TempDir(), "run.pbl")
+			if err := sh.Exec("save " + path); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			run, tracer := cap.Provenance, cap.Tracer()
+			report := func() string {
+				t.Helper()
+				q, err := cap.QueryAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return q.Report()
+			}
+			before := report()
+			out.Reset()
+			if err := sh.Exec(question); err != nil {
+				t.Fatal(err)
+			}
+			answer := out.String()
 
-	if err := sh.Exec("load " + path); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "loaded provenance") {
-		t.Errorf("load output wrong:\n%s", out)
-	}
-	if cap.Provenance != run || cap.Tracer() != tracer {
-		t.Error("load re-pointed the capture the shell was built on")
-	}
-	if after := report(); after != before {
-		t.Errorf("the original capture answers differently after load:\n%s\nwant\n%s", after, before)
+			out.Reset()
+			err = sh.Exec("load " + path)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case c.wantErr == "" && !strings.Contains(out.String(), "loaded provenance"):
+				t.Errorf("load output wrong:\n%s", out)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("load returned %v, want the loader's error naming the %q", err, c.wantErr)
+			}
+			if cap.Provenance != run || cap.Tracer() != tracer {
+				t.Error("load re-pointed the capture the shell was built on")
+			}
+			if after := report(); after != before {
+				t.Errorf("the original capture answers differently after load:\n%s\nwant\n%s", after, before)
+			}
+			out.Reset()
+			if err := sh.Exec(question); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != answer {
+				t.Errorf("the session answers differently after load:\n%s\nwant\n%s", out, answer)
+			}
+		})
 	}
 }

@@ -124,18 +124,6 @@ func compileCheck(n *Node) func(nested.Value) bool {
 	}
 }
 
-// MatchItem matches one data item with the compiled program and returns the
-// backtracing tree of matched paths, or ok == false when the item does not
-// satisfy the pattern. The tree is the caller's own.
-func (c *Compiled) MatchItem(d nested.Value) (*backtrace.Tree, bool) {
-	m := matcher{c: c}
-	all, ok := m.bind(d)
-	if !ok {
-		return nil, false
-	}
-	return bindingsTree(all), true
-}
-
 // stackSteps is the step capacity a matcher starts with: deeper than the
 // scenarios' results nest, so the stack is allocated once per goroutine.
 const stackSteps = 16

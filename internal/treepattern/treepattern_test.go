@@ -213,7 +213,7 @@ func TestMatchItemDirect(t *testing.T) {
 	item := nested.Item(nested.F("a", nested.Int(1)))
 	p := treepattern.New(treepattern.Child("a"))
 	tree, ok := p.MatchItem(item)
-	if !ok || tree.IsEmpty() {
+	if !ok || len(tree.Root.Children) == 0 {
 		t.Fatal("MatchItem failed on direct attribute")
 	}
 	if _, ok := treepattern.New(treepattern.Child("zz")).MatchItem(item); ok {

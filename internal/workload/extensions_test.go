@@ -1,25 +1,26 @@
-package workload
+package workload_test
 
 import (
 	"pebble/internal/engine"
 	"pebble/internal/nested"
 	"pebble/internal/treepattern"
+	"pebble/internal/workload"
 )
 
-// ExtensionScenarios returns scenarios beyond the paper's Tab. 7 that
+// extensionScenarios returns scenarios beyond the paper's Tab. 7 that
 // exercise the extension operators (distinct, orderBy, limit, left outer
 // join) under capture and backtracing. They are not part of AllScenarios —
 // the paper's evaluation stays the ten originals — but share the same
 // generators and query machinery.
-func ExtensionScenarios() []Scenario {
-	return []Scenario{
+func extensionScenarios() []workload.Scenario {
+	return []workload.Scenario{
 		{
 			Name:        "X1",
 			Description: "top-5 most mentioned users (flatten, count, orderBy desc, limit)",
 			Dataset:     "twitter",
 			Build:       buildX1,
 			Pattern: treepattern.New(
-				treepattern.Child("mid").WithEq(nested.StringVal(HotUserID)),
+				treepattern.Child("mid").WithEq(nested.StringVal(workload.HotUserID)),
 				treepattern.Child("mentions"),
 			),
 		},
@@ -29,7 +30,7 @@ func ExtensionScenarios() []Scenario {
 			Dataset:     "dblp",
 			Build:       buildX2,
 			Pattern: treepattern.New(
-				treepattern.Child("pkey").WithEq(nested.StringVal(HotProceedingKey)),
+				treepattern.Child("pkey").WithEq(nested.StringVal(workload.HotProceedingKey)),
 				treepattern.Child("n_papers"),
 			),
 		},

@@ -56,8 +56,14 @@ func checkHomogeneous(t *testing.T, v nested.Value) {
 		checkHomogeneous(t, e)
 	}
 	elems := v.Elems()
+	var want nested.Type
+	if len(elems) > 0 {
+		want.Merge(elems[0])
+	}
 	for i, e := range elems {
-		if want, got := nested.TypeOf(elems[0]), nested.TypeOf(e); !nested.Compatible(want, got) {
+		var got nested.Type
+		got.Merge(e)
+		if !nested.Compatible(want, got) {
 			t.Fatalf("heterogeneous collection: element %d has type %s, want %s", i, got, want)
 		}
 		checkHomogeneous(t, e)
@@ -192,19 +198,19 @@ func TestScenarioResultsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() []nested.Value {
+		run := func() []engine.Row {
 			res, err := engine.Run(sc.Build(), sc.Input(scale, 3), engine.Options{Partitions: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Output.Values()
+			return res.Output.Rows()
 		}
 		a, b := run(), run()
 		if len(a) != len(b) {
 			t.Fatalf("%s: nondeterministic row count %d vs %d", name, len(a), len(b))
 		}
 		for i := range a {
-			if !nested.Equal(a[i], b[i]) {
+			if !nested.Equal(a[i].Value, b[i].Value) {
 				t.Fatalf("%s: row %d differs", name, i)
 			}
 		}
@@ -300,7 +306,7 @@ func TestAnalyzerAcceptsAllScenarios(t *testing.T) {
 // end with capture, analysis, pattern matching, and backtracing.
 func TestExtensionScenarios(t *testing.T) {
 	scale := workload.DefaultScale(1)
-	for _, sc := range workload.ExtensionScenarios() {
+	for _, sc := range extensionScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			inputs := sc.Input(scale, 3)
@@ -317,7 +323,7 @@ func TestExtensionScenarios(t *testing.T) {
 			}
 			b := sc.Pattern.Match(res.Output)
 			if b.Len() == 0 {
-				t.Fatalf("pattern matched nothing over:\n%v", res.Output.Values())
+				t.Fatalf("pattern matched nothing over:\n%v", res.Output.Rows())
 			}
 			traced, err := backtrace.Trace(run, pipe.Sink().ID(), b)
 			if err != nil {
@@ -336,7 +342,7 @@ func TestExtensionScenarios(t *testing.T) {
 
 // TestX1TopsHotUser: the hot user must rank first in X1's top-5.
 func TestX1TopsHotUser(t *testing.T) {
-	sc := workload.ExtensionScenarios()[0]
+	sc := extensionScenarios()[0]
 	res, err := engine.Run(sc.Build(), sc.Input(workload.DefaultScale(1), 3), engine.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +359,7 @@ func TestX1TopsHotUser(t *testing.T) {
 // TestX2KeepsEmptyProceedings: the left outer join retains proceedings
 // without inproceedings (null n_papers).
 func TestX2KeepsEmptyProceedings(t *testing.T) {
-	sc := workload.ExtensionScenarios()[1]
+	sc := extensionScenarios()[1]
 	res, err := engine.Run(sc.Build(), sc.Input(workload.DefaultScale(1), 3), engine.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)

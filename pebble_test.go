@@ -99,7 +99,7 @@ func TestPublicJSONHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.AttrNames()[0] != "b" {
+	if v.Shape().Names()[0] != "b" {
 		t.Error("attribute order lost")
 	}
 	var buf bytes.Buffer
@@ -131,7 +131,7 @@ func TestPublicValueConstructors(t *testing.T) {
 func TestTreeFromValuePublic(t *testing.T) {
 	v := pebble.Item(pebble.F("a", pebble.Bag(pebble.Int(1), pebble.Int(2))))
 	tr := pebble.TreeFromValue(v)
-	if tr.IsEmpty() {
+	if len(tr.Root.Children) == 0 {
 		t.Error("full tree should not be empty")
 	}
 	b := pebble.NewStructure()
